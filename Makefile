@@ -6,7 +6,7 @@ GO ?= go
 # the BENCH_PR.json artifact).
 BENCHFLAGS ?=
 
-.PHONY: all build test conformance race bench bench-gate bench-baseline profile profile-top cover fmt-check doc-check vet dist fuzz
+.PHONY: all build test conformance race bench bench-gate bench-baseline perf perf-compare profile profile-top cover fmt-check doc-check vet dist fuzz
 
 # Fuzz budget per target for `make fuzz` (CI passes FUZZTIME=10s; raise it
 # locally for deeper runs, e.g. make fuzz FUZZTIME=2m).
@@ -56,6 +56,18 @@ bench-gate:
 bench-baseline:
 	@$(GO) test -json -run '^$$' -bench . -benchtime 1x -benchmem -timeout 15m ./... > BENCH_PR.json
 	$(GO) run ./cmd/benchgate -input BENCH_PR.json -write -baseline BENCH_BASELINE.json
+
+# The repository benchmark (bench/README.md, BENCHMARK.json): every workload
+# end to end with tracing off, then stage by stage. perf writes one result
+# file; perf-compare applies the BENCHMARK.json bounds to two of them, e.g.
+#   make perf-compare A=bench/results/seed.json B=bench/out/perf.json
+# Compare only files from the same machine, and claim a gain only from ten
+# alternating parent/change pairs (bench/README.md).
+perf:
+	$(GO) run ./bench -seed 1 -out bench/out/perf.json
+
+perf-compare:
+	$(GO) run ./bench -compare $(A) $(B)
 
 # CPU/heap profiles of the two serving-critical benchmarks: the
 # LocalCompute engines (per-client vs batched) and the async load harness.
@@ -128,6 +140,7 @@ dist:
 # the CI fuzz job runs this with the default 10s budget per target.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/codec
+	$(GO) test -run '^$$' -fuzz '^FuzzTopKEncodeMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/codec
 	$(GO) test -run '^$$' -fuzz '^FuzzDefenseAggregate$$' -fuzztime $(FUZZTIME) ./internal/defense
 	$(GO) test -run '^$$' -fuzz '^FuzzKMeansCluster$$' -fuzztime $(FUZZTIME) ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzMeanShiftCluster$$' -fuzztime $(FUZZTIME) ./internal/cluster

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"github.com/signguard/signguard/internal/codec"
 	"github.com/signguard/signguard/internal/sanitize"
 	"github.com/signguard/signguard/internal/tensor"
 )
@@ -76,6 +77,36 @@ func TestSubmitClampRepairsCopyNotCaller(t *testing.T) {
 	}
 	if st.Buffered != 1 {
 		t.Errorf("Buffered = %d, want 1 (clamped update enters the buffer)", st.Buffered)
+	}
+}
+
+// The identity codec decodes in place, so the gradient a transport hands to
+// Submit is the payload's own array. The buffer must hold a copy: whatever
+// the transport does with its buffer afterwards cannot reach a later step.
+func TestSubmitBufferDoesNotAliasDecodedPayload(t *testing.T) {
+	agg := hostileAggregator(t, 4, sanitize.Reject)
+	payload := codec.Encoded{Codec: codec.Identity, Dim: 4, Dense: []float64{1, 1, 1, 1}}
+	g, err := codec.IdentityCodec{}.Decode(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := agg.Submit(Update{Client: "a", Grad: g}); err != nil {
+		t.Fatal(err)
+	}
+	for i := range payload.Dense {
+		payload.Dense[i] = 1e6 // the transport reuses its buffer
+	}
+	if _, err := agg.Submit(Update{Client: "b", Grad: []float64{1, 1, 1, 1}}); err != nil {
+		t.Fatal(err)
+	}
+	version, params, _ := agg.Model()
+	if version != 1 {
+		t.Fatalf("version %d after K=2 arrivals, want 1", version)
+	}
+	for i, p := range params {
+		if p != -0.1 { // one LR=0.1 step along the mean of two all-ones gradients
+			t.Errorf("param %d = %v, want -0.1: the buffered update saw the overwritten payload", i, p)
+		}
 	}
 }
 

@@ -22,8 +22,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
-	"sort"
+	"slices"
+	"sync"
 )
 
 // ErrNonFinite marks encode/decode refusals caused by NaN or ±Inf values —
@@ -111,6 +113,11 @@ func checkDim(e Encoded) error {
 // Codec encodes gradients into their wire form and back. Implementations
 // are stateless values, safe for concurrent use; all randomness comes from
 // the rng passed to Encode (pass nil for deterministic codecs).
+//
+// Ownership: Encode never retains grad, so the caller owns the payload it
+// gets back. The slice Decode returns may alias the payload's own arrays
+// (identity returns Dense itself); the caller owns both and must copy
+// before mutating one if it still needs the other.
 type Codec interface {
 	// Name identifies the codec instance, including resolved
 	// hyperparameters where they matter (e.g. "topk(512)").
@@ -120,7 +127,8 @@ type Codec interface {
 	Encode(grad []float64, rng *rand.Rand) (Encoded, error)
 	// Decode reconstructs a gradient of length Encoded.Dim from the wire
 	// form. It must not depend on the instance's hyperparameters — a
-	// receiver decodes payloads from any sender configuration.
+	// receiver decodes payloads from any sender configuration. The result
+	// may alias e's payload arrays (see the ownership rule above).
 	Decode(e Encoded) ([]float64, error)
 }
 
@@ -137,7 +145,8 @@ func (IdentityCodec) Encode(grad []float64, _ *rand.Rand) (Encoded, error) {
 	return Encoded{Codec: Identity, Dim: len(grad), Dense: append([]float64(nil), grad...)}, nil
 }
 
-// Decode implements Codec. A payload carrying NaN or ±Inf values is
+// Decode implements Codec: it validates the payload in place and returns
+// e.Dense itself, not a copy. A payload carrying NaN or ±Inf values is
 // refused: decoded gradients feed norms, distances and clustering
 // directly, so the wire boundary must never emit a non-finite value
 // without an error.
@@ -145,14 +154,12 @@ func (IdentityCodec) Decode(e Encoded) ([]float64, error) {
 	if len(e.Dense) != e.Dim {
 		return nil, fmt.Errorf("codec: identity payload has %d values for dim %d", len(e.Dense), e.Dim)
 	}
-	out := make([]float64, e.Dim)
 	for i, v := range e.Dense {
 		if !finite(v) {
 			return nil, fmt.Errorf("codec: identity payload value %d: %w", i, ErrNonFinite)
 		}
-		out[i] = v
 	}
-	return out, nil
+	return e.Dense, nil
 }
 
 // TopKCodec keeps the K largest-magnitude coordinates exactly and drops the
@@ -187,42 +194,114 @@ func (c TopKCodec) keep(dim int) int {
 	return k
 }
 
-// Encode implements Codec.
+// absScratch pools the |g| working copies the top-k selection partitions
+// in place, so TopKCodec stays a stateless value and a steady-state Encode
+// allocates only the payload's Idx and Val.
+var absScratch = sync.Pool{New: func() any { return new([]float64) }}
+
+// Encode implements Codec. One pass writes |g_i| into pooled scratch and
+// refuses the gradient on its first NaN or ±Inf coordinate — wherever it
+// sits, kept or not; a selection (expected O(d), at worst O(d log d))
+// finds the k-th largest magnitude τ; one ascending-index scan keeps every
+// coordinate above τ and the first coordinates equal to τ until k are
+// kept. Idx comes out ascending, and equal magnitudes keep the lower index.
 func (c TopKCodec) Encode(grad []float64, _ *rand.Rand) (Encoded, error) {
-	if len(grad) == 0 {
+	d := len(grad)
+	if d == 0 {
 		return Encoded{Codec: TopK}, nil
 	}
-	k := c.keep(len(grad))
-	abs := make([]float64, len(grad))
+	k := c.keep(d)
+	buf := absScratch.Get().(*[]float64)
+	defer absScratch.Put(buf)
+	if cap(*buf) < d {
+		*buf = make([]float64, d)
+	}
+	abs := (*buf)[:d]
 	for i, v := range grad {
-		abs[i] = math.Abs(v)
-	}
-	order := make([]int, len(grad))
-	for i := range order {
-		order[i] = i
-	}
-	// Larger magnitude first; equal magnitudes keep the lower index. The
-	// comparator is a total order, so the selection is deterministic.
-	sort.Slice(order, func(a, b int) bool {
-		ai, bi := order[a], order[b]
-		if abs[ai] != abs[bi] {
-			return abs[ai] > abs[bi]
+		a := math.Abs(v)
+		if !(a <= math.MaxFloat64) { // false for NaN and +Inf alike
+			return Encoded{}, fmt.Errorf("codec: topk cannot encode coordinate %d: %w", i, ErrNonFinite)
 		}
-		return ai < bi
-	})
-	kept := append([]int(nil), order[:k]...)
-	sort.Ints(kept)
-	e := Encoded{Codec: TopK, Dim: len(grad), Idx: make([]int32, k), Val: make([]float64, k)}
-	for i, idx := range kept {
-		if !finite(grad[idx]) {
-			// NaN magnitudes also poison the selection order, so a
-			// non-finite input must error rather than ship a hostile payload.
-			return Encoded{}, fmt.Errorf("codec: topk cannot encode coordinate %d: %w", idx, ErrNonFinite)
+		abs[i] = a
+	}
+	tau := selectNth(abs, d-k, 2*bits.Len(uint(d)))
+	// selectNth left the k largest magnitudes in abs[d-k:], so whatever
+	// exceeds τ is there; the rest of the k slots go to ties at τ.
+	ties := k
+	for _, a := range abs[d-k:] {
+		if a > tau {
+			ties--
 		}
-		e.Idx[i] = int32(idx)
-		e.Val[i] = grad[idx]
+	}
+	e := Encoded{Codec: TopK, Dim: d, Idx: make([]int32, k), Val: make([]float64, k)}
+	n := 0
+	for i, v := range grad {
+		switch a := math.Abs(v); {
+		case a > tau:
+		case a == tau && ties > 0:
+			ties--
+		default:
+			continue
+		}
+		e.Idx[n], e.Val[n] = int32(i), v
+		if n++; n == k {
+			break
+		}
 	}
 	return e, nil
+}
+
+// selectNth rearranges s so that s[n] holds the value an ascending sort
+// would put there, nothing before it is larger and nothing after it is
+// smaller, and returns s[n]. s must hold no NaN. It is a median-of-three
+// quickselect — expected O(len(s)), no randomness drawn — that may spend
+// at most passes partition passes: an input crafted against the pivot rule
+// runs out of them, and what is left is sorted instead, which bounds the
+// worst case at O(len(s)·(passes + log len(s))). The scans stop on values
+// equal to the pivot, so runs of ties (the zeros of a sparse gradient)
+// split evenly instead of degrading it.
+func selectNth(s []float64, n, passes int) float64 {
+	// Invariant: s[:lo] <= s[lo:hi+1] <= s[hi+1:] and lo <= n <= hi.
+	lo, hi := 0, len(s)-1
+	// Ranges of a dozen values go straight to the (insertion) sort below.
+	for ; passes > 0 && hi-lo >= 12; passes-- {
+		// Median of s[lo], s[mid], s[hi] becomes the pivot at s[lo+1]; the
+		// other two stay at the ends as sentinels for the scans below.
+		mid := lo + (hi-lo)/2
+		s[mid], s[lo+1] = s[lo+1], s[mid]
+		if s[lo] > s[hi] {
+			s[lo], s[hi] = s[hi], s[lo]
+		}
+		if s[lo+1] > s[hi] {
+			s[lo+1], s[hi] = s[hi], s[lo+1]
+		}
+		if s[lo] > s[lo+1] {
+			s[lo], s[lo+1] = s[lo+1], s[lo]
+		}
+		p := s[lo+1]
+		i, j := lo+1, hi
+		for {
+			for i++; s[i] < p; i++ {
+			}
+			for j--; s[j] > p; j-- {
+			}
+			if j < i {
+				break
+			}
+			s[i], s[j] = s[j], s[i]
+		}
+		s[lo+1], s[j] = s[j], p
+		switch {
+		case n < j:
+			hi = j - 1
+		case n > j:
+			lo = j + 1
+		default:
+			return p
+		}
+	}
+	slices.Sort(s[lo : hi+1])
+	return s[n]
 }
 
 // Decode implements Codec: the kept values scatter into a zero vector.

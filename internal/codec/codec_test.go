@@ -4,8 +4,11 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
+	"sync"
 	"testing"
+	"time"
 )
 
 func testGrad(rng *rand.Rand, d int) []float64 {
@@ -307,6 +310,259 @@ func TestDecodeRejectsCorruptPayloads(t *testing.T) {
 	} {
 		if _, err := Builtin().Decode(e); err == nil {
 			t.Errorf("corrupt %s payload accepted: %+v", e.Codec, e)
+		}
+	}
+}
+
+// referenceTopK is the selection TopKCodec.Encode shipped before it became
+// a quickselect: a full sort of the index permutation by (|g| descending,
+// index ascending), the first k kept and re-sorted by index. It survives
+// as the oracle the selection must match bit for bit on finite input.
+func referenceTopK(grad []float64, k int) Encoded {
+	if len(grad) == 0 {
+		return Encoded{Codec: TopK}
+	}
+	order := make([]int, len(grad))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool {
+		ai, bi := order[a], order[b]
+		if ma, mb := math.Abs(grad[ai]), math.Abs(grad[bi]); ma != mb {
+			return ma > mb
+		}
+		return ai < bi
+	})
+	kept := append([]int(nil), order[:k]...)
+	sort.Ints(kept)
+	e := Encoded{Codec: TopK, Dim: len(grad), Idx: make([]int32, k), Val: make([]float64, k)}
+	for i, idx := range kept {
+		e.Idx[i] = int32(idx)
+		e.Val[i] = grad[idx]
+	}
+	return e
+}
+
+// fillGrad returns the d-coordinate gradient whose i-th value is f(i).
+func fillGrad(d int, f func(i int) float64) []float64 {
+	g := make([]float64, d)
+	for i := range g {
+		g[i] = f(i)
+	}
+	return g
+}
+
+// checkMatchesReference encodes grad with TopKCodec{K: k} and reports any
+// bit of the payload that differs from referenceTopK's.
+func checkMatchesReference(t *testing.T, grad []float64, k int) {
+	t.Helper()
+	c := TopKCodec{K: k}
+	got, err := c.Encode(grad, nil)
+	if err != nil {
+		t.Fatalf("d=%d k=%d: %v", len(grad), k, err)
+	}
+	want := referenceTopK(grad, c.keep(len(grad)))
+	if got.Codec != want.Codec || got.Dim != want.Dim || got.Bytes() != want.Bytes() ||
+		len(got.Idx) != len(want.Idx) || len(got.Val) != len(want.Val) {
+		t.Fatalf("d=%d k=%d: payload shape (%s dim %d, %d idx, %d val, %d B), want (%s dim %d, %d idx, %d val, %d B)",
+			len(grad), k, got.Codec, got.Dim, len(got.Idx), len(got.Val), got.Bytes(),
+			want.Codec, want.Dim, len(want.Idx), len(want.Val), want.Bytes())
+	}
+	for i := range want.Idx {
+		if got.Idx[i] != want.Idx[i] || math.Float64bits(got.Val[i]) != math.Float64bits(want.Val[i]) {
+			t.Fatalf("d=%d k=%d: kept entry %d is (%d, %x), want (%d, %x)", len(grad), k, i,
+				got.Idx[i], math.Float64bits(got.Val[i]), want.Idx[i], math.Float64bits(want.Val[i]))
+		}
+	}
+}
+
+// TestTopKEncodeMatchesReference: the selection-based Encode produces the
+// sort-based payload bit for bit — over random, tie-heavy, constant and
+// pre-sorted inputs, at every k regime.
+func TestTopKEncodeMatchesReference(t *testing.T) {
+	shapes := map[string]func(rng *rand.Rand, d int) []float64{
+		"random": testGrad,
+		"sparse": func(rng *rand.Rand, d int) []float64 { // mostly ±0
+			g := make([]float64, d)
+			for i := range g {
+				switch rng.Intn(10) {
+				case 0:
+					g[i] = rng.NormFloat64()
+				case 1:
+					g[i] = math.Copysign(0, -1)
+				}
+			}
+			return g
+		},
+		"repeated": func(rng *rand.Rand, d int) []float64 { // five magnitudes, ±v pairs
+			g := make([]float64, d)
+			for i := range g {
+				g[i] = float64(rng.Intn(5)) * 0.25
+				if rng.Intn(2) == 0 {
+					g[i] = -g[i]
+				}
+			}
+			return g
+		},
+		"all-equal": func(_ *rand.Rand, d int) []float64 { return fillGrad(d, func(int) float64 { return -1.5 }) },
+		"all-zero":  func(_ *rand.Rand, d int) []float64 { return make([]float64, d) },
+		"ascending": func(_ *rand.Rand, d int) []float64 {
+			return fillGrad(d, func(i int) float64 { return float64(i) - float64(d)/2 })
+		},
+		"descending": func(_ *rand.Rand, d int) []float64 {
+			return fillGrad(d, func(i int) float64 { return float64(d - i) })
+		},
+	}
+	for name, shape := range shapes {
+		t.Run(name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(11))
+			for _, d := range []int{1, 2, 7, 4550} {
+				for _, k := range []int{1, d / 10, d - 1, d, 0} {
+					for rep := 0; rep < 3; rep++ {
+						checkMatchesReference(t, shape(rng, d), k)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestTopKEncodeAllocations: the |g| scratch is pooled, so a steady-state
+// Encode allocates the payload's Idx and Val and nothing else.
+func TestTopKEncodeAllocations(t *testing.T) {
+	g := testGrad(rand.New(rand.NewSource(12)), 4550)
+	c := TopKCodec{}
+	if allocs := testing.AllocsPerRun(50, func() {
+		if _, err := c.Encode(g, nil); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 2 {
+		t.Errorf("TopKCodec.Encode allocates %.0f times per call, want at most 2 (Idx and Val)", allocs)
+	}
+}
+
+// TestTopKEncodeConcurrent: campaign workers and load-test clients encode
+// at once through the one scratch pool, at different dimensions; no encode
+// may see another's scratch (run under -race by `make race`).
+func TestTopKEncodeConcurrent(t *testing.T) {
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(100 + w)))
+			for rep := 0; rep < 50; rep++ {
+				g := testGrad(rng, 1+rng.Intn(600))
+				want := referenceTopK(g, TopKCodec{}.keep(len(g)))
+				got, err := TopKCodec{}.Encode(g, nil)
+				if err != nil || !slices.Equal(got.Idx, want.Idx) || !slices.Equal(got.Val, want.Val) {
+					t.Errorf("worker %d rep %d: concurrent encode diverged from the reference (err %v)", w, rep, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestSelectNthOutOfPasses drives selectNth into its sort fallback at
+// every point of the search — no passes at all, then one, two, … — and
+// checks the contract Encode relies on: s[n] is the sorted value, nothing
+// before it is larger, nothing after it smaller.
+func TestSelectNthOutOfPasses(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for _, d := range []int{1, 2, 13, 100, 4550} {
+		base := testGrad(rng, d)
+		for i := range base {
+			base[i] = math.Abs(math.Round(base[i]*8) / 8) // ties included
+		}
+		sorted := append([]float64(nil), base...)
+		sort.Float64s(sorted)
+		for passes := 0; passes <= 6; passes++ {
+			for _, n := range []int{0, d / 3, d - 1 - d/10, d - 1} {
+				s := append([]float64(nil), base...)
+				if got := selectNth(s, n, passes); got != sorted[n] || s[n] != sorted[n] {
+					t.Fatalf("d=%d n=%d passes=%d: selected %v (s[n]=%v), want %v", d, n, passes, got, s[n], sorted[n])
+				}
+				for i, v := range s {
+					if (i < n && v > s[n]) || (i > n && v < s[n]) {
+						t.Fatalf("d=%d n=%d passes=%d: s[%d]=%v on the wrong side of s[n]=%v", d, n, passes, i, v, s[n])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestTopKEncodePathologicalInputs: orders aimed at a median-of-three
+// pivot (organ pipe, valley, sawtooth, pre-sorted) and value sets aimed at
+// the partition (constant, two-valued) must cost a small multiple of a
+// random gradient at d = 1M, not a quadratic blow-up. A client chooses its
+// gradient, so Encode's worst case is an attack surface of every campaign
+// worker and load generator.
+func TestTopKEncodePathologicalInputs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("encodes 1M-coordinate gradients")
+	}
+	const d = 1_000_000
+	encode := func(g []float64) time.Duration { // best of three
+		best := time.Duration(math.MaxInt64)
+		var e Encoded
+		for rep := 0; rep < 3; rep++ {
+			start := time.Now()
+			var err error
+			e, err = (TopKCodec{}).Encode(g, nil)
+			best = min(best, time.Since(start))
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		checkKeptSetIsTopK(t, g, e)
+		return best
+	}
+	base := encode(testGrad(rand.New(rand.NewSource(13)), d))
+	shapes := map[string]func(i int) float64{
+		"organ-pipe": func(i int) float64 { return float64(min(i, d-1-i)) },
+		"valley":     func(i int) float64 { return float64(max(i, d-1-i)) },
+		"sawtooth":   func(i int) float64 { return float64(i % 1024) },
+		"ascending":  func(i int) float64 { return float64(i) },
+		"descending": func(i int) float64 { return float64(d - i) },
+		"all-equal":  func(int) float64 { return 2.5 },
+		"two-valued": func(i int) float64 { return float64(i & 1) },
+	}
+	for name, shape := range shapes {
+		if got := encode(fillGrad(d, shape)); got > 10*base {
+			t.Errorf("%s: encode took %v against %v for a random gradient", name, got, base)
+		}
+	}
+}
+
+// checkKeptSetIsTopK verifies a large encode without the oracle's full
+// sort: k entries in ascending index order, values verbatim, and no
+// dropped coordinate outranking a kept one under (|g| descending, index
+// ascending).
+func checkKeptSetIsTopK(t *testing.T, grad []float64, e Encoded) {
+	t.Helper()
+	if want := (TopKCodec{}).keep(len(grad)); len(e.Idx) != want || len(e.Val) != want {
+		t.Fatalf("kept %d/%d coordinates, want %d", len(e.Idx), len(e.Val), want)
+	}
+	kept := make([]bool, len(grad))
+	weakest, weakestIdx := math.Inf(1), -1 // lowest-ranked kept coordinate
+	for i, idx := range e.Idx {
+		if i > 0 && idx <= e.Idx[i-1] {
+			t.Fatalf("Idx not strictly ascending at %d", i)
+		}
+		if math.Float64bits(e.Val[i]) != math.Float64bits(grad[idx]) {
+			t.Fatalf("kept value %d is not coordinate %d verbatim", i, idx)
+		}
+		kept[idx] = true
+		if a := math.Abs(grad[idx]); a <= weakest {
+			weakest, weakestIdx = a, int(idx)
+		}
+	}
+	for i, v := range grad {
+		if a := math.Abs(v); !kept[i] && (a > weakest || (a == weakest && i < weakestIdx)) {
+			t.Fatalf("dropped coordinate %d (|g|=%v) outranks kept coordinate %d (|g|=%v)", i, a, weakestIdx, weakest)
 		}
 	}
 }

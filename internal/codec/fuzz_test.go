@@ -2,6 +2,7 @@ package codec
 
 import (
 	"encoding/binary"
+	"errors"
 	"math"
 	"testing"
 )
@@ -68,4 +69,40 @@ func bytesToFloats(data []byte) []float64 {
 		data = data[8:]
 	}
 	return out
+}
+
+// FuzzTopKEncodeMatchesReference holds the selection-based TopKCodec.Encode
+// to the sort-based referenceTopK on arbitrary gradients: a finite input
+// must produce the reference payload bit for bit, an input with a NaN or
+// ±Inf coordinate anywhere must be refused with ErrNonFinite. coarse reads
+// one small signed value per byte — zeros, repeated magnitudes and ±v
+// pairs, the inputs that stress the tie rule — instead of one float64 per
+// eight bytes. The checked-in corpus (testdata/fuzz) holds the inputs long
+// enough to reach the partition loop and the non-finite refusals.
+func FuzzTopKEncodeMatchesReference(f *testing.F) {
+	f.Add([]byte{}, 0, false)
+	f.Add([]byte{3, 253, 3, 3, 0, 128, 1, 255, 0, 0, 7, 249}, 2, true)
+	f.Fuzz(func(t *testing.T, data []byte, k int, coarse bool) {
+		var grad []float64
+		if coarse {
+			grad = make([]float64, len(data))
+			for i, b := range data {
+				grad[i] = float64(int8(b)) / 4
+			}
+		} else {
+			grad = bytesToFloats(data)
+		}
+		if k < 0 || k > len(grad)+1 {
+			k = 0
+		}
+		for _, v := range grad {
+			if !finite(v) {
+				if _, err := (TopKCodec{K: k}).Encode(grad, nil); !errors.Is(err, ErrNonFinite) {
+					t.Fatalf("non-finite gradient %v: err = %v, want ErrNonFinite", grad, err)
+				}
+				return
+			}
+		}
+		checkMatchesReference(t, grad, k)
+	})
 }

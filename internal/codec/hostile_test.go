@@ -1,6 +1,8 @@
 package codec
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -51,6 +53,27 @@ func TestEncodeRefusesNonFiniteGradients(t *testing.T) {
 	inf := []float64{math.Inf(1), 0}
 	if _, err := (QSGDCodec{}).Encode(inf, rand.New(rand.NewSource(1))); err == nil {
 		t.Error("qsgd encoded an Inf gradient without error")
+	}
+}
+
+// A non-finite coordinate is refused wherever it sits. The sort-based
+// topk only looked at the coordinates that landed in the kept set, so a
+// NaN outside it both shipped silently and — NaN compares false either
+// way — left the selection order undefined.
+func TestTopKEncodeRefusesNonFiniteOutsideKeptSet(t *testing.T) {
+	for name, bad := range map[string]float64{"nan": math.NaN(), "+inf": math.Inf(1), "-inf": math.Inf(-1)} {
+		for pos := 0; pos < 4; pos++ {
+			g := []float64{9, 1, 1, 1}
+			g[pos] = bad
+			_, err := (TopKCodec{K: 1}).Encode(g, nil)
+			if !errors.Is(err, ErrNonFinite) {
+				t.Errorf("%s at %d of %v: err = %v, want ErrNonFinite", name, pos, g, err)
+				continue
+			}
+			if want := fmt.Sprintf("coordinate %d", pos); !strings.Contains(err.Error(), want) {
+				t.Errorf("%s at %d: error %q does not name the %s", name, pos, err, want)
+			}
+		}
 	}
 }
 

@@ -41,6 +41,28 @@ func codecScenario(t *testing.T, c codec.Codec, workers int) Config {
 	return cfg
 }
 
+// goldenTopKTraces pin the topk wire stage bit for bit: the trace digests
+// of codecScenario under the sort-based TopKCodec.Encode, recorded at the
+// commit before it became a selection. Campaign cache keys and the repo
+// benchmark's parameter digests assume the payload never changes.
+var goldenTopKTraces = map[string]struct {
+	codec codec.TopKCodec
+	want  string
+}{
+	"k=30":      {codec.TopKCodec{K: 30}, "d1b97353ff9a92c90c2d96d05799c6a55ca29d29063e7d26e1734081fcf237f9"},
+	"k=default": {codec.TopKCodec{}, "5d4b2f96e828bab6b6a9b340969c6150769b2dda3617dc307616951d26b2df04"},
+}
+
+func TestGoldenTopKCodec(t *testing.T) {
+	for name, g := range goldenTopKTraces {
+		t.Run(name, func(t *testing.T) {
+			if got := traceDigest(t, codecScenario(t, g.codec, 1)); got != g.want {
+				t.Errorf("topk trace drifted from the sort-based encoder:\n got %s\nwant %s", got, g.want)
+			}
+		})
+	}
+}
+
 // TestCodecWorkerInvariance: every lossy codec's full trace digest is
 // identical across Workers ∈ {1, 2, 7} — the codec stage draws from its
 // own sequential RNG stream, so parallel local compute cannot perturb it.
