@@ -6,7 +6,7 @@ GO ?= go
 # the BENCH_PR.json artifact).
 BENCHFLAGS ?=
 
-.PHONY: all build test conformance race bench bench-gate bench-baseline perf perf-compare profile profile-top cover fmt-check doc-check vet dist fuzz
+.PHONY: all build test loc conformance race bench bench-gate bench-baseline perf perf-compare profile profile-top cover fmt-check doc-check vet dist fuzz
 
 # Fuzz budget per target for `make fuzz` (CI passes FUZZTIME=10s; raise it
 # locally for deeper runs, e.g. make fuzz FUZZTIME=2m).
@@ -21,6 +21,12 @@ build:
 # CI test job enforces.
 test: vet
 	$(GO) test -short -timeout 10m ./...
+
+# Non-test Go lines outside bench/: the figure ROADMAP's north star tracks
+# ("net-negative line counts are a success metric"). A simplicity PR reports
+# this number before and after; the CI test job prints it.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -print0 | xargs -0 cat | wc -l
 
 race:
 	$(GO) test -race -short -timeout 15m ./...
@@ -70,7 +76,7 @@ perf-compare:
 	$(GO) run ./bench -compare $(A) $(B)
 
 # CPU/heap profiles of the two serving-critical benchmarks: the
-# LocalCompute engines (per-client vs batched) and the async load harness.
+# LocalCompute stage (image CNN and text RNN) and the async load harness.
 # Written to ./profiles; inspect with `go tool pprof profiles/<name>`.
 profile:
 	@mkdir -p profiles

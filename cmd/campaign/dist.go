@@ -149,8 +149,6 @@ func cmdWork(args []string) error {
 	id := fs.String("id", "", "worker name in leases/heartbeats (default: hostname-pid)")
 	workers := fs.Int("workers", parallel.Default(), "concurrent cells on this worker (default: all CPUs)")
 	batch := fs.Int("batch", 1, "cells leased per request and slot")
-	batchClients := fs.Bool("batch-clients", false,
-		"compute client gradients in one stacked batch per simulation worker (byte-identical, so uploaded results match any other worker's)")
 	poll := fs.Duration("poll", 2*time.Second, "idle wait when every pending cell is leased elsewhere")
 	codecPin := fs.String("codec", "", "refuse grids whose cells use any compression codec but this one (operator policy; empty = accept all)")
 	verbose := fs.Bool("v", false, "log every finished cell")
@@ -176,7 +174,7 @@ func cmdWork(args []string) error {
 	w := &dist.Worker{
 		URL:       *coordURL,
 		ID:        *id,
-		Runner:    &campaign.Runner{Registry: experiments.Registry(), SimWorkers: simWorkers, BatchClients: *batchClients},
+		Runner:    &campaign.Runner{Registry: experiments.Registry(), SimWorkers: simWorkers},
 		Registry:  experiments.Registry(),
 		CheckSpec: codecPolicy(*codecPin),
 		Slots:     *workers,

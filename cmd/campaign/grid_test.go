@@ -17,7 +17,6 @@ func TestResolveSpecNames(t *testing.T) {
 		{name: "coordfrac", wantCells: 10},
 		{name: "dncsubdim", wantCells: 6},
 		{name: "adaptive", wantCells: 6},
-		{name: "batched", wantCells: 6},
 		{name: "all"},
 	}
 	for _, tc := range cases {

@@ -97,8 +97,6 @@ func cmdRun(args []string) error {
 	var g gridFlags
 	g.register(fs)
 	workers := fs.Int("workers", parallel.Default(), "concurrent cells (default: all CPUs)")
-	batchClients := fs.Bool("batch-clients", false,
-		"compute client gradients in one stacked batch per simulation worker (byte-identical to the per-client path, results stay cache-compatible)")
 	verbose := fs.Bool("v", false, "log every finished cell (default: one summary line per 10%)")
 	fs.Parse(args)
 
@@ -120,11 +118,10 @@ func cmdRun(args []string) error {
 	defer stop()
 
 	e := &campaign.Engine{
-		Registry:     experiments.Registry(),
-		Store:        store,
-		Workers:      *workers,
-		BatchClients: *batchClients,
-		Progress:     progressPrinter(*verbose),
+		Registry: experiments.Registry(),
+		Store:    store,
+		Workers:  *workers,
+		Progress: progressPrinter(*verbose),
 	}
 	log.Printf("%s: %d cells, cache %s", spec.Name, len(spec.Cells), store.Dir())
 	rep, err := e.Run(ctx, spec)

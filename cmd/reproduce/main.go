@@ -10,10 +10,10 @@
 //	reproduce -exp all -scale standard -workers 8 -cache-dir .campaign-cache -out results.md
 //
 // Experiments: table1, table2, table3, fig2, fig4, fig5, fig6, the
-// post-paper scenario axes (subsample, coordfrac, adaptive, batched,
-// compression, hostile, serverlearn), and all. -codec stamps a gradient-compression codec onto
-// every cell of whichever experiment runs (the codec is cell identity, so
-// compressed reruns cache separately).
+// post-paper scenario axes (subsample, coordfrac, adaptive, compression,
+// hostile, serverlearn), and all. -codec stamps a gradient-compression
+// codec onto every cell of whichever experiment runs (the codec is cell
+// identity, so compressed reruns cache separately).
 package main
 
 import (
@@ -32,14 +32,13 @@ import (
 
 func main() {
 	var (
-		expFlag     = flag.String("exp", "table1", "experiment id: table1|table2|table3|fig2|fig4|fig5|fig6|subsample|coordfrac|adaptive|batched|compression|hostile|serverlearn|all")
+		expFlag     = flag.String("exp", "table1", "experiment id: table1|table2|table3|fig2|fig4|fig5|fig6|subsample|coordfrac|adaptive|compression|hostile|serverlearn|all")
 		datasetFlag = flag.String("dataset", "", "table1 only: restrict to one dataset (mnist|fashion|cifar|agnews)")
 		scaleFlag   = flag.String("scale", "bench", "scale preset: bench|standard|full")
 		formatFlag  = flag.String("format", "md", "output format: md|tsv")
 		outFlag     = flag.String("out", "", "output file (default stdout)")
 		seedFlag    = flag.Int64("seed", 1, "experiment seed")
 		workersFlag = flag.Int("workers", parallel.Default(), "concurrent experiment cells (default: all CPUs)")
-		batchFlag   = flag.Bool("batch-clients", false, "compute client gradients in one stacked batch per simulation worker (byte-identical to the per-client path)")
 		codecFlag   = flag.String("codec", "", "gradient-compression codec stamped onto every cell (identity|topk|qsgd|signsgd; empty = the experiment's own codec axis)")
 		hyperFlag   = flag.String("codec-hyper", "", "codec hyperparameters as key=value[,key=value], e.g. k=64 (requires -codec)")
 		cacheFlag   = flag.String("cache-dir", "", "cell result cache directory (empty = no cache)")
@@ -48,12 +47,12 @@ func main() {
 	flag.Parse()
 
 	if err := run(*expFlag, *datasetFlag, *scaleFlag, *formatFlag, *outFlag, *seedFlag,
-		*workersFlag, *batchFlag, *codecFlag, *hyperFlag, *cacheFlag, *verbose); err != nil {
+		*workersFlag, *codecFlag, *hyperFlag, *cacheFlag, *verbose); err != nil {
 		log.Fatalf("reproduce: %v", err)
 	}
 }
 
-func run(exp, dataset, scaleName, format, outPath string, seed int64, workers int, batchClients bool, codecName, codecHyper, cacheDir string, verbose bool) error {
+func run(exp, dataset, scaleName, format, outPath string, seed int64, workers int, codecName, codecHyper, cacheDir string, verbose bool) error {
 	if err := parallel.ValidateWorkers(workers); err != nil {
 		return fmt.Errorf("-workers: %w", err)
 	}
@@ -83,7 +82,6 @@ func run(exp, dataset, scaleName, format, outPath string, seed int64, workers in
 		}
 	}
 	engine := experiments.NewEngine(workers, store, logf)
-	engine.BatchClients = batchClients
 	engine.Codec = codecName
 	engine.CodecHyper = hyper
 
@@ -202,13 +200,6 @@ func run(exp, dataset, scaleName, format, outPath string, seed int64, workers in
 		}
 		return emit(t)
 	}
-	runBatched := func() error {
-		t, err := experiments.Batched(engine, p)
-		if err != nil {
-			return err
-		}
-		return emit(t)
-	}
 	runCompression := func() error {
 		t, err := experiments.Compression(engine, p)
 		if err != nil {
@@ -252,8 +243,6 @@ func run(exp, dataset, scaleName, format, outPath string, seed int64, workers in
 		return runCoordFrac()
 	case "adaptive":
 		return runAdaptive()
-	case "batched":
-		return runBatched()
 	case "compression":
 		return runCompression()
 	case "hostile":
@@ -262,7 +251,7 @@ func run(exp, dataset, scaleName, format, outPath string, seed int64, workers in
 		return runServerLearn()
 	case "all":
 		for _, f := range []func() error{runFig2, runTable1, runTable2, runFig4, runFig5, runFig6, runTable3,
-			runSubsample, runCoordFrac, runAdaptive, runBatched, runCompression, runHostile, runServerLearn} {
+			runSubsample, runCoordFrac, runAdaptive, runCompression, runHostile, runServerLearn} {
 			if err := f(); err != nil {
 				return err
 			}

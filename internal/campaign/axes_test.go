@@ -237,11 +237,10 @@ func TestStoreIndexFastMembership(t *testing.T) {
 	}
 }
 
-// TestBatchedAxisIdentity pins the batched-engine axis's hash contract:
-// the zero value keeps the historical cell hash (cache compatibility),
-// while the fast mode — whose results are not bitwise-equal — must change
-// the identity. Exact batching as an axis also gets its own identity so
-// wall-clock sweeps cache per variant.
+// TestBatchedAxisIdentity pins the retired engine axes' hash contract: the
+// zero value keeps the historical cell hash (cache compatibility), and a
+// set axis still yields the distinct identity and ID suffix it was stored
+// under, so historical keys stay decodable.
 func TestBatchedAxisIdentity(t *testing.T) {
 	base := campaign.NewCell("tiny", "Mean", "LIE", tinyParams(1))
 	k1, err := base.Key()
@@ -272,9 +271,10 @@ func TestBatchedAxisIdentity(t *testing.T) {
 	}
 }
 
-// TestBatchedCellsThroughEngine asserts the engine-level equivalence: the
-// batched cell axis and the execution-level Engine.BatchClients override
-// both reproduce the per-client results exactly (traces included).
+// TestBatchedCellsThroughEngine: cells carrying the retired BatchClients
+// axis remain runnable and reproduce the plain cell's results exactly
+// (traces included) — which is why their old cache entries are still
+// correct hits.
 func TestBatchedCellsThroughEngine(t *testing.T) {
 	cell := campaign.NewCell("tiny", "SignGuard", "LIE", tinyParams(1))
 	batchedCell := cell
@@ -282,47 +282,30 @@ func TestBatchedCellsThroughEngine(t *testing.T) {
 	spec := campaign.Spec{Name: "batched", Cells: []campaign.Cell{cell, batchedCell}}
 	rep := mustRun(t, &campaign.Engine{Registry: testRegistry(), Workers: 2}, spec)
 
-	same := func(a, b *campaign.CellResult, label string) {
-		t.Helper()
-		if a.BestAccuracy != b.BestAccuracy || a.FinalAccuracy != b.FinalAccuracy {
-			t.Errorf("%s: accuracies diverged: %v/%v vs %v/%v",
-				label, a.BestAccuracy, a.FinalAccuracy, b.BestAccuracy, b.FinalAccuracy)
-		}
-		if len(a.TrainLoss) != len(b.TrainLoss) {
-			t.Fatalf("%s: loss trace lengths differ", label)
-		}
-		for i := range a.TrainLoss {
-			if a.TrainLoss[i] != b.TrainLoss[i] {
-				t.Fatalf("%s: round %d loss diverged", label, i)
-			}
-		}
+	a, b := rep.Results[0], rep.Results[1]
+	if a.BestAccuracy != b.BestAccuracy || a.FinalAccuracy != b.FinalAccuracy {
+		t.Errorf("accuracies diverged: %v/%v vs %v/%v", a.BestAccuracy, a.FinalAccuracy, b.BestAccuracy, b.FinalAccuracy)
 	}
-	same(rep.Results[0], rep.Results[1], "cell axis")
-
-	// The execution-level override computes the SAME cells (same keys, so
-	// cache-compatible) through the batched engine; results must not move.
-	override := mustRun(t, &campaign.Engine{Registry: testRegistry(), Workers: 2, BatchClients: true},
-		campaign.Spec{Name: "override", Cells: []campaign.Cell{cell}})
-	same(rep.Results[0], override.Results[0], "engine override")
-
-	// Fast mode trains and stays in the same accuracy regime without any
-	// bitwise promise.
-	fastCell := batchedCell
-	fastCell.FastLocal = true
-	fastRep := mustRun(t, &campaign.Engine{Registry: testRegistry()},
-		campaign.Spec{Name: "fast", Cells: []campaign.Cell{fastCell}})
-	if fastRep.Results[0].Diverged {
-		t.Error("fast-kernel cell diverged")
+	if len(a.TrainLoss) != len(b.TrainLoss) {
+		t.Fatal("loss trace lengths differ")
+	}
+	for i := range a.TrainLoss {
+		if a.TrainLoss[i] != b.TrainLoss[i] {
+			t.Fatalf("round %d loss diverged", i)
+		}
 	}
 }
 
-// TestValidateRejectsFastWithoutBatch: the fast kernels only exist inside
-// the batched engine.
-func TestValidateRejectsFastWithoutBatch(t *testing.T) {
-	bad := campaign.NewCell("tiny", "Mean", "LIE", tinyParams(1))
-	bad.FastLocal = true
-	if err := testRegistry().Validate(campaign.Spec{Name: "x", Cells: []campaign.Cell{bad}}); err == nil ||
-		!strings.Contains(err.Error(), "FastLocal") {
-		t.Errorf("FastLocal without BatchClients passed validation: %v", err)
+// TestValidateRefusesFastLocal: a FastLocal key promises results of the
+// removed non-bitwise kernels; storing exact results under it would be a
+// silent lie, so validation refuses the cell and says why.
+func TestValidateRefusesFastLocal(t *testing.T) {
+	for _, batch := range []bool{false, true} {
+		bad := campaign.NewCell("tiny", "Mean", "LIE", tinyParams(1))
+		bad.BatchClients, bad.FastLocal = batch, true
+		err := testRegistry().Validate(campaign.Spec{Name: "x", Cells: []campaign.Cell{bad}})
+		if err == nil || !strings.Contains(err.Error(), "FastLocal") || !strings.Contains(err.Error(), "removed") {
+			t.Errorf("FastLocal (BatchClients=%v) passed validation or hid the reason: %v", batch, err)
+		}
 	}
 }

@@ -84,18 +84,16 @@ type Cell struct {
 	// IID fraction s = NonIIDS and NonIIDShards shards per client.
 	NonIIDS      float64 `json:",omitempty"`
 	NonIIDShards int     `json:",omitempty"`
-	// BatchClients selects the batched local-compute engine: each
-	// simulation worker stacks its clients' minibatches into one matrix
-	// and runs a single forward/backward per layer. Results are
-	// byte-identical to the per-client engine, so the axis exists for
-	// wall-clock comparison grids; execution-level batching without a new
-	// cell identity goes through Runner.BatchClients instead.
+	// BatchClients and FastLocal are retired in PR 14: they select nothing.
+	// They once chose between three local-compute engines; exact stacked
+	// batching is now the only one. The fields survive — in the hash and in
+	// ID() only — so every historical key stays decodable. BatchClients
+	// cells remain runnable (that engine was byte-identical to the
+	// per-client one, so their cached results are still correct hits);
+	// FastLocal cells promised the removed non-bitwise kernels and are
+	// refused by Registry.Validate.
 	BatchClients bool `json:",omitempty"`
-	// FastLocal additionally enables the batched engine's reassociated
-	// fast kernels. NOT byte-identical (results agree to float64
-	// accuracy), which is why it is cell identity: fast results must never
-	// share a cache entry with exact ones. Requires BatchClients.
-	FastLocal bool `json:",omitempty"`
+	FastLocal    bool `json:",omitempty"`
 	// Codec names the gradient-compression codec every submitted gradient
 	// passes through between the adversary and the defense ("" or
 	// "identity" = the lossless wire format; both spellings share one cell

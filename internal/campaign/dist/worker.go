@@ -312,17 +312,22 @@ func (w *Worker) Run(ctx context.Context) (WorkerStats, error) {
 					fail(fmt.Errorf("dist: cell %s: %w", cell.ID(), err))
 					return
 				}
+				// Counted once trained, not once acknowledged: when another
+				// slot's upload completes the campaign it cancels runCtx, and
+				// this slot's already-received upload may lose its reply.
+				mu.Lock()
+				stats.Executed++
+				mu.Unlock()
 				var ack ResultResponse
 				if err := w.postRetry(runCtx, PathResult, res, &ack, poll); err != nil {
 					fail(err)
 					return
 				}
-				mu.Lock()
-				stats.Executed++
 				if ack.Duplicate {
+					mu.Lock()
 					stats.Duplicates++
+					mu.Unlock()
 				}
-				mu.Unlock()
 				w.logf("dist: %s: %s in %v%s", id, cell.ID(),
 					time.Since(t0).Round(time.Millisecond),
 					map[bool]string{true: " (duplicate)", false: ""}[ack.Duplicate])

@@ -56,15 +56,11 @@ type Engine struct {
 	// cell-level pool has claimed the CPUs run single-threaded, and a
 	// single-worker engine hands all CPUs to the simulation instead.
 	SimWorkers int
-	// BatchClients computes every cell's local gradients through the
-	// batched engine (see Runner.BatchClients). Byte-identical to the
-	// per-client path, so cached results remain valid either way.
-	BatchClients bool
 	// Codec, when non-empty, stamps the named compression codec (with
 	// CodecHyper) onto every cell of every spec before hashing — the
 	// engine-level form of the -codec grid axis, used where specs are
 	// built out of the caller's reach (cmd/reproduce's renderers). Unlike
-	// SimWorkers/BatchClients this IS cell identity: stamped cells hash
+	// SimWorkers this IS cell identity: stamped cells hash
 	// and cache separately from their uncompressed originals.
 	Codec      string
 	CodecHyper map[string]float64
@@ -235,7 +231,7 @@ func (e *Engine) Run(ctx context.Context, spec Spec) (*Report, error) {
 	if cellWorkers < 1 {
 		cellWorkers = 1
 	}
-	runner := &Runner{Registry: e.Registry, SimWorkers: e.simWorkers(cellWorkers), BatchClients: e.BatchClients}
+	runner := &Runner{Registry: e.Registry, SimWorkers: e.simWorkers(cellWorkers)}
 
 	// Local execution is the degenerate case of the work-stealing cell
 	// scheduler: every worker leases one cell at a time from the shared

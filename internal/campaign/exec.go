@@ -41,37 +41,30 @@ type CellExec struct {
 	// rule's kernels (threaded through fl.Config.Workers into
 	// aggregate.SetWorkers). Results are byte-identical for any value.
 	SimWorkers int
-	// BatchClients selects the batched local-compute engine
-	// (byte-identical to the per-client path); FastLocal additionally
-	// enables its non-bitwise fast kernels.
-	BatchClients bool
-	FastLocal    bool
 }
 
 // Run executes the cell's training run.
 func (x *CellExec) Run() (*fl.RunResult, error) {
 	sim, err := fl.New(fl.Config{
-		Dataset:      x.Dataset,
-		NewModel:     x.NewModel,
-		Rule:         x.Rule,
-		Attack:       x.Attack,
-		Clients:      x.Params.Clients,
-		NumByz:       x.NumByz,
-		Rounds:       x.Params.Rounds,
-		BatchSize:    x.Params.BatchSize,
-		LR:           x.LR,
-		Momentum:     0.9,
-		WeightDecay:  5e-4,
-		EvalEvery:    x.Params.EvalEvery,
-		EvalSamples:  x.Params.EvalSamples,
-		NonIID:       x.NonIID,
-		NonFinite:    x.NonFinite,
-		Pipeline:     fl.Pipeline{Participation: x.Participation, Codec: x.Codec},
-		Seed:         x.Params.Seed,
-		RoundHook:    x.Hook,
-		Workers:      x.SimWorkers,
-		BatchClients: x.BatchClients,
-		FastLocal:    x.FastLocal,
+		Dataset:     x.Dataset,
+		NewModel:    x.NewModel,
+		Rule:        x.Rule,
+		Attack:      x.Attack,
+		Clients:     x.Params.Clients,
+		NumByz:      x.NumByz,
+		Rounds:      x.Params.Rounds,
+		BatchSize:   x.Params.BatchSize,
+		LR:          x.LR,
+		Momentum:    0.9,
+		WeightDecay: 5e-4,
+		EvalEvery:   x.Params.EvalEvery,
+		EvalSamples: x.Params.EvalSamples,
+		NonIID:      x.NonIID,
+		NonFinite:   x.NonFinite,
+		Pipeline:    fl.Pipeline{Participation: x.Participation, Codec: x.Codec},
+		Seed:        x.Params.Seed,
+		RoundHook:   x.Hook,
+		Workers:     x.SimWorkers,
 	})
 	if err != nil {
 		return nil, err

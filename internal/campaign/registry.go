@@ -197,8 +197,8 @@ func (r *Registry) Validate(spec Spec) error {
 		} else if len(c.CodecHyper) > 0 {
 			return fmt.Errorf("cell %d (%s): CodecHyper %v requires a Codec name", i, c.ID(), c.CodecHyper)
 		}
-		if c.FastLocal && !c.BatchClients {
-			return fmt.Errorf("cell %d (%s): FastLocal requires BatchClients", i, c.ID())
+		if c.FastLocal {
+			return fmt.Errorf("cell %d (%s): FastLocal names the non-bitwise fast kernels, which were removed in PR 14; only exact results can be computed", i, c.ID())
 		}
 		if c.Probe != "" {
 			if _, err := r.probe(c.Probe); err != nil {

@@ -31,14 +31,6 @@ type Runner struct {
 	// fl.Config.Workers). 0 = automatic (all CPUs); results are
 	// byte-identical for any value.
 	SimWorkers int
-	// BatchClients computes every cell's local gradients through the
-	// batched engine regardless of the cell's own BatchClients axis. Like
-	// SimWorkers it is an execution knob, not cell identity: the batched
-	// engine is byte-identical, so results stay cache-compatible with
-	// per-client runs of the same cells. (The non-bitwise fast mode has no
-	// runner-level override for exactly that reason — it must change the
-	// cell hash, so it only exists as the Cell.FastLocal axis.)
-	BatchClients bool
 
 	once     sync.Once
 	datasets *dsCache
@@ -130,8 +122,6 @@ func (r *Runner) executeCell(c Cell, key string) (*CellResult, error) {
 		NonFinite:     policy,
 		Params:        p,
 		SimWorkers:    r.SimWorkers,
-		BatchClients:  c.BatchClients || r.BatchClients,
-		FastLocal:     c.FastLocal,
 	}
 	if probe != nil {
 		x.Hook = probe.Hook

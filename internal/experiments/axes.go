@@ -168,64 +168,6 @@ func Adaptive(e *campaign.Engine, p Params) (*Table, error) {
 	return t, nil
 }
 
-// batchedRules are the defenses the local-engine comparison covers.
-var batchedRules = []string{"SignGuard", "Mean"}
-
-// batchedVariants are the swept local-compute engines: the per-client
-// default, the batched engine (byte-identical, so its accuracy column must
-// equal the per-client one), and the batched engine's non-bitwise fast
-// kernels.
-var batchedVariants = []struct {
-	Name        string
-	Batch, Fast bool
-}{
-	{"per-client", false, false},
-	{"batched", true, false},
-	{"batched-fast", true, true},
-}
-
-// BatchedSpec declares the local-compute engine sweep: the same defense ×
-// LIE cells run under each engine variant. BatchClients/FastLocal are cell
-// identity, so each variant caches separately and the grid doubles as a
-// wall-clock comparison (DurationMS in the exports) and an integration
-// check that per-client and batched accuracies agree exactly.
-func BatchedSpec(p Params) campaign.Spec {
-	spec := campaign.Spec{Name: "batched"}
-	for _, rule := range batchedRules {
-		for _, v := range batchedVariants {
-			c := campaign.NewCell("mnist", rule, "LIE", p)
-			c.BatchClients = v.Batch
-			c.FastLocal = v.Fast
-			spec.Cells = append(spec.Cells, c)
-		}
-	}
-	return spec
-}
-
-// Batched runs the engine sweep and renders best accuracy per defense ×
-// engine variant (per-client and batched must match to every digit; fast
-// may differ in the last decimals).
-func Batched(e *campaign.Engine, p Params) (*Table, error) {
-	rep, err := e.Run(context.Background(), BatchedSpec(p))
-	if err != nil {
-		return nil, err
-	}
-	t := &Table{Title: "Local-compute engines — best test accuracy % (LIE attack)"}
-	t.Header = []string{"Defense"}
-	for _, v := range batchedVariants {
-		t.Header = append(t.Header, v.Name)
-	}
-	cur := cursor{results: rep.Results}
-	for _, rule := range batchedRules {
-		row := []string{rule}
-		for range batchedVariants {
-			row = append(row, fmtAcc(cur.next().BestAccuracy))
-		}
-		t.AddRow(row...)
-	}
-	return t, nil
-}
-
 // SeedGroupTable renders seed-group statistics (mean ± 95% CI over the
 // seed replicas of each cell) — the renderer counterpart of the group-csv
 // and group-json exports.

@@ -161,7 +161,7 @@ func newSignStatsProbe(c campaign.Cell) (*campaign.ProbeInstance, error) {
 func CampaignNames() []string {
 	return []string{
 		"table1", "table2", "table3", "fig2", "fig4", "fig5", "fig6",
-		"subsample", "coordfrac", "dncsubdim", "adaptive", "batched",
+		"subsample", "coordfrac", "dncsubdim", "adaptive",
 		"compression", "hostile", "serverlearn", "all",
 	}
 }
@@ -198,8 +198,6 @@ func CampaignByName(name string, p Params) (campaign.Spec, error) {
 		return DnCSubDimSpec(p), nil
 	case "adaptive":
 		return AdaptiveSpec(p), nil
-	case "batched":
-		return BatchedSpec(p), nil
 	case "compression":
 		return CompressionSpec(p), nil
 	case "hostile":

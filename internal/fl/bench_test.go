@@ -14,10 +14,7 @@ import (
 
 // BenchmarkLocalCompute is the regression benchmark of the round's hottest
 // stage: the participants' gradient computation, isolated from the rest of
-// the pipeline. It sweeps cohort × workers × engine (per-client replica
-// loop vs stacked batched pass vs batched with the non-bitwise fast
-// kernels) on the ImageCNN model, so the BENCH_PR artifact covers the
-// per-client/batched comparison directly.
+// the pipeline, swept over cohort × workers on the ImageCNN model.
 func BenchmarkLocalCompute(b *testing.B) {
 	ds, err := data.GenerateSynthImage(data.SynthImageConfig{
 		Name: "bench", Classes: 8, C: 1, H: 8, W: 8, Train: 8000, Test: 200,
@@ -25,14 +22,6 @@ func BenchmarkLocalCompute(b *testing.B) {
 	})
 	if err != nil {
 		b.Fatal(err)
-	}
-	engines := []struct {
-		name  string
-		stage LocalCompute
-	}{
-		{"replica", ReplicaCompute{}},
-		{"batched", &BatchedCompute{}},
-		{"batched-fast", &BatchedCompute{Fast: true}},
 	}
 	for _, cohort := range []int{50, 200} {
 		for _, workers := range []int{1, 4} {
@@ -48,35 +37,24 @@ func BenchmarkLocalCompute(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			env := &LocalEnv{
-				Dataset:   sim.cfg.Dataset,
-				BatchSize: sim.cfg.BatchSize,
-				Global:    sim.global,
-				Replicas:  sim.replicas,
-				Workers:   sim.workers,
-			}
-			for _, eng := range engines {
-				b.Run(fmt.Sprintf("cohort=%d/workers=%d/%s", cohort, workers, eng.name), func(b *testing.B) {
-					b.ReportAllocs()
-					benchComputeLoop(b, eng.stage, env, sim.clients)
-					b.ReportMetric(float64(cohort*b.N)/b.Elapsed().Seconds(), "clients/s")
-				})
-			}
+			b.Run(fmt.Sprintf("cohort=%d/workers=%d", cohort, workers), func(b *testing.B) {
+				b.ReportAllocs()
+				benchComputeLoop(b, sim)
+				b.ReportMetric(float64(cohort*b.N)/b.Elapsed().Seconds(), "clients/s")
+			})
 		}
 	}
 }
 
-// benchComputeLoop measures steady-state rounds of one local-compute
-// engine: warm-up rounds outside the timer let the stateful engines
-// populate their per-worker arenas, so B/op reflects the per-round
-// allocation cost rather than one-time buffer growth. Three warm-up
-// rounds cover a full epoch of the benchmark samplers' minibatch cycle
-// (16, 16, 8 rows at 40 examples per client), so every tile shape the
-// timed rounds stack is already cached whatever the sampler phase.
-func benchComputeLoop(b *testing.B, stage LocalCompute, env *LocalEnv, clients []*Client) {
+// benchComputeLoop measures steady-state rounds of the simulation's local
+// stage over its full cohort: warm-up rounds outside the timer grow the
+// per-worker arenas to the largest tile, so B/op reflects the per-round
+// allocation cost rather than one-time buffer growth.
+func benchComputeLoop(b *testing.B, sim *Simulation) {
 	b.Helper()
+	env := sim.localEnv()
 	run := func() {
-		outs, err := stage.Compute(env, clients)
+		outs, err := sim.pipe.Local.Compute(env, sim.clients)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -96,20 +74,13 @@ func benchComputeLoop(b *testing.B, stage LocalCompute, env *LocalEnv, clients [
 }
 
 // BenchmarkLocalComputeText is BenchmarkLocalCompute's text-model twin:
-// the agnews-shaped RNN through the per-client replica loop vs the
-// time-major stacked kernel, so the allocation gate also covers the
-// token-sequence path (variable-length sequences, embedding scatter).
+// the agnews-shaped RNN through the time-major stacked kernel, so the
+// allocation gate also covers the token-sequence path (variable-length
+// sequences, embedding scatter).
 func BenchmarkLocalComputeText(b *testing.B) {
 	ds, err := data.AGNewsLike(7, 4000, 200)
 	if err != nil {
 		b.Fatal(err)
-	}
-	engines := []struct {
-		name  string
-		stage LocalCompute
-	}{
-		{"replica", ReplicaCompute{}},
-		{"batched", &BatchedCompute{}},
 	}
 	const cohort = 50
 	for _, workers := range []int{1, 4} {
@@ -125,20 +96,11 @@ func BenchmarkLocalComputeText(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		env := &LocalEnv{
-			Dataset:   sim.cfg.Dataset,
-			BatchSize: sim.cfg.BatchSize,
-			Global:    sim.global,
-			Replicas:  sim.replicas,
-			Workers:   sim.workers,
-		}
-		for _, eng := range engines {
-			b.Run(fmt.Sprintf("cohort=%d/workers=%d/%s", cohort, workers, eng.name), func(b *testing.B) {
-				b.ReportAllocs()
-				benchComputeLoop(b, eng.stage, env, sim.clients)
-				b.ReportMetric(float64(cohort*b.N)/b.Elapsed().Seconds(), "clients/s")
-			})
-		}
+		b.Run(fmt.Sprintf("cohort=%d/workers=%d", cohort, workers), func(b *testing.B) {
+			b.ReportAllocs()
+			benchComputeLoop(b, sim)
+			b.ReportMetric(float64(cohort*b.N)/b.Elapsed().Seconds(), "clients/s")
+		})
 	}
 }
 

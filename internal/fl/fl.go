@@ -123,7 +123,7 @@ type Config struct {
 	Seed int64
 
 	// Workers bounds the in-round parallelism (0 = GOMAXPROCS,
-	// 1 = sequential): the concurrent per-client gradient computations —
+	// 1 = sequential): the concurrent local gradient computations —
 	// each worker owns a model replica and every client keeps its own RNG
 	// stream — and, through aggregate.SetWorkers, the parallel kernels of
 	// the aggregation rule (Krum/Bulyan pairwise distances, DnC power
@@ -131,23 +131,6 @@ type Config struct {
 	// internal/parallel reduction discipline, so the results are
 	// byte-identical for any worker count.
 	Workers int
-
-	// BatchClients selects the batched local-compute engine
-	// (BatchedCompute): each worker stacks its clients' minibatches into
-	// one matrix and runs a single forward/backward per layer, then
-	// de-interleaves the per-client gradients from the batch dimension.
-	// Results are byte-identical to the default per-client engine for any
-	// worker count (see the golden tests); the knob trades nothing but
-	// wall-clock. Ignored when Pipeline.Local is set explicitly.
-	BatchClients bool
-	// FastLocal additionally switches the batched engine to the
-	// reassociated fast reduction kernels (unrolled independent
-	// accumulators). Results agree with the exact path to normal float64
-	// accuracy but are NOT bit-identical — traces, accuracy curves and
-	// cache hashes will differ — so the mode is a separate explicit knob.
-	// The toggle sticks to the model replicas, so evaluation passes of the
-	// run use the fast kernels too. Requires BatchClients.
-	FastLocal bool
 
 	// RoundHook, when non-nil, observes every round (used by the Fig. 2
 	// sign-statistics experiment and by tests).
@@ -172,8 +155,6 @@ func (c *Config) validate() error {
 		return fmt.Errorf("fl: batch size %d invalid", c.BatchSize)
 	case c.LR <= 0 && c.Pipeline.Update == nil:
 		return fmt.Errorf("fl: learning rate %v invalid", c.LR)
-	case c.FastLocal && !c.BatchClients:
-		return errors.New("fl: FastLocal requires BatchClients (fast kernels belong to the batched engine)")
 	case c.NonFinite != 0 && !c.NonFinite.Valid():
 		return fmt.Errorf("fl: unknown non-finite policy %d", int(c.NonFinite))
 	}
@@ -198,8 +179,10 @@ type Simulation struct {
 	global   []float64
 	workers  int
 	// replicas are the per-worker model copies of the parallel gradient
-	// path; replicas[0] is the main model.
+	// path; replicas[0] is the main model. scratch[w] is worker w's reusable
+	// local-compute buffers (see ReplicaCompute).
 	replicas []nn.Classifier
+	scratch  []*workerScratch
 
 	// Server learning (FLTrust-style rules): the defense aggregates against
 	// a reference gradient the server computes each round on its own root
@@ -292,11 +275,7 @@ func New(cfg Config) (*Simulation, error) {
 		pipe.Participation = FullParticipation{}
 	}
 	if pipe.Local == nil {
-		if cfg.BatchClients {
-			pipe.Local = &BatchedCompute{Fast: cfg.FastLocal}
-		} else {
-			pipe.Local = ReplicaCompute{}
-		}
+		pipe.Local = ReplicaCompute{}
 	}
 	if pipe.Adversary == nil {
 		pipe.Adversary = attack.Promote(att)
@@ -337,6 +316,10 @@ func New(cfg Config) (*Simulation, error) {
 		}
 		replicas[w] = r
 	}
+	scratch := make([]*workerScratch, workers)
+	for w := range scratch {
+		scratch[w] = &workerScratch{ws: nn.NewWorkspace()}
+	}
 
 	s := &Simulation{
 		cfg:      cfg,
@@ -350,6 +333,7 @@ func New(cfg Config) (*Simulation, error) {
 		global:   model.ParamVector(),
 		workers:  workers,
 		replicas: replicas,
+		scratch:  scratch,
 		adaptive: pipe.Adversary.NeedsHistory(),
 	}
 	if err := s.provisionServerLearner(); err != nil {
@@ -403,6 +387,18 @@ func (s *Simulation) Model() nn.Classifier { return s.model }
 // Pipeline returns the resolved round pipeline.
 func (s *Simulation) Pipeline() Pipeline { return s.pipe }
 
+// localEnv is the engine state the LocalCompute stage runs on.
+func (s *Simulation) localEnv() *LocalEnv {
+	return &LocalEnv{
+		Dataset:   s.cfg.Dataset,
+		BatchSize: s.cfg.BatchSize,
+		Global:    s.global,
+		Replicas:  s.replicas,
+		Workers:   s.workers,
+		scratch:   s.scratch,
+	}
+}
+
 // resolveParticipants validates the participation stage's output and maps
 // it to clients.
 func (s *Simulation) resolveParticipants(ids []int) ([]*Client, error) {
@@ -444,14 +440,7 @@ func (s *Simulation) Step(round int) (*RoundMetrics, error) {
 	}
 
 	// Stage 2: local compute.
-	env := &LocalEnv{
-		Dataset:   s.cfg.Dataset,
-		BatchSize: s.cfg.BatchSize,
-		Global:    s.global,
-		Replicas:  s.replicas,
-		Workers:   s.workers,
-	}
-	outs, err := s.pipe.Local.Compute(env, participants)
+	outs, err := s.pipe.Local.Compute(s.localEnv(), participants)
 	if err != nil {
 		return nil, fmt.Errorf("fl: local stage %s: %w", s.pipe.Local.Name(), err)
 	}

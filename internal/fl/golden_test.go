@@ -137,23 +137,22 @@ func TestGoldenWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestGoldenBatchedEquivalence proves the batched local-compute engine is
+// TestGoldenBatchedEquivalence proves the stacked-tile local stage is
 // byte-identical (the digests cover the Float64bits of every per-round
 // aggregated gradient, selection, loss and accuracy) to the per-client
-// path across Workers ∈ {1, 2, 7} × BatchClients on/off, against the same
-// pinned pre-pipeline traces. The batched engine is a second execution
-// engine for the hottest loop in the system; this test is its equivalence
-// contract.
+// reference stage across Workers ∈ {1, 2, 7}, against the same pinned
+// pre-pipeline traces. Tiling replaced the per-client loop in the hottest
+// stage of the system; this test is its exactness contract.
 func TestGoldenBatchedEquivalence(t *testing.T) {
 	for name, want := range goldenTraces {
 		for _, workers := range []int{1, 2, 7} {
-			for _, batched := range []bool{false, true} {
-				t.Run(fmt.Sprintf("%s/workers=%d/batched=%v", name, workers, batched), func(t *testing.T) {
+			for _, stage := range []LocalCompute{perClientCompute{}, nil} {
+				t.Run(fmt.Sprintf("%s/workers=%d/perClient=%v", name, workers, stage != nil), func(t *testing.T) {
 					cfg := goldenScenario(t, name)
 					cfg.Workers = workers
-					cfg.BatchClients = batched
+					cfg.Pipeline.Local = stage // nil = the default stage
 					if got := traceDigest(t, cfg); got != want {
-						t.Errorf("trace digest drifted from the per-client engine:\n got %s\nwant %s", got, want)
+						t.Errorf("trace digest drifted from the pinned per-client trace:\n got %s\nwant %s", got, want)
 					}
 				})
 			}

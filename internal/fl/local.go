@@ -1,0 +1,226 @@
+package fl
+
+import (
+	"errors"
+	"fmt"
+
+	"github.com/signguard/signguard/internal/data"
+	"github.com/signguard/signguard/internal/nn"
+	"github.com/signguard/signguard/internal/parallel"
+	"github.com/signguard/signguard/internal/tensor"
+)
+
+// ReplicaCompute is the local stage — the one engine: participants are
+// partitioned contiguously over the worker model replicas, and each worker
+// trains its whole client range in cache-bounded stacked tiles. Instead of
+// one forward/backward pass per client, a tile stacks the minibatches of as
+// many clients as fit in batchTileRows into one matrix, runs a single
+// forward/backward per layer (nn.BatchClassifier), and de-interleaves the
+// per-client gradients from the batch dimension. Both model families batch
+// (FeedForward image stacks and the text RNN); a model without the batch
+// method runs the per-client loop instead (perClient).
+//
+// Exactness contract: every client draws from its own sampler stream,
+// segments are processed in participant order, and the segmented kernels
+// accumulate each client's gradient terms in the exact order a standalone
+// per-client pass uses — so the outputs are byte-identical
+// (math.Float64bits) to the per-client loop for any worker count, pinned by
+// TestGoldenBatchedEquivalence.
+//
+// The stage is a stateless zero value: the per-worker scratch (an
+// nn.Workspace arena plus the tile-assembly buffers) belongs to the
+// Simulation, next to the replicas it is indexed like, and reaches the
+// stage through LocalEnv — so a ReplicaCompute{} named from outside the
+// engine (a wrapping decorator, say) runs on the same warm buffers as the
+// default. Scratch is never shared across goroutines, and reuse cannot
+// change results because every arena buffer is either fully overwritten or
+// explicitly zeroed before use (see nn.Workspace).
+type ReplicaCompute struct{}
+
+// Name implements LocalCompute.
+func (ReplicaCompute) Name() string { return "replica-sgd" }
+
+// Compute implements LocalCompute.
+func (ReplicaCompute) Compute(env *LocalEnv, participants []*Client) ([]ClientGrad, error) {
+	return overReplicas(env, participants, func(w int, m nn.Classifier, outs []ClientGrad, start, end int) {
+		bm, ok := m.(nn.BatchClassifier)
+		if !ok {
+			perClient(env, m, participants, outs, start, end)
+			return
+		}
+		sc := env.workerScratch(w)
+		for tile := start; tile < end; {
+			next := sc.computeTile(env, bm, participants, outs, tile, end)
+			if next <= tile { // a failed tile reports through outs; stop the range
+				return
+			}
+			tile = next
+		}
+	}), nil
+}
+
+// overReplicas partitions participants contiguously over the worker model
+// replicas and runs train on each worker's range [start,end) with its
+// replica positioned at env.Global. Each participant is visited by exactly
+// one worker, so the outputs do not depend on the worker count.
+func overReplicas(env *LocalEnv, participants []*Client, train func(w int, m nn.Classifier, outs []ClientGrad, start, end int)) []ClientGrad {
+	outs := make([]ClientGrad, len(participants))
+	workers := min(env.Workers, len(participants))
+	if workers <= 1 {
+		// Replicas[0] is the main model, already positioned at Global.
+		train(0, env.Replicas[0], outs, 0, len(participants))
+		return outs
+	}
+	parallel.For(workers, len(participants), func(w, start, end int) {
+		m := env.Replicas[w]
+		if err := m.SetParamVector(env.Global); err != nil {
+			for i := start; i < end; i++ {
+				outs[i].Err = err
+			}
+			return
+		}
+		train(w, m, outs, start, end)
+	})
+	return outs
+}
+
+// perClient trains participants [start,end) one forward/backward pass per
+// client: the path of models without a batch method, drawing the same
+// batches from the same sampler streams as the tiles would.
+func perClient(env *LocalEnv, m nn.Classifier, participants []*Client, outs []ClientGrad, start, end int) {
+	for i := start; i < end; i++ {
+		outs[i] = localGradient(env, m, participants[i])
+	}
+}
+
+// localGradient computes one client's honest stochastic gradient at the
+// current global parameters, on the given model replica. It serves the
+// per-client loop and the server's root-dataset reference gradient
+// (server-learning rules).
+func localGradient(env *LocalEnv, m nn.Classifier, c *Client) ClientGrad {
+	batch := c.Sampler.Batch(env.BatchSize)
+	in, labels, err := BatchInput(env.Dataset, batch)
+	if err != nil {
+		return ClientGrad{Err: err}
+	}
+	m.ZeroGrad()
+	loss, _, err := m.LossAndGrad(in, labels)
+	if err != nil {
+		return ClientGrad{Err: fmt.Errorf("fl: client %d gradient: %w", c.ID, err)}
+	}
+	return ClientGrad{Grad: m.GradVector(), Loss: loss}
+}
+
+// workerScratch is one worker's reusable buffers: the layer-scratch arena
+// and the tile input assembly (stacked examples, segmentation, labels and
+// the dense feature matrix or token row index).
+type workerScratch struct {
+	ws      *nn.Workspace
+	batches []data.Example
+	bounds  []int
+	labels  []int
+	tokens  [][]int
+	dense   tensor.Matrix
+}
+
+// workerScratch returns worker w's scratch. A hand-built env with no engine
+// behind it has none: its tiles allocate fresh (nil arena).
+func (env *LocalEnv) workerScratch(w int) *workerScratch {
+	if w < len(env.scratch) {
+		return env.scratch[w]
+	}
+	return &workerScratch{}
+}
+
+// batchTileRows caps how many stacked rows one forward/backward pass
+// carries. Stacking an entire 200-client cohort would push every layer's
+// activation matrix far past the cache sizes, making the pass memory-bound
+// and erasing the amortization win; tiles of this many rows keep the
+// working set L2-resident while still spreading the per-pass fixed costs
+// over dozens of clients. Tiling only groups whole client segments, so it
+// cannot affect results.
+const batchTileRows = 1024
+
+// computeTile stacks the minibatches of as many clients from [start,end)
+// as fit in batchTileRows (at least one), trains them in one pass, and
+// returns the index after the last client it consumed.
+func (sc *workerScratch) computeTile(env *LocalEnv, bm nn.BatchClassifier, participants []*Client, outs []ClientGrad, start, end int) int {
+	// Draw minibatches in participant order (each from its own sampler
+	// stream) until the tile is full, recording the row segmentation. Tail
+	// batches at an epoch boundary may be smaller than BatchSize, so
+	// segments are not necessarily equal-sized.
+	sc.batches = sc.batches[:0]
+	sc.bounds = append(sc.bounds[:0], 0)
+	last := start
+	for last < end && (last == start || len(sc.batches)+env.BatchSize <= batchTileRows) {
+		b := participants[last].Sampler.Batch(env.BatchSize)
+		sc.batches = append(sc.batches, b...)
+		sc.bounds = append(sc.bounds, len(sc.batches))
+		last++
+	}
+
+	fail := func(err error) {
+		for i := start; i < last; i++ {
+			outs[i] = ClientGrad{Err: err}
+		}
+	}
+	in, labels, err := sc.tileInput(env.Dataset)
+	if err != nil {
+		fail(err)
+		return start
+	}
+	segs, err := bm.BatchedLossAndGrad(sc.ws, in, labels, sc.bounds)
+	if err != nil {
+		fail(fmt.Errorf("fl: batched gradients for clients %d..%d: %w",
+			participants[start].ID, participants[last-1].ID, err))
+		return start
+	}
+	for k, s := range segs {
+		outs[start+k] = ClientGrad{Grad: s.Grad, Loss: s.Loss}
+	}
+	return last
+}
+
+// tileInput assembles sc.batches into a model input, mirroring BatchInput
+// but through the scratch buffers: the label slice, token row index and
+// dense feature backing are all reused across tiles. None of them escape
+// the local stage — the nn kernels read the input and write gradients into
+// fresh vectors.
+func (sc *workerScratch) tileInput(ds *data.Dataset) (nn.Input, []int, error) {
+	batch := sc.batches
+	if len(batch) == 0 {
+		return nn.Input{}, nil, errors.New("fl: empty batch")
+	}
+	if cap(sc.labels) < len(batch) {
+		sc.labels = make([]int, len(batch))
+	}
+	labels := sc.labels[:len(batch)]
+	if ds.IsText() {
+		if cap(sc.tokens) < len(batch) {
+			sc.tokens = make([][]int, len(batch))
+		}
+		tokens := sc.tokens[:len(batch)]
+		for i, e := range batch {
+			if e.Tokens == nil {
+				return nn.Input{}, nil, fmt.Errorf("fl: example %d has no tokens in text dataset %s", i, ds.Name)
+			}
+			tokens[i] = e.Tokens
+			labels[i] = e.Label
+		}
+		return nn.Input{Tokens: tokens}, labels, nil
+	}
+	d := ds.FeatureDim()
+	if need := len(batch) * d; cap(sc.dense.Data) < need {
+		sc.dense.Data = make([]float64, need)
+	}
+	sc.dense.Rows, sc.dense.Cols = len(batch), d
+	sc.dense.Data = sc.dense.Data[:len(batch)*d]
+	for i, e := range batch {
+		if len(e.Features) != d {
+			return nn.Input{}, nil, fmt.Errorf("fl: example %d has %d features, want %d", i, len(e.Features), d)
+		}
+		copy(sc.dense.Row(i), e.Features)
+		labels[i] = e.Label
+	}
+	return nn.Input{Dense: &sc.dense}, labels, nil
+}

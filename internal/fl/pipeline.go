@@ -23,14 +23,13 @@ import (
 	"github.com/signguard/signguard/internal/codec"
 	"github.com/signguard/signguard/internal/data"
 	"github.com/signguard/signguard/internal/nn"
-	"github.com/signguard/signguard/internal/parallel"
 )
 
 // Pipeline overrides individual round-pipeline stages; nil fields fall
 // back to the defaults derived from Config (FullParticipation,
-// ReplicaCompute — or BatchedCompute when Config.BatchClients is set —
-// the promoted Config.Attack, the lossless codec.IdentityCodec,
-// Config.Rule wrapped as a RuleDefense, and momentum SGDUpdate).
+// ReplicaCompute, the promoted Config.Attack, the lossless
+// codec.IdentityCodec, Config.Rule wrapped as a RuleDefense, and momentum
+// SGDUpdate).
 type Pipeline struct {
 	Participation Participation
 	Local         LocalCompute
@@ -119,6 +118,10 @@ type LocalEnv struct {
 	Replicas []nn.Classifier
 	// Workers bounds the stage's parallelism (1 = sequential).
 	Workers int
+
+	// scratch is each worker replica's reusable tile buffers, indexed like
+	// Replicas and owned by the Simulation (see ReplicaCompute).
+	scratch []*workerScratch
 }
 
 // LocalCompute is stage 2: it computes the participants' honest local
@@ -127,60 +130,6 @@ type LocalEnv struct {
 type LocalCompute interface {
 	Name() string
 	Compute(env *LocalEnv, participants []*Client) ([]ClientGrad, error)
-}
-
-// ReplicaCompute is the default local stage: one stochastic gradient per
-// participant, partitioned contiguously over the worker model replicas.
-// Each participant is visited by exactly one worker and draws from its own
-// sampler stream, so the outputs are identical for any worker count.
-type ReplicaCompute struct{}
-
-// Name implements LocalCompute.
-func (ReplicaCompute) Name() string { return "replica-sgd" }
-
-// Compute implements LocalCompute.
-func (ReplicaCompute) Compute(env *LocalEnv, participants []*Client) ([]ClientGrad, error) {
-	outs := make([]ClientGrad, len(participants))
-	workers := env.Workers
-	if workers > len(participants) {
-		workers = len(participants)
-	}
-	if workers <= 1 {
-		m := env.Replicas[0]
-		for i, c := range participants {
-			outs[i] = localGradient(env, m, c)
-		}
-		return outs, nil
-	}
-	parallel.For(workers, len(participants), func(w, start, end int) {
-		m := env.Replicas[w]
-		if err := m.SetParamVector(env.Global); err != nil {
-			for i := start; i < end; i++ {
-				outs[i].Err = err
-			}
-			return
-		}
-		for i := start; i < end; i++ {
-			outs[i] = localGradient(env, m, participants[i])
-		}
-	})
-	return outs, nil
-}
-
-// localGradient computes one client's honest stochastic gradient at the
-// current global parameters, on the given model replica.
-func localGradient(env *LocalEnv, m nn.Classifier, c *Client) ClientGrad {
-	batch := c.Sampler.Batch(env.BatchSize)
-	in, labels, err := BatchInput(env.Dataset, batch)
-	if err != nil {
-		return ClientGrad{Err: err}
-	}
-	m.ZeroGrad()
-	loss, _, err := m.LossAndGrad(in, labels)
-	if err != nil {
-		return ClientGrad{Err: fmt.Errorf("fl: client %d gradient: %w", c.ID, err)}
-	}
-	return ClientGrad{Grad: m.GradVector(), Loss: loss}
 }
 
 // Defense is stage 5: it filters and aggregates the round's submitted

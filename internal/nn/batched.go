@@ -15,15 +15,13 @@ package nn
 //     standalone per-client backward performs.
 //
 // Together these make BatchedLossAndGrad byte-identical (Float64bits) to
-// looping LossAndGrad over the segments, for any segmentation. The
-// explicitly opt-in fast mode (SetFastKernels) trades that bit-identity
-// for reassociated reduction kernels.
+// looping LossAndGrad over the segments, for any segmentation.
 //
-// The ...Ws variants additionally thread a per-worker Workspace arena
-// through every layer, so a steady-state tile pass checks out cached
-// buffers instead of allocating: the only remaining allocations are the
-// per-client gradient vectors themselves, which escape into the round
-// pipeline and therefore must stay fresh.
+// The pass threads a per-worker Workspace arena through every layer, so a
+// steady-state tile checks out cached buffers instead of allocating: the
+// only remaining allocations are the per-client gradient vectors
+// themselves, which escape into the round pipeline and therefore must stay
+// fresh.
 
 import (
 	"errors"
@@ -48,25 +46,18 @@ type SegmentGrad struct {
 // gradients from one stacked batch. bounds holds len(segments)+1 ascending
 // row offsets (bounds[0] = 0, bounds[len-1] = batch rows); segment s spans
 // rows [bounds[s], bounds[s+1]) and every segment must be non-empty. The
-// result is byte-identical to calling LossAndGrad per segment.
+// result is byte-identical to calling LossAndGrad per segment, and does not
+// touch the model's own accumulated gradients (ZeroGrad / GradVector state
+// is unaffected).
+//
+// Every activation, im2col and delta buffer of the pass is checked out of
+// ws, the caller's per-worker arena; a nil ws allocates them fresh without
+// changing a single output bit. The returned gradients are never
+// arena-backed — they escape into the round pipeline (adversary, defense,
+// hooks may retain them), so they are freshly allocated every call.
 type BatchClassifier interface {
 	Classifier
-	BatchedLossAndGrad(in Input, labels []int, bounds []int) ([]SegmentGrad, error)
-}
-
-// WorkspaceBatchClassifier is a BatchClassifier whose batched pass can run
-// through a reusable per-worker Workspace arena. Passing a nil Workspace is
-// equivalent to BatchedLossAndGrad; passing a warm one eliminates the
-// scratch-matrix allocations without changing a single output bit.
-type WorkspaceBatchClassifier interface {
-	BatchClassifier
-	BatchedLossAndGradWs(ws *Workspace, in Input, labels []int, bounds []int) ([]SegmentGrad, error)
-}
-
-// FastKernels is implemented by models whose layers can switch to the
-// reassociated (non-bitwise) fast kernels.
-type FastKernels interface {
-	SetFastKernels(on bool)
+	BatchedLossAndGrad(ws *Workspace, in Input, labels []int, bounds []int) ([]SegmentGrad, error)
 }
 
 // arenaLayer is implemented by layers whose forward/backward can check
@@ -89,11 +80,6 @@ type segmentedLayer interface {
 	backwardSegmented(ws *Workspace, id int, grad *tensor.Matrix, bounds []int, segGrads [][][]float64) (*tensor.Matrix, error)
 }
 
-// fastKernelLayer is implemented by layers with a fast-kernel toggle.
-type fastKernelLayer interface {
-	setFastKernels(on bool)
-}
-
 // validateBounds checks a segmentation against a batch of the given row
 // count: ascending offsets from 0 to rows with no empty segment.
 func validateBounds(bounds []int, rows int) error {
@@ -113,38 +99,11 @@ func validateBounds(bounds []int, rows int) error {
 }
 
 var _ BatchClassifier = (*FeedForward)(nil)
-var _ WorkspaceBatchClassifier = (*FeedForward)(nil)
-var _ FastKernels = (*FeedForward)(nil)
-
-// SetFastKernels toggles the fast reduction kernels (unrolled independent
-// accumulators) in every layer that supports them. Fast kernels
-// reassociate floating-point sums: results agree with the exact kernels to
-// normal float64 accuracy but are NOT bit-identical, so the toggle is
-// opt-in and off by default. It affects every subsequent pass on this
-// model — training and inference alike.
-func (ff *FeedForward) SetFastKernels(on bool) {
-	for _, l := range ff.layers {
-		if f, ok := l.(fastKernelLayer); ok {
-			f.setFastKernels(on)
-		}
-	}
-}
 
 // BatchedLossAndGrad implements BatchClassifier: one forward and one
 // backward pass per layer over the stacked batch, de-interleaving
-// per-segment losses, prediction counts and flat parameter gradients. It
-// does not touch the model's own accumulated gradients (ZeroGrad /
-// GradVector state is unaffected).
-func (ff *FeedForward) BatchedLossAndGrad(in Input, labels []int, bounds []int) ([]SegmentGrad, error) {
-	return ff.BatchedLossAndGradWs(nil, in, labels, bounds)
-}
-
-// BatchedLossAndGradWs is BatchedLossAndGrad through a per-worker
-// Workspace arena: every activation, im2col and delta buffer is checked
-// out of ws instead of allocated. The returned gradients are NOT
-// arena-backed — they escape into the round pipeline (adversary, defense,
-// hooks may retain them), so they are freshly allocated every call.
-func (ff *FeedForward) BatchedLossAndGradWs(ws *Workspace, in Input, labels []int, bounds []int) ([]SegmentGrad, error) {
+// per-segment losses, prediction counts and flat parameter gradients.
+func (ff *FeedForward) BatchedLossAndGrad(ws *Workspace, in Input, labels []int, bounds []int) ([]SegmentGrad, error) {
 	if in.Dense == nil {
 		return nil, errors.New("nn: FeedForward requires dense input")
 	}

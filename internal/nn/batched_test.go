@@ -91,7 +91,7 @@ func TestBatchedLossAndGradBitIdentical(t *testing.T) {
 	for name, bounds := range cases {
 		t.Run(name, func(t *testing.T) {
 			want := perSegmentReference(t, m, x, labels, bounds)
-			got, err := m.BatchedLossAndGrad(Input{Dense: x}, labels, bounds)
+			got, err := m.BatchedLossAndGrad(nil, Input{Dense: x}, labels, bounds)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -106,7 +106,7 @@ func TestBatchedLossAndGradLeavesGradState(t *testing.T) {
 	m := batchedTestModel(t)
 	x, labels := randomBatch(6, 64, 5, 9)
 	m.ZeroGrad()
-	if _, err := m.BatchedLossAndGrad(Input{Dense: x}, labels, []int{0, 3, 6}); err != nil {
+	if _, err := m.BatchedLossAndGrad(nil, Input{Dense: x}, labels, []int{0, 3, 6}); err != nil {
 		t.Fatal(err)
 	}
 	for i, g := range m.GradVector() {
@@ -130,53 +130,16 @@ func TestBatchedLossAndGradRejectsBadInput(t *testing.T) {
 		"offset":     {1, 6},
 	}
 	for name, bounds := range bad {
-		if _, err := m.BatchedLossAndGrad(Input{Dense: x}, labels, bounds); err == nil {
+		if _, err := m.BatchedLossAndGrad(nil, Input{Dense: x}, labels, bounds); err == nil {
 			t.Errorf("%s bounds accepted", name)
 		}
 	}
-	if _, err := m.BatchedLossAndGrad(Input{Tokens: [][]int{{1}}}, []int{0}, []int{0, 1}); err == nil {
+	if _, err := m.BatchedLossAndGrad(nil, Input{Tokens: [][]int{{1}}}, []int{0}, []int{0, 1}); err == nil {
 		t.Error("token input accepted by dense batched path")
 	}
-	if _, err := m.BatchedLossAndGrad(Input{Dense: x}, labels[:3], []int{0, 6}); err == nil {
+	if _, err := m.BatchedLossAndGrad(nil, Input{Dense: x}, labels[:3], []int{0, 6}); err == nil {
 		t.Error("label/row mismatch accepted")
 	}
-}
-
-// TestFastKernelsApproximate: the fast mode reassociates sums, so it must
-// agree with the exact path to float64 accuracy without being required to
-// match bitwise.
-func TestFastKernelsApproximate(t *testing.T) {
-	exact := batchedTestModel(t)
-	fast := batchedTestModel(t)
-	fast.SetFastKernels(true)
-	x, labels := randomBatch(10, 64, 5, 13)
-	bounds := []int{0, 4, 10}
-	a, err := exact.BatchedLossAndGrad(Input{Dense: x}, labels, bounds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := fast.BatchedLossAndGrad(Input{Dense: x}, labels, bounds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const tol = 1e-9
-	for s := range a {
-		if d := math.Abs(a[s].Loss - b[s].Loss); d > tol*(1+math.Abs(a[s].Loss)) {
-			t.Errorf("segment %d fast loss drifted by %g", s, d)
-		}
-		for j := range a[s].Grad {
-			if d := math.Abs(a[s].Grad[j] - b[s].Grad[j]); d > tol*(1+math.Abs(a[s].Grad[j])) {
-				t.Fatalf("segment %d grad[%d] fast drift %g", s, j, d)
-			}
-		}
-	}
-	// Toggling back restores the exact kernels bit for bit.
-	fast.SetFastKernels(false)
-	c, err := fast.BatchedLossAndGrad(Input{Dense: x}, labels, bounds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSegmentsBitIdentical(t, a, c)
 }
 
 // TestSoftmaxCrossEntropySegmentedMatches pins the segmented loss against

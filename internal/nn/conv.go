@@ -21,10 +21,6 @@ type Conv2D struct {
 	weight *Param // OutC x (InC*K*K), row-major
 	bias   *Param // OutC
 
-	// fast selects the reassociated (non-bitwise) reduction loops; see
-	// FeedForward.SetFastKernels.
-	fast bool
-
 	lastInput *tensor.Matrix
 	// lastCols stacks every sample's im2col columns into one matrix:
 	// sample n's (InC*K*K) rows start at n*InC*K*K. One buffer for the
@@ -61,8 +57,6 @@ func NewConv2D(rng *rand.Rand, inC, inH, inW, outC, k, pad int) (*Conv2D, error)
 
 // OutputSize returns the flattened per-sample output length OutC*OutH*OutW.
 func (c *Conv2D) OutputSize() int { return c.OutC * c.OutH * c.OutW }
-
-func (c *Conv2D) setFastKernels(on bool) { c.fast = on }
 
 // im2colInto unrolls one CHW sample into rows [rowOff, rowOff+InC*K*K) of
 // cols. Every element of those rows is written — positions that fall in the
@@ -154,10 +148,6 @@ func (c *Conv2D) forwardWs(ws *Workspace, id int, x *tensor.Matrix) (*tensor.Mat
 			for p := range dst {
 				dst[p] = b
 			}
-			if c.fast {
-				forwardAccFast(dst, w, cols, base)
-				continue
-			}
 			for r, wv := range w {
 				if wv == 0 {
 					continue
@@ -170,31 +160,6 @@ func (c *Conv2D) forwardWs(ws *Workspace, id int, x *tensor.Matrix) (*tensor.Mat
 		}
 	}
 	return out, nil
-}
-
-// forwardAccFast accumulates the filter response with four im2col rows per
-// pass: one load/store of dst buys four multiply-adds. Grouping the four
-// products before the add reassociates the sum — non-bitwise, fast mode
-// only. base is the sample's first row in the stacked columns matrix.
-func forwardAccFast(dst, w []float64, cols *tensor.Matrix, base int) {
-	r := 0
-	for ; r+4 <= len(w); r += 4 {
-		w0, w1, w2, w3 := w[r], w[r+1], w[r+2], w[r+3]
-		s0, s1, s2, s3 := cols.Row(base+r), cols.Row(base+r+1), cols.Row(base+r+2), cols.Row(base+r+3)
-		for p := range dst {
-			dst[p] += ((w0*s0[p] + w1*s1[p]) + w2*s2[p]) + w3*s3[p]
-		}
-	}
-	for ; r < len(w); r++ {
-		wv := w[r]
-		if wv == 0 {
-			continue
-		}
-		src := cols.Row(base + r)
-		for p, sv := range src {
-			dst[p] += wv * sv
-		}
-	}
 }
 
 // Backward accumulates filter/bias gradients and returns the input gradient.
@@ -250,23 +215,19 @@ func (c *Conv2D) backward(ws *Workspace, id int, grad *tensor.Matrix, bounds []i
 		}
 		for oc := 0; oc < c.OutC; oc++ {
 			g := gRow[oc*spatial : (oc+1)*spatial]
-			// Bias gradient: sum over spatial positions.
-			bg[oc] += sumReduce(g, c.fast)
+			// Bias gradient: sequential (bit-stable) sum over spatial
+			// positions.
+			var gsum float64
+			for _, gv := range g {
+				gsum += gv
+			}
+			bg[oc] += gsum
 			w := c.weight.W[oc*colRows : (oc+1)*colRows]
 			gwoc := gw[oc*colRows : (oc+1)*colRows]
 			for r := 0; r < colRows; r++ {
 				src := c.lastCols.Row(base + r)
 				drow := dcols.Row(r)
 				wv := w[r]
-				if c.fast {
-					gwoc[r] += tensor.DotFast(g, src)
-					if wv != 0 {
-						for p, gv := range g {
-							drow[p] += gv * wv
-						}
-					}
-					continue
-				}
 				var wgrad float64
 				for p, gv := range g {
 					wgrad += gv * src[p]
@@ -278,19 +239,6 @@ func (c *Conv2D) backward(ws *Workspace, id int, grad *tensor.Matrix, bounds []i
 		c.col2im(dcols, dx.Row(n))
 	}
 	return dx, nil
-}
-
-// sumReduce sums v: sequentially (bit-stable) or with the shared
-// reassociated fast reduction (tensor.SumFast).
-func sumReduce(v []float64, fast bool) float64 {
-	if fast {
-		return tensor.SumFast(v)
-	}
-	var s float64
-	for _, x := range v {
-		s += x
-	}
-	return s
 }
 
 // Params returns the filter weights and biases.

@@ -15,10 +15,6 @@ type Linear struct {
 	weight  *Param // Out*In, row-major (out, in)
 	bias    *Param // Out
 
-	// fast selects the reassociated (non-bitwise) tensor kernels; see
-	// FeedForward.SetFastKernels.
-	fast bool
-
 	lastInput *tensor.Matrix
 }
 
@@ -48,11 +44,9 @@ func (l *Linear) weightMatrix() *tensor.Matrix {
 	return &tensor.Matrix{Rows: l.Out, Cols: l.In, Data: l.weight.W}
 }
 
-func (l *Linear) setFastKernels(on bool) { l.fast = on }
-
 // Forward computes the affine transform for a batch: the output starts at
-// the bias and accumulates xWᵀ through the tensor kernels (exact kernel by
-// default — byte-identical to a sequential per-row dot product).
+// the bias and accumulates xWᵀ through the exact tensor kernel —
+// byte-identical to a sequential per-row dot product.
 func (l *Linear) Forward(x *tensor.Matrix) (*tensor.Matrix, error) {
 	return l.forwardWs(nil, 0, x)
 }
@@ -69,13 +63,7 @@ func (l *Linear) forwardWs(ws *Workspace, id int, x *tensor.Matrix) (*tensor.Mat
 	for i := 0; i < x.Rows; i++ {
 		copy(out.Row(i), l.bias.W)
 	}
-	var err error
-	if l.fast {
-		err = tensor.MulABTFastInto(out, x, l.weightMatrix())
-	} else {
-		err = tensor.MulABTInto(out, x, l.weightMatrix())
-	}
-	if err != nil {
+	if err := tensor.MulABTInto(out, x, l.weightMatrix()); err != nil {
 		return nil, err
 	}
 	return out, nil

@@ -39,7 +39,6 @@ type TextRNN struct {
 
 var _ Classifier = (*TextRNN)(nil)
 var _ BatchClassifier = (*TextRNN)(nil)
-var _ WorkspaceBatchClassifier = (*TextRNN)(nil)
 
 // NewTextRNN builds a TextRNN with Xavier-uniform initialization.
 func NewTextRNN(rng *rand.Rand, vocab, embed, hidden, classes int) *TextRNN {
@@ -315,16 +314,8 @@ func (m *TextRNN) LossAndGrad(in Input, labels []int) (float64, int, error) {
 
 // BatchedLossAndGrad implements BatchClassifier for the text model: one
 // time-major pass over the stacked tile with per-segment gradient
-// de-interleaving. It does not touch the model's own accumulated
-// gradients.
-func (m *TextRNN) BatchedLossAndGrad(in Input, labels []int, bounds []int) ([]SegmentGrad, error) {
-	return m.BatchedLossAndGradWs(nil, in, labels, bounds)
-}
-
-// BatchedLossAndGradWs is BatchedLossAndGrad through a per-worker
-// Workspace arena (see FeedForward.BatchedLossAndGradWs for the contract:
-// scratch is arena-backed, the returned gradients are fresh).
-func (m *TextRNN) BatchedLossAndGradWs(ws *Workspace, in Input, labels []int, bounds []int) ([]SegmentGrad, error) {
+// de-interleaving.
+func (m *TextRNN) BatchedLossAndGrad(ws *Workspace, in Input, labels []int, bounds []int) ([]SegmentGrad, error) {
 	if in.Tokens == nil {
 		return nil, errors.New("nn: TextRNN requires token input")
 	}

@@ -4,21 +4,26 @@ package nn
 // path. The profiles that motivated it showed tensor.NewMatrix churn at 76%
 // of allocation volume and runtime zeroing (memclr) at ~20% of CPU: every
 // tile pass rebuilt every activation, im2col and delta matrix from scratch.
-// A Workspace caches those buffers keyed by (layer, slot, shape), so a
-// steady-state tile re-checks out the same memory pass after pass.
+// A Workspace caches one buffer per (layer, slot), grown to the largest
+// shape requested so far and re-sliced to each request, so a steady-state
+// tile re-checks out the same memory pass after pass and the arena never
+// retains more than the largest tile's buffer set — however the tile row
+// counts wander (subsampled cohorts and non-IID partitions desynchronise the
+// clients' epoch-boundary tail batches).
 //
 // Ownership rules (see docs/ARCHITECTURE.md "Workspace arenas"):
 //
 //   - One Workspace per worker, never shared: buffers are reused with no
 //     synchronization, so concurrent passes through one arena would race.
-//   - One model per Workspace: keys are (layer id, slot, shape), which are
-//     only unique within a single model's layer stack.
-//   - Buffers are only valid for the duration of one pass. Results that
-//     outlive the pass (per-client gradients handed to the round pipeline)
-//     are never arena-backed — they stay freshly allocated.
+//   - One model per Workspace: keys are (layer id, slot), which are only
+//     unique within a single model's layer stack.
+//   - Buffers are only valid for the duration of one pass — the next
+//     checkout of the same (layer, slot) re-shapes the same matrix header.
+//     Results that outlive the pass (per-client gradients handed to the
+//     round pipeline) are never arena-backed — they stay freshly allocated.
 //
-// Determinism contract: a checked-out buffer may hold stale values from the
-// previous pass, so every checkout site either fully overwrites the buffer
+// Determinism contract: a checked-out buffer holds stale values from earlier
+// passes (of any shape), so every checkout site either fully overwrites it
 // (forward activations, im2col columns, loss gradients — see matrix) or
 // explicitly zeroes it first because the kernel accumulates into it (input
 // gradients — see matrixZeroed). Explicit zeroing writes the same +0.0 a
@@ -32,9 +37,8 @@ package nn
 
 import "github.com/signguard/signguard/internal/tensor"
 
-// wsSlot distinguishes the buffers a single layer checks out: a layer may
-// need several same-shaped matrices alive at once (e.g. forward output and
-// input gradient), so the shape alone cannot be the key.
+// wsSlot distinguishes the buffers a single layer checks out: a layer keeps
+// several matrices alive at once (e.g. forward output and input gradient).
 type wsSlot uint8
 
 const (
@@ -57,13 +61,12 @@ const (
 // state) that do not belong to any layer index.
 const wsHead = -1
 
-// wsKey identifies one cached buffer. Shape is part of the key, so a tail
-// tile with fewer rows gets its own (persistent) buffers instead of
-// corrupting the full-tile ones.
+// wsKey identifies one cached buffer. Shape is deliberately not part of the
+// key: a tail tile with fewer rows re-slices the full-tile buffer instead of
+// pinning a second buffer set for every row count ever seen.
 type wsKey struct {
-	layer      int
-	slot       wsSlot
-	rows, cols int
+	layer int
+	slot  wsSlot
 }
 
 // Workspace is the per-worker scratch arena. The zero value is not usable;
@@ -87,20 +90,35 @@ func NewWorkspace() *Workspace {
 	}
 }
 
-// matrix checks out the (layer, slot) buffer of the given shape. The
-// contents are STALE — whatever the previous pass left — so callers must
-// fully overwrite every element they read. With a nil receiver it returns a
-// fresh zeroed matrix, which satisfies the same contract.
+// Buffers reports how many scratch buffers the arena retains. It is bounded
+// by the model's (layer, slot) pairs whatever shapes have passed through.
+func (ws *Workspace) Buffers() int {
+	if ws == nil {
+		return 0
+	}
+	return len(ws.mats) + len(ws.ints)
+}
+
+// matrix checks out the (layer, slot) buffer re-shaped to (rows, cols),
+// growing its backing array when the request exceeds every earlier one. The
+// contents are STALE — whatever earlier passes left — so callers must fully
+// overwrite every element they read. With a nil receiver it returns a fresh
+// zeroed matrix, which satisfies the same contract.
 func (ws *Workspace) matrix(layer int, slot wsSlot, rows, cols int) *tensor.Matrix {
 	if ws == nil {
 		return tensor.NewMatrix(rows, cols)
 	}
-	k := wsKey{layer: layer, slot: slot, rows: rows, cols: cols}
+	k := wsKey{layer: layer, slot: slot}
 	m, ok := ws.mats[k]
 	if !ok {
-		m = tensor.NewMatrix(rows, cols)
+		m = &tensor.Matrix{}
 		ws.mats[k] = m
 	}
+	n := rows * cols
+	if cap(m.Data) < n {
+		m.Data = make([]float64, n)
+	}
+	m.Rows, m.Cols, m.Data = rows, cols, m.Data[:n]
 	return m
 }
 
@@ -125,13 +143,13 @@ func (ws *Workspace) intSlice(layer int, slot wsSlot, n int) []int {
 	if ws == nil {
 		return make([]int, n)
 	}
-	k := wsKey{layer: layer, slot: slot, rows: n}
-	s, ok := ws.ints[k]
-	if !ok {
+	k := wsKey{layer: layer, slot: slot}
+	s := ws.ints[k]
+	if cap(s) < n {
 		s = make([]int, n)
 		ws.ints[k] = s
 	}
-	return s
+	return s[:n]
 }
 
 // gradScaffold returns the cached [layer][...] gradient-view scaffold,

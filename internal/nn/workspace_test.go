@@ -53,7 +53,7 @@ func TestTextRNNBatchedMatchesPerClient(t *testing.T) {
 	}
 	bounds := []int{0, 1, 4, 8, 10} // includes a one-row segment
 
-	segs, err := m.BatchedLossAndGrad(Input{Tokens: tokens}, labels, bounds)
+	segs, err := m.BatchedLossAndGrad(nil, Input{Tokens: tokens}, labels, bounds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,16 +80,16 @@ func TestTextRNNBatchedMatchesPerClient(t *testing.T) {
 func TestTextRNNRejectsBadInput(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	m := NewTextRNN(rng, 10, 4, 5, 3)
-	if _, err := m.BatchedLossAndGrad(Input{Tokens: [][]int{{}}}, []int{0}, []int{0, 1}); err == nil {
+	if _, err := m.BatchedLossAndGrad(nil, Input{Tokens: [][]int{{}}}, []int{0}, []int{0, 1}); err == nil {
 		t.Error("empty sequence accepted")
 	}
-	if _, err := m.BatchedLossAndGrad(Input{Tokens: [][]int{{11}}}, []int{0}, []int{0, 1}); err == nil {
+	if _, err := m.BatchedLossAndGrad(nil, Input{Tokens: [][]int{{11}}}, []int{0}, []int{0, 1}); err == nil {
 		t.Error("out-of-vocab token accepted")
 	}
-	if _, err := m.BatchedLossAndGrad(Input{Tokens: [][]int{{1}, {2}}}, []int{0, 1}, []int{0, 1}); err == nil {
+	if _, err := m.BatchedLossAndGrad(nil, Input{Tokens: [][]int{{1}, {2}}}, []int{0, 1}, []int{0, 1}); err == nil {
 		t.Error("non-covering bounds accepted")
 	}
-	if _, err := m.BatchedLossAndGrad(Input{Dense: tensor.NewMatrix(1, 4)}, []int{0}, []int{0, 1}); err == nil {
+	if _, err := m.BatchedLossAndGrad(nil, Input{Dense: tensor.NewMatrix(1, 4)}, []int{0}, []int{0, 1}); err == nil {
 		t.Error("dense input accepted by text model")
 	}
 }
@@ -110,8 +110,9 @@ func workspaceBatch(t *testing.T, rng *rand.Rand, rows int) (*tensor.Matrix, []i
 }
 
 // TestWorkspaceReuseBitwise: passes through a warm arena — including shape
-// changes in between, which leave stale buffers of other sizes in the map —
-// must stay byte-identical to the allocation-per-pass path.
+// changes in between, which re-slice every buffer over the stale contents
+// of the other shape — must stay byte-identical to the allocation-per-pass
+// path.
 func TestWorkspaceReuseBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	cnn, err := NewImageCNN(rng, 1, 6, 6, 3, 16, 4)
@@ -123,11 +124,11 @@ func TestWorkspaceReuseBitwise(t *testing.T) {
 	xB, labelsB := workspaceBatch(t, rng, 3)
 	boundsB := []int{0, 1, 2, 3} // one-row tiles
 
-	refA, err := cnn.BatchedLossAndGrad(Input{Dense: xA}, labelsA, boundsA)
+	refA, err := cnn.BatchedLossAndGrad(nil, Input{Dense: xA}, labelsA, boundsA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	refB, err := cnn.BatchedLossAndGrad(Input{Dense: xB}, labelsB, boundsB)
+	refB, err := cnn.BatchedLossAndGrad(nil, Input{Dense: xB}, labelsB, boundsB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,13 +154,13 @@ func TestWorkspaceReuseBitwise(t *testing.T) {
 	ws := NewWorkspace()
 	for i := 0; i < 5; i++ {
 		if i%2 == 0 {
-			got, err := cnn.BatchedLossAndGradWs(ws, Input{Dense: xA}, labelsA, boundsA)
+			got, err := cnn.BatchedLossAndGrad(ws, Input{Dense: xA}, labelsA, boundsA)
 			if err != nil {
 				t.Fatal(err)
 			}
 			check("warm pass A", got, refA)
 		} else {
-			got, err := cnn.BatchedLossAndGradWs(ws, Input{Dense: xB}, labelsB, boundsB)
+			got, err := cnn.BatchedLossAndGrad(ws, Input{Dense: xB}, labelsB, boundsB)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -169,8 +170,8 @@ func TestWorkspaceReuseBitwise(t *testing.T) {
 }
 
 // TestWorkspaceReuseBitwiseText is TestWorkspaceReuseBitwise for the RNN:
-// alternating max sequence lengths re-keys the time-major buffers, and the
-// stale long-run buffers must never leak into a short-run pass.
+// alternating max sequence lengths re-shapes the time-major buffers, and the
+// stale long-run contents must never leak into a short-run pass.
 func TestWorkspaceReuseBitwiseText(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	m := NewTextRNN(rng, 30, 5, 7, 4)
@@ -185,21 +186,21 @@ func TestWorkspaceReuseBitwiseText(t *testing.T) {
 	}
 	bndA, bndB := []int{0, 3, 8}, []int{0, 5}
 
-	refA, err := m.BatchedLossAndGrad(Input{Tokens: tokA}, labA, bndA)
+	refA, err := m.BatchedLossAndGrad(nil, Input{Tokens: tokA}, labA, bndA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	refB, err := m.BatchedLossAndGrad(Input{Tokens: tokB}, labB, bndB)
+	refB, err := m.BatchedLossAndGrad(nil, Input{Tokens: tokB}, labB, bndB)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ws := NewWorkspace()
 	for i := 0; i < 4; i++ {
-		gotA, err := m.BatchedLossAndGradWs(ws, Input{Tokens: tokA}, labA, bndA)
+		gotA, err := m.BatchedLossAndGrad(ws, Input{Tokens: tokA}, labA, bndA)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotB, err := m.BatchedLossAndGradWs(ws, Input{Tokens: tokB}, labB, bndB)
+		gotB, err := m.BatchedLossAndGrad(ws, Input{Tokens: tokB}, labB, bndB)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,16 +227,16 @@ func TestWorkspaceSteadyStateAllocs(t *testing.T) {
 	bounds := []int{0, 4, 8, 12}
 
 	ws := NewWorkspace()
-	if _, err := cnn.BatchedLossAndGradWs(ws, Input{Dense: x}, labels, bounds); err != nil {
+	if _, err := cnn.BatchedLossAndGrad(ws, Input{Dense: x}, labels, bounds); err != nil {
 		t.Fatal(err)
 	}
 	warm := testing.AllocsPerRun(20, func() {
-		if _, err := cnn.BatchedLossAndGradWs(ws, Input{Dense: x}, labels, bounds); err != nil {
+		if _, err := cnn.BatchedLossAndGrad(ws, Input{Dense: x}, labels, bounds); err != nil {
 			t.Fatal(err)
 		}
 	})
 	cold := testing.AllocsPerRun(20, func() {
-		if _, err := cnn.BatchedLossAndGrad(Input{Dense: x}, labels, bounds); err != nil {
+		if _, err := cnn.BatchedLossAndGrad(nil, Input{Dense: x}, labels, bounds); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -248,5 +249,45 @@ func TestWorkspaceSteadyStateAllocs(t *testing.T) {
 	}
 	if warm > cold/4 {
 		t.Errorf("warm pass allocates %.0f vs cold %.0f; arena is not amortizing", warm, cold)
+	}
+}
+
+// TestWorkspaceRetentionBoundedByLargestTile: the arena keys buffers by
+// (layer, slot) and grows them to the largest request, so tiles of wandering
+// row counts neither add buffers nor retain more floats than the largest
+// tile alone does. (Keyed by shape, five row counts would pin five sets.)
+func TestWorkspaceRetentionBoundedByLargestTile(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	cnn, err := NewImageCNN(rng, 1, 6, 6, 3, 16, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	retained := func(ws *Workspace) (floats int) {
+		for _, m := range ws.mats {
+			floats += cap(m.Data)
+		}
+		return floats
+	}
+	ws := NewWorkspace()
+	var buffers, floats int
+	for i, rows := range []int{12, 5, 9, 1, 7, 12} {
+		x, labels := workspaceBatch(t, rng, rows)
+		want, err := cnn.BatchedLossAndGrad(nil, Input{Dense: x}, labels, []int{0, rows})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := cnn.BatchedLossAndGrad(ws, Input{Dense: x}, labels, []int{0, rows})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bitsEqual(t, "re-sliced arena gradient", got[0].Grad, want[0].Grad)
+		if i == 0 {
+			buffers, floats = ws.Buffers(), retained(ws)
+			continue
+		}
+		if ws.Buffers() != buffers || retained(ws) != floats {
+			t.Fatalf("after a %d-row tile the arena holds %d buffers / %d floats, want the largest tile's %d / %d",
+				rows, ws.Buffers(), retained(ws), buffers, floats)
+		}
 	}
 }

@@ -12,15 +12,11 @@ import (
 // g·W for the input gradient and gᵀ·x for the weight gradient — plus
 // row-partitioned *Workers forms following the PR 2 parallel helpers.
 //
-// Every exact kernel keeps each output element's floating-point
-// accumulation in the same ascending-index order as the naive sequential
-// loop, so the kernels are byte-identical drop-in replacements; the *Fast*
-// variants break the accumulation into independent partial sums
-// (reassociating the order for instruction-level parallelism) and are
-// therefore NOT bit-compatible — callers opt in explicitly (the engine's
-// documented fast mode).
+// Every kernel keeps each output element's floating-point accumulation in
+// the same ascending-index order as the naive sequential loop, so the
+// kernels are byte-identical drop-in replacements.
 
-// kernelBlockJ is the shared-dimension block size of the exact kernels:
+// kernelBlockJ is the shared-dimension block size of MulABTInto:
 // blocks of b's rows this wide stay resident in cache while every row of a
 // streams past. Blocking only reorders memory traffic, never the per-output
 // accumulation order, so it cannot change results.
@@ -71,64 +67,6 @@ func mulABTRange(dst, a, b *Matrix, r0, r1 int) {
 			}
 		}
 	}
-}
-
-// MulABTFastInto is MulABTInto with each dot product split into four
-// independent accumulators, breaking the loop-carried addition chain for
-// instruction-level parallelism. Reassociating the sum changes its
-// rounding: results are NOT bit-compatible with MulABTInto (they agree to
-// normal float64 accuracy). Only explicitly non-bitwise paths (the
-// engine's fast mode) may use it.
-func MulABTFastInto(dst, a, b *Matrix) error {
-	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows {
-		return fmt.Errorf("%w: MulABTFastInto(%dx%d, %dx%d, %dx%d)",
-			ErrDimensionMismatch, dst.Rows, dst.Cols, a.Rows, a.Cols, b.Rows, b.Cols)
-	}
-	for i := 0; i < a.Rows; i++ {
-		ai := a.Row(i)
-		di := dst.Row(i)
-		for o := 0; o < b.Rows; o++ {
-			di[o] += DotFast(ai, b.Row(o))
-		}
-	}
-	return nil
-}
-
-// DotFast is the shared four-accumulator dot product of the fast mode:
-// the loop-carried addition chain of a sequential dot is split into four
-// independent partial sums. Reassociated — NOT bit-compatible with a
-// sequential dot; only explicitly non-bitwise paths may use it.
-func DotFast(a, b []float64) float64 {
-	b = b[:len(a)]
-	var s0, s1, s2, s3 float64
-	i := 0
-	for ; i+4 <= len(a); i += 4 {
-		s0 += a[i] * b[i]
-		s1 += a[i+1] * b[i+1]
-		s2 += a[i+2] * b[i+2]
-		s3 += a[i+3] * b[i+3]
-	}
-	for ; i < len(a); i++ {
-		s0 += a[i] * b[i]
-	}
-	return ((s0 + s1) + s2) + s3
-}
-
-// SumFast is DotFast's plain-sum sibling: four independent accumulators,
-// reassociated, non-bitwise.
-func SumFast(v []float64) float64 {
-	var s0, s1, s2, s3 float64
-	i := 0
-	for ; i+4 <= len(v); i += 4 {
-		s0 += v[i]
-		s1 += v[i+1]
-		s2 += v[i+2]
-		s3 += v[i+3]
-	}
-	for ; i < len(v); i++ {
-		s0 += v[i]
-	}
-	return ((s0 + s1) + s2) + s3
 }
 
 // MatMulInto accumulates a·b into dst: dst[i][j] += Σ_k a[i][k]·b[k][j],

@@ -62,24 +62,6 @@ func TestMulABTIntoBitIdentical(t *testing.T) {
 	}
 }
 
-// TestMulABTFastApproximate: the reassociated kernel agrees to float64
-// accuracy but is not required to match bitwise.
-func TestMulABTFastApproximate(t *testing.T) {
-	a := randomMatrix(6, 103, 4)
-	b := randomMatrix(4, 103, 5)
-	want := NewMatrix(6, 4)
-	naiveABT(want, a, b)
-	got := NewMatrix(6, 4)
-	if err := MulABTFastInto(got, a, b); err != nil {
-		t.Fatal(err)
-	}
-	for i := range want.Data {
-		if d := math.Abs(got.Data[i] - want.Data[i]); d > 1e-9*(1+math.Abs(want.Data[i])) {
-			t.Fatalf("fast kernel drift %g at %d", d, i)
-		}
-	}
-}
-
 // TestMatMulIntoMatchesMatMul: the accumulate-into form must reproduce
 // MatMul bitwise when starting from zero.
 func TestMatMulIntoMatchesMatMul(t *testing.T) {
@@ -150,9 +132,6 @@ func TestKernelDimensionChecks(t *testing.T) {
 	dst := NewMatrix(3, 2)
 	if err := MulABTInto(dst, a, b); err == nil {
 		t.Error("MulABTInto accepted mismatched shared dim")
-	}
-	if err := MulABTFastInto(dst, a, b); err == nil {
-		t.Error("MulABTFastInto accepted mismatched shared dim")
 	}
 	if err := MatMulInto(dst, a, b); err == nil {
 		t.Error("MatMulInto accepted mismatched inner dim")
