@@ -2,11 +2,8 @@
 # so local verification and the quality gate can never drift apart.
 
 GO ?= go
-# Extra flags for the bench target (CI passes BENCHFLAGS=-json to produce
-# the BENCH_PR.json artifact).
-BENCHFLAGS ?=
 
-.PHONY: all build test loc conformance race bench bench-gate bench-baseline perf perf-compare profile profile-top cover fmt-check doc-check vet dist fuzz
+.PHONY: all build test loc conformance race bench perf perf-compare profile profile-top cover fmt-check doc-check vet dist fuzz
 
 # Fuzz budget per target for `make fuzz` (CI passes FUZZTIME=10s; raise it
 # locally for deeper runs, e.g. make fuzz FUZZTIME=2m).
@@ -40,28 +37,13 @@ race:
 conformance:
 	$(GO) test -race -count=2 -timeout 10m -run 'Conformance' ./internal/defense ./internal/codec ./internal/experiments
 
-# Compile and execute every benchmark exactly once: fast enough for a PR
-# gate, and it fails loudly when benchmark code rots. -benchmem adds B/op
-# and allocs/op columns, which the gate compares alongside ns/op. Silenced
-# (@) because CI pipes the output into BENCH_PR.json, where make's recipe
-# echo would corrupt the `go test -json` stream.
+# Compile and execute every Go benchmark exactly once, so benchmark code
+# that rots fails loudly (the CI bench job runs this). The numbers are not a
+# gate: a single -benchtime 1x sample is noise. The micro-benchmarks are
+# `make profile` inputs; performance is judged by the repository benchmark
+# below (`make perf`, `make perf-compare`).
 bench:
-	@$(GO) test $(BENCHFLAGS) -run '^$$' -bench . -benchtime 1x -benchmem -timeout 15m ./...
-
-# Benchmark regression gate: run the bench sweep as a -json stream and
-# compare every benchmark's ns/op, B/op and allocs/op against the committed
-# BENCH_BASELINE.json (cmd/benchgate), failing on >15% regressions on any
-# metric — the CI bench job runs this, so a landed performance win stays
-# won. The baseline is machine-class dependent: refresh it with
-# `make bench-baseline` after an intentional perf change or a CI runner
-# change.
-bench-gate:
-	@$(GO) test -json -run '^$$' -bench . -benchtime 1x -benchmem -timeout 15m ./... > BENCH_PR.json
-	$(GO) run ./cmd/benchgate -input BENCH_PR.json -baseline BENCH_BASELINE.json -threshold 0.15
-
-bench-baseline:
-	@$(GO) test -json -run '^$$' -bench . -benchtime 1x -benchmem -timeout 15m ./... > BENCH_PR.json
-	$(GO) run ./cmd/benchgate -input BENCH_PR.json -write -baseline BENCH_BASELINE.json
+	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem -timeout 15m ./...
 
 # The repository benchmark (bench/README.md, BENCHMARK.json): every workload
 # end to end with tracing off, then stage by stage. perf writes one result

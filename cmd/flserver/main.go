@@ -1,16 +1,19 @@
-// Command flserver runs the federated-learning parameter server. It has
-// three modes:
+// Command flserver runs the federated-learning parameter server: one
+// aggregation core (internal/asyncfl — ingest screen, the selected robust
+// rule, SignGuard by default, merge, optimizer step) behind one of two
+// wires, then the final test accuracy of the global model. It has three
+// modes:
 //
-// Synchronous (default): wait for the configured number of TCP clients,
-// coordinate lock-step training rounds, apply the selected robust
-// aggregation rule (SignGuard by default), and print the final test
-// accuracy of the global model — the paper's setting.
+// Synchronous (default): the gob wire. Wait for the configured number of
+// TCP clients and coordinate lock-step rounds — the paper's setting, which
+// is the core with a buffer of -clients fresh updates and no staleness
+// discount. A client that times out or breaks the protocol is dropped and
+// training continues with the rest.
 //
-// Asynchronous (-async): serve the buffered asynchronous protocol over
-// HTTP (internal/asyncfl): clients fetch the versioned model and submit
-// gradients whenever they finish, the server aggregates every -buffer
-// arrivals under staleness-discounted weights w(s) = 1/(1+s)^alpha with
-// the defense filtering each buffer, and training stops after -rounds
+// Asynchronous (-async): the HTTP wire. Clients fetch the versioned model
+// and submit gradients whenever they finish, the core aggregates every
+// -buffer arrivals under staleness-discounted weights w(s) = 1/(1+s)^alpha
+// with the defense filtering each buffer, and training stops after -rounds
 // aggregation steps.
 //
 // Load test (-loadtest): run the in-process load harness
@@ -74,7 +77,7 @@ func main() {
 		alpha     = flag.Float64("alpha", 0.5, "async: staleness-discount exponent of w(s)=1/(1+s)^alpha")
 		queueCap  = flag.Int("queue-cap", asyncfl.DefaultQueueCap, "async: per-client update queue bound (drop-oldest beyond)")
 		ttl       = flag.Duration("session-ttl", asyncfl.DefaultSessionTTL, "async: client liveness lease lifetime")
-		nonFinite = flag.String("nonfinite-policy", sanitize.Reject.String(), "async/loadtest: disposition for updates carrying NaN/±Inf: "+strings.Join(sanitize.PolicyNames(), "|"))
+		nonFinite = flag.String("nonfinite-policy", sanitize.Reject.String(), "disposition for updates carrying NaN/±Inf: "+strings.Join(sanitize.PolicyNames(), "|"))
 
 		loadRun     = flag.Bool("loadtest", false, "run the async load harness in-process and exit")
 		loadClients = flag.Int("load-clients", 10000, "loadtest: simulated client sessions")
@@ -108,22 +111,28 @@ func main() {
 		log.Fatalf("flserver: %v", err)
 	}
 
-	switch {
-	case *loadRun:
+	if *loadRun {
 		var wire codec.Codec
 		if wire, err = buildLoadCodec(*codecStr, *hyperStr); err == nil {
 			err = runLoadtest(*loadRule, *loadClients, *loadUpdates, *loadConc, *loadDim, *buffer, *alpha, *loadByz, *loadChurn, *loadHostile, *seed, wire, policy)
 		}
-	case *async:
-		var accepted []string
-		if accepted, err = parseAccepted(*codecStr, *hyperStr); err == nil {
-			err = runAsync(*addr, *ruleStr, *buffer, *rounds, *byz, *queueCap, *lr, *alpha, *seed, *ttl, accepted, policy)
-		}
-	default:
-		if *codecStr != "" || *hyperStr != "" {
+	} else {
+		// Lock-step rounds are the core's degenerate case: a buffer of one
+		// fresh update per client, nothing to discount, and no session
+		// expiry (the gob wire has its own timeout).
+		cfg := asyncfl.Config{K: *clients, SessionTTL: -1}
+		serve := func(agg *asyncfl.Aggregator) error { return serveGob(*addr, *clients, *timeout, agg) }
+		if *async {
+			var accepted []string
+			accepted, err = parseAccepted(*codecStr, *hyperStr)
+			cfg = asyncfl.Config{K: *buffer, Alpha: *alpha, QueueCap: *queueCap, SessionTTL: *ttl}
+			serve = func(agg *asyncfl.Aggregator) error { return serveHTTP(*addr, accepted, agg) }
+		} else if *codecStr != "" || *hyperStr != "" {
 			err = fmt.Errorf("-codec applies to -async (accepted list) or -loadtest (client codec); the synchronous gob protocol is uncompressed")
-		} else {
-			err = run(*addr, *ruleStr, *clients, *rounds, *byz, *lr, *seed, *timeout)
+		}
+		if err == nil {
+			cfg.LR, cfg.NonFinite, cfg.TargetSteps = *lr, policy, int64(*rounds)
+			err = run(*ruleStr, *byz, *seed, cfg, serve)
 		}
 	}
 	if err != nil {
@@ -232,8 +241,11 @@ func sharedModel(seed int64) (nn.Classifier, error) {
 	return nn.NewImageCNN(tensor.NewRNG(seed), 1, 8, 8, 6, 32, 10)
 }
 
-func run(addr, ruleStr string, clients, rounds, byz int, lr float64, seed int64, timeout time.Duration) error {
-	rule, err := buildRule(ruleStr, clients, byz, seed)
+// run is the one serving path: build the rule and the aggregator cfg
+// describes around the shared model, hand it to the chosen wire until
+// training is done, then report the counters and evaluate the global model.
+func run(ruleStr string, byz int, seed int64, cfg asyncfl.Config, serve func(*asyncfl.Aggregator) error) error {
+	rule, err := buildRule(ruleStr, cfg.K, byz, seed)
 	if err != nil {
 		return err
 	}
@@ -245,30 +257,24 @@ func run(addr, ruleStr string, clients, rounds, byz int, lr float64, seed int64,
 	if err != nil {
 		return err
 	}
-
-	srv, err := transport.NewServer(transport.ServerConfig{
-		Addr:          addr,
-		Clients:       clients,
-		Rounds:        rounds,
-		Rule:          rule,
-		InitialParams: model.ParamVector(),
-		LR:            lr,
-		Momentum:      0.9,
-		WeightDecay:   5e-4,
-		RoundTimeout:  timeout,
-		Logf:          log.Printf,
-	})
+	cfg.InitialParams, cfg.Rule = model.ParamVector(), rule
+	cfg.Momentum, cfg.WeightDecay = 0.9, 5e-4
+	cfg.Logf = log.Printf
+	agg, err := asyncfl.New(cfg)
 	if err != nil {
 		return err
 	}
-	log.Printf("flserver: listening on %s (rule=%s, clients=%d, rounds=%d)",
-		srv.Addr(), rule.Name(), clients, rounds)
-
-	if err := srv.Serve(context.Background()); err != nil {
+	log.Printf("flserver: rule=%s, buffer=%d, alpha=%v, steps=%d", rule.Name(), cfg.K, cfg.Alpha, cfg.TargetSteps)
+	if err := serve(agg); err != nil {
 		return err
 	}
 
-	if err := model.SetParamVector(srv.FinalParams()); err != nil {
+	st := agg.Stats()
+	log.Printf("flserver: run complete: %d steps, %d arrivals, %d drops, %d rejects (%d non-finite), mean buffer occupancy %.1f",
+		st.Steps, st.Arrivals, st.Drops, st.Rejects,
+		st.NonFiniteRejects+st.NonFiniteClamps+st.NonFiniteQuarantines, st.MeanOccupancy)
+	_, params, _ := agg.Model()
+	if err := model.SetParamVector(params); err != nil {
 		return err
 	}
 	acc, err := fl.Evaluate(model, ds, ds.Test)
@@ -279,42 +285,22 @@ func run(addr, ruleStr string, clients, rounds, byz int, lr float64, seed int64,
 	return nil
 }
 
-// runAsync serves the buffered asynchronous protocol until the target
-// number of aggregation steps completes, then evaluates the global model.
-// accepted is the codec accept-list advertised to clients (nil = every
-// built-in codec); policy is the non-finite ingest disposition.
-func runAsync(addr, ruleStr string, buffer, steps, byz, queueCap int, lr, alpha float64, seed int64, ttl time.Duration, accepted []string, policy sanitize.Policy) error {
-	rule, err := buildRule(ruleStr, buffer, byz, seed)
+// serveGob runs the synchronous gob wire in front of agg until it is done.
+func serveGob(addr string, clients int, timeout time.Duration, agg *asyncfl.Aggregator) error {
+	srv, err := transport.NewServer(transport.ServerConfig{
+		Addr: addr, Clients: clients, RoundTimeout: timeout, Logf: log.Printf,
+	}, agg)
 	if err != nil {
 		return err
 	}
-	model, err := sharedModel(seed)
-	if err != nil {
-		return err
-	}
-	ds, err := data.MNISTLike(seed, 4000, 1000)
-	if err != nil {
-		return err
-	}
+	log.Printf("flserver: listening on %s for %d clients", srv.Addr(), clients)
+	return srv.Serve(context.Background())
+}
 
-	agg, err := asyncfl.New(asyncfl.Config{
-		InitialParams: model.ParamVector(),
-		K:             buffer,
-		Alpha:         alpha,
-		Rule:          rule,
-		LR:            lr,
-		Momentum:      0.9,
-		WeightDecay:   5e-4,
-		QueueCap:      queueCap,
-		NonFinite:     policy,
-		TargetSteps:   int64(steps),
-		SessionTTL:    ttl,
-		Logf:          log.Printf,
-	})
-	if err != nil {
-		return err
-	}
-
+// serveHTTP serves the asynchronous HTTP wire in front of agg until the
+// target number of aggregation steps completes. accepted is the codec
+// accept-list advertised to clients (nil = every built-in codec).
+func serveHTTP(addr string, accepted []string, agg *asyncfl.Aggregator) error {
 	handler, err := transport.NewAsyncCodecHandler(agg, accepted)
 	if err != nil {
 		return err
@@ -326,8 +312,7 @@ func runAsync(addr, ruleStr string, buffer, steps, byz, queueCap int, lr, alpha 
 	httpSrv := &http.Server{Handler: handler}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
-	log.Printf("flserver: async serving on %s (rule=%s, buffer=%d, alpha=%v, steps=%d)",
-		ln.Addr(), rule.Name(), buffer, alpha, steps)
+	log.Printf("flserver: async serving on %s", ln.Addr())
 
 	select {
 	case <-agg.Done():
@@ -343,20 +328,6 @@ func runAsync(addr, ruleStr string, buffer, steps, byz, queueCap int, lr, alpha 
 	if err := <-serveErr; err != nil && !errors.Is(err, http.ErrServerClosed) {
 		return err
 	}
-
-	st := agg.Stats()
-	log.Printf("flserver: async run complete: %d steps, %d arrivals, %d drops, %d rejects (%d non-finite), mean buffer occupancy %.1f",
-		st.Steps, st.Arrivals, st.Drops, st.Rejects,
-		st.NonFiniteRejects+st.NonFiniteClamps+st.NonFiniteQuarantines, st.MeanOccupancy)
-	_, params, _ := agg.Model()
-	if err := model.SetParamVector(params); err != nil {
-		return err
-	}
-	acc, err := fl.Evaluate(model, ds, ds.Test)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stdout, "final test accuracy: %.2f%%\n", acc)
 	return nil
 }
 

@@ -36,17 +36,26 @@ func main() {
 		log.Fatal(err)
 	}
 
-	srv, err := signguard.NewServer(signguard.ServerConfig{
-		Addr:          "127.0.0.1:0",
-		Clients:       clients,
-		Rounds:        rounds,
-		Rule:          signguard.NewSignGuard(seed),
+	// The aggregation core: lock-step rounds are a buffer of one fresh
+	// gradient per client (K = clients), for `rounds` steps.
+	agg, err := signguard.NewAggregator(signguard.AggregatorConfig{
 		InitialParams: model.ParamVector(),
+		K:             clients,
+		Rule:          signguard.NewSignGuard(seed),
 		LR:            0.05,
 		Momentum:      0.9,
 		WeightDecay:   5e-4,
-		RoundTimeout:  20 * time.Second,
+		TargetSteps:   rounds,
+		SessionTTL:    -1,
 	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	srv, err := signguard.NewServer(signguard.ServerConfig{
+		Addr:         "127.0.0.1:0",
+		Clients:      clients,
+		RoundTimeout: 20 * time.Second,
+	}, agg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -81,7 +90,8 @@ func main() {
 	}
 	wg.Wait()
 
-	if err := model.SetParamVector(srv.FinalParams()); err != nil {
+	_, params, _ := agg.Model()
+	if err := model.SetParamVector(params); err != nil {
 		log.Fatal(err)
 	}
 	acc, err := signguard.Evaluate(model, ds, ds.Test)

@@ -1,5 +1,6 @@
-// Package asyncfl is the buffered asynchronous federated-learning serving
-// core: a FedBuff-style aggregator that accepts gradient updates
+// Package asyncfl is the server-side aggregation core: the one place a
+// gradient buffer is screened, defended, merged and applied. It is a
+// FedBuff-style buffered aggregator that accepts gradient updates
 // continuously, tags each with the model version it was computed against,
 // buffers them in bounded per-client queues (drop-oldest, with a
 // backpressure signal to the submitter), and performs an aggregation step
@@ -9,12 +10,16 @@
 // w(s) = 1/(1+s)^alpha and applies a server-side SGD step, bumping the
 // model version.
 //
-// This departs from the paper's synchronous setting on purpose: the defense
-// no longer sees a synchronized cohort but a staleness-skewed buffer, and
-// the staleness discount plays the role the server's trust weighting plays
-// in server-learning defenses. The synchronous protocol (internal/transport
-// Server/RunClient) is untouched; the async protocol rides the same package
-// as an HTTP layer over this core.
+// Both wires in internal/transport are adapters over this core. The HTTP
+// protocol (/asyncfl/v1) is the general case: the defense sees a
+// staleness-skewed buffer rather than a synchronized cohort, and the
+// staleness discount plays the role the server's trust weighting plays in
+// server-learning defenses. The paper's synchronous setting is the
+// degenerate case the gob round server drives: K = cohort, every update
+// fresh, and a Flush barrier at the end of a round in which the ingest
+// screen withheld part of the cohort. A buffer with no stale update has
+// nothing to discount, so the step applies the defense's own aggregate
+// (SignGuard's median-norm clipping, Bulyan's trimmed mean) unchanged.
 //
 // Client liveness reuses the TTL-lease/heartbeat discipline of the
 // distributed campaign coordinator (internal/campaign/dist): any message
@@ -70,7 +75,8 @@ type Config struct {
 	// Krum, DnC, ...) have only their survivors merged; coordinate-wise
 	// rules without a selection (Mean, Median, ...) replace the merge with
 	// their own aggregate, since per-client staleness cannot be attributed
-	// through them. nil merges the whole buffer.
+	// through them — and so does any rule on a buffer with no stale update,
+	// where every merge weight is exactly 1. nil merges the whole buffer.
 	Rule aggregate.Rule
 	// LR / Momentum / WeightDecay configure the server-side SGD step.
 	LR          float64
@@ -492,7 +498,6 @@ func (a *Aggregator) applyLocked(u Update) SubmitResult {
 	a.occN++
 	if a.sinceK >= a.cfg.K {
 		a.stepLocked()
-		a.sinceK = 0
 		res.Stepped = true
 		res.Version = a.version
 		res.Done = a.done
@@ -500,10 +505,27 @@ func (a *Aggregator) applyLocked(u Update) SubmitResult {
 	return res
 }
 
+// Flush runs an aggregation step over whatever is buffered now and restarts
+// the K-cadence, reporting whether the model version advanced. It is the
+// barrier a synchronous wire needs when the ingest screen withheld part of
+// its cohort: K accepted arrivals would otherwise never be reached. An empty
+// buffer and a Done aggregator are no-ops.
+func (a *Aggregator) Flush() (stepped bool) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.done {
+		return false
+	}
+	before := a.version
+	a.stepLocked()
+	return a.version > before
+}
+
 // stepLocked drains the whole buffer in arrival order, filters it through
-// the defense, merges the survivors under staleness weights, and applies
-// the server SGD step. Callers hold a.mu.
+// the defense, merges the survivors under staleness weights, applies the
+// server SGD step and restarts the K-cadence. Callers hold a.mu.
 func (a *Aggregator) stepLocked() {
+	a.sinceK = 0
 	buf := make([]entry, 0, a.buffered)
 	for _, q := range a.queues {
 		buf = append(buf, q...)
@@ -552,16 +574,19 @@ func (a *Aggregator) stepLocked() {
 				return
 			}
 			kept = len(res.Selected)
+		}
+		if res.Selected == nil || max == 0 {
+			// The rule's aggregate is the merge: staleness cannot be
+			// attributed per client through a coordinate-wise rule, and an
+			// all-fresh buffer (every weight exactly 1) has none to attribute.
+			merged = res.Gradient
+		} else {
 			mergeGrads = make([][]float64, kept)
 			mergeStale = make([]int, kept)
 			for i, idx := range res.Selected {
 				mergeGrads[i] = grads[idx]
 				mergeStale[i] = staleness[idx]
 			}
-		} else {
-			// Coordinate-wise rule: its aggregate is the merge; staleness
-			// cannot be attributed per client through it.
-			merged = res.Gradient
 		}
 	}
 	if merged == nil {

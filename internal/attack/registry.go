@@ -8,10 +8,9 @@ import "fmt"
 // and a constructor.
 //
 // The catalog is the single source of truth for attack enumeration: the
-// experiments tables, the campaign registry and the CLI mode lists are
-// cross-checked against it by tests, so a new attack that is registered
-// here but not surfaced there (or vice versa) fails the build's test gate
-// instead of silently drifting.
+// campaign registry registers every entry straight from it, the experiments
+// tables hold names only, and the CLI mode lists are cross-checked against
+// it by tests — nothing else declares an attack constructor.
 type Spec struct {
 	// Name is the stable catalog key (the tables' column label).
 	Name string

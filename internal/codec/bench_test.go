@@ -9,8 +9,8 @@ import (
 // BenchmarkCodec measures encode+decode round-trip cost and reports the
 // compression ratio (dense bytes / wire bytes) per codec at the two
 // dimensions the repo's models bracket: ~10k (the small CNNs) and 1M (a
-// large-model stand-in). Wired into the CI bench job and the benchgate
-// baseline.
+// large-model stand-in). The CI bench job runs it once; it is a profiling
+// input, not a gate.
 func BenchmarkCodec(b *testing.B) {
 	for _, d := range []int{10_000, 1_000_000} {
 		grad := testGrad(rand.New(rand.NewSource(7)), d)

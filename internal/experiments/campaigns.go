@@ -29,37 +29,20 @@ func Registry() *campaign.Registry {
 		})
 	}
 	reg.RegisterDefenses(Defenses())
-	for _, a := range append(Attacks(), ExtraAttacks()...) {
-		a := a
-		reg.RegisterAttack(a.Name, func(_ campaign.Cell, seed int64) (attack.Attack, error) {
-			return a.New(seed), nil
+	// Every catalog attack, built with the cell's AttackParam as its scalar
+	// knob (Reverse's scale in Table III, TimeVarying's switch period in
+	// Fig. 5, Backdoor's boost λ; 0 → the attack's documented default).
+	for _, spec := range attack.Builtin() {
+		reg.RegisterAttack(spec.Name, func(c campaign.Cell, seed int64) (attack.Attack, error) {
+			if spec.Name == "TimeVarying" {
+				// Seeded from Params.Seed+29 — the derivation the
+				// pre-campaign harness used — so historical Fig. 5 curves
+				// reproduce bit-for-bit.
+				seed = c.Params.Seed + 29
+			}
+			return spec.New(c.AttackParam, seed)
 		})
 	}
-	// Reverse scales by the cell's AttackParam (Table III's norm-threshold
-	// sensitive reverse attack).
-	reg.RegisterAttack("Reverse", func(c campaign.Cell, _ int64) (attack.Attack, error) {
-		scale := c.AttackParam
-		if scale <= 0 {
-			scale = 1
-		}
-		return attack.NewReverse(scale), nil
-	})
-	// TimeVarying re-draws its strategy every AttackParam rounds (Fig. 5).
-	// Seeded from Params.Seed+29 — the derivation the pre-campaign harness
-	// used — so historical Fig. 5 curves reproduce bit-for-bit.
-	reg.RegisterAttack("TimeVarying", func(c campaign.Cell, _ int64) (attack.Attack, error) {
-		switchEvery := int(c.AttackParam)
-		if switchEvery < 1 {
-			switchEvery = 1
-		}
-		return attack.NewTimeVarying(attack.DefaultTimeVaryingPool(), switchEvery, c.Params.Seed+29)
-	})
-	// Backdoor's model-replacement boost λ rides the cell's AttackParam
-	// (0 → the attack's documented default), overriding the default-config
-	// registration from the ExtraAttacks loop above.
-	reg.RegisterAttack("Backdoor", func(c campaign.Cell, _ int64) (attack.Attack, error) {
-		return attack.NewBackdoor(0, c.AttackParam), nil
-	})
 	reg.RegisterProbe(SignStatsProbe, newSignStatsProbe)
 	reg.RegisterCodecs(codec.Builtin())
 	return reg

@@ -7,28 +7,6 @@ import (
 	"github.com/signguard/signguard/internal/campaign"
 )
 
-// TestAttackTablesMatchCatalog pins this package's attack tables to the
-// internal/attack catalog: every Table I column and every extra attack is
-// backed by a catalog entry, and the instance the table builds reports the
-// capabilities the catalog declares. A renamed or recapability'd attack
-// fails here instead of silently diverging between the harness surfaces.
-func TestAttackTablesMatchCatalog(t *testing.T) {
-	for _, a := range append(Attacks(), ExtraAttacks()...) {
-		spec, err := attack.SpecByName(a.Name)
-		if err != nil {
-			t.Errorf("table attack %q missing from the attack catalog: %v", a.Name, err)
-			continue
-		}
-		att := a.New(1)
-		if got := attack.Promote(att).NeedsHistory(); got != spec.Adaptive {
-			t.Errorf("%s: table instance NeedsHistory() = %v, catalog declares Adaptive=%v", a.Name, got, spec.Adaptive)
-		}
-		if _, got := att.(attack.DataPoisoner); got != spec.Poisons {
-			t.Errorf("%s: table instance DataPoisoner = %v, catalog declares Poisons=%v", a.Name, got, spec.Poisons)
-		}
-	}
-}
-
 // TestCampaignRegistryCoversCatalog proves every catalog attack is runnable
 // through the campaign registry: one cell per catalog name must validate.
 // An attack added to the catalog but never registered (the SignKeep gap

@@ -34,7 +34,7 @@ func DefaultCellOptions() CellOptions { return CellOptions{OverrideNumByz: -1} }
 // themselves declare campaign specs instead. The cell is assembled through
 // the same campaign.CellExec path the engine uses, so both agree on every
 // simulation parameter.
-func RunCell(dataset *data.Dataset, ds DatasetSpec, rule RuleSpec, att AttackSpec, p Params, opt CellOptions) (*fl.RunResult, error) {
+func RunCell(dataset *data.Dataset, ds DatasetSpec, rule RuleSpec, att attack.Spec, p Params, opt CellOptions) (*fl.RunResult, error) {
 	numByz := p.NumByz()
 	if opt.OverrideNumByz >= 0 {
 		numByz = opt.OverrideNumByz
@@ -45,7 +45,9 @@ func RunCell(dataset *data.Dataset, ds DatasetSpec, rule RuleSpec, att AttackSpe
 	}
 	a := opt.OverrideAttack
 	if a == nil {
-		a = att.New(p.Seed + 13)
+		if a, err = att.New(0, p.Seed+13); err != nil {
+			return nil, fmt.Errorf("experiments: building attack %s: %w", att.Name, err)
+		}
 	}
 	x := &campaign.CellExec{
 		Dataset:  dataset,

@@ -1,6 +1,10 @@
 package experiments
 
-import "testing"
+import (
+	"testing"
+
+	"github.com/signguard/signguard/internal/attack"
+)
 
 func TestServerLearnSpecShape(t *testing.T) {
 	p := axesParams()
@@ -21,7 +25,7 @@ func TestServerLearnSpecShape(t *testing.T) {
 		}
 	}
 	for _, att := range serverLearnAttacks {
-		if _, err := AttackByName(att); err != nil {
+		if _, err := attack.SpecByName(att); err != nil {
 			t.Errorf("attack %s: %v", att, err)
 		}
 	}

@@ -13,7 +13,6 @@ import (
 	"math/rand"
 
 	"github.com/signguard/signguard/internal/aggregate"
-	"github.com/signguard/signguard/internal/attack"
 	"github.com/signguard/signguard/internal/campaign"
 	"github.com/signguard/signguard/internal/data"
 	"github.com/signguard/signguard/internal/defense"
@@ -219,65 +218,10 @@ func SelectRules(names ...string) ([]RuleSpec, error) {
 	return out, nil
 }
 
-// AttackSpec names an attack strategy and builds a fresh instance per run.
-type AttackSpec struct {
-	Name string
-	New  func(seed int64) attack.Attack
-}
-
-// Attacks returns the nine attack columns of Table I, in its column order.
-func Attacks() []AttackSpec {
-	return []AttackSpec{
-		{Name: "NoAttack", New: func(int64) attack.Attack { return attack.NewNone() }},
-		{Name: "Random", New: func(int64) attack.Attack { return attack.NewRandom() }},
-		{Name: "Noise", New: func(int64) attack.Attack { return attack.NewNoise() }},
-		{Name: "Label-flip", New: func(int64) attack.Attack { return attack.NewLabelFlip() }},
-		{Name: "ByzMean", New: func(int64) attack.Attack { return attack.NewByzMean() }},
-		{Name: "Sign-flip", New: func(int64) attack.Attack { return attack.NewSignFlip() }},
-		{Name: "LIE", New: func(int64) attack.Attack { return attack.NewLIE(0.3) }},
-		{Name: "Min-Max", New: func(int64) attack.Attack { return attack.NewMinMax() }},
-		{Name: "Min-Sum", New: func(int64) attack.Attack { return attack.NewMinSum() }},
-	}
-}
-
-// ExtraAttacks returns the attack strategies beyond the paper's Table I
-// columns: the adaptive round-aware attacks enabled by the pipeline's
-// filtering-feedback channel, the sign-preserving white-box attack on
-// SignGuard itself, the non-finite injection family of the hostile-input
-// campaign (NaN/±Inf, full-vector and sparse-coordinate), and the backdoor
-// / model-replacement adversary of the server-learning campaign.
-func ExtraAttacks() []AttackSpec {
-	return []AttackSpec{
-		{Name: "Adaptive-Min-Max", New: func(int64) attack.Attack { return attack.NewAdaptiveMinMax() }},
-		{Name: "SignKeep", New: func(int64) attack.Attack { return attack.NewSignKeeping() }},
-		{Name: "NonFinite-NaN", New: func(int64) attack.Attack { return attack.NewNonFinite(attack.NaNValue) }},
-		{Name: "NonFinite-PosInf", New: func(int64) attack.Attack { return attack.NewNonFinite(attack.PosInfValue) }},
-		{Name: "NonFinite-NegInf", New: func(int64) attack.Attack { return attack.NewNonFinite(attack.NegInfValue) }},
-		{Name: "NonFinite-Sparse", New: func(int64) attack.Attack { return attack.NewNonFiniteSparse(attack.NaNValue, 0.01) }},
-		{Name: "Backdoor", New: func(int64) attack.Attack { return attack.NewBackdoor(0, 0) }},
-	}
-}
-
-// AttackByName looks up a single attack spec (Table I columns and the
-// extra adaptive attacks).
-func AttackByName(name string) (AttackSpec, error) {
-	for _, a := range append(Attacks(), ExtraAttacks()...) {
-		if a.Name == name {
-			return a, nil
-		}
-	}
-	return AttackSpec{}, fmt.Errorf("experiments: unknown attack %q", name)
-}
-
-// SelectAttacks filters Attacks() to the given names, preserving order.
-func SelectAttacks(names ...string) ([]AttackSpec, error) {
-	out := make([]AttackSpec, 0, len(names))
-	for _, n := range names {
-		a, err := AttackByName(n)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, a)
-	}
-	return out, nil
+// tableAttacks names the nine attack columns of Table I, in its column
+// order. The internal/attack catalog owns the constructors (SpecByName) and
+// the campaign registry registers every catalog entry; this package only
+// picks names.
+var tableAttacks = []string{
+	"NoAttack", "Random", "Noise", "Label-flip", "ByzMean", "Sign-flip", "LIE", "Min-Max", "Min-Sum",
 }

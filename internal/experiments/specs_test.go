@@ -3,6 +3,8 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"github.com/signguard/signguard/internal/attack"
 )
 
 func TestParseScale(t *testing.T) {
@@ -69,18 +71,8 @@ func TestSpecLookups(t *testing.T) {
 		t.Error("accepted unknown rule")
 	}
 
-	attacks := Attacks()
-	if len(attacks) != 9 {
-		t.Fatalf("%d attacks, want 9 (Table I columns)", len(attacks))
-	}
-	if attacks[0].Name != "NoAttack" {
-		t.Errorf("first attack = %s", attacks[0].Name)
-	}
-	if _, err := AttackByName("nope"); err == nil {
-		t.Error("accepted unknown attack")
-	}
-	if _, err := SelectAttacks("LIE", "nope"); err == nil {
-		t.Error("SelectAttacks accepted unknown name")
+	if len(tableAttacks) != 9 || tableAttacks[0] != "NoAttack" {
+		t.Fatalf("attack columns %v, want the 9 Table I columns starting at NoAttack", tableAttacks)
 	}
 	if sel, err := SelectRules("DnC", "Mean"); err != nil || len(sel) != 2 || sel[0].Name != "DnC" {
 		t.Errorf("SelectRules = %v, %v", sel, err)
@@ -110,10 +102,13 @@ func TestRuleFactoriesBuild(t *testing.T) {
 }
 
 func TestAttackFactoriesBuild(t *testing.T) {
-	for _, a := range Attacks() {
-		att := a.New(1)
-		if att == nil || att.Name() == "" {
-			t.Errorf("attack factory %s broken", a.Name)
+	for _, name := range tableAttacks {
+		spec, err := attack.SpecByName(name)
+		if err != nil {
+			t.Fatalf("Table I column %q is not in the attack catalog: %v", name, err)
+		}
+		if att, err := spec.New(0, 1); err != nil || att == nil || att.Name() == "" {
+			t.Errorf("attack factory %s broken: %v", name, err)
 		}
 	}
 }
@@ -155,7 +150,7 @@ func TestRunCellSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	att, err := AttackByName("LIE")
+	att, err := attack.SpecByName("LIE")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,8 +13,8 @@ import (
 func Table1Spec(ds DatasetSpec, p Params) campaign.Spec {
 	spec := campaign.Spec{Name: "table1-" + ds.Key}
 	for _, rule := range PaperRules() {
-		for _, att := range Attacks() {
-			spec.Cells = append(spec.Cells, campaign.NewCell(ds.Key, rule.Name, att.Name, p))
+		for _, att := range tableAttacks {
+			spec.Cells = append(spec.Cells, campaign.NewCell(ds.Key, rule.Name, att, p))
 		}
 	}
 	return spec
@@ -32,24 +32,15 @@ func Table1(e *campaign.Engine, ds DatasetSpec, p Params) (*Table, error) {
 }
 
 func renderTable1(ds DatasetSpec, results []*campaign.CellResult) *Table {
-	attacks := Attacks()
 	t := &Table{Title: fmt.Sprintf("Table I — %s (best test accuracy %%)", ds.Title)}
-	t.Header = append([]string{"GAR"}, attackNames(attacks)...)
+	t.Header = append([]string{"GAR"}, tableAttacks...)
 	cur := cursor{results: results}
 	for _, rule := range PaperRules() {
 		row := []string{rule.Name}
-		for range attacks {
+		for range tableAttacks {
 			row = append(row, fmtAcc(cur.next().BestAccuracy))
 		}
 		t.AddRow(row...)
 	}
 	return t
-}
-
-func attackNames(attacks []AttackSpec) []string {
-	out := make([]string, len(attacks))
-	for i, a := range attacks {
-		out[i] = a.Name
-	}
-	return out
 }

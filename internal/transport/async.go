@@ -24,9 +24,9 @@ const maxAsyncBody = 64 << 20
 // NewAsyncHandler mounts the non-blocking submit/fetch protocol over the
 // buffered asynchronous aggregator: clients fetch the versioned model and
 // submit gradients whenever they finish computing, with no round barrier —
-// the HTTP face of internal/asyncfl, sharing nothing with the synchronous
-// gob protocol except the package. Every builtin compression codec is
-// accepted on submit; use NewAsyncCodecHandler to narrow the list.
+// the HTTP face of internal/asyncfl, as Server is its lock-step gob face.
+// Every builtin compression codec is accepted on submit; use
+// NewAsyncCodecHandler to narrow the list.
 func NewAsyncHandler(agg *asyncfl.Aggregator) http.Handler {
 	h, err := NewAsyncCodecHandler(agg, nil)
 	if err != nil {

@@ -3,8 +3,8 @@ package transport
 import "github.com/signguard/signguard/internal/codec"
 
 // The asynchronous protocol is versioned under /asyncfl/v1 so wire changes
-// can coexist with deployed clients; the synchronous gob protocol
-// (messages.go) is untouched and keeps working alongside it.
+// can coexist with deployed clients; the synchronous gob wire (messages.go)
+// serves the same aggregator type alongside it.
 const (
 	// AsyncPathModel serves the current model: GET → AsyncModelResponse.
 	AsyncPathModel = "/asyncfl/v1/model"

@@ -7,20 +7,16 @@ import (
 	"time"
 
 	"github.com/signguard/signguard/internal/aggregate"
+	"github.com/signguard/signguard/internal/asyncfl"
 )
 
 // TestClientContextCancellation verifies a blocked client unblocks promptly
 // when its context is cancelled mid-session (failure injection: the server
 // stops mid-round and never answers again).
 func TestClientContextCancellation(t *testing.T) {
-	srv, err := NewServer(ServerConfig{
-		Addr: "127.0.0.1:0", Clients: 2, Rounds: 100, // expects 2, only 1 will come
-		Rule: aggregate.NewMean(), InitialParams: []float64{0}, LR: 0.1,
-		RoundTimeout: 30 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv, _ := newSyncServer(t, asyncfl.Config{
+		InitialParams: []float64{0}, Rule: aggregate.NewMean(), LR: 0.1, TargetSteps: 100,
+	}, ServerConfig{Clients: 2, RoundTimeout: 30 * time.Second}) // expects 2, only 1 will come
 	defer srv.Close()
 
 	serverCtx, serverCancel := context.WithCancel(context.Background())
@@ -60,17 +56,12 @@ func TestClientContextCancellation(t *testing.T) {
 }
 
 // TestServerTimesOutSilentClient verifies the round timeout: a client that
-// registers but never uploads a gradient fails the round instead of
-// hanging the cohort forever.
+// registers but never uploads a gradient is dropped instead of hanging the
+// cohort forever — and a cohort of one has nobody left, so Serve fails.
 func TestServerTimesOutSilentClient(t *testing.T) {
-	srv, err := NewServer(ServerConfig{
-		Addr: "127.0.0.1:0", Clients: 1, Rounds: 3,
-		Rule: aggregate.NewMean(), InitialParams: []float64{0}, LR: 0.1,
-		RoundTimeout: 500 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv, _ := newSyncServer(t, asyncfl.Config{
+		InitialParams: []float64{0}, Rule: aggregate.NewMean(), LR: 0.1, TargetSteps: 3,
+	}, ServerConfig{Clients: 1, RoundTimeout: 500 * time.Millisecond})
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 	serveDone := make(chan error, 1)

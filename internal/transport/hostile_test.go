@@ -2,11 +2,13 @@ package transport
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/signguard/signguard/internal/aggregate"
 	"github.com/signguard/signguard/internal/asyncfl"
@@ -15,134 +17,130 @@ import (
 	"github.com/signguard/signguard/internal/tensor"
 )
 
-// newHostileTestServer spins a real HTTP server over an aggregator defended
-// by SignGuard with the KMeans sign filter — the exact defense the original
-// NaN crash chain ran through (NaN features -> NaN inertia in every KMeans
-// restart -> nil cluster result -> nil deref). The rule is FiniteGuard-
-// wrapped exactly as the defense registry wraps it.
-func newHostileTestServer(t *testing.T, dim int) (*asyncfl.Aggregator, *httptest.Server) {
-	t.Helper()
-	cfg := core.DefaultConfig()
-	cfg.Algo = core.KMeansAlgo
-	rule, err := core.New(cfg)
-	if err != nil {
-		t.Fatal(err)
+// TestHostileNaNEndToEnd is the deterministic regression for non-finite
+// gradients at every door a gradient can come through: five honest clients
+// and one hostile client run 20 lock-step rounds over each wire, under an
+// undefended mean, a Multi-Krum that selects the whole buffer (what
+// `flserver -rule multikrum` builds at -byz 0) and SignGuard with the KMeans
+// sign filter — the exact defense of the original crash chain (NaN features
+// -> NaN inertia in every KMeans restart -> nil cluster result -> nil
+// deref), FiniteGuard-wrapped as the defense registry wraps it. Every
+// hostile submit must be refused and counted, every round must still step on
+// the honest five, and the model must stay finite. The gob rows under Mean
+// and Multi-Krum ended with a NaN model while the gob server still
+// aggregated whatever it decoded.
+func TestHostileNaNEndToEnd(t *testing.T) {
+	const dim, honest, rounds = 16, 5, 20
+	target := make([]float64, dim)
+	for j := range target {
+		target[j] = 1
 	}
-	agg, err := asyncfl.New(asyncfl.Config{
-		InitialParams: make([]float64, dim),
-		K:             6,
-		Alpha:         0.5,
-		LR:            0.1,
-		Rule:          aggregate.Guard(rule),
-		SessionTTL:    -1,
-	})
-	if err != nil {
-		t.Fatal(err)
+	kmeans := core.DefaultConfig()
+	kmeans.Algo = core.KMeansAlgo
+	rules := []struct {
+		name string
+		new  func(n int) aggregate.Rule
+	}{
+		{"Mean", func(int) aggregate.Rule { return aggregate.NewMean() }},
+		{"Multi-Krum", func(n int) aggregate.Rule { return aggregate.NewMultiKrum(0, n) }},
+		{"SignGuard-KMeans", func(int) aggregate.Rule {
+			rule, err := core.New(kmeans)
+			if err != nil {
+				panic(err) // the default config with another clustering algorithm is valid
+			}
+			return aggregate.Guard(rule)
+		}},
 	}
-	srv := httptest.NewServer(NewAsyncHandler(agg))
-	t.Cleanup(srv.Close)
-	return agg, srv
-}
-
-// TestAsyncHostileNaNEndToEnd is the deterministic regression for the
-// NaN-gradient crash: hostile non-finite traffic is driven through the full
-// serving path (HTTP client -> handler -> aggregator -> SignGuard-KMeans
-// defense) in every wire shape it can take, and the server must refuse each
-// one, count it, keep aggregating honest traffic, and keep the model
-// finite.
-func TestAsyncHostileNaNEndToEnd(t *testing.T) {
-	dim := 16
-	agg, srv := newHostileTestServer(t, dim)
-	ctx := context.Background()
-
-	// Shape 1: a literal NaN token. JSON cannot represent it, so the body
-	// is malformed and the handler refuses it at the parse layer.
-	resp, err := http.Post(srv.URL+AsyncPathUpdate, "application/json",
-		strings.NewReader(`{"Client":"evil","Grad":[NaN,1,2]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("literal-NaN body: HTTP %d, want 400", resp.StatusCode)
-	}
-
-	// Shape 2: the representable attack — a valid-JSON qsgd payload whose
-	// finite Scale amplifies to +Inf on decode. The handler must refuse it
-	// and account it on the aggregator's non-finite counters.
-	evil := &AsyncClient{Base: srv.URL, ID: "evil"}
-	hostile := codec.Encoded{Codec: codec.QSGD, Dim: dim, Scale: 1e308, Levels: 1, Q: make([]int8, dim)}
-	for i := range hostile.Q {
-		hostile.Q[i] = 127
-	}
-	if _, err := evil.SubmitEncoded(ctx, 0, 0, hostile); err == nil {
-		t.Fatal("amplifying qsgd payload was accepted")
-	} else if !strings.Contains(err.Error(), "400") {
-		t.Fatalf("amplifying qsgd payload: %v, want HTTP 400", err)
-	}
-	st, err := evil.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.NonFiniteRejects != 1 {
-		t.Fatalf("NonFiniteRejects = %d after wire-level refusal, want 1", st.NonFiniteRejects)
-	}
-
-	// Shape 3: a NaN gradient reaching Submit itself (an in-process caller
-	// behind the HTTP boundary). The default Reject screen withholds it.
-	nan := make([]float64, dim)
-	nan[3] = math.NaN()
-	res, err := agg.Submit(asyncfl.Update{Client: "evil", Grad: nan})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Accepted || !res.NonFinite {
-		t.Fatalf("NaN submit: Accepted=%v NonFinite=%v, want refused+flagged", res.Accepted, res.NonFinite)
-	}
-
-	// Honest traffic interleaved with more hostile payloads: aggregation
-	// must proceed on the honest updates through the SignGuard-KMeans
-	// defense as if the attack were not happening.
-	clients := []*AsyncClient{
-		{Base: srv.URL, ID: "h0"},
-		{Base: srv.URL, ID: "h1"},
-		{Base: srv.URL, ID: "h2"},
-	}
-	for round := 0; round < 4; round++ {
-		evil.SubmitEncoded(ctx, 0, 0, hostile) // refused every time
-		for ci, c := range clients {
-			model, err := c.Model(ctx)
+	wires := []struct {
+		name string
+		run  func(t *testing.T, rule func(n int) aggregate.Rule) *asyncfl.Aggregator
+	}{
+		// gob carries float64 bits verbatim: the hostile client uploads a
+		// gradient with a single NaN coordinate every round.
+		{"gob", func(t *testing.T, rule func(n int) aggregate.Rule) *asyncfl.Aggregator {
+			computes := quadraticCohort(target, honest, 0)
+			clean := quadraticGradient(target, 0.05, 99)
+			computes = append(computes, func(round int, params []float64) ([]float64, error) {
+				g, err := clean(round, params)
+				g[3] = math.NaN()
+				return g, err
+			})
+			agg, err, _ := runSync(t, asyncfl.Config{
+				InitialParams: make([]float64, dim), Rule: rule(honest + 1), LR: 0.1, TargetSteps: rounds,
+			}, 10*time.Second, computes)
+			if err != nil {
+				t.Fatalf("serve: %v", err)
+			}
+			return agg
+		}},
+		// JSON cannot represent NaN — a literal token is a malformed body,
+		// refused at the parse layer — so the representable attack is a
+		// valid qsgd payload whose finite Scale amplifies to +Inf on decode.
+		{"http", func(t *testing.T, rule func(n int) aggregate.Rule) *asyncfl.Aggregator {
+			agg, err := asyncfl.New(asyncfl.Config{
+				InitialParams: make([]float64, dim), K: honest, Rule: rule(honest), LR: 0.1,
+				TargetSteps: rounds, SessionTTL: -1,
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			grad := make([]float64, dim)
-			for j := range grad {
-				grad[j] = 0.05*float64(j%5+1) + 0.002*float64(ci)
-			}
-			if _, err := c.Submit(ctx, model.Version, 0, grad); err != nil {
+			srv := httptest.NewServer(NewAsyncHandler(agg))
+			defer srv.Close()
+			resp, err := http.Post(srv.URL+AsyncPathUpdate, "application/json",
+				strings.NewReader(`{"Client":"evil","Grad":[NaN,1,2]}`))
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-	}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("literal-NaN body: HTTP %d, want 400", resp.StatusCode)
+			}
 
-	st, err = evil.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
+			ctx := context.Background()
+			evil := &AsyncClient{Base: srv.URL, ID: "evil"}
+			hostile := codec.Encoded{Codec: codec.QSGD, Dim: dim, Scale: 1e308, Levels: 1, Q: make([]int8, dim)}
+			for i := range hostile.Q {
+				hostile.Q[i] = 127
+			}
+			computes := quadraticCohort(target, honest, 0)
+			for round := 0; round < rounds; round++ {
+				if _, err := evil.SubmitEncoded(ctx, round, 0, hostile); err == nil || !strings.Contains(err.Error(), "400") {
+					t.Fatalf("amplifying qsgd payload: %v, want HTTP 400", err)
+				}
+				for i, compute := range computes {
+					c := &AsyncClient{Base: srv.URL, ID: fmt.Sprintf("h%d", i)}
+					model, err := c.Model(ctx)
+					if err != nil {
+						t.Fatal(err)
+					}
+					grad, _ := compute(round, model.Params)
+					if _, err := c.Submit(ctx, model.Version, 0, grad); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			return agg
+		}},
 	}
-	if st.Steps == 0 {
-		t.Fatalf("no aggregation steps despite 12 honest arrivals: %+v", st)
-	}
-	if st.NonFiniteRejects < 5 {
-		t.Errorf("NonFiniteRejects = %d, want >= 5 (one per hostile payload)", st.NonFiniteRejects)
-	}
-	model, err := clients[0].Model(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tensor.AllFinite(model.Params) {
-		t.Fatalf("model went non-finite under hostile traffic: %v", model.Params)
-	}
-	if tensor.Norm(model.Params) == 0 {
-		t.Error("model never moved: honest traffic did not aggregate")
+	for _, w := range wires {
+		for _, r := range rules {
+			t.Run(w.name+"/"+r.name, func(t *testing.T) {
+				agg := w.run(t, r.new)
+				st := agg.Stats()
+				if st.Steps != rounds || !st.Done {
+					t.Errorf("%d steps (done=%v), want %d: hostile traffic wedged aggregation", st.Steps, st.Done, rounds)
+				}
+				if st.NonFiniteRejects != rounds {
+					t.Errorf("NonFiniteRejects = %d, want %d (one per hostile submit)", st.NonFiniteRejects, rounds)
+				}
+				_, params, _ := agg.Model()
+				if !tensor.AllFinite(params) {
+					t.Fatalf("model went non-finite under hostile traffic: %v", params)
+				}
+				if d, _ := tensor.Distance(params, target); d > 2 {
+					t.Errorf("model ended %v from the optimum: honest traffic did not aggregate", d)
+				}
+			})
+		}
 	}
 }

@@ -1,9 +1,10 @@
-// Package transport implements the federated-learning protocol of Fig. 1
-// over a real network boundary: a parameter server that coordinates
-// synchronous rounds with n TCP clients, exchanging gob-encoded messages.
-// The in-process engine (internal/fl) and this transport implement the same
-// round structure; the transport exists to demonstrate — and test — the
-// system as an actual distributed deployment (cmd/flserver, cmd/flclient).
+// Package transport puts the federated-learning protocol of Fig. 1 on a
+// real network boundary. It is two wires over one server-side core
+// (asyncfl.Aggregator, which alone screens, defends, merges and applies):
+// the gob wire of this file — a parameter server coordinating synchronous
+// rounds with n TCP clients, the paper's setting — and the versioned
+// /asyncfl/v1 HTTP wire (async.go) for clients that come and go. Neither
+// wire aggregates anything itself (cmd/flserver, cmd/flclient).
 package transport
 
 // Hello is the first message a client sends after connecting.

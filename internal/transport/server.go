@@ -6,76 +6,51 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strconv"
 	"sync"
 	"time"
 
-	"github.com/signguard/signguard/internal/aggregate"
-	"github.com/signguard/signguard/internal/nn"
+	"github.com/signguard/signguard/internal/asyncfl"
 )
 
-// ServerConfig describes a parameter-server deployment.
+// ServerConfig describes the gob wire of a synchronous deployment. What is
+// aggregated, how and for how many rounds is the aggregator's configuration
+// (asyncfl.Config), not the wire's.
 type ServerConfig struct {
 	// Addr is the TCP listen address (use "127.0.0.1:0" for tests).
 	Addr string
 	// Clients is the number of participants the server waits for; rounds
 	// are fully synchronous, matching the paper's setting.
 	Clients int
-	// Rounds is the number of aggregation rounds to run.
-	Rounds int
-	// Rule is the gradient aggregation rule applied each round.
-	Rule aggregate.Rule
-	// InitialParams is the starting global parameter vector.
-	InitialParams []float64
-	// LR / Momentum / WeightDecay configure the server-side SGD update.
-	LR          float64
-	Momentum    float64
-	WeightDecay float64
 	// RoundTimeout bounds each network wait (0 = 30s default). A slow or
-	// crashed client fails the round rather than hanging the cohort.
+	// crashed client is dropped from the cohort rather than hanging it.
 	RoundTimeout time.Duration
 	// Logf, when non-nil, receives progress lines.
 	Logf func(format string, args ...any)
 }
 
-func (c *ServerConfig) validate() error {
-	switch {
-	case c.Clients <= 0:
-		return fmt.Errorf("transport: %d clients invalid", c.Clients)
-	case c.Rounds <= 0:
-		return fmt.Errorf("transport: %d rounds invalid", c.Rounds)
-	case c.Rule == nil:
-		return errors.New("transport: ServerConfig.Rule is required")
-	case len(c.InitialParams) == 0:
-		return errors.New("transport: ServerConfig.InitialParams is required")
-	case c.LR <= 0:
-		return fmt.Errorf("transport: learning rate %v invalid", c.LR)
-	}
-	return nil
-}
-
-// Server coordinates synchronous federated rounds over TCP.
+// Server is the synchronous gob wire over an asyncfl.Aggregator: it accepts
+// the cohort, broadcasts the aggregator's model each round, gathers one
+// gradient per connection and submits them. Screening, defense, merge and
+// the optimizer step all happen inside the aggregator — read the model,
+// history and counters from it.
 type Server struct {
 	cfg ServerConfig
-
-	ln     net.Listener
-	params []float64
-	opt    *nn.SGD
-
-	mu      sync.Mutex
-	history []RoundSummary
+	agg *asyncfl.Aggregator
+	ln  net.Listener
 }
 
-// RoundSummary records one aggregation round at the server.
-type RoundSummary struct {
-	Round    int
-	Selected []int
-}
-
-// NewServer binds the listen socket and prepares the server. Call Serve to
+// NewServer binds the listen socket in front of agg. For the paper's
+// lock-step rounds build the aggregator with K = cfg.Clients, Alpha = 0,
+// TargetSteps = the number of rounds and SessionTTL < 0 (the wire has its
+// own timeout; a minute-long round must not expire sessions). Call Serve to
 // run the protocol.
-func NewServer(cfg ServerConfig) (*Server, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
+func NewServer(cfg ServerConfig, agg *asyncfl.Aggregator) (*Server, error) {
+	if cfg.Clients <= 0 {
+		return nil, fmt.Errorf("transport: %d clients invalid", cfg.Clients)
+	}
+	if agg == nil {
+		return nil, errors.New("transport: NewServer needs an aggregator")
 	}
 	if cfg.RoundTimeout <= 0 {
 		cfg.RoundTimeout = 30 * time.Second
@@ -84,14 +59,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %s: %w", cfg.Addr, err)
 	}
-	params := make([]float64, len(cfg.InitialParams))
-	copy(params, cfg.InitialParams)
-	return &Server{
-		cfg:    cfg,
-		ln:     ln,
-		params: params,
-		opt:    nn.NewSGD(cfg.LR, cfg.Momentum, cfg.WeightDecay),
-	}, nil
+	return &Server{cfg: cfg, agg: agg, ln: ln}, nil
 }
 
 // Addr returns the bound listen address (useful with ":0").
@@ -104,41 +72,29 @@ func (s *Server) Addr() net.Addr { return s.ln.Addr() }
 // returns the listener's error and is otherwise harmless.
 func (s *Server) Close() error { return s.ln.Close() }
 
-// FinalParams returns a copy of the current global parameters.
-func (s *Server) FinalParams() []float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]float64, len(s.params))
-	copy(out, s.params)
-	return out
-}
-
-// History returns the per-round aggregation summaries recorded so far.
-func (s *Server) History() []RoundSummary {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]RoundSummary, len(s.history))
-	copy(out, s.history)
-	return out
-}
-
 func (s *Server) logf(format string, args ...any) {
 	if s.cfg.Logf != nil {
 		s.cfg.Logf(format, args...)
 	}
 }
 
-// clientConn is one registered participant.
+// clientConn is one registered participant. id is the self-declared Hello
+// name, used only in log lines; key — the connection's registration index —
+// is what the aggregator knows it by, so a Byzantine client cannot claim
+// another's session.
 type clientConn struct {
-	id   string
-	conn net.Conn
-	enc  *gob.Encoder
-	dec  *gob.Decoder
+	id, key string
+	conn    net.Conn
+	enc     *gob.Encoder
+	dec     *gob.Decoder
 }
 
-// Serve runs the full protocol: accept Clients participants, run Rounds
-// synchronous rounds, broadcast the final model, and shut down. It returns
-// once training completes or the context is cancelled.
+// Serve runs the full protocol: accept Clients participants, run one
+// synchronous round per aggregation step until the aggregator is Done,
+// broadcast the final model, and shut down. A connection that times out or
+// breaks the protocol is dropped and the round aggregates what arrived;
+// Serve fails when a round does not advance the model (nobody left, or the
+// defense refused the buffer) or the context is cancelled.
 func (s *Server) Serve(ctx context.Context) error {
 	defer s.ln.Close()
 
@@ -151,31 +107,25 @@ func (s *Server) Serve(ctx context.Context) error {
 			c.conn.Close()
 		}
 	}()
-	s.logf("transport: %d clients registered, starting %d rounds", len(conns), s.cfg.Rounds)
+	s.logf("transport: %d clients registered", len(conns))
 
-	for round := 0; round < s.cfg.Rounds; round++ {
+	round, params, done := s.agg.Model()
+	for !done {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("transport: cancelled before round %d: %w", round, err)
 		}
-		grads, err := s.runRound(round, conns)
-		if err != nil {
-			return fmt.Errorf("transport: round %d: %w", round, err)
+		conns = s.runRound(round, params, conns)
+		next, nextParams, nextDone := s.agg.Model()
+		if next == round {
+			st := s.agg.Stats()
+			return fmt.Errorf("transport: round %d did not advance the model: %d of %d clients left, %d rule errors, %d empty selections, %d rejects (%d non-finite)",
+				round, len(conns), s.cfg.Clients, st.RuleErrors, st.EmptySelects, st.Rejects, st.NonFiniteRejects)
 		}
-		res, err := s.cfg.Rule.Aggregate(grads)
-		if err != nil {
-			return fmt.Errorf("transport: round %d aggregation (%s): %w", round, s.cfg.Rule.Name(), err)
-		}
-		s.mu.Lock()
-		err = s.opt.Step(s.params, res.Gradient)
-		s.history = append(s.history, RoundSummary{Round: round, Selected: res.Selected})
-		s.mu.Unlock()
-		if err != nil {
-			return err
-		}
+		round, params, done = next, nextParams, nextDone
 	}
 
 	// Final broadcast: the trained model.
-	final := ModelUpdate{Round: s.cfg.Rounds, Params: s.FinalParams(), Done: true}
+	final := ModelUpdate{Round: round, Params: params, Done: true}
 	for _, c := range conns {
 		c.conn.SetWriteDeadline(time.Now().Add(s.cfg.RoundTimeout))
 		if err := c.enc.Encode(&final); err != nil {
@@ -219,7 +169,7 @@ func (s *Server) acceptAll(ctx context.Context) ([]*clientConn, error) {
 			continue
 		}
 		conn.SetReadDeadline(time.Time{})
-		cc.id = hello.ClientID
+		cc.id, cc.key = hello.ClientID, strconv.Itoa(len(conns))
 		conns = append(conns, cc)
 		s.logf("transport: client %q registered (%d/%d)", cc.id, len(conns), s.cfg.Clients)
 	}
@@ -233,9 +183,12 @@ func (s *Server) acceptAll(ctx context.Context) ([]*clientConn, error) {
 }
 
 // runRound broadcasts the model and gathers one gradient per client, in
-// parallel so the round latency is the slowest client, not the sum.
-func (s *Server) runRound(round int, conns []*clientConn) ([][]float64, error) {
-	update := ModelUpdate{Round: round, Params: s.FinalParams()}
+// parallel so the round latency is the slowest client, not the sum, then
+// submits what arrived to the aggregator in connection order — the K-th
+// accepted arrival steps it; a round the screen or a dropped connection left
+// short is flushed. It returns the connections still in the cohort.
+func (s *Server) runRound(round int, params []float64, conns []*clientConn) []*clientConn {
+	update := ModelUpdate{Round: round, Params: params}
 	grads := make([][]float64, len(conns))
 	errs := make([]error, len(conns))
 	var wg sync.WaitGroup
@@ -246,31 +199,40 @@ func (s *Server) runRound(round int, conns []*clientConn) ([][]float64, error) {
 			deadline := time.Now().Add(s.cfg.RoundTimeout)
 			c.conn.SetWriteDeadline(deadline)
 			if err := c.enc.Encode(&update); err != nil {
-				errs[i] = fmt.Errorf("send to %s: %w", c.id, err)
+				errs[i] = fmt.Errorf("send: %w", err)
 				return
 			}
 			c.conn.SetReadDeadline(deadline)
 			var up GradientUpload
 			if err := c.dec.Decode(&up); err != nil {
-				errs[i] = fmt.Errorf("receive from %s: %w", c.id, err)
+				errs[i] = fmt.Errorf("receive: %w", err)
 				return
 			}
 			if up.Round != round {
-				errs[i] = fmt.Errorf("client %s answered round %d during round %d", c.id, up.Round, round)
-				return
-			}
-			if len(up.Grad) != len(update.Params) {
-				errs[i] = fmt.Errorf("client %s sent %d-dim gradient, want %d", c.id, len(up.Grad), len(update.Params))
+				errs[i] = fmt.Errorf("answered round %d", up.Round)
 				return
 			}
 			grads[i] = up.Grad
 		}(i, c)
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+
+	live, stepped := conns[:0], false
+	for i, c := range conns {
+		if errs[i] == nil {
+			var res asyncfl.SubmitResult
+			res, errs[i] = s.agg.Submit(asyncfl.Update{Client: c.key, Version: round, Grad: grads[i]})
+			stepped = stepped || res.Stepped
 		}
+		if errs[i] != nil {
+			s.logf("transport: round %d: client %q dropped: %v", round, c.id, errs[i])
+			c.conn.Close()
+			continue
+		}
+		live = append(live, c)
 	}
-	return grads, nil
+	if !stepped {
+		s.agg.Flush()
+	}
+	return live
 }

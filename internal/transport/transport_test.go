@@ -2,12 +2,17 @@ package transport
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
+	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/signguard/signguard/internal/aggregate"
+	"github.com/signguard/signguard/internal/asyncfl"
 	"github.com/signguard/signguard/internal/core"
 	"github.com/signguard/signguard/internal/tensor"
 )
@@ -38,69 +43,94 @@ func byzantineGradient(target []float64, seed int64) GradientFunc {
 	}
 }
 
-// runCluster spins up a server and n clients on localhost and waits for
-// training to finish, returning the final parameters.
-func runCluster(t *testing.T, rule aggregate.Rule, nHonest, nByz, rounds int, target []float64) []float64 {
+// newSyncServer builds the pair every gob test drives: an aggregator in
+// lock-step form (K = cohort, no staleness discount, no session expiry —
+// acfg supplies the rule, optimizer, dimension and TargetSteps) and the gob
+// server in front of it on a loopback port.
+func newSyncServer(t *testing.T, acfg asyncfl.Config, scfg ServerConfig) (*Server, *asyncfl.Aggregator) {
 	t.Helper()
-	srv, err := NewServer(ServerConfig{
-		Addr:          "127.0.0.1:0",
-		Clients:       nHonest + nByz,
-		Rounds:        rounds,
-		Rule:          rule,
-		InitialParams: make([]float64, len(target)),
-		LR:            0.2,
-		Momentum:      0.5,
-		RoundTimeout:  10 * time.Second,
-	})
+	acfg.K, acfg.Alpha, acfg.SessionTTL = scfg.Clients, 0, -1
+	agg, err := asyncfl.New(acfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := srv.Addr().String()
+	scfg.Addr = "127.0.0.1:0"
+	srv, err := NewServer(scfg, agg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srv, agg
+}
 
+// runSync runs a lock-step cluster to completion: one RunClient per compute
+// function, registered one at a time (each waits for the server's
+// registration log line) so connection order — the aggregator's arrival
+// order — is the slice order and a run is reproducible bit for bit. It
+// returns the aggregator, Serve's error and each client's error.
+func runSync(t *testing.T, acfg asyncfl.Config, timeout time.Duration, computes []GradientFunc) (*asyncfl.Aggregator, error, []error) {
+	t.Helper()
+	registered := make(chan struct{}, len(computes))
+	srv, agg := newSyncServer(t, acfg, ServerConfig{
+		Clients: len(computes), RoundTimeout: timeout,
+		Logf: func(format string, args ...any) {
+			if strings.Contains(format, "registered (") {
+				registered <- struct{}{}
+			}
+		},
+	})
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-
-	var wg sync.WaitGroup
 	serveErr := make(chan error, 1)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		serveErr <- srv.Serve(ctx)
-	}()
+	go func() { serveErr <- srv.Serve(ctx) }()
 
-	clientErrs := make(chan error, nHonest+nByz)
-	for i := 0; i < nHonest; i++ {
+	clientErrs := make([]error, len(computes))
+	var wg sync.WaitGroup
+	for i, compute := range computes {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			_, err := RunClient(ctx, ClientConfig{
-				Addr: addr, ID: fmt.Sprintf("honest-%d", i),
-				Compute: quadraticGradient(target, 0.05, int64(i)),
+			_, clientErrs[i] = RunClient(ctx, ClientConfig{
+				Addr: srv.Addr().String(), ID: fmt.Sprintf("c%d", i), Compute: compute,
 			})
-			clientErrs <- err
-		}(i)
+		}()
+		<-registered
+	}
+	err := <-serveErr
+	wg.Wait()
+	return agg, err, clientErrs
+}
+
+// quadraticCohort is nHonest honest clients followed by nByz scaled-reverse
+// attackers on the same quadratic.
+func quadraticCohort(target []float64, nHonest, nByz int) []GradientFunc {
+	var computes []GradientFunc
+	for i := 0; i < nHonest; i++ {
+		computes = append(computes, quadraticGradient(target, 0.05, int64(i)))
 	}
 	for i := 0; i < nByz; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, err := RunClient(ctx, ClientConfig{
-				Addr: addr, ID: fmt.Sprintf("byz-%d", i),
-				Compute: byzantineGradient(target, int64(100+i)),
-			})
-			clientErrs <- err
-		}(i)
+		computes = append(computes, byzantineGradient(target, int64(100+i)))
 	}
-	wg.Wait()
-	if err := <-serveErr; err != nil {
+	return computes
+}
+
+// runCluster trains a cohort to completion and returns the final parameters,
+// failing the test on any server or client error.
+func runCluster(t *testing.T, rule aggregate.Rule, nHonest, nByz, rounds int, target []float64) []float64 {
+	t.Helper()
+	agg, err, clientErrs := runSync(t, asyncfl.Config{
+		InitialParams: make([]float64, len(target)), Rule: rule,
+		LR: 0.2, Momentum: 0.5, TargetSteps: int64(rounds),
+	}, 10*time.Second, quadraticCohort(target, nHonest, nByz))
+	if err != nil {
 		t.Fatalf("server: %v", err)
 	}
-	for i := 0; i < nHonest+nByz; i++ {
-		if err := <-clientErrs; err != nil {
-			t.Fatalf("client: %v", err)
+	for i, err := range clientErrs {
+		if err != nil {
+			t.Fatalf("client %d: %v", i, err)
 		}
 	}
-	return srv.FinalParams()
+	_, params, _ := agg.Model()
+	return params
 }
 
 func TestClusterConvergesClean(t *testing.T) {
@@ -127,26 +157,65 @@ func TestClusterSignGuardFiltersByzantine(t *testing.T) {
 	}
 }
 
+// TestGobMatchesParentDigests pins the synchronous path bit for bit: the
+// final-parameter SHA-256 of a sequentially registered 6 + 2 cohort after 25
+// rounds, per rule, recorded at the last commit where the gob server still
+// ran its own aggregate-and-apply loop. Moving the loop into
+// asyncfl.Aggregator (K = cohort, Flush, fresh-buffer rule) must not move
+// one of them.
+func TestGobMatchesParentDigests(t *testing.T) {
+	const dim, rounds = 12, 25
+	target := make([]float64, dim)
+	for j := range target {
+		target[j] = float64(j%5) - 2
+	}
+	for _, tc := range []struct {
+		name   string
+		rule   aggregate.Rule
+		digest string
+	}{
+		{"Mean", aggregate.NewMean(), "cd5fe09672c2800407d2ab87f84e443fba9c71d3462c2cc3bf3fe6a4b234b41a"},
+		{"TrMean", aggregate.NewTrimmedMean(2), "cf25437c11fc8f3b297d96f50364c540956f78f4cb0f5b9d281dac6f0e7a30b2"},
+		{"Multi-Krum", aggregate.NewMultiKrum(2, 6), "357d74cb8e74330b1f37884bf469231114524e2d73ea8512336c365e98cdd69f"},
+		{"DnC", aggregate.NewDnC(2, 1), "87c7aefccec806d9041538f10904be9c8f898e1e4c816200740992a35fa10dda"},
+		{"Bulyan", aggregate.NewBulyan(1), "1296bb94c11475d845b882bd0c617a47ea34e40546fee1899fabb925b9d587e8"},
+		{"SignGuard", core.NewPlain(1), "b21b0c5f8260156e67d3c27f81d8f9a343fdc6e894363d0ef2d7fa809153e2b8"},
+		{"SignGuard-Sim", core.NewSim(1), "73edf45cafa7df2fb37d023f1b819ee2bb9192030edc721b34eed3a24790f514"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			agg, err, _ := runSync(t, asyncfl.Config{
+				InitialParams: make([]float64, dim), Rule: tc.rule,
+				LR: 0.2, Momentum: 0.5, WeightDecay: 1e-3, TargetSteps: rounds,
+			}, 10*time.Second, quadraticCohort(target, 6, 2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, params, _ := agg.Model()
+			h := sha256.New()
+			var b [8]byte
+			for _, v := range params {
+				binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+				h.Write(b[:])
+			}
+			if got := fmt.Sprintf("%x", h.Sum(nil)); got != tc.digest {
+				t.Errorf("final-parameter digest %s, want %s", got, tc.digest)
+			}
+		})
+	}
+}
+
 func TestServerConfigValidation(t *testing.T) {
-	good := ServerConfig{
-		Addr: "127.0.0.1:0", Clients: 1, Rounds: 1,
-		Rule: aggregate.NewMean(), InitialParams: []float64{0}, LR: 0.1,
+	agg, err := asyncfl.New(asyncfl.Config{InitialParams: []float64{0}, K: 1, LR: 0.1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	mods := []func(*ServerConfig){
-		func(c *ServerConfig) { c.Clients = 0 },
-		func(c *ServerConfig) { c.Rounds = 0 },
-		func(c *ServerConfig) { c.Rule = nil },
-		func(c *ServerConfig) { c.InitialParams = nil },
-		func(c *ServerConfig) { c.LR = 0 },
+	if _, err := NewServer(ServerConfig{Addr: "127.0.0.1:0", Clients: 0}, agg); err == nil {
+		t.Error("zero clients accepted")
 	}
-	for i, mod := range mods {
-		cfg := good
-		mod(&cfg)
-		if _, err := NewServer(cfg); err == nil {
-			t.Errorf("config mutation %d accepted", i)
-		}
+	if _, err := NewServer(ServerConfig{Addr: "127.0.0.1:0", Clients: 1}, nil); err == nil {
+		t.Error("nil aggregator accepted")
 	}
-	srv, err := NewServer(good)
+	srv, err := NewServer(ServerConfig{Addr: "127.0.0.1:0", Clients: 1}, agg)
 	if err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
@@ -173,41 +242,25 @@ func TestClientDialFailure(t *testing.T) {
 }
 
 func TestServerRejectsWrongDimension(t *testing.T) {
-	srv, err := NewServer(ServerConfig{
-		Addr: "127.0.0.1:0", Clients: 1, Rounds: 3,
-		Rule: aggregate.NewMean(), InitialParams: []float64{0, 0}, LR: 0.1,
-		RoundTimeout: 5 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-	defer cancel()
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(ctx) }()
-	_, clientErr := RunClient(ctx, ClientConfig{
-		Addr: srv.Addr().String(), ID: "bad",
-		Compute: func(round int, params []float64) ([]float64, error) {
-			return []float64{1, 2, 3}, nil // wrong dimension
-		},
-	})
-	serveErr := <-done
+	_, serveErr, _ := runSync(t, asyncfl.Config{
+		InitialParams: []float64{0, 0}, Rule: aggregate.NewMean(), LR: 0.1, TargetSteps: 3,
+	}, 5*time.Second, []GradientFunc{func(int, []float64) ([]float64, error) {
+		return []float64{1, 2, 3}, nil // wrong dimension
+	}})
 	if serveErr == nil {
-		t.Error("server accepted a wrong-dimension gradient")
+		t.Error("server completed on a cohort whose only client sent a wrong-dimension gradient")
 	}
-	_ = clientErr // the client may or may not see the reset first
 }
 
+// TestServerHistory runs a clean lock-step cohort and checks what the wire
+// promises about the aggregator behind it: one step per round over the whole
+// cohort, never a stale update, a drop or an expired session, and exactly
+// one final broadcast.
 func TestServerHistory(t *testing.T) {
-	target := []float64{1}
-	srv, err := NewServer(ServerConfig{
-		Addr: "127.0.0.1:0", Clients: 2, Rounds: 5,
-		Rule: aggregate.NewMean(), InitialParams: []float64{0}, LR: 0.5,
-		RoundTimeout: 5 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	var finals int
+	srv, agg := newSyncServer(t, asyncfl.Config{
+		InitialParams: []float64{0}, Rule: aggregate.NewMean(), LR: 0.5, TargetSteps: 5,
+	}, ServerConfig{Clients: 2, RoundTimeout: 5 * time.Second})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	var wg sync.WaitGroup
@@ -218,17 +271,16 @@ func TestServerHistory(t *testing.T) {
 			t.Errorf("serve: %v", err)
 		}
 	}()
-	var models int
 	for i := 0; i < 2; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			_, err := RunClient(ctx, ClientConfig{
 				Addr: srv.Addr().String(), ID: fmt.Sprintf("c%d", i),
-				Compute: quadraticGradient(target, 0, int64(i)),
+				Compute: quadraticGradient([]float64{1}, 0, int64(i)),
 				OnModel: func(u ModelUpdate) {
 					if i == 0 && u.Done {
-						models++
+						finals++
 					}
 				},
 			})
@@ -238,10 +290,61 @@ func TestServerHistory(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if got := len(srv.History()); got != 5 {
-		t.Errorf("history has %d rounds, want 5", got)
+	hist := agg.History()
+	if len(hist) != 5 {
+		t.Fatalf("history has %d steps, want 5", len(hist))
 	}
-	if models != 1 {
-		t.Errorf("client saw %d final models", models)
+	for _, h := range hist {
+		if h.Buffer != 2 || h.MaxStaleness != 0 {
+			t.Errorf("step %+v, want a fresh 2-update buffer", h)
+		}
+	}
+	if st := agg.Stats(); st.Drops != 0 || st.Expired != 0 || st.Rejects != 0 {
+		t.Errorf("lock-step run dropped, expired or rejected something: %+v", st)
+	}
+	if finals != 1 {
+		t.Errorf("client saw %d final models", finals)
+	}
+}
+
+// TestServerDropsMisbehavingConnections is the one-client-DoS regression: a
+// wrong-dimension upload in the second round and a client going silent in
+// the third used to end the run for everybody. Each now costs only its own
+// connection; the rounds complete on what is left of the cohort.
+func TestServerDropsMisbehavingConnections(t *testing.T) {
+	target := []float64{1, -1, 2}
+	honest := func(seed int64) GradientFunc { return quadraticGradient(target, 0.01, seed) }
+	misbehave := func(atRound int, bad func() ([]float64, error)) GradientFunc {
+		good := honest(int64(atRound))
+		return func(round int, params []float64) ([]float64, error) {
+			if round == atRound {
+				return bad()
+			}
+			return good(round, params)
+		}
+	}
+	agg, err, clientErrs := runSync(t, asyncfl.Config{
+		InitialParams: make([]float64, len(target)), Rule: aggregate.NewMean(), LR: 0.2, TargetSteps: 6,
+	}, 300*time.Millisecond, []GradientFunc{
+		honest(10),
+		misbehave(1, func() ([]float64, error) { return []float64{1, 2}, nil }),
+		honest(11),
+		misbehave(2, func() ([]float64, error) { time.Sleep(time.Second); return nil, context.DeadlineExceeded }),
+	})
+	if err != nil {
+		t.Fatalf("server: %v", err)
+	}
+	var buffers []int
+	for _, h := range agg.History() {
+		buffers = append(buffers, h.Buffer)
+	}
+	if fmt.Sprint(buffers) != "[4 3 2 2 2 2]" {
+		t.Errorf("per-round buffers %v, want [4 3 2 2 2 2]", buffers)
+	}
+	if clientErrs[0] != nil || clientErrs[2] != nil {
+		t.Errorf("well-behaved clients failed: %v, %v", clientErrs[0], clientErrs[2])
+	}
+	if clientErrs[1] == nil || clientErrs[3] == nil {
+		t.Errorf("dropped clients saw no error: %v, %v", clientErrs[1], clientErrs[3])
 	}
 }

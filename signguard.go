@@ -30,6 +30,7 @@ import (
 	"math/rand"
 
 	"github.com/signguard/signguard/internal/aggregate"
+	"github.com/signguard/signguard/internal/asyncfl"
 	"github.com/signguard/signguard/internal/attack"
 	"github.com/signguard/signguard/internal/core"
 	"github.com/signguard/signguard/internal/data"
@@ -284,12 +285,24 @@ func Evaluate(model Classifier, ds *Dataset, examples []Example) (float64, error
 	return fl.Evaluate(model, ds, examples)
 }
 
-// ---- Network transport ----
+// ---- Network serving ----
 
-// ServerConfig configures the TCP parameter server.
+// AggregatorConfig configures the server-side aggregation core: the rule,
+// the optimizer, the buffer size K and the number of steps. For the paper's
+// lock-step rounds set K to the client count and SessionTTL negative.
+type AggregatorConfig = asyncfl.Config
+
+// Aggregator screens, defends, merges and applies submitted gradients; the
+// trained model, per-step history and counters are read from it.
+type Aggregator = asyncfl.Aggregator
+
+// NewAggregator builds the aggregation core a Server is put in front of.
+func NewAggregator(cfg AggregatorConfig) (*Aggregator, error) { return asyncfl.New(cfg) }
+
+// ServerConfig configures the TCP wire of the parameter server.
 type ServerConfig = transport.ServerConfig
 
-// Server is the TCP parameter server (round coordinator).
+// Server is the TCP round coordinator in front of an Aggregator.
 type Server = transport.Server
 
 // ClientConfig configures a TCP federated client.
@@ -299,8 +312,10 @@ type ClientConfig = transport.ClientConfig
 // transport (honest or Byzantine).
 type GradientFunc = transport.GradientFunc
 
-// NewServer binds and prepares a parameter server.
-func NewServer(cfg ServerConfig) (*Server, error) { return transport.NewServer(cfg) }
+// NewServer binds a parameter server that feeds agg.
+func NewServer(cfg ServerConfig, agg *Aggregator) (*Server, error) {
+	return transport.NewServer(cfg, agg)
+}
 
 // RunFederatedClient joins a TCP training session and participates until
 // the server broadcasts the final model, which it returns.
