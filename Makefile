@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test loc conformance race bench perf perf-compare profile profile-top cover fmt-check doc-check vet dist fuzz
+.PHONY: all build test loc conformance race bench perf perf-compare trajectory profile profile-top cover fmt-check doc-check vet dist fuzz
 
 # Fuzz budget per target for `make fuzz` (CI passes FUZZTIME=10s; raise it
 # locally for deeper runs, e.g. make fuzz FUZZTIME=2m).
@@ -56,6 +56,13 @@ perf:
 
 perf-compare:
 	$(GO) run ./bench -compare $(A) $(B)
+
+# The committed BENCH_<pr>.json files side by side, PR order left to right,
+# reduced to the columns another day's machine cannot move (allocation
+# volumes, wire bytes, counts, digests, each stage's share of its round):
+# the part of the trajectory that is readable without re-running anything.
+trajectory:
+	@$(GO) run ./tools/trajectory
 
 # CPU/heap profiles of the two serving-critical benchmarks: the
 # LocalCompute stage (image CNN and text RNN) and the async load harness.
@@ -132,3 +139,5 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDefenseAggregate$$' -fuzztime $(FUZZTIME) ./internal/defense
 	$(GO) test -run '^$$' -fuzz '^FuzzKMeansCluster$$' -fuzztime $(FUZZTIME) ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzMeanShiftCluster$$' -fuzztime $(FUZZTIME) ./internal/cluster
+	$(GO) test -run '^$$' -fuzz '^FuzzAsyncSubmitBody$$' -fuzztime $(FUZZTIME) ./internal/transport
+	$(GO) test -run '^$$' -fuzz '^FuzzAsyncModelBody$$' -fuzztime $(FUZZTIME) ./internal/transport

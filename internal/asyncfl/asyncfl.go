@@ -11,7 +11,7 @@
 // model version.
 //
 // Both wires in internal/transport are adapters over this core. The HTTP
-// protocol (/asyncfl/v1) is the general case: the defense sees a
+// protocol (/asyncfl/v2) is the general case: the defense sees a
 // staleness-skewed buffer rather than a synchronized cohort, and the
 // staleness discount plays the role the server's trust weighting plays in
 // server-learning defenses. The paper's synchronous setting is the

@@ -67,9 +67,10 @@ type Config struct {
 	ByzFraction float64
 	// NonFiniteFraction of clients are hostile in the non-finite sense:
 	// every submission is a qsgd payload whose finite Scale amplifies to
-	// +Inf on decode — the wire shape of the NaN-injection attack (JSON
-	// cannot carry a literal NaN). The server must refuse each one with
-	// HTTP 400 and count it in Stats.NonFiniteRejects.
+	// +Inf on decode — the NaN-injection attack in the shape the wire
+	// layer itself must catch (a literal NaN in a dense body is the
+	// aggregator screen's to refuse). The server must refuse each one
+	// with HTTP 400 and count it in Stats.NonFiniteRejects.
 	NonFiniteFraction float64
 	// NonFinite is the aggregator's ingest disposition for updates carrying
 	// NaN/±Inf (zero = the asyncfl default, sanitize.Reject).

@@ -1,6 +1,7 @@
 package asyncfl
 
 import (
+	"container/list"
 	"sort"
 	"sync"
 	"time"
@@ -14,14 +15,28 @@ import (
 // timer goroutine, so tests drive churn with a fake clock instead of
 // sleeping.
 //
+// Leases are kept in renewal order, so a sweep costs O(expired), not
+// O(live): ids are free to mint, and a table that scanned every lease on
+// every request would let an attacker set the price of an honest submit.
+// The order equals expiry order as long as the clock never runs backwards;
+// a backwards step only delays an expiry (the lease renewed at the earlier
+// reading waits behind the ones renewed before the step), never causes one.
+//
 // All methods are safe for concurrent use.
 type SessionTable struct {
 	mu  sync.Mutex
 	ttl time.Duration
 	now func() time.Time
 
-	expiry  map[string]time.Time
-	expired int64 // total sessions ever expired
+	leases  map[string]*list.Element // id → its *lease in order
+	order   *list.List               // front = least recently renewed
+	expired int64                    // total sessions ever expired
+}
+
+// lease is one session's entry in SessionTable.order.
+type lease struct {
+	id     string
+	expiry time.Time
 }
 
 // NewSessionTable builds a table whose leases last ttl (0 disables expiry —
@@ -35,7 +50,8 @@ func NewSessionTable(ttl time.Duration, now func() time.Time) *SessionTable {
 	return &SessionTable{
 		ttl:    ttl,
 		now:    now,
-		expiry: map[string]time.Time{},
+		leases: map[string]*list.Element{},
+		order:  list.New(),
 	}
 }
 
@@ -46,39 +62,47 @@ func NewSessionTable(ttl time.Duration, now func() time.Time) *SessionTable {
 func (t *SessionTable) Touch(id string) (expired []string, known bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	_, known = t.expiry[id]
+	var expiry time.Time
 	if t.ttl > 0 {
-		t.expiry[id] = t.now().Add(t.ttl)
-	} else {
-		t.expiry[id] = time.Time{}
+		expiry = t.now().Add(t.ttl)
 	}
-	return t.sweepLocked(id), known
+	el, known := t.leases[id]
+	if known {
+		el.Value.(*lease).expiry = expiry
+		t.order.MoveToBack(el)
+	} else {
+		el = t.order.PushBack(&lease{id: id, expiry: expiry})
+		t.leases[id] = el
+	}
+	return t.sweepLocked(el), known
 }
 
 // Sweep expires every overdue session and returns their ids (sorted).
 func (t *SessionTable) Sweep() []string {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.sweepLocked("")
+	return t.sweepLocked(nil)
 }
 
-// sweepLocked removes sessions past their expiry, never touching keep
-// (the session being renewed). Callers hold t.mu.
-func (t *SessionTable) sweepLocked(keep string) []string {
+// sweepLocked pops overdue leases off the front of the renewal order and
+// stops at the first live one or at keep (the session being renewed, which
+// is at the back: everything overdue is ahead of it). Callers hold t.mu.
+func (t *SessionTable) sweepLocked(keep *list.Element) []string {
 	if t.ttl == 0 {
 		return nil
 	}
 	now := t.now()
 	var gone []string
-	for id, exp := range t.expiry {
-		if id != keep && now.After(exp) {
-			gone = append(gone, id)
+	for el := t.order.Front(); el != nil && el != keep; el = t.order.Front() {
+		l := el.Value.(*lease)
+		if !now.After(l.expiry) {
+			break
 		}
+		t.order.Remove(el)
+		delete(t.leases, l.id)
+		gone = append(gone, l.id)
 	}
 	sort.Strings(gone)
-	for _, id := range gone {
-		delete(t.expiry, id)
-	}
 	t.expired += int64(len(gone))
 	return gone
 }
@@ -88,7 +112,7 @@ func (t *SessionTable) sweepLocked(keep string) []string {
 func (t *SessionTable) Alive() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.expiry)
+	return len(t.leases)
 }
 
 // Expired returns the total number of sessions that have ever expired.

@@ -45,10 +45,10 @@ const (
 
 // Encoded is the wire form of one gradient. Exactly one payload group is
 // populated, keyed by Codec: Dense (identity), Idx/Val (topk),
-// Scale/Levels/Q (qsgd), or Sign (signsgd). The struct is JSON-serializable
-// for the async HTTP protocol; Bytes answers what a tight binary framing of
-// the same payload would cost, which is the quantity the bytes-shipped
-// accounting reports.
+// Scale/Levels/Q (qsgd), or Sign (signsgd). The async HTTP protocol frames
+// the fields in declaration order (transport/async_wire.go); Bytes answers
+// what a tight binary framing of the populated group alone would cost,
+// which is the quantity the bytes-shipped accounting reports.
 type Encoded struct {
 	// Codec is the canonical name of the codec that produced the payload
 	// (Identity, TopK, QSGD or SignSGD) — the decode dispatch key.
@@ -81,9 +81,9 @@ const encodedHeaderBytes = 16
 
 // Bytes returns the wire size of the payload under a tight binary framing
 // (float64 = 8B, index = 4B, quantized level = 1B, sign = 1 bit) plus a
-// small fixed header. The JSON the demo HTTP protocol actually ships is
-// larger; accounting charges the binary cost so codec comparisons measure
-// the codec, not the serialization format.
+// small fixed header. The frame the async HTTP protocol ships adds a count
+// prefix per unused field; accounting charges this format-independent cost
+// so codec comparisons measure the codec, not the serialization.
 func (e Encoded) Bytes() int {
 	n := encodedHeaderBytes
 	n += 8 * len(e.Dense)
@@ -393,8 +393,8 @@ func (c QSGDCodec) Encode(grad []float64, rng *rand.Rand) (Encoded, error) {
 
 // Decode implements Codec: g_i = Scale·Q_i/Levels. A payload whose Scale
 // is non-finite — or finite but so large the product overflows — is
-// refused: JSON cannot carry a literal NaN, so amplification through a
-// huge Scale is exactly how a hostile client smuggles ±Inf past the wire.
+// refused: amplification through a huge Scale is how a hostile client
+// builds ±Inf out of a payload in which every number is finite.
 func (QSGDCodec) Decode(e Encoded) ([]float64, error) {
 	if len(e.Q) != e.Dim {
 		return nil, fmt.Errorf("codec: qsgd payload has %d levels for dim %d", len(e.Q), e.Dim)

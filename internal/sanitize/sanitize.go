@@ -4,7 +4,7 @@
 // Byzantine client can ship NaN or ±Inf coordinates for free — the cheapest
 // real-world poisoning attack — and a value that reaches the aggregation
 // kernels poisons norms, pairwise distances and clustering inertia
-// downstream. Every ingest surface (the async serving path, the `/asyncfl/v1`
+// downstream. Every ingest surface (the async serving path, the `/asyncfl/v2`
 // decode path, the synchronous round pipeline) screens through this package
 // so the policy names, semantics and counters stay consistent across the
 // stack.

@@ -17,10 +17,6 @@ import (
 	"github.com/signguard/signguard/internal/codec"
 )
 
-// maxAsyncBody bounds an update upload; flat gradients of the models here
-// are a few hundred KB of JSON at most, so this is generous headroom.
-const maxAsyncBody = 64 << 20
-
 // NewAsyncHandler mounts the non-blocking submit/fetch protocol over the
 // buffered asynchronous aggregator: clients fetch the versioned model and
 // submit gradients whenever they finish computing, with no round barrier —
@@ -52,70 +48,48 @@ func NewAsyncCodecHandler(agg *asyncfl.Aggregator, accepted []string) (http.Hand
 		}
 		acceptSet[name] = true
 	}
+	submitCap := maxAsyncSubmitBody(agg.Dim())
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET "+AsyncPathModel, func(w http.ResponseWriter, _ *http.Request) {
 		version, params, done := agg.Model()
-		asyncWriteJSON(w, AsyncModelResponse{Version: version, Params: params, Codecs: accepted, Done: done})
+		writeAsyncModel(w, &AsyncModelResponse{Version: version, Params: params, Codecs: accepted, Done: done})
 	})
 	mux.HandleFunc("POST "+AsyncPathUpdate, func(w http.ResponseWriter, r *http.Request) {
-		var req AsyncSubmitRequest
-		if !asyncReadJSON(w, r, maxAsyncBody, &req) {
-			return
-		}
-		if req.Client == "" {
-			http.Error(w, "update requires a Client id", http.StatusBadRequest)
+		req, ok := readAsyncSubmit(w, r, submitCap)
+		if !ok {
 			return
 		}
 		grad, wireBytes := req.Grad, 0
-		switch {
-		case req.Encoded != nil && len(req.Grad) > 0:
-			http.Error(w, "update carries both Grad and Encoded", http.StatusBadRequest)
-			return
-		case req.Encoded != nil:
-			if req.Codec != "" && req.Codec != req.Encoded.Codec {
-				http.Error(w, fmt.Sprintf("declared codec %q does not match payload codec %q",
-					req.Codec, req.Encoded.Codec), http.StatusBadRequest)
-				return
-			}
-			if !acceptSet[req.Encoded.Codec] {
+		if enc := req.Encoded; enc != nil {
+			if !acceptSet[enc.Codec] {
 				http.Error(w, fmt.Sprintf("codec %q not accepted (server accepts %v)",
-					req.Encoded.Codec, accepted), http.StatusBadRequest)
+					enc.Codec, accepted), http.StatusBadRequest)
 				return
 			}
 			// Bound the declared dimension before decoding: Decode
 			// allocates Dim-sized buffers, and Dim is attacker-controlled
 			// wire input — a dimension the aggregator would reject anyway
 			// must not drive an allocation first.
-			if want := agg.Dim(); req.Encoded.Dim != want {
+			if want := agg.Dim(); enc.Dim != want {
 				http.Error(w, fmt.Sprintf("encoded payload declares dim %d, want %d",
-					req.Encoded.Dim, want), http.StatusBadRequest)
+					enc.Dim, want), http.StatusBadRequest)
 				return
 			}
 			var err error
-			grad, err = reg.Decode(*req.Encoded)
-			if err != nil {
+			if grad, err = reg.Decode(*enc); err != nil {
 				if errors.Is(err, codec.ErrNonFinite) {
-					// JSON cannot carry a literal NaN, so a payload that
-					// decodes to — or amplifies to — a non-finite gradient is
-					// the wire-level shape of the non-finite attack. Account
-					// it on the aggregator's counters before refusing.
+					// This payload never reaches Submit's screen, so account
+					// it on the aggregator's counters here. (A literal NaN in
+					// a dense body does reach Submit, as over gob, and is
+					// counted there.)
 					agg.NoteNonFiniteReject(req.Client)
 				}
-				http.Error(w, fmt.Sprintf("decoding %s payload: %v", req.Encoded.Codec, err), http.StatusBadRequest)
+				http.Error(w, fmt.Sprintf("decoding %s payload: %v", enc.Codec, err), http.StatusBadRequest)
 				return
 			}
-			wireBytes = req.Encoded.Bytes()
-		case req.Codec != "":
-			http.Error(w, fmt.Sprintf("codec %q declared without an Encoded payload", req.Codec), http.StatusBadRequest)
-			return
+			wireBytes = enc.Bytes()
 		}
-		res, err := agg.Submit(asyncfl.Update{
-			Client:    req.Client,
-			Version:   req.Version,
-			Seq:       req.Seq,
-			Grad:      grad,
-			WireBytes: wireBytes,
-		})
+		res, err := agg.Submit(asyncfl.Update{Client: req.Client, Version: req.Version, Seq: req.Seq, Grad: grad, WireBytes: wireBytes})
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
@@ -124,7 +98,7 @@ func NewAsyncCodecHandler(agg *asyncfl.Aggregator, accepted []string) (http.Hand
 	})
 	mux.HandleFunc("POST "+AsyncPathHeartbeat, func(w http.ResponseWriter, r *http.Request) {
 		var req AsyncHeartbeatRequest
-		if !asyncReadJSON(w, r, 1<<20, &req) {
+		if !asyncReadJSON(w, r, &req) {
 			return
 		}
 		if req.Client == "" {
@@ -145,8 +119,9 @@ func asyncWriteJSON(w http.ResponseWriter, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-func asyncReadJSON(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+// asyncReadJSON decodes a control-plane request body (1 MiB at most).
+func asyncReadJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err := dec.Decode(v); err != nil {
 		http.Error(w, fmt.Sprintf("bad request body: %v", err), http.StatusBadRequest)
 		return false
@@ -187,73 +162,95 @@ func (c *AsyncClient) httpClient() *http.Client {
 
 // Model fetches the current global model.
 func (c *AsyncClient) Model(ctx context.Context) (AsyncModelResponse, error) {
-	var out AsyncModelResponse
-	err := c.call(ctx, http.MethodGet, AsyncPathModel, nil, &out)
-	return out, err
+	raw, err := c.roundTrip(ctx, http.MethodGet, AsyncPathModel, "", nil)
+	if err != nil {
+		return AsyncModelResponse{}, err
+	}
+	out, err := parseAsyncModel(raw)
+	if err != nil {
+		return out, fmt.Errorf("transport: decoding %s response: %w", AsyncPathModel, err)
+	}
+	return out, nil
 }
 
 // Submit uploads one gradient computed against the given model version and
 // returns the server's backpressure/staleness signals.
 func (c *AsyncClient) Submit(ctx context.Context, version int, seq int64, grad []float64) (asyncfl.SubmitResult, error) {
-	var out asyncfl.SubmitResult
-	req := AsyncSubmitRequest{Client: c.ID, Version: version, Seq: seq, Grad: grad}
-	err := c.call(ctx, http.MethodPost, AsyncPathUpdate, &req, &out)
-	return out, err
+	return c.submit(ctx, &AsyncSubmitRequest{Client: c.ID, Version: version, Seq: seq, Grad: grad})
 }
 
 // SubmitEncoded uploads one compressed gradient. The server must accept
 // the payload's codec (see AsyncModelResponse.Codecs) or the submit fails.
 func (c *AsyncClient) SubmitEncoded(ctx context.Context, version int, seq int64, enc codec.Encoded) (asyncfl.SubmitResult, error) {
+	return c.submit(ctx, &AsyncSubmitRequest{Client: c.ID, Version: version, Seq: seq, Encoded: &enc})
+}
+
+// submit posts one binary update body. The body is built fresh each time:
+// the HTTP transport may still be reading it after a server that answers
+// early has already been heard from.
+func (c *AsyncClient) submit(ctx context.Context, req *AsyncSubmitRequest) (asyncfl.SubmitResult, error) {
 	var out asyncfl.SubmitResult
-	req := AsyncSubmitRequest{Client: c.ID, Version: version, Seq: seq, Codec: enc.Codec, Encoded: &enc}
-	err := c.call(ctx, http.MethodPost, AsyncPathUpdate, &req, &out)
-	return out, err
+	body, err := appendAsyncSubmit(nil, req)
+	if err != nil {
+		return out, fmt.Errorf("transport: encoding %s request: %w", AsyncPathUpdate, err)
+	}
+	return out, c.call(ctx, http.MethodPost, AsyncPathUpdate, asyncBinaryType, body, &out)
 }
 
 // Heartbeat renews this session's liveness lease without submitting.
 func (c *AsyncClient) Heartbeat(ctx context.Context) (AsyncHeartbeatResponse, error) {
 	var out AsyncHeartbeatResponse
-	err := c.call(ctx, http.MethodPost, AsyncPathHeartbeat, &AsyncHeartbeatRequest{Client: c.ID}, &out)
-	return out, err
+	body, _ := json.Marshal(AsyncHeartbeatRequest{Client: c.ID}) // a struct of one string always marshals
+	return out, c.call(ctx, http.MethodPost, AsyncPathHeartbeat, "application/json", body, &out)
 }
 
 // Stats fetches the server's aggregator counters.
 func (c *AsyncClient) Stats(ctx context.Context) (asyncfl.Stats, error) {
 	var out asyncfl.Stats
-	err := c.call(ctx, http.MethodGet, AsyncPathStats, nil, &out)
-	return out, err
+	return out, c.call(ctx, http.MethodGet, AsyncPathStats, "", nil, &out)
 }
 
-// call performs one JSON request/response exchange.
-func (c *AsyncClient) call(ctx context.Context, method, path string, in, out any) error {
-	var body io.Reader
-	if in != nil {
-		buf, err := json.Marshal(in)
-		if err != nil {
-			return fmt.Errorf("transport: encoding %s request: %w", path, err)
-		}
-		body = bytes.NewReader(buf)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, c.url(path), body)
+// call performs one exchange whose reply is JSON (the control plane, and
+// the reply to a submit).
+func (c *AsyncClient) call(ctx context.Context, method, path, contentType string, body []byte, out any) error {
+	raw, err := c.roundTrip(ctx, method, path, contentType, body)
 	if err != nil {
-		return fmt.Errorf("transport: building %s request: %w", path, err)
+		return err
 	}
-	if in != nil {
-		req.Header.Set("Content-Type", "application/json")
+	if err := json.Unmarshal(raw, out); err != nil {
+		return fmt.Errorf("transport: decoding %s response: %w", path, err)
+	}
+	return nil
+}
+
+// roundTrip sends one request (nil body = none) and returns the body of a
+// 200 reply; any other status becomes an error carrying the server's text.
+func (c *AsyncClient) roundTrip(ctx context.Context, method, path, contentType string, body []byte) ([]byte, error) {
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, c.url(path), rd)
+	if err != nil {
+		return nil, fmt.Errorf("transport: building %s request: %w", path, err)
+	}
+	if contentType != "" {
+		req.Header.Set("Content-Type", contentType)
 	}
 	resp, err := c.httpClient().Do(req)
 	if err != nil {
-		return fmt.Errorf("transport: %s: %w", path, err)
+		return nil, fmt.Errorf("transport: %s: %w", path, err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
-		return fmt.Errorf("transport: %s: HTTP %d: %s", path, resp.StatusCode, strings.TrimSpace(string(msg)))
+		return nil, fmt.Errorf("transport: %s: HTTP %d: %s", path, resp.StatusCode, strings.TrimSpace(string(msg)))
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-		return fmt.Errorf("transport: decoding %s response: %w", path, err)
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return nil, fmt.Errorf("transport: reading %s response: %w", path, err)
 	}
-	return nil
+	return raw, nil
 }
 
 // AsyncClientConfig describes one asynchronous participant loop.

@@ -2,20 +2,25 @@ package transport
 
 import "github.com/signguard/signguard/internal/codec"
 
-// The asynchronous protocol is versioned under /asyncfl/v1 so wire changes
-// can coexist with deployed clients; the synchronous gob wire (messages.go)
-// serves the same aggregator type alongside it.
+// The asynchronous protocol is versioned in its path. v2 carries the two
+// gradient-sized messages — model fetch and update submit — as binary
+// bodies (async_wire.go) where v1 carried JSON; a v1 client gets a 404.
+// The synchronous gob wire (messages.go) serves the same aggregator type
+// alongside it.
 const (
-	// AsyncPathModel serves the current model: GET → AsyncModelResponse.
-	AsyncPathModel = "/asyncfl/v1/model"
-	// AsyncPathUpdate ingests one gradient: POST AsyncSubmitRequest →
-	// asyncfl.SubmitResult (the backpressure/staleness signals).
-	AsyncPathUpdate = "/asyncfl/v1/update"
+	// AsyncPathModel serves the current model: GET → AsyncModelResponse
+	// (binary body).
+	AsyncPathModel = "/asyncfl/v2/model"
+	// AsyncPathUpdate ingests one gradient: POST AsyncSubmitRequest (binary
+	// body) → asyncfl.SubmitResult (JSON: the backpressure/staleness
+	// signals).
+	AsyncPathUpdate = "/asyncfl/v2/update"
 	// AsyncPathHeartbeat renews an idle client's liveness lease: POST
-	// AsyncHeartbeatRequest → AsyncHeartbeatResponse.
-	AsyncPathHeartbeat = "/asyncfl/v1/heartbeat"
-	// AsyncPathStats exposes the aggregator counters: GET → asyncfl.Stats.
-	AsyncPathStats = "/asyncfl/v1/stats"
+	// AsyncHeartbeatRequest → AsyncHeartbeatResponse (both JSON).
+	AsyncPathHeartbeat = "/asyncfl/v2/heartbeat"
+	// AsyncPathStats exposes the aggregator counters: GET → asyncfl.Stats
+	// (JSON).
+	AsyncPathStats = "/asyncfl/v2/stats"
 )
 
 // AsyncModelResponse is the server's answer to a model fetch.
@@ -26,17 +31,20 @@ type AsyncModelResponse struct {
 	// Params is the flat global parameter vector.
 	Params []float64
 	// Codecs lists the compression codec names (internal/codec registry
-	// names) this server accepts on submit. Absent on pre-codec servers:
-	// clients configured with a codec must fail fast rather than ship
-	// encoded payloads the server cannot decode.
-	Codecs []string `json:",omitempty"`
+	// names) this server accepts on submit. Clients configured with any
+	// other codec must fail fast rather than ship encoded payloads the
+	// server will refuse.
+	Codecs []string
 	// Done reports training finished; Params then holds the final model.
 	Done bool
 }
 
-// AsyncSubmitRequest carries one client gradient.
+// AsyncSubmitRequest carries one client gradient. Exactly one of Grad and
+// Encoded is set; on the wire a kind byte says which, so a body can carry
+// neither both nor a codec name without a payload.
 type AsyncSubmitRequest struct {
-	// Client identifies the session (also renews its liveness lease).
+	// Client identifies the session (also renews its liveness lease):
+	// 1 to 256 bytes.
 	Client string
 	// Version is the model version the gradient was computed against.
 	Version int
@@ -44,15 +52,10 @@ type AsyncSubmitRequest struct {
 	// otherwise).
 	Seq int64
 	// Grad is the flat gradient vector of an uncompressed submit.
-	// Exactly one of Grad and Encoded must be set.
-	Grad []float64 `json:",omitempty"`
-	// Codec names the compression codec Encoded was produced by (the
-	// base registry name, matching Encoded.Codec). Optional — Encoded is
-	// self-describing — but when set it must agree with the payload.
-	Codec string `json:",omitempty"`
+	Grad []float64
 	// Encoded is the compressed form of the gradient; the server decodes
 	// it through its codec registry and accounts its wire size.
-	Encoded *codec.Encoded `json:",omitempty"`
+	Encoded *codec.Encoded
 }
 
 // AsyncHeartbeatRequest renews a session without submitting.

@@ -1,8 +1,10 @@
 package transport
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -148,6 +150,32 @@ func TestAsyncSubmitSignals(t *testing.T) {
 	}
 }
 
+// postBody posts raw bytes to an async path and returns the HTTP status and
+// the server's message.
+func postBody(t *testing.T, url, contentType string, body []byte) (int, string) {
+	t.Helper()
+	resp, err := http.Post(url, contentType, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	msg, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, strings.TrimSpace(string(msg))
+}
+
+// submitBody is the wire form of req.
+func submitBody(t testing.TB, req AsyncSubmitRequest) []byte {
+	t.Helper()
+	body, err := appendAsyncSubmit(nil, &req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
 func TestAsyncBadRequests(t *testing.T) {
 	_, srv := newAsyncTestServer(t, asyncfl.Config{
 		InitialParams: []float64{0, 0},
@@ -155,25 +183,23 @@ func TestAsyncBadRequests(t *testing.T) {
 		LR:            0.1,
 		SessionTTL:    -1,
 	})
-	post := func(path, body string) *http.Response {
-		resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { resp.Body.Close() })
-		return resp
+	valid := submitBody(t, AsyncSubmitRequest{Client: "c", Grad: []float64{1, 2}})
+	if status, msg := postBody(t, srv.URL+AsyncPathUpdate, asyncBinaryType, valid); status != http.StatusOK {
+		t.Fatalf("valid body: HTTP %d %s", status, msg)
 	}
-	if resp := post(AsyncPathUpdate, `{"Client":"","Grad":[1,2]}`); resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("empty client: HTTP %d, want 400", resp.StatusCode)
+	short := submitBody(t, AsyncSubmitRequest{Client: "c", Grad: []float64{1}})
+	if status, _ := postBody(t, srv.URL+AsyncPathUpdate, asyncBinaryType, short); status != http.StatusBadRequest {
+		t.Errorf("dim mismatch: HTTP %d, want 400", status)
 	}
-	if resp := post(AsyncPathUpdate, `{"Client":"c","Grad":[1]}`); resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("dim mismatch: HTTP %d, want 400", resp.StatusCode)
+	if status, _ := postBody(t, srv.URL+AsyncPathUpdate, asyncBinaryType, append(valid, " trailing"...)); status != http.StatusBadRequest {
+		t.Errorf("trailing garbage: HTTP %d, want 400", status)
 	}
-	if resp := post(AsyncPathUpdate, `{"Client":"c","Grad":[1,2]} trailing`); resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("trailing garbage: HTTP %d, want 400", resp.StatusCode)
+	if status, _ := postBody(t, srv.URL+AsyncPathHeartbeat, "application/json", []byte(`{"Client":""}`)); status != http.StatusBadRequest {
+		t.Errorf("empty heartbeat client: HTTP %d, want 400", status)
 	}
-	if resp := post(AsyncPathHeartbeat, `{"Client":""}`); resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("empty heartbeat client: HTTP %d, want 400", resp.StatusCode)
+	// A v1 client is told its path is gone, not that its body is malformed.
+	if status, _ := postBody(t, srv.URL+"/asyncfl/v1/update", "application/json", []byte(`{"Client":"c","Grad":[1,2]}`)); status != http.StatusNotFound {
+		t.Errorf("v1 path: HTTP %d, want 404", status)
 	}
 }
 

@@ -1,11 +1,16 @@
 package transport
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -73,54 +78,30 @@ func TestHostileNaNEndToEnd(t *testing.T) {
 			}
 			return agg
 		}},
-		// JSON cannot represent NaN — a literal token is a malformed body,
-		// refused at the parse layer — so the representable attack is a
-		// valid qsgd payload whose finite Scale amplifies to +Inf on decode.
-		{"http", func(t *testing.T, rule func(n int) aggregate.Rule) *asyncfl.Aggregator {
-			agg, err := asyncfl.New(asyncfl.Config{
-				InitialParams: make([]float64, dim), K: honest, Rule: rule(honest), LR: 0.1,
-				TargetSteps: rounds, SessionTTL: -1,
-			})
-			if err != nil {
-				t.Fatal(err)
+		// The binary submit body carries float64 bits verbatim too: a dense
+		// gradient with one literal NaN is a well-formed request, answered
+		// 200 with NonFinite set once asyncfl.Submit's screen has refused
+		// and counted it — the same path the gob gradient above takes.
+		{"http-dense", httpHostileWire(target, honest, rounds, func(t *testing.T, evil *AsyncClient, round int) {
+			grad := make([]float64, dim)
+			grad[3] = math.NaN()
+			res, err := evil.Submit(context.Background(), round, 0, grad)
+			if err != nil || !res.NonFinite || res.Accepted {
+				t.Fatalf("literal-NaN dense body: res=%+v err=%v, want HTTP 200 with NonFinite and not Accepted", res, err)
 			}
-			srv := httptest.NewServer(NewAsyncHandler(agg))
-			defer srv.Close()
-			resp, err := http.Post(srv.URL+AsyncPathUpdate, "application/json",
-				strings.NewReader(`{"Client":"evil","Grad":[NaN,1,2]}`))
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusBadRequest {
-				t.Fatalf("literal-NaN body: HTTP %d, want 400", resp.StatusCode)
-			}
-
-			ctx := context.Background()
-			evil := &AsyncClient{Base: srv.URL, ID: "evil"}
+		})},
+		// The other representable attack never reaches Submit: a valid qsgd
+		// payload whose finite Scale amplifies to +Inf on decode is refused
+		// by the codec, and the handler accounts it.
+		{"http-qsgd", httpHostileWire(target, honest, rounds, func(t *testing.T, evil *AsyncClient, round int) {
 			hostile := codec.Encoded{Codec: codec.QSGD, Dim: dim, Scale: 1e308, Levels: 1, Q: make([]int8, dim)}
 			for i := range hostile.Q {
 				hostile.Q[i] = 127
 			}
-			computes := quadraticCohort(target, honest, 0)
-			for round := 0; round < rounds; round++ {
-				if _, err := evil.SubmitEncoded(ctx, round, 0, hostile); err == nil || !strings.Contains(err.Error(), "400") {
-					t.Fatalf("amplifying qsgd payload: %v, want HTTP 400", err)
-				}
-				for i, compute := range computes {
-					c := &AsyncClient{Base: srv.URL, ID: fmt.Sprintf("h%d", i)}
-					model, err := c.Model(ctx)
-					if err != nil {
-						t.Fatal(err)
-					}
-					grad, _ := compute(round, model.Params)
-					if _, err := c.Submit(ctx, model.Version, 0, grad); err != nil {
-						t.Fatal(err)
-					}
-				}
+			if _, err := evil.SubmitEncoded(context.Background(), round, 0, hostile); err == nil || !strings.Contains(err.Error(), "HTTP 400") {
+				t.Fatalf("amplifying qsgd payload: %v, want HTTP 400", err)
 			}
-			return agg
-		}},
+		})},
 	}
 	for _, w := range wires {
 		for _, r := range rules {
@@ -142,5 +123,154 @@ func TestHostileNaNEndToEnd(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// httpHostileWire runs the lock-step schedule of TestHostileNaNEndToEnd over
+// the HTTP wire: each round the hostile client attacks once, then every
+// honest client fetches and submits.
+func httpHostileWire(target []float64, honest, rounds int, attack func(t *testing.T, evil *AsyncClient, round int)) func(*testing.T, func(n int) aggregate.Rule) *asyncfl.Aggregator {
+	return func(t *testing.T, rule func(n int) aggregate.Rule) *asyncfl.Aggregator {
+		agg, err := asyncfl.New(asyncfl.Config{
+			InitialParams: make([]float64, len(target)), K: honest, Rule: rule(honest), LR: 0.1,
+			TargetSteps: int64(rounds), SessionTTL: -1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := httptest.NewServer(NewAsyncHandler(agg))
+		defer srv.Close()
+		ctx := context.Background()
+		evil := &AsyncClient{Base: srv.URL, ID: "evil"}
+		computes := quadraticCohort(target, honest, 0)
+		for round := 0; round < rounds; round++ {
+			attack(t, evil, round)
+			for i, compute := range computes {
+				c := &AsyncClient{Base: srv.URL, ID: fmt.Sprintf("h%d", i)}
+				model, err := c.Model(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				grad, _ := compute(round, model.Params)
+				if _, err := c.Submit(ctx, model.Version, 0, grad); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		return agg
+	}
+}
+
+// hostileSubmitBody is one malformed or oversized update request.
+type hostileSubmitBody struct {
+	name        string
+	contentType string
+	body        []byte
+	status      int
+}
+
+// hostileSubmitBodies is the table of frames a dim-coordinate server must
+// refuse without buffering an update: TestHostileSubmitBodies posts each,
+// FuzzAsyncSubmitBody starts from them.
+func hostileSubmitBodies(t testing.TB, dim int) []hostileSubmitBody {
+	grad := make([]float64, dim)
+	for i := range grad {
+		grad[i] = float64(i + 1)
+	}
+	topk, err := (codec.TopKCodec{K: dim / 2}).Encode(grad, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dense := submitBody(t, AsyncSubmitRequest{Client: "c", Grad: grad})
+	encoded := submitBody(t, AsyncSubmitRequest{Client: "c", Encoded: &topk})
+	// header is a submit body up to and including the kind byte.
+	header := func(client string, kind byte) []byte {
+		b := binary.LittleEndian.AppendUint16([]byte(asyncSubmitTag), uint16(len(client)))
+		b = append(b, client...)
+		return append(append(b, make([]byte, 16)...), kind)
+	}
+	// A dense body whose count prefix claims 2³²−1 coordinates and delivers
+	// enough bytes for one.
+	hugeCount := binary.LittleEndian.AppendUint32(header("c", kindDense), math.MaxUint32)
+	hugeCount = append(hugeCount, make([]byte, 40-len(hugeCount))...)
+	wrongTag := bytes.Clone(dense)
+	wrongTag[3] = 1
+	overCap := append(bytes.Clone(dense), make([]byte, int(maxAsyncSubmitBody(dim))+1-len(dense))...)
+	payload := dense[len(dense)-4-8*dim:] // the count-prefixed gradient
+
+	var rows []hostileSubmitBody
+	for n := 0; n < len(encoded); n++ {
+		rows = append(rows, hostileSubmitBody{fmt.Sprintf("topk body cut to %d of %d bytes", n, len(encoded)),
+			asyncBinaryType, encoded[:n], http.StatusBadRequest})
+	}
+	return append(rows, []hostileSubmitBody{
+		{"count prefix 2^32-1 on a 40-byte body", asyncBinaryType, hugeCount, http.StatusBadRequest},
+		{"trailing byte", asyncBinaryType, append(bytes.Clone(encoded), 0), http.StatusBadRequest},
+		{"wrong tag", asyncBinaryType, wrongTag, http.StatusBadRequest},
+		{"257-byte client id", asyncBinaryType, append(header(strings.Repeat("x", 257), kindDense), payload...), http.StatusBadRequest},
+		{"empty client id", asyncBinaryType, append(header("", kindDense), payload...), http.StatusBadRequest},
+		{"unknown payload kind", asyncBinaryType, append(header("c", 2), payload...), http.StatusBadRequest},
+		{"JSON content type", "application/json", dense, http.StatusUnsupportedMediaType},
+		{"one byte over the dim-derived cap", asyncBinaryType, overCap, http.StatusRequestEntityTooLarge},
+	}...)
+}
+
+// TestHostileSubmitBodies posts every malformed frame to a live server: each
+// is refused with its status, none of them buffers an update or moves the
+// model, and the valid dense and topk frames the table is cut from still
+// land afterwards. The count-prefix row is also parsed directly to show the
+// refusal allocates nothing sized by the prefix.
+func TestHostileSubmitBodies(t *testing.T) {
+	const dim = 8
+	agg, srv := newAsyncTestServer(t, asyncfl.Config{
+		InitialParams: make([]float64, dim), K: 100, LR: 0.1, SessionTTL: -1,
+	})
+	rows := hostileSubmitBodies(t, dim)
+	for _, row := range rows {
+		if status, msg := postBody(t, srv.URL+AsyncPathUpdate, row.contentType, row.body); status != row.status {
+			t.Errorf("%s: HTTP %d (%s), want %d", row.name, status, msg, row.status)
+		}
+	}
+	// The cap also holds when no Content-Length announces the overrun: a
+	// reader of unknown length goes out chunked.
+	body := func(name string) []byte {
+		i := slices.IndexFunc(rows, func(r hostileSubmitBody) bool { return strings.HasPrefix(r.name, name) })
+		return rows[i].body
+	}
+	overCap := body("one byte over")
+	resp, err := http.Post(srv.URL+AsyncPathUpdate, asyncBinaryType, io.MultiReader(bytes.NewReader(overCap)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("chunked body over the cap: HTTP %d, want 413", resp.StatusCode)
+	}
+	if st := agg.Stats(); st.Arrivals != 0 || st.Buffered != 0 || st.NonFiniteRejects != 0 {
+		t.Errorf("malformed frames reached the aggregator: %+v", st)
+	}
+
+	huge := body("count prefix")
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := parseAsyncSubmit(huge); err == nil {
+			t.Fatal("count prefix 2^32-1 parsed")
+		}
+	})
+	runtime.ReadMemStats(&after)
+	// 101 refusals: an error value and a one-byte client id each.
+	if grew := after.TotalAlloc - before.TotalAlloc; allocs > 4 || grew > 64<<10 {
+		t.Errorf("refusing a 2^32-1 count prefix: %.0f allocations per parse, %d bytes over 101 parses", allocs, grew)
+	}
+
+	c := &AsyncClient{Base: srv.URL, ID: "c"}
+	grad := []float64{1, 2, 3, 4, 5, 6, 7, 8}
+	if res, err := c.Submit(context.Background(), 0, 0, grad); err != nil || !res.Accepted {
+		t.Fatalf("valid dense submit after the hostile table: res=%+v err=%v", res, err)
+	}
+	topk, _ := (codec.TopKCodec{K: dim / 2}).Encode(grad, nil)
+	if res, err := c.SubmitEncoded(context.Background(), 0, 0, topk); err != nil || !res.Accepted {
+		t.Fatalf("valid topk submit after the hostile table: res=%+v err=%v", res, err)
 	}
 }

@@ -3,7 +3,8 @@
 // (asyncfl.Aggregator, which alone screens, defends, merges and applies):
 // the gob wire of this file — a parameter server coordinating synchronous
 // rounds with n TCP clients, the paper's setting — and the versioned
-// /asyncfl/v1 HTTP wire (async.go) for clients that come and go. Neither
+// /asyncfl/v2 HTTP wire (async.go; binary bodies for the model and the
+// update, async_wire.go) for clients that come and go. Neither
 // wire aggregates anything itself (cmd/flserver, cmd/flclient).
 package transport
 
