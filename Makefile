@@ -64,13 +64,16 @@ perf-compare:
 trajectory:
 	@$(GO) run ./tools/trajectory
 
-# CPU/heap profiles of the two serving-critical benchmarks: the
-# LocalCompute stage (image CNN and text RNN) and the async load harness.
+# CPU/heap profiles of the three stage benchmarks: LocalCompute (image CNN
+# and text RNN), the defense stage's distance matrix (sparse and dense
+# cohorts at sim_wide's dimension) and the async load harness.
 # Written to ./profiles; inspect with `go tool pprof profiles/<name>`.
 profile:
 	@mkdir -p profiles
 	$(GO) test -run '^$$' -bench BenchmarkLocalCompute -benchtime 3x -timeout 15m -o profiles/fl.test \
 		-cpuprofile profiles/localcompute.cpu.pprof -memprofile profiles/localcompute.mem.pprof ./internal/fl
+	$(GO) test -run '^$$' -bench BenchmarkPairwiseDistances -benchtime 3x -timeout 15m -o profiles/aggregate.test \
+		-cpuprofile profiles/pairwise.cpu.pprof -memprofile profiles/pairwise.mem.pprof ./internal/aggregate
 	$(GO) test -run '^$$' -bench BenchmarkAsyncLoad -benchtime 3x -timeout 15m -o profiles/loadtest.test \
 		-cpuprofile profiles/asyncload.cpu.pprof -memprofile profiles/asyncload.mem.pprof ./internal/asyncfl/loadtest
 	@echo "profiles written to ./profiles — e.g. go tool pprof -top profiles/localcompute.cpu.pprof"
@@ -137,6 +140,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/codec
 	$(GO) test -run '^$$' -fuzz '^FuzzTopKEncodeMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/codec
 	$(GO) test -run '^$$' -fuzz '^FuzzDefenseAggregate$$' -fuzztime $(FUZZTIME) ./internal/defense
+	$(GO) test -run '^$$' -fuzz '^FuzzPairwiseDistances$$' -fuzztime $(FUZZTIME) ./internal/stats
 	$(GO) test -run '^$$' -fuzz '^FuzzKMeansCluster$$' -fuzztime $(FUZZTIME) ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzMeanShiftCluster$$' -fuzztime $(FUZZTIME) ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzAsyncSubmitBody$$' -fuzztime $(FUZZTIME) ./internal/transport

@@ -3,6 +3,9 @@ package aggregate
 import (
 	"fmt"
 	"testing"
+
+	"github.com/signguard/signguard/internal/stats"
+	"github.com/signguard/signguard/internal/tensor"
 )
 
 // benchGrads builds a fixed-seed cohort: n gradients of dimension d with a
@@ -111,8 +114,55 @@ func BenchmarkMoM(b *testing.B) {
 	})
 }
 
-// BenchmarkPairwiseDistancesViaKrumScores isolates the shared distance
-// matrix kernel through its dominant consumer.
+// sparseGrads is benchGrads with every coordinate outside a per-row random
+// subset of density·d zeroed — the shape of a top-k-decoded cohort
+// (sim_wide: d = 4550, density 0.1). Density 1 is benchGrads itself.
+func sparseGrads(n, d int, density float64) [][]float64 {
+	grads := benchGrads(n, d)
+	rng := tensor.NewRNG(7)
+	keep := int(density * float64(d))
+	for _, g := range grads {
+		for _, c := range rng.Perm(d)[keep:] {
+			g[c] = 0
+		}
+	}
+	return grads
+}
+
+// BenchmarkPairwiseDistances measures the distance matrix itself at
+// sim_wide's dimension: cohort size × support density × workers. Density
+// 0.1 walks the kernel's bitmap path, 1.0 its dense path. Every iteration
+// checks one entry against tensor.Distance, so a kernel that drifts fails
+// here and not only in the stats tests.
+func BenchmarkPairwiseDistances(b *testing.B) {
+	const d = 4550
+	for _, n := range []int{10, 50, 200} {
+		for _, density := range []float64{0.1, 1.0} {
+			grads := sparseGrads(n, d, density)
+			want, err := tensor.Distance(grads[1], grads[n-1])
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, w := range []int{1, 2} {
+				b.Run(fmt.Sprintf("n=%d/density=%.1f/workers=%d", n, density, w), func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						dists, err := stats.PairwiseDistancesWorkers(grads, w)
+						if err != nil {
+							b.Fatal(err)
+						}
+						if dists[1][n-1] != want || dists[n-1][1] != want {
+							b.Fatalf("dists[1][%d] = %v / %v, want %v", n-1, dists[1][n-1], dists[n-1][1], want)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// BenchmarkKrumScores measures the distance matrix through its dominant
+// consumer: stats.PairwiseDistancesWorkers plus Krum's per-row sort and sum.
 func BenchmarkKrumScores(b *testing.B) {
 	const n, d = 200, 2000
 	grads := benchGrads(n, d)

@@ -96,13 +96,13 @@ func (m *MedianOfMeans) Aggregate(grads [][]float64) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	toMean := make([]float64, len(sGrads))
+	if err := tensor.SquaredDistancesTo(toMean, meanS, sGrads); err != nil {
+		return nil, err
+	}
 	center, best := -1, math.Inf(1)
-	for _, i := range candidates {
-		d, err := tensor.Distance(grads[i], meanS)
-		if err != nil {
-			return nil, err
-		}
-		if d < best {
+	for j, i := range candidates {
+		if d := math.Sqrt(toMean[j]); d < best {
 			center, best = i, d
 		}
 	}

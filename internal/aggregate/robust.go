@@ -2,6 +2,7 @@ package aggregate
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/signguard/signguard/internal/parallel"
 	"github.com/signguard/signguard/internal/stats"
@@ -131,11 +132,12 @@ func (g *GeoMed) Aggregate(grads [][]float64) (*Result, error) {
 			hit[i] = false
 		}
 		parallel.For(workers, len(grads), func(wk, start, end int) {
+			// w first holds the squared distances, then the weights.
+			if err := tensor.SquaredDistancesTo(w[start:end], x, grads[start:end]); err != nil {
+				panic(err) // unreachable: dims validated above
+			}
 			for i := start; i < end; i++ {
-				dist, err := tensor.Distance(x, grads[i])
-				if err != nil { // unreachable: dims validated above
-					panic(err)
-				}
+				dist := math.Sqrt(w[i])
 				if dist < 1e-12 {
 					// Current estimate coincides with a data point;
 					// Weiszfeld's weight is singular there. Nudge with a

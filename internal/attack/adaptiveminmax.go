@@ -92,8 +92,8 @@ func (a *AdaptiveMinMax) Craft(ctx *Context) ([][]float64, error) {
 	scale := a.Scale(ctx.History)
 	engine := minMaxSum{
 		perturb: a.Perturb,
-		bound: func(honest [][]float64) (float64, error) {
-			b, err := maxPairwiseSq(honest)
+		bound: func(honest [][]float64, d2 []float64) (float64, error) {
+			b, err := maxPairwiseSq(honest, d2)
 			if err != nil {
 				return 0, err
 			}
@@ -106,16 +106,15 @@ func (a *AdaptiveMinMax) Craft(ctx *Context) ([][]float64, error) {
 			if err != nil {
 				return 0, err
 			}
-			floor, err := maxDistSqTo(avg, honest)
-			if err != nil {
+			if err := tensor.SquaredDistancesTo(d2, avg, honest); err != nil {
 				return 0, err
 			}
-			if scaled < floor {
+			if floor := maxOf(d2); scaled < floor {
 				scaled = floor
 			}
 			return scaled, nil
 		},
-		measure: maxDistSqTo,
+		measure: maxOf,
 	}
 	return engine.Craft(ctx)
 }

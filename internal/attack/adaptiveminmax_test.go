@@ -92,7 +92,7 @@ func TestAdaptiveMinMaxScaleSchedule(t *testing.T) {
 func TestAdaptiveMinMaxTightensAfterFiltering(t *testing.T) {
 	a := NewAdaptiveMinMax()
 	base := minmaxContext(9)
-	bound, err := maxPairwiseSq(base.AllHonest())
+	bound, err := maxPairwiseSq(base.AllHonest(), make([]float64, len(base.AllHonest())))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,6 +145,22 @@ func TestAdaptiveMinMaxTightensAfterFiltering(t *testing.T) {
 	if dTight > limit*1.0001 {
 		t.Errorf("tightened attack exceeds its scaled bound: %v > %v", dTight, limit)
 	}
+}
+
+// maxDistSqTo is the per-pair reference for the Min-Max candidate
+// statistic: the largest squared distance from gm to any honest gradient.
+func maxDistSqTo(gm []float64, honest [][]float64) (float64, error) {
+	var maxToGm float64
+	for _, g := range honest {
+		d2, err := tensor.SquaredDistance(gm, g)
+		if err != nil {
+			return 0, err
+		}
+		if d2 > maxToGm {
+			maxToGm = d2
+		}
+	}
+	return maxToGm, nil
 }
 
 func TestAdaptiveMinMaxRejectsBadSchedule(t *testing.T) {

@@ -42,14 +42,16 @@ func (p Perturbation) String() string {
 //
 // The constraint threshold (a function of the honest gradients only) is
 // computed once per round; each bisection probe then only measures the
-// candidate's distances to the honest set.
+// candidate's distances to the honest set. Both go through the
+// one-to-many distance kernel and fold its output in index order.
 type minMaxSum struct {
 	perturb Perturbation
 	// bound computes the round's constraint threshold from the honest
-	// gradients.
-	bound func(honest [][]float64) (float64, error)
-	// measure computes the candidate statistic compared against the bound.
-	measure func(gm []float64, honest [][]float64) (float64, error)
+	// gradients; d2 is scratch of len(honest).
+	bound func(honest [][]float64, d2 []float64) (float64, error)
+	// measure folds the candidate's squared distances to the honest
+	// gradients into the statistic compared against the bound.
+	measure func(d2 []float64) float64
 }
 
 // Craft computes the attack vector and replicates it across the cohort.
@@ -66,7 +68,8 @@ func (a *minMaxSum) Craft(ctx *Context) ([][]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	threshold, err := a.bound(honest)
+	d2 := make([]float64, len(honest))
+	threshold, err := a.bound(honest, d2)
 	if err != nil {
 		return nil, err
 	}
@@ -76,11 +79,10 @@ func (a *minMaxSum) Craft(ctx *Context) ([][]float64, error) {
 		if err := tensor.Axpy(gm, gamma, dir); err != nil {
 			return false, err
 		}
-		v, err := a.measure(gm, honest)
-		if err != nil {
+		if err := tensor.SquaredDistancesTo(d2, gm, honest); err != nil {
 			return false, err
 		}
-		return v <= threshold, nil
+		return a.measure(d2) <= threshold, nil
 	}
 
 	ok, err := feasible(0)
@@ -165,42 +167,37 @@ func NewMinMax() *MinMax { return NewMinMaxWithPerturbation(InverseStd) }
 // NewMinMaxWithPerturbation selects the perturbation direction.
 func NewMinMaxWithPerturbation(p Perturbation) *MinMax {
 	m := &MinMax{}
-	m.engine = minMaxSum{perturb: p, bound: maxPairwiseSq, measure: maxDistSqTo}
+	m.engine = minMaxSum{perturb: p, bound: maxPairwiseSq, measure: maxOf}
 	return m
 }
 
 // maxPairwiseSq is the Min-Max constraint threshold: the largest squared
 // pairwise distance among the honest gradients (Eq. 14's right-hand side).
-func maxPairwiseSq(honest [][]float64) (float64, error) {
+func maxPairwiseSq(honest [][]float64, d2 []float64) (float64, error) {
 	var maxPair float64
-	for i := 0; i < len(honest); i++ {
-		for j := i + 1; j < len(honest); j++ {
-			d2, err := tensor.SquaredDistance(honest[i], honest[j])
-			if err != nil {
-				return 0, err
-			}
-			if d2 > maxPair {
-				maxPair = d2
-			}
+	for i, g := range honest {
+		row := d2[:len(honest)-i-1]
+		if err := tensor.SquaredDistancesTo(row, g, honest[i+1:]); err != nil {
+			return 0, err
+		}
+		if m := maxOf(row); m > maxPair {
+			maxPair = m
 		}
 	}
 	return maxPair, nil
 }
 
-// maxDistSqTo is the Min-Max candidate statistic: the largest squared
-// distance from gm to any honest gradient.
-func maxDistSqTo(gm []float64, honest [][]float64) (float64, error) {
-	var maxToGm float64
-	for _, g := range honest {
-		d2, err := tensor.SquaredDistance(gm, g)
-		if err != nil {
-			return 0, err
-		}
-		if d2 > maxToGm {
-			maxToGm = d2
+// maxOf is the Min-Max candidate statistic over the squared distances from
+// gm to the honest gradients: the largest one, skipping NaN like the
+// comparison it replaces.
+func maxOf(d2 []float64) float64 {
+	var m float64
+	for _, x := range d2 {
+		if x > m {
+			m = x
 		}
 	}
-	return maxToGm, nil
+	return m
 }
 
 // Name implements Attack.
@@ -225,38 +222,34 @@ func NewMinSum() *MinSum { return NewMinSumWithPerturbation(InverseStd) }
 // NewMinSumWithPerturbation selects the perturbation direction.
 func NewMinSumWithPerturbation(p Perturbation) *MinSum {
 	m := &MinSum{}
-	m.engine = minMaxSum{
-		perturb: p,
-		bound: func(honest [][]float64) (float64, error) {
-			var maxTotal float64
-			for i := range honest {
-				var total float64
-				for j := range honest {
-					d2, err := tensor.SquaredDistance(honest[i], honest[j])
-					if err != nil {
-						return 0, err
-					}
-					total += d2
-				}
-				if total > maxTotal {
-					maxTotal = total
-				}
-			}
-			return maxTotal, nil
-		},
-		measure: func(gm []float64, honest [][]float64) (float64, error) {
-			var gmTotal float64
-			for _, g := range honest {
-				d2, err := tensor.SquaredDistance(gm, g)
-				if err != nil {
-					return 0, err
-				}
-				gmTotal += d2
-			}
-			return gmTotal, nil
-		},
-	}
+	m.engine = minMaxSum{perturb: p, bound: maxTotalSq, measure: sumOf}
 	return m
+}
+
+// maxTotalSq is the Min-Sum constraint threshold: the largest total
+// squared distance from one honest gradient to all of them (Eq. 15's
+// right-hand side).
+func maxTotalSq(honest [][]float64, d2 []float64) (float64, error) {
+	var maxTotal float64
+	for _, g := range honest {
+		if err := tensor.SquaredDistancesTo(d2, g, honest); err != nil {
+			return 0, err
+		}
+		if total := sumOf(d2); total > maxTotal {
+			maxTotal = total
+		}
+	}
+	return maxTotal, nil
+}
+
+// sumOf is the Min-Sum candidate statistic: the total of the squared
+// distances from gm to the honest gradients, summed in index order.
+func sumOf(d2 []float64) float64 {
+	var s float64
+	for _, x := range d2 {
+		s += x
+	}
+	return s
 }
 
 // Name implements Attack.

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"github.com/signguard/signguard/internal/cluster"
 	"github.com/signguard/signguard/internal/stats"
@@ -126,6 +127,14 @@ func (f *SignClusterFilter) Features(ctx *FilterContext) ([][]float64, error) {
 
 	features := make([][]float64, len(ctx.Grads))
 	dists := make([]float64, len(ctx.Grads))
+	if sim == DistanceSimilarity {
+		if err := tensor.SquaredDistancesTo(dists, ref, ctx.Grads); err != nil {
+			return nil, err
+		}
+		for i, d2 := range dists {
+			dists[i] = math.Sqrt(d2)
+		}
+	}
 	for i, g := range ctx.Grads {
 		ss, err := stats.ComputeSignStatsAt(g, idx)
 		if err != nil {
@@ -146,12 +155,7 @@ func (f *SignClusterFilter) Features(ctx *FilterContext) ([][]float64, error) {
 			// majority.
 			row = append(row, (c+1)/2)
 		case DistanceSimilarity:
-			dist, err := tensor.Distance(g, ref)
-			if err != nil {
-				return nil, err
-			}
-			dists[i] = dist
-			row = append(row, dist) // normalized below once the median is known
+			row = append(row, dists[i]) // normalized below once the median is known
 		}
 		features[i] = row
 	}

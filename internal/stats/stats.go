@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"github.com/signguard/signguard/internal/parallel"
 	"github.com/signguard/signguard/internal/tensor"
@@ -245,35 +246,51 @@ func PairwiseDistances(vs [][]float64) ([][]float64, error) {
 	return PairwiseDistancesWorkers(vs, 1)
 }
 
+// supportScratch pools the support-bitmap scratch of
+// PairwiseDistancesWorkers, so concurrent Aggregate calls each take their
+// own and back-to-back calls share one. The kernel overwrites every word
+// before it reads any, so nothing of a previous call leaks into the next.
+var supportScratch = sync.Pool{New: func() any { return new([]uint64) }}
+
 // PairwiseDistancesWorkers is PairwiseDistances with the rows of the
-// triangular (j > i) loop strided across workers — row i costs n-i-1
-// distance computations, so striding balances the load where contiguous
-// chunks would not. Every matrix entry is written by exactly one worker
-// and each distance is one sequential pass, so the result is
-// byte-identical for any worker count.
+// triangular (j > i) loop spread across workers by
+// tensor.PairwiseSquaredDistances: row i is measured against columns j > i
+// four at a time, over the union of the five vectors' supports. Every
+// matrix entry is written by exactly one worker and every distance is
+// still one ascending-order sum from +0, so the result is byte-identical
+// for any worker count and to a plain loop over tensor.Distance. The rows
+// of the result share one flat backing array.
 func PairwiseDistancesWorkers(vs [][]float64, workers int) ([][]float64, error) {
 	n := len(vs)
-	if n > 0 {
-		d := len(vs[0])
-		for i, v := range vs {
-			if len(v) != d {
-				return nil, fmt.Errorf("stats: PairwiseDistances row %d has %d dims, want %d", i, len(v), d)
-			}
+	if n == 0 {
+		return [][]float64{}, nil
+	}
+	d := len(vs[0])
+	for i, v := range vs {
+		if len(v) != d {
+			return nil, fmt.Errorf("stats: PairwiseDistances row %d has %d dims, want %d", i, len(v), d)
 		}
 	}
+	flat := make([]float64, n*n)
 	out := make([][]float64, n)
 	for i := range out {
-		out[i] = make([]float64, n)
+		out[i] = flat[i*n : (i+1)*n : (i+1)*n]
 	}
-	parallel.ForStrided(workers, n, func(_, i int) {
+
+	words := n * tensor.SupportWords(d)
+	scratch := supportScratch.Get().(*[]uint64)
+	defer supportScratch.Put(scratch)
+	if cap(*scratch) < words {
+		*scratch = make([]uint64, words)
+	}
+	if err := tensor.PairwiseSquaredDistances(out, vs, (*scratch)[:words], workers); err != nil {
+		return nil, err
+	}
+	for i, row := range out {
 		for j := i + 1; j < n; j++ {
-			d, err := tensor.Distance(vs[i], vs[j])
-			if err != nil { // unreachable: dims validated above
-				panic(err)
-			}
-			out[i][j] = d
-			out[j][i] = d
+			row[j] = math.Sqrt(row[j])
+			out[j][i] = row[j]
 		}
-	})
+	}
 	return out, nil
 }

@@ -164,15 +164,11 @@ func SquaredDistance(a, b []float64) (float64, error) {
 
 // Distance returns the Euclidean distance ||a-b||.
 func Distance(a, b []float64) (float64, error) {
-	s, err := a2b2(a, b)
+	s, err := SquaredDistance(a, b)
 	if err != nil {
 		return 0, err
 	}
 	return math.Sqrt(s), nil
-}
-
-func a2b2(a, b []float64) (float64, error) {
-	return SquaredDistance(a, b)
 }
 
 // Mean computes the element-wise mean of the given vectors. All vectors must
