@@ -35,7 +35,7 @@ race:
 # with -count=2 so a stateful rule that only misbehaves on reuse (or only
 # races under parallel kernels) still fails; the CI test job runs this.
 conformance:
-	$(GO) test -race -count=2 -timeout 10m -run 'Conformance' ./internal/defense ./internal/codec ./internal/experiments
+	$(GO) test -race -count=2 -timeout 10m -run 'Conformance' ./internal/defense ./internal/codec ./internal/attack ./internal/experiments
 
 # Compile and execute every Go benchmark exactly once, so benchmark code
 # that rots fails loudly (the CI bench job runs this). The numbers are not a
@@ -64,14 +64,17 @@ perf-compare:
 trajectory:
 	@$(GO) run ./tools/trajectory
 
-# CPU/heap profiles of the three stage benchmarks: LocalCompute (image CNN
+# CPU/heap profiles of the three stage benchmarks — LocalCompute (image CNN
 # and text RNN), the defense stage's distance matrix (sparse and dense
-# cohorts at sim_wide's dimension) and the async load harness.
+# cohorts at sim_wide's dimension) and the async load harness — and of one
+# whole warm round at sim_wide's shape (BenchmarkStep).
 # Written to ./profiles; inspect with `go tool pprof profiles/<name>`.
 profile:
 	@mkdir -p profiles
 	$(GO) test -run '^$$' -bench BenchmarkLocalCompute -benchtime 3x -timeout 15m -o profiles/fl.test \
 		-cpuprofile profiles/localcompute.cpu.pprof -memprofile profiles/localcompute.mem.pprof ./internal/fl
+	$(GO) test -run '^$$' -bench BenchmarkStep -benchtime 20x -timeout 15m -o profiles/fl.test \
+		-cpuprofile profiles/step.cpu.pprof -memprofile profiles/step.mem.pprof ./internal/fl
 	$(GO) test -run '^$$' -bench BenchmarkPairwiseDistances -benchtime 3x -timeout 15m -o profiles/aggregate.test \
 		-cpuprofile profiles/pairwise.cpu.pprof -memprofile profiles/pairwise.mem.pprof ./internal/aggregate
 	$(GO) test -run '^$$' -bench BenchmarkAsyncLoad -benchtime 3x -timeout 15m -o profiles/loadtest.test \

@@ -33,7 +33,8 @@ type Result struct {
 }
 
 // Rule is a gradient aggregation rule. Implementations must not retain or
-// mutate the input gradient slices.
+// mutate the input gradient slices: the simulator reuses their memory in
+// the next round (internal/conformance checks every registered rule).
 type Rule interface {
 	// Name returns a short stable identifier (used in reports and tables).
 	Name() string

@@ -20,7 +20,10 @@ import (
 	"github.com/signguard/signguard/internal/tensor"
 )
 
-// Context is everything the adversary can see in one round.
+// Context is everything the adversary can see in one round. Its slices are
+// valid only for the duration of Craft: the simulator reuses their memory
+// in the next round, so an attack that keeps a vector must copy it (and
+// must not mutate them — Craft returns new vectors).
 type Context struct {
 	// Benign holds the honest gradients of the benign clients.
 	Benign [][]float64

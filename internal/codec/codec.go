@@ -72,6 +72,32 @@ type Encoded struct {
 	// Sign is the signsgd payload: bit i (LSB-first within each byte) is
 	// math.Signbit(g_i).
 	Sign []byte `json:",omitempty"`
+
+	// dst is the receiver's decode destination (see WithDst). It is
+	// unexported, so no wire format — gob, JSON, the binary bodies — can
+	// carry or set it.
+	dst []float64
+}
+
+// WithDst returns e with buf as its decode destination. TopK, QSGD and
+// SignSGD decode into buf[:Dim], overwriting every value, when cap(buf) >=
+// Dim, and into a fresh vector otherwise; Identity returns Dense as always.
+// A nil buf — the only other state — is the fresh-vector decode.
+func (e Encoded) WithDst(buf []float64) Encoded {
+	e.dst = buf
+	return e
+}
+
+// decodeDst returns the zeroed vector a decode writes its Dim values into:
+// the destination set by WithDst when it can hold them, a fresh vector
+// otherwise.
+func (e Encoded) decodeDst() []float64 {
+	if e.dst == nil || cap(e.dst) < e.Dim {
+		return make([]float64, e.Dim)
+	}
+	out := e.dst[:e.Dim]
+	clear(out)
+	return out
 }
 
 // encodedHeaderBytes is the fixed framing cost charged per encoded
@@ -114,10 +140,14 @@ func checkDim(e Encoded) error {
 // are stateless values, safe for concurrent use; all randomness comes from
 // the rng passed to Encode (pass nil for deterministic codecs).
 //
-// Ownership: Encode never retains grad, so the caller owns the payload it
-// gets back. The slice Decode returns may alias the payload's own arrays
-// (identity returns Dense itself); the caller owns both and must copy
-// before mutating one if it still needs the other.
+// Ownership: Encode never retains grad and its payload never aliases it, so
+// the caller owns the payload it gets back. The slice Decode returns may
+// alias the payload's own arrays (identity returns Dense itself) or the
+// destination the caller set with Encoded.WithDst (the other builtin codecs
+// decode into it when it holds Dim values, overwriting all of them); the
+// caller owns all three and must copy before mutating one if it still needs
+// another. A decode without a destination — every wire decode, since no
+// format carries it — returns a fresh vector or the payload's own array.
 type Codec interface {
 	// Name identifies the codec instance, including resolved
 	// hyperparameters where they matter (e.g. "topk(512)").
@@ -128,7 +158,8 @@ type Codec interface {
 	// Decode reconstructs a gradient of length Encoded.Dim from the wire
 	// form. It must not depend on the instance's hyperparameters — a
 	// receiver decodes payloads from any sender configuration. The result
-	// may alias e's payload arrays (see the ownership rule above).
+	// may alias e's payload arrays or its destination (see the ownership
+	// rule above).
 	Decode(e Encoded) ([]float64, error)
 }
 
@@ -304,7 +335,8 @@ func selectNth(s []float64, n, passes int) float64 {
 	return s[n]
 }
 
-// Decode implements Codec: the kept values scatter into a zero vector.
+// Decode implements Codec: the kept values scatter into a zeroed vector —
+// the destination when one is set (see WithDst).
 func (TopKCodec) Decode(e Encoded) ([]float64, error) {
 	if err := checkDim(e); err != nil {
 		return nil, err
@@ -315,7 +347,7 @@ func (TopKCodec) Decode(e Encoded) ([]float64, error) {
 	if len(e.Idx) > e.Dim {
 		return nil, fmt.Errorf("codec: topk payload has %d indices for dim %d", len(e.Idx), e.Dim)
 	}
-	out := make([]float64, e.Dim)
+	out := e.decodeDst()
 	for i, idx := range e.Idx {
 		if idx < 0 || int(idx) >= e.Dim {
 			return nil, fmt.Errorf("codec: topk index %d out of dim %d", idx, e.Dim)
@@ -405,7 +437,7 @@ func (QSGDCodec) Decode(e Encoded) ([]float64, error) {
 	if !finite(e.Scale) {
 		return nil, fmt.Errorf("codec: qsgd payload scale is a %w", ErrNonFinite)
 	}
-	out := make([]float64, e.Dim)
+	out := e.decodeDst()
 	if e.Scale == 0 {
 		return out, nil
 	}
@@ -447,7 +479,7 @@ func (SignSGDCodec) Decode(e Encoded) ([]float64, error) {
 	if want := (e.Dim + 7) / 8; len(e.Sign) != want {
 		return nil, fmt.Errorf("codec: signsgd payload has %d sign bytes for dim %d (want %d)", len(e.Sign), e.Dim, want)
 	}
-	out := make([]float64, e.Dim)
+	out := e.decodeDst()
 	for i := range out {
 		if e.Sign[i/8]&(1<<(i%8)) != 0 {
 			out[i] = -1

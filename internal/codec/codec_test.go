@@ -441,6 +441,24 @@ func TestTopKEncodeAllocations(t *testing.T) {
 	}
 }
 
+// TestTopKDecodeAllocations: with a destination that holds Dim values,
+// Decode writes into it and allocates nothing.
+func TestTopKDecodeAllocations(t *testing.T) {
+	g := testGrad(rand.New(rand.NewSource(12)), 4550)
+	enc, err := TopKCodec{}.Encode(g, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc = enc.WithDst(make([]float64, len(g)))
+	if allocs := testing.AllocsPerRun(50, func() {
+		if _, err := (TopKCodec{}).Decode(enc); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("TopKCodec.Decode into a warm destination allocates %.0f times per call, want 0", allocs)
+	}
+}
+
 // TestTopKEncodeConcurrent: campaign workers and load-test clients encode
 // at once through the one scratch pool, at different dimensions; no encode
 // may see another's scratch (run under -race by `make race`).

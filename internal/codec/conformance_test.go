@@ -9,8 +9,10 @@ import (
 
 // TestCodecConformance runs the registry-wide contract over every builtin
 // codec: the declared round-trip bound holds on Gaussian vectors, corrupted
-// variants of the codec's own wire form are rejected, and hyperparameter
-// declarations survive the CLI syntax with undeclared names rejected.
+// variants of the codec's own wire form are rejected, a dirty decode
+// destination changes no bit and no error class and never crosses a wire,
+// and hyperparameter declarations survive the CLI syntax with undeclared
+// names rejected.
 func TestCodecConformance(t *testing.T) {
 	reg := codec.Builtin()
 	for _, name := range reg.Names() {
@@ -21,6 +23,9 @@ func TestCodecConformance(t *testing.T) {
 			}
 			if err := conformance.CheckCodecMalformedRejection(reg, name, 19); err != nil {
 				t.Errorf("malformed payloads: %v", err)
+			}
+			if err := conformance.CheckCodecDestination(reg, name, 17); err != nil {
+				t.Errorf("decode destination: %v", err)
 			}
 			if err := conformance.CheckCodecHyperDeclaration(reg, name); err != nil {
 				t.Errorf("hyper declaration: %v", err)

@@ -10,7 +10,10 @@ import (
 // FuzzDecode drives arbitrary payload fields — hostile floats, mismatched
 // lengths, out-of-range indices — through every registry decode path and
 // asserts the wire invariant: any successful decode returns a fully finite
-// gradient of exactly the declared dimension; everything else errors.
+// gradient of exactly the declared dimension; everything else errors. The
+// same payload decoded into a dirty destination — NaN-filled, one value
+// short of, exactly or one past the declared dimension — must return the
+// same bits, or fail with the same class of error.
 func FuzzDecode(f *testing.F) {
 	f.Add(uint8(0), 4, int64(0), 4, []byte{})
 	f.Add(uint8(1), 8, int64(0), 2, []byte{0, 0, 0, 0, 0, 0, 0x24, 0x40})
@@ -47,8 +50,24 @@ func FuzzDecode(f *testing.F) {
 			e.Sign = data
 		}
 		out, err := reg.Decode(e)
+		dst := make([]float64, max(0, dim-1+int(which/4)%3))
+		for i := range dst {
+			dst[i] = math.NaN()
+		}
+		dout, derr := reg.Decode(e.WithDst(dst))
+		if (err == nil) != (derr == nil) || errors.Is(err, ErrNonFinite) != errors.Is(derr, ErrNonFinite) {
+			t.Fatalf("%s: decode error %v, into a %d-value destination %v", e.Codec, err, len(dst), derr)
+		}
 		if err != nil {
 			return
+		}
+		if len(dout) != len(out) {
+			t.Fatalf("%s: decoded %d values, into a %d-value destination %d", e.Codec, len(out), len(dst), len(dout))
+		}
+		for i := range out {
+			if math.Float64bits(dout[i]) != math.Float64bits(out[i]) {
+				t.Fatalf("%s: value %d decodes to %v, into a %d-value destination %v", e.Codec, i, out[i], len(dst), dout[i])
+			}
 		}
 		if len(out) != e.Dim {
 			t.Fatalf("%s: decoded %d values for declared dim %d", e.Codec, len(out), e.Dim)

@@ -5,7 +5,9 @@
 // that round-trip through the CLI's key=value syntax; every registered
 // codec must honor its declared round-trip bound (bit-exactness for
 // lossless codecs, a minimum preserved cosine for lossy ones) and reject
-// malformed wire payloads.
+// malformed wire payloads. The ownership checks (ownership.go) hold every
+// defense and attack to keeping none of its inputs, and every codec to
+// decoding into a reused destination exactly as into a fresh vector.
 //
 // The checks are plain error-returning functions rather than test helpers,
 // so the per-registry conformance tests can assert both directions: that
@@ -69,8 +71,7 @@ func CheckDefenseWorkerDeterminism(reg *defense.Registry, name string, seed int6
 	grads := cohort(seed)
 	server := tensor.RandNormal(tensor.NewRNG(seed+1), CohortDim, 0, 1)
 
-	var refGrad []float64
-	var refSel []int
+	var ref *aggregate.Result
 	for wi, workers := range WorkerCounts {
 		rule, err := buildRule(reg, name, seed, server)
 		if err != nil {
@@ -84,28 +85,11 @@ func CheckDefenseWorkerDeterminism(reg *defense.Registry, name string, seed int6
 			return fmt.Errorf("%s with %d workers: %w", name, workers, err)
 		}
 		if wi == 0 {
-			refGrad, refSel = res.Gradient, res.Selected
+			ref = res
 			continue
 		}
-		if len(res.Gradient) != len(refGrad) {
-			return fmt.Errorf("%s: %d workers returned dimension %d, %d workers %d",
-				name, workers, len(res.Gradient), WorkerCounts[0], len(refGrad))
-		}
-		for j := range refGrad {
-			if math.Float64bits(res.Gradient[j]) != math.Float64bits(refGrad[j]) {
-				return fmt.Errorf("%s: coordinate %d differs between %d and %d workers: %v vs %v",
-					name, j, WorkerCounts[0], workers, refGrad[j], res.Gradient[j])
-			}
-		}
-		if len(res.Selected) != len(refSel) {
-			return fmt.Errorf("%s: selection size differs between %d and %d workers: %d vs %d",
-				name, WorkerCounts[0], workers, len(refSel), len(res.Selected))
-		}
-		for j := range refSel {
-			if res.Selected[j] != refSel[j] {
-				return fmt.Errorf("%s: selection differs between %d and %d workers: %v vs %v",
-					name, WorkerCounts[0], workers, refSel, res.Selected)
-			}
+		if err := diffResults(ref, res); err != nil {
+			return fmt.Errorf("%s with %d workers differs from %d workers: %w", name, workers, WorkerCounts[0], err)
 		}
 	}
 	return nil
@@ -249,19 +233,12 @@ func CheckCodecRoundTrip(reg *codec.Registry, name string, seed int64) error {
 	if !s.Lossless && s.MinCosine <= 0 {
 		return fmt.Errorf("codec %s declares no round-trip bound (Lossless or MinCosine)", name)
 	}
-	c, err := reg.Build(name, codec.Params{})
+	c, grads, encs, err := codecPayloads(reg, name, seed)
 	if err != nil {
-		return fmt.Errorf("build codec %s: %w", name, err)
+		return err
 	}
-	rng := tensor.NewRNG(seed)
-	encRng := tensor.NewRNG(seed + 1)
-	for trial := 0; trial < 8; trial++ {
-		g := tensor.RandNormal(rng, CodecDim, 0, 1)
-		enc, err := c.Encode(g, encRng)
-		if err != nil {
-			return fmt.Errorf("codec %s encode (trial %d): %w", name, trial, err)
-		}
-		dec, err := c.Decode(enc)
+	for trial, g := range grads {
+		dec, err := c.Decode(encs[trial])
 		if err != nil {
 			return fmt.Errorf("codec %s decode (trial %d): %w", name, trial, err)
 		}
@@ -272,11 +249,8 @@ func CheckCodecRoundTrip(reg *codec.Registry, name string, seed int64) error {
 			return fmt.Errorf("codec %s decoded a non-finite gradient (trial %d)", name, trial)
 		}
 		if s.Lossless {
-			for j := range g {
-				if math.Float64bits(dec[j]) != math.Float64bits(g[j]) {
-					return fmt.Errorf("codec %s declares Lossless but coordinate %d changed: %v → %v",
-						name, j, g[j], dec[j])
-				}
+			if err := diffVectors(g, dec); err != nil {
+				return fmt.Errorf("codec %s declares Lossless but its round trip changed a value (trial %d): %w", name, trial, err)
 			}
 			continue
 		}
@@ -290,6 +264,28 @@ func CheckCodecRoundTrip(reg *codec.Registry, name string, seed int64) error {
 		}
 	}
 	return nil
+}
+
+// codecPayloads builds the named codec and encodes the eight dense
+// Gaussian vectors of CodecDim values the codec checks run on.
+func codecPayloads(reg *codec.Registry, name string, seed int64) (codec.Codec, [][]float64, []codec.Encoded, error) {
+	c, err := reg.Build(name, codec.Params{})
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("build codec %s: %w", name, err)
+	}
+	rng := tensor.NewRNG(seed)
+	encRng := tensor.NewRNG(seed + 1)
+	grads := make([][]float64, 8)
+	encs := make([]codec.Encoded, len(grads))
+	for trial := range grads {
+		grads[trial] = tensor.RandNormal(rng, CodecDim, 0, 1)
+		enc, err := c.Encode(grads[trial], encRng)
+		if err != nil {
+			return nil, nil, nil, fmt.Errorf("codec %s encode (trial %d): %w", name, trial, err)
+		}
+		encs[trial] = enc
+	}
+	return c, grads, encs, nil
 }
 
 // MalformedPayloads derives corrupted wire payloads from a valid encoding,

@@ -11,8 +11,9 @@ import (
 
 // TestDefenseConformance runs the registry-wide contract over every builtin
 // defense: byte-identical aggregation for any worker count, finite-or-error
-// behavior on hostile buffers, and CLI-compatible hyperparameter
-// declarations with undeclared names rejected.
+// behavior on hostile buffers, no input kept past the call, and
+// CLI-compatible hyperparameter declarations with undeclared names
+// rejected.
 func TestDefenseConformance(t *testing.T) {
 	reg := defense.Builtin()
 	for _, name := range reg.Names() {
@@ -23,6 +24,9 @@ func TestDefenseConformance(t *testing.T) {
 			}
 			if err := conformance.CheckDefenseHostileInputs(reg, name, 13); err != nil {
 				t.Errorf("hostile inputs: %v", err)
+			}
+			if err := conformance.CheckDefenseInputRetention(reg, name, 23); err != nil {
+				t.Errorf("input retention: %v", err)
 			}
 			if err := conformance.CheckDefenseHyperDeclaration(reg, name); err != nil {
 				t.Errorf("hyper declaration: %v", err)
@@ -59,6 +63,40 @@ func TestConformanceCatchesWorkerNondeterminism(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "workers") {
 		t.Errorf("unhelpful determinism error: %v", err)
+	}
+}
+
+// keepsPrevious violates the ownership rule on purpose: it averages the
+// current cohort with the first vector of the previous one, which it keeps
+// by reference instead of copying.
+type keepsPrevious struct{ prev []float64 }
+
+func (r *keepsPrevious) Name() string { return "KeepsPrevious" }
+
+func (r *keepsPrevious) Aggregate(grads [][]float64) (*aggregate.Result, error) {
+	res, err := aggregate.NewMean().Aggregate(grads)
+	if err != nil {
+		return nil, err
+	}
+	for j := range r.prev {
+		res.Gradient[j] = (res.Gradient[j] + r.prev[j]) / 2
+	}
+	r.prev = grads[0]
+	return res, nil
+}
+
+// TestConformanceCatchesInputRetention is the test of the test: a rule that
+// reads last round's vector through a kept reference must fail the
+// retention check.
+func TestConformanceCatchesInputRetention(t *testing.T) {
+	reg := defense.NewRegistry()
+	if err := reg.Register(defense.Spec{Name: "KeepsPrevious", Build: func(defense.Params) (aggregate.Rule, error) {
+		return &keepsPrevious{}, nil
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := conformance.CheckDefenseInputRetention(reg, "KeepsPrevious", 23); err == nil {
+		t.Fatal("a rule that keeps its input passed the retention check")
 	}
 }
 

@@ -22,6 +22,9 @@ func TestCatalogConformance(t *testing.T) {
 			if err := conformance.CheckDefenseHostileInputs(reg, name, 13); err != nil {
 				t.Errorf("hostile inputs: %v", err)
 			}
+			if err := conformance.CheckDefenseInputRetention(reg, name, 23); err != nil {
+				t.Errorf("input retention: %v", err)
+			}
 			if err := conformance.CheckDefenseHyperDeclaration(reg, name); err != nil {
 				t.Errorf("hyper declaration: %v", err)
 			}

@@ -3,13 +3,17 @@ package fl
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"github.com/signguard/signguard/internal/aggregate"
 	"github.com/signguard/signguard/internal/attack"
+	"github.com/signguard/signguard/internal/codec"
 	"github.com/signguard/signguard/internal/core"
 	"github.com/signguard/signguard/internal/data"
+	"github.com/signguard/signguard/internal/defense"
 	"github.com/signguard/signguard/internal/nn"
+	"github.com/signguard/signguard/internal/sanitize"
 )
 
 // BenchmarkLocalCompute is the regression benchmark of the round's hottest
@@ -52,7 +56,7 @@ func BenchmarkLocalCompute(b *testing.B) {
 // allocation cost rather than one-time buffer growth.
 func benchComputeLoop(b *testing.B, sim *Simulation) {
 	b.Helper()
-	env := sim.localEnv()
+	env := sim.localEnv(len(sim.clients))
 	run := func() {
 		outs, err := sim.pipe.Local.Compute(env, sim.clients)
 		if err != nil {
@@ -145,5 +149,87 @@ func BenchmarkSimulationRun50Clients(b *testing.B) {
 			}
 			b.ReportMetric(float64(rounds*b.N)/b.Elapsed().Seconds(), "rounds/s")
 		})
+	}
+}
+
+// wideSimulation is a Simulation at the repository benchmark's sim_wide
+// shape — 200 MNIST-like clients at batch 1, a fifth of them running LIE,
+// the topk codec, Multi-Krum, two workers — warmed by two rounds so the
+// round arenas have grown. It returns the next round index.
+func wideSimulation(tb testing.TB) (*Simulation, int) {
+	tb.Helper()
+	ds, err := data.MNISTLike(7, 4000, 100)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	const clients, byz = 200, 40
+	rule, err := defense.Builtin().Build("Multi-Krum", defense.Params{N: clients, F: byz, Seed: 12})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sim, err := New(Config{
+		Dataset: ds,
+		NewModel: func(rng *rand.Rand) (nn.Classifier, error) {
+			return nn.NewImageCNN(rng, 1, 8, 8, 6, 32, 10)
+		},
+		Rule: rule, Attack: attack.NewLIE(0.3),
+		Clients: clients, NumByz: byz, Rounds: 1, BatchSize: 1,
+		LR: 0.03, Momentum: 0.9, WeightDecay: 5e-4,
+		NonFinite: sanitize.Reject, Seed: 1, Workers: 2,
+		Pipeline: Pipeline{Codec: codec.TopKCodec{}},
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	const warm = 2
+	for r := 0; r < warm; r++ {
+		if _, err := sim.Step(r); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return sim, warm
+}
+
+// BenchmarkStep is the profile input for a whole round at sim_wide's shape:
+// every stage, with the round arenas warm, so B/op is what one steady-state
+// round allocates (make profile writes profiles/step.{cpu,mem}.pprof).
+func BenchmarkStep(b *testing.B) {
+	sim, round := wideSimulation(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sim.Step(round + i); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// raceEnabled is set under -race (race_test.go), whose instrumentation
+// allocates on its own account.
+var raceEnabled bool
+
+// stepAllocBudget pins what one warm sim_wide-shaped round may allocate.
+// BenchmarkStep reads 3.46 MB: the encode payloads, the adversary's crafted
+// vectors, the defense's scratch and small per-round headers. Before the
+// round arenas it read 19.0 MB — a fresh local-gradient matrix and a fresh
+// decoded matrix every round, 7.3 MB each.
+const stepAllocBudget = 4 << 20
+
+// TestStepAllocationBudget: after two warm rounds, a Step at sim_wide's
+// shape allocates less than stepAllocBudget bytes — the local gradients
+// and the decoded submissions land in the Simulation's arenas.
+func TestStepAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	sim, round := wideSimulation(t)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := sim.Step(round); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= stepAllocBudget {
+		t.Errorf("a warm round allocated %d bytes, budget %d", got, stepAllocBudget)
 	}
 }

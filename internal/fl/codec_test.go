@@ -2,6 +2,7 @@ package fl
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"github.com/signguard/signguard/internal/attack"
@@ -162,6 +163,48 @@ func TestCodecRoundHookSeesDecoded(t *testing.T) {
 	}
 	if hooked != cfg.Rounds {
 		t.Fatalf("hook ran %d times, want %d", hooked, cfg.Rounds)
+	}
+}
+
+// TestRoundArenasOwnedPerRound: the vectors a hook sees live in the round
+// arenas and are dead once it returns, so a hook that overwrites every
+// st.Grads and st.Honest vector with NaN each round must leave the final
+// parameters bit-identical to a hook-free run — for the identity codec
+// (Grads are the payloads, Honest the local-gradient arena) and topk (Grads
+// are the decode slots), sequential and parallel.
+func TestRoundArenasOwnedPerRound(t *testing.T) {
+	final := func(c codec.Codec, workers int, hook func(*RoundState)) []float64 {
+		cfg := codecScenario(t, c, workers)
+		cfg.RoundHook = hook
+		sim, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sim.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return sim.Model().ParamVector()
+	}
+	poison := func(st *RoundState) {
+		for _, set := range [][][]float64{st.Grads, st.Honest} {
+			for _, g := range set {
+				for j := range g {
+					g[j] = math.NaN()
+				}
+			}
+		}
+	}
+	for _, c := range []codec.Codec{codec.IdentityCodec{}, codec.TopKCodec{K: 30}} {
+		for _, workers := range []int{1, 2} {
+			want := final(c, workers, nil)
+			got := final(c, workers, poison)
+			for j := range want {
+				if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+					t.Fatalf("%s workers=%d: parameter %d is %v after a poisoning hook, %v without one",
+						c.Name(), workers, j, got[j], want[j])
+				}
+			}
+		}
 	}
 }
 

@@ -44,6 +44,10 @@ type NonIID struct {
 // RoundState is passed to the optional per-round hook: everything observed
 // and decided in one aggregation round. It is materialized only when a
 // RoundHook is installed; hook-free runs skip the per-round allocation.
+//
+// Lifetime: the vectors in Grads and Honest live in the Simulation's round
+// arenas and are valid only for the duration of the hook call — the next
+// round overwrites them, so a hook that keeps one must copy it.
 type RoundState struct {
 	Round int
 	// Participants lists the client ids selected by the participation
@@ -183,6 +187,14 @@ type Simulation struct {
 	// local-compute buffers (see ReplicaCompute).
 	replicas []nn.Classifier
 	scratch  []*workerScratch
+
+	// The round arenas, grown in the first Step and reused by every later
+	// one: localGrads backs the cohort's local gradients (participant i at
+	// [i*d, (i+1)*d), see LocalEnv), and decoded[i] is arrival slot i's codec
+	// decode destination — the vector slot i's first decode returned. Nothing
+	// backed by them outlives Step (see RoundState).
+	localGrads []float64
+	decoded    [][]float64
 
 	// Server learning (FLTrust-style rules): the defense aggregates against
 	// a reference gradient the server computes each round on its own root
@@ -387,8 +399,13 @@ func (s *Simulation) Model() nn.Classifier { return s.model }
 // Pipeline returns the resolved round pipeline.
 func (s *Simulation) Pipeline() Pipeline { return s.pipe }
 
-// localEnv is the engine state the LocalCompute stage runs on.
-func (s *Simulation) localEnv() *LocalEnv {
+// localEnv is the engine state the LocalCompute stage runs on for a cohort
+// of the given size, growing the gradient arena to fit it.
+func (s *Simulation) localEnv(cohort int) *LocalEnv {
+	n := cohort * len(s.global)
+	if len(s.localGrads) < n {
+		s.localGrads = make([]float64, n)
+	}
 	return &LocalEnv{
 		Dataset:   s.cfg.Dataset,
 		BatchSize: s.cfg.BatchSize,
@@ -396,6 +413,7 @@ func (s *Simulation) localEnv() *LocalEnv {
 		Replicas:  s.replicas,
 		Workers:   s.workers,
 		scratch:   s.scratch,
+		grads:     s.localGrads[:n],
 	}
 }
 
@@ -424,6 +442,12 @@ func (s *Simulation) resolveParticipants(ids []int) ([]*Client, error) {
 // participant selection, local gradients, attack crafting, the codec wire
 // round trip, robust aggregation and the server update. It returns the
 // round metrics.
+//
+// The round's gradients live in the Simulation's arenas, so every stage
+// sees them only for the duration of its call: the adversary's Context
+// slices, the defense's input and the hook's RoundState are overwritten by
+// the next Step, and a stage that keeps a vector across rounds copies it
+// (as observe does for PrevAggregate).
 func (s *Simulation) Step(round int) (*RoundMetrics, error) {
 	if err := s.model.SetParamVector(s.global); err != nil {
 		return nil, err
@@ -440,7 +464,7 @@ func (s *Simulation) Step(round int) (*RoundMetrics, error) {
 	}
 
 	// Stage 2: local compute.
-	outs, err := s.pipe.Local.Compute(s.localEnv(), participants)
+	outs, err := s.pipe.Local.Compute(s.localEnv(len(participants)), participants)
 	if err != nil {
 		return nil, fmt.Errorf("fl: local stage %s: %w", s.pipe.Local.Name(), err)
 	}
@@ -557,7 +581,12 @@ func (s *Simulation) Step(round int) (*RoundMetrics, error) {
 	// Stage 4: codec. Each submitted gradient crosses the wire in encoded
 	// form; the defense sees only what survives the round trip. Encoding
 	// walks arrival order sequentially so a stochastic codec's RNG draws
-	// are identical for any worker count.
+	// are identical for any worker count. Arrival slot i decodes into
+	// s.decoded[i]: empty on its first round, so that decode allocates and
+	// its result becomes the slot.
+	if len(s.decoded) < len(grads) {
+		s.decoded = append(s.decoded, make([][]float64, len(grads)-len(s.decoded))...)
+	}
 	var wireBytes int64
 	for i, g := range grads {
 		enc, err := s.pipe.Codec.Encode(g, s.codecRng)
@@ -565,7 +594,7 @@ func (s *Simulation) Step(round int) (*RoundMetrics, error) {
 			return nil, fmt.Errorf("fl: codec %s encode: %w", s.pipe.Codec.Name(), err)
 		}
 		wireBytes += int64(enc.Bytes())
-		dec, err := s.pipe.Codec.Decode(enc)
+		dec, err := s.pipe.Codec.Decode(enc.WithDst(s.decoded[i]))
 		if err != nil {
 			return nil, fmt.Errorf("fl: codec %s decode: %w", s.pipe.Codec.Name(), err)
 		}
@@ -573,7 +602,7 @@ func (s *Simulation) Step(round int) (*RoundMetrics, error) {
 			return nil, fmt.Errorf("fl: codec %s round trip changed dimension %d → %d",
 				s.pipe.Codec.Name(), len(g), len(dec))
 		}
-		grads[i] = dec
+		grads[i], s.decoded[i] = dec, dec
 	}
 
 	// Server-learning reference gradient (FLTrust-style rules): computed on
@@ -658,8 +687,10 @@ func (s *Simulation) observe(round int, res *aggregate.Result, byzMask []bool) {
 		}
 	}
 	s.history = append(s.history, obs)
-	// Fresh copies every round: the adversary may retain what Craft saw,
-	// so the engine must never mutate a previously handed-out slice.
+	// Copies, because they outlive the round: res.Gradient may alias the
+	// round's arenas (a selecting rule may return one of its inputs), and
+	// a fresh copy each round means no earlier Context's slice is ever
+	// written again.
 	s.prevAgg = tensor.Clone(res.Gradient)
 	s.prevSel = append([]int(nil), res.Selected...)
 }

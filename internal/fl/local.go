@@ -28,13 +28,17 @@ import (
 // TestGoldenBatchedEquivalence.
 //
 // The stage is a stateless zero value: the per-worker scratch (an
-// nn.Workspace arena plus the tile-assembly buffers) belongs to the
-// Simulation, next to the replicas it is indexed like, and reaches the
-// stage through LocalEnv — so a ReplicaCompute{} named from outside the
-// engine (a wrapping decorator, say) runs on the same warm buffers as the
-// default. Scratch is never shared across goroutines, and reuse cannot
-// change results because every arena buffer is either fully overwritten or
-// explicitly zeroed before use (see nn.Workspace).
+// nn.Workspace arena plus the tile-assembly buffers) and the round's
+// gradient arena belong to the Simulation, next to the replicas the scratch
+// is indexed like, and reach the stage through LocalEnv — so a
+// ReplicaCompute{} named from outside the engine (a wrapping decorator,
+// say) runs on the same warm buffers as the default. Scratch is never
+// shared across goroutines, each tile writes only its own clients' stretch
+// of the gradient arena, and reuse cannot change results because every
+// buffer is either fully overwritten or explicitly zeroed before use (see
+// nn.Workspace and nn.BatchClassifier). The returned gradients alias the
+// arena: they are valid until the next Compute on the same env's arena —
+// the Simulation's next round.
 type ReplicaCompute struct{}
 
 // Name implements LocalCompute.
@@ -169,7 +173,7 @@ func (sc *workerScratch) computeTile(env *LocalEnv, bm nn.BatchClassifier, parti
 		fail(err)
 		return start
 	}
-	segs, err := bm.BatchedLossAndGrad(sc.ws, in, labels, sc.bounds)
+	segs, err := bm.BatchedLossAndGrad(sc.ws, in, labels, sc.bounds, env.gradDst(start, last))
 	if err != nil {
 		fail(fmt.Errorf("fl: batched gradients for clients %d..%d: %w",
 			participants[start].ID, participants[last-1].ID, err))
@@ -181,11 +185,22 @@ func (sc *workerScratch) computeTile(env *LocalEnv, bm nn.BatchClassifier, parti
 	return last
 }
 
+// gradDst returns the stretch of the round's gradient arena that
+// participants [start,end) write into, or nil — fresh vectors — for an env
+// without one.
+func (env *LocalEnv) gradDst(start, end int) []float64 {
+	if env.grads == nil {
+		return nil
+	}
+	d := len(env.Global)
+	return env.grads[start*d : end*d : end*d]
+}
+
 // tileInput assembles sc.batches into a model input, mirroring BatchInput
 // but through the scratch buffers: the label slice, token row index and
 // dense feature backing are all reused across tiles. None of them escape
 // the local stage — the nn kernels read the input and write gradients into
-// fresh vectors.
+// the tile's stretch of the gradient arena (gradDst).
 func (sc *workerScratch) tileInput(ds *data.Dataset) (nn.Input, []int, error) {
 	batch := sc.batches
 	if len(batch) == 0 {

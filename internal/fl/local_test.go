@@ -191,8 +191,8 @@ type outsideLocal struct{ LocalCompute }
 
 // TestReplicaComputeByValueUsesEngineScratch: a ReplicaCompute{} supplied by
 // value through Config.Pipeline.Local is the default engine — same digest —
-// and runs on the Simulation's per-worker scratch, so a warm round's local
-// stage allocates no more than the gradients that escape it.
+// and runs on the Simulation's per-worker scratch and gradient arena, so a
+// warm round's local stage allocates no more than its drawn minibatches.
 func TestReplicaComputeByValueUsesEngineScratch(t *testing.T) {
 	want := goldenTraces["SignGuard/LIE"]
 	cfg := goldenScenario(t, "SignGuard/LIE")
@@ -209,7 +209,7 @@ func TestReplicaComputeByValueUsesEngineScratch(t *testing.T) {
 		t.Fatal(err)
 	}
 	round := func() {
-		outs, err := sim.pipe.Local.Compute(sim.localEnv(), sim.clients)
+		outs, err := sim.pipe.Local.Compute(sim.localEnv(len(sim.clients)), sim.clients)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -223,17 +223,17 @@ func TestReplicaComputeByValueUsesEngineScratch(t *testing.T) {
 	if sim.scratch[0].ws.Buffers() == 0 {
 		t.Fatal("the stage never checked a buffer out of the engine-owned arena")
 	}
-	// Per participant only what escapes the stage may allocate — its drawn
-	// minibatch and its gradient (one block per tile); the rest is a small
-	// constant (env, outputs, closures, per-tile loss/count slices). A stage
-	// that missed the engine's scratch pays for every layer buffer and the
-	// tile assembly on top.
+	// Per participant only its drawn minibatch may allocate — its gradient
+	// lands in the engine's arena; the rest is a small constant (env,
+	// outputs, closures, per-tile loss/count slices). A stage that missed
+	// the engine's scratch pays for every layer buffer, the tile assembly
+	// and a gradient block per tile on top.
 	warm := testing.AllocsPerRun(20, round)
 	if limit := float64(len(sim.clients) + 20); warm > limit {
 		t.Errorf("warm local stage makes %.0f allocations per round, want <= %.0f", warm, limit)
 	}
-	bare := sim.localEnv()
-	bare.scratch = nil
+	bare := sim.localEnv(len(sim.clients))
+	bare.scratch, bare.grads = nil, nil
 	cold := testing.AllocsPerRun(20, func() {
 		if _, err := sim.pipe.Local.Compute(bare, sim.clients); err != nil {
 			t.Fatal(err)

@@ -122,6 +122,10 @@ type LocalEnv struct {
 	// scratch is each worker replica's reusable tile buffers, indexed like
 	// Replicas and owned by the Simulation (see ReplicaCompute).
 	scratch []*workerScratch
+	// grads is the Simulation's round gradient arena: participant i's
+	// gradient lands in grads[i*d:(i+1)*d], d = len(Global). Nil for a
+	// hand-built env, whose gradients are freshly allocated.
+	grads []float64
 }
 
 // LocalCompute is stage 2: it computes the participants' honest local
@@ -135,7 +139,9 @@ type LocalCompute interface {
 // Defense is stage 5: it filters and aggregates the round's submitted
 // gradients, after they have passed through the codec round trip.
 // Implementations may be stateful across rounds (SignGuard keeps the
-// previous aggregate as its similarity reference).
+// previous aggregate as its similarity reference), but grads and its
+// vectors are the Simulation's round arenas, valid only for the duration
+// of the call: anything kept must be copied.
 type Defense interface {
 	Name() string
 	Aggregate(round int, grads [][]float64) (*aggregate.Result, error)

@@ -18,10 +18,10 @@ package nn
 // looping LossAndGrad over the segments, for any segmentation.
 //
 // The pass threads a per-worker Workspace arena through every layer, so a
-// steady-state tile checks out cached buffers instead of allocating: the
-// only remaining allocations are the per-client gradient vectors
-// themselves, which escape into the round pipeline and therefore must stay
-// fresh.
+// steady-state tile checks out cached buffers instead of allocating, and
+// writes the per-client gradient vectors into the caller's destination (the
+// round's gradient arena in internal/fl), so a steady-state tile allocates
+// only its small per-segment result headers.
 
 import (
 	"errors"
@@ -52,12 +52,32 @@ type SegmentGrad struct {
 //
 // Every activation, im2col and delta buffer of the pass is checked out of
 // ws, the caller's per-worker arena; a nil ws allocates them fresh without
-// changing a single output bit. The returned gradients are never
-// arena-backed — they escape into the round pipeline (adversary, defense,
-// hooks may retain them), so they are freshly allocated every call.
+// changing a single output bit. The per-segment gradients land in dst: the
+// caller's backing of exactly segments × NumParams() values, segment s at
+// dst[s*NumParams():], cleared by the pass before it accumulates, so dst
+// may hold anything on entry. The returned Grad slices alias dst and are
+// valid until the caller reuses it. A nil dst allocates a fresh backing —
+// the same bits either way.
 type BatchClassifier interface {
 	Classifier
-	BatchedLossAndGrad(ws *Workspace, in Input, labels []int, bounds []int) ([]SegmentGrad, error)
+	BatchedLossAndGrad(ws *Workspace, in Input, labels []int, bounds []int, dst []float64) ([]SegmentGrad, error)
+}
+
+// segmentBacking returns the flat backing of segs per-segment gradients of
+// total values each: dst cleared to the +0.0 a fresh vector starts from
+// (the segmented kernels accumulate into it), or a fresh vector when dst is
+// nil.
+func segmentBacking(dst []float64, segs, total int) ([]float64, error) {
+	n := segs * total
+	if dst == nil {
+		return make([]float64, n), nil
+	}
+	if len(dst) != n {
+		return nil, fmt.Errorf("%w: gradient destination holds %d values, want %d segments × %d",
+			ErrShape, len(dst), segs, total)
+	}
+	clear(dst)
+	return dst, nil
 }
 
 // arenaLayer is implemented by layers whose forward/backward can check
@@ -103,7 +123,7 @@ var _ BatchClassifier = (*FeedForward)(nil)
 // BatchedLossAndGrad implements BatchClassifier: one forward and one
 // backward pass per layer over the stacked batch, de-interleaving
 // per-segment losses, prediction counts and flat parameter gradients.
-func (ff *FeedForward) BatchedLossAndGrad(ws *Workspace, in Input, labels []int, bounds []int) ([]SegmentGrad, error) {
+func (ff *FeedForward) BatchedLossAndGrad(ws *Workspace, in Input, labels []int, bounds []int, dst []float64) ([]SegmentGrad, error) {
 	if in.Dense == nil {
 		return nil, errors.New("nn: FeedForward requires dense input")
 	}
@@ -124,7 +144,10 @@ func (ff *FeedForward) BatchedLossAndGrad(ws *Workspace, in Input, labels []int,
 	// layer's params get per-segment sub-slice views at their flat offsets.
 	segs := len(bounds) - 1
 	total := ff.NumParams()
-	flat := make([]float64, segs*total)
+	flat, err := segmentBacking(dst, segs, total)
+	if err != nil {
+		return nil, err
+	}
 	out := make([]SegmentGrad, segs)
 	for s := range out {
 		out[s] = SegmentGrad{Loss: losses[s], Correct: correct[s], Grad: flat[s*total : (s+1)*total : (s+1)*total]}

@@ -91,11 +91,65 @@ func TestBatchedLossAndGradBitIdentical(t *testing.T) {
 	for name, bounds := range cases {
 		t.Run(name, func(t *testing.T) {
 			want := perSegmentReference(t, m, x, labels, bounds)
-			got, err := m.BatchedLossAndGrad(nil, Input{Dense: x}, labels, bounds)
+			got, err := m.BatchedLossAndGrad(nil, Input{Dense: x}, labels, bounds, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			assertSegmentsBitIdentical(t, want, got)
+		})
+	}
+}
+
+// TestBatchedLossAndGradDirtyDst: a caller-owned destination holding
+// anything — NaN, or the previous pass's gradients — must come back
+// Float64bits-identical to a nil destination's fresh backing, through a
+// warm arena, for both model families; the segments alias dst, and a
+// destination of the wrong length is refused.
+func TestBatchedLossAndGradDirtyDst(t *testing.T) {
+	x, labels := randomBatch(12, 64, 5, 7)
+	rng := tensor.NewRNG(5)
+	tokens := randTokens(rng, 9, 6, 30)
+	tokLabels := make([]int, len(tokens))
+	for i := range tokLabels {
+		tokLabels[i] = rng.Intn(4)
+	}
+	cases := []struct {
+		name   string
+		m      BatchClassifier
+		in     Input
+		labels []int
+		bounds []int
+	}{
+		{"image", batchedTestModel(t), Input{Dense: x}, labels, []int{0, 3, 4, 9, 12}},
+		{"text", NewTextRNN(tensor.NewRNG(6), 30, 5, 7, 4), Input{Tokens: tokens}, tokLabels, []int{0, 2, 7, 9}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			want, err := c.m.BatchedLossAndGrad(nil, c.in, c.labels, c.bounds, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := (len(c.bounds) - 1) * c.m.NumParams()
+			dst := make([]float64, n)
+			for i := range dst {
+				dst[i] = math.NaN()
+			}
+			ws := NewWorkspace()
+			for pass := 0; pass < 2; pass++ { // NaN-filled, then stale from pass 0
+				got, err := c.m.BatchedLossAndGrad(ws, c.in, c.labels, c.bounds, dst)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertSegmentsBitIdentical(t, want, got)
+				for s, g := range got {
+					if &g.Grad[0] != &dst[s*c.m.NumParams()] {
+						t.Fatalf("pass %d: segment %d gradient does not alias dst", pass, s)
+					}
+				}
+			}
+			if _, err := c.m.BatchedLossAndGrad(ws, c.in, c.labels, c.bounds, dst[:n-1]); err == nil {
+				t.Error("a destination one value short was accepted")
+			}
 		})
 	}
 }
@@ -106,7 +160,7 @@ func TestBatchedLossAndGradLeavesGradState(t *testing.T) {
 	m := batchedTestModel(t)
 	x, labels := randomBatch(6, 64, 5, 9)
 	m.ZeroGrad()
-	if _, err := m.BatchedLossAndGrad(nil, Input{Dense: x}, labels, []int{0, 3, 6}); err != nil {
+	if _, err := m.BatchedLossAndGrad(nil, Input{Dense: x}, labels, []int{0, 3, 6}, nil); err != nil {
 		t.Fatal(err)
 	}
 	for i, g := range m.GradVector() {
@@ -130,14 +184,14 @@ func TestBatchedLossAndGradRejectsBadInput(t *testing.T) {
 		"offset":     {1, 6},
 	}
 	for name, bounds := range bad {
-		if _, err := m.BatchedLossAndGrad(nil, Input{Dense: x}, labels, bounds); err == nil {
+		if _, err := m.BatchedLossAndGrad(nil, Input{Dense: x}, labels, bounds, nil); err == nil {
 			t.Errorf("%s bounds accepted", name)
 		}
 	}
-	if _, err := m.BatchedLossAndGrad(nil, Input{Tokens: [][]int{{1}}}, []int{0}, []int{0, 1}); err == nil {
+	if _, err := m.BatchedLossAndGrad(nil, Input{Tokens: [][]int{{1}}}, []int{0}, []int{0, 1}, nil); err == nil {
 		t.Error("token input accepted by dense batched path")
 	}
-	if _, err := m.BatchedLossAndGrad(nil, Input{Dense: x}, labels[:3], []int{0, 6}); err == nil {
+	if _, err := m.BatchedLossAndGrad(nil, Input{Dense: x}, labels[:3], []int{0, 6}, nil); err == nil {
 		t.Error("label/row mismatch accepted")
 	}
 }

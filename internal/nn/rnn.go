@@ -315,7 +315,7 @@ func (m *TextRNN) LossAndGrad(in Input, labels []int) (float64, int, error) {
 // BatchedLossAndGrad implements BatchClassifier for the text model: one
 // time-major pass over the stacked tile with per-segment gradient
 // de-interleaving.
-func (m *TextRNN) BatchedLossAndGrad(ws *Workspace, in Input, labels []int, bounds []int) ([]SegmentGrad, error) {
+func (m *TextRNN) BatchedLossAndGrad(ws *Workspace, in Input, labels []int, bounds []int, dst []float64) ([]SegmentGrad, error) {
 	if in.Tokens == nil {
 		return nil, errors.New("nn: TextRNN requires token input")
 	}
@@ -327,7 +327,10 @@ func (m *TextRNN) BatchedLossAndGrad(ws *Workspace, in Input, labels []int, boun
 	}
 	segs := len(bounds) - 1
 	total := m.NumParams()
-	flat := make([]float64, segs*total)
+	flat, err := segmentBacking(dst, segs, total)
+	if err != nil {
+		return nil, err
+	}
 	scaffold := ws.gradScaffold(1)
 	sinks := segGradViews(scaffold, 0, flat, total, segs, 0, m.params)
 	losses, correct, err := m.lossAndGradKernel(ws, in.Tokens, labels, bounds, sinks)

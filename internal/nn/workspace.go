@@ -20,7 +20,8 @@ package nn
 //   - Buffers are only valid for the duration of one pass — the next
 //     checkout of the same (layer, slot) re-shapes the same matrix header.
 //     Results that outlive the pass (per-client gradients handed to the
-//     round pipeline) are never arena-backed — they stay freshly allocated.
+//     round pipeline) are never Workspace-backed: they land in the caller's
+//     destination (BatchClassifier's dst) or a fresh vector.
 //
 // Determinism contract: a checked-out buffer holds stale values from earlier
 // passes (of any shape), so every checkout site either fully overwrites it
@@ -78,7 +79,8 @@ type Workspace struct {
 
 	// scaffold caches the [layer][segment][param] gradient-view structure
 	// of the batched backward pass; only the leaf slice headers are
-	// rewritten per pass (they point into the pass's fresh flat gradient).
+	// rewritten per pass (they point into the pass's flat gradient backing:
+	// the caller's destination, or a fresh vector when it passed none).
 	scaffold [][][][]float64
 }
 

@@ -53,7 +53,7 @@ func TestTextRNNBatchedMatchesPerClient(t *testing.T) {
 	}
 	bounds := []int{0, 1, 4, 8, 10} // includes a one-row segment
 
-	segs, err := m.BatchedLossAndGrad(nil, Input{Tokens: tokens}, labels, bounds)
+	segs, err := m.BatchedLossAndGrad(nil, Input{Tokens: tokens}, labels, bounds, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,16 +80,16 @@ func TestTextRNNBatchedMatchesPerClient(t *testing.T) {
 func TestTextRNNRejectsBadInput(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	m := NewTextRNN(rng, 10, 4, 5, 3)
-	if _, err := m.BatchedLossAndGrad(nil, Input{Tokens: [][]int{{}}}, []int{0}, []int{0, 1}); err == nil {
+	if _, err := m.BatchedLossAndGrad(nil, Input{Tokens: [][]int{{}}}, []int{0}, []int{0, 1}, nil); err == nil {
 		t.Error("empty sequence accepted")
 	}
-	if _, err := m.BatchedLossAndGrad(nil, Input{Tokens: [][]int{{11}}}, []int{0}, []int{0, 1}); err == nil {
+	if _, err := m.BatchedLossAndGrad(nil, Input{Tokens: [][]int{{11}}}, []int{0}, []int{0, 1}, nil); err == nil {
 		t.Error("out-of-vocab token accepted")
 	}
-	if _, err := m.BatchedLossAndGrad(nil, Input{Tokens: [][]int{{1}, {2}}}, []int{0, 1}, []int{0, 1}); err == nil {
+	if _, err := m.BatchedLossAndGrad(nil, Input{Tokens: [][]int{{1}, {2}}}, []int{0, 1}, []int{0, 1}, nil); err == nil {
 		t.Error("non-covering bounds accepted")
 	}
-	if _, err := m.BatchedLossAndGrad(nil, Input{Dense: tensor.NewMatrix(1, 4)}, []int{0}, []int{0, 1}); err == nil {
+	if _, err := m.BatchedLossAndGrad(nil, Input{Dense: tensor.NewMatrix(1, 4)}, []int{0}, []int{0, 1}, nil); err == nil {
 		t.Error("dense input accepted by text model")
 	}
 }
@@ -124,11 +124,11 @@ func TestWorkspaceReuseBitwise(t *testing.T) {
 	xB, labelsB := workspaceBatch(t, rng, 3)
 	boundsB := []int{0, 1, 2, 3} // one-row tiles
 
-	refA, err := cnn.BatchedLossAndGrad(nil, Input{Dense: xA}, labelsA, boundsA)
+	refA, err := cnn.BatchedLossAndGrad(nil, Input{Dense: xA}, labelsA, boundsA, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	refB, err := cnn.BatchedLossAndGrad(nil, Input{Dense: xB}, labelsB, boundsB)
+	refB, err := cnn.BatchedLossAndGrad(nil, Input{Dense: xB}, labelsB, boundsB, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,13 +154,13 @@ func TestWorkspaceReuseBitwise(t *testing.T) {
 	ws := NewWorkspace()
 	for i := 0; i < 5; i++ {
 		if i%2 == 0 {
-			got, err := cnn.BatchedLossAndGrad(ws, Input{Dense: xA}, labelsA, boundsA)
+			got, err := cnn.BatchedLossAndGrad(ws, Input{Dense: xA}, labelsA, boundsA, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			check("warm pass A", got, refA)
 		} else {
-			got, err := cnn.BatchedLossAndGrad(ws, Input{Dense: xB}, labelsB, boundsB)
+			got, err := cnn.BatchedLossAndGrad(ws, Input{Dense: xB}, labelsB, boundsB, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -186,21 +186,21 @@ func TestWorkspaceReuseBitwiseText(t *testing.T) {
 	}
 	bndA, bndB := []int{0, 3, 8}, []int{0, 5}
 
-	refA, err := m.BatchedLossAndGrad(nil, Input{Tokens: tokA}, labA, bndA)
+	refA, err := m.BatchedLossAndGrad(nil, Input{Tokens: tokA}, labA, bndA, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	refB, err := m.BatchedLossAndGrad(nil, Input{Tokens: tokB}, labB, bndB)
+	refB, err := m.BatchedLossAndGrad(nil, Input{Tokens: tokB}, labB, bndB, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ws := NewWorkspace()
 	for i := 0; i < 4; i++ {
-		gotA, err := m.BatchedLossAndGrad(ws, Input{Tokens: tokA}, labA, bndA)
+		gotA, err := m.BatchedLossAndGrad(ws, Input{Tokens: tokA}, labA, bndA, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotB, err := m.BatchedLossAndGrad(ws, Input{Tokens: tokB}, labB, bndB)
+		gotB, err := m.BatchedLossAndGrad(ws, Input{Tokens: tokB}, labB, bndB, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -214,8 +214,8 @@ func TestWorkspaceReuseBitwiseText(t *testing.T) {
 }
 
 // TestWorkspaceSteadyStateAllocs: a warm arena reduces the hot tile path to
-// the allocations that must escape (the per-segment gradient vectors and
-// their slice headers) plus a handful of fixed-size closures — an order of
+// the allocations that must escape with a nil dst (the per-segment
+// gradient vectors and their slice headers) plus a handful of fixed-size closures — an order of
 // magnitude below the allocation-per-pass path.
 func TestWorkspaceSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
@@ -227,16 +227,16 @@ func TestWorkspaceSteadyStateAllocs(t *testing.T) {
 	bounds := []int{0, 4, 8, 12}
 
 	ws := NewWorkspace()
-	if _, err := cnn.BatchedLossAndGrad(ws, Input{Dense: x}, labels, bounds); err != nil {
+	if _, err := cnn.BatchedLossAndGrad(ws, Input{Dense: x}, labels, bounds, nil); err != nil {
 		t.Fatal(err)
 	}
 	warm := testing.AllocsPerRun(20, func() {
-		if _, err := cnn.BatchedLossAndGrad(ws, Input{Dense: x}, labels, bounds); err != nil {
+		if _, err := cnn.BatchedLossAndGrad(ws, Input{Dense: x}, labels, bounds, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
 	cold := testing.AllocsPerRun(20, func() {
-		if _, err := cnn.BatchedLossAndGrad(nil, Input{Dense: x}, labels, bounds); err != nil {
+		if _, err := cnn.BatchedLossAndGrad(nil, Input{Dense: x}, labels, bounds, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -272,11 +272,11 @@ func TestWorkspaceRetentionBoundedByLargestTile(t *testing.T) {
 	var buffers, floats int
 	for i, rows := range []int{12, 5, 9, 1, 7, 12} {
 		x, labels := workspaceBatch(t, rng, rows)
-		want, err := cnn.BatchedLossAndGrad(nil, Input{Dense: x}, labels, []int{0, rows})
+		want, err := cnn.BatchedLossAndGrad(nil, Input{Dense: x}, labels, []int{0, rows}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := cnn.BatchedLossAndGrad(ws, Input{Dense: x}, labels, []int{0, rows})
+		got, err := cnn.BatchedLossAndGrad(ws, Input{Dense: x}, labels, []int{0, rows}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
