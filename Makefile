@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test loc conformance race bench perf perf-compare trajectory profile profile-top cover fmt-check doc-check vet dist fuzz
+.PHONY: all build test loc conformance race bench perf perf-compare trajectory profile profile-top cover fmt-check doc-check vet fuzz
 
 # Fuzz budget per target for `make fuzz` (CI passes FUZZTIME=10s; raise it
 # locally for deeper runs, e.g. make fuzz FUZZTIME=2m).
@@ -126,14 +126,6 @@ doc-check:
 
 vet:
 	$(GO) vet ./...
-
-# Work-stealing cell scheduler (queue + HTTP coordinator/worker): the
-# failure-injection suite — lease expiry, duplicate uploads, coordinator
-# restarts — must stay clean under the race detector. -count=3 repeats the
-# suite to shake out schedule-dependent flakes a single pass (the race
-# target already runs one) would miss; this is the CI dist job.
-dist:
-	$(GO) test -race -count 3 -timeout 10m ./internal/campaign/...
 
 # Short-fuzz sweep over every fuzz target (go's fuzzer takes exactly one
 # -fuzz pattern per invocation, hence one line per target). Each run replays

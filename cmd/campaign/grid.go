@@ -12,7 +12,7 @@ import (
 	"github.com/signguard/signguard/internal/sanitize"
 )
 
-// gridFlags are the flags shared by run/serve/status/export: they select,
+// gridFlags are the flags shared by run/status/export: they select,
 // replicate and filter a campaign's cell grid, and optionally stamp a
 // gradient-compression codec onto every cell.
 type gridFlags struct {

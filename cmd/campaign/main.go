@@ -6,8 +6,6 @@
 // Usage:
 //
 //	campaign run    -name all -scale standard -workers 8 -cache-dir .campaign-cache [-filter cifar] [-v]
-//	campaign serve  -name all -scale standard -cache-dir .campaign-cache -addr :9090
-//	campaign work   -coordinator http://host:9090 -workers 8
 //	campaign status -name all -scale standard -cache-dir .campaign-cache
 //	campaign export -name table1 -scale standard -cache-dir .campaign-cache -format csv -out table1.csv
 //	campaign list
@@ -15,7 +13,10 @@
 //
 // Runs are resumable: every finished cell is persisted immediately, so an
 // interrupted campaign (Ctrl-C) picks up where it left off. A completed
-// campaign re-run is pure cache hits — zero recomputation.
+// campaign re-run is pure cache hits — zero recomputation. A grid too big
+// for one machine splits by -seeds or -filter: each host runs its share
+// into its own -cache-dir, and copying the result files into one directory
+// merges them (the store's index rebuilds itself).
 package main
 
 import (
@@ -47,10 +48,6 @@ func main() {
 	switch cmd {
 	case "run":
 		err = cmdRun(args)
-	case "serve":
-		err = cmdServe(args)
-	case "work":
-		err = cmdWork(args)
 	case "status":
 		err = cmdStatus(args)
 	case "export":
@@ -71,12 +68,9 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintf(os.Stderr, `usage: campaign <run|serve|work|status|export|list|rules> [flags]
+	fmt.Fprintf(os.Stderr, `usage: campaign <run|status|export|list|rules> [flags]
 
   run     execute a campaign's cells (concurrent, cached, resumable)
-  serve   coordinate a distributed campaign: serve the grid to 'work' processes
-          over HTTP work-stealing leases, collecting results into the cache
-  work    join a coordinator and execute leased cells on this host
   status  report cached vs pending cells for a campaign (index-backed, O(1) per cell)
   export  emit cached results as CSV/JSON, per cell or aggregated by seed group
   list    list the named campaigns and their cell counts

@@ -21,10 +21,9 @@
 // nothing to discount, so the step applies the defense's own aggregate
 // (SignGuard's median-norm clipping, Bulyan's trimmed mean) unchanged.
 //
-// Client liveness reuses the TTL-lease/heartbeat discipline of the
-// distributed campaign coordinator (internal/campaign/dist): any message
-// renews a session's lease, silent clients expire on the next sweep and
-// their queued updates are purged — churn never wedges the buffer.
+// Client liveness is a TTL lease renewed by heartbeats: any message renews
+// a session's lease, silent clients expire on the next sweep and their
+// queued updates are purged — churn never wedges the buffer.
 //
 // Determinism: every mutation happens under one lock in arrival order, and
 // the buffered merge accumulates in arrival order, so a fixed arrival

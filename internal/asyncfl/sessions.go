@@ -7,13 +7,11 @@ import (
 	"time"
 )
 
-// SessionTable tracks client liveness with TTL leases, the same discipline
-// the distributed campaign coordinator applies to workers
-// (internal/campaign/dist → campaign.Queue): any message from a client
-// renews its lease, a client that stays silent past the TTL is presumed
-// gone, and expiry is observed lazily on the next sweep — no background
-// timer goroutine, so tests drive churn with a fake clock instead of
-// sleeping.
+// SessionTable tracks client liveness with TTL leases: any message from a
+// client renews its lease, a client that stays silent past the TTL is
+// presumed gone, and expiry is observed lazily on the next sweep — no
+// background timer goroutine, so tests drive churn with a fake clock
+// instead of sleeping.
 //
 // Leases are kept in renewal order, so a sweep costs O(expired), not
 // O(live): ids are free to mint, and a table that scanned every lease on
@@ -41,8 +39,8 @@ type lease struct {
 
 // NewSessionTable builds a table whose leases last ttl (0 disables expiry —
 // every session lives forever). now supplies the clock (nil = time.Now);
-// it is injectable for the same reason campaign.Queue's is: churn tests
-// advance a fake clock instead of sleeping.
+// it is injectable so churn tests advance a fake clock instead of
+// sleeping.
 func NewSessionTable(ttl time.Duration, now func() time.Time) *SessionTable {
 	if now == nil {
 		now = time.Now

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/signguard/signguard/internal/data"
@@ -209,11 +210,9 @@ func (e *Engine) Run(ctx context.Context, spec Spec) (*Report, error) {
 		mu.Unlock()
 	}
 
-	// Serve cached cells before any scheduling: the resume decision is made
-	// scheduler-side — exactly as the distributed coordinator skips cached
-	// cells before workers ever lease them — so the queue only ever holds
+	// Serve cached cells before any scheduling, so the workers only ever see
 	// cells that genuinely need computing.
-	pending := make([]string, 0, len(jobs))
+	pending := make([]*job, 0, len(jobs))
 	for _, j := range jobs {
 		if e.Store != nil {
 			if res, ok := e.Store.Get(j.key); ok {
@@ -222,7 +221,7 @@ func (e *Engine) Run(ctx context.Context, spec Spec) (*Report, error) {
 				continue
 			}
 		}
-		pending = append(pending, j.key)
+		pending = append(pending, j)
 	}
 
 	if cellWorkers > len(pending) {
@@ -231,35 +230,38 @@ func (e *Engine) Run(ctx context.Context, spec Spec) (*Report, error) {
 	if cellWorkers < 1 {
 		cellWorkers = 1
 	}
-	runner := &Runner{Registry: e.Registry, SimWorkers: e.simWorkers(cellWorkers)}
+	run := &runner{
+		registry:   e.Registry,
+		simWorkers: e.simWorkers(cellWorkers),
+		datasets:   &dsCache{m: map[dsKey]*dsEntry{}},
+	}
 
-	// Local execution is the degenerate case of the work-stealing cell
-	// scheduler: every worker leases one cell at a time from the shared
-	// queue until it drains. With a zero TTL leases never expire — a failed
-	// cell fails the whole run instead of being requeued — and the per-job
-	// results land in pre-assigned slots so completion order never matters.
-	queue := NewQueue(pending, 0, nil)
-	parallel.Run(cellWorkers, func(w int) {
-		worker := fmt.Sprintf("local-%d", w)
+	// Every worker claims the next pending cell, in spec order, until none
+	// is left: cells differ widely in cost, so claiming one at a time keeps
+	// the pool busy where fixed chunks would leave workers idle. A failed
+	// cell fails the whole run, and results land in pre-assigned slots, so
+	// completion order never matters.
+	var next atomic.Int64
+	parallel.Run(cellWorkers, func(int) {
 		for ctx.Err() == nil {
-			keys := queue.Lease(worker, 1)
-			if len(keys) == 0 {
+			i := int(next.Add(1) - 1)
+			if i >= len(pending) {
 				return
 			}
-			j := byKey[keys[0]]
+			j := pending[i]
 			t0 := time.Now()
-			res, err := runner.RunCell(j.cell, j.key)
+			res, err := run.executeCell(j.cell, j.key)
 			if err != nil {
 				fail(fmt.Errorf("campaign %s: cell %s: %w", spec.Name, j.cell.ID(), err))
 				return
 			}
+			res.DurationMS = time.Since(t0).Milliseconds()
 			if e.Store != nil {
 				if err := e.Store.Put(res); err != nil {
 					fail(err)
 					return
 				}
 			}
-			queue.Complete(j.key)
 			j.res = res
 			complete(j, false, time.Since(t0))
 		}

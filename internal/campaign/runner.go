@@ -2,58 +2,26 @@ package campaign
 
 import (
 	"fmt"
-	"sync"
-	"time"
 
 	"github.com/signguard/signguard/internal/data"
 	"github.com/signguard/signguard/internal/fl"
 )
 
-// CellRunner executes one cell to its stored-form result. It is the seam
-// between schedulers and execution: the in-process engine and the
-// distributed worker (internal/campaign/dist) both run cells through the
-// same implementation, so a single result format and a single content-hash
-// scheme serve local and distributed campaigns alike.
-type CellRunner interface {
-	// RunCell trains the cell and returns its result stamped with key (the
-	// cell's content hash, under which the result is stored).
-	RunCell(c Cell, key string) (*CellResult, error)
+// runner executes one engine run's cells: it resolves each cell's names
+// through the registry and loads each distinct dataset once, however many
+// cells and workers share it.
+type runner struct {
+	registry *Registry
+	// simWorkers bounds each cell's in-simulation parallelism (see
+	// Engine.SimWorkers); results are byte-identical for any value.
+	simWorkers int
+	datasets   *dsCache
 }
 
-// Runner is the standard CellRunner: it resolves the cell's names through a
-// Registry, loads each distinct dataset once through a per-Runner cache,
-// and stamps the result's wall-clock duration.
-type Runner struct {
-	// Registry resolves cell names (required).
-	Registry *Registry
-	// SimWorkers bounds each cell's in-simulation parallelism: the
-	// per-client gradient phase and the aggregation-rule kernels (via
-	// fl.Config.Workers). 0 = automatic (all CPUs); results are
-	// byte-identical for any value.
-	SimWorkers int
-
-	once     sync.Once
-	datasets *dsCache
-}
-
-// RunCell implements CellRunner.
-func (r *Runner) RunCell(c Cell, key string) (*CellResult, error) {
-	if r.Registry == nil {
-		return nil, fmt.Errorf("campaign: runner has no registry")
-	}
-	r.once.Do(func() { r.datasets = &dsCache{m: map[dsKey]*dsEntry{}} })
-	t0 := time.Now()
-	res, err := r.executeCell(c, key)
-	if err != nil {
-		return nil, err
-	}
-	res.DurationMS = time.Since(t0).Milliseconds()
-	return res, nil
-}
-
-// executeCell resolves the cell through the registry and trains it.
-func (r *Runner) executeCell(c Cell, key string) (*CellResult, error) {
-	db, err := r.Registry.dataset(c.Dataset)
+// executeCell trains the cell and returns its result stamped with key (the
+// cell's content hash, under which the result is stored).
+func (r *runner) executeCell(c Cell, key string) (*CellResult, error) {
+	db, err := r.registry.dataset(c.Dataset)
 	if err != nil {
 		return nil, err
 	}
@@ -67,11 +35,11 @@ func (r *Runner) executeCell(c Cell, key string) (*CellResult, error) {
 	}
 
 	numByz := c.EffectiveByz()
-	rule, err := r.Registry.buildDefense(c, numByz, p.Seed+11)
+	rule, err := r.registry.buildDefense(c, numByz, p.Seed+11)
 	if err != nil {
 		return nil, fmt.Errorf("building rule %s: %w", c.Rule, err)
 	}
-	buildAttack, err := r.Registry.attack(c.Attack)
+	buildAttack, err := r.registry.attack(c.Attack)
 	if err != nil {
 		return nil, err
 	}
@@ -82,7 +50,7 @@ func (r *Runner) executeCell(c Cell, key string) (*CellResult, error) {
 
 	var probe *ProbeInstance
 	if c.Probe != "" {
-		buildProbe, err := r.Registry.probe(c.Probe)
+		buildProbe, err := r.registry.probe(c.Probe)
 		if err != nil {
 			return nil, err
 		}
@@ -100,7 +68,7 @@ func (r *Runner) executeCell(c Cell, key string) (*CellResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	wireCodec, err := r.Registry.codecFor(c)
+	wireCodec, err := r.registry.codecFor(c)
 	if err != nil {
 		return nil, fmt.Errorf("building codec %s: %w", c.Codec, err)
 	}
@@ -121,7 +89,7 @@ func (r *Runner) executeCell(c Cell, key string) (*CellResult, error) {
 		Codec:         wireCodec,
 		NonFinite:     policy,
 		Params:        p,
-		SimWorkers:    r.SimWorkers,
+		SimWorkers:    r.simWorkers,
 	}
 	if probe != nil {
 		x.Hook = probe.Hook
