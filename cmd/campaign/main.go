@@ -43,27 +43,30 @@ func main() {
 		usage()
 		os.Exit(2)
 	}
-	cmd, args := os.Args[1], os.Args[2:]
-	var err error
+	if err := dispatch(os.Args[1], os.Args[2:]); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// dispatch runs subcommand cmd with its flag arguments.
+func dispatch(cmd string, args []string) error {
 	switch cmd {
 	case "run":
-		err = cmdRun(args)
+		return cmdRun(args)
 	case "status":
-		err = cmdStatus(args)
+		return cmdStatus(args)
 	case "export":
-		err = cmdExport(args)
+		return cmdExport(args)
 	case "list":
-		err = cmdList()
+		return cmdList()
 	case "rules":
-		err = cmdRules()
+		return cmdRules()
 	case "-h", "--help", "help":
 		usage()
+		return nil
 	default:
 		usage()
-		err = fmt.Errorf("unknown subcommand %q", cmd)
-	}
-	if err != nil {
-		log.Fatal(err)
+		return fmt.Errorf("unknown subcommand %q", cmd)
 	}
 }
 

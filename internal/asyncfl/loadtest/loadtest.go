@@ -85,6 +85,11 @@ type Config struct {
 	Seed int64
 	// Logf, when non-nil, receives progress lines.
 	Logf func(format string, args ...any)
+
+	// now is the aggregator's liveness clock (nil = time.Now). Tests set
+	// it so session expiry depends on the message count, not on how fast
+	// the machine serves the run.
+	now func() time.Time
 }
 
 func (c *Config) fill() error {
@@ -249,6 +254,7 @@ func Run(cfg Config) (*Report, error) {
 		QueueCap:      cfg.QueueCap,
 		NonFinite:     cfg.NonFinite,
 		SessionTTL:    cfg.SessionTTL,
+		Now:           cfg.now,
 	})
 	if err != nil {
 		return nil, err

@@ -3,6 +3,7 @@ package loadtest
 import (
 	"os"
 	"strconv"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -156,17 +157,25 @@ func TestLoadHarnessHostileClients(t *testing.T) {
 
 // TestLoadHarnessChurnExpiry uses a TTL shorter than the run so churned
 // clients' sessions actually expire and their queued updates are purged.
+// The liveness clock advances one millisecond per reading (a lease renewal
+// reads it twice), so a session silent for ~25 of the fleet's 800 submits
+// expires however fast the machine serves them; on the wall clock the
+// whole run can finish inside the TTL.
 func TestLoadHarnessChurnExpiry(t *testing.T) {
+	var ticks atomic.Int64
 	rep, err := Run(Config{
 		Clients:          400,
 		UpdatesPerClient: 3,
-		Concurrency:      8, // slow drivers: the run outlives the TTL
+		Concurrency:      8,
 		Dim:              16,
 		K:                5000, // above total arrivals: queued updates linger
 		QueueCap:         8,
 		ChurnFraction:    0.5,
 		SessionTTL:       50 * time.Millisecond,
 		Seed:             5,
+		now: func() time.Time {
+			return time.Unix(0, ticks.Add(1)*int64(time.Millisecond))
+		},
 	})
 	if err != nil {
 		t.Fatal(err)

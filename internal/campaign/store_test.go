@@ -128,6 +128,53 @@ func TestIndexRebuildAfterDrift(t *testing.T) {
 	}
 }
 
+// TestPutAgainReplacesEntry: storing a result under a key the store
+// already holds (a recomputed cell, or a file copied in from another
+// store) replaces it; the store still lists the key once, on disk and in
+// the flushed index, and serves the newer result.
+func TestPutAgainReplacesEntry(t *testing.T) {
+	dir, keys := seedStore(t, 2)
+	store, err := campaign.OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, ok := store.Get(keys[0])
+	if !ok {
+		t.Fatalf("seeded key %s not found", keys[0])
+	}
+	again := *old
+	again.DurationMS = 99
+	if err := store.Put(&again); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	reopened, err := campaign.OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored, err := reopened.Keys()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(stored) != len(keys) {
+		t.Errorf("store holds %d result files, want %d", len(stored), len(keys))
+	}
+	idx, err := reopened.Index()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(idx) != len(keys) || idx[keys[0]].DurationMS != 99 {
+		t.Errorf("index after re-put: %d entries, %s at %d ms; want %d entries, 99 ms",
+			len(idx), keys[0], idx[keys[0]].DurationMS, len(keys))
+	}
+	if got, ok := reopened.Get(keys[0]); !ok || got.DurationMS != 99 {
+		t.Errorf("re-put result not served: ok=%v %+v", ok, got)
+	}
+}
+
 // TestIndexAbsentRebuild: a store directory predating the index (or whose
 // index was deleted) rebuilds silently.
 func TestIndexAbsentRebuild(t *testing.T) {
