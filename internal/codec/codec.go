@@ -9,9 +9,11 @@
 // largest-|g_i| coordinates bit-exactly), qsgd (QSGD-style stochastic
 // quantization to a signed integer grid, unbiased in expectation), and
 // signsgd (the 1-bit signSGD wire format). Codecs are pure values: Encode
-// draws randomness only from the *rand.Rand handed in by the caller — the
-// engine passes the codec stage's own derived stream — so a run is
-// deterministic for any worker count.
+// draws randomness only from the *rand.Rand handed in by the caller, and
+// only a codec that declares itself Stochastic (qsgd) draws at all — the
+// engine hands that one the codec stage's own derived stream and encodes
+// the others concurrently without one — so a run is deterministic for any
+// worker count.
 //
 // A Registry mirrors internal/defense: named constructors with declared
 // hyperparameters, consumed by the campaign grid, the experiments harness
@@ -22,10 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/bits"
 	"math/rand"
-	"slices"
-	"sync"
 )
 
 // ErrNonFinite marks encode/decode refusals caused by NaN or ±Inf values —
@@ -138,7 +137,8 @@ func checkDim(e Encoded) error {
 
 // Codec encodes gradients into their wire form and back. Implementations
 // are stateless values, safe for concurrent use; all randomness comes from
-// the rng passed to Encode (pass nil for deterministic codecs).
+// the rng passed to Encode, and a codec whose Stochastic method reports
+// false draws none — pass it nil.
 //
 // Ownership: Encode never retains grad and its payload never aliases it, so
 // the caller owns the payload it gets back. The slice Decode returns may
@@ -155,6 +155,12 @@ type Codec interface {
 	// Encode compresses grad into its wire form. Implementations must not
 	// retain or mutate grad, and must draw randomness only from rng.
 	Encode(grad []float64, rng *rand.Rand) (Encoded, error)
+	// Stochastic reports whether Encode draws from rng. False is a promise:
+	// Encode(g, nil) is valid and bit-identical to Encode(g, rng) for every
+	// rng, and leaves rng untouched — so a caller may encode many gradients
+	// at once without sharing a stream. It is a method of the interface, not
+	// an optional one, so a wrapper that embeds a Codec forwards it.
+	Stochastic() bool
 	// Decode reconstructs a gradient of length Encoded.Dim from the wire
 	// form. It must not depend on the instance's hyperparameters — a
 	// receiver decodes payloads from any sender configuration. The result
@@ -175,6 +181,9 @@ func (IdentityCodec) Name() string { return Identity }
 func (IdentityCodec) Encode(grad []float64, _ *rand.Rand) (Encoded, error) {
 	return Encoded{Codec: Identity, Dim: len(grad), Dense: append([]float64(nil), grad...)}, nil
 }
+
+// Stochastic implements Codec: identity draws no randomness.
+func (IdentityCodec) Stochastic() bool { return false }
 
 // Decode implements Codec: it validates the payload in place and returns
 // e.Dense itself, not a copy. A payload carrying NaN or ±Inf values is
@@ -225,51 +234,75 @@ func (c TopKCodec) keep(dim int) int {
 	return k
 }
 
-// absScratch pools the |g| working copies the top-k selection partitions
-// in place, so TopKCodec stays a stateless value and a steady-state Encode
-// allocates only the payload's Idx and Val.
-var absScratch = sync.Pool{New: func() any { return new([]float64) }}
+// Stochastic implements Codec: the selection draws no randomness.
+func (TopKCodec) Stochastic() bool { return false }
 
-// Encode implements Codec. One pass writes |g_i| into pooled scratch and
-// refuses the gradient on its first NaN or ±Inf coordinate — wherever it
-// sits, kept or not; a selection (expected O(d), at worst O(d log d))
-// finds the k-th largest magnitude τ; one ascending-index scan keeps every
-// coordinate above τ and the first coordinates equal to τ until k are
-// kept. Idx comes out ascending, and equal magnitudes keep the lower index.
+// The top-k selection ranks coordinates by magBits(g_i): the bits of
+// |g_i|, which for finite values sort exactly as the magnitudes do (and
+// equal exactly when they are equal, ±0 included). It resolves them one
+// radixBits-wide digit at a time, most significant first: the 11 exponent
+// bits, then the 52 mantissa bits in digits of 11, 11, 11, 11 and 8.
+const (
+	radixBits = 11
+	signBit   = 1 << 63
+)
+
+// magBits returns the bits of |v|.
+func magBits(v float64) uint64 { return math.Float64bits(v) &^ signBit }
+
+// Encode implements Codec. It finds the top-k boundary by an MSD radix
+// select over magBits(g_i), with no scratch beyond one histogram on the
+// stack: the first pass histograms the exponents and refuses the gradient
+// on its first NaN or ±Inf coordinate — wherever it sits, kept or not —
+// and each later pass histograms the next digit of the boundary bucket
+// only, until that bucket is kept whole or is one magnitude τ. One
+// ascending-index scan then keeps every coordinate above the boundary and
+// the first ones on it until k are kept: Idx comes out ascending, and equal
+// magnitudes keep the lower index. Whatever the values, that is at most
+// seven passes over grad, and Idx and Val are the only allocations.
 func (c TopKCodec) Encode(grad []float64, _ *rand.Rand) (Encoded, error) {
 	d := len(grad)
 	if d == 0 {
 		return Encoded{Codec: TopK}, nil
 	}
 	k := c.keep(d)
-	buf := absScratch.Get().(*[]float64)
-	defer absScratch.Put(buf)
-	if cap(*buf) < d {
-		*buf = make([]float64, d)
+	var hist [1 << radixBits]int32
+	for _, v := range grad {
+		hist[math.Float64bits(v)>>52&(1<<radixBits-1)]++
 	}
-	abs := (*buf)[:d]
-	for i, v := range grad {
-		a := math.Abs(v)
-		if !(a <= math.MaxFloat64) { // false for NaN and +Inf alike
-			return Encoded{}, fmt.Errorf("codec: topk cannot encode coordinate %d: %w", i, ErrNonFinite)
+	if hist[len(hist)-1] > 0 { // the all-ones exponent: NaN or ±Inf
+		for i, v := range grad {
+			if !finite(v) {
+				return Encoded{}, fmt.Errorf("codec: topk cannot encode coordinate %d: %w", i, ErrNonFinite)
+			}
 		}
-		abs[i] = a
 	}
-	tau := selectNth(abs, d-k, 2*bits.Len(uint(d)))
-	// selectNth left the k largest magnitudes in abs[d-k:], so whatever
-	// exceeds τ is there; the rest of the k slots go to ties at τ.
-	ties := k
-	for _, a := range abs[d-k:] {
-		if a > tau {
-			ties--
+	// The k largest are the coordinates whose magBits>>shift exceeds prefix,
+	// plus ties of the bucket coordinates equal to it. Refine until ties is
+	// the whole bucket or, at shift 0, the bucket is one magnitude, of which
+	// the tie rule keeps the first ties by index.
+	shift := uint(52)
+	prefix, ties, bucket := boundary(hist[:], k)
+	for ties < bucket && shift > 0 {
+		width := min(radixBits, shift)
+		shift -= width
+		clear(hist[:])
+		for _, v := range grad {
+			if b := magBits(v); b>>(shift+width) == prefix {
+				// The second mask is a no-op that drops the bounds check.
+				hist[b>>shift&(1<<width-1)&(1<<radixBits-1)]++
+			}
 		}
+		var digit uint64
+		digit, ties, bucket = boundary(hist[:1<<width], ties)
+		prefix = prefix<<width | digit
 	}
 	e := Encoded{Codec: TopK, Dim: d, Idx: make([]int32, k), Val: make([]float64, k)}
 	n := 0
 	for i, v := range grad {
-		switch a := math.Abs(v); {
-		case a > tau:
-		case a == tau && ties > 0:
+		switch p := magBits(v) >> shift; {
+		case p > prefix:
+		case p == prefix && ties > 0:
 			ties--
 		default:
 			continue
@@ -282,57 +315,17 @@ func (c TopKCodec) Encode(grad []float64, _ *rand.Rand) (Encoded, error) {
 	return e, nil
 }
 
-// selectNth rearranges s so that s[n] holds the value an ascending sort
-// would put there, nothing before it is larger and nothing after it is
-// smaller, and returns s[n]. s must hold no NaN. It is a median-of-three
-// quickselect — expected O(len(s)), no randomness drawn — that may spend
-// at most passes partition passes: an input crafted against the pivot rule
-// runs out of them, and what is left is sorted instead, which bounds the
-// worst case at O(len(s)·(passes + log len(s))). The scans stop on values
-// equal to the pivot, so runs of ties (the zeros of a sparse gradient)
-// split evenly instead of degrading it.
-func selectNth(s []float64, n, passes int) float64 {
-	// Invariant: s[:lo] <= s[lo:hi+1] <= s[hi+1:] and lo <= n <= hi.
-	lo, hi := 0, len(s)-1
-	// Ranges of a dozen values go straight to the (insertion) sort below.
-	for ; passes > 0 && hi-lo >= 12; passes-- {
-		// Median of s[lo], s[mid], s[hi] becomes the pivot at s[lo+1]; the
-		// other two stay at the ends as sentinels for the scans below.
-		mid := lo + (hi-lo)/2
-		s[mid], s[lo+1] = s[lo+1], s[mid]
-		if s[lo] > s[hi] {
-			s[lo], s[hi] = s[hi], s[lo]
+// boundary walks a digit histogram from the top bucket down to the one
+// holding the need-th largest value. It returns that bucket's digit, how
+// many of its coordinates are still needed, and how many it holds.
+func boundary(hist []int32, need int) (digit uint64, ties, bucket int) {
+	for j := len(hist) - 1; ; j-- {
+		c := int(hist[j])
+		if need <= c {
+			return uint64(j), need, c
 		}
-		if s[lo+1] > s[hi] {
-			s[lo+1], s[hi] = s[hi], s[lo+1]
-		}
-		if s[lo] > s[lo+1] {
-			s[lo], s[lo+1] = s[lo+1], s[lo]
-		}
-		p := s[lo+1]
-		i, j := lo+1, hi
-		for {
-			for i++; s[i] < p; i++ {
-			}
-			for j--; s[j] > p; j-- {
-			}
-			if j < i {
-				break
-			}
-			s[i], s[j] = s[j], s[i]
-		}
-		s[lo+1], s[j] = s[j], p
-		switch {
-		case n < j:
-			hi = j - 1
-		case n > j:
-			lo = j + 1
-		default:
-			return p
-		}
+		need -= c
 	}
-	slices.Sort(s[lo : hi+1])
-	return s[n]
 }
 
 // Decode implements Codec: the kept values scatter into a zeroed vector —
@@ -383,6 +376,10 @@ func (c QSGDCodec) levels() int {
 
 // Name implements Codec.
 func (c QSGDCodec) Name() string { return fmt.Sprintf("qsgd(%d)", c.levels()) }
+
+// Stochastic implements Codec: the rounding draws one variate per
+// coordinate, in coordinate order.
+func (QSGDCodec) Stochastic() bool { return true }
 
 // Encode implements Codec. The stochastic rounding draws one uniform
 // variate per coordinate from rng, which is required.
@@ -459,6 +456,9 @@ type SignSGDCodec struct{}
 
 // Name implements Codec.
 func (SignSGDCodec) Name() string { return SignSGD }
+
+// Stochastic implements Codec: the sign bits draw no randomness.
+func (SignSGDCodec) Stochastic() bool { return false }
 
 // Encode implements Codec. It never draws from rng.
 func (SignSGDCodec) Encode(grad []float64, _ *rand.Rand) (Encoded, error) {

@@ -233,6 +233,21 @@ func TestEncodeDeterministic(t *testing.T) {
 	}
 }
 
+// TestStochasticDeclarations: only qsgd draws randomness, so every other
+// builtin declares that it does not and a simulated round encodes it on
+// its workers.
+func TestStochasticDeclarations(t *testing.T) {
+	for _, name := range Builtin().Names() {
+		c, err := Builtin().Build(name, Params{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := c.Stochastic(), name == QSGD; got != want {
+			t.Errorf("%s: Stochastic() = %v, want %v", name, got, want)
+		}
+	}
+}
+
 func TestRegistry(t *testing.T) {
 	r := Builtin()
 	want := []string{Identity, TopK, QSGD, SignSGD}
@@ -315,7 +330,7 @@ func TestDecodeRejectsCorruptPayloads(t *testing.T) {
 }
 
 // referenceTopK is the selection TopKCodec.Encode shipped before it became
-// a quickselect: a full sort of the index permutation by (|g| descending,
+// a linear-time select: a full sort of the index permutation by (|g| descending,
 // index ascending), the first k kept and re-sorted by index. It survives
 // as the oracle the selection must match bit for bit on finite input.
 func referenceTopK(grad []float64, k int) Encoded {
@@ -377,8 +392,9 @@ func checkMatchesReference(t *testing.T, grad []float64, k int) {
 }
 
 // TestTopKEncodeMatchesReference: the selection-based Encode produces the
-// sort-based payload bit for bit — over random, tie-heavy, constant and
-// pre-sorted inputs, at every k regime.
+// sort-based payload bit for bit — over random, tie-heavy, constant,
+// pre-sorted, single-exponent and bit-range-extreme inputs, at every k
+// regime.
 func TestTopKEncodeMatchesReference(t *testing.T) {
 	shapes := map[string]func(rng *rand.Rand, d int) []float64{
 		"random": testGrad,
@@ -412,6 +428,12 @@ func TestTopKEncodeMatchesReference(t *testing.T) {
 		"descending": func(_ *rand.Rand, d int) []float64 {
 			return fillGrad(d, func(i int) float64 { return float64(d - i) })
 		},
+		"one-exponent": func(rng *rand.Rand, d int) []float64 {
+			return fillGrad(d, func(int) float64 { return 1 + rng.Float64() })
+		},
+		"bit-extremes": func(rng *rand.Rand, d int) []float64 {
+			return fillGrad(d, func(int) float64 { return bitExtremes(rng.Intn(1 << 20)) })
+		},
 	}
 	for name, shape := range shapes {
 		t.Run(name, func(t *testing.T) {
@@ -427,8 +449,9 @@ func TestTopKEncodeMatchesReference(t *testing.T) {
 	}
 }
 
-// TestTopKEncodeAllocations: the |g| scratch is pooled, so a steady-state
-// Encode allocates the payload's Idx and Val and nothing else.
+// TestTopKEncodeAllocations: the radix select's only scratch is a
+// histogram on the stack, so Encode allocates the payload's Idx and Val
+// and nothing else.
 func TestTopKEncodeAllocations(t *testing.T) {
 	g := testGrad(rand.New(rand.NewSource(12)), 4550)
 	c := TopKCodec{}
@@ -459,9 +482,10 @@ func TestTopKDecodeAllocations(t *testing.T) {
 	}
 }
 
-// TestTopKEncodeConcurrent: campaign workers and load-test clients encode
-// at once through the one scratch pool, at different dimensions; no encode
-// may see another's scratch (run under -race by `make race`).
+// TestTopKEncodeConcurrent: a simulated round's workers, campaign workers
+// and load-test clients encode at once through the one stateless value, at
+// different dimensions; every payload must still be the reference's (run
+// under -race by `make race`).
 func TestTopKEncodeConcurrent(t *testing.T) {
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -483,39 +507,12 @@ func TestTopKEncodeConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestSelectNthOutOfPasses drives selectNth into its sort fallback at
-// every point of the search — no passes at all, then one, two, … — and
-// checks the contract Encode relies on: s[n] is the sorted value, nothing
-// before it is larger, nothing after it smaller.
-func TestSelectNthOutOfPasses(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	for _, d := range []int{1, 2, 13, 100, 4550} {
-		base := testGrad(rng, d)
-		for i := range base {
-			base[i] = math.Abs(math.Round(base[i]*8) / 8) // ties included
-		}
-		sorted := append([]float64(nil), base...)
-		sort.Float64s(sorted)
-		for passes := 0; passes <= 6; passes++ {
-			for _, n := range []int{0, d / 3, d - 1 - d/10, d - 1} {
-				s := append([]float64(nil), base...)
-				if got := selectNth(s, n, passes); got != sorted[n] || s[n] != sorted[n] {
-					t.Fatalf("d=%d n=%d passes=%d: selected %v (s[n]=%v), want %v", d, n, passes, got, s[n], sorted[n])
-				}
-				for i, v := range s {
-					if (i < n && v > s[n]) || (i > n && v < s[n]) {
-						t.Fatalf("d=%d n=%d passes=%d: s[%d]=%v on the wrong side of s[n]=%v", d, n, passes, i, v, s[n])
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestTopKEncodePathologicalInputs: orders aimed at a median-of-three
-// pivot (organ pipe, valley, sawtooth, pre-sorted) and value sets aimed at
-// the partition (constant, two-valued) must cost a small multiple of a
-// random gradient at d = 1M, not a quadratic blow-up. A client chooses its
+// TestTopKEncodePathologicalInputs: orders aimed at a pivot rule (organ
+// pipe, valley, sawtooth, pre-sorted), value sets that keep the radix
+// select's boundary bucket full to the last digit (constant, two-valued,
+// every magnitude in one exponent) and the extremes of the bit range
+// (subnormals, ±0, MaxFloat64) must cost a small multiple of a random
+// gradient at d = 1M, not a quadratic blow-up. A client chooses its
 // gradient, so Encode's worst case is an attack surface of every campaign
 // worker and load generator.
 func TestTopKEncodePathologicalInputs(t *testing.T) {
@@ -547,12 +544,32 @@ func TestTopKEncodePathologicalInputs(t *testing.T) {
 		"descending": func(i int) float64 { return float64(d - i) },
 		"all-equal":  func(int) float64 { return 2.5 },
 		"two-valued": func(i int) float64 { return float64(i & 1) },
+		"one-exponent": func(i int) float64 { // [1, 2): only the mantissa ranks
+			return 1 + float64(i*7919%d)/d
+		},
+		"bit-extremes": bitExtremes,
 	}
 	for name, shape := range shapes {
 		if got := encode(fillGrad(d, shape)); got > 10*base {
 			t.Errorf("%s: encode took %v against %v for a random gradient", name, got, base)
 		}
 	}
+}
+
+// bitExtremes is coordinate i of a gradient built from the ends of the
+// float64 bit range: ±0, the smallest and largest subnormals, the smallest
+// normal, ±MaxFloat64 and the values just below it, with the low mantissa
+// bits varied so that every radix digit sees more than one value.
+func bitExtremes(i int) float64 {
+	v := [...]float64{
+		0, math.Copysign(0, -1), math.SmallestNonzeroFloat64,
+		math.Float64frombits(1<<52 - 1), math.Float64frombits(1 << 52),
+		math.MaxFloat64, -math.MaxFloat64, math.Nextafter(math.MaxFloat64, 0),
+	}[i%8]
+	if b := math.Float64bits(v); b&^signBit >= 1024 {
+		v = math.Float64frombits(b - uint64(i%1024))
+	}
+	return v
 }
 
 // checkKeptSetIsTopK verifies a large encode without the oracle's full

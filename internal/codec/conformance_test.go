@@ -11,8 +11,9 @@ import (
 // codec: the declared round-trip bound holds on Gaussian vectors, corrupted
 // variants of the codec's own wire form are rejected, a dirty decode
 // destination changes no bit and no error class and never crosses a wire,
-// and hyperparameter declarations survive the CLI syntax with undeclared
-// names rejected.
+// a codec that is not Stochastic neither draws nor needs an rng, and
+// hyperparameter declarations survive the CLI syntax with undeclared names
+// rejected.
 func TestCodecConformance(t *testing.T) {
 	reg := codec.Builtin()
 	for _, name := range reg.Names() {
@@ -26,6 +27,9 @@ func TestCodecConformance(t *testing.T) {
 			}
 			if err := conformance.CheckCodecDestination(reg, name, 17); err != nil {
 				t.Errorf("decode destination: %v", err)
+			}
+			if err := conformance.CheckCodecRandomness(reg, name, 23); err != nil {
+				t.Errorf("randomness declaration: %v", err)
 			}
 			if err := conformance.CheckCodecHyperDeclaration(reg, name); err != nil {
 				t.Errorf("hyper declaration: %v", err)
@@ -55,6 +59,32 @@ func TestConformanceCatchesFalseLosslessClaim(t *testing.T) {
 	}
 	if err := conformance.CheckCodecRoundTrip(reg, "unbounded", 17); err == nil {
 		t.Error("codec with no declared bound passed the round-trip check")
+	}
+}
+
+// deterministicQSGD draws from its rng like QSGD but declares that it does
+// not.
+type deterministicQSGD struct{ codec.QSGDCodec }
+
+func (deterministicQSGD) Stochastic() bool { return false }
+
+// TestConformanceCatchesUndeclaredRandomness is the test of the test for
+// the randomness declaration: a codec that draws but declares itself not
+// Stochastic must fail, and the genuine QSGD — which declares it — passes.
+func TestConformanceCatchesUndeclaredRandomness(t *testing.T) {
+	reg := codec.NewRegistry()
+	for name, c := range map[string]codec.Codec{"liar": deterministicQSGD{}, "honest": codec.QSGDCodec{}} {
+		if err := reg.Register(codec.Spec{Name: name, MinCosine: 0.5, Build: func(codec.Params) (codec.Codec, error) {
+			return c, nil
+		}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := conformance.CheckCodecRandomness(reg, "liar", 23); err == nil {
+		t.Error("a codec that draws from its rng passed with Stochastic false")
+	}
+	if err := conformance.CheckCodecRandomness(reg, "honest", 23); err != nil {
+		t.Errorf("qsgd, which declares its draws: %v", err)
 	}
 }
 

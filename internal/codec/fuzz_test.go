@@ -90,6 +90,15 @@ func bytesToFloats(data []byte) []float64 {
 	return out
 }
 
+// floatsToBytes is the inverse of bytesToFloats.
+func floatsToBytes(v []float64) []byte {
+	out := make([]byte, 0, 8*len(v))
+	for _, x := range v {
+		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(x))
+	}
+	return out
+}
+
 // FuzzTopKEncodeMatchesReference holds the selection-based TopKCodec.Encode
 // to the sort-based referenceTopK on arbitrary gradients: a finite input
 // must produce the reference payload bit for bit, an input with a NaN or
@@ -97,10 +106,19 @@ func bytesToFloats(data []byte) []float64 {
 // one small signed value per byte — zeros, repeated magnitudes and ±v
 // pairs, the inputs that stress the tie rule — instead of one float64 per
 // eight bytes. The checked-in corpus (testdata/fuzz) holds the inputs long
-// enough to reach the partition loop and the non-finite refusals.
+// enough to reach every digit of the radix select and the non-finite
+// refusals; the seeds below add one exponent shared by every coordinate
+// and the ends of the bit range.
 func FuzzTopKEncodeMatchesReference(f *testing.F) {
 	f.Add([]byte{}, 0, false)
 	f.Add([]byte{3, 253, 3, 3, 0, 128, 1, 255, 0, 0, 7, 249}, 2, true)
+	oneExp, extremes := make([]float64, 64), make([]float64, 64)
+	for i := range oneExp {
+		oneExp[i] = 1 + float64(i*37%64)/64
+		extremes[i] = bitExtremes(i * 131)
+	}
+	f.Add(floatsToBytes(oneExp), 7, false)
+	f.Add(floatsToBytes(extremes), 9, false)
 	f.Fuzz(func(t *testing.T, data []byte, k int, coarse bool) {
 		var grad []float64
 		if coarse {

@@ -4,8 +4,9 @@
 // buffers with a finite aggregate or an error, and declare hyperparameters
 // that round-trip through the CLI's key=value syntax; every registered
 // codec must honor its declared round-trip bound (bit-exactness for
-// lossless codecs, a minimum preserved cosine for lossy ones) and reject
-// malformed wire payloads. The ownership checks (ownership.go) hold every
+// lossless codecs, a minimum preserved cosine for lossy ones), reject
+// malformed wire payloads, and draw no randomness unless it declares itself
+// Stochastic. The ownership checks (ownership.go) hold every
 // defense and attack to keeping none of its inputs, and every codec to
 // decoding into a reused destination exactly as into a fresh vector.
 //
@@ -18,6 +19,7 @@ package conformance
 import (
 	"fmt"
 	"math"
+	"reflect"
 
 	"github.com/signguard/signguard/internal/aggregate"
 	"github.com/signguard/signguard/internal/cliutil"
@@ -286,6 +288,42 @@ func codecPayloads(reg *codec.Registry, name string, seed int64) (codec.Codec, [
 		encs[trial] = enc
 	}
 	return c, grads, encs, nil
+}
+
+// CheckCodecRandomness holds a codec to its Stochastic declaration, which
+// is what lets a simulated round encode its slots in parallel. A codec
+// declaring false must leave a seeded rng handed to Encode where it found
+// it — its next Int63 equals a fresh same-seeded stream's — and must encode
+// the same payload with a nil rng. A codec declaring true may draw, and is
+// not checked.
+func CheckCodecRandomness(reg *codec.Registry, name string, seed int64) error {
+	c, err := reg.Build(name, codec.Params{})
+	if err != nil {
+		return fmt.Errorf("build codec %s: %w", name, err)
+	}
+	if c.Stochastic() {
+		return nil
+	}
+	rng := tensor.NewRNG(seed)
+	for trial := 0; trial < 8; trial++ {
+		g := tensor.RandNormal(rng, CodecDim, 0, 1)
+		seeded := tensor.NewRNG(seed + 1)
+		want, err := c.Encode(g, seeded)
+		if err != nil {
+			return fmt.Errorf("codec %s encode (trial %d): %w", name, trial, err)
+		}
+		if seeded.Int63() != tensor.NewRNG(seed+1).Int63() {
+			return fmt.Errorf("codec %s declares itself not Stochastic but drew from its rng (trial %d)", name, trial)
+		}
+		got, err := c.Encode(g, nil)
+		if err != nil {
+			return fmt.Errorf("codec %s declares itself not Stochastic but fails without an rng (trial %d): %w", name, trial, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			return fmt.Errorf("codec %s declares itself not Stochastic but encodes differently without an rng (trial %d)", name, trial)
+		}
+	}
+	return nil
 }
 
 // MalformedPayloads derives corrupted wire payloads from a valid encoding,

@@ -3,6 +3,7 @@ package fl
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"github.com/signguard/signguard/internal/attack"
@@ -24,6 +25,14 @@ func TestGoldenIdentityCodec(t *testing.T) {
 			}
 		})
 	}
+}
+
+// splitCodecStage lowers codecGrain for the rest of the test, so that the
+// codec stage splits even a ten-client cohort over the round's workers.
+func splitCodecStage(t *testing.T) {
+	grain := codecGrain
+	codecGrain = 1
+	t.Cleanup(func() { codecGrain = grain })
 }
 
 // codecScenario is the SignGuard/LIE golden scenario with a fresh stateful
@@ -64,14 +73,18 @@ func TestGoldenTopKCodec(t *testing.T) {
 	}
 }
 
-// TestCodecWorkerInvariance: every lossy codec's full trace digest is
-// identical across Workers ∈ {1, 2, 7} — the codec stage draws from its
-// own sequential RNG stream, so parallel local compute cannot perturb it.
+// TestCodecWorkerInvariance: every codec's full trace digest is identical
+// across Workers ∈ {1, 2, 7}. identity, topk and signsgd run the codec
+// stage's slots on the round's workers, so the split must not show; qsgd
+// stays in arrival order on the stage's own stream, so neither the parallel
+// local compute nor the worker count may perturb its draws.
 func TestCodecWorkerInvariance(t *testing.T) {
+	splitCodecStage(t)
 	codecs := map[string]func() codec.Codec{
-		"topk":    func() codec.Codec { return codec.TopKCodec{K: 30} },
-		"qsgd":    func() codec.Codec { return codec.QSGDCodec{Levels: 4} },
-		"signsgd": func() codec.Codec { return codec.SignSGDCodec{} },
+		"identity": func() codec.Codec { return codec.IdentityCodec{} },
+		"topk":     func() codec.Codec { return codec.TopKCodec{K: 30} },
+		"qsgd":     func() codec.Codec { return codec.QSGDCodec{Levels: 4} },
+		"signsgd":  func() codec.Codec { return codec.SignSGDCodec{} },
 	}
 	for name, build := range codecs {
 		t.Run(name, func(t *testing.T) {
@@ -170,9 +183,10 @@ func TestCodecRoundHookSeesDecoded(t *testing.T) {
 // arenas and are dead once it returns, so a hook that overwrites every
 // st.Grads and st.Honest vector with NaN each round must leave the final
 // parameters bit-identical to a hook-free run — for the identity codec
-// (Grads are the payloads, Honest the local-gradient arena) and topk (Grads
-// are the decode slots), sequential and parallel.
+// (Grads are the payloads, Honest the local-gradient arena) and topk, qsgd
+// and signsgd (Grads are the decode slots), sequential and parallel.
 func TestRoundArenasOwnedPerRound(t *testing.T) {
+	splitCodecStage(t)
 	final := func(c codec.Codec, workers int, hook func(*RoundState)) []float64 {
 		cfg := codecScenario(t, c, workers)
 		cfg.RoundHook = hook
@@ -194,7 +208,9 @@ func TestRoundArenasOwnedPerRound(t *testing.T) {
 			}
 		}
 	}
-	for _, c := range []codec.Codec{codec.IdentityCodec{}, codec.TopKCodec{K: 30}} {
+	for _, c := range []codec.Codec{
+		codec.IdentityCodec{}, codec.TopKCodec{K: 30}, codec.QSGDCodec{Levels: 4}, codec.SignSGDCodec{},
+	} {
 		for _, workers := range []int{1, 2} {
 			want := final(c, workers, nil)
 			got := final(c, workers, poison)
@@ -226,5 +242,69 @@ func TestCodecErrorsSurface(t *testing.T) {
 	}
 	if _, err := sim.Run(); err == nil {
 		t.Fatal("broken codec did not fail the run")
+	}
+}
+
+// firstValueCodec is the identity codec recording each encoded gradient's
+// first value, in encode order.
+type firstValueCodec struct {
+	codec.IdentityCodec
+	firsts *[]uint64
+}
+
+func (c firstValueCodec) Encode(g []float64, rng *rand.Rand) (codec.Encoded, error) {
+	*c.firsts = append(*c.firsts, math.Float64bits(g[0]))
+	return c.IdentityCodec.Encode(g, rng)
+}
+
+// refusingCodec is the identity codec with a decode that refuses every
+// payload whose first value is in refuse, naming that value.
+type refusingCodec struct {
+	codec.IdentityCodec
+	refuse map[uint64]bool
+}
+
+func (c refusingCodec) Decode(e codec.Encoded) ([]float64, error) {
+	if b := math.Float64bits(e.Dense[0]); c.refuse[b] {
+		return nil, fmt.Errorf("refused payload %x", b)
+	}
+	return c.IdentityCodec.Decode(e)
+}
+
+// TestCodecErrorIsLowestSlotForAnyWorkerCount: when decode fails on two
+// arrival slots, Step reports the lower slot's error at Workers 1, 2 and 7.
+// Slots 2 and 8 fall in different chunks at 2 and at 7 workers, so the
+// higher slot's failure can happen first.
+func TestCodecErrorIsLowestSlotForAnyWorkerCount(t *testing.T) {
+	splitCodecStage(t)
+	scenario := func(c codec.Codec, workers int) *Simulation {
+		cfg := baseConfig(tinyDataset(t))
+		cfg.Rounds = 1
+		cfg.Pipeline.Codec = c
+		cfg.Workers = workers
+		sim, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sim
+	}
+	// At one worker the slots encode in arrival order.
+	var firsts []uint64
+	if _, err := scenario(firstValueCodec{firsts: &firsts}, 1).Step(0); err != nil {
+		t.Fatal(err)
+	}
+	seen := map[uint64]bool{}
+	for _, b := range firsts {
+		seen[b] = true
+	}
+	if len(firsts) != 10 || len(seen) != len(firsts) {
+		t.Fatalf("want 10 distinct first values in arrival order, got %x", firsts)
+	}
+	want := fmt.Sprintf("fl: codec identity decode: refused payload %x", firsts[2])
+	for _, workers := range []int{1, 2, 7} {
+		_, err := scenario(refusingCodec{refuse: map[uint64]bool{firsts[2]: true, firsts[8]: true}}, workers).Step(0)
+		if err == nil || err.Error() != want {
+			t.Errorf("workers=%d: error %v, want %q", workers, err, want)
+		}
 	}
 }

@@ -190,11 +190,11 @@ type Simulation struct {
 
 	// The round arenas, grown in the first Step and reused by every later
 	// one: localGrads backs the cohort's local gradients (participant i at
-	// [i*d, (i+1)*d), see LocalEnv), and decoded[i] is arrival slot i's codec
-	// decode destination — the vector slot i's first decode returned. Nothing
-	// backed by them outlives Step (see RoundState).
+	// [i*d, (i+1)*d), see LocalEnv), and slots[i] is arrival slot i's codec
+	// stage state (see codecSlot). Nothing backed by them outlives Step (see
+	// RoundState).
 	localGrads []float64
-	decoded    [][]float64
+	slots      []codecSlot
 
 	// Server learning (FLTrust-style rules): the defense aggregates against
 	// a reference gradient the server computes each round on its own root
@@ -235,9 +235,10 @@ func New(cfg Config) (*Simulation, error) {
 	// enabling subsampling perturbs neither the attack nor the arrival
 	// permutation. FullParticipation never draws from it.
 	participationRng := tensor.NewRNG(cfg.Seed + 5)
-	// The codec stage likewise owns a derived stream: lossy stochastic
-	// codecs (qsgd) consume it per submitted gradient in arrival order,
-	// deterministic codecs never touch it.
+	// The codec stage likewise owns a derived stream: a codec that declares
+	// itself Stochastic (qsgd) consumes it per submitted gradient in arrival
+	// order, one slot after another; the others never touch it and encode
+	// on the round's workers.
 	codecRng := tensor.NewRNG(cfg.Seed + 6)
 
 	model, err := cfg.NewModel(modelRng)
@@ -579,30 +580,10 @@ func (s *Simulation) Step(round int) (*RoundMetrics, error) {
 	}
 
 	// Stage 4: codec. Each submitted gradient crosses the wire in encoded
-	// form; the defense sees only what survives the round trip. Encoding
-	// walks arrival order sequentially so a stochastic codec's RNG draws
-	// are identical for any worker count. Arrival slot i decodes into
-	// s.decoded[i]: empty on its first round, so that decode allocates and
-	// its result becomes the slot.
-	if len(s.decoded) < len(grads) {
-		s.decoded = append(s.decoded, make([][]float64, len(grads)-len(s.decoded))...)
-	}
-	var wireBytes int64
-	for i, g := range grads {
-		enc, err := s.pipe.Codec.Encode(g, s.codecRng)
-		if err != nil {
-			return nil, fmt.Errorf("fl: codec %s encode: %w", s.pipe.Codec.Name(), err)
-		}
-		wireBytes += int64(enc.Bytes())
-		dec, err := s.pipe.Codec.Decode(enc.WithDst(s.decoded[i]))
-		if err != nil {
-			return nil, fmt.Errorf("fl: codec %s decode: %w", s.pipe.Codec.Name(), err)
-		}
-		if len(dec) != len(g) {
-			return nil, fmt.Errorf("fl: codec %s round trip changed dimension %d → %d",
-				s.pipe.Codec.Name(), len(g), len(dec))
-		}
-		grads[i], s.decoded[i] = dec, dec
+	// form; the defense sees only what survives the round trip.
+	wireBytes, err := s.roundTrip(grads)
+	if err != nil {
+		return nil, err
 	}
 
 	// Server-learning reference gradient (FLTrust-style rules): computed on
@@ -665,6 +646,83 @@ func (s *Simulation) Step(round int) (*RoundMetrics, error) {
 	}
 	m.countSelection(res.Selected, byzMask)
 	return m, nil
+}
+
+// codecSlot is one arrival slot's codec-stage state. decoded is the slot's
+// decode destination: empty on its first round, so that decode allocates
+// and its result becomes the slot. bytes and err are the slot's wire size
+// and error in the current round.
+type codecSlot struct {
+	decoded []float64
+	bytes   int
+	err     error
+}
+
+// roundTrip encodes g and decodes the payload into the slot, recording its
+// wire size.
+func (sl *codecSlot) roundTrip(c codec.Codec, g []float64, rng *rand.Rand) error {
+	enc, err := c.Encode(g, rng)
+	if err != nil {
+		return fmt.Errorf("fl: codec %s encode: %w", c.Name(), err)
+	}
+	dec, err := c.Decode(enc.WithDst(sl.decoded))
+	if err != nil {
+		return fmt.Errorf("fl: codec %s decode: %w", c.Name(), err)
+	}
+	if len(dec) != len(g) {
+		return fmt.Errorf("fl: codec %s round trip changed dimension %d → %d", c.Name(), len(g), len(dec))
+	}
+	sl.decoded, sl.bytes = dec, enc.Bytes()
+	return nil
+}
+
+// codecGrain is the fewest arrival slots a codec-stage worker takes: the
+// stage splits over min(workers, slots/codecGrain) workers, so a cohort
+// below twice the grain runs inline. Concurrent Encode and Decode calls
+// overlap in time, and a harness that times each call and sums the spans
+// reads their CPU time, not the stage's wall time; the repository
+// benchmark's per-stage table does that, and checks that the stages add up
+// to the round at its 20-slot smoke size. The grain keeps such small
+// cohorts inline (the smoke run's whole stage takes under a millisecond)
+// and splits cross-device cohorts (sim_wide's 200 slots), where the stage
+// is a quarter of the round. Tests lower it to split small cohorts.
+var codecGrain = 32
+
+// roundTrip is the codec stage: grads[i] is replaced by what arrival slot
+// i's payload decodes to, and the round's wire bytes are returned. A codec
+// that draws no randomness runs on the round's workers (see codecGrain),
+// encoding with a nil rng; a stochastic one runs inline in arrival order on
+// the stage's own stream, so its draws are the same for any worker count.
+// Either way slot i writes only grads[i] and slots[i], and the error
+// returned is that of the lowest failing arrival slot.
+func (s *Simulation) roundTrip(grads [][]float64) (int64, error) {
+	if len(s.slots) < len(grads) {
+		s.slots = append(s.slots, make([]codecSlot, len(grads)-len(s.slots))...)
+	}
+	slots := s.slots[:len(grads)]
+	c, rng := s.pipe.Codec, (*rand.Rand)(nil)
+	workers := min(s.workers, len(grads)/codecGrain)
+	if c.Stochastic() {
+		workers, rng = 1, s.codecRng
+	}
+	parallel.For(workers, len(grads), func(_, start, end int) {
+		// A chunk stops at its first failure: the slots after it are never
+		// read, because the scan below returns at or before it.
+		for i := start; i < end; i++ {
+			if slots[i].err = slots[i].roundTrip(c, grads[i], rng); slots[i].err != nil {
+				return
+			}
+			grads[i] = slots[i].decoded
+		}
+	})
+	var wire int64
+	for _, sl := range slots {
+		if sl.err != nil {
+			return 0, sl.err
+		}
+		wire += int64(sl.bytes)
+	}
+	return wire, nil
 }
 
 // observe feeds the round's filtering outcome back to an adaptive

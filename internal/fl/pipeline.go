@@ -35,9 +35,11 @@ type Pipeline struct {
 	Local         LocalCompute
 	Adversary     attack.Adversary
 	// Codec is stage 4: every submitted gradient — honest and malicious
-	// alike — is encoded and decoded through it in arrival order, so the
-	// defense aggregates exactly what crossed the wire. Lossy codec
-	// randomness comes from the stage's own derived RNG stream.
+	// alike — is encoded and decoded through it, so the defense aggregates
+	// exactly what crossed the wire. A Stochastic codec runs in arrival
+	// order on the stage's own derived RNG stream; any other runs its slots
+	// on the round's workers with a nil rng. The result is the same for
+	// any worker count either way.
 	Codec   codec.Codec
 	Defense Defense
 	Update  ServerUpdate
