@@ -66,8 +66,10 @@ trajectory:
 
 # CPU/heap profiles of the three stage benchmarks — LocalCompute (image CNN
 # and text RNN), the defense stage's distance matrix (sparse and dense
-# cohorts at sim_wide's dimension) and the async load harness — and of one
-# whole warm round at sim_wide's shape (BenchmarkStep).
+# cohorts at sim_wide's dimension) and the async load harness — of one
+# whole warm round at sim_wide's shape (BenchmarkStep) and of serving one
+# update at serve_mixed's shape (BenchmarkAsyncUpdate: dense and topk
+# bodies through the HTTP handler, B/op is one update's allocation).
 # Written to ./profiles; inspect with `go tool pprof profiles/<name>`.
 profile:
 	@mkdir -p profiles
@@ -75,6 +77,8 @@ profile:
 		-cpuprofile profiles/localcompute.cpu.pprof -memprofile profiles/localcompute.mem.pprof ./internal/fl
 	$(GO) test -run '^$$' -bench BenchmarkStep -benchtime 20x -timeout 15m -o profiles/fl.test \
 		-cpuprofile profiles/step.cpu.pprof -memprofile profiles/step.mem.pprof ./internal/fl
+	$(GO) test -run '^$$' -bench BenchmarkAsyncUpdate -benchtime 20000x -benchmem -timeout 15m -o profiles/transport.test \
+		-cpuprofile profiles/serve.cpu.pprof -memprofile profiles/serve.mem.pprof ./internal/transport
 	$(GO) test -run '^$$' -bench BenchmarkPairwiseDistances -benchtime 3x -timeout 15m -o profiles/aggregate.test \
 		-cpuprofile profiles/pairwise.cpu.pprof -memprofile profiles/pairwise.mem.pprof ./internal/aggregate
 	$(GO) test -run '^$$' -bench BenchmarkAsyncLoad -benchtime 3x -timeout 15m -o profiles/loadtest.test \

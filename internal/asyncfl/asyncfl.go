@@ -148,7 +148,10 @@ type Update struct {
 	// Seq is the update's position in the global arrival schedule
 	// (deterministic mode only, 0-based and dense; ignored otherwise).
 	Seq int64
-	// Grad is the flat gradient vector.
+	// Grad is the flat gradient vector. Submit never retains it: the
+	// vector is copied into an update slot the Aggregator owns before it is
+	// screened, buffered or parked, so the caller may overwrite or reuse the
+	// slice as soon as Submit returns.
 	Grad []float64
 	// WireBytes is the size this update occupied on the wire (the encoded
 	// form under the client's codec). 0 means unreported: the ingest
@@ -262,6 +265,20 @@ type Aggregator struct {
 	reorder    map[int64]*Update
 	reorderWin int64
 
+	// spare is the free list of update slots: d-vectors that held an update
+	// whose life has ended (refused by the screen, evicted, purged or
+	// drained by a step) and wait for the next one. A slot returns only
+	// when its update leaves the buffer or the reorder map, so the list
+	// never holds more than the peak of buffered plus parked updates and
+	// needs no cap.
+	spare [][]float64
+	// Per-step scratch, resliced by every step.
+	buf        []entry
+	grads      [][]float64
+	staleness  []int
+	mergeGrads [][]float64
+	mergeStale []int
+
 	steps                int64
 	ingestBytes          int64
 	drops                int64
@@ -324,6 +341,10 @@ func (a *Aggregator) logf(format string, args ...any) {
 // K accepted arrivals — runs an aggregation step inline before returning.
 // The returned SubmitResult carries the backpressure signals the transport
 // relays to the client. Submitting to a Done aggregator is refused.
+//
+// Submit copies u.Grad into an update slot of its own before anything else
+// looks at it and never keeps the caller's slice: a transport may hand it
+// request scratch and reuse that scratch once Submit returns.
 func (a *Aggregator) Submit(u Update) (SubmitResult, error) {
 	if len(u.Grad) != len(a.cfg.InitialParams) {
 		return SubmitResult{}, fmt.Errorf("asyncfl: client %q sent %d-dim gradient, want %d",
@@ -336,6 +357,7 @@ func (a *Aggregator) Submit(u Update) (SubmitResult, error) {
 	a.purgeLocked(expired)
 
 	if !a.cfg.Deterministic {
+		u.Grad = a.slotLocked(u.Grad)
 		return a.applyLocked(u), nil
 	}
 
@@ -352,7 +374,12 @@ func (a *Aggregator) Submit(u Update) (SubmitResult, error) {
 	if _, dup := a.reorder[u.Seq]; dup {
 		return SubmitResult{}, fmt.Errorf("asyncfl: duplicate schedule position %d", u.Seq)
 	}
-	a.reorder[u.Seq] = &u
+	// Park a copy in a slot, which applyLocked takes over when it drains.
+	// (A parked variable of its own, not &u: u escaping would cost every
+	// Submit a heap copy of it.)
+	parked := u
+	parked.Grad = a.slotLocked(u.Grad)
+	a.reorder[u.Seq] = &parked
 	res := SubmitResult{Held: true, Version: a.version, Done: a.done}
 	for {
 		next, ok := a.reorder[a.seqNext]
@@ -403,6 +430,9 @@ func (a *Aggregator) Heartbeat(client string) (version int, done bool) {
 func (a *Aggregator) purgeLocked(expired []string) {
 	for _, id := range expired {
 		if q := a.queues[id]; len(q) > 0 {
+			for _, e := range q {
+				a.spare = append(a.spare, e.grad)
+			}
 			a.buffered -= len(q)
 			a.purged += int64(len(q))
 			a.logf("asyncfl: session %s expired, %d queued updates purged", id, len(q))
@@ -421,6 +451,7 @@ func (a *Aggregator) purgeLocked(expired []string) {
 	}
 	for seq, u := range a.reorder {
 		if u != nil && gone[u.Client] {
+			a.spare = append(a.spare, u.Grad)
 			a.reorder[seq] = nil
 			a.purged++
 			a.logf("asyncfl: session %s expired, parked schedule position %d abandoned", u.Client, seq)
@@ -428,63 +459,42 @@ func (a *Aggregator) purgeLocked(expired []string) {
 	}
 }
 
-// applyLocked runs the accept/enqueue/step path for one update. Callers
+// slotLocked returns an update slot holding a copy of g: the last slot put
+// on the free list when there is one, a fresh vector otherwise. Callers
 // hold a.mu.
+func (a *Aggregator) slotLocked(g []float64) []float64 {
+	var s []float64
+	if n := len(a.spare); n > 0 {
+		s, a.spare = a.spare[n-1], a.spare[:n-1]
+	} else {
+		s = make([]float64, len(g))
+	}
+	copy(s, g)
+	return s
+}
+
+// applyLocked runs the accept/enqueue/step path for one update whose Grad
+// is an update slot (slotLocked): when it returns, the slot is buffered or
+// back on the free list. Callers hold a.mu.
 func (a *Aggregator) applyLocked(u Update) SubmitResult {
-	res := SubmitResult{Version: a.version, Done: a.done}
-	if a.done {
-		a.rejects++
+	res, ok := a.admitLocked(u)
+	if !ok {
+		a.spare = append(a.spare, u.Grad)
 		return res
 	}
-	s := a.version - u.Version
-	res.Staleness = s
-	if s < 0 {
-		a.rejects++
-		return res // gradient against a future model: refused
-	}
-	if a.cfg.MaxStaleness > 0 && s > a.cfg.MaxStaleness {
-		a.rejects++
-		res.TooStale = true
-		return res
-	}
-
-	// Ingest screen: copy first so the Clamp repair never mutates the
-	// caller's (or a parked deterministic-mode update's) slice, then screen
-	// the copy. Reject and Quarantine consume the arrival — in
-	// deterministic mode its schedule position has already drained — but
-	// nothing hostile enters the buffer.
-	g := make([]float64, len(u.Grad))
-	copy(g, u.Grad)
-	switch sanitize.Screen(g, a.cfg.NonFinite) {
-	case sanitize.Rejected:
-		a.nonFiniteRejects++
-		a.rejects++
-		res.NonFinite = true
-		return res
-	case sanitize.Quarantined:
-		// Accepted for accounting (the operator sees who ships garbage via
-		// the counter and ingest bytes) but withheld from aggregation.
-		a.nonFiniteQuarantines++
-		a.ingestBytes += int64(wireBytes(u))
-		res.NonFinite = true
-		return res
-	case sanitize.Clamped:
-		a.nonFiniteClamps++
-		res.NonFinite = true
-	}
-
 	q := a.queues[u.Client]
 	if len(q) >= a.queueCap {
 		// Drop-oldest: the evicted update already counted as an arrival,
 		// so the step cadence is unaffected; the submitter learns via
 		// Dropped that it is outrunning the aggregator.
+		a.spare = append(a.spare, q[0].grad)
 		copy(q, q[1:])
 		q = q[:len(q)-1]
 		a.buffered--
 		a.drops++
 		res.Dropped = true
 	}
-	q = append(q, entry{client: u.Client, version: u.Version, seq: a.arrival, grad: g})
+	q = append(q, entry{client: u.Client, version: u.Version, seq: a.arrival, grad: u.Grad})
 	a.arrival++
 	a.queues[u.Client] = q
 	a.buffered++
@@ -502,6 +512,49 @@ func (a *Aggregator) applyLocked(u Update) SubmitResult {
 		res.Done = a.done
 	}
 	return res
+}
+
+// admitLocked decides whether an update may enter the buffer: it refuses
+// the done, the future-versioned and the too-stale, then screens the
+// update's slot, so the Clamp repair never touches a caller's slice.
+// Reject and Quarantine consume the arrival — in deterministic mode its
+// schedule position has already drained — but nothing hostile enters the
+// buffer. Callers hold a.mu.
+func (a *Aggregator) admitLocked(u Update) (res SubmitResult, ok bool) {
+	res = SubmitResult{Version: a.version, Done: a.done}
+	if a.done {
+		a.rejects++
+		return res, false
+	}
+	s := a.version - u.Version
+	res.Staleness = s
+	if s < 0 {
+		a.rejects++
+		return res, false // gradient against a future model: refused
+	}
+	if a.cfg.MaxStaleness > 0 && s > a.cfg.MaxStaleness {
+		a.rejects++
+		res.TooStale = true
+		return res, false
+	}
+	switch sanitize.Screen(u.Grad, a.cfg.NonFinite) {
+	case sanitize.Rejected:
+		a.nonFiniteRejects++
+		a.rejects++
+		res.NonFinite = true
+		return res, false
+	case sanitize.Quarantined:
+		// Accepted for accounting (the operator sees who ships garbage via
+		// the counter and ingest bytes) but withheld from aggregation.
+		a.nonFiniteQuarantines++
+		a.ingestBytes += int64(wireBytes(u))
+		res.NonFinite = true
+		return res, false
+	case sanitize.Clamped:
+		a.nonFiniteClamps++
+		res.NonFinite = true
+	}
+	return res, true
 }
 
 // Flush runs an aggregation step over whatever is buffered now and restarts
@@ -525,10 +578,11 @@ func (a *Aggregator) Flush() (stepped bool) {
 // server SGD step and restarts the K-cadence. Callers hold a.mu.
 func (a *Aggregator) stepLocked() {
 	a.sinceK = 0
-	buf := make([]entry, 0, a.buffered)
+	buf := a.buf[:0]
 	for _, q := range a.queues {
 		buf = append(buf, q...)
 	}
+	a.buf = buf
 	// Arrival order, not map order: the merge accumulates sequentially, so
 	// this sort is what makes the aggregate byte-determined by the
 	// schedule.
@@ -540,19 +594,23 @@ func (a *Aggregator) stepLocked() {
 	if len(buf) == 0 {
 		return
 	}
+	// Every drained slot goes back on the free list when the step ends, on
+	// every path out of it: deferred, so it happens only after opt.Step has
+	// consumed merged, which may alias one of the slots.
+	defer a.releaseLocked(buf)
 
-	grads := make([][]float64, len(buf))
-	staleness := make([]int, len(buf))
+	grads, staleness := a.grads[:0], a.staleness[:0]
 	sum, max := 0, 0
-	for i, e := range buf {
-		grads[i] = e.grad
+	for _, e := range buf {
 		s := a.version - e.version
-		staleness[i] = s
+		grads = append(grads, e.grad)
+		staleness = append(staleness, s)
 		sum += s
 		if s > max {
 			max = s
 		}
 	}
+	a.grads, a.staleness = grads, staleness
 
 	kept := len(buf)
 	mergeGrads, mergeStale := grads, staleness
@@ -580,12 +638,12 @@ func (a *Aggregator) stepLocked() {
 			// all-fresh buffer (every weight exactly 1) has none to attribute.
 			merged = res.Gradient
 		} else {
-			mergeGrads = make([][]float64, kept)
-			mergeStale = make([]int, kept)
-			for i, idx := range res.Selected {
-				mergeGrads[i] = grads[idx]
-				mergeStale[i] = staleness[idx]
+			mergeGrads, mergeStale = a.mergeGrads[:0], a.mergeStale[:0]
+			for _, idx := range res.Selected {
+				mergeGrads = append(mergeGrads, grads[idx])
+				mergeStale = append(mergeStale, staleness[idx])
 			}
+			a.mergeGrads, a.mergeStale = mergeGrads, mergeStale
 		}
 	}
 	if merged == nil {
@@ -628,6 +686,15 @@ func (a *Aggregator) stepLocked() {
 	}
 }
 
+// releaseLocked puts the slots of drained entries back on the free list and
+// drops the entries' references. Callers hold a.mu.
+func (a *Aggregator) releaseLocked(buf []entry) {
+	for _, e := range buf {
+		a.spare = append(a.spare, e.grad)
+	}
+	clear(buf)
+}
+
 // wireBytes is the ingest-accounting size of one update: its reported
 // encoded size, falling back to the dense float64 size when unreported.
 func wireBytes(u Update) int {
@@ -654,11 +721,20 @@ func (a *Aggregator) Dim() int { return len(a.cfg.InitialParams) }
 // Model returns the current version and a copy of the global parameters,
 // plus whether training is done.
 func (a *Aggregator) Model() (version int, params []float64, done bool) {
+	return a.ModelInto(nil)
+}
+
+// ModelInto is Model copying the parameters into dst[:Dim()] when dst can
+// hold them, and into a fresh slice otherwise.
+func (a *Aggregator) ModelInto(dst []float64) (version int, params []float64, done bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	out := make([]float64, len(a.params))
-	copy(out, a.params)
-	return a.version, out, a.done
+	if cap(dst) < len(a.params) {
+		dst = make([]float64, len(a.params))
+	}
+	params = dst[:len(a.params)]
+	copy(params, a.params)
+	return a.version, params, a.done
 }
 
 // Done returns a channel closed when TargetSteps aggregation steps have

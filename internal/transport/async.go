@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"slices"
 	"strings"
+	"sync"
 	"time"
 
 	"github.com/signguard/signguard/internal/asyncfl"
@@ -48,14 +49,26 @@ func NewAsyncCodecHandler(agg *asyncfl.Aggregator, accepted []string) (http.Hand
 		}
 		acceptSet[name] = true
 	}
-	submitCap := maxAsyncSubmitBody(agg.Dim())
+	dim := agg.Dim()
+	submitCap := maxAsyncSubmitBody(dim)
+	// Every d-sized buffer a request needs comes from this handler's own
+	// scratch and goes back when the request is done with it: the submit
+	// path returns it only after Submit, which copies what it keeps.
+	// Requests run concurrently and share no lock, hence a pool; fresh
+	// scratch per request triples what serving an update allocates
+	// (docs/ARCHITECTURE.md, "Who owns the scratch").
+	scratch := sync.Pool{New: func() any { return newAsyncScratch(dim) }}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET "+AsyncPathModel, func(w http.ResponseWriter, _ *http.Request) {
-		version, params, done := agg.Model()
-		writeAsyncModel(w, &AsyncModelResponse{Version: version, Params: params, Codecs: accepted, Done: done})
+		s := scratch.Get().(*asyncScratch)
+		defer scratch.Put(s)
+		version, params, done := agg.ModelInto(s.grad)
+		writeAsyncModel(w, &AsyncModelResponse{Version: version, Params: params, Codecs: accepted, Done: done}, s)
 	})
 	mux.HandleFunc("POST "+AsyncPathUpdate, func(w http.ResponseWriter, r *http.Request) {
-		req, ok := readAsyncSubmit(w, r, submitCap)
+		s := scratch.Get().(*asyncScratch)
+		defer scratch.Put(s)
+		req, ok := readAsyncSubmit(w, r, submitCap, s)
 		if !ok {
 			return
 		}
@@ -66,17 +79,17 @@ func NewAsyncCodecHandler(agg *asyncfl.Aggregator, accepted []string) (http.Hand
 					enc.Codec, accepted), http.StatusBadRequest)
 				return
 			}
-			// Bound the declared dimension before decoding: Decode
-			// allocates Dim-sized buffers, and Dim is attacker-controlled
-			// wire input — a dimension the aggregator would reject anyway
-			// must not drive an allocation first.
-			if want := agg.Dim(); enc.Dim != want {
+			// Bound the declared dimension before decoding: Dim sizes the
+			// decode, and it is attacker-controlled wire input — a
+			// dimension the aggregator would reject anyway must not reach
+			// a codec at all.
+			if enc.Dim != dim {
 				http.Error(w, fmt.Sprintf("encoded payload declares dim %d, want %d",
-					enc.Dim, want), http.StatusBadRequest)
+					enc.Dim, dim), http.StatusBadRequest)
 				return
 			}
 			var err error
-			if grad, err = reg.Decode(*enc); err != nil {
+			if grad, err = reg.Decode(enc.WithDst(s.grad)); err != nil {
 				if errors.Is(err, codec.ErrNonFinite) {
 					// This payload never reaches Submit's screen, so account
 					// it on the aggregator's counters here. (A literal NaN in
@@ -246,12 +259,21 @@ func (c *AsyncClient) roundTrip(ctx context.Context, method, path, contentType s
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
 		return nil, fmt.Errorf("transport: %s: HTTP %d: %s", path, resp.StatusCode, strings.TrimSpace(string(msg)))
 	}
-	raw, err := io.ReadAll(resp.Body)
+	var buf []byte
+	if n := resp.ContentLength; n > 0 && n <= maxPresizedReply {
+		buf = make([]byte, 0, n+1) // +1: room to see EOF without growing
+	}
+	raw, err := readAll(buf, resp.Body)
 	if err != nil {
 		return nil, fmt.Errorf("transport: reading %s response: %w", path, err)
 	}
 	return raw, nil
 }
+
+// maxPresizedReply is the largest Content-Length a client sizes its read
+// by up front; a reply claiming more is read by growing as bytes arrive.
+// A Content-Length is a claim, not a length: the read always runs to EOF.
+const maxPresizedReply = 64 << 20
 
 // AsyncClientConfig describes one asynchronous participant loop.
 type AsyncClientConfig struct {

@@ -1,15 +1,14 @@
 package transport
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"slices"
 	"strconv"
-	"sync"
 
 	"github.com/signguard/signguard/internal/codec"
 )
@@ -21,9 +20,9 @@ import (
 //
 // Parsing is the hostile-input surface: every count prefix is checked
 // against the bytes that remain before anything is allocated, so a parse
-// allocates at most len(body) bytes of slices whatever the prefixes claim,
-// and every slice is a fresh copy — nothing a parse returns aliases the
-// body, which handlers read into pooled buffers.
+// allocates at most len(body) bytes of slices whatever the prefixes claim.
+// Nothing a parse returns aliases the body: its vectors land in the
+// caller's asyncScratch, or in fresh slices when that scratch is empty.
 
 const (
 	// asyncBinaryType is the Content-Type of both binary bodies.
@@ -48,18 +47,33 @@ const (
 // and 8 B of value each.
 func maxAsyncSubmitBody(dim int) int64 { return 16*int64(dim) + asyncSubmitSlack }
 
-// asyncBodies recycles the buffers submit bodies are read into. Nothing
-// parsed out of one aliases it, so a buffer goes back as soon as the parse
-// returns.
-var asyncBodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+// asyncScratch is one request's worth of memory the async handler owns and
+// recycles: the body buffer and the backing of every vector a submit
+// parses or decodes to. The zero value is the fresh form
+// (parseAsyncSubmit): every vector gets a slice of its own, and a dense
+// gradient of any length parses.
+type asyncScratch struct {
+	body []byte
+	// grad is the model-dimension vector (len = cap = dim): a dense
+	// gradient parses into it, and an encoded one decodes into it.
+	grad []float64
+	// idx and val back a topk payload (cap dim each).
+	idx []int32
+	val []float64
+}
 
-// readAsyncSubmit takes one submit off the wire, answering the refusal
-// itself when there is one. Refusals are ordered cheapest first, and
-// nothing is allocated on the sender's say-so: the type and the length
-// header are checked before a byte is read, the body lands in a recycled
-// buffer no larger than a legal submit (limit), and the parse sizes every
-// slice by the bytes actually present.
-func readAsyncSubmit(w http.ResponseWriter, r *http.Request, limit int64) (AsyncSubmitRequest, bool) {
+func newAsyncScratch(dim int) *asyncScratch {
+	return &asyncScratch{grad: make([]float64, dim), idx: make([]int32, 0, dim), val: make([]float64, 0, dim)}
+}
+
+// readAsyncSubmit takes one submit off the wire into s, answering the
+// refusal itself when there is one. Refusals are ordered cheapest first,
+// and nothing is allocated on the sender's say-so: the type and the length
+// header are checked before a byte is read, the body lands in s's buffer,
+// which never grows past a legal submit (limit), and the parse refuses any
+// vector longer than s can hold. What it returns aliases s, so s must not
+// be reused while the request is.
+func readAsyncSubmit(w http.ResponseWriter, r *http.Request, limit int64, s *asyncScratch) (AsyncSubmitRequest, bool) {
 	refuse := func(status int, format string, args ...any) (AsyncSubmitRequest, bool) {
 		http.Error(w, fmt.Sprintf(format, args...), status)
 		return AsyncSubmitRequest{}, false
@@ -70,30 +84,48 @@ func readAsyncSubmit(w http.ResponseWriter, r *http.Request, limit int64) (Async
 	if r.ContentLength > limit {
 		return refuse(http.StatusRequestEntityTooLarge, "request body is %d bytes, limit %d", r.ContentLength, limit)
 	}
-	buf := asyncBodies.Get().(*bytes.Buffer)
-	defer asyncBodies.Put(buf)
-	buf.Reset()
-	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit)); err != nil {
+	var err error
+	if s.body, err = readAll(s.body[:0], http.MaxBytesReader(w, r.Body, limit)); err != nil {
 		status := http.StatusBadRequest
 		if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
 			status = http.StatusRequestEntityTooLarge
 		}
 		return refuse(status, "bad request body: %v", err)
 	}
-	req, err := parseAsyncSubmit(buf.Bytes())
+	req, err := s.parseSubmit(s.body)
 	if err != nil {
 		return refuse(http.StatusBadRequest, "bad request body: %v", err)
 	}
 	return req, true
 }
 
-// writeAsyncModel answers a model fetch with the binary body of m.
-func writeAsyncModel(w http.ResponseWriter, m *AsyncModelResponse) {
-	body, err := appendAsyncModel(make([]byte, 0, 64+8*len(m.Params)), m)
+// readAll reads r to EOF, appending to b: io.ReadAll over capacity the
+// caller owns, growing it only by the bytes that actually arrive.
+func readAll(b []byte, r io.Reader) ([]byte, error) {
+	for {
+		if len(b) == cap(b) {
+			b = slices.Grow(b, 512)
+		}
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err != nil {
+			if err == io.EOF {
+				err = nil
+			}
+			return b, err
+		}
+	}
+}
+
+// writeAsyncModel answers a model fetch with the binary body of m, built in
+// s's body buffer.
+func writeAsyncModel(w http.ResponseWriter, m *AsyncModelResponse, s *asyncScratch) {
+	body, err := appendAsyncModel(s.body[:0], m)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
+	s.body = body
 	w.Header().Set("Content-Type", asyncBinaryType)
 	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	_, _ = w.Write(body) // a client that hung up is its own problem
@@ -141,9 +173,18 @@ func appendAsyncSubmit(b []byte, req *AsyncSubmitRequest) ([]byte, error) {
 	return append(b, enc.Sign...), nil
 }
 
-// parseAsyncSubmit decodes a binary submit body. Exactly one of Grad and
-// Encoded is set on success.
+// parseAsyncSubmit decodes a binary submit body into fresh slices. Exactly
+// one of Grad and Encoded is set on success.
 func parseAsyncSubmit(body []byte) (AsyncSubmitRequest, error) {
+	var fresh asyncScratch
+	return fresh.parseSubmit(body)
+}
+
+// parseSubmit decodes a binary submit body into s (see asyncScratch). A
+// scratch with a gradient vector refuses, before anything is sized by it, a
+// dense gradient of any other length and a Dense, Idx or Val field longer
+// than it can hold — fields no model of its dimension can use.
+func (s *asyncScratch) parseSubmit(body []byte) (AsyncSubmitRequest, error) {
 	r := wireReader{b: body}
 	r.tag(asyncSubmitTag)
 	var req AsyncSubmitRequest
@@ -156,28 +197,31 @@ func parseAsyncSubmit(body []byte) (AsyncSubmitRequest, error) {
 	req.Seq = r.int64()
 	switch kind := r.byte(); kind {
 	case kindDense:
-		req.Grad = r.float64s()
+		req.Grad = r.float64s(s.grad)
+		if r.err == nil && s.grad != nil && len(req.Grad) != len(s.grad) {
+			r.err = fmt.Errorf("dense gradient has %d coordinates, want %d", len(req.Grad), len(s.grad))
+		}
 	case kindEncoded:
 		enc := &codec.Encoded{}
 		enc.Codec = string(r.take(int(r.byte())))
 		enc.Dim = int(r.int64())
-		enc.Dense = r.float64s()
-		if raw := r.counted(4); len(raw) > 0 {
-			enc.Idx = make([]int32, len(raw)/4)
+		enc.Dense = r.float64s(s.grad)
+		if raw := r.counted(4, capLimit(s.idx)); len(raw) > 0 {
+			enc.Idx = fit(s.idx, len(raw)/4)
 			for i := range enc.Idx {
 				enc.Idx[i] = int32(binary.LittleEndian.Uint32(raw[4*i:]))
 			}
 		}
-		enc.Val = r.float64s()
+		enc.Val = r.float64s(s.val)
 		enc.Scale = math.Float64frombits(uint64(r.int64()))
 		enc.Levels = int(r.int64())
-		if raw := r.counted(1); len(raw) > 0 {
+		if raw := r.counted(1, -1); len(raw) > 0 {
 			enc.Q = make([]int8, len(raw))
 			for i, q := range raw {
 				enc.Q[i] = int8(q)
 			}
 		}
-		if raw := r.counted(1); len(raw) > 0 {
+		if raw := r.counted(1, -1); len(raw) > 0 {
 			enc.Sign = append([]byte(nil), raw...)
 		}
 		req.Encoded = enc
@@ -226,7 +270,7 @@ func parseAsyncModel(body []byte) (AsyncModelResponse, error) {
 	for n := int(r.byte()); n > 0 && r.err == nil; n-- {
 		m.Codecs = append(m.Codecs, string(r.take(int(r.byte()))))
 	}
-	m.Params = r.float64s()
+	m.Params = r.float64s(nil)
 	if err := r.finish(); err != nil {
 		return AsyncModelResponse{}, err
 	}
@@ -298,26 +342,49 @@ func (r *wireReader) byte() byte { return r.fixed(1)[0] }
 func (r *wireReader) int64() int64 { return int64(binary.LittleEndian.Uint64(r.fixed(8))) }
 
 // counted reads a uint32 count and returns that many size-byte elements,
-// still aliasing the body. A count the remaining bytes cannot hold is an
-// error before anything is sized by it.
-func (r *wireReader) counted(size int) []byte {
+// still aliasing the body. A count the remaining bytes cannot hold, or one
+// above max when max >= 0, is an error before anything is sized by it.
+func (r *wireReader) counted(size, max int) []byte {
 	n := int64(binary.LittleEndian.Uint32(r.fixed(4)))
-	if r.err == nil && n*int64(size) > int64(len(r.b)) {
+	switch {
+	case r.err != nil:
+	case n*int64(size) > int64(len(r.b)):
 		r.err = fmt.Errorf("count prefix %d exceeds the %d bytes that remain", n, len(r.b))
+	case max >= 0 && n > int64(max):
+		r.err = fmt.Errorf("count prefix %d exceeds the model dimension %d", n, max)
 	}
 	return r.take(int(n) * size)
 }
 
-func (r *wireReader) float64s() []float64 {
-	raw := r.counted(8)
+// float64s reads a counted float64 vector into dst, whose capacity then
+// bounds the count, or into a fresh slice when dst is nil.
+func (r *wireReader) float64s(dst []float64) []float64 {
+	raw := r.counted(8, capLimit(dst))
 	if len(raw) == 0 {
 		return nil
 	}
-	out := make([]float64, len(raw)/8)
+	out := fit(dst, len(raw)/8)
 	for i := range out {
 		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
 	}
 	return out
+}
+
+// capLimit is the count bound a scratch slice sets: its capacity, or none
+// (-1) for the nil slice of the fresh form.
+func capLimit[T any](dst []T) int {
+	if dst == nil {
+		return -1
+	}
+	return cap(dst)
+}
+
+// fit returns dst[:n] when dst can hold n values, a fresh slice otherwise.
+func fit[T any](dst []T, n int) []T {
+	if cap(dst) < n {
+		return make([]T, n)
+	}
+	return dst[:n]
 }
 
 // finish reports the first error, or trailing bytes after the last field.

@@ -71,8 +71,11 @@ func TestAsyncWireRoundTrip(t *testing.T) {
 // FuzzAsyncSubmitBody: parsing arbitrary bytes never panics, a body that
 // parses holds no more slice storage than the body was long, and the
 // framing is canonical — re-encoding what was parsed gives the body back,
-// so parse(append(x)) == x for everything append can emit.
+// so parse(append(x)) == x for everything append can emit. The handler's
+// scratch form, reused from body to body, only adds refusals: whatever it
+// takes, it reads exactly as the fresh form does.
 func FuzzAsyncSubmitBody(f *testing.F) {
+	scratch := newAsyncScratch(8)
 	f.Add(submitBody(f, AsyncSubmitRequest{Client: "c", Version: 3, Grad: []float64{1, math.NaN(), -2}}))
 	for _, enc := range builtinPayloads(f) {
 		f.Add(submitBody(f, AsyncSubmitRequest{Client: "c", Version: 1, Seq: 2, Encoded: &enc}))
@@ -82,8 +85,15 @@ func FuzzAsyncSubmitBody(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		req, err := parseAsyncSubmit(body)
+		inScratch, scratchErr := scratch.parseSubmit(body)
 		if err != nil {
+			if scratchErr == nil {
+				t.Fatalf("scratch form took a body the fresh form refuses (%v)", err)
+			}
 			return
+		}
+		if scratchErr == nil && !reflect.DeepEqual(inScratch, req) {
+			t.Fatalf("scratch form read %+v, fresh form %+v", inScratch, req)
 		}
 		if req.Encoded != nil && req.Grad != nil {
 			t.Fatalf("parsed both a dense and an encoded payload: %+v", req)

@@ -205,6 +205,7 @@ func hostileSubmitBodies(t testing.TB, dim int) []hostileSubmitBody {
 	}
 	return append(rows, []hostileSubmitBody{
 		{"count prefix 2^32-1 on a 40-byte body", asyncBinaryType, hugeCount, http.StatusBadRequest},
+		{"dense gradient one coordinate long", asyncBinaryType, submitBody(t, AsyncSubmitRequest{Client: "c", Grad: append(grad, 0)}), http.StatusBadRequest},
 		{"trailing byte", asyncBinaryType, append(bytes.Clone(encoded), 0), http.StatusBadRequest},
 		{"wrong tag", asyncBinaryType, wrongTag, http.StatusBadRequest},
 		{"257-byte client id", asyncBinaryType, append(header(strings.Repeat("x", 257), kindDense), payload...), http.StatusBadRequest},
@@ -218,8 +219,9 @@ func hostileSubmitBodies(t testing.TB, dim int) []hostileSubmitBody {
 // TestHostileSubmitBodies posts every malformed frame to a live server: each
 // is refused with its status, none of them buffers an update or moves the
 // model, and the valid dense and topk frames the table is cut from still
-// land afterwards. The count-prefix row is also parsed directly to show the
-// refusal allocates nothing sized by the prefix.
+// land afterwards. The count-prefix row, and a well-formed dense body four
+// times the model's dimension, are also parsed directly to show the refusal
+// allocates nothing sized by the count.
 func TestHostileSubmitBodies(t *testing.T) {
 	const dim = 8
 	agg, srv := newAsyncTestServer(t, asyncfl.Config{
@@ -250,18 +252,33 @@ func TestHostileSubmitBodies(t *testing.T) {
 		t.Errorf("malformed frames reached the aggregator: %+v", st)
 	}
 
-	huge := body("count prefix")
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := parseAsyncSubmit(huge); err == nil {
-			t.Fatal("count prefix 2^32-1 parsed")
+	// The handler's scratch form refuses a dense count other than its
+	// dimension before sizing anything by it; the fresh form would take
+	// this body and allocate 32 KiB for it.
+	// Each refusal allocates an error value and the numbers its message
+	// formats, and a one-byte client id.
+	const wide = 1 << 10
+	for _, refusal := range []struct {
+		name      string
+		parse     func([]byte) (AsyncSubmitRequest, error)
+		body      []byte
+		maxAllocs float64
+	}{
+		{"a 2^32-1 count prefix", parseAsyncSubmit, body("count prefix"), 4},
+		{"a dense body of 4×dim coordinates", newAsyncScratch(wide).parseSubmit,
+			submitBody(t, AsyncSubmitRequest{Client: "c", Grad: make([]float64, 4*wide)}), 5},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := refusal.parse(refusal.body); err == nil {
+				t.Fatalf("%s parsed", refusal.name)
+			}
+		})
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; allocs > refusal.maxAllocs || grew > 64<<10 {
+			t.Errorf("refusing %s: %.0f allocations per parse, %d bytes over 101 parses", refusal.name, allocs, grew)
 		}
-	})
-	runtime.ReadMemStats(&after)
-	// 101 refusals: an error value and a one-byte client id each.
-	if grew := after.TotalAlloc - before.TotalAlloc; allocs > 4 || grew > 64<<10 {
-		t.Errorf("refusing a 2^32-1 count prefix: %.0f allocations per parse, %d bytes over 101 parses", allocs, grew)
 	}
 
 	c := &AsyncClient{Base: srv.URL, ID: "c"}
