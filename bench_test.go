@@ -11,13 +11,13 @@
 package signguard_test
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
 
 	"github.com/signguard/signguard/internal/aggregate"
 	"github.com/signguard/signguard/internal/attack"
-	"github.com/signguard/signguard/internal/campaign"
 	"github.com/signguard/signguard/internal/core"
 	"github.com/signguard/signguard/internal/experiments"
 	"github.com/signguard/signguard/internal/tensor"
@@ -32,133 +32,52 @@ func microParams() experiments.Params {
 	}
 }
 
-// benchEngine is a cache-less parallel campaign engine for the experiment
-// benchmarks.
-func benchEngine() *campaign.Engine {
-	return experiments.NewEngine(0, nil, nil)
-}
-
-// logTable renders a table into the benchmark log (visible with -v).
-func logTable(b *testing.B, t *experiments.Table) {
-	b.Helper()
-	var sb strings.Builder
-	if err := t.Markdown(&sb); err != nil {
-		b.Fatal(err)
+// benchExperiment regenerates one catalog experiment per iteration on a
+// cache-less parallel engine, logging its tables once (visible with -v).
+func benchExperiment(b *testing.B, name string) {
+	for i := 0; i < b.N; i++ {
+		tables, err := experiments.Run(context.Background(), experiments.NewEngine(0, nil, nil), name, microParams())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if i > 0 {
+			continue
+		}
+		for _, t := range tables {
+			var sb strings.Builder
+			if err := t.Markdown(&sb); err != nil {
+				b.Fatal(err)
+			}
+			b.Log("\n" + sb.String())
+		}
 	}
-	b.Log("\n" + sb.String())
 }
 
 // BenchmarkTable1 regenerates Table I (defense × attack best accuracy) for
-// each dataset analog at micro scale.
-func BenchmarkTable1(b *testing.B) {
-	for _, key := range []string{"mnist", "fashion", "cifar", "agnews"} {
-		b.Run(key, func(b *testing.B) {
-			ds, err := experiments.DatasetByKey(key)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for i := 0; i < b.N; i++ {
-				t, err := experiments.Table1(benchEngine(), ds, microParams())
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == 0 {
-					logTable(b, t)
-				}
-			}
-		})
-	}
-}
+// every dataset analog at micro scale.
+func BenchmarkTable1(b *testing.B) { benchExperiment(b, "table1") }
 
 // BenchmarkTable2SelectionRates regenerates Table II (honest/malicious
 // selection rates of the SignGuard variants).
-func BenchmarkTable2SelectionRates(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := experiments.Table2(benchEngine(), microParams())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			logTable(b, t)
-		}
-	}
-}
+func BenchmarkTable2SelectionRates(b *testing.B) { benchExperiment(b, "table2") }
 
 // BenchmarkTable3Ablation regenerates Table III (component ablation).
-func BenchmarkTable3Ablation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := experiments.Table3(benchEngine(), microParams())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			logTable(b, t)
-		}
-	}
-}
+func BenchmarkTable3Ablation(b *testing.B) { benchExperiment(b, "table3") }
 
 // BenchmarkFig2SignStatistics regenerates Fig. 2 (sign statistics of the
 // honest vs LIE-crafted gradients over training).
-func BenchmarkFig2SignStatistics(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, tables, err := experiments.Fig2(benchEngine(), microParams(), 2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, t := range tables {
-				logTable(b, t)
-			}
-		}
-	}
-}
+func BenchmarkFig2SignStatistics(b *testing.B) { benchExperiment(b, "fig2") }
 
 // BenchmarkFig4ByzantineFraction regenerates Fig. 4 (attack impact vs
 // Byzantine fraction).
-func BenchmarkFig4ByzantineFraction(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tables, err := experiments.Fig4(benchEngine(), microParams())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, t := range tables {
-				logTable(b, t)
-			}
-		}
-	}
-}
+func BenchmarkFig4ByzantineFraction(b *testing.B) { benchExperiment(b, "fig4") }
 
 // BenchmarkFig5TimeVarying regenerates Fig. 5 (accuracy curves under the
 // time-varying attack).
-func BenchmarkFig5TimeVarying(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tables, err := experiments.Fig5(benchEngine(), microParams())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, t := range tables {
-				logTable(b, t)
-			}
-		}
-	}
-}
+func BenchmarkFig5TimeVarying(b *testing.B) { benchExperiment(b, "fig5") }
 
 // BenchmarkFig6NonIID regenerates Fig. 6 (non-IID skew sweep).
-func BenchmarkFig6NonIID(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tables, err := experiments.Fig6(benchEngine(), microParams())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, t := range tables {
-				logTable(b, t)
-			}
-		}
-	}
-}
+func BenchmarkFig6NonIID(b *testing.B) { benchExperiment(b, "fig6") }
 
 // ---- Micro-benchmarks: per-round cost of each aggregation rule ----
 

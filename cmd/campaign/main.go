@@ -260,12 +260,12 @@ func cmdList() error {
 // surface for both pluggable-stage catalogs, with the hyperparameter
 // names each constructor accepts (usable in RuleHyper / -codec-hyper).
 func cmdRules() error {
-	defs := experiments.Defenses().Specs()
+	defs := experiments.Defenses().Values()
 	fmt.Printf("defenses (%d):\n", len(defs))
 	for _, s := range defs {
 		printRule(s.Name, s.Hyper)
 	}
-	codecs := codec.Builtin().Specs()
+	codecs := codec.Builtin().Values()
 	fmt.Printf("\ncodecs (%d):\n", len(codecs))
 	for _, s := range codecs {
 		printRule(s.Name, s.Hyper)

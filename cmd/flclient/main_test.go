@@ -44,7 +44,7 @@ func TestValidateFlags(t *testing.T) {
 // adaptive attack.
 func TestByzModesMatchAttackCatalog(t *testing.T) {
 	for mode, name := range localByzModes {
-		spec, err := attack.SpecByName(name)
+		spec, err := attack.Builtin().Lookup(name)
 		if err != nil {
 			t.Errorf("mode %q: %v", mode, err)
 			continue

@@ -9,19 +9,21 @@
 //	reproduce -exp table1 [-dataset mnist] [-scale bench|standard|full] [-format md|tsv] [-v]
 //	reproduce -exp all -scale standard -workers 8 -cache-dir .campaign-cache -out results.md
 //
-// Experiments: table1, table2, table3, fig2, fig4, fig5, fig6, the
-// post-paper scenario axes (subsample, coordfrac, adaptive, compression,
-// hostile, serverlearn), and all. -codec stamps a gradient-compression
-// codec onto every cell of whichever experiment runs (the codec is cell
-// identity, so compressed reruns cache separately).
+// -exp takes any name `campaign list` prints: the paper's tables and
+// figures, the post-paper scenario axes, and all (every experiment, in
+// that order). -codec stamps a gradient-compression codec onto every cell
+// of whichever experiment runs (the codec is cell identity, so compressed
+// reruns cache separately).
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
 	"log"
 	"os"
+	"strings"
 	"time"
 
 	"github.com/signguard/signguard/internal/campaign"
@@ -30,20 +32,21 @@ import (
 	"github.com/signguard/signguard/internal/parallel"
 )
 
+var (
+	expFlag     = flag.String("exp", "table1", "experiment id: "+expNames())
+	datasetFlag = flag.String("dataset", "", "table1 and all only: restrict Table I to one dataset (mnist|fashion|cifar|agnews)")
+	scaleFlag   = flag.String("scale", "bench", "scale preset: bench|standard|full")
+	formatFlag  = flag.String("format", "md", "output format: md|tsv")
+	outFlag     = flag.String("out", "", "output file (default stdout)")
+	seedFlag    = flag.Int64("seed", 1, "experiment seed")
+	workersFlag = flag.Int("workers", parallel.Default(), "concurrent experiment cells (default: all CPUs)")
+	codecFlag   = flag.String("codec", "", "gradient-compression codec stamped onto every cell (identity|topk|qsgd|signsgd; empty = the experiment's own codec axis)")
+	hyperFlag   = flag.String("codec-hyper", "", "codec hyperparameters as key=value[,key=value], e.g. k=64 (requires -codec)")
+	cacheFlag   = flag.String("cache-dir", "", "cell result cache directory (empty = no cache)")
+	verbose     = flag.Bool("v", false, "log per-cell progress to stderr")
+)
+
 func main() {
-	var (
-		expFlag     = flag.String("exp", "table1", "experiment id: table1|table2|table3|fig2|fig4|fig5|fig6|subsample|coordfrac|adaptive|compression|hostile|serverlearn|all")
-		datasetFlag = flag.String("dataset", "", "table1 only: restrict to one dataset (mnist|fashion|cifar|agnews)")
-		scaleFlag   = flag.String("scale", "bench", "scale preset: bench|standard|full")
-		formatFlag  = flag.String("format", "md", "output format: md|tsv")
-		outFlag     = flag.String("out", "", "output file (default stdout)")
-		seedFlag    = flag.Int64("seed", 1, "experiment seed")
-		workersFlag = flag.Int("workers", parallel.Default(), "concurrent experiment cells (default: all CPUs)")
-		codecFlag   = flag.String("codec", "", "gradient-compression codec stamped onto every cell (identity|topk|qsgd|signsgd; empty = the experiment's own codec axis)")
-		hyperFlag   = flag.String("codec-hyper", "", "codec hyperparameters as key=value[,key=value], e.g. k=64 (requires -codec)")
-		cacheFlag   = flag.String("cache-dir", "", "cell result cache directory (empty = no cache)")
-		verbose     = flag.Bool("v", false, "log per-cell progress to stderr")
-	)
 	flag.Parse()
 
 	if err := run(*expFlag, *datasetFlag, *scaleFlag, *formatFlag, *outFlag, *seedFlag,
@@ -62,6 +65,10 @@ func run(exp, dataset, scaleName, format, outPath string, seed int64, workers in
 	}
 	if codecName == "" && hyper != nil {
 		return fmt.Errorf("-codec-hyper requires -codec")
+	}
+	xs, err := selectExperiments(exp, dataset)
+	if err != nil {
+		return err
 	}
 	scale, err := experiments.ParseScale(scaleName)
 	if err != nil {
@@ -95,9 +102,27 @@ func run(exp, dataset, scaleName, format, outPath string, seed int64, workers in
 		out = f
 	}
 
-	emit := func(tables ...*experiments.Table) error {
+	start := time.Now()
+	defer func() {
+		if verbose {
+			log.Printf("reproduce: %s done in %v", exp, time.Since(start).Round(time.Second))
+		}
+	}()
+
+	for _, x := range xs {
+		spec := x.Spec(p)
+		if x.Name == "table1" && dataset != "" {
+			spec = onlyDataset(spec, dataset)
+		}
+		rep, err := engine.Run(context.Background(), spec)
+		if err != nil {
+			return err
+		}
+		tables, err := x.Render(rep.Results)
+		if err != nil {
+			return err
+		}
 		for _, t := range tables {
-			var err error
 			if format == "tsv" {
 				err = t.TSV(out)
 			} else {
@@ -107,157 +132,47 @@ func run(exp, dataset, scaleName, format, outPath string, seed int64, workers in
 				return err
 			}
 		}
-		return nil
 	}
+	return nil
+}
 
-	start := time.Now()
-	defer func() {
-		if verbose {
-			log.Printf("reproduce: %s done in %v", exp, time.Since(start).Round(time.Second))
+// selectExperiments resolves -exp ("all" = the whole catalog, in order) and
+// checks -dataset, which only restricts Table I.
+func selectExperiments(exp, dataset string) ([]experiments.Experiment, error) {
+	cat := experiments.Experiments()
+	var xs []experiments.Experiment
+	if exp == "all" {
+		xs = cat.Values()
+	} else {
+		x, err := cat.Lookup(exp)
+		if err != nil {
+			return nil, fmt.Errorf("unknown experiment %q (want %s)", exp, expNames())
 		}
-	}()
+		xs = []experiments.Experiment{x}
+	}
+	if dataset != "" {
+		if exp != "table1" && exp != "all" {
+			return nil, fmt.Errorf("-dataset restricts Table I only: use it with -exp table1 or -exp all, not -exp %s", exp)
+		}
+		if _, err := experiments.DatasetByKey(dataset); err != nil {
+			return nil, err
+		}
+	}
+	return xs, nil
+}
 
-	runTable1 := func() error {
-		specs := experiments.Datasets()
-		if dataset != "" {
-			ds, err := experiments.DatasetByKey(dataset)
-			if err != nil {
-				return err
-			}
-			specs = []experiments.DatasetSpec{ds}
+// onlyDataset keeps the spec's cells on one dataset.
+func onlyDataset(spec campaign.Spec, key string) campaign.Spec {
+	out := campaign.Spec{Name: spec.Name}
+	for _, c := range spec.Cells {
+		if c.Dataset == key {
+			out.Cells = append(out.Cells, c)
 		}
-		for _, ds := range specs {
-			t, err := experiments.Table1(engine, ds, p)
-			if err != nil {
-				return err
-			}
-			if err := emit(t); err != nil {
-				return err
-			}
-		}
-		return nil
 	}
-	runTable2 := func() error {
-		t, err := experiments.Table2(engine, p)
-		if err != nil {
-			return err
-		}
-		return emit(t)
-	}
-	runTable3 := func() error {
-		t, err := experiments.Table3(engine, p)
-		if err != nil {
-			return err
-		}
-		return emit(t)
-	}
-	runFig2 := func() error {
-		_, tables, err := experiments.Fig2(engine, p, experiments.Fig2SampleEvery(p))
-		if err != nil {
-			return err
-		}
-		return emit(tables...)
-	}
-	runFig4 := func() error {
-		tables, err := experiments.Fig4(engine, p)
-		if err != nil {
-			return err
-		}
-		return emit(tables...)
-	}
-	runFig5 := func() error {
-		tables, err := experiments.Fig5(engine, p)
-		if err != nil {
-			return err
-		}
-		return emit(tables...)
-	}
-	runFig6 := func() error {
-		tables, err := experiments.Fig6(engine, p)
-		if err != nil {
-			return err
-		}
-		return emit(tables...)
-	}
-	runSubsample := func() error {
-		t, err := experiments.Subsample(engine, p)
-		if err != nil {
-			return err
-		}
-		return emit(t)
-	}
-	runCoordFrac := func() error {
-		t, err := experiments.CoordFrac(engine, p)
-		if err != nil {
-			return err
-		}
-		return emit(t)
-	}
-	runAdaptive := func() error {
-		t, err := experiments.Adaptive(engine, p)
-		if err != nil {
-			return err
-		}
-		return emit(t)
-	}
-	runCompression := func() error {
-		t, err := experiments.Compression(engine, p)
-		if err != nil {
-			return err
-		}
-		return emit(t)
-	}
-	runHostile := func() error {
-		t, err := experiments.Hostile(engine, p)
-		if err != nil {
-			return err
-		}
-		return emit(t)
-	}
-	runServerLearn := func() error {
-		t, err := experiments.ServerLearn(engine, p)
-		if err != nil {
-			return err
-		}
-		return emit(t)
-	}
+	return out
+}
 
-	switch exp {
-	case "table1":
-		return runTable1()
-	case "table2":
-		return runTable2()
-	case "table3":
-		return runTable3()
-	case "fig2":
-		return runFig2()
-	case "fig4":
-		return runFig4()
-	case "fig5":
-		return runFig5()
-	case "fig6":
-		return runFig6()
-	case "subsample":
-		return runSubsample()
-	case "coordfrac":
-		return runCoordFrac()
-	case "adaptive":
-		return runAdaptive()
-	case "compression":
-		return runCompression()
-	case "hostile":
-		return runHostile()
-	case "serverlearn":
-		return runServerLearn()
-	case "all":
-		for _, f := range []func() error{runFig2, runTable1, runTable2, runFig4, runFig5, runFig6, runTable3,
-			runSubsample, runCoordFrac, runAdaptive, runCompression, runHostile, runServerLearn} {
-			if err := f(); err != nil {
-				return err
-			}
-		}
-		return nil
-	default:
-		return fmt.Errorf("unknown experiment %q", exp)
-	}
+// expNames is the -exp vocabulary: every catalog entry, then all.
+func expNames() string {
+	return strings.Join(experiments.CampaignNames(), "|")
 }

@@ -12,7 +12,7 @@ import (
 // Craft keeps none of its Context's vectors past the call, because the
 // simulator reuses their memory in the next round.
 func TestAttackConformance(t *testing.T) {
-	for _, spec := range attack.Builtin() {
+	for _, spec := range attack.Builtin().Values() {
 		t.Run(spec.Name, func(t *testing.T) {
 			if err := conformance.CheckAttackInputRetention(spec, 29); err != nil {
 				t.Error(err)

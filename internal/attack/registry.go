@@ -1,6 +1,6 @@
 package attack
 
-import "fmt"
+import "github.com/signguard/signguard/internal/catalog"
 
 // Spec declares one attack in the package's catalog: the canonical
 // user-facing name, the capabilities callers must provision for (history
@@ -30,9 +30,10 @@ type Spec struct {
 // Builtin returns the attack catalog in presentation order: the paper's
 // nine Table I columns, the parameterized ablation attacks, the adaptive
 // round-aware attacks, the non-finite injection family, and the backdoor /
-// model-replacement adversary.
-func Builtin() []Spec {
-	return []Spec{
+// model-replacement adversary. Each call returns a fresh copy.
+func Builtin() *catalog.Catalog[Spec] {
+	c := catalog.New[Spec]("attack")
+	for _, s := range []Spec{
 		{Name: "NoAttack", New: func(float64, int64) (Attack, error) { return NewNone(), nil }},
 		{Name: "Random", New: func(float64, int64) (Attack, error) { return NewRandom(), nil }},
 		{Name: "Noise", New: func(float64, int64) (Attack, error) { return NewNoise(), nil }},
@@ -74,25 +75,10 @@ func Builtin() []Spec {
 			// Target class 0; boost 0 selects the documented default λ.
 			return NewBackdoor(0, boost), nil
 		}},
-	}
-}
-
-// BuiltinNames returns the catalog names in presentation order.
-func BuiltinNames() []string {
-	specs := Builtin()
-	out := make([]string, len(specs))
-	for i, s := range specs {
-		out[i] = s.Name
-	}
-	return out
-}
-
-// SpecByName looks up a catalog entry.
-func SpecByName(name string) (Spec, error) {
-	for _, s := range Builtin() {
-		if s.Name == name {
-			return s, nil
+	} {
+		if err := c.Register(s.Name, s); err != nil {
+			panic(err) // statically-valid spec
 		}
 	}
-	return Spec{}, fmt.Errorf("attack: unknown attack %q", name)
+	return c
 }

@@ -1,9 +1,6 @@
 package attack
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 // TestBuiltinCatalogContract checks every catalog entry against the
 // capabilities it declares: the constructor builds with defaults, Adaptive
@@ -12,13 +9,7 @@ import (
 // poisoning off these flags, so a mismatch means an attack silently runs
 // without the machinery it needs.
 func TestBuiltinCatalogContract(t *testing.T) {
-	seen := map[string]bool{}
-	for _, spec := range Builtin() {
-		spec := spec
-		if seen[spec.Name] {
-			t.Errorf("duplicate catalog name %q", spec.Name)
-		}
-		seen[spec.Name] = true
+	for _, spec := range Builtin().Values() {
 		t.Run(spec.Name, func(t *testing.T) {
 			att, err := spec.New(0, 1)
 			if err != nil {
@@ -37,19 +28,5 @@ func TestBuiltinCatalogContract(t *testing.T) {
 				t.Errorf("second construction: %v", err)
 			}
 		})
-	}
-}
-
-// TestSpecByName covers the lookup's hit and miss paths.
-func TestSpecByName(t *testing.T) {
-	s, err := SpecByName("Backdoor")
-	if err != nil || s.Name != "Backdoor" {
-		t.Fatalf("SpecByName(Backdoor) = %+v, %v", s, err)
-	}
-	if _, err := SpecByName("nope"); err == nil || !strings.Contains(err.Error(), "nope") {
-		t.Errorf("missing attack lookup: %v", err)
-	}
-	if len(BuiltinNames()) != len(Builtin()) {
-		t.Error("BuiltinNames out of sync with Builtin")
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"github.com/signguard/signguard/internal/aggregate"
 	"github.com/signguard/signguard/internal/attack"
 	"github.com/signguard/signguard/internal/campaign"
-	"github.com/signguard/signguard/internal/codec"
 	"github.com/signguard/signguard/internal/core"
 	"github.com/signguard/signguard/internal/data"
 	"github.com/signguard/signguard/internal/defense"
@@ -22,9 +21,9 @@ import (
 )
 
 // testRegistry returns a minimal self-contained registry: one tiny
-// synthetic image dataset, two rules, three attacks and a round-counting
-// probe — enough to exercise every engine path in well under a second per
-// cell.
+// synthetic image dataset, the builtin defenses with a one-hyperparameter
+// SignGuard, three attacks and a round-counting probe — enough to exercise
+// every engine path in well under a second per cell.
 func testRegistry() *campaign.Registry {
 	reg := campaign.NewRegistry()
 	reg.RegisterDataset("tiny", campaign.DatasetBuilder{
@@ -39,17 +38,7 @@ func testRegistry() *campaign.Registry {
 			return nn.NewMLP(rng, 16, 12, 4)
 		},
 	})
-	defs := defense.NewRegistry()
-	if err := defs.Register(defense.Spec{Name: "Mean", Build: func(defense.Params) (aggregate.Rule, error) {
-		return aggregate.NewMean(), nil
-	}}); err != nil {
-		panic(err)
-	}
-	if err := defs.Register(defense.Spec{Name: "TrMean", Build: func(p defense.Params) (aggregate.Rule, error) {
-		return aggregate.NewTrimmedMean(p.F), nil
-	}}); err != nil {
-		panic(err)
-	}
+	defs := defense.Builtin()
 	if err := defs.Register(defense.Spec{Name: "SignGuard", Hyper: []string{"coord_fraction"}, Build: func(p defense.Params) (aggregate.Rule, error) {
 		cfg := core.DefaultConfig()
 		cfg.Seed = p.Seed
@@ -61,7 +50,6 @@ func testRegistry() *campaign.Registry {
 		panic(err)
 	}
 	reg.RegisterDefenses(defs)
-	reg.RegisterCodecs(codec.Builtin())
 	reg.RegisterAttack("NoAttack", func(_ campaign.Cell, _ int64) (attack.Attack, error) {
 		return attack.NewNone(), nil
 	})

@@ -15,8 +15,7 @@ import (
 
 // CellExec is the fully-resolved form of one cell: dataset loaded, rule and
 // attack built, hook attached. It is the single place the fl.Config for an
-// experiment cell is assembled — the engine and the programmatic
-// experiments.RunCell escape hatch both run through it.
+// experiment cell is assembled.
 type CellExec struct {
 	Dataset  *data.Dataset
 	NewModel func(rng *rand.Rand) (nn.Classifier, error)

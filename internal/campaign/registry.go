@@ -51,13 +51,14 @@ type Registry struct {
 	probes   map[string]ProbeBuilder
 }
 
-// NewRegistry returns an empty registry (no defenses or codecs; call
-// RegisterDefenses / RegisterCodecs).
+// NewRegistry returns a registry with no datasets, attacks or probes, the
+// builtin defense catalog (RegisterDefenses replaces it) and the builtin
+// codec catalog.
 func NewRegistry() *Registry {
 	return &Registry{
 		datasets: map[string]DatasetBuilder{},
-		defenses: defense.NewRegistry(),
-		codecs:   codec.NewRegistry(),
+		defenses: defense.Builtin(),
+		codecs:   codec.Builtin(),
 		attacks:  map[string]AttackBuilder{},
 		probes:   map[string]ProbeBuilder{},
 	}
@@ -69,16 +70,6 @@ func (r *Registry) RegisterDataset(key string, b DatasetBuilder) { r.datasets[ke
 // RegisterDefenses installs the defense catalog cells resolve their Rule
 // names and RuleHyper parameters against.
 func (r *Registry) RegisterDefenses(d *defense.Registry) { r.defenses = d }
-
-// Defenses returns the installed defense catalog.
-func (r *Registry) Defenses() *defense.Registry { return r.defenses }
-
-// RegisterCodecs installs the codec catalog cells resolve their Codec
-// names and CodecHyper parameters against.
-func (r *Registry) RegisterCodecs(c *codec.Registry) { r.codecs = c }
-
-// Codecs returns the installed codec catalog.
-func (r *Registry) Codecs() *codec.Registry { return r.codecs }
 
 // RegisterAttack binds name to an attack builder.
 func (r *Registry) RegisterAttack(name string, b AttackBuilder) { r.attacks[name] = b }

@@ -15,9 +15,9 @@
 // the others concurrently without one — so a run is deterministic for any
 // worker count.
 //
-// A Registry mirrors internal/defense: named constructors with declared
-// hyperparameters, consumed by the campaign grid, the experiments harness
-// and the CLIs.
+// A Registry is an internal/catalog table like internal/defense's: named
+// constructors with declared hyperparameters, consumed by the campaign
+// grid, the experiments harness and the CLIs.
 package codec
 
 import (

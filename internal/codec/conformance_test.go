@@ -42,7 +42,7 @@ func TestCodecConformance(t *testing.T) {
 // that declares Lossless but quantizes must fail the round-trip check, and
 // a codec declaring no bound at all must fail too.
 func TestConformanceCatchesFalseLosslessClaim(t *testing.T) {
-	reg := codec.NewRegistry()
+	reg := codec.Builtin()
 	if err := reg.Register(codec.Spec{Name: "liar", Lossless: true, Build: func(codec.Params) (codec.Codec, error) {
 		return codec.SignSGDCodec{}, nil
 	}}); err != nil {
@@ -72,7 +72,7 @@ func (deterministicQSGD) Stochastic() bool { return false }
 // the randomness declaration: a codec that draws but declares itself not
 // Stochastic must fail, and the genuine QSGD — which declares it — passes.
 func TestConformanceCatchesUndeclaredRandomness(t *testing.T) {
-	reg := codec.NewRegistry()
+	reg := codec.Builtin()
 	for name, c := range map[string]codec.Codec{"liar": deterministicQSGD{}, "honest": codec.QSGDCodec{}} {
 		if err := reg.Register(codec.Spec{Name: name, MinCosine: 0.5, Build: func(codec.Params) (codec.Codec, error) {
 			return c, nil
@@ -91,7 +91,7 @@ func TestConformanceCatchesUndeclaredRandomness(t *testing.T) {
 // TestConformanceCatchesWeakBound is the test of the test for the lossy
 // direction: a declared MinCosine above what the codec achieves must fail.
 func TestConformanceCatchesWeakBound(t *testing.T) {
-	reg := codec.NewRegistry()
+	reg := codec.Builtin()
 	if err := reg.Register(codec.Spec{Name: "overclaim", MinCosine: 0.999999, Build: func(codec.Params) (codec.Codec, error) {
 		return codec.SignSGDCodec{}, nil
 	}}); err != nil {

@@ -2,7 +2,8 @@ package codec
 
 import (
 	"fmt"
-	"sort"
+
+	"github.com/signguard/signguard/internal/catalog"
 )
 
 // Params is the typed constructor input of every codec: optional named
@@ -12,14 +13,6 @@ type Params struct {
 	// keys fall back to the codec's default; unknown keys are rejected by
 	// Registry.Build so a typo cannot silently run defaults.
 	Hyper map[string]float64
-}
-
-// hyper returns the named hyperparameter or def when absent.
-func (p Params) hyper(name string, def float64) float64 {
-	if v, ok := p.Hyper[name]; ok {
-		return v
-	}
-	return def
 }
 
 // Spec declares one registered codec.
@@ -41,69 +34,19 @@ type Spec struct {
 	MinCosine float64
 }
 
-// Registry is an ordered name → codec catalog. The zero value is unusable;
-// use NewRegistry or Builtin.
+// Registry is the ordered name → codec catalog (internal/catalog) plus the
+// codec-specific build, validation and decode dispatch. Use Builtin.
 type Registry struct {
-	order []string
-	specs map[string]Spec
+	*catalog.Catalog[Spec]
 }
 
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{specs: map[string]Spec{}}
-}
-
-// Register adds a codec spec. Re-registering a name replaces the spec but
-// keeps its original position, so presentation order stays stable.
+// Register adds a codec spec under the catalog's rules: registration order
+// is presentation order, and re-registering replaces in place.
 func (r *Registry) Register(s Spec) error {
-	if s.Name == "" {
-		return fmt.Errorf("codec: spec with empty name")
-	}
-	if s.Build == nil {
+	if s.Name != "" && s.Build == nil {
 		return fmt.Errorf("codec: %s has no constructor", s.Name)
 	}
-	if _, ok := r.specs[s.Name]; !ok {
-		r.order = append(r.order, s.Name)
-	}
-	r.specs[s.Name] = s
-	return nil
-}
-
-// mustRegister is Register for the package's own statically-valid specs.
-func (r *Registry) mustRegister(s Spec) {
-	if err := r.Register(s); err != nil {
-		panic(err)
-	}
-}
-
-// Names returns the registered codec names in registration order.
-func (r *Registry) Names() []string {
-	return append([]string(nil), r.order...)
-}
-
-// Has reports whether name is registered.
-func (r *Registry) Has(name string) bool {
-	_, ok := r.specs[name]
-	return ok
-}
-
-// Lookup returns the spec registered under name.
-func (r *Registry) Lookup(name string) (Spec, error) {
-	s, ok := r.specs[name]
-	if !ok {
-		return Spec{}, fmt.Errorf("codec: unknown codec %q", name)
-	}
-	return s, nil
-}
-
-// Specs returns the registered specs in registration order — the listing
-// surface behind `campaign rules`.
-func (r *Registry) Specs() []Spec {
-	out := make([]Spec, 0, len(r.order))
-	for _, name := range r.order {
-		out = append(out, r.specs[name])
-	}
-	return out
+	return r.Catalog.Register(s.Name, s)
 }
 
 // Build constructs the named codec. Hyperparameter keys not declared by
@@ -114,7 +57,7 @@ func (r *Registry) Build(name string, p Params) (Codec, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := checkHyper(s, p.Hyper); err != nil {
+	if err := catalog.CheckHyper("codec", name, s.Hyper, p.Hyper); err != nil {
 		return nil, err
 	}
 	return s.Build(p)
@@ -128,7 +71,7 @@ func (r *Registry) ValidateHyper(name string, hyper map[string]float64) error {
 	if err != nil {
 		return err
 	}
-	return checkHyper(s, hyper)
+	return catalog.CheckHyper("codec", name, s.Hyper, hyper)
 }
 
 // Decode reconstructs a gradient from a wire payload, dispatching on the
@@ -143,56 +86,40 @@ func (r *Registry) Decode(e Encoded) ([]float64, error) {
 	return c.Decode(e)
 }
 
-// checkHyper rejects hyperparameter names the spec does not declare.
-func checkHyper(s Spec, hyper map[string]float64) error {
-	if len(hyper) == 0 {
-		return nil
-	}
-	declared := map[string]bool{}
-	for _, h := range s.Hyper {
-		declared[h] = true
-	}
-	var bad []string
-	for k := range hyper {
-		if !declared[k] {
-			bad = append(bad, k)
-		}
-	}
-	if len(bad) > 0 {
-		sort.Strings(bad)
-		return fmt.Errorf("codec: %s does not accept hyperparameter(s) %v (accepts %v)", s.Name, bad, s.Hyper)
-	}
-	return nil
-}
-
 // Builtin returns the registry of the four shipped codecs. Callers may
 // extend the returned registry freely; each call returns a fresh copy.
 func Builtin() *Registry {
-	r := NewRegistry()
-	r.mustRegister(Spec{Name: Identity, Lossless: true, Build: func(Params) (Codec, error) {
-		return IdentityCodec{}, nil
-	}})
-	// Declared MinCosine bounds are deliberately conservative: topk keeps
-	// the dominant squared mass (~0.6 cosine on Gaussian vectors at the
-	// default d/10), qsgd's 4-level grid lands near 0.78 on Gaussian
-	// vectors, and signsgd's sign vector aligns with a Gaussian input at
-	// √(2/π) ≈ 0.80 in expectation.
-	r.mustRegister(Spec{Name: TopK, Hyper: []string{"k"}, MinCosine: 0.4, Build: func(p Params) (Codec, error) {
-		k := int(p.hyper("k", 0))
-		if k < 0 {
-			return nil, fmt.Errorf("codec: topk k %d must be >= 0 (0 = d/10)", k)
+	r := &Registry{catalog.New[Spec]("codec")}
+	for _, s := range []Spec{
+		{Name: Identity, Lossless: true, Build: func(Params) (Codec, error) {
+			return IdentityCodec{}, nil
+		}},
+		// Declared MinCosine bounds are deliberately conservative: topk keeps
+		// the dominant squared mass (~0.6 cosine on Gaussian vectors at the
+		// default d/10), qsgd's 4-level grid lands near 0.78 on Gaussian
+		// vectors, and signsgd's sign vector aligns with a Gaussian input at
+		// √(2/π) ≈ 0.80 in expectation.
+		{Name: TopK, Hyper: []string{"k"}, MinCosine: 0.4, Build: func(p Params) (Codec, error) {
+			k := int(catalog.Hyper(p.Hyper, "k", 0))
+			if k < 0 {
+				return nil, fmt.Errorf("codec: topk k %d must be >= 0 (0 = d/10)", k)
+			}
+			return TopKCodec{K: k}, nil
+		}},
+		{Name: QSGD, Hyper: []string{"levels"}, MinCosine: 0.7, Build: func(p Params) (Codec, error) {
+			s := int(catalog.Hyper(p.Hyper, "levels", DefaultQSGDLevels))
+			if s < 1 || s > 127 {
+				return nil, fmt.Errorf("codec: qsgd levels %d out of [1,127]", s)
+			}
+			return QSGDCodec{Levels: s}, nil
+		}},
+		{Name: SignSGD, MinCosine: 0.5, Build: func(Params) (Codec, error) {
+			return SignSGDCodec{}, nil
+		}},
+	} {
+		if err := r.Register(s); err != nil {
+			panic(err) // statically-valid spec
 		}
-		return TopKCodec{K: k}, nil
-	}})
-	r.mustRegister(Spec{Name: QSGD, Hyper: []string{"levels"}, MinCosine: 0.7, Build: func(p Params) (Codec, error) {
-		s := int(p.hyper("levels", DefaultQSGDLevels))
-		if s < 1 || s > 127 {
-			return nil, fmt.Errorf("codec: qsgd levels %d out of [1,127]", s)
-		}
-		return QSGDCodec{Levels: s}, nil
-	}})
-	r.mustRegister(Spec{Name: SignSGD, MinCosine: 0.5, Build: func(Params) (Codec, error) {
-		return SignSGDCodec{}, nil
-	}})
+	}
 	return r
 }

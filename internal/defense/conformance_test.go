@@ -51,7 +51,7 @@ func (r *workerLeaky) Aggregate(grads [][]float64) (*aggregate.Result, error) {
 // TestConformanceCatchesWorkerNondeterminism is the test of the test: a
 // rule whose output leaks its worker count must fail the determinism check.
 func TestConformanceCatchesWorkerNondeterminism(t *testing.T) {
-	reg := defense.NewRegistry()
+	reg := defense.Builtin()
 	if err := reg.Register(defense.Spec{Name: "Leaky", Build: func(defense.Params) (aggregate.Rule, error) {
 		return &workerLeaky{}, nil
 	}}); err != nil {
@@ -89,7 +89,7 @@ func (r *keepsPrevious) Aggregate(grads [][]float64) (*aggregate.Result, error) 
 // reads last round's vector through a kept reference must fail the
 // retention check.
 func TestConformanceCatchesInputRetention(t *testing.T) {
-	reg := defense.NewRegistry()
+	reg := defense.Builtin()
 	if err := reg.Register(defense.Spec{Name: "KeepsPrevious", Build: func(defense.Params) (aggregate.Rule, error) {
 		return &keepsPrevious{}, nil
 	}}); err != nil {
@@ -106,7 +106,7 @@ func TestConformanceCatchesInputRetention(t *testing.T) {
 func TestConformanceCatchesHyperViolations(t *testing.T) {
 	mean := func(defense.Params) (aggregate.Rule, error) { return aggregate.NewMean(), nil }
 	for _, bad := range []string{"no=equals", "no,commas", ""} {
-		reg := defense.NewRegistry()
+		reg := defense.Builtin()
 		if err := reg.Register(defense.Spec{Name: "Bad", Hyper: []string{bad}, Build: mean}); err != nil {
 			t.Fatal(err)
 		}

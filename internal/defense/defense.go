@@ -14,9 +14,9 @@ package defense
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/signguard/signguard/internal/aggregate"
+	"github.com/signguard/signguard/internal/catalog"
 	"github.com/signguard/signguard/internal/core"
 )
 
@@ -35,14 +35,6 @@ type Params struct {
 	Hyper map[string]float64
 }
 
-// hyper returns the named hyperparameter or def when absent.
-func (p Params) hyper(name string, def float64) float64 {
-	if v, ok := p.Hyper[name]; ok {
-		return v
-	}
-	return def
-}
-
 // Spec declares one registered defense.
 type Spec struct {
 	// Name is the stable registry key (the paper's table row label).
@@ -53,70 +45,19 @@ type Spec struct {
 	Build func(p Params) (aggregate.Rule, error)
 }
 
-// Registry is an ordered name → defense catalog. The zero value is
-// unusable; use NewRegistry or Builtin.
+// Registry is the ordered name → defense catalog (internal/catalog) plus
+// the defense-specific build and validation. Use Builtin.
 type Registry struct {
-	order []string
-	specs map[string]Spec
+	*catalog.Catalog[Spec]
 }
 
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{specs: map[string]Spec{}}
-}
-
-// Register adds a defense spec. Re-registering a name replaces the spec
-// but keeps its original position, so presentation order stays stable.
+// Register adds a defense spec under the catalog's rules: registration
+// order is presentation order, and re-registering replaces in place.
 func (r *Registry) Register(s Spec) error {
-	if s.Name == "" {
-		return fmt.Errorf("defense: spec with empty name")
-	}
-	if s.Build == nil {
+	if s.Name != "" && s.Build == nil {
 		return fmt.Errorf("defense: %s has no constructor", s.Name)
 	}
-	if _, ok := r.specs[s.Name]; !ok {
-		r.order = append(r.order, s.Name)
-	}
-	r.specs[s.Name] = s
-	return nil
-}
-
-// mustRegister is Register for the package's own statically-valid specs.
-func (r *Registry) mustRegister(s Spec) {
-	if err := r.Register(s); err != nil {
-		panic(err)
-	}
-}
-
-// Names returns the registered defense names in registration order (the
-// paper's Table I row order for Builtin).
-func (r *Registry) Names() []string {
-	return append([]string(nil), r.order...)
-}
-
-// Has reports whether name is registered.
-func (r *Registry) Has(name string) bool {
-	_, ok := r.specs[name]
-	return ok
-}
-
-// Lookup returns the spec registered under name.
-func (r *Registry) Lookup(name string) (Spec, error) {
-	s, ok := r.specs[name]
-	if !ok {
-		return Spec{}, fmt.Errorf("defense: unknown defense %q", name)
-	}
-	return s, nil
-}
-
-// Specs returns the registered specs in registration order — the listing
-// surface behind `campaign rules`, shared with the codec registry.
-func (r *Registry) Specs() []Spec {
-	out := make([]Spec, 0, len(r.order))
-	for _, name := range r.order {
-		out = append(out, r.specs[name])
-	}
-	return out
+	return r.Catalog.Register(s.Name, s)
 }
 
 // Build constructs the named defense. Hyperparameter keys not declared by
@@ -133,7 +74,7 @@ func (r *Registry) Build(name string, p Params) (aggregate.Rule, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := checkHyper(s, p.Hyper); err != nil {
+	if err := catalog.CheckHyper("defense", name, s.Hyper, p.Hyper); err != nil {
 		return nil, err
 	}
 	rule, err := s.Build(p)
@@ -151,29 +92,7 @@ func (r *Registry) ValidateHyper(name string, hyper map[string]float64) error {
 	if err != nil {
 		return err
 	}
-	return checkHyper(s, hyper)
-}
-
-// checkHyper rejects hyperparameter names the spec does not declare.
-func checkHyper(s Spec, hyper map[string]float64) error {
-	if len(hyper) == 0 {
-		return nil
-	}
-	declared := map[string]bool{}
-	for _, h := range s.Hyper {
-		declared[h] = true
-	}
-	var bad []string
-	for k := range hyper {
-		if !declared[k] {
-			bad = append(bad, k)
-		}
-	}
-	if len(bad) > 0 {
-		sort.Strings(bad)
-		return fmt.Errorf("defense: %s does not accept hyperparameter(s) %v (accepts %v)", s.Name, bad, s.Hyper)
-	}
-	return nil
+	return catalog.CheckHyper("defense", name, s.Hyper, hyper)
 }
 
 // signGuardConfig assembles a core.Config from Params and the shared
@@ -182,9 +101,9 @@ func signGuardConfig(p Params, sim core.Similarity) core.Config {
 	cfg := core.DefaultConfig()
 	cfg.Similarity = sim
 	cfg.Seed = p.Seed
-	cfg.CoordFraction = p.hyper("coord_fraction", cfg.CoordFraction)
-	cfg.LowerBound = p.hyper("lower_bound", cfg.LowerBound)
-	cfg.UpperBound = p.hyper("upper_bound", cfg.UpperBound)
+	cfg.CoordFraction = catalog.Hyper(p.Hyper, "coord_fraction", cfg.CoordFraction)
+	cfg.LowerBound = catalog.Hyper(p.Hyper, "lower_bound", cfg.LowerBound)
+	cfg.UpperBound = catalog.Hyper(p.Hyper, "upper_bound", cfg.UpperBound)
 	return cfg
 }
 
@@ -198,86 +117,92 @@ var signGuardHyper = []string{"coord_fraction", "lower_bound", "upper_bound"}
 // neighborhood filter. Callers may extend the returned registry freely
 // (e.g. the Table III ablation variants); each call returns a fresh copy.
 func Builtin() *Registry {
-	r := NewRegistry()
-	r.mustRegister(Spec{Name: "Mean", Build: func(Params) (aggregate.Rule, error) {
-		return aggregate.NewMean(), nil
-	}})
-	r.mustRegister(Spec{Name: "TrMean", Hyper: []string{"trim"}, Build: func(p Params) (aggregate.Rule, error) {
-		return aggregate.NewTrimmedMean(int(p.hyper("trim", float64(p.F)))), nil
-	}})
-	r.mustRegister(Spec{Name: "Median", Build: func(Params) (aggregate.Rule, error) {
-		return aggregate.NewMedian(), nil
-	}})
-	r.mustRegister(Spec{Name: "GeoMed", Build: func(Params) (aggregate.Rule, error) {
-		return aggregate.NewGeoMed(), nil
-	}})
-	r.mustRegister(Spec{Name: "Multi-Krum", Build: func(p Params) (aggregate.Rule, error) {
-		// Krum needs n >= 2F+3; cap the assumed F for small cohorts with
-		// large Byzantine fractions, as implementations do.
-		f := p.F
-		if maxF := (p.N - 3) / 2; f > maxF {
-			f = maxF
+	r := &Registry{catalog.New[Spec]("defense")}
+	for _, s := range []Spec{
+		{Name: "Mean", Build: func(Params) (aggregate.Rule, error) {
+			return aggregate.NewMean(), nil
+		}},
+		{Name: "TrMean", Hyper: []string{"trim"}, Build: func(p Params) (aggregate.Rule, error) {
+			return aggregate.NewTrimmedMean(int(catalog.Hyper(p.Hyper, "trim", float64(p.F)))), nil
+		}},
+		{Name: "Median", Build: func(Params) (aggregate.Rule, error) {
+			return aggregate.NewMedian(), nil
+		}},
+		{Name: "GeoMed", Build: func(Params) (aggregate.Rule, error) {
+			return aggregate.NewGeoMed(), nil
+		}},
+		{Name: "Multi-Krum", Build: func(p Params) (aggregate.Rule, error) {
+			// Krum needs n >= 2F+3; cap the assumed F for small cohorts with
+			// large Byzantine fractions, as implementations do.
+			f := p.F
+			if maxF := (p.N - 3) / 2; f > maxF {
+				f = maxF
+			}
+			if f < 0 {
+				f = 0
+			}
+			return aggregate.NewMultiKrum(f, p.N-f), nil
+		}},
+		{Name: "Bulyan", Build: func(p Params) (aggregate.Rule, error) {
+			// Bulyan requires n >= 4f+2; cap the assumed f like the original
+			// implementation does for large Byzantine fractions.
+			f := p.F
+			if maxF := (p.N - 2) / 4; f > maxF {
+				f = maxF
+			}
+			return aggregate.NewBulyan(f), nil
+		}},
+		{Name: "DnC", Hyper: []string{"subdim", "niters"}, Build: func(p Params) (aggregate.Rule, error) {
+			d := aggregate.NewDnC(p.F, p.Seed)
+			// Subsample fewer coordinates than the reference default: our
+			// models are orders of magnitude smaller than ResNet-18, and the
+			// sweep budget is dominated by the power iteration.
+			d.SubDim = int(catalog.Hyper(p.Hyper, "subdim", 2000))
+			d.NIters = int(catalog.Hyper(p.Hyper, "niters", float64(d.NIters)))
+			return d, nil
+		}},
+		{Name: "SignGuard", Hyper: signGuardHyper, Build: func(p Params) (aggregate.Rule, error) {
+			return core.New(signGuardConfig(p, core.NoSimilarity))
+		}},
+		{Name: "SignGuard-Sim", Hyper: signGuardHyper, Build: func(p Params) (aggregate.Rule, error) {
+			return core.New(signGuardConfig(p, core.CosineSimilarity))
+		}},
+		{Name: "SignGuard-Dist", Hyper: signGuardHyper, Build: func(p Params) (aggregate.Rule, error) {
+			return core.New(signGuardConfig(p, core.DistanceSimilarity))
+		}},
+		{Name: "FLTrust", Hyper: []string{"root_size", "clip"}, Build: func(p Params) (aggregate.Rule, error) {
+			root := int(catalog.Hyper(p.Hyper, "root_size", 100))
+			if root < 1 {
+				return nil, fmt.Errorf("defense: FLTrust root_size %d must be >= 1", root)
+			}
+			clip := catalog.Hyper(p.Hyper, "clip", 0)
+			if clip < 0 || clip >= 1 {
+				return nil, fmt.Errorf("defense: FLTrust clip %v out of [0, 1)", clip)
+			}
+			return aggregate.NewFLTrust(root, clip), nil
+		}},
+		{Name: "FLAME", Hyper: []string{"clusters", "sigma"}, Build: func(p Params) (aggregate.Rule, error) {
+			k := int(catalog.Hyper(p.Hyper, "clusters", 2))
+			if k < 1 {
+				return nil, fmt.Errorf("defense: FLAME clusters %d must be >= 1", k)
+			}
+			sigma := catalog.Hyper(p.Hyper, "sigma", 0)
+			if sigma < 0 {
+				return nil, fmt.Errorf("defense: FLAME sigma %v must be >= 0", sigma)
+			}
+			return aggregate.NewFLAME(k, sigma, p.Seed), nil
+		}},
+		{Name: "MoM", Hyper: []string{"radius"}, Build: func(p Params) (aggregate.Rule, error) {
+			radius := catalog.Hyper(p.Hyper, "radius", 0)
+			if radius < 0 {
+				return nil, fmt.Errorf("defense: MoM radius %v must be >= 0 (0 = median pairwise distance)", radius)
+			}
+			return aggregate.NewMedianOfMeans(radius), nil
+		}},
+	} {
+		if err := r.Register(s); err != nil {
+			panic(err) // statically-valid spec
 		}
-		if f < 0 {
-			f = 0
-		}
-		return aggregate.NewMultiKrum(f, p.N-f), nil
-	}})
-	r.mustRegister(Spec{Name: "Bulyan", Build: func(p Params) (aggregate.Rule, error) {
-		// Bulyan requires n >= 4f+2; cap the assumed f like the original
-		// implementation does for large Byzantine fractions.
-		f := p.F
-		if maxF := (p.N - 2) / 4; f > maxF {
-			f = maxF
-		}
-		return aggregate.NewBulyan(f), nil
-	}})
-	r.mustRegister(Spec{Name: "DnC", Hyper: []string{"subdim", "niters"}, Build: func(p Params) (aggregate.Rule, error) {
-		d := aggregate.NewDnC(p.F, p.Seed)
-		// Subsample fewer coordinates than the reference default: our
-		// models are orders of magnitude smaller than ResNet-18, and the
-		// sweep budget is dominated by the power iteration.
-		d.SubDim = int(p.hyper("subdim", 2000))
-		d.NIters = int(p.hyper("niters", float64(d.NIters)))
-		return d, nil
-	}})
-	r.mustRegister(Spec{Name: "SignGuard", Hyper: signGuardHyper, Build: func(p Params) (aggregate.Rule, error) {
-		return core.New(signGuardConfig(p, core.NoSimilarity))
-	}})
-	r.mustRegister(Spec{Name: "SignGuard-Sim", Hyper: signGuardHyper, Build: func(p Params) (aggregate.Rule, error) {
-		return core.New(signGuardConfig(p, core.CosineSimilarity))
-	}})
-	r.mustRegister(Spec{Name: "SignGuard-Dist", Hyper: signGuardHyper, Build: func(p Params) (aggregate.Rule, error) {
-		return core.New(signGuardConfig(p, core.DistanceSimilarity))
-	}})
-	r.mustRegister(Spec{Name: "FLTrust", Hyper: []string{"root_size", "clip"}, Build: func(p Params) (aggregate.Rule, error) {
-		root := int(p.hyper("root_size", 100))
-		if root < 1 {
-			return nil, fmt.Errorf("defense: FLTrust root_size %d must be >= 1", root)
-		}
-		clip := p.hyper("clip", 0)
-		if clip < 0 || clip >= 1 {
-			return nil, fmt.Errorf("defense: FLTrust clip %v out of [0, 1)", clip)
-		}
-		return aggregate.NewFLTrust(root, clip), nil
-	}})
-	r.mustRegister(Spec{Name: "FLAME", Hyper: []string{"clusters", "sigma"}, Build: func(p Params) (aggregate.Rule, error) {
-		k := int(p.hyper("clusters", 2))
-		if k < 1 {
-			return nil, fmt.Errorf("defense: FLAME clusters %d must be >= 1", k)
-		}
-		sigma := p.hyper("sigma", 0)
-		if sigma < 0 {
-			return nil, fmt.Errorf("defense: FLAME sigma %v must be >= 0", sigma)
-		}
-		return aggregate.NewFLAME(k, sigma, p.Seed), nil
-	}})
-	r.mustRegister(Spec{Name: "MoM", Hyper: []string{"radius"}, Build: func(p Params) (aggregate.Rule, error) {
-		radius := p.hyper("radius", 0)
-		if radius < 0 {
-			return nil, fmt.Errorf("defense: MoM radius %v must be >= 0 (0 = median pairwise distance)", radius)
-		}
-		return aggregate.NewMedianOfMeans(radius), nil
-	}})
+	}
 	return r
 }

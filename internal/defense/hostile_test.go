@@ -94,7 +94,7 @@ func TestEveryDefenseFiniteOrErrorOnHostileBuffers(t *testing.T) {
 // The guard is load-bearing, not decorative: a rule that emits NaN must be
 // converted into ErrNonFiniteAggregate by the registry wrapper.
 func TestRegistryGuardsRuleOutput(t *testing.T) {
-	r := NewRegistry()
+	r := Builtin()
 	if err := r.Register(Spec{Name: "evil", Build: func(Params) (aggregate.Rule, error) {
 		return nanRule{}, nil
 	}}); err != nil {

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"github.com/signguard/signguard/internal/campaign"
@@ -21,10 +20,10 @@ var subsampleFractions = []float64{1.0, 0.6, 0.3}
 // is built for the per-round cohort size, not the full client count.
 var subsampleRules = []string{"SignGuard", "Multi-Krum", "Mean"}
 
-// SubsampleSpec declares the client-participation sweep: each defense
+// subsampleSpec declares the client-participation sweep: each defense
 // under the LIE attack while the per-round cohort shrinks from all
 // clients to a 30% uniform subsample.
-func SubsampleSpec(p Params) campaign.Spec {
+func subsampleSpec(p Params) campaign.Spec {
 	spec := campaign.Spec{Name: "subsample"}
 	for _, rule := range subsampleRules {
 		for _, frac := range subsampleFractions {
@@ -45,19 +44,15 @@ func SubsampleSpec(p Params) campaign.Spec {
 	return spec
 }
 
-// Subsample runs the participation sweep and renders best accuracy per
+// renderSubsample renders the participation sweep's best accuracy per
 // defense × participation fraction.
-func Subsample(e *campaign.Engine, p Params) (*Table, error) {
-	rep, err := e.Run(context.Background(), SubsampleSpec(p))
-	if err != nil {
-		return nil, err
-	}
+func renderSubsample(results []*campaign.CellResult) ([]*Table, error) {
 	t := &Table{Title: "Client subsampling — best test accuracy % (LIE attack)"}
 	t.Header = []string{"Defense"}
 	for _, frac := range subsampleFractions {
 		t.Header = append(t.Header, fmt.Sprintf("%.0f%% cohort", 100*frac))
 	}
-	cur := cursor{results: rep.Results}
+	cur := cursor{results: results}
 	for _, rule := range subsampleRules {
 		row := []string{rule}
 		for range subsampleFractions {
@@ -65,7 +60,7 @@ func Subsample(e *campaign.Engine, p Params) (*Table, error) {
 		}
 		t.AddRow(row...)
 	}
-	return t, nil
+	return cur.tables(t)
 }
 
 // coordFractions is the SignGuard coordinate-fraction sweep axis (the
@@ -75,9 +70,9 @@ var coordFractions = []float64{0.05, 0.1, 0.25, 0.5, 1.0}
 // coordFracAttacks are the attacks the sweep evaluates against.
 var coordFracAttacks = []string{"LIE", "ByzMean"}
 
-// CoordFracSpec declares the SignGuard hyperparameter sweep: the sign
+// coordFracSpec declares the SignGuard hyperparameter sweep: the sign
 // statistics' random coordinate fraction as a plain grid axis.
-func CoordFracSpec(p Params) campaign.Spec {
+func coordFracSpec(p Params) campaign.Spec {
 	spec := campaign.Spec{Name: "coordfrac"}
 	for _, att := range coordFracAttacks {
 		for _, cf := range coordFractions {
@@ -89,19 +84,15 @@ func CoordFracSpec(p Params) campaign.Spec {
 	return spec
 }
 
-// CoordFrac runs the coordinate-fraction sweep and renders best accuracy
+// renderCoordFrac renders the coordinate-fraction sweep's best accuracy
 // per attack × fraction.
-func CoordFrac(e *campaign.Engine, p Params) (*Table, error) {
-	rep, err := e.Run(context.Background(), CoordFracSpec(p))
-	if err != nil {
-		return nil, err
-	}
+func renderCoordFrac(results []*campaign.CellResult) ([]*Table, error) {
 	t := &Table{Title: "SignGuard coord_fraction sweep — best test accuracy %"}
 	t.Header = []string{"Attack"}
 	for _, cf := range coordFractions {
 		t.Header = append(t.Header, fmt.Sprintf("q=%g", cf))
 	}
-	cur := cursor{results: rep.Results}
+	cur := cursor{results: results}
 	for _, att := range coordFracAttacks {
 		row := []string{att}
 		for range coordFractions {
@@ -109,18 +100,21 @@ func CoordFrac(e *campaign.Engine, p Params) (*Table, error) {
 		}
 		t.AddRow(row...)
 	}
-	return t, nil
+	return cur.tables(t)
 }
 
 // dncSubDims is the DnC subsampling-dimension sweep axis (the harness
 // default is 2000).
 var dncSubDims = []float64{500, 2000, 8000}
 
-// DnCSubDimSpec declares the DnC hyperparameter sweep under its
-// strongest adversary (Min-Max) and LIE.
-func DnCSubDimSpec(p Params) campaign.Spec {
+// dncSubDimAttacks are DnC's strongest adversary (Min-Max) and LIE.
+var dncSubDimAttacks = []string{"Min-Max", "LIE"}
+
+// dncSubDimSpec declares the DnC hyperparameter sweep: the subsampled
+// coordinate count as a plain grid axis.
+func dncSubDimSpec(p Params) campaign.Spec {
 	spec := campaign.Spec{Name: "dncsubdim"}
-	for _, att := range []string{"Min-Max", "LIE"} {
+	for _, att := range dncSubDimAttacks {
 		for _, sd := range dncSubDims {
 			c := campaign.NewCell("mnist", "DnC", att, p)
 			c.RuleHyper = map[string]float64{"subdim": sd}
@@ -130,15 +124,34 @@ func DnCSubDimSpec(p Params) campaign.Spec {
 	return spec
 }
 
+// renderDnCSubDim renders the DnC subsampling-dimension sweep's best
+// accuracy per attack × subdim.
+func renderDnCSubDim(results []*campaign.CellResult) ([]*Table, error) {
+	t := &Table{Title: "DnC subdim sweep — best test accuracy %"}
+	t.Header = []string{"Attack"}
+	for _, sd := range dncSubDims {
+		t.Header = append(t.Header, fmt.Sprintf("subdim=%g", sd))
+	}
+	cur := cursor{results: results}
+	for _, att := range dncSubDimAttacks {
+		row := []string{att}
+		for range dncSubDims {
+			row = append(row, fmtAcc(cur.next().BestAccuracy))
+		}
+		t.AddRow(row...)
+	}
+	return cur.tables(t)
+}
+
 // adaptiveRules are the defenses the adaptive-attack comparison covers.
 var adaptiveRules = []string{"SignGuard", "Multi-Krum", "Mean"}
 
 // adaptiveAttacks pairs the static Min-Max with its history-aware port.
 var adaptiveAttacks = []string{"Min-Max", "Adaptive-Min-Max"}
 
-// AdaptiveSpec declares the adaptive-attack comparison: static Min-Max vs
+// adaptiveSpec declares the adaptive-attack comparison: static Min-Max vs
 // the filtering-feedback-driven Adaptive-Min-Max across defenses.
-func AdaptiveSpec(p Params) campaign.Spec {
+func adaptiveSpec(p Params) campaign.Spec {
 	spec := campaign.Spec{Name: "adaptive"}
 	for _, rule := range adaptiveRules {
 		for _, att := range adaptiveAttacks {
@@ -148,16 +161,12 @@ func AdaptiveSpec(p Params) campaign.Spec {
 	return spec
 }
 
-// Adaptive runs the adaptive-attack comparison and renders best accuracy
+// renderAdaptive renders the adaptive-attack comparison's best accuracy
 // per defense × attack.
-func Adaptive(e *campaign.Engine, p Params) (*Table, error) {
-	rep, err := e.Run(context.Background(), AdaptiveSpec(p))
-	if err != nil {
-		return nil, err
-	}
+func renderAdaptive(results []*campaign.CellResult) ([]*Table, error) {
 	t := &Table{Title: "Adaptive Min-Max — best test accuracy %"}
 	t.Header = append([]string{"Defense"}, adaptiveAttacks...)
-	cur := cursor{results: rep.Results}
+	cur := cursor{results: results}
 	for _, rule := range adaptiveRules {
 		row := []string{rule}
 		for range adaptiveAttacks {
@@ -165,7 +174,7 @@ func Adaptive(e *campaign.Engine, p Params) (*Table, error) {
 		}
 		t.AddRow(row...)
 	}
-	return t, nil
+	return cur.tables(t)
 }
 
 // SeedGroupTable renders seed-group statistics (mean ± 95% CI over the

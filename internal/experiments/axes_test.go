@@ -20,7 +20,7 @@ func axesParams() Params {
 // engine and its renderer.
 func TestSubsampleSweepThroughEngine(t *testing.T) {
 	p := axesParams()
-	spec := SubsampleSpec(p)
+	spec := subsampleSpec(p)
 	subsampled := 0
 	for _, c := range spec.Cells {
 		if c.Participation == campaign.ParticipationUniform {
@@ -33,10 +33,11 @@ func TestSubsampleSweepThroughEngine(t *testing.T) {
 	if subsampled == 0 {
 		t.Fatal("subsample spec contains no subsampled cells")
 	}
-	tbl, err := Subsample(NewEngine(0, nil, nil), p)
+	tables, err := Run(t.Context(), NewEngine(0, nil, nil), "subsample", p)
 	if err != nil {
 		t.Fatal(err)
 	}
+	tbl := tables[0]
 	if len(tbl.Rows) != len(subsampleRules) {
 		t.Errorf("%d rows, want %d", len(tbl.Rows), len(subsampleRules))
 	}
@@ -49,15 +50,16 @@ func TestSubsampleSweepThroughEngine(t *testing.T) {
 // SignGuard's CoordFraction as a plain grid dimension.
 func TestCoordFracSweepThroughEngine(t *testing.T) {
 	p := axesParams()
-	for _, c := range CoordFracSpec(p).Cells {
+	for _, c := range coordFracSpec(p).Cells {
 		if _, ok := c.RuleHyper["coord_fraction"]; !ok {
 			t.Fatalf("cell %s missing the sweep hyperparameter", c.ID())
 		}
 	}
-	tbl, err := CoordFrac(NewEngine(0, nil, nil), p)
+	tables, err := Run(t.Context(), NewEngine(0, nil, nil), "coordfrac", p)
 	if err != nil {
 		t.Fatal(err)
 	}
+	tbl := tables[0]
 	if len(tbl.Rows) != len(coordFracAttacks) || len(tbl.Header) != 1+len(coordFractions) {
 		t.Errorf("rendered %dx%d", len(tbl.Rows), len(tbl.Header))
 	}
@@ -67,7 +69,7 @@ func TestCoordFracSweepThroughEngine(t *testing.T) {
 // end to end: Adaptive-Min-Max resolves through the registry and trains.
 func TestAdaptiveAttackThroughEngine(t *testing.T) {
 	p := axesParams()
-	spec := AdaptiveSpec(p).Filter("SignGuard")
+	spec := adaptiveSpec(p).Filter("SignGuard")
 	rep, err := NewEngine(0, nil, nil).Run(t.Context(), spec)
 	if err != nil {
 		t.Fatal(err)

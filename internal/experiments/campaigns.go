@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"time"
@@ -8,7 +9,7 @@ import (
 	"github.com/signguard/signguard/internal/aggregate"
 	"github.com/signguard/signguard/internal/attack"
 	"github.com/signguard/signguard/internal/campaign"
-	"github.com/signguard/signguard/internal/codec"
+	"github.com/signguard/signguard/internal/catalog"
 	"github.com/signguard/signguard/internal/defense"
 	"github.com/signguard/signguard/internal/fl"
 	"github.com/signguard/signguard/internal/stats"
@@ -17,10 +18,9 @@ import (
 
 // Registry returns the campaign registry covering the paper's full
 // evaluation grid: the four dataset analogs, the unified defense catalog
-// (the ten Table I defenses from internal/defense plus the six Table III
-// ablation variants), the nine attack columns plus the parameterized
-// Reverse and TimeVarying attacks and the adaptive round-aware attacks,
-// and the Fig. 2 sign-statistics probe.
+// (the builtin defenses from internal/defense plus the six Table III
+// ablation variants), every attack of the internal/attack catalog, the
+// builtin codecs, and the Fig. 2 sign-statistics probe.
 func Registry() *campaign.Registry {
 	reg := campaign.NewRegistry()
 	for _, ds := range Datasets() {
@@ -32,7 +32,7 @@ func Registry() *campaign.Registry {
 	// Every catalog attack, built with the cell's AttackParam as its scalar
 	// knob (Reverse's scale in Table III, TimeVarying's switch period in
 	// Fig. 5, Backdoor's boost λ; 0 → the attack's documented default).
-	for _, spec := range attack.Builtin() {
+	for _, spec := range attack.Builtin().Values() {
 		reg.RegisterAttack(spec.Name, func(c campaign.Cell, seed int64) (attack.Attack, error) {
 			if spec.Name == "TimeVarying" {
 				// Seeded from Params.Seed+29 — the derivation the
@@ -44,7 +44,6 @@ func Registry() *campaign.Registry {
 		})
 	}
 	reg.RegisterProbe(SignStatsProbe, newSignStatsProbe)
-	reg.RegisterCodecs(codec.Builtin())
 	return reg
 }
 
@@ -138,70 +137,81 @@ func newSignStatsProbe(c campaign.Cell) (*campaign.ProbeInstance, error) {
 	return &campaign.ProbeInstance{Hook: hook, Finish: finish}, nil
 }
 
-// CampaignNames lists the named campaigns the CLI can run: the paper's
-// tables and figures plus the post-paper scenario axes (client
-// subsampling, defense hyperparameter sweeps, adaptive attacks).
-func CampaignNames() []string {
-	return []string{
-		"table1", "table2", "table3", "fig2", "fig4", "fig5", "fig6",
-		"subsample", "coordfrac", "dncsubdim", "adaptive",
-		"compression", "hostile", "serverlearn", "all",
+// Experiment is one entry of the harness: a table or figure of the paper's
+// evaluation, or a post-paper scenario axis. Spec declares its cell grid at
+// the given parameters; Render turns the grid's results, one per cell in
+// spec order, into the tables reproduce prints.
+type Experiment struct {
+	Name   string
+	Spec   func(Params) campaign.Spec
+	Render func([]*campaign.CellResult) ([]*Table, error)
+}
+
+// Experiments returns the experiment catalog in presentation order: the
+// paper's tables and figures, then the scenario axes (client subsampling,
+// defense hyperparameter sweeps, adaptive attacks, compression, hostile
+// input, server learning). The order fixes the merged "all" campaign and
+// reproduce's -exp all output. Each call returns a fresh copy.
+func Experiments() *catalog.Catalog[Experiment] {
+	c := catalog.New[Experiment]("experiment")
+	for _, x := range []Experiment{
+		{"table1", table1Spec, renderTable1},
+		{"table2", table2Spec, renderTable2},
+		{"table3", table3Spec, renderTable3},
+		{"fig2", fig2Spec, renderFig2},
+		{"fig4", fig4Spec, renderFig4},
+		{"fig5", fig5Spec, renderFig5},
+		{"fig6", fig6Spec, renderFig6},
+		{"subsample", subsampleSpec, renderSubsample},
+		{"coordfrac", coordFracSpec, renderCoordFrac},
+		{"dncsubdim", dncSubDimSpec, renderDnCSubDim},
+		{"adaptive", adaptiveSpec, renderAdaptive},
+		{"compression", compressionSpec, renderCompression},
+		{"hostile", hostileSpec, renderHostile},
+		{"serverlearn", serverLearnSpec, renderServerLearn},
+	} {
+		if err := c.Register(x.Name, x); err != nil {
+			panic(err) // statically-valid entry
+		}
 	}
+	return c
+}
+
+// CampaignNames lists the named campaigns the CLIs accept: every
+// experiment, then "all".
+func CampaignNames() []string {
+	return append(Experiments().Names(), "all")
 }
 
 // CampaignByName expands a named campaign to its cell grid at the given
-// parameters. "all" is the union of every table and figure; shared cells
-// (e.g. Table I's 20%-fraction runs reappearing in Fig. 4) are
-// deduplicated by the engine's content hashing.
+// parameters. "all" is the union of every experiment in catalog order;
+// shared cells (e.g. Table I's 20%-fraction runs reappearing in Fig. 4)
+// are deduplicated by the engine's content hashing.
 func CampaignByName(name string, p Params) (campaign.Spec, error) {
-	switch name {
-	case "table1":
-		specs := make([]campaign.Spec, 0, len(Datasets()))
-		for _, ds := range Datasets() {
-			specs = append(specs, Table1Spec(ds, p))
-		}
-		return campaign.Merge("table1", specs...), nil
-	case "table2":
-		return Table2Spec(p), nil
-	case "table3":
-		return Table3Spec(p), nil
-	case "fig2":
-		return Fig2Spec(p, Fig2SampleEvery(p)), nil
-	case "fig4":
-		return Fig4Spec(p), nil
-	case "fig5":
-		return Fig5Spec(p), nil
-	case "fig6":
-		return Fig6Spec(p), nil
-	case "subsample":
-		return SubsampleSpec(p), nil
-	case "coordfrac":
-		return CoordFracSpec(p), nil
-	case "dncsubdim":
-		return DnCSubDimSpec(p), nil
-	case "adaptive":
-		return AdaptiveSpec(p), nil
-	case "compression":
-		return CompressionSpec(p), nil
-	case "hostile":
-		return HostileSpec(p), nil
-	case "serverlearn":
-		return ServerLearnSpec(p), nil
-	case "all":
-		names := CampaignNames()
-		specs := make([]campaign.Spec, 0, len(names)-1)
-		for _, n := range names {
-			if n == "all" {
-				continue
-			}
-			s, err := CampaignByName(n, p)
-			if err != nil {
-				return campaign.Spec{}, err
-			}
-			specs = append(specs, s)
+	xs := Experiments()
+	if name == "all" {
+		var specs []campaign.Spec
+		for _, x := range xs.Values() {
+			specs = append(specs, x.Spec(p))
 		}
 		return campaign.Merge("all", specs...), nil
-	default:
+	}
+	x, err := xs.Lookup(name)
+	if err != nil {
 		return campaign.Spec{}, fmt.Errorf("experiments: unknown campaign %q (want %v)", name, CampaignNames())
 	}
+	return x.Spec(p), nil
+}
+
+// Run executes the named experiment's grid at p through e and renders it.
+func Run(ctx context.Context, e *campaign.Engine, name string, p Params) ([]*Table, error) {
+	x, err := Experiments().Lookup(name)
+	if err != nil {
+		return nil, err
+	}
+	rep, err := e.Run(ctx, x.Spec(p))
+	if err != nil {
+		return nil, err
+	}
+	return x.Render(rep.Results)
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"testing"
 
 	"github.com/signguard/signguard/internal/campaign"
@@ -41,10 +40,11 @@ func TestTable2ThroughEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl, err := Table2(NewEngine(0, store, nil), p)
+	tables, err := Run(t.Context(), NewEngine(0, store, nil), "table2", p)
 	if err != nil {
 		t.Fatal(err)
 	}
+	tbl := tables[0]
 	if len(tbl.Rows) != len(table2Attacks) {
 		t.Errorf("table2 has %d rows, want %d", len(tbl.Rows), len(table2Attacks))
 	}
@@ -54,7 +54,7 @@ func TestTable2ThroughEngine(t *testing.T) {
 
 	// A second engine over the same store must serve the whole grid from
 	// cache and render the identical table.
-	rep, err := NewEngine(0, store, nil).Run(context.Background(), Table2Spec(p))
+	rep, err := NewEngine(0, store, nil).Run(t.Context(), table2Spec(p))
 	if err != nil {
 		t.Fatal(err)
 	}

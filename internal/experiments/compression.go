@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"github.com/signguard/signguard/internal/campaign"
@@ -29,10 +28,10 @@ var compressionRules = []string{"SignGuard", "Multi-Krum", "DnC", "Mean"}
 // compressionAttacks are the adversaries each (defense, codec) pair faces.
 var compressionAttacks = []string{"LIE", "Sign-flip"}
 
-// CompressionSpec declares the codec sweep: defense × attack × codec on
+// compressionSpec declares the codec sweep: defense × attack × codec on
 // the MNIST analog. The codec is cell identity, so each wire format
 // caches separately and the grid's exports carry per-cell bytes shipped.
-func CompressionSpec(p Params) campaign.Spec {
+func compressionSpec(p Params) campaign.Spec {
 	spec := campaign.Spec{Name: "compression"}
 	for _, rule := range compressionRules {
 		for _, att := range compressionAttacks {
@@ -46,17 +45,13 @@ func CompressionSpec(p Params) campaign.Spec {
 	return spec
 }
 
-// Compression runs the codec sweep and renders best accuracy plus total
+// renderCompression renders the codec sweep's best accuracy plus total
 // bytes shipped per defense × attack × codec.
-func Compression(e *campaign.Engine, p Params) (*Table, error) {
-	rep, err := e.Run(context.Background(), CompressionSpec(p))
-	if err != nil {
-		return nil, err
-	}
+func renderCompression(results []*campaign.CellResult) ([]*Table, error) {
 	t := &Table{Title: "Gradient compression — best test accuracy % (bytes shipped)"}
 	t.Header = []string{"Defense", "Attack"}
 	t.Header = append(t.Header, compressionCodecs...)
-	cur := cursor{results: rep.Results}
+	cur := cursor{results: results}
 	for _, rule := range compressionRules {
 		for _, att := range compressionAttacks {
 			row := []string{rule, att}
@@ -67,7 +62,7 @@ func Compression(e *campaign.Engine, p Params) (*Table, error) {
 			t.AddRow(row...)
 		}
 	}
-	return t, nil
+	return cur.tables(t)
 }
 
 // fmtBytes renders a byte count at a human scale (KiB/MiB/GiB).

@@ -14,7 +14,7 @@ import (
 func TestCampaignRegistryCoversCatalog(t *testing.T) {
 	p := axesParams()
 	spec := campaign.Spec{Name: "coverage"}
-	for _, name := range attack.BuiltinNames() {
+	for _, name := range attack.Builtin().Names() {
 		spec.Cells = append(spec.Cells, campaign.NewCell("mnist", "Mean", name, p))
 	}
 	if err := Registry().Validate(spec); err != nil {

@@ -11,12 +11,16 @@ func TestFig2Tiny(t *testing.T) {
 		Clients: 8, ByzFraction: 0.25, Rounds: 8, BatchSize: 4,
 		EvalEvery: 4, EvalSamples: 50, TrainSize: 240, TestSize: 60, Seed: 3,
 	}
-	series, tables, err := Fig2(NewEngine(0, nil, nil), p, 2)
+	rep, err := NewEngine(0, nil, nil).Run(t.Context(), fig2Spec(p))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(series) != 2 || len(tables) != 2 {
-		t.Fatalf("got %d series, %d tables", len(series), len(tables))
+	series, err := decodeFig2(rep.Results)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(series) != 2 {
+		t.Fatalf("got %d series", len(series))
 	}
 	for _, s := range series {
 		if len(s.Rounds) == 0 || len(s.Rounds) != len(s.Honest) || len(s.Rounds) != len(s.LIE) {

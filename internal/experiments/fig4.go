@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"github.com/signguard/signguard/internal/campaign"
@@ -17,10 +16,10 @@ var (
 	fig4Attacks   = []string{"ByzMean", "Sign-flip", "LIE", "Min-Max", "Min-Sum"}
 )
 
-// Fig4Spec declares the Fig. 4 grid. Per dataset, the first cell is the
+// fig4Spec declares the Fig. 4 grid. Per dataset, the first cell is the
 // Definition 3 baseline (no attack, no defense); the rest sweep
 // defense × attack × fraction.
-func Fig4Spec(p Params) campaign.Spec {
+func fig4Spec(p Params) campaign.Spec {
 	spec := campaign.Spec{Name: "fig4"}
 	for _, key := range fig4Datasets {
 		base := campaign.NewCell(key, "Mean", "NoAttack", p)
@@ -39,16 +38,12 @@ func Fig4Spec(p Params) campaign.Spec {
 	return spec
 }
 
-// Fig4 reproduces "Fig. 4: accuracy drop comparison under various attacks
+// renderFig4 reproduces "Fig. 4: accuracy drop comparison under various attacks
 // and different percentage of Byzantine clients": the attack impact
 // (Definition 3 — accuracy drop relative to the no-attack/no-defense
 // baseline) as the Byzantine fraction sweeps 10–40%.
-func Fig4(e *campaign.Engine, p Params) ([]*Table, error) {
-	rep, err := e.Run(context.Background(), Fig4Spec(p))
-	if err != nil {
-		return nil, err
-	}
-	cur := cursor{results: rep.Results}
+func renderFig4(results []*campaign.CellResult) ([]*Table, error) {
+	cur := cursor{results: results}
 	var tables []*Table
 	for _, key := range fig4Datasets {
 		ds, err := DatasetByKey(key)
@@ -77,5 +72,5 @@ func Fig4(e *campaign.Engine, p Params) ([]*Table, error) {
 		}
 		tables = append(tables, t)
 	}
-	return tables, nil
+	return cur.tables(tables...)
 }

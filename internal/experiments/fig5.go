@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"github.com/signguard/signguard/internal/campaign"
@@ -24,9 +23,9 @@ func fig5SwitchEvery(p Params) int {
 	return switchEvery
 }
 
-// Fig5Spec declares the Fig. 5 grid. Per dataset, the first cell is the
+// fig5Spec declares the Fig. 5 grid. Per dataset, the first cell is the
 // clean Mean baseline, followed by one TimeVarying cell per defense.
-func Fig5Spec(p Params) campaign.Spec {
+func fig5Spec(p Params) campaign.Spec {
 	spec := campaign.Spec{Name: "fig5"}
 	switchEvery := fig5SwitchEvery(p)
 	for _, key := range fig5Datasets {
@@ -42,15 +41,11 @@ func Fig5Spec(p Params) campaign.Spec {
 	return spec
 }
 
-// Fig5 reproduces "Fig. 5: defense comparison under time-varying attacks":
+// renderFig5 reproduces "Fig. 5: defense comparison under time-varying attacks":
 // test-accuracy curves of the strong defenses when the attack strategy is
 // re-drawn randomly every switch interval, including no-attack periods.
-func Fig5(e *campaign.Engine, p Params) ([]*Table, error) {
-	rep, err := e.Run(context.Background(), Fig5Spec(p))
-	if err != nil {
-		return nil, err
-	}
-	cur := cursor{results: rep.Results}
+func renderFig5(results []*campaign.CellResult) ([]*Table, error) {
+	cur := cursor{results: results}
 	var tables []*Table
 	for _, key := range fig5Datasets {
 		ds, err := DatasetByKey(key)
@@ -88,5 +83,5 @@ func Fig5(e *campaign.Engine, p Params) ([]*Table, error) {
 		}
 		tables = append(tables, t)
 	}
-	return tables, nil
+	return cur.tables(tables...)
 }

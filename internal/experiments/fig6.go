@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"github.com/signguard/signguard/internal/campaign"
@@ -16,9 +15,9 @@ var (
 	fig6Attacks  = []string{"Sign-flip", "LIE", "ByzMean"}
 )
 
-// Fig6Spec declares the Fig. 6 grid over the paper's synthetic non-IID
+// fig6Spec declares the Fig. 6 grid over the paper's synthetic non-IID
 // partitions (2 shards per client).
-func Fig6Spec(p Params) campaign.Spec {
+func fig6Spec(p Params) campaign.Spec {
 	spec := campaign.Spec{Name: "fig6"}
 	for _, key := range fig6Datasets {
 		for _, att := range fig6Attacks {
@@ -35,15 +34,11 @@ func Fig6Spec(p Params) campaign.Spec {
 	return spec
 }
 
-// Fig6 reproduces "Fig. 6: model accuracy comparison under various attacks
+// renderFig6 reproduces "Fig. 6: model accuracy comparison under various attacks
 // and different degrees of non-IID": best accuracy with skew levels
 // s ∈ {0.3, 0.5, 0.8}.
-func Fig6(e *campaign.Engine, p Params) ([]*Table, error) {
-	rep, err := e.Run(context.Background(), Fig6Spec(p))
-	if err != nil {
-		return nil, err
-	}
-	cur := cursor{results: rep.Results}
+func renderFig6(results []*campaign.CellResult) ([]*Table, error) {
+	cur := cursor{results: results}
 	var tables []*Table
 	for _, key := range fig6Datasets {
 		ds, err := DatasetByKey(key)
@@ -66,5 +61,5 @@ func Fig6(e *campaign.Engine, p Params) ([]*Table, error) {
 		}
 		tables = append(tables, t)
 	}
-	return tables, nil
+	return cur.tables(tables...)
 }

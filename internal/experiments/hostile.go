@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"github.com/signguard/signguard/internal/campaign"
@@ -27,11 +26,11 @@ var hostileAttacks = []string{
 // because the screen drops the poison before aggregation).
 var hostileRules = []string{"SignGuard", "Multi-Krum", "DnC", "Median", "Mean"}
 
-// HostileSpec declares the hostile-input sweep: defense × non-finite attack
+// hostileSpec declares the hostile-input sweep: defense × non-finite attack
 // on the MNIST analog, every cell carrying the reject screening policy.
 // The policy is cell identity (the /nonfinite= axis), so screened runs
 // cache separately from legacy diverge-on-non-finite runs of the same grid.
-func HostileSpec(p Params) campaign.Spec {
+func hostileSpec(p Params) campaign.Spec {
 	spec := campaign.Spec{Name: "hostile"}
 	for _, rule := range hostileRules {
 		for _, att := range hostileAttacks {
@@ -43,17 +42,13 @@ func HostileSpec(p Params) campaign.Spec {
 	return spec
 }
 
-// Hostile runs the hostile-input sweep and renders best accuracy plus the
+// renderHostile renders the hostile-input sweep's best accuracy plus the
 // number of submissions the ingest screen dropped per defense × attack.
-func Hostile(e *campaign.Engine, p Params) (*Table, error) {
-	rep, err := e.Run(context.Background(), HostileSpec(p))
-	if err != nil {
-		return nil, err
-	}
+func renderHostile(results []*campaign.CellResult) ([]*Table, error) {
 	t := &Table{Title: "Hostile input (reject screen) — best test accuracy % (submissions screened)"}
 	t.Header = []string{"Defense"}
 	t.Header = append(t.Header, hostileAttacks...)
-	cur := cursor{results: rep.Results}
+	cur := cursor{results: results}
 	for _, rule := range hostileRules {
 		row := []string{rule}
 		for range hostileAttacks {
@@ -62,5 +57,5 @@ func Hostile(e *campaign.Engine, p Params) (*Table, error) {
 		}
 		t.AddRow(row...)
 	}
-	return t, nil
+	return cur.tables(t)
 }

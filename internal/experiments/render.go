@@ -11,26 +11,33 @@ import (
 
 // cursor walks a campaign's results in the same order the spec builder
 // appended cells, so each renderer mirrors its grid-declaration loops.
+// Reading past the end yields an empty result instead of panicking, and
+// tables refuses any read count but the grid's: a renderer that drifted
+// from its spec fails loudly.
 type cursor struct {
 	results []*campaign.CellResult
 	i       int
 }
 
 func (c *cursor) next() *campaign.CellResult {
-	r := c.results[c.i]
 	c.i++
-	return r
+	if c.i > len(c.results) {
+		return &campaign.CellResult{}
+	}
+	return c.results[c.i-1]
+}
+
+// tables returns ts once every result has been read exactly once.
+func (c *cursor) tables(ts ...*Table) ([]*Table, error) {
+	if c.i != len(c.results) {
+		return nil, fmt.Errorf("experiments: renderer read %d results of a %d-cell grid", c.i, len(c.results))
+	}
+	return ts, nil
 }
 
 // Reporter receives progress lines from long sweeps; a nil Reporter is
 // silently ignored.
 type Reporter func(format string, args ...any)
-
-func (r Reporter) printf(format string, args ...any) {
-	if r != nil {
-		r(format, args...)
-	}
-}
 
 // Table is a rendered experiment result: the rows/series the paper reports.
 type Table struct {

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"github.com/signguard/signguard/internal/campaign"
@@ -28,8 +27,8 @@ var serverLearnAttacks = []string{"Backdoor", "Adaptive-Min-Max"}
 // setting the defense families were designed against.
 const serverLearnBoost = 10
 
-// ServerLearnByz returns the campaign's Byzantine count: 30% of the cohort.
-func ServerLearnByz(p Params) int {
+// serverLearnByz returns the campaign's Byzantine count: 30% of the cohort.
+func serverLearnByz(p Params) int {
 	byz := (3 * p.Clients) / 10
 	if byz < 1 {
 		byz = 1
@@ -37,13 +36,13 @@ func ServerLearnByz(p Params) int {
 	return byz
 }
 
-// ServerLearnSpec declares the server-learning defense grid: each rule ×
+// serverLearnSpec declares the server-learning defense grid: each rule ×
 // attack on MNIST with the Byzantine count pinned to 30% of the clients
 // (overriding the Params fraction, so the grid is comparable across
 // parameter scales).
-func ServerLearnSpec(p Params) campaign.Spec {
+func serverLearnSpec(p Params) campaign.Spec {
 	spec := campaign.Spec{Name: "serverlearn"}
-	byz := ServerLearnByz(p)
+	byz := serverLearnByz(p)
 	for _, rule := range serverLearnRules {
 		for _, att := range serverLearnAttacks {
 			c := campaign.NewCell("mnist", rule, att, p)
@@ -57,22 +56,18 @@ func ServerLearnSpec(p Params) campaign.Spec {
 	return spec
 }
 
-// ServerLearn runs the server-learning campaign and renders final test
-// accuracy per rule × attack (final, not best: a backdoored or destabilized
-// model must pay for late-round damage).
-func ServerLearn(e *campaign.Engine, p Params) (*Table, error) {
-	rep, err := e.Run(context.Background(), ServerLearnSpec(p))
-	if err != nil {
-		return nil, err
-	}
-	t := &Table{Title: fmt.Sprintf("Server-learning defenses — final test accuracy %% (%d/%d Byzantine)",
-		ServerLearnByz(p), p.Clients)}
-	t.Header = append([]string{"Defense"}, serverLearnAttacks...)
-	cur := cursor{results: rep.Results}
+// renderServerLearn renders final test accuracy per rule × attack (final,
+// not best: a backdoored or destabilized model must pay for late-round
+// damage).
+func renderServerLearn(results []*campaign.CellResult) ([]*Table, error) {
+	t := &Table{Header: append([]string{"Defense"}, serverLearnAttacks...)}
+	cur := cursor{results: results}
+	var cell campaign.Cell
 	for _, rule := range serverLearnRules {
 		row := []string{rule}
 		for range serverLearnAttacks {
 			r := cur.next()
+			cell = r.Cell
 			if r.Diverged {
 				row = append(row, "diverged")
 				continue
@@ -81,5 +76,8 @@ func ServerLearn(e *campaign.Engine, p Params) (*Table, error) {
 		}
 		t.AddRow(row...)
 	}
-	return t, nil
+	// Every cell carries the grid's pinned Byzantine count and Params.
+	t.Title = fmt.Sprintf("Server-learning defenses — final test accuracy %% (%d/%d Byzantine)",
+		cell.NumByz, cell.Params.Clients)
+	return cur.tables(t)
 }

@@ -8,11 +8,11 @@ import (
 
 func TestServerLearnSpecShape(t *testing.T) {
 	p := axesParams()
-	spec := ServerLearnSpec(p)
+	spec := serverLearnSpec(p)
 	if want := len(serverLearnRules) * len(serverLearnAttacks); len(spec.Cells) != want {
 		t.Fatalf("%d cells, want %d", len(spec.Cells), want)
 	}
-	byz := ServerLearnByz(p)
+	byz := serverLearnByz(p)
 	for _, c := range spec.Cells {
 		if c.NumByz != byz {
 			t.Errorf("cell %s has NumByz %d, want the pinned %d", c.ID(), c.NumByz, byz)
@@ -20,12 +20,12 @@ func TestServerLearnSpecShape(t *testing.T) {
 	}
 	// Every referenced rule and attack must resolve through the registries.
 	for _, rule := range serverLearnRules {
-		if _, err := RuleByName(rule); err != nil {
+		if _, err := Defenses().Lookup(rule); err != nil {
 			t.Errorf("rule %s: %v", rule, err)
 		}
 	}
 	for _, att := range serverLearnAttacks {
-		if _, err := attack.SpecByName(att); err != nil {
+		if _, err := attack.Builtin().Lookup(att); err != nil {
 			t.Errorf("attack %s: %v", att, err)
 		}
 	}
@@ -45,7 +45,7 @@ func TestServerLearnDefensesBeatMean(t *testing.T) {
 	p.Rounds = 20
 	p.EvalEvery = 4
 	p.EvalSamples = 0
-	rep, err := NewEngine(0, nil, nil).Run(t.Context(), ServerLearnSpec(p))
+	rep, err := NewEngine(0, nil, nil).Run(t.Context(), serverLearnSpec(p))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,10 +77,11 @@ func TestServerLearnDefensesBeatMean(t *testing.T) {
 // TestServerLearnRendererShape pins the rendered table to the grid.
 func TestServerLearnRendererShape(t *testing.T) {
 	p := axesParams()
-	tbl, err := ServerLearn(NewEngine(0, nil, nil), p)
+	tables, err := Run(t.Context(), NewEngine(0, nil, nil), "serverlearn", p)
 	if err != nil {
 		t.Fatal(err)
 	}
+	tbl := tables[0]
 	if len(tbl.Rows) != len(serverLearnRules) || len(tbl.Header) != 1+len(serverLearnAttacks) {
 		t.Errorf("rendered %dx%d", len(tbl.Rows), len(tbl.Header))
 	}

@@ -1,21 +1,20 @@
 // Package experiments defines the reproduction harness: one experiment per
-// table and figure in the paper's evaluation section, runnable at three
-// scales (Bench for `go test -bench`, Standard for quick full sweeps, Full
-// for the paper-scale runs recorded in EXPERIMENTS.md). Each experiment is
-// a thin adapter over the internal/campaign engine: it declares its grid
-// as a campaign.Spec (XSpec functions), runs it through a campaign.Engine
-// — concurrently, with content-addressed result caching — and renders the
-// cell results as the same rows/series the paper reports.
+// table and figure in the paper's evaluation section, plus the post-paper
+// scenario axes, runnable at three scales (Bench for `go test -bench`,
+// Standard for quick full sweeps, Full for the paper-scale runs recorded
+// in EXPERIMENTS.md). Each experiment is declared once, in the Experiments
+// catalog, as its grid (a campaign.Spec at given Params) and a renderer
+// that turns the grid's cell results into the rows/series the paper
+// reports; a campaign.Engine runs the grid concurrently, with
+// content-addressed result caching.
 package experiments
 
 import (
 	"fmt"
 	"math/rand"
 
-	"github.com/signguard/signguard/internal/aggregate"
 	"github.com/signguard/signguard/internal/campaign"
 	"github.com/signguard/signguard/internal/data"
-	"github.com/signguard/signguard/internal/defense"
 	"github.com/signguard/signguard/internal/nn"
 )
 
@@ -146,82 +145,4 @@ func DatasetByKey(key string) (DatasetSpec, error) {
 		}
 	}
 	return DatasetSpec{}, fmt.Errorf("experiments: unknown dataset %q", key)
-}
-
-// RuleSpec names a defense and builds a fresh instance per run. f is the
-// Byzantine count the paper grants the baselines (SignGuard ignores it).
-// RuleSpecs are views over the central defense registry (internal/defense)
-// — the hand-written per-rule closure table this package used to carry now
-// lives there, shared with the campaign engine and the CLIs.
-type RuleSpec struct {
-	Name string
-	New  func(n, f int, seed int64) (aggregate.Rule, error)
-}
-
-// Rules returns all ten defenses of Table I, in its row order, backed by
-// the builtin defense registry.
-func Rules() []RuleSpec {
-	reg := defense.Builtin()
-	names := reg.Names()
-	out := make([]RuleSpec, 0, len(names))
-	for _, name := range names {
-		name := name
-		out = append(out, RuleSpec{
-			Name: name,
-			New: func(n, f int, seed int64) (aggregate.Rule, error) {
-				return reg.Build(name, defense.Params{N: n, F: f, Seed: seed})
-			},
-		})
-	}
-	return out
-}
-
-// RuleByName looks up a single rule spec.
-func RuleByName(name string) (RuleSpec, error) {
-	for _, r := range Rules() {
-		if r.Name == name {
-			return r, nil
-		}
-	}
-	return RuleSpec{}, fmt.Errorf("experiments: unknown rule %q", name)
-}
-
-// tableIRules are the paper's ten Table I row labels, in row order.
-var tableIRules = []string{
-	"Mean", "TrMean", "Median", "GeoMed", "Multi-Krum", "Bulyan",
-	"DnC", "SignGuard", "SignGuard-Sim", "SignGuard-Dist",
-}
-
-// PaperRules returns the ten Table I defense rows — the subset of Rules()
-// the paper's own tables render. The related-work families beyond the
-// table (FLTrust, FLAME, MoM) are evaluated by the serverlearn campaign
-// instead, so Table I keeps the paper's exact shape.
-func PaperRules() []RuleSpec {
-	sel, err := SelectRules(tableIRules...)
-	if err != nil {
-		// The names are static rows of the builtin registry.
-		panic(err)
-	}
-	return sel
-}
-
-// SelectRules filters Rules() to the given names, preserving order.
-func SelectRules(names ...string) ([]RuleSpec, error) {
-	out := make([]RuleSpec, 0, len(names))
-	for _, n := range names {
-		r, err := RuleByName(n)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
-// tableAttacks names the nine attack columns of Table I, in its column
-// order. The internal/attack catalog owns the constructors (SpecByName) and
-// the campaign registry registers every catalog entry; this package only
-// picks names.
-var tableAttacks = []string{
-	"NoAttack", "Random", "Noise", "Label-flip", "ByzMean", "Sign-flip", "LIE", "Min-Max", "Min-Sum",
 }

@@ -60,50 +60,14 @@ func TestSpecLookups(t *testing.T) {
 		t.Error("accepted unknown dataset")
 	}
 
-	rules := Rules()
-	if len(rules) != 13 {
-		t.Fatalf("%d rules, want 13 (Table I rows + FLTrust/FLAME/MoM)", len(rules))
-	}
-	if rules[0].Name != "Mean" || rules[len(rules)-1].Name != "MoM" {
-		t.Errorf("rule order: %s ... %s", rules[0].Name, rules[len(rules)-1].Name)
-	}
-	if _, err := RuleByName("nope"); err == nil {
-		t.Error("accepted unknown rule")
-	}
-
 	if len(tableAttacks) != 9 || tableAttacks[0] != "NoAttack" {
 		t.Fatalf("attack columns %v, want the 9 Table I columns starting at NoAttack", tableAttacks)
-	}
-	if sel, err := SelectRules("DnC", "Mean"); err != nil || len(sel) != 2 || sel[0].Name != "DnC" {
-		t.Errorf("SelectRules = %v, %v", sel, err)
-	}
-}
-
-func TestRuleFactoriesBuild(t *testing.T) {
-	for _, r := range Rules() {
-		rule, err := r.New(50, 10, 1)
-		if err != nil {
-			t.Errorf("building %s: %v", r.Name, err)
-			continue
-		}
-		if rule.Name() == "" {
-			t.Errorf("%s produced empty rule name", r.Name)
-		}
-	}
-	// Bulyan's factory must cap f when the fraction is too high for
-	// n >= 4f+2.
-	spec, err := RuleByName("Bulyan")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := spec.New(50, 20, 1); err != nil {
-		t.Errorf("Bulyan factory with 40%% Byzantine: %v", err)
 	}
 }
 
 func TestAttackFactoriesBuild(t *testing.T) {
 	for _, name := range tableAttacks {
-		spec, err := attack.SpecByName(name)
+		spec, err := attack.Builtin().Lookup(name)
 		if err != nil {
 			t.Fatalf("Table I column %q is not in the attack catalog: %v", name, err)
 		}
@@ -129,39 +93,5 @@ func TestTableRendering(t *testing.T) {
 	}
 	if !strings.Contains(tsv.String(), "a\tb") || !strings.Contains(tsv.String(), "1\t2") {
 		t.Errorf("tsv = %q", tsv.String())
-	}
-}
-
-// TestRunCellSmoke runs one tiny cell end to end through the harness.
-func TestRunCellSmoke(t *testing.T) {
-	p := Params{
-		Clients: 8, ByzFraction: 0.25, Rounds: 6, BatchSize: 4,
-		EvalEvery: 3, EvalSamples: 50, TrainSize: 200, TestSize: 80, Seed: 1,
-	}
-	ds, err := DatasetByKey("mnist")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dataset, err := LoadDataset(ds, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rule, err := RuleByName("SignGuard")
-	if err != nil {
-		t.Fatal(err)
-	}
-	att, err := attack.SpecByName("LIE")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := RunCell(dataset, ds, rule, att, p, DefaultCellOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.BestAccuracy < 0 || res.BestAccuracy > 100 {
-		t.Errorf("accuracy %v out of range", res.BestAccuracy)
-	}
-	if _, _, ok := res.SelectionRates(); !ok {
-		t.Error("SignGuard cell must report selection rates")
 	}
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"github.com/signguard/signguard/internal/campaign"
@@ -14,8 +13,8 @@ var (
 	table2Attacks  = []string{"ByzMean", "Sign-flip", "LIE", "Min-Max", "Min-Sum"}
 )
 
-// Table2Spec declares the Table II grid (attack-major, variant-minor).
-func Table2Spec(p Params) campaign.Spec {
+// table2Spec declares the Table II grid (attack-major, variant-minor).
+func table2Spec(p Params) campaign.Spec {
 	spec := campaign.Spec{Name: "table2"}
 	for _, att := range table2Attacks {
 		for _, v := range table2Variants {
@@ -25,20 +24,16 @@ func Table2Spec(p Params) campaign.Spec {
 	return spec
 }
 
-// Table2 reproduces "Table II: selected rate of honest and malicious
+// renderTable2 reproduces "Table II: selected rate of honest and malicious
 // gradients" — the average fraction of honest (H) and malicious (M)
 // gradients that each SignGuard variant admitted into the trusted set.
-func Table2(e *campaign.Engine, p Params) (*Table, error) {
-	rep, err := e.Run(context.Background(), Table2Spec(p))
-	if err != nil {
-		return nil, err
-	}
+func renderTable2(results []*campaign.CellResult) ([]*Table, error) {
 	t := &Table{Title: "Table II — selected rate of honest (H) and malicious (M) gradients"}
 	t.Header = []string{"Attack"}
 	for _, v := range table2Variants {
 		t.Header = append(t.Header, v+" H", v+" M")
 	}
-	cur := cursor{results: rep.Results}
+	cur := cursor{results: results}
 	for _, att := range table2Attacks {
 		row := []string{att}
 		for _, v := range table2Variants {
@@ -50,5 +45,5 @@ func Table2(e *campaign.Engine, p Params) (*Table, error) {
 		}
 		t.AddRow(row...)
 	}
-	return t, nil
+	return cur.tables(t)
 }

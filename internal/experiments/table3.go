@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"github.com/signguard/signguard/internal/aggregate"
@@ -68,9 +67,9 @@ func table3ReverseScale(c ablationCombo) float64 {
 	return 100
 }
 
-// Table3Spec declares the CIFAR-analog ablation grid: each component
+// table3Spec declares the CIFAR-analog ablation grid: each component
 // subset under the Random, scaled-Reverse and LIE attacks.
-func Table3Spec(p Params) campaign.Spec {
+func table3Spec(p Params) campaign.Spec {
 	spec := campaign.Spec{Name: "table3"}
 	for _, combo := range ablationCombos() {
 		rule := ablationRuleName(combo)
@@ -83,17 +82,13 @@ func Table3Spec(p Params) campaign.Spec {
 	return spec
 }
 
-// Table3 reproduces "Table III: results under different defensive
+// renderTable3 reproduces "Table III: results under different defensive
 // components" — the CIFAR-analog ablation of SignGuard-Sim's thresholding,
 // clustering and norm-clipping components.
-func Table3(e *campaign.Engine, p Params) (*Table, error) {
-	rep, err := e.Run(context.Background(), Table3Spec(p))
-	if err != nil {
-		return nil, err
-	}
+func renderTable3(results []*campaign.CellResult) ([]*Table, error) {
 	t := &Table{Title: "Table III — SignGuard-Sim component ablation (best test accuracy %)"}
 	t.Header = []string{"Components", "Random", "Reverse", "LIE"}
-	cur := cursor{results: rep.Results}
+	cur := cursor{results: results}
 	for _, combo := range ablationCombos() {
 		row := []string{combo.label()}
 		for i := 0; i < 3; i++ {
@@ -101,5 +96,5 @@ func Table3(e *campaign.Engine, p Params) (*Table, error) {
 		}
 		t.AddRow(row...)
 	}
-	return t, nil
+	return cur.tables(t)
 }
