@@ -18,6 +18,7 @@ import (
 
 	"github.com/signguard/signguard/internal/aggregate"
 	"github.com/signguard/signguard/internal/attack"
+	"github.com/signguard/signguard/internal/campaign"
 	"github.com/signguard/signguard/internal/core"
 	"github.com/signguard/signguard/internal/experiments"
 	"github.com/signguard/signguard/internal/tensor"
@@ -34,9 +35,18 @@ func microParams() experiments.Params {
 
 // benchExperiment regenerates one catalog experiment per iteration on a
 // cache-less parallel engine, logging its tables once (visible with -v).
-func benchExperiment(b *testing.B, name string) {
+// edit, when non-nil, narrows or adjusts the grid at microParams first.
+func benchExperiment(b *testing.B, name string, edit func(campaign.Spec) campaign.Spec) {
+	x, err := experiments.Experiments().Lookup(name)
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec := x.Spec(microParams())
+	if edit != nil {
+		spec = edit(spec)
+	}
 	for i := 0; i < b.N; i++ {
-		tables, err := experiments.Run(context.Background(), experiments.NewEngine(0, nil, nil), name, microParams())
+		tables, err := x.Run(context.Background(), experiments.NewEngine(0, nil, nil), spec)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -54,30 +64,47 @@ func benchExperiment(b *testing.B, name string) {
 }
 
 // BenchmarkTable1 regenerates Table I (defense × attack best accuracy) for
-// every dataset analog at micro scale.
-func BenchmarkTable1(b *testing.B) { benchExperiment(b, "table1") }
+// each dataset analog at micro scale.
+func BenchmarkTable1(b *testing.B) {
+	for _, ds := range experiments.Datasets() {
+		b.Run(ds.Key, func(b *testing.B) {
+			benchExperiment(b, "table1", func(s campaign.Spec) campaign.Spec {
+				return experiments.OnlyDataset(s, ds.Key)
+			})
+		})
+	}
+}
 
 // BenchmarkTable2SelectionRates regenerates Table II (honest/malicious
 // selection rates of the SignGuard variants).
-func BenchmarkTable2SelectionRates(b *testing.B) { benchExperiment(b, "table2") }
+func BenchmarkTable2SelectionRates(b *testing.B) { benchExperiment(b, "table2", nil) }
 
 // BenchmarkTable3Ablation regenerates Table III (component ablation).
-func BenchmarkTable3Ablation(b *testing.B) { benchExperiment(b, "table3") }
+func BenchmarkTable3Ablation(b *testing.B) { benchExperiment(b, "table3", nil) }
 
 // BenchmarkFig2SignStatistics regenerates Fig. 2 (sign statistics of the
-// honest vs LIE-crafted gradients over training).
-func BenchmarkFig2SignStatistics(b *testing.B) { benchExperiment(b, "fig2") }
+// honest vs LIE-crafted gradients over training), sampling every 2 rounds:
+// the catalog's stride (about 30 samples per run) would probe every round
+// of the 20-round micro run.
+func BenchmarkFig2SignStatistics(b *testing.B) {
+	benchExperiment(b, "fig2", func(s campaign.Spec) campaign.Spec {
+		for i := range s.Cells {
+			s.Cells[i].ProbeParam = 2
+		}
+		return s
+	})
+}
 
 // BenchmarkFig4ByzantineFraction regenerates Fig. 4 (attack impact vs
 // Byzantine fraction).
-func BenchmarkFig4ByzantineFraction(b *testing.B) { benchExperiment(b, "fig4") }
+func BenchmarkFig4ByzantineFraction(b *testing.B) { benchExperiment(b, "fig4", nil) }
 
 // BenchmarkFig5TimeVarying regenerates Fig. 5 (accuracy curves under the
 // time-varying attack).
-func BenchmarkFig5TimeVarying(b *testing.B) { benchExperiment(b, "fig5") }
+func BenchmarkFig5TimeVarying(b *testing.B) { benchExperiment(b, "fig5", nil) }
 
 // BenchmarkFig6NonIID regenerates Fig. 6 (non-IID skew sweep).
-func BenchmarkFig6NonIID(b *testing.B) { benchExperiment(b, "fig6") }
+func BenchmarkFig6NonIID(b *testing.B) { benchExperiment(b, "fig6", nil) }
 
 // ---- Micro-benchmarks: per-round cost of each aggregation rule ----
 

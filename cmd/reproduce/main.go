@@ -112,13 +112,9 @@ func run(exp, dataset, scaleName, format, outPath string, seed int64, workers in
 	for _, x := range xs {
 		spec := x.Spec(p)
 		if x.Name == "table1" && dataset != "" {
-			spec = onlyDataset(spec, dataset)
+			spec = experiments.OnlyDataset(spec, dataset)
 		}
-		rep, err := engine.Run(context.Background(), spec)
-		if err != nil {
-			return err
-		}
-		tables, err := x.Render(rep.Results)
+		tables, err := x.Run(context.Background(), engine, spec)
 		if err != nil {
 			return err
 		}
@@ -159,17 +155,6 @@ func selectExperiments(exp, dataset string) ([]experiments.Experiment, error) {
 		}
 	}
 	return xs, nil
-}
-
-// onlyDataset keeps the spec's cells on one dataset.
-func onlyDataset(spec campaign.Spec, key string) campaign.Spec {
-	out := campaign.Spec{Name: spec.Name}
-	for _, c := range spec.Cells {
-		if c.Dataset == key {
-			out.Cells = append(out.Cells, c)
-		}
-	}
-	return out
 }
 
 // expNames is the -exp vocabulary: every catalog entry, then all.

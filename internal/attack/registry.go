@@ -32,8 +32,7 @@ type Spec struct {
 // round-aware attacks, the non-finite injection family, and the backdoor /
 // model-replacement adversary. Each call returns a fresh copy.
 func Builtin() *catalog.Catalog[Spec] {
-	c := catalog.New[Spec]("attack")
-	for _, s := range []Spec{
+	return catalog.Must("attack", func(s Spec) string { return s.Name }, []Spec{
 		{Name: "NoAttack", New: func(float64, int64) (Attack, error) { return NewNone(), nil }},
 		{Name: "Random", New: func(float64, int64) (Attack, error) { return NewRandom(), nil }},
 		{Name: "Noise", New: func(float64, int64) (Attack, error) { return NewNoise(), nil }},
@@ -75,10 +74,5 @@ func Builtin() *catalog.Catalog[Spec] {
 			// Target class 0; boost 0 selects the documented default λ.
 			return NewBackdoor(0, boost), nil
 		}},
-	} {
-		if err := c.Register(s.Name, s); err != nil {
-			panic(err) // statically-valid spec
-		}
-	}
-	return c
+	}...)
 }

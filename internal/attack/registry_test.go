@@ -1,6 +1,23 @@
 package attack
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
+
+// TestBuiltinNamesOrder pins the catalog's names and order: the tables'
+// column order, and a guard against an entry silently going missing.
+func TestBuiltinNamesOrder(t *testing.T) {
+	want := []string{
+		"NoAttack", "Random", "Noise", "Label-flip", "ByzMean", "Sign-flip",
+		"LIE", "Min-Max", "Min-Sum", "Reverse", "TimeVarying", "Adaptive-Min-Max",
+		"SignKeep", "NonFinite-NaN", "NonFinite-PosInf", "NonFinite-NegInf",
+		"NonFinite-Sparse", "Backdoor",
+	}
+	if got := Builtin().Names(); !slices.Equal(got, want) {
+		t.Errorf("Names() = %v, want %v", got, want)
+	}
+}
 
 // TestBuiltinCatalogContract checks every catalog entry against the
 // capabilities it declares: the constructor builds with defaults, Adaptive

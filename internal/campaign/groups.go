@@ -3,7 +3,6 @@ package campaign
 import (
 	"encoding/csv"
 	"encoding/json"
-	"fmt"
 	"io"
 	"math"
 	"strconv"
@@ -187,16 +186,4 @@ func WriteGroupJSON(w io.Writer, results []*CellResult) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(groups)
-}
-
-// FormatMeanCI renders a group statistic the way the tables print averaged
-// runs: "mean±ci" with the given precision, or just the mean for singleton
-// groups.
-func FormatMeanCI(s GroupStat, prec int) string {
-	if s.CI95 == 0 {
-		return strconv.FormatFloat(s.Mean, 'f', prec, 64)
-	}
-	return fmt.Sprintf("%s±%s",
-		strconv.FormatFloat(s.Mean, 'f', prec, 64),
-		strconv.FormatFloat(s.CI95, 'f', prec, 64))
 }

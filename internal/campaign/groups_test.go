@@ -69,7 +69,7 @@ func TestGroupBySeedStats(t *testing.T) {
 }
 
 // TestGroupBySeedSingleSeedNoCI: a singleton group reports the value as its
-// mean with zero spread — FormatMeanCI then prints it without a ±.
+// mean with zero spread.
 func TestGroupBySeedSingleSeedNoCI(t *testing.T) {
 	groups := campaign.GroupBySeed([]*campaign.CellResult{fakeResult("Mean", 7, 81.5, 80)})
 	if len(groups) != 1 {
@@ -81,9 +81,6 @@ func TestGroupBySeedSingleSeedNoCI(t *testing.T) {
 	}
 	if g.Best.Std != 0 || g.Best.CI95 != 0 || g.Final.Std != 0 || g.Final.CI95 != 0 {
 		t.Errorf("singleton group has spread: best %+v final %+v", g.Best, g.Final)
-	}
-	if got := campaign.FormatMeanCI(g.Best, 1); got != "81.5" {
-		t.Errorf("singleton formatted %q, want bare mean", got)
 	}
 }
 
@@ -166,16 +163,6 @@ func TestGroupExportFormats(t *testing.T) {
 
 	if err := campaign.WriteExport(&jsonBuf, "nope", results); err == nil {
 		t.Error("unknown format accepted")
-	}
-}
-
-func TestFormatMeanCI(t *testing.T) {
-	if got := campaign.FormatMeanCI(campaign.GroupStat{Mean: 81.5}, 2); got != "81.50" {
-		t.Errorf("singleton format %q", got)
-	}
-	got := campaign.FormatMeanCI(campaign.GroupStat{Mean: 81.5, CI95: 1.25}, 1)
-	if got != "81.5±1.2" && got != "81.5±1.3" {
-		t.Errorf("mean±ci format %q", got)
 	}
 }
 

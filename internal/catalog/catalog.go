@@ -11,7 +11,7 @@ import (
 )
 
 // Catalog maps names to values in registration order, which is the order
-// every listing presents. Build one with New.
+// every listing presents. Build one with New, or Must for a static table.
 type Catalog[T any] struct {
 	kind  string
 	order []string
@@ -22,6 +22,24 @@ type Catalog[T any] struct {
 // ("defense", "codec", "attack", ...).
 func New[T any](kind string) *Catalog[T] {
 	return &Catalog[T]{kind: kind, items: map[string]T{}}
+}
+
+// Must builds a catalog of kind from a static table, keying each item by
+// name(item). An empty or repeated name panics: Register would replace the
+// earlier entry in place, silently dropping it from a table meant to list
+// each entry once.
+func Must[T any](kind string, name func(T) string, items ...T) *Catalog[T] {
+	c := New[T](kind)
+	for _, v := range items {
+		n := name(v)
+		if c.Has(n) {
+			panic(fmt.Sprintf("%s: %s declared twice", kind, n))
+		}
+		if err := c.Register(n, v); err != nil {
+			panic(err)
+		}
+	}
+	return c
 }
 
 // Register adds v under name. Re-registering a name replaces the value but

@@ -43,6 +43,25 @@ func TestOrderAndReplaceInPlace(t *testing.T) {
 	}
 }
 
+// TestMustRefusesRepeats: a static table may not list a name twice (Register
+// would drop the earlier entry in place) or leave one empty.
+func TestMustRefusesRepeats(t *testing.T) {
+	id := func(s string) string { return s }
+	if got := catalog.Must("thing", id, "b", "a").Names(); !slices.Equal(got, []string{"b", "a"}) {
+		t.Errorf("Must(b, a).Names() = %v", got)
+	}
+	for _, items := range [][]string{{"a", "b", "a"}, {"a", ""}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Must(%q) did not panic", items)
+				}
+			}()
+			catalog.Must("thing", id, items...)
+		}()
+	}
+}
+
 func TestHyperDefault(t *testing.T) {
 	h := map[string]float64{"k": 64}
 	if got := catalog.Hyper(h, "k", 1); got != 64 {

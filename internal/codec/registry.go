@@ -35,9 +35,11 @@ type Spec struct {
 }
 
 // Registry is the ordered name → codec catalog (internal/catalog) plus the
-// codec-specific build, validation and decode dispatch. Use Builtin.
+// codec-specific build, validation and decode dispatch. Use Builtin. The
+// catalog is unexported so that every entry goes through Register: keyed by
+// its own Name (the wire tag), with a constructor.
 type Registry struct {
-	*catalog.Catalog[Spec]
+	specs *catalog.Catalog[Spec]
 }
 
 // Register adds a codec spec under the catalog's rules: registration order
@@ -46,8 +48,20 @@ func (r *Registry) Register(s Spec) error {
 	if s.Name != "" && s.Build == nil {
 		return fmt.Errorf("codec: %s has no constructor", s.Name)
 	}
-	return r.Catalog.Register(s.Name, s)
+	return r.specs.Register(s.Name, s)
 }
+
+// Names returns the registered codec names in presentation order.
+func (r *Registry) Names() []string { return r.specs.Names() }
+
+// Has reports whether name is registered.
+func (r *Registry) Has(name string) bool { return r.specs.Has(name) }
+
+// Lookup returns the spec registered under name.
+func (r *Registry) Lookup(name string) (Spec, error) { return r.specs.Lookup(name) }
+
+// Values returns the registered specs in presentation order.
+func (r *Registry) Values() []Spec { return r.specs.Values() }
 
 // Build constructs the named codec. Hyperparameter keys not declared by
 // the spec are an error: a sweep axis that silently fell back to defaults
@@ -89,8 +103,7 @@ func (r *Registry) Decode(e Encoded) ([]float64, error) {
 // Builtin returns the registry of the four shipped codecs. Callers may
 // extend the returned registry freely; each call returns a fresh copy.
 func Builtin() *Registry {
-	r := &Registry{catalog.New[Spec]("codec")}
-	for _, s := range []Spec{
+	return &Registry{catalog.Must("codec", func(s Spec) string { return s.Name }, []Spec{
 		{Name: Identity, Lossless: true, Build: func(Params) (Codec, error) {
 			return IdentityCodec{}, nil
 		}},
@@ -116,10 +129,5 @@ func Builtin() *Registry {
 		{Name: SignSGD, MinCosine: 0.5, Build: func(Params) (Codec, error) {
 			return SignSGDCodec{}, nil
 		}},
-	} {
-		if err := r.Register(s); err != nil {
-			panic(err) // statically-valid spec
-		}
-	}
-	return r
+	}...)}
 }

@@ -46,9 +46,11 @@ type Spec struct {
 }
 
 // Registry is the ordered name → defense catalog (internal/catalog) plus
-// the defense-specific build and validation. Use Builtin.
+// the defense-specific build and validation. Use Builtin. The catalog is
+// unexported so that every entry goes through Register: keyed by its own
+// Name, with a constructor.
 type Registry struct {
-	*catalog.Catalog[Spec]
+	specs *catalog.Catalog[Spec]
 }
 
 // Register adds a defense spec under the catalog's rules: registration
@@ -57,8 +59,17 @@ func (r *Registry) Register(s Spec) error {
 	if s.Name != "" && s.Build == nil {
 		return fmt.Errorf("defense: %s has no constructor", s.Name)
 	}
-	return r.Catalog.Register(s.Name, s)
+	return r.specs.Register(s.Name, s)
 }
+
+// Names returns the registered defense names in presentation order.
+func (r *Registry) Names() []string { return r.specs.Names() }
+
+// Lookup returns the spec registered under name.
+func (r *Registry) Lookup(name string) (Spec, error) { return r.specs.Lookup(name) }
+
+// Values returns the registered specs in presentation order.
+func (r *Registry) Values() []Spec { return r.specs.Values() }
 
 // Build constructs the named defense. Hyperparameter keys not declared by
 // the spec are an error: a sweep axis that silently fell back to defaults
@@ -117,8 +128,7 @@ var signGuardHyper = []string{"coord_fraction", "lower_bound", "upper_bound"}
 // neighborhood filter. Callers may extend the returned registry freely
 // (e.g. the Table III ablation variants); each call returns a fresh copy.
 func Builtin() *Registry {
-	r := &Registry{catalog.New[Spec]("defense")}
-	for _, s := range []Spec{
+	return &Registry{catalog.Must("defense", func(s Spec) string { return s.Name }, []Spec{
 		{Name: "Mean", Build: func(Params) (aggregate.Rule, error) {
 			return aggregate.NewMean(), nil
 		}},
@@ -199,10 +209,5 @@ func Builtin() *Registry {
 			}
 			return aggregate.NewMedianOfMeans(radius), nil
 		}},
-	} {
-		if err := r.Register(s); err != nil {
-			panic(err) // statically-valid spec
-		}
-	}
-	return r
+	}...)}
 }

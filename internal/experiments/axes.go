@@ -176,17 +176,3 @@ func renderAdaptive(results []*campaign.CellResult) ([]*Table, error) {
 	}
 	return cur.tables(t)
 }
-
-// SeedGroupTable renders seed-group statistics (mean ± 95% CI over the
-// seed replicas of each cell) — the renderer counterpart of the group-csv
-// and group-json exports.
-func SeedGroupTable(title string, results []*campaign.CellResult) *Table {
-	t := &Table{Title: title}
-	t.Header = []string{"Cell", "Runs", "Best acc", "Final acc", "Diverged"}
-	for _, g := range campaign.GroupBySeed(results) {
-		t.AddRow(g.ID, fmt.Sprintf("%d", g.N),
-			campaign.FormatMeanCI(g.Best, 2), campaign.FormatMeanCI(g.Final, 2),
-			fmt.Sprintf("%d", g.Diverged))
-	}
-	return t
-}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"strings"
 	"testing"
 
 	"github.com/signguard/signguard/internal/campaign"
@@ -33,7 +32,7 @@ func TestSubsampleSweepThroughEngine(t *testing.T) {
 	if subsampled == 0 {
 		t.Fatal("subsample spec contains no subsampled cells")
 	}
-	tables, err := Run(t.Context(), NewEngine(0, nil, nil), "subsample", p)
+	tables, err := runExperiment(t.Context(), NewEngine(0, nil, nil), "subsample", p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +54,7 @@ func TestCoordFracSweepThroughEngine(t *testing.T) {
 			t.Fatalf("cell %s missing the sweep hyperparameter", c.ID())
 		}
 	}
-	tables, err := Run(t.Context(), NewEngine(0, nil, nil), "coordfrac", p)
+	tables, err := runExperiment(t.Context(), NewEngine(0, nil, nil), "coordfrac", p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,25 +81,5 @@ func TestAdaptiveAttackThroughEngine(t *testing.T) {
 	}
 	if !sawAdaptive {
 		t.Fatal("adaptive attack never ran")
-	}
-}
-
-func TestSeedGroupTable(t *testing.T) {
-	p := axesParams()
-	base := campaign.NewCell("mnist", "Mean", "LIE", p)
-	mk := func(seed int64, best float64) *campaign.CellResult {
-		c := base
-		c.Params.Seed = seed
-		return &campaign.CellResult{Cell: c, BestAccuracy: best, FinalAccuracy: best}
-	}
-	tbl := SeedGroupTable("t", []*campaign.CellResult{mk(1, 80), mk(2, 84)})
-	if len(tbl.Rows) != 1 {
-		t.Fatalf("%d rows, want 1", len(tbl.Rows))
-	}
-	if tbl.Rows[0][1] != "2" {
-		t.Errorf("runs column %q", tbl.Rows[0][1])
-	}
-	if !strings.Contains(tbl.Rows[0][2], "±") {
-		t.Errorf("best column %q lacks the CI", tbl.Rows[0][2])
 	}
 }

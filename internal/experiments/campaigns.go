@@ -153,8 +153,7 @@ type Experiment struct {
 // input, server learning). The order fixes the merged "all" campaign and
 // reproduce's -exp all output. Each call returns a fresh copy.
 func Experiments() *catalog.Catalog[Experiment] {
-	c := catalog.New[Experiment]("experiment")
-	for _, x := range []Experiment{
+	return catalog.Must("experiment", func(x Experiment) string { return x.Name }, []Experiment{
 		{"table1", table1Spec, renderTable1},
 		{"table2", table2Spec, renderTable2},
 		{"table3", table3Spec, renderTable3},
@@ -169,12 +168,7 @@ func Experiments() *catalog.Catalog[Experiment] {
 		{"compression", compressionSpec, renderCompression},
 		{"hostile", hostileSpec, renderHostile},
 		{"serverlearn", serverLearnSpec, renderServerLearn},
-	} {
-		if err := c.Register(x.Name, x); err != nil {
-			panic(err) // statically-valid entry
-		}
-	}
-	return c
+	}...)
 }
 
 // CampaignNames lists the named campaigns the CLIs accept: every
@@ -203,15 +197,24 @@ func CampaignByName(name string, p Params) (campaign.Spec, error) {
 	return x.Spec(p), nil
 }
 
-// Run executes the named experiment's grid at p through e and renders it.
-func Run(ctx context.Context, e *campaign.Engine, name string, p Params) ([]*Table, error) {
-	x, err := Experiments().Lookup(name)
-	if err != nil {
-		return nil, err
-	}
-	rep, err := e.Run(ctx, x.Spec(p))
+// Run executes spec through e and renders its results. spec is x.Spec at
+// some Params, or a part of it that x.Render accepts, such as Table I
+// narrowed by OnlyDataset.
+func (x Experiment) Run(ctx context.Context, e *campaign.Engine, spec campaign.Spec) ([]*Table, error) {
+	rep, err := e.Run(ctx, spec)
 	if err != nil {
 		return nil, err
 	}
 	return x.Render(rep.Results)
+}
+
+// OnlyDataset keeps the spec's cells on one dataset: Table I's -dataset.
+func OnlyDataset(spec campaign.Spec, key string) campaign.Spec {
+	out := campaign.Spec{Name: spec.Name}
+	for _, c := range spec.Cells {
+		if c.Dataset == key {
+			out.Cells = append(out.Cells, c)
+		}
+	}
+	return out
 }

@@ -1,10 +1,21 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 
 	"github.com/signguard/signguard/internal/campaign"
 )
+
+// runExperiment runs catalog entry name's whole grid at p through e and
+// renders it.
+func runExperiment(ctx context.Context, e *campaign.Engine, name string, p Params) ([]*Table, error) {
+	x, err := Experiments().Lookup(name)
+	if err != nil {
+		return nil, err
+	}
+	return x.Run(ctx, e, x.Spec(p))
+}
 
 // TestCampaignSpecsResolve expands every named campaign and validates each
 // cell against the registry, so a renamed rule/attack/dataset breaks here
@@ -40,7 +51,7 @@ func TestTable2ThroughEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tables, err := Run(t.Context(), NewEngine(0, store, nil), "table2", p)
+	tables, err := runExperiment(t.Context(), NewEngine(0, store, nil), "table2", p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,7 +77,7 @@ func TestServerLearnDefensesBeatMean(t *testing.T) {
 // TestServerLearnRendererShape pins the rendered table to the grid.
 func TestServerLearnRendererShape(t *testing.T) {
 	p := axesParams()
-	tables, err := Run(t.Context(), NewEngine(0, nil, nil), "serverlearn", p)
+	tables, err := runExperiment(t.Context(), NewEngine(0, nil, nil), "serverlearn", p)
 	if err != nil {
 		t.Fatal(err)
 	}
