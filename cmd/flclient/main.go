@@ -1,17 +1,20 @@
 // Command flclient joins a federated training session coordinated by
-// flserver. It regenerates the shared dataset from the seed, takes the
-// partition matching its client id, and participates honestly — or, with
-// -byzantine, misbehaves using one of the local attack strategies
-// (the network setting restricts the adversary to non-omniscient attacks:
-// sign flipping, scaled reverse, random noise, or label flipping).
+// flserver over its /asyncfl/v2 HTTP wire. It regenerates the shared
+// dataset from the seed, takes the partition matching its client id, and
+// participates honestly — or, with -byzantine, misbehaves using one of the
+// local attack strategies (the network setting restricts the adversary to
+// non-omniscient attacks: sign flipping, scaled reverse, random noise, or
+// label flipping).
 //
-// With -async it speaks the buffered asynchronous HTTP protocol instead of
-// the synchronous gob rounds: fetch the versioned model, compute a
-// gradient against it, submit, repeat — no waiting on other clients —
+// By default it is member -id of a lock-step cohort of -clients, the
+// paper's synchronous rounds: each round it fetches the model, submits a
+// gradient at its own schedule position and waits for the round to end.
+// With -async it submits freely instead: fetch the versioned model, compute
+// a gradient against it, submit, repeat — no waiting on other clients —
 // until the server reports Done (or -updates submissions were accepted).
-// -codec compresses each async submission with a gradient codec
-// (topk, qsgd, signsgd); the server must advertise the codec as accepted
-// or the client fails fast on its first submission.
+// -codec compresses each submission with a gradient codec (topk, qsgd,
+// signsgd); the server must advertise the codec as accepted or the client
+// fails fast on its first submission.
 package main
 
 import (
@@ -56,8 +59,8 @@ func main() {
 		byzStr   = flag.String("byzantine", "", "misbehave: signflip|reverse|random|labelflip (empty = honest)")
 		async    = flag.Bool("async", false, "speak the asynchronous HTTP protocol (server must run flserver -async)")
 		updates  = flag.Int("updates", 0, "async: stop after this many accepted submissions (0 = until server Done)")
-		codecStr = flag.String("codec", "", "async: compress submissions with this codec (identity|topk|qsgd|signsgd; the server must accept it)")
-		hyperStr = flag.String("codec-hyper", "", "async: codec hyperparameters as key=value[,key=value], e.g. k=64 (requires -codec)")
+		codecStr = flag.String("codec", "", "compress submissions with this codec (identity|topk|qsgd|signsgd; the server must accept it)")
+		hyperStr = flag.String("codec-hyper", "", "codec hyperparameters as key=value[,key=value], e.g. k=64 (requires -codec)")
 	)
 	flag.Parse()
 
@@ -67,7 +70,7 @@ func main() {
 	if err := validateByzMode(*byzStr); err != nil {
 		log.Fatalf("flclient: %v", err)
 	}
-	wire, err := buildCodec(*codecStr, *hyperStr, *async)
+	wire, err := buildCodec(*codecStr, *hyperStr)
 	if err != nil {
 		log.Fatalf("flclient: %v", err)
 	}
@@ -104,7 +107,7 @@ func validateByzMode(mode string) error {
 
 // buildCodec resolves the -codec/-codec-hyper flags to a wire codec
 // instance (nil = uncompressed submissions).
-func buildCodec(name, hyperStr string, async bool) (codec.Codec, error) {
+func buildCodec(name, hyperStr string) (codec.Codec, error) {
 	hyper, err := cliutil.ParseHyper("-codec-hyper", hyperStr)
 	if err != nil {
 		return nil, err
@@ -114,9 +117,6 @@ func buildCodec(name, hyperStr string, async bool) (codec.Codec, error) {
 			return nil, fmt.Errorf("-codec-hyper requires -codec")
 		}
 		return nil, nil
-	}
-	if !async {
-		return nil, fmt.Errorf("-codec requires -async (the synchronous gob protocol is uncompressed)")
 	}
 	c, err := codec.Builtin().Build(name, codec.Params{Hyper: hyper})
 	if err != nil {
@@ -182,29 +182,23 @@ func run(addr string, id, clients, batch int, seed int64, byzStr string, async b
 		return g, nil
 	}
 
+	cfg := transport.AsyncClientConfig{
+		Addr:       addr,
+		ID:         fmt.Sprintf("client-%d", id),
+		Compute:    compute,
+		MaxUpdates: updates,
+		Codec:      wire,
+		Rng:        tensor.NewRNG(seed + 900 + int64(id)),
+		Cohort:     clients,
+		Slot:       id,
+	}
 	mode := "sync"
 	if async {
-		mode = "async"
+		mode, cfg.Cohort, cfg.Slot = "async", 0, 0
 	}
 	log.Printf("flclient %d: joining %s (%s, %d local examples, byzantine=%q)",
 		id, addr, mode, sampler.Size(), byzStr)
-	var final []float64
-	if async {
-		final, err = transport.RunAsyncClient(context.Background(), transport.AsyncClientConfig{
-			Addr:       addr,
-			ID:         fmt.Sprintf("client-%d", id),
-			Compute:    compute,
-			MaxUpdates: updates,
-			Codec:      wire,
-			Rng:        tensor.NewRNG(seed + 900 + int64(id)),
-		})
-	} else {
-		final, err = transport.RunClient(context.Background(), transport.ClientConfig{
-			Addr:    addr,
-			ID:      fmt.Sprintf("client-%d", id),
-			Compute: compute,
-		})
-	}
+	final, err := transport.RunAsyncClient(context.Background(), cfg)
 	if err != nil {
 		return err
 	}

@@ -1,20 +1,23 @@
 // Command flserver runs the federated-learning parameter server: one
 // aggregation core (internal/asyncfl — ingest screen, the selected robust
-// rule, SignGuard by default, merge, optimizer step) behind one of two
-// wires, then the final test accuracy of the global model. It has three
-// modes:
+// rule, SignGuard by default, merge, optimizer step) behind the /asyncfl/v2
+// HTTP wire, then the final test accuracy of the global model. It has
+// three modes:
 //
-// Synchronous (default): the gob wire. Wait for the configured number of
-// TCP clients and coordinate lock-step rounds — the paper's setting, which
-// is the core with a buffer of -clients fresh updates and no staleness
-// discount. A client that times out or breaks the protocol is dropped and
-// training continues with the rest.
+// Synchronous (default): lock-step rounds, the paper's setting — the core
+// run deterministic with a buffer of -clients fresh updates and no
+// staleness discount. Client i of -clients submits every round at its own
+// schedule position, so a round's buffer is in client order however the
+// requests interleave. A client that misses a round for -round-timeout is
+// dropped and training continues with the rest.
 //
-// Asynchronous (-async): the HTTP wire. Clients fetch the versioned model
-// and submit gradients whenever they finish, the core aggregates every
-// -buffer arrivals under staleness-discounted weights w(s) = 1/(1+s)^alpha
-// with the defense filtering each buffer, and training stops after -rounds
+// Asynchronous (-async): clients fetch the versioned model and submit
+// gradients whenever they finish, the core aggregates every -buffer
+// arrivals under staleness-discounted weights w(s) = 1/(1+s)^alpha with the
+// defense filtering each buffer, and training stops after -rounds
 // aggregation steps.
+//
+// In both, -codec lists the compression codecs the server accepts.
 //
 // Load test (-loadtest): run the in-process load harness
 // (internal/asyncfl/loadtest) against the async serving layer — many
@@ -29,8 +32,8 @@
 // Examples:
 //
 //	flserver -addr :9000 -clients 4 -rounds 100 -rule signguard
+//	flserver -addr :9000 -clients 4 -codec identity,topk   # accept only these codecs
 //	flserver -addr :9000 -async -buffer 8 -alpha 0.5 -rounds 200
-//	flserver -addr :9000 -async -codec identity,topk   # accept only these codecs
 //	flserver -loadtest -load-clients 100000 -load-byz 0.1
 //	flserver -loadtest -codec topk -codec-hyper k=8    # compressed submissions
 package main
@@ -64,13 +67,13 @@ import (
 func main() {
 	var (
 		addr    = flag.String("addr", "127.0.0.1:9000", "listen address")
-		clients = flag.Int("clients", 4, "number of clients to wait for (sync mode)")
+		clients = flag.Int("clients", 4, "lock-step cohort size (sync mode)")
 		rounds  = flag.Int("rounds", 100, "training rounds (sync) / aggregation steps (async)")
 		ruleStr = flag.String("rule", "signguard", "aggregation rule: mean|trmean|median|geomed|krum|multikrum|bulyan|dnc|signguard|signguard-sim|signguard-dist")
 		byz     = flag.Int("byz", 0, "assumed Byzantine count for rules that need it (trmean/krum/bulyan/dnc)")
 		lr      = flag.Float64("lr", 0.05, "learning rate")
 		seed    = flag.Int64("seed", 1, "shared dataset/model seed (must match clients)")
-		timeout = flag.Duration("round-timeout", 30*time.Second, "per-round network timeout (sync mode)")
+		timeout = flag.Duration("round-timeout", 30*time.Second, "end a round that a client misses after this long, dropping the client (sync mode)")
 
 		async     = flag.Bool("async", false, "serve the buffered asynchronous HTTP protocol instead of synchronous rounds")
 		buffer    = flag.Int("buffer", 8, "async: aggregate every K accepted arrivals")
@@ -89,7 +92,7 @@ func main() {
 		loadHostile = flag.Float64("load-nonfinite", 0, "loadtest: fraction of clients shipping non-finite (NaN-injection) payloads")
 		loadRule    = flag.String("load-rule", "", "loadtest: defense in front of the buffer (empty = none)")
 
-		codecStr = flag.String("codec", "", "async: comma-separated accepted codec list advertised to clients (empty = all built-ins); loadtest: compress simulated client submissions with this codec")
+		codecStr = flag.String("codec", "", "comma-separated accepted codec list advertised to clients (empty = all built-ins); loadtest: compress simulated client submissions with this codec")
 		hyperStr = flag.String("codec-hyper", "", "loadtest: codec hyperparameters as key=value[,key=value], e.g. k=8 (requires -codec)")
 	)
 	flag.Parse()
@@ -117,22 +120,20 @@ func main() {
 			err = runLoadtest(*loadRule, *loadClients, *loadUpdates, *loadConc, *loadDim, *buffer, *alpha, *loadByz, *loadChurn, *loadHostile, *seed, wire, policy)
 		}
 	} else {
-		// Lock-step rounds are the core's degenerate case: a buffer of one
-		// fresh update per client, nothing to discount, and no session
-		// expiry (the gob wire has its own timeout).
-		cfg := asyncfl.Config{K: *clients, SessionTTL: -1}
-		serve := func(agg *asyncfl.Aggregator) error { return serveGob(*addr, *clients, *timeout, agg) }
-		if *async {
-			var accepted []string
-			accepted, err = parseAccepted(*codecStr, *hyperStr)
-			cfg = asyncfl.Config{K: *buffer, Alpha: *alpha, QueueCap: *queueCap, SessionTTL: *ttl}
-			serve = func(agg *asyncfl.Aggregator) error { return serveHTTP(*addr, accepted, agg) }
-		} else if *codecStr != "" || *hyperStr != "" {
-			err = fmt.Errorf("-codec applies to -async (accepted list) or -loadtest (client codec); the synchronous gob protocol is uncompressed")
-		}
-		if err == nil {
+		var accepted []string
+		if accepted, err = parseAccepted(*codecStr, *hyperStr); err == nil {
+			// Lock-step rounds are the core's deterministic case: one fresh
+			// update per client at fixed schedule positions, nothing to
+			// discount, and no session expiry (the round timer drops a
+			// client that misses a round).
+			cfg, roundTimeout := asyncfl.Config{K: *clients, SessionTTL: -1, Deterministic: true}, *timeout
+			if *async {
+				cfg, roundTimeout = asyncfl.Config{K: *buffer, Alpha: *alpha, QueueCap: *queueCap, SessionTTL: *ttl}, 0
+			}
 			cfg.LR, cfg.NonFinite, cfg.TargetSteps = *lr, policy, int64(*rounds)
-			err = run(*ruleStr, *byz, *seed, cfg, serve)
+			err = run(*ruleStr, *byz, *seed, cfg, func(agg *asyncfl.Aggregator) error {
+				return serveHTTP(*addr, accepted, roundTimeout, agg)
+			})
 		}
 	}
 	if err != nil {
@@ -182,12 +183,13 @@ func buildLoadCodec(name, hyperStr string) (codec.Codec, error) {
 	return c, nil
 }
 
-// parseAccepted resolves -codec in async mode to the accepted-codec list
-// the server advertises (nil = every built-in). Decoding is
-// hyperparameter-independent, so -codec-hyper has no async meaning.
+// parseAccepted resolves -codec in either serving mode to the
+// accepted-codec list the server advertises (nil = every built-in).
+// Decoding is hyperparameter-independent, so -codec-hyper has no serving
+// meaning.
 func parseAccepted(codecStr, hyperStr string) ([]string, error) {
 	if hyperStr != "" {
-		return nil, fmt.Errorf("-codec-hyper only applies to -loadtest (async decoding is hyperparameter-independent)")
+		return nil, fmt.Errorf("-codec-hyper only applies to -loadtest (decoding is hyperparameter-independent)")
 	}
 	if codecStr == "" {
 		return nil, nil
@@ -285,22 +287,12 @@ func run(ruleStr string, byz int, seed int64, cfg asyncfl.Config, serve func(*as
 	return nil
 }
 
-// serveGob runs the synchronous gob wire in front of agg until it is done.
-func serveGob(addr string, clients int, timeout time.Duration, agg *asyncfl.Aggregator) error {
-	srv, err := transport.NewServer(transport.ServerConfig{
-		Addr: addr, Clients: clients, RoundTimeout: timeout, Logf: log.Printf,
-	}, agg)
-	if err != nil {
-		return err
-	}
-	log.Printf("flserver: listening on %s for %d clients", srv.Addr(), clients)
-	return srv.Serve(context.Background())
-}
-
-// serveHTTP serves the asynchronous HTTP wire in front of agg until the
-// target number of aggregation steps completes. accepted is the codec
-// accept-list advertised to clients (nil = every built-in codec).
-func serveHTTP(addr string, accepted []string, agg *asyncfl.Aggregator) error {
+// serveHTTP serves the /asyncfl/v2 wire in front of agg until the target
+// number of aggregation steps completes. accepted is the codec accept-list
+// advertised to clients (nil = every built-in codec); a positive
+// roundTimeout serves lock-step rounds, ending each round a client misses
+// after that long.
+func serveHTTP(addr string, accepted []string, roundTimeout time.Duration, agg *asyncfl.Aggregator) error {
 	handler, err := transport.NewAsyncCodecHandler(agg, accepted)
 	if err != nil {
 		return err
@@ -312,23 +304,31 @@ func serveHTTP(addr string, accepted []string, agg *asyncfl.Aggregator) error {
 	httpSrv := &http.Server{Handler: handler}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
-	log.Printf("flserver: async serving on %s", ln.Addr())
+	log.Printf("flserver: serving on %s", ln.Addr())
 
+	wait := func() error { <-agg.Done(); return nil }
+	if roundTimeout > 0 {
+		wait = func() error { return transport.RunRoundTimer(context.Background(), agg, roundTimeout, log.Printf) }
+	}
+	finished := make(chan error, 1)
+	go func() { finished <- wait() }()
 	select {
-	case <-agg.Done():
+	case err = <-finished:
 	case err := <-serveErr:
 		return err
 	}
-	// Linger briefly so clients polling for Done observe the final model
-	// before the socket disappears.
-	time.Sleep(time.Second)
-	if err := httpSrv.Close(); err != nil {
-		return err
+	if err == nil {
+		// Linger briefly so clients polling for Done observe the final
+		// model before the socket disappears.
+		time.Sleep(time.Second)
 	}
-	if err := <-serveErr; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return err
+	if closeErr := httpSrv.Close(); err == nil {
+		err = closeErr
 	}
-	return nil
+	if sErr := <-serveErr; err == nil && !errors.Is(sErr, http.ErrServerClosed) {
+		err = sErr
+	}
+	return err
 }
 
 // runLoadtest drives the in-process load harness and prints its report.

@@ -10,14 +10,14 @@
 // w(s) = 1/(1+s)^alpha and applies a server-side SGD step, bumping the
 // model version.
 //
-// Both wires in internal/transport are adapters over this core. The HTTP
-// protocol (/asyncfl/v2) is the general case: the defense sees a
+// The HTTP protocol in internal/transport (/asyncfl/v2) is an adapter over
+// this core. Free-running clients are the general case: the defense sees a
 // staleness-skewed buffer rather than a synchronized cohort, and the
 // staleness discount plays the role the server's trust weighting plays in
 // server-learning defenses. The paper's synchronous setting is the
-// degenerate case the gob round server drives: K = cohort, every update
-// fresh, and a Flush barrier at the end of a round in which the ingest
-// screen withheld part of the cohort. A buffer with no stale update has
+// deterministic case with K = cohort: member s of the cohort submits round
+// v at schedule position v·K + s, every update is fresh, and block v — the
+// positions [vK, (v+1)K) — is the round. A buffer with no stale update has
 // nothing to discount, so the step applies the defense's own aggregate
 // (SignGuard's median-norm clipping, Bulyan's trimmed mean) unchanged.
 //
@@ -31,7 +31,12 @@
 // that schedule explicit: updates carry a global sequence number and the
 // aggregator applies them in sequence order no matter how concurrent
 // submitters interleave — the property the interleaving tests assert
-// without a single sleep.
+// without a single sleep. In that mode K counts decided positions, not
+// accepted ones: a position is decided when its update is accepted, refused
+// (by admission, the screen or the transport) or abandoned, so every block
+// closes with a step. Flush is the round barrier: it abandons the open
+// block's missing positions and drops their slots (a slot is a position mod
+// K) from the cohort, as a dropped connection leaves a synchronous round.
 package asyncfl
 
 import (
@@ -62,8 +67,9 @@ type Config struct {
 	// InitialParams is the starting global parameter vector (required).
 	InitialParams []float64
 	// K triggers an aggregation step every K accepted arrivals (required,
-	// >= 1). The step drains every queued update — usually exactly K, fewer
-	// when drop-oldest evicted some, at least one always, so a single
+	// >= 1) — in deterministic mode, every K decided schedule positions.
+	// The step drains every queued update — usually exactly K, fewer when
+	// drop-oldest evicted some or a position was refused, so a single
 	// hyperactive client bounded by QueueCap cannot stall aggregation.
 	K int
 	// Alpha is the staleness-discount exponent of w(s) = 1/(1+s)^alpha.
@@ -103,6 +109,7 @@ type Config struct {
 	// (Update.Seq, 0-based, dense): the aggregator holds out-of-order
 	// arrivals and applies everything in sequence order, so any concurrent
 	// interleaving of a fixed schedule produces byte-identical aggregates.
+	// Each block of K positions closes with a step (see K and Flush).
 	Deterministic bool
 	// ReorderWindow bounds the deterministic reorder buffer: an update
 	// whose Seq is ReorderWindow or more positions ahead of the next
@@ -223,6 +230,9 @@ type Stats struct {
 	AliveSessions        int
 	Expired              int64 // sessions ever expired
 	PurgedUpdates        int64 // queued updates discarded by session expiry
+	// DroppedSlots is the number of cohort slots Flush dropped in
+	// deterministic mode: members that missed a round and are out.
+	DroppedSlots int
 	// MeanOccupancy is the buffer population averaged over accepted
 	// arrivals — how full the buffer runs in steady state.
 	MeanOccupancy float64
@@ -257,13 +267,18 @@ type Aggregator struct {
 	queues   map[string][]entry
 	buffered int
 	arrival  int64 // next server-assigned arrival number
-	sinceK   int   // accepted arrivals since the last step
-	seqNext  int64 // deterministic mode: next schedule position to apply
+	sinceK   int   // accepted arrivals since the last step (not in deterministic mode)
+	seqNext  int64 // deterministic mode: next schedule position to decide
 	// reorder parks out-of-order deterministic-mode updates by schedule
-	// position; a nil entry is a tombstone for a position abandoned by
-	// session expiry, which the drain loop skips instead of wedging on.
+	// position; a nil entry is a tombstone for a position abandoned (by
+	// session expiry or Flush) or refused by the transport, which the drain
+	// decides without applying anything.
 	reorder    map[int64]*Update
 	reorderWin int64
+	// dropped holds the deterministic-mode slots (positions mod K) Flush
+	// dropped from the cohort: every later position of one is decided as
+	// abandoned, and a submit to one is refused.
+	dropped map[int64]bool
 
 	// spare is the free list of update slots: d-vectors that held an update
 	// whose life has ended (refused by the screen, evicted, purged or
@@ -326,6 +341,7 @@ func New(cfg Config) (*Aggregator, error) {
 		queues:     map[string][]entry{},
 		reorder:    map[int64]*Update{},
 		reorderWin: int64(cfg.ReorderWindow),
+		dropped:    map[int64]bool{},
 	}, nil
 }
 
@@ -338,9 +354,10 @@ func (a *Aggregator) logf(format string, args ...any) {
 // Submit offers one update to the buffer. It renews the client's liveness
 // lease, purges queues of any session that expired meanwhile, enqueues the
 // update (evicting the client's oldest when its queue is full), and — every
-// K accepted arrivals — runs an aggregation step inline before returning.
-// The returned SubmitResult carries the backpressure signals the transport
-// relays to the client. Submitting to a Done aggregator is refused.
+// K accepted arrivals, or every K decided positions in deterministic mode —
+// runs an aggregation step inline before returning. The returned
+// SubmitResult carries the backpressure signals the transport relays to the
+// client. Submitting to a Done aggregator is refused.
 //
 // Submit copies u.Grad into an update slot of its own before anything else
 // looks at it and never keeps the caller's slice: a transport may hand it
@@ -358,21 +375,20 @@ func (a *Aggregator) Submit(u Update) (SubmitResult, error) {
 
 	if !a.cfg.Deterministic {
 		u.Grad = a.slotLocked(u.Grad)
-		return a.applyLocked(u), nil
+		res := a.applyLocked(u)
+		if res.Accepted {
+			if a.sinceK++; a.sinceK >= a.cfg.K {
+				a.stepInto(&res)
+			}
+		}
+		return res, nil
 	}
 
-	// Deterministic mode: park the update and drain every consecutive
-	// schedule position that is now available, returning the caller's own
+	// Deterministic mode: park the update and decide every consecutive
+	// schedule position that is now decidable, returning the caller's own
 	// outcome once its turn comes.
-	if u.Seq < a.seqNext {
-		return SubmitResult{}, fmt.Errorf("asyncfl: schedule position %d already applied (next is %d)", u.Seq, a.seqNext)
-	}
-	if u.Seq >= a.seqNext+a.reorderWin {
-		return SubmitResult{}, fmt.Errorf("asyncfl: schedule position %d too far ahead of %d (reorder window %d)",
-			u.Seq, a.seqNext, a.reorderWin)
-	}
-	if _, dup := a.reorder[u.Seq]; dup {
-		return SubmitResult{}, fmt.Errorf("asyncfl: duplicate schedule position %d", u.Seq)
+	if err := a.checkSeqLocked(u.Seq); err != nil {
+		return SubmitResult{}, err
 	}
 	// Park a copy in a slot, which applyLocked takes over when it drains.
 	// (A parked variable of its own, not &u: u escaping would cost every
@@ -381,37 +397,32 @@ func (a *Aggregator) Submit(u Update) (SubmitResult, error) {
 	parked.Grad = a.slotLocked(u.Grad)
 	a.reorder[u.Seq] = &parked
 	res := SubmitResult{Held: true, Version: a.version, Done: a.done}
-	for {
-		next, ok := a.reorder[a.seqNext]
-		if !ok {
-			break
-		}
-		delete(a.reorder, a.seqNext)
-		a.seqNext++
-		if next == nil {
-			continue // position abandoned by session expiry
-		}
-		r := a.applyLocked(*next)
-		if next.Seq == u.Seq {
-			res = r
-		}
-	}
+	a.drainLocked(u.Seq, &res)
 	return res, nil
 }
 
-// NoteNonFiniteReject accounts a hostile update refused before it ever
-// reached Submit: the transport calls it when a codec decode refuses a
-// payload that carries — or amplifies to — NaN/±Inf, so wire-level
-// non-finite traffic shows up in the same Stats counters as the buffer
-// screen's rejections. Like any other client message it renews the
-// session's liveness lease.
-func (a *Aggregator) NoteNonFiniteReject(client string) {
+// Refuse accounts an update the transport refused before Submit could see
+// it: a codec the server does not accept, a declared dimension other than
+// Dim, or a payload the codec's decode refused. nonFinite counts it with the
+// screen's rejections (a payload that carries, or amplifies to, NaN/±Inf),
+// so wire-level hostile traffic shows up in the same Stats counters. In
+// deterministic mode the refusal decides schedule position seq, as the
+// screen's refusal would, so later positions do not wait for it; a seq that
+// Submit would refuse is ignored. Like any other client message it renews
+// the session's liveness lease.
+func (a *Aggregator) Refuse(client string, seq int64, nonFinite bool) {
 	expired, _ := a.sessions.Touch(client)
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.purgeLocked(expired)
-	a.nonFiniteRejects++
-	a.rejects++
+	if nonFinite {
+		a.nonFiniteRejects++
+		a.rejects++
+	}
+	if a.cfg.Deterministic && a.checkSeqLocked(seq) == nil {
+		a.reorder[seq] = nil
+		a.drainLocked(seq, nil)
+	}
 }
 
 // Heartbeat renews a session lease without contributing an update (an idle
@@ -473,9 +484,56 @@ func (a *Aggregator) slotLocked(g []float64) []float64 {
 	return s
 }
 
-// applyLocked runs the accept/enqueue/step path for one update whose Grad
-// is an update slot (slotLocked): when it returns, the slot is buffered or
-// back on the free list. Callers hold a.mu.
+// checkSeqLocked refuses a deterministic-mode schedule position that is
+// already decided, too far ahead, already parked, or in a slot Flush
+// dropped. Callers hold a.mu.
+func (a *Aggregator) checkSeqLocked(seq int64) error {
+	_, dup := a.reorder[seq]
+	switch slot := seq % int64(a.cfg.K); {
+	case seq < a.seqNext:
+		return fmt.Errorf("asyncfl: schedule position %d already applied (next is %d)", seq, a.seqNext)
+	case seq >= a.seqNext+a.reorderWin:
+		return fmt.Errorf("asyncfl: schedule position %d too far ahead of %d (reorder window %d)",
+			seq, a.seqNext, a.reorderWin)
+	case dup:
+		return fmt.Errorf("asyncfl: duplicate schedule position %d", seq)
+	case a.dropped[slot]:
+		return fmt.Errorf("asyncfl: schedule position %d is in slot %d, dropped from the cohort", seq, slot)
+	}
+	return nil
+}
+
+// drainLocked decides every consecutive schedule position that is now
+// decidable — parked, tombstoned, or in a dropped slot — and steps each
+// time a block of K positions closes. The outcome of position own is
+// written to res when res is not nil. Callers hold a.mu.
+func (a *Aggregator) drainLocked(own int64, res *SubmitResult) {
+	k := int64(a.cfg.K)
+	for len(a.dropped) < a.cfg.K { // with every slot dropped, nothing is left to decide
+		seq := a.seqNext
+		u, parked := a.reorder[seq]
+		if !parked && !a.dropped[seq%k] {
+			return
+		}
+		delete(a.reorder, seq)
+		a.seqNext++
+		var r SubmitResult
+		if u != nil {
+			r = a.applyLocked(*u)
+		}
+		if a.seqNext%k == 0 {
+			a.stepInto(&r)
+		}
+		if res != nil && seq == own {
+			*res = r
+		}
+	}
+}
+
+// applyLocked runs the accept/enqueue path for one update whose Grad is an
+// update slot (slotLocked): when it returns, the slot is buffered or back on
+// the free list. The caller decides whether the arrival steps. Callers hold
+// a.mu.
 func (a *Aggregator) applyLocked(u Update) SubmitResult {
 	res, ok := a.admitLocked(u)
 	if !ok {
@@ -501,25 +559,24 @@ func (a *Aggregator) applyLocked(u Update) SubmitResult {
 	a.ingestBytes += int64(wireBytes(u))
 	res.Accepted = true
 	res.Backpressure = len(q) >= a.queueCap
-
-	a.sinceK++
 	a.occSum += int64(a.buffered)
 	a.occN++
-	if a.sinceK >= a.cfg.K {
-		a.stepLocked()
-		res.Stepped = true
-		res.Version = a.version
-		res.Done = a.done
-	}
 	return res
+}
+
+// stepInto runs the aggregation step an arrival triggered and reports it on
+// that arrival's res. Callers hold a.mu.
+func (a *Aggregator) stepInto(res *SubmitResult) {
+	a.stepLocked()
+	res.Stepped, res.Version, res.Done = true, a.version, a.done
 }
 
 // admitLocked decides whether an update may enter the buffer: it refuses
 // the done, the future-versioned and the too-stale, then screens the
 // update's slot, so the Clamp repair never touches a caller's slice.
-// Reject and Quarantine consume the arrival — in deterministic mode its
-// schedule position has already drained — but nothing hostile enters the
-// buffer. Callers hold a.mu.
+// Reject and Quarantine consume the arrival — in deterministic mode they
+// decide its schedule position — but nothing hostile enters the buffer.
+// Callers hold a.mu.
 func (a *Aggregator) admitLocked(u Update) (res SubmitResult, ok bool) {
 	res = SubmitResult{Version: a.version, Done: a.done}
 	if a.done {
@@ -557,20 +614,34 @@ func (a *Aggregator) admitLocked(u Update) (res SubmitResult, ok bool) {
 	return res, true
 }
 
-// Flush runs an aggregation step over whatever is buffered now and restarts
-// the K-cadence, reporting whether the model version advanced. It is the
-// barrier a synchronous wire needs when the ingest screen withheld part of
-// its cohort: K accepted arrivals would otherwise never be reached. An empty
-// buffer and a Done aggregator are no-ops.
-func (a *Aggregator) Flush() (stepped bool) {
+// Flush ends round version of a deterministic aggregator's lock-step
+// rounds, reporting whether the model version advanced. It abandons every
+// undecided position of the open block and drops those positions' slots
+// from the cohort — a later position of a dropped slot is decided as
+// abandoned, and an update parked there is discarded — so the block closes
+// and steps over what it holds. A version that is no longer current (the
+// round ended on its own meanwhile), an empty block, a Done aggregator and
+// one outside deterministic mode are no-ops.
+func (a *Aggregator) Flush(version int) (stepped bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.done {
+	if a.done || version != a.version || !a.cfg.Deterministic {
 		return false
 	}
-	before := a.version
-	a.stepLocked()
-	return a.version > before
+	k := int64(a.cfg.K)
+	for seq, end := a.seqNext, (a.seqNext/k+1)*k; seq < end; seq++ {
+		if _, decidable := a.reorder[seq]; !decidable {
+			a.dropped[seq%k] = true
+		}
+	}
+	for seq, u := range a.reorder {
+		if u != nil && a.dropped[seq%k] {
+			a.spare = append(a.spare, u.Grad)
+			a.reorder[seq] = nil
+		}
+	}
+	a.drainLocked(-1, nil)
+	return a.version > version
 }
 
 // stepLocked drains the whole buffer in arrival order, filters it through
@@ -767,6 +838,7 @@ func (a *Aggregator) Stats() Stats {
 		AliveSessions:        a.sessions.Alive(),
 		Expired:              a.sessions.Expired(),
 		PurgedUpdates:        a.purged,
+		DroppedSlots:         len(a.dropped),
 		IngestBytes:          a.ingestBytes,
 		Done:                 a.done,
 	}

@@ -13,47 +13,86 @@ import (
 	"github.com/signguard/signguard/internal/tensor"
 )
 
-// --- Flush: the barrier a synchronous wire needs ---------------------------
+// --- Flush: the round barrier -----------------------------------------------
 
-func TestFlushStepsPartialBufferAndResetsCadence(t *testing.T) {
+// TestDeterministicBlockStepsOnDecidedPositions: in deterministic mode K
+// counts decided positions, so a K = 3 block whose middle position the
+// screen refuses steps on its third position, over the two it let through.
+func TestDeterministicBlockStepsOnDecidedPositions(t *testing.T) {
+	cfg := testConfig(4, 3)
+	cfg.Deterministic = true
+	a, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean := []float64{1, 1, 1, 1}
+	for seq, g := range [][]float64{clean, nanGrad(4, 1), clean} {
+		res, err := a.Submit(Update{Client: fmt.Sprintf("c%d", seq), Seq: int64(seq), Grad: g})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if last := seq == 2; res.Stepped != last {
+			t.Fatalf("position %d: res = %+v, want Stepped = %v", seq, res, last)
+		}
+	}
+	if h := a.History(); len(h) != 1 || h[0].Buffer != 2 {
+		t.Fatalf("history = %+v, want one step over the two clean updates", h)
+	}
+}
+
+// TestDeterministicFlushDropsMissingSlots: Flush ends a block with a missing
+// position by dropping that position's slot from the cohort. The block steps
+// on what it holds, an update the dropped slot had parked for a later block
+// is discarded, the slot's later positions decide themselves, and a submit
+// to one of them is refused. Flush of another round, of a Done aggregator
+// and outside deterministic mode steps nothing.
+func TestDeterministicFlushDropsMissingSlots(t *testing.T) {
+	free, err := New(testConfig(1, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := free.Submit(Update{Client: "c", Grad: []float64{1}}); err != nil || free.Flush(0) {
+		t.Fatalf("Flush outside deterministic mode stepped (submit err %v)", err)
+	}
 	cfg := testConfig(1, 3)
+	cfg.Deterministic = true
 	cfg.TargetSteps = 2
 	a, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Flush() {
-		t.Fatal("Flush on an empty buffer stepped")
-	}
-	submit := func(client string, version int) SubmitResult {
+	submit := func(seq int64) SubmitResult {
 		t.Helper()
-		res, err := a.Submit(Update{Client: client, Version: version, Grad: []float64{1}})
+		res, err := a.Submit(Update{Client: fmt.Sprintf("s%d", seq%3), Version: int(seq / 3), Seq: seq, Grad: []float64{1}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	submit("a", 0)
-	submit("b", 0)
-	if !a.Flush() {
-		t.Fatal("Flush over two buffered updates did not step")
+	submit(0)
+	submit(2) // held behind slot 1's missing position 1
+	submit(4) // slot 1 parks in block 1 before missing block 0
+	if a.Flush(1) {
+		t.Fatal("a flush naming a round not yet reached stepped")
 	}
-	if h := a.History(); len(h) != 1 || h[0].Buffer != 2 {
-		t.Fatalf("history after flush = %+v, want one 2-update step", h)
+	if !a.Flush(0) {
+		t.Fatal("Flush of a block missing one position did not step")
 	}
-	// The flush reset the K-cadence: the two pre-flush arrivals must not
-	// count toward the next step.
-	if submit("a", 1).Stepped || submit("b", 1).Stepped {
-		t.Fatal("stepped before K fresh arrivals after a flush")
+	if st := a.Stats(); st.Steps != 1 || st.DroppedSlots != 1 || st.Arrivals != 2 {
+		t.Fatalf("stats after flush = %+v, want one step over two arrivals and one dropped slot", st)
 	}
-	if !submit("c", 1).Stepped {
-		t.Fatal("third fresh arrival after a flush did not step")
+	if _, err := a.Submit(Update{Client: "s1", Version: 2, Seq: 7, Grad: []float64{1}}); err == nil {
+		t.Fatal("a submit to a dropped slot was accepted")
 	}
-	if a.Flush() {
+	submit(3)
+	if res := submit(5); !res.Stepped {
+		t.Fatalf("block 1 did not close over the dropped slot's position: %+v", res)
+	}
+	if h := a.History(); len(h) != 2 || h[1].Buffer != 2 {
+		t.Fatalf("history = %+v, want block 1 to step over slots 0 and 2 only", h)
+	}
+	if a.Flush(2) {
 		t.Fatal("Flush on a Done aggregator stepped")
-	}
-	if st := a.Stats(); st.Steps != 2 || !st.Done {
-		t.Fatalf("stats = %+v, want 2 steps and Done", st)
 	}
 }
 

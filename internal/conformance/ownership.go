@@ -8,8 +8,6 @@ package conformance
 // executable.
 
 import (
-	"bytes"
-	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -216,7 +214,7 @@ func errClass(err error) string {
 // codec.Encoded.WithDst): every payload CheckCodecRoundTrip builds decodes
 // into each dirty destination Float64bits-identical to a plain decode;
 // every MalformedPayloads variant meets the same class of error with or
-// without one; and a payload that crosses gob or JSON arrives without its
+// without one; and a payload that crosses JSON arrives without its
 // destination — decoding the copy neither writes the destination nor
 // returns it.
 func CheckCodecDestination(reg *codec.Registry, name string, seed int64) error {
@@ -251,30 +249,20 @@ func CheckCodecDestination(reg *codec.Registry, name string, seed int64) error {
 
 	dst := make([]float64, CodecDim)
 	fillNaN(dst)
-	sent := encs[0].WithDst(dst)
-	var viaGob, viaJSON codec.Encoded
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(sent); err != nil {
-		return fmt.Errorf("codec %s gob encode: %w", name, err)
-	}
-	if err := gob.NewDecoder(&buf).Decode(&viaGob); err != nil {
-		return fmt.Errorf("codec %s gob decode: %w", name, err)
-	}
-	js, err := json.Marshal(sent)
+	var back codec.Encoded
+	js, err := json.Marshal(encs[0].WithDst(dst))
 	if err == nil {
-		err = json.Unmarshal(js, &viaJSON)
+		err = json.Unmarshal(js, &back)
 	}
 	if err != nil {
 		return fmt.Errorf("codec %s JSON round trip: %w", name, err)
 	}
-	for wire, back := range map[string]codec.Encoded{"gob": viaGob, "JSON": viaJSON} {
-		got, err := c.Decode(back)
-		if err != nil {
-			return fmt.Errorf("codec %s decode after a %s round trip: %w", name, wire, err)
-		}
-		if &got[0] == &dst[0] || !math.IsNaN(dst[0]) {
-			return fmt.Errorf("codec %s: the decode destination travelled through %s", name, wire)
-		}
+	got, err := c.Decode(back)
+	if err != nil {
+		return fmt.Errorf("codec %s decode after a JSON round trip: %w", name, err)
+	}
+	if &got[0] == &dst[0] || !math.IsNaN(dst[0]) {
+		return fmt.Errorf("codec %s: the decode destination travelled through JSON", name)
 	}
 	return nil
 }

@@ -18,12 +18,12 @@ import (
 	"github.com/signguard/signguard/internal/codec"
 )
 
-// NewAsyncHandler mounts the non-blocking submit/fetch protocol over the
-// buffered asynchronous aggregator: clients fetch the versioned model and
-// submit gradients whenever they finish computing, with no round barrier —
-// the HTTP face of internal/asyncfl, as Server is its lock-step gob face.
-// Every builtin compression codec is accepted on submit; use
-// NewAsyncCodecHandler to narrow the list.
+// NewAsyncHandler mounts the submit/fetch protocol over the buffered
+// aggregator: clients fetch the versioned model and submit gradients
+// whenever they finish computing — the HTTP face of internal/asyncfl. On a
+// deterministic aggregator the same handler serves lock-step rounds
+// (RunAsyncClient with a Cohort, RunRoundTimer). Every builtin compression
+// codec is accepted on submit; use NewAsyncCodecHandler to narrow the list.
 func NewAsyncHandler(agg *asyncfl.Aggregator) http.Handler {
 	h, err := NewAsyncCodecHandler(agg, nil)
 	if err != nil {
@@ -74,9 +74,15 @@ func NewAsyncCodecHandler(agg *asyncfl.Aggregator, accepted []string) (http.Hand
 		}
 		grad, wireBytes := req.Grad, 0
 		if enc := req.Encoded; enc != nil {
+			// A refusal from here on never reaches Submit, so the
+			// aggregator hears of it here: in deterministic mode it decides
+			// the update's schedule position, as the screen's refusal would.
+			refuse := func(nonFinite bool, format string, args ...any) {
+				agg.Refuse(req.Client, req.Seq, nonFinite)
+				http.Error(w, fmt.Sprintf(format, args...), http.StatusBadRequest)
+			}
 			if !acceptSet[enc.Codec] {
-				http.Error(w, fmt.Sprintf("codec %q not accepted (server accepts %v)",
-					enc.Codec, accepted), http.StatusBadRequest)
+				refuse(false, "codec %q not accepted (server accepts %v)", enc.Codec, accepted)
 				return
 			}
 			// Bound the declared dimension before decoding: Dim sizes the
@@ -84,20 +90,15 @@ func NewAsyncCodecHandler(agg *asyncfl.Aggregator, accepted []string) (http.Hand
 			// dimension the aggregator would reject anyway must not reach
 			// a codec at all.
 			if enc.Dim != dim {
-				http.Error(w, fmt.Sprintf("encoded payload declares dim %d, want %d",
-					enc.Dim, dim), http.StatusBadRequest)
+				refuse(false, "encoded payload declares dim %d, want %d", enc.Dim, dim)
 				return
 			}
 			var err error
 			if grad, err = reg.Decode(enc.WithDst(s.grad)); err != nil {
-				if errors.Is(err, codec.ErrNonFinite) {
-					// This payload never reaches Submit's screen, so account
-					// it on the aggregator's counters here. (A literal NaN in
-					// a dense body does reach Submit, as over gob, and is
-					// counted there.)
-					agg.NoteNonFiniteReject(req.Client)
-				}
-				http.Error(w, fmt.Sprintf("decoding %s payload: %v", enc.Codec, err), http.StatusBadRequest)
+				// A payload that carries or amplifies to NaN/±Inf counts with
+				// the screen's rejections. (A literal NaN in a dense body
+				// does reach Submit, and is counted there.)
+				refuse(errors.Is(err, codec.ErrNonFinite), "decoding %s payload: %v", enc.Codec, err)
 				return
 			}
 			wireBytes = enc.Bytes()
@@ -275,7 +276,13 @@ func (c *AsyncClient) roundTrip(ctx context.Context, method, path, contentType s
 // A Content-Length is a claim, not a length: the read always runs to EOF.
 const maxPresizedReply = 64 << 20
 
-// AsyncClientConfig describes one asynchronous participant loop.
+// GradientFunc computes the gradient a client submits against a model
+// version, given that version's global parameters. Honest clients return a
+// local stochastic gradient; Byzantine clients may return anything (the
+// cmd/flclient binary wires local attack behaviours here).
+type GradientFunc func(round int, params []float64) ([]float64, error)
+
+// AsyncClientConfig describes one participant loop.
 type AsyncClientConfig struct {
 	// Addr is the server address ("host:port" or http:// URL).
 	Addr string
@@ -304,22 +311,50 @@ type AsyncClientConfig struct {
 	RetryDelay time.Duration
 	// HTTP is the underlying client (nil = http.DefaultClient).
 	HTTP *http.Client
+	// Cohort, when > 0, makes the client member Slot of a lock-step cohort
+	// of that many — the paper's synchronous rounds, served by a
+	// deterministic aggregator with K = Cohort: each round it submits at
+	// schedule position version·Cohort + Slot, then polls the heartbeat
+	// until the version moves. 0 submits freely, with no schedule.
+	Cohort int
+	// Slot is the client's place in a lock-step cohort, in [0, Cohort).
+	Slot int
 }
 
 // DefaultAsyncRetryDelay is the refused-submit backoff when
 // AsyncClientConfig.RetryDelay is zero.
 const DefaultAsyncRetryDelay = 50 * time.Millisecond
 
-// RunAsyncClient joins an asynchronous training session: it repeatedly
-// fetches the versioned model, computes a gradient against it, and submits
-// — no waiting on other clients. It returns the latest fetched parameters
-// when the server reports Done, MaxUpdates is reached, or ctx is
-// cancelled.
+// A lock-step member waiting for its round to end polls the heartbeat
+// after lockstepPollMin, doubling the wait up to lockstepPollMax: the first
+// polls catch a round that ends as soon as the last member submits, and the
+// cap bounds what a long round costs the server.
+const (
+	lockstepPollMin = 100 * time.Microsecond
+	lockstepPollMax = 10 * time.Millisecond
+)
+
+// RunAsyncClient joins a training session: it repeatedly fetches the
+// versioned model, computes a gradient against it, and submits. A free
+// client never waits on the others; a lock-step member (Cohort > 0) submits
+// at its schedule position and waits for the round to end. It returns the
+// latest fetched parameters when the server reports Done, MaxUpdates is
+// reached, or ctx is cancelled.
 func RunAsyncClient(ctx context.Context, cfg AsyncClientConfig) ([]float64, error) {
 	if cfg.Compute == nil {
 		return nil, fmt.Errorf("transport: AsyncClientConfig.Compute is required")
 	}
+	if cfg.Cohort < 0 || cfg.Cohort > 0 && (cfg.Slot < 0 || cfg.Slot >= cfg.Cohort) {
+		return nil, fmt.Errorf("transport: lock-step slot %d outside a cohort of %d", cfg.Slot, cfg.Cohort)
+	}
 	c := &AsyncClient{Base: cfg.Addr, ID: cfg.ID, HTTP: cfg.HTTP}
+	if cfg.Cohort > 0 {
+		// Join before the first round: the round timer starts counting
+		// only once a member has been seen.
+		if _, err := c.Heartbeat(ctx); err != nil {
+			return nil, err
+		}
+	}
 	var params []float64
 	checkedCodec := cfg.Codec == nil
 	for submitted := 0; ; {
@@ -341,9 +376,13 @@ func RunAsyncClient(ctx context.Context, cfg AsyncClientConfig) ([]float64, erro
 		if err != nil {
 			return params, fmt.Errorf("transport: computing gradient for version %d: %w", model.Version, err)
 		}
+		var seq int64
+		if cfg.Cohort > 0 {
+			seq = int64(model.Version)*int64(cfg.Cohort) + int64(cfg.Slot)
+		}
 		var res asyncfl.SubmitResult
 		if cfg.Codec == nil {
-			res, err = c.Submit(ctx, model.Version, 0, grad)
+			res, err = c.Submit(ctx, model.Version, seq, grad)
 		} else {
 			enc, encErr := cfg.Codec.Encode(grad, cfg.Rng)
 			if encErr != nil {
@@ -357,25 +396,28 @@ func RunAsyncClient(ctx context.Context, cfg AsyncClientConfig) ([]float64, erro
 				}
 				checkedCodec = true
 			}
-			res, err = c.SubmitEncoded(ctx, model.Version, 0, enc)
+			res, err = c.SubmitEncoded(ctx, model.Version, seq, enc)
 		}
 		if err != nil {
 			return params, err
 		}
 		if res.Done {
-			// Fetch the final model once more so the caller gets it.
-			final, err := c.Model(ctx)
-			if err != nil {
-				return params, err
-			}
-			return final.Params, nil
+			continue // the next fetch returns the final model
 		}
 		if res.Accepted {
 			submitted++
 			if cfg.MaxUpdates > 0 && submitted >= cfg.MaxUpdates {
 				return params, nil
 			}
-		} else if !res.Held {
+		}
+		switch {
+		case cfg.Cohort > 0:
+			if res.Version == model.Version {
+				if err := c.awaitVersion(ctx, model.Version); err != nil {
+					return params, err
+				}
+			}
+		case !res.Accepted && !res.Held:
 			// Refused (too stale, future-versioned, ...): the very next
 			// fetch/compute/submit would likely be refused for the same
 			// reason, so back off instead of hammering the server the
@@ -391,6 +433,25 @@ func RunAsyncClient(ctx context.Context, cfg AsyncClientConfig) ([]float64, erro
 				case <-time.After(delay):
 				}
 			}
+		}
+	}
+}
+
+// awaitVersion polls the heartbeat until the model version is no longer v
+// or training is done.
+func (c *AsyncClient) awaitVersion(ctx context.Context, v int) error {
+	for delay := lockstepPollMin; ; delay = min(2*delay, lockstepPollMax) {
+		hb, err := c.Heartbeat(ctx)
+		if err != nil {
+			return err
+		}
+		if hb.Version != v || hb.Done {
+			return nil
+		}
+		select {
+		case <-ctx.Done():
+			return fmt.Errorf("transport: cancelled: %w", ctx.Err())
+		case <-time.After(delay):
 		}
 	}
 }

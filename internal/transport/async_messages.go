@@ -1,12 +1,19 @@
+// Package transport puts the federated-learning protocol of Fig. 1 on a
+// real network boundary: the versioned /asyncfl/v2 HTTP wire in front of
+// one server-side core (asyncfl.Aggregator, which alone screens, defends,
+// merges and applies). Free clients submit whenever they finish a gradient
+// (RunAsyncClient); the paper's synchronous rounds are a cohort of clients
+// submitting at fixed schedule positions of a deterministic aggregator
+// (RunAsyncClient with a Cohort), with RunRoundTimer ending the rounds a
+// member misses. The wire aggregates nothing itself (cmd/flserver,
+// cmd/flclient).
 package transport
 
 import "github.com/signguard/signguard/internal/codec"
 
-// The asynchronous protocol is versioned in its path. v2 carries the two
-// gradient-sized messages — model fetch and update submit — as binary
-// bodies (async_wire.go) where v1 carried JSON; a v1 client gets a 404.
-// The synchronous gob wire (messages.go) serves the same aggregator type
-// alongside it.
+// The protocol is versioned in its path. v2 carries the two gradient-sized
+// messages — model fetch and update submit — as binary bodies
+// (async_wire.go) where v1 carried JSON; a v1 client gets a 404.
 const (
 	// AsyncPathModel serves the current model: GET → AsyncModelResponse
 	// (binary body).

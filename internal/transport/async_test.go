@@ -93,6 +93,17 @@ func TestAsyncProtocolEndToEnd(t *testing.T) {
 	}
 }
 
+func TestClientRequiresCompute(t *testing.T) {
+	if _, err := RunAsyncClient(context.Background(), AsyncClientConfig{Addr: "127.0.0.1:1"}); err == nil {
+		t.Error("accepted nil Compute")
+	}
+	if _, err := RunAsyncClient(context.Background(), AsyncClientConfig{
+		Addr: "127.0.0.1:1", Compute: quadCompute(0), Cohort: 3, Slot: 3,
+	}); err == nil || !strings.Contains(err.Error(), "slot") {
+		t.Errorf("slot 3 of a cohort of 3: %v, want refused", err)
+	}
+}
+
 func TestAsyncClientMaxUpdates(t *testing.T) {
 	_, srv := newAsyncTestServer(t, asyncfl.Config{
 		InitialParams: []float64{1},

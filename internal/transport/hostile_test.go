@@ -13,7 +13,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"github.com/signguard/signguard/internal/aggregate"
 	"github.com/signguard/signguard/internal/asyncfl"
@@ -24,15 +23,15 @@ import (
 
 // TestHostileNaNEndToEnd is the deterministic regression for non-finite
 // gradients at every door a gradient can come through: five honest clients
-// and one hostile client run 20 lock-step rounds over each wire, under an
+// and one hostile client run 20 rounds over each kind of session, under an
 // undefended mean, a Multi-Krum that selects the whole buffer (what
 // `flserver -rule multikrum` builds at -byz 0) and SignGuard with the KMeans
 // sign filter — the exact defense of the original crash chain (NaN features
 // -> NaN inertia in every KMeans restart -> nil cluster result -> nil
 // deref), FiniteGuard-wrapped as the defense registry wraps it. Every
 // hostile submit must be refused and counted, every round must still step on
-// the honest five, and the model must stay finite. The gob rows under Mean
-// and Multi-Krum ended with a NaN model while the gob server still
+// the honest five, and the model must stay finite. The lock-step rows under
+// Mean and Multi-Krum ended with a NaN model while a gob round server still
 // aggregated whatever it decoded.
 func TestHostileNaNEndToEnd(t *testing.T) {
 	const dim, honest, rounds = 16, 5, 20
@@ -60,9 +59,11 @@ func TestHostileNaNEndToEnd(t *testing.T) {
 		name string
 		run  func(t *testing.T, rule func(n int) aggregate.Rule) *asyncfl.Aggregator
 	}{
-		// gob carries float64 bits verbatim: the hostile client uploads a
-		// gradient with a single NaN coordinate every round.
-		{"gob", func(t *testing.T, rule func(n int) aggregate.Rule) *asyncfl.Aggregator {
+		// A lock-step cohort: the hostile member uploads a dense gradient
+		// with a single NaN coordinate every round. The screen's refusal
+		// decides its schedule position, so each round closes on the
+		// honest five without the round timer.
+		{"lockstep", func(t *testing.T, rule func(n int) aggregate.Rule) *asyncfl.Aggregator {
 			computes := quadraticCohort(target, honest, 0)
 			clean := quadraticGradient(target, 0.05, 99)
 			computes = append(computes, func(round int, params []float64) ([]float64, error) {
@@ -70,18 +71,18 @@ func TestHostileNaNEndToEnd(t *testing.T) {
 				g[3] = math.NaN()
 				return g, err
 			})
-			agg, err, _ := runSync(t, asyncfl.Config{
+			l, err, _ := runSync(t, asyncfl.Config{
 				InitialParams: make([]float64, dim), Rule: rule(honest + 1), LR: 0.1, TargetSteps: rounds,
-			}, 10*time.Second, computes)
+			}, computes, nil)
 			if err != nil {
-				t.Fatalf("serve: %v", err)
+				t.Fatalf("round timer: %v", err)
 			}
-			return agg
+			return l.agg
 		}},
-		// The binary submit body carries float64 bits verbatim too: a dense
+		// The binary submit body carries float64 bits verbatim: a dense
 		// gradient with one literal NaN is a well-formed request, answered
 		// 200 with NonFinite set once asyncfl.Submit's screen has refused
-		// and counted it — the same path the gob gradient above takes.
+		// and counted it — the same path the lock-step gradient above takes.
 		{"http-dense", httpHostileWire(target, honest, rounds, func(t *testing.T, evil *AsyncClient, round int) {
 			grad := make([]float64, dim)
 			grad[3] = math.NaN()
@@ -94,11 +95,7 @@ func TestHostileNaNEndToEnd(t *testing.T) {
 		// payload whose finite Scale amplifies to +Inf on decode is refused
 		// by the codec, and the handler accounts it.
 		{"http-qsgd", httpHostileWire(target, honest, rounds, func(t *testing.T, evil *AsyncClient, round int) {
-			hostile := codec.Encoded{Codec: codec.QSGD, Dim: dim, Scale: 1e308, Levels: 1, Q: make([]int8, dim)}
-			for i := range hostile.Q {
-				hostile.Q[i] = 127
-			}
-			if _, err := evil.SubmitEncoded(context.Background(), round, 0, hostile); err == nil || !strings.Contains(err.Error(), "HTTP 400") {
+			if _, err := evil.SubmitEncoded(context.Background(), round, 0, amplifyingQSGD(dim)); err == nil || !strings.Contains(err.Error(), "HTTP 400") {
 				t.Fatalf("amplifying qsgd payload: %v, want HTTP 400", err)
 			}
 		})},
@@ -126,9 +123,43 @@ func TestHostileNaNEndToEnd(t *testing.T) {
 	}
 }
 
-// httpHostileWire runs the lock-step schedule of TestHostileNaNEndToEnd over
-// the HTTP wire: each round the hostile client attacks once, then every
-// honest client fetches and submits.
+// amplifyingQSGD is a well-formed qsgd payload whose finite Scale amplifies
+// to +Inf on decode.
+func amplifyingQSGD(dim int) codec.Encoded {
+	hostile := codec.Encoded{Codec: codec.QSGD, Dim: dim, Scale: 1e308, Levels: 1, Q: make([]int8, dim)}
+	for i := range hostile.Q {
+		hostile.Q[i] = 127
+	}
+	return hostile
+}
+
+// TestWireRefusalDecidesSchedulePosition: a submit the handler refuses after
+// its header parsed — here an amplifying qsgd payload — decides its
+// deterministic schedule position, as the screen's refusal in Submit does,
+// so the next position applies at once instead of parking behind it.
+func TestWireRefusalDecidesSchedulePosition(t *testing.T) {
+	const dim = 4
+	agg, srv := newAsyncTestServer(t, asyncfl.Config{
+		InitialParams: make([]float64, dim), K: 2, LR: 0.1, SessionTTL: -1, Deterministic: true,
+	})
+	ctx := context.Background()
+	evil := &AsyncClient{Base: srv.URL, ID: "evil"}
+	if _, err := evil.SubmitEncoded(ctx, 0, 0, amplifyingQSGD(dim)); err == nil || !strings.Contains(err.Error(), "HTTP 400") {
+		t.Fatalf("amplifying qsgd payload at seq 0: %v, want HTTP 400", err)
+	}
+	honest := &AsyncClient{Base: srv.URL, ID: "honest"}
+	res, err := honest.Submit(ctx, 0, 1, []float64{1, 2, 3, 4})
+	if err != nil || !res.Accepted || !res.Stepped {
+		t.Fatalf("dense gradient at seq 1: res=%+v err=%v, want Accepted and the block stepped", res, err)
+	}
+	if st := agg.Stats(); st.NonFiniteRejects != 1 || st.Steps != 1 {
+		t.Errorf("stats = %+v, want one non-finite refusal and one step", st)
+	}
+}
+
+// httpHostileWire runs TestHostileNaNEndToEnd's rounds as free HTTP
+// sessions: each round the hostile client attacks once, then every honest
+// client fetches and submits.
 func httpHostileWire(target []float64, honest, rounds int, attack func(t *testing.T, evil *AsyncClient, round int)) func(*testing.T, func(n int) aggregate.Rule) *asyncfl.Aggregator {
 	return func(t *testing.T, rule func(n int) aggregate.Rule) *asyncfl.Aggregator {
 		agg, err := asyncfl.New(asyncfl.Config{

@@ -4,10 +4,13 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
-	"strings"
+	"net/http"
+	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -43,61 +46,130 @@ func byzantineGradient(target []float64, seed int64) GradientFunc {
 	}
 }
 
-// newSyncServer builds the pair every gob test drives: an aggregator in
-// lock-step form (K = cohort, no staleness discount, no session expiry —
-// acfg supplies the rule, optimizer, dimension and TargetSteps) and the gob
-// server in front of it on a loopback port.
-func newSyncServer(t *testing.T, acfg asyncfl.Config, scfg ServerConfig) (*Server, *asyncfl.Aggregator) {
+// lockstepTimeout is the round timeout of the test cohorts. It passes on
+// the test clock only, which moves when a test says a round is stuck.
+const lockstepTimeout = time.Minute
+
+// lockstep is a lock-step cohort served over /asyncfl/v2 in process: a
+// deterministic aggregator with K = cohort (no staleness discount, no
+// session expiry — the test's asyncfl.Config supplies the rule, optimizer,
+// dimension and TargetSteps) behind the handler, and a round timer reading
+// a clock the test drives.
+type lockstep struct {
+	agg    *asyncfl.Aggregator
+	srv    *httptest.Server
+	cohort int
+
+	clock   chan time.Time
+	now     time.Time
+	timer   chan error    // the round timer's result
+	stopped chan struct{} // closed once the round timer has returned
+
+	// Requests answered, per path, and rounds the timer ended.
+	updates, heartbeats, timeouts atomic.Int64
+}
+
+func newLockstep(t *testing.T, acfg asyncfl.Config, cohort int) *lockstep {
 	t.Helper()
-	acfg.K, acfg.Alpha, acfg.SessionTTL = scfg.Clients, 0, -1
+	acfg.K, acfg.Alpha, acfg.SessionTTL, acfg.Deterministic = cohort, 0, -1, true
 	agg, err := asyncfl.New(acfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scfg.Addr = "127.0.0.1:0"
-	srv, err := NewServer(scfg, agg)
-	if err != nil {
-		t.Fatal(err)
+	l := &lockstep{
+		agg: agg, cohort: cohort,
+		clock: make(chan time.Time), timer: make(chan error, 1), stopped: make(chan struct{}),
 	}
-	return srv, agg
+	h := NewAsyncHandler(agg)
+	l.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h.ServeHTTP(w, r)
+		switch r.URL.Path {
+		case AsyncPathUpdate:
+			l.updates.Add(1)
+		case AsyncPathHeartbeat:
+			l.heartbeats.Add(1)
+		}
+	}))
+	t.Cleanup(l.srv.Close)
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(func() { cancel(); <-l.stopped })
+	go func() {
+		defer close(l.stopped)
+		l.timer <- runRoundTimer(ctx, agg, lockstepTimeout, l.clock, func(string, ...any) { l.timeouts.Add(1) })
+	}()
+	return l
 }
 
-// runSync runs a lock-step cluster to completion: one RunClient per compute
-// function, registered one at a time (each waits for the server's
-// registration log line) so connection order — the aggregator's arrival
-// order — is the slice order and a run is reproducible bit for bit. It
-// returns the aggregator, Serve's error and each client's error.
-func runSync(t *testing.T, acfg asyncfl.Config, timeout time.Duration, computes []GradientFunc) (*asyncfl.Aggregator, error, []error) {
-	t.Helper()
-	registered := make(chan struct{}, len(computes))
-	srv, agg := newSyncServer(t, acfg, ServerConfig{
-		Clients: len(computes), RoundTimeout: timeout,
-		Logf: func(format string, args ...any) {
-			if strings.Contains(format, "registered (") {
-				registered <- struct{}{}
-			}
-		},
+// member runs cohort member slot until training is done or it fails.
+func (l *lockstep) member(ctx context.Context, slot int, compute GradientFunc) error {
+	_, err := RunAsyncClient(ctx, AsyncClientConfig{
+		Addr: l.srv.URL, ID: fmt.Sprintf("c%d", slot), Compute: compute, Cohort: l.cohort, Slot: slot,
 	})
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ctx) }()
+	return err
+}
 
-	clientErrs := make([]error, len(computes))
+// expire advances the test clock one round timeout at a time until the
+// round timer has ended the stuck round, or the run. Each time is sent
+// twice: the second send returns only once the timer has finished its check
+// of the first.
+func (l *lockstep) expire() {
+	for v := l.agg.Stats().Version; l.agg.Stats().Version == v; {
+		l.now = l.now.Add(lockstepTimeout)
+		for range 2 {
+			select {
+			case l.clock <- l.now:
+			case <-l.stopped:
+				return
+			}
+		}
+	}
+}
+
+// waitFor polls until cond holds; the deadline only bounds a broken test.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(30 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// runSync runs a lock-step cohort to completion, one member per compute
+// function, all started at once: the schedule position, not the order of
+// arrival, decides the order of every buffer, so a run is reproducible bit
+// for bit. drive, when not nil, runs on the test goroutine meanwhile — it
+// expires the rounds the test knows to be stuck. runSync returns the cohort,
+// the round timer's result and each member's error. When the run fails, the
+// members still waiting for a round are cancelled.
+func runSync(t *testing.T, acfg asyncfl.Config, computes []GradientFunc, drive func(*lockstep)) (*lockstep, error, []error) {
+	t.Helper()
+	l := newLockstep(t, acfg, len(computes))
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	errs := make([]error, len(computes))
 	var wg sync.WaitGroup
 	for i, compute := range computes {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, clientErrs[i] = RunClient(ctx, ClientConfig{
-				Addr: srv.Addr().String(), ID: fmt.Sprintf("c%d", i), Compute: compute,
-			})
+			errs[i] = l.member(ctx, i, compute)
 		}()
-		<-registered
 	}
-	err := <-serveErr
+	if drive != nil {
+		drive(l)
+	}
+	var err error
+	select {
+	case err = <-l.timer:
+	case <-time.After(time.Minute):
+		t.Fatal("lock-step run did not finish")
+	}
+	if err != nil {
+		cancel()
+	}
 	wg.Wait()
-	return agg, err, clientErrs
+	return l, err, errs
 }
 
 // quadraticCohort is nHonest honest clients followed by nByz scaled-reverse
@@ -117,19 +189,19 @@ func quadraticCohort(target []float64, nHonest, nByz int) []GradientFunc {
 // failing the test on any server or client error.
 func runCluster(t *testing.T, rule aggregate.Rule, nHonest, nByz, rounds int, target []float64) []float64 {
 	t.Helper()
-	agg, err, clientErrs := runSync(t, asyncfl.Config{
+	l, err, clientErrs := runSync(t, asyncfl.Config{
 		InitialParams: make([]float64, len(target)), Rule: rule,
 		LR: 0.2, Momentum: 0.5, TargetSteps: int64(rounds),
-	}, 10*time.Second, quadraticCohort(target, nHonest, nByz))
+	}, quadraticCohort(target, nHonest, nByz), nil)
 	if err != nil {
-		t.Fatalf("server: %v", err)
+		t.Fatalf("round timer: %v", err)
 	}
 	for i, err := range clientErrs {
 		if err != nil {
 			t.Fatalf("client %d: %v", i, err)
 		}
 	}
-	_, params, _ := agg.Model()
+	_, params, _ := l.agg.Model()
 	return params
 }
 
@@ -157,13 +229,13 @@ func TestClusterSignGuardFiltersByzantine(t *testing.T) {
 	}
 }
 
-// TestGobMatchesParentDigests pins the synchronous path bit for bit: the
-// final-parameter SHA-256 of a sequentially registered 6 + 2 cohort after 25
-// rounds, per rule, recorded at the last commit where the gob server still
-// ran its own aggregate-and-apply loop. Moving the loop into
-// asyncfl.Aggregator (K = cohort, Flush, fresh-buffer rule) must not move
-// one of them.
-func TestGobMatchesParentDigests(t *testing.T) {
+// TestLockstepMatchesParentDigests pins the synchronous path bit for bit:
+// the final-parameter SHA-256 of a 6 + 2 cohort after 25 rounds, per rule,
+// recorded at the last commit where a gob round server still ran its own
+// aggregate-and-apply loop over sequentially registered connections. The
+// rounds now run over /asyncfl/v2 with all eight members started at once;
+// their schedule positions put every buffer in the old connection order.
+func TestLockstepMatchesParentDigests(t *testing.T) {
 	const dim, rounds = 12, 25
 	target := make([]float64, dim)
 	for j := range target {
@@ -183,14 +255,14 @@ func TestGobMatchesParentDigests(t *testing.T) {
 		{"SignGuard-Sim", core.NewSim(1), "73edf45cafa7df2fb37d023f1b819ee2bb9192030edc721b34eed3a24790f514"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			agg, err, _ := runSync(t, asyncfl.Config{
+			l, err, _ := runSync(t, asyncfl.Config{
 				InitialParams: make([]float64, dim), Rule: tc.rule,
 				LR: 0.2, Momentum: 0.5, WeightDecay: 1e-3, TargetSteps: rounds,
-			}, 10*time.Second, quadraticCohort(target, 6, 2))
+			}, quadraticCohort(target, 6, 2), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, params, _ := agg.Model()
+			_, params, _ := l.agg.Model()
 			h := sha256.New()
 			var b [8]byte
 			for _, v := range params {
@@ -204,93 +276,56 @@ func TestGobMatchesParentDigests(t *testing.T) {
 	}
 }
 
-func TestServerConfigValidation(t *testing.T) {
-	agg, err := asyncfl.New(asyncfl.Config{InitialParams: []float64{0}, K: 1, LR: 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewServer(ServerConfig{Addr: "127.0.0.1:0", Clients: 0}, agg); err == nil {
-		t.Error("zero clients accepted")
-	}
-	if _, err := NewServer(ServerConfig{Addr: "127.0.0.1:0", Clients: 1}, nil); err == nil {
-		t.Error("nil aggregator accepted")
-	}
-	srv, err := NewServer(ServerConfig{Addr: "127.0.0.1:0", Clients: 1}, agg)
-	if err != nil {
-		t.Fatalf("valid config rejected: %v", err)
-	}
-	srv.Close()
-}
-
-func TestClientRequiresCompute(t *testing.T) {
-	if _, err := RunClient(context.Background(), ClientConfig{Addr: "127.0.0.1:1"}); err == nil {
-		t.Error("accepted nil Compute")
-	}
-}
-
-func TestClientDialFailure(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	_, err := RunClient(ctx, ClientConfig{
-		Addr: "127.0.0.1:1", ID: "x",
-		Compute:     func(int, []float64) ([]float64, error) { return nil, nil },
-		DialTimeout: 500 * time.Millisecond,
+// TestServerRejectsWrongDimension: a cohort whose only member sends a
+// wrong-dimension gradient is refused at the wire, its round times out with
+// nobody left, and the run fails.
+func TestServerRejectsWrongDimension(t *testing.T) {
+	_, err, _ := runSync(t, asyncfl.Config{
+		InitialParams: []float64{0, 0}, Rule: aggregate.NewMean(), LR: 0.1, TargetSteps: 3,
+	}, []GradientFunc{func(int, []float64) ([]float64, error) {
+		return []float64{1, 2, 3}, nil // wrong dimension
+	}}, func(l *lockstep) {
+		waitFor(t, "the wrong-dimension upload", func() bool { return l.updates.Load() == 1 })
+		l.expire()
 	})
 	if err == nil {
-		t.Error("dial to closed port succeeded")
-	}
-}
-
-func TestServerRejectsWrongDimension(t *testing.T) {
-	_, serveErr, _ := runSync(t, asyncfl.Config{
-		InitialParams: []float64{0, 0}, Rule: aggregate.NewMean(), LR: 0.1, TargetSteps: 3,
-	}, 5*time.Second, []GradientFunc{func(int, []float64) ([]float64, error) {
-		return []float64{1, 2, 3}, nil // wrong dimension
-	}})
-	if serveErr == nil {
-		t.Error("server completed on a cohort whose only client sent a wrong-dimension gradient")
+		t.Error("run completed on a cohort whose only client sent a wrong-dimension gradient")
 	}
 }
 
 // TestServerHistory runs a clean lock-step cohort and checks what the wire
 // promises about the aggregator behind it: one step per round over the whole
-// cohort, never a stale update, a drop or an expired session, and exactly
-// one final broadcast.
+// cohort, never a stale update, a drop, a refusal or an expired session, and
+// each member sees the final model once.
 func TestServerHistory(t *testing.T) {
-	var finals int
-	srv, agg := newSyncServer(t, asyncfl.Config{
+	l := newLockstep(t, asyncfl.Config{
 		InitialParams: []float64{0}, Rule: aggregate.NewMean(), LR: 0.5, TargetSteps: 5,
-	}, ServerConfig{Clients: 2, RoundTimeout: 5 * time.Second})
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
+	}, 2)
+	var finals atomic.Int64
 	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if err := srv.Serve(ctx); err != nil {
-			t.Errorf("serve: %v", err)
-		}
-	}()
-	for i := 0; i < 2; i++ {
+	for i := range 2 {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			_, err := RunClient(ctx, ClientConfig{
-				Addr: srv.Addr().String(), ID: fmt.Sprintf("c%d", i),
+			_, err := RunAsyncClient(context.Background(), AsyncClientConfig{
+				Addr: l.srv.URL, ID: fmt.Sprintf("c%d", i), Cohort: 2, Slot: i,
 				Compute: quadraticGradient([]float64{1}, 0, int64(i)),
-				OnModel: func(u ModelUpdate) {
-					if i == 0 && u.Done {
-						finals++
+				OnModel: func(m AsyncModelResponse) {
+					if m.Done {
+						finals.Add(1)
 					}
 				},
 			})
 			if err != nil {
 				t.Errorf("client %d: %v", i, err)
 			}
-		}(i)
+		}()
 	}
 	wg.Wait()
-	hist := agg.History()
+	if err := <-l.timer; err != nil {
+		t.Fatalf("round timer: %v", err)
+	}
+	hist := l.agg.History()
 	if len(hist) != 5 {
 		t.Fatalf("history has %d steps, want 5", len(hist))
 	}
@@ -299,18 +334,19 @@ func TestServerHistory(t *testing.T) {
 			t.Errorf("step %+v, want a fresh 2-update buffer", h)
 		}
 	}
-	if st := agg.Stats(); st.Drops != 0 || st.Expired != 0 || st.Rejects != 0 {
+	if st := l.agg.Stats(); st.Drops != 0 || st.Expired != 0 || st.Rejects != 0 || st.DroppedSlots != 0 {
 		t.Errorf("lock-step run dropped, expired or rejected something: %+v", st)
 	}
-	if finals != 1 {
-		t.Errorf("client saw %d final models", finals)
+	if n := finals.Load(); n != 2 {
+		t.Errorf("members saw %d final models between them, want one each", n)
 	}
 }
 
 // TestServerDropsMisbehavingConnections is the one-client-DoS regression: a
-// wrong-dimension upload in the second round and a client going silent in
+// wrong-dimension upload in the second round and a member going silent in
 // the third used to end the run for everybody. Each now costs only its own
-// connection; the rounds complete on what is left of the cohort.
+// place in the cohort: the round timer ends exactly those two rounds, and
+// the rest complete on what is left of the cohort.
 func TestServerDropsMisbehavingConnections(t *testing.T) {
 	target := []float64{1, -1, 2}
 	honest := func(seed int64) GradientFunc { return quadraticGradient(target, 0.01, seed) }
@@ -323,23 +359,40 @@ func TestServerDropsMisbehavingConnections(t *testing.T) {
 			return good(round, params)
 		}
 	}
-	agg, err, clientErrs := runSync(t, asyncfl.Config{
+	release := make(chan struct{})
+	l, err, clientErrs := runSync(t, asyncfl.Config{
 		InitialParams: make([]float64, len(target)), Rule: aggregate.NewMean(), LR: 0.2, TargetSteps: 6,
-	}, 300*time.Millisecond, []GradientFunc{
+	}, []GradientFunc{
 		honest(10),
 		misbehave(1, func() ([]float64, error) { return []float64{1, 2}, nil }),
 		honest(11),
-		misbehave(2, func() ([]float64, error) { time.Sleep(time.Second); return nil, context.DeadlineExceeded }),
+		misbehave(2, func() ([]float64, error) { <-release; return nil, errors.New("silent member woke after the run") }),
+	}, func(l *lockstep) {
+		// Round 0's four uploads and round 1's four, one of them refused.
+		waitFor(t, "round 1's uploads", func() bool { return l.updates.Load() == 8 })
+		l.expire()
+		// Round 2: members 0 and 2; member 3 is silent.
+		waitFor(t, "round 2's uploads", func() bool { return l.updates.Load() == 10 })
+		l.expire()
+		select {
+		case <-l.agg.Done():
+		case <-time.After(time.Minute):
+			t.Error("the cohort's survivors did not finish")
+		}
+		close(release)
 	})
 	if err != nil {
-		t.Fatalf("server: %v", err)
+		t.Fatalf("round timer: %v", err)
 	}
 	var buffers []int
-	for _, h := range agg.History() {
+	for _, h := range l.agg.History() {
 		buffers = append(buffers, h.Buffer)
 	}
 	if fmt.Sprint(buffers) != "[4 3 2 2 2 2]" {
 		t.Errorf("per-round buffers %v, want [4 3 2 2 2 2]", buffers)
+	}
+	if n := l.timeouts.Load(); n != 2 {
+		t.Errorf("the round timer ended %d rounds, want 2", n)
 	}
 	if clientErrs[0] != nil || clientErrs[2] != nil {
 		t.Errorf("well-behaved clients failed: %v, %v", clientErrs[0], clientErrs[2])

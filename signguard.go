@@ -4,7 +4,7 @@
 // Lan; ICDCS 2022), including the full substrate the paper's evaluation
 // rests on: a neural-network training stack, synthetic dataset analogs,
 // every attack and baseline defense evaluated, an in-process federated
-// simulation engine and a TCP transport.
+// simulation engine and an HTTP serving layer.
 //
 // The package re-exports the library surface a downstream user needs; the
 // implementation lives in internal/ packages (one per subsystem). Typical
@@ -26,7 +26,6 @@
 package signguard
 
 import (
-	"context"
 	"math/rand"
 
 	"github.com/signguard/signguard/internal/aggregate"
@@ -36,7 +35,6 @@ import (
 	"github.com/signguard/signguard/internal/data"
 	"github.com/signguard/signguard/internal/fl"
 	"github.com/signguard/signguard/internal/nn"
-	"github.com/signguard/signguard/internal/transport"
 )
 
 // ---- Core SignGuard framework ----
@@ -289,36 +287,14 @@ func Evaluate(model Classifier, ds *Dataset, examples []Example) (float64, error
 
 // AggregatorConfig configures the server-side aggregation core: the rule,
 // the optimizer, the buffer size K and the number of steps. For the paper's
-// lock-step rounds set K to the client count and SessionTTL negative.
+// lock-step rounds set K to the client count, Deterministic, and SessionTTL
+// negative.
 type AggregatorConfig = asyncfl.Config
 
 // Aggregator screens, defends, merges and applies submitted gradients; the
 // trained model, per-step history and counters are read from it.
 type Aggregator = asyncfl.Aggregator
 
-// NewAggregator builds the aggregation core a Server is put in front of.
+// NewAggregator builds the aggregation core that cmd/flserver serves over
+// HTTP.
 func NewAggregator(cfg AggregatorConfig) (*Aggregator, error) { return asyncfl.New(cfg) }
-
-// ServerConfig configures the TCP wire of the parameter server.
-type ServerConfig = transport.ServerConfig
-
-// Server is the TCP round coordinator in front of an Aggregator.
-type Server = transport.Server
-
-// ClientConfig configures a TCP federated client.
-type ClientConfig = transport.ClientConfig
-
-// GradientFunc computes a client's per-round gradient for the TCP
-// transport (honest or Byzantine).
-type GradientFunc = transport.GradientFunc
-
-// NewServer binds a parameter server that feeds agg.
-func NewServer(cfg ServerConfig, agg *Aggregator) (*Server, error) {
-	return transport.NewServer(cfg, agg)
-}
-
-// RunFederatedClient joins a TCP training session and participates until
-// the server broadcasts the final model, which it returns.
-func RunFederatedClient(ctx context.Context, cfg ClientConfig) ([]float64, error) {
-	return transport.RunClient(ctx, cfg)
-}
