@@ -67,6 +67,23 @@ func TestNonFinitePolicyFlag(t *testing.T) {
 	}
 }
 
+// TestParseAccepted: -codec is the accepted list in either serving mode
+// (sync and async share one wire); -codec-hyper has no serving meaning.
+func TestParseAccepted(t *testing.T) {
+	if got, err := parseAccepted("identity, topk", ""); err != nil || strings.Join(got, ",") != "identity,topk" {
+		t.Errorf("accepted list: %v, %v", got, err)
+	}
+	if got, err := parseAccepted("", ""); err != nil || got != nil {
+		t.Errorf("empty -codec: %v, %v, want every built-in", got, err)
+	}
+	if _, err := parseAccepted("topk,", ""); err == nil {
+		t.Error("empty name in the list accepted")
+	}
+	if _, err := parseAccepted("topk", "k=8"); err == nil {
+		t.Error("-codec-hyper accepted outside -loadtest")
+	}
+}
+
 func TestBuildRuleRejectsUnknown(t *testing.T) {
 	if _, err := buildRule("no-such-rule", 8, 0, 1); err == nil {
 		t.Error("unknown rule name accepted")
