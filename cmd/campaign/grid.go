@@ -88,12 +88,9 @@ func (g *gridFlags) spec() (campaign.Spec, error) {
 	if err != nil {
 		return campaign.Spec{}, err
 	}
-	hyper, err := cliutil.ParseHyper("-codec-hyper", g.codecHyper)
+	hyper, err := cliutil.CodecHyper(g.codec, g.codecHyper)
 	if err != nil {
 		return campaign.Spec{}, err
-	}
-	if g.codec == "" && hyper != nil {
-		return campaign.Spec{}, fmt.Errorf("-codec-hyper requires -codec")
 	}
 	if g.nonFinite != "" {
 		if _, err := sanitize.ParsePolicy("-nonfinite-policy", g.nonFinite); err != nil {

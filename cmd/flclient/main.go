@@ -8,10 +8,11 @@
 //
 // By default it is member -id of a lock-step cohort of -clients, the
 // paper's synchronous rounds: each round it fetches the model, submits a
-// gradient at its own schedule position and waits for the round to end.
-// With -async it submits freely instead: fetch the versioned model, compute
-// a gradient against it, submit, repeat — no waiting on other clients —
-// until the server reports Done (or -updates submissions were accepted).
+// gradient at its own schedule position and waits for the round to end; an
+// upload refused with HTTP 400 ends it. With -async it submits freely
+// instead: fetch the versioned model, compute a gradient against it,
+// submit, repeat — no waiting on other clients — until the server reports
+// Done (or -updates submissions were accepted).
 // -codec compresses each submission with a gradient codec (topk, qsgd,
 // signsgd); the server must advertise the codec as accepted or the client
 // fails fast on its first submission.
@@ -70,7 +71,7 @@ func main() {
 	if err := validateByzMode(*byzStr); err != nil {
 		log.Fatalf("flclient: %v", err)
 	}
-	wire, err := buildCodec(*codecStr, *hyperStr)
+	wire, err := cliutil.Codec(*codecStr, *hyperStr)
 	if err != nil {
 		log.Fatalf("flclient: %v", err)
 	}
@@ -103,26 +104,6 @@ func validateByzMode(mode string) error {
 		return fmt.Errorf("unknown -byzantine mode %q (have %s)", mode, strings.Join(slices.Sorted(maps.Keys(localByzModes)), "|"))
 	}
 	return nil
-}
-
-// buildCodec resolves the -codec/-codec-hyper flags to a wire codec
-// instance (nil = uncompressed submissions).
-func buildCodec(name, hyperStr string) (codec.Codec, error) {
-	hyper, err := cliutil.ParseHyper("-codec-hyper", hyperStr)
-	if err != nil {
-		return nil, err
-	}
-	if name == "" {
-		if hyper != nil {
-			return nil, fmt.Errorf("-codec-hyper requires -codec")
-		}
-		return nil, nil
-	}
-	c, err := codec.Builtin().Build(name, codec.Params{Hyper: hyper})
-	if err != nil {
-		return nil, fmt.Errorf("-codec: %w", err)
-	}
-	return c, nil
 }
 
 func run(addr string, id, clients, batch int, seed int64, byzStr string, async bool, updates int, wire codec.Codec) error {

@@ -37,23 +37,6 @@ func TestValidateFlags(t *testing.T) {
 	}
 }
 
-// TestBuildCodec: -codec builds in either mode (sync and async share one
-// wire), -codec-hyper needs -codec, and an unknown name names the flag.
-func TestBuildCodec(t *testing.T) {
-	if c, err := buildCodec("topk", "k=4"); err != nil || c == nil {
-		t.Errorf("-codec topk -codec-hyper k=4: %v, %v", c, err)
-	}
-	if c, err := buildCodec("", ""); err != nil || c != nil {
-		t.Errorf("no -codec: %v, %v, want dense", c, err)
-	}
-	if _, err := buildCodec("", "k=4"); err == nil {
-		t.Error("-codec-hyper without -codec accepted")
-	}
-	if _, err := buildCodec("gzip", ""); err == nil || !strings.Contains(err.Error(), "-codec") {
-		t.Errorf("unknown codec: %v", err)
-	}
-}
-
 // TestByzModesMatchAttackCatalog pins every -byzantine mode to a real
 // internal/attack catalog entry and enforces the network setting's
 // constraint: a client renders its attack locally, with no view of the

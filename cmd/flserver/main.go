@@ -8,8 +8,10 @@
 // run deterministic with a buffer of -clients fresh updates and no
 // staleness discount. Client i of -clients submits every round at its own
 // schedule position, so a round's buffer is in client order however the
-// requests interleave. A client that misses a round for -round-timeout is
-// dropped and training continues with the rest.
+// requests interleave. Round 0 waits up to four -round-timeout periods
+// after the first client arrives; from then on a client that misses a round
+// for -round-timeout, or whose upload gets HTTP 400, is dropped and
+// training continues with the rest.
 //
 // Asynchronous (-async): clients fetch the versioned model and submit
 // gradients whenever they finish, the core aggregates every -buffer
@@ -116,7 +118,7 @@ func main() {
 
 	if *loadRun {
 		var wire codec.Codec
-		if wire, err = buildLoadCodec(*codecStr, *hyperStr); err == nil {
+		if wire, err = cliutil.Codec(*codecStr, *hyperStr); err == nil {
 			err = runLoadtest(*loadRule, *loadClients, *loadUpdates, *loadConc, *loadDim, *buffer, *alpha, *loadByz, *loadChurn, *loadHostile, *seed, wire, policy)
 		}
 	} else {
@@ -161,26 +163,6 @@ func validateFlags(clients, rounds int, lr float64, timeout time.Duration, buffe
 		return err
 	}
 	return cliutil.NonNegativeFloat("-alpha", alpha)
-}
-
-// buildLoadCodec resolves -codec/-codec-hyper in loadtest mode to the
-// codec simulated clients compress their submissions with (nil = dense).
-func buildLoadCodec(name, hyperStr string) (codec.Codec, error) {
-	hyper, err := cliutil.ParseHyper("-codec-hyper", hyperStr)
-	if err != nil {
-		return nil, err
-	}
-	if name == "" {
-		if hyper != nil {
-			return nil, fmt.Errorf("-codec-hyper requires -codec")
-		}
-		return nil, nil
-	}
-	c, err := codec.Builtin().Build(name, codec.Params{Hyper: hyper})
-	if err != nil {
-		return nil, fmt.Errorf("-codec: %w", err)
-	}
-	return c, nil
 }
 
 // parseAccepted resolves -codec in either serving mode to the

@@ -59,12 +59,9 @@ func run(exp, dataset, scaleName, format, outPath string, seed int64, workers in
 	if err := parallel.ValidateWorkers(workers); err != nil {
 		return fmt.Errorf("-workers: %w", err)
 	}
-	hyper, err := cliutil.ParseHyper("-codec-hyper", codecHyper)
+	hyper, err := cliutil.CodecHyper(codecName, codecHyper)
 	if err != nil {
 		return err
-	}
-	if codecName == "" && hyper != nil {
-		return fmt.Errorf("-codec-hyper requires -codec")
 	}
 	xs, err := selectExperiments(exp, dataset)
 	if err != nil {

@@ -34,9 +34,10 @@
 // without a single sleep. In that mode K counts decided positions, not
 // accepted ones: a position is decided when its update is accepted, refused
 // (by admission, the screen or the transport) or abandoned, so every block
-// closes with a step. Flush is the round barrier: it abandons the open
-// block's missing positions and drops their slots (a slot is a position mod
-// K) from the cohort, as a dropped connection leaves a synchronous round.
+// closes, normally with a step. A slot (a position mod K) belongs to the
+// first client that claims one of its positions. Flush is the round
+// barrier: it abandons the open block's missing positions and drops their
+// slots from the cohort, as a dropped connection leaves a synchronous round.
 package asyncfl
 
 import (
@@ -109,7 +110,9 @@ type Config struct {
 	// (Update.Seq, 0-based, dense): the aggregator holds out-of-order
 	// arrivals and applies everything in sequence order, so any concurrent
 	// interleaving of a fixed schedule produces byte-identical aggregates.
-	// Each block of K positions closes with a step (see K and Flush).
+	// Each block of K positions closes with a step (see K and Flush), and
+	// each slot (Seq mod K) takes updates from one client only: the first
+	// that claims a position in it.
 	Deterministic bool
 	// ReorderWindow bounds the deterministic reorder buffer: an update
 	// whose Seq is ReorderWindow or more positions ahead of the next
@@ -182,7 +185,8 @@ type SubmitResult struct {
 	// submit: the client should fetch a fresh model before submitting
 	// again rather than pile up doomed updates.
 	Backpressure bool
-	// Stepped reports this arrival triggered an aggregation step.
+	// Stepped reports this arrival triggered an aggregation step that
+	// advanced the model (a step the defense or merge skipped does not).
 	Stepped bool
 	// NonFinite reports the update carried NaN or ±Inf coordinates. Under
 	// the Clamp policy it was repaired and accepted; under Reject or
@@ -226,10 +230,12 @@ type Stats struct {
 	NonFiniteRejects     int64
 	NonFiniteClamps      int64
 	NonFiniteQuarantines int64
-	EmptySelects         int64 // steps skipped because the defense kept nothing
-	AliveSessions        int
-	Expired              int64 // sessions ever expired
-	PurgedUpdates        int64 // queued updates discarded by session expiry
+	// EmptySelects counts steps skipped with nothing to merge: the defense
+	// kept nothing, or every position of a deterministic block was refused.
+	EmptySelects  int64
+	AliveSessions int
+	Expired       int64 // sessions ever expired
+	PurgedUpdates int64 // queued updates discarded by session expiry
 	// DroppedSlots is the number of cohort slots Flush dropped in
 	// deterministic mode: members that missed a round and are out.
 	DroppedSlots int
@@ -254,7 +260,6 @@ type entry struct {
 // New; it is safe for concurrent use.
 type Aggregator struct {
 	cfg      Config
-	queueCap int
 	sessions *SessionTable
 
 	mu      sync.Mutex
@@ -270,15 +275,13 @@ type Aggregator struct {
 	sinceK   int   // accepted arrivals since the last step (not in deterministic mode)
 	seqNext  int64 // deterministic mode: next schedule position to decide
 	// reorder parks out-of-order deterministic-mode updates by schedule
-	// position; a nil entry is a tombstone for a position abandoned (by
-	// session expiry or Flush) or refused by the transport, which the drain
-	// decides without applying anything.
-	reorder    map[int64]*Update
-	reorderWin int64
-	// dropped holds the deterministic-mode slots (positions mod K) Flush
-	// dropped from the cohort: every later position of one is decided as
-	// abandoned, and a submit to one is refused.
+	// position; a nil entry is a tombstone for a position abandoned or
+	// refused by the transport, which the drain decides as is.
+	reorder map[int64]*Update
+	// dropped holds the slots Flush dropped from the cohort, whose later
+	// positions decide themselves; owner, each slot's first claimant.
 	dropped map[int64]bool
+	owner   map[int64]string
 
 	// spare is the free list of update slots: d-vectors that held an update
 	// whose life has ended (refused by the screen, evicted, purged or
@@ -332,16 +335,15 @@ func New(cfg Config) (*Aggregator, error) {
 	params := make([]float64, len(cfg.InitialParams))
 	copy(params, cfg.InitialParams)
 	return &Aggregator{
-		cfg:        cfg,
-		queueCap:   cfg.QueueCap,
-		sessions:   NewSessionTable(ttl, cfg.Now),
-		params:     params,
-		opt:        nn.NewSGD(cfg.LR, cfg.Momentum, cfg.WeightDecay),
-		doneCh:     make(chan struct{}),
-		queues:     map[string][]entry{},
-		reorder:    map[int64]*Update{},
-		reorderWin: int64(cfg.ReorderWindow),
-		dropped:    map[int64]bool{},
+		cfg:      cfg,
+		sessions: NewSessionTable(ttl, cfg.Now),
+		params:   params,
+		opt:      nn.NewSGD(cfg.LR, cfg.Momentum, cfg.WeightDecay),
+		doneCh:   make(chan struct{}),
+		queues:   map[string][]entry{},
+		reorder:  map[int64]*Update{},
+		dropped:  map[int64]bool{},
+		owner:    map[int64]string{},
 	}, nil
 }
 
@@ -387,7 +389,7 @@ func (a *Aggregator) Submit(u Update) (SubmitResult, error) {
 	// Deterministic mode: park the update and decide every consecutive
 	// schedule position that is now decidable, returning the caller's own
 	// outcome once its turn comes.
-	if err := a.checkSeqLocked(u.Seq); err != nil {
+	if err := a.claimLocked(u.Client, u.Seq); err != nil {
 		return SubmitResult{}, err
 	}
 	// Park a copy in a slot, which applyLocked takes over when it drains.
@@ -402,15 +404,16 @@ func (a *Aggregator) Submit(u Update) (SubmitResult, error) {
 }
 
 // Refuse accounts an update the transport refused before Submit could see
-// it: a codec the server does not accept, a declared dimension other than
-// Dim, or a payload the codec's decode refused. nonFinite counts it with the
-// screen's rejections (a payload that carries, or amplifies to, NaN/±Inf),
-// so wire-level hostile traffic shows up in the same Stats counters. In
-// deterministic mode the refusal decides schedule position seq, as the
-// screen's refusal would, so later positions do not wait for it; a seq that
-// Submit would refuse is ignored. Like any other client message it renews
-// the session's liveness lease.
+// it (an unaccepted codec, a declared dimension other than Dim, a decode
+// error). nonFinite counts it with the screen's rejections. In deterministic
+// mode it decides position seq as the screen's refusal would, unless Submit
+// would refuse seq (another client's slot, say). It renews the session's
+// lease like any client message; outside deterministic mode only a
+// non-finite refusal is looked at.
 func (a *Aggregator) Refuse(client string, seq int64, nonFinite bool) {
+	if !nonFinite && !a.cfg.Deterministic {
+		return
+	}
 	expired, _ := a.sessions.Touch(client)
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -419,7 +422,7 @@ func (a *Aggregator) Refuse(client string, seq int64, nonFinite bool) {
 		a.nonFiniteRejects++
 		a.rejects++
 	}
-	if a.cfg.Deterministic && a.checkSeqLocked(seq) == nil {
+	if a.cfg.Deterministic && a.claimLocked(client, seq) == nil {
 		a.reorder[seq] = nil
 		a.drainLocked(seq, nil)
 	}
@@ -484,21 +487,28 @@ func (a *Aggregator) slotLocked(g []float64) []float64 {
 	return s
 }
 
-// checkSeqLocked refuses a deterministic-mode schedule position that is
-// already decided, too far ahead, already parked, or in a slot Flush
-// dropped. Callers hold a.mu.
-func (a *Aggregator) checkSeqLocked(seq int64) error {
+// claimLocked refuses a deterministic-mode schedule position that is
+// decided, too far ahead, parked, dropped or another client's; otherwise the
+// position's slot belongs to client from then on. Callers hold a.mu.
+func (a *Aggregator) claimLocked(client string, seq int64) error {
 	_, dup := a.reorder[seq]
-	switch slot := seq % int64(a.cfg.K); {
+	slot := seq % int64(a.cfg.K)
+	owner, owned := a.owner[slot]
+	switch {
 	case seq < a.seqNext:
 		return fmt.Errorf("asyncfl: schedule position %d already applied (next is %d)", seq, a.seqNext)
-	case seq >= a.seqNext+a.reorderWin:
+	case seq >= a.seqNext+int64(a.cfg.ReorderWindow):
 		return fmt.Errorf("asyncfl: schedule position %d too far ahead of %d (reorder window %d)",
-			seq, a.seqNext, a.reorderWin)
+			seq, a.seqNext, a.cfg.ReorderWindow)
 	case dup:
 		return fmt.Errorf("asyncfl: duplicate schedule position %d", seq)
 	case a.dropped[slot]:
 		return fmt.Errorf("asyncfl: schedule position %d is in slot %d, dropped from the cohort", seq, slot)
+	case owned && owner != client:
+		return fmt.Errorf("asyncfl: schedule position %d is in slot %d, which belongs to client %q", seq, slot, owner)
+	}
+	if !owned {
+		a.owner[slot] = client
 	}
 	return nil
 }
@@ -541,7 +551,7 @@ func (a *Aggregator) applyLocked(u Update) SubmitResult {
 		return res
 	}
 	q := a.queues[u.Client]
-	if len(q) >= a.queueCap {
+	if len(q) >= a.cfg.QueueCap {
 		// Drop-oldest: the evicted update already counted as an arrival,
 		// so the step cadence is unaffected; the submitter learns via
 		// Dropped that it is outrunning the aggregator.
@@ -558,17 +568,19 @@ func (a *Aggregator) applyLocked(u Update) SubmitResult {
 	a.buffered++
 	a.ingestBytes += int64(wireBytes(u))
 	res.Accepted = true
-	res.Backpressure = len(q) >= a.queueCap
+	res.Backpressure = len(q) >= a.cfg.QueueCap
 	a.occSum += int64(a.buffered)
 	a.occN++
 	return res
 }
 
 // stepInto runs the aggregation step an arrival triggered and reports it on
-// that arrival's res. Callers hold a.mu.
+// that arrival's res: Stepped only when the step advanced the model. Callers
+// hold a.mu.
 func (a *Aggregator) stepInto(res *SubmitResult) {
+	before := a.version
 	a.stepLocked()
-	res.Stepped, res.Version, res.Done = true, a.version, a.done
+	res.Stepped, res.Version, res.Done = a.version > before, a.version, a.done
 }
 
 // admitLocked decides whether an update may enter the buffer: it refuses
@@ -614,21 +626,20 @@ func (a *Aggregator) admitLocked(u Update) (res SubmitResult, ok bool) {
 	return res, true
 }
 
-// Flush ends round version of a deterministic aggregator's lock-step
-// rounds, reporting whether the model version advanced. It abandons every
-// undecided position of the open block and drops those positions' slots
-// from the cohort — a later position of a dropped slot is decided as
-// abandoned, and an update parked there is discarded — so the block closes
-// and steps over what it holds. A version that is no longer current (the
-// round ended on its own meanwhile), an empty block, a Done aggregator and
-// one outside deterministic mode are no-ops.
+// Flush ends lock-step round version of a deterministic aggregator and
+// reports whether the model advanced. It abandons the open block's
+// undecided positions and drops their slots from the cohort (later
+// positions there decide themselves; updates parked there are discarded),
+// so the block steps over what it holds. A round that is not current or
+// whose block already closed, a Done aggregator and one outside
+// deterministic mode are no-ops.
 func (a *Aggregator) Flush(version int) (stepped bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.done || version != a.version || !a.cfg.Deterministic {
+	k := int64(a.cfg.K)
+	if a.done || version != a.version || !a.cfg.Deterministic || a.seqNext/k != int64(version) {
 		return false
 	}
-	k := int64(a.cfg.K)
 	for seq, end := a.seqNext, (a.seqNext/k+1)*k; seq < end; seq++ {
 		if _, decidable := a.reorder[seq]; !decidable {
 			a.dropped[seq%k] = true
@@ -663,6 +674,9 @@ func (a *Aggregator) stepLocked() {
 	}
 	a.buffered = 0
 	if len(buf) == 0 {
+		// Only a deterministic block closes empty: every position refused.
+		a.emptySelects++
+		a.logf("asyncfl: block closed with every position refused or abandoned (step skipped)")
 		return
 	}
 	// Every drained slot goes back on the free list when the step ends, on

@@ -427,7 +427,9 @@ func runSchedule(t *testing.T, sched []Update, submit func(*Aggregator)) ([]floa
 }
 
 func TestDeterministicAcrossInterleavings(t *testing.T) {
-	sched := buildSchedule(60, 12, 6, 42)
+	// Five clients for K = 5: in deterministic mode each slot (a position
+	// mod K) belongs to one client.
+	sched := buildSchedule(60, 12, 5, 42)
 
 	// Interleaving 1: sequential, in schedule order.
 	p1, h1 := runSchedule(t, sched, func(a *Aggregator) {

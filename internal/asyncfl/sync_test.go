@@ -96,6 +96,65 @@ func TestDeterministicFlushDropsMissingSlots(t *testing.T) {
 	}
 }
 
+// TestDeterministicSlotBelongsToItsFirstClient: a slot belongs to the first
+// client that claims one of its positions. When member 1 submits at member
+// 0's position, or has it refused at the wire, nothing is decided there, so
+// member 0's own update still counts in its round.
+func TestDeterministicSlotBelongsToItsFirstClient(t *testing.T) {
+	cfg := testConfig(1, 2)
+	cfg.Deterministic = true
+	a, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	submit := func(client string, seq int64) (SubmitResult, error) {
+		return a.Submit(Update{Client: client, Version: int(seq / 2), Seq: seq, Grad: []float64{1}})
+	}
+	for seq, member := range []string{"m0", "m1"} {
+		if _, err := submit(member, int64(seq)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := submit("m1", 2); err == nil {
+		t.Fatal("member 1 submitted at member 0's position")
+	}
+	a.Refuse("m1", 2, false)
+	if res, err := submit("m0", 2); err != nil || !res.Accepted {
+		t.Fatalf("member 0 at its own position after member 1's claims: res=%+v err=%v", res, err)
+	}
+	if res, err := submit("m1", 3); err != nil || !res.Stepped {
+		t.Fatalf("member 1 at its own position: res=%+v err=%v, want the round to step", res, err)
+	}
+	if h := a.History(); len(h) != 2 || h[1].Buffer != 2 {
+		t.Fatalf("history = %+v, want round 1 to step over both members", h)
+	}
+}
+
+// TestDeterministicBlockClosedWithoutStep: a block whose every position is
+// refused closes without a step. Its last arrival does not report Stepped,
+// the skip is counted, and Flush of the round it belonged to, now that the
+// schedule has moved on to the next block, drops nobody.
+func TestDeterministicBlockClosedWithoutStep(t *testing.T) {
+	cfg := testConfig(2, 2)
+	cfg.Deterministic = true
+	a, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seq := range 2 {
+		res, err := a.Submit(Update{Client: fmt.Sprintf("c%d", seq), Seq: int64(seq), Grad: nanGrad(2, 0)})
+		if err != nil || res.Stepped {
+			t.Fatalf("refused position %d: res=%+v err=%v, want no step", seq, res, err)
+		}
+	}
+	if st := a.Stats(); st.Steps != 0 || st.Version != 0 || st.EmptySelects != 1 {
+		t.Fatalf("stats = %+v, want no step and one empty selection", st)
+	}
+	if a.Flush(0) || a.Stats().DroppedSlots != 0 {
+		t.Fatal("Flush of a round whose block already closed dropped the next block's members")
+	}
+}
+
 // --- fresh-buffer rule -----------------------------------------------------
 
 func paramDigest(p []float64) string {

@@ -5,7 +5,8 @@
 // through to fail (or misbehave) deep inside the protocol. Every helper
 // takes the flag's user-facing name ("-clients") and includes it verbatim
 // in the error, so a failing invocation reads like the usage line that
-// fixes it.
+// fixes it. Codec resolves the -codec/-codec-hyper pair that flserver and
+// flclient share.
 package cliutil
 
 import (
@@ -15,6 +16,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"github.com/signguard/signguard/internal/codec"
 )
 
 // FiniteFloat requires v to be neither NaN nor ±Inf. flag.Float64 and
@@ -137,6 +140,30 @@ func ParseHyper(flag, s string) (map[string]float64, error) {
 		out[k] = f
 	}
 	return out, nil
+}
+
+// CodecHyper parses -codec-hyper, which means nothing without a -codec
+// name.
+func CodecHyper(codecName, s string) (map[string]float64, error) {
+	hyper, err := ParseHyper("-codec-hyper", s)
+	if err == nil && hyper != nil && codecName == "" {
+		err = fmt.Errorf("-codec-hyper requires -codec")
+	}
+	return hyper, err
+}
+
+// Codec resolves -codec/-codec-hyper to a wire codec (nil when no -codec
+// is named: uncompressed).
+func Codec(name, hyperStr string) (codec.Codec, error) {
+	hyper, err := CodecHyper(name, hyperStr)
+	if err != nil || name == "" {
+		return nil, err
+	}
+	c, err := codec.Builtin().Build(name, codec.Params{Hyper: hyper})
+	if err != nil {
+		return nil, fmt.Errorf("-codec: %w", err)
+	}
+	return c, nil
 }
 
 // FormatHyper renders a hyperparameter map deterministically

@@ -105,3 +105,21 @@ func TestFormatHyperRoundTrip(t *testing.T) {
 		t.Error("FormatHyper(nil) not empty")
 	}
 }
+
+// TestCodec: -codec builds its codec with -codec-hyper, no -codec means
+// uncompressed, -codec-hyper needs -codec, and an unknown name names the
+// flag.
+func TestCodec(t *testing.T) {
+	if c, err := Codec("topk", "k=4"); err != nil || c == nil {
+		t.Errorf("-codec topk -codec-hyper k=4: %v, %v", c, err)
+	}
+	if c, err := Codec("", ""); err != nil || c != nil {
+		t.Errorf("no -codec: %v, %v, want uncompressed", c, err)
+	}
+	if _, err := Codec("", "k=4"); err == nil || !strings.Contains(err.Error(), "requires -codec") {
+		t.Errorf("-codec-hyper without -codec: %v", err)
+	}
+	if _, err := Codec("gzip", ""); err == nil || !strings.Contains(err.Error(), "-codec") {
+		t.Errorf("unknown codec: %v", err)
+	}
+}

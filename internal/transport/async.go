@@ -74,9 +74,8 @@ func NewAsyncCodecHandler(agg *asyncfl.Aggregator, accepted []string) (http.Hand
 		}
 		grad, wireBytes := req.Grad, 0
 		if enc := req.Encoded; enc != nil {
-			// A refusal from here on never reaches Submit, so the
-			// aggregator hears of it here: in deterministic mode it decides
-			// the update's schedule position, as the screen's refusal would.
+			// Refusals from here on never reach Submit: Refuse accounts
+			// them, and decides their schedule position.
 			refuse := func(nonFinite bool, format string, args ...any) {
 				agg.Refuse(req.Client, req.Seq, nonFinite)
 				http.Error(w, fmt.Sprintf(format, args...), http.StatusBadRequest)
@@ -96,8 +95,7 @@ func NewAsyncCodecHandler(agg *asyncfl.Aggregator, accepted []string) (http.Hand
 			var err error
 			if grad, err = reg.Decode(enc.WithDst(s.grad)); err != nil {
 				// A payload that carries or amplifies to NaN/±Inf counts with
-				// the screen's rejections. (A literal NaN in a dense body
-				// does reach Submit, and is counted there.)
+				// the screen's rejections (a dense NaN reaches the screen).
 				refuse(errors.Is(err, codec.ErrNonFinite), "decoding %s payload: %v", enc.Codec, err)
 				return
 			}
@@ -315,7 +313,8 @@ type AsyncClientConfig struct {
 	// of that many — the paper's synchronous rounds, served by a
 	// deterministic aggregator with K = Cohort: each round it submits at
 	// schedule position version·Cohort + Slot, then polls the heartbeat
-	// until the version moves. 0 submits freely, with no schedule.
+	// until the version moves; an HTTP error ends it, and the round timer
+	// drops it. 0 submits freely, with no schedule.
 	Cohort int
 	// Slot is the client's place in a lock-step cohort, in [0, Cohort).
 	Slot int
@@ -325,10 +324,8 @@ type AsyncClientConfig struct {
 // AsyncClientConfig.RetryDelay is zero.
 const DefaultAsyncRetryDelay = 50 * time.Millisecond
 
-// A lock-step member waiting for its round to end polls the heartbeat
-// after lockstepPollMin, doubling the wait up to lockstepPollMax: the first
-// polls catch a round that ends as soon as the last member submits, and the
-// cap bounds what a long round costs the server.
+// A lock-step member polls for the end of its round after lockstepPollMin,
+// doubling up to lockstepPollMax: quick to see a round end, cheap when long.
 const (
 	lockstepPollMin = 100 * time.Microsecond
 	lockstepPollMax = 10 * time.Millisecond

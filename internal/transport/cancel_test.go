@@ -36,6 +36,39 @@ func TestClientContextCancellation(t *testing.T) {
 	}
 }
 
+// TestRoundZeroWaitsForLateMembers: members need not start together. Round
+// 0 waits four round timeouts after the first member joins, as the gob
+// server's registration phase did, so a member that starts three timeouts
+// late still has its place in every round.
+func TestRoundZeroWaitsForLateMembers(t *testing.T) {
+	l := newLockstep(t, asyncfl.Config{
+		InitialParams: []float64{0}, Rule: aggregate.NewMean(), LR: 0.1, TargetSteps: 2,
+	}, 2)
+	errs := make(chan error, 2)
+	start := func(slot int) {
+		go func() { errs <- l.member(context.Background(), slot, quadraticGradient([]float64{1}, 0, int64(slot))) }()
+	}
+	start(0)
+	waitFor(t, "member 0's round-0 upload", func() bool { return l.updates.Load() == 1 })
+	l.clock <- l.now // round 0 starts
+	for range 3 {
+		l.now = l.now.Add(lockstepTimeout)
+		l.clock <- l.now
+	}
+	start(1)
+	for range 2 {
+		if err := <-errs; err != nil {
+			t.Fatalf("member: %v", err)
+		}
+	}
+	if err := <-l.timer; err != nil {
+		t.Fatalf("round timer: %v", err)
+	}
+	if h := l.agg.History(); len(h) != 2 || h[0].Buffer != 2 || l.timeouts.Load() != 0 {
+		t.Errorf("history %+v with %d timed-out rounds, want both members in both rounds", h, l.timeouts.Load())
+	}
+}
+
 // TestServerTimesOutSilentClient: in a cohort of one whose member joins and
 // never submits, the round timer ends the round, nobody is left to step
 // on, and the run fails.

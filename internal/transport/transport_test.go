@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -290,6 +291,23 @@ func TestServerRejectsWrongDimension(t *testing.T) {
 	})
 	if err == nil {
 		t.Error("run completed on a cohort whose only client sent a wrong-dimension gradient")
+	}
+}
+
+// TestServerFailsRoundClosedWithoutStep: when the screen refuses every
+// upload of a round, the round closes without a step and no member can go
+// on. The round timer fails the run at its next check, not a timeout later,
+// and names the empty selection.
+func TestServerFailsRoundClosedWithoutStep(t *testing.T) {
+	nan := func(int, []float64) ([]float64, error) { return []float64{math.NaN(), 0}, nil }
+	_, err, _ := runSync(t, asyncfl.Config{
+		InitialParams: []float64{0, 0}, Rule: aggregate.NewMean(), LR: 0.1, TargetSteps: 3,
+	}, []GradientFunc{nan, nan}, func(l *lockstep) {
+		waitFor(t, "both refused uploads", func() bool { return l.updates.Load() == 2 })
+		l.clock <- l.now // one check, with no time passed
+	})
+	if err == nil || !strings.Contains(err.Error(), "1 empty selections") {
+		t.Fatalf("round timer: %v, want a failure naming one empty selection", err)
 	}
 }
 
