@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test loc conformance race bench perf perf-compare trajectory profile profile-top cover fmt-check doc-check vet fuzz
+.PHONY: all build test loc conformance serve-smoke race bench perf perf-compare trajectory profile profile-top cover fmt-check doc-check vet fuzz
 
 # Fuzz budget per target for `make fuzz` (CI passes FUZZTIME=10s; raise it
 # locally for deeper runs, e.g. make fuzz FUZZTIME=2m).
@@ -36,6 +36,13 @@ race:
 # races under parallel kernels) still fails; the CI test job runs this.
 conformance:
 	$(GO) test -race -count=2 -timeout 10m -run 'Conformance' ./internal/defense ./internal/codec ./internal/attack ./internal/experiments
+
+# Run flserver's main end to end once: flag parsing, -rule resolution
+# through the defense catalog, the load harness over loopback HTTP (a few
+# seconds). Nothing else executes main, so a flag-resolution break would
+# otherwise show up only by hand; the CI test job runs this.
+serve-smoke:
+	$(GO) run ./cmd/flserver -loadtest -load-clients 500 -load-byz 0.2 -rule SignGuard
 
 # Compile and execute every Go benchmark exactly once, so benchmark code
 # that rots fails loudly (the CI bench job runs this). The numbers are not a

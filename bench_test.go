@@ -135,7 +135,6 @@ func BenchmarkRules(b *testing.B) {
 		aggregate.NewMultiKrum(f, n-f),
 		aggregate.NewBulyan(f),
 		aggregate.NewDnC(f, 1),
-		aggregate.NewSignSGDMajority(1),
 		core.NewPlain(1),
 		core.NewSim(1),
 		core.NewDist(1),

@@ -1,10 +1,10 @@
 // Command flclient joins a federated training session coordinated by
 // flserver over its /asyncfl/v2 HTTP wire. It regenerates the shared
 // dataset from the seed, takes the partition matching its client id, and
-// participates honestly — or, with -byzantine, misbehaves using one of the
-// local attack strategies (the network setting restricts the adversary to
-// non-omniscient attacks: sign flipping, scaled reverse, random noise, or
-// label flipping).
+// participates honestly — or, with -byzantine, misbehaves as one of the
+// attack catalog's entries (internal/attack) a client renders from its own
+// gradient alone: Sign-flip, Reverse ×100, Random noise or Label-flip
+// (the network setting gives the adversary no view of the cohort).
 //
 // By default it is member -id of a lock-step cohort of -clients, the
 // paper's synchronous rounds: each round it fetches the model, submits a
@@ -20,13 +20,16 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"maps"
+	"math/rand"
 	"slices"
 	"strings"
 
+	"github.com/signguard/signguard/internal/attack"
 	"github.com/signguard/signguard/internal/cliutil"
 	"github.com/signguard/signguard/internal/codec"
 	"github.com/signguard/signguard/internal/data"
@@ -36,18 +39,15 @@ import (
 	"github.com/signguard/signguard/internal/transport"
 )
 
-// localByzModes maps every -byzantine mode to the internal/attack registry
-// entry it renders locally. The network setting restricts the adversary to
-// the registry subset that needs no cohort visibility (a real client never
-// sees the other submissions), which is why omniscient attacks like LIE or
-// Min-Max have no mode here. A test pins each value against attack.Builtin
-// and each key against the flag usage string, so neither the doc comment
-// nor the CLI surface can drift from the registry.
-var localByzModes = map[string]string{
-	"signflip":  "Sign-flip",
-	"reverse":   "Reverse",
-	"random":    "Random",
-	"labelflip": "Label-flip",
+// localByzModes maps each -byzantine mode, an internal/attack catalog name,
+// to the scalar parameter its constructor gets. A networked client never
+// sees the other submissions, so omniscient attacks like LIE or Min-Max
+// have no mode here.
+var localByzModes = map[string]float64{
+	"Sign-flip":  0,
+	"Reverse":    100,
+	"Random":     0,
+	"Label-flip": 0,
 }
 
 func main() {
@@ -57,7 +57,7 @@ func main() {
 		clients  = flag.Int("clients", 4, "total number of clients (must match server)")
 		batch    = flag.Int("batch", 16, "local mini-batch size")
 		seed     = flag.Int64("seed", 1, "shared dataset/model seed (must match server)")
-		byzStr   = flag.String("byzantine", "", "misbehave: signflip|reverse|random|labelflip (empty = honest)")
+		byzStr   = flag.String("byzantine", "", "misbehave as this attack: "+byzModes()+" (empty = honest)")
 		async    = flag.Bool("async", false, "speak the asynchronous HTTP protocol (server must run flserver -async)")
 		updates  = flag.Int("updates", 0, "async: stop after this many accepted submissions (0 = until server Done)")
 		codecStr = flag.String("codec", "", "compress submissions with this codec (identity|topk|qsgd|signsgd; the server must accept it)")
@@ -68,45 +68,70 @@ func main() {
 	if err := validateFlags(*id, *clients, *batch, *updates); err != nil {
 		log.Fatalf("flclient: %v", err)
 	}
-	if err := validateByzMode(*byzStr); err != nil {
+	byz, err := newByzantine(*byzStr, *seed, *id)
+	if err != nil {
 		log.Fatalf("flclient: %v", err)
 	}
 	wire, err := cliutil.Codec(*codecStr, *hyperStr)
 	if err != nil {
 		log.Fatalf("flclient: %v", err)
 	}
-	if err := run(*addr, *id, *clients, *batch, *seed, *byzStr, *async, *updates, wire); err != nil {
+	if err := run(*addr, *id, *clients, *batch, *seed, byz, *async, *updates, wire); err != nil {
 		log.Fatalf("flclient: %v", err)
 	}
 }
 
 // validateFlags rejects out-of-range flag values up front with clear
-// errors naming the offending flag (internal/cliutil).
+// errors naming each offending flag (internal/cliutil).
 func validateFlags(id, clients, batch, updates int) error {
-	if err := cliutil.PositiveInt("-clients", clients); err != nil {
-		return err
-	}
-	if err := cliutil.IndexInRange("-id", id, clients); err != nil {
-		return err
-	}
-	if err := cliutil.PositiveInt("-batch", batch); err != nil {
-		return err
-	}
-	return cliutil.NonNegativeInt("-updates", updates)
+	return errors.Join(
+		cliutil.PositiveInt("-clients", clients),
+		cliutil.IndexInRange("-id", id, clients),
+		cliutil.PositiveInt("-batch", batch),
+		cliutil.NonNegativeInt("-updates", updates),
+	)
 }
 
-// validateByzMode rejects unknown -byzantine modes before connecting.
-func validateByzMode(mode string) error {
+// byzModes lists the -byzantine modes for the usage string and errors.
+func byzModes() string { return strings.Join(slices.Sorted(maps.Keys(localByzModes)), "|") }
+
+// byzantine is a client's -byzantine misbehaviour: the catalog attack and
+// the RNG stream its crafting draws from. The zero value is honest.
+type byzantine struct {
+	attack attack.Attack
+	rng    *rand.Rand
+}
+
+// newByzantine resolves a -byzantine mode before connecting: "" is honest,
+// anything else must be a catalog attack that localByzModes lists.
+func newByzantine(mode string, seed int64, id int) (byzantine, error) {
 	if mode == "" {
-		return nil
+		return byzantine{}, nil
 	}
-	if _, ok := localByzModes[mode]; !ok {
-		return fmt.Errorf("unknown -byzantine mode %q (have %s)", mode, strings.Join(slices.Sorted(maps.Keys(localByzModes)), "|"))
+	spec, err := attack.Builtin().Lookup(mode)
+	if err != nil {
+		return byzantine{}, fmt.Errorf("-byzantine: %w", err)
 	}
-	return nil
+	param, ok := localByzModes[mode]
+	if !ok {
+		return byzantine{}, fmt.Errorf("-byzantine: %s is not one of the local modes %s (a networked client sees only its own gradient)", mode, byzModes())
+	}
+	a, err := spec.New(param, seed)
+	if err != nil {
+		return byzantine{}, err
+	}
+	return byzantine{attack: a, rng: tensor.NewRNG(seed + 500 + int64(id))}, nil
 }
 
-func run(addr string, id, clients, batch int, seed int64, byzStr string, async bool, updates int, wire codec.Codec) error {
+// craft returns the gradient the client submits in place of its honest g.
+func (b byzantine) craft(g []float64) ([]float64, error) {
+	if b.attack == nil {
+		return g, nil
+	}
+	return attack.Local(b.attack, g, b.rng)
+}
+
+func run(addr string, id, clients, batch int, seed int64, byz byzantine, async bool, updates int, wire codec.Codec) error {
 	ds, err := data.MNISTLike(seed, 4000, 1000)
 	if err != nil {
 		return err
@@ -119,9 +144,8 @@ func run(addr string, id, clients, batch int, seed int64, byzStr string, async b
 	if err != nil {
 		return err
 	}
-	if byzStr == "labelflip" {
-		local, err = data.FlipLabels(local, ds.Classes)
-		if err != nil {
+	if p, ok := byz.attack.(attack.DataPoisoner); ok {
+		if local, err = p.PoisonData(local, ds.Classes); err != nil {
 			return err
 		}
 	}
@@ -133,8 +157,6 @@ func run(addr string, id, clients, batch int, seed int64, byzStr string, async b
 	if err != nil {
 		return err
 	}
-	noiseRng := tensor.NewRNG(seed + 500 + int64(id))
-
 	compute := func(round int, params []float64) ([]float64, error) {
 		if err := model.SetParamVector(params); err != nil {
 			return nil, err
@@ -147,20 +169,7 @@ func run(addr string, id, clients, batch int, seed int64, byzStr string, async b
 		if _, _, err := model.LossAndGrad(in, labels); err != nil {
 			return nil, err
 		}
-		g := model.GradVector()
-		switch byzStr {
-		case "", "labelflip":
-			// labelflip already poisoned the data; gradient is "honest".
-		case "signflip":
-			tensor.ScaleInPlace(g, -1)
-		case "reverse":
-			tensor.ScaleInPlace(g, -100)
-		case "random":
-			g = tensor.RandNormal(noiseRng, len(g), 0, 0.5)
-		default:
-			return nil, fmt.Errorf("unknown byzantine mode %q", byzStr)
-		}
-		return g, nil
+		return byz.craft(model.GradVector())
 	}
 
 	cfg := transport.AsyncClientConfig{
@@ -177,8 +186,11 @@ func run(addr string, id, clients, batch int, seed int64, byzStr string, async b
 	if async {
 		mode, cfg.Cohort, cfg.Slot = "async", 0, 0
 	}
-	log.Printf("flclient %d: joining %s (%s, %d local examples, byzantine=%q)",
-		id, addr, mode, sampler.Size(), byzStr)
+	role := "honest"
+	if byz.attack != nil {
+		role = "byzantine " + byz.attack.Name()
+	}
+	log.Printf("flclient %d: joining %s (%s, %d local examples, %s)", id, addr, mode, sampler.Size(), role)
 	final, err := transport.RunAsyncClient(context.Background(), cfg)
 	if err != nil {
 		return err

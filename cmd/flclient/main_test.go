@@ -1,11 +1,15 @@
 package main
 
 import (
-	"os"
+	"math"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"github.com/signguard/signguard/internal/attack"
+	"github.com/signguard/signguard/internal/data"
+	"github.com/signguard/signguard/internal/tensor"
 )
 
 func TestValidateFlags(t *testing.T) {
@@ -41,39 +45,88 @@ func TestValidateFlags(t *testing.T) {
 // internal/attack catalog entry and enforces the network setting's
 // constraint: a client renders its attack locally, with no view of the
 // cohort and no filtering-feedback channel, so no mode may map to an
-// adaptive attack.
+// adaptive attack. Old spellings get the catalog's hint; catalog attacks
+// that need the cohort are refused.
 func TestByzModesMatchAttackCatalog(t *testing.T) {
-	for mode, name := range localByzModes {
-		spec, err := attack.Builtin().Lookup(name)
+	for mode := range localByzModes {
+		spec, err := attack.Builtin().Lookup(mode)
 		if err != nil {
 			t.Errorf("mode %q: %v", mode, err)
 			continue
 		}
 		if spec.Adaptive {
-			t.Errorf("mode %q maps to adaptive attack %s — a networked client has no filtering feedback to adapt on", mode, name)
+			t.Errorf("mode %q is adaptive — a networked client has no filtering feedback to adapt on", mode)
 		}
 	}
-	if err := validateByzMode("definitely-not-a-mode"); err == nil {
-		t.Error("unknown mode passed validation")
+	if b, err := newByzantine("", 1, 0); b.attack != nil || err != nil {
+		t.Errorf("honest mode: %v, %v", b, err)
 	}
-	if err := validateByzMode(""); err != nil {
-		t.Errorf("honest mode rejected: %v", err)
+	for mode, want := range map[string]string{
+		"signflip":              `did you mean "Sign-flip"`,
+		"LIE":                   "not one of the local modes",
+		"definitely-not-a-mode": "unknown attack",
+	} {
+		if _, err := newByzantine(mode, 1, 0); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("-byzantine %s: %v, want an error containing %s", mode, err, want)
+		}
 	}
 }
 
-// TestByzModesAppearInCLISurface greps this command's own source for each
-// mode token: every mode must appear in both the -byzantine usage string
-// and the compute switch, so the CLI surface cannot drift from the map the
-// catalog test pins.
-func TestByzModesAppearInCLISurface(t *testing.T) {
-	src, err := os.ReadFile("main.go")
-	if err != nil {
-		t.Fatal(err)
+// TestByzantineMatchesParentFormulas: each mode, built from the catalog,
+// submits bit for bit its formula: −g, −100·g, N(0, 0.5²) noise from the
+// client's seed+500+id stream (which persists across rounds), and honest
+// gradients on label-flipped data.
+func TestByzantineMatchesParentFormulas(t *testing.T) {
+	const seed, id = 7, 3
+	g := tensor.RandNormal(tensor.NewRNG(1), 50, 0, 1)
+	craft := func(mode string, rounds int) [][]float64 {
+		t.Helper()
+		b, err := newByzantine(mode, seed, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out [][]float64
+		for range rounds {
+			c, err := b.craft(tensor.Clone(g))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, c)
+		}
+		return out
 	}
-	text := string(src)
-	for mode := range localByzModes {
-		if strings.Count(text, mode) < 2 {
-			t.Errorf("mode %q appears fewer than twice in main.go — usage string and compute switch must both carry it", mode)
+	noise := tensor.NewRNG(seed + 500 + id)
+	for mode, want := range map[string][][]float64{
+		"Sign-flip":  {tensor.Scale(g, -1)},
+		"Reverse":    {tensor.Scale(g, -100)},
+		"Random":     {tensor.RandNormal(noise, len(g), 0, 0.5), tensor.RandNormal(noise, len(g), 0, 0.5)},
+		"Label-flip": {g},
+	} {
+		for r, got := range craft(mode, len(want)) {
+			if !slices.EqualFunc(got, want[r], func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }) {
+				t.Errorf("%s round %d: submission differs from the formula", mode, r)
+			}
+		}
+	}
+
+	// Only Label-flip poisons the local data, and exactly as FlipLabels.
+	for _, mode := range []string{"", "Sign-flip", "Reverse", "Random", "Label-flip"} {
+		b, err := newByzantine(mode, seed, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, ok := b.attack.(attack.DataPoisoner)
+		if ok != (mode == "Label-flip") {
+			t.Errorf("%q: data poisoner %v", mode, ok)
+		}
+		if !ok {
+			continue
+		}
+		xs := []data.Example{{Features: []float64{1}, Label: 0}, {Features: []float64{2}, Label: 7}}
+		got, err := p.PoisonData(xs, 10)
+		want, _ := data.FlipLabels(xs, 10)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s poisons %v into %v, %v; want %v", mode, xs, got, err, want)
 		}
 	}
 }

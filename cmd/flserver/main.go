@@ -1,7 +1,12 @@
 // Command flserver runs the federated-learning parameter server: one
 // aggregation core (internal/asyncfl — ingest screen, the selected robust
 // rule, SignGuard by default, merge, optimizer step) behind the /asyncfl/v2
-// HTTP wire, then the final test accuracy of the global model. It has
+// HTTP wire, then the final test accuracy of the global model.
+//
+// -rule names a defense of the catalog (internal/defense), built for a
+// buffer of N updates — -clients in sync mode, -buffer otherwise — with
+// -byz as the Byzantine count F the baselines are granted; FLTrust is
+// refused, as the serving path has no server reference gradient. It has
 // three modes:
 //
 // Synchronous (default): lock-step rounds, the paper's setting — the core
@@ -25,7 +30,8 @@
 // (internal/asyncfl/loadtest) against the async serving layer — many
 // goroutine-cheap simulated clients over real HTTP — and print rounds/s,
 // p50/p99 ingest latency, buffer occupancy and model error under the
-// configured Byzantine fraction and churn.
+// configured Byzantine fraction and churn, behind the same -rule and -byz
+// (-rule Mean for an undefended run).
 //
 // The server owns the dataset definition (test split + model architecture)
 // so it can evaluate the trained model; clients generate the same dataset
@@ -33,7 +39,8 @@
 //
 // Examples:
 //
-//	flserver -addr :9000 -clients 4 -rounds 100 -rule signguard
+//	flserver -addr :9000 -clients 4 -rounds 100 -rule SignGuard
+//	flserver -addr :9000 -clients 10 -rule Multi-Krum -byz 2
 //	flserver -addr :9000 -clients 4 -codec identity,topk   # accept only these codecs
 //	flserver -addr :9000 -async -buffer 8 -alpha 0.5 -rounds 200
 //	flserver -loadtest -load-clients 100000 -load-byz 0.1
@@ -56,9 +63,8 @@ import (
 	"github.com/signguard/signguard/internal/asyncfl"
 	"github.com/signguard/signguard/internal/asyncfl/loadtest"
 	"github.com/signguard/signguard/internal/cliutil"
-	"github.com/signguard/signguard/internal/codec"
-	"github.com/signguard/signguard/internal/core"
 	"github.com/signguard/signguard/internal/data"
+	"github.com/signguard/signguard/internal/defense"
 	"github.com/signguard/signguard/internal/fl"
 	"github.com/signguard/signguard/internal/nn"
 	"github.com/signguard/signguard/internal/sanitize"
@@ -71,8 +77,8 @@ func main() {
 		addr    = flag.String("addr", "127.0.0.1:9000", "listen address")
 		clients = flag.Int("clients", 4, "lock-step cohort size (sync mode)")
 		rounds  = flag.Int("rounds", 100, "training rounds (sync) / aggregation steps (async)")
-		ruleStr = flag.String("rule", "signguard", "aggregation rule: mean|trmean|median|geomed|krum|multikrum|bulyan|dnc|signguard|signguard-sim|signguard-dist")
-		byz     = flag.Int("byz", 0, "assumed Byzantine count for rules that need it (trmean/krum/bulyan/dnc)")
+		ruleStr = flag.String("rule", "SignGuard", "defense in front of the buffer: "+strings.Join(defense.Builtin().Names(), "|"))
+		byz     = flag.Int("byz", 0, "assumed Byzantine count F for the rules that take one (TrMean, Multi-Krum, Bulyan, DnC)")
 		lr      = flag.Float64("lr", 0.05, "learning rate")
 		seed    = flag.Int64("seed", 1, "shared dataset/model seed (must match clients)")
 		timeout = flag.Duration("round-timeout", 30*time.Second, "end a round that a client misses after this long, dropping the client (sync mode)")
@@ -92,23 +98,18 @@ func main() {
 		loadByz     = flag.Float64("load-byz", 0, "loadtest: Byzantine client fraction")
 		loadChurn   = flag.Float64("load-churn", 0, "loadtest: churned client fraction")
 		loadHostile = flag.Float64("load-nonfinite", 0, "loadtest: fraction of clients shipping non-finite (NaN-injection) payloads")
-		loadRule    = flag.String("load-rule", "", "loadtest: defense in front of the buffer (empty = none)")
 
 		codecStr = flag.String("codec", "", "comma-separated accepted codec list advertised to clients (empty = all built-ins); loadtest: compress simulated client submissions with this codec")
 		hyperStr = flag.String("codec-hyper", "", "loadtest: codec hyperparameters as key=value[,key=value], e.g. k=8 (requires -codec)")
 	)
 	flag.Parse()
 
-	if err := validateFlags(*clients, *rounds, *lr, *timeout, *buffer, *alpha); err != nil {
-		log.Fatalf("flserver: %v", err)
+	load := loadtest.Config{
+		Clients: *loadClients, UpdatesPerClient: *loadUpdates, Concurrency: *loadConc, Dim: *loadDim,
+		K: *buffer, Alpha: *alpha, ByzFraction: *loadByz, ChurnFraction: *loadChurn, NonFiniteFraction: *loadHostile,
+		Seed: *seed, Logf: log.Printf,
 	}
-	if err := cliutil.Fraction("-load-byz", *loadByz); err != nil {
-		log.Fatalf("flserver: %v", err)
-	}
-	if err := cliutil.Fraction("-load-churn", *loadChurn); err != nil {
-		log.Fatalf("flserver: %v", err)
-	}
-	if err := cliutil.Fraction("-load-nonfinite", *loadHostile); err != nil {
+	if err := errors.Join(validateFlags(*clients, *rounds, *byz, *lr, *timeout, *buffer, *alpha), validateLoadFlags(load)); err != nil {
 		log.Fatalf("flserver: %v", err)
 	}
 	policy, err := sanitize.ParsePolicy("-nonfinite-policy", *nonFinite)
@@ -117,10 +118,8 @@ func main() {
 	}
 
 	if *loadRun {
-		var wire codec.Codec
-		if wire, err = cliutil.Codec(*codecStr, *hyperStr); err == nil {
-			err = runLoadtest(*loadRule, *loadClients, *loadUpdates, *loadConc, *loadDim, *buffer, *alpha, *loadByz, *loadChurn, *loadHostile, *seed, wire, policy)
-		}
+		load.NonFinite = policy
+		err = runLoadtest(load, *ruleStr, *byz, *codecStr, *hyperStr)
 	} else {
 		var accepted []string
 		if accepted, err = parseAccepted(*codecStr, *hyperStr); err == nil {
@@ -144,25 +143,32 @@ func main() {
 }
 
 // validateFlags rejects out-of-range flag values up front with clear
-// errors naming the offending flag (internal/cliutil) instead of passing
+// errors naming each offending flag (internal/cliutil) instead of passing
 // them through to fail (or misbehave) deep in the protocol.
-func validateFlags(clients, rounds int, lr float64, timeout time.Duration, buffer int, alpha float64) error {
-	if err := cliutil.PositiveInt("-clients", clients); err != nil {
-		return err
-	}
-	if err := cliutil.PositiveInt("-rounds", rounds); err != nil {
-		return err
-	}
-	if err := cliutil.PositiveFloat("-lr", lr); err != nil {
-		return err
-	}
-	if err := cliutil.PositiveDuration("-round-timeout", timeout); err != nil {
-		return err
-	}
-	if err := cliutil.PositiveInt("-buffer", buffer); err != nil {
-		return err
-	}
-	return cliutil.NonNegativeFloat("-alpha", alpha)
+func validateFlags(clients, rounds, byz int, lr float64, timeout time.Duration, buffer int, alpha float64) error {
+	return errors.Join(
+		cliutil.PositiveInt("-clients", clients),
+		cliutil.PositiveInt("-rounds", rounds),
+		cliutil.NonNegativeInt("-byz", byz),
+		cliutil.PositiveFloat("-lr", lr),
+		cliutil.PositiveDuration("-round-timeout", timeout),
+		cliutil.PositiveInt("-buffer", buffer),
+		cliutil.NonNegativeFloat("-alpha", alpha),
+	)
+}
+
+// validateLoadFlags is validateFlags for the -load-* flags, read from the
+// load harness config they fill.
+func validateLoadFlags(c loadtest.Config) error {
+	return errors.Join(
+		cliutil.PositiveInt("-load-clients", c.Clients),
+		cliutil.PositiveInt("-load-updates", c.UpdatesPerClient),
+		cliutil.PositiveInt("-load-concurrency", c.Concurrency),
+		cliutil.PositiveInt("-load-dim", c.Dim),
+		cliutil.Fraction("-load-byz", c.ByzFraction),
+		cliutil.Fraction("-load-churn", c.ChurnFraction),
+		cliutil.Fraction("-load-nonfinite", c.NonFiniteFraction),
+	)
 }
 
 // parseAccepted resolves -codec in either serving mode to the
@@ -187,36 +193,11 @@ func parseAccepted(codecStr, hyperStr string) ([]string, error) {
 	return accepted, nil
 }
 
-// buildRule maps the CLI rule name to an aggregation rule. n is the
-// expected gradient-set size the rule aggregates over: the client count in
-// sync mode, the buffer size in async mode.
+// buildRule resolves -rule through the defense catalog. n is the buffer
+// the rule aggregates over (-clients in sync mode, -buffer otherwise) and f
+// is -byz.
 func buildRule(name string, n, f int, seed int64) (aggregate.Rule, error) {
-	switch name {
-	case "mean":
-		return aggregate.NewMean(), nil
-	case "trmean":
-		return aggregate.NewTrimmedMean(f), nil
-	case "median":
-		return aggregate.NewMedian(), nil
-	case "geomed":
-		return aggregate.NewGeoMed(), nil
-	case "krum":
-		return aggregate.NewKrum(f), nil
-	case "multikrum":
-		return aggregate.NewMultiKrum(f, n-f), nil
-	case "bulyan":
-		return aggregate.NewBulyan(f), nil
-	case "dnc":
-		return aggregate.NewDnC(f, seed), nil
-	case "signguard":
-		return core.NewPlain(seed), nil
-	case "signguard-sim":
-		return core.NewSim(seed), nil
-	case "signguard-dist":
-		return core.NewDist(seed), nil
-	default:
-		return nil, fmt.Errorf("unknown rule %q", name)
-	}
+	return defense.Builtin().Build(name, defense.Params{N: n, F: f, Seed: seed})
 }
 
 // sharedModel is the model architecture both server and clients build from
@@ -313,31 +294,17 @@ func serveHTTP(addr string, accepted []string, roundTimeout time.Duration, agg *
 	return err
 }
 
-// runLoadtest drives the in-process load harness and prints its report.
-func runLoadtest(ruleStr string, clients, updates, concurrency, dim, buffer int, alpha, byzFrac, churnFrac, hostileFrac float64, seed int64, wire codec.Codec, policy sanitize.Policy) error {
-	var rule aggregate.Rule
-	if ruleStr != "" {
-		var err error
-		if rule, err = buildRule(ruleStr, buffer, 0, seed); err != nil {
-			return err
-		}
+// runLoadtest completes cfg with the -rule defense in front of the buffer
+// and the -codec every simulated client compresses with, drives the
+// in-process load harness and prints its report.
+func runLoadtest(cfg loadtest.Config, ruleStr string, byz int, codecStr, hyperStr string) (err error) {
+	if cfg.Rule, err = buildRule(ruleStr, cfg.K, byz, cfg.Seed); err != nil {
+		return err
 	}
-	rep, err := loadtest.Run(loadtest.Config{
-		Clients:           clients,
-		UpdatesPerClient:  updates,
-		Concurrency:       concurrency,
-		Dim:               dim,
-		K:                 buffer,
-		Alpha:             alpha,
-		Rule:              rule,
-		ByzFraction:       byzFrac,
-		ChurnFraction:     churnFrac,
-		NonFiniteFraction: hostileFrac,
-		NonFinite:         policy,
-		Codec:             wire,
-		Seed:              seed,
-		Logf:              log.Printf,
-	})
+	if cfg.Codec, err = cliutil.Codec(codecStr, hyperStr); err != nil {
+		return err
+	}
+	rep, err := loadtest.Run(cfg)
 	if err != nil {
 		return err
 	}

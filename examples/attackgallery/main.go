@@ -18,48 +18,39 @@ func main() {
 		log.Fatal(err)
 	}
 
-	attacks := []struct {
-		name string
-		make func() signguard.Attack
-	}{
-		{"NoAttack", signguard.NewNoAttack},
-		{"Random", signguard.NewRandomAttack},
-		{"Sign-flip", signguard.NewSignFlipAttack},
-		{"LIE", func() signguard.Attack { return signguard.NewLIEAttack(0.3) }},
-		{"ByzMean", signguard.NewByzMeanAttack},
-		{"Min-Max", signguard.NewMinMaxAttack},
-		{"Min-Sum", signguard.NewMinSumAttack},
-	}
+	// Catalog names: the attacks run at their defaults (LIE's z = 0.3), the
+	// defenses are granted the true Byzantine count.
+	attacks := []string{"NoAttack", "Random", "Sign-flip", "LIE", "ByzMean", "Min-Max", "Min-Sum"}
+	defenses := []string{"Mean", "Median", "Multi-Krum", "SignGuard-Sim"}
 	const (
 		clients = 20
 		numByz  = 4
 	)
-	rules := []struct {
-		name string
-		make func() signguard.Rule
-	}{
-		{"Mean", signguard.NewMean},
-		{"Median", signguard.NewMedian},
-		{"Multi-Krum", func() signguard.Rule { return signguard.NewMultiKrum(numByz, clients-numByz) }},
-		{"SignGuard-Sim", func() signguard.Rule { return signguard.NewSignGuardSim(1) }},
-	}
 
 	fmt.Printf("%-10s", "attack")
-	for _, r := range rules {
-		fmt.Printf("  %13s", r.name)
+	for _, d := range defenses {
+		fmt.Printf("  %13s", d)
 	}
 	fmt.Println()
 
 	for _, a := range attacks {
-		fmt.Printf("%-10s", a.name)
-		for _, r := range rules {
+		fmt.Printf("%-10s", a)
+		for _, d := range defenses {
+			rule, err := signguard.NewDefense(d, signguard.DefenseParams{N: clients, F: numByz, Seed: 1})
+			if err != nil {
+				log.Fatal(err)
+			}
+			att, err := signguard.NewAttack(a, 0, 1)
+			if err != nil {
+				log.Fatal(err)
+			}
 			sim, err := signguard.NewSimulation(signguard.SimulationConfig{
 				Dataset: ds,
 				NewModel: func(rng *rand.Rand) (signguard.Classifier, error) {
 					return signguard.NewDeepImageCNN(rng, 3, 8, 8, 8, 16, 32, 10)
 				},
-				Rule:        r.make(),
-				Attack:      a.make(),
+				Rule:        rule,
+				Attack:      att,
 				Clients:     clients,
 				NumByz:      numByz,
 				Rounds:      80,

@@ -18,14 +18,23 @@ func main() {
 		log.Fatal(err)
 	}
 
-	train := func(rule signguard.Rule, s float64) float64 {
+	train := func(defense string, s float64) float64 {
+		// TrMean trims the granted Byzantine count, 4, from each side.
+		rule, err := signguard.NewDefense(defense, signguard.DefenseParams{N: 20, F: 4, Seed: 1})
+		if err != nil {
+			log.Fatal(err)
+		}
+		byzMean, err := signguard.NewAttack("ByzMean", 0, 1)
+		if err != nil {
+			log.Fatal(err)
+		}
 		sim, err := signguard.NewSimulation(signguard.SimulationConfig{
 			Dataset: ds,
 			NewModel: func(rng *rand.Rand) (signguard.Classifier, error) {
 				return signguard.NewImageCNN(rng, 1, 8, 8, 6, 32, 10)
 			},
 			Rule:        rule,
-			Attack:      signguard.NewByzMeanAttack(),
+			Attack:      byzMean,
 			Clients:     20,
 			NumByz:      4,
 			Rounds:      100,
@@ -51,16 +60,10 @@ func main() {
 
 	fmt.Println("ByzMean attack, 20% Byzantine, non-IID Fashion analog:")
 	fmt.Printf("%-15s %8s %8s %8s\n", "defense", "s=0.3", "s=0.5", "s=0.8")
-	for _, r := range []struct {
-		name string
-		make func() signguard.Rule
-	}{
-		{"TrMean", func() signguard.Rule { return signguard.NewTrimmedMean(4) }},
-		{"SignGuard-Sim", func() signguard.Rule { return signguard.NewSignGuardSim(1) }},
-	} {
-		fmt.Printf("%-15s", r.name)
+	for _, defense := range []string{"TrMean", "SignGuard-Sim"} {
+		fmt.Printf("%-15s", defense)
 		for _, s := range []float64{0.3, 0.5, 0.8} {
-			fmt.Printf(" %7.2f%%", train(r.make(), s))
+			fmt.Printf(" %7.2f%%", train(defense, s))
 		}
 		fmt.Println()
 	}

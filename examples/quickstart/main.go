@@ -1,7 +1,7 @@
 // Quickstart: train a federated model under the "Little is Enough" attack
 // with and without SignGuard, and compare. This is the minimal end-to-end
-// use of the public API: a dataset analog, a model, an attack, and two
-// aggregation rules.
+// use of the public API: a dataset analog, a model, and attacks and
+// defenses built by their catalog names.
 package main
 
 import (
@@ -20,7 +20,17 @@ func main() {
 		log.Fatal(err)
 	}
 
-	train := func(rule signguard.Rule, att signguard.Attack) float64 {
+	// train runs one federation with the named defense against the named
+	// attack (LIE at its default z = 0.3).
+	train := func(defense, attack string) float64 {
+		rule, err := signguard.NewDefense(defense, signguard.DefenseParams{N: 20, F: 4, Seed: 1})
+		if err != nil {
+			log.Fatal(err)
+		}
+		att, err := signguard.NewAttack(attack, 0, 1)
+		if err != nil {
+			log.Fatal(err)
+		}
 		sim, err := signguard.NewSimulation(signguard.SimulationConfig{
 			Dataset: ds,
 			NewModel: func(rng *rand.Rand) (signguard.Classifier, error) {
@@ -48,9 +58,9 @@ func main() {
 		return res.BestAccuracy
 	}
 
-	baseline := train(signguard.NewMean(), signguard.NewNoAttack())
-	attacked := train(signguard.NewMean(), signguard.NewLIEAttack(0.3))
-	guarded := train(signguard.NewSignGuard(1), signguard.NewLIEAttack(0.3))
+	baseline := train("Mean", "NoAttack")
+	attacked := train("Mean", "LIE")
+	guarded := train("SignGuard", "LIE")
 
 	fmt.Println("LIE attack, 20% Byzantine clients:")
 	fmt.Printf("  no attack, plain mean:   %6.2f%%\n", baseline)

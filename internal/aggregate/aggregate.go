@@ -1,8 +1,9 @@
 // Package aggregate implements the gradient aggregation rules (GARs) that
 // the paper compares SignGuard against: plain Mean, coordinate-wise
 // Trimmed-Mean and Median (Yin et al.), geometric median, Krum/Multi-Krum
-// (Blanchard et al.), Bulyan (El Mhamdi et al.), Divide-and-Conquer
-// (Shejwalkar & Houmansadr) and signSGD majority vote (Bernstein et al.).
+// (Blanchard et al.), Bulyan (El Mhamdi et al.) and Divide-and-Conquer
+// (Shejwalkar & Houmansadr), plus the related-work families FLTrust, FLAME
+// and median-of-means.
 //
 // Every rule consumes the per-client flat gradient vectors of one round and
 // produces a single aggregated gradient plus, when the rule performs

@@ -113,7 +113,7 @@ func TestGeoMedResistsOutlier(t *testing.T) {
 
 func TestKrumSelectsFromInputs(t *testing.T) {
 	grads := honestSet(3, 12, 5, 0, 1)
-	k := NewKrum(2)
+	k := NewMultiKrum(2, 1)
 	res, err := k.Aggregate(grads)
 	if err != nil {
 		t.Fatal(err)
@@ -146,7 +146,7 @@ func TestKrumRejectsFarOutliers(t *testing.T) {
 			t.Errorf("Multi-Krum selected outlier %d", idx)
 		}
 	}
-	if _, err := NewKrum(5).Aggregate(grads[:5]); err == nil {
+	if _, err := NewMultiKrum(5, 1).Aggregate(grads[:5]); err == nil {
 		t.Error("Krum accepted n < 2F+3")
 	}
 }
@@ -219,17 +219,6 @@ func TestDnCValidation(t *testing.T) {
 	d := NewDnC(4, 1)
 	if _, err := d.Aggregate(grads); err == nil {
 		t.Error("DnC accepted removing all gradients")
-	}
-}
-
-func TestSignSGDMajority(t *testing.T) {
-	grads := [][]float64{{1, -1, 0}, {2, -2, 0}, {-3, 3, 0}}
-	res, err := NewSignSGDMajority(1).Aggregate(grads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tensor.Equal(res.Gradient, []float64{1, -1, 0}, 0) {
-		t.Errorf("SignSGD = %v", res.Gradient)
 	}
 }
 

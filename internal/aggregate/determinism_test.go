@@ -24,7 +24,6 @@ func newRules(workers int) []Rule {
 		&TrimmedMean{K: 5},
 		&Median{},
 		&Mean{},
-		&SignSGDMajority{Scale: 1},
 		NewNormClip(&GeoMed{MaxIter: 100, Tol: 1e-8}, 0),
 	}
 	for _, r := range rules {

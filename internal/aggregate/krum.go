@@ -28,10 +28,7 @@ type MultiKrum struct {
 var _ Rule = (*MultiKrum)(nil)
 var _ WorkersSetter = (*MultiKrum)(nil)
 
-// NewKrum returns plain Krum (selects a single gradient).
-func NewKrum(f int) *MultiKrum { return &MultiKrum{F: f, M: 1} }
-
-// NewMultiKrum returns Multi-Krum selecting m gradients.
+// NewMultiKrum returns Multi-Krum selecting m gradients (m = 1 is Krum).
 func NewMultiKrum(f, m int) *MultiKrum { return &MultiKrum{F: f, M: m} }
 
 // Name implements Rule.

@@ -168,62 +168,6 @@ func (g *GeoMed) Aggregate(grads [][]float64) (*Result, error) {
 	return &Result{Gradient: x}, nil
 }
 
-// SignSGDMajority aggregates only the signs of the gradients (Bernstein et
-// al.): the output coordinate is the majority sign, with magnitude Scale.
-type SignSGDMajority struct {
-	// Scale is the magnitude applied to the majority sign (default 1).
-	Scale float64
-	// Workers bounds the kernel parallelism (0 = automatic, 1 = sequential);
-	// the output is byte-identical for any value.
-	Workers int
-}
-
-var _ Rule = (*SignSGDMajority)(nil)
-var _ WorkersSetter = (*SignSGDMajority)(nil)
-
-// NewSignSGDMajority returns the sign majority-vote rule.
-func NewSignSGDMajority(scale float64) *SignSGDMajority {
-	if scale <= 0 {
-		scale = 1
-	}
-	return &SignSGDMajority{Scale: scale}
-}
-
-// Name implements Rule.
-func (*SignSGDMajority) Name() string { return "SignSGD" }
-
-// SetWorkers implements WorkersSetter.
-func (s *SignSGDMajority) SetWorkers(n int) { s.Workers = n }
-
-// Aggregate implements Rule.
-func (s *SignSGDMajority) Aggregate(grads [][]float64) (*Result, error) {
-	d, err := validate(grads)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, d)
-	parallel.For(parallel.Resolve(s.Workers), d, func(_, start, end int) {
-		for j := start; j < end; j++ {
-			var vote float64
-			for _, g := range grads {
-				switch {
-				case g[j] > 0:
-					vote++
-				case g[j] < 0:
-					vote--
-				}
-			}
-			switch {
-			case vote > 0:
-				out[j] = s.Scale
-			case vote < 0:
-				out[j] = -s.Scale
-			}
-		}
-	})
-	return &Result{Gradient: out}, nil
-}
-
 // NormClip scales each gradient to at most the given bound before
 // delegating to an inner rule. A non-positive bound means "use the median
 // norm of the round's gradients", the clipping rule SignGuard uses.

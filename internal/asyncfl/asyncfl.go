@@ -83,6 +83,9 @@ type Config struct {
 	// their own aggregate, since per-client staleness cannot be attributed
 	// through them — and so does any rule on a buffer with no stale update,
 	// where every merge weight is exactly 1. nil merges the whole buffer.
+	// A rule that needs a server reference gradient (an
+	// aggregate.ServerLearner such as FLTrust, guarded or not) is refused:
+	// the serving path has no root dataset to compute one from.
 	Rule aggregate.Rule
 	// LR / Momentum / WeightDecay configure the server-side SGD step.
 	LR          float64
@@ -145,6 +148,9 @@ func (c *Config) validate() error {
 		return fmt.Errorf("asyncfl: reorder window %d invalid", c.ReorderWindow)
 	case c.NonFinite != 0 && !c.NonFinite.Valid():
 		return fmt.Errorf("asyncfl: unknown non-finite policy %d", int(c.NonFinite))
+	}
+	if _, ok := aggregate.Unwrap(c.Rule).(aggregate.ServerLearner); ok {
+		return fmt.Errorf("asyncfl: rule %s needs a server reference gradient, which the serving path does not compute", c.Rule.Name())
 	}
 	return nil
 }

@@ -3,11 +3,13 @@ package asyncfl
 import (
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/signguard/signguard/internal/aggregate"
+	"github.com/signguard/signguard/internal/defense"
 	"github.com/signguard/signguard/internal/nn"
 	"github.com/signguard/signguard/internal/tensor"
 )
@@ -386,6 +388,29 @@ func TestConfigValidation(t *testing.T) {
 		mutate(&cfg)
 		if _, err := New(cfg); err == nil {
 			t.Errorf("case %d: invalid config accepted", i)
+		}
+	}
+}
+
+// TestRefusesServerLearner: FLTrust needs a server reference gradient and
+// would fail every step for want of one, so New refuses it up front — behind
+// the registry's FiniteGuard too — naming it; every other catalog defense
+// is served.
+func TestRefusesServerLearner(t *testing.T) {
+	for _, name := range defense.Builtin().Names() {
+		rule, err := defense.Builtin().Build(name, defense.Params{N: 8, F: 1, Seed: 1})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		cfg := testConfig(2, 2)
+		cfg.Rule = rule
+		_, err = New(cfg)
+		if name == "FLTrust" {
+			if err == nil || !strings.Contains(err.Error(), "FLTrust") {
+				t.Errorf("New with a guarded FLTrust: %v, want an error naming FLTrust", err)
+			}
+		} else if err != nil {
+			t.Errorf("%s: %v", name, err)
 		}
 	}
 }

@@ -31,6 +31,7 @@ import (
 
 	"github.com/signguard/signguard/internal/aggregate"
 	"github.com/signguard/signguard/internal/asyncfl"
+	"github.com/signguard/signguard/internal/attack"
 	"github.com/signguard/signguard/internal/codec"
 	"github.com/signguard/signguard/internal/sanitize"
 	"github.com/signguard/signguard/internal/tensor"
@@ -63,7 +64,8 @@ type Config struct {
 	Codec codec.Codec
 	// LR is the server learning rate (default 0.05).
 	LR float64
-	// ByzFraction of clients submit sign-flipped, 5x-scaled gradients.
+	// ByzFraction of clients submit the attack catalog's Reverse at scale
+	// 5 — sign-flipped, 5x-scaled gradients — crafted via attack.Local.
 	ByzFraction float64
 	// NonFiniteFraction of clients are hostile in the non-finite sense:
 	// every submission is a qsgd payload whose finite Scale amplifies to
@@ -119,6 +121,9 @@ func (c *Config) fill() error {
 	}
 	if c.Dim == 0 {
 		c.Dim = 64
+	}
+	if c.Dim < 0 {
+		return fmt.Errorf("loadtest: dimension %d invalid", c.Dim)
 	}
 	if c.K == 0 {
 		c.K = 32
@@ -241,6 +246,16 @@ func Run(cfg Config) (*Report, error) {
 		logf = func(string, ...any) {}
 	}
 
+	// The Byzantine fleet's attack: the catalog's Reverse at scale 5. It
+	// is stateless, so one instance serves every Byzantine client.
+	spec, err := attack.Builtin().Lookup("Reverse")
+	if err != nil {
+		return nil, err
+	}
+	byz, err := spec.New(5, 0)
+	if err != nil {
+		return nil, err
+	}
 	rng := tensor.NewRNG(cfg.Seed)
 	optimum := tensor.RandNormal(rng, cfg.Dim, 0, 1)
 	initial := make([]float64, cfg.Dim) // zeros: RMS error = |optimum| RMS
@@ -292,7 +307,7 @@ func Run(cfg Config) (*Report, error) {
 		go func(w int) {
 			defer wg.Done()
 			for i := range jobs {
-				if err := runClient(&cfg, base, shared, optimum, i, &lats[w], &accepted); err != nil {
+				if err := runClient(&cfg, base, shared, optimum, byz, i, &lats[w], &accepted); err != nil {
 					firstErr.CompareAndSwap(nil, err)
 				}
 			}
@@ -372,9 +387,9 @@ func Run(cfg Config) (*Report, error) {
 // runClient simulates one client session end to end: fetch-compute-submit
 // in a loop, recording each submit's round-trip latency (submitting also
 // registers and renews the session's liveness lease). Byzantine clients
-// submit sign-flipped 5x gradients; churned clients stop after one update
-// and never renew again, so their lease expires.
-func runClient(cfg *Config, base string, httpc *http.Client, optimum []float64, i int, lats *[]time.Duration, accepted *atomic.Int64) error {
+// submit what byz crafts from their honest gradient; churned clients stop
+// after one update and never renew again, so their lease expires.
+func runClient(cfg *Config, base string, httpc *http.Client, optimum []float64, byz attack.Attack, i int, lats *[]time.Duration, accepted *atomic.Int64) error {
 	isByz, isChurn, isHostile := roles(cfg, i)
 	updates := cfg.UpdatesPerClient
 	if isChurn {
@@ -400,20 +415,23 @@ func runClient(cfg *Config, base string, httpc *http.Client, optimum []float64, 
 			return nil
 		}
 		for j := range grad {
-			g := model.Params[j] - optimum[j] + 0.1*noise.NormFloat64()
-			if isByz {
-				g = -5 * g
+			grad[j] = model.Params[j] - optimum[j] + 0.1*noise.NormFloat64()
+		}
+		sub := grad
+		if isByz {
+			// Reverse draws nothing from the noise stream it is handed.
+			if sub, err = attack.Local(byz, grad, noise); err != nil {
+				return fmt.Errorf("client %d: %w", i, err)
 			}
-			grad[j] = g
 		}
 		t0 := time.Now()
 		var res asyncfl.SubmitResult
 		if cfg.Codec == nil {
-			res, err = c.Submit(ctx, model.Version, 0, grad)
+			res, err = c.Submit(ctx, model.Version, 0, sub)
 		} else {
 			// The noise RNG doubles as the codec stream: both are
 			// per-session, so encoding stays deterministic per client.
-			enc, encErr := cfg.Codec.Encode(grad, noise)
+			enc, encErr := cfg.Codec.Encode(sub, noise)
 			if encErr != nil {
 				return fmt.Errorf("client %d: codec %s: %w", i, cfg.Codec.Name(), encErr)
 			}

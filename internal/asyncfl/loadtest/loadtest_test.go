@@ -196,6 +196,7 @@ func TestLoadConfigValidation(t *testing.T) {
 		{Clients: 10, UpdatesPerClient: -1},
 		{Clients: 10, Concurrency: -2},
 		{Clients: 10, NonFiniteFraction: 2},
+		{Clients: 10, Dim: -1},
 	}
 	for i, cfg := range bad {
 		if _, err := Run(cfg); err == nil {

@@ -91,6 +91,19 @@ type Attack interface {
 	Craft(ctx *Context) ([][]float64, error)
 }
 
+// Local crafts a's gradient for one networked client that sees nothing but
+// its own honest gradient g: no cohort, no filtering history. The one-client
+// Context lists g both as the observed benign gradient (validate requires
+// one) and as the client's own, and rng drives any randomness the attack
+// draws. g is not modified.
+func Local(a Attack, g []float64, rng *rand.Rand) ([]float64, error) {
+	out, err := a.Craft(&Context{Benign: [][]float64{g}, ByzOwn: [][]float64{g}, Rng: rng})
+	if err != nil {
+		return nil, err
+	}
+	return out[0], nil
+}
+
 // DataPoisoner is implemented by attacks that corrupt the Byzantine
 // clients' local training data instead of (or in addition to) their
 // gradients, e.g. label flipping.

@@ -125,6 +125,22 @@ func TestSignFlipAndReverse(t *testing.T) {
 	}
 }
 
+// TestLocal: a networked client crafts from its own gradient alone, which
+// Local leaves untouched, and a crafting error comes back as-is.
+func TestLocal(t *testing.T) {
+	g := []float64{1, -2, 0.5}
+	out, err := Local(NewReverse(5), g, tensor.NewRNG(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !tensor.Equal(out, []float64{-5, 10, -2.5}, 0) || !tensor.Equal(g, []float64{1, -2, 0.5}, 0) {
+		t.Errorf("Local(Reverse 5) = %v from %v", out, g)
+	}
+	if _, err := Local(NewReverse(-1), g, tensor.NewRNG(1)); err == nil {
+		t.Error("Local swallowed the attack's error")
+	}
+}
+
 func TestLabelFlipPoisonsData(t *testing.T) {
 	lf := NewLabelFlip()
 	xs := []data.Example{{Label: 1}, {Label: 8}}

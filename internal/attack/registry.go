@@ -9,8 +9,9 @@ import "github.com/signguard/signguard/internal/catalog"
 //
 // The catalog is the single source of truth for attack enumeration: the
 // campaign registry registers every entry straight from it, the experiments
-// tables hold names only, and the CLI mode lists are cross-checked against
-// it by tests — nothing else declares an attack constructor.
+// tables hold names only, and flclient's -byzantine modes, the load
+// harness's Byzantine fleet and the public façade build from it by name —
+// nothing else declares an attack constructor.
 type Spec struct {
 	// Name is the stable catalog key (the tables' column label).
 	Name string

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 )
 
 // Catalog maps names to values in registration order, which is the order
@@ -64,13 +65,31 @@ func (c *Catalog[T]) Has(name string) bool {
 	return ok
 }
 
-// Lookup returns the value registered under name.
+// Lookup returns the value registered under name. When an unknown name
+// matches exactly one registered name once case, '-' and '_' are ignored,
+// the error suggests it: "signflip" gets (did you mean "Sign-flip"?).
 func (c *Catalog[T]) Lookup(name string) (T, error) {
 	v, ok := c.items[name]
 	if !ok {
-		return v, fmt.Errorf("%s: unknown %s %q", c.kind, c.kind, name)
+		return v, fmt.Errorf("%s: unknown %s %q%s", c.kind, c.kind, name, c.suggest(name))
 	}
 	return v, nil
+}
+
+// suggest returns the " (did you mean ...?)" suffix for an unknown name,
+// or "" when no registered name, or more than one, matches it loosely.
+func (c *Catalog[T]) suggest(name string) string {
+	loose := strings.NewReplacer("-", "", "_", "")
+	var match []string
+	for _, n := range c.order {
+		if strings.EqualFold(loose.Replace(n), loose.Replace(name)) {
+			match = append(match, n)
+		}
+	}
+	if len(match) != 1 {
+		return ""
+	}
+	return fmt.Sprintf(" (did you mean %q?)", match[0])
 }
 
 // Values returns the registered values in registration order.

@@ -102,6 +102,15 @@ func TestMessages(t *testing.T) {
 			`codec: topk does not accept hyperparameter(s) [levels] (accepts [k])`},
 		{codecs.ValidateHyper(codec.SignSGD, map[string]float64{"k": 1}),
 			`codec: signsgd does not accept hyperparameter(s) [k] (accepts [])`},
+		// An unknown name that matches one registered name up to case, '-'
+		// and '_' names it; no match, or an ambiguous one, adds nothing.
+		{errOf(defs.Lookup("signguard")), `defense: unknown defense "signguard" (did you mean "SignGuard"?)`},
+		{errOf(defs.Build("signguard-sim", defense.Params{N: 10, F: 2})), `defense: unknown defense "signguard-sim" (did you mean "SignGuard-Sim"?)`},
+		{errOf(defs.Lookup("multi_krum")), `defense: unknown defense "multi_krum" (did you mean "Multi-Krum"?)`},
+		{errOf(defs.Lookup("krum")), `defense: unknown defense "krum"`},
+		{errOf(attacks.Lookup("signflip")), `attack: unknown attack "signflip" (did you mean "Sign-flip"?)`},
+		{errOf(codecs.Lookup("TopK")), `codec: unknown codec "TopK" (did you mean "topk"?)`},
+		{errOf(catalog.Must("thing", func(s string) string { return s }, "a-b", "a_b").Lookup("ab")), `thing: unknown thing "ab"`},
 	} {
 		if tc.err == nil || tc.err.Error() != tc.want {
 			t.Errorf("error %v, want %q", tc.err, tc.want)

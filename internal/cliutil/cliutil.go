@@ -100,17 +100,6 @@ func PositiveDuration(flag string, d time.Duration) error {
 	return nil
 }
 
-// Enum requires v to be one of allowed ("" is rejected like any other
-// non-member; callers treating empty as "unset" should skip the check).
-func Enum(flag, v string, allowed ...string) error {
-	for _, a := range allowed {
-		if v == a {
-			return nil
-		}
-	}
-	return fmt.Errorf("%s: unknown value %q (want %s)", flag, v, strings.Join(allowed, "|"))
-}
-
 // ParseHyper parses a "key=value,key=value" hyperparameter flag
 // ("k=64" / "levels=4,seed=7") into the map form the registries take.
 // An empty string is no hyperparameters (nil map).

@@ -6,7 +6,8 @@
 // Before this package, SignGuard reached the engine only by masquerading as
 // an aggregate.Rule through ad-hoc closure tables in internal/experiments.
 // Now a single Registry is consumed uniformly by the campaign engine, the
-// experiments harness and both CLIs, and defense hyperparameters
+// experiments harness, every CLI, the serving path (flserver -rule) and the
+// public façade, and defense hyperparameters
 // (SignGuard's coordinate fraction, DnC's subsampling dimension, ...) are
 // plain named values — which makes hyperparameter sweeps ordinary grid
 // axes.

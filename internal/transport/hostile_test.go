@@ -25,7 +25,7 @@ import (
 // gradients at every door a gradient can come through: five honest clients
 // and one hostile client run 20 rounds over each kind of session, under an
 // undefended mean, a Multi-Krum that selects the whole buffer (what
-// `flserver -rule multikrum` builds at -byz 0) and SignGuard with the KMeans
+// `flserver -rule Multi-Krum` builds at -byz 0) and SignGuard with the KMeans
 // sign filter — the exact defense of the original crash chain (NaN features
 // -> NaN inertia in every KMeans restart -> nil cluster result -> nil
 // deref), FiniteGuard-wrapped as the defense registry wraps it. Every

@@ -11,13 +11,14 @@
 // use:
 //
 //	ds, _ := signguard.MNISTLike(1, 4000, 1000)
+//	lie, _ := signguard.NewAttack("LIE", 0.3, 1)
 //	sim, _ := signguard.NewSimulation(signguard.SimulationConfig{
 //		Dataset:  ds,
 //		NewModel: func(rng *rand.Rand) (signguard.Classifier, error) {
 //			return signguard.NewImageCNN(rng, 1, 8, 8, 6, 32, 10)
 //		},
 //		Rule:    signguard.NewSignGuard(1),
-//		Attack:  signguard.NewLIEAttack(0.3),
+//		Attack:  lie,
 //		Clients: 50, NumByz: 10, Rounds: 100, BatchSize: 16,
 //		LR: 0.1, Momentum: 0.9, WeightDecay: 5e-4, Seed: 1,
 //	})
@@ -33,6 +34,7 @@ import (
 	"github.com/signguard/signguard/internal/attack"
 	"github.com/signguard/signguard/internal/core"
 	"github.com/signguard/signguard/internal/data"
+	"github.com/signguard/signguard/internal/defense"
 	"github.com/signguard/signguard/internal/fl"
 	"github.com/signguard/signguard/internal/nn"
 )
@@ -82,7 +84,7 @@ const (
 	KMeansAlgo    = core.KMeansAlgo
 )
 
-// ---- Aggregation rules (baseline defenses) ----
+// ---- Defenses ----
 
 // Rule is the gradient aggregation interface every defense implements.
 type Rule = aggregate.Rule
@@ -90,32 +92,19 @@ type Rule = aggregate.Rule
 // AggregationResult is a rule's per-round output (gradient + selected set).
 type AggregationResult = aggregate.Result
 
-// NewMean returns the naive averaging rule (no defense).
-func NewMean() Rule { return aggregate.NewMean() }
+// DefenseParams is the constructor input of every catalog defense: the
+// cohort size N, the Byzantine count F granted to the baselines (SignGuard
+// ignores it), a seed, and optional named hyperparameters.
+type DefenseParams = defense.Params
 
-// NewTrimmedMean returns the coordinate-wise trimmed mean, trimming k per side.
-func NewTrimmedMean(k int) Rule { return aggregate.NewTrimmedMean(k) }
-
-// NewMedian returns the coordinate-wise median rule.
-func NewMedian() Rule { return aggregate.NewMedian() }
-
-// NewGeoMed returns the geometric-median (Weiszfeld) rule.
-func NewGeoMed() Rule { return aggregate.NewGeoMed() }
-
-// NewKrum returns Krum with assumed Byzantine count f.
-func NewKrum(f int) Rule { return aggregate.NewKrum(f) }
-
-// NewMultiKrum returns Multi-Krum selecting m gradients.
-func NewMultiKrum(f, m int) Rule { return aggregate.NewMultiKrum(f, m) }
-
-// NewBulyan returns Bulyan with assumed Byzantine count f (needs n ≥ 4f+2).
-func NewBulyan(f int) Rule { return aggregate.NewBulyan(f) }
-
-// NewDnC returns Divide-and-Conquer spectral filtering.
-func NewDnC(f int, seed int64) Rule { return aggregate.NewDnC(f, seed) }
-
-// NewSignSGDMajority returns the signSGD majority-vote rule.
-func NewSignSGDMajority(scale float64) Rule { return aggregate.NewSignSGDMajority(scale) }
+// NewDefense builds the catalog defense name, a row label of the paper's
+// tables ("Mean", "TrMean", "Multi-Krum", "SignGuard-Sim", ...). The rule
+// is wrapped in a guard that turns a non-finite aggregate into an error.
+// An unknown name is an error, with a suggestion when it differs from a
+// catalog name only in case, '-' or '_'.
+func NewDefense(name string, p DefenseParams) (Rule, error) {
+	return defense.Builtin().Build(name, p)
+}
 
 // ---- Attacks ----
 
@@ -126,52 +115,6 @@ type Attack = attack.Attack
 // AttackContext is what the adversary observes each round.
 type AttackContext = attack.Context
 
-// NewNoAttack returns the honest (no attack) strategy.
-func NewNoAttack() Attack { return attack.NewNone() }
-
-// NewRandomAttack returns the Gaussian random-gradient attack.
-func NewRandomAttack() Attack { return attack.NewRandom() }
-
-// NewNoiseAttack returns the additive Gaussian noise attack.
-func NewNoiseAttack() Attack { return attack.NewNoise() }
-
-// NewSignFlipAttack returns the gradient sign-flipping attack.
-func NewSignFlipAttack() Attack { return attack.NewSignFlip() }
-
-// NewLabelFlipAttack returns the label-flipping data-poisoning attack.
-func NewLabelFlipAttack() Attack { return attack.NewLabelFlip() }
-
-// NewLIEAttack returns the "A Little Is Enough" attack with factor z
-// (z <= 0 derives z_max from Eq. 2 each round).
-func NewLIEAttack(z float64) Attack { return attack.NewLIE(z) }
-
-// NewByzMeanAttack returns the paper's ByzMean hybrid attack (Eq. 8).
-func NewByzMeanAttack() Attack { return attack.NewByzMean() }
-
-// NewMinMaxAttack returns the Min-Max attack (Eq. 14).
-func NewMinMaxAttack() Attack { return attack.NewMinMax() }
-
-// NewMinSumAttack returns the Min-Sum attack (Eq. 15).
-func NewMinSumAttack() Attack { return attack.NewMinSum() }
-
-// NewReverseAttack returns the scaled reverse (−r·g) ablation attack.
-func NewReverseAttack(scale float64) Attack { return attack.NewReverse(scale) }
-
-// NewSignKeepingAttack returns the adaptive white-box attack (an
-// implementation of the paper's future-work discussion): it preserves the
-// honest mean's exact sign statistics and norm while shuffling magnitudes
-// within each sign class, evading the plain sign filter by construction.
-func NewSignKeepingAttack() Attack { return attack.NewSignKeeping() }
-
-// NewTimeVaryingAttack re-draws a strategy from pool every switchEvery
-// rounds (Fig. 5's protocol).
-func NewTimeVaryingAttack(pool []Attack, switchEvery int, seed int64) (Attack, error) {
-	return attack.NewTimeVarying(pool, switchEvery, seed)
-}
-
-// DefaultAttackPool returns the Fig. 5 candidate pool (incl. no-attack).
-func DefaultAttackPool() []Attack { return attack.DefaultTimeVaryingPool() }
-
 // Adversary is the round-aware attacker interface of the pipeline: its
 // Context carries the round index and the previous rounds' filtering
 // history when the attack declares it needs them.
@@ -181,10 +124,19 @@ type Adversary = attack.Adversary
 // omniscient adaptive adversary.
 type AttackObservation = attack.Observation
 
-// NewAdaptiveMinMaxAttack returns the history-aware Min-Max port: it
-// tightens or relaxes its distance constraint from the defense's observed
-// filtering decisions.
-func NewAdaptiveMinMaxAttack() Adversary { return attack.NewAdaptiveMinMax() }
+// NewAttack builds the catalog attack name, a column label of the paper's
+// tables ("NoAttack", "Sign-flip", "LIE", "Min-Max", ...) or an ablation or
+// adaptive attack ("Reverse", "TimeVarying", "Adaptive-Min-Max", ...).
+// param is the attack's scalar knob — LIE's z, Reverse's scale,
+// TimeVarying's switch period — with 0 selecting its default; seed drives
+// any construction-time randomness.
+func NewAttack(name string, param float64, seed int64) (Attack, error) {
+	spec, err := attack.Builtin().Lookup(name)
+	if err != nil {
+		return nil, err
+	}
+	return spec.New(param, seed)
+}
 
 // ---- Round pipeline ----
 
@@ -296,5 +248,5 @@ type AggregatorConfig = asyncfl.Config
 type Aggregator = asyncfl.Aggregator
 
 // NewAggregator builds the aggregation core that cmd/flserver serves over
-// HTTP.
+// HTTP. A rule needing a server reference gradient (FLTrust) is refused.
 func NewAggregator(cfg AggregatorConfig) (*Aggregator, error) { return asyncfl.New(cfg) }

@@ -2,9 +2,12 @@ package signguard_test
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	signguard "github.com/signguard/signguard"
+	"github.com/signguard/signguard/internal/attack"
+	"github.com/signguard/signguard/internal/defense"
 )
 
 // TestPublicAPIEndToEnd exercises the façade: dataset → model → attack →
@@ -14,13 +17,17 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	lie, err := signguard.NewAttack("LIE", 0.3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	sim, err := signguard.NewSimulation(signguard.SimulationConfig{
 		Dataset: ds,
 		NewModel: func(rng *rand.Rand) (signguard.Classifier, error) {
 			return signguard.NewMLP(rng, ds.FeatureDim(), 16, 10)
 		},
 		Rule:        signguard.NewSignGuard(1),
-		Attack:      signguard.NewLIEAttack(0.3),
+		Attack:      lie,
 		Clients:     10,
 		NumByz:      2,
 		Rounds:      10,
@@ -46,47 +53,33 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 }
 
-// TestPublicAPIConstructors sanity-checks every re-exported constructor.
+// TestPublicAPIConstructors: the façade builds every catalog defense and
+// attack by name, refuses an unknown name with the catalog's hint, and
+// keeps the SignGuard family's direct constructors.
 func TestPublicAPIConstructors(t *testing.T) {
-	rules := []signguard.Rule{
-		signguard.NewMean(),
-		signguard.NewTrimmedMean(2),
-		signguard.NewMedian(),
-		signguard.NewGeoMed(),
-		signguard.NewKrum(2),
-		signguard.NewMultiKrum(2, 5),
-		signguard.NewBulyan(2),
-		signguard.NewDnC(2, 1),
-		signguard.NewSignSGDMajority(1),
-		signguard.NewSignGuard(1),
-		signguard.NewSignGuardSim(1),
-		signguard.NewSignGuardDist(1),
+	for _, name := range defense.Builtin().Names() {
+		r, err := signguard.NewDefense(name, signguard.DefenseParams{N: 10, F: 2, Seed: 1})
+		if err != nil || r.Name() == "" {
+			t.Errorf("NewDefense(%q) = %v, %v", name, r, err)
+		}
 	}
-	for _, r := range rules {
+	for _, name := range attack.Builtin().Names() {
+		a, err := signguard.NewAttack(name, 0, 1)
+		if err != nil || a.Name() == "" {
+			t.Errorf("NewAttack(%q) = %v, %v", name, a, err)
+		}
+	}
+	if _, err := signguard.NewDefense("multikrum", signguard.DefenseParams{N: 10, F: 2}); err == nil ||
+		!strings.Contains(err.Error(), `did you mean "Multi-Krum"`) {
+		t.Errorf("NewDefense(multikrum): %v, want the catalog's hint", err)
+	}
+	if _, err := signguard.NewAttack("lie", 0, 1); err == nil || !strings.Contains(err.Error(), `did you mean "LIE"`) {
+		t.Errorf("NewAttack(lie): %v, want the catalog's hint", err)
+	}
+	for _, r := range []signguard.Rule{signguard.NewSignGuard(1), signguard.NewSignGuardSim(1), signguard.NewSignGuardDist(1)} {
 		if r.Name() == "" {
 			t.Error("rule with empty name")
 		}
-	}
-	attacks := []signguard.Attack{
-		signguard.NewNoAttack(),
-		signguard.NewRandomAttack(),
-		signguard.NewNoiseAttack(),
-		signguard.NewSignFlipAttack(),
-		signguard.NewLabelFlipAttack(),
-		signguard.NewLIEAttack(0.3),
-		signguard.NewByzMeanAttack(),
-		signguard.NewMinMaxAttack(),
-		signguard.NewMinSumAttack(),
-		signguard.NewReverseAttack(10),
-		signguard.NewSignKeepingAttack(),
-	}
-	for _, a := range attacks {
-		if a.Name() == "" {
-			t.Error("attack with empty name")
-		}
-	}
-	if _, err := signguard.NewTimeVaryingAttack(signguard.DefaultAttackPool(), 5, 1); err != nil {
-		t.Errorf("time-varying: %v", err)
 	}
 	cfg := signguard.DefaultSignGuardConfig()
 	if _, err := signguard.NewSignGuardFromConfig(cfg); err != nil {
@@ -102,13 +95,17 @@ func Example() {
 	if err != nil {
 		panic(err)
 	}
+	byzMean, err := signguard.NewAttack("ByzMean", 0, 1)
+	if err != nil {
+		panic(err)
+	}
 	sim, err := signguard.NewSimulation(signguard.SimulationConfig{
 		Dataset: ds,
 		NewModel: func(rng *rand.Rand) (signguard.Classifier, error) {
 			return signguard.NewDeepImageCNN(rng, 3, 8, 8, 8, 16, 32, 10)
 		},
 		Rule:        signguard.NewSignGuardSim(1),
-		Attack:      signguard.NewByzMeanAttack(),
+		Attack:      byzMean,
 		Clients:     50,
 		NumByz:      10,
 		Rounds:      200,
