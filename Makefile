@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test loc conformance serve-smoke race bench perf perf-compare trajectory profile profile-top cover fmt-check doc-check vet fuzz
+.PHONY: all build test loc conformance serve-smoke paper-smoke race bench perf perf-compare trajectory profile profile-top cover fmt-check doc-check vet fuzz
 
 # Fuzz budget per target for `make fuzz` (CI passes FUZZTIME=10s; raise it
 # locally for deeper runs, e.g. make fuzz FUZZTIME=2m).
@@ -43,6 +43,17 @@ conformance:
 # otherwise show up only by hand; the CI test job runs this.
 serve-smoke:
 	$(GO) run ./cmd/flserver -loadtest -load-clients 500 -load-byz 0.2 -rule SignGuard
+
+# Run cmd/campaign's main end to end once: flag parsing, the 2-cell fig2
+# grid at bench scale into a temporary store (a few seconds), then its
+# markdown export from that store. Fails on an error or an empty table;
+# the CI test job runs this after serve-smoke.
+paper-smoke:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	$(GO) build -o "$$dir/campaign" ./cmd/campaign && \
+	"$$dir/campaign" run -name fig2 -scale bench -cache-dir "$$dir/cache" && \
+	"$$dir/campaign" export -name fig2 -scale bench -cache-dir "$$dir/cache" -format md > "$$dir/fig2.md" && \
+	test -s "$$dir/fig2.md" && cat "$$dir/fig2.md"
 
 # Compile and execute every Go benchmark exactly once, so benchmark code
 # that rots fails loudly (the CI bench job runs this). The numbers are not a

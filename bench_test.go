@@ -5,9 +5,11 @@
 // The per-experiment benchmarks run a miniature version of each sweep (10
 // clients, 20 rounds, small data) so that `go test -bench=.` terminates in
 // minutes; run them with -v to see the regenerated rows. The full-size
-// regeneration lives in cmd/reproduce:
+// regeneration runs through cmd/campaign, which computes the grid into its
+// store and then renders the tables from it:
 //
-//	go run ./cmd/reproduce -exp table1 -scale standard
+//	go run ./cmd/campaign run -name table1 -scale standard
+//	go run ./cmd/campaign export -name table1 -scale standard -format md
 package signguard_test
 
 import (
@@ -46,7 +48,11 @@ func benchExperiment(b *testing.B, name string, edit func(campaign.Spec) campaig
 		spec = edit(spec)
 	}
 	for i := 0; i < b.N; i++ {
-		tables, err := x.Run(context.Background(), experiments.NewEngine(0, nil, nil), spec)
+		rep, err := experiments.NewEngine(0, nil, nil).Run(context.Background(), spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		tables, err := x.Render(rep.Results)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -69,7 +75,7 @@ func BenchmarkTable1(b *testing.B) {
 	for _, ds := range experiments.Datasets() {
 		b.Run(ds.Key, func(b *testing.B) {
 			benchExperiment(b, "table1", func(s campaign.Spec) campaign.Spec {
-				return experiments.OnlyDataset(s, ds.Key)
+				return s.Filter(ds.Key + "/")
 			})
 		})
 	}

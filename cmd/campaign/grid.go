@@ -56,35 +56,24 @@ func parseSeeds(s string) ([]int64, error) {
 	return out, nil
 }
 
-// resolveSpec expands a named campaign at the given scale and seed,
-// replicates it across the optional seed list, and applies the ID filter.
-// It is the single definition of "which cells do these flags select",
-// shared by run/status/export and unit-testable without any flag parsing.
-func resolveSpec(name, scaleName string, seed int64, seedList, filter string) (campaign.Spec, error) {
-	scale, err := experiments.ParseScale(scaleName)
+// params is the -scale preset at -seed.
+func (g *gridFlags) params() (experiments.Params, error) {
+	scale, err := experiments.ParseScale(g.scale)
 	if err != nil {
-		return campaign.Spec{}, err
-	}
-	seeds, err := parseSeeds(seedList)
-	if err != nil {
-		return campaign.Spec{}, err
+		return experiments.Params{}, err
 	}
 	p := experiments.DefaultParams(scale)
-	p.Seed = seed
-	spec, err := experiments.CampaignByName(name, p)
-	if err != nil {
-		return campaign.Spec{}, err
-	}
-	spec = campaign.ReplicateSeeds(spec, seeds)
-	spec = spec.Filter(filter)
-	if len(spec.Cells) == 0 {
-		return campaign.Spec{}, fmt.Errorf("campaign %s: no cells match filter %q", name, filter)
-	}
-	return spec, nil
+	p.Seed = g.seed
+	return p, nil
 }
 
-func (g *gridFlags) spec() (campaign.Spec, error) {
-	spec, err := resolveSpec(g.name, g.scale, g.seed, g.seeds, g.filter)
+// narrow replicates spec across -seeds, keeps the cells -filter matches,
+// then stamps -codec and -nonfinite-policy onto every cell. It is the
+// single definition of "which cells do these flags select", shared by
+// run/status/export and by the table export's per-experiment grids; the
+// result may be empty.
+func (g *gridFlags) narrow(spec campaign.Spec) (campaign.Spec, error) {
+	seeds, err := parseSeeds(g.seeds)
 	if err != nil {
 		return campaign.Spec{}, err
 	}
@@ -97,11 +86,31 @@ func (g *gridFlags) spec() (campaign.Spec, error) {
 			return campaign.Spec{}, err
 		}
 	}
+	spec = campaign.ReplicateSeeds(spec, seeds).Filter(g.filter)
 	// Codec and non-finite policy are cell identity: stamped cells hash and
 	// cache separately from their originals, so run/status/export all see
 	// the same grid for the same flags.
 	spec = campaign.ApplyCodec(spec, g.codec, hyper)
 	return campaign.ApplyNonFinite(spec, g.nonFinite), nil
+}
+
+// spec expands the -name campaign through narrow and refuses an empty grid.
+func (g *gridFlags) spec() (campaign.Spec, error) {
+	p, err := g.params()
+	if err != nil {
+		return campaign.Spec{}, err
+	}
+	spec, err := experiments.CampaignByName(g.name, p)
+	if err != nil {
+		return campaign.Spec{}, err
+	}
+	if spec, err = g.narrow(spec); err != nil {
+		return campaign.Spec{}, err
+	}
+	if len(spec.Cells) == 0 {
+		return campaign.Spec{}, fmt.Errorf("campaign %s: no cells match filter %q", g.name, g.filter)
+	}
+	return spec, nil
 }
 
 func (g *gridFlags) store() (*campaign.Store, error) {

@@ -7,6 +7,13 @@ import (
 	"github.com/signguard/signguard/internal/campaign"
 )
 
+// resolveSpec is the grid run/status/export select for these flags (no
+// codec or non-finite stamp).
+func resolveSpec(name, scale string, seed int64, seeds, filter string) (campaign.Spec, error) {
+	g := gridFlags{name: name, scale: scale, seed: seed, seeds: seeds, filter: filter}
+	return g.spec()
+}
+
 func TestResolveSpecNames(t *testing.T) {
 	cases := []struct {
 		name      string

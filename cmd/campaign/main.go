@@ -1,13 +1,15 @@
-// Command campaign drives the experiment-campaign engine directly: it
-// expands a named scenario grid (any of the paper's tables/figures, or
-// "all"), runs the cells concurrently with content-addressed result
-// caching, reports cache status, and exports cached results.
+// Command campaign reproduces the paper's evaluation: it expands a named
+// scenario grid (any of the paper's tables/figures, or "all"), runs the
+// cells concurrently with content-addressed result caching, reports cache
+// status, and exports cached results — as per-cell or seed-group rows, or
+// rendered as the paper's tables.
 //
 // Usage:
 //
 //	campaign run    -name all -scale standard -workers 8 -cache-dir .campaign-cache [-filter cifar] [-v]
 //	campaign status -name all -scale standard -cache-dir .campaign-cache
 //	campaign export -name table1 -scale standard -cache-dir .campaign-cache -format csv -out table1.csv
+//	campaign export -name all -scale standard -cache-dir .campaign-cache -format md -out results.md
 //	campaign list
 //	campaign rules
 //
@@ -20,6 +22,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -27,6 +30,7 @@ import (
 	"log"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"time"
 
@@ -75,7 +79,8 @@ func usage() {
 
   run     execute a campaign's cells (concurrent, cached, resumable)
   status  report cached vs pending cells for a campaign (index-backed, O(1) per cell)
-  export  emit cached results as CSV/JSON, per cell or aggregated by seed group
+  export  emit cached results as CSV/JSON, per cell or aggregated by seed
+          group, or render them as the paper's tables (-format md|tsv)
   list    list the named campaigns and their cell counts
   rules   list the registered defenses and compression codecs with their
           declared hyperparameters
@@ -95,7 +100,9 @@ func cmdRun(args []string) error {
 	g.register(fs)
 	workers := fs.Int("workers", parallel.Default(), "concurrent cells (default: all CPUs)")
 	verbose := fs.Bool("v", false, "log every finished cell (default: one summary line per 10%)")
-	fs.Parse(args)
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
 
 	if err := parallel.ValidateWorkers(*workers); err != nil {
 		return fmt.Errorf("-workers: %w", err)
@@ -160,7 +167,9 @@ func cmdStatus(args []string) error {
 	var g gridFlags
 	g.register(fs)
 	verbose := fs.Bool("v", false, "list every pending cell")
-	fs.Parse(args)
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
 
 	spec, err := g.spec()
 	if err != nil {
@@ -194,14 +203,40 @@ func cmdStatus(args []string) error {
 	return nil
 }
 
+// parseFlags parses a subcommand's flags and refuses positional arguments:
+// flag parsing stops at the first one, so `status table3 -scale bench`
+// would otherwise drop every later flag and act on the defaults.
+func parseFlags(fs *flag.FlagSet, args []string) error {
+	fs.Parse(args)
+	if fs.NArg() == 0 {
+		return nil
+	}
+	arg := fs.Arg(0)
+	if slices.Contains(experiments.CampaignNames(), arg) {
+		return fmt.Errorf("%s: unexpected argument %q (did you mean -name %s?)", fs.Name(), arg, arg)
+	}
+	return fmt.Errorf("%s: unexpected argument %q (%s takes flags only)", fs.Name(), arg, fs.Name())
+}
+
+// exportFormats is -format's vocabulary: campaign.WriteExport's per-cell
+// and seed-group formats, then the rendered tables.
+var exportFormats = []string{"csv", "json", "group-csv", "group-json", "md", "tsv"}
+
 func cmdExport(args []string) error {
 	fs := flag.NewFlagSet("export", flag.ExitOnError)
 	var g gridFlags
 	g.register(fs)
-	format := fs.String("format", "csv", "output format: csv|json (per cell) or group-csv|group-json (seed-group mean/std/95% CI)")
+	format := fs.String("format", "csv", "output format: csv|json (per cell), group-csv|group-json (seed-group mean/std/95% CI) or md|tsv (the experiments' rendered tables)")
 	outPath := fs.String("out", "", "output file (default stdout)")
-	fs.Parse(args)
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
+	if !slices.Contains(exportFormats, *format) {
+		return fmt.Errorf("-format: unknown export format %q (want %s)", *format, strings.Join(exportFormats, "|"))
+	}
 
+	// spec checks every grid flag whatever the format; the row formats
+	// also read their cells from it.
 	spec, err := g.spec()
 	if err != nil {
 		return err
@@ -211,9 +246,30 @@ func cmdExport(args []string) error {
 		return err
 	}
 
+	// The export is assembled in memory and written only once it is
+	// whole, so a failed export never truncates an existing -out file.
+	var out bytes.Buffer
+	if *format == "md" || *format == "tsv" {
+		err = writeTables(&out, *format, &g, store)
+	} else {
+		err = writeResults(&out, *format, spec, store)
+	}
+	if err != nil {
+		return err
+	}
+	if *outPath == "" {
+		_, err = os.Stdout.Write(out.Bytes())
+		return err
+	}
+	return os.WriteFile(*outPath, out.Bytes(), 0o644)
+}
+
+// writeResults writes the spec's cached cells, one row per unique cell, in
+// a campaign.WriteExport format. Missing cells are skipped with a warning.
+func writeResults(w io.Writer, format string, spec campaign.Spec, store *campaign.Store) error {
 	var results []*campaign.CellResult
 	var missing int
-	err = forEachUniqueCell(spec, func(_ campaign.Cell, key string) error {
+	err := forEachUniqueCell(spec, func(_ campaign.Cell, key string) error {
 		res, ok := store.Get(key)
 		if !ok {
 			missing++
@@ -231,17 +287,70 @@ func cmdExport(args []string) error {
 	if len(results) == 0 {
 		return fmt.Errorf("no cached results for campaign %s in %s", spec.Name, store.Dir())
 	}
+	return campaign.WriteExport(w, format, results)
+}
 
-	var out io.Writer = os.Stdout
-	if *outPath != "" {
-		f, err := os.Create(*outPath)
+// writeTables renders, from the store, the tables of every experiment -name
+// selects ("all": the whole catalog, in catalog order) as markdown or TSV.
+// Each experiment's grid is narrowed as run narrows it, so its keys are the
+// ones run stored. Renderers read positionally, so every grid cell gets its
+// stored result in grid order, duplicates included. An experiment the flags
+// leave without cells is skipped; unlike the row formats, a missing cell
+// fails the export.
+func writeTables(w io.Writer, format string, g *gridFlags, store *campaign.Store) error {
+	p, err := g.params()
+	if err != nil {
+		return err
+	}
+	xs := experiments.Experiments().Values()
+	if g.name != "all" {
+		x, err := experiments.Experiments().Lookup(g.name)
 		if err != nil {
 			return err
 		}
-		defer f.Close()
-		out = f
+		xs = []experiments.Experiment{x}
 	}
-	return campaign.WriteExport(out, *format, results)
+	for _, x := range xs {
+		spec, err := g.narrow(x.Spec(p))
+		if err != nil {
+			return err
+		}
+		if len(spec.Cells) == 0 {
+			continue
+		}
+		results := make([]*campaign.CellResult, len(spec.Cells))
+		var missing int
+		for i, c := range spec.Cells {
+			key, err := c.Key()
+			if err != nil {
+				return err
+			}
+			res, ok := store.Get(key)
+			if !ok {
+				missing++
+			}
+			results[i] = res
+		}
+		if missing > 0 {
+			return fmt.Errorf("%s: %d of %d cells not cached in %s — run 'campaign run' with the same flags first",
+				x.Name, missing, len(spec.Cells), store.Dir())
+		}
+		tables, err := x.Render(results)
+		if err != nil {
+			return fmt.Errorf("%s: %w", x.Name, err)
+		}
+		for _, t := range tables {
+			if format == "tsv" {
+				err = t.TSV(w)
+			} else {
+				err = t.Markdown(w)
+			}
+			if err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 func cmdList() error {

@@ -1,8 +1,15 @@
 package main
 
 import (
+	"bytes"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/signguard/signguard/internal/campaign"
+	"github.com/signguard/signguard/internal/experiments"
 )
 
 // TestRemovedSubcommandsAreUnknown: `campaign run` is the only scheduler.
@@ -16,5 +23,171 @@ func TestRemovedSubcommandsAreUnknown(t *testing.T) {
 				t.Fatalf("dispatch(%q) = %v, want an error containing %s", cmd, err, want)
 			}
 		})
+	}
+}
+
+// TestExportTablesMatchEngineReport: the md and tsv exports of a grid that
+// run computed are byte-identical to rendering the engine's own Report for
+// the same spec — a store round trip changes nothing a table shows. Under
+// -name all, every experiment the filter leaves without cells is skipped.
+func TestExportTablesMatchEngineReport(t *testing.T) {
+	dir := t.TempDir()
+	cache := filepath.Join(dir, "cache")
+	if err := dispatch("run", []string{"-name", "fig2", "-scale", "bench", "-cache-dir", cache}); err != nil {
+		t.Fatal(err)
+	}
+
+	x, err := experiments.Experiments().Lookup("fig2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := experiments.NewEngine(0, nil, nil).Run(t.Context(), x.Spec(experiments.DefaultParams(experiments.ScaleBench)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables, err := x.Render(rep.Results)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var md, tsv bytes.Buffer
+	for _, tbl := range tables {
+		if err := tbl.Markdown(&md); err != nil {
+			t.Fatal(err)
+		}
+		if err := tbl.TSV(&tsv); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	for _, tc := range []struct {
+		name   string
+		args   []string
+		format string
+		want   []byte
+	}{
+		{"md", []string{"-name", "fig2"}, "md", md.Bytes()},
+		{"tsv", []string{"-name", "fig2"}, "tsv", tsv.Bytes()},
+		{"all narrowed to fig2", []string{"-name", "all", "-filter", "probe=signstats"}, "md", md.Bytes()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			out := filepath.Join(dir, tc.name+"."+tc.format)
+			args := append(tc.args, "-scale", "bench", "-cache-dir", cache, "-format", tc.format, "-out", out)
+			if err := dispatch("export", args); err != nil {
+				t.Fatal(err)
+			}
+			got, err := os.ReadFile(out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) == 0 || !bytes.Equal(got, tc.want) {
+				t.Errorf("export differs from the engine's rendering:\n got %q\nwant %q", got, tc.want)
+			}
+		})
+	}
+}
+
+// TestExportTablesRefuseMissingCells: unlike the row formats, a table
+// export with an uncached cell fails, naming the count and the command
+// that computes it.
+func TestExportTablesRefuseMissingCells(t *testing.T) {
+	dir := t.TempDir()
+	seedStore(t, dir, "fig2", 1)
+	err := dispatch("export", []string{"-name", "fig2", "-scale", "bench", "-cache-dir", dir, "-format", "md"})
+	for _, want := range []string{"fig2", "1 of 2 cells", "campaign run"} {
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("export with a missing cell: error %v, want it to name %q", err, want)
+		}
+	}
+}
+
+// TestExportUnknownFormatKeepsOut: an unknown -format is refused before
+// -out is opened, so an existing file survives the typo.
+func TestExportUnknownFormatKeepsOut(t *testing.T) {
+	dir := t.TempDir()
+	seedStore(t, dir, "fig2", 2)
+	out := filepath.Join(dir, "keep.csv")
+	const keep = "an earlier export\n"
+	if err := os.WriteFile(out, []byte(keep), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err := dispatch("export", []string{"-name", "fig2", "-scale", "bench", "-cache-dir", dir, "-format", "xml", "-out", out})
+	if err == nil || !strings.Contains(err.Error(), "xml") {
+		t.Errorf("-format xml: error %v, want a refusal naming it", err)
+	}
+	if got, _ := os.ReadFile(out); string(got) != keep {
+		t.Errorf("-out after a refused format holds %q, want %q", got, keep)
+	}
+}
+
+// TestExportFormatsMatchWriteExport: every -format that is not a rendered
+// table is one campaign.WriteExport writes.
+func TestExportFormatsMatchWriteExport(t *testing.T) {
+	for _, f := range exportFormats {
+		if f == "md" || f == "tsv" {
+			continue
+		}
+		if err := campaign.WriteExport(io.Discard, f, nil); err != nil {
+			t.Errorf("-format %s: %v", f, err)
+		}
+	}
+}
+
+// TestRefusesBadArguments covers refusals that return before any cell
+// trains or any file is written. A positional argument would otherwise end
+// flag parsing and leave every later flag at its default: the whole "all"
+// grid against ./.campaign-cache.
+func TestRefusesBadArguments(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		name  string
+		cmd   string
+		args  []string
+		want  []string
+		avoid string
+	}{
+		{name: "status with a campaign argument", cmd: "status", args: []string{"table3", "-scale", "bench", "-cache-dir", dir}, want: []string{`"table3"`, "-name table3"}},
+		{name: "export with a campaign argument", cmd: "export", args: []string{"fig2", "-format", "md", "-cache-dir", dir}, want: []string{`"fig2"`, "-name fig2"}},
+		{name: "run with a campaign argument", cmd: "run", args: []string{"-cache-dir", dir, "-filter", "no-such-cell", "table3"}, want: []string{`"table3"`, "-name table3"}},
+		{name: "run with a stray argument", cmd: "run", args: []string{"-cache-dir", dir, "-filter", "no-such-cell", "extra"}, want: []string{`unexpected argument "extra"`}, avoid: "-name"},
+		{name: "unknown -name lists the catalog", cmd: "export", args: []string{"-name", "table9", "-cache-dir", dir}, want: experiments.CampaignNames()},
+		{name: "-codec-hyper without -codec", cmd: "run", args: []string{"-name", "fig2", "-codec-hyper", "k=64", "-cache-dir", dir}, want: []string{"-codec-hyper requires -codec"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := dispatch(tc.cmd, tc.args)
+			if err == nil {
+				t.Fatal("accepted")
+			}
+			for _, w := range tc.want {
+				if !strings.Contains(err.Error(), w) {
+					t.Errorf("error %q does not name %q", err, w)
+				}
+			}
+			if tc.avoid != "" && strings.Contains(err.Error(), tc.avoid) {
+				t.Errorf("error %q names %q", err, tc.avoid)
+			}
+		})
+	}
+}
+
+// seedStore puts placeholder results for the first n cells of the named
+// bench-scale grid into a store at dir, without training anything.
+func seedStore(t *testing.T, dir, name string, n int) {
+	t.Helper()
+	spec, err := resolveSpec(name, "bench", 1, "", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := campaign.OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range spec.Cells[:n] {
+		key, err := c.Key()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := store.Put(&campaign.CellResult{Key: key, Cell: c}); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

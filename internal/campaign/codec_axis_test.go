@@ -170,14 +170,4 @@ func TestApplyCodec(t *testing.T) {
 			t.Fatalf("empty name stamped cell %d", i)
 		}
 	}
-
-	// The engine-level form: Engine.Codec stamps before hashing, so the
-	// report's cells carry the axis.
-	e := &campaign.Engine{Registry: testRegistry(), Codec: "signsgd"}
-	rep := mustRun(t, e, campaign.Spec{Name: "stamped", Cells: []campaign.Cell{
-		campaign.NewCell("tiny", "Mean", "NoAttack", tinyParams(1)),
-	}})
-	if rep.Results[0].Cell.Codec != "signsgd" {
-		t.Errorf("Engine.Codec did not stamp the cell: %+v", rep.Results[0].Cell)
-	}
 }

@@ -57,14 +57,6 @@ type Engine struct {
 	// cell-level pool has claimed the CPUs run single-threaded, and a
 	// single-worker engine hands all CPUs to the simulation instead.
 	SimWorkers int
-	// Codec, when non-empty, stamps the named compression codec (with
-	// CodecHyper) onto every cell of every spec before hashing — the
-	// engine-level form of the -codec grid axis, used where specs are
-	// built out of the caller's reach (cmd/reproduce's renderers). Unlike
-	// SimWorkers this IS cell identity: stamped cells hash
-	// and cache separately from their uncompressed originals.
-	Codec      string
-	CodecHyper map[string]float64
 	// Progress, when non-nil, observes every completed cell. It is called
 	// from worker goroutines under the engine's bookkeeping lock, so
 	// callbacks need no further synchronization.
@@ -134,7 +126,6 @@ func (e *Engine) Run(ctx context.Context, spec Spec) (*Report, error) {
 	if e.Registry == nil {
 		return nil, fmt.Errorf("campaign: engine has no registry")
 	}
-	spec = ApplyCodec(spec, e.Codec, e.CodecHyper)
 	if err := e.Registry.Validate(spec); err != nil {
 		return nil, fmt.Errorf("campaign %s: %w", spec.Name, err)
 	}

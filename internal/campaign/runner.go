@@ -48,7 +48,10 @@ func (r *runner) executeCell(c Cell, key string) (*CellResult, error) {
 		return nil, fmt.Errorf("building attack %s: %w", c.Attack, err)
 	}
 
-	var probe *ProbeInstance
+	var (
+		probe *ProbeInstance
+		hook  func(*fl.RoundState)
+	)
 	if c.Probe != "" {
 		buildProbe, err := r.registry.probe(c.Probe)
 		if err != nil {
@@ -58,6 +61,7 @@ func (r *runner) executeCell(c Cell, key string) (*CellResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("building probe %s: %w", c.Probe, err)
 		}
+		hook = probe.Hook
 	}
 
 	var nonIID *fl.NonIID
@@ -77,24 +81,32 @@ func (r *runner) executeCell(c Cell, key string) (*CellResult, error) {
 		return nil, err
 	}
 
-	x := &CellExec{
-		Dataset:       dataset,
-		NewModel:      db.NewModel,
-		LR:            db.LR,
-		Rule:          rule,
-		Attack:        att,
-		NumByz:        numByz,
-		NonIID:        nonIID,
-		Participation: participation,
-		Codec:         wireCodec,
-		NonFinite:     policy,
-		Params:        p,
-		SimWorkers:    r.simWorkers,
+	// The one place an experiment cell's fl.Config is assembled.
+	sim, err := fl.New(fl.Config{
+		Dataset:     dataset,
+		NewModel:    db.NewModel,
+		Rule:        rule,
+		Attack:      att,
+		Clients:     p.Clients,
+		NumByz:      numByz,
+		Rounds:      p.Rounds,
+		BatchSize:   p.BatchSize,
+		LR:          db.LR,
+		Momentum:    0.9,
+		WeightDecay: 5e-4,
+		EvalEvery:   p.EvalEvery,
+		EvalSamples: p.EvalSamples,
+		NonIID:      nonIID,
+		NonFinite:   policy,
+		Pipeline:    fl.Pipeline{Participation: participation, Codec: wireCodec},
+		Seed:        p.Seed,
+		RoundHook:   hook,
+		Workers:     r.simWorkers,
+	})
+	if err != nil {
+		return nil, err
 	}
-	if probe != nil {
-		x.Hook = probe.Hook
-	}
-	res, err := x.Run()
+	res, err := sim.Run()
 	if err != nil {
 		return nil, err
 	}

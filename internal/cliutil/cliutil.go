@@ -1,8 +1,8 @@
 // Package cliutil is the flag-validation vocabulary shared by the
-// command-line tools (cmd/flserver, cmd/flclient, cmd/campaign,
-// cmd/reproduce): range checks that reject out-of-range flag values up
-// front with errors naming the offending flag, instead of passing them
-// through to fail (or misbehave) deep inside the protocol. Every helper
+// command-line tools (cmd/flserver, cmd/flclient, cmd/campaign): range
+// checks that reject out-of-range flag values up front with errors naming
+// the offending flag, instead of passing them through to fail (or
+// misbehave) deep inside the protocol. Every helper
 // takes the flag's user-facing name ("-clients") and includes it verbatim
 // in the error, so a failing invocation reads like the usage line that
 // fixes it. Codec resolves the -codec/-codec-hyper pair that flserver and

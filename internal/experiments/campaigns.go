@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"time"
@@ -140,7 +139,7 @@ func newSignStatsProbe(c campaign.Cell) (*campaign.ProbeInstance, error) {
 // Experiment is one entry of the harness: a table or figure of the paper's
 // evaluation, or a post-paper scenario axis. Spec declares its cell grid at
 // the given parameters; Render turns the grid's results, one per cell in
-// spec order, into the tables reproduce prints.
+// spec order, into the tables `campaign export -format md|tsv` prints.
 type Experiment struct {
 	Name   string
 	Spec   func(Params) campaign.Spec
@@ -151,7 +150,7 @@ type Experiment struct {
 // paper's tables and figures, then the scenario axes (client subsampling,
 // defense hyperparameter sweeps, adaptive attacks, compression, hostile
 // input, server learning). The order fixes the merged "all" campaign and
-// reproduce's -exp all output. Each call returns a fresh copy.
+// the table export of -name all. Each call returns a fresh copy.
 func Experiments() *catalog.Catalog[Experiment] {
 	return catalog.Must("experiment", func(x Experiment) string { return x.Name }, []Experiment{
 		{"table1", table1Spec, renderTable1},
@@ -195,26 +194,4 @@ func CampaignByName(name string, p Params) (campaign.Spec, error) {
 		return campaign.Spec{}, fmt.Errorf("experiments: unknown campaign %q (want %v)", name, CampaignNames())
 	}
 	return x.Spec(p), nil
-}
-
-// Run executes spec through e and renders its results. spec is x.Spec at
-// some Params, or a part of it that x.Render accepts, such as Table I
-// narrowed by OnlyDataset.
-func (x Experiment) Run(ctx context.Context, e *campaign.Engine, spec campaign.Spec) ([]*Table, error) {
-	rep, err := e.Run(ctx, spec)
-	if err != nil {
-		return nil, err
-	}
-	return x.Render(rep.Results)
-}
-
-// OnlyDataset keeps the spec's cells on one dataset: Table I's -dataset.
-func OnlyDataset(spec campaign.Spec, key string) campaign.Spec {
-	out := campaign.Spec{Name: spec.Name}
-	for _, c := range spec.Cells {
-		if c.Dataset == key {
-			out.Cells = append(out.Cells, c)
-		}
-	}
-	return out
 }

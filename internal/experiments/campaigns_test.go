@@ -14,7 +14,11 @@ func runExperiment(ctx context.Context, e *campaign.Engine, name string, p Param
 	if err != nil {
 		return nil, err
 	}
-	return x.Run(ctx, e, x.Spec(p))
+	rep, err := e.Run(ctx, x.Spec(p))
+	if err != nil {
+		return nil, err
+	}
+	return x.Render(rep.Results)
 }
 
 // TestCampaignSpecsResolve expands every named campaign and validates each

@@ -10,7 +10,7 @@ import (
 )
 
 // TestCampaignNamesOrder pins the catalog order: it fixes the merged "all"
-// grid, its export row order and reproduce's -exp all output.
+// grid, its export row order and the table export of -name all.
 func TestCampaignNamesOrder(t *testing.T) {
 	want := []string{
 		"table1", "table2", "table3", "fig2", "fig4", "fig5", "fig6",

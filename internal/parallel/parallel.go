@@ -39,7 +39,7 @@ func Resolve(workers int) int {
 
 // Default returns the automatic worker count — the value a -workers flag
 // should default to. It is the single definition of "use all CPUs" shared
-// by cmd/campaign and cmd/reproduce.
+// by cmd/campaign and the campaign engine.
 func Default() int { return runtime.GOMAXPROCS(0) }
 
 // ValidateWorkers rejects worker counts below 1. The cmd binaries call it
