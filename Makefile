@@ -44,16 +44,20 @@ conformance:
 serve-smoke:
 	$(GO) run ./cmd/flserver -loadtest -load-clients 500 -load-byz 0.2 -rule SignGuard
 
-# Run cmd/campaign's main end to end once: flag parsing, the 2-cell fig2
-# grid at bench scale into a temporary store (a few seconds), then its
-# markdown export from that store. Fails on an error or an empty table;
-# the CI test job runs this after serve-smoke.
+# Run cmd/campaign's main end to end: flag parsing, then two grids at bench
+# scale into a temporary store and their markdown exports from it — fig2
+# (2 cells) and adaptive (6 cells), the one campaign whose adversary reads
+# each round's selection tally back through its filtering history, so the
+# feedback loop runs through main too (a few seconds each). Fails on an
+# error or an empty table; the CI test job runs this after serve-smoke.
 paper-smoke:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
 	$(GO) build -o "$$dir/campaign" ./cmd/campaign && \
-	"$$dir/campaign" run -name fig2 -scale bench -cache-dir "$$dir/cache" && \
-	"$$dir/campaign" export -name fig2 -scale bench -cache-dir "$$dir/cache" -format md > "$$dir/fig2.md" && \
-	test -s "$$dir/fig2.md" && cat "$$dir/fig2.md"
+	for name in fig2 adaptive; do \
+		"$$dir/campaign" run -name $$name -scale bench -cache-dir "$$dir/cache" && \
+		"$$dir/campaign" export -name $$name -scale bench -cache-dir "$$dir/cache" -format md > "$$dir/$$name.md" && \
+		test -s "$$dir/$$name.md" && cat "$$dir/$$name.md" || exit 1; \
+	done
 
 # Compile and execute every Go benchmark exactly once, so benchmark code
 # that rots fails loudly (the CI bench job runs this). The numbers are not a

@@ -77,7 +77,7 @@ func main() {
 		addr    = flag.String("addr", "127.0.0.1:9000", "listen address")
 		clients = flag.Int("clients", 4, "lock-step cohort size (sync mode)")
 		rounds  = flag.Int("rounds", 100, "training rounds (sync) / aggregation steps (async)")
-		ruleStr = flag.String("rule", "SignGuard", "defense in front of the buffer: "+strings.Join(defense.Builtin().Names(), "|"))
+		ruleStr = flag.String("rule", "SignGuard", "defense in front of the buffer: "+strings.Join(servableRules(), "|"))
 		byz     = flag.Int("byz", 0, "assumed Byzantine count F for the rules that take one (TrMean, Multi-Krum, Bulyan, DnC)")
 		lr      = flag.Float64("lr", 0.05, "learning rate")
 		seed    = flag.Int64("seed", 1, "shared dataset/model seed (must match clients)")
@@ -198,6 +198,19 @@ func parseAccepted(codecStr, hyperStr string) ([]string, error) {
 // is -byz.
 func buildRule(name string, n, f int, seed int64) (aggregate.Rule, error) {
 	return defense.Builtin().Build(name, defense.Params{N: n, F: f, Seed: seed})
+}
+
+// servableRules lists the catalog names -rule can serve: every defense but
+// those that learn server-side (FLTrust), which asyncfl.New refuses because
+// the serving path has no server reference gradient.
+func servableRules() (names []string) {
+	for _, name := range defense.Builtin().Names() {
+		rule, err := buildRule(name, 8, 1, 1)
+		if _, learns := aggregate.Unwrap(rule).(aggregate.ServerLearner); err == nil && !learns {
+			names = append(names, name)
+		}
+	}
+	return names
 }
 
 // sharedModel is the model architecture both server and clients build from

@@ -2,6 +2,7 @@ package main
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -115,9 +116,14 @@ func TestValidateLoadFlags(t *testing.T) {
 
 // TestBuildRule: -rule takes every catalog name and builds it into an
 // aggregator, except FLTrust, which asyncfl refuses (no server reference
-// gradient). A lowercase spelling is refused with the catalog's hint; krum
-// matches no catalog name, so nothing is suggested for it.
+// gradient) and the -rule usage therefore leaves out. A lowercase spelling
+// is refused with the catalog's hint; krum matches no catalog name, so
+// nothing is suggested for it.
 func TestBuildRule(t *testing.T) {
+	usage := servableRules()
+	if slices.Contains(usage, "FLTrust") {
+		t.Errorf("-rule usage lists FLTrust: %v", usage)
+	}
 	for _, name := range defense.Builtin().Names() {
 		rule, err := buildRule(name, 8, 1, 1)
 		if err != nil {
@@ -127,6 +133,9 @@ func TestBuildRule(t *testing.T) {
 		_, err = asyncfl.New(asyncfl.Config{InitialParams: make([]float64, 4), K: 8, LR: 0.05, Rule: rule})
 		if (err != nil) != (name == "FLTrust") {
 			t.Errorf("asyncfl.New with -rule %s: %v", name, err)
+		}
+		if listed := slices.Contains(usage, name); listed != (err == nil) {
+			t.Errorf("-rule %s: listed in the usage %v, serves %v", name, listed, err == nil)
 		}
 	}
 	for old, hint := range map[string]string{

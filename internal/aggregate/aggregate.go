@@ -27,9 +27,12 @@ type Result struct {
 	// Gradient is the aggregated global gradient.
 	Gradient []float64
 	// Selected lists the indices of the input gradients the rule chose to
-	// aggregate, when the rule performs whole-gradient selection. It is nil
-	// for coordinate-wise rules (Mean, TrMean, Median, GeoMed, signSGD)
-	// where per-client attribution is not meaningful.
+	// aggregate, strictly ascending within [0, len(grads)), when the rule
+	// performs whole-gradient selection (empty, not nil, when it kept
+	// none). It is nil for coordinate-wise rules (Mean, TrMean, Median,
+	// GeoMed, signSGD) where per-client attribution is not meaningful.
+	// attack.Observe counts it against the Byzantine mask, once per round
+	// (internal/conformance checks every registered rule's shape).
 	Selected []int
 }
 
@@ -54,7 +57,7 @@ type WorkersSetter interface {
 }
 
 // SetWorkers configures r to use n workers if it supports parallel
-// kernels, recursing into wrappers (e.g. NormClip). Rules without parallel
+// kernels, recursing into wrappers (e.g. FiniteGuard). Rules without parallel
 // kernels are left untouched.
 func SetWorkers(r Rule, n int) {
 	if ws, ok := r.(WorkersSetter); ok {

@@ -222,23 +222,6 @@ func TestDnCValidation(t *testing.T) {
 	}
 }
 
-func TestNormClipWrapper(t *testing.T) {
-	grads := [][]float64{{3, 4}, {0.3, 0.4}, {0.6, 0.8}}
-	nc := NewNormClip(NewMean(), 0) // bound = median norm = 1
-	res, err := nc.Aggregate(grads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// First gradient (norm 5) clips to norm 1 → (0.6, 0.8).
-	want := []float64{(0.6 + 0.3 + 0.6) / 3, (0.8 + 0.4 + 0.8) / 3}
-	if !tensor.Equal(res.Gradient, want, 1e-9) {
-		t.Errorf("NormClip mean = %v, want %v", res.Gradient, want)
-	}
-	if nc.Name() == "" {
-		t.Error("empty name")
-	}
-}
-
 // Property: Mean, Median and TrimmedMean are permutation invariant.
 func TestPermutationInvarianceQuick(t *testing.T) {
 	rules := []Rule{NewMean(), NewMedian(), NewTrimmedMean(2)}

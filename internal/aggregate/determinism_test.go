@@ -24,7 +24,6 @@ func newRules(workers int) []Rule {
 		&TrimmedMean{K: 5},
 		&Median{},
 		&Mean{},
-		NewNormClip(&GeoMed{MaxIter: 100, Tol: 1e-8}, 0),
 	}
 	for _, r := range rules {
 		SetWorkers(r, workers)
@@ -143,13 +142,12 @@ func TestKrumScoresByteIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-// SetWorkers must reach rules wrapped in NormClip.
+// SetWorkers must reach rules wrapped in a FiniteGuard.
 func TestSetWorkersRecursesIntoWrappers(t *testing.T) {
 	inner := &GeoMed{}
-	nc := NewNormClip(inner, 0)
-	SetWorkers(nc, 5)
-	if nc.Workers != 5 || inner.Workers != 5 {
-		t.Errorf("SetWorkers(NormClip, 5): wrapper=%d inner=%d", nc.Workers, inner.Workers)
+	SetWorkers(Guard(inner), 5)
+	if inner.Workers != 5 {
+		t.Errorf("SetWorkers(Guard(GeoMed), 5): inner=%d", inner.Workers)
 	}
 	// Rules without parallel kernels are a no-op, not a panic.
 	SetWorkers(ruleWithoutWorkers{}, 3)

@@ -52,10 +52,6 @@ func (g *FiniteGuard) SetWorkers(n int) {
 	}
 }
 
-// Unwrap returns the wrapped rule, for callers that need the concrete type
-// (e.g. SignGuard's LastReport).
-func (g *FiniteGuard) Unwrap() Rule { return g.Rule }
-
 // Unwrap strips a FiniteGuard from r, if present — the inverse of Guard for
 // callers reaching for a rule's concrete type.
 func Unwrap(r Rule) Rule {

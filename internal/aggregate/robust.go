@@ -167,63 +167,3 @@ func (g *GeoMed) Aggregate(grads [][]float64) (*Result, error) {
 	}
 	return &Result{Gradient: x}, nil
 }
-
-// NormClip scales each gradient to at most the given bound before
-// delegating to an inner rule. A non-positive bound means "use the median
-// norm of the round's gradients", the clipping rule SignGuard uses.
-type NormClip struct {
-	Inner Rule
-	Bound float64
-	// Workers bounds the clipping parallelism and is forwarded to the
-	// inner rule (0 = automatic, 1 = sequential); the output is
-	// byte-identical for any value.
-	Workers int
-}
-
-var _ Rule = (*NormClip)(nil)
-var _ WorkersSetter = (*NormClip)(nil)
-
-// NewNormClip wraps inner with norm clipping at bound (<= 0 for median).
-func NewNormClip(inner Rule, bound float64) *NormClip {
-	return &NormClip{Inner: inner, Bound: bound}
-}
-
-// Name implements Rule.
-func (n *NormClip) Name() string { return "NormClip+" + n.Inner.Name() }
-
-// SetWorkers implements WorkersSetter, forwarding to the inner rule.
-func (n *NormClip) SetWorkers(w int) {
-	n.Workers = w
-	SetWorkers(n.Inner, w)
-}
-
-// Aggregate implements Rule.
-func (n *NormClip) Aggregate(grads [][]float64) (*Result, error) {
-	if _, err := validate(grads); err != nil {
-		return nil, err
-	}
-	workers := parallel.Resolve(n.Workers)
-	bound := n.Bound
-	if bound <= 0 {
-		norms := make([]float64, len(grads))
-		parallel.For(workers, len(grads), func(_, start, end int) {
-			for i := start; i < end; i++ {
-				norms[i] = tensor.Norm(grads[i])
-			}
-		})
-		med, err := stats.Median(norms)
-		if err != nil {
-			return nil, err
-		}
-		bound = med
-	}
-	clipped := make([][]float64, len(grads))
-	parallel.For(workers, len(grads), func(_, start, end int) {
-		for i := start; i < end; i++ {
-			c := tensor.Clone(grads[i])
-			tensor.ClipNorm(c, bound)
-			clipped[i] = c
-		}
-	})
-	return n.Inner.Aggregate(clipped)
-}

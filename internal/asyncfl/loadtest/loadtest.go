@@ -85,7 +85,8 @@ type Config struct {
 	SessionTTL time.Duration
 	// Seed drives the optimum, the per-client noise, and nothing else.
 	Seed int64
-	// Logf, when non-nil, receives progress lines.
+	// Logf, when non-nil, receives progress lines. The report is Run's
+	// return value, not a log line: the caller decides where it goes.
 	Logf func(format string, args ...any)
 
 	// now is the aggregator's liveness clock (nil = time.Now). Tests set
@@ -380,7 +381,6 @@ func Run(cfg Config) (*Report, error) {
 	if rep.Updates > 0 {
 		rep.BytesPerUpdate = float64(rep.IngestBytes) / float64(rep.Updates)
 	}
-	logf("%s", rep)
 	return rep, nil
 }
 

@@ -1,8 +1,11 @@
 package loadtest
 
 import (
+	"fmt"
 	"os"
 	"strconv"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -19,6 +22,10 @@ func TestLoadHarnessCI(t *testing.T) {
 	if testing.Short() {
 		clients = 1500
 	}
+	var (
+		mu   sync.Mutex
+		logs []string
+	)
 	rep, err := Run(Config{
 		Clients:          clients,
 		UpdatesPerClient: 2,
@@ -28,10 +35,21 @@ func TestLoadHarnessCI(t *testing.T) {
 		ByzFraction:      0.1,
 		ChurnFraction:    0.05,
 		Seed:             1,
-		Logf:             t.Logf,
+		Logf: func(format string, args ...any) {
+			mu.Lock()
+			defer mu.Unlock()
+			logs = append(logs, fmt.Sprintf(format, args...))
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Run logs progress only; the report is its return value, which
+	// flserver prints once.
+	for _, line := range logs {
+		if strings.Contains(line, "throughput") {
+			t.Errorf("Run logged the report:\n%s", line)
+		}
 	}
 	if rep.Steps < 10 {
 		t.Fatalf("report %+v: too few aggregation steps", rep)

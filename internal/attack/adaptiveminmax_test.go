@@ -188,3 +188,25 @@ func TestObservationByzAcceptance(t *testing.T) {
 		t.Errorf("acceptance = %v, %v", r, ok)
 	}
 }
+
+func TestObserve(t *testing.T) {
+	o := Observe(4, []int{0, 2, 3}, []bool{false, true, false, true, false})
+	want := Observation{Round: 4, SelectedHonest: 2, SelectedByz: 1, TotalHonest: 3, TotalByz: 2, HasSelection: true}
+	if o != want {
+		t.Errorf("Observe = %+v, want %+v", o, want)
+	}
+}
+
+// A rule that reports no selection leaves HasSelection false and the
+// selected counts zero; the totals are still counted.
+func TestObserveNil(t *testing.T) {
+	o := Observe(0, nil, []bool{false, true})
+	want := Observation{TotalHonest: 1, TotalByz: 1}
+	if o != want {
+		t.Errorf("Observe(nil) = %+v, want %+v", o, want)
+	}
+	// An empty non-nil selection (FLTrust trusting no one) is a selection.
+	if o := Observe(0, []int{}, []bool{false, true}); !o.HasSelection || o.SelectedHonest+o.SelectedByz != 0 {
+		t.Errorf("Observe(empty) = %+v", o)
+	}
+}

@@ -17,6 +17,29 @@ type Observation struct {
 	HasSelection bool
 }
 
+// Observe counts one round's selection against the ground-truth mask of
+// malicious arrival positions: the one tally behind the paper's Table II
+// rates and the adaptive adversaries' feedback. A nil selected (a rule that
+// reports none) leaves HasSelection false; the totals count either way.
+func Observe(round int, selected []int, byzMask []bool) Observation {
+	o := Observation{Round: round, HasSelection: selected != nil}
+	for _, b := range byzMask {
+		if b {
+			o.TotalByz++
+		} else {
+			o.TotalHonest++
+		}
+	}
+	for _, i := range selected {
+		if i >= 0 && i < len(byzMask) && byzMask[i] {
+			o.SelectedByz++
+		} else {
+			o.SelectedHonest++
+		}
+	}
+	return o
+}
+
 // ByzAcceptance returns the fraction of the cohort's gradients the defense
 // kept, and whether the round carried selection information at all.
 func (o Observation) ByzAcceptance() (float64, bool) {
@@ -33,8 +56,7 @@ func (o Observation) ByzAcceptance() (float64, bool) {
 // per-round feedback (the bookkeeping is skipped otherwise).
 type Adversary interface {
 	Attack
-	// NeedsHistory reports whether Craft consumes Context.Round / History /
-	// PrevAggregate / PrevSelected.
+	// NeedsHistory reports whether Craft consumes Context.Round / History.
 	NeedsHistory() bool
 }
 

@@ -40,12 +40,6 @@ type Context struct {
 	// first. The engine records it only for adversaries that declare
 	// NeedsHistory; stateless attacks always see nil.
 	History []Observation
-	// PrevAggregate is the gradient the server applied in the previous
-	// round (nil in round 0 or for stateless attacks).
-	PrevAggregate []float64
-	// PrevSelected lists the arrival positions the defense kept in the
-	// previous round (nil when the rule reports no selection).
-	PrevSelected []int
 }
 
 // N returns the total number of clients.

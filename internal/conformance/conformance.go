@@ -1,14 +1,14 @@
 // Package conformance is the registry-wide contract checker of the defense
 // and codec catalogs. Every registered defense must produce byte-identical
 // aggregates for any worker count, survive hostile (non-finite) input
-// buffers with a finite aggregate or an error, and declare hyperparameters
-// that round-trip through the CLI's key=value syntax; every registered
-// codec must honor its declared round-trip bound (bit-exactness for
-// lossless codecs, a minimum preserved cosine for lossy ones), reject
-// malformed wire payloads, and draw no randomness unless it declares itself
-// Stochastic. The ownership checks (ownership.go) hold every
-// defense and attack to keeping none of its inputs, and every codec to
-// decoding into a reused destination exactly as into a fresh vector.
+// buffers with a finite aggregate or an error, select in ascending order,
+// and declare hyperparameters that round-trip through the CLI's key=value
+// syntax; every registered codec must honor its declared round-trip bound
+// (bit-exactness for lossless codecs, a minimum preserved cosine for lossy
+// ones), reject malformed wire payloads, and draw no randomness unless it
+// declares itself Stochastic. The ownership checks (ownership.go) hold
+// every defense and attack to keeping none of its inputs, and every codec
+// to decoding into a reused destination exactly as into a fresh vector.
 //
 // The checks are plain error-returning functions rather than test helpers,
 // so the per-registry conformance tests can assert both directions: that
@@ -133,22 +133,59 @@ func HostileBuffers(seed int64) map[string][][]float64 {
 	return out
 }
 
-// CheckDefenseHostileInputs asserts the finite-or-error contract: whatever
-// a defense does with a non-finite cohort, it must either return an error
-// or a fully finite aggregate — never silently emit NaN/±Inf.
-func CheckDefenseHostileInputs(reg *defense.Registry, name string, seed int64) error {
+// eachAccepted builds a fresh instance of the named defense per buffer,
+// aggregates it and hands check every result the rule returned; a refused
+// buffer is skipped, as refusing satisfies every buffer contract.
+func eachAccepted(reg *defense.Registry, name string, seed int64, buffers map[string][][]float64, check func(buffer string, n int, res *aggregate.Result) error) error {
 	server := tensor.RandNormal(tensor.NewRNG(seed+1), CohortDim, 0, 1)
-	for buffer, grads := range HostileBuffers(seed) {
+	for buffer, grads := range buffers {
 		rule, err := buildRule(reg, name, seed, server)
 		if err != nil {
 			return err
 		}
-		res, err := rule.Aggregate(grads)
-		if err != nil {
-			continue // rejecting hostile input satisfies the contract
+		if res, err := rule.Aggregate(grads); err == nil {
+			if err := check(buffer, len(grads), res); err != nil {
+				return err
+			}
 		}
+	}
+	return nil
+}
+
+// CheckDefenseHostileInputs asserts the finite-or-error contract: whatever
+// a defense does with a non-finite cohort, it must either return an error
+// or a fully finite aggregate — never silently emit NaN/±Inf.
+func CheckDefenseHostileInputs(reg *defense.Registry, name string, seed int64) error {
+	return eachAccepted(reg, name, seed, HostileBuffers(seed), func(buffer string, _ int, res *aggregate.Result) error {
 		if !tensor.AllFinite(res.Gradient) {
 			return fmt.Errorf("%s emitted a non-finite aggregate on %s without an error", name, buffer)
+		}
+		return nil
+	})
+}
+
+// CheckDefenseSelection asserts the selection shape attack.Observe counts:
+// a rule's Selected is nil (no per-client selection) or strictly ascending
+// within [0, n), on the clean cohort and on every HostileBuffers entry the
+// rule accepts. An empty non-nil selection (a rule that kept no one) is
+// allowed.
+func CheckDefenseSelection(reg *defense.Registry, name string, seed int64) error {
+	buffers := HostileBuffers(seed)
+	buffers["clean"] = cohort(seed)
+	return eachAccepted(reg, name, seed, buffers, func(buffer string, n int, res *aggregate.Result) error {
+		if err := SelectionShape(res.Selected, n); err != nil {
+			return fmt.Errorf("%s on %s: %w", name, buffer, err)
+		}
+		return nil
+	})
+}
+
+// SelectionShape returns an error unless selected is nil or strictly
+// ascending within [0, n).
+func SelectionShape(selected []int, n int) error {
+	for k, i := range selected {
+		if i < 0 || i >= n || k > 0 && i <= selected[k-1] {
+			return fmt.Errorf("selection %v is not strictly ascending within [0, %d)", selected, n)
 		}
 	}
 	return nil

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"github.com/signguard/signguard/internal/aggregate"
 	"github.com/signguard/signguard/internal/attack"
@@ -50,13 +51,8 @@ func diffResults(want, got *aggregate.Result) error {
 	if err := diffVectors(want.Gradient, got.Gradient); err != nil {
 		return err
 	}
-	if len(got.Selected) != len(want.Selected) {
+	if !slices.Equal(got.Selected, want.Selected) {
 		return fmt.Errorf("selection %v, want %v", got.Selected, want.Selected)
-	}
-	for j := range want.Selected {
-		if got.Selected[j] != want.Selected[j] {
-			return fmt.Errorf("selection %v, want %v", got.Selected, want.Selected)
-		}
 	}
 	return nil
 }
@@ -108,8 +104,8 @@ func CheckDefenseInputRetention(reg *defense.Registry, name string, seed int64) 
 }
 
 // attackRound builds round r's adversary view from seed: the conformance
-// cohort split into Byzantine-own and benign gradients, r rounds of
-// filtering history and a previous aggregate.
+// cohort split into Byzantine-own and benign gradients and r rounds of
+// filtering history.
 func attackRound(seed int64, r int, rng *rand.Rand) *attack.Context {
 	grads := cohort(seed)
 	history := make([]attack.Observation, r)
@@ -123,16 +119,13 @@ func attackRound(seed int64, r int, rng *rand.Rand) *attack.Context {
 	return &attack.Context{
 		Benign: grads[CohortF:], ByzOwn: grads[:CohortF], Rng: rng,
 		Round: r, History: history,
-		PrevAggregate: tensor.RandNormal(tensor.NewRNG(seed+1), CohortDim, 0, 1),
-		PrevSelected:  []int{0, 2, 3, 5, 7},
 	}
 }
 
 // CheckAttackInputRetention is CheckDefenseInputRetention for an attack's
-// Craft across two rounds: round A's Context vectors — benign,
-// Byzantine-own and the previous aggregate — are overwritten with NaN
-// before round B, whose crafted vectors must match those of a fresh
-// instance that saw an untouched A.
+// Craft across two rounds: round A's Context vectors — benign and
+// Byzantine-own — are overwritten with NaN before round B, whose crafted
+// vectors must match those of a fresh instance that saw an untouched A.
 func CheckAttackInputRetention(spec attack.Spec, seed int64) error {
 	run := func(poison bool) ([][]float64, error) {
 		att, err := spec.New(0, seed)
@@ -148,7 +141,6 @@ func CheckAttackInputRetention(spec attack.Spec, seed int64) error {
 		if poison {
 			fillNaN(a.Benign...)
 			fillNaN(a.ByzOwn...)
-			fillNaN(a.PrevAggregate)
 		}
 		out, err := adv.Craft(attackRound(seed+1000, 2, rng))
 		if err != nil {

@@ -23,10 +23,10 @@ type FilterContext struct {
 	Norms []float64
 	// MedianNorm is the median of Norms — the reference magnitude M.
 	MedianNorm float64
-	// PrevAggregate is the previous round's aggregated gradient, used as
-	// the "correct" reference by the similarity features; nil in the first
+	// Reference is the previous round's aggregated gradient, used as the
+	// "correct" reference by the similarity features; nil in the first
 	// round.
-	PrevAggregate []float64
+	Reference []float64
 	// Rng drives the randomized coordinate selection and clustering seeds.
 	Rng *rand.Rand
 }
@@ -53,11 +53,11 @@ func NewFilterContext(grads [][]float64, prevAgg []float64, rng *rand.Rand) (*Fi
 		return nil, err
 	}
 	return &FilterContext{
-		Grads:         grads,
-		Norms:         norms,
-		MedianNorm:    med,
-		PrevAggregate: prevAgg,
-		Rng:           rng,
+		Grads:      grads,
+		Norms:      norms,
+		MedianNorm: med,
+		Reference:  prevAgg,
+		Rng:        rng,
 	}, nil
 }
 

@@ -114,7 +114,7 @@ func (f *SignClusterFilter) Features(ctx *FilterContext) ([][]float64, error) {
 	if sim == 0 {
 		sim = NoSimilarity
 	}
-	ref := ctx.PrevAggregate
+	ref := ctx.Reference
 	if sim != NoSimilarity && ref == nil {
 		// First round: no previous aggregate. The paper suggests pairwise
 		// medians as the fallback "correct" gradient; the coordinate-wise

@@ -52,19 +52,6 @@ func DefaultConfig() Config {
 	}
 }
 
-// Report captures one round's filtering decisions, used to compute the
-// paper's Table II selection rates and to debug filters.
-type Report struct {
-	// NormKept / SignKept are the indices accepted by each filter
-	// (nil when the filter is disabled).
-	NormKept []int
-	SignKept []int
-	// Selected is the final trusted set S' = S1 ∩ S2.
-	Selected []int
-	// MedianNorm is the reference magnitude M of the round.
-	MedianNorm float64
-}
-
 // SignGuard is the paper's robust gradient aggregation rule. It implements
 // aggregate.Rule so it can be dropped in anywhere the baseline GARs are
 // used. The aggregator is stateful across rounds: it remembers the previous
@@ -74,8 +61,7 @@ type SignGuard struct {
 	rng     *rand.Rand
 	filters []Filter
 
-	prevAgg    []float64
-	lastReport *Report
+	prevAgg []float64
 }
 
 var _ aggregate.Rule = (*SignGuard)(nil)
@@ -154,16 +140,6 @@ func (sg *SignGuard) Name() string {
 	}
 }
 
-// LastReport returns the filtering report of the most recent round, or nil
-// before the first aggregation.
-func (sg *SignGuard) LastReport() *Report { return sg.lastReport }
-
-// Reset clears the cross-round state (previous aggregate and report).
-func (sg *SignGuard) Reset() {
-	sg.prevAgg = nil
-	sg.lastReport = nil
-}
-
 // Aggregate implements aggregate.Rule: it runs the enabled filters, takes
 // the intersection of their accepted sets, and returns the (optionally
 // norm-clipped) mean of the trusted gradients.
@@ -172,8 +148,8 @@ func (sg *SignGuard) Aggregate(grads [][]float64) (*aggregate.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	report := &Report{MedianNorm: ctx.MedianNorm}
-
+	// Each filter's accepted set (nil when disabled) and S' = S1 ∩ S2.
+	var normKept, signKept []int
 	selected := allIndices(len(grads))
 	for _, f := range sg.filters {
 		kept, err := f.Apply(ctx)
@@ -182,9 +158,9 @@ func (sg *SignGuard) Aggregate(grads [][]float64) (*aggregate.Result, error) {
 		}
 		switch f.(type) {
 		case *NormThresholdFilter:
-			report.NormKept = kept
+			normKept = kept
 		case *SignClusterFilter:
-			report.SignKept = kept
+			signKept = kept
 		}
 		selected = intersect(selected, kept)
 	}
@@ -193,16 +169,15 @@ func (sg *SignGuard) Aggregate(grads [][]float64) (*aggregate.Result, error) {
 		// which would stall training — fall back to the most conservative
 		// single filter output available, preferring the sign filter.
 		switch {
-		case len(report.SignKept) > 0:
-			selected = append([]int(nil), report.SignKept...)
-		case len(report.NormKept) > 0:
-			selected = append([]int(nil), report.NormKept...)
+		case len(signKept) > 0:
+			selected = append([]int(nil), signKept...)
+		case len(normKept) > 0:
+			selected = append([]int(nil), normKept...)
 		default:
 			return nil, errors.New("core: all gradients filtered out")
 		}
 	}
 	sort.Ints(selected)
-	report.Selected = selected
 
 	// Aggregation (Algorithm 2, step 3): mean of the trusted gradients,
 	// each clipped to the median norm.
@@ -220,7 +195,6 @@ func (sg *SignGuard) Aggregate(grads [][]float64) (*aggregate.Result, error) {
 	tensor.ScaleInPlace(sum, 1/float64(len(selected)))
 
 	sg.prevAgg = tensor.Clone(sum)
-	sg.lastReport = report
 	return &aggregate.Result{Gradient: sum, Selected: selected}, nil
 }
 

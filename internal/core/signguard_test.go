@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -172,9 +173,8 @@ func TestSignGuardFiltersObviousAttack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	report := sg.LastReport()
-	if report == nil {
-		t.Fatal("no report after aggregation")
+	if len(res.Selected) == 0 {
+		t.Fatal("no selection after aggregation")
 	}
 	var byzKept int
 	for _, i := range res.Selected {
@@ -217,22 +217,36 @@ func TestSignGuardNormClipBoundsOutput(t *testing.T) {
 	}
 }
 
+// SignGuard keeps the previous aggregate as its similarity reference. A
+// round's selection is its own slice: once the next round has run it still
+// equals a fresh instance's first round. Two instances of one seed fed the
+// same rounds select the same sets.
 func TestSignGuardStateAcrossRounds(t *testing.T) {
-	sg := NewSim(9)
 	grads := benignGrads(17, 20, 80)
-	if _, err := sg.Aggregate(grads); err != nil {
+	twoRounds := func() (first, second []int) {
+		sg := NewSim(9)
+		for _, sel := range []*[]int{&first, &second} {
+			res, err := sg.Aggregate(grads)
+			if err != nil {
+				t.Fatal(err)
+			}
+			*sel = res.Selected
+		}
+		return first, second
+	}
+	first, second := twoRounds()
+	if len(first) == 0 || len(second) == 0 {
+		t.Fatalf("empty selection: %v then %v", first, second)
+	}
+	fresh, err := NewSim(9).Aggregate(grads)
+	if err != nil {
 		t.Fatal(err)
 	}
-	first := sg.LastReport()
-	if _, err := sg.Aggregate(grads); err != nil {
-		t.Fatal(err)
+	if !reflect.DeepEqual(first, fresh.Selected) {
+		t.Errorf("round 1 selection reads %v after round 2, a fresh round 1 %v", first, fresh.Selected)
 	}
-	if sg.LastReport() == first {
-		t.Error("report not refreshed between rounds")
-	}
-	sg.Reset()
-	if sg.LastReport() != nil {
-		t.Error("Reset did not clear the report")
+	if _, twin := twoRounds(); !reflect.DeepEqual(second, twin) {
+		t.Errorf("round 2 selections of one seed differ: %v vs %v", second, twin)
 	}
 }
 

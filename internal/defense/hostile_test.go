@@ -1,7 +1,6 @@
 package defense
 
 import (
-	"encoding/binary"
 	"errors"
 	"math"
 	"testing"
@@ -115,52 +114,4 @@ type nanRule struct{}
 func (nanRule) Name() string { return "evil" }
 func (nanRule) Aggregate(grads [][]float64) (*aggregate.Result, error) {
 	return &aggregate.Result{Gradient: []float64{math.NaN()}}, nil
-}
-
-// FuzzDefenseAggregate drives arbitrary bit patterns — hostile floats
-// included — through every registered defense and asserts the same
-// finite-or-error property the deterministic test pins.
-func FuzzDefenseAggregate(f *testing.F) {
-	f.Add([]byte{}, uint8(0))
-	seedBuf := make([]byte, 6*4*8)
-	f.Add(seedBuf, uint8(7))
-	nan := make([]byte, 8*4*8)
-	binary.LittleEndian.PutUint64(nan, math.Float64bits(math.NaN()))
-	f.Add(nan, uint8(2))
-	names := Builtin().Names()
-	f.Fuzz(func(t *testing.T, data []byte, which uint8) {
-		const d = 4
-		vals := len(data) / 8
-		n := vals / d
-		if n < 1 {
-			return
-		}
-		if n > 24 {
-			n = 24 // bound the O(n²·d) rules per exec
-		}
-		grads := make([][]float64, n)
-		for i := 0; i < n; i++ {
-			row := make([]float64, d)
-			for j := 0; j < d; j++ {
-				off := (i*d + j) * 8
-				row[j] = math.Float64frombits(binary.LittleEndian.Uint64(data[off : off+8]))
-			}
-			grads[i] = row
-		}
-		name := names[int(which)%len(names)]
-		rule, err := Builtin().Build(name, Params{N: n, F: n / 4, Seed: 11})
-		if err != nil {
-			t.Fatalf("%s: build: %v", name, err)
-		}
-		res, err := rule.Aggregate(grads)
-		if err != nil {
-			return
-		}
-		if res == nil {
-			t.Fatalf("%s: nil result with nil error", name)
-		}
-		if !tensor.AllFinite(res.Gradient) {
-			t.Fatalf("%s: non-finite aggregate from fuzz buffer", name)
-		}
-	})
 }

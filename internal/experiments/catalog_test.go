@@ -2,7 +2,9 @@ package experiments
 
 import (
 	"encoding/json"
+	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"github.com/signguard/signguard/internal/campaign"
@@ -66,5 +68,20 @@ func TestRenderContract(t *testing.T) {
 				t.Errorf("rendered a %d-cell grid from %d results", len(results), len(results)-1)
 			}
 		})
+	}
+}
+
+// TestTable2NarrowedGridNamesTheCount: Table II rendered from a grid
+// narrowed to one attack (-filter LIE) fails on the count of results it
+// read, not on a cell the filter removed.
+func TestTable2NarrowedGridNamesTheCount(t *testing.T) {
+	spec := table2Spec(DefaultParams(ScaleBench)).Filter("LIE")
+	results := make([]*campaign.CellResult, len(spec.Cells))
+	for i, c := range spec.Cells {
+		results[i] = &campaign.CellResult{Key: fmt.Sprint(i), Cell: c, HasSelection: true}
+	}
+	_, err := renderTable2(results)
+	if want := "renderer read 15 results of a 3-cell grid"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("Table II of a 3-cell grid: error %v, want %q", err, want)
 	}
 }

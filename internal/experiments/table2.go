@@ -37,8 +37,10 @@ func renderTable2(results []*campaign.CellResult) ([]*Table, error) {
 	for _, att := range table2Attacks {
 		row := []string{att}
 		for _, v := range table2Variants {
+			// Past the end of a narrowed grid the cursor returns a result
+			// with no Key; cur.tables then refuses the count instead.
 			r := cur.next()
-			if !r.HasSelection {
+			if r.Key != "" && !r.HasSelection {
 				return nil, fmt.Errorf("experiments: %s reported no selection under %s", v, att)
 			}
 			row = append(row, fmtRate(r.SelHonest), fmtRate(r.SelMalicious))

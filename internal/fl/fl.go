@@ -208,8 +208,6 @@ type Simulation struct {
 	// declares NeedsHistory (static attacks pay nothing).
 	adaptive bool
 	history  []attack.Observation
-	prevAgg  []float64
-	prevSel  []int
 }
 
 // New prepares a simulation: builds the model, partitions the data,
@@ -447,8 +445,7 @@ func (s *Simulation) resolveParticipants(ids []int) ([]*Client, error) {
 // The round's gradients live in the Simulation's arenas, so every stage
 // sees them only for the duration of its call: the adversary's Context
 // slices, the defense's input and the hook's RoundState are overwritten by
-// the next Step, and a stage that keeps a vector across rounds copies it
-// (as observe does for PrevAggregate).
+// the next Step, and a stage that keeps a vector across rounds copies it.
 func (s *Simulation) Step(round int) (*RoundMetrics, error) {
 	if err := s.model.SetParamVector(s.global); err != nil {
 		return nil, err
@@ -516,7 +513,6 @@ func (s *Simulation) Step(round int) (*RoundMetrics, error) {
 		ctx := &attack.Context{
 			Benign: benign, ByzOwn: byzOwn, Rng: s.attRng,
 			Round: round, History: s.history,
-			PrevAggregate: s.prevAgg, PrevSelected: s.prevSel,
 		}
 		malicious, err = s.pipe.Adversary.Craft(ctx)
 		if err != nil {
@@ -623,10 +619,6 @@ func (s *Simulation) Step(round int) (*RoundMetrics, error) {
 		return nil, err
 	}
 
-	if s.adaptive {
-		s.observe(round, res, byzMask)
-	}
-
 	if s.cfg.RoundHook != nil {
 		// RoundState is materialized only for hooked runs.
 		s.cfg.RoundHook(&RoundState{
@@ -641,10 +633,15 @@ func (s *Simulation) Step(round int) (*RoundMetrics, error) {
 	}
 
 	m := &RoundMetrics{
-		Round: round, TrainLoss: lossSum / float64(max(lossCnt, 1)),
-		WireBytes: wireBytes, NonFiniteScreened: screened,
+		Observation: attack.Observe(round, res.Selected, byzMask),
+		TrainLoss:   lossSum / float64(max(lossCnt, 1)),
+		WireBytes:   wireBytes, NonFiniteScreened: screened,
 	}
-	m.countSelection(res.Selected, byzMask)
+	if s.adaptive {
+		// The omniscient attacker knows which arrival positions were its
+		// own, so it reads back the round's selection tally.
+		s.history = append(s.history, m.Observation)
+	}
 	return m, nil
 }
 
@@ -723,34 +720,6 @@ func (s *Simulation) roundTrip(grads [][]float64) (int64, error) {
 		wire += int64(sl.bytes)
 	}
 	return wire, nil
-}
-
-// observe feeds the round's filtering outcome back to an adaptive
-// adversary: the omniscient attacker knows which arrival positions were
-// its own, so it can count how many survived selection.
-func (s *Simulation) observe(round int, res *aggregate.Result, byzMask []bool) {
-	obs := attack.Observation{Round: round, HasSelection: res.Selected != nil}
-	for _, b := range byzMask {
-		if b {
-			obs.TotalByz++
-		} else {
-			obs.TotalHonest++
-		}
-	}
-	for _, i := range res.Selected {
-		if i >= 0 && i < len(byzMask) && byzMask[i] {
-			obs.SelectedByz++
-		} else {
-			obs.SelectedHonest++
-		}
-	}
-	s.history = append(s.history, obs)
-	// Copies, because they outlive the round: res.Gradient may alias the
-	// round's arenas (a selecting rule may return one of its inputs), and
-	// a fresh copy each round means no earlier Context's slice is ever
-	// written again.
-	s.prevAgg = tensor.Clone(res.Gradient)
-	s.prevSel = append([]int(nil), res.Selected...)
 }
 
 // ErrDiverged marks a training run whose model left the finite range —

@@ -1,8 +1,14 @@
 package fl
 
-// RoundMetrics records what happened in one aggregation round.
+import "github.com/signguard/signguard/internal/attack"
+
+// RoundMetrics records what happened in one aggregation round. The
+// embedded Observation is the round's selection counted against the
+// ground-truth Byzantine mask (attack.Observe), and its Round is the round
+// index: the value an adaptive adversary reads back is this one.
 type RoundMetrics struct {
-	Round     int
+	attack.Observation
+
 	TrainLoss float64
 	// TestAccuracy is valid only when Evaluated is true.
 	TestAccuracy float64
@@ -16,39 +22,6 @@ type RoundMetrics struct {
 	// dropped as non-finite (always 0 under the legacy zero policy, which
 	// diverges instead of screening).
 	NonFiniteScreened int
-
-	// Selection accounting against the ground-truth Byzantine mask. A
-	// value of -1 for the counts means the rule did not report a selection
-	// (coordinate-wise rules).
-	SelectedHonest int
-	SelectedByz    int
-	TotalHonest    int
-	TotalByz       int
-	HasSelection   bool
-}
-
-// countSelection fills the selection counters from a rule's selected set
-// and the ground-truth mask of malicious arrival positions.
-func (m *RoundMetrics) countSelection(selected []int, byzMask []bool) {
-	for _, b := range byzMask {
-		if b {
-			m.TotalByz++
-		} else {
-			m.TotalHonest++
-		}
-	}
-	if selected == nil {
-		m.SelectedHonest, m.SelectedByz = -1, -1
-		return
-	}
-	m.HasSelection = true
-	for _, i := range selected {
-		if i >= 0 && i < len(byzMask) && byzMask[i] {
-			m.SelectedByz++
-		} else {
-			m.SelectedHonest++
-		}
-	}
 }
 
 // RunResult aggregates the metrics of a full training run.
@@ -74,10 +47,6 @@ type RunResult struct {
 	// NonFiniteScreened is the run total of submissions dropped by the
 	// non-finite ingest screen.
 	NonFiniteScreened int
-
-	selHonest, selByz     int
-	totalHonest, totalByz int
-	selRounds             int
 }
 
 // Add appends one round's metrics and updates the summaries.
@@ -91,25 +60,28 @@ func (r *RunResult) Add(m *RoundMetrics) {
 		}
 		r.FinalAccuracy = m.TestAccuracy
 	}
-	if m.HasSelection {
-		r.selHonest += m.SelectedHonest
-		r.selByz += m.SelectedByz
-		r.totalHonest += m.TotalHonest
-		r.totalByz += m.TotalByz
-		r.selRounds++
-	}
 }
 
 // SelectionRates returns the average fraction of honest and malicious
 // gradients the rule selected across the run — the paper's Table II
-// quantities. ok is false when the rule never reported a selection.
+// quantities, summed over the rounds of History that carry a selection.
+// ok is false when the rule never reported one.
 func (r *RunResult) SelectionRates() (honest, malicious float64, ok bool) {
-	if r.selRounds == 0 || r.totalHonest == 0 {
+	var sum attack.Observation
+	for _, m := range r.History {
+		if m.HasSelection {
+			sum.SelectedHonest += m.SelectedHonest
+			sum.SelectedByz += m.SelectedByz
+			sum.TotalHonest += m.TotalHonest
+			sum.TotalByz += m.TotalByz
+		}
+	}
+	if sum.TotalHonest == 0 {
 		return 0, 0, false
 	}
-	honest = float64(r.selHonest) / float64(r.totalHonest)
-	if r.totalByz > 0 {
-		malicious = float64(r.selByz) / float64(r.totalByz)
+	honest = float64(sum.SelectedHonest) / float64(sum.TotalHonest)
+	if sum.TotalByz > 0 {
+		malicious = float64(sum.SelectedByz) / float64(sum.TotalByz)
 	}
 	return honest, malicious, true
 }

@@ -3,40 +3,21 @@ package fl
 import (
 	"math"
 	"testing"
+
+	"github.com/signguard/signguard/internal/attack"
 )
 
-func TestCountSelection(t *testing.T) {
-	m := &RoundMetrics{}
-	byzMask := []bool{false, true, false, true, false}
-	m.countSelection([]int{0, 2, 3}, byzMask)
-	if !m.HasSelection {
-		t.Fatal("HasSelection false")
-	}
-	if m.SelectedHonest != 2 || m.SelectedByz != 1 {
-		t.Errorf("selected H=%d M=%d", m.SelectedHonest, m.SelectedByz)
-	}
-	if m.TotalHonest != 3 || m.TotalByz != 2 {
-		t.Errorf("totals H=%d M=%d", m.TotalHonest, m.TotalByz)
-	}
-}
-
-func TestCountSelectionNil(t *testing.T) {
-	m := &RoundMetrics{}
-	m.countSelection(nil, []bool{false, true})
-	if m.HasSelection {
-		t.Error("nil selection should not count")
-	}
-	if m.SelectedHonest != -1 || m.SelectedByz != -1 {
-		t.Errorf("sentinels = %d/%d", m.SelectedHonest, m.SelectedByz)
-	}
+// evaluated returns round r's metrics with a test accuracy.
+func evaluated(r int, acc float64) *RoundMetrics {
+	return &RoundMetrics{Observation: attack.Observation{Round: r}, Evaluated: true, TestAccuracy: acc}
 }
 
 func TestRunResultSummaries(t *testing.T) {
 	r := &RunResult{}
-	r.Add(&RoundMetrics{Round: 0, Evaluated: true, TestAccuracy: 50})
-	r.Add(&RoundMetrics{Round: 1})
-	r.Add(&RoundMetrics{Round: 2, Evaluated: true, TestAccuracy: 80})
-	r.Add(&RoundMetrics{Round: 3, Evaluated: true, TestAccuracy: 70})
+	r.Add(evaluated(0, 50))
+	r.Add(&RoundMetrics{Observation: attack.Observation{Round: 1}})
+	r.Add(evaluated(2, 80))
+	r.Add(evaluated(3, 70))
 	if r.BestAccuracy != 80 {
 		t.Errorf("best = %v", r.BestAccuracy)
 	}
@@ -51,22 +32,26 @@ func TestRunResultSummaries(t *testing.T) {
 
 func TestSelectionRatesAveraging(t *testing.T) {
 	r := &RunResult{}
-	a := &RoundMetrics{}
-	a.countSelection([]int{0, 1}, []bool{false, false, true, true})
-	r.Add(a)
-	b := &RoundMetrics{}
-	b.countSelection([]int{0, 2}, []bool{false, false, true, true})
-	r.Add(b)
+	mask := []bool{false, false, true, true}
+	r.Add(&RoundMetrics{Observation: attack.Observe(0, []int{0, 1}, mask)})
+	r.Add(&RoundMetrics{Observation: attack.Observe(1, nil, mask)})
+	r.Add(&RoundMetrics{Observation: attack.Observe(2, []int{0, 2}, mask)})
 	h, m, ok := r.SelectionRates()
 	if !ok {
 		t.Fatal("no rates")
 	}
-	// Honest: selected 2 of 2, then 1 of 2 → 3/4. Malicious: 0/2 then 1/2 → 1/4.
+	// Honest: selected 2 of 2, then 1 of 2 → 3/4. Malicious: 0/2 then 1/2
+	// → 1/4. Round 1 reported no selection and counts in neither.
 	if math.Abs(h-0.75) > 1e-12 || math.Abs(m-0.25) > 1e-12 {
 		t.Errorf("rates H=%v M=%v", h, m)
 	}
 	empty := &RunResult{}
 	if _, _, ok := empty.SelectionRates(); ok {
 		t.Error("empty result reported rates")
+	}
+	blind := &RunResult{}
+	blind.Add(&RoundMetrics{Observation: attack.Observe(0, nil, mask)})
+	if _, _, ok := blind.SelectionRates(); ok {
+		t.Error("a run without a selection reported rates")
 	}
 }

@@ -118,10 +118,9 @@ func TestSubsampleCohortObservedPerRound(t *testing.T) {
 
 // recordingAdversary captures the context the engine hands the attacker.
 type recordingAdversary struct {
-	needs      bool
-	histLens   []int
-	rounds     []int
-	prevAggSet []bool
+	needs    bool
+	histLens []int
+	rounds   []int
 }
 
 func (r *recordingAdversary) Name() string       { return "recorder" }
@@ -129,7 +128,6 @@ func (r *recordingAdversary) NeedsHistory() bool { return r.needs }
 func (r *recordingAdversary) Craft(ctx *attack.Context) ([][]float64, error) {
 	r.histLens = append(r.histLens, len(ctx.History))
 	r.rounds = append(r.rounds, ctx.Round)
-	r.prevAggSet = append(r.prevAggSet, ctx.PrevAggregate != nil)
 	return tensor.CloneAll(ctx.ByzOwn), nil
 }
 
@@ -144,7 +142,8 @@ func TestAdaptiveAdversaryReceivesHistory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sim.Run(); err != nil {
+	res, err := sim.Run()
+	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rec.histLens) != 6 {
@@ -157,8 +156,14 @@ func TestAdaptiveAdversaryReceivesHistory(t *testing.T) {
 		if rec.rounds[r] != r {
 			t.Errorf("context round %d, want %d", rec.rounds[r], r)
 		}
-		if got, want := rec.prevAggSet[r], r > 0; got != want {
-			t.Errorf("round %d PrevAggregate present=%v, want %v", r, got, want)
+	}
+	// The round metrics and the adversary's history are one tally.
+	if len(res.History) != len(sim.history) {
+		t.Fatalf("%d round metrics, %d observations", len(res.History), len(sim.history))
+	}
+	for r, m := range res.History {
+		if m.Observation != sim.history[r] {
+			t.Errorf("round %d metrics %+v, adversary saw %+v", r, m.Observation, sim.history[r])
 		}
 	}
 	// Multi-Krum reports selections, so the observations must carry counts.
@@ -193,9 +198,9 @@ func TestStaticAttackSeesNoHistory(t *testing.T) {
 		if n != 0 {
 			t.Errorf("static adversary saw %d history entries in round %d", n, r)
 		}
-		if rec.prevAggSet[r] {
-			t.Errorf("static adversary saw PrevAggregate in round %d", r)
-		}
+	}
+	if sim.history != nil {
+		t.Errorf("engine recorded %d observations for a static adversary", len(sim.history))
 	}
 }
 

@@ -51,10 +51,6 @@ type SignGuard = core.SignGuard
 // toggles for ablations).
 type SignGuardConfig = core.Config
 
-// SignGuardReport is the per-round filtering report (trusted set and
-// per-filter decisions).
-type SignGuardReport = core.Report
-
 // DefaultSignGuardConfig returns the paper's default configuration
 // (L=0.1, R=3.0, 10% coordinates, Mean-Shift, all components on).
 func DefaultSignGuardConfig() SignGuardConfig { return core.DefaultConfig() }
