@@ -10,8 +10,9 @@ import (
 // worker count, on a fixed-seed cohort of n=41 gradients. The sizes are
 // chosen so every rule's preconditions hold: Krum needs n >= 2F+3 (41 >=
 // 19), Bulyan needs n >= 4F+2 (41 >= 38) and DnC must not remove all
-// gradients. DnC instances are freshly seeded per worker count so the
-// coordinate-subsampling RNG streams match.
+// gradients. DnC and FLAME instances are freshly seeded per worker count so
+// their RNG streams (coordinate subsampling; k-means++ seeding and noise)
+// match.
 func newRules(workers int) []Rule {
 	dnc := NewDnC(8, 77)
 	dnc.SubDim = 97 // force actual subsampling below d
@@ -24,6 +25,8 @@ func newRules(workers int) []Rule {
 		&TrimmedMean{K: 5},
 		&Median{},
 		&Mean{},
+		NewFLAME(2, 0.001, 42),
+		NewMedianOfMeans(0),
 	}
 	for _, r := range rules {
 		SetWorkers(r, workers)
