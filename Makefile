@@ -45,16 +45,20 @@ serve-smoke:
 	$(GO) run ./cmd/flserver -loadtest -load-clients 500 -load-byz 0.2 -rule SignGuard
 
 # Run cmd/campaign's main end to end: flag parsing, then two grids at bench
-# scale into a temporary store and their markdown exports from it — fig2
-# (2 cells) and adaptive (6 cells), the one campaign whose adversary reads
-# each round's selection tally back through its filtering history, so the
-# feedback loop runs through main too (a few seconds each). Fails on an
-# error or an empty table; the CI test job runs this after serve-smoke.
+# scale into a temporary store, a status of each that must report the grid
+# complete, and their markdown exports from the store — fig2 (2 cells) and
+# adaptive (6 cells), the one campaign whose adversary reads each round's
+# selection tally back through its filtering history, so the feedback loop
+# runs through main too (a few seconds each). Fails on an error, an
+# incomplete status or an empty table; the CI test job runs this after
+# serve-smoke.
 paper-smoke:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
 	$(GO) build -o "$$dir/campaign" ./cmd/campaign && \
 	for name in fig2 adaptive; do \
 		"$$dir/campaign" run -name $$name -scale bench -cache-dir "$$dir/cache" && \
+		"$$dir/campaign" status -name $$name -scale bench -cache-dir "$$dir/cache" > "$$dir/status" && \
+		cat "$$dir/status" && grep -q '(0 pending, 100% complete)' "$$dir/status" && \
 		"$$dir/campaign" export -name $$name -scale bench -cache-dir "$$dir/cache" -format md > "$$dir/$$name.md" && \
 		test -s "$$dir/$$name.md" && cat "$$dir/$$name.md" || exit 1; \
 	done

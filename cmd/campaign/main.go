@@ -18,7 +18,7 @@
 // campaign re-run is pure cache hits — zero recomputation. A grid too big
 // for one machine splits by -seeds or -filter: each host runs its share
 // into its own -cache-dir, and copying the result files into one directory
-// merges them (the store's index rebuilds itself).
+// merges them.
 package main
 
 import (
@@ -58,7 +58,7 @@ func dispatch(cmd string, args []string) error {
 	case "run":
 		return cmdRun(args)
 	case "status":
-		return cmdStatus(args)
+		return cmdStatus(os.Stdout, args)
 	case "export":
 		return cmdExport(args)
 	case "list":
@@ -78,7 +78,7 @@ func usage() {
 	fmt.Fprintf(os.Stderr, `usage: campaign <run|status|export|list|rules> [flags]
 
   run     execute a campaign's cells (concurrent, cached, resumable)
-  status  report cached vs pending cells for a campaign (index-backed, O(1) per cell)
+  status  report cached vs pending cells for a campaign (reads every cell's entry)
   export  emit cached results as CSV/JSON, per cell or aggregated by seed
           group, or render them as the paper's tables (-format md|tsv)
   list    list the named campaigns and their cell counts
@@ -162,7 +162,9 @@ func progressPrinter(verbose bool) func(campaign.ProgressEvent) {
 	}
 }
 
-func cmdStatus(args []string) error {
+// cmdStatus prints how many of the grid's cells are cached in the store,
+// to w.
+func cmdStatus(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("status", flag.ExitOnError)
 	var g gridFlags
 	g.register(fs)
@@ -180,16 +182,16 @@ func cmdStatus(args []string) error {
 		return err
 	}
 
-	// Contains answers from the store's index: one index read for the
-	// whole grid instead of one file probe per cell.
+	// A cell is cached when run would serve it from the store: the same
+	// Get, so a damaged entry counts as pending.
 	var cached, pending int
 	err = forEachUniqueCell(spec, func(c campaign.Cell, key string) error {
-		if store.Contains(key) {
+		if _, ok := store.Get(key); ok {
 			cached++
 		} else {
 			pending++
 			if *verbose {
-				fmt.Printf("pending  %s\n", c.ID())
+				fmt.Fprintf(w, "pending  %s\n", c.ID())
 			}
 		}
 		return nil
@@ -197,10 +199,11 @@ func cmdStatus(args []string) error {
 	if err != nil {
 		return err
 	}
+	// The share rounds down, so 100% means nothing is pending.
 	total := cached + pending
-	fmt.Printf("%s: %d/%d cells cached (%d pending, %.0f%% complete)\n",
-		spec.Name, cached, total, pending, 100*float64(cached)/float64(total))
-	return nil
+	_, err = fmt.Fprintf(w, "%s: %d/%d cells cached (%d pending, %d%% complete)\n",
+		spec.Name, cached, total, pending, 100*cached/total)
+	return err
 }
 
 // parseFlags parses a subcommand's flags and refuses positional arguments:

@@ -169,9 +169,82 @@ func TestRefusesBadArguments(t *testing.T) {
 	}
 }
 
+// TestStatusCountsWhatRunServes: status calls a cell cached only when run
+// would serve it from the store. A damaged entry (garbage, truncated,
+// empty) is pending even after an earlier status saw it whole, and the
+// share rounds down, so 100% appears only when nothing is pending.
+func TestStatusCountsWhatRunServes(t *testing.T) {
+	for name, damage := range map[string]func([]byte) []byte{
+		"garbage":   func([]byte) []byte { return []byte("{not json at all") },
+		"truncated": func(raw []byte) []byte { return raw[:len(raw)/2] },
+		"empty":     func([]byte) []byte { return nil },
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			keys := seedStore(t, dir, "fig2", 2)
+			if got, want := status(t, dir, "fig2"), "fig2: 2/2 cells cached (0 pending, 100% complete)\n"; got != want {
+				t.Fatalf("status of a whole store = %q, want %q", got, want)
+			}
+			path := filepath.Join(dir, keys[0]+".json")
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, damage(raw), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := status(t, dir, "fig2"), "fig2: 1/2 cells cached (1 pending, 50% complete)\n"; got != want {
+				t.Errorf("status with a damaged entry = %q, want %q", got, want)
+			}
+		})
+	}
+	t.Run("one of 202 pending", func(t *testing.T) {
+		dir := t.TempDir()
+		seedStore(t, dir, "fig4", 201)
+		if got, want := status(t, dir, "fig4"), "fig4: 201/202 cells cached (1 pending, 99% complete)\n"; got != want {
+			t.Errorf("status = %q, want %q", got, want)
+		}
+	})
+}
+
+// TestOldStoreStillServes: a store an earlier build filled also holds an
+// index.json. Nothing reads it, so even a garbage one leaves every result
+// file served by Get and counted by status.
+func TestOldStoreStillServes(t *testing.T) {
+	dir := t.TempDir()
+	keys := seedStore(t, dir, "fig2", 2)
+	if err := os.WriteFile(filepath.Join(dir, "index.json"), []byte("{garbage"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	store, err := campaign.OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range keys {
+		if _, ok := store.Get(key); !ok {
+			t.Errorf("old store does not serve %s", key)
+		}
+	}
+	if got, want := status(t, dir, "fig2"), "fig2: 2/2 cells cached (0 pending, 100% complete)\n"; got != want {
+		t.Errorf("status = %q, want %q", got, want)
+	}
+}
+
+// status runs `campaign status` on the named bench-scale grid and returns
+// what it prints.
+func status(t *testing.T, dir, name string) string {
+	t.Helper()
+	var out bytes.Buffer
+	if err := cmdStatus(&out, []string{"-name", name, "-scale", "bench", "-cache-dir", dir}); err != nil {
+		t.Fatal(err)
+	}
+	return out.String()
+}
+
 // seedStore puts placeholder results for the first n cells of the named
-// bench-scale grid into a store at dir, without training anything.
-func seedStore(t *testing.T, dir, name string, n int) {
+// bench-scale grid into a store at dir, without training anything, and
+// returns their keys.
+func seedStore(t *testing.T, dir, name string, n int) []string {
 	t.Helper()
 	spec, err := resolveSpec(name, "bench", 1, "", "")
 	if err != nil {
@@ -181,13 +254,14 @@ func seedStore(t *testing.T, dir, name string, n int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range spec.Cells[:n] {
-		key, err := c.Key()
-		if err != nil {
+	keys := make([]string, n)
+	for i, c := range spec.Cells[:n] {
+		if keys[i], err = c.Key(); err != nil {
 			t.Fatal(err)
 		}
-		if err := store.Put(&campaign.CellResult{Key: key, Cell: c}); err != nil {
+		if err := store.Put(&campaign.CellResult{Key: keys[i], Cell: c}); err != nil {
 			t.Fatal(err)
 		}
 	}
+	return keys
 }

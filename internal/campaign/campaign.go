@@ -84,16 +84,6 @@ type Cell struct {
 	// IID fraction s = NonIIDS and NonIIDShards shards per client.
 	NonIIDS      float64 `json:",omitempty"`
 	NonIIDShards int     `json:",omitempty"`
-	// BatchClients and FastLocal are retired in PR 14: they select nothing.
-	// They once chose between three local-compute engines; exact stacked
-	// batching is now the only one. The fields survive — in the hash and in
-	// ID() only — so every historical key stays decodable. BatchClients
-	// cells remain runnable (that engine was byte-identical to the
-	// per-client one, so their cached results are still correct hits);
-	// FastLocal cells promised the removed non-bitwise kernels and are
-	// refused by Registry.Validate.
-	BatchClients bool `json:",omitempty"`
-	FastLocal    bool `json:",omitempty"`
 	// Codec names the gradient-compression codec every submitted gradient
 	// passes through between the adversary and the defense ("" or
 	// "identity" = the lossless wire format; both spellings share one cell
@@ -164,12 +154,6 @@ func (c Cell) id(withSeed bool) string {
 	}
 	if c.NonIIDS > 0 {
 		fmt.Fprintf(&b, "/niid=%g", c.NonIIDS)
-	}
-	if c.BatchClients {
-		b.WriteString("/batched")
-		if c.FastLocal {
-			b.WriteString("-fast")
-		}
 	}
 	if c.Codec != "" && c.Codec != CodecIdentity {
 		fmt.Fprintf(&b, "/codec=%s", c.Codec)

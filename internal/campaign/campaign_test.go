@@ -186,7 +186,7 @@ func TestInterruptedResume(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := store.Delete(key); err != nil {
+		if err := os.Remove(filepath.Join(store.Dir(), key+".json")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -371,34 +371,6 @@ func TestExportFormats(t *testing.T) {
 
 	if err := campaign.WriteExport(&strings.Builder{}, "xml", nil); err == nil {
 		t.Error("unknown export format accepted")
-	}
-}
-
-func TestStoreKeysAndDelete(t *testing.T) {
-	store, err := campaign.OpenStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := campaign.Spec{Name: "keys", Cells: []campaign.Cell{
-		campaign.NewCell("tiny", "Mean", "SignFlip", tinyParams(1)),
-		campaign.NewCell("tiny", "Mean", "LIE", tinyParams(1)),
-	}}
-	mustRun(t, &campaign.Engine{Registry: testRegistry(), Store: store, Workers: 1}, spec)
-	keys, err := store.Keys()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(keys) != 2 {
-		t.Fatalf("store holds %d keys, want 2", len(keys))
-	}
-	if err := store.Delete(keys[0]); err != nil {
-		t.Fatal(err)
-	}
-	if store.Has(keys[0]) {
-		t.Error("deleted key still present")
-	}
-	if err := store.Delete("missing"); err != nil {
-		t.Error("deleting a missing key should be a no-op")
 	}
 }
 

@@ -30,35 +30,6 @@ func TestCellKeyGolden(t *testing.T) {
 	}
 }
 
-// The two engine axes were retired in PR 14 (they select nothing), but keys
-// minted while they meant something are on disk. These literals were
-// recorded at the parent commit (PR 13): goldenCell() with BatchClients set,
-// and with BatchClients and FastLocal both set.
-const (
-	goldenBatchedCellKey     = "27e8c66a2739c850fcda84b6dda019703721c4a9b012152d14f0519858b39f4d"
-	goldenBatchedFastCellKey = "5f1b48cba1677f8ed0d1b552247ce0a7424fc1bb07131ca87dd261f22c938071"
-)
-
-// TestCellKeyRetiredAxesStillHash: the retired axes must keep hashing (and
-// naming themselves in ID()) exactly as they did, so no stored key moves.
-func TestCellKeyRetiredAxesStillHash(t *testing.T) {
-	cell := goldenCell()
-	cell.BatchClients = true
-	for _, want := range []struct{ key, id string }{
-		{goldenBatchedCellKey, "mnist/Mean/LIE/batched/seed=1"},
-		{goldenBatchedFastCellKey, "mnist/Mean/LIE/batched-fast/seed=1"},
-	} {
-		key, err := cell.Key()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if key != want.key || cell.ID() != want.id {
-			t.Errorf("retired-axis cell moved: key %s id %s, pinned %s %s", key, cell.ID(), want.key, want.id)
-		}
-		cell.FastLocal = true
-	}
-}
-
 // TestCellKeyExtensionAxesAreFree asserts the hash-compatibility contract
 // every extension axis must honor: setting an axis to its zero value leaves
 // the key identical to a cell that predates the axis. This is what lets new
@@ -72,8 +43,6 @@ func TestCellKeyExtensionAxesAreFree(t *testing.T) {
 		"sampleK":         func(c *campaign.Cell) { c.SampleK = 0 },
 		"nonIIDS":         func(c *campaign.Cell) { c.NonIIDS = 0 },
 		"nonIIDShards":    func(c *campaign.Cell) { c.NonIIDShards = 0 },
-		"batchClients":    func(c *campaign.Cell) { c.BatchClients = false },
-		"fastLocal":       func(c *campaign.Cell) { c.FastLocal = false },
 		"codec":           func(c *campaign.Cell) { c.Codec = "" },
 		"codecHyper":      func(c *campaign.Cell) { c.CodecHyper = map[string]float64{} },
 		"nonFinitePolicy": func(c *campaign.Cell) { c.NonFinitePolicy = "" },

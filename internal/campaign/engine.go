@@ -258,15 +258,6 @@ func (e *Engine) Run(ctx context.Context, spec Spec) (*Report, error) {
 		}
 	})
 
-	// Persist the index updates accumulated by the workers' Puts in one
-	// write — even when the campaign failed or was interrupted, so the
-	// completed cells stay indexed. Best-effort: the index is advisory
-	// (a failed write is rebuilt by the next membership query), so it
-	// must never fail a campaign whose results are all safely stored.
-	if e.Store != nil {
-		_ = e.Store.Flush()
-	}
-
 	if firstErr != nil {
 		return nil, firstErr
 	}

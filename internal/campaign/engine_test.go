@@ -3,7 +3,6 @@ package campaign_test
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -235,8 +234,8 @@ func TestCancelStopsClaimingCells(t *testing.T) {
 // two hosts would, with shares that overlap: A runs the SignFlip cells, B
 // the LIE cells and then every seed=2 cell. Both hosts compute the shared
 // cells to the same result, so the copy that overwrites them is harmless:
-// the merged store lists each cell once, serves the whole grid from cache
-// and exports what a one-store run exports.
+// the merged store serves the whole grid from cache and exports what a
+// one-store run exports.
 func TestOverlappingSharesMergeByFileCopy(t *testing.T) {
 	spec := testSpec()
 	dirA, dirB, dirOne := t.TempDir(), t.TempDir(), t.TempDir()
@@ -294,16 +293,9 @@ func TestOverlappingSharesMergeByFileCopy(t *testing.T) {
 		t.Fatal(err)
 	}
 	keys := uniqueKeys(t, spec)
-	idx, err := merged.Index()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(idx) != len(keys) {
-		t.Errorf("merged index lists %d cells, want %d", len(idx), len(keys))
-	}
 	for _, k := range keys {
-		if _, ok := idx[k]; !ok {
-			t.Errorf("merged index is missing %s", k)
+		if _, ok := merged.Get(k); !ok {
+			t.Errorf("merged store does not serve %s", k)
 		}
 	}
 	rep := mustRun(t, &campaign.Engine{Registry: testRegistry(), Store: merged, Workers: 2}, spec)
@@ -322,10 +314,9 @@ func TestOverlappingSharesMergeByFileCopy(t *testing.T) {
 
 // TestSplitGridMergedByFileCopy pins how one grid is split across
 // machines: each host runs a disjoint seed list into its own store, and
-// the stores merge by copying one's files into the other. The copy brings
-// along an index.json that lists only the copied half; the merged store
-// must notice, serve the whole grid as cache hits and export exactly what
-// a one-store run exports.
+// the stores merge by copying one's result files into the other. The
+// merged store must serve the whole grid as cache hits and export exactly
+// what a one-store run exports.
 func TestSplitGridMergedByFileCopy(t *testing.T) {
 	full := campaign.ReplicateSeeds(testSpec(), []int64{1, 2})
 	dirA, dirB, dirOne := t.TempDir(), t.TempDir(), t.TempDir()
@@ -349,8 +340,8 @@ func TestSplitGridMergedByFileCopy(t *testing.T) {
 	}
 	keys := uniqueKeys(t, full)
 	for _, k := range keys {
-		if !merged.Contains(k) {
-			t.Errorf("merged index is missing %s", k)
+		if _, ok := merged.Get(k); !ok {
+			t.Errorf("merged store does not serve %s", k)
 		}
 	}
 	rep := mustRun(t, &campaign.Engine{Registry: testRegistry(), Store: merged, Workers: 2}, full)
@@ -369,8 +360,8 @@ func TestSplitGridMergedByFileCopy(t *testing.T) {
 
 // TestFailFastKeepsCompletedCells: a cell that fails aborts the run with
 // an error naming it. Every cell reported complete before the abort is in
-// the store and in the on-disk index (the failure path still flushes), and
-// a re-run with a working registry executes only the cells still missing.
+// the store, and a re-run with a working registry executes only the cells
+// still missing.
 func TestFailFastKeepsCompletedCells(t *testing.T) {
 	spec := testSpec()
 	bad := spec.Cells[5]
@@ -400,22 +391,9 @@ func TestFailFastKeepsCompletedCells(t *testing.T) {
 		t.Fatalf("%d cells reported before the abort, want between 1 and %d", len(reported), len(spec.Cells)-1)
 	}
 
-	raw, err := os.ReadFile(filepath.Join(dir, "index.json"))
-	if err != nil {
-		t.Fatalf("no index on disk after the aborted run: %v", err)
-	}
-	var index struct {
-		Cells map[string]campaign.IndexEntry
-	}
-	if err := json.Unmarshal(raw, &index); err != nil {
-		t.Fatal(err)
-	}
 	for _, k := range reported {
 		if _, ok := store.Get(k); !ok {
 			t.Errorf("reported cell %s is not stored", k)
-		}
-		if _, ok := index.Cells[k]; !ok {
-			t.Errorf("reported cell %s is not in index.json", k)
 		}
 	}
 

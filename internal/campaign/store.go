@@ -5,44 +5,15 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
-	"sync"
 )
 
-// indexName is the store's membership index file: a single small JSON
-// document listing every stored cell key with a one-line summary, so
-// `campaign status` answers membership queries from one read instead of
-// probing (open + parse) every per-cell file.
-const indexName = "index.json"
-
-// IndexEntry is the per-cell summary kept in the store index.
-type IndexEntry struct {
-	// ID is the cell's human-readable identifier.
-	ID string
-	// Diverged and DurationMS mirror the stored result's summary fields.
-	Diverged   bool  `json:",omitempty"`
-	DurationMS int64 `json:",omitempty"`
-}
-
-// storeIndex is the on-disk index document.
-type storeIndex struct {
-	SchemaVersion int
-	Cells         map[string]IndexEntry
-}
-
 // Store is a content-addressed on-disk result cache: one JSON file per
-// cell, named by the cell's spec hash, plus a membership index. Writes are
-// atomic (temp file + rename), so an interrupted campaign leaves only
-// complete entries and can resume from whatever finished.
+// cell, named by the cell's spec hash. Those files are the store's only
+// record, so copying them into another store's directory merges the two.
+// Writes are atomic (temp file + rename), so an interrupted campaign leaves
+// only complete entries and can resume from whatever finished.
 type Store struct {
 	dir string
-
-	// mu guards the cached index; result files themselves need no lock
-	// (distinct keys, atomic renames).
-	mu  sync.Mutex
-	idx map[string]IndexEntry
-	// dirty marks in-memory index updates not yet flushed to disk.
-	dirty bool
 }
 
 // OpenStore opens (creating if needed) a store rooted at dir.
@@ -91,202 +62,31 @@ func (s *Store) Get(key string) (*CellResult, bool) {
 	return env.Result, true
 }
 
-// Has reports whether a valid entry exists under key, reading the entry
-// itself. For membership-only queries over many keys prefer Contains,
-// which answers from the index.
-func (s *Store) Has(key string) bool {
-	_, ok := s.Get(key)
-	return ok
-}
-
-// Contains reports whether the index lists key. The first call loads (or
-// rebuilds) the index once; every further call is a map lookup, so probing
-// a whole campaign grid costs one file read instead of one per cell.
-func (s *Store) Contains(key string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.loadIndexLocked(true); err != nil {
-		return false
-	}
-	_, ok := s.idx[key]
-	return ok
-}
-
-// Index returns a copy of the per-cell summaries the index holds.
-func (s *Store) Index() (map[string]IndexEntry, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.loadIndexLocked(true); err != nil {
-		return nil, err
-	}
-	out := make(map[string]IndexEntry, len(s.idx))
-	for k, v := range s.idx {
-		out[k] = v
-	}
-	return out, nil
-}
-
-// resultKeys lists the keys of the per-cell result files (directory
-// listing only — no file contents are read).
-func (s *Store) resultKeys() ([]string, error) {
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return nil, err
-	}
-	var keys []string
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || name == indexName || !strings.HasSuffix(name, ".json") {
-			continue
-		}
-		keys = append(keys, strings.TrimSuffix(name, ".json"))
-	}
-	return keys, nil
-}
-
-// loadIndexLocked populates s.idx from the index file. When rebuild is
-// true (the membership-query path) an absent, schema-stale or
-// directory-inconsistent index is rebuilt from the stored results
-// (one-time O(n) read) and persisted. When rebuild is false (the write
-// path) whatever parses is used as the starting point and nothing is
-// scanned — Put never pays a rebuild the next status query would redo
-// anyway. Callers hold s.mu.
-func (s *Store) loadIndexLocked(rebuild bool) error {
-	if s.idx != nil {
-		return nil
-	}
-	var fromFile map[string]IndexEntry
-	if raw, err := os.ReadFile(filepath.Join(s.dir, indexName)); err == nil {
-		var doc storeIndex
-		if json.Unmarshal(raw, &doc) == nil && doc.SchemaVersion == specVersion && doc.Cells != nil {
-			fromFile = doc.Cells
-		}
-	}
-	if !rebuild {
-		if fromFile == nil {
-			fromFile = map[string]IndexEntry{}
-		}
-		s.idx = fromFile
-		return nil
-	}
-	keys, err := s.resultKeys()
-	if err != nil {
-		return err
-	}
-	// Key-set check: drift from entries written by other processes or
-	// deleted out of band forces a rebuild (count alone would miss a
-	// delete+add pair).
-	if fromFile != nil && len(fromFile) == len(keys) {
-		fresh := true
-		for _, k := range keys {
-			if _, ok := fromFile[k]; !ok {
-				fresh = false
-				break
-			}
-		}
-		if fresh {
-			s.idx = fromFile
-			return nil
-		}
-	}
-	idx := make(map[string]IndexEntry, len(keys))
-	for _, key := range keys {
-		if res, ok := s.Get(key); ok {
-			idx[key] = IndexEntry{ID: res.Cell.ID(), Diverged: res.Diverged, DurationMS: res.DurationMS}
-		}
-	}
-	s.idx = idx
-	return s.saveIndexLocked()
-}
-
-// saveIndexLocked atomically persists the cached index. Callers hold s.mu.
-func (s *Store) saveIndexLocked() error {
-	raw, err := json.Marshal(storeIndex{SchemaVersion: specVersion, Cells: s.idx})
-	if err != nil {
-		return fmt.Errorf("campaign: encoding index: %w", err)
-	}
-	if err := s.writeAtomic(indexName, raw); err != nil {
-		return fmt.Errorf("campaign: storing index: %w", err)
-	}
-	s.dirty = false
-	return nil
-}
-
-// Flush persists any in-memory index updates accumulated by Put. The
-// engine flushes once per campaign; a crash before Flush merely leaves a
-// stale index that the next membership query rebuilds.
-func (s *Store) Flush() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.dirty {
-		return nil
-	}
-	return s.saveIndexLocked()
-}
-
-// writeAtomic writes name under the store root via temp file + rename.
-func (s *Store) writeAtomic(name string, raw []byte) error {
-	tmp, err := os.CreateTemp(s.dir, "put-*.tmp")
-	if err != nil {
-		return err
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(raw); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	if err := os.Rename(tmpName, filepath.Join(s.dir, name)); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	return nil
-}
-
-// Put atomically persists a result under its key and records it in the
-// in-memory index (persisted by Flush — per-cell index rewrites would
-// serialize the engine's parallel workers on O(store) writes).
+// Put atomically persists a result under its key: it writes a temp file in
+// the store directory and renames it over <key>.json.
 func (s *Store) Put(r *CellResult) error {
 	raw, err := json.Marshal(storedResult{SchemaVersion: specVersion, Result: r})
 	if err != nil {
 		return fmt.Errorf("campaign: encoding result %s: %w", r.Key, err)
 	}
-	if err := s.writeAtomic(r.Key+".json", raw); err != nil {
+	tmp, err := os.CreateTemp(s.dir, "put-*.tmp")
+	if err != nil {
 		return fmt.Errorf("campaign: storing result: %w", err)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.loadIndexLocked(false); err != nil {
-		return err
+	_, err = tmp.Write(raw)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	s.idx[r.Key] = IndexEntry{ID: r.Cell.ID(), Diverged: r.Diverged, DurationMS: r.DurationMS}
-	s.dirty = true
-	return nil
-}
-
-// Delete removes the entry under key (missing entries are not an error).
-func (s *Store) Delete(key string) error {
-	err := os.Remove(s.path(key))
-	if err != nil && !os.IsNotExist(err) {
-		return err
+	if err == nil {
+		err = os.Rename(tmp.Name(), s.path(r.Key))
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.loadIndexLocked(false); err != nil {
-		return err
-	}
-	if _, ok := s.idx[key]; ok {
-		delete(s.idx, key)
-		return s.saveIndexLocked()
+	if err != nil {
+		os.Remove(tmp.Name())
+		return fmt.Errorf("campaign: storing result: %w", err)
 	}
 	return nil
 }
 
-// Keys lists every stored cell hash.
-func (s *Store) Keys() ([]string, error) {
-	return s.resultKeys()
-}
+// Flush does nothing and returns nil: every Put is already on disk. It is
+// kept because the repository benchmark (bench/campaign.go) calls it.
+func (s *Store) Flush() error { return nil }
