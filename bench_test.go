@@ -191,7 +191,7 @@ func BenchmarkAttacks(b *testing.B) {
 	}
 }
 
-// ---- Ablation benchmarks for the design choices called out in DESIGN.md ----
+// ---- Ablation benchmarks for SignGuard's design choices ----
 
 // BenchmarkAblationClustering compares Mean-Shift against 2-means as the
 // sign filter's clustering model.

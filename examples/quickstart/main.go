@@ -13,8 +13,8 @@ import (
 )
 
 func main() {
-	// A 10-class image dataset analog (see DESIGN.md for how it stands in
-	// for MNIST) shared by every run below.
+	// A 10-class image dataset analog standing in for MNIST, shared by
+	// every run below.
 	ds, err := signguard.MNISTLike(1, 2000, 500)
 	if err != nil {
 		log.Fatal(err)

@@ -121,9 +121,9 @@ func (f *FLTrust) Aggregate(grads [][]float64) (*Result, error) {
 		// the zero update rather than guessing.
 		return &Result{Gradient: make([]float64, d), Selected: selected}, nil
 	}
-	// The FLTrust aggregate is Σ TSᵢ·rescaleᵢ·gᵢ / Σ TSᵢ. WeightedMean
+	// The FLTrust aggregate is Σ TSᵢ·rescaleᵢ·gᵢ / Σ TSᵢ. WeightedMeanWorkers
 	// normalizes by its own weight sum, so pre-divide the weights by the
-	// trust total and undo WeightedMean's normalizer afterwards.
+	// trust total and undo its normalizer afterwards.
 	for i := range weights {
 		weights[i] /= total
 	}
@@ -140,7 +140,7 @@ func (f *FLTrust) Aggregate(grads [][]float64) (*Result, error) {
 	return &Result{Gradient: g, Selected: selected}, nil
 }
 
-// weightSum is the plain sequential sum WeightedMean normalizes by.
+// weightSum is the plain sequential sum WeightedMeanWorkers normalizes by.
 func weightSum(w []float64) float64 {
 	var s float64
 	for _, v := range w {

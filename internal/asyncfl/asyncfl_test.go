@@ -607,11 +607,11 @@ func TestSessionTableSweepSorted(t *testing.T) {
 		st.Touch(id)
 	}
 	clock = clock.Add(2 * time.Minute)
-	gone := st.Sweep()
+	gone, _ := st.Touch("d")
 	if len(gone) != 3 || gone[0] != "a" || gone[1] != "b" || gone[2] != "c" {
 		t.Fatalf("sweep = %v, want sorted [a b c]", gone)
 	}
-	if st.Alive() != 0 || st.Expired() != 3 {
+	if st.Alive() != 1 || st.Expired() != 3 {
 		t.Fatalf("alive %d expired %d", st.Alive(), st.Expired())
 	}
 }
@@ -621,7 +621,7 @@ func TestSessionTableZeroTTLNeverExpires(t *testing.T) {
 	st := NewSessionTable(0, func() time.Time { return clock })
 	st.Touch("c")
 	clock = clock.Add(1000 * time.Hour)
-	if gone := st.Sweep(); len(gone) != 0 {
+	if gone, _ := st.Touch("d"); len(gone) != 0 {
 		t.Fatalf("zero TTL expired %v", gone)
 	}
 }

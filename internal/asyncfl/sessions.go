@@ -75,13 +75,6 @@ func (t *SessionTable) Touch(id string) (expired []string, known bool) {
 	return t.sweepLocked(el), known
 }
 
-// Sweep expires every overdue session and returns their ids (sorted).
-func (t *SessionTable) Sweep() []string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.sweepLocked(nil)
-}
-
 // sweepLocked pops overdue leases off the front of the renewal order and
 // stops at the first live one or at keep (the session being renewed, which
 // is at the back: everything overdue is ahead of it). Callers hold t.mu.

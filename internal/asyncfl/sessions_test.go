@@ -20,56 +20,49 @@ type scanTable struct {
 func (s *scanTable) touch(id string, now time.Time) (gone []string, known bool) {
 	_, known = s.expiry[id]
 	s.expiry[id] = now.Add(s.ttl)
-	return s.sweep(id, now), known
-}
-
-func (s *scanTable) sweep(keep string, now time.Time) []string {
 	if s.ttl == 0 {
-		return nil
+		return nil, known
 	}
-	var gone []string
-	for id, exp := range s.expiry {
-		if id != keep && now.After(exp) {
-			gone = append(gone, id)
-			delete(s.expiry, id)
+	for other, exp := range s.expiry {
+		if other != id && now.After(exp) {
+			gone = append(gone, other)
+			delete(s.expiry, other)
 		}
 	}
 	sort.Strings(gone)
 	s.expired += int64(len(gone))
-	return gone
+	return gone, known
 }
 
 // TestSessionTableMatchesFullScan drives the table and the full-scan
 // reference through the same fake-clock schedules — renewals that reorder
-// leases, idle gaps that expire some or all of them, explicit sweeps, an
-// id returning after its expiry — and requires the same answer from every
-// call.
+// leases, idle gaps that expire some or all of them, a first touch from a
+// new id, an id returning after its expiry — and requires the same answer
+// from every call.
 func TestSessionTableMatchesFullScan(t *testing.T) {
 	type op struct {
 		advance time.Duration
-		id      string // "" = Sweep
+		id      string
 	}
 	const ttl = time.Minute
 	scripted := []op{
 		{0, "a"}, {10 * time.Second, "b"}, {10 * time.Second, "c"},
 		{30 * time.Second, "a"}, // a renewed: order is now b, c, a
-		{15 * time.Second, ""},  // b overdue (65s), c not (55s)
+		{15 * time.Second, "z"}, // b overdue (65s), c not (55s)
 		{10 * time.Second, "d"}, // c overdue on d's touch
 		{0, "b"},                // b returns as a new session
 		{ttl, "b"},              // exactly at a's and d's expiry: not overdue
 		{time.Nanosecond, "b"},  // now they are; b itself is renewed, not swept
 		{2 * ttl, "b"},          // the renewed id survives any gap
-		{2 * ttl, ""},           // until a sweep that is not its own
-		{0, ""},
+		{2 * ttl, "y"},          // until another id's touch
+		{0, "x"},
 	}
 	random := func(seed int64) []op {
 		rng := rand.New(rand.NewSource(seed))
 		ops := make([]op, 400)
 		for i := range ops {
 			ops[i].advance = time.Duration(rng.Intn(25)) * time.Second
-			if rng.Intn(10) > 0 {
-				ops[i].id = fmt.Sprintf("c%02d", rng.Intn(12))
-			}
+			ops[i].id = fmt.Sprintf("c%02d", rng.Intn(13))
 		}
 		return ops
 	}
@@ -90,16 +83,10 @@ func TestSessionTableMatchesFullScan(t *testing.T) {
 			ref := &scanTable{ttl: tc.ttl, expiry: map[string]time.Time{}}
 			for i, o := range tc.ops {
 				clock = clock.Add(o.advance)
-				if o.id == "" {
-					if got, want := st.Sweep(), ref.sweep("", clock); !slices.Equal(got, want) {
-						t.Fatalf("op %d: Sweep = %v, full scan %v", i, got, want)
-					}
-				} else {
-					got, known := st.Touch(o.id)
-					want, wantKnown := ref.touch(o.id, clock)
-					if !slices.Equal(got, want) || known != wantKnown {
-						t.Fatalf("op %d: Touch(%s) = %v, %v; full scan %v, %v", i, o.id, got, known, want, wantKnown)
-					}
+				got, known := st.Touch(o.id)
+				want, wantKnown := ref.touch(o.id, clock)
+				if !slices.Equal(got, want) || known != wantKnown {
+					t.Fatalf("op %d: Touch(%s) = %v, %v; full scan %v, %v", i, o.id, got, known, want, wantKnown)
 				}
 				if st.Alive() != len(ref.expiry) || st.Expired() != ref.expired {
 					t.Fatalf("op %d: alive %d expired %d; full scan %d, %d",
@@ -120,11 +107,11 @@ func TestSessionTableClockStepsBack(t *testing.T) {
 	clock = time.Unix(900, 0)
 	st.Touch("early") // expires at 960, queued behind "late"
 	clock = time.Unix(1000, 0)
-	if gone := st.Sweep(); len(gone) != 0 {
+	if gone, _ := st.Touch("probe"); len(gone) != 0 {
 		t.Fatalf("sweep at 1000 = %v: \"early\" waits behind \"late\"", gone)
 	}
 	clock = time.Unix(1061, 0)
-	if gone := st.Sweep(); !slices.Equal(gone, []string{"early", "late"}) {
+	if gone, _ := st.Touch("probe"); !slices.Equal(gone, []string{"early", "late"}) {
 		t.Fatalf("sweep at 1061 = %v, want [early late]", gone)
 	}
 }

@@ -68,6 +68,16 @@ func TestNoneReturnsOwnGradients(t *testing.T) {
 	}
 }
 
+// stdDev is the population standard deviation of xs (dividing by n).
+func stdDev(xs []float64) float64 {
+	m, _ := stats.Mean(xs)
+	var s float64
+	for _, x := range xs {
+		s += (x - m) * (x - m)
+	}
+	return math.Sqrt(s / float64(len(xs)))
+}
+
 func TestRandomAttackDistribution(t *testing.T) {
 	ctx := makeContext(3, 5, 4, 2000, 7, 0.1)
 	a := NewRandom()
@@ -77,7 +87,7 @@ func TestRandomAttackDistribution(t *testing.T) {
 	}
 	for _, g := range out {
 		m, _ := stats.Mean(g)
-		s, _ := stats.StdDev(g)
+		s := stdDev(g)
 		if math.Abs(m) > 0.06 || math.Abs(s-0.5) > 0.05 {
 			t.Errorf("random gradient stats mean=%v std=%v, want ~0/0.5", m, s)
 		}
@@ -90,11 +100,11 @@ func TestNoiseAttackPerturbsOwn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diff, err := tensor.Sub(out[0], ctx.ByzOwn[0])
-	if err != nil {
-		t.Fatal(err)
+	diff := make([]float64, len(out[0]))
+	for i := range diff {
+		diff[i] = out[0][i] - ctx.ByzOwn[0][i]
 	}
-	s, _ := stats.StdDev(diff)
+	s := stdDev(diff)
 	if math.Abs(s-0.5) > 0.05 {
 		t.Errorf("noise std = %v, want ~0.5", s)
 	}
@@ -361,7 +371,7 @@ func TestTimeVarying(t *testing.T) {
 		if _, err := tv.Craft(ctx); err != nil {
 			t.Fatal(err)
 		}
-		names = append(names, tv.Current().Name())
+		names = append(names, tv.current.Name())
 	}
 	// The active attack must be constant within each switch window.
 	for w := 0; w+3 <= len(names); w += 3 {

@@ -58,10 +58,6 @@ func DefaultTimeVaryingPool() []Attack {
 // Name implements Attack.
 func (*TimeVarying) Name() string { return "TimeVarying" }
 
-// Current returns the attack active for the most recent round (nil before
-// the first Craft call).
-func (t *TimeVarying) Current() Attack { return t.current }
-
 // Craft implements Attack: it advances the round counter, re-drawing the
 // active strategy on switch boundaries, and delegates to it.
 func (t *TimeVarying) Craft(ctx *Context) ([][]float64, error) {

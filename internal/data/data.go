@@ -50,15 +50,6 @@ func (d *Dataset) IsText() bool { return d.Vocab > 0 }
 // FeatureDim returns the dense input dimensionality (0 for text datasets).
 func (d *Dataset) FeatureDim() int { return d.C * d.H * d.W }
 
-// Labels returns the label of every example in xs.
-func Labels(xs []Example) []int {
-	out := make([]int, len(xs))
-	for i, e := range xs {
-		out[i] = e.Label
-	}
-	return out
-}
-
 // FlipLabels returns a copy of xs with every label l replaced by
 // classes-1-l, the paper's label-flipping data poisoning attack.
 func FlipLabels(xs []Example, classes int) ([]Example, error) {

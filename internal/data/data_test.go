@@ -143,9 +143,8 @@ func TestSubsetAndLabels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := Labels(sub)
-	if got[0] != 2 || got[1] != 0 {
-		t.Errorf("Labels = %v", got)
+	if sub[0].Label != 2 || sub[1].Label != 0 {
+		t.Errorf("Subset labels = %d, %d", sub[0].Label, sub[1].Label)
 	}
 	if _, err := Subset(xs, []int{5}); err == nil {
 		t.Error("accepted out-of-range index")
@@ -268,9 +267,9 @@ func TestPartitionNonIIDSkew(t *testing.T) {
 		// Average fraction of a client's data in its two most common labels.
 		var avg float64
 		for _, p := range parts {
-			hist, err := LabelHistogram(xs, p, 10)
-			if err != nil {
-				t.Fatal(err)
+			hist := make([]int, 10)
+			for _, j := range p {
+				hist[xs[j].Label]++
 			}
 			top1, top2 := 0, 0
 			for _, c := range hist {

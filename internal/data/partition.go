@@ -96,20 +96,3 @@ func PartitionNonIID(rng *rand.Rand, examples []Example, clients int, s float64,
 	}
 	return out, nil
 }
-
-// LabelHistogram counts the labels occurring in the subset of examples
-// selected by idx, as a length-classes slice.
-func LabelHistogram(examples []Example, idx []int, classes int) ([]int, error) {
-	hist := make([]int, classes)
-	for _, j := range idx {
-		if j < 0 || j >= len(examples) {
-			return nil, fmt.Errorf("data: histogram index %d out of [0,%d)", j, len(examples))
-		}
-		l := examples[j].Label
-		if l < 0 || l >= classes {
-			return nil, fmt.Errorf("data: label %d out of [0,%d)", l, classes)
-		}
-		hist[l]++
-	}
-	return hist, nil
-}

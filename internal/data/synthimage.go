@@ -124,8 +124,7 @@ func boxBlur(x []float64, c, h, w int) []float64 {
 // The preset analogs below stand in for the paper's four datasets. The
 // margin/noise ratios were calibrated so the no-attack training baselines
 // land near the paper's benchmark accuracies (~99% MNIST, ~89%
-// Fashion-MNIST, ~93% CIFAR-10, ~89% AG-News); EXPERIMENTS.md records the
-// measured values.
+// Fashion-MNIST, ~93% CIFAR-10, ~89% AG-News).
 
 // MNISTLike returns the MNIST analog: easy 10-class 8×8 grayscale mixture.
 func MNISTLike(seed int64, train, test int) (*Dataset, error) {

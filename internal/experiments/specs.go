@@ -1,12 +1,11 @@
 // Package experiments defines the reproduction harness: one experiment per
 // table and figure in the paper's evaluation section, plus the post-paper
 // scenario axes, runnable at three scales (Bench for `go test -bench`,
-// Standard for quick full sweeps, Full for the paper-scale runs recorded
-// in EXPERIMENTS.md). Each experiment is declared once, in the Experiments
-// catalog, as its grid (a campaign.Spec at given Params) and a renderer
-// that turns the grid's cell results into the rows/series the paper
-// reports; a campaign.Engine runs the grid concurrently, with
-// content-addressed result caching.
+// Standard for quick full sweeps, Full for the paper-scale runs). Each
+// experiment is declared once, in the Experiments catalog, as its grid (a
+// campaign.Spec at given Params) and a renderer that turns the grid's cell
+// results into the rows/series the paper reports; a campaign.Engine runs
+// the grid concurrently, with content-addressed result caching.
 package experiments
 
 import (
@@ -64,9 +63,9 @@ type Params = campaign.Params
 
 // DefaultParams returns the simulation parameters for a scale, matching
 // the paper's setup (n=50, 20% Byzantine) at Standard/Full scale. The
-// training regime is the "slow climb" one calibrated in DESIGN.md: small
-// batches and a conservative learning rate keep the model on its transient
-// for most of the run, which is where the paper's attacks do their damage.
+// training regime is a "slow climb": small batches and a conservative
+// learning rate keep the model on its transient for most of the run, which
+// is where the paper's attacks do their damage.
 func DefaultParams(scale Scale) Params {
 	switch scale {
 	case ScaleFull:

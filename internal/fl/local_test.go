@@ -2,6 +2,7 @@ package fl
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"github.com/signguard/signguard/internal/attack"
@@ -184,6 +185,13 @@ func TestBatchedOneRowTiles(t *testing.T) {
 	}
 }
 
+// arenaBuffers counts the scratch buffers ws retains: its matrix and index
+// maps, read through reflection because the arena keeps them unexported.
+func arenaBuffers(ws *nn.Workspace) int {
+	v := reflect.ValueOf(ws).Elem()
+	return v.FieldByName("mats").Len() + v.FieldByName("ints").Len()
+}
+
 // outsideLocal wraps a LocalCompute the way a stage decorator outside the
 // package does (bench/sim.go's traced path): the inner stage is a
 // ReplicaCompute{} value the caller built, not one the engine resolved.
@@ -220,7 +228,7 @@ func TestReplicaComputeByValueUsesEngineScratch(t *testing.T) {
 		}
 	}
 	round() // grow the arena
-	if sim.scratch[0].ws.Buffers() == 0 {
+	if arenaBuffers(sim.scratch[0].ws) == 0 {
 		t.Fatal("the stage never checked a buffer out of the engine-owned arena")
 	}
 	// Per participant only its drawn minibatch may allocate — its gradient
@@ -303,13 +311,13 @@ func TestArenaRetentionUnderSubsampling(t *testing.T) {
 		tile := sc.bounds[len(sc.bounds)-1]
 		rows[tile] = true
 		if full == 0 && tile == 6*7 {
-			full = sc.ws.Buffers()
+			full = arenaBuffers(sc.ws)
 		}
 	}
 	if len(rows) < 3 {
 		t.Fatalf("tile row counts %v never wandered; the scenario no longer exercises re-shaping", rows)
 	}
-	if got := sim.scratch[0].ws.Buffers(); full == 0 || got != full {
+	if got := arenaBuffers(sim.scratch[0].ws); full == 0 || got != full {
 		t.Errorf("arena holds %d buffers after 400 rounds over %d tile shapes, want the %d of the first full tile",
 			got, len(rows), full)
 	}

@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 
 	"github.com/signguard/signguard/internal/tensor"
 )
@@ -67,54 +66,3 @@ func (r *ReLU) backwardWs(ws *Workspace, id int, grad *tensor.Matrix) (*tensor.M
 
 // Params returns nil: activations are parameter-free.
 func (r *ReLU) Params() []*Param { return nil }
-
-// Tanh applies the hyperbolic tangent element-wise.
-type Tanh struct {
-	lastOutput *tensor.Matrix
-}
-
-var _ Layer = (*Tanh)(nil)
-var _ arenaLayer = (*Tanh)(nil)
-
-// NewTanh returns a Tanh activation layer.
-func NewTanh() *Tanh { return &Tanh{} }
-
-// Forward applies tanh.
-func (t *Tanh) Forward(x *tensor.Matrix) (*tensor.Matrix, error) {
-	return t.forwardWs(nil, 0, x)
-}
-
-// forwardWs is Forward with an optional workspace buffer (every element is
-// overwritten, so a stale buffer is fine).
-func (t *Tanh) forwardWs(ws *Workspace, id int, x *tensor.Matrix) (*tensor.Matrix, error) {
-	out := ws.matrix(id, wsFwd, x.Rows, x.Cols)
-	for i, v := range x.Data {
-		out.Data[i] = math.Tanh(v)
-	}
-	t.lastOutput = out
-	return out, nil
-}
-
-// Backward multiplies the incoming gradient by 1 - tanh².
-func (t *Tanh) Backward(grad *tensor.Matrix) (*tensor.Matrix, error) {
-	return t.backwardWs(nil, 0, grad)
-}
-
-// backwardWs is Backward with an optional workspace buffer.
-func (t *Tanh) backwardWs(ws *Workspace, id int, grad *tensor.Matrix) (*tensor.Matrix, error) {
-	if t.lastOutput == nil {
-		return nil, fmt.Errorf("nn: Tanh.Backward before Forward")
-	}
-	if grad.Rows != t.lastOutput.Rows || grad.Cols != t.lastOutput.Cols {
-		return nil, fmt.Errorf("%w: Tanh.Backward got (%d,%d), want (%d,%d)",
-			ErrShape, grad.Rows, grad.Cols, t.lastOutput.Rows, t.lastOutput.Cols)
-	}
-	dx := ws.matrix(id, wsDX, grad.Rows, grad.Cols)
-	for i, y := range t.lastOutput.Data {
-		dx.Data[i] = grad.Data[i] * (1 - y*y)
-	}
-	return dx, nil
-}
-
-// Params returns nil: activations are parameter-free.
-func (t *Tanh) Params() []*Param { return nil }

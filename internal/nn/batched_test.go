@@ -220,7 +220,7 @@ func TestSoftmaxCrossEntropySegmentedMatches(t *testing.T) {
 		}
 		for i := 0; i < wantGrad.Rows; i++ {
 			for j, v := range wantGrad.Row(i) {
-				if math.Float64bits(v) != math.Float64bits(grad.At(lo+i, j)) {
+				if math.Float64bits(v) != math.Float64bits(grad.Row(lo + i)[j]) {
 					t.Fatalf("segment %d grad (%d,%d) mismatch", s, i, j)
 				}
 			}

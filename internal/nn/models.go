@@ -11,8 +11,7 @@ import (
 // AG-News; here each is replaced by a reduced-scale analog with the same
 // family of layers (convolutions + pooling + dense for images, an
 // embedding + recurrence + dense head for text) sized so that pure-Go
-// training of the full attack/defense sweeps stays tractable. DESIGN.md
-// discusses why this substitution preserves the evaluation's shape.
+// training of the full attack/defense sweeps stays tractable.
 
 // NewImageCNN builds a small convolutional classifier for c×h×w inputs:
 // conv(3x3, pad 1) → ReLU → maxpool(2) → FC → ReLU → FC → ReLU → FC logits.
@@ -90,9 +89,4 @@ func NewMLP(rng *rand.Rand, sizes ...int) (*FeedForward, error) {
 		}
 	}
 	return NewFeedForward(layers...), nil
-}
-
-// NewLogistic builds a linear (softmax regression) classifier.
-func NewLogistic(rng *rand.Rand, in, classes int) *FeedForward {
-	return NewFeedForward(NewLinear(rng, in, classes))
 }

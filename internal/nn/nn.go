@@ -52,14 +52,6 @@ type Input struct {
 	Tokens [][]int
 }
 
-// Len returns the number of samples in the input.
-func (in Input) Len() int {
-	if in.Dense != nil {
-		return in.Dense.Rows
-	}
-	return len(in.Tokens)
-}
-
 // Classifier is the model abstraction the federated-learning engine trains:
 // any multi-class model exposing flat parameter and gradient vectors.
 type Classifier interface {

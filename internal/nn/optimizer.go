@@ -43,6 +43,3 @@ func (o *SGD) Step(params, grad []float64) error {
 	}
 	return nil
 }
-
-// Reset clears the momentum buffer.
-func (o *SGD) Reset() { o.velocity = nil }

@@ -92,15 +92,6 @@ func NewWorkspace() *Workspace {
 	}
 }
 
-// Buffers reports how many scratch buffers the arena retains. It is bounded
-// by the model's (layer, slot) pairs whatever shapes have passed through.
-func (ws *Workspace) Buffers() int {
-	if ws == nil {
-		return 0
-	}
-	return len(ws.mats) + len(ws.ints)
-}
-
 // matrix checks out the (layer, slot) buffer re-shaped to (rows, cols),
 // growing its backing array when the request exceeds every earlier one. The
 // contents are STALE — whatever earlier passes left — so callers must fully

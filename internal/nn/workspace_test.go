@@ -282,12 +282,12 @@ func TestWorkspaceRetentionBoundedByLargestTile(t *testing.T) {
 		}
 		bitsEqual(t, "re-sliced arena gradient", got[0].Grad, want[0].Grad)
 		if i == 0 {
-			buffers, floats = ws.Buffers(), retained(ws)
+			buffers, floats = len(ws.mats)+len(ws.ints), retained(ws)
 			continue
 		}
-		if ws.Buffers() != buffers || retained(ws) != floats {
+		if len(ws.mats)+len(ws.ints) != buffers || retained(ws) != floats {
 			t.Fatalf("after a %d-row tile the arena holds %d buffers / %d floats, want the largest tile's %d / %d",
-				rows, ws.Buffers(), retained(ws), buffers, floats)
+				rows, len(ws.mats)+len(ws.ints), retained(ws), buffers, floats)
 		}
 	}
 }

@@ -1,6 +1,6 @@
 // Package stats implements the statistical primitives used by SignGuard and
 // the baseline robust aggregation rules: order statistics (median, trimmed
-// mean, quantiles), coordinate-wise robust estimators over sets of gradient
+// mean), coordinate-wise robust estimators over sets of gradient
 // vectors, cosine similarity, the element-wise sign statistics that are the
 // heart of the SignGuard filter, and the standard-normal distribution
 // functions needed to calibrate the "Little is Enough" attack.
@@ -32,30 +32,6 @@ func Mean(xs []float64) (float64, error) {
 	return s / float64(len(xs)), nil
 }
 
-// Variance returns the population variance of xs (dividing by n, not n-1),
-// matching the estimator used by the attacks in the paper.
-func Variance(xs []float64) (float64, error) {
-	m, err := Mean(xs)
-	if err != nil {
-		return 0, err
-	}
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(len(xs)), nil
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) (float64, error) {
-	v, err := Variance(xs)
-	if err != nil {
-		return 0, err
-	}
-	return math.Sqrt(v), nil
-}
-
 // Median returns the median of xs without modifying the input. For an even
 // number of samples it returns the midpoint of the two central values.
 func Median(xs []float64) (float64, error) {
@@ -70,28 +46,6 @@ func Median(xs []float64) (float64, error) {
 		return tmp[n/2], nil
 	}
 	return 0.5 * (tmp[n/2-1] + tmp[n/2]), nil
-}
-
-// Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
-// interpolation between order statistics.
-func Quantile(xs []float64, q float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmptyInput
-	}
-	if q < 0 || q > 1 {
-		return 0, fmt.Errorf("stats: quantile %v out of [0,1]", q)
-	}
-	tmp := make([]float64, len(xs))
-	copy(tmp, xs)
-	sort.Float64s(tmp)
-	pos := q * float64(len(tmp)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return tmp[lo], nil
-	}
-	frac := pos - float64(lo)
-	return tmp[lo]*(1-frac) + tmp[hi]*frac, nil
 }
 
 // TrimmedMean returns the mean of xs after removing the k smallest and the
@@ -159,14 +113,9 @@ func CoordinateMedianWorkers(vs [][]float64, workers int) ([]float64, error) {
 	return out, nil
 }
 
-// CoordinateTrimmedMean returns the coordinate-wise k-trimmed mean of the
-// given vectors (Yin et al., ICML 2018).
-func CoordinateTrimmedMean(vs [][]float64, k int) ([]float64, error) {
-	return CoordinateTrimmedMeanWorkers(vs, k, 1)
-}
-
-// CoordinateTrimmedMeanWorkers is CoordinateTrimmedMean with the
-// coordinates split across workers (see CoordinateMedianWorkers).
+// CoordinateTrimmedMeanWorkers returns the coordinate-wise k-trimmed mean
+// of the given vectors (Yin et al., ICML 2018), with the coordinates split
+// across workers (see CoordinateMedianWorkers).
 func CoordinateTrimmedMeanWorkers(vs [][]float64, k int, workers int) ([]float64, error) {
 	if err := validateRows(vs, "CoordinateTrimmedMean"); err != nil {
 		return nil, err

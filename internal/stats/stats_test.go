@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -9,19 +10,11 @@ import (
 	"github.com/signguard/signguard/internal/tensor"
 )
 
-func TestMeanVarianceStd(t *testing.T) {
+func TestMean(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	m, err := Mean(xs)
 	if err != nil || m != 5 {
 		t.Errorf("Mean = %v, %v", m, err)
-	}
-	v, err := Variance(xs)
-	if err != nil || v != 4 {
-		t.Errorf("Variance = %v, %v", v, err)
-	}
-	s, err := StdDev(xs)
-	if err != nil || s != 2 {
-		t.Errorf("StdDev = %v, %v", s, err)
 	}
 	if _, err := Mean(nil); err == nil {
 		t.Error("Mean accepted empty input")
@@ -45,22 +38,6 @@ func TestMedian(t *testing.T) {
 	}
 	if _, err := Median(nil); err == nil {
 		t.Error("Median accepted empty input")
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	xs := []float64{0, 10}
-	for _, tc := range []struct{ q, want float64 }{{0, 0}, {1, 10}, {0.5, 5}, {0.25, 2.5}} {
-		got, err := Quantile(xs, tc.q)
-		if err != nil || math.Abs(got-tc.want) > 1e-12 {
-			t.Errorf("Quantile(%v) = %v, %v; want %v", tc.q, got, err, tc.want)
-		}
-	}
-	if _, err := Quantile(xs, -0.1); err == nil {
-		t.Error("Quantile accepted q < 0")
-	}
-	if _, err := Quantile(nil, 0.5); err == nil {
-		t.Error("Quantile accepted empty input")
 	}
 }
 
@@ -103,9 +80,9 @@ func TestCoordinateMedianAndTrimmedMean(t *testing.T) {
 	if err != nil || !tensor.Equal(med, []float64{2, 0}, 1e-12) {
 		t.Errorf("CoordinateMedian = %v, %v", med, err)
 	}
-	tm, err := CoordinateTrimmedMean(vs, 1)
+	tm, err := CoordinateTrimmedMeanWorkers(vs, 1, 1)
 	if err != nil || !tensor.Equal(tm, []float64{2, 0}, 1e-12) {
-		t.Errorf("CoordinateTrimmedMean = %v, %v", tm, err)
+		t.Errorf("CoordinateTrimmedMeanWorkers = %v, %v", tm, err)
 	}
 	if _, err := CoordinateMedian([][]float64{{1}, {1, 2}}); err == nil {
 		t.Error("CoordinateMedian accepted ragged input")
@@ -154,7 +131,7 @@ func TestMedianQuick(t *testing.T) {
 		if m1 != m2 {
 			return false
 		}
-		lo, hi := tensor.MinMax(xs)
+		lo, hi := slices.Min(xs), slices.Max(xs)
 		return m1 >= lo && m1 <= hi
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -177,7 +154,7 @@ func TestTrimmedMeanQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		lo, hi := tensor.MinMax(xs)
+		lo, hi := slices.Min(xs), slices.Max(xs)
 		return m >= lo-1e-9 && m <= hi+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -70,11 +70,11 @@ func mulABTRange(dst, a, b *Matrix, r0, r1 int) {
 }
 
 // MatMulInto accumulates a·b into dst: dst[i][j] += Σ_k a[i][k]·b[k][j],
-// with a (N,K), b (K,M), dst (N,M). It uses the same ikj loop order and
-// zero-skip as MatMul, so each dst element accumulates over k in ascending
-// order — byte-identical to the sequential loop (the zero-skip is part of
-// the contract: skipping a zero term preserves a negative-zero
-// accumulator that adding +0.0 would flip).
+// with a (N,K), b (K,M), dst (N,M). It runs the ikj loop with a
+// zero-skip, so each dst element accumulates over k in ascending order —
+// byte-identical to the sequential loop (the zero-skip is part of the
+// contract: skipping a zero term preserves a negative-zero accumulator
+// that adding +0.0 would flip).
 func MatMulInto(dst, a, b *Matrix) error {
 	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
 		return fmt.Errorf("%w: MatMulInto(%dx%d, %dx%d, %dx%d)",
@@ -125,10 +125,4 @@ func MulATBRangeInto(dst, a, b *Matrix, i0, i1 int) error {
 		}
 	}
 	return nil
-}
-
-// MulATBInto accumulates aᵀ·b over all rows into dst (see
-// MulATBRangeInto).
-func MulATBInto(dst, a, b *Matrix) error {
-	return MulATBRangeInto(dst, a, b, 0, a.Rows)
 }

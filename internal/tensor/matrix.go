@@ -22,47 +22,13 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// FromRows builds a matrix whose rows are copies of the given vectors.
-func FromRows(rows [][]float64) (*Matrix, error) {
-	if len(rows) == 0 {
-		return &Matrix{}, nil
-	}
-	cols := len(rows[0])
-	m := NewMatrix(len(rows), cols)
-	for i, r := range rows {
-		if len(r) != cols {
-			return nil, fmt.Errorf("%w: FromRows row %d has %d cols, want %d", ErrDimensionMismatch, i, len(r), cols)
-		}
-		copy(m.Row(i), r)
-	}
-	return m, nil
-}
-
 // Row returns a mutable view of row i.
 func (m *Matrix) Row(i int) []float64 {
 	return m.Data[i*m.Cols : (i+1)*m.Cols]
 }
 
-// At returns the element at (i, j).
-func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
-
-// Set writes the element at (i, j).
-func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
-
-// Clone deep-copies the matrix.
-func (m *Matrix) Clone() *Matrix {
-	out := NewMatrix(m.Rows, m.Cols)
-	copy(out.Data, m.Data)
-	return out
-}
-
-// MulVec computes y = M x for a length-Cols vector x, returning a new
-// length-Rows vector.
-func (m *Matrix) MulVec(x []float64) ([]float64, error) {
-	return m.MulVecWorkers(x, 1)
-}
-
-// MulVecWorkers is MulVec with the output rows split across workers. Every
+// MulVecWorkers computes y = M x for a length-Cols vector x, returning a
+// new length-Rows vector, with the output rows split across workers. Every
 // y[i] is one sequential dot product, so the result is byte-identical for
 // any worker count.
 func (m *Matrix) MulVecWorkers(x []float64, workers int) ([]float64, error) {
@@ -83,13 +49,8 @@ func (m *Matrix) MulVecWorkers(x []float64, workers int) ([]float64, error) {
 	return y, nil
 }
 
-// MulVecT computes y = Mᵀ x for a length-Rows vector x, returning a new
-// length-Cols vector.
-func (m *Matrix) MulVecT(x []float64) ([]float64, error) {
-	return m.MulVecTWorkers(x, 1)
-}
-
-// MulVecTWorkers is MulVecT with the output columns split across workers.
+// MulVecTWorkers computes y = Mᵀ x for a length-Rows vector x, returning a
+// new length-Cols vector, with the output columns split across workers.
 // Every y[j] accumulates over the rows in ascending order — the same
 // association as the sequential row-major pass — so the result is
 // byte-identical for any worker count.
@@ -113,40 +74,11 @@ func (m *Matrix) MulVecTWorkers(x []float64, workers int) ([]float64, error) {
 	return y, nil
 }
 
-// MatMul returns A·B as a new matrix.
-func MatMul(a, b *Matrix) (*Matrix, error) {
-	if a.Cols != b.Rows {
-		return nil, fmt.Errorf("%w: MatMul(%dx%d, %dx%d)", ErrDimensionMismatch, a.Rows, a.Cols, b.Rows, b.Cols)
-	}
-	out := NewMatrix(a.Rows, b.Cols)
-	// ikj loop order keeps the inner loop sequential over both B and out.
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		orow := out.Row(i)
-		for k := 0; k < a.Cols; k++ {
-			av := arow[k]
-			if av == 0 {
-				continue
-			}
-			brow := b.Row(k)
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
-		}
-	}
-	return out, nil
-}
-
-// CenterRows subtracts the column means from each row in place and returns
-// the mean row that was removed.
-func (m *Matrix) CenterRows() []float64 {
-	return m.CenterRowsWorkers(1)
-}
-
-// CenterRowsWorkers is CenterRows with the columns split across workers.
-// Each column's mean accumulates over the rows in ascending order, matching
-// the sequential association, so the result is byte-identical for any
-// worker count.
+// CenterRowsWorkers subtracts the column means from each row in place and
+// returns the mean row that was removed, with the columns split across
+// workers. Each column's mean accumulates over the rows in ascending order,
+// matching the sequential association, so the result is byte-identical for
+// any worker count.
 func (m *Matrix) CenterRowsWorkers(workers int) []float64 {
 	mean := make([]float64, m.Cols)
 	if m.Rows == 0 {
@@ -173,20 +105,14 @@ func (m *Matrix) CenterRowsWorkers(workers int) []float64 {
 	return mean
 }
 
-// TopSingularVector estimates the dominant right singular vector of the
-// matrix via power iteration on MᵀM, without materializing the Gram matrix.
-// iters bounds the number of iterations; tol is the convergence threshold on
-// the change of the estimate between iterations. The returned vector has
-// unit norm. The rng-free deterministic start vector makes results
-// reproducible.
-func (m *Matrix) TopSingularVector(iters int, tol float64) []float64 {
-	return m.TopSingularVectorWorkers(iters, tol, 1)
-}
-
-// TopSingularVectorWorkers is TopSingularVector with the matrix-vector
-// products of each power-iteration step parallelized across workers (see
-// MulVecWorkers / MulVecTWorkers); the result is byte-identical for any
-// worker count.
+// TopSingularVectorWorkers estimates the dominant right singular vector of
+// the matrix via power iteration on MᵀM, without materializing the Gram
+// matrix. iters bounds the number of iterations; tol is the convergence
+// threshold on the change of the estimate between iterations. The returned
+// vector has unit norm. The rng-free deterministic start vector makes
+// results reproducible. The matrix-vector products of each step run across
+// workers (see MulVecWorkers / MulVecTWorkers); the result is
+// byte-identical for any worker count.
 func (m *Matrix) TopSingularVectorWorkers(iters int, tol float64, workers int) []float64 {
 	v := make([]float64, m.Cols)
 	if m.Cols == 0 {

@@ -5,84 +5,76 @@ import (
 	"testing"
 )
 
+// fromRows builds a matrix whose rows are copies of the given
+// equal-length vectors.
+func fromRows(rows [][]float64) *Matrix {
+	m := NewMatrix(len(rows), len(rows[0]))
+	for i, r := range rows {
+		copy(m.Row(i), r)
+	}
+	return m
+}
+
 func TestMatrixBasics(t *testing.T) {
 	m := NewMatrix(2, 3)
-	m.Set(0, 0, 1)
-	m.Set(1, 2, 5)
-	if m.At(0, 0) != 1 || m.At(1, 2) != 5 {
-		t.Errorf("Set/At mismatch: %v", m.Data)
+	m.Data[0] = 1
+	m.Data[1*m.Cols+2] = 5
+	if len(m.Data) != 6 || m.Data[0] != 1 {
+		t.Errorf("NewMatrix(2, 3) data = %v", m.Data)
 	}
 	row := m.Row(1)
 	if len(row) != 3 || row[2] != 5 {
 		t.Errorf("Row(1) = %v", row)
 	}
-	c := m.Clone()
-	c.Set(0, 0, 99)
-	if m.At(0, 0) != 1 {
-		t.Error("Clone shares data")
-	}
-}
-
-func TestFromRows(t *testing.T) {
-	m, err := FromRows([][]float64{{1, 2}, {3, 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Rows != 2 || m.Cols != 2 || m.At(1, 0) != 3 {
-		t.Errorf("FromRows = %+v", m)
-	}
-	if _, err := FromRows([][]float64{{1, 2}, {3}}); err == nil {
-		t.Error("FromRows accepted ragged rows")
-	}
-	empty, err := FromRows(nil)
-	if err != nil || empty.Rows != 0 {
-		t.Errorf("FromRows(nil) = %+v, %v", empty, err)
+	row[0] = 7
+	if m.Data[1*m.Cols] != 7 {
+		t.Error("Row is not a view of Data")
 	}
 }
 
 func TestMulVec(t *testing.T) {
-	m, _ := FromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
-	y, err := m.MulVec([]float64{1, -1})
+	m := fromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
+	y, err := m.MulVecWorkers([]float64{1, -1}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !Equal(y, []float64{-1, -1, -1}, 1e-12) {
 		t.Errorf("MulVec = %v", y)
 	}
-	yt, err := m.MulVecT([]float64{1, 1, 1})
+	yt, err := m.MulVecTWorkers([]float64{1, 1, 1}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !Equal(yt, []float64{9, 12}, 1e-12) {
 		t.Errorf("MulVecT = %v", yt)
 	}
-	if _, err := m.MulVec([]float64{1}); err == nil {
+	if _, err := m.MulVecWorkers([]float64{1}, 1); err == nil {
 		t.Error("MulVec accepted wrong length")
 	}
-	if _, err := m.MulVecT([]float64{1}); err == nil {
+	if _, err := m.MulVecTWorkers([]float64{1}, 1); err == nil {
 		t.Error("MulVecT accepted wrong length")
 	}
 }
 
 func TestMatMul(t *testing.T) {
-	a, _ := FromRows([][]float64{{1, 2}, {3, 4}})
-	b, _ := FromRows([][]float64{{5, 6}, {7, 8}})
-	c, err := MatMul(a, b)
-	if err != nil {
+	a := fromRows([][]float64{{1, 2}, {3, 4}})
+	b := fromRows([][]float64{{5, 6}, {7, 8}})
+	c := NewMatrix(2, 2)
+	if err := MatMulInto(c, a, b); err != nil {
 		t.Fatal(err)
 	}
 	want := []float64{19, 22, 43, 50}
 	if !Equal(c.Data, want, 1e-12) {
-		t.Errorf("MatMul = %v, want %v", c.Data, want)
+		t.Errorf("MatMulInto = %v, want %v", c.Data, want)
 	}
-	if _, err := MatMul(a, NewMatrix(3, 2)); err == nil {
-		t.Error("MatMul accepted mismatched shapes")
+	if err := MatMulInto(c, a, NewMatrix(3, 2)); err == nil {
+		t.Error("MatMulInto accepted mismatched shapes")
 	}
 }
 
 func TestCenterRows(t *testing.T) {
-	m, _ := FromRows([][]float64{{1, 10}, {3, 20}})
-	mean := m.CenterRows()
+	m := fromRows([][]float64{{1, 10}, {3, 20}})
+	mean := m.CenterRowsWorkers(1)
 	if !Equal(mean, []float64{2, 15}, 1e-12) {
 		t.Errorf("mean = %v", mean)
 	}
@@ -94,8 +86,8 @@ func TestCenterRows(t *testing.T) {
 func TestTopSingularVector(t *testing.T) {
 	// Rank-1 matrix: rows are multiples of (3, 4)/5. The dominant right
 	// singular vector must align with that direction.
-	m, _ := FromRows([][]float64{{3, 4}, {6, 8}, {-3, -4}})
-	v := m.TopSingularVector(100, 1e-12)
+	m := fromRows([][]float64{{3, 4}, {6, 8}, {-3, -4}})
+	v := m.TopSingularVectorWorkers(100, 1e-12, 1)
 	if math.Abs(Norm(v)-1) > 1e-9 {
 		t.Fatalf("singular vector norm = %v", Norm(v))
 	}
@@ -108,7 +100,7 @@ func TestTopSingularVector(t *testing.T) {
 
 func TestTopSingularVectorZeroMatrix(t *testing.T) {
 	m := NewMatrix(3, 4)
-	v := m.TopSingularVector(10, 1e-9)
+	v := m.TopSingularVectorWorkers(10, 1e-9, 1)
 	if math.Abs(Norm(v)-1) > 1e-9 {
 		t.Errorf("zero-matrix singular vector norm = %v, want 1", Norm(v))
 	}
@@ -126,10 +118,62 @@ func TestTopSingularVectorDominantDirection(t *testing.T) {
 		}
 		rows[i] = []float64{x, 0.01 * rng.NormFloat64()}
 	}
-	m, _ := FromRows(rows)
-	m.CenterRows()
-	v := m.TopSingularVector(200, 1e-12)
+	m := fromRows(rows)
+	m.CenterRowsWorkers(1)
+	v := m.TopSingularVectorWorkers(200, 1e-12, 1)
 	if math.Abs(v[0]) < 0.99 {
 		t.Errorf("dominant direction = %v, want ±e1", v)
+	}
+}
+
+// TestWorkersByteIdentical: every *Workers kernel returns, for any worker
+// count, the bits it returns on one worker — the promise each doc comment
+// makes, and the one the aggregation rules' worker-count determinism rests
+// on.
+func TestWorkersByteIdentical(t *testing.T) {
+	m := randomMatrix(37, 23, 11)
+	x := RandNormal(NewRNG(12), m.Cols, 0, 1)
+	xt := RandNormal(NewRNG(13), m.Rows, 0, 1)
+	w := RandNormal(NewRNG(14), m.Rows, 1, 0.1)
+	rows := make([][]float64, m.Rows)
+	for i := range rows {
+		rows[i] = m.Row(i)
+	}
+	kernels := []struct {
+		name string
+		run  func(workers int) ([]float64, error)
+	}{
+		{"MulVecWorkers", func(k int) ([]float64, error) { return m.MulVecWorkers(x, k) }},
+		{"MulVecTWorkers", func(k int) ([]float64, error) { return m.MulVecTWorkers(xt, k) }},
+		{"CenterRowsWorkers", func(k int) ([]float64, error) {
+			c := NewMatrix(m.Rows, m.Cols)
+			copy(c.Data, m.Data)
+			return append(c.CenterRowsWorkers(k), c.Data...), nil
+		}},
+		{"TopSingularVectorWorkers", func(k int) ([]float64, error) { return m.TopSingularVectorWorkers(50, 1e-12, k), nil }},
+		{"MeanWorkers", func(k int) ([]float64, error) { return MeanWorkers(rows, k) }},
+		{"WeightedMeanWorkers", func(k int) ([]float64, error) { return WeightedMeanWorkers(rows, w, k) }},
+	}
+	for _, kc := range kernels {
+		t.Run(kc.name, func(t *testing.T) {
+			want, err := kc.run(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{2, 7} {
+				got, err := kc.run(workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("workers=%d: %d values, want %d", workers, len(got), len(want))
+				}
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("workers=%d: value %d = %v, want %v (bitwise)", workers, i, got[i], want[i])
+					}
+				}
+			}
+		})
 	}
 }

@@ -18,15 +18,6 @@ func RandNormal(rng *rand.Rand, n int, mean, std float64) []float64 {
 	return out
 }
 
-// RandUniform fills a new length-n vector with Uniform[lo, hi) samples.
-func RandUniform(rng *rand.Rand, n int, lo, hi float64) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = lo + (hi-lo)*rng.Float64()
-	}
-	return out
-}
-
 // RandUnitVector returns a uniformly random direction in R^n.
 func RandUnitVector(rng *rand.Rand, n int) []float64 {
 	for {

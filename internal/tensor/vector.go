@@ -21,11 +21,6 @@ import (
 // share a shape do not.
 var ErrDimensionMismatch = errors.New("tensor: dimension mismatch")
 
-// Zeros returns a new zero vector of length n.
-func Zeros(n int) []float64 {
-	return make([]float64, n)
-}
-
 // Clone returns a copy of v. A nil input yields a nil output.
 func Clone(v []float64) []float64 {
 	if v == nil {
@@ -55,18 +50,6 @@ func Fill(v []float64, c float64) {
 	}
 }
 
-// Add returns a+b as a new vector.
-func Add(a, b []float64) ([]float64, error) {
-	if len(a) != len(b) {
-		return nil, fmt.Errorf("%w: Add(%d, %d)", ErrDimensionMismatch, len(a), len(b))
-	}
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] + b[i]
-	}
-	return out, nil
-}
-
 // AddInPlace sets dst = dst + src.
 func AddInPlace(dst, src []float64) error {
 	if len(dst) != len(src) {
@@ -74,29 +57,6 @@ func AddInPlace(dst, src []float64) error {
 	}
 	for i := range dst {
 		dst[i] += src[i]
-	}
-	return nil
-}
-
-// Sub returns a-b as a new vector.
-func Sub(a, b []float64) ([]float64, error) {
-	if len(a) != len(b) {
-		return nil, fmt.Errorf("%w: Sub(%d, %d)", ErrDimensionMismatch, len(a), len(b))
-	}
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] - b[i]
-	}
-	return out, nil
-}
-
-// SubInPlace sets dst = dst - src.
-func SubInPlace(dst, src []float64) error {
-	if len(dst) != len(src) {
-		return fmt.Errorf("%w: SubInPlace(%d, %d)", ErrDimensionMismatch, len(dst), len(src))
-	}
-	for i := range dst {
-		dst[i] -= src[i]
 	}
 	return nil
 }
@@ -206,14 +166,9 @@ func MeanWorkers(vs [][]float64, workers int) ([]float64, error) {
 	return out, nil
 }
 
-// WeightedMean computes sum_i w[i]*vs[i] / sum_i w[i].
-func WeightedMean(vs [][]float64, w []float64) ([]float64, error) {
-	return WeightedMeanWorkers(vs, w, 1)
-}
-
-// WeightedMeanWorkers is WeightedMean with its coordinate loop split
-// across workers, preserving the sequential per-coordinate accumulation
-// order (see MeanWorkers).
+// WeightedMeanWorkers computes sum_i w[i]*vs[i] / sum_i w[i] with its
+// coordinate loop split across workers, preserving the sequential
+// per-coordinate accumulation order (see MeanWorkers).
 func WeightedMeanWorkers(vs [][]float64, w []float64, workers int) ([]float64, error) {
 	if len(vs) == 0 {
 		return nil, errors.New("tensor: WeightedMean of empty set")
@@ -276,24 +231,6 @@ func Sign(v []float64) []float64 {
 		}
 	}
 	return out
-}
-
-// MinMax returns the smallest and largest element of v.
-// It panics on an empty vector, as there is no meaningful answer.
-func MinMax(v []float64) (lo, hi float64) {
-	if len(v) == 0 {
-		panic("tensor: MinMax of empty vector")
-	}
-	lo, hi = v[0], v[0]
-	for _, x := range v[1:] {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	return lo, hi
 }
 
 // AllFinite reports whether every element of v is finite (no NaN or Inf).

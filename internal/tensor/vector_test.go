@@ -6,33 +6,21 @@ import (
 	"testing/quick"
 )
 
-func TestAddSub(t *testing.T) {
+func TestAddInPlace(t *testing.T) {
 	a := []float64{1, 2, 3}
-	b := []float64{4, -5, 6}
-	sum, err := Add(a, b)
-	if err != nil {
-		t.Fatalf("Add: %v", err)
+	if err := AddInPlace(a, []float64{4, -5, 6}); err != nil {
+		t.Fatalf("AddInPlace: %v", err)
 	}
-	if !Equal(sum, []float64{5, -3, 9}, 0) {
-		t.Errorf("Add = %v", sum)
-	}
-	diff, err := Sub(a, b)
-	if err != nil {
-		t.Fatalf("Sub: %v", err)
-	}
-	if !Equal(diff, []float64{-3, 7, -3}, 0) {
-		t.Errorf("Sub = %v", diff)
+	if !Equal(a, []float64{5, -3, 9}, 0) {
+		t.Errorf("AddInPlace = %v", a)
 	}
 }
 
 func TestDimensionMismatch(t *testing.T) {
 	a := []float64{1, 2}
 	b := []float64{1, 2, 3}
-	if _, err := Add(a, b); err == nil {
-		t.Error("Add accepted mismatched lengths")
-	}
-	if _, err := Sub(a, b); err == nil {
-		t.Error("Sub accepted mismatched lengths")
+	if err := AddInPlace(a, b); err == nil {
+		t.Error("AddInPlace accepted mismatched lengths")
 	}
 	if _, err := Dot(a, b); err == nil {
 		t.Error("Dot accepted mismatched lengths")
@@ -87,14 +75,14 @@ func TestMean(t *testing.T) {
 }
 
 func TestWeightedMean(t *testing.T) {
-	got, err := WeightedMean([][]float64{{0, 0}, {10, 10}}, []float64{3, 1})
+	got, err := WeightedMeanWorkers([][]float64{{0, 0}, {10, 10}}, []float64{3, 1}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !Equal(got, []float64{2.5, 2.5}, 1e-12) {
 		t.Errorf("WeightedMean = %v", got)
 	}
-	if _, err := WeightedMean([][]float64{{1}}, []float64{0}); err == nil {
+	if _, err := WeightedMeanWorkers([][]float64{{1}}, []float64{0}, 1); err == nil {
 		t.Error("WeightedMean accepted zero total weight")
 	}
 }
@@ -125,11 +113,7 @@ func TestSign(t *testing.T) {
 	}
 }
 
-func TestMinMaxAllFinite(t *testing.T) {
-	lo, hi := MinMax([]float64{3, -1, 2})
-	if lo != -1 || hi != 3 {
-		t.Errorf("MinMax = (%v, %v)", lo, hi)
-	}
+func TestAllFinite(t *testing.T) {
 	if !AllFinite([]float64{1, 2}) {
 		t.Error("AllFinite false on finite input")
 	}

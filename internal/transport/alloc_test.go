@@ -142,7 +142,7 @@ func BenchmarkAsyncUpdate(b *testing.B) {
 			// so staleness grows as the steps land.
 			bodies := make([][]byte, 64)
 			for i := range bodies {
-				req, err := parseAsyncSubmit(u.body)
+				req, err := (&asyncScratch{}).parseSubmit(u.body)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -216,12 +216,6 @@ func (c *AsyncClient) Heartbeat(ctx context.Context) (AsyncHeartbeatResponse, er
 	return out, c.call(ctx, http.MethodPost, AsyncPathHeartbeat, "application/json", body, &out)
 }
 
-// Stats fetches the server's aggregator counters.
-func (c *AsyncClient) Stats(ctx context.Context) (asyncfl.Stats, error) {
-	var out asyncfl.Stats
-	return out, c.call(ctx, http.MethodGet, AsyncPathStats, "", nil, &out)
-}
-
 // call performs one exchange whose reply is JSON (the control plane, and
 // the reply to a submit).
 func (c *AsyncClient) call(ctx context.Context, method, path, contentType string, body []byte, out any) error {

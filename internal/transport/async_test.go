@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -155,8 +156,13 @@ func TestAsyncSubmitSignals(t *testing.T) {
 	if err != nil || hb.Version != 0 || hb.Done {
 		t.Fatalf("heartbeat = %+v, %v", hb, err)
 	}
-	stats, err := c.Stats(ctx)
-	if err != nil || stats.Buffered != 2 {
+	resp, err := http.Get(srv.URL + AsyncPathStats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var stats asyncfl.Stats
+	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil || stats.Buffered != 2 {
 		t.Fatalf("stats over HTTP = %+v, %v", stats, err)
 	}
 }

@@ -49,9 +49,8 @@ func maxAsyncSubmitBody(dim int) int64 { return 16*int64(dim) + asyncSubmitSlack
 
 // asyncScratch is one request's worth of memory the async handler owns and
 // recycles: the body buffer and the backing of every vector a submit
-// parses or decodes to. The zero value is the fresh form
-// (parseAsyncSubmit): every vector gets a slice of its own, and a dense
-// gradient of any length parses.
+// parses or decodes to. The zero value is the fresh form: every vector
+// gets a slice of its own, and a dense gradient of any length parses.
 type asyncScratch struct {
 	body []byte
 	// grad is the model-dimension vector (len = cap = dim): a dense
@@ -171,13 +170,6 @@ func appendAsyncSubmit(b []byte, req *AsyncSubmitRequest) ([]byte, error) {
 	}
 	b = appendCount(b, len(enc.Sign))
 	return append(b, enc.Sign...), nil
-}
-
-// parseAsyncSubmit decodes a binary submit body into fresh slices. Exactly
-// one of Grad and Encoded is set on success.
-func parseAsyncSubmit(body []byte) (AsyncSubmitRequest, error) {
-	var fresh asyncScratch
-	return fresh.parseSubmit(body)
 }
 
 // parseSubmit decodes a binary submit body into s (see asyncScratch). A

@@ -49,7 +49,7 @@ func TestAsyncWireRoundTrip(t *testing.T) {
 		reqs = append(reqs, AsyncSubmitRequest{Client: "c-" + enc.Codec, Version: 1, Encoded: &enc})
 	}
 	for _, want := range reqs {
-		got, err := parseAsyncSubmit(submitBody(t, want))
+		got, err := (&asyncScratch{}).parseSubmit(submitBody(t, want))
 		if err != nil {
 			t.Fatalf("%s: %v", want.Client, err)
 		}
@@ -84,7 +84,7 @@ func FuzzAsyncSubmitBody(f *testing.F) {
 		f.Add(row.body)
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		req, err := parseAsyncSubmit(body)
+		req, err := (&asyncScratch{}).parseSubmit(body)
 		inScratch, scratchErr := scratch.parseSubmit(body)
 		if err != nil {
 			if scratchErr == nil {

@@ -295,7 +295,7 @@ func TestHostileSubmitBodies(t *testing.T) {
 		body      []byte
 		maxAllocs float64
 	}{
-		{"a 2^32-1 count prefix", parseAsyncSubmit, body("count prefix"), 4},
+		{"a 2^32-1 count prefix", (&asyncScratch{}).parseSubmit, body("count prefix"), 4},
 		{"a dense body of 4×dim coordinates", newAsyncScratch(wide).parseSubmit,
 			submitBody(t, AsyncSubmitRequest{Client: "c", Grad: make([]float64, 4*wide)}), 5},
 	} {
