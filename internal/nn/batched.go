@@ -94,10 +94,12 @@ type arenaLayer interface {
 // segment their parameter gradients by row range in a single backward
 // pass: segGrads[s][k] receives the gradient of Params()[k] accumulated
 // over rows [bounds[s], bounds[s+1]) alone, byte-identical to a standalone
-// Backward over that segment.
+// Backward over that segment. needDX false skips the input gradient (the
+// returned matrix is nil) without moving a parameter-gradient bit: a
+// model's first layer has no reader for it.
 type segmentedLayer interface {
 	Layer
-	backwardSegmented(ws *Workspace, id int, grad *tensor.Matrix, bounds []int, segGrads [][][]float64) (*tensor.Matrix, error)
+	backwardSegmented(ws *Workspace, id int, grad *tensor.Matrix, bounds []int, segGrads [][][]float64, needDX bool) (*tensor.Matrix, error)
 }
 
 // validateBounds checks a segmentation against a batch of the given row
@@ -168,7 +170,7 @@ func (ff *FeedForward) BatchedLossAndGrad(ws *Workspace, in Input, labels []int,
 
 	for i := len(ff.layers) - 1; i >= 0; i-- {
 		l := ff.layers[i]
-		if len(l.Params()) == 0 {
+		if scaffold[i] == nil {
 			// Parameter-free layers have nothing to segment; their input
 			// gradient is row-independent already.
 			if al, ok := l.(arenaLayer); ok {
@@ -177,7 +179,7 @@ func (ff *FeedForward) BatchedLossAndGrad(ws *Workspace, in Input, labels []int,
 				grad, err = l.Backward(grad)
 			}
 		} else if sl, ok := l.(segmentedLayer); ok {
-			grad, err = sl.backwardSegmented(ws, i, grad, bounds, scaffold[i])
+			grad, err = sl.backwardSegmented(ws, i, grad, bounds, scaffold[i], i > 0)
 		} else {
 			return nil, fmt.Errorf("nn: layer %d (%T) does not support batched per-client gradients", i, l)
 		}

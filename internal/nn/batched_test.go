@@ -227,3 +227,61 @@ func TestSoftmaxCrossEntropySegmentedMatches(t *testing.T) {
 		}
 	}
 }
+
+// passLayer is a parameter-free identity layer. In front of a model's
+// layers it makes their first one a later layer, whose input gradient the
+// backward pass computes.
+type passLayer struct{}
+
+func (passLayer) Forward(x *tensor.Matrix) (*tensor.Matrix, error)  { return x, nil }
+func (passLayer) Backward(g *tensor.Matrix) (*tensor.Matrix, error) { return g, nil }
+func (passLayer) Params() []*Param                                  { return nil }
+
+// TestFirstLayerSkipsInputGradient: a model's first layer — a conv in
+// DeepCNN, a Linear in an MLP — computes no input gradient, batched or per
+// client, and every gradient is bit-identical to a pass through the same
+// layers that does compute it.
+func TestFirstLayerSkipsInputGradient(t *testing.T) {
+	rng := tensor.NewRNG(21)
+	deep, err := NewDeepImageCNN(rng, 3, 8, 8, 4, 6, 8, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mlp, err := NewMLP(rng, 192, 16, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, m := range map[string]*FeedForward{"DeepCNN": deep, "MLP": mlp} {
+		t.Run(name, func(t *testing.T) {
+			withDX := NewFeedForward(append([]Layer{passLayer{}}, m.layers...)...)
+			x, labels := randomBatch(9, 192, 5, 3)
+			bounds := []int{0, 1, 5, 9}
+
+			ws := NewWorkspace()
+			got, err := m.BatchedLossAndGrad(ws, Input{Dense: x}, labels, bounds, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := ws.mats[wsKey{layer: 0, slot: wsDX}]; ok {
+				t.Error("the first layer checked out an input-gradient buffer")
+			}
+			want, err := withDX.BatchedLossAndGrad(nil, Input{Dense: x}, labels, bounds, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSegmentsBitIdentical(t, want, got)
+
+			m.ZeroGrad()
+			if _, _, err := m.LossAndGrad(Input{Dense: x}, labels); err != nil {
+				t.Fatal(err)
+			}
+			skipped := m.GradVector()
+			m.ZeroGrad()
+			if _, _, err := withDX.LossAndGrad(Input{Dense: x}, labels); err != nil {
+				t.Fatal(err)
+			}
+			bitsEqual(t, "LossAndGrad gradient", skipped, withDX.GradVector())
+			m.ZeroGrad()
+		})
+	}
+}

@@ -70,23 +70,23 @@ func (c *Conv2D) im2colInto(cols *tensor.Matrix, rowOff int, sample []float64) {
 			for kj := 0; kj < c.K; kj++ {
 				rowIdx := (ch*c.K+ki)*c.K + kj
 				row := cols.Row(rowOff + rowIdx)
+				// Output columns [lo, hi) read input column oj-Pad+kj
+				// inside the sample; the rest read padding.
+				lo := max(0, c.Pad-kj)
+				hi := min(c.OutW, c.InW+c.Pad-kj)
 				for oi := 0; oi < c.OutH; oi++ {
 					si := oi - c.Pad + ki
 					seg := row[oi*c.OutW : (oi+1)*c.OutW]
-					if si < 0 || si >= c.InH {
-						for p := range seg {
-							seg[p] = 0
-						}
+					if si < 0 || si >= c.InH || lo >= hi {
+						clear(seg)
 						continue
 					}
-					src := sample[chOff+si*c.InW:]
-					for oj := range seg {
-						sj := oj - c.Pad + kj
-						if sj < 0 || sj >= c.InW {
-							seg[oj] = 0
-						} else {
-							seg[oj] = src[sj]
-						}
+					clear(seg[:lo])
+					clear(seg[hi:])
+					dst := seg[lo:hi]
+					src := sample[chOff+si*c.InW+lo-c.Pad+kj:][:len(dst)]
+					for i := range dst {
+						dst[i] = src[i]
 					}
 				}
 			}
@@ -140,26 +140,53 @@ func (c *Conv2D) forwardWs(ws *Workspace, id int, x *tensor.Matrix) (*tensor.Mat
 	for n := 0; n < x.Rows; n++ {
 		base := n * colRows
 		c.im2colInto(cols, base, x.Row(n))
+		sCols := cols.Data[base*spatial : (base+colRows)*spatial]
 		oRow := out.Row(n)
 		for oc := 0; oc < c.OutC; oc++ {
-			w := c.weight.W[oc*colRows : (oc+1)*colRows]
-			b := c.bias.W[oc]
-			dst := oRow[oc*spatial : (oc+1)*spatial]
-			for p := range dst {
-				dst[p] = b
-			}
-			for r, wv := range w {
-				if wv == 0 {
-					continue
-				}
-				src := cols.Row(base + r)
-				for p, sv := range src {
-					dst[p] += wv * sv
-				}
-			}
+			convFilterForward(oRow[oc*spatial:(oc+1)*spatial], c.weight.W[oc*colRows:(oc+1)*colRows], c.bias.W[oc], sCols)
 		}
 	}
 	return out, nil
+}
+
+// convFilterForward writes one filter's output plane dst: position p is
+// seeded from the bias b and adds w[r]*cols[r][p] for r ascending, skipping
+// zero weights (so a zero weight never turns a ±Inf or NaN column into
+// NaN). cols holds len(w) rows of len(dst) values. Eight positions are
+// carried in registers at a time; each one's addition sequence is the
+// single-position loop's.
+func convFilterForward(dst, w []float64, b float64, cols []float64) {
+	spatial := len(dst)
+	p := 0
+	for ; p+8 <= spatial; p += 8 {
+		a0, a1, a2, a3, a4, a5, a6, a7 := b, b, b, b, b, b, b, b
+		for r, wv := range w {
+			if wv == 0 {
+				continue
+			}
+			s := cols[r*spatial+p : r*spatial+p+8]
+			a0 += wv * s[0]
+			a1 += wv * s[1]
+			a2 += wv * s[2]
+			a3 += wv * s[3]
+			a4 += wv * s[4]
+			a5 += wv * s[5]
+			a6 += wv * s[6]
+			a7 += wv * s[7]
+		}
+		d := dst[p : p+8]
+		d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7] = a0, a1, a2, a3, a4, a5, a6, a7
+	}
+	for ; p < spatial; p++ {
+		a := b
+		for r, wv := range w {
+			if wv == 0 {
+				continue
+			}
+			a += wv * cols[r*spatial+p]
+		}
+		dst[p] = a
+	}
 }
 
 // Backward accumulates filter/bias gradients and returns the input gradient.
@@ -169,7 +196,7 @@ func (c *Conv2D) Backward(grad *tensor.Matrix) (*tensor.Matrix, error) {
 
 // backwardWs is Backward with optional workspace buffers.
 func (c *Conv2D) backwardWs(ws *Workspace, id int, grad *tensor.Matrix) (*tensor.Matrix, error) {
-	return c.backward(ws, id, grad, nil, func(int) (w, b []float64) { return c.weight.Grad, c.bias.Grad })
+	return c.backward(ws, id, grad, nil, func(int) (w, b []float64) { return c.weight.Grad, c.bias.Grad }, true)
 }
 
 // backwardSegmented implements segmentedLayer: one backward pass over the
@@ -177,14 +204,15 @@ func (c *Conv2D) backwardWs(ws *Workspace, id int, grad *tensor.Matrix) (*tensor
 // buffers of the row segment it belongs to. Samples are visited in
 // ascending order, so segment s's buffers are byte-identical to a
 // standalone Backward over rows [bounds[s], bounds[s+1]).
-func (c *Conv2D) backwardSegmented(ws *Workspace, id int, grad *tensor.Matrix, bounds []int, segGrads [][][]float64) (*tensor.Matrix, error) {
-	return c.backward(ws, id, grad, bounds, func(s int) (w, b []float64) { return segGrads[s][0], segGrads[s][1] })
+func (c *Conv2D) backwardSegmented(ws *Workspace, id int, grad *tensor.Matrix, bounds []int, segGrads [][][]float64, needDX bool) (*tensor.Matrix, error) {
+	return c.backward(ws, id, grad, bounds, func(s int) (w, b []float64) { return segGrads[s][0], segGrads[s][1] }, needDX)
 }
 
 // backward is the shared gradient computation. sink maps a segment index
 // to the filter and bias gradient buffers; bounds is nil for the
-// unsegmented path (one segment spanning the batch).
-func (c *Conv2D) backward(ws *Workspace, id int, grad *tensor.Matrix, bounds []int, sink func(s int) (w, b []float64)) (*tensor.Matrix, error) {
+// unsegmented path (one segment spanning the batch). Without needDX the
+// input gradient is not computed and backward returns a nil matrix.
+func (c *Conv2D) backward(ws *Workspace, id int, grad *tensor.Matrix, bounds []int, sink func(s int) (w, b []float64), needDX bool) (*tensor.Matrix, error) {
 	if c.lastInput == nil {
 		return nil, fmt.Errorf("nn: Conv2D.Backward before Forward")
 	}
@@ -192,13 +220,16 @@ func (c *Conv2D) backward(ws *Workspace, id int, grad *tensor.Matrix, bounds []i
 		return nil, fmt.Errorf("%w: Conv2D.Backward got (%d,%d), want (%d,%d)",
 			ErrShape, grad.Rows, grad.Cols, c.lastInput.Rows, c.OutputSize())
 	}
-	// dX is accumulated into by col2im: zeroed checkout required.
-	dx := ws.matrixZeroed(id, wsDX, c.lastInput.Rows, c.lastInput.Cols)
 	spatial := c.OutH * c.OutW
 	colRows := c.InC * c.K * c.K
-	// dcols is zeroed per sample inside the loop, so a stale checkout is
-	// fine.
-	dcols := ws.matrix(id, wsDCols, colRows, spatial)
+	var dx, dcols *tensor.Matrix
+	if needDX {
+		// dX is accumulated into by col2im: zeroed checkout required.
+		dx = ws.matrixZeroed(id, wsDX, c.lastInput.Rows, c.lastInput.Cols)
+		// dcols is fully overwritten per sample, so a stale checkout is
+		// fine.
+		dcols = ws.matrix(id, wsDCols, colRows, spatial)
+	}
 	seg := 0
 	gw, bg := sink(0)
 	for n := 0; n < grad.Rows; n++ {
@@ -209,10 +240,8 @@ func (c *Conv2D) backward(ws *Workspace, id int, grad *tensor.Matrix, bounds []i
 			}
 		}
 		base := n * colRows
+		sCols := c.lastCols.Data[base*spatial : (base+colRows)*spatial]
 		gRow := grad.Row(n)
-		for i := range dcols.Data {
-			dcols.Data[i] = 0
-		}
 		for oc := 0; oc < c.OutC; oc++ {
 			g := gRow[oc*spatial : (oc+1)*spatial]
 			// Bias gradient: sequential (bit-stable) sum over spatial
@@ -222,23 +251,86 @@ func (c *Conv2D) backward(ws *Workspace, id int, grad *tensor.Matrix, bounds []i
 				gsum += gv
 			}
 			bg[oc] += gsum
-			w := c.weight.W[oc*colRows : (oc+1)*colRows]
-			gwoc := gw[oc*colRows : (oc+1)*colRows]
-			for r := 0; r < colRows; r++ {
-				src := c.lastCols.Row(base + r)
-				drow := dcols.Row(r)
-				wv := w[r]
-				var wgrad float64
-				for p, gv := range g {
-					wgrad += gv * src[p]
-					drow[p] += gv * wv
-				}
-				gwoc[r] += wgrad
-			}
+			convFilterWeightGrad(gw[oc*colRows:(oc+1)*colRows], g, sCols)
 		}
-		c.col2im(dcols, dx.Row(n))
+		if needDX {
+			c.colsGrad(dcols.Data, gRow)
+			c.col2im(dcols, dx.Row(n))
+		}
 	}
 	return dx, nil
+}
+
+// convFilterWeightGrad adds one sample's gradient for one filter into gw:
+// gw[r] += Σ_p g[p]*cols[r][p], the sum taken from +0 in ascending p and
+// added to gw[r] once. Four column rows run at a time, as four independent
+// chains sharing each g[p] load; cols holds len(gw) rows of len(g) values.
+func convFilterWeightGrad(gw, g, cols []float64) {
+	spatial := len(g)
+	r := 0
+	for ; r+4 <= len(gw); r += 4 {
+		s0 := cols[r*spatial : (r+1)*spatial]
+		s1 := cols[(r+1)*spatial : (r+2)*spatial]
+		s2 := cols[(r+2)*spatial : (r+3)*spatial]
+		s3 := cols[(r+3)*spatial : (r+4)*spatial]
+		var w0, w1, w2, w3 float64
+		for p, gv := range g {
+			w0 += gv * s0[p]
+			w1 += gv * s1[p]
+			w2 += gv * s2[p]
+			w3 += gv * s3[p]
+		}
+		gw[r] += w0
+		gw[r+1] += w1
+		gw[r+2] += w2
+		gw[r+3] += w3
+	}
+	for ; r < len(gw); r++ {
+		s := cols[r*spatial : (r+1)*spatial]
+		var w0 float64
+		for p, gv := range g {
+			w0 += gv * s[p]
+		}
+		gw[r] += w0
+	}
+}
+
+// colsGrad overwrites dcols (colRows rows of OutH*OutW) with one sample's
+// im2col gradient: dcols[r][p] = Σ_oc gRow[oc][p]*W[oc][r], summed from +0
+// over filters in ascending order, four filters per pass through dcols.
+func (c *Conv2D) colsGrad(dcols, gRow []float64) {
+	spatial := c.OutH * c.OutW
+	colRows := c.InC * c.K * c.K
+	clear(dcols)
+	oc := 0
+	for ; oc+4 <= c.OutC; oc += 4 {
+		g0 := gRow[oc*spatial:][:spatial]
+		g1 := gRow[(oc+1)*spatial:][:spatial]
+		g2 := gRow[(oc+2)*spatial:][:spatial]
+		g3 := gRow[(oc+3)*spatial:][:spatial]
+		w := c.weight.W[oc*colRows : (oc+4)*colRows]
+		for r := 0; r < colRows; r++ {
+			w0, w1, w2, w3 := w[r], w[colRows+r], w[2*colRows+r], w[3*colRows+r]
+			d := dcols[r*spatial:][:spatial]
+			for p, t := range d {
+				t += g0[p] * w0
+				t += g1[p] * w1
+				t += g2[p] * w2
+				t += g3[p] * w3
+				d[p] = t
+			}
+		}
+	}
+	for ; oc < c.OutC; oc++ {
+		g := gRow[oc*spatial:][:spatial]
+		w := c.weight.W[oc*colRows : (oc+1)*colRows]
+		for r, wv := range w {
+			d := dcols[r*spatial:][:spatial]
+			for p := range d {
+				d[p] += g[p] * wv
+			}
+		}
+	}
 }
 
 // Params returns the filter weights and biases.
@@ -307,6 +399,9 @@ func (p *MaxPool2D) forwardWs(ws *Workspace, id int, x *tensor.Matrix) (*tensor.
 							}
 						}
 					}
+					if bestIdx < 0 {
+						best, bestIdx = p.noCandidate(sample, chOff, oi, oj)
+					}
 					outIdx := (c*p.OutH+oi)*p.OutW + oj
 					oRow[outIdx] = best
 					argmax[outIdx] = bestIdx
@@ -346,11 +441,31 @@ func (p *MaxPool2D) forward2x2(sample, oRow []float64, argmax []int) {
 				if v := sample[i2+1]; v > best {
 					best, bestIdx = v, i2+1
 				}
+				if bestIdx < 0 {
+					best, bestIdx = p.noCandidate(sample, chOff, oi, oj)
+				}
 				oRow[outBase+oj] = best
 				argmax[outBase+oj] = bestIdx
 			}
 		}
 	}
+}
+
+// noCandidate resolves window (oi, oj) of the channel at chOff when no
+// candidate is above −Inf, which leaves the strict-greater scan without an
+// argmax: the first NaN in (di, dj) order wins, so the NaN reaches the
+// output; a window of −Inf alone yields its first element.
+func (p *MaxPool2D) noCandidate(sample []float64, chOff, oi, oj int) (float64, int) {
+	first := chOff + oi*p.Size*p.W + oj*p.Size
+	for di := 0; di < p.Size; di++ {
+		for dj := 0; dj < p.Size; dj++ {
+			idx := first + di*p.W + dj
+			if v := sample[idx]; math.IsNaN(v) {
+				return v, idx
+			}
+		}
+	}
+	return sample[first], first
 }
 
 // Backward routes each output gradient to its argmax input position.

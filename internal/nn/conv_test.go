@@ -1,0 +1,482 @@
+package nn
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"github.com/signguard/signguard/internal/tensor"
+)
+
+// oracleIm2col is the reference im2col: sample's CHW values unrolled into
+// rows [rowOff, rowOff+InC*K*K) of cols, one bounds test per element,
+// padding written as explicit zeros.
+func oracleIm2col(c *Conv2D, cols *tensor.Matrix, rowOff int, sample []float64) {
+	for ch := 0; ch < c.InC; ch++ {
+		chOff := ch * c.InH * c.InW
+		for ki := 0; ki < c.K; ki++ {
+			for kj := 0; kj < c.K; kj++ {
+				rowIdx := (ch*c.K+ki)*c.K + kj
+				row := cols.Row(rowOff + rowIdx)
+				for oi := 0; oi < c.OutH; oi++ {
+					si := oi - c.Pad + ki
+					seg := row[oi*c.OutW : (oi+1)*c.OutW]
+					if si < 0 || si >= c.InH {
+						for p := range seg {
+							seg[p] = 0
+						}
+						continue
+					}
+					src := sample[chOff+si*c.InW:]
+					for oj := range seg {
+						sj := oj - c.Pad + kj
+						if sj < 0 || sj >= c.InW {
+							seg[oj] = 0
+						} else {
+							seg[oj] = src[sj]
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// oracleConvForward is the reference Conv2D forward pass: the plain
+// per-sample, per-filter, per-column-row loop the blocked kernel replaced.
+// It returns the output and the stacked im2col columns, and leaves c's
+// state untouched.
+func oracleConvForward(c *Conv2D, x *tensor.Matrix) (out, cols *tensor.Matrix) {
+	colRows := c.InC * c.K * c.K
+	spatial := c.OutH * c.OutW
+	cols = tensor.NewMatrix(x.Rows*colRows, spatial)
+	out = tensor.NewMatrix(x.Rows, c.OutputSize())
+	for n := 0; n < x.Rows; n++ {
+		base := n * colRows
+		oracleIm2col(c, cols, base, x.Row(n))
+		oRow := out.Row(n)
+		for oc := 0; oc < c.OutC; oc++ {
+			w := c.weight.W[oc*colRows : (oc+1)*colRows]
+			b := c.bias.W[oc]
+			dst := oRow[oc*spatial : (oc+1)*spatial]
+			for p := range dst {
+				dst[p] = b
+			}
+			for r, wv := range w {
+				if wv == 0 {
+					continue
+				}
+				src := cols.Row(base + r)
+				for p, sv := range src {
+					dst[p] += wv * sv
+				}
+			}
+		}
+	}
+	return out, cols
+}
+
+// oracleConvBackward is the reference Conv2D backward pass over the columns
+// oracleConvForward returned: one serial chain per (sample, filter, column
+// row) for the filter gradient, fused with the im2col-gradient update, and
+// the layer's col2im.
+// segGrads[s] = {filter grad, bias grad} of rows [bounds[s], bounds[s+1]).
+func oracleConvBackward(c *Conv2D, cols, grad *tensor.Matrix, bounds []int, segGrads [][][]float64) *tensor.Matrix {
+	dx := tensor.NewMatrix(grad.Rows, c.InC*c.InH*c.InW)
+	spatial := c.OutH * c.OutW
+	colRows := c.InC * c.K * c.K
+	dcols := tensor.NewMatrix(colRows, spatial)
+	seg := 0
+	for n := 0; n < grad.Rows; n++ {
+		for n >= bounds[seg+1] {
+			seg++
+		}
+		gw, bg := segGrads[seg][0], segGrads[seg][1]
+		base := n * colRows
+		gRow := grad.Row(n)
+		for i := range dcols.Data {
+			dcols.Data[i] = 0
+		}
+		for oc := 0; oc < c.OutC; oc++ {
+			g := gRow[oc*spatial : (oc+1)*spatial]
+			var gsum float64
+			for _, gv := range g {
+				gsum += gv
+			}
+			bg[oc] += gsum
+			w := c.weight.W[oc*colRows : (oc+1)*colRows]
+			gwoc := gw[oc*colRows : (oc+1)*colRows]
+			for r := 0; r < colRows; r++ {
+				src := cols.Row(base + r)
+				drow := dcols.Row(r)
+				wv := w[r]
+				var wgrad float64
+				for p, gv := range g {
+					wgrad += gv * src[p]
+					drow[p] += gv * wv
+				}
+				gwoc[r] += wgrad
+			}
+		}
+		c.col2im(dcols, dx.Row(n))
+	}
+	return dx
+}
+
+// convCase is one shape of the oracle comparison.
+type convCase struct {
+	inC, inH, inW, outC, k, pad int
+	bounds                      []int // row segmentation; its last entry is the row count
+	special                     bool  // sprinkle NaN, ±Inf and −0 into inputs and gradients
+	seed                        int64
+}
+
+func (cs convCase) String() string {
+	return fmt.Sprintf("in%dx%dx%d/out%d/k%d/pad%d/bounds%v/special=%v",
+		cs.inC, cs.inH, cs.inW, cs.outC, cs.k, cs.pad, cs.bounds, cs.special)
+}
+
+// sameBits compares two results by math.Float64bits, except that any NaN
+// matches any NaN: both the kernel and the oracle add and multiply through
+// commutative machine instructions whose operands the compiler may swap,
+// and which NaN's payload survives depends on that order.
+func sameBits(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+}
+
+func sameBitsSlice(tb testing.TB, what string, got, want []float64) {
+	tb.Helper()
+	if len(got) != len(want) {
+		tb.Fatalf("%s: length %d, want %d", what, len(got), len(want))
+	}
+	for i := range got {
+		if !sameBits(got[i], want[i]) {
+			tb.Fatalf("%s[%d] = %v (%#x), want %v (%#x)", what, i,
+				got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+}
+
+// specialValue returns the rng's next value for a convCase: mostly normal
+// draws, with exact zeros, and — for special cases — −0, NaN and ±Inf.
+func specialValue(rng *rand.Rand, special bool) float64 {
+	switch u := rng.Intn(40); {
+	case u == 0:
+		return 0
+	case special && u == 1:
+		return math.Copysign(0, -1)
+	case special && u == 2:
+		return math.NaN()
+	case special && u == 3:
+		return math.Inf(1)
+	case special && u == 4:
+		return math.Inf(-1)
+	}
+	return rng.NormFloat64()
+}
+
+// newSegGrads allocates zeroed {filter, bias} gradient buffers per segment.
+func newSegGrads(c *Conv2D, segs int) [][][]float64 {
+	out := make([][][]float64, segs)
+	for s := range out {
+		out[s] = [][]float64{make([]float64, len(c.weight.W)), make([]float64, len(c.bias.W))}
+	}
+	return out
+}
+
+// poisonWorkspace fills every buffer the arena holds, to its capacity,
+// with NaN: a pass through it reads nothing it did not write first.
+func poisonWorkspace(ws *Workspace) {
+	for _, m := range ws.mats {
+		full := m.Data[:cap(m.Data)]
+		for i := range full {
+			full[i] = math.NaN()
+		}
+	}
+}
+
+// checkConvAgainstOracle runs cs through the oracle and through the
+// layer's kernels — with a nil arena and with a stale one, with and
+// without the input gradient, segmented and through the public API — and
+// fails on the first result that differs.
+func checkConvAgainstOracle(tb testing.TB, cs convCase) {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(cs.seed))
+	c, err := NewConv2D(rng, cs.inC, cs.inH, cs.inW, cs.outC, cs.k, cs.pad)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i := range c.weight.W {
+		if rng.Intn(5) == 0 {
+			c.weight.W[i] = 0
+		}
+	}
+	for i := range c.bias.W {
+		c.bias.W[i] = rng.NormFloat64()
+	}
+	c.bias.W[0] = math.Copysign(0, -1)
+	if cs.outC > 1 && cs.special {
+		// A filter whose weights are all zero: every output is the bias,
+		// whatever the input holds.
+		clear(c.weight.W[:cs.inC*cs.k*cs.k])
+	}
+	rows := cs.bounds[len(cs.bounds)-1]
+	x := tensor.NewMatrix(rows, cs.inC*cs.inH*cs.inW)
+	for i := range x.Data {
+		x.Data[i] = specialValue(rng, cs.special)
+	}
+	grad := tensor.NewMatrix(rows, c.OutputSize())
+	for i := range grad.Data {
+		grad.Data[i] = specialValue(rng, cs.special)
+	}
+	segs := len(cs.bounds) - 1
+
+	wantOut, cols := oracleConvForward(c, x)
+	wantGrads := newSegGrads(c, segs)
+	wantDX := oracleConvBackward(c, cols, grad, cs.bounds, wantGrads)
+
+	stale := NewWorkspace()
+	for _, ws := range []*Workspace{nil, stale} {
+		name := "nil arena"
+		if ws != nil {
+			name = "stale arena"
+			// Warm the arena on this shape, then leave NaN in every buffer.
+			if _, err := c.forwardWs(ws, 0, x); err != nil {
+				tb.Fatal(err)
+			}
+			if _, err := c.backwardSegmented(ws, 0, grad, cs.bounds, newSegGrads(c, segs), true); err != nil {
+				tb.Fatal(err)
+			}
+			poisonWorkspace(ws)
+		}
+		out, err := c.forwardWs(ws, 0, x)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		sameBitsSlice(tb, name+" output", out.Data, wantOut.Data)
+		for _, needDX := range []bool{true, false} {
+			got := newSegGrads(c, segs)
+			dx, err := c.backwardSegmented(ws, 0, grad, cs.bounds, got, needDX)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			for s := range got {
+				sameBitsSlice(tb, fmt.Sprintf("%s needDX=%v segment %d filter grad", name, needDX, s), got[s][0], wantGrads[s][0])
+				sameBitsSlice(tb, fmt.Sprintf("%s needDX=%v segment %d bias grad", name, needDX, s), got[s][1], wantGrads[s][1])
+			}
+			if !needDX {
+				if dx != nil {
+					tb.Fatalf("%s: backward without needDX returned an input gradient", name)
+				}
+				continue
+			}
+			sameBitsSlice(tb, name+" dX", dx.Data, wantDX.Data)
+		}
+	}
+
+	// The public API: one segment, accumulated into the layer's own Grad.
+	if _, err := c.Forward(x); err != nil {
+		tb.Fatal(err)
+	}
+	c.weight.Grad, c.bias.Grad = make([]float64, len(c.weight.W)), make([]float64, len(c.bias.W))
+	dx, err := c.Backward(grad)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	whole := newSegGrads(c, 1)
+	oracleConvBackward(c, cols, grad, []int{0, rows}, whole)
+	sameBitsSlice(tb, "Backward filter grad", c.weight.Grad, whole[0][0])
+	sameBitsSlice(tb, "Backward bias grad", c.bias.Grad, whole[0][1])
+	sameBitsSlice(tb, "Backward dX", dx.Data, wantDX.Data)
+}
+
+// TestConv2DMatchesOracle pins every Conv2D output, segment gradient and
+// input gradient to the reference loops, bit for bit, over channel counts,
+// kernel sizes, paddings and filter counts on both sides of the kernels'
+// block widths (8 output positions, 4 column rows, 4 filters), with
+// output planes that are and are not multiples of them.
+func TestConv2DMatchesOracle(t *testing.T) {
+	var seed int64
+	for _, inC := range []int{1, 3} {
+		for _, k := range []int{1, 3, 5} {
+			for _, pad := range []int{0, 1, 2} {
+				for _, outC := range []int{1, 3, 4, 6, 8, 16} {
+					for _, hw := range [][2]int{{7, 5}, {6, 9}, {2, 1}} {
+						for _, special := range []bool{false, true} {
+							seed++
+							cs := convCase{inC: inC, inH: hw[0], inW: hw[1], outC: outC, k: k, pad: pad,
+								bounds: []int{0, 1, 4, 6}, special: special, seed: seed}
+							if cs.inH+2*pad-k+1 <= 0 || cs.inW+2*pad-k+1 <= 0 {
+								continue
+							}
+							t.Run(cs.String(), func(t *testing.T) { checkConvAgainstOracle(t, cs) })
+						}
+					}
+				}
+			}
+		}
+	}
+	// One segment, and a one-row batch.
+	for _, bounds := range [][]int{{0, 5}, {0, 1}} {
+		cs := convCase{inC: 3, inH: 8, inW: 8, outC: 8, k: 3, pad: 1, bounds: bounds, special: true, seed: 99}
+		t.Run(cs.String(), func(t *testing.T) { checkConvAgainstOracle(t, cs) })
+	}
+}
+
+// FuzzConv2DMatchesOracle drives the oracle comparison over random shapes,
+// segmentations and values.
+func FuzzConv2DMatchesOracle(f *testing.F) {
+	f.Add(int64(1), uint8(3), uint8(8), uint8(8), uint8(8), uint8(3), uint8(1), uint8(6), true)
+	f.Add(int64(2), uint8(8), uint8(4), uint8(4), uint8(16), uint8(3), uint8(1), uint8(3), false)
+	f.Add(int64(3), uint8(1), uint8(5), uint8(7), uint8(6), uint8(5), uint8(2), uint8(1), true)
+	f.Fuzz(func(t *testing.T, seed int64, inC, inH, inW, outC, k, pad, rows uint8, special bool) {
+		cs := convCase{
+			inC: 1 + int(inC)%8, inH: 1 + int(inH)%10, inW: 1 + int(inW)%10,
+			outC: 1 + int(outC)%17, k: 1 + int(k)%5, pad: int(pad) % 3,
+			special: special, seed: seed,
+		}
+		if cs.inH+2*cs.pad-cs.k+1 <= 0 || cs.inW+2*cs.pad-cs.k+1 <= 0 {
+			return
+		}
+		n := 1 + int(rows)%7
+		rng := rand.New(rand.NewSource(seed))
+		cs.bounds = []int{0}
+		for at := 0; at < n; {
+			at += 1 + rng.Intn(n-at)
+			cs.bounds = append(cs.bounds, at)
+		}
+		checkConvAgainstOracle(t, cs)
+	})
+}
+
+// BenchmarkConv2D times DeepCNN's two convolutions (the CIFAR analog: 3×8×8
+// input, 8 then 16 filters of 3×3 with padding 1) on a 200-row tile through
+// a warm arena. conv1 is the model's first layer, so its backward pass
+// computes no input gradient; conv1/backward-dX times it as a later layer.
+func BenchmarkConv2D(b *testing.B) {
+	for _, bc := range []struct {
+		name                        string
+		inC, inH, inW, outC, k, pad int
+		needDX                      bool
+	}{
+		{"conv1", 3, 8, 8, 8, 3, 1, false},
+		{"conv2", 8, 4, 4, 16, 3, 1, true},
+	} {
+		rng := rand.New(rand.NewSource(1))
+		c, err := NewConv2D(rng, bc.inC, bc.inH, bc.inW, bc.outC, bc.k, bc.pad)
+		if err != nil {
+			b.Fatal(err)
+		}
+		const rows = 200
+		x := denseBatch(rng, rows, bc.inC*bc.inH*bc.inW)
+		grad := denseBatch(rng, rows, c.OutputSize())
+		bounds := []int{0, 50, 100, 150, rows}
+		segGrads := newSegGrads(c, len(bounds)-1)
+		ws := NewWorkspace()
+		if _, err := c.forwardWs(ws, 0, x); err != nil {
+			b.Fatal(err)
+		}
+		b.Run(bc.name+"/forward", func(b *testing.B) {
+			for b.Loop() {
+				if _, err := c.forwardWs(ws, 0, x); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		backward := func(needDX bool) func(b *testing.B) {
+			return func(b *testing.B) {
+				for b.Loop() {
+					if _, err := c.backwardSegmented(ws, 0, grad, bounds, segGrads, needDX); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		}
+		b.Run(bc.name+"/backward", backward(bc.needDX))
+		if !bc.needDX {
+			b.Run(bc.name+"/backward-dX", backward(true))
+		}
+	}
+}
+
+// maxPoolNoCandidate builds a 1-channel pooling layer of the given window
+// size over a 2×2 grid of windows and fills window (0, 1) with fill.
+func maxPoolNoCandidate(t *testing.T, size int, fill []float64) (*MaxPool2D, *tensor.Matrix) {
+	t.Helper()
+	p, err := NewMaxPool2D(1, 2*size, 2*size, size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := tensor.NewMatrix(1, 4*size*size)
+	for i := range x.Data {
+		x.Data[i] = float64(i)
+	}
+	for di := 0; di < size; di++ {
+		for dj := 0; dj < size; dj++ {
+			x.Data[di*2*size+size+dj] = fill[di*size+dj]
+		}
+	}
+	return p, x
+}
+
+// TestMaxPoolNoCandidateWindow: a window with no candidate above −Inf —
+// all NaN, all −Inf, or a mix — outputs its first NaN (−Inf without one)
+// and routes its gradient to that element, while windows with a candidate
+// above −Inf keep their output; on both the 2×2 path and the generic one.
+func TestMaxPoolNoCandidateWindow(t *testing.T) {
+	nan, ninf := math.NaN(), math.Inf(-1)
+	for _, size := range []int{2, 3} {
+		n := size * size
+		fills := map[string]struct {
+			fill    []float64
+			wantPos int // window position of the argmax
+		}{
+			"all-NaN":       {make([]float64, n), 0},
+			"all-−Inf":      {make([]float64, n), 0},
+			"−Inf-then-NaN": {make([]float64, n), n - 1},
+			// A candidate above −Inf still hides a NaN, as it always did.
+			"NaN-then-finite": {make([]float64, n), 2},
+		}
+		for i := 0; i < n; i++ {
+			fills["all-NaN"].fill[i] = nan
+			fills["all-−Inf"].fill[i] = ninf
+			fills["−Inf-then-NaN"].fill[i] = ninf
+			fills["NaN-then-finite"].fill[i] = 5
+		}
+		fills["−Inf-then-NaN"].fill[n-1] = nan
+		fills["NaN-then-finite"].fill[0] = nan
+		fills["NaN-then-finite"].fill[1] = ninf
+		for name, fc := range fills {
+			t.Run(fmt.Sprintf("%dx%d/%s", size, size, name), func(t *testing.T) {
+				p, x := maxPoolNoCandidate(t, size, fc.fill)
+				out, err := p.Forward(x)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := fc.fill[fc.wantPos]
+				if !sameBits(out.Data[1], want) {
+					t.Errorf("window output %v, want %v", out.Data[1], want)
+				}
+				// The other windows each hold a candidate above −Inf: their
+				// maximum is their last (largest) element.
+				for _, w := range []int{0, 2, 3} {
+					wi, wj := w/2, w%2
+					last := float64((wi*size+size-1)*2*size + wj*size + size - 1)
+					if out.Data[w] != last {
+						t.Errorf("window %d output %v, want %v", w, out.Data[w], last)
+					}
+				}
+				grad := &tensor.Matrix{Rows: 1, Cols: 4, Data: []float64{1, 2, 3, 4}}
+				dx, err := p.Backward(grad)
+				if err != nil {
+					t.Fatal(err)
+				}
+				at := (fc.wantPos/size)*2*size + size + fc.wantPos%size
+				if dx.Data[at] != 2 {
+					t.Errorf("window gradient reached input %d as %v, want 2 at the argmax", at, dx.Data[at])
+				}
+			})
+		}
+	}
+}

@@ -90,7 +90,7 @@ func (l *Linear) Backward(grad *tensor.Matrix) (*tensor.Matrix, error) {
 
 // backwardWs is Backward with an optional workspace buffer for dX.
 func (l *Linear) backwardWs(ws *Workspace, id int, grad *tensor.Matrix) (*tensor.Matrix, error) {
-	return l.backward(ws, id, grad, func(int) (w, b []float64) { return l.weight.Grad, l.bias.Grad }, nil)
+	return l.backward(ws, id, grad, func(int) (w, b []float64) { return l.weight.Grad, l.bias.Grad }, nil, true)
 }
 
 // backwardSegmented implements segmentedLayer: parameter gradients land in
@@ -99,14 +99,15 @@ func (l *Linear) backwardWs(ws *Workspace, id int, grad *tensor.Matrix) (*tensor
 // per-segment backward would use — so segment s's buffers are
 // byte-identical to a standalone Backward over rows [bounds[s],
 // bounds[s+1]).
-func (l *Linear) backwardSegmented(ws *Workspace, id int, grad *tensor.Matrix, bounds []int, segGrads [][][]float64) (*tensor.Matrix, error) {
-	return l.backward(ws, id, grad, func(s int) (w, b []float64) { return segGrads[s][0], segGrads[s][1] }, bounds)
+func (l *Linear) backwardSegmented(ws *Workspace, id int, grad *tensor.Matrix, bounds []int, segGrads [][][]float64, needDX bool) (*tensor.Matrix, error) {
+	return l.backward(ws, id, grad, func(s int) (w, b []float64) { return segGrads[s][0], segGrads[s][1] }, bounds, needDX)
 }
 
 // backward is the shared dW/db/dX computation. sink maps a segment index
 // to the weight and bias gradient buffers; bounds is nil for the unsegmented
-// path (one segment spanning every row).
-func (l *Linear) backward(ws *Workspace, id int, grad *tensor.Matrix, sink func(s int) (w, b []float64), bounds []int) (*tensor.Matrix, error) {
+// path (one segment spanning every row). Without needDX the input gradient
+// is not computed and backward returns a nil matrix.
+func (l *Linear) backward(ws *Workspace, id int, grad *tensor.Matrix, sink func(s int) (w, b []float64), bounds []int, needDX bool) (*tensor.Matrix, error) {
 	if l.lastInput == nil {
 		return nil, fmt.Errorf("nn: Linear.Backward before Forward")
 	}
@@ -125,6 +126,9 @@ func (l *Linear) backward(ws *Workspace, id int, grad *tensor.Matrix, sink func(
 		if err := tensor.MulATBRangeInto(wm, grad, x, bounds[s], bounds[s+1]); err != nil {
 			return nil, err
 		}
+	}
+	if !needDX {
+		return nil, nil
 	}
 	// dX is an accumulation target (MatMulInto adds into it), so the arena
 	// checkout must be explicitly zeroed.

@@ -116,6 +116,15 @@ func unflattenInto(params []*Param, v []float64) error {
 	return nil
 }
 
+// paramGrads returns the gradient tensors of params, in order.
+func paramGrads(params []*Param) [][]float64 {
+	out := make([][]float64, len(params))
+	for k, p := range params {
+		out[k] = p.Grad
+	}
+	return out
+}
+
 // zeroGrads clears every gradient tensor.
 func zeroGrads(params []*Param) {
 	for _, p := range params {

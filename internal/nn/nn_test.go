@@ -23,6 +23,18 @@ func lossAt(t *testing.T, m Classifier, in Input, labels []int) float64 {
 // differences on a sample of coordinates.
 func checkNumericalGradient(t *testing.T, m Classifier, in Input, labels []int) {
 	t.Helper()
+	n := m.NumParams()
+	checks := 60
+	if n < checks {
+		checks = n
+	}
+	checkNumericalGradientAt(t, m, in, labels, tensor.SampleIndices(tensor.NewRNG(42), n, checks))
+}
+
+// checkNumericalGradientAt verifies backprop against central finite
+// differences at the given flat parameter coordinates.
+func checkNumericalGradientAt(t *testing.T, m Classifier, in Input, labels []int, idx []int) {
+	t.Helper()
 	m.ZeroGrad()
 	if _, _, err := m.LossAndGrad(in, labels); err != nil {
 		t.Fatalf("LossAndGrad: %v", err)
@@ -31,13 +43,6 @@ func checkNumericalGradient(t *testing.T, m Classifier, in Input, labels []int) 
 	params := m.ParamVector()
 
 	const eps = 1e-5
-	rng := tensor.NewRNG(42)
-	n := len(params)
-	checks := 60
-	if n < checks {
-		checks = n
-	}
-	idx := tensor.SampleIndices(rng, n, checks)
 	var maxRel float64
 	for _, i := range idx {
 		orig := params[i]
@@ -65,7 +70,7 @@ func checkNumericalGradient(t *testing.T, m Classifier, in Input, labels []int) 
 	if err := m.SetParamVector(params); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("max relative gradient error: %.3g over %d coords", maxRel, checks)
+	t.Logf("max relative gradient error: %.3g over %d coords", maxRel, len(idx))
 }
 
 func denseBatch(rng interface{ NormFloat64() float64 }, n, d int) *tensor.Matrix {
@@ -109,6 +114,28 @@ func TestImageCNNGradient(t *testing.T) {
 	in := Input{Dense: denseBatch(rng, 3, 64)}
 	labels := []int{7, 0, 4}
 	checkNumericalGradient(t, model, in, labels)
+}
+
+// TestDeepImageCNNGradient checks backprop through a conv that is not the
+// model's first layer: conv2's input gradient, through pool1 and ReLU, is
+// what conv1's filter gradient is made of. Every conv1 coordinate is
+// checked, and a sample of the rest.
+func TestDeepImageCNNGradient(t *testing.T) {
+	rng := tensor.NewRNG(13)
+	model, err := NewDeepImageCNN(rng, 2, 8, 8, 3, 4, 8, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := Input{Dense: denseBatch(rng, 3, 2*8*8)}
+	labels := []int{4, 0, 2}
+	conv1 := model.layers[0].(*Conv2D)
+	var idx []int
+	for i := 0; i < countParams(conv1.Params()); i++ {
+		idx = append(idx, i)
+	}
+	n := model.NumParams()
+	idx = append(idx, tensor.SampleIndices(tensor.NewRNG(42), n, 40)...)
+	checkNumericalGradientAt(t, model, in, labels, idx)
 }
 
 func TestTextRNNGradient(t *testing.T) {

@@ -78,7 +78,14 @@ func (ff *FeedForward) LossAndGrad(in Input, labels []int) (float64, int, error)
 		return 0, 0, err
 	}
 	for i := len(ff.layers) - 1; i >= 0; i-- {
-		grad, err = ff.layers[i].Backward(grad)
+		l := ff.layers[i]
+		if sl, ok := l.(segmentedLayer); ok && i == 0 {
+			// Nothing reads the first layer's input gradient: one segment
+			// accumulating into the layer's own Grad tensors, without dX.
+			_, err = sl.backwardSegmented(nil, i, grad, []int{0, grad.Rows}, [][][]float64{paramGrads(l.Params())}, false)
+		} else {
+			grad, err = l.Backward(grad)
+		}
 		if err != nil {
 			return 0, 0, fmt.Errorf("layer %d backward: %w", i, err)
 		}

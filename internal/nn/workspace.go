@@ -45,8 +45,8 @@ type wsSlot uint8
 const (
 	wsFwd      wsSlot = iota // forward output activations
 	wsDX                     // input gradient (accumulated: zeroed checkout)
-	wsCols                   // stacked im2col columns, all samples of the tile
-	wsDCols                  // per-sample im2col gradient scratch
+	wsCols                   // stacked im2col columns, all samples of the tile (fully overwritten)
+	wsDCols                  // one sample's im2col gradient, overwritten per sample (not checked out by a model's first layer)
 	wsArgmax                 // max-pool argmax indices
 	wsLossGrad               // softmax cross-entropy gradient
 	wsEmbeds                 // RNN: gathered embedding rows, time-major
