@@ -39,10 +39,13 @@ conformance:
 
 # Run flserver's main end to end once: flag parsing, -rule resolution
 # through the defense catalog, the load harness over loopback HTTP (a few
-# seconds). Nothing else executes main, so a flag-resolution break would
-# otherwise show up only by hand; the CI test job runs this.
+# seconds). A tenth of the clients ship payloads that decode to +Inf, and
+# the harness fails the run if the server accepts one, so the non-finite
+# refusal path runs through main too. Nothing else executes main, so a
+# flag-resolution break would otherwise show up only by hand; the CI test
+# job runs this.
 serve-smoke:
-	$(GO) run ./cmd/flserver -loadtest -load-clients 500 -load-byz 0.2 -rule SignGuard
+	$(GO) run ./cmd/flserver -loadtest -load-clients 500 -load-byz 0.2 -load-nonfinite 0.1 -rule SignGuard
 
 # Run cmd/campaign's main end to end: flag parsing, then two grids at bench
 # scale into a temporary store, a status of each that must report the grid
@@ -143,10 +146,11 @@ fmt-check:
 # Every library package must open with a "// Package <name> ..." doc
 # comment (cmd binaries: "// Command <name> ..."), so `go doc` renders a
 # useful summary for each. The grep keeps new packages honest; CI runs it
-# in the test job next to fmt-check. Two root tests then fail on a *.md
+# in the test job next to fmt-check. Three root tests then fail on a *.md
 # file that a Go comment, README.md or docs/*.md cites and the repository
-# does not hold, and on a package directory outside bench/ that
-# docs/ARCHITECTURE.md's package map does not name.
+# does not hold, on a package directory outside bench/ that
+# docs/ARCHITECTURE.md's package map does not name, and on a documented
+# `go run ./cmd/<name>` or usage-line flag that cmd/<name> does not define.
 doc-check:
 	@fail=0; \
 	for dir in . $$(find internal -type d) $$(find cmd -mindepth 1 -maxdepth 1 -type d); do \
@@ -156,7 +160,7 @@ doc-check:
 		grep -qs "$$pat" $$dir/*.go || { echo "missing package doc comment ($$pat) in $$dir"; fail=1; }; \
 	done; \
 	exit $$fail
-	@$(GO) test -count=1 -run '^(TestDocCitations|TestPackageMap)$$' .
+	@$(GO) test -count=1 -run '^(TestDocCitations|TestPackageMap|TestDocFlags)$$' .
 
 vet:
 	$(GO) vet ./...

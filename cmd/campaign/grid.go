@@ -9,7 +9,6 @@ import (
 	"github.com/signguard/signguard/internal/campaign"
 	"github.com/signguard/signguard/internal/cliutil"
 	"github.com/signguard/signguard/internal/experiments"
-	"github.com/signguard/signguard/internal/sanitize"
 )
 
 // gridFlags are the flags shared by run/status/export: they select,
@@ -24,7 +23,6 @@ type gridFlags struct {
 	cacheDir   string
 	codec      string
 	codecHyper string
-	nonFinite  string
 }
 
 func (g *gridFlags) register(fs *flag.FlagSet) {
@@ -36,7 +34,6 @@ func (g *gridFlags) register(fs *flag.FlagSet) {
 	fs.StringVar(&g.cacheDir, "cache-dir", ".campaign-cache", "cell result cache directory")
 	fs.StringVar(&g.codec, "codec", "", "gradient-compression codec stamped onto every cell (see 'campaign rules'; empty = cells' own codec axis)")
 	fs.StringVar(&g.codecHyper, "codec-hyper", "", "codec hyperparameters as key=value[,key=value], e.g. k=64 (requires -codec)")
-	fs.StringVar(&g.nonFinite, "nonfinite-policy", "", "non-finite ingest policy stamped onto every cell: "+strings.Join(sanitize.PolicyNames(), "|")+" (empty = legacy diverge-on-NaN)")
 }
 
 // parseSeeds parses the -seeds list ("1,2,3").
@@ -68,10 +65,9 @@ func (g *gridFlags) params() (experiments.Params, error) {
 }
 
 // narrow replicates spec across -seeds, keeps the cells -filter matches,
-// then stamps -codec and -nonfinite-policy onto every cell. It is the
-// single definition of "which cells do these flags select", shared by
-// run/status/export and by the table export's per-experiment grids; the
-// result may be empty.
+// then stamps -codec onto every cell. It is the single definition of
+// "which cells do these flags select", shared by run/status/export and by
+// the table export's per-experiment grids; the result may be empty.
 func (g *gridFlags) narrow(spec campaign.Spec) (campaign.Spec, error) {
 	seeds, err := parseSeeds(g.seeds)
 	if err != nil {
@@ -81,17 +77,11 @@ func (g *gridFlags) narrow(spec campaign.Spec) (campaign.Spec, error) {
 	if err != nil {
 		return campaign.Spec{}, err
 	}
-	if g.nonFinite != "" {
-		if _, err := sanitize.ParsePolicy("-nonfinite-policy", g.nonFinite); err != nil {
-			return campaign.Spec{}, err
-		}
-	}
 	spec = campaign.ReplicateSeeds(spec, seeds).Filter(g.filter)
-	// Codec and non-finite policy are cell identity: stamped cells hash and
-	// cache separately from their originals, so run/status/export all see
-	// the same grid for the same flags.
-	spec = campaign.ApplyCodec(spec, g.codec, hyper)
-	return campaign.ApplyNonFinite(spec, g.nonFinite), nil
+	// The codec is cell identity: stamped cells hash and cache separately
+	// from their originals, so run/status/export all see the same grid for
+	// the same flags.
+	return campaign.ApplyCodec(spec, g.codec, hyper), nil
 }
 
 // spec expands the -name campaign through narrow and refuses an empty grid.

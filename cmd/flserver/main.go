@@ -67,7 +67,6 @@ import (
 	"github.com/signguard/signguard/internal/defense"
 	"github.com/signguard/signguard/internal/fl"
 	"github.com/signguard/signguard/internal/nn"
-	"github.com/signguard/signguard/internal/sanitize"
 	"github.com/signguard/signguard/internal/tensor"
 	"github.com/signguard/signguard/internal/transport"
 )
@@ -83,12 +82,11 @@ func main() {
 		seed    = flag.Int64("seed", 1, "shared dataset/model seed (must match clients)")
 		timeout = flag.Duration("round-timeout", 30*time.Second, "end a round that a client misses after this long, dropping the client (sync mode)")
 
-		async     = flag.Bool("async", false, "serve the buffered asynchronous HTTP protocol instead of synchronous rounds")
-		buffer    = flag.Int("buffer", 8, "async: aggregate every K accepted arrivals")
-		alpha     = flag.Float64("alpha", 0.5, "async: staleness-discount exponent of w(s)=1/(1+s)^alpha")
-		queueCap  = flag.Int("queue-cap", asyncfl.DefaultQueueCap, "async: per-client update queue bound (drop-oldest beyond)")
-		ttl       = flag.Duration("session-ttl", asyncfl.DefaultSessionTTL, "async: client liveness lease lifetime")
-		nonFinite = flag.String("nonfinite-policy", sanitize.Reject.String(), "disposition for updates carrying NaN/±Inf: "+strings.Join(sanitize.PolicyNames(), "|"))
+		async    = flag.Bool("async", false, "serve the buffered asynchronous HTTP protocol instead of synchronous rounds")
+		buffer   = flag.Int("buffer", 8, "async: aggregate every K accepted arrivals")
+		alpha    = flag.Float64("alpha", 0.5, "async: staleness-discount exponent of w(s)=1/(1+s)^alpha")
+		queueCap = flag.Int("queue-cap", asyncfl.DefaultQueueCap, "async: per-client update queue bound (drop-oldest beyond)")
+		ttl      = flag.Duration("session-ttl", asyncfl.DefaultSessionTTL, "async: client liveness lease lifetime")
 
 		loadRun     = flag.Bool("loadtest", false, "run the async load harness in-process and exit")
 		loadClients = flag.Int("load-clients", 10000, "loadtest: simulated client sessions")
@@ -109,16 +107,12 @@ func main() {
 		K: *buffer, Alpha: *alpha, ByzFraction: *loadByz, ChurnFraction: *loadChurn, NonFiniteFraction: *loadHostile,
 		Seed: *seed, Logf: log.Printf,
 	}
-	if err := errors.Join(validateFlags(*clients, *rounds, *byz, *lr, *timeout, *buffer, *alpha), validateLoadFlags(load)); err != nil {
-		log.Fatalf("flserver: %v", err)
-	}
-	policy, err := sanitize.ParsePolicy("-nonfinite-policy", *nonFinite)
-	if err != nil {
+	if err := errors.Join(validateFlags(*clients, *rounds, *byz, *lr, *timeout, *buffer, *alpha, *queueCap, *ttl), validateLoadFlags(load)); err != nil {
 		log.Fatalf("flserver: %v", err)
 	}
 
+	var err error
 	if *loadRun {
-		load.NonFinite = policy
 		err = runLoadtest(load, *ruleStr, *byz, *codecStr, *hyperStr)
 	} else {
 		var accepted []string
@@ -131,7 +125,7 @@ func main() {
 			if *async {
 				cfg, roundTimeout = asyncfl.Config{K: *buffer, Alpha: *alpha, QueueCap: *queueCap, SessionTTL: *ttl}, 0
 			}
-			cfg.LR, cfg.NonFinite, cfg.TargetSteps = *lr, policy, int64(*rounds)
+			cfg.LR, cfg.TargetSteps = *lr, int64(*rounds)
 			err = run(*ruleStr, *byz, *seed, cfg, func(agg *asyncfl.Aggregator) error {
 				return serveHTTP(*addr, accepted, roundTimeout, agg)
 			})
@@ -145,7 +139,7 @@ func main() {
 // validateFlags rejects out-of-range flag values up front with clear
 // errors naming each offending flag (internal/cliutil) instead of passing
 // them through to fail (or misbehave) deep in the protocol.
-func validateFlags(clients, rounds, byz int, lr float64, timeout time.Duration, buffer int, alpha float64) error {
+func validateFlags(clients, rounds, byz int, lr float64, timeout time.Duration, buffer int, alpha float64, queueCap int, ttl time.Duration) error {
 	return errors.Join(
 		cliutil.PositiveInt("-clients", clients),
 		cliutil.PositiveInt("-rounds", rounds),
@@ -154,6 +148,8 @@ func validateFlags(clients, rounds, byz int, lr float64, timeout time.Duration, 
 		cliutil.PositiveDuration("-round-timeout", timeout),
 		cliutil.PositiveInt("-buffer", buffer),
 		cliutil.NonNegativeFloat("-alpha", alpha),
+		cliutil.PositiveInt("-queue-cap", queueCap),
+		cliutil.PositiveDuration("-session-ttl", ttl),
 	)
 }
 
@@ -249,8 +245,7 @@ func run(ruleStr string, byz int, seed int64, cfg asyncfl.Config, serve func(*as
 
 	st := agg.Stats()
 	log.Printf("flserver: run complete: %d steps, %d arrivals, %d drops, %d rejects (%d non-finite), mean buffer occupancy %.1f",
-		st.Steps, st.Arrivals, st.Drops, st.Rejects,
-		st.NonFiniteRejects+st.NonFiniteClamps+st.NonFiniteQuarantines, st.MeanOccupancy)
+		st.Steps, st.Arrivals, st.Drops, st.Rejects, st.NonFiniteRejects, st.MeanOccupancy)
 	_, params, _ := agg.Model()
 	if err := model.SetParamVector(params); err != nil {
 		return err

@@ -10,66 +10,60 @@ import (
 	"github.com/signguard/signguard/internal/asyncfl"
 	"github.com/signguard/signguard/internal/asyncfl/loadtest"
 	"github.com/signguard/signguard/internal/defense"
-	"github.com/signguard/signguard/internal/sanitize"
 )
 
 func TestValidateFlags(t *testing.T) {
-	ok := func(clients, rounds, byz int, lr float64, timeout time.Duration, buffer int, alpha float64) {
-		t.Helper()
-		if err := validateFlags(clients, rounds, byz, lr, timeout, buffer, alpha); err != nil {
-			t.Errorf("valid flags rejected: %v", err)
+	type flags struct {
+		clients, rounds, byz int
+		lr                   float64
+		timeout              time.Duration
+		buffer               int
+		alpha                float64
+		queueCap             int
+		ttl                  time.Duration
+	}
+	validate := func(f flags) error {
+		return validateFlags(f.clients, f.rounds, f.byz, f.lr, f.timeout, f.buffer, f.alpha, f.queueCap, f.ttl)
+	}
+	defaults := flags{4, 100, 0, 0.05, 30 * time.Second, 8, 0.5, asyncfl.DefaultQueueCap, asyncfl.DefaultSessionTTL}
+	for _, f := range []flags{
+		defaults,
+		{1, 1, 0, 0.001, time.Millisecond, 1, 0, 1, time.Millisecond}, // minima are all legal
+	} {
+		if err := validate(f); err != nil {
+			t.Errorf("valid flags %+v rejected: %v", f, err)
 		}
 	}
-	ok(4, 100, 0, 0.05, 30*time.Second, 8, 0.5)
-	ok(1, 1, 0, 0.001, time.Millisecond, 1, 0) // minima are all legal
 
 	for _, tc := range []struct {
-		name    string
-		clients int
-		rounds  int
-		byz     int
-		lr      float64
-		timeout time.Duration
-		buffer  int
-		alpha   float64
-		flag    string
+		name string
+		edit func(*flags)
+		flag string
 	}{
-		{"zero clients", 0, 100, 0, 0.05, time.Second, 8, 0.5, "-clients"},
-		{"negative clients", -3, 100, 0, 0.05, time.Second, 8, 0.5, "-clients"},
-		{"zero rounds", 4, 0, 0, 0.05, time.Second, 8, 0.5, "-rounds"},
-		{"negative byz", 4, 100, -1, 0.05, time.Second, 8, 0.5, "-byz"},
-		{"zero lr", 4, 100, 0, 0, time.Second, 8, 0.5, "-lr"},
-		{"negative lr", 4, 100, 0, -0.1, time.Second, 8, 0.5, "-lr"},
-		{"zero timeout", 4, 100, 0, 0.05, 0, 8, 0.5, "-round-timeout"},
-		{"negative timeout", 4, 100, 0, 0.05, -time.Second, 8, 0.5, "-round-timeout"},
-		{"zero buffer", 4, 100, 0, 0.05, time.Second, 0, 0.5, "-buffer"},
-		{"negative alpha", 4, 100, 0, 0.05, time.Second, 8, -0.1, "-alpha"},
-		{"NaN lr", 4, 100, 0, math.NaN(), time.Second, 8, 0.5, "-lr"},
-		{"NaN alpha", 4, 100, 0, 0.05, time.Second, 8, math.NaN(), "-alpha"},
+		{"zero clients", func(f *flags) { f.clients = 0 }, "-clients"},
+		{"negative clients", func(f *flags) { f.clients = -3 }, "-clients"},
+		{"zero rounds", func(f *flags) { f.rounds = 0 }, "-rounds"},
+		{"negative byz", func(f *flags) { f.byz = -1 }, "-byz"},
+		{"zero lr", func(f *flags) { f.lr = 0 }, "-lr"},
+		{"negative lr", func(f *flags) { f.lr = -0.1 }, "-lr"},
+		{"zero timeout", func(f *flags) { f.timeout = 0 }, "-round-timeout"},
+		{"negative timeout", func(f *flags) { f.timeout = -time.Second }, "-round-timeout"},
+		{"zero buffer", func(f *flags) { f.buffer = 0 }, "-buffer"},
+		{"negative alpha", func(f *flags) { f.alpha = -0.1 }, "-alpha"},
+		{"NaN lr", func(f *flags) { f.lr = math.NaN() }, "-lr"},
+		{"NaN alpha", func(f *flags) { f.alpha = math.NaN() }, "-alpha"},
+		{"zero queue cap", func(f *flags) { f.queueCap = 0 }, "-queue-cap"},
+		{"negative queue cap", func(f *flags) { f.queueCap = -1 }, "-queue-cap"},
+		{"zero session ttl", func(f *flags) { f.ttl = 0 }, "-session-ttl"},
+		{"negative session ttl", func(f *flags) { f.ttl = -time.Second }, "-session-ttl"},
 	} {
-		err := validateFlags(tc.clients, tc.rounds, tc.byz, tc.lr, tc.timeout, tc.buffer, tc.alpha)
-		if err == nil {
+		f := defaults
+		tc.edit(&f)
+		if err := validate(f); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		} else if !strings.Contains(err.Error(), tc.flag) {
 			t.Errorf("%s: error %q does not name %s", tc.name, err, tc.flag)
 		}
-	}
-}
-
-// The -nonfinite-policy flag follows the cliutil error contract: every
-// canonical spelling parses, anything else fails naming the flag.
-func TestNonFinitePolicyFlag(t *testing.T) {
-	for _, name := range sanitize.PolicyNames() {
-		if _, err := sanitize.ParsePolicy("-nonfinite-policy", name); err != nil {
-			t.Errorf("ParsePolicy(%q): %v", name, err)
-		}
-	}
-	_, err := sanitize.ParsePolicy("-nonfinite-policy", "ignore")
-	if err == nil {
-		t.Fatal("unknown policy accepted")
-	}
-	if !strings.Contains(err.Error(), "-nonfinite-policy") {
-		t.Errorf("error %q does not name the flag", err)
 	}
 }
 

@@ -2,6 +2,7 @@ package signguard
 
 import (
 	"bufio"
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -98,6 +99,132 @@ func TestPackageMap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestDocFlags fails for every -flag on a `go run ./cmd/<name>` line of
+// README.md or docs/*.md, or on a usage line of cmd/<name>/main.go's doc
+// comment, that cmd/<name>'s non-test sources do not define. `make
+// doc-check` runs it.
+func TestDocFlags(t *testing.T) {
+	t.Run("planted", func(t *testing.T) {
+		defined := map[string]map[string]bool{"flserver": {"addr": true, "rule": true, "seed": true}}
+		line := "go run ./cmd/flserver -addr :9000 -rule Mean -seed -1 -nonfinite-policy clamp # -comment"
+		if got, want := undefinedFlags(defined, line), []string{"flserver -nonfinite-policy"}; !slices.Equal(got, want) {
+			t.Errorf("undefined = %q, want %q", got, want)
+		}
+	})
+
+	dirs, err := filepath.Glob(filepath.Join("cmd", "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defined := map[string]map[string]bool{}
+	var lines []numberedLine
+	var files []string
+	for _, dir := range dirs {
+		name := filepath.Base(dir)
+		if defined[name], err = commandFlags(dir); err != nil {
+			t.Fatal(err)
+		}
+		main := filepath.Join(dir, "main.go")
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, main, nil, parser.ParseComments)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range f.Doc.List {
+			if text, ok := strings.CutPrefix(c.Text, "//\t"+name+" "); ok {
+				lines = append(lines, numberedLine{fset.Position(c.Pos()).Line, "go run ./cmd/" + name + " " + text})
+				files = append(files, main)
+			}
+		}
+	}
+	docs, _ := filepath.Glob(filepath.Join("docs", "*.md"))
+	for _, file := range append([]string{"README.md"}, docs...) {
+		raw, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, text := range strings.Split(string(raw), "\n") {
+			lines = append(lines, numberedLine{i + 1, text})
+			files = append(files, file)
+		}
+	}
+	for i, line := range lines {
+		for _, flag := range undefinedFlags(defined, line.text) {
+			t.Errorf("%s:%d: %s is not a flag cmd/%s defines", files[i], line.n, flag, strings.Fields(flag)[0])
+		}
+	}
+}
+
+// commandFlags returns the names of the flags a command's non-test sources
+// define: the string-literal name of every flag.String / fs.IntVar / ...
+// call.
+func commandFlags(dir string) (map[string]bool, error) {
+	sources, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		return nil, err
+	}
+	names := map[string]bool{"h": true, "help": true}
+	fset := token.NewFileSet()
+	for _, file := range sources {
+		if strings.HasSuffix(file, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, file, nil, 0)
+		if err != nil {
+			return nil, err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok || !flagDefiner.MatchString(sel.Sel.Name) {
+				return true
+			}
+			for _, arg := range call.Args {
+				if lit, ok := arg.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					names[strings.Trim(lit.Value, "\"`")] = true
+					break
+				}
+			}
+			return true
+		})
+	}
+	return names, nil
+}
+
+var (
+	flagDefiner = regexp.MustCompile(`^(Bool|Int|Int64|Uint|Uint64|String|Float64|Duration|Func|BoolFunc|Text)(Var)?$`)
+	goRunCmd    = regexp.MustCompile(`go run \./cmd/([\w-]+)`)
+	flagToken   = regexp.MustCompile(`(?:^|[\s\[])(-[A-Za-z][\w-]*)`)
+)
+
+// undefinedFlags returns "<command> -flag" for every flag a `go run
+// ./cmd/<command>` invocation in line passes that defined[command] lacks.
+// An invocation ends at a shell comment, pipe, `&&` or `;`.
+func undefinedFlags(defined map[string]map[string]bool, line string) []string {
+	var out []string
+	matches := goRunCmd.FindAllStringSubmatchIndex(line, -1)
+	for i, m := range matches {
+		end := len(line)
+		if i+1 < len(matches) {
+			end = matches[i+1][0]
+		}
+		args := line[m[1]:end]
+		if j := strings.IndexAny(args, "#|;&`"); j >= 0 {
+			args = args[:j]
+		}
+		name := line[m[2]:m[3]]
+		for _, f := range flagToken.FindAllStringSubmatch(args, -1) {
+			if !defined[name][f[1][1:]] {
+				out = append(out, name+" "+f[1])
+			}
+		}
+	}
+	return out
 }
 
 type numberedLine struct {

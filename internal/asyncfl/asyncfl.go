@@ -58,10 +58,13 @@ const (
 	DefaultQueueCap = 4
 	// DefaultSessionTTL is the liveness lease lifetime.
 	DefaultSessionTTL = time.Minute
-	// DefaultReorderWindow bounds how far ahead of the next schedule
-	// position a deterministic-mode update may park.
-	DefaultReorderWindow = 1 << 14
 )
+
+// reorderWindow bounds the deterministic reorder buffer: an update whose Seq
+// is reorderWindow or more positions ahead of the next schedule position is
+// refused instead of parked, so a client cannot grow the buffer without
+// limit by skipping ahead.
+const reorderWindow = 1 << 14
 
 // Config describes a buffered asynchronous aggregator.
 type Config struct {
@@ -95,14 +98,6 @@ type Config struct {
 	// queue drops its oldest update and reports backpressure to the
 	// submitter.
 	QueueCap int
-	// MaxStaleness, when > 0, rejects updates staler than this many
-	// versions outright instead of merging them at a tiny weight.
-	MaxStaleness int
-	// NonFinite is the ingest screen's disposition for updates carrying
-	// NaN or ±Inf coordinates (see internal/sanitize). The zero value
-	// defaults to sanitize.Reject: untrusted ingest never lets a
-	// non-finite value reach the buffer unscreened.
-	NonFinite sanitize.Policy
 	// TargetSteps, when > 0, marks the aggregator Done after that many
 	// aggregation steps; further submits are refused. 0 runs forever.
 	TargetSteps int64
@@ -117,12 +112,6 @@ type Config struct {
 	// each slot (Seq mod K) takes updates from one client only: the first
 	// that claims a position in it.
 	Deterministic bool
-	// ReorderWindow bounds the deterministic reorder buffer: an update
-	// whose Seq is ReorderWindow or more positions ahead of the next
-	// schedule position is refused instead of parked, so a client cannot
-	// grow the buffer without limit by skipping ahead (0 =
-	// DefaultReorderWindow; ignored outside deterministic mode).
-	ReorderWindow int
 	// Now supplies the liveness clock (nil = time.Now); injectable so
 	// churn tests expire sessions by advancing a fake clock.
 	Now func() time.Time
@@ -142,12 +131,6 @@ func (c *Config) validate() error {
 		return fmt.Errorf("asyncfl: learning rate %v invalid", c.LR)
 	case c.QueueCap < 0:
 		return fmt.Errorf("asyncfl: queue capacity %d invalid", c.QueueCap)
-	case c.MaxStaleness < 0:
-		return fmt.Errorf("asyncfl: max staleness %d invalid", c.MaxStaleness)
-	case c.ReorderWindow < 0:
-		return fmt.Errorf("asyncfl: reorder window %d invalid", c.ReorderWindow)
-	case c.NonFinite != 0 && !c.NonFinite.Valid():
-		return fmt.Errorf("asyncfl: unknown non-finite policy %d", int(c.NonFinite))
 	}
 	if _, ok := aggregate.Unwrap(c.Rule).(aggregate.ServerLearner); ok {
 		return fmt.Errorf("asyncfl: rule %s needs a server reference gradient, which the serving path does not compute", c.Rule.Name())
@@ -182,8 +165,6 @@ type SubmitResult struct {
 	// Held reports a deterministic-mode update parked until its
 	// predecessors in the schedule arrive (it will be applied then).
 	Held bool
-	// TooStale reports a rejection by Config.MaxStaleness.
-	TooStale bool
 	// Dropped reports this client's oldest queued update was evicted to
 	// make room — the drop-oldest half of backpressure.
 	Dropped bool
@@ -194,9 +175,8 @@ type SubmitResult struct {
 	// Stepped reports this arrival triggered an aggregation step that
 	// advanced the model (a step the defense or merge skipped does not).
 	Stepped bool
-	// NonFinite reports the update carried NaN or ±Inf coordinates. Under
-	// the Clamp policy it was repaired and accepted; under Reject or
-	// Quarantine it was withheld from the buffer.
+	// NonFinite reports the update carried NaN or ±Inf coordinates and
+	// was refused.
 	NonFinite bool
 	// Staleness is the update's age in model versions at submit time.
 	Staleness int
@@ -217,9 +197,8 @@ type StepSummary struct {
 	// defense filter.
 	Buffer int
 	Kept   int
-	// MeanStaleness / MaxStaleness describe the drained buffer's age.
+	// MeanStaleness is the drained buffer's mean age in model versions.
 	MeanStaleness float64
-	MaxStaleness  int
 }
 
 // Stats snapshots the aggregator's counters.
@@ -229,13 +208,11 @@ type Stats struct {
 	Arrivals   int64 // accepted updates
 	Buffered   int   // updates currently queued
 	Drops      int64 // evictions by drop-oldest
-	Rejects    int64 // refused updates (stale, future-versioned, done)
+	Rejects    int64 // refused updates (future-versioned, non-finite, done)
 	RuleErrors int64 // steps skipped because the defense errored
-	// Non-finite ingest accounting: how many updates the screen rejected,
-	// repaired in place, or quarantined (see Config.NonFinite).
-	NonFiniteRejects     int64
-	NonFiniteClamps      int64
-	NonFiniteQuarantines int64
+	// NonFiniteRejects counts updates the ingest screen refused for
+	// carrying NaN or ±Inf coordinates (also counted in Rejects).
+	NonFiniteRejects int64
 	// EmptySelects counts steps skipped with nothing to merge: the defense
 	// kept nothing, or every position of a deterministic block was refused.
 	EmptySelects  int64
@@ -303,19 +280,17 @@ type Aggregator struct {
 	mergeGrads [][]float64
 	mergeStale []int
 
-	steps                int64
-	ingestBytes          int64
-	drops                int64
-	rejects              int64
-	ruleErrors           int64
-	emptySelects         int64
-	nonFiniteRejects     int64
-	nonFiniteClamps      int64
-	nonFiniteQuarantines int64
-	purged               int64
-	occSum               int64
-	occN                 int64
-	history              []StepSummary
+	steps            int64
+	ingestBytes      int64
+	drops            int64
+	rejects          int64
+	ruleErrors       int64
+	emptySelects     int64
+	nonFiniteRejects int64
+	purged           int64
+	occSum           int64
+	occN             int64
+	history          []StepSummary
 }
 
 // New builds an aggregator from cfg.
@@ -325,12 +300,6 @@ func New(cfg Config) (*Aggregator, error) {
 	}
 	if cfg.QueueCap == 0 {
 		cfg.QueueCap = DefaultQueueCap
-	}
-	if cfg.NonFinite == 0 {
-		cfg.NonFinite = sanitize.Reject
-	}
-	if cfg.ReorderWindow == 0 {
-		cfg.ReorderWindow = DefaultReorderWindow
 	}
 	ttl := cfg.SessionTTL
 	if ttl == 0 {
@@ -503,9 +472,9 @@ func (a *Aggregator) claimLocked(client string, seq int64) error {
 	switch {
 	case seq < a.seqNext:
 		return fmt.Errorf("asyncfl: schedule position %d already applied (next is %d)", seq, a.seqNext)
-	case seq >= a.seqNext+int64(a.cfg.ReorderWindow):
+	case seq >= a.seqNext+reorderWindow:
 		return fmt.Errorf("asyncfl: schedule position %d too far ahead of %d (reorder window %d)",
-			seq, a.seqNext, a.cfg.ReorderWindow)
+			seq, a.seqNext, reorderWindow)
 	case dup:
 		return fmt.Errorf("asyncfl: duplicate schedule position %d", seq)
 	case a.dropped[slot]:
@@ -590,11 +559,9 @@ func (a *Aggregator) stepInto(res *SubmitResult) {
 }
 
 // admitLocked decides whether an update may enter the buffer: it refuses
-// the done, the future-versioned and the too-stale, then screens the
-// update's slot, so the Clamp repair never touches a caller's slice.
-// Reject and Quarantine consume the arrival — in deterministic mode they
-// decide its schedule position — but nothing hostile enters the buffer.
-// Callers hold a.mu.
+// the done and the future-versioned, then screens the update's slot. A
+// non-finite update consumes the arrival — in deterministic mode it decides
+// its schedule position — but never enters the buffer. Callers hold a.mu.
 func (a *Aggregator) admitLocked(u Update) (res SubmitResult, ok bool) {
 	res = SubmitResult{Version: a.version, Done: a.done}
 	if a.done {
@@ -607,27 +574,11 @@ func (a *Aggregator) admitLocked(u Update) (res SubmitResult, ok bool) {
 		a.rejects++
 		return res, false // gradient against a future model: refused
 	}
-	if a.cfg.MaxStaleness > 0 && s > a.cfg.MaxStaleness {
-		a.rejects++
-		res.TooStale = true
-		return res, false
-	}
-	switch sanitize.Screen(u.Grad, a.cfg.NonFinite) {
-	case sanitize.Rejected:
+	if sanitize.Screen(u.Grad, sanitize.Reject) == sanitize.Rejected {
 		a.nonFiniteRejects++
 		a.rejects++
 		res.NonFinite = true
 		return res, false
-	case sanitize.Quarantined:
-		// Accepted for accounting (the operator sees who ships garbage via
-		// the counter and ingest bytes) but withheld from aggregation.
-		a.nonFiniteQuarantines++
-		a.ingestBytes += int64(wireBytes(u))
-		res.NonFinite = true
-		return res, false
-	case sanitize.Clamped:
-		a.nonFiniteClamps++
-		res.NonFinite = true
 	}
 	return res, true
 }
@@ -747,7 +698,7 @@ func (a *Aggregator) stepLocked() {
 		}
 	}
 	if !tensor.AllFinite(merged) {
-		// Defense-in-depth behind the ingest screen: a clamped-but-huge
+		// Defense-in-depth behind the ingest screen: a finite but huge
 		// buffer can still overflow the staleness-weighted merge, and a
 		// caller-supplied rule is not necessarily output-guarded. A
 		// non-finite merge must never reach the optimizer.
@@ -768,7 +719,6 @@ func (a *Aggregator) stepLocked() {
 		Buffer:        len(buf),
 		Kept:          kept,
 		MeanStaleness: float64(sum) / float64(len(buf)),
-		MaxStaleness:  max,
 	})
 	if a.cfg.TargetSteps > 0 && a.steps >= a.cfg.TargetSteps && !a.done {
 		a.done = true
@@ -844,23 +794,21 @@ func (a *Aggregator) Stats() Stats {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	st := Stats{
-		Version:              a.version,
-		Steps:                a.steps,
-		Arrivals:             a.arrival,
-		Buffered:             a.buffered,
-		Drops:                a.drops,
-		Rejects:              a.rejects,
-		RuleErrors:           a.ruleErrors,
-		EmptySelects:         a.emptySelects,
-		NonFiniteRejects:     a.nonFiniteRejects,
-		NonFiniteClamps:      a.nonFiniteClamps,
-		NonFiniteQuarantines: a.nonFiniteQuarantines,
-		AliveSessions:        a.sessions.Alive(),
-		Expired:              a.sessions.Expired(),
-		PurgedUpdates:        a.purged,
-		DroppedSlots:         len(a.dropped),
-		IngestBytes:          a.ingestBytes,
-		Done:                 a.done,
+		Version:          a.version,
+		Steps:            a.steps,
+		Arrivals:         a.arrival,
+		Buffered:         a.buffered,
+		Drops:            a.drops,
+		Rejects:          a.rejects,
+		RuleErrors:       a.ruleErrors,
+		EmptySelects:     a.emptySelects,
+		NonFiniteRejects: a.nonFiniteRejects,
+		AliveSessions:    a.sessions.Alive(),
+		Expired:          a.sessions.Expired(),
+		PurgedUpdates:    a.purged,
+		DroppedSlots:     len(a.dropped),
+		IngestBytes:      a.ingestBytes,
+		Done:             a.done,
 	}
 	if a.occN > 0 {
 		st.MeanOccupancy = float64(a.occSum) / float64(a.occN)

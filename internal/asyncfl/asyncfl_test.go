@@ -207,10 +207,8 @@ func TestDropOldestAndBackpressure(t *testing.T) {
 	}
 }
 
-func TestRejectsFutureAndTooStale(t *testing.T) {
-	cfg := testConfig(1, 2)
-	cfg.MaxStaleness = 3
-	a, err := New(cfg)
+func TestRejectsFutureVersioned(t *testing.T) {
+	a, err := New(testConfig(1, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,20 +216,30 @@ func TestRejectsFutureAndTooStale(t *testing.T) {
 	if err != nil || res.Accepted {
 		t.Fatalf("future-versioned update must be refused: %+v, %v", res, err)
 	}
-	// Run steps until version 4 so staleness of a version-0 update is 4 > 3.
-	for v := 0; v < 4; v++ {
-		for i := 0; i < 2; i++ {
-			if _, err := a.Submit(Update{Client: fmt.Sprintf("h%d", i), Version: v, Grad: []float64{1}}); err != nil {
-				t.Fatal(err)
-			}
+	if st := a.Stats(); st.Rejects != 1 || st.Buffered != 0 {
+		t.Fatalf("stats = %+v, want 1 reject and nothing buffered", st)
+	}
+}
+
+// TestStaleUpdateDiscountedNotRefused: there is no staleness cut-off. An
+// update computed against a model many versions old is accepted and merged
+// at its discounted weight w(s), never refused.
+func TestStaleUpdateDiscountedNotRefused(t *testing.T) {
+	a, err := New(testConfig(1, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := range 50 {
+		if res, err := a.Submit(Update{Client: "fresh", Version: v, Grad: []float64{1}}); err != nil || !res.Stepped {
+			t.Fatalf("fresh update at version %d: res=%+v err=%v", v, res, err)
 		}
 	}
-	res, err = a.Submit(Update{Client: "c", Version: 0, Grad: []float64{1}})
-	if err != nil || !res.TooStale || res.Accepted {
-		t.Fatalf("staleness 4 > MaxStaleness 3 must be refused: %+v, %v", res, err)
+	res, err := a.Submit(Update{Client: "slow", Version: 0, Grad: []float64{1}})
+	if err != nil || !res.Accepted || !res.Stepped || res.Staleness != 50 {
+		t.Fatalf("50-versions-stale update: res=%+v err=%v, want accepted at staleness 50", res, err)
 	}
-	if st := a.Stats(); st.Rejects != 2 {
-		t.Fatalf("stats = %+v, want 2 rejects", st)
+	if st := a.Stats(); st.Rejects != 0 {
+		t.Fatalf("stats = %+v, want no rejects", st)
 	}
 }
 
@@ -380,8 +388,6 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.Alpha = -1 },
 		func(c *Config) { c.LR = 0 },
 		func(c *Config) { c.QueueCap = -1 },
-		func(c *Config) { c.MaxStaleness = -1 },
-		func(c *Config) { c.ReorderWindow = -1 },
 	}
 	for i, mutate := range cases {
 		cfg := base
@@ -543,26 +549,23 @@ func TestDeterministicRejectsDuplicateAndPastSeq(t *testing.T) {
 func TestDeterministicReorderWindowBounded(t *testing.T) {
 	cfg := testConfig(1, 10)
 	cfg.Deterministic = true
-	cfg.ReorderWindow = 4
 	a, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Seq 3 is the furthest parkable position (window 4, next is 0).
-	if res, err := a.Submit(Update{Client: "c", Seq: 3, Grad: []float64{1}}); err != nil || !res.Held {
+	// reorderWindow-1 is the furthest parkable position (next is 0).
+	if res, err := a.Submit(Update{Client: "c", Seq: reorderWindow - 1, Grad: []float64{1}}); err != nil || !res.Held {
 		t.Fatalf("in-window seq refused: res=%+v err=%v", res, err)
 	}
-	if _, err := a.Submit(Update{Client: "c", Seq: 4, Grad: []float64{1}}); err == nil {
+	if _, err := a.Submit(Update{Client: "c", Seq: reorderWindow, Grad: []float64{1}}); err == nil {
 		t.Fatal("seq beyond the reorder window must be refused")
 	}
-	// Filling the gap drains everything, sliding the window forward.
-	for seq := int64(0); seq < 3; seq++ {
-		if _, err := a.Submit(Update{Client: "c", Seq: seq, Grad: []float64{1}}); err != nil {
-			t.Fatal(err)
-		}
+	// Deciding position 0 slides the window forward by one.
+	if res, err := a.Submit(Update{Client: "c", Seq: 0, Grad: []float64{1}}); err != nil || !res.Accepted {
+		t.Fatalf("seq 0: res=%+v err=%v", res, err)
 	}
-	if res, err := a.Submit(Update{Client: "c", Seq: 4, Grad: []float64{1}}); err != nil || !res.Accepted {
-		t.Fatalf("seq 4 after window slid: res=%+v err=%v", res, err)
+	if res, err := a.Submit(Update{Client: "c", Seq: reorderWindow, Grad: []float64{1}}); err != nil || !res.Held {
+		t.Fatalf("seq %d after window slid: res=%+v err=%v", reorderWindow, res, err)
 	}
 }
 

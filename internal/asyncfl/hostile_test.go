@@ -5,18 +5,16 @@ import (
 	"testing"
 
 	"github.com/signguard/signguard/internal/codec"
-	"github.com/signguard/signguard/internal/sanitize"
 	"github.com/signguard/signguard/internal/tensor"
 )
 
-func hostileAggregator(t *testing.T, dim int, policy sanitize.Policy) *Aggregator {
+func hostileAggregator(t *testing.T, dim int) *Aggregator {
 	t.Helper()
 	agg, err := New(Config{
 		InitialParams: make([]float64, dim),
 		K:             2,
 		Alpha:         0.5,
 		LR:            0.1,
-		NonFinite:     policy,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -33,20 +31,25 @@ func nanGrad(dim, at int) []float64 {
 	return g
 }
 
-// The default policy (zero Config.NonFinite) is Reject: a NaN update never
-// enters the buffer, the counter increments, the model stays finite.
+// A NaN or ±Inf update never enters the buffer, the counters increment,
+// the model stays finite, and the caller's slice stays exactly as submitted
+// (the transport may reuse or log it).
 func TestSubmitRejectsNonFiniteByDefault(t *testing.T) {
-	agg := hostileAggregator(t, 4, 0)
-	res, err := agg.Submit(Update{Client: "evil", Grad: nanGrad(4, 2)})
+	agg := hostileAggregator(t, 4)
+	g := []float64{1, math.Inf(1), math.NaN(), -2}
+	res, err := agg.Submit(Update{Client: "evil", Grad: g})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Accepted || !res.NonFinite {
 		t.Fatalf("NaN update: Accepted=%v NonFinite=%v, want refused+flagged", res.Accepted, res.NonFinite)
 	}
+	if g[0] != 1 || !math.IsInf(g[1], 1) || !math.IsNaN(g[2]) || g[3] != -2 {
+		t.Errorf("Submit mutated the caller's gradient slice: %v", g)
+	}
 	st := agg.Stats()
-	if st.NonFiniteRejects != 1 {
-		t.Errorf("NonFiniteRejects = %d, want 1", st.NonFiniteRejects)
+	if st.NonFiniteRejects != 1 || st.Rejects != 1 {
+		t.Errorf("NonFiniteRejects = %d, Rejects = %d, want 1 and 1", st.NonFiniteRejects, st.Rejects)
 	}
 	if st.Buffered != 0 || st.Arrivals != 0 {
 		t.Errorf("hostile update reached the buffer: %+v", st)
@@ -56,35 +59,11 @@ func TestSubmitRejectsNonFiniteByDefault(t *testing.T) {
 	}
 }
 
-// Clamp repairs the copy and accepts; the caller's slice must stay exactly
-// as submitted (the transport may reuse or log it).
-func TestSubmitClampRepairsCopyNotCaller(t *testing.T) {
-	agg := hostileAggregator(t, 4, sanitize.Clamp)
-	g := []float64{1, math.Inf(1), math.NaN(), -2}
-	res, err := agg.Submit(Update{Client: "c", Grad: g})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Accepted || !res.NonFinite {
-		t.Fatalf("clamped update: Accepted=%v NonFinite=%v, want accepted+flagged", res.Accepted, res.NonFinite)
-	}
-	if !math.IsInf(g[1], 1) || !math.IsNaN(g[2]) {
-		t.Error("Submit mutated the caller's gradient slice")
-	}
-	st := agg.Stats()
-	if st.NonFiniteClamps != 1 {
-		t.Errorf("NonFiniteClamps = %d, want 1", st.NonFiniteClamps)
-	}
-	if st.Buffered != 1 {
-		t.Errorf("Buffered = %d, want 1 (clamped update enters the buffer)", st.Buffered)
-	}
-}
-
 // The identity codec decodes in place, so the gradient a transport hands to
 // Submit is the payload's own array. The buffer must hold a copy: whatever
 // the transport does with its buffer afterwards cannot reach a later step.
 func TestSubmitBufferDoesNotAliasDecodedPayload(t *testing.T) {
-	agg := hostileAggregator(t, 4, sanitize.Reject)
+	agg := hostileAggregator(t, 4)
 	payload := codec.Encoded{Codec: codec.Identity, Dim: 4, Dense: []float64{1, 1, 1, 1}}
 	g, err := codec.IdentityCodec{}.Decode(payload)
 	if err != nil {
@@ -110,34 +89,11 @@ func TestSubmitBufferDoesNotAliasDecodedPayload(t *testing.T) {
 	}
 }
 
-// Quarantine withholds the update from the buffer but accounts its wire
-// bytes, so the operator can see who ships garbage.
-func TestSubmitQuarantineWithholdsButAccounts(t *testing.T) {
-	agg := hostileAggregator(t, 4, sanitize.Quarantine)
-	res, err := agg.Submit(Update{Client: "c", Grad: nanGrad(4, 0), WireBytes: 99})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Accepted || !res.NonFinite {
-		t.Fatalf("quarantined update: Accepted=%v NonFinite=%v", res.Accepted, res.NonFinite)
-	}
-	st := agg.Stats()
-	if st.NonFiniteQuarantines != 1 {
-		t.Errorf("NonFiniteQuarantines = %d, want 1", st.NonFiniteQuarantines)
-	}
-	if st.Buffered != 0 {
-		t.Errorf("Buffered = %d, want 0", st.Buffered)
-	}
-	if st.IngestBytes != 99 {
-		t.Errorf("IngestBytes = %d, want 99 (quarantine accounts the wire cost)", st.IngestBytes)
-	}
-}
-
 // Under sustained NaN bombardment interleaved with honest traffic, steps
 // keep happening on the honest updates alone and the model stays finite —
 // the serving-layer half of the crash-chain regression.
 func TestHostileTrafficDoesNotWedgeSteps(t *testing.T) {
-	agg := hostileAggregator(t, 8, sanitize.Reject)
+	agg := hostileAggregator(t, 8)
 	honest := make([]float64, 8)
 	for i := range honest {
 		honest[i] = 0.01 * float64(i+1)
@@ -164,7 +120,7 @@ func TestHostileTrafficDoesNotWedgeSteps(t *testing.T) {
 
 // The staleness-weighted merge itself must refuse non-finite inputs: it is
 // the last stop before the optimizer for library callers that bypass
-// Submit's screen (or feed a clamped-but-overflowing buffer).
+// Submit's screen.
 func TestWeightedMergeNonFiniteRegression(t *testing.T) {
 	grads := [][]float64{
 		{1, 2, 3},
@@ -176,22 +132,19 @@ func TestWeightedMergeNonFiniteRegression(t *testing.T) {
 	}
 }
 
-// A buffer of clamped-to-the-limit gradients can overflow the merge sum to
-// +Inf; the step must be skipped rather than fold Inf into the model.
+// A buffer of finite gradients at the float64 limit passes the ingest
+// screen but overflows the merge sum to +Inf; the step must be skipped
+// rather than fold Inf into the model.
 func TestStepSkipsNonFiniteMerge(t *testing.T) {
-	agg := hostileAggregator(t, 2, sanitize.Clamp)
+	agg := hostileAggregator(t, 2)
 	huge := []float64{math.MaxFloat64, math.MaxFloat64}
 	for i := 0; i < 2; i++ {
-		if _, err := agg.Submit(Update{Client: "c", Grad: huge}); err != nil {
-			t.Fatal(err)
+		if res, err := agg.Submit(Update{Client: "c", Grad: huge}); err != nil || !res.Accepted {
+			t.Fatalf("finite update %d: res=%+v err=%v", i, res, err)
 		}
 	}
-	st := agg.Stats()
-	if st.Steps != 0 {
-		_, params, _ := agg.Model()
-		if !tensor.AllFinite(params) {
-			t.Fatal("overflowing merge reached the model")
-		}
+	if st := agg.Stats(); st.Steps != 0 || st.RuleErrors != 1 {
+		t.Errorf("stats = %+v, want the overflowing step skipped as one rule error", st)
 	}
 	if _, params, _ := agg.Model(); !tensor.AllFinite(params) {
 		t.Error("model went non-finite")

@@ -33,7 +33,6 @@ import (
 	"github.com/signguard/signguard/internal/asyncfl"
 	"github.com/signguard/signguard/internal/attack"
 	"github.com/signguard/signguard/internal/codec"
-	"github.com/signguard/signguard/internal/sanitize"
 	"github.com/signguard/signguard/internal/tensor"
 	"github.com/signguard/signguard/internal/transport"
 )
@@ -51,11 +50,9 @@ type Config struct {
 	// Dim is the synthetic model dimensionality (default 64).
 	Dim int
 	// K is the aggregation buffer size (default 32); Alpha the staleness
-	// exponent (default 0.5); QueueCap the per-client queue bound
-	// (default asyncfl.DefaultQueueCap).
-	K        int
-	Alpha    float64
-	QueueCap int
+	// exponent (default 0.5).
+	K     int
+	Alpha float64
 	// Rule, when non-nil, filters each buffer before the merge.
 	Rule aggregate.Rule
 	// Codec, when non-nil, compresses every client's submissions through
@@ -74,9 +71,6 @@ type Config struct {
 	// aggregator screen's to refuse). The server must refuse each one
 	// with HTTP 400 and count it in Stats.NonFiniteRejects.
 	NonFiniteFraction float64
-	// NonFinite is the aggregator's ingest disposition for updates carrying
-	// NaN/±Inf (zero = the asyncfl default, sanitize.Reject).
-	NonFinite sanitize.Policy
 	// ChurnFraction of clients vanish after one update without ever
 	// heartbeating again — their sessions expire and queued updates are
 	// purged once SessionTTL passes.
@@ -267,8 +261,6 @@ func Run(cfg Config) (*Report, error) {
 		Alpha:         cfg.Alpha,
 		Rule:          cfg.Rule,
 		LR:            cfg.LR,
-		QueueCap:      cfg.QueueCap,
-		NonFinite:     cfg.NonFinite,
 		SessionTTL:    cfg.SessionTTL,
 		Now:           cfg.now,
 	})

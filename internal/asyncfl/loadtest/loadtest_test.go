@@ -187,7 +187,6 @@ func TestLoadHarnessChurnExpiry(t *testing.T) {
 		Concurrency:      8,
 		Dim:              16,
 		K:                5000, // above total arrivals: queued updates linger
-		QueueCap:         8,
 		ChurnFraction:    0.5,
 		SessionTTL:       50 * time.Millisecond,
 		Seed:             5,

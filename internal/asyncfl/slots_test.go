@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"github.com/signguard/signguard/internal/aggregate"
-	"github.com/signguard/signguard/internal/sanitize"
 )
 
 // raceEnabled is set under -race (race_test.go), whose instrumentation
@@ -113,9 +112,6 @@ func TestSlotsComeBackOnEveryPath(t *testing.T) {
 		op   func(t *testing.T, a *Aggregator, i int, clock *time.Time)
 	}{
 		{"screen reject", nil, func(t *testing.T, a *Aggregator, _ int, _ *time.Time) {
-			mustSubmit(t, a, Update{Client: "c", Grad: hostile})
-		}},
-		{"screen quarantine", func(c *Config, _ *time.Time) { c.NonFinite = sanitize.Quarantine }, func(t *testing.T, a *Aggregator, _ int, _ *time.Time) {
 			mustSubmit(t, a, Update{Client: "c", Grad: hostile})
 		}},
 		{"refused as future", nil, func(t *testing.T, a *Aggregator, _ int, _ *time.Time) {

@@ -95,9 +95,9 @@ type Cell struct {
 	CodecHyper map[string]float64 `json:",omitempty"`
 	// NonFinitePolicy selects the round pipeline's post-adversary screening
 	// of non-finite gradients ("" = the legacy behavior: any non-finite
-	// submission ends the run as diverged; "reject" / "clamp" /
-	// "quarantine" apply the internal/sanitize policy per gradient).
-	// Unknown names fail validation before any cell trains.
+	// submission ends the run as diverged; "reject" drops each non-finite
+	// gradient from its round through internal/sanitize). Any other name
+	// fails validation before any cell trains.
 	NonFinitePolicy string `json:",omitempty"`
 	// Probe names an optional registered per-round observer whose output
 	// is stored with the result (e.g. the Fig. 2 sign-statistics probe).
@@ -246,23 +246,6 @@ func ApplyCodec(s Spec, name string, hyper map[string]float64) Spec {
 		// Clone per cell: a shared map pointer would let one cell's later
 		// hyper mutation silently rewrite every cell (and the caller's map).
 		c.CodecHyper = maps.Clone(hyper)
-		out.Cells[i] = c
-	}
-	return out
-}
-
-// ApplyNonFinite returns a copy of the spec with the named non-finite
-// ingest policy stamped onto every cell — the grid-wide hostile-input axis
-// behind the -nonfinite-policy CLI flag. Like the codec, the policy is cell
-// identity: stamped cells hash (and cache) separately from their legacy
-// diverge-on-NaN originals; an empty name returns the spec unchanged.
-func ApplyNonFinite(s Spec, policy string) Spec {
-	if policy == "" {
-		return s
-	}
-	out := Spec{Name: s.Name, Cells: make([]Cell, len(s.Cells))}
-	for i, c := range s.Cells {
-		c.NonFinitePolicy = policy
 		out.Cells[i] = c
 	}
 	return out

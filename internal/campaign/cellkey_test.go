@@ -60,3 +60,19 @@ func TestCellKeyExtensionAxesAreFree(t *testing.T) {
 		}
 	}
 }
+
+// TestRejectCellKeyGolden pins the key of the golden cell stamped with the
+// reject policy, the axis value every hostile-campaign cell carries: the
+// policy vocabulary may shrink, but a stored hostile result must keep its
+// key.
+func TestRejectCellKeyGolden(t *testing.T) {
+	cell := goldenCell()
+	cell.NonFinitePolicy = "reject"
+	key, err := cell.Key()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "e984b6038967d0b6415f4efd4a3d922e81b092384e56c754e18bc53c517cb9a9"; key != want {
+		t.Fatalf("reject cell key moved: %s (pinned %s)", key, want)
+	}
+}

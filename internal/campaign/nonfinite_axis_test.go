@@ -33,13 +33,7 @@ func TestNonFiniteAxisKeepsHistoricalHashes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clamp := base
-	clamp.NonFinitePolicy = sanitize.Clamp.String()
-	kc, err := clamp.Key()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kr == k1 || kc == k1 || kr == kc {
+	if kr == k1 {
 		t.Fatal("NonFinitePolicy not part of the cell identity")
 	}
 }
@@ -49,42 +43,24 @@ func TestNonFiniteAxisID(t *testing.T) {
 	if strings.Contains(c.ID(), "nonfinite") {
 		t.Errorf("policy-free cell ID %q mentions nonfinite", c.ID())
 	}
-	c.NonFinitePolicy = "clamp"
-	if !strings.Contains(c.ID(), "nonfinite=clamp") {
+	c.NonFinitePolicy = "reject"
+	if !strings.Contains(c.ID(), "nonfinite=reject") {
 		t.Errorf("cell ID %q does not render the non-finite axis", c.ID())
 	}
 }
 
+// TestValidateRejectsBadNonFinitePolicy: "" and "reject" are the only
+// policies; the removed repair policies fail validation like any typo.
 func TestValidateRejectsBadNonFinitePolicy(t *testing.T) {
-	bad := campaign.NewCell("tiny", "Mean", "LIE", tinyParams(1))
-	bad.NonFinitePolicy = "ignore"
-	if err := testRegistry().Validate(campaign.Spec{Name: "x", Cells: []campaign.Cell{bad}}); err == nil ||
-		!strings.Contains(err.Error(), "ignore") {
-		t.Errorf("unknown non-finite policy passed validation: %v", err)
-	}
-}
-
-// TestApplyNonFinite: the grid-wide stamping helper behind the
-// -nonfinite-policy flag.
-func TestApplyNonFinite(t *testing.T) {
-	spec := testSpec()
-	stamped := campaign.ApplyNonFinite(spec, "reject")
-	if len(stamped.Cells) != len(spec.Cells) {
-		t.Fatalf("stamped %d cells, want %d", len(stamped.Cells), len(spec.Cells))
-	}
-	for i, c := range stamped.Cells {
-		if c.NonFinitePolicy != "reject" {
-			t.Fatalf("cell %d not stamped: %+v", i, c)
-		}
-		if spec.Cells[i].NonFinitePolicy != "" {
-			t.Fatal("ApplyNonFinite mutated the input spec")
-		}
-	}
-	same := campaign.ApplyNonFinite(spec, "")
-	for i := range same.Cells {
-		if same.Cells[i].NonFinitePolicy != "" {
-			t.Fatalf("empty policy stamped cell %d", i)
-		}
+	for _, name := range []string{"ignore", "clamp", "quarantine"} {
+		t.Run(name, func(t *testing.T) {
+			bad := campaign.NewCell("tiny", "Mean", "LIE", tinyParams(1))
+			bad.NonFinitePolicy = name
+			if err := testRegistry().Validate(campaign.Spec{Name: "x", Cells: []campaign.Cell{bad}}); err == nil ||
+				!strings.Contains(err.Error(), name) {
+				t.Errorf("passed validation: %v", err)
+			}
+		})
 	}
 }
 

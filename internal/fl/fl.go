@@ -112,12 +112,12 @@ type Config struct {
 
 	// NonFinite selects the server's screening of non-finite submitted
 	// gradients (see internal/sanitize). The zero value keeps the legacy
-	// contract: any non-finite submission ends the run as diverged. An
-	// explicit policy screens per gradient instead — Reject and Quarantine
-	// drop the submission from the round's buffer, Clamp repairs it in
-	// place — so a hostile-input attack costs the attacker its slot, not
-	// the server its run. Screening happens post-adversary, before the
-	// codec stage, mirroring the ingest gate of the async serving layer.
+	// contract: any non-finite submission ends the run as diverged.
+	// sanitize.Reject screens per gradient instead and drops a non-finite
+	// submission from the round's buffer, so a hostile-input attack costs
+	// the attacker its slot, not the server its run. Screening happens
+	// post-adversary, before the codec stage, mirroring the ingest gate of
+	// the async serving layer.
 	NonFinite sanitize.Policy
 
 	// Seed drives every random choice of the run. Each pipeline stage
@@ -159,7 +159,7 @@ func (c *Config) validate() error {
 		return fmt.Errorf("fl: batch size %d invalid", c.BatchSize)
 	case c.LR <= 0 && c.Pipeline.Update == nil:
 		return fmt.Errorf("fl: learning rate %v invalid", c.LR)
-	case c.NonFinite != 0 && !c.NonFinite.Valid():
+	case c.NonFinite != 0 && c.NonFinite != sanitize.Reject:
 		return fmt.Errorf("fl: unknown non-finite policy %d", int(c.NonFinite))
 	}
 	if p, ok := c.Pipeline.Participation.(UniformSubsample); ok {
@@ -542,9 +542,9 @@ func (s *Simulation) Step(round int) (*RoundMetrics, error) {
 
 	// Ingest screening of the submitted buffer. Without a policy the
 	// legacy contract holds: any non-finite submission ends the run as
-	// diverged. With one, each gradient is screened individually —
-	// Reject/Quarantine drop it (and its Byzantine-mask slot), Clamp
-	// repairs it in place — and only the survivors reach the wire.
+	// diverged. With Reject, each gradient is screened individually — a
+	// non-finite one is dropped with its Byzantine-mask slot — and only the
+	// survivors reach the wire.
 	var screened int
 	if s.cfg.NonFinite == 0 {
 		for _, g := range grads {
@@ -556,8 +556,7 @@ func (s *Simulation) Step(round int) (*RoundMetrics, error) {
 	} else {
 		kept, keptMask := grads[:0], byzMask[:0]
 		for i, g := range grads {
-			switch sanitize.Screen(g, s.cfg.NonFinite) {
-			case sanitize.Rejected, sanitize.Quarantined:
+			if sanitize.Screen(g, s.cfg.NonFinite) == sanitize.Rejected {
 				screened++
 				continue
 			}

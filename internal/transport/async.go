@@ -294,15 +294,6 @@ type AsyncClientConfig struct {
 	// Rng feeds stochastic codecs (qsgd); required when Codec uses
 	// randomness, unused otherwise.
 	Rng *rand.Rand
-	// OnModel, when non-nil, observes every fetched model.
-	OnModel func(AsyncModelResponse)
-	// RetryDelay spaces out the refetch after a refused submit (TooStale,
-	// version-rejected, ...) so a persistently-refused client does not
-	// hot-loop against the server (0 = DefaultAsyncRetryDelay; negative
-	// disables the delay).
-	RetryDelay time.Duration
-	// HTTP is the underlying client (nil = http.DefaultClient).
-	HTTP *http.Client
 	// Cohort, when > 0, makes the client member Slot of a lock-step cohort
 	// of that many — the paper's synchronous rounds, served by a
 	// deterministic aggregator with K = Cohort: each round it submits at
@@ -314,9 +305,9 @@ type AsyncClientConfig struct {
 	Slot int
 }
 
-// DefaultAsyncRetryDelay is the refused-submit backoff when
-// AsyncClientConfig.RetryDelay is zero.
-const DefaultAsyncRetryDelay = 50 * time.Millisecond
+// retryDelay spaces out a free client's refetch after a refused submit, so
+// a persistently refused client does not hot-loop against the server.
+const retryDelay = 50 * time.Millisecond
 
 // A lock-step member polls for the end of its round after lockstepPollMin,
 // doubling up to lockstepPollMax: quick to see a round end, cheap when long.
@@ -338,7 +329,7 @@ func RunAsyncClient(ctx context.Context, cfg AsyncClientConfig) ([]float64, erro
 	if cfg.Cohort < 0 || cfg.Cohort > 0 && (cfg.Slot < 0 || cfg.Slot >= cfg.Cohort) {
 		return nil, fmt.Errorf("transport: lock-step slot %d outside a cohort of %d", cfg.Slot, cfg.Cohort)
 	}
-	c := &AsyncClient{Base: cfg.Addr, ID: cfg.ID, HTTP: cfg.HTTP}
+	c := &AsyncClient{Base: cfg.Addr, ID: cfg.ID}
 	if cfg.Cohort > 0 {
 		// Join before the first round: the round timer starts counting
 		// only once a member has been seen.
@@ -357,9 +348,6 @@ func RunAsyncClient(ctx context.Context, cfg AsyncClientConfig) ([]float64, erro
 			return params, err
 		}
 		params = model.Params
-		if cfg.OnModel != nil {
-			cfg.OnModel(model)
-		}
 		if model.Done {
 			return params, nil
 		}
@@ -409,20 +397,14 @@ func RunAsyncClient(ctx context.Context, cfg AsyncClientConfig) ([]float64, erro
 				}
 			}
 		case !res.Accepted && !res.Held:
-			// Refused (too stale, future-versioned, ...): the very next
+			// Refused (future-versioned, non-finite, ...): the very next
 			// fetch/compute/submit would likely be refused for the same
 			// reason, so back off instead of hammering the server the
 			// backpressure signals are trying to protect.
-			delay := cfg.RetryDelay
-			if delay == 0 {
-				delay = DefaultAsyncRetryDelay
-			}
-			if delay > 0 {
-				select {
-				case <-ctx.Done():
-					return params, fmt.Errorf("transport: cancelled: %w", ctx.Err())
-				case <-time.After(delay):
-				}
+			select {
+			case <-ctx.Done():
+				return params, fmt.Errorf("transport: cancelled: %w", ctx.Err())
+			case <-time.After(retryDelay):
 			}
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -314,25 +315,21 @@ func TestServerFailsRoundClosedWithoutStep(t *testing.T) {
 // TestServerHistory runs a clean lock-step cohort and checks what the wire
 // promises about the aggregator behind it: one step per round over the whole
 // cohort, never a stale update, a drop, a refusal or an expired session, and
-// each member sees the final model once.
+// each member returns the final model.
 func TestServerHistory(t *testing.T) {
 	l := newLockstep(t, asyncfl.Config{
 		InitialParams: []float64{0}, Rule: aggregate.NewMean(), LR: 0.5, TargetSteps: 5,
 	}, 2)
-	var finals atomic.Int64
+	finals := make([][]float64, 2)
 	var wg sync.WaitGroup
 	for i := range 2 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, err := RunAsyncClient(context.Background(), AsyncClientConfig{
+			var err error
+			finals[i], err = RunAsyncClient(context.Background(), AsyncClientConfig{
 				Addr: l.srv.URL, ID: fmt.Sprintf("c%d", i), Cohort: 2, Slot: i,
 				Compute: quadraticGradient([]float64{1}, 0, int64(i)),
-				OnModel: func(m AsyncModelResponse) {
-					if m.Done {
-						finals.Add(1)
-					}
-				},
 			})
 			if err != nil {
 				t.Errorf("client %d: %v", i, err)
@@ -348,15 +345,18 @@ func TestServerHistory(t *testing.T) {
 		t.Fatalf("history has %d steps, want 5", len(hist))
 	}
 	for _, h := range hist {
-		if h.Buffer != 2 || h.MaxStaleness != 0 {
+		if h.Buffer != 2 || h.MeanStaleness != 0 {
 			t.Errorf("step %+v, want a fresh 2-update buffer", h)
 		}
 	}
 	if st := l.agg.Stats(); st.Drops != 0 || st.Expired != 0 || st.Rejects != 0 || st.DroppedSlots != 0 {
 		t.Errorf("lock-step run dropped, expired or rejected something: %+v", st)
 	}
-	if n := finals.Load(); n != 2 {
-		t.Errorf("members saw %d final models between them, want one each", n)
+	_, final, _ := l.agg.Model()
+	for i, got := range finals {
+		if !slices.Equal(got, final) {
+			t.Errorf("member %d returned %v, want the final model %v", i, got, final)
+		}
 	}
 }
 
