@@ -193,28 +193,6 @@ func BenchmarkAttacks(b *testing.B) {
 
 // ---- Ablation benchmarks for SignGuard's design choices ----
 
-// BenchmarkAblationClustering compares Mean-Shift against 2-means as the
-// sign filter's clustering model.
-func BenchmarkAblationClustering(b *testing.B) {
-	grads := benchGrads(50, 5000)
-	for _, algo := range []core.ClusterAlgo{core.MeanShiftAlgo, core.KMeansAlgo} {
-		b.Run(fmt.Sprint(algo), func(b *testing.B) {
-			cfg := core.DefaultConfig()
-			cfg.Algo = algo
-			sg, err := core.New(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := sg.Aggregate(grads); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationCoordinateFraction sweeps the random coordinate
 // fraction of the sign filter (paper default 10%).
 func BenchmarkAblationCoordinateFraction(b *testing.B) {

@@ -12,7 +12,9 @@ import (
 	"os"
 	"path"
 	"path/filepath"
+	"reflect"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -80,9 +82,256 @@ var deadExemptPaths = []string{"signguard.go", "internal/conformance"}
 // declaration. main, init, methods that satisfy an interface and
 // deadExempt/deadExemptPaths are allowed.
 func deadDecls(root string) ([]string, error) {
-	mod, err := os.ReadFile(filepath.Join(root, "go.mod"))
+	fset, pkgs, err := loadModule(root)
 	if err != nil {
 		return nil, err
+	}
+
+	used := map[types.Object]bool{}
+	for _, p := range pkgs {
+		for _, f := range p.files {
+			for _, decl := range f.Decls {
+				if blankAssertion(decl) {
+					continue // var _ I = (*T)(nil) checks T, it does not use it
+				}
+				own := declared(p.info, decl)
+				if fd, ok := decl.(*ast.FuncDecl); ok {
+					decl = &ast.FuncDecl{Type: fd.Type, Body: fd.Body} // the receiver names the type, it does not use it
+				}
+				ast.Inspect(decl, func(n ast.Node) bool {
+					if id, ok := n.(*ast.Ident); ok {
+						if obj := origin(p.info.Uses[id]); obj != nil && !own[obj] {
+							used[obj] = true
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+
+	ifaces := interfacesByMethod(pkgs)
+	var dead []finding
+	for _, p := range pkgs {
+		if p.bench {
+			continue
+		}
+		for _, f := range p.files {
+			file, _ := filepath.Rel(root, fset.Position(f.Pos()).Filename)
+			file = filepath.ToSlash(file)
+			if exemptPath(file) {
+				continue
+			}
+			for obj := range declared(p.info, f.Decls...) {
+				name := p.types.Name() + "." + obj.Name()
+				if fn, ok := obj.(*types.Func); ok {
+					recv := fn.Type().(*types.Signature).Recv()
+					if recv != nil {
+						name = p.types.Name() + "." + baseNamed(recv.Type()).Obj().Name() + "." + obj.Name()
+					}
+					if recv != nil && satisfiesInterface(fn, ifaces) ||
+						recv == nil && (obj.Name() == "init" || obj.Name() == "main" && p.types.Name() == "main") {
+						continue
+					}
+				}
+				if used[obj] || obj.Name() == "_" || deadExempt[name] != "" {
+					continue
+				}
+				dead = append(dead, finding{file, fset.Position(obj.Pos()).Line, name})
+			}
+		}
+	}
+	return sortedFindings(dead), nil
+}
+
+// TestNoTestOnlyFields fails for every exported field of a struct declared
+// outside bench/, the façade and internal/conformance that no non-test code
+// sets: a knob that only tests turn is the constant production already
+// uses, and becomes one.
+func TestNoTestOnlyFields(t *testing.T) {
+	unset, err := unsetFields(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range unset {
+		t.Errorf("%s: no non-test code sets it", f)
+	}
+}
+
+// TestUnsetFieldsFixture is the field scan's own check on the fixture
+// module: main sets each of lib.Knobs' fields but two in a different way,
+// decoding sets the json-tagged one, and only lib_test.go sets the last.
+func TestUnsetFieldsFixture(t *testing.T) {
+	unset, err := unsetFields(filepath.Join("testdata", "deadcode"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"lib/lib.go:33 lib.Knobs.OnlyTestSet"}; !slices.Equal(unset, want) {
+		t.Errorf("findings = %q, want %q", unset, want)
+	}
+}
+
+// unsetFields returns "file:line pkg.Type.Field" for each exported,
+// non-embedded field of a package-level struct type (or a struct nested in
+// one) declared outside bench/ and deadExemptPaths that the module's
+// non-test code never sets. A field is set by a composite-literal key, by
+// a positional literal (element types elided or not), by an assignment,
+// ++/-- or a range clause whose left-hand side reaches it, by taking its
+// address, or — when it carries a json tag — by decoding. An embedded field
+// composes its type rather than configuring it, so it is not judged.
+func unsetFields(root string) ([]string, error) {
+	fset, pkgs, err := loadModule(root)
+	if err != nil {
+		return nil, err
+	}
+	set := map[*types.Var]bool{}
+	for _, p := range pkgs {
+		// mark records every field on the path of an lvalue: x.A.B = v
+		// sets B and, through it, A.
+		mark := func(e ast.Expr) {
+			for {
+				switch x := e.(type) {
+				case *ast.SelectorExpr:
+					if sel := p.info.Selections[x]; sel != nil && sel.Kind() == types.FieldVal {
+						set[sel.Obj().(*types.Var).Origin()] = true
+					}
+					e = x.X
+				case *ast.IndexExpr:
+					e = x.X
+				case *ast.StarExpr:
+					e = x.X
+				case *ast.ParenExpr:
+					e = x.X
+				default:
+					return
+				}
+			}
+		}
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					t := p.info.Types[n].Type
+					if ptr, ok := t.(*types.Pointer); ok { // an elided &T
+						t = ptr.Elem()
+					}
+					st, ok := t.Underlying().(*types.Struct)
+					if !ok {
+						break
+					}
+					for i, elt := range n.Elts {
+						if kv, ok := elt.(*ast.KeyValueExpr); ok {
+							if v, ok := p.info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
+								set[v.Origin()] = true
+							}
+						} else {
+							set[st.Field(i).Origin()] = true
+						}
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						mark(lhs)
+					}
+				case *ast.IncDecStmt:
+					mark(n.X)
+				case *ast.RangeStmt:
+					if n.Tok == token.ASSIGN {
+						mark(n.Key)
+						mark(n.Value)
+					}
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						mark(n.X)
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	var unset []finding
+	for _, p := range pkgs {
+		if p.bench {
+			continue
+		}
+		for _, f := range p.files {
+			file, _ := filepath.Rel(root, fset.Position(f.Pos()).Filename)
+			file = filepath.ToSlash(file)
+			if exemptPath(file) {
+				continue
+			}
+			for _, decl := range f.Decls {
+				gd, ok := decl.(*ast.GenDecl)
+				if !ok || gd.Tok != token.TYPE {
+					continue
+				}
+				for _, spec := range gd.Specs {
+					ts := spec.(*ast.TypeSpec)
+					prefix := p.types.Name() + "." + ts.Name.Name
+					var walk func(prefix string, st *ast.StructType)
+					walk = func(prefix string, st *ast.StructType) {
+						for _, field := range st.Fields.List {
+							for _, id := range field.Names {
+								name := prefix + "." + id.Name
+								if inner, ok := field.Type.(*ast.StructType); ok {
+									walk(name, inner)
+								}
+								if v, ok := p.info.Defs[id].(*types.Var); ok && id.IsExported() && !set[v] && !jsonTagged(field) {
+									unset = append(unset, finding{file, fset.Position(id.Pos()).Line, name})
+								}
+							}
+						}
+					}
+					if st, ok := ts.Type.(*ast.StructType); ok {
+						walk(prefix, st)
+					}
+				}
+			}
+		}
+	}
+	return sortedFindings(unset), nil
+}
+
+// jsonTagged reports whether the field carries a json struct tag, which
+// encoding/json sets when it decodes.
+func jsonTagged(field *ast.Field) bool {
+	if field.Tag == nil {
+		return false
+	}
+	tag, err := strconv.Unquote(field.Tag.Value)
+	if err != nil {
+		return false
+	}
+	_, ok := reflect.StructTag(tag).Lookup("json")
+	return ok
+}
+
+type finding struct {
+	file string
+	line int
+	name string
+}
+
+// sortedFindings renders the findings as "file:line name", ordered by
+// file and line.
+func sortedFindings(fs []finding) []string {
+	slices.SortFunc(fs, func(a, b finding) int {
+		return cmp.Or(strings.Compare(a.file, b.file), cmp.Compare(a.line, b.line))
+	})
+	out := make([]string, len(fs))
+	for i, f := range fs {
+		out[i] = fmt.Sprintf("%s:%d %s", f.file, f.line, f.name)
+	}
+	return out
+}
+
+// loadModule type-checks every non-test package of the module rooted at
+// root, plus the test files of packages under a bench/ directory, which
+// count as callers and setters.
+func loadModule(root string) (*token.FileSet, []*loaded, error) {
+	mod, err := os.ReadFile(filepath.Join(root, "go.mod"))
+	if err != nil {
+		return nil, nil, err
 	}
 	var module string
 	for _, line := range strings.Split(string(mod), "\n") {
@@ -118,77 +367,7 @@ func deadDecls(root string) ([]string, error) {
 		}
 		return err
 	})
-	if err != nil {
-		return nil, err
-	}
-
-	used := map[types.Object]bool{}
-	for _, p := range pkgs {
-		for _, f := range p.files {
-			for _, decl := range f.Decls {
-				if blankAssertion(decl) {
-					continue // var _ I = (*T)(nil) checks T, it does not use it
-				}
-				own := declared(p.info, decl)
-				if fd, ok := decl.(*ast.FuncDecl); ok {
-					decl = &ast.FuncDecl{Type: fd.Type, Body: fd.Body} // the receiver names the type, it does not use it
-				}
-				ast.Inspect(decl, func(n ast.Node) bool {
-					if id, ok := n.(*ast.Ident); ok {
-						if obj := origin(p.info.Uses[id]); obj != nil && !own[obj] {
-							used[obj] = true
-						}
-					}
-					return true
-				})
-			}
-		}
-	}
-
-	ifaces := interfacesByMethod(pkgs)
-	type finding struct {
-		file string
-		line int
-		name string
-	}
-	var dead []finding
-	for _, p := range pkgs {
-		if p.bench {
-			continue
-		}
-		for _, f := range p.files {
-			file, _ := filepath.Rel(root, fset.Position(f.Pos()).Filename)
-			file = filepath.ToSlash(file)
-			if exemptPath(file) {
-				continue
-			}
-			for obj := range declared(p.info, f.Decls...) {
-				name := p.types.Name() + "." + obj.Name()
-				if fn, ok := obj.(*types.Func); ok {
-					recv := fn.Type().(*types.Signature).Recv()
-					if recv != nil {
-						name = p.types.Name() + "." + baseNamed(recv.Type()).Obj().Name() + "." + obj.Name()
-					}
-					if recv != nil && satisfiesInterface(fn, ifaces) ||
-						recv == nil && (obj.Name() == "init" || obj.Name() == "main" && p.types.Name() == "main") {
-						continue
-					}
-				}
-				if used[obj] || obj.Name() == "_" || deadExempt[name] != "" {
-					continue
-				}
-				dead = append(dead, finding{file, fset.Position(obj.Pos()).Line, name})
-			}
-		}
-	}
-	slices.SortFunc(dead, func(a, b finding) int {
-		return cmp.Or(strings.Compare(a.file, b.file), cmp.Compare(a.line, b.line))
-	})
-	out := make([]string, len(dead))
-	for i, d := range dead {
-		out[i] = fmt.Sprintf("%s:%d %s", d.file, d.line, d.name)
-	}
-	return out, nil
+	return fset, pkgs, err
 }
 
 // loader type-checks the module's packages from source, once each, and
@@ -271,8 +450,10 @@ func (l *loader) load(path string) (*loaded, error) {
 		}
 	}
 	info := &types.Info{
-		Defs: map[*ast.Ident]types.Object{},
-		Uses: map[*ast.Ident]types.Object{},
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
 	conf := types.Config{Importer: l}
 	tp, err := conf.Check(path, l.fset, files, info)

@@ -73,7 +73,7 @@ func BenchmarkDnC(b *testing.B) {
 
 func BenchmarkGeoMed(b *testing.B) {
 	benchRule(b, 2000, func(n, w int) Rule {
-		return &GeoMed{MaxIter: 100, Tol: 1e-8, Workers: w}
+		return &GeoMed{Workers: w}
 	})
 }
 

@@ -21,7 +21,7 @@ func newRules(workers int) []Rule {
 		&MultiKrum{F: 8, M: 5},
 		&Bulyan{F: 9},
 		dnc,
-		&GeoMed{MaxIter: 100, Tol: 1e-8},
+		&GeoMed{},
 		&TrimmedMean{K: 5},
 		&Median{},
 		&Mean{},

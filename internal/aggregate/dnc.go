@@ -13,7 +13,7 @@ import (
 // Houmansadr, NDSS'21). Each iteration subsamples a random block of
 // coordinates, centers the subsampled gradients, computes their dominant
 // right singular vector by power iteration, scores every gradient by its
-// squared projection onto that direction, and discards the C·F
+// squared projection onto that direction, and discards the F
 // highest-scoring gradients. The final trusted set is the intersection
 // across iterations, aggregated by plain averaging.
 type DnC struct {
@@ -24,9 +24,6 @@ type DnC struct {
 	// SubDim is the number of coordinates sampled per iteration
 	// (default min(d, 10000)).
 	SubDim int
-	// C scales how many gradients are discarded per iteration: C·F
-	// (default 1).
-	C float64
 	// Workers bounds the kernel parallelism (0 = automatic, 1 = sequential);
 	// the output is byte-identical for any value. The coordinate
 	// subsampling RNG is consumed on the serial path only, so it is
@@ -42,7 +39,7 @@ var _ WorkersSetter = (*DnC)(nil)
 // NewDnC returns a DnC rule with the given Byzantine count and defaults,
 // seeded for deterministic coordinate subsampling.
 func NewDnC(f int, seed int64) *DnC {
-	return &DnC{F: f, NIters: 3, SubDim: 10000, C: 1, rng: rand.New(rand.NewSource(seed))}
+	return &DnC{F: f, NIters: 3, SubDim: 10000, rng: rand.New(rand.NewSource(seed))}
 }
 
 // Name implements Rule.
@@ -58,12 +55,12 @@ func (a *DnC) Aggregate(grads [][]float64) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	remove := int(a.C * float64(a.F))
+	remove := a.F
 	if remove < 0 {
 		return nil, fmt.Errorf("aggregate: DnC removal count %d invalid", remove)
 	}
 	if remove >= n {
-		return nil, fmt.Errorf("aggregate: DnC would remove all %d gradients (C·F=%d)", n, remove)
+		return nil, fmt.Errorf("aggregate: DnC would remove all %d gradients (F=%d)", n, remove)
 	}
 	iters := a.NIters
 	if iters <= 0 {

@@ -79,25 +79,14 @@ func (f *FLAME) Aggregate(grads [][]float64) (*Result, error) {
 	// The clusterer consumes the rule's RNG sequentially (k-means++
 	// restarts), so clustering is identical for any worker count. Hostile
 	// buffers surface as ErrNonFinitePoints — an error, never NaN output.
-	res, err := cluster.NewKMeans(k).Cluster(f.rng, unit)
+	res, err := cluster.KMeans(f.rng, unit, k)
 	if err != nil {
 		return nil, fmt.Errorf("aggregate: FLAME clustering: %w", err)
 	}
 
 	// The benign majority is the largest cluster; ties resolve to the
 	// lowest cluster index for determinism.
-	major := 0
-	for c, size := range res.Sizes {
-		if size > res.Sizes[major] {
-			major = c
-		}
-	}
-	kept := make([]int, 0, len(grads))
-	for i, label := range res.Labels {
-		if label == major {
-			kept = append(kept, i)
-		}
-	}
+	kept := res.Members(res.Largest())
 
 	// Clip the admitted updates to their median norm, then average.
 	norms := make([]float64, len(kept))

@@ -80,13 +80,16 @@ func (m *Median) Aggregate(grads [][]float64) (*Result, error) {
 	return &Result{Gradient: g}, nil
 }
 
+// GeoMed's Weiszfeld iterations stop once one moves the estimate less than
+// geoMedTol, or after geoMedMaxIter of them.
+const (
+	geoMedMaxIter = 100
+	geoMedTol     = 1e-8
+)
+
 // GeoMed approximates the geometric median — the point minimizing the sum
 // of Euclidean distances to all gradients — with Weiszfeld's algorithm.
 type GeoMed struct {
-	// MaxIter bounds the Weiszfeld iterations (default 100).
-	MaxIter int
-	// Tol is the movement threshold for convergence (default 1e-8).
-	Tol float64
 	// Workers bounds the kernel parallelism (0 = automatic, 1 = sequential);
 	// the output is byte-identical for any value.
 	Workers int
@@ -96,7 +99,7 @@ var _ Rule = (*GeoMed)(nil)
 var _ WorkersSetter = (*GeoMed)(nil)
 
 // NewGeoMed returns a geometric-median rule with default settings.
-func NewGeoMed() *GeoMed { return &GeoMed{MaxIter: 100, Tol: 1e-8} }
+func NewGeoMed() *GeoMed { return &GeoMed{} }
 
 // Name implements Rule.
 func (*GeoMed) Name() string { return "GeoMed" }
@@ -109,14 +112,6 @@ func (g *GeoMed) Aggregate(grads [][]float64) (*Result, error) {
 	if _, err := validate(grads); err != nil {
 		return nil, err
 	}
-	maxIter := g.MaxIter
-	if maxIter <= 0 {
-		maxIter = 100
-	}
-	tol := g.Tol
-	if tol <= 0 {
-		tol = 1e-8
-	}
 	workers := parallel.Resolve(g.Workers)
 	// Weiszfeld: start at the mean, iterate inverse-distance reweighting.
 	x, err := tensor.MeanWorkers(grads, workers)
@@ -127,7 +122,7 @@ func (g *GeoMed) Aggregate(grads [][]float64) (*Result, error) {
 	// Per-worker coincidence flags, OR-merged after each join: a boolean
 	// union is insensitive to chunk boundaries.
 	hit := make([]bool, workers)
-	for it := 0; it < maxIter; it++ {
+	for it := 0; it < geoMedMaxIter; it++ {
 		for i := range hit {
 			hit[i] = false
 		}
@@ -161,7 +156,7 @@ func (g *GeoMed) Aggregate(grads [][]float64) (*Result, error) {
 			return nil, err
 		}
 		x = next
-		if move < tol || coincident {
+		if move < geoMedTol || coincident {
 			break
 		}
 	}

@@ -1,10 +1,12 @@
 package asyncfl
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"github.com/signguard/signguard/internal/codec"
+	"github.com/signguard/signguard/internal/defense"
 	"github.com/signguard/signguard/internal/tensor"
 )
 
@@ -145,6 +147,48 @@ func TestStepSkipsNonFiniteMerge(t *testing.T) {
 	}
 	if st := agg.Stats(); st.Steps != 0 || st.RuleErrors != 1 {
 		t.Errorf("stats = %+v, want the overflowing step skipped as one rule error", st)
+	}
+	if _, params, _ := agg.Model(); !tensor.AllFinite(params) {
+		t.Error("model went non-finite")
+	}
+}
+
+// A gradient whose coordinates are all 1e308 is finite, so it passes the
+// ingest screen, but its norm overflows and SignGuard-Sim's cosine feature
+// is Inf/Inf = NaN. The sign filter leaves that gradient out rather than
+// erroring the step: one such member in every round must not cost a step.
+func TestSignGuardSimOverflowingGradientSteps(t *testing.T) {
+	const dim, k, rounds = 16, 6, 5
+	rule, err := defense.Builtin().Build("SignGuard-Sim", defense.Params{N: k, F: 1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig(dim, k)
+	cfg.Deterministic = true
+	cfg.Rule = rule
+	agg, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	huge := make([]float64, dim)
+	for j := range huge {
+		huge[j] = 1e308
+	}
+	rng := tensor.NewRNG(3)
+	for r := 0; r < rounds; r++ {
+		for c := 0; c < k; c++ {
+			g := huge
+			if c < k-1 {
+				g = tensor.RandNormal(rng, dim, 1, 0.5)
+			}
+			u := Update{Client: fmt.Sprintf("c%d", c), Seq: int64(r*k + c), Grad: g}
+			if res, err := agg.Submit(u); err != nil || !res.Accepted {
+				t.Fatalf("round %d client %d: res=%+v err=%v", r, c, res, err)
+			}
+		}
+	}
+	if st := agg.Stats(); st.Steps != rounds || st.RuleErrors != 0 {
+		t.Errorf("Steps = %d, RuleErrors = %d, want %d and 0", st.Steps, st.RuleErrors, rounds)
 	}
 	if _, params, _ := agg.Model(); !tensor.AllFinite(params) {
 		t.Error("model went non-finite")

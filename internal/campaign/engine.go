@@ -51,12 +51,6 @@ type Engine struct {
 	Store *Store
 	// Workers bounds concurrent cell executions (0 = GOMAXPROCS).
 	Workers int
-	// SimWorkers bounds the in-simulation parallelism of each cell: the
-	// per-client gradient phase and the aggregation-rule kernels (via
-	// fl.Config.Workers). 0 picks automatically: cells left over after the
-	// cell-level pool has claimed the CPUs run single-threaded, and a
-	// single-worker engine hands all CPUs to the simulation instead.
-	SimWorkers int
 	// Progress, when non-nil, observes every completed cell. It is called
 	// from worker goroutines under the engine's bookkeeping lock, so
 	// callbacks need no further synchronization.
@@ -67,10 +61,13 @@ func (e *Engine) workers() int {
 	return parallel.Resolve(e.Workers)
 }
 
-func (e *Engine) simWorkers(cellWorkers int) int {
-	if e.SimWorkers > 0 {
-		return e.SimWorkers
-	}
+// simWorkers bounds the in-simulation parallelism of each cell: the
+// per-client gradient phase and the aggregation-rule kernels (via
+// fl.Config.Workers). The CPUs left after the cell-level pool has claimed
+// its share go to each cell, at least one: cells of a full pool run
+// single-threaded, and a single-worker engine hands all CPUs to the
+// simulation.
+func simWorkers(cellWorkers int) int {
 	per := parallel.Default() / cellWorkers
 	if per < 1 {
 		per = 1
@@ -223,7 +220,7 @@ func (e *Engine) Run(ctx context.Context, spec Spec) (*Report, error) {
 	}
 	run := &runner{
 		registry:   e.Registry,
-		simWorkers: e.simWorkers(cellWorkers),
+		simWorkers: simWorkers(cellWorkers),
 		datasets:   &dsCache{m: map[dsKey]*dsEntry{}},
 	}
 

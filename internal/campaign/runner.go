@@ -13,7 +13,7 @@ import (
 type runner struct {
 	registry *Registry
 	// simWorkers bounds each cell's in-simulation parallelism (see
-	// Engine.SimWorkers); results are byte-identical for any value.
+	// simWorkers in engine.go); results are byte-identical for any value.
 	simWorkers int
 	datasets   *dsCache
 }

@@ -24,8 +24,7 @@ func twoBlobs(seed int64, nA, nB int) [][]float64 {
 
 func TestMeanShiftTwoBlobs(t *testing.T) {
 	pts := twoBlobs(1, 30, 10)
-	ms := NewMeanShift(0) // auto bandwidth
-	res, err := ms.Cluster(pts)
+	res, err := MeanShift(pts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,29 +51,18 @@ func TestMeanShiftSingleCluster(t *testing.T) {
 	// With the flat kernel a fringe point can form its own tiny mode; the
 	// invariant that matters for SignGuard is that the dominant cluster
 	// absorbs the bulk of a homogeneous blob.
-	res, err := NewMeanShift(0).Cluster(pts)
+	res, err := MeanShift(pts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := res.Sizes[res.Largest()]; got < 20 {
 		t.Errorf("largest cluster has %d of 25 points", got)
 	}
-	// The Gaussian kernel has global support: a single blob must collapse
-	// to a single mode.
-	ms := NewMeanShift(0)
-	ms.Kernel = GaussianKernel
-	res, err = ms.Cluster(pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Centers) != 1 {
-		t.Errorf("gaussian kernel found %d clusters in one blob", len(res.Centers))
-	}
 }
 
 func TestMeanShiftIdenticalPoints(t *testing.T) {
 	pts := [][]float64{{1, 2}, {1, 2}, {1, 2}}
-	res, err := NewMeanShift(0).Cluster(pts)
+	res, err := MeanShift(pts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,24 +71,11 @@ func TestMeanShiftIdenticalPoints(t *testing.T) {
 	}
 }
 
-func TestMeanShiftGaussianKernel(t *testing.T) {
-	pts := twoBlobs(3, 20, 8)
-	ms := NewMeanShift(2.0)
-	ms.Kernel = GaussianKernel
-	res, err := ms.Cluster(pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := res.Sizes[res.Largest()]; got != 20 {
-		t.Errorf("gaussian kernel largest cluster = %d, want 20", got)
-	}
-}
-
 func TestMeanShiftErrors(t *testing.T) {
-	if _, err := NewMeanShift(0).Cluster(nil); err == nil {
+	if _, err := MeanShift(nil); err == nil {
 		t.Error("accepted empty input")
 	}
-	if _, err := NewMeanShift(0).Cluster([][]float64{{1}, {1, 2}}); err == nil {
+	if _, err := MeanShift([][]float64{{1}, {1, 2}}); err == nil {
 		t.Error("accepted ragged input")
 	}
 }
@@ -125,7 +100,7 @@ func TestEstimateBandwidth(t *testing.T) {
 func TestKMeansTwoBlobs(t *testing.T) {
 	pts := twoBlobs(4, 28, 12)
 	rng := tensor.NewRNG(9)
-	res, err := NewKMeans(2).Cluster(rng, pts)
+	res, err := KMeans(rng, pts, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +114,7 @@ func TestKMeansTwoBlobs(t *testing.T) {
 
 func TestKMeansMoreClustersThanPoints(t *testing.T) {
 	pts := [][]float64{{0, 0}, {1, 1}}
-	res, err := NewKMeans(5).Cluster(tensor.NewRNG(1), pts)
+	res, err := KMeans(tensor.NewRNG(1), pts, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,13 +125,13 @@ func TestKMeansMoreClustersThanPoints(t *testing.T) {
 
 func TestKMeansErrors(t *testing.T) {
 	rng := tensor.NewRNG(1)
-	if _, err := NewKMeans(2).Cluster(rng, nil); err == nil {
+	if _, err := KMeans(rng, nil, 2); err == nil {
 		t.Error("accepted empty input")
 	}
-	if _, err := NewKMeans(0).Cluster(rng, [][]float64{{1}}); err == nil {
+	if _, err := KMeans(rng, [][]float64{{1}}, 0); err == nil {
 		t.Error("accepted K=0")
 	}
-	if _, err := NewKMeans(2).Cluster(rng, [][]float64{{1}, {1, 2}}); err == nil {
+	if _, err := KMeans(rng, [][]float64{{1}, {1, 2}}, 2); err == nil {
 		t.Error("accepted ragged input")
 	}
 }
@@ -169,7 +144,7 @@ func TestKMeansNearestAssignmentQuick(t *testing.T) {
 		for i := range pts {
 			pts[i] = []float64{rng.NormFloat64(), rng.NormFloat64()}
 		}
-		res, err := NewKMeans(3).Cluster(rng, pts)
+		res, err := KMeans(rng, pts, 3)
 		if err != nil {
 			return false
 		}
@@ -198,7 +173,7 @@ func TestMeanShiftModesInBoxQuick(t *testing.T) {
 		for i := range pts {
 			pts[i] = []float64{rng.NormFloat64() * 3, rng.NormFloat64() * 3}
 		}
-		res, err := NewMeanShift(0).Cluster(pts)
+		res, err := MeanShift(pts)
 		if err != nil {
 			return false
 		}
@@ -230,7 +205,7 @@ func TestClusterInvariantsQuick(t *testing.T) {
 		for i := range pts {
 			pts[i] = []float64{rng.Float64(), rng.Float64(), rng.Float64()}
 		}
-		res, err := NewMeanShift(0).Cluster(pts)
+		res, err := MeanShift(pts)
 		if err != nil {
 			return false
 		}

@@ -78,9 +78,7 @@ func FuzzKMeansCluster(f *testing.F) {
 	f.Add(nan, uint8(2), uint8(1), int64(3))
 	f.Fuzz(func(t *testing.T, data []byte, k, dim uint8, rngSeed int64) {
 		pts := decodePoints(data, int(dim%8))
-		km := NewKMeans(int(k % 16))
-		km.MaxIter = 20
-		res, err := km.Cluster(tensor.NewRNG(rngSeed), pts)
+		res, err := KMeans(tensor.NewRNG(rngSeed), pts, int(k%16))
 		if err != nil {
 			return
 		}
@@ -90,19 +88,17 @@ func FuzzKMeansCluster(f *testing.F) {
 
 // FuzzMeanShiftCluster is the Mean-Shift twin of FuzzKMeansCluster.
 func FuzzMeanShiftCluster(f *testing.F) {
-	f.Add([]byte{}, float64(0))
-	f.Add(make([]byte, 6*8), float64(1))
+	f.Add([]byte{})
+	f.Add(make([]byte, 6*8))
 	inf := make([]byte, 4*8)
 	binary.LittleEndian.PutUint64(inf, math.Float64bits(math.Inf(-1)))
-	f.Add(inf, float64(0.5))
-	f.Fuzz(func(t *testing.T, data []byte, bandwidth float64) {
+	f.Add(inf)
+	f.Fuzz(func(t *testing.T, data []byte) {
 		pts := decodePoints(data, 3)
 		if len(pts) > 64 {
 			pts = pts[:64] // bound the O(n²) pairwise work per exec
 		}
-		ms := NewMeanShift(bandwidth)
-		ms.MaxIter = 20
-		res, err := ms.Cluster(pts)
+		res, err := MeanShift(pts)
 		if err != nil {
 			return
 		}

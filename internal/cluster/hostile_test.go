@@ -15,7 +15,7 @@ import (
 func TestKMeansNonFinitePointErrors(t *testing.T) {
 	pts := twoBlobs(3, 10, 5)
 	pts[4][1] = math.NaN()
-	res, err := NewKMeans(2).Cluster(tensor.NewRNG(1), pts)
+	res, err := KMeans(tensor.NewRNG(1), pts, 2)
 	if err == nil {
 		t.Fatalf("Cluster accepted a NaN point: res=%v", res)
 	}
@@ -30,7 +30,7 @@ func TestKMeansNonFinitePointErrors(t *testing.T) {
 func TestKMeansInfPointErrors(t *testing.T) {
 	pts := twoBlobs(4, 8, 4)
 	pts[0][0] = math.Inf(1)
-	if _, err := NewKMeans(2).Cluster(tensor.NewRNG(1), pts); !errors.Is(err, ErrNonFinitePoints) {
+	if _, err := KMeans(tensor.NewRNG(1), pts, 2); !errors.Is(err, ErrNonFinitePoints) {
 		t.Fatalf("Cluster with +Inf point: err=%v, want ErrNonFinitePoints", err)
 	}
 }
@@ -39,7 +39,7 @@ func TestKMeansInfPointErrors(t *testing.T) {
 // both have the clamped length. This pins the documented behavior.
 func TestKMeansClampsKAbovePointCount(t *testing.T) {
 	pts := [][]float64{{0, 0}, {10, 10}, {20, 20}}
-	res, err := NewKMeans(7).Cluster(tensor.NewRNG(1), pts)
+	res, err := KMeans(tensor.NewRNG(1), pts, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,12 +64,12 @@ func TestKMeansClampsKAbovePointCount(t *testing.T) {
 func TestMeanShiftNonFinitePointErrors(t *testing.T) {
 	pts := twoBlobs(5, 10, 5)
 	pts[7][0] = math.NaN()
-	if _, err := NewMeanShift(0).Cluster(pts); !errors.Is(err, ErrNonFinitePoints) {
+	if _, err := MeanShift(pts); !errors.Is(err, ErrNonFinitePoints) {
 		t.Fatalf("MeanShift with NaN point: err=%v, want ErrNonFinitePoints", err)
 	}
 	pts2 := twoBlobs(6, 10, 5)
 	pts2[2][1] = math.Inf(-1)
-	if _, err := NewMeanShift(0).Cluster(pts2); !errors.Is(err, ErrNonFinitePoints) {
+	if _, err := MeanShift(pts2); !errors.Is(err, ErrNonFinitePoints) {
 		t.Fatalf("MeanShift with -Inf point: err=%v, want ErrNonFinitePoints", err)
 	}
 }

@@ -9,26 +9,14 @@ import (
 	"github.com/signguard/signguard/internal/tensor"
 )
 
-// KMeans is Lloyd's algorithm with k-means++ initialization. The paper notes
-// that a 2-cluster KMeans suffices for the SignGuard filter when all
-// malicious clients send an identical attack vector; Mean-Shift is preferred
-// in general because it adapts the number of clusters.
-type KMeans struct {
-	// K is the number of clusters (required, >= 1).
-	K int
-	// MaxIter bounds the Lloyd iterations; defaults to 100.
-	MaxIter int
-	// Tol is the total centroid-movement threshold for convergence.
-	Tol float64
-	// Restarts is the number of k-means++ restarts; the run with the
-	// lowest inertia wins. Defaults to 3.
-	Restarts int
-}
-
-// NewKMeans returns a KMeans clusterer with k clusters and default settings.
-func NewKMeans(k int) *KMeans {
-	return &KMeans{K: k, MaxIter: 100, Tol: 1e-6, Restarts: 3}
-}
+// KMeans' fixed settings: the k-means++ restart with the lowest inertia
+// wins, and each restart's Lloyd iterations stop once the centroids move
+// less than kMeansTol in total, or after kMeansMaxIter iterations.
+const (
+	kMeansRestarts = 3
+	kMeansMaxIter  = 100
+	kMeansTol      = 1e-6
+)
 
 // ErrNonFinitePoints marks clustering input carrying NaN or ±Inf
 // coordinates: MeanShift refuses such points up front, and KMeans returns
@@ -36,26 +24,26 @@ func NewKMeans(k int) *KMeans {
 // every "keep the lowest" comparison, so no winner can ever be selected).
 var ErrNonFinitePoints = errors.New("cluster: non-finite points")
 
-// Cluster partitions the points into K clusters. The rng drives the
-// k-means++ seeding; pass a seeded source for deterministic results.
+// KMeans is Lloyd's algorithm with k-means++ initialization: it partitions
+// the points into k clusters. The rng drives the k-means++ seeding; pass a
+// seeded source for deterministic results.
 //
-// When K exceeds the number of points, K is clamped to len(points): more
+// When k exceeds the number of points, k is clamped to len(points): more
 // clusters than points is unsatisfiable, and each point becomes its own
 // cluster. Result.Centers and Result.Sizes have the clamped length, so
-// len(Centers) == len(Sizes) <= K always holds.
+// len(Centers) == len(Sizes) <= k always holds.
 //
 // Restarts whose inertia is non-finite (a NaN or ±Inf coordinate poisons
 // every squared distance) are skipped; if no restart produces a finite
-// inertia, Cluster returns ErrNonFinitePoints instead of a nil Result.
-func (km *KMeans) Cluster(rng *rand.Rand, points [][]float64) (*Result, error) {
+// inertia, KMeans returns ErrNonFinitePoints instead of a nil Result.
+func KMeans(rng *rand.Rand, points [][]float64, k int) (*Result, error) {
 	n := len(points)
 	if n == 0 {
 		return nil, ErrNoPoints
 	}
-	if km.K < 1 {
-		return nil, fmt.Errorf("cluster: KMeans requires K >= 1, got %d", km.K)
+	if k < 1 {
+		return nil, fmt.Errorf("cluster: KMeans requires K >= 1, got %d", k)
 	}
-	k := km.K
 	if k > n {
 		k = n
 	}
@@ -65,19 +53,11 @@ func (km *KMeans) Cluster(rng *rand.Rand, points [][]float64) (*Result, error) {
 			return nil, fmt.Errorf("cluster: point %d has %d dims, want %d", i, len(p), d)
 		}
 	}
-	maxIter := km.MaxIter
-	if maxIter <= 0 {
-		maxIter = 100
-	}
-	restarts := km.Restarts
-	if restarts <= 0 {
-		restarts = 1
-	}
 
 	var best *Result
 	bestInertia := math.Inf(1)
-	for r := 0; r < restarts; r++ {
-		res, inertia := km.run(rng, points, k, maxIter)
+	for r := 0; r < kMeansRestarts; r++ {
+		res, inertia := lloyd(rng, points, k)
 		// A NaN inertia fails every comparison, so without this guard a
 		// hostile point would leave best nil and the caller would receive
 		// (nil, nil) — the crash this check exists to prevent.
@@ -94,21 +74,19 @@ func (km *KMeans) Cluster(rng *rand.Rand, points [][]float64) (*Result, error) {
 	return best, nil
 }
 
-func (km *KMeans) run(rng *rand.Rand, points [][]float64, k, maxIter int) (*Result, float64) {
+// lloyd runs one k-means++-seeded restart and returns its result and
+// inertia.
+func lloyd(rng *rand.Rand, points [][]float64, k int) (*Result, float64) {
 	centers := seedPlusPlus(rng, points, k)
 	labels := make([]int, len(points))
-	tol := km.Tol
-	if tol <= 0 {
-		tol = 1e-6
-	}
-	for it := 0; it < maxIter; it++ {
+	for it := 0; it < kMeansMaxIter; it++ {
 		// Assignment step.
 		for i, p := range points {
 			labels[i] = nearestCenter(p, centers)
 		}
 		// Update step.
 		moved := updateCenters(points, labels, centers)
-		if moved < tol {
+		if moved < kMeansTol {
 			break
 		}
 	}

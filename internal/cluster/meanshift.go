@@ -1,14 +1,12 @@
-// Package cluster provides the unsupervised clustering algorithms used by
-// the SignGuard sign-based filter: Mean-Shift (the paper's default, with an
-// adaptive number of clusters) and KMeans (sufficient when all malicious
-// clients send an identical attack vector), plus small utilities for
-// selecting the majority cluster.
+// Package cluster provides the unsupervised clustering algorithms of the
+// defenses: Mean-Shift, which adapts the number of clusters (SignGuard's
+// sign filter), and KMeans (FLAME), plus small utilities for selecting the
+// majority cluster.
 package cluster
 
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"github.com/signguard/signguard/internal/stats"
 	"github.com/signguard/signguard/internal/tensor"
@@ -17,55 +15,13 @@ import (
 // ErrNoPoints is returned when clustering is requested over an empty set.
 var ErrNoPoints = errors.New("cluster: no points")
 
-// Kernel selects the Mean-Shift kernel profile.
-type Kernel int
-
+// Mean-Shift's fixed settings: a seed point has converged once a shift
+// moves it less than meanShiftTol, and gives up after meanShiftMaxIter
+// shifts.
 const (
-	// FlatKernel weights every neighbour within the bandwidth equally.
-	FlatKernel Kernel = iota + 1
-	// GaussianKernel weights neighbours by exp(-||x-y||²/(2h²)).
-	GaussianKernel
+	meanShiftMaxIter = 100
+	meanShiftTol     = 1e-4
 )
-
-func (k Kernel) String() string {
-	switch k {
-	case FlatKernel:
-		return "flat"
-	case GaussianKernel:
-		return "gaussian"
-	default:
-		return fmt.Sprintf("Kernel(%d)", int(k))
-	}
-}
-
-// MeanShift is a configurable Mean-Shift clusterer. The zero value is not
-// usable; construct with NewMeanShift.
-type MeanShift struct {
-	// Bandwidth is the kernel radius h. If <= 0 it is estimated per call
-	// as a quantile of the pairwise distances (see EstimateBandwidth).
-	Bandwidth float64
-	// Kernel selects the kernel profile; defaults to FlatKernel.
-	Kernel Kernel
-	// MaxIter bounds the shift iterations per seed point.
-	MaxIter int
-	// Tol is the movement threshold below which a point is converged.
-	Tol float64
-	// MergeRadiusFactor scales the bandwidth to decide when two converged
-	// modes are the same cluster.
-	MergeRadiusFactor float64
-}
-
-// NewMeanShift returns a Mean-Shift clusterer with the given bandwidth
-// (<= 0 enables automatic estimation) and sensible defaults.
-func NewMeanShift(bandwidth float64) *MeanShift {
-	return &MeanShift{
-		Bandwidth:         bandwidth,
-		Kernel:            FlatKernel,
-		MaxIter:           100,
-		Tol:               1e-4,
-		MergeRadiusFactor: 0.5,
-	}
-}
 
 // Result is the outcome of a clustering run.
 type Result struct {
@@ -133,8 +89,15 @@ func EstimateBandwidth(points [][]float64) (float64, error) {
 	return med, nil
 }
 
-// Cluster runs Mean-Shift over the points and groups the converged modes.
-func (ms *MeanShift) Cluster(points [][]float64) (*Result, error) {
+// MeanShift clusters the points with a flat kernel of radius h =
+// EstimateBandwidth(points): each point ascends to the mean of its
+// neighbours within h until it converges to a mode, and modes within one
+// bandwidth of an earlier cluster's centre join it. Merging within a full
+// bandwidth keeps a homogeneous benign majority from fragmenting into
+// several small clusters, which a unanimous malicious cohort (a single
+// ultra-tight mode) could otherwise outnumber. Each cluster's centre is its
+// first mode.
+func MeanShift(points [][]float64) (*Result, error) {
 	n := len(points)
 	if n == 0 {
 		return nil, ErrNoPoints
@@ -152,37 +115,15 @@ func (ms *MeanShift) Cluster(points [][]float64) (*Result, error) {
 			return nil, fmt.Errorf("%w: point %d has a non-finite coordinate", ErrNonFinitePoints, i)
 		}
 	}
-	h := ms.Bandwidth
-	if h <= 0 {
-		var err error
-		h, err = EstimateBandwidth(points)
-		if err != nil {
-			return nil, err
-		}
+	h, err := EstimateBandwidth(points)
+	if err != nil {
+		return nil, err
 	}
-	kernel := ms.Kernel
-	if kernel == 0 {
-		kernel = FlatKernel
-	}
-	maxIter := ms.MaxIter
-	if maxIter <= 0 {
-		maxIter = 100
-	}
-	tol := ms.Tol
-	if tol <= 0 {
-		tol = 1e-4
-	}
-
 	modes := make([][]float64, n)
 	for i := range points {
-		modes[i] = ms.shift(points, points[i], h, kernel, maxIter, tol)
+		modes[i] = shift(points, points[i], h)
 	}
-
-	mergeRadius := h * ms.MergeRadiusFactor
-	if mergeRadius <= 0 {
-		mergeRadius = h * 0.5
-	}
-	centers, labels := mergeModes(modes, mergeRadius)
+	centers, labels := mergeModes(modes, h)
 	sizes := make([]int, len(centers))
 	for _, l := range labels {
 		sizes[l]++
@@ -191,34 +132,23 @@ func (ms *MeanShift) Cluster(points [][]float64) (*Result, error) {
 }
 
 // shift performs the mean-shift ascent for one seed point.
-func (ms *MeanShift) shift(points [][]float64, seed []float64, h float64, kernel Kernel, maxIter int, tol float64) []float64 {
+func shift(points [][]float64, seed []float64, h float64) []float64 {
 	x := tensor.Clone(seed)
 	next := make([]float64, len(x))
-	for it := 0; it < maxIter; it++ {
+	for it := 0; it < meanShiftMaxIter; it++ {
 		tensor.Fill(next, 0)
 		var total float64
 		for _, p := range points {
-			d2, _ := tensor.SquaredDistance(x, p)
-			var w float64
-			switch kernel {
-			case GaussianKernel:
-				w = math.Exp(-d2 / (2 * h * h))
-			default: // FlatKernel
-				if d2 <= h*h {
-					w = 1
+			if d2, _ := tensor.SquaredDistance(x, p); d2 <= h*h {
+				total++
+				for j, v := range p {
+					next[j] += v
 				}
-			}
-			if w == 0 {
-				continue
-			}
-			total += w
-			for j, v := range p {
-				next[j] += w * v
 			}
 		}
 		if total == 0 {
-			// No neighbours within the bandwidth (flat kernel, isolated
-			// point); the point itself is its mode.
+			// No neighbours within the bandwidth; the point itself is its
+			// mode.
 			return x
 		}
 		for j := range next {
@@ -226,16 +156,17 @@ func (ms *MeanShift) shift(points [][]float64, seed []float64, h float64, kernel
 		}
 		move, _ := tensor.Distance(next, x)
 		copy(x, next)
-		if move < tol {
+		if move < meanShiftTol {
 			break
 		}
 	}
 	return x
 }
 
-// mergeModes groups converged modes lying within radius of each other and
-// returns the cluster centers along with a label per input mode. Greedy,
-// first-come ordering keeps the procedure deterministic.
+// mergeModes groups converged modes lying within radius of an earlier
+// cluster's centre (its first mode) and returns the centres along with a
+// label per input mode. Greedy, first-come ordering keeps the procedure
+// deterministic.
 func mergeModes(modes [][]float64, radius float64) (centers [][]float64, labels []int) {
 	labels = make([]int, len(modes))
 	for i, m := range modes {
@@ -247,30 +178,10 @@ func mergeModes(modes [][]float64, radius float64) (centers [][]float64, labels 
 			}
 		}
 		if assigned == -1 {
-			centers = append(centers, tensor.Clone(m))
+			centers = append(centers, m)
 			assigned = len(centers) - 1
 		}
 		labels[i] = assigned
-	}
-	// Refine centers to the mean of their members for stability.
-	counts := make([]int, len(centers))
-	sums := make([][]float64, len(centers))
-	for c := range centers {
-		sums[c] = make([]float64, len(centers[c]))
-	}
-	for i, l := range labels {
-		counts[l]++
-		for j, v := range modes[i] {
-			sums[l][j] += v
-		}
-	}
-	for c := range centers {
-		if counts[c] == 0 {
-			continue
-		}
-		for j := range sums[c] {
-			centers[c][j] = sums[c][j] / float64(counts[c])
-		}
 	}
 	return centers, labels
 }

@@ -23,55 +23,68 @@ func hostileGrads(n, d int, poison float64) [][]float64 {
 	return grads
 }
 
-// Regression for the remote-DoS crash: a single NaN coordinate made every
-// KMeans restart's inertia NaN, Cluster returned (nil, nil), and Apply
-// nil-dereferenced on res.Largest(). The filter must now return an error.
-func TestSignClusterFilterKMeansNaNGradientNoPanic(t *testing.T) {
-	for _, sim := range []Similarity{NoSimilarity, CosineSimilarity, DistanceSimilarity} {
-		for _, poison := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-			grads := hostileGrads(8, 32, poison)
-			ctx, err := NewFilterContext(grads, nil, tensor.NewRNG(2))
-			if err != nil {
-				continue // context refused the buffer: also acceptable
+// One gradient the ingest screen passes (all coordinates 1e308, finite but
+// with an overflowing norm) or refuses (a NaN or ±Inf coordinate): every
+// variant aggregates without error, never selects it, and returns a finite
+// aggregate. SignGuard-Sim's cosine feature for it is Inf/Inf = NaN; that
+// row is left out of the clustering instead of failing the round.
+func TestSignGuardLeavesOutOverflowingGradient(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		poison func([][]float64)
+	}{
+		{"all-1e308", func(grads [][]float64) {
+			for j := range grads[len(grads)-1] {
+				grads[len(grads)-1][j] = 1e308
 			}
-			f := NewSignClusterFilter(0.5, sim)
-			f.Algo = KMeansAlgo
-			kept, err := f.Apply(ctx) // must not panic
+		}},
+		{"NaN", func(grads [][]float64) { grads[len(grads)-1][0] = math.NaN() }},
+		{"+Inf", func(grads [][]float64) { grads[len(grads)-1][0] = math.Inf(1) }},
+		{"-Inf", func(grads [][]float64) { grads[len(grads)-1][0] = math.Inf(-1) }},
+	} {
+		for _, sim := range []Similarity{NoSimilarity, CosineSimilarity, DistanceSimilarity} {
+			grads := hostileGrads(10, 64, 0)
+			tc.poison(grads)
+			cfg := DefaultConfig()
+			cfg.Similarity = sim
+			sg, err := New(cfg)
 			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := sg.Aggregate(grads)
+			if err != nil {
+				t.Errorf("%s, sim=%v: %v", tc.name, sim, err)
 				continue
 			}
-			// If the filter kept anything, the poisoned gradient must not
-			// be in the kept set via a NaN feature row sneaking through.
-			for _, i := range kept {
-				if !tensor.AllFinite(grads[i]) {
-					t.Errorf("sim=%v poison=%v: filter kept non-finite gradient %d", sim, poison, i)
+			for _, i := range res.Selected {
+				if i == len(grads)-1 {
+					t.Errorf("%s, sim=%v: selected the poisoned gradient", tc.name, sim)
 				}
+			}
+			if !tensor.AllFinite(res.Gradient) {
+				t.Errorf("%s, sim=%v: non-finite aggregate", tc.name, sim)
 			}
 		}
 	}
 }
 
-// The same hostile buffer through the full SignGuard rule (every variant ×
-// both clustering algorithms): no panic, and any successful aggregate is
-// finite.
+// hostileGrads' buffer through the full SignGuard rule (every variant): no
+// panic, and any successful aggregate is finite.
 func TestSignGuardHostileBufferNoPanic(t *testing.T) {
-	for _, algo := range []ClusterAlgo{MeanShiftAlgo, KMeansAlgo} {
-		for _, sim := range []Similarity{NoSimilarity, CosineSimilarity, DistanceSimilarity} {
-			for _, poison := range []float64{math.NaN(), math.Inf(1)} {
-				cfg := DefaultConfig()
-				cfg.Similarity = sim
-				cfg.Algo = algo
-				sg, err := New(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				res, err := sg.Aggregate(hostileGrads(10, 64, poison))
-				if err != nil {
-					continue // refusing the buffer is the expected outcome
-				}
-				if !tensor.AllFinite(res.Gradient) {
-					t.Errorf("algo=%v sim=%v poison=%v: non-finite aggregate", algo, sim, poison)
-				}
+	for _, sim := range []Similarity{NoSimilarity, CosineSimilarity, DistanceSimilarity} {
+		for _, poison := range []float64{math.NaN(), math.Inf(1)} {
+			cfg := DefaultConfig()
+			cfg.Similarity = sim
+			sg, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := sg.Aggregate(hostileGrads(10, 64, poison))
+			if err != nil {
+				continue // refusing the buffer is the expected outcome
+			}
+			if !tensor.AllFinite(res.Gradient) {
+				t.Errorf("sim=%v poison=%v: non-finite aggregate", sim, poison)
 			}
 		}
 	}

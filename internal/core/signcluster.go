@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 
 	"github.com/signguard/signguard/internal/cluster"
 	"github.com/signguard/signguard/internal/stats"
@@ -39,103 +40,41 @@ func (s Similarity) String() string {
 	}
 }
 
-// ClusterAlgo selects the unsupervised model of the sign filter.
-type ClusterAlgo int
-
-const (
-	// MeanShiftAlgo adapts the number of clusters (paper default).
-	MeanShiftAlgo ClusterAlgo = iota + 1
-	// KMeansAlgo uses 2-means — sufficient when all malicious clients send
-	// an identical vector.
-	KMeansAlgo
-)
-
-func (c ClusterAlgo) String() string {
-	switch c {
-	case MeanShiftAlgo:
-		return "mean-shift"
-	case KMeansAlgo:
-		return "kmeans"
-	default:
-		return fmt.Sprintf("ClusterAlgo(%d)", int(c))
-	}
-}
-
-// SignClusterFilter is Algorithm 2, step 2: compute sign statistics of each
-// gradient on a random coordinate subset (optionally augmented with a
-// similarity feature), cluster the feature rows, and trust the largest
-// cluster.
-type SignClusterFilter struct {
-	// CoordFraction is the fraction of coordinates sampled for the sign
-	// statistics (paper default 0.1).
-	CoordFraction float64
-	// Similarity selects the optional extra feature.
-	Similarity Similarity
-	// Algo selects the clustering algorithm (default MeanShiftAlgo).
-	Algo ClusterAlgo
-	// Bandwidth overrides the Mean-Shift bandwidth; <= 0 auto-estimates.
-	Bandwidth float64
-}
-
-var _ Filter = (*SignClusterFilter)(nil)
-
-// NewSignClusterFilter returns the sign-statistics clustering filter with
-// the paper's defaults.
-func NewSignClusterFilter(coordFraction float64, sim Similarity) *SignClusterFilter {
-	return &SignClusterFilter{
-		CoordFraction: coordFraction,
-		Similarity:    sim,
-		Algo:          MeanShiftAlgo,
-	}
-}
-
-// Name implements Filter.
-func (f *SignClusterFilter) Name() string {
-	return "sign-cluster(" + f.Similarity.String() + ")"
-}
-
-// Features computes the per-gradient feature rows the filter clusters.
-// Exposed for analysis, tests and the Fig. 2 experiment.
-func (f *SignClusterFilter) Features(ctx *FilterContext) ([][]float64, error) {
-	if len(ctx.Grads) == 0 {
-		return nil, errors.New("core: no gradients for features")
-	}
-	d := len(ctx.Grads[0])
-	frac := f.CoordFraction
-	if frac <= 0 || frac > 1 {
-		frac = 0.1
-	}
-	idx, err := stats.SampleCoordinates(ctx.Rng, d, frac)
+// signFeatures is Algorithm 2, step 2's input: the sign statistics of each
+// gradient on a random coordinate subset (a fraction frac of the
+// coordinates, drawn from rng), optionally augmented with a similarity
+// feature against ref, the previous round's aggregate (nil in the first
+// round). A non-finite gradient can leave a non-finite row; signCluster
+// screens those out.
+func signFeatures(grads [][]float64, ref []float64, frac float64, sim Similarity, rng *rand.Rand) ([][]float64, error) {
+	idx, err := stats.SampleCoordinates(rng, len(grads[0]), frac)
 	if err != nil {
 		return nil, err
 	}
-
-	sim := f.Similarity
 	if sim == 0 {
 		sim = NoSimilarity
 	}
-	ref := ctx.Reference
 	if sim != NoSimilarity && ref == nil {
 		// First round: no previous aggregate. The paper suggests pairwise
 		// medians as the fallback "correct" gradient; the coordinate-wise
 		// median is the equivalent robust reference and cheaper.
-		ref, err = stats.CoordinateMedian(ctx.Grads)
+		ref, err = stats.CoordinateMedian(grads)
 		if err != nil {
 			return nil, err
 		}
 	}
 
-	features := make([][]float64, len(ctx.Grads))
-	dists := make([]float64, len(ctx.Grads))
+	features := make([][]float64, len(grads))
+	dists := make([]float64, len(grads))
 	if sim == DistanceSimilarity {
-		if err := tensor.SquaredDistancesTo(dists, ref, ctx.Grads); err != nil {
+		if err := tensor.SquaredDistancesTo(dists, ref, grads); err != nil {
 			return nil, err
 		}
 		for i, d2 := range dists {
 			dists[i] = math.Sqrt(d2)
 		}
 	}
-	for i, g := range ctx.Grads {
+	for i, g := range grads {
 		ss, err := stats.ComputeSignStatsAt(g, idx)
 		if err != nil {
 			return nil, err
@@ -178,39 +117,32 @@ func (f *SignClusterFilter) Features(ctx *FilterContext) ([][]float64, error) {
 			features[i][last] = r / 3
 		}
 	}
-	// A non-finite gradient leaks NaN into the similarity features (the
-	// sign proportions themselves are robust — NaN counts as a zero sign —
-	// but cosine and distance are not), and NaN feature rows poison every
-	// clustering algorithm downstream. Fail here, where the offending
-	// gradient index is still known.
-	for i, row := range features {
-		if !tensor.AllFinite(row) {
-			return nil, fmt.Errorf("core: non-finite feature row for gradient %d (non-finite input gradient)", i)
-		}
-	}
 	return features, nil
 }
 
-// Apply implements Filter.
-func (f *SignClusterFilter) Apply(ctx *FilterContext) ([]int, error) {
-	features, err := f.Features(ctx)
-	if err != nil {
-		return nil, err
+// signCluster is Algorithm 2, step 2's decision: Mean-Shift over the
+// feature rows, trusting the largest cluster. It returns the indices of
+// that cluster's rows, ascending.
+//
+// The sign proportions are robust to any input (NaN counts as a zero sign),
+// but cosine and distance are not: a NaN coordinate, or finite coordinates
+// whose norm overflows (cos = Inf/Inf), leave a non-finite row, which
+// Mean-Shift refuses. Such a row is left out of the clustering and never
+// kept, so one hostile gradient cannot fail the round; the filter errors
+// only when no row is finite.
+func signCluster(features [][]float64) ([]int, error) {
+	rows := make([]int, 0, len(features))
+	points := make([][]float64, 0, len(features))
+	for i, row := range features {
+		if tensor.AllFinite(row) {
+			rows = append(rows, i)
+			points = append(points, row)
+		}
 	}
-	var res *cluster.Result
-	switch f.Algo {
-	case KMeansAlgo:
-		km := cluster.NewKMeans(2)
-		res, err = km.Cluster(ctx.Rng, features)
-	default:
-		ms := cluster.NewMeanShift(f.Bandwidth)
-		// Merging modes within a full bandwidth keeps a homogeneous benign
-		// majority from fragmenting into several small clusters, which an
-		// unanimous malicious cohort (a single ultra-tight mode) could
-		// otherwise outnumber.
-		ms.MergeRadiusFactor = 1.0
-		res, err = ms.Cluster(features)
+	if len(points) == 0 {
+		return nil, errors.New("core: no finite feature row (non-finite input gradients)")
 	}
+	res, err := cluster.MeanShift(points)
 	if err != nil {
 		return nil, fmt.Errorf("core: sign clustering: %w", err)
 	}
@@ -225,5 +157,9 @@ func (f *SignClusterFilter) Apply(ctx *FilterContext) ([]int, error) {
 	if largest < 0 {
 		return nil, errors.New("core: clustering produced no clusters")
 	}
-	return res.Members(largest), nil
+	kept := res.Members(largest)
+	for j, p := range kept {
+		kept[j] = rows[p]
+	}
+	return kept, nil
 }

@@ -1,12 +1,20 @@
+// Package core implements SignGuard, the paper's contribution: a robust
+// gradient aggregation framework that screens the gradients received in a
+// federated-learning round through two collaborative filters — a norm band
+// around the median norm and a sign-statistics clustering filter — and
+// aggregates the intersection of their outputs with norm clipping
+// (Algorithm 2, Fig. 3).
 package core
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 
 	"github.com/signguard/signguard/internal/aggregate"
+	"github.com/signguard/signguard/internal/stats"
 	"github.com/signguard/signguard/internal/tensor"
 )
 
@@ -21,10 +29,6 @@ type Config struct {
 	CoordFraction float64
 	// Similarity selects the plain / -Sim / -Dist variant.
 	Similarity Similarity
-	// Algo selects the clustering algorithm of the sign filter.
-	Algo ClusterAlgo
-	// Bandwidth overrides the Mean-Shift bandwidth; <= 0 auto-estimates.
-	Bandwidth float64
 	// UseNormFilter enables the norm thresholding filter (Table III row 1).
 	UseNormFilter bool
 	// UseSignFilter enables the sign clustering filter (Table III row 2).
@@ -32,7 +36,7 @@ type Config struct {
 	// UseNormClip enables norm clipping at the median norm during the final
 	// aggregation (Table III row 3).
 	UseNormClip bool
-	// Seed drives the randomized coordinate selection and clustering.
+	// Seed drives the randomized coordinate selection.
 	Seed int64
 }
 
@@ -44,7 +48,6 @@ func DefaultConfig() Config {
 		UpperBound:    3.0,
 		CoordFraction: 0.1,
 		Similarity:    NoSimilarity,
-		Algo:          MeanShiftAlgo,
 		UseNormFilter: true,
 		UseSignFilter: true,
 		UseNormClip:   true,
@@ -57,9 +60,8 @@ func DefaultConfig() Config {
 // used. The aggregator is stateful across rounds: it remembers the previous
 // aggregate as the similarity reference. It is not safe for concurrent use.
 type SignGuard struct {
-	cfg     Config
-	rng     *rand.Rand
-	filters []Filter
+	cfg Config
+	rng *rand.Rand
 
 	prevAgg []float64
 }
@@ -77,20 +79,7 @@ func New(cfg Config) (*SignGuard, error) {
 	if cfg.UseSignFilter && (cfg.CoordFraction <= 0 || cfg.CoordFraction > 1) {
 		return nil, fmt.Errorf("core: coordinate fraction %v out of (0,1]", cfg.CoordFraction)
 	}
-	sg := &SignGuard{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
-	if cfg.UseNormFilter {
-		sg.filters = append(sg.filters, NewNormThresholdFilter(cfg.LowerBound, cfg.UpperBound))
-	}
-	if cfg.UseSignFilter {
-		f := NewSignClusterFilter(cfg.CoordFraction, cfg.Similarity)
-		f.Algo = cfg.Algo
-		if f.Algo == 0 {
-			f.Algo = MeanShiftAlgo
-		}
-		f.Bandwidth = cfg.Bandwidth
-		sg.filters = append(sg.filters, f)
-	}
-	return sg, nil
+	return &SignGuard{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}, nil
 }
 
 // NewPlain returns SignGuard with the paper's default configuration.
@@ -140,55 +129,69 @@ func (sg *SignGuard) Name() string {
 	}
 }
 
-// Aggregate implements aggregate.Rule: it runs the enabled filters, takes
-// the intersection of their accepted sets, and returns the (optionally
-// norm-clipped) mean of the trusted gradients.
+// Aggregate implements aggregate.Rule (Algorithm 2): it runs the enabled
+// filters — the norm band (step 1), then the sign clustering (step 2), the
+// only one that draws from the rule's rng — takes the intersection of their
+// kept sets, and returns the (optionally norm-clipped) mean of the trusted
+// gradients (step 3).
 func (sg *SignGuard) Aggregate(grads [][]float64) (*aggregate.Result, error) {
-	ctx, err := NewFilterContext(grads, sg.prevAgg, sg.rng)
+	if len(grads) == 0 {
+		return nil, errors.New("core: no gradients")
+	}
+	d := len(grads[0])
+	norms := make([]float64, len(grads))
+	for i, g := range grads {
+		if len(g) != d {
+			return nil, fmt.Errorf("core: gradient %d has %d dims, want %d", i, len(g), d)
+		}
+		var s float64
+		for _, x := range g {
+			s += x * x
+		}
+		norms[i] = math.Sqrt(s)
+	}
+	// The median norm M: the norm band's reference and the clipping bound.
+	med, err := stats.Median(norms)
 	if err != nil {
 		return nil, err
 	}
-	// Each filter's accepted set (nil when disabled) and S' = S1 ∩ S2.
+
+	// Each enabled filter's kept set and S' = S1 ∩ S2. Neither filter
+	// returns an empty set: each errors instead.
 	var normKept, signKept []int
 	selected := allIndices(len(grads))
-	for _, f := range sg.filters {
-		kept, err := f.Apply(ctx)
+	if sg.cfg.UseNormFilter {
+		if normKept, err = normBand(norms, med, sg.cfg.LowerBound, sg.cfg.UpperBound); err != nil {
+			return nil, fmt.Errorf("core: filter norm-threshold: %w", err)
+		}
+		selected = normKept
+	}
+	if sg.cfg.UseSignFilter {
+		features, err := signFeatures(grads, sg.prevAgg, sg.cfg.CoordFraction, sg.cfg.Similarity, sg.rng)
+		if err == nil {
+			signKept, err = signCluster(features)
+		}
 		if err != nil {
-			return nil, fmt.Errorf("core: filter %s: %w", f.Name(), err)
+			return nil, fmt.Errorf("core: filter sign-cluster(%v): %w", sg.cfg.Similarity, err)
 		}
-		switch f.(type) {
-		case *NormThresholdFilter:
-			normKept = kept
-		case *SignClusterFilter:
-			signKept = kept
-		}
-		selected = intersect(selected, kept)
+		selected = intersect(selected, signKept)
 	}
 	if len(selected) == 0 {
-		// The filters disagree completely. Rather than failing the round —
-		// which would stall training — fall back to the most conservative
-		// single filter output available, preferring the sign filter.
-		switch {
-		case len(signKept) > 0:
-			selected = append([]int(nil), signKept...)
-		case len(normKept) > 0:
-			selected = append([]int(nil), normKept...)
-		default:
-			return nil, errors.New("core: all gradients filtered out")
-		}
+		// The filters disagree completely (only possible with both on).
+		// Rather than failing the round — which would stall training —
+		// trust the sign filter's set.
+		selected = signKept
 	}
-	sort.Ints(selected)
 
 	// Aggregation (Algorithm 2, step 3): mean of the trusted gradients,
 	// each clipped to the median norm.
-	sum := make([]float64, len(grads[0]))
+	sum := make([]float64, d)
 	for _, i := range selected {
-		g := grads[i]
 		scale := 1.0
-		if sg.cfg.UseNormClip && ctx.Norms[i] > ctx.MedianNorm && ctx.Norms[i] > 0 {
-			scale = ctx.MedianNorm / ctx.Norms[i]
+		if sg.cfg.UseNormClip && norms[i] > med && norms[i] > 0 {
+			scale = med / norms[i]
 		}
-		if err := tensor.Axpy(sum, scale, g); err != nil {
+		if err := tensor.Axpy(sum, scale, grads[i]); err != nil {
 			return nil, err
 		}
 	}
@@ -196,6 +199,37 @@ func (sg *SignGuard) Aggregate(grads [][]float64) (*aggregate.Result, error) {
 
 	sg.prevAgg = tensor.Clone(sum)
 	return &aggregate.Result{Gradient: sum, Selected: selected}, nil
+}
+
+// normBand is Algorithm 2, step 1: it keeps gradient i iff
+// lower ≤ ||g_i|| / med ≤ upper, ascending. The paper uses a loose lower
+// bound (small gradients do little harm) and a strict upper bound (a
+// significantly large gradient is malicious): L=0.1, R=3.0.
+func normBand(norms []float64, med, lower, upper float64) ([]int, error) {
+	keep := make([]int, 0, len(norms))
+	if med == 0 {
+		// All-zero median norm: every gradient with zero norm is "at the
+		// median"; accept those, reject the rest (they are outliers by
+		// construction).
+		for i, n := range norms {
+			if n == 0 {
+				keep = append(keep, i)
+			}
+		}
+		if len(keep) == 0 {
+			return nil, errors.New("core: norm filter rejected all gradients (zero median)")
+		}
+		return keep, nil
+	}
+	for i, n := range norms {
+		if ratio := n / med; ratio >= lower && ratio <= upper {
+			keep = append(keep, i)
+		}
+	}
+	if len(keep) == 0 {
+		return nil, errors.New("core: norm filter rejected all gradients")
+	}
+	return keep, nil
 }
 
 // intersect returns the sorted intersection of two ascending index sets.

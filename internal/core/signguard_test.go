@@ -6,7 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"github.com/signguard/signguard/internal/attack"
 	"github.com/signguard/signguard/internal/stats"
 	"github.com/signguard/signguard/internal/tensor"
 )
@@ -57,51 +56,43 @@ func TestNames(t *testing.T) {
 	}
 }
 
-func TestNormThresholdFilter(t *testing.T) {
-	grads := [][]float64{{1, 0}, {1.2, 0}, {0.9, 0}, {100, 0}, {0.001, 0}}
-	ctx, err := NewFilterContext(grads, nil, tensor.NewRNG(1))
+// gradNorms returns each gradient's l2 norm and their median.
+func gradNorms(t *testing.T, grads [][]float64) ([]float64, float64) {
+	t.Helper()
+	norms := make([]float64, len(grads))
+	for i, g := range grads {
+		norms[i] = tensor.Norm(g)
+	}
+	med, err := stats.Median(norms)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := NewNormThresholdFilter(0.1, 3.0)
-	kept, err := f.Apply(ctx)
+	return norms, med
+}
+
+func TestNormBand(t *testing.T) {
+	norms, med := gradNorms(t, [][]float64{{1, 0}, {1.2, 0}, {0.9, 0}, {100, 0}, {0.001, 0}})
+	kept, err := normBand(norms, med, 0.1, 3.0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[int]bool{0: true, 1: true, 2: true}
-	if len(kept) != 3 {
-		t.Fatalf("kept %v", kept)
-	}
-	for _, i := range kept {
-		if !want[i] {
-			t.Errorf("kept outlier %d", i)
-		}
-	}
-	// Invalid bounds rejected.
-	bad := NewNormThresholdFilter(3, 1)
-	if _, err := bad.Apply(ctx); err == nil {
-		t.Error("accepted inverted bounds")
+	if want := []int{0, 1, 2}; !reflect.DeepEqual(kept, want) {
+		t.Errorf("kept %v, want %v", kept, want)
 	}
 }
 
-func TestNormThresholdAllZero(t *testing.T) {
-	grads := [][]float64{{0, 0}, {0, 0}, {1, 1}}
-	ctx, err := NewFilterContext(grads, nil, tensor.NewRNG(1))
+func TestNormBandAllZero(t *testing.T) {
+	norms, med := gradNorms(t, [][]float64{{0, 0}, {0, 0}, {1, 1}})
+	kept, err := normBand(norms, med, 0.1, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	kept, err := NewNormThresholdFilter(0.1, 3).Apply(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, i := range kept {
-		if i == 2 {
-			t.Error("kept the only non-zero gradient when the median is zero")
-		}
+	if want := []int{0, 1}; !reflect.DeepEqual(kept, want) {
+		t.Errorf("kept %v when the median is zero, want the zero-norm gradients %v", kept, want)
 	}
 }
 
-func TestSignClusterFilterSeparatesLIE(t *testing.T) {
+func TestSignClusterSeparatesLIE(t *testing.T) {
 	benign := benignGrads(3, 40, 400)
 	// LIE-style gradients: coordinate-wise mean minus z·std.
 	mean, std, err := stats.CoordinateMeanStd(benign)
@@ -116,12 +107,11 @@ func TestSignClusterFilterSeparatesLIE(t *testing.T) {
 		}
 		grads = append(grads, gm)
 	}
-	ctx, err := NewFilterContext(grads, nil, tensor.NewRNG(5))
+	features, err := signFeatures(grads, nil, 0.5, NoSimilarity, tensor.NewRNG(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := NewSignClusterFilter(0.5, NoSimilarity)
-	kept, err := f.Apply(ctx)
+	kept, err := signCluster(features)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,15 +125,11 @@ func TestSignClusterFilterSeparatesLIE(t *testing.T) {
 	}
 }
 
-func TestSignClusterFeatures(t *testing.T) {
+func TestSignFeatures(t *testing.T) {
 	grads := benignGrads(7, 10, 100)
-	ctx, err := NewFilterContext(grads, nil, tensor.NewRNG(2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rng := tensor.NewRNG(2)
 	for _, sim := range []Similarity{NoSimilarity, CosineSimilarity, DistanceSimilarity} {
-		f := NewSignClusterFilter(0.2, sim)
-		feats, err := f.Features(ctx)
+		feats, err := signFeatures(grads, nil, 0.2, sim, rng)
 		if err != nil {
 			t.Fatalf("%v: %v", sim, err)
 		}
@@ -159,6 +145,69 @@ func TestSignClusterFeatures(t *testing.T) {
 				t.Errorf("%v: sign stats sum to %v", sim, s)
 			}
 		}
+	}
+}
+
+// A non-finite feature row is left out of the clustering and never kept;
+// only a matrix without a finite row fails.
+func TestSignClusterSkipsNonFiniteRows(t *testing.T) {
+	nan := math.NaN()
+	features := [][]float64{{1, 0, 0}, {1, 0, nan}, {0.99, 0.01, 0}, {0, 0, 1}, {0.98, 0.02, 0}}
+	kept, err := signCluster(features)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{0, 2, 4}; !reflect.DeepEqual(kept, want) {
+		t.Errorf("kept %v, want %v", kept, want)
+	}
+	if _, err := signCluster([][]float64{{nan, 0, 0}, {0, math.Inf(1), 0}}); err == nil {
+		t.Error("clustered a matrix with no finite row")
+	}
+}
+
+// When the norm band and the sign cluster keep disjoint sets, the round is
+// not failed: the sign filter's set is returned, ascending. Seven
+// gradients share one sign pattern but sit outside the norm band — four
+// far below the median norm, three far above it — while the three
+// in-band gradients carry the opposite signs.
+func TestSignGuardDisjointFiltersFallBackToSignSet(t *testing.T) {
+	const d = 100
+	pattern := func(sign, scale float64, zeros int) []float64 {
+		g := make([]float64, d)
+		for j := zeros; j < d; j++ {
+			g[j] = sign * scale
+		}
+		return g
+	}
+	var grads [][]float64
+	var wantSign []int
+	for i := 0; i < 10; i++ {
+		switch {
+		case i%3 == 1: // 1, 4, 7: in band, negative signs
+			grads = append(grads, pattern(-1, 1, i/3))
+		case i < 6: // 0, 2, 3, 5: positive, far below the median norm
+			grads = append(grads, pattern(1, 1e-4, i))
+			wantSign = append(wantSign, i)
+		default: // 6, 8, 9: positive, far above it
+			grads = append(grads, pattern(1, 1e3, i))
+			wantSign = append(wantSign, i)
+		}
+	}
+	cfg := DefaultConfig()
+	cfg.CoordFraction = 1
+	sg, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sg.Aggregate(grads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res.Selected, wantSign) {
+		t.Errorf("selected %v, want the sign filter's set %v", res.Selected, wantSign)
+	}
+	if !tensor.AllFinite(res.Gradient) {
+		t.Error("non-finite aggregate")
 	}
 }
 
@@ -275,34 +324,6 @@ func TestSignGuardComponentToggles(t *testing.T) {
 		}
 		if !tensor.AllFinite(res.Gradient) {
 			t.Errorf("%s: non-finite aggregate", tc.name)
-		}
-	}
-}
-
-func TestSignGuardKMeansVariant(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Algo = KMeansAlgo
-	sg, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	benign := benignGrads(23, 30, 200)
-	grads := tensor.CloneAll(benign)
-	// Identical attack vectors — the case the paper says 2-means handles.
-	lie := attack.NewLIE(1.0)
-	ctx := &attack.Context{Benign: benign[:22], ByzOwn: benign[22:], Rng: tensor.NewRNG(4)}
-	malicious, err := lie.Craft(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	grads = append(grads[:22], malicious...)
-	res, err := sg.Aggregate(grads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, i := range res.Selected {
-		if i >= 22 {
-			t.Errorf("KMeans variant kept malicious gradient %d", i)
 		}
 	}
 }

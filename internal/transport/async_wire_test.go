@@ -92,7 +92,9 @@ func FuzzAsyncSubmitBody(f *testing.F) {
 			}
 			return
 		}
-		if scratchErr == nil && !reflect.DeepEqual(inScratch, req) {
+		// Compare the canonical re-encodings, which carry every float's bits:
+		// reflect.DeepEqual calls two identical NaN gradients different.
+		if scratchErr == nil && !bytes.Equal(submitBody(t, inScratch), submitBody(t, req)) {
 			t.Fatalf("scratch form read %+v, fresh form %+v", inScratch, req)
 		}
 		if req.Encoded != nil && req.Grad != nil {

@@ -25,10 +25,10 @@ import (
 // gradients at every door a gradient can come through: five honest clients
 // and one hostile client run 20 rounds over each kind of session, under an
 // undefended mean, a Multi-Krum that selects the whole buffer (what
-// `flserver -rule Multi-Krum` builds at -byz 0) and SignGuard with the KMeans
-// sign filter — the exact defense of the original crash chain (NaN features
-// -> NaN inertia in every KMeans restart -> nil cluster result -> nil
-// deref), FiniteGuard-wrapped as the defense registry wraps it. Every
+// `flserver -rule Multi-Krum` builds at -byz 0), FLAME — the k-means rule,
+// whose clustering was the original crash chain (NaN points -> NaN inertia
+// in every restart -> nil cluster result -> nil deref) — and SignGuard, the
+// clustering rules FiniteGuard-wrapped as the defense registry wraps them. Every
 // hostile submit must be refused and counted, every round must still step on
 // the honest five, and the model must stay finite. The lock-step rows under
 // Mean and Multi-Krum ended with a NaN model while a gob round server still
@@ -39,21 +39,14 @@ func TestHostileNaNEndToEnd(t *testing.T) {
 	for j := range target {
 		target[j] = 1
 	}
-	kmeans := core.DefaultConfig()
-	kmeans.Algo = core.KMeansAlgo
 	rules := []struct {
 		name string
 		new  func(n int) aggregate.Rule
 	}{
 		{"Mean", func(int) aggregate.Rule { return aggregate.NewMean() }},
 		{"Multi-Krum", func(n int) aggregate.Rule { return aggregate.NewMultiKrum(0, n) }},
-		{"SignGuard-KMeans", func(int) aggregate.Rule {
-			rule, err := core.New(kmeans)
-			if err != nil {
-				panic(err) // the default config with another clustering algorithm is valid
-			}
-			return aggregate.Guard(rule)
-		}},
+		{"FLAME", func(int) aggregate.Rule { return aggregate.Guard(aggregate.NewFLAME(2, 0, 1)) }},
+		{"SignGuard", func(int) aggregate.Rule { return aggregate.Guard(core.NewPlain(1)) }},
 	}
 	wires := []struct {
 		name string

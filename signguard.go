@@ -47,12 +47,12 @@ import (
 type SignGuard = core.SignGuard
 
 // SignGuardConfig parameterizes a custom SignGuard instance (bounds,
-// coordinate fraction, similarity feature, clustering algorithm, component
-// toggles for ablations).
+// coordinate fraction, similarity feature, component toggles for
+// ablations).
 type SignGuardConfig = core.Config
 
 // DefaultSignGuardConfig returns the paper's default configuration
-// (L=0.1, R=3.0, 10% coordinates, Mean-Shift, all components on).
+// (L=0.1, R=3.0, 10% coordinates, all components on).
 func DefaultSignGuardConfig() SignGuardConfig { return core.DefaultConfig() }
 
 // NewSignGuardFromConfig builds a SignGuard aggregator from a config.
@@ -72,12 +72,6 @@ const (
 	NoSimilarity       = core.NoSimilarity
 	CosineSimilarity   = core.CosineSimilarity
 	DistanceSimilarity = core.DistanceSimilarity
-)
-
-// Clustering algorithm selectors for SignGuardConfig.
-const (
-	MeanShiftAlgo = core.MeanShiftAlgo
-	KMeansAlgo    = core.KMeansAlgo
 )
 
 // ---- Defenses ----

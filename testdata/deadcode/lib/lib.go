@@ -18,3 +18,20 @@ func (s Square) Area() float64 { return s.Side * s.Side }
 type Stack[T any] struct{ items []T }
 
 func (s *Stack[T]) Push(v T) { s.items = append(s.items, v) }
+
+// Knobs has one field for each way the field scan counts as setting one —
+// main sets each of those, and decoding sets Decoded — and one that only
+// lib_test.go sets.
+type Knobs struct {
+	Keyed       int
+	Assigned    int
+	Incremented int
+	Addressed   int
+	Ranged      int
+	Nested      struct{ Inner int }
+	Decoded     int `json:"decoded"`
+	OnlyTestSet int
+}
+
+// Pair is only ever built from positional literals whose type main elides.
+type Pair struct{ A, B int }

@@ -7,3 +7,9 @@ func TestOnlyTested(t *testing.T) {
 		t.Fatal("OnlyTested")
 	}
 }
+
+func TestOnlyTestSet(t *testing.T) {
+	if k := (Knobs{OnlyTestSet: 1}); k.OnlyTestSet != 1 {
+		t.Fatal("OnlyTestSet")
+	}
+}
