@@ -93,10 +93,10 @@ perf-compare:
 trajectory:
 	@$(GO) run ./tools/trajectory
 
-# CPU/heap profiles of the three stage benchmarks — LocalCompute (image CNN
-# and text RNN), the defense stage's distance matrix (sparse and dense
-# cohorts at sim_wide's dimension) and the async load harness — of one
-# whole warm round at sim_wide's shape (BenchmarkStep) and of serving one
+# CPU/heap profiles of the three stage benchmarks — LocalCompute (image CNN,
+# sim_paper's CIFAR-analog DeepCNN under deepcnn/, and the text RNN), the
+# defense stage's distance matrix (sparse and dense cohorts at sim_wide's
+# dimension) and the async load harness — of one whole warm round at sim_wide's shape (BenchmarkStep) and of serving one
 # update at serve_mixed's shape (BenchmarkAsyncUpdate: dense and topk
 # bodies through the HTTP handler, B/op is one update's allocation).
 # Written to ./profiles; inspect with `go tool pprof profiles/<name>`.

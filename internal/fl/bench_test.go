@@ -18,7 +18,9 @@ import (
 
 // BenchmarkLocalCompute is the regression benchmark of the round's hottest
 // stage: the participants' gradient computation, isolated from the rest of
-// the pipeline, swept over cohort × workers on the ImageCNN model.
+// the pipeline, swept over cohort × workers on the ImageCNN model, plus
+// sim_paper's shape under deepcnn/: the CIFAR analog's DeepCNN, batch 8,
+// 50 clients.
 func BenchmarkLocalCompute(b *testing.B) {
 	ds, err := data.GenerateSynthImage(data.SynthImageConfig{
 		Name: "bench", Classes: 8, C: 1, H: 8, W: 8, Train: 8000, Test: 200,
@@ -27,24 +29,41 @@ func BenchmarkLocalCompute(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	cifar, err := data.CIFARLike(11, 4000, 200)
+	if err != nil {
+		b.Fatal(err)
+	}
+	type shape struct {
+		name          string
+		ds            *data.Dataset
+		model         func(rng *rand.Rand) (nn.Classifier, error)
+		cohort, batch int
+	}
+	var shapes []shape
 	for _, cohort := range []int{50, 200} {
+		shapes = append(shapes, shape{fmt.Sprintf("cohort=%d", cohort), ds, func(rng *rand.Rand) (nn.Classifier, error) {
+			return nn.NewImageCNN(rng, 1, 8, 8, 6, 64, 8)
+		}, cohort, 16})
+	}
+	shapes = append(shapes, shape{"deepcnn/cohort=50", cifar, func(rng *rand.Rand) (nn.Classifier, error) {
+		return nn.NewDeepImageCNN(rng, 3, 8, 8, 8, 16, 32, 10)
+	}, 50, 8})
+	for _, sh := range shapes {
 		for _, workers := range []int{1, 4} {
 			sim, err := New(Config{
-				Dataset: ds,
-				NewModel: func(rng *rand.Rand) (nn.Classifier, error) {
-					return nn.NewImageCNN(rng, 1, 8, 8, 6, 64, 8)
-				},
-				Rule:    aggregate.NewMean(),
-				Clients: cohort, NumByz: 0, Rounds: 1, BatchSize: 16,
+				Dataset:  sh.ds,
+				NewModel: sh.model,
+				Rule:     aggregate.NewMean(),
+				Clients:  sh.cohort, NumByz: 0, Rounds: 1, BatchSize: sh.batch,
 				LR: 0.03, EvalEvery: 1, Seed: 1, Workers: workers,
 			})
 			if err != nil {
 				b.Fatal(err)
 			}
-			b.Run(fmt.Sprintf("cohort=%d/workers=%d", cohort, workers), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%s/workers=%d", sh.name, workers), func(b *testing.B) {
 				b.ReportAllocs()
 				benchComputeLoop(b, sim)
-				b.ReportMetric(float64(cohort*b.N)/b.Elapsed().Seconds(), "clients/s")
+				b.ReportMetric(float64(sh.cohort*b.N)/b.Elapsed().Seconds(), "clients/s")
 			})
 		}
 	}

@@ -223,13 +223,19 @@ func (c *Conv2D) backward(ws *Workspace, id int, grad *tensor.Matrix, bounds []i
 	spatial := c.OutH * c.OutW
 	colRows := c.InC * c.K * c.K
 	var dx, dcols *tensor.Matrix
+	var finiteW bool
 	if needDX {
 		// dX is accumulated into by col2im: zeroed checkout required.
 		dx = ws.matrixZeroed(id, wsDX, c.lastInput.Rows, c.lastInput.Cols)
 		// dcols is fully overwritten per sample, so a stale checkout is
 		// fine.
 		dcols = ws.matrix(id, wsDCols, colRows, spatial)
+		finiteW = tensor.AllFinite(c.weight.W)
 	}
+	// Filter oc's nonzero gradient positions are nz[off[oc]:off[oc+1]],
+	// rewritten per sample.
+	scratch := ws.intSlice(id, wsNZ, c.OutC+1+c.OutC*spatial)
+	off, nz := scratch[:c.OutC+1], scratch[c.OutC+1:]
 	seg := 0
 	gw, bg := sink(0)
 	for n := 0; n < grad.Rows; n++ {
@@ -242,23 +248,107 @@ func (c *Conv2D) backward(ws *Workspace, id int, grad *tensor.Matrix, bounds []i
 		base := n * colRows
 		sCols := c.lastCols.Data[base*spatial : (base+colRows)*spatial]
 		gRow := grad.Row(n)
+		k := 0
 		for oc := 0; oc < c.OutC; oc++ {
-			g := gRow[oc*spatial : (oc+1)*spatial]
 			// Bias gradient: sequential (bit-stable) sum over spatial
-			// positions.
+			// positions, in the pass that gathers the nonzero ones. The
+			// gather is branch-free: p is always written and kept only
+			// when gv is nonzero.
+			off[oc] = k
 			var gsum float64
-			for _, gv := range g {
+			for p, gv := range gRow[oc*spatial : (oc+1)*spatial] {
 				gsum += gv
+				nz[k] = p
+				if gv != 0 {
+					k++
+				}
 			}
 			bg[oc] += gsum
-			convFilterWeightGrad(gw[oc*colRows:(oc+1)*colRows], g, sCols)
+		}
+		off[c.OutC] = k
+		// Gathering pays while at most half the entries are nonzero. The
+		// columns hold the sample's values and padding zeros.
+		sparse := 2*k <= len(gRow)
+		finiteIn := sparse && tensor.AllFinite(c.lastInput.Row(n))
+		for oc := 0; oc < c.OutC; oc++ {
+			g := gRow[oc*spatial : (oc+1)*spatial]
+			gwoc := gw[oc*colRows : (oc+1)*colRows]
+			if finiteIn {
+				convFilterWeightGradAt(gwoc, g, nz[off[oc]:off[oc+1]], sCols)
+			} else {
+				convFilterWeightGrad(gwoc, g, sCols)
+			}
 		}
 		if needDX {
-			c.colsGrad(dcols.Data, gRow)
+			if sparse && finiteW {
+				c.colsGradAt(dcols.Data, gRow, off, nz)
+			} else {
+				c.colsGrad(dcols.Data, gRow)
+			}
 			c.col2im(dcols, dx.Row(n))
 		}
 	}
 	return dx, nil
+}
+
+// The zero-skipping kernels below visit only the gradient positions whose
+// g[p] is nonzero (NaN and ±Inf included). That is exact when the other
+// operand is finite: a skipped term is then ±0, and adding ±0 to a sum
+// that starts at +0 never changes it (such a sum is never −0). A NaN or
+// ±Inf operand needs the dense kernels, because 0·Inf is NaN.
+
+// convFilterWeightGradAt is convFilterWeightGrad over the ascending
+// positions nz only, for finite cols: each chain still starts at +0, runs
+// in ascending p and is added to gw[r] once, even when nz is empty.
+func convFilterWeightGradAt(gw, g []float64, nz []int, cols []float64) {
+	spatial := len(g)
+	r := 0
+	for ; r+4 <= len(gw); r += 4 {
+		s0 := cols[r*spatial : (r+1)*spatial]
+		s1 := cols[(r+1)*spatial : (r+2)*spatial]
+		s2 := cols[(r+2)*spatial : (r+3)*spatial]
+		s3 := cols[(r+3)*spatial : (r+4)*spatial]
+		var w0, w1, w2, w3 float64
+		for _, p := range nz {
+			gv := g[p]
+			w0 += gv * s0[p]
+			w1 += gv * s1[p]
+			w2 += gv * s2[p]
+			w3 += gv * s3[p]
+		}
+		gw[r] += w0
+		gw[r+1] += w1
+		gw[r+2] += w2
+		gw[r+3] += w3
+	}
+	for ; r < len(gw); r++ {
+		s := cols[r*spatial : (r+1)*spatial]
+		var w0 float64
+		for _, p := range nz {
+			w0 += g[p] * s[p]
+		}
+		gw[r] += w0
+	}
+}
+
+// colsGradAt is colsGrad over each filter's nonzero positions
+// nz[off[oc]:off[oc+1]], for finite weights: every dcols[r][p] is still
+// summed from +0 over filters in ascending order.
+func (c *Conv2D) colsGradAt(dcols, gRow []float64, off, nz []int) {
+	spatial := c.OutH * c.OutW
+	colRows := c.InC * c.K * c.K
+	clear(dcols)
+	for oc := 0; oc < c.OutC; oc++ {
+		g := gRow[oc*spatial:][:spatial]
+		w := c.weight.W[oc*colRows:][:colRows]
+		for _, p := range nz[off[oc]:off[oc+1]] {
+			gv := g[p]
+			d := dcols[p:]
+			for r, wv := range w {
+				d[r*spatial] += gv * wv
+			}
+		}
+	}
 }
 
 // convFilterWeightGrad adds one sample's gradient for one filter into gw:

@@ -124,17 +124,80 @@ func oracleConvBackward(c *Conv2D, cols, grad *tensor.Matrix, bounds []int, segG
 	return dx
 }
 
+// zeroRegime selects how many output-gradient entries of a convCase are
+// zero, and which operand, if any, is made non-finite where it meets them.
+type zeroRegime uint8
+
+const (
+	// denseGrad: one gradient entry in 40 is zero, as specialValue draws.
+	denseGrad zeroRegime = iota
+	// sparseGrad: at least 80% of the gradient entries are ±0, both signs
+	// drawn; inputs are finite, as behind ReLU and max-pool.
+	sparseGrad
+	// sparseNonFiniteInput: sparseGrad, plus one NaN or ±Inf input that
+	// meets only zero gradient entries, so the filter gradient must take
+	// the dense kernel (0·Inf is NaN).
+	sparseNonFiniteInput
+	// sparseNonFiniteWeight: sparseGrad, plus one NaN or ±Inf weight, so
+	// the input gradient must take the dense kernel.
+	sparseNonFiniteWeight
+	numZeroRegimes
+)
+
+func (z zeroRegime) String() string {
+	return [...]string{"dense", "sparse", "sparse+nonfinite-input", "sparse+nonfinite-weight"}[z]
+}
+
 // convCase is one shape of the oracle comparison.
 type convCase struct {
 	inC, inH, inW, outC, k, pad int
 	bounds                      []int // row segmentation; its last entry is the row count
-	special                     bool  // sprinkle NaN, ±Inf and −0 into inputs and gradients
+	special                     bool  // sprinkle NaN, ±Inf and −0 into inputs (dense regime only) and gradients
+	zeros                       zeroRegime
 	seed                        int64
 }
 
 func (cs convCase) String() string {
-	return fmt.Sprintf("in%dx%dx%d/out%d/k%d/pad%d/bounds%v/special=%v",
+	s := fmt.Sprintf("in%dx%dx%d/out%d/k%d/pad%d/bounds%v/special=%v",
 		cs.inC, cs.inH, cs.inW, cs.outC, cs.k, cs.pad, cs.bounds, cs.special)
+	if cs.zeros != denseGrad {
+		s += "/grad=" + cs.zeros.String()
+	}
+	return s
+}
+
+// nonFinite returns NaN, +Inf or −Inf.
+func nonFinite(rng *rand.Rand) float64 {
+	return [...]float64{math.NaN(), math.Inf(1), math.Inf(-1)}[rng.Intn(3)]
+}
+
+// sparseGradient fills grad with ±0 (both signs) except for a fifth of its
+// entries, chosen at random, which take specialValue draws.
+func sparseGradient(rng *rand.Rand, grad []float64, special bool) {
+	for i := range grad {
+		grad[i] = math.Copysign(0, float64(rng.Intn(2))-0.5)
+	}
+	for _, i := range rng.Perm(len(grad))[:len(grad)/5] {
+		grad[i] = specialValue(rng, special)
+	}
+}
+
+// hideNonFiniteInput makes one input of x non-finite and zeroes every
+// gradient entry of its row whose receptive field holds it, so that the
+// input meets only zero gradient entries.
+func hideNonFiniteInput(rng *rand.Rand, c *Conv2D, x, grad *tensor.Matrix) {
+	n, ch := rng.Intn(x.Rows), rng.Intn(c.InC)
+	si, sj := rng.Intn(c.InH), rng.Intn(c.InW)
+	x.Row(n)[(ch*c.InH+si)*c.InW+sj] = nonFinite(rng)
+	// Output (oi, oj) reads input (oi-Pad+ki, oj-Pad+kj) for ki, kj < K.
+	gRow := grad.Row(n)
+	for oi := max(0, si+c.Pad-c.K+1); oi <= min(c.OutH-1, si+c.Pad); oi++ {
+		for oj := max(0, sj+c.Pad-c.K+1); oj <= min(c.OutW-1, sj+c.Pad); oj++ {
+			for oc := 0; oc < c.OutC; oc++ {
+				gRow[(oc*c.OutH+oi)*c.OutW+oj] = 0
+			}
+		}
+	}
 }
 
 // sameBits compares two results by math.Float64bits, except that any NaN
@@ -224,11 +287,21 @@ func checkConvAgainstOracle(tb testing.TB, cs convCase) {
 	rows := cs.bounds[len(cs.bounds)-1]
 	x := tensor.NewMatrix(rows, cs.inC*cs.inH*cs.inW)
 	for i := range x.Data {
-		x.Data[i] = specialValue(rng, cs.special)
+		x.Data[i] = specialValue(rng, cs.special && cs.zeros == denseGrad)
 	}
 	grad := tensor.NewMatrix(rows, c.OutputSize())
-	for i := range grad.Data {
-		grad.Data[i] = specialValue(rng, cs.special)
+	if cs.zeros == denseGrad {
+		for i := range grad.Data {
+			grad.Data[i] = specialValue(rng, cs.special)
+		}
+	} else {
+		sparseGradient(rng, grad.Data, cs.special)
+	}
+	switch cs.zeros {
+	case sparseNonFiniteInput:
+		hideNonFiniteInput(rng, c, x, grad)
+	case sparseNonFiniteWeight:
+		c.weight.W[rng.Intn(len(c.weight.W))] = nonFinite(rng)
 	}
 	segs := len(cs.bounds) - 1
 
@@ -295,7 +368,8 @@ func checkConvAgainstOracle(tb testing.TB, cs convCase) {
 // input gradient to the reference loops, bit for bit, over channel counts,
 // kernel sizes, paddings and filter counts on both sides of the kernels'
 // block widths (8 output positions, 4 column rows, 4 filters), with
-// output planes that are and are not multiples of them.
+// output planes that are and are not multiples of them, and over every
+// zeroRegime: the zero-skipping kernels and both of their dense fallbacks.
 func TestConv2DMatchesOracle(t *testing.T) {
 	var seed int64
 	for _, inC := range []int{1, 3} {
@@ -305,12 +379,14 @@ func TestConv2DMatchesOracle(t *testing.T) {
 					for _, hw := range [][2]int{{7, 5}, {6, 9}, {2, 1}} {
 						for _, special := range []bool{false, true} {
 							seed++
-							cs := convCase{inC: inC, inH: hw[0], inW: hw[1], outC: outC, k: k, pad: pad,
-								bounds: []int{0, 1, 4, 6}, special: special, seed: seed}
-							if cs.inH+2*pad-k+1 <= 0 || cs.inW+2*pad-k+1 <= 0 {
-								continue
+							for zeros := range numZeroRegimes {
+								cs := convCase{inC: inC, inH: hw[0], inW: hw[1], outC: outC, k: k, pad: pad,
+									bounds: []int{0, 1, 4, 6}, special: special, zeros: zeros, seed: seed + 1000*int64(zeros)}
+								if cs.inH+2*pad-k+1 <= 0 || cs.inW+2*pad-k+1 <= 0 {
+									continue
+								}
+								t.Run(cs.String(), func(t *testing.T) { checkConvAgainstOracle(t, cs) })
 							}
-							t.Run(cs.String(), func(t *testing.T) { checkConvAgainstOracle(t, cs) })
 						}
 					}
 				}
@@ -319,22 +395,27 @@ func TestConv2DMatchesOracle(t *testing.T) {
 	}
 	// One segment, and a one-row batch.
 	for _, bounds := range [][]int{{0, 5}, {0, 1}} {
-		cs := convCase{inC: 3, inH: 8, inW: 8, outC: 8, k: 3, pad: 1, bounds: bounds, special: true, seed: 99}
-		t.Run(cs.String(), func(t *testing.T) { checkConvAgainstOracle(t, cs) })
+		for zeros := range numZeroRegimes {
+			cs := convCase{inC: 3, inH: 8, inW: 8, outC: 8, k: 3, pad: 1, bounds: bounds, special: true, zeros: zeros, seed: 99 + 1000*int64(zeros)}
+			t.Run(cs.String(), func(t *testing.T) { checkConvAgainstOracle(t, cs) })
+		}
 	}
 }
 
 // FuzzConv2DMatchesOracle drives the oracle comparison over random shapes,
-// segmentations and values.
+// segmentations, values and zero regimes.
 func FuzzConv2DMatchesOracle(f *testing.F) {
-	f.Add(int64(1), uint8(3), uint8(8), uint8(8), uint8(8), uint8(3), uint8(1), uint8(6), true)
-	f.Add(int64(2), uint8(8), uint8(4), uint8(4), uint8(16), uint8(3), uint8(1), uint8(3), false)
-	f.Add(int64(3), uint8(1), uint8(5), uint8(7), uint8(6), uint8(5), uint8(2), uint8(1), true)
-	f.Fuzz(func(t *testing.T, seed int64, inC, inH, inW, outC, k, pad, rows uint8, special bool) {
+	f.Add(int64(1), uint8(3), uint8(8), uint8(8), uint8(8), uint8(3), uint8(1), uint8(6), true, uint8(denseGrad))
+	f.Add(int64(2), uint8(8), uint8(4), uint8(4), uint8(16), uint8(3), uint8(1), uint8(3), false, uint8(denseGrad))
+	f.Add(int64(3), uint8(1), uint8(5), uint8(7), uint8(6), uint8(5), uint8(2), uint8(1), true, uint8(denseGrad))
+	f.Add(int64(4), uint8(3), uint8(8), uint8(8), uint8(8), uint8(3), uint8(1), uint8(6), false, uint8(sparseGrad))
+	f.Add(int64(5), uint8(8), uint8(4), uint8(4), uint8(16), uint8(3), uint8(1), uint8(4), true, uint8(sparseNonFiniteInput))
+	f.Add(int64(6), uint8(8), uint8(4), uint8(4), uint8(16), uint8(3), uint8(1), uint8(5), false, uint8(sparseNonFiniteWeight))
+	f.Fuzz(func(t *testing.T, seed int64, inC, inH, inW, outC, k, pad, rows uint8, special bool, zeros uint8) {
 		cs := convCase{
 			inC: 1 + int(inC)%8, inH: 1 + int(inH)%10, inW: 1 + int(inW)%10,
 			outC: 1 + int(outC)%17, k: 1 + int(k)%5, pad: int(pad) % 3,
-			special: special, seed: seed,
+			special: special, zeros: zeroRegime(zeros % uint8(numZeroRegimes)), seed: seed,
 		}
 		if cs.inH+2*cs.pad-cs.k+1 <= 0 || cs.inW+2*cs.pad-cs.k+1 <= 0 {
 			return
@@ -354,6 +435,11 @@ func FuzzConv2DMatchesOracle(f *testing.F) {
 // input, 8 then 16 filters of 3×3 with padding 1) on a 200-row tile through
 // a warm arena. conv1 is the model's first layer, so its backward pass
 // computes no input gradient; conv1/backward-dX times it as a later layer.
+// The backward passes take the gradient the model hands a convolution: a
+// dense upstream gradient pushed back through the 2×2 MaxPool2D and the
+// ReLU that follow it, after a forward pass; zero-share reports the share
+// of its entries that are exactly zero. backward-dense times the same pass
+// on a dense gradient.
 func BenchmarkConv2D(b *testing.B) {
 	for _, bc := range []struct {
 		name                        string
@@ -370,7 +456,8 @@ func BenchmarkConv2D(b *testing.B) {
 		}
 		const rows = 200
 		x := denseBatch(rng, rows, bc.inC*bc.inH*bc.inW)
-		grad := denseBatch(rng, rows, c.OutputSize())
+		dense := denseBatch(rng, rows, c.OutputSize())
+		grad, zeroShare := pooledGradient(b, rng, c, x)
 		bounds := []int{0, 50, 100, 150, rows}
 		segGrads := newSegGrads(c, len(bounds)-1)
 		ws := NewWorkspace()
@@ -384,20 +471,63 @@ func BenchmarkConv2D(b *testing.B) {
 				}
 			}
 		})
-		backward := func(needDX bool) func(b *testing.B) {
+		backward := func(grad *tensor.Matrix, needDX bool) func(b *testing.B) {
 			return func(b *testing.B) {
 				for b.Loop() {
 					if _, err := c.backwardSegmented(ws, 0, grad, bounds, segGrads, needDX); err != nil {
 						b.Fatal(err)
 					}
 				}
+				if grad != dense {
+					b.ReportMetric(zeroShare, "zero-share")
+				}
 			}
 		}
-		b.Run(bc.name+"/backward", backward(bc.needDX))
+		b.Run(bc.name+"/backward", backward(grad, bc.needDX))
 		if !bc.needDX {
-			b.Run(bc.name+"/backward-dX", backward(true))
+			b.Run(bc.name+"/backward-dX", backward(grad, true))
+		}
+		b.Run(bc.name+"/backward-dense", backward(dense, bc.needDX))
+	}
+}
+
+// pooledGradient returns the gradient that reaches c's output when c is
+// followed by a ReLU and a 2×2 MaxPool2D, as in the model zoo's CNNs: x
+// goes forward through the three layers, and a dense upstream gradient
+// comes back through the pool and the ReLU. It also returns the share of
+// the gradient's entries that are exactly zero. c is left holding x's
+// forward pass.
+func pooledGradient(tb testing.TB, rng *rand.Rand, c *Conv2D, x *tensor.Matrix) (*tensor.Matrix, float64) {
+	tb.Helper()
+	relu := NewReLU()
+	pool, err := NewMaxPool2D(c.OutC, c.OutH, c.OutW, 2)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	h, err := c.Forward(x)
+	if err == nil {
+		h, err = relu.Forward(h)
+	}
+	if err == nil {
+		_, err = pool.Forward(h)
+	}
+	if err != nil {
+		tb.Fatal(err)
+	}
+	g, err := pool.Backward(denseBatch(rng, x.Rows, pool.OutputSize()))
+	if err == nil {
+		g, err = relu.Backward(g)
+	}
+	if err != nil {
+		tb.Fatal(err)
+	}
+	zeros := 0
+	for _, v := range g.Data {
+		if v == 0 {
+			zeros++
 		}
 	}
+	return g, float64(zeros) / float64(len(g.Data))
 }
 
 // maxPoolNoCandidate builds a 1-channel pooling layer of the given window

@@ -48,6 +48,7 @@ const (
 	wsCols                   // stacked im2col columns, all samples of the tile (fully overwritten)
 	wsDCols                  // one sample's im2col gradient, overwritten per sample (not checked out by a model's first layer)
 	wsArgmax                 // max-pool argmax indices
+	wsNZ                     // Conv2D backward: per-filter offsets, then one sample's nonzero output-gradient positions (rewritten per sample)
 	wsLossGrad               // softmax cross-entropy gradient
 	wsEmbeds                 // RNN: gathered embedding rows, time-major
 	wsHidden                 // RNN: hidden states, time-major
