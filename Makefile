@@ -47,18 +47,19 @@ conformance:
 serve-smoke:
 	$(GO) run ./cmd/flserver -loadtest -load-clients 500 -load-byz 0.2 -load-nonfinite 0.1 -rule SignGuard
 
-# Run cmd/campaign's main end to end: flag parsing, then two grids at bench
-# scale into a temporary store, a status of each that must report the grid
-# complete, and their markdown exports from the store — fig2 (2 cells) and
-# adaptive (6 cells), the one campaign whose adversary reads each round's
-# selection tally back through its filtering history, so the feedback loop
-# runs through main too (a few seconds each). Fails on an error, an
-# incomplete status or an empty table; the CI test job runs this after
-# serve-smoke.
+# Run cmd/campaign's main end to end: flag parsing, then three grids at
+# bench scale into a temporary store, a status of each that must report the
+# grid complete, and their markdown exports from the store — fig2 (2
+# cells); adaptive (6 cells), the one campaign whose adversary reads each
+# round's selection tally back through its filtering history, so the
+# feedback loop runs through main too; and hostile (20 cells, about 10 s on
+# two cores), whose NaN/±Inf attacks put the round pipeline's only
+# non-finite path, refusal, through main. Fails on an error, an incomplete
+# status or an empty table; the CI test job runs this after serve-smoke.
 paper-smoke:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
 	$(GO) build -o "$$dir/campaign" ./cmd/campaign && \
-	for name in fig2 adaptive; do \
+	for name in fig2 adaptive hostile; do \
 		"$$dir/campaign" run -name $$name -scale bench -cache-dir "$$dir/cache" && \
 		"$$dir/campaign" status -name $$name -scale bench -cache-dir "$$dir/cache" > "$$dir/status" && \
 		cat "$$dir/status" && grep -q '(0 pending, 100% complete)' "$$dir/status" && \

@@ -8,10 +8,7 @@ import (
 )
 
 // ErrNonFiniteAggregate marks an aggregation whose output carried NaN or
-// ±Inf coordinates. Callers that treat divergence as a terminal training
-// state rather than a failure (the fl engine's ErrDiverged semantics) match
-// it with errors.Is and translate accordingly; serving layers treat it as a
-// skipped step like any other rule error.
+// ±Inf coordinates; Step reports it as the NonFiniteMerge outcome.
 var ErrNonFiniteAggregate = errors.New("aggregate: non-finite aggregate")
 
 // FiniteGuard wraps a Rule and enforces the output contract every consumer

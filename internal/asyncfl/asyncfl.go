@@ -1,5 +1,6 @@
 // Package asyncfl is the server-side aggregation core: the one place a
-// gradient buffer is screened, defended, merged and applied. It is a
+// served gradient buffer is screened, stepped through aggregate.Step (the
+// tail the simulation's round shares) and applied. It is a
 // FedBuff-style buffered aggregator that accepts gradient updates
 // continuously, tags each with the model version it was computed against,
 // buffers them in bounded per-client queues (drop-oldest, with a
@@ -49,7 +50,6 @@ import (
 	"github.com/signguard/signguard/internal/aggregate"
 	"github.com/signguard/signguard/internal/nn"
 	"github.com/signguard/signguard/internal/sanitize"
-	"github.com/signguard/signguard/internal/tensor"
 )
 
 // Defaults for Config fields left zero.
@@ -79,16 +79,12 @@ type Config struct {
 	// Alpha is the staleness-discount exponent of w(s) = 1/(1+s)^alpha.
 	// 0 degenerates to the plain buffered mean; must not be negative.
 	Alpha float64
-	// Rule, when non-nil, filters each drained buffer before the
-	// staleness-weighted merge: rules that select gradients (SignGuard,
-	// Krum, DnC, ...) have only their survivors merged; coordinate-wise
-	// rules without a selection (Mean, Median, ...) replace the merge with
-	// their own aggregate, since per-client staleness cannot be attributed
-	// through them — and so does any rule on a buffer with no stale update,
-	// where every merge weight is exactly 1. nil merges the whole buffer.
-	// A rule that needs a server reference gradient (an
-	// aggregate.ServerLearner such as FLTrust, guarded or not) is refused:
-	// the serving path has no root dataset to compute one from.
+	// Rule, when non-nil, is the defense aggregate.Step runs over each
+	// drained buffer: a selecting rule's survivors merge under staleness
+	// weights, and a coordinate-wise rule or an all-fresh buffer steps the
+	// rule's own aggregate. nil merges the whole buffer. A rule that needs a
+	// server reference gradient (an aggregate.ServerLearner such as FLTrust,
+	// guarded or not) is refused: the serving path has no root dataset.
 	Rule aggregate.Rule
 	// LR / Momentum / WeightDecay configure the server-side SGD step.
 	LR          float64
@@ -214,7 +210,8 @@ type Stats struct {
 	// carrying NaN or ±Inf coordinates (also counted in Rejects).
 	NonFiniteRejects int64
 	// EmptySelects counts steps skipped with nothing to merge: the defense
-	// kept nothing, or every position of a deterministic block was refused.
+	// kept nothing of a buffer with a stale entry, or every position of a
+	// deterministic block was refused.
 	EmptySelects  int64
 	AliveSessions int
 	Expired       int64 // sessions ever expired
@@ -274,11 +271,10 @@ type Aggregator struct {
 	// needs no cap.
 	spare [][]float64
 	// Per-step scratch, resliced by every step.
-	buf        []entry
-	grads      [][]float64
-	staleness  []int
-	mergeGrads [][]float64
-	mergeStale []int
+	buf       []entry
+	grads     [][]float64
+	staleness []int
+	scratch   aggregate.StepScratch
 
 	steps            int64
 	ingestBytes      int64
@@ -612,9 +608,10 @@ func (a *Aggregator) Flush(version int) (stepped bool) {
 	return a.version > version
 }
 
-// stepLocked drains the whole buffer in arrival order, filters it through
-// the defense, merges the survivors under staleness weights, applies the
-// server SGD step and restarts the K-cadence. Callers hold a.mu.
+// stepLocked drains the whole buffer in arrival order, hands it to
+// aggregate.Step (defense, staleness-weighted merge of the survivors,
+// finiteness check), applies the server SGD step and restarts the
+// K-cadence. Callers hold a.mu.
 func (a *Aggregator) stepLocked() {
 	a.sinceK = 0
 	buf := a.buf[:0]
@@ -642,74 +639,41 @@ func (a *Aggregator) stepLocked() {
 	defer a.releaseLocked(buf)
 
 	grads, staleness := a.grads[:0], a.staleness[:0]
-	sum, max := 0, 0
+	sum := 0
 	for _, e := range buf {
 		s := a.version - e.version
 		grads = append(grads, e.grad)
 		staleness = append(staleness, s)
 		sum += s
-		if s > max {
-			max = s
-		}
 	}
 	a.grads, a.staleness = grads, staleness
 
-	kept := len(buf)
-	mergeGrads, mergeStale := grads, staleness
-	var merged []float64
+	var defend func([][]float64) (*aggregate.Result, error)
 	if a.cfg.Rule != nil {
-		res, err := a.cfg.Rule.Aggregate(grads)
-		if err != nil {
-			// A failing defense must not default to an undefended mean:
-			// discard the buffer and skip the step.
-			a.ruleErrors++
-			a.logf("asyncfl: defense %s failed on %d-update buffer: %v (step skipped)", a.cfg.Rule.Name(), len(buf), err)
-			return
-		}
-		if res.Selected != nil {
-			if len(res.Selected) == 0 {
-				a.emptySelects++
-				a.logf("asyncfl: defense %s kept nothing of %d-update buffer (step skipped)", a.cfg.Rule.Name(), len(buf))
-				return
-			}
-			kept = len(res.Selected)
-		}
-		if res.Selected == nil || max == 0 {
-			// The rule's aggregate is the merge: staleness cannot be
-			// attributed per client through a coordinate-wise rule, and an
-			// all-fresh buffer (every weight exactly 1) has none to attribute.
-			merged = res.Gradient
-		} else {
-			mergeGrads, mergeStale = a.mergeGrads[:0], a.mergeStale[:0]
-			for _, idx := range res.Selected {
-				mergeGrads = append(mergeGrads, grads[idx])
-				mergeStale = append(mergeStale, staleness[idx])
-			}
-			a.mergeGrads, a.mergeStale = mergeGrads, mergeStale
-		}
+		defend = a.cfg.Rule.Aggregate
 	}
-	if merged == nil {
-		var err error
-		merged, err = WeightedMerge(mergeGrads, mergeStale, a.cfg.Alpha)
-		if err != nil {
-			a.ruleErrors++
-			a.logf("asyncfl: merge failed: %v (step skipped)", err)
-			return
-		}
-	}
-	if !tensor.AllFinite(merged) {
-		// Defense-in-depth behind the ingest screen: a finite but huge
-		// buffer can still overflow the staleness-weighted merge, and a
-		// caller-supplied rule is not necessarily output-guarded. A
-		// non-finite merge must never reach the optimizer.
+	merged, res, out, err := aggregate.Step(defend, grads, staleness, a.cfg.Alpha, &a.scratch)
+	switch out {
+	case aggregate.KeptNone:
+		a.emptySelects++
+		a.logf("asyncfl: %v (step skipped)", err)
+		return
+	case aggregate.RuleFailed, aggregate.NonFiniteMerge:
+		// A failing defense must not default to an undefended mean, and a
+		// non-finite merge must never reach the optimizer: discard the
+		// buffer and skip the step.
 		a.ruleErrors++
-		a.logf("asyncfl: non-finite merged aggregate from %d-update buffer (step skipped)", len(buf))
+		a.logf("asyncfl: step over %d-update buffer failed: %v (step skipped)", len(buf), err)
 		return
 	}
 	if err := a.opt.Step(a.params, merged); err != nil {
 		a.ruleErrors++
 		a.logf("asyncfl: optimizer step failed: %v", err)
 		return
+	}
+	kept := len(buf)
+	if res != nil && res.Selected != nil {
+		kept = len(res.Selected)
 	}
 	a.steps++
 	a.version++

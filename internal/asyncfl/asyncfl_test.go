@@ -14,96 +14,6 @@ import (
 	"github.com/signguard/signguard/internal/tensor"
 )
 
-// --- staleness weighting edge cases ---------------------------------------
-
-func TestWeightFresh(t *testing.T) {
-	for _, alpha := range []float64{0, 0.5, 1, 3} {
-		if w := Weight(0, alpha); w != 1 {
-			t.Errorf("Weight(0, %v) = %v, want exactly 1", alpha, w)
-		}
-	}
-}
-
-func TestWeightAlphaZeroIsUniform(t *testing.T) {
-	for _, s := range []int{0, 1, 7, 1000} {
-		if w := Weight(s, 0); w != 1 {
-			t.Errorf("Weight(%d, 0) = %v, want exactly 1", s, w)
-		}
-	}
-}
-
-func TestWeightVeryStaleVanishes(t *testing.T) {
-	prev := math.Inf(1)
-	for _, s := range []int{1, 10, 100, 10000, 1 << 30} {
-		w := Weight(s, 1.5)
-		if w <= 0 || w >= 1 {
-			t.Fatalf("Weight(%d, 1.5) = %v, want in (0, 1)", s, w)
-		}
-		if w >= prev {
-			t.Fatalf("Weight not monotonically decreasing at s=%d: %v >= %v", s, w, prev)
-		}
-		prev = w
-	}
-	if w := Weight(1<<30, 1.5); w > 1e-12 {
-		t.Errorf("very stale weight %v, want ~0", w)
-	}
-}
-
-func TestWeightedMergeAlphaZeroIsPlainMean(t *testing.T) {
-	rng := tensor.NewRNG(7)
-	grads := make([][]float64, 5)
-	stale := make([]int, 5)
-	for i := range grads {
-		grads[i] = tensor.RandNormal(rng, 16, 0, 1)
-		stale[i] = i * 3 // staleness must be irrelevant at alpha = 0
-	}
-	got, err := WeightedMerge(grads, stale, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The reference mean accumulates in the same order with the same
-	// normalization (sum of unit weights), so equality is bitwise.
-	want := make([]float64, 16)
-	for _, g := range grads {
-		for j, v := range g {
-			want[j] += v
-		}
-	}
-	for j := range want {
-		want[j] *= 1.0 / 5.0
-	}
-	for j := range want {
-		if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
-			t.Fatalf("coordinate %d: got %v want %v (not byte-identical)", j, got[j], want[j])
-		}
-	}
-}
-
-func TestWeightedMergeDiscountsStale(t *testing.T) {
-	// One fresh gradient pointing at +1, one very stale at -1: the merge
-	// must land near +1, not near 0.
-	grads := [][]float64{{1}, {-1}}
-	got, err := WeightedMerge(grads, []int{0, 1000}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0] < 0.99 {
-		t.Fatalf("stale gradient dominated the merge: %v", got[0])
-	}
-}
-
-func TestWeightedMergeErrors(t *testing.T) {
-	if _, err := WeightedMerge(nil, nil, 1); err == nil {
-		t.Error("empty buffer: want error")
-	}
-	if _, err := WeightedMerge([][]float64{{1}}, []int{0, 1}, 1); err == nil {
-		t.Error("length mismatch: want error")
-	}
-	if _, err := WeightedMerge([][]float64{{1}, {1, 2}}, []int{0, 0}, 1); err == nil {
-		t.Error("dim mismatch: want error")
-	}
-}
-
 // --- aggregator core -------------------------------------------------------
 
 func testConfig(dim, k int) Config {
@@ -165,9 +75,16 @@ func TestAlphaZeroStepIsPlainBufferedMean(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	mean, err := WeightedMerge(grads, make([]int, 4), 0)
-	if err != nil {
-		t.Fatal(err)
+	// The buffered mean accumulates in arrival order and scales by the
+	// inverse of the unit weights' sum, so equality is bitwise.
+	mean := make([]float64, dim)
+	for _, g := range grads {
+		for j, v := range g {
+			mean[j] += v
+		}
+	}
+	for j := range mean {
+		mean[j] *= 1.0 / 4.0
 	}
 	want := make([]float64, dim)
 	opt := nn.NewSGD(cfg.LR, cfg.Momentum, cfg.WeightDecay)
@@ -332,6 +249,42 @@ func TestCoordinatewiseDefenseUsesOwnAggregate(t *testing.T) {
 	want := -cfg.LR * 2 // median of {1, 100, 2}
 	if math.Abs(params[0]-want) > 1e-12 {
 		t.Fatalf("params = %v, want %v (median step)", params[0], want)
+	}
+}
+
+// TestStaleEmptySelectionSkipsStep: a rule that keeps nothing of a buffer
+// holding a stale entry leaves no survivor to weight, so the step is skipped
+// and counted as an empty selection. The same answer on an all-fresh buffer
+// is the rule's own aggregate, and steps.
+func TestStaleEmptySelectionSkipsStep(t *testing.T) {
+	cfg := testConfig(2, 2)
+	cfg.Rule = stubRule{res: &aggregate.Result{Gradient: []float64{1, 1}, Selected: []int{}}}
+	a, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.version = 1
+	g := []float64{3, 3}
+	mustSubmit(t, a, Update{Client: "fresh", Version: 1, Grad: g})
+	if res, err := a.Submit(Update{Client: "stale", Version: 0, Grad: g}); err != nil || res.Stepped {
+		t.Fatalf("stale buffer: res=%+v err=%v, want no step", res, err)
+	}
+	if st := a.Stats(); st.EmptySelects != 1 || st.Steps != 0 || st.Version != 1 || st.RuleErrors != 0 {
+		t.Fatalf("stats = %+v, want one empty selection at version 1", st)
+	}
+	if _, params, _ := a.Model(); params[0] != 0 || params[1] != 0 {
+		t.Fatalf("params = %v, want untouched", params)
+	}
+
+	mustSubmit(t, a, Update{Client: "fresh", Version: 1, Grad: g})
+	if res, err := a.Submit(Update{Client: "other", Version: 1, Grad: g}); err != nil || !res.Stepped {
+		t.Fatalf("fresh buffer: res=%+v err=%v, want the rule's aggregate stepped", res, err)
+	}
+	if _, params, _ := a.Model(); params[0] != -cfg.LR || params[1] != -cfg.LR {
+		t.Fatalf("params = %v, want one step along the rule's [1 1]", params)
+	}
+	if h := a.History(); len(h) != 1 || h[0].Kept != 0 || h[0].Buffer != 2 {
+		t.Fatalf("history = %+v, want one step keeping 0 of 2", h)
 	}
 }
 

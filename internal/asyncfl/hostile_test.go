@@ -120,20 +120,6 @@ func TestHostileTrafficDoesNotWedgeSteps(t *testing.T) {
 	}
 }
 
-// The staleness-weighted merge itself must refuse non-finite inputs: it is
-// the last stop before the optimizer for library callers that bypass
-// Submit's screen.
-func TestWeightedMergeNonFiniteRegression(t *testing.T) {
-	grads := [][]float64{
-		{1, 2, 3},
-		{4, math.NaN(), 6},
-	}
-	out, err := WeightedMerge(grads, []int{0, 1}, 0.5)
-	if err == nil && !tensor.AllFinite(out) {
-		t.Fatalf("WeightedMerge produced a non-finite merge without error: %v", out)
-	}
-}
-
 // A buffer of finite gradients at the float64 limit passes the ingest
 // screen but overflows the merge sum to +Inf; the step must be skipped
 // rather than fold Inf into the model.

@@ -93,11 +93,10 @@ type Cell struct {
 	// "levels"), resolved through the codec registry like RuleHyper.
 	// Unknown names fail validation before any cell trains.
 	CodecHyper map[string]float64 `json:",omitempty"`
-	// NonFinitePolicy selects the round pipeline's post-adversary screening
-	// of non-finite gradients ("" = the legacy behavior: any non-finite
-	// submission ends the run as diverged; "reject" drops each non-finite
-	// gradient from its round through internal/sanitize). Any other name
-	// fails validation before any cell trains.
+	// NonFinitePolicy is cell identity only: "" or "reject", and the round
+	// pipeline refuses each non-finite gradient from its round under
+	// either. "reject" keeps the hostile grid's stored keys. Any other
+	// name fails validation before any cell trains.
 	NonFinitePolicy string `json:",omitempty"`
 	// Probe names an optional registered per-round observer whose output
 	// is stored with the result (e.g. the Fig. 2 sign-statistics probe).

@@ -65,28 +65,30 @@ func TestValidateRejectsBadNonFinitePolicy(t *testing.T) {
 }
 
 // TestNonFiniteCellsThroughEngine runs the hostile-input axis end to end:
-// under the legacy zero policy a NaN-injection attack diverges the run (the
-// historical semantics), under the reject policy the same cell screens the
-// hostile submissions and completes.
+// under either policy name a NaN-injection cell screens the hostile
+// submissions and completes, and the name changes the cell's key, not its
+// result.
 func TestNonFiniteCellsThroughEngine(t *testing.T) {
 	reg := testRegistry()
 	reg.RegisterAttack("NonFinite-NaN", func(_ campaign.Cell, _ int64) (attack.Attack, error) {
 		return attack.NewNonFinite(attack.NaNValue), nil
 	})
-	legacy := campaign.NewCell("tiny", "Mean", "NonFinite-NaN", tinyParams(1))
-	screened := legacy
+	unnamed := campaign.NewCell("tiny", "Mean", "NonFinite-NaN", tinyParams(1))
+	screened := unnamed
 	screened.NonFinitePolicy = sanitize.Reject.String()
-	spec := campaign.Spec{Name: "hostile", Cells: []campaign.Cell{legacy, screened}}
+	spec := campaign.Spec{Name: "hostile", Cells: []campaign.Cell{unnamed, screened}}
 
 	e := &campaign.Engine{Registry: reg, Workers: 2}
 	rep := mustRun(t, e, spec)
-	if !rep.Results[0].Diverged {
-		t.Error("legacy policy did not diverge under NaN injection")
+	u, r := rep.Results[0], rep.Results[1]
+	if r.Diverged || u.Diverged {
+		t.Errorf("Diverged = %v (\"\") / %v (reject): hostile submissions were not screened", u.Diverged, r.Diverged)
 	}
-	if rep.Results[1].Diverged {
-		t.Error("reject policy diverged: hostile submissions were not screened")
-	}
-	if rep.Results[1].NonFiniteScreened == 0 {
+	if r.NonFiniteScreened == 0 {
 		t.Error("reject policy screened nothing under a NaN-injection attack")
+	}
+	if u.BestAccuracy != r.BestAccuracy || u.NonFiniteScreened != r.NonFiniteScreened {
+		t.Errorf("\"\" cell: accuracy %v, %d screened; reject cell: %v, %d; want the same run",
+			u.BestAccuracy, u.NonFiniteScreened, r.BestAccuracy, r.NonFiniteScreened)
 	}
 }

@@ -132,16 +132,6 @@ func (r *Registry) codecFor(c Cell) (codec.Codec, error) {
 	return r.codecs.Build(c.Codec, codec.Params{Hyper: c.CodecHyper})
 }
 
-// nonFiniteFor maps a cell's NonFinitePolicy name to the sanitize policy
-// the fl engine's ingest screen runs ("" = the zero policy, i.e. the
-// legacy diverge-on-non-finite contract).
-func nonFiniteFor(c Cell) (sanitize.Policy, error) {
-	if c.NonFinitePolicy == "" {
-		return 0, nil
-	}
-	return sanitize.ParsePolicy("NonFinitePolicy", c.NonFinitePolicy)
-}
-
 // participationFor maps a cell's participation fields to the fl stage
 // (nil = engine default, i.e. full participation).
 func participationFor(c Cell) (fl.Participation, error) {
@@ -178,8 +168,10 @@ func (r *Registry) Validate(spec Spec) error {
 		if _, err := participationFor(c); err != nil {
 			return fmt.Errorf("cell %d (%s): %w", i, c.ID(), err)
 		}
-		if _, err := nonFiniteFor(c); err != nil {
-			return fmt.Errorf("cell %d (%s): %w", i, c.ID(), err)
+		if c.NonFinitePolicy != "" {
+			if _, err := sanitize.ParsePolicy("NonFinitePolicy", c.NonFinitePolicy); err != nil {
+				return fmt.Errorf("cell %d (%s): %w", i, c.ID(), err)
+			}
 		}
 		if c.Codec != "" {
 			if err := r.codecs.ValidateHyper(c.Codec, c.CodecHyper); err != nil {

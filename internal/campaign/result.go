@@ -39,7 +39,7 @@ type CellResult struct {
 	WireBytes int64 `json:",omitempty"`
 
 	// NonFiniteScreened is the run total of submissions the non-finite
-	// ingest screen dropped (cells with a NonFinitePolicy axis only).
+	// ingest screen refused.
 	NonFiniteScreened int `json:",omitempty"`
 
 	// Probe holds the serialized output of the cell's probe, if any.

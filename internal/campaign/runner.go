@@ -76,10 +76,6 @@ func (r *runner) executeCell(c Cell, key string) (*CellResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("building codec %s: %w", c.Codec, err)
 	}
-	policy, err := nonFiniteFor(c)
-	if err != nil {
-		return nil, err
-	}
 
 	// The one place an experiment cell's fl.Config is assembled.
 	sim, err := fl.New(fl.Config{
@@ -97,7 +93,6 @@ func (r *runner) executeCell(c Cell, key string) (*CellResult, error) {
 		EvalEvery:   p.EvalEvery,
 		EvalSamples: p.EvalSamples,
 		NonIID:      nonIID,
-		NonFinite:   policy,
 		Pipeline:    fl.Pipeline{Participation: participation, Codec: wireCodec},
 		Seed:        p.Seed,
 		RoundHook:   hook,

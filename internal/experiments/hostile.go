@@ -9,10 +9,10 @@ import (
 
 // This file declares the hostile-input campaign: the NonFinite attack
 // family (NaN/±Inf injection, full-vector and sparse) swept against the
-// full defense catalog with the reject ingest screen enabled. The question
-// it answers is operational rather than statistical — with screening on,
-// does every defense keep training (and at what accuracy), and how many
-// hostile submissions does the screen absorb along the way?
+// full defense catalog through the round pipeline's ingest screen. The
+// question it answers is operational rather than statistical — with the
+// screen refusing the poison, does every defense keep training (and at what
+// accuracy), and how many hostile submissions does it absorb along the way?
 
 // hostileAttacks are the swept non-finite injections: the three full-vector
 // poisons and the sparse variant that hides 1% poisoned coordinates inside
@@ -28,8 +28,9 @@ var hostileRules = []string{"SignGuard", "Multi-Krum", "DnC", "Median", "Mean"}
 
 // hostileSpec declares the hostile-input sweep: defense × non-finite attack
 // on the MNIST analog, every cell carrying the reject screening policy.
-// The policy is cell identity (the /nonfinite= axis), so screened runs
-// cache separately from legacy diverge-on-non-finite runs of the same grid.
+// The round pipeline refuses non-finite submissions whatever the policy
+// says; it is cell identity only (the /nonfinite= axis), kept so the
+// grid's stored results keep their keys.
 func hostileSpec(p Params) campaign.Spec {
 	spec := campaign.Spec{Name: "hostile"}
 	for _, rule := range hostileRules {

@@ -110,14 +110,9 @@ type Config struct {
 	// NonIID, when non-nil, uses the paper's non-IID partition.
 	NonIID *NonIID
 
-	// NonFinite selects the server's screening of non-finite submitted
-	// gradients (see internal/sanitize). The zero value keeps the legacy
-	// contract: any non-finite submission ends the run as diverged.
-	// sanitize.Reject screens per gradient instead and drops a non-finite
-	// submission from the round's buffer, so a hostile-input attack costs
-	// the attacker its slot, not the server its run. Screening happens
-	// post-adversary, before the codec stage, mirroring the ingest gate of
-	// the async serving layer.
+	// NonFinite has no effect, like sanitize.Screen's policy argument: Step
+	// always refuses a non-finite submitted gradient. The field stays for
+	// the callers that still set it.
 	NonFinite sanitize.Policy
 
 	// Seed drives every random choice of the run. Each pipeline stage
@@ -159,8 +154,6 @@ func (c *Config) validate() error {
 		return fmt.Errorf("fl: batch size %d invalid", c.BatchSize)
 	case c.LR <= 0 && c.Pipeline.Update == nil:
 		return fmt.Errorf("fl: learning rate %v invalid", c.LR)
-	case c.NonFinite != 0 && c.NonFinite != sanitize.Reject:
-		return fmt.Errorf("fl: unknown non-finite policy %d", int(c.NonFinite))
 	}
 	if p, ok := c.Pipeline.Participation.(UniformSubsample); ok {
 		if p.K < 1 || p.K > c.Clients {
@@ -192,9 +185,11 @@ type Simulation struct {
 	// one: localGrads backs the cohort's local gradients (participant i at
 	// [i*d, (i+1)*d), see LocalEnv), and slots[i] is arrival slot i's codec
 	// stage state (see codecSlot). Nothing backed by them outlives Step (see
-	// RoundState).
-	localGrads []float64
-	slots      []codecSlot
+	// RoundState). stepScratch is aggregate.Step's; a round carries no
+	// staleness, so the step never merges into it.
+	localGrads  []float64
+	slots       []codecSlot
+	stepScratch aggregate.StepScratch
 
 	// Server learning (FLTrust-style rules): the defense aggregates against
 	// a reference gradient the server computes each round on its own root
@@ -540,38 +535,26 @@ func (s *Simulation) Step(round int) (*RoundMetrics, error) {
 		byzMask[pos] = true
 	}
 
-	// Ingest screening of the submitted buffer. Without a policy the
-	// legacy contract holds: any non-finite submission ends the run as
-	// diverged. With Reject, each gradient is screened individually — a
-	// non-finite one is dropped with its Byzantine-mask slot — and only the
-	// survivors reach the wire.
+	// Ingest screening of the submitted buffer: one norm pass per gradient.
+	// A non-finite gradient is refused and dropped with its Byzantine-mask
+	// slot; a finite one whose norm is beyond the usable range means the
+	// model has diverged. Only the survivors reach the wire.
 	var screened int
-	if s.cfg.NonFinite == 0 {
-		for _, g := range grads {
-			if !gradientHealthy(g) {
-				// The attack itself overflowed (honest inputs were usable).
+	kept, keptMask := grads[:0], byzMask[:0]
+	for i, g := range grads {
+		if !gradientHealthy(g) {
+			if tensor.AllFinite(g) {
 				return nil, fmt.Errorf("%w: unusable submitted gradient in round %d", ErrDiverged, round)
 			}
+			screened++
+			continue
 		}
-	} else {
-		kept, keptMask := grads[:0], byzMask[:0]
-		for i, g := range grads {
-			if sanitize.Screen(g, s.cfg.NonFinite) == sanitize.Rejected {
-				screened++
-				continue
-			}
-			if !gradientHealthy(g) {
-				// Finite but overflow-prone (norm beyond the usable range):
-				// still a diverged model, not a screenable submission.
-				return nil, fmt.Errorf("%w: unusable submitted gradient in round %d", ErrDiverged, round)
-			}
-			kept = append(kept, g)
-			keptMask = append(keptMask, byzMask[i])
-		}
-		grads, byzMask = kept, keptMask
-		if len(grads) == 0 {
-			return nil, fmt.Errorf("%w: every submitted gradient was non-finite in round %d", ErrDiverged, round)
-		}
+		kept = append(kept, g)
+		keptMask = append(keptMask, byzMask[i])
+	}
+	grads, byzMask = kept, keptMask
+	if len(grads) == 0 {
+		return nil, fmt.Errorf("%w: every submitted gradient was non-finite in round %d", ErrDiverged, round)
 	}
 
 	// Stage 4: codec. Each submitted gradient crosses the wire in encoded
@@ -597,24 +580,19 @@ func (s *Simulation) Step(round int) (*RoundMetrics, error) {
 		s.learner.SetServerGradient(out.Grad)
 	}
 
-	// Stage 5: defense.
-	res, err := s.pipe.Defense.Aggregate(round, grads)
-	if err != nil {
-		if errors.Is(err, aggregate.ErrNonFiniteAggregate) {
-			// The rule's output guard fired: same terminal training state
-			// as the historical post-aggregation finiteness check below.
-			return nil, fmt.Errorf("%w: rule %s produced a non-finite aggregate in round %d",
-				ErrDiverged, s.pipe.Defense.Name(), round)
-		}
-		return nil, fmt.Errorf("fl: rule %s: %w", s.pipe.Defense.Name(), err)
-	}
-	if !tensor.AllFinite(res.Gradient) {
+	// Stages 5 and 6: defense, then the server update. The round's buffer
+	// carries no staleness, so the step is the defense's own aggregate.
+	merged, res, out, err := aggregate.Step(func(g [][]float64) (*aggregate.Result, error) {
+		return s.pipe.Defense.Aggregate(round, g)
+	}, grads, nil, 0, &s.stepScratch)
+	switch out {
+	case aggregate.NonFiniteMerge:
 		return nil, fmt.Errorf("%w: rule %s produced a non-finite aggregate in round %d",
 			ErrDiverged, s.pipe.Defense.Name(), round)
+	case aggregate.RuleFailed, aggregate.KeptNone:
+		return nil, fmt.Errorf("fl: rule %s: %w", s.pipe.Defense.Name(), err)
 	}
-
-	// Stage 6: server update.
-	if err := s.pipe.Update.Apply(round, s.global, res.Gradient); err != nil {
+	if err := s.pipe.Update.Apply(round, s.global, merged); err != nil {
 		return nil, err
 	}
 

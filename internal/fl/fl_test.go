@@ -338,3 +338,65 @@ func TestDivergedRunEndsGracefully(t *testing.T) {
 		t.Errorf("diverged run recorded %d rounds, expected early stop", len(res.History))
 	}
 }
+
+// TestNonFiniteSubmissionRefused: a zero-valued Config refuses a NaN
+// submission from its round, like the serving core's ingest, and trains on:
+// a hostile client costs itself its slot, not the server its run.
+func TestNonFiniteSubmissionRefused(t *testing.T) {
+	cfg := baseConfig(tinyDataset(t))
+	cfg.NumByz = 3
+	cfg.Attack = attack.NewNonFinite(attack.NaNValue)
+	cfg.Rounds = 5
+	sim, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sim.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Diverged || len(res.History) != cfg.Rounds {
+		t.Fatalf("Diverged = %v after %d of %d rounds, want a completed run", res.Diverged, len(res.History), cfg.Rounds)
+	}
+	if want := cfg.NumByz * cfg.Rounds; res.NonFiniteScreened != want {
+		t.Errorf("NonFiniteScreened = %d, want %d (every hostile submission)", res.NonFiniteScreened, want)
+	}
+}
+
+// hugeAttack submits finite gradients whose norm is beyond the range the
+// defenses' squared distances can take.
+type hugeAttack struct{}
+
+func (hugeAttack) Name() string { return "huge" }
+
+func (hugeAttack) Craft(ctx *attack.Context) ([][]float64, error) {
+	out := make([][]float64, len(ctx.ByzOwn))
+	for i, g := range ctx.ByzOwn {
+		out[i] = make([]float64, len(g))
+		for j := range out[i] {
+			out[i][j] = 1e141
+		}
+	}
+	return out, nil
+}
+
+// TestHugeFiniteSubmissionDiverges pins the other half of the ingest
+// screen: a finite submission is never refused, and one whose norm is above
+// 1e140 means the run has diverged.
+func TestHugeFiniteSubmissionDiverges(t *testing.T) {
+	cfg := baseConfig(tinyDataset(t))
+	cfg.NumByz = 3
+	cfg.Attack = hugeAttack{}
+	sim, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sim.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Diverged || len(res.History) != 0 || res.NonFiniteScreened != 0 {
+		t.Fatalf("Diverged = %v after %d rounds, %d screened: want divergence in round 0, nothing screened",
+			res.Diverged, len(res.History), res.NonFiniteScreened)
+	}
+}

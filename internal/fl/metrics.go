@@ -19,8 +19,7 @@ type RoundMetrics struct {
 	WireBytes int64
 
 	// NonFiniteScreened counts submissions the round's ingest screen
-	// dropped as non-finite (always 0 under the legacy zero policy, which
-	// diverges instead of screening).
+	// refused as non-finite.
 	NonFiniteScreened int
 }
 

@@ -16,10 +16,10 @@ import (
 	"github.com/signguard/signguard/internal/tensor"
 )
 
-// Policy selects what happens to a gradient carrying NaN or ±Inf
-// coordinates. Reject is the only one; the zero value means "no screen"
-// where an ingest surface allows that (the simulation pipeline keeps its
-// historical diverged-run semantics).
+// Policy names what happens to a gradient carrying NaN or ±Inf
+// coordinates. Reject is the only disposition: every ingest surface refuses
+// such a gradient whatever Policy its caller names, the zero value
+// included.
 type Policy int
 
 // Reject refuses the whole update: the submitter is told, nothing enters
