@@ -180,3 +180,4 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzAsyncSubmitBody$$' -fuzztime $(FUZZTIME) ./internal/transport
 	$(GO) test -run '^$$' -fuzz '^FuzzAsyncModelBody$$' -fuzztime $(FUZZTIME) ./internal/transport
 	$(GO) test -run '^$$' -fuzz '^FuzzConv2DMatchesOracle$$' -fuzztime $(FUZZTIME) ./internal/nn
+	$(GO) test -run '^$$' -fuzz '^FuzzElementwiseMatchesOracle$$' -fuzztime $(FUZZTIME) ./internal/nn

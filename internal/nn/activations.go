@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/signguard/signguard/internal/tensor"
 )
@@ -22,20 +23,30 @@ func (r *ReLU) Forward(x *tensor.Matrix) (*tensor.Matrix, error) {
 	return r.forwardWs(nil, 0, x)
 }
 
-// forwardWs is Forward with an optional workspace buffer. The else branch
-// writes an explicit +0.0 — the value a fresh zeroed matrix holds — so a
-// stale arena buffer produces byte-identical output.
+// forwardWs is Forward with an optional workspace buffer. Every element is
+// written — a non-positive input as +0, the value a fresh zeroed matrix
+// holds — so a stale arena buffer produces byte-identical output.
 func (r *ReLU) forwardWs(ws *Workspace, id int, x *tensor.Matrix) (*tensor.Matrix, error) {
 	r.lastInput = x
 	out := ws.matrix(id, wsFwd, x.Rows, x.Cols)
+	dst := out.Data[:len(x.Data)]
 	for i, v := range x.Data {
-		if v > 0 {
-			out.Data[i] = v
-		} else {
-			out.Data[i] = 0
-		}
+		b := math.Float64bits(v)
+		dst[i] = math.Float64frombits(b & positiveMask(b))
 	}
 	return out, nil
+}
+
+// positiveMask returns all ones when the float64 with bits b is above zero
+// (+denormal through +Inf) and zero otherwise (±0, negatives, NaN of either
+// sign). That is b−1 < 0x7FF0000000000000 unsigned, computed without a
+// branch: the sign bit of ^t & (t − 0x7FF0000000000000) is set exactly when
+// t = b−1 has a clear sign bit (so the subtraction cannot wrap) and lies
+// below +Inf's bits. ReLU selects through it because activation signs are
+// close to a coin flip, which a branch mispredicts and a mask does not.
+func positiveMask(b uint64) uint64 {
+	t := b - 1
+	return uint64(int64(^t&(t-0x7FF0000000000000)) >> 63)
 }
 
 // Backward gates the incoming gradient by the activation mask.
@@ -44,7 +55,8 @@ func (r *ReLU) Backward(grad *tensor.Matrix) (*tensor.Matrix, error) {
 }
 
 // backwardWs is Backward with an optional workspace buffer (fully
-// overwritten, like forwardWs).
+// overwritten, like forwardWs): the gradient's bits pass where the input was
+// above zero, +0 elsewhere.
 func (r *ReLU) backwardWs(ws *Workspace, id int, grad *tensor.Matrix) (*tensor.Matrix, error) {
 	if r.lastInput == nil {
 		return nil, fmt.Errorf("nn: ReLU.Backward before Forward")
@@ -54,12 +66,9 @@ func (r *ReLU) backwardWs(ws *Workspace, id int, grad *tensor.Matrix) (*tensor.M
 			ErrShape, grad.Rows, grad.Cols, r.lastInput.Rows, r.lastInput.Cols)
 	}
 	dx := ws.matrix(id, wsDX, grad.Rows, grad.Cols)
-	for i, v := range r.lastInput.Data {
-		if v > 0 {
-			dx.Data[i] = grad.Data[i]
-		} else {
-			dx.Data[i] = 0
-		}
+	g, dst := grad.Data, dx.Data[:len(grad.Data)]
+	for i, v := range r.lastInput.Data[:len(g)] {
+		dst[i] = math.Float64frombits(math.Float64bits(g[i]) & positiveMask(math.Float64bits(v)))
 	}
 	return dx, nil
 }

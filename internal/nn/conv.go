@@ -27,6 +27,11 @@ type Conv2D struct {
 	// whole tile replaces the per-sample matrix allocations that used to
 	// dominate the allocation profile.
 	lastCols *tensor.Matrix
+	// segs[s] is where im2col segment s — column row (ch, ki, kj), output
+	// row oi, in that order — starts in the zero-bordered plane (see
+	// planeSize); the segment is cols[s*OutW:][:OutW]. It depends only on
+	// the shape, so NewConv2D builds it once.
+	segs []int
 }
 
 var _ Layer = (*Conv2D)(nil)
@@ -47,6 +52,19 @@ func NewConv2D(rng *rand.Rand, inC, inH, inW, outC, k, pad int) (*Conv2D, error)
 		weight: newParam(fmt.Sprintf("conv%dx%dx%d.weight", outC, inC, k), outC*inC*k*k),
 		bias:   newParam(fmt.Sprintf("conv%dx%dx%d.bias", outC, inC, k), outC),
 	}
+	// Output (oi, oj) of column row (ch, ki, kj) reads plane position
+	// (oi+ki, oj+kj) of block ch.
+	ph, pw := inH+2*pad, inW+2*pad
+	c.segs = make([]int, 0, inC*k*k*outH)
+	for ch := 0; ch < inC; ch++ {
+		for ki := 0; ki < k; ki++ {
+			for kj := 0; kj < k; kj++ {
+				for oi := 0; oi < outH; oi++ {
+					c.segs = append(c.segs, (ch*ph+ki+oi)*pw+kj)
+				}
+			}
+		}
+	}
 	fanIn := float64(inC * k * k)
 	bound := math.Sqrt(6.0 / fanIn)
 	for i := range c.weight.W {
@@ -58,64 +76,68 @@ func NewConv2D(rng *rand.Rand, inC, inH, inW, outC, k, pad int) (*Conv2D, error)
 // OutputSize returns the flattened per-sample output length OutC*OutH*OutW.
 func (c *Conv2D) OutputSize() int { return c.OutC * c.OutH * c.OutW }
 
-// im2colInto unrolls one CHW sample into rows [rowOff, rowOff+InC*K*K) of
-// cols. Every element of those rows is written — positions that fall in the
-// zero padding get an explicit 0, the value the old allocate-per-sample
-// implementation inherited from the zeroed allocation — so a stale arena
-// buffer produces byte-identical columns.
-func (c *Conv2D) im2colInto(cols *tensor.Matrix, rowOff int, sample []float64) {
-	for ch := 0; ch < c.InC; ch++ {
-		chOff := ch * c.InH * c.InW
-		for ki := 0; ki < c.K; ki++ {
-			for kj := 0; kj < c.K; kj++ {
-				rowIdx := (ch*c.K+ki)*c.K + kj
-				row := cols.Row(rowOff + rowIdx)
-				// Output columns [lo, hi) read input column oj-Pad+kj
-				// inside the sample; the rest read padding.
-				lo := max(0, c.Pad-kj)
-				hi := min(c.OutW, c.InW+c.Pad-kj)
-				for oi := 0; oi < c.OutH; oi++ {
-					si := oi - c.Pad + ki
-					seg := row[oi*c.OutW : (oi+1)*c.OutW]
-					if si < 0 || si >= c.InH || lo >= hi {
-						clear(seg)
-						continue
-					}
-					clear(seg[:lo])
-					clear(seg[hi:])
-					dst := seg[lo:hi]
-					src := sample[chOff+si*c.InW+lo-c.Pad+kj:][:len(dst)]
-					for i := range dst {
-						dst[i] = src[i]
-					}
-				}
+// planeSize is the length of the zero-bordered plane that im2colInto and
+// col2im stage a sample through: InC blocks of (InH+2Pad)×(InW+2Pad), with
+// channel ch's values in the interior of block ch. The input a column
+// position reads is always inside the plane — padding reads the border —
+// so every column-row segment is one contiguous run of it, with no bounds
+// logic and no runs of zeros to clear.
+func (c *Conv2D) planeSize() int { return c.InC * (c.InH + 2*c.Pad) * (c.InW + 2*c.Pad) }
+
+// im2colInto unrolls one CHW sample into cols, its InC*K*K rows of
+// OutH*OutW positions, through plane, whose border the caller keeps at +0.
+// Every element of cols is written; padding positions read the border's +0,
+// the value the allocate-per-sample implementation's zeroed columns held,
+// so a stale arena buffer produces byte-identical columns.
+func (c *Conv2D) im2colInto(cols, plane, sample []float64) {
+	inC, inH, inW, pad, outW := c.InC, c.InH, c.InW, c.Pad, c.OutW
+	ph, pw := inH+2*pad, inW+2*pad
+	s := 0
+	for ch := 0; ch < inC; ch++ {
+		p := (ch*ph+pad)*pw + pad
+		for i := 0; i < inH; i++ {
+			dst := plane[p:][:inW]
+			for j, v := range sample[s:][:len(dst)] {
+				dst[j] = v
 			}
+			p += pw
+			s += inW
+		}
+	}
+	for s, p := range c.segs {
+		dst := cols[s*outW:][:outW]
+		for j, v := range plane[p:][:len(dst)] {
+			dst[j] = v
 		}
 	}
 }
 
-// col2im scatters a (InC*K*K) x (OutH*OutW) gradient back into a CHW sample.
-func (c *Conv2D) col2im(cols *tensor.Matrix, sample []float64) {
-	for ch := 0; ch < c.InC; ch++ {
-		chOff := ch * c.InH * c.InW
-		for ki := 0; ki < c.K; ki++ {
-			for kj := 0; kj < c.K; kj++ {
-				rowIdx := (ch*c.K+ki)*c.K + kj
-				row := cols.Row(rowIdx)
-				for oi := 0; oi < c.OutH; oi++ {
-					si := oi - c.Pad + ki
-					if si < 0 || si >= c.InH {
-						continue
-					}
-					for oj := 0; oj < c.OutW; oj++ {
-						sj := oj - c.Pad + kj
-						if sj < 0 || sj >= c.InW {
-							continue
-						}
-						sample[chOff+si*c.InW+sj] += row[oi*c.OutW+oj]
-					}
-				}
+// col2im scatters a (InC*K*K) x (OutH*OutW) gradient back into sample, a
+// CHW input-gradient row, which it overwrites. It accumulates into plane
+// from +0 in the order the bounds-checked scatter into a zeroed sample used
+// — (ch, ki, kj, oi, oj) ascending, the order of segs — and then copies the
+// interior out, so each input position receives the same additions in the
+// same order; the border's sums, which belong to padding, are dropped.
+func (c *Conv2D) col2im(dcols, plane, sample []float64) {
+	inC, inH, inW, pad, outW := c.InC, c.InH, c.InW, c.Pad, c.OutW
+	ph, pw := inH+2*pad, inW+2*pad
+	clear(plane)
+	for s, p := range c.segs {
+		dst := plane[p:][:outW]
+		for j, v := range dcols[s*outW:][:len(dst)] {
+			dst[j] += v
+		}
+	}
+	s := 0
+	for ch := 0; ch < inC; ch++ {
+		p := (ch*ph+pad)*pw + pad
+		for i := 0; i < inH; i++ {
+			dst := sample[s:][:inW]
+			for j, v := range plane[p:][:len(dst)] {
+				dst[j] = v
 			}
+			p += pw
+			s += inW
 		}
 	}
 }
@@ -137,10 +159,13 @@ func (c *Conv2D) forwardWs(ws *Workspace, id int, x *tensor.Matrix) (*tensor.Mat
 	cols := ws.matrix(id, wsCols, x.Rows*colRows, spatial)
 	c.lastCols = cols
 	out := ws.matrix(id, wsFwd, x.Rows, c.OutputSize())
+	// im2colInto writes only the plane's interior: one zeroing per pass
+	// keeps the border at +0 for every sample.
+	plane := ws.matrixZeroed(id, wsPlane, 1, c.planeSize()).Data
 	for n := 0; n < x.Rows; n++ {
 		base := n * colRows
-		c.im2colInto(cols, base, x.Row(n))
 		sCols := cols.Data[base*spatial : (base+colRows)*spatial]
+		c.im2colInto(sCols, plane, x.Row(n))
 		oRow := out.Row(n)
 		for oc := 0; oc < c.OutC; oc++ {
 			convFilterForward(oRow[oc*spatial:(oc+1)*spatial], c.weight.W[oc*colRows:(oc+1)*colRows], c.bias.W[oc], sCols)
@@ -223,13 +248,14 @@ func (c *Conv2D) backward(ws *Workspace, id int, grad *tensor.Matrix, bounds []i
 	spatial := c.OutH * c.OutW
 	colRows := c.InC * c.K * c.K
 	var dx, dcols *tensor.Matrix
+	var plane []float64
 	var finiteW bool
 	if needDX {
-		// dX is accumulated into by col2im: zeroed checkout required.
-		dx = ws.matrixZeroed(id, wsDX, c.lastInput.Rows, c.lastInput.Cols)
-		// dcols is fully overwritten per sample, so a stale checkout is
-		// fine.
+		// dX, dcols and the plane are fully overwritten (col2im clears the
+		// plane per sample), so stale checkouts are fine.
+		dx = ws.matrix(id, wsDX, c.lastInput.Rows, c.lastInput.Cols)
 		dcols = ws.matrix(id, wsDCols, colRows, spatial)
+		plane = ws.matrix(id, wsPlane, 1, c.planeSize()).Data
 		finiteW = tensor.AllFinite(c.weight.W)
 	}
 	// Filter oc's nonzero gradient positions are nz[off[oc]:off[oc+1]],
@@ -285,7 +311,7 @@ func (c *Conv2D) backward(ws *Workspace, id int, grad *tensor.Matrix, bounds []i
 			} else {
 				c.colsGrad(dcols.Data, gRow)
 			}
-			c.col2im(dcols, dx.Row(n))
+			c.col2im(dcols.Data, plane, dx.Row(n))
 		}
 	}
 	return dx, nil
@@ -490,7 +516,7 @@ func (p *MaxPool2D) forwardWs(ws *Workspace, id int, x *tensor.Matrix) (*tensor.
 						}
 					}
 					if bestIdx < 0 {
-						best, bestIdx = p.noCandidate(sample, chOff, oi, oj)
+						best, bestIdx = p.noCandidate(sample, chOff+oi*p.Size*p.W+oj*p.Size)
 					}
 					outIdx := (c*p.OutH+oi)*p.OutW + oj
 					oRow[outIdx] = best
@@ -502,51 +528,71 @@ func (p *MaxPool2D) forwardWs(ws *Workspace, id int, x *tensor.Matrix) (*tensor.
 	return out, nil
 }
 
-// forward2x2 is the unrolled pooling pass for the ubiquitous 2x2 window:
-// the four candidates are compared in the exact (di,dj) order of the
-// generic loop — same strict-greater tie-breaking, same argmax — so the
-// specialization is byte-identical, only branch- and index-cheaper.
+// forward2x2 is the pooling pass for the ubiquitous 2x2 window. A CHW
+// sample is a (C·H)×W image whose window row r (channel r/OutH, output row
+// r%OutH) reads image rows 2r and 2r+1, so pool2x2 covers every channel in
+// one loop over window rows. A window with no candidate above −Inf is rare:
+// pool2x2 leaves its argmax at −1 and reports it, and it is resolved here,
+// after the pass.
 func (p *MaxPool2D) forward2x2(sample, oRow []float64, argmax []int) {
-	for c := 0; c < p.C; c++ {
-		chOff := c * p.H * p.W
-		for oi := 0; oi < p.OutH; oi++ {
-			top := chOff + 2*oi*p.W
-			bot := top + p.W
-			outBase := (c*p.OutH + oi) * p.OutW
-			for oj := 0; oj < p.OutW; oj++ {
-				i0 := top + 2*oj
-				i2 := bot + 2*oj
-				// Start from -Inf like the generic loop so NaN candidates
-				// lose every strict-greater comparison identically.
-				best, bestIdx := math.Inf(-1), -1
-				if v := sample[i0]; v > best {
-					best, bestIdx = v, i0
-				}
-				if v := sample[i0+1]; v > best {
-					best, bestIdx = v, i0+1
-				}
-				if v := sample[i2]; v > best {
-					best, bestIdx = v, i2
-				}
-				if v := sample[i2+1]; v > best {
-					best, bestIdx = v, i2+1
-				}
-				if bestIdx < 0 {
-					best, bestIdx = p.noCandidate(sample, chOff, oi, oj)
-				}
-				oRow[outBase+oj] = best
-				argmax[outBase+oj] = bestIdx
+	if pool2x2(oRow, argmax, sample, p.W) < 0 {
+		for k, i := range argmax {
+			if i < 0 {
+				oRow[k], argmax[k] = p.noCandidate(sample, 2*(k/p.OutW)*p.W+2*(k%p.OutW))
 			}
 		}
 	}
 }
 
-// noCandidate resolves window (oi, oj) of the channel at chOff when no
+// pool2x2 writes every 2x2 window's maximum to o and its input index to a,
+// for the windows of sample read as rows of width w; window k of o is in
+// window row k/(w/2). The four candidates are compared in the generic
+// loop's (di,dj) order with the same strict-greater tie-breaking, so the
+// output is byte-identical to it. The running maximum is carried as its
+// bits next to the argmax, and every candidate's bits are taken before the
+// comparisons, so each comparison selects two integers and the compiler
+// emits conditional moves, not branches that follow the activations'
+// signs. It returns a negative value when some window had no candidate
+// above −Inf (argmax −1).
+func pool2x2(o []float64, a []int, sample []float64, w int) (miss int) {
+	negInf := math.Float64bits(math.Inf(-1))
+	ow := w / 2
+	for top, k := 0, 0; k+ow <= len(o); top, k = top+2*w, k+ow {
+		t := sample[top:][:2*ow]
+		d := sample[top+w:][:len(t)]
+		or, ar := o[k:][:ow], a[k:][:ow]
+		for oj := range or {
+			j := 2 * oj
+			v0, v1, v2, v3 := t[j], t[j+1], d[j], d[j+1]
+			b0, b1, b2, b3 := math.Float64bits(v0), math.Float64bits(v1), math.Float64bits(v2), math.Float64bits(v3)
+			// Start from -Inf like the generic loop so NaN candidates lose
+			// every strict-greater comparison identically.
+			i := top + j
+			best, bestIdx := negInf, -1
+			if v0 > math.Float64frombits(best) {
+				best, bestIdx = b0, i
+			}
+			if v1 > math.Float64frombits(best) {
+				best, bestIdx = b1, i+1
+			}
+			if v2 > math.Float64frombits(best) {
+				best, bestIdx = b2, i+w
+			}
+			if v3 > math.Float64frombits(best) {
+				best, bestIdx = b3, i+w+1
+			}
+			or[oj], ar[oj] = math.Float64frombits(best), bestIdx
+			miss |= bestIdx
+		}
+	}
+	return miss
+}
+
+// noCandidate resolves the window whose top-left input is first when no
 // candidate is above −Inf, which leaves the strict-greater scan without an
 // argmax: the first NaN in (di, dj) order wins, so the NaN reaches the
 // output; a window of −Inf alone yields its first element.
-func (p *MaxPool2D) noCandidate(sample []float64, chOff, oi, oj int) (float64, int) {
-	first := chOff + oi*p.Size*p.W + oj*p.Size
+func (p *MaxPool2D) noCandidate(sample []float64, first int) (float64, int) {
 	for di := 0; di < p.Size; di++ {
 		for dj := 0; dj < p.Size; dj++ {
 			idx := first + di*p.W + dj

@@ -43,6 +43,33 @@ func oracleIm2col(c *Conv2D, cols *tensor.Matrix, rowOff int, sample []float64) 
 	}
 }
 
+// oracleCol2im is the reference col2im: the (InC*K*K) x (OutH*OutW)
+// gradient cols scattered into the CHW row sample, which starts at +0, one
+// bounds test per element, in (ch, ki, kj, oi, oj) order.
+func oracleCol2im(c *Conv2D, cols *tensor.Matrix, sample []float64) {
+	for ch := 0; ch < c.InC; ch++ {
+		chOff := ch * c.InH * c.InW
+		for ki := 0; ki < c.K; ki++ {
+			for kj := 0; kj < c.K; kj++ {
+				row := cols.Row((ch*c.K+ki)*c.K + kj)
+				for oi := 0; oi < c.OutH; oi++ {
+					si := oi - c.Pad + ki
+					if si < 0 || si >= c.InH {
+						continue
+					}
+					for oj := 0; oj < c.OutW; oj++ {
+						sj := oj - c.Pad + kj
+						if sj < 0 || sj >= c.InW {
+							continue
+						}
+						sample[chOff+si*c.InW+sj] += row[oi*c.OutW+oj]
+					}
+				}
+			}
+		}
+	}
+}
+
 // oracleConvForward is the reference Conv2D forward pass: the plain
 // per-sample, per-filter, per-column-row loop the blocked kernel replaced.
 // It returns the output and the stacked im2col columns, and leaves c's
@@ -80,7 +107,7 @@ func oracleConvForward(c *Conv2D, x *tensor.Matrix) (out, cols *tensor.Matrix) {
 // oracleConvBackward is the reference Conv2D backward pass over the columns
 // oracleConvForward returned: one serial chain per (sample, filter, column
 // row) for the filter gradient, fused with the im2col-gradient update, and
-// the layer's col2im.
+// oracleCol2im.
 // segGrads[s] = {filter grad, bias grad} of rows [bounds[s], bounds[s+1]).
 func oracleConvBackward(c *Conv2D, cols, grad *tensor.Matrix, bounds []int, segGrads [][][]float64) *tensor.Matrix {
 	dx := tensor.NewMatrix(grad.Rows, c.InC*c.InH*c.InW)
@@ -119,7 +146,7 @@ func oracleConvBackward(c *Conv2D, cols, grad *tensor.Matrix, bounds []int, segG
 				gwoc[r] += wgrad
 			}
 		}
-		c.col2im(dcols, dx.Row(n))
+		oracleCol2im(c, dcols, dx.Row(n))
 	}
 	return dx
 }
@@ -249,12 +276,19 @@ func newSegGrads(c *Conv2D, segs int) [][][]float64 {
 }
 
 // poisonWorkspace fills every buffer the arena holds, to its capacity,
-// with NaN: a pass through it reads nothing it did not write first.
+// with NaN, and every integer buffer with an index far out of range: a pass
+// through it reads nothing it did not write first.
 func poisonWorkspace(ws *Workspace) {
 	for _, m := range ws.mats {
 		full := m.Data[:cap(m.Data)]
 		for i := range full {
 			full[i] = math.NaN()
+		}
+	}
+	for _, s := range ws.ints {
+		full := s[:cap(s)]
+		for i := range full {
+			full[i] = math.MinInt / 2
 		}
 	}
 }

@@ -47,6 +47,7 @@ const (
 	wsDX                     // input gradient (accumulated: zeroed checkout)
 	wsCols                   // stacked im2col columns, all samples of the tile (fully overwritten)
 	wsDCols                  // one sample's im2col gradient, overwritten per sample (not checked out by a model's first layer)
+	wsPlane                  // Conv2D: one sample's zero-bordered input plane (forward: zeroed once per pass, interior rewritten per sample) or input-gradient plane (backward: cleared per sample)
 	wsArgmax                 // max-pool argmax indices
 	wsNZ                     // Conv2D backward: per-filter offsets, then one sample's nonzero output-gradient positions (rewritten per sample)
 	wsLossGrad               // softmax cross-entropy gradient
