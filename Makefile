@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test loc conformance serve-smoke paper-smoke race bench perf perf-compare trajectory profile profile-top cover fmt-check doc-check vet fuzz
+.PHONY: all build test loc conformance serve-smoke paper-smoke results-bench race bench perf perf-compare trajectory profile profile-top cover fmt-check doc-check vet fuzz
 
 # Fuzz budget per target for `make fuzz` (CI passes FUZZTIME=10s; raise it
 # locally for deeper runs, e.g. make fuzz FUZZTIME=2m).
@@ -66,6 +66,20 @@ paper-smoke:
 		"$$dir/campaign" export -name $$name -scale bench -cache-dir "$$dir/cache" -format md > "$$dir/$$name.md" && \
 		test -s "$$dir/$$name.md" && cat "$$dir/$$name.md" || exit 1; \
 	done
+
+# The bench-scale results golden: every experiment ("all", 788 cells) at
+# bench scale and seed 1, run into a fresh store under /tmp and exported as
+# markdown to docs/results-bench.md. A change that moves any rendered
+# number then shows up in `git diff`; the CI results job runs this target
+# and fails on a diff. About 9 minutes on two cores. The checked-in golden
+# is specific to linux/amd64 with the default GOAMD64 (v1): other
+# architectures may fuse multiply-adds into single instructions, which
+# round differently and move the last bits.
+results-bench:
+	@dir=$$(mktemp -d /tmp/results-bench.XXXXXX) && trap 'rm -rf "$$dir"' EXIT && \
+	$(GO) build -o "$$dir/campaign" ./cmd/campaign && \
+	"$$dir/campaign" run -name all -scale bench -seed 1 -cache-dir "$$dir/cache" && \
+	"$$dir/campaign" export -name all -scale bench -seed 1 -cache-dir "$$dir/cache" -format md -out docs/results-bench.md
 
 # Compile and execute every Go benchmark exactly once, so benchmark code
 # that rots fails loudly (the CI bench job runs this). The numbers are not a
