@@ -18,24 +18,21 @@ import (
 //
 // Only the similarity features (SignGuard-Sim / -Dist) can expose it,
 // which is precisely the trade-off the paper's Section IV-B discusses.
-type SignKeeping struct {
-	// Shuffles is the number of magnitude-shuffling passes (>= 1); more
-	// passes decorrelate the direction further. Default 1.
-	Shuffles int
-}
+type SignKeeping struct{}
 
 var _ Attack = (*SignKeeping)(nil)
 
 // NewSignKeeping returns the adaptive sign-preserving attack.
-func NewSignKeeping() *SignKeeping { return &SignKeeping{Shuffles: 1} }
+func NewSignKeeping() *SignKeeping { return &SignKeeping{} }
 
 // Name implements Attack.
 func (*SignKeeping) Name() string { return "SignKeep" }
 
 // Craft implements Attack: every Byzantine client sends the honest mean
 // with magnitudes permuted within its positive and negative coordinate
-// classes (zeros stay in place), each client with its own permutation.
-func (a *SignKeeping) Craft(ctx *Context) ([][]float64, error) {
+// classes (zeros stay in place), each client with its own permutation
+// (one shuffling pass).
+func (*SignKeeping) Craft(ctx *Context) ([][]float64, error) {
 	if err := ctx.validate(); err != nil {
 		return nil, err
 	}
@@ -43,16 +40,10 @@ func (a *SignKeeping) Craft(ctx *Context) ([][]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	passes := a.Shuffles
-	if passes < 1 {
-		passes = 1
-	}
 	out := make([][]float64, ctx.NumByz())
 	for i := range out {
 		gm := tensor.Clone(mean)
-		for p := 0; p < passes; p++ {
-			shuffleWithinSignClasses(ctx.Rng, gm)
-		}
+		shuffleWithinSignClasses(ctx.Rng, gm)
 		out[i] = gm
 	}
 	return out, nil

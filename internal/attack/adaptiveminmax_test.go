@@ -1,6 +1,7 @@
 package attack
 
 import (
+	"math"
 	"testing"
 
 	"github.com/signguard/signguard/internal/tensor"
@@ -55,37 +56,54 @@ func TestAdaptiveMinMaxMatchesMinMaxWithoutHistory(t *testing.T) {
 	}
 }
 
-func TestAdaptiveMinMaxScaleSchedule(t *testing.T) {
-	a := NewAdaptiveMinMax()
-	filtered := Observation{HasSelection: true, SelectedByz: 0, TotalByz: 3}
-	accepted := Observation{HasSelection: true, SelectedByz: 3, TotalByz: 3}
+// TestThrottle walks the adaptive adversaries' one feedback rule: the start
+// value with no history or selection-free rounds, ×0.7 after a filtered
+// round, ×1.15 after a fully accepted one, a hold for a partial acceptance
+// of at least half the cohort, and the clamp to [lo, hi] after every round.
+func TestThrottle(t *testing.T) {
+	filtered := Observation{HasSelection: true, SelectedByz: 0, TotalByz: 2}
+	half := Observation{HasSelection: true, SelectedByz: 1, TotalByz: 2}
+	accepted := Observation{HasSelection: true, SelectedByz: 2, TotalByz: 2}
 	blind := Observation{HasSelection: false}
+	scale := func(h ...Observation) float64 { return throttle(h, 1, 0.05, 4) }
 
-	if s := a.Scale(nil); s != 1 {
-		t.Errorf("empty history scale = %v", s)
+	if s := scale(); s != 1 {
+		t.Errorf("empty history: %v, want the start 1", s)
 	}
-	if s := a.Scale([]Observation{blind, blind}); s != 1 {
-		t.Errorf("selection-free history moved the scale: %v", s)
+	if s := scale(blind, blind); s != 1 {
+		t.Errorf("selection-free history moved the value: %v", s)
 	}
-	if s := a.Scale([]Observation{filtered}); s != a.Shrink {
-		t.Errorf("one filtered round: scale %v, want %v", s, a.Shrink)
+	if s := scale(filtered); s != 0.7 {
+		t.Errorf("one filtered round: %v, want 0.7", s)
 	}
-	if s := a.Scale([]Observation{accepted, accepted}); s != a.Grow*a.Grow {
-		t.Errorf("two accepted rounds: scale %v, want %v", s, a.Grow*a.Grow)
+	if s := scale(filtered, half); s != 0.7 {
+		t.Errorf("half-accepted round after a filtered one: %v, want the held 0.7", s)
 	}
-	// Clamping at both ends.
+	if s, grow := scale(accepted, accepted), 1.15; s != grow*grow {
+		t.Errorf("two accepted rounds: %v, want %v", s, grow*grow)
+	}
 	many := make([]Observation, 100)
 	for i := range many {
 		many[i] = filtered
 	}
-	if s := a.Scale(many); s != a.MinScale {
-		t.Errorf("scale not clamped low: %v", s)
+	if s := scale(many...); s != 0.05 {
+		t.Errorf("not clamped low: %v", s)
+	}
+	// Recovery from the floor is gradual, and sustained acceptance stops
+	// at the ceiling.
+	if s := scale(append(many, accepted, accepted)...); s <= 0.05 || s >= 1 {
+		t.Errorf("two accepted rounds after the floor: %v, want strictly between 0.05 and 1", s)
 	}
 	for i := range many {
 		many[i] = accepted
 	}
-	if s := a.Scale(many); s != a.MaxScale {
-		t.Errorf("scale not clamped high: %v", s)
+	if s := scale(many...); s != 4 {
+		t.Errorf("not clamped high: %v", s)
+	}
+	// Backdoor's form, start at the ceiling λ = 10 with floor 1: an
+	// accepted round cannot push past λ.
+	if b := throttle([]Observation{accepted, filtered}, 10, 1, 10); math.Abs(b-7) > 1e-12 {
+		t.Errorf("backdoor boost after accepted, filtered: %v, want 10 × 0.7", b)
 	}
 }
 
@@ -137,7 +155,7 @@ func TestAdaptiveMinMaxTightensAfterFiltering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := a.Scale([]Observation{filtered, filtered, filtered})
+	s := throttle([]Observation{filtered, filtered, filtered}, 1, 0.05, 4)
 	limit := s * s * bound
 	if floor > limit {
 		limit = floor
@@ -161,19 +179,6 @@ func maxDistSqTo(gm []float64, honest [][]float64) (float64, error) {
 		}
 	}
 	return maxToGm, nil
-}
-
-func TestAdaptiveMinMaxRejectsBadSchedule(t *testing.T) {
-	a := NewAdaptiveMinMax()
-	a.Shrink = 1.5
-	if _, err := a.Craft(minmaxContext(2)); err == nil {
-		t.Error("shrink > 1 accepted")
-	}
-	b := NewAdaptiveMinMax()
-	b.MinScale = -1
-	if _, err := b.Craft(minmaxContext(2)); err == nil {
-		t.Error("negative MinScale accepted")
-	}
 }
 
 func TestObservationByzAcceptance(t *testing.T) {

@@ -49,6 +49,30 @@ func (o Observation) ByzAcceptance() (float64, bool) {
 	return float64(o.SelectedByz) / float64(o.TotalByz), true
 }
 
+// throttle is the one feedback rule of both adaptive adversaries
+// (Adaptive-Min-Max's distance scale, Backdoor's boost): it replays the
+// filtering history from start, multiplying by 0.7 after a round in which
+// the defense kept under half of the cohort and by 1.15 after one in which
+// it kept all of it, holding otherwise and on rounds without selection
+// information, and clamps to [lo, hi] after every round.
+func throttle(history []Observation, start, lo, hi float64) float64 {
+	s := start
+	for _, o := range history {
+		rate, ok := o.ByzAcceptance()
+		if !ok {
+			continue
+		}
+		switch {
+		case rate < 0.5:
+			s *= 0.7
+		case rate >= 1:
+			s *= 1.15
+		}
+		s = min(max(s, lo), hi)
+	}
+	return s
+}
+
 // Adversary is the round pipeline's attacker stage: a round-aware strategy
 // whose Context carries the round index and the previous rounds' filtering
 // history. Stateless attacks are promoted with Promote; adaptive attacks

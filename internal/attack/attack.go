@@ -9,6 +9,15 @@
 // observes the honest gradients of every client (both benign clients and
 // the would-be-honest gradients of the clients it controls) and substitutes
 // the gradients of the Byzantine cohort.
+//
+// Each entry of the catalog (Builtin) is one fixed configuration, the
+// paper's: Random and Noise draw N(0, 0.5²); LIE estimates µ and σ over all
+// honest gradients; ByzMean sends LIE(z = 0.3) from ⌊m/2⌋ clients; Min-Max
+// and Min-Sum perturb along −std; SignKeep makes one shuffling pass;
+// TimeVarying draws from the Fig. 5 pool; Backdoor poisons every second
+// example toward class 0 with a DefaultTriggerLen trigger. The two adaptive
+// adversaries share one feedback rule, throttle. The catalog Param and the
+// seed are an attack's only per-cell inputs.
 package attack
 
 import (
@@ -124,49 +133,49 @@ func (*None) Craft(ctx *Context) ([][]float64, error) {
 	return tensor.CloneAll(ctx.ByzOwn), nil
 }
 
-// Random sends pure Gaussian noise N(Mean, Std²·I), the paper's "random
-// attack" with µ=0, σ=0.5. Each Byzantine client draws independently.
-type Random struct {
-	Mean, Std float64
-}
+// noiseStd is σ of the zero-mean Gaussian the Random and Noise attacks
+// draw, the paper's setting.
+const noiseStd = 0.5
+
+// Random sends pure Gaussian noise N(0, σ²·I) with σ = 0.5, the paper's
+// "random attack". Each Byzantine client draws independently.
+type Random struct{}
 
 var _ Attack = (*Random)(nil)
 
-// NewRandom returns the random attack with the paper's defaults.
-func NewRandom() *Random { return &Random{Mean: 0, Std: 0.5} }
+// NewRandom returns the random attack.
+func NewRandom() *Random { return &Random{} }
 
 // Name implements Attack.
 func (*Random) Name() string { return "Random" }
 
 // Craft implements Attack.
-func (a *Random) Craft(ctx *Context) ([][]float64, error) {
+func (*Random) Craft(ctx *Context) ([][]float64, error) {
 	if err := ctx.validate(); err != nil {
 		return nil, err
 	}
 	d := len(ctx.Benign[0])
 	out := make([][]float64, ctx.NumByz())
 	for i := range out {
-		out[i] = tensor.RandNormal(ctx.Rng, d, a.Mean, a.Std)
+		out[i] = tensor.RandNormal(ctx.Rng, d, 0, noiseStd)
 	}
 	return out, nil
 }
 
 // Noise perturbs each Byzantine client's honest gradient with Gaussian
-// noise: gm = gb + N(Mean, Std²·I).
-type Noise struct {
-	Mean, Std float64
-}
+// noise: gm = gb + N(0, σ²·I) with σ = 0.5.
+type Noise struct{}
 
 var _ Attack = (*Noise)(nil)
 
-// NewNoise returns the noise attack with the paper's defaults (σ=0.5).
-func NewNoise() *Noise { return &Noise{Mean: 0, Std: 0.5} }
+// NewNoise returns the noise attack.
+func NewNoise() *Noise { return &Noise{} }
 
 // Name implements Attack.
 func (*Noise) Name() string { return "Noise" }
 
 // Craft implements Attack.
-func (a *Noise) Craft(ctx *Context) ([][]float64, error) {
+func (*Noise) Craft(ctx *Context) ([][]float64, error) {
 	if err := ctx.validate(); err != nil {
 		return nil, err
 	}
@@ -174,7 +183,7 @@ func (a *Noise) Craft(ctx *Context) ([][]float64, error) {
 	for i, g := range ctx.ByzOwn {
 		noisy := tensor.Clone(g)
 		for j := range noisy {
-			noisy[j] += a.Mean + a.Std*ctx.Rng.NormFloat64()
+			noisy[j] += noiseStd * ctx.Rng.NormFloat64()
 		}
 		out[i] = noisy
 	}

@@ -2,7 +2,6 @@ package attack
 
 import (
 	"fmt"
-	"math"
 
 	"github.com/signguard/signguard/internal/data"
 	"github.com/signguard/signguard/internal/tensor"
@@ -16,37 +15,25 @@ const DefaultTriggerLen = 3
 // Backdoor is the backdoor / model-replacement adversary (Bagdasaryan et
 // al., AISTATS'20; Bhagoji et al., ICML'19). It attacks on two levels:
 //
-//   - Data poisoning: a Fraction of each Byzantine client's local examples
-//     gets the trigger pattern stamped into the input and the label replaced
-//     by Target, so the cohort's honest-looking local training embeds the
-//     trigger → Target association.
+//   - Data poisoning: every second example of each Byzantine client's local
+//     data gets the DefaultTriggerLen trigger stamped into the input and its
+//     label replaced by class 0, so the cohort's honest-looking local
+//     training embeds the trigger → class 0 association.
 //   - Model replacement: at submission time every Byzantine gradient is
 //     boosted by the factor λ (Boost), the classic scaling that survives
 //     averaging over a large cohort.
 //
-// The adversary is history-aware: when the defense's filtering feedback
-// shows the cohort being rejected, it throttles the boost toward 1 (an
-// unboosted poisoned gradient is nearly indistinguishable from an honest
-// one) and grows it back toward Boost once the cohort is accepted again.
-// The throttle is a pure function of Context.History, so the attack object
-// stays stateless and runs reproduce from their seed.
+// The adversary is history-aware: its boost is the throttle of the
+// defense's filtering feedback from λ within [1, λ], so it falls toward 1
+// while the cohort is being rejected (an unboosted poisoned gradient is
+// nearly indistinguishable from an honest one) and grows back toward λ once
+// the cohort is accepted again. The throttle is a pure function of
+// Context.History, so the attack object stays stateless and runs reproduce
+// from their seed.
 type Backdoor struct {
-	// Target is the class every triggered example is steered to.
-	Target int
-	// Fraction is the fraction of each Byzantine client's local data that
-	// gets poisoned (default 0.5; values outside (0,1] fall back to it).
-	Fraction float64
 	// Boost is the model-replacement factor λ applied to the Byzantine
-	// gradients (default 3; values <= 0 fall back to it).
+	// gradients (default 3).
 	Boost float64
-	// TriggerLen is the trigger size in input positions (default
-	// DefaultTriggerLen).
-	TriggerLen int
-	// Shrink (<1) throttles the boost after a round where the defense
-	// rejected most of the cohort; Grow (>1) restores it after a
-	// fully-accepted round. The effective boost is clamped to [1, Boost].
-	// Defaults: 0.7, 1.15.
-	Shrink, Grow float64
 }
 
 var (
@@ -54,20 +41,13 @@ var (
 	_ DataPoisoner = (*Backdoor)(nil)
 )
 
-// NewBackdoor returns the backdoor adversary targeting the given class with
-// model-replacement boost λ (boost <= 0 selects the default 3).
-func NewBackdoor(target int, boost float64) *Backdoor {
+// NewBackdoor returns the backdoor adversary with model-replacement boost λ
+// (boost <= 0 selects the default 3).
+func NewBackdoor(boost float64) *Backdoor {
 	if boost <= 0 {
 		boost = 3
 	}
-	return &Backdoor{
-		Target:     target,
-		Fraction:   0.5,
-		Boost:      boost,
-		TriggerLen: DefaultTriggerLen,
-		Shrink:     0.7,
-		Grow:       1.15,
-	}
+	return &Backdoor{Boost: boost}
 }
 
 // Name implements Attack.
@@ -77,57 +57,14 @@ func (*Backdoor) Name() string { return "Backdoor" }
 // defense's filtering feedback.
 func (*Backdoor) NeedsHistory() bool { return true }
 
-func (a *Backdoor) triggerLen() int {
-	if a.TriggerLen < 1 {
-		return DefaultTriggerLen
-	}
-	return a.TriggerLen
-}
-
-// EffectiveBoost replays the filtering history and returns the boost the
-// next Craft will apply (Boost with no history). Exported so tests can
-// assert the throttling trajectory.
-func (a *Backdoor) EffectiveBoost(history []Observation) float64 {
-	shrink, grow := a.Shrink, a.Grow
-	if shrink <= 0 || shrink >= 1 {
-		shrink = 0.7
-	}
-	if grow <= 1 {
-		grow = 1.15
-	}
-	max := a.Boost
-	if max < 1 {
-		max = 1
-	}
-	b := max
-	for _, o := range history {
-		rate, ok := o.ByzAcceptance()
-		if !ok {
-			continue
-		}
-		switch {
-		case rate < 0.5:
-			b *= shrink
-		case rate >= 1:
-			b *= grow
-		}
-		if b < 1 {
-			b = 1
-		}
-		if b > max {
-			b = max
-		}
-	}
-	return b
-}
-
 // Craft implements Attack: model replacement. Each Byzantine client submits
 // its own (poison-trained) gradient scaled by the throttled boost.
 func (a *Backdoor) Craft(ctx *Context) ([][]float64, error) {
 	if err := ctx.validate(); err != nil {
 		return nil, err
 	}
-	boost := a.EffectiveBoost(ctx.History)
+	hi := max(a.Boost, 1)
+	boost := throttle(ctx.History, hi, 1, hi)
 	out := make([][]float64, ctx.NumByz())
 	for i, g := range ctx.ByzOwn {
 		out[i] = tensor.Scale(g, boost)
@@ -135,33 +72,21 @@ func (a *Backdoor) Craft(ctx *Context) ([][]float64, error) {
 	return out, nil
 }
 
-// PoisonData implements DataPoisoner: a deterministic index-stride subset of
-// the client's examples (approximating Fraction) gets the trigger stamped
-// and the label set to Target. No RNG is consumed, so poisoning perturbs no
-// seeded stream.
-func (a *Backdoor) PoisonData(xs []data.Example, classes int) ([]data.Example, error) {
+// PoisonData implements DataPoisoner: every second example (indices 0, 2,
+// 4, ...) gets the trigger stamped and the label set to class 0. No RNG is
+// consumed, so poisoning perturbs no seeded stream.
+func (*Backdoor) PoisonData(xs []data.Example, classes int) ([]data.Example, error) {
 	if classes <= 0 {
 		return nil, fmt.Errorf("attack: Backdoor with %d classes", classes)
 	}
-	if a.Target < 0 || a.Target >= classes {
-		return nil, fmt.Errorf("attack: Backdoor target %d out of [0,%d)", a.Target, classes)
-	}
-	frac := a.Fraction
-	if frac <= 0 || frac > 1 {
-		frac = 0.5
-	}
-	stride := int(math.Round(1 / frac))
-	if stride < 1 {
-		stride = 1
-	}
 	out := make([]data.Example, len(xs))
 	for i, e := range xs {
-		if i%stride != 0 {
+		if i%2 != 0 {
 			out[i] = e
 			continue
 		}
-		out[i] = StampTrigger(e, a.triggerLen())
-		out[i].Label = a.Target
+		out[i] = StampTrigger(e, DefaultTriggerLen)
+		out[i].Label = 0
 	}
 	return out, nil
 }

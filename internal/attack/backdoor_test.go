@@ -1,71 +1,47 @@
 package attack
 
 import (
-	"math"
 	"testing"
 
 	"github.com/signguard/signguard/internal/data"
+	"github.com/signguard/signguard/internal/tensor"
 )
 
-func obs(selected, total int) Observation {
-	return Observation{HasSelection: true, SelectedByz: selected, TotalByz: total}
-}
-
-// TestBackdoorEffectiveBoostTrajectory walks the throttle through rejection
-// and recovery: full boost with no history, multiplicative shrink while the
-// defense filters the cohort (never below 1), and growth back up to the
-// ceiling once the cohort is accepted again.
-func TestBackdoorEffectiveBoostTrajectory(t *testing.T) {
-	b := NewBackdoor(0, 10)
-	if got := b.EffectiveBoost(nil); got != 10 {
-		t.Errorf("no history: boost %v, want the full λ=10", got)
-	}
-
-	rejected := []Observation{obs(0, 2)}
-	if got, want := b.EffectiveBoost(rejected), 7.0; math.Abs(got-want) > 1e-12 {
-		t.Errorf("one rejected round: boost %v, want %v (10 × 0.7)", got, want)
-	}
-
-	// Nine rejections drive the raw product under 1; the floor holds.
-	for i := 0; i < 8; i++ {
-		rejected = append(rejected, obs(0, 2))
-	}
-	if got := b.EffectiveBoost(rejected); got != 1 {
-		t.Errorf("sustained rejection: boost %v, want the floor 1", got)
-	}
-
-	// Recovery: accepted rounds grow the boost but never past the ceiling.
-	recovered := append(rejected, obs(2, 2), obs(2, 2))
-	low := b.EffectiveBoost(recovered)
-	if low <= 1 || low >= 10 {
-		t.Errorf("two accepted rounds after rejection: boost %v, want strictly between 1 and 10", low)
-	}
-	for i := 0; i < 40; i++ {
-		recovered = append(recovered, obs(2, 2))
-	}
-	if got := b.EffectiveBoost(recovered); got != 10 {
-		t.Errorf("sustained acceptance: boost %v, want the ceiling 10", got)
-	}
-
-	// Selection-free rounds (coordinate-wise defenses) leave the boost alone.
-	blind := []Observation{{HasSelection: false}, {HasSelection: false}}
-	if got := b.EffectiveBoost(blind); got != 10 {
-		t.Errorf("selection-free history: boost %v, want the untouched 10", got)
-	}
-
-	// A partially-accepted round (rate in [0.5, 1)) holds steady.
-	half := []Observation{obs(0, 2), obs(1, 2)}
-	if got, want := b.EffectiveBoost(half), 7.0; math.Abs(got-want) > 1e-12 {
-		t.Errorf("half-accepted round: boost %v, want the held %v", got, want)
+// TestBackdoorCraftBoost: each Byzantine client submits its own gradient
+// scaled by the throttled boost — the full λ with no history, λ × 0.7
+// after a rejected round, and never below 1, also for a λ under 1.
+func TestBackdoorCraftBoost(t *testing.T) {
+	rejected := Observation{HasSelection: true, SelectedByz: 0, TotalByz: 2}
+	for _, tc := range []struct {
+		boost   float64
+		history []Observation
+		want    float64
+	}{
+		{10, nil, 10},
+		{10, []Observation{rejected}, 7},
+		{10, []Observation{rejected, rejected, rejected, rejected, rejected, rejected, rejected}, 1},
+		{0.5, nil, 1},
+		{0, nil, 3},
+	} {
+		ctx := makeContext(31, 4, 2, 5, 0.5, 1)
+		ctx.History = tc.history
+		out, err := NewBackdoor(tc.boost).Craft(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, g := range out {
+			if !tensor.Equal(g, tensor.Scale(ctx.ByzOwn[i], tc.want), 1e-12) {
+				t.Errorf("boost %v after %d rounds: gradient %d is not %v × its own", tc.boost, len(tc.history), i, tc.want)
+			}
+		}
 	}
 }
 
-// TestBackdoorPoisonData checks the deterministic stride poisoning: the
-// poisoned subset approximates Fraction, poisoned examples carry the trigger
-// and the target label, untouched examples alias the originals, and invalid
-// targets are rejected.
+// TestBackdoorPoisonData checks the deterministic stride poisoning: every
+// second example carries the trigger and class 0, the others keep their
+// labels, the originals are not mutated, and zero classes is rejected.
 func TestBackdoorPoisonData(t *testing.T) {
-	b := NewBackdoor(2, 0)
+	b := NewBackdoor(0)
 	xs := make([]data.Example, 10)
 	for i := range xs {
 		xs[i] = data.Example{Features: []float64{0.1, 0.2, 0.3, 0.4, 0.5}, Label: i % 4}
@@ -79,10 +55,10 @@ func TestBackdoorPoisonData(t *testing.T) {
 	}
 	poisoned := 0
 	for i, e := range out {
-		if i%2 == 0 { // Fraction 0.5 → stride 2
+		if i%2 == 0 {
 			poisoned++
-			if e.Label != 2 {
-				t.Errorf("poisoned example %d has label %d, want target 2", i, e.Label)
+			if e.Label != 0 {
+				t.Errorf("poisoned example %d has label %d, want class 0", i, e.Label)
 			}
 			for j := len(e.Features) - DefaultTriggerLen; j < len(e.Features); j++ {
 				if e.Features[j] != 1 {
@@ -99,12 +75,9 @@ func TestBackdoorPoisonData(t *testing.T) {
 		}
 	}
 	if poisoned != 5 {
-		t.Errorf("poisoned %d of 10, want 5 at Fraction 0.5", poisoned)
+		t.Errorf("poisoned %d of 10, want 5", poisoned)
 	}
 
-	if _, err := b.PoisonData(xs, 2); err == nil {
-		t.Error("target 2 accepted with only 2 classes")
-	}
 	if _, err := b.PoisonData(xs, 0); err == nil {
 		t.Error("zero classes accepted")
 	}

@@ -8,67 +8,40 @@ import (
 
 // ByzMean is the hybrid attack proposed by the SignGuard paper (Section
 // III): the Byzantine cohort splits into two groups. The first group (m1
-// clients) sends an arbitrary target gradient g_m1 — by default the LIE
-// vector — and the second group (m2 = m − m1 clients) sends the vector that
-// forces the mean of *all* n gradients to equal g_m1 exactly (Eq. 8):
+// clients, m1 = ⌊m/2⌋) sends a target gradient g_m1 — the LIE vector at
+// z = 0.3 — and the second group (m2 = m − m1 clients) sends the vector
+// that forces the mean of *all* n gradients to equal g_m1 exactly (Eq. 8):
 //
 //	g_m2 = [ (n − m1)·g_m1 − Σ_{honest} g(i) ] / m2
 //
 // which makes the naive mean — and any defense whose output tracks the
 // mean — deliver precisely the adversary's chosen gradient.
-type ByzMean struct {
-	// Inner crafts the target gradient g_m1; defaults to LIE(z=0.3).
-	Inner Attack
-	// M1Fraction is the fraction of Byzantine clients in the first group,
-	// m1 = ⌊M1Fraction·m⌋ (paper default 0.5).
-	M1Fraction float64
-}
+type ByzMean struct{}
 
 var _ Attack = (*ByzMean)(nil)
 
-// NewByzMean returns the ByzMean attack with the paper's defaults: the
-// first half of the Byzantine cohort sends the LIE vector.
-func NewByzMean() *ByzMean {
-	return &ByzMean{Inner: NewLIE(0.3), M1Fraction: 0.5}
-}
+// NewByzMean returns the ByzMean attack.
+func NewByzMean() *ByzMean { return &ByzMean{} }
 
 // Name implements Attack.
 func (*ByzMean) Name() string { return "ByzMean" }
 
 // Craft implements Attack.
-func (a *ByzMean) Craft(ctx *Context) ([][]float64, error) {
+func (*ByzMean) Craft(ctx *Context) ([][]float64, error) {
 	if err := ctx.validate(); err != nil {
 		return nil, err
 	}
 	m := ctx.NumByz()
 	n := ctx.N()
-	frac := a.M1Fraction
-	if frac <= 0 || frac > 1 {
-		frac = 0.5
-	}
-	m1 := int(frac * float64(m))
-	if m1 < 1 {
-		m1 = 1
-	}
+	// With a single Byzantine client there is no second group: it sends
+	// the LIE vector alone.
+	m1 := max(m/2, 1)
 	m2 := m - m1
-	if m2 < 1 {
-		// With a single Byzantine client there is no second group; fall back
-		// to sending the inner attack vector alone.
-		m1, m2 = m-1, 1
-		if m1 < 1 {
-			m1, m2 = 1, 0
-		}
-	}
 
-	inner := a.Inner
-	if inner == nil {
-		inner = NewLIE(0.3)
-	}
-	innerGrads, err := inner.Craft(ctx)
+	gm1, err := NewLIE(0.3).CraftVector(ctx.AllHonest(), n, m)
 	if err != nil {
 		return nil, fmt.Errorf("attack: ByzMean inner attack: %w", err)
 	}
-	gm1 := innerGrads[0]
 	d := len(gm1)
 
 	out := make([][]float64, 0, m)

@@ -20,17 +20,13 @@ type LIE struct {
 	// client counts via Eq. 2 (see stats.LIEZMax). The paper's experiments
 	// fix z = 0.3.
 	Z float64
-	// EstimateOnAll, when true, estimates µ and σ over all honest gradients
-	// (benign + would-be-honest Byzantine), matching an omniscient
-	// adversary; when false only the benign gradients are used.
-	EstimateOnAll bool
 }
 
 var _ Attack = (*LIE)(nil)
 
 // NewLIE returns the LIE attack with fixed factor z (the paper uses 0.3);
 // pass z <= 0 to have z_max computed from Eq. 2 each round.
-func NewLIE(z float64) *LIE { return &LIE{Z: z, EstimateOnAll: true} }
+func NewLIE(z float64) *LIE { return &LIE{Z: z} }
 
 // Name implements Attack.
 func (*LIE) Name() string { return "LIE" }
@@ -54,17 +50,15 @@ func (a *LIE) CraftVector(honest [][]float64, n, m int) ([]float64, error) {
 	return out, nil
 }
 
-// Craft implements Attack. All Byzantine clients send the same vector,
-// maximizing the attack's pull on the aggregate.
+// Craft implements Attack. µ and σ are estimated over all honest gradients
+// (benign and the Byzantine clients' would-be-honest ones), as the
+// omniscient adversary sees them. All Byzantine clients send the same
+// vector, maximizing the attack's pull on the aggregate.
 func (a *LIE) Craft(ctx *Context) ([][]float64, error) {
 	if err := ctx.validate(); err != nil {
 		return nil, err
 	}
-	src := ctx.Benign
-	if a.EstimateOnAll {
-		src = ctx.AllHonest()
-	}
-	gm, err := a.CraftVector(src, ctx.N(), ctx.NumByz())
+	gm, err := a.CraftVector(ctx.AllHonest(), ctx.N(), ctx.NumByz())
 	if err != nil {
 		return nil, err
 	}

@@ -2,50 +2,24 @@ package attack
 
 import (
 	"errors"
-	"fmt"
 
 	"github.com/signguard/signguard/internal/stats"
 	"github.com/signguard/signguard/internal/tensor"
 )
 
-// Perturbation selects the direction ∇p used by the Min-Max and Min-Sum
-// attacks (Shejwalkar & Houmansadr, NDSS'21).
-type Perturbation int
-
-const (
-	// InverseStd uses −std(g) — the paper's default choice.
-	InverseStd Perturbation = iota + 1
-	// InverseUnit uses −mean(g)/||mean(g)||.
-	InverseUnit
-	// InverseSign uses −sign(mean(g)).
-	InverseSign
-)
-
-func (p Perturbation) String() string {
-	switch p {
-	case InverseStd:
-		return "inverse-std"
-	case InverseUnit:
-		return "inverse-unit"
-	case InverseSign:
-		return "inverse-sign"
-	default:
-		return fmt.Sprintf("Perturbation(%d)", int(p))
-	}
-}
-
 // minMaxSum is the shared engine of the Min-Max and Min-Sum attacks. The
-// malicious gradient is gm = avg(honest) + γ·∇p with the largest γ that
-// still satisfies the attack's distance constraint, found by doubling then
-// bisection (the "halving search" of the original paper). All Byzantine
-// clients send the same gm.
+// malicious gradient is gm = avg(honest) + γ·∇p, along the perturbation
+// ∇p = −std(honest) (Shejwalkar & Houmansadr's inverse-std direction, the
+// one the paper evaluates), with the largest γ that still satisfies the
+// attack's distance constraint, found by doubling then bisection (the
+// "halving search" of the original paper). All Byzantine clients send the
+// same gm.
 //
 // The constraint threshold (a function of the honest gradients only) is
 // computed once per round; each bisection probe then only measures the
 // candidate's distances to the honest set. Both go through the
 // one-to-many distance kernel and fold its output in index order.
 type minMaxSum struct {
-	perturb Perturbation
 	// bound computes the round's constraint threshold from the honest
 	// gradients; d2 is scratch of len(honest).
 	bound func(honest [][]float64, d2 []float64) (float64, error)
@@ -64,10 +38,11 @@ func (a *minMaxSum) Craft(ctx *Context) ([][]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	dir, err := a.direction(honest, avg)
+	_, dir, err := stats.CoordinateMeanStd(honest)
 	if err != nil {
 		return nil, err
 	}
+	tensor.ScaleInPlace(dir, -1)
 	d2 := make([]float64, len(honest))
 	threshold, err := a.bound(honest, d2)
 	if err != nil {
@@ -128,30 +103,6 @@ func (a *minMaxSum) Craft(ctx *Context) ([][]float64, error) {
 	return out, nil
 }
 
-func (a *minMaxSum) direction(honest [][]float64, avg []float64) ([]float64, error) {
-	switch a.perturb {
-	case InverseUnit:
-		dir := tensor.Clone(avg)
-		n := tensor.Norm(dir)
-		if n == 0 {
-			return nil, errors.New("attack: zero mean gradient, inverse-unit undefined")
-		}
-		tensor.ScaleInPlace(dir, -1/n)
-		return dir, nil
-	case InverseSign:
-		dir := tensor.Sign(avg)
-		tensor.ScaleInPlace(dir, -1)
-		return dir, nil
-	default: // InverseStd
-		_, std, err := stats.CoordinateMeanStd(honest)
-		if err != nil {
-			return nil, err
-		}
-		tensor.ScaleInPlace(std, -1)
-		return std, nil
-	}
-}
-
 // MinMax keeps the malicious gradient within the maximum pairwise distance
 // of the honest gradients (Eq. 14): max_i ||gm − g_i|| ≤ max_{i,j} ||g_i − g_j||.
 type MinMax struct {
@@ -160,15 +111,9 @@ type MinMax struct {
 
 var _ Attack = (*MinMax)(nil)
 
-// NewMinMax returns the Min-Max attack with the paper's default
-// inverse-std perturbation.
-func NewMinMax() *MinMax { return NewMinMaxWithPerturbation(InverseStd) }
-
-// NewMinMaxWithPerturbation selects the perturbation direction.
-func NewMinMaxWithPerturbation(p Perturbation) *MinMax {
-	m := &MinMax{}
-	m.engine = minMaxSum{perturb: p, bound: maxPairwiseSq, measure: maxOf}
-	return m
+// NewMinMax returns the Min-Max attack.
+func NewMinMax() *MinMax {
+	return &MinMax{engine: minMaxSum{bound: maxPairwiseSq, measure: maxOf}}
 }
 
 // maxPairwiseSq is the Min-Max constraint threshold: the largest squared
@@ -215,15 +160,9 @@ type MinSum struct {
 
 var _ Attack = (*MinSum)(nil)
 
-// NewMinSum returns the Min-Sum attack with the paper's default
-// inverse-std perturbation.
-func NewMinSum() *MinSum { return NewMinSumWithPerturbation(InverseStd) }
-
-// NewMinSumWithPerturbation selects the perturbation direction.
-func NewMinSumWithPerturbation(p Perturbation) *MinSum {
-	m := &MinSum{}
-	m.engine = minMaxSum{perturb: p, bound: maxTotalSq, measure: sumOf}
-	return m
+// NewMinSum returns the Min-Sum attack.
+func NewMinSum() *MinSum {
+	return &MinSum{engine: minMaxSum{bound: maxTotalSq, measure: sumOf}}
 }
 
 // maxTotalSq is the Min-Sum constraint threshold: the largest total

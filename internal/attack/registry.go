@@ -59,7 +59,7 @@ func Builtin() *catalog.Catalog[Spec] {
 			if switchEvery < 1 {
 				switchEvery = 1
 			}
-			tv, err := NewTimeVarying(DefaultTimeVaryingPool(), switchEvery, seed)
+			tv, err := NewTimeVarying(switchEvery, seed)
 			if err != nil {
 				return nil, err
 			}
@@ -72,8 +72,7 @@ func Builtin() *catalog.Catalog[Spec] {
 		{Name: "NonFinite-NegInf", New: func(float64, int64) (Attack, error) { return NewNonFinite(NegInfValue), nil }},
 		{Name: "NonFinite-Sparse", New: func(float64, int64) (Attack, error) { return NewNonFiniteSparse(NaNValue, 0.01), nil }},
 		{Name: "Backdoor", Adaptive: true, Poisons: true, Param: "boost", New: func(boost float64, _ int64) (Attack, error) {
-			// Target class 0; boost 0 selects the documented default λ.
-			return NewBackdoor(0, boost), nil
+			return NewBackdoor(boost), nil
 		}},
 	}...)
 }

@@ -78,7 +78,7 @@ func trainUnderBackdoorR(t *testing.T, rule aggregate.Rule, rounds int) float64 
 	cfg.EvalEvery = rounds
 	cfg.NumByz = 3
 	cfg.Rule = rule
-	cfg.Attack = attack.NewBackdoor(0, 10)
+	cfg.Attack = attack.NewBackdoor(10)
 	sim, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

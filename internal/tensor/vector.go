@@ -219,20 +219,6 @@ func ClipNorm(v []float64, bound float64) float64 {
 	return c
 }
 
-// Sign returns the element-wise sign of v: +1, -1 or 0.
-func Sign(v []float64) []float64 {
-	out := make([]float64, len(v))
-	for i, x := range v {
-		switch {
-		case x > 0:
-			out[i] = 1
-		case x < 0:
-			out[i] = -1
-		}
-	}
-	return out
-}
-
 // AllFinite reports whether every element of v is finite (no NaN or Inf).
 func AllFinite(v []float64) bool {
 	for _, x := range v {

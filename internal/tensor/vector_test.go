@@ -106,13 +106,6 @@ func TestClipNorm(t *testing.T) {
 	}
 }
 
-func TestSign(t *testing.T) {
-	got := Sign([]float64{-2, 0, 3.5})
-	if !Equal(got, []float64{-1, 0, 1}, 0) {
-		t.Errorf("Sign = %v", got)
-	}
-}
-
 func TestAllFinite(t *testing.T) {
 	if !AllFinite([]float64{1, 2}) {
 		t.Error("AllFinite false on finite input")
