@@ -40,7 +40,7 @@ func (*ByzMean) Craft(ctx *Context) ([][]float64, error) {
 
 	gm1, err := NewLIE(0.3).CraftVector(ctx.AllHonest(), n, m)
 	if err != nil {
-		return nil, fmt.Errorf("attack: ByzMean inner attack: %w", err)
+		return nil, fmt.Errorf("attack: ByzMean target vector: %w", err)
 	}
 	d := len(gm1)
 
