@@ -1,7 +1,6 @@
 package attack
 
 import (
-	"math"
 	"testing"
 
 	"github.com/signguard/signguard/internal/tensor"
@@ -100,10 +99,63 @@ func TestThrottle(t *testing.T) {
 	if s := scale(many...); s != 4 {
 		t.Errorf("not clamped high: %v", s)
 	}
-	// Backdoor's form, start at the ceiling λ = 10 with floor 1: an
-	// accepted round cannot push past λ.
-	if b := throttle([]Observation{accepted, filtered}, 10, 1, 10); math.Abs(b-7) > 1e-12 {
-		t.Errorf("backdoor boost after accepted, filtered: %v, want 10 × 0.7", b)
+}
+
+// TestAdaptiveMinMaxScaleSchedule checks the throttle Adaptive-Min-Max
+// crafts with, on its output: selection-free rounds and a half-accepted
+// round after a filtered one leave the gradient as it was, and the scale
+// stops at its ceiling 4 — ten accepted rounds (1.15¹⁰ > 4) craft what
+// forty do, nine (1.15⁹ < 4) a gradient closer to the honest set.
+func TestAdaptiveMinMaxScaleSchedule(t *testing.T) {
+	filtered := Observation{HasSelection: true, SelectedByz: 0, TotalByz: 3}
+	half := Observation{HasSelection: true, SelectedByz: 2, TotalByz: 3}
+	accepted := Observation{HasSelection: true, SelectedByz: 3, TotalByz: 3}
+	blind := Observation{HasSelection: false}
+	craft := func(history ...Observation) []float64 {
+		ctx := minmaxContext(9)
+		ctx.History = history
+		out, err := NewAdaptiveMinMax().Craft(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out[0]
+	}
+	same := func(a, b []float64) bool {
+		for j := range a {
+			if a[j] != b[j] {
+				return false
+			}
+		}
+		return true
+	}
+	run := func(o Observation, n int) []Observation {
+		h := make([]Observation, n)
+		for i := range h {
+			h[i] = o
+		}
+		return h
+	}
+
+	if !same(craft(blind, blind), craft()) {
+		t.Error("selection-free rounds moved the crafted gradient")
+	}
+	if !same(craft(filtered, half), craft(filtered)) {
+		t.Error("a half-accepted round after a filtered one moved the crafted gradient")
+	}
+	if !same(craft(run(accepted, 10)...), craft(run(accepted, 40)...)) {
+		t.Error("the scale grew past its ceiling 4")
+	}
+	honest := minmaxContext(9).AllHonest()
+	d9, err := maxDistSqTo(craft(run(accepted, 9)...), honest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d10, err := maxDistSqTo(craft(run(accepted, 10)...), honest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !(d9 < d10) {
+		t.Errorf("nine accepted rounds reached the ceiling: distance %v, ten %v", d9, d10)
 	}
 }
 

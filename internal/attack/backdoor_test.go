@@ -1,38 +1,91 @@
 package attack
 
 import (
+	"math"
 	"testing"
 
 	"github.com/signguard/signguard/internal/data"
 	"github.com/signguard/signguard/internal/tensor"
 )
 
-// TestBackdoorCraftBoost: each Byzantine client submits its own gradient
-// scaled by the throttled boost — the full λ with no history, λ × 0.7
-// after a rejected round, and never below 1, also for a λ under 1.
-func TestBackdoorCraftBoost(t *testing.T) {
-	rejected := Observation{HasSelection: true, SelectedByz: 0, TotalByz: 2}
-	for _, tc := range []struct {
-		boost   float64
-		history []Observation
-		want    float64
-	}{
-		{10, nil, 10},
-		{10, []Observation{rejected}, 7},
-		{10, []Observation{rejected, rejected, rejected, rejected, rejected, rejected, rejected}, 1},
-		{0.5, nil, 1},
-		{0, nil, 3},
-	} {
-		ctx := makeContext(31, 4, 2, 5, 0.5, 1)
-		ctx.History = tc.history
-		out, err := NewBackdoor(tc.boost).Craft(ctx)
-		if err != nil {
-			t.Fatal(err)
+func obs(selected, total int) Observation {
+	return Observation{HasSelection: true, SelectedByz: selected, TotalByz: total}
+}
+
+// craftedBoost runs Backdoor.Craft on a fixed context with the given
+// history and returns the factor each Byzantine client's own gradient was
+// scaled by, failing the test unless every client got the same one.
+func craftedBoost(t *testing.T, b *Backdoor, history []Observation) float64 {
+	t.Helper()
+	ctx := makeContext(31, 4, 2, 5, 0.5, 1)
+	ctx.History = history
+	out, err := b.Craft(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	boost := out[0][0] / ctx.ByzOwn[0][0]
+	for i, g := range out {
+		if !tensor.Equal(g, tensor.Scale(ctx.ByzOwn[i], boost), 1e-12) {
+			t.Fatalf("after %d rounds: gradient %d is not %v × its own", len(history), i, boost)
 		}
-		for i, g := range out {
-			if !tensor.Equal(g, tensor.Scale(ctx.ByzOwn[i], tc.want), 1e-12) {
-				t.Errorf("boost %v after %d rounds: gradient %d is not %v × its own", tc.boost, len(tc.history), i, tc.want)
-			}
+	}
+	return boost
+}
+
+// TestBackdoorEffectiveBoostTrajectory walks the crafted boost through
+// rejection and recovery: full boost with no history, multiplicative
+// shrink while the defense filters the cohort (never below 1), and growth
+// back up to the ceiling once the cohort is accepted again.
+func TestBackdoorEffectiveBoostTrajectory(t *testing.T) {
+	b := NewBackdoor(10)
+	near := func(got, want float64) bool { return math.Abs(got-want) <= 1e-12*want }
+	if got := craftedBoost(t, b, nil); !near(got, 10) {
+		t.Errorf("no history: boost %v, want the full λ=10", got)
+	}
+
+	rejected := []Observation{obs(0, 2)}
+	if got := craftedBoost(t, b, rejected); !near(got, 7) {
+		t.Errorf("one rejected round: boost %v, want 7 (10 × 0.7)", got)
+	}
+
+	// Nine rejections drive the raw product under 1; the floor holds.
+	for i := 0; i < 8; i++ {
+		rejected = append(rejected, obs(0, 2))
+	}
+	if got := craftedBoost(t, b, rejected); !near(got, 1) {
+		t.Errorf("sustained rejection: boost %v, want the floor 1", got)
+	}
+
+	// Recovery: accepted rounds grow the boost but never past the ceiling.
+	recovered := append(rejected, obs(2, 2), obs(2, 2))
+	if low := craftedBoost(t, b, recovered); low <= 1 || low >= 10 {
+		t.Errorf("two accepted rounds after rejection: boost %v, want strictly between 1 and 10", low)
+	}
+	for i := 0; i < 40; i++ {
+		recovered = append(recovered, obs(2, 2))
+	}
+	if got := craftedBoost(t, b, recovered); !near(got, 10) {
+		t.Errorf("sustained acceptance: boost %v, want the ceiling 10", got)
+	}
+
+	// Selection-free rounds (coordinate-wise defenses) leave the boost alone.
+	blind := []Observation{{HasSelection: false}, {HasSelection: false}}
+	if got := craftedBoost(t, b, blind); !near(got, 10) {
+		t.Errorf("selection-free history: boost %v, want the untouched 10", got)
+	}
+
+	// A partially-accepted round (rate in [0.5, 1)) holds steady.
+	if got := craftedBoost(t, b, []Observation{obs(0, 2), obs(1, 2)}); !near(got, 7) {
+		t.Errorf("half-accepted round: boost %v, want the held 7", got)
+	}
+}
+
+// TestBackdoorCraftBoost: a λ under 1 is lifted to the floor 1, and
+// NewBackdoor's non-positive λ selects the default 3.
+func TestBackdoorCraftBoost(t *testing.T) {
+	for _, tc := range []struct{ boost, want float64 }{{0.5, 1}, {0, 3}} {
+		if got := craftedBoost(t, NewBackdoor(tc.boost), nil); math.Abs(got-tc.want) > 1e-12 {
+			t.Errorf("boost %v: crafted %v × own, want %v", tc.boost, got, tc.want)
 		}
 	}
 }
