@@ -64,7 +64,7 @@ func dispatch(cmd string, args []string) error {
 	case "list":
 		return cmdList()
 	case "rules":
-		return cmdRules()
+		return cmdRules(os.Stdout)
 	case "-h", "--help", "help":
 		usage()
 		return nil
@@ -371,24 +371,24 @@ func cmdList() error {
 // cmdRules prints the defense and codec registries — the one listing
 // surface for both pluggable-stage catalogs, with the hyperparameter
 // names each constructor accepts (usable in RuleHyper / -codec-hyper).
-func cmdRules() error {
+func cmdRules(w io.Writer) error {
 	defs := experiments.Defenses().Values()
-	fmt.Printf("defenses (%d):\n", len(defs))
+	fmt.Fprintf(w, "defenses (%d):\n", len(defs))
 	for _, s := range defs {
-		printRule(s.Name, s.Hyper)
+		printRule(w, s.Name, s.Hyper)
 	}
 	codecs := codec.Builtin().Values()
-	fmt.Printf("\ncodecs (%d):\n", len(codecs))
+	fmt.Fprintf(w, "\ncodecs (%d):\n", len(codecs))
 	for _, s := range codecs {
-		printRule(s.Name, s.Hyper)
+		printRule(w, s.Name, s.Hyper)
 	}
 	return nil
 }
 
-func printRule(name string, hyper []string) {
+func printRule(w io.Writer, name string, hyper []string) {
 	if len(hyper) == 0 {
-		fmt.Printf("  %s\n", name)
+		fmt.Fprintf(w, "  %s\n", name)
 		return
 	}
-	fmt.Printf("  %-24s hyper: %s\n", name, strings.Join(hyper, ", "))
+	fmt.Fprintf(w, "  %-24s hyper: %s\n", name, strings.Join(hyper, ", "))
 }

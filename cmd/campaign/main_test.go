@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/signguard/signguard/internal/campaign"
+	"github.com/signguard/signguard/internal/codec"
 	"github.com/signguard/signguard/internal/experiments"
 )
 
@@ -23,6 +24,42 @@ func TestRemovedSubcommandsAreUnknown(t *testing.T) {
 				t.Fatalf("dispatch(%q) = %v, want an error containing %s", cmd, err, want)
 			}
 		})
+	}
+}
+
+// TestRulesListsTheSweptHyperparameters pins `campaign rules`: every
+// catalog defense and codec is listed, and the only declared
+// hyperparameters are the ones a grid sweeps (SignGuard's coord_fraction,
+// DnC's subdim) and the codecs' k and levels.
+func TestRulesListsTheSweptHyperparameters(t *testing.T) {
+	var out bytes.Buffer
+	if err := cmdRules(&out); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{
+		"SignGuard": "coord_fraction", "SignGuard-Sim": "coord_fraction", "SignGuard-Dist": "coord_fraction",
+		"DnC": "subdim", "topk": "k", "qsgd": "levels",
+	}
+	listed := map[string]bool{}
+	for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n") {
+		if !strings.HasPrefix(line, "  ") {
+			continue // a section header or the blank line between them
+		}
+		name, hyper, _ := strings.Cut(strings.TrimSpace(line), " hyper: ")
+		name = strings.TrimSpace(name)
+		listed[name] = true
+		if hyper != want[name] {
+			t.Errorf("%s lists hyper %q, want %q", name, hyper, want[name])
+		}
+	}
+	names := append(experiments.Defenses().Names(), codec.Builtin().Names()...)
+	for _, name := range names {
+		if !listed[name] {
+			t.Errorf("%s missing from the listing", name)
+		}
+	}
+	if len(listed) != len(names) {
+		t.Errorf("listing has %d entries, the catalogs %d", len(listed), len(names))
 	}
 }
 

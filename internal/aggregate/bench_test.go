@@ -91,7 +91,7 @@ func BenchmarkMedian(b *testing.B) {
 
 func BenchmarkFLTrust(b *testing.B) {
 	benchRule(b, 2000, func(n, w int) Rule {
-		rule := &FLTrust{Root: 100, Workers: w}
+		rule := &FLTrust{Workers: w}
 		// The server gradient the engine would install each round: the
 		// honest direction, so the trust weighting does real work against
 		// the displaced outlier block.
@@ -102,7 +102,7 @@ func BenchmarkFLTrust(b *testing.B) {
 
 func BenchmarkFLAME(b *testing.B) {
 	benchRule(b, 2000, func(n, w int) Rule {
-		rule := NewFLAME(2, 0.001, 42)
+		rule := NewFLAME(42)
 		rule.Workers = w
 		return rule
 	})

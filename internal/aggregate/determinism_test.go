@@ -11,8 +11,7 @@ import (
 // chosen so every rule's preconditions hold: Krum needs n >= 2F+3 (41 >=
 // 19), Bulyan needs n >= 4F+2 (41 >= 38) and DnC must not remove all
 // gradients. DnC and FLAME instances are freshly seeded per worker count so
-// their RNG streams (coordinate subsampling; k-means++ seeding and noise)
-// match.
+// their RNG streams (coordinate subsampling; k-means++ seeding) match.
 func newRules(workers int) []Rule {
 	dnc := NewDnC(8, 77)
 	dnc.SubDim = 97 // force actual subsampling below d
@@ -25,8 +24,8 @@ func newRules(workers int) []Rule {
 		&TrimmedMean{K: 5},
 		&Median{},
 		&Mean{},
-		NewFLAME(2, 0.001, 42),
-		NewMedianOfMeans(0),
+		NewFLAME(42),
+		NewMedianOfMeans(),
 	}
 	for _, r := range rules {
 		SetWorkers(r, workers)

@@ -12,21 +12,16 @@ import (
 
 // FLAME is the clustering defense of Nguyen et al. (USENIX Sec'22),
 // simplified to the gradient setting: direction-normalize every update
-// (cosine geometry), cluster the directions with k-means, keep the largest
-// cluster as the benign majority, clip the kept updates to their median
-// norm, average, and add Gaussian noise calibrated to the clipping bound
-// (std = Sigma·bound; Sigma 0 disables the noise term).
+// (cosine geometry), cluster the directions with k-means into flameClusters
+// groups, keep the largest cluster as the benign majority, clip the kept
+// updates to their median norm and average. The original's calibrated
+// noise term is left out: the catalog runs FLAME without noise.
 type FLAME struct {
-	// Clusters is the k-means cluster count (default 2: benign vs outlier).
-	Clusters int
-	// Sigma scales the calibrated noise: the additive noise per coordinate
-	// is N(0, (Sigma·S)²) with S the median-norm clipping bound.
-	Sigma float64
 	// Workers bounds the kernel parallelism (0 = automatic, 1 = sequential);
 	// the output is byte-identical for any value.
 	Workers int
 
-	// rng drives the k-means++ seeding and the noise draws. Both consume it
+	// rng drives the k-means++ seeding; the clusterer consumes it
 	// sequentially regardless of the worker count.
 	rng *rand.Rand
 }
@@ -36,10 +31,12 @@ var (
 	_ WorkersSetter = (*FLAME)(nil)
 )
 
-// NewFLAME returns a FLAME rule with k clusters and noise scale sigma,
-// seeded deterministically.
-func NewFLAME(k int, sigma float64, seed int64) *FLAME {
-	return &FLAME{Clusters: k, Sigma: sigma, rng: tensor.NewRNG(seed)}
+// flameClusters is FLAME's k-means cluster count: benign vs outlier.
+const flameClusters = 2
+
+// NewFLAME returns a FLAME rule seeded deterministically.
+func NewFLAME(seed int64) *FLAME {
+	return &FLAME{rng: tensor.NewRNG(seed)}
 }
 
 // Name implements Rule.
@@ -52,10 +49,6 @@ func (f *FLAME) SetWorkers(n int) { f.Workers = n }
 func (f *FLAME) Aggregate(grads [][]float64) (*Result, error) {
 	if _, err := validate(grads); err != nil {
 		return nil, err
-	}
-	k := f.Clusters
-	if k < 1 {
-		k = 2
 	}
 	if f.rng == nil {
 		f.rng = tensor.NewRNG(0)
@@ -79,7 +72,7 @@ func (f *FLAME) Aggregate(grads [][]float64) (*Result, error) {
 	// The clusterer consumes the rule's RNG sequentially (k-means++
 	// restarts), so clustering is identical for any worker count. Hostile
 	// buffers surface as ErrNonFinitePoints — an error, never NaN output.
-	res, err := cluster.KMeans(f.rng, unit, k)
+	res, err := cluster.KMeans(f.rng, unit, flameClusters)
 	if err != nil {
 		return nil, fmt.Errorf("aggregate: FLAME clustering: %w", err)
 	}
@@ -108,14 +101,6 @@ func (f *FLAME) Aggregate(grads [][]float64) (*Result, error) {
 	g, err := tensor.MeanWorkers(clipped, workers)
 	if err != nil {
 		return nil, err
-	}
-
-	// Calibrated noise: std proportional to the clipping bound, drawn
-	// sequentially from the rule's own RNG stream.
-	if std := f.Sigma * bound; std > 0 {
-		for j := range g {
-			g[j] += std * f.rng.NormFloat64()
-		}
 	}
 	return &Result{Gradient: g, Selected: kept}, nil
 }

@@ -31,15 +31,11 @@ var ErrNoServerGradient = errors.New("aggregate: no server gradient installed")
 // FLTrust is the server-learning defense of Cao et al. (NDSS'21): the
 // server computes its own gradient g₀ on a small root dataset, scores every
 // client update by the clipped cosine similarity TSᵢ = max(0, cos(gᵢ, g₀))
-// (scores at or below Clip are zeroed), rescales each trusted update to the
-// reference norm ‖g₀‖, and averages with the trust scores as weights. A
-// round in which no client earns trust yields the zero update.
+// (the canonical ReLU cut: scores at or below 0 are zeroed), rescales each
+// trusted update to the reference norm ‖g₀‖, and averages with the trust
+// scores as weights. A round in which no client earns trust yields the zero
+// update. The server samples a root dataset of fltrustRootSize examples.
 type FLTrust struct {
-	// Root is the root-dataset size the server samples (RootSize()).
-	Root int
-	// Clip is the trust-score floor: cosine similarities at or below Clip
-	// contribute nothing (0 = the canonical ReLU cut at zero).
-	Clip float64
 	// Workers bounds the kernel parallelism (0 = automatic, 1 = sequential);
 	// the output is byte-identical for any value.
 	Workers int
@@ -53,10 +49,12 @@ var (
 	_ ServerLearner = (*FLTrust)(nil)
 )
 
-// NewFLTrust returns an FLTrust rule with root-dataset size root and trust
-// floor clip.
-func NewFLTrust(root int, clip float64) *FLTrust {
-	return &FLTrust{Root: root, Clip: clip}
+// fltrustRootSize is the root-dataset size an FLTrust server samples.
+const fltrustRootSize = 100
+
+// NewFLTrust returns an FLTrust rule.
+func NewFLTrust() *FLTrust {
+	return &FLTrust{}
 }
 
 // Name implements Rule.
@@ -66,7 +64,7 @@ func (*FLTrust) Name() string { return "FLTrust" }
 func (f *FLTrust) SetWorkers(n int) { f.Workers = n }
 
 // RootSize implements ServerLearner.
-func (f *FLTrust) RootSize() int { return f.Root }
+func (*FLTrust) RootSize() int { return fltrustRootSize }
 
 // SetServerGradient implements ServerLearner.
 func (f *FLTrust) SetServerGradient(g []float64) { f.server = g }
@@ -97,7 +95,7 @@ func (f *FLTrust) Aggregate(grads [][]float64) (*Result, error) {
 			if err != nil || math.IsNaN(cos) {
 				continue // zero trust
 			}
-			if cos > f.Clip {
+			if cos > 0 {
 				trust[i] = cos
 				if n := tensor.Norm(grads[i]); n > 0 {
 					rescale[i] = refNorm / n

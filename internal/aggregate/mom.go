@@ -14,12 +14,9 @@ import (
 // MoM center μ is the member of S closest to S's mean; the survivors are
 // all gradients within r of μ, and the aggregate is their average. An
 // empty candidate set degrades to plain averaging (the filter has no
-// majority to anchor on). Radius 0 derives the threshold from the data as
-// the median pairwise distance.
+// majority to anchor on). The threshold r is derived from the data as the
+// median pairwise distance of the round's gradients.
 type MedianOfMeans struct {
-	// Radius is the neighborhood threshold r (0 = median pairwise
-	// distance of the round's gradients).
-	Radius float64
 	// Workers bounds the kernel parallelism (0 = automatic, 1 = sequential);
 	// the output is byte-identical for any value.
 	Workers int
@@ -30,10 +27,9 @@ var (
 	_ WorkersSetter = (*MedianOfMeans)(nil)
 )
 
-// NewMedianOfMeans returns a MoM filter with the given radius (0 = median
-// pairwise distance).
-func NewMedianOfMeans(radius float64) *MedianOfMeans {
-	return &MedianOfMeans{Radius: radius}
+// NewMedianOfMeans returns a MoM filter.
+func NewMedianOfMeans() *MedianOfMeans {
+	return &MedianOfMeans{}
 }
 
 // Name implements Rule.
@@ -54,25 +50,22 @@ func (m *MedianOfMeans) Aggregate(grads [][]float64) (*Result, error) {
 		return nil, err
 	}
 
-	radius := m.Radius
-	if radius <= 0 {
-		// Data-derived default: the median of the strict upper-triangle
-		// pairwise distances (every gradient is trivially within 0 of
-		// itself, so self-distances would only dilute the estimate).
-		pairs := make([]float64, 0, n*(n-1)/2)
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				pairs = append(pairs, dist[i][j])
-			}
+	// The radius is the median of the strict upper-triangle pairwise
+	// distances (every gradient is trivially within 0 of itself, so
+	// self-distances would only dilute the estimate).
+	pairs := make([]float64, 0, n*(n-1)/2)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			pairs = append(pairs, dist[i][j])
 		}
-		if len(pairs) == 0 {
-			// A single gradient is its own aggregate.
-			return &Result{Gradient: tensor.Clone(grads[0]), Selected: []int{0}}, nil
-		}
-		radius, err = stats.Median(pairs)
-		if err != nil {
-			return nil, err
-		}
+	}
+	if len(pairs) == 0 {
+		// A single gradient is its own aggregate.
+		return &Result{Gradient: tensor.Clone(grads[0]), Selected: []int{0}}, nil
+	}
+	radius, err := stats.Median(pairs)
+	if err != nil {
+		return nil, err
 	}
 
 	// Candidate set S: gradients with a strict cohort majority within the

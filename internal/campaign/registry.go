@@ -91,7 +91,7 @@ func (r *Registry) buildDefense(c Cell, f int, seed int64) (aggregate.Rule, erro
 	n := c.EffectiveCohort()
 	// Under subsampling the population-level Byzantine count can exceed
 	// what a per-round cohort can absorb (TrMean needs n > 2f); grant the
-	// baselines the paper's Byzantine-majority bound f ≤ (n−1)/2 instead.
+	// baselines the honest-majority bound f ≤ (n−1)/2 instead.
 	// Full-participation cells keep the historical f untouched, so their
 	// cached results stay byte-valid.
 	if n < c.Params.Clients {

@@ -97,7 +97,7 @@ func TestMessages(t *testing.T) {
 		{defs.ValidateHyper("Mean", map[string]float64{"z": 1, "coord_fraction": 0.5}),
 			`defense: Mean does not accept hyperparameter(s) [coord_fraction z] (accepts [])`},
 		{errOf(defs.Build("SignGuard", defense.Params{N: 10, F: 2, Hyper: map[string]float64{"coordfraction": 0.5}})),
-			`defense: SignGuard does not accept hyperparameter(s) [coordfraction] (accepts [coord_fraction lower_bound upper_bound])`},
+			`defense: SignGuard does not accept hyperparameter(s) [coordfraction] (accepts [coord_fraction])`},
 		{errOf(codecs.Build(codec.TopK, codec.Params{Hyper: map[string]float64{"levels": 4}})),
 			`codec: topk does not accept hyperparameter(s) [levels] (accepts [k])`},
 		{codecs.ValidateHyper(codec.SignSGD, map[string]float64{"k": 1}),

@@ -18,12 +18,16 @@ import (
 	"github.com/signguard/signguard/internal/tensor"
 )
 
+// LowerBound and UpperBound are the norm-ratio thresholds L and R of the
+// norm filter (paper: L=0.1, R=3.0).
+const (
+	LowerBound = 0.1
+	UpperBound = 3.0
+)
+
 // Config parameterizes a SignGuard aggregator. The zero value is not
 // usable; start from DefaultConfig.
 type Config struct {
-	// LowerBound and UpperBound are the norm-ratio thresholds L and R of
-	// the norm filter (paper: L=0.1, R=3.0).
-	LowerBound, UpperBound float64
 	// CoordFraction is the random coordinate fraction for the sign
 	// statistics (paper: 0.1).
 	CoordFraction float64
@@ -44,8 +48,6 @@ type Config struct {
 // (plain variant: sign statistics only, all components enabled).
 func DefaultConfig() Config {
 	return Config{
-		LowerBound:    0.1,
-		UpperBound:    3.0,
 		CoordFraction: 0.1,
 		Similarity:    NoSimilarity,
 		UseNormFilter: true,
@@ -72,9 +74,6 @@ var _ aggregate.Rule = (*SignGuard)(nil)
 func New(cfg Config) (*SignGuard, error) {
 	if !cfg.UseNormFilter && !cfg.UseSignFilter && !cfg.UseNormClip {
 		return nil, errors.New("core: SignGuard needs at least one component enabled")
-	}
-	if cfg.UseNormFilter && (cfg.LowerBound < 0 || cfg.UpperBound <= cfg.LowerBound) {
-		return nil, fmt.Errorf("core: norm bounds [%v,%v] invalid", cfg.LowerBound, cfg.UpperBound)
 	}
 	if cfg.UseSignFilter && (cfg.CoordFraction <= 0 || cfg.CoordFraction > 1) {
 		return nil, fmt.Errorf("core: coordinate fraction %v out of (0,1]", cfg.CoordFraction)
@@ -161,7 +160,7 @@ func (sg *SignGuard) Aggregate(grads [][]float64) (*aggregate.Result, error) {
 	var normKept, signKept []int
 	selected := allIndices(len(grads))
 	if sg.cfg.UseNormFilter {
-		if normKept, err = normBand(norms, med, sg.cfg.LowerBound, sg.cfg.UpperBound); err != nil {
+		if normKept, err = normBand(norms, med); err != nil {
 			return nil, fmt.Errorf("core: filter norm-threshold: %w", err)
 		}
 		selected = normKept
@@ -202,10 +201,10 @@ func (sg *SignGuard) Aggregate(grads [][]float64) (*aggregate.Result, error) {
 }
 
 // normBand is Algorithm 2, step 1: it keeps gradient i iff
-// lower ≤ ||g_i|| / med ≤ upper, ascending. The paper uses a loose lower
-// bound (small gradients do little harm) and a strict upper bound (a
-// significantly large gradient is malicious): L=0.1, R=3.0.
-func normBand(norms []float64, med, lower, upper float64) ([]int, error) {
+// LowerBound ≤ ||g_i|| / med ≤ UpperBound, ascending. The paper uses a
+// loose lower bound (small gradients do little harm) and a strict upper
+// bound (a significantly large gradient is malicious).
+func normBand(norms []float64, med float64) ([]int, error) {
 	keep := make([]int, 0, len(norms))
 	if med == 0 {
 		// All-zero median norm: every gradient with zero norm is "at the
@@ -222,7 +221,7 @@ func normBand(norms []float64, med, lower, upper float64) ([]int, error) {
 		return keep, nil
 	}
 	for i, n := range norms {
-		if ratio := n / med; ratio >= lower && ratio <= upper {
+		if ratio := n / med; ratio >= LowerBound && ratio <= UpperBound {
 			keep = append(keep, i)
 		}
 	}

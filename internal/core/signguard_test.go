@@ -33,11 +33,6 @@ func TestNewValidation(t *testing.T) {
 		t.Error("accepted config with no components")
 	}
 	cfg = DefaultConfig()
-	cfg.LowerBound, cfg.UpperBound = 2, 1
-	if _, err := New(cfg); err == nil {
-		t.Error("accepted inverted norm bounds")
-	}
-	cfg = DefaultConfig()
 	cfg.CoordFraction = 2
 	if _, err := New(cfg); err == nil {
 		t.Error("accepted coordinate fraction > 1")
@@ -72,7 +67,7 @@ func gradNorms(t *testing.T, grads [][]float64) ([]float64, float64) {
 
 func TestNormBand(t *testing.T) {
 	norms, med := gradNorms(t, [][]float64{{1, 0}, {1.2, 0}, {0.9, 0}, {100, 0}, {0.001, 0}})
-	kept, err := normBand(norms, med, 0.1, 3.0)
+	kept, err := normBand(norms, med)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +78,7 @@ func TestNormBand(t *testing.T) {
 
 func TestNormBandAllZero(t *testing.T) {
 	norms, med := gradNorms(t, [][]float64{{0, 0}, {0, 0}, {1, 1}})
-	kept, err := normBand(norms, med, 0.1, 3)
+	kept, err := normBand(norms, med)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,10 +7,10 @@
 // an aggregate.Rule through ad-hoc closure tables in internal/experiments.
 // Now a single Registry is consumed uniformly by the campaign engine, the
 // experiments harness, every CLI, the serving path (flserver -rule) and the
-// public façade, and defense hyperparameters
-// (SignGuard's coordinate fraction, DnC's subsampling dimension, ...) are
-// plain named values — which makes hyperparameter sweeps ordinary grid
-// axes.
+// public façade. Each entry runs at one catalog configuration; the only
+// hyperparameters are the two a grid sweeps (SignGuard's coordinate
+// fraction, DnC's subsampling dimension), plain named values that make
+// those sweeps ordinary grid axes.
 package defense
 
 import (
@@ -107,21 +107,19 @@ func (r *Registry) ValidateHyper(name string, hyper map[string]float64) error {
 	return catalog.CheckHyper("defense", name, s.Hyper, hyper)
 }
 
-// signGuardConfig assembles a core.Config from Params and the shared
-// SignGuard hyperparameters.
+// signGuardConfig assembles a core.Config from Params and the SignGuard
+// coordinate-fraction hyperparameter.
 func signGuardConfig(p Params, sim core.Similarity) core.Config {
 	cfg := core.DefaultConfig()
 	cfg.Similarity = sim
 	cfg.Seed = p.Seed
 	cfg.CoordFraction = catalog.Hyper(p.Hyper, "coord_fraction", cfg.CoordFraction)
-	cfg.LowerBound = catalog.Hyper(p.Hyper, "lower_bound", cfg.LowerBound)
-	cfg.UpperBound = catalog.Hyper(p.Hyper, "upper_bound", cfg.UpperBound)
 	return cfg
 }
 
 // signGuardHyper is the hyperparameter set shared by the three SignGuard
 // variants.
-var signGuardHyper = []string{"coord_fraction", "lower_bound", "upper_bound"}
+var signGuardHyper = []string{"coord_fraction"}
 
 // Builtin returns the registry of the paper's ten Table I defenses, in row
 // order, followed by the related-work families beyond the paper's table:
@@ -133,8 +131,8 @@ func Builtin() *Registry {
 		{Name: "Mean", Build: func(Params) (aggregate.Rule, error) {
 			return aggregate.NewMean(), nil
 		}},
-		{Name: "TrMean", Hyper: []string{"trim"}, Build: func(p Params) (aggregate.Rule, error) {
-			return aggregate.NewTrimmedMean(int(catalog.Hyper(p.Hyper, "trim", float64(p.F)))), nil
+		{Name: "TrMean", Build: func(p Params) (aggregate.Rule, error) {
+			return aggregate.NewTrimmedMean(p.F), nil
 		}},
 		{Name: "Median", Build: func(Params) (aggregate.Rule, error) {
 			return aggregate.NewMedian(), nil
@@ -163,13 +161,9 @@ func Builtin() *Registry {
 			}
 			return aggregate.NewBulyan(f), nil
 		}},
-		{Name: "DnC", Hyper: []string{"subdim", "niters"}, Build: func(p Params) (aggregate.Rule, error) {
+		{Name: "DnC", Hyper: []string{"subdim"}, Build: func(p Params) (aggregate.Rule, error) {
 			d := aggregate.NewDnC(p.F, p.Seed)
-			// Subsample fewer coordinates than the reference default: our
-			// models are orders of magnitude smaller than ResNet-18, and the
-			// sweep budget is dominated by the power iteration.
-			d.SubDim = int(catalog.Hyper(p.Hyper, "subdim", 2000))
-			d.NIters = int(catalog.Hyper(p.Hyper, "niters", float64(d.NIters)))
+			d.SubDim = int(catalog.Hyper(p.Hyper, "subdim", float64(d.SubDim)))
 			return d, nil
 		}},
 		{Name: "SignGuard", Hyper: signGuardHyper, Build: func(p Params) (aggregate.Rule, error) {
@@ -181,34 +175,14 @@ func Builtin() *Registry {
 		{Name: "SignGuard-Dist", Hyper: signGuardHyper, Build: func(p Params) (aggregate.Rule, error) {
 			return core.New(signGuardConfig(p, core.DistanceSimilarity))
 		}},
-		{Name: "FLTrust", Hyper: []string{"root_size", "clip"}, Build: func(p Params) (aggregate.Rule, error) {
-			root := int(catalog.Hyper(p.Hyper, "root_size", 100))
-			if root < 1 {
-				return nil, fmt.Errorf("defense: FLTrust root_size %d must be >= 1", root)
-			}
-			clip := catalog.Hyper(p.Hyper, "clip", 0)
-			if clip < 0 || clip >= 1 {
-				return nil, fmt.Errorf("defense: FLTrust clip %v out of [0, 1)", clip)
-			}
-			return aggregate.NewFLTrust(root, clip), nil
+		{Name: "FLTrust", Build: func(Params) (aggregate.Rule, error) {
+			return aggregate.NewFLTrust(), nil
 		}},
-		{Name: "FLAME", Hyper: []string{"clusters", "sigma"}, Build: func(p Params) (aggregate.Rule, error) {
-			k := int(catalog.Hyper(p.Hyper, "clusters", 2))
-			if k < 1 {
-				return nil, fmt.Errorf("defense: FLAME clusters %d must be >= 1", k)
-			}
-			sigma := catalog.Hyper(p.Hyper, "sigma", 0)
-			if sigma < 0 {
-				return nil, fmt.Errorf("defense: FLAME sigma %v must be >= 0", sigma)
-			}
-			return aggregate.NewFLAME(k, sigma, p.Seed), nil
+		{Name: "FLAME", Build: func(p Params) (aggregate.Rule, error) {
+			return aggregate.NewFLAME(p.Seed), nil
 		}},
-		{Name: "MoM", Hyper: []string{"radius"}, Build: func(p Params) (aggregate.Rule, error) {
-			radius := catalog.Hyper(p.Hyper, "radius", 0)
-			if radius < 0 {
-				return nil, fmt.Errorf("defense: MoM radius %v must be >= 0 (0 = median pairwise distance)", radius)
-			}
-			return aggregate.NewMedianOfMeans(radius), nil
+		{Name: "MoM", Build: func(Params) (aggregate.Rule, error) {
+			return aggregate.NewMedianOfMeans(), nil
 		}},
 	}...)}
 }

@@ -58,7 +58,7 @@ func TestBuiltinConstructorsBuildAndAggregate(t *testing.T) {
 func TestSignGuardHyperApplied(t *testing.T) {
 	rule, err := Builtin().Build("SignGuard", Params{
 		N: 10, F: 2, Seed: 9,
-		Hyper: map[string]float64{"coord_fraction": 0.37, "upper_bound": 5},
+		Hyper: map[string]float64{"coord_fraction": 0.37},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -85,3 +85,27 @@ func TestTable2NarrowedGridNamesTheCount(t *testing.T) {
 		t.Errorf("Table II of a 3-cell grid: error %v, want %q", err, want)
 	}
 }
+
+// TestEveryDefenseHyperIsSwept keeps the defense catalog at one setting per
+// entry: every hyperparameter name a Defenses() entry declares must be set
+// in RuleHyper by at least one cell of the "all" grid. A knob no grid turns
+// runs only under tests; declare it when a sweep needs it, not before.
+func TestEveryDefenseHyperIsSwept(t *testing.T) {
+	spec, err := CampaignByName("all", axesParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	swept := map[string]bool{}
+	for _, c := range spec.Cells {
+		for name := range c.RuleHyper {
+			swept[name] = true
+		}
+	}
+	for _, s := range Defenses().Values() {
+		for _, name := range s.Hyper {
+			if !swept[name] {
+				t.Errorf("%s declares hyperparameter %q, which no cell of the \"all\" grid sets", s.Name, name)
+			}
+		}
+	}
+}

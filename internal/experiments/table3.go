@@ -62,7 +62,7 @@ func newAblationRule(c ablationCombo, seed int64) (aggregate.Rule, error) {
 // when neither is (following the paper).
 func table3ReverseScale(c ablationCombo) float64 {
 	if c.Thresholding || c.NormClip {
-		return core.DefaultConfig().UpperBound
+		return core.UpperBound
 	}
 	return 100
 }

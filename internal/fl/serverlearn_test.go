@@ -49,7 +49,7 @@ func captureFirstRound(t *testing.T, rule aggregate.Rule) [][]float64 {
 // pinned digests predate FLTrust.
 func TestServerLearnerRNGIsolation(t *testing.T) {
 	mean := captureFirstRound(t, aggregate.NewMean())
-	fltrust := captureFirstRound(t, aggregate.NewFLTrust(60, 0))
+	fltrust := captureFirstRound(t, aggregate.NewFLTrust())
 	if len(mean) != len(fltrust) {
 		t.Fatalf("cohort sizes differ: %d vs %d", len(mean), len(fltrust))
 	}
@@ -106,8 +106,8 @@ func trainUnderBackdoorR(t *testing.T, rule aggregate.Rule, rounds int) float64 
 // what no longer looks different, so the bound below is a drop, not a floor.
 func TestBackdoorASRDrops(t *testing.T) {
 	meanASR := trainUnderBackdoor(t, aggregate.NewMean())
-	fltrustASR := trainUnderBackdoor(t, aggregate.NewFLTrust(60, 0))
-	flameASR := trainUnderBackdoor(t, aggregate.NewFLAME(2, 0, 42))
+	fltrustASR := trainUnderBackdoor(t, aggregate.NewFLTrust())
+	flameASR := trainUnderBackdoor(t, aggregate.NewFLAME(42))
 	t.Logf("ASR: Mean %.1f%%, FLTrust %.1f%%, FLAME %.1f%%", meanASR, fltrustASR, flameASR)
 	if meanASR < 50 {
 		t.Errorf("Mean ASR %.1f%% — the backdoor never took against the undefended baseline, so the comparison is vacuous", meanASR)

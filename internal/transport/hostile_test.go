@@ -45,7 +45,7 @@ func TestHostileNaNEndToEnd(t *testing.T) {
 	}{
 		{"Mean", func(int) aggregate.Rule { return aggregate.NewMean() }},
 		{"Multi-Krum", func(n int) aggregate.Rule { return aggregate.NewMultiKrum(0, n) }},
-		{"FLAME", func(int) aggregate.Rule { return aggregate.Guard(aggregate.NewFLAME(2, 0, 1)) }},
+		{"FLAME", func(int) aggregate.Rule { return aggregate.Guard(aggregate.NewFLAME(1)) }},
 		{"SignGuard", func(int) aggregate.Rule { return aggregate.Guard(core.NewPlain(1)) }},
 	}
 	wires := []struct {

@@ -46,13 +46,12 @@ import (
 // SignGuardConfig for full control.
 type SignGuard = core.SignGuard
 
-// SignGuardConfig parameterizes a custom SignGuard instance (bounds,
-// coordinate fraction, similarity feature, component toggles for
-// ablations).
+// SignGuardConfig parameterizes a custom SignGuard instance (coordinate
+// fraction, similarity feature, component toggles for ablations).
 type SignGuardConfig = core.Config
 
-// DefaultSignGuardConfig returns the paper's default configuration
-// (L=0.1, R=3.0, 10% coordinates, all components on).
+// DefaultSignGuardConfig returns the paper's default configuration (10%
+// coordinates, all components on; the norm band L=0.1, R=3.0 is fixed).
 func DefaultSignGuardConfig() SignGuardConfig { return core.DefaultConfig() }
 
 // NewSignGuardFromConfig builds a SignGuard aggregator from a config.
