@@ -30,8 +30,8 @@ race:
 
 # Registry-wide conformance suite (internal/conformance): every registered
 # defense and codec must hold its contract — byte-identical aggregation for
-# any worker count, finite-or-error behavior on hostile inputs, declared
-# hyperparameters and codec round-trip bounds. Run under the race detector
+# any worker count, finite-or-error behavior on hostile inputs, selections
+# in ascending order, and codec round-trip bounds. Run under the race detector
 # with -count=2 so a stateful rule that only misbehaves on reuse (or only
 # races under parallel kernels) still fails; the CI test job runs this.
 conformance:
@@ -67,7 +67,7 @@ paper-smoke:
 		test -s "$$dir/$$name.md" && cat "$$dir/$$name.md" || exit 1; \
 	done
 
-# The bench-scale results golden: every experiment ("all", 788 cells) at
+# The bench-scale results golden: every experiment ("all", 763 cells) at
 # bench scale and seed 1, run into a fresh store under /tmp and exported as
 # markdown to docs/results-bench.md. A change that moves any rendered
 # number then shows up in `git diff`; the CI results job runs this target

@@ -14,7 +14,6 @@ package signguard_test
 
 import (
 	"context"
-	"fmt"
 	"strings"
 	"testing"
 
@@ -192,28 +191,6 @@ func BenchmarkAttacks(b *testing.B) {
 }
 
 // ---- Ablation benchmarks for SignGuard's design choices ----
-
-// BenchmarkAblationCoordinateFraction sweeps the random coordinate
-// fraction of the sign filter (paper default 10%).
-func BenchmarkAblationCoordinateFraction(b *testing.B) {
-	grads := benchGrads(50, 20000)
-	for _, frac := range []float64{0.01, 0.1, 0.5, 1.0} {
-		b.Run(fmt.Sprintf("frac=%.2f", frac), func(b *testing.B) {
-			cfg := core.DefaultConfig()
-			cfg.CoordFraction = frac
-			sg, err := core.New(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := sg.Aggregate(grads); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
 
 // BenchmarkAblationFeatures compares the plain, -Sim and -Dist variants'
 // per-round cost (the similarity features add an O(n·d) pass).

@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"github.com/signguard/signguard/internal/campaign"
-	"github.com/signguard/signguard/internal/cliutil"
 	"github.com/signguard/signguard/internal/experiments"
 )
 
@@ -15,14 +14,13 @@ import (
 // replicate and filter a campaign's cell grid, and optionally stamp a
 // gradient-compression codec onto every cell.
 type gridFlags struct {
-	name       string
-	scale      string
-	seed       int64
-	seeds      string
-	filter     string
-	cacheDir   string
-	codec      string
-	codecHyper string
+	name     string
+	scale    string
+	seed     int64
+	seeds    string
+	filter   string
+	cacheDir string
+	codec    string
 }
 
 func (g *gridFlags) register(fs *flag.FlagSet) {
@@ -33,7 +31,6 @@ func (g *gridFlags) register(fs *flag.FlagSet) {
 	fs.StringVar(&g.filter, "filter", "", "keep only cells whose ID contains this substring (applied after -seeds replication)")
 	fs.StringVar(&g.cacheDir, "cache-dir", ".campaign-cache", "cell result cache directory")
 	fs.StringVar(&g.codec, "codec", "", "gradient-compression codec stamped onto every cell (see 'campaign rules'; empty = cells' own codec axis)")
-	fs.StringVar(&g.codecHyper, "codec-hyper", "", "codec hyperparameters as key=value[,key=value], e.g. k=64 (requires -codec)")
 }
 
 // parseSeeds parses the -seeds list ("1,2,3").
@@ -73,15 +70,11 @@ func (g *gridFlags) narrow(spec campaign.Spec) (campaign.Spec, error) {
 	if err != nil {
 		return campaign.Spec{}, err
 	}
-	hyper, err := cliutil.CodecHyper(g.codec, g.codecHyper)
-	if err != nil {
-		return campaign.Spec{}, err
-	}
 	spec = campaign.ReplicateSeeds(spec, seeds).Filter(g.filter)
 	// The codec is cell identity: stamped cells hash and cache separately
 	// from their originals, so run/status/export all see the same grid for
 	// the same flags.
-	return campaign.ApplyCodec(spec, g.codec, hyper), nil
+	return campaign.ApplyCodec(spec, g.codec), nil
 }
 
 // spec expands the -name campaign through narrow and refuses an empty grid.

@@ -20,9 +20,6 @@ func TestResolveSpecNames(t *testing.T) {
 		wantCells int // 0 = only assert non-empty
 	}{
 		{name: "table2"},
-		{name: "subsample", wantCells: 9},
-		{name: "coordfrac", wantCells: 10},
-		{name: "dncsubdim", wantCells: 6},
 		{name: "adaptive", wantCells: 6},
 		{name: "all"},
 	}

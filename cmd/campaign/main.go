@@ -62,7 +62,7 @@ func dispatch(cmd string, args []string) error {
 	case "export":
 		return cmdExport(args)
 	case "list":
-		return cmdList()
+		return cmdList(os.Stdout)
 	case "rules":
 		return cmdRules(os.Stdout)
 	case "-h", "--help", "help":
@@ -82,11 +82,10 @@ func usage() {
   export  emit cached results as CSV/JSON, per cell or aggregated by seed
           group, or render them as the paper's tables (-format md|tsv)
   list    list the named campaigns and their cell counts
-  rules   list the registered defenses and compression codecs with their
-          declared hyperparameters
+  rules   list the registered defenses and compression codecs
 
 Campaigns cover the paper's tables and figures plus the scenario axes
-(client subsampling, defense hyperparameter sweeps, adaptive attacks);
+(adaptive attacks, compression, hostile input, server learning);
 'campaign list' prints them all.
 
 Common flags: -name, -scale, -seed, -seeds, -cache-dir, -filter.
@@ -356,39 +355,32 @@ func writeTables(w io.Writer, format string, g *gridFlags, store *campaign.Store
 	return nil
 }
 
-func cmdList() error {
+// cmdList prints every named campaign with its cell count at standard
+// scale.
+func cmdList(w io.Writer) error {
 	p := experiments.DefaultParams(experiments.ScaleStandard)
 	for _, name := range experiments.CampaignNames() {
 		spec, err := experiments.CampaignByName(name, p)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%-11s %4d cells\n", name, len(spec.Cells))
+		fmt.Fprintf(w, "%-11s %4d cells\n", name, len(spec.Cells))
 	}
 	return nil
 }
 
 // cmdRules prints the defense and codec registries — the one listing
-// surface for both pluggable-stage catalogs, with the hyperparameter
-// names each constructor accepts (usable in RuleHyper / -codec-hyper).
+// surface for both pluggable-stage catalogs.
 func cmdRules(w io.Writer) error {
-	defs := experiments.Defenses().Values()
+	defs := experiments.Defenses().Names()
 	fmt.Fprintf(w, "defenses (%d):\n", len(defs))
-	for _, s := range defs {
-		printRule(w, s.Name, s.Hyper)
+	for _, name := range defs {
+		fmt.Fprintf(w, "  %s\n", name)
 	}
-	codecs := codec.Builtin().Values()
+	codecs := codec.Builtin().Names()
 	fmt.Fprintf(w, "\ncodecs (%d):\n", len(codecs))
-	for _, s := range codecs {
-		printRule(w, s.Name, s.Hyper)
+	for _, name := range codecs {
+		fmt.Fprintf(w, "  %s\n", name)
 	}
 	return nil
-}
-
-func printRule(w io.Writer, name string, hyper []string) {
-	if len(hyper) == 0 {
-		fmt.Fprintf(w, "  %s\n", name)
-		return
-	}
-	fmt.Fprintf(w, "  %-24s hyper: %s\n", name, strings.Join(hyper, ", "))
 }

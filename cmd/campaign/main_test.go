@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -27,39 +28,48 @@ func TestRemovedSubcommandsAreUnknown(t *testing.T) {
 	}
 }
 
-// TestRulesListsTheSweptHyperparameters pins `campaign rules`: every
-// catalog defense and codec is listed, and the only declared
-// hyperparameters are the ones a grid sweeps (SignGuard's coord_fraction,
-// DnC's subdim) and the codecs' k and levels.
-func TestRulesListsTheSweptHyperparameters(t *testing.T) {
+// TestRulesListsEveryName pins `campaign rules`: every catalog defense
+// and codec is listed by name alone, each on its own line.
+func TestRulesListsEveryName(t *testing.T) {
 	var out bytes.Buffer
 	if err := cmdRules(&out); err != nil {
 		t.Fatal(err)
 	}
-	want := map[string]string{
-		"SignGuard": "coord_fraction", "SignGuard-Sim": "coord_fraction", "SignGuard-Dist": "coord_fraction",
-		"DnC": "subdim", "topk": "k", "qsgd": "levels",
-	}
-	listed := map[string]bool{}
+	var listed []string
 	for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n") {
 		if !strings.HasPrefix(line, "  ") {
 			continue // a section header or the blank line between them
 		}
-		name, hyper, _ := strings.Cut(strings.TrimSpace(line), " hyper: ")
-		name = strings.TrimSpace(name)
-		listed[name] = true
-		if hyper != want[name] {
-			t.Errorf("%s lists hyper %q, want %q", name, hyper, want[name])
-		}
+		listed = append(listed, strings.TrimPrefix(line, "  "))
 	}
 	names := append(experiments.Defenses().Names(), codec.Builtin().Names()...)
-	for _, name := range names {
-		if !listed[name] {
-			t.Errorf("%s missing from the listing", name)
-		}
+	if !slices.Equal(listed, names) {
+		t.Errorf("listing %q, want the catalogs' names %q", listed, names)
 	}
-	if len(listed) != len(names) {
-		t.Errorf("listing has %d entries, the catalogs %d", len(listed), len(names))
+}
+
+// TestListPinsTheCatalog pins `campaign list`: every experiment and "all",
+// in catalog order, with its cell count at standard scale.
+func TestListPinsTheCatalog(t *testing.T) {
+	var out bytes.Buffer
+	if err := cmdList(&out); err != nil {
+		t.Fatal(err)
+	}
+	const want = `table1       360 cells
+table2        15 cells
+table3        18 cells
+fig2           2 cells
+fig4         202 cells
+fig5          10 cells
+fig6          90 cells
+adaptive       6 cells
+compression   32 cells
+hostile       20 cells
+serverlearn    8 cells
+all          763 cells
+`
+	if out.String() != want {
+		t.Errorf("campaign list printed\n%s\nwant\n%s", out.String(), want)
 	}
 }
 
@@ -187,7 +197,6 @@ func TestRefusesBadArguments(t *testing.T) {
 		{name: "run with a campaign argument", cmd: "run", args: []string{"-cache-dir", dir, "-filter", "no-such-cell", "table3"}, want: []string{`"table3"`, "-name table3"}},
 		{name: "run with a stray argument", cmd: "run", args: []string{"-cache-dir", dir, "-filter", "no-such-cell", "extra"}, want: []string{`unexpected argument "extra"`}, avoid: "-name"},
 		{name: "unknown -name lists the catalog", cmd: "export", args: []string{"-name", "table9", "-cache-dir", dir}, want: experiments.CampaignNames()},
-		{name: "-codec-hyper without -codec", cmd: "run", args: []string{"-name", "fig2", "-codec-hyper", "k=64", "-cache-dir", dir}, want: []string{"-codec-hyper requires -codec"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			err := dispatch(tc.cmd, tc.args)

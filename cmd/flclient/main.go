@@ -61,7 +61,6 @@ func main() {
 		async    = flag.Bool("async", false, "speak the asynchronous HTTP protocol (server must run flserver -async)")
 		updates  = flag.Int("updates", 0, "async: stop after this many accepted submissions (0 = until server Done)")
 		codecStr = flag.String("codec", "", "compress submissions with this codec (identity|topk|qsgd|signsgd; the server must accept it)")
-		hyperStr = flag.String("codec-hyper", "", "codec hyperparameters as key=value[,key=value], e.g. k=64 (requires -codec)")
 	)
 	flag.Parse()
 
@@ -72,7 +71,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("flclient: %v", err)
 	}
-	wire, err := cliutil.Codec(*codecStr, *hyperStr)
+	wire, err := cliutil.Codec(*codecStr)
 	if err != nil {
 		log.Fatalf("flclient: %v", err)
 	}

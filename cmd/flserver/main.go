@@ -44,7 +44,7 @@
 //	flserver -addr :9000 -clients 4 -codec identity,topk   # accept only these codecs
 //	flserver -addr :9000 -async -buffer 8 -alpha 0.5 -rounds 200
 //	flserver -loadtest -load-clients 100000 -load-byz 0.1
-//	flserver -loadtest -codec topk -codec-hyper k=8    # compressed submissions
+//	flserver -loadtest -codec topk    # compressed submissions
 package main
 
 import (
@@ -98,7 +98,6 @@ func main() {
 		loadHostile = flag.Float64("load-nonfinite", 0, "loadtest: fraction of clients shipping non-finite (NaN-injection) payloads")
 
 		codecStr = flag.String("codec", "", "comma-separated accepted codec list advertised to clients (empty = all built-ins); loadtest: compress simulated client submissions with this codec")
-		hyperStr = flag.String("codec-hyper", "", "loadtest: codec hyperparameters as key=value[,key=value], e.g. k=8 (requires -codec)")
 	)
 	flag.Parse()
 
@@ -113,10 +112,10 @@ func main() {
 
 	var err error
 	if *loadRun {
-		err = runLoadtest(load, *ruleStr, *byz, *codecStr, *hyperStr)
+		err = runLoadtest(load, *ruleStr, *byz, *codecStr)
 	} else {
 		var accepted []string
-		if accepted, err = parseAccepted(*codecStr, *hyperStr); err == nil {
+		if accepted, err = parseAccepted(*codecStr); err == nil {
 			// Lock-step rounds are the core's deterministic case: one fresh
 			// update per client at fixed schedule positions, nothing to
 			// discount, and no session expiry (the round timer drops a
@@ -169,12 +168,7 @@ func validateLoadFlags(c loadtest.Config) error {
 
 // parseAccepted resolves -codec in either serving mode to the
 // accepted-codec list the server advertises (nil = every built-in).
-// Decoding is hyperparameter-independent, so -codec-hyper has no serving
-// meaning.
-func parseAccepted(codecStr, hyperStr string) ([]string, error) {
-	if hyperStr != "" {
-		return nil, fmt.Errorf("-codec-hyper only applies to -loadtest (decoding is hyperparameter-independent)")
-	}
+func parseAccepted(codecStr string) ([]string, error) {
 	if codecStr == "" {
 		return nil, nil
 	}
@@ -305,11 +299,11 @@ func serveHTTP(addr string, accepted []string, roundTimeout time.Duration, agg *
 // runLoadtest completes cfg with the -rule defense in front of the buffer
 // and the -codec every simulated client compresses with, drives the
 // in-process load harness and prints its report.
-func runLoadtest(cfg loadtest.Config, ruleStr string, byz int, codecStr, hyperStr string) (err error) {
+func runLoadtest(cfg loadtest.Config, ruleStr string, byz int, codecStr string) (err error) {
 	if cfg.Rule, err = buildRule(ruleStr, cfg.K, byz, cfg.Seed); err != nil {
 		return err
 	}
-	if cfg.Codec, err = cliutil.Codec(codecStr, hyperStr); err != nil {
+	if cfg.Codec, err = cliutil.Codec(codecStr); err != nil {
 		return err
 	}
 	rep, err := loadtest.Run(cfg)

@@ -68,19 +68,16 @@ func TestValidateFlags(t *testing.T) {
 }
 
 // TestParseAccepted: -codec is the accepted list in either serving mode
-// (sync and async share one wire); -codec-hyper has no serving meaning.
+// (sync and async share one wire).
 func TestParseAccepted(t *testing.T) {
-	if got, err := parseAccepted("identity, topk", ""); err != nil || strings.Join(got, ",") != "identity,topk" {
+	if got, err := parseAccepted("identity, topk"); err != nil || strings.Join(got, ",") != "identity,topk" {
 		t.Errorf("accepted list: %v, %v", got, err)
 	}
-	if got, err := parseAccepted("", ""); err != nil || got != nil {
+	if got, err := parseAccepted(""); err != nil || got != nil {
 		t.Errorf("empty -codec: %v, %v, want every built-in", got, err)
 	}
-	if _, err := parseAccepted("topk,", ""); err == nil {
+	if _, err := parseAccepted("topk,"); err == nil {
 		t.Error("empty name in the list accepted")
-	}
-	if _, err := parseAccepted("topk", "k=8"); err == nil {
-		t.Error("-codec-hyper accepted outside -loadtest")
 	}
 }
 

@@ -15,13 +15,11 @@ import (
 // right singular vector by power iteration, scores every gradient by its
 // squared projection onto that direction, and discards the F
 // highest-scoring gradients. The final trusted set is the intersection
-// across dncIters iterations, aggregated by plain averaging.
+// across dncIters iterations, aggregated by plain averaging. Build one with
+// NewDnC.
 type DnC struct {
 	// F is the assumed Byzantine count.
 	F int
-	// SubDim is the number of coordinates sampled per iteration, capped at
-	// the gradient dimension (default 2000).
-	SubDim int
 	// Workers bounds the kernel parallelism (0 = automatic, 1 = sequential);
 	// the output is byte-identical for any value. The coordinate
 	// subsampling RNG is consumed on the serial path only, so it is
@@ -34,16 +32,20 @@ type DnC struct {
 var _ Rule = (*DnC)(nil)
 var _ WorkersSetter = (*DnC)(nil)
 
-// dncIters is the number of DnC filtering iterations.
-const dncIters = 3
-
-// NewDnC returns a DnC rule with the given Byzantine count and the default
-// SubDim, seeded for deterministic coordinate subsampling. The default
-// subsamples fewer coordinates than the reference implementation's 10000:
-// the models here are orders of magnitude smaller than ResNet-18, and a
+// dncIters is the number of DnC filtering iterations, and dncSubDim the
+// number of coordinates each samples, capped at the gradient dimension.
+// The sample is smaller than the reference implementation's 10000: the
+// models here are orders of magnitude smaller than ResNet-18, and a
 // sweep's budget is dominated by the power iteration.
+const (
+	dncIters  = 3
+	dncSubDim = 2000
+)
+
+// NewDnC returns a DnC rule with the given Byzantine count, seeded for
+// deterministic coordinate subsampling.
 func NewDnC(f int, seed int64) *DnC {
-	return &DnC{F: f, SubDim: 2000, rng: rand.New(rand.NewSource(seed))}
+	return &DnC{F: f, rng: rand.New(rand.NewSource(seed))}
 }
 
 // Name implements Rule.
@@ -66,13 +68,7 @@ func (a *DnC) Aggregate(grads [][]float64) (*Result, error) {
 	if remove >= n {
 		return nil, fmt.Errorf("aggregate: DnC would remove all %d gradients (F=%d)", n, remove)
 	}
-	subDim := a.SubDim
-	if subDim <= 0 || subDim > d {
-		subDim = d
-	}
-	if a.rng == nil {
-		a.rng = rand.New(rand.NewSource(1))
-	}
+	subDim := min(dncSubDim, d)
 	workers := parallel.Resolve(a.Workers)
 
 	good := make(map[int]bool, n)

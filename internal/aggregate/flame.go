@@ -15,7 +15,8 @@ import (
 // (cosine geometry), cluster the directions with k-means into flameClusters
 // groups, keep the largest cluster as the benign majority, clip the kept
 // updates to their median norm and average. The original's calibrated
-// noise term is left out: the catalog runs FLAME without noise.
+// noise term is left out: the catalog runs FLAME without noise. Build one
+// with NewFLAME.
 type FLAME struct {
 	// Workers bounds the kernel parallelism (0 = automatic, 1 = sequential);
 	// the output is byte-identical for any value.
@@ -49,9 +50,6 @@ func (f *FLAME) SetWorkers(n int) { f.Workers = n }
 func (f *FLAME) Aggregate(grads [][]float64) (*Result, error) {
 	if _, err := validate(grads); err != nil {
 		return nil, err
-	}
-	if f.rng == nil {
-		f.rng = tensor.NewRNG(0)
 	}
 	workers := parallel.Resolve(f.Workers)
 

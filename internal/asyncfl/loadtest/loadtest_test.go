@@ -125,7 +125,7 @@ func TestLoadHarnessCodecReducesIngest(t *testing.T) {
 		t.Fatal(err)
 	}
 	compressed := base
-	compressed.Codec = codec.TopKCodec{K: 8}
+	compressed.Codec = codec.TopKCodec{}
 	topk, err := Run(compressed)
 	if err != nil {
 		t.Fatal(err)

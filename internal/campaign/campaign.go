@@ -18,8 +18,6 @@ package campaign
 
 import (
 	"fmt"
-	"maps"
-	"sort"
 	"strings"
 )
 
@@ -41,17 +39,9 @@ type Params struct {
 // NumByz returns ⌊ByzFraction·Clients⌋.
 func (p Params) NumByz() int { return int(p.ByzFraction * float64(p.Clients)) }
 
-// Participation policy names a cell may carry. An empty Participation is
-// equivalent to ParticipationFull (every client, every round).
-const (
-	ParticipationFull    = "full"
-	ParticipationUniform = "uniform"
-)
-
 // CodecIdentity is the codec name equivalent to no codec at all: the
 // identity round trip is byte-identical to an uncompressed run, so "" and
-// "identity" normalize to one cell identity (mirroring Participation
-// ""/"full").
+// "identity" normalize to one cell identity.
 const CodecIdentity = "identity"
 
 // Cell is the declarative description of one experiment run. Every field
@@ -67,19 +57,9 @@ type Cell struct {
 	// AttackParam parameterizes attacks that need a scalar, e.g. the
 	// Reverse attack's scale or the TimeVarying attack's switch interval.
 	AttackParam float64 `json:",omitempty"`
-	// RuleHyper holds named defense hyperparameters (e.g. SignGuard's
-	// "coord_fraction", DnC's "subdim"), resolved through the defense
-	// registry. Unknown names fail validation before any cell trains.
-	RuleHyper map[string]float64 `json:",omitempty"`
 	// NumByz overrides the Byzantine count; -1 derives it from
 	// Params.ByzFraction (the common case).
 	NumByz int
-	// Participation selects the per-round client participation policy
-	// ("" or "full" = all clients; "uniform" = SampleK clients drawn
-	// uniformly each round from the stage's own RNG stream).
-	Participation string `json:",omitempty"`
-	// SampleK is the per-round cohort size for "uniform" participation.
-	SampleK int `json:",omitempty"`
 	// NonIIDS, when > 0, trains on the paper's non-IID partition with
 	// IID fraction s = NonIIDS and NonIIDShards shards per client.
 	NonIIDS      float64 `json:",omitempty"`
@@ -89,10 +69,6 @@ type Cell struct {
 	// "identity" = the lossless wire format; both spellings share one cell
 	// identity). Names resolve through the codec registry.
 	Codec string `json:",omitempty"`
-	// CodecHyper holds named codec hyperparameters (topk's "k", qsgd's
-	// "levels"), resolved through the codec registry like RuleHyper.
-	// Unknown names fail validation before any cell trains.
-	CodecHyper map[string]float64 `json:",omitempty"`
 	// NonFinitePolicy is cell identity only: "" or "reject", and the round
 	// pipeline refuses each non-finite gradient from its round under
 	// either. "reject" keeps the hostile grid's stored keys. Any other
@@ -138,28 +114,14 @@ func (c Cell) id(withSeed bool) string {
 	if c.AttackParam != 0 {
 		fmt.Fprintf(&b, "@%g", c.AttackParam)
 	}
-	if len(c.RuleHyper) > 0 {
-		b.WriteString("/hyp=")
-		b.WriteString(formatHyper(c.RuleHyper, ","))
-	}
 	if c.NumByz >= 0 {
 		fmt.Fprintf(&b, "/byz=%d", c.NumByz)
-	}
-	if c.Participation != "" && c.Participation != ParticipationFull {
-		fmt.Fprintf(&b, "/part=%s", c.Participation)
-		if c.SampleK > 0 {
-			fmt.Fprintf(&b, ":%d", c.SampleK)
-		}
 	}
 	if c.NonIIDS > 0 {
 		fmt.Fprintf(&b, "/niid=%g", c.NonIIDS)
 	}
 	if c.Codec != "" && c.Codec != CodecIdentity {
 		fmt.Fprintf(&b, "/codec=%s", c.Codec)
-		if len(c.CodecHyper) > 0 {
-			b.WriteString(":")
-			b.WriteString(formatHyper(c.CodecHyper, ","))
-		}
 	}
 	if c.NonFinitePolicy != "" {
 		fmt.Fprintf(&b, "/nonfinite=%s", c.NonFinitePolicy)
@@ -169,24 +131,6 @@ func (c Cell) id(withSeed bool) string {
 	}
 	if withSeed {
 		fmt.Fprintf(&b, "/seed=%d", c.Params.Seed)
-	}
-	return b.String()
-}
-
-// formatHyper renders a hyperparameter map as a stable sorted
-// "name:value" list — the one definition shared by cell IDs and exports.
-func formatHyper(h map[string]float64, sep string) string {
-	keys := make([]string, 0, len(h))
-	for k := range h {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	for i, k := range keys {
-		if i > 0 {
-			b.WriteString(sep)
-		}
-		fmt.Fprintf(&b, "%s:%g", k, h[k])
 	}
 	return b.String()
 }
@@ -221,30 +165,18 @@ func Merge(name string, specs ...Spec) Spec {
 	return out
 }
 
-// EffectiveCohort returns the number of gradients submitted per round:
-// SampleK under uniform subsampling, the full client count otherwise.
-func (c Cell) EffectiveCohort() int {
-	if c.Participation == ParticipationUniform && c.SampleK > 0 {
-		return c.SampleK
-	}
-	return c.Params.Clients
-}
-
-// ApplyCodec returns a copy of the spec with the named codec (and its
-// hyperparameters) stamped onto every cell — the grid-wide compression
-// axis behind the -codec CLI flags. The codec is cell identity, so the
-// stamped cells hash (and cache) separately from their uncompressed
-// originals; an empty name returns the spec unchanged.
-func ApplyCodec(s Spec, name string, hyper map[string]float64) Spec {
+// ApplyCodec returns a copy of the spec with the named codec stamped onto
+// every cell — the grid-wide compression axis behind the -codec CLI flag.
+// The codec is cell identity, so the stamped cells hash (and cache)
+// separately from their uncompressed originals; an empty name returns the
+// spec unchanged.
+func ApplyCodec(s Spec, name string) Spec {
 	if name == "" {
 		return s
 	}
 	out := Spec{Name: s.Name, Cells: make([]Cell, len(s.Cells))}
 	for i, c := range s.Cells {
 		c.Codec = name
-		// Clone per cell: a shared map pointer would let one cell's later
-		// hyper mutation silently rewrite every cell (and the caller's map).
-		c.CodecHyper = maps.Clone(hyper)
 		out.Cells[i] = c
 	}
 	return out

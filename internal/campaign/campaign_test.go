@@ -10,19 +10,15 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/signguard/signguard/internal/aggregate"
 	"github.com/signguard/signguard/internal/attack"
 	"github.com/signguard/signguard/internal/campaign"
-	"github.com/signguard/signguard/internal/core"
 	"github.com/signguard/signguard/internal/data"
-	"github.com/signguard/signguard/internal/defense"
 	"github.com/signguard/signguard/internal/fl"
 	"github.com/signguard/signguard/internal/nn"
 )
 
 // testRegistry returns a minimal self-contained registry: one tiny
-// synthetic image dataset, the builtin defenses with a one-hyperparameter
-// SignGuard, three attacks and a round-counting probe — enough to exercise
+// synthetic image dataset, the builtin defenses, three attacks and a round-counting probe — enough to exercise
 // every engine path in well under a second per cell.
 func testRegistry() *campaign.Registry {
 	reg := campaign.NewRegistry()
@@ -38,18 +34,6 @@ func testRegistry() *campaign.Registry {
 			return nn.NewMLP(rng, 16, 12, 4)
 		},
 	})
-	defs := defense.Builtin()
-	if err := defs.Register(defense.Spec{Name: "SignGuard", Hyper: []string{"coord_fraction"}, Build: func(p defense.Params) (aggregate.Rule, error) {
-		cfg := core.DefaultConfig()
-		cfg.Seed = p.Seed
-		if v, ok := p.Hyper["coord_fraction"]; ok {
-			cfg.CoordFraction = v
-		}
-		return core.New(cfg)
-	}}); err != nil {
-		panic(err)
-	}
-	reg.RegisterDefenses(defs)
 	reg.RegisterAttack("NoAttack", func(_ campaign.Cell, _ int64) (attack.Attack, error) {
 		return attack.NewNone(), nil
 	})

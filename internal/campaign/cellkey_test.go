@@ -33,18 +33,14 @@ func TestCellKeyGolden(t *testing.T) {
 // TestCellKeyExtensionAxesAreFree asserts the hash-compatibility contract
 // every extension axis must honor: setting an axis to its zero value leaves
 // the key identical to a cell that predates the axis. This is what lets new
-// axes (RuleHyper, Codec, Participation, ...) land without invalidating
+// axes (Codec, NonFinitePolicy, ...) land without invalidating
 // cached results for the grid that never uses them.
 func TestCellKeyExtensionAxesAreFree(t *testing.T) {
 	for name, set := range map[string]func(*campaign.Cell){
 		"attackParam":     func(c *campaign.Cell) { c.AttackParam = 0 },
-		"ruleHyper":       func(c *campaign.Cell) { c.RuleHyper = map[string]float64{} },
-		"participation":   func(c *campaign.Cell) { c.Participation = "" },
-		"sampleK":         func(c *campaign.Cell) { c.SampleK = 0 },
 		"nonIIDS":         func(c *campaign.Cell) { c.NonIIDS = 0 },
 		"nonIIDShards":    func(c *campaign.Cell) { c.NonIIDShards = 0 },
 		"codec":           func(c *campaign.Cell) { c.Codec = "" },
-		"codecHyper":      func(c *campaign.Cell) { c.CodecHyper = map[string]float64{} },
 		"nonFinitePolicy": func(c *campaign.Cell) { c.NonFinitePolicy = "" },
 		"probe":           func(c *campaign.Cell) { c.Probe = "" },
 		"probeParam":      func(c *campaign.Cell) { c.ProbeParam = 0 },

@@ -19,13 +19,12 @@ func TestCodecAxisKeepsHistoricalHashes(t *testing.T) {
 	}
 	zero := base
 	zero.Codec = ""
-	zero.CodecHyper = nil
 	k2, err := zero.Key()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if k1 != k2 {
-		t.Fatal("zero-valued codec fields changed the cell hash")
+		t.Fatal("zero-valued codec field changed the cell hash")
 	}
 	// The identity codec round trip is byte-identical to no codec at all,
 	// so the explicit spelling must share the cache entry.
@@ -38,15 +37,11 @@ func TestCodecAxisKeepsHistoricalHashes(t *testing.T) {
 	if kIdent != k1 {
 		t.Fatal(`Codec "identity" hashes differently from ""`)
 	}
-	// Lossy codecs and their hyperparameters ARE identity.
+	// A lossy codec IS identity.
 	topk := base
 	topk.Codec = "topk"
-	kTopk, _ := topk.Key()
-	topkK := topk
-	topkK.CodecHyper = map[string]float64{"k": 16}
-	kTopkK, _ := topkK.Key()
-	if kTopk == k1 || kTopkK == k1 || kTopk == kTopkK {
-		t.Fatal("codec fields not part of the cell identity")
+	if kTopk, _ := topk.Key(); kTopk == k1 {
+		t.Fatal("codec not part of the cell identity")
 	}
 }
 
@@ -56,8 +51,7 @@ func TestCodecAxisID(t *testing.T) {
 		t.Errorf("codec-free cell ID %q mentions a codec", c.ID())
 	}
 	c.Codec = "topk"
-	c.CodecHyper = map[string]float64{"k": 16}
-	if !strings.Contains(c.ID(), "codec=topk:k:16") {
+	if !strings.Contains(c.ID(), "/codec=topk/") {
 		t.Errorf("cell ID %q does not render the codec axis", c.ID())
 	}
 	// Identity is the default spelling: not rendered, matching Key.
@@ -76,9 +70,6 @@ func TestCodecCellsThroughEngine(t *testing.T) {
 	for _, cdc := range []string{"identity", "topk", "signsgd"} {
 		c := campaign.NewCell("tiny", "SignGuard", "LIE", tinyParams(1))
 		c.Codec = cdc
-		if cdc == "topk" {
-			c.CodecHyper = map[string]float64{"k": 20}
-		}
 		spec.Cells = append(spec.Cells, c)
 	}
 	e := &campaign.Engine{Registry: testRegistry(), Workers: 2}
@@ -124,48 +115,25 @@ func TestValidateRejectsBadCodec(t *testing.T) {
 		!strings.Contains(err.Error(), "gzip") {
 		t.Errorf("unknown codec passed validation: %v", err)
 	}
-
-	badHyper := campaign.NewCell("tiny", "Mean", "LIE", p)
-	badHyper.Codec = "topk"
-	badHyper.CodecHyper = map[string]float64{"levels": 4}
-	if err := reg.Validate(campaign.Spec{Name: "x", Cells: []campaign.Cell{badHyper}}); err == nil ||
-		!strings.Contains(err.Error(), "levels") {
-		t.Errorf("undeclared codec hyperparameter passed validation: %v", err)
-	}
-
-	stray := campaign.NewCell("tiny", "Mean", "LIE", p)
-	stray.CodecHyper = map[string]float64{"k": 8} // without a codec name
-	if err := reg.Validate(campaign.Spec{Name: "x", Cells: []campaign.Cell{stray}}); err == nil {
-		t.Error("CodecHyper without a Codec passed validation")
-	}
 }
 
-// TestApplyCodec: the grid-wide stamping helper behind the -codec flags.
+// TestApplyCodec: the grid-wide stamping helper behind the -codec flag.
 func TestApplyCodec(t *testing.T) {
 	spec := testSpec()
-	stamped := campaign.ApplyCodec(spec, "qsgd", map[string]float64{"levels": 8})
+	stamped := campaign.ApplyCodec(spec, "qsgd")
 	if len(stamped.Cells) != len(spec.Cells) {
 		t.Fatalf("stamped %d cells, want %d", len(stamped.Cells), len(spec.Cells))
 	}
 	for i, c := range stamped.Cells {
-		if c.Codec != "qsgd" || c.CodecHyper["levels"] != 8 {
+		if c.Codec != "qsgd" {
 			t.Fatalf("cell %d not stamped: %+v", i, c)
 		}
 		if spec.Cells[i].Codec != "" {
 			t.Fatal("ApplyCodec mutated the input spec")
 		}
 	}
-	// Each cell owns its hyper map: mutating one cell's (or the caller's
-	// original map) must not leak into any other cell.
-	hyper := map[string]float64{"levels": 8}
-	stamped = campaign.ApplyCodec(spec, "qsgd", hyper)
-	hyper["levels"] = 99
-	stamped.Cells[0].CodecHyper["levels"] = 4
-	if got := stamped.Cells[1].CodecHyper["levels"]; got != 8 {
-		t.Fatalf("cell 1 hyper = %v, shared map leaked across cells/caller", got)
-	}
 
-	same := campaign.ApplyCodec(spec, "", nil)
+	same := campaign.ApplyCodec(spec, "")
 	for i := range same.Cells {
 		if same.Cells[i].Codec != "" {
 			t.Fatalf("empty name stamped cell %d", i)

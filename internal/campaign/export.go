@@ -10,8 +10,7 @@ import (
 
 // csvHeader is the column layout of WriteCSV, one row per cell result.
 var csvHeader = []string{
-	"key", "id", "dataset", "rule", "attack", "attack_param", "rule_hyper",
-	"participation", "sample_k", "codec", "codec_hyper",
+	"key", "id", "dataset", "rule", "attack", "attack_param", "codec",
 	"num_byz", "noniid_s", "seed", "clients", "rounds",
 	"best_acc", "final_acc", "diverged",
 	"sel_honest", "sel_malicious", "wire_bytes", "duration_ms", "cached",
@@ -32,9 +31,7 @@ func WriteCSV(w io.Writer, results []*CellResult) error {
 			selH, selM = f(r.SelHonest), f(r.SelMalicious)
 		}
 		row := []string{
-			r.Key, c.ID(), c.Dataset, c.Rule, c.Attack, f(c.AttackParam),
-			formatHyper(c.RuleHyper, " "), c.Participation, strconv.Itoa(c.SampleK),
-			c.Codec, formatHyper(c.CodecHyper, " "),
+			r.Key, c.ID(), c.Dataset, c.Rule, c.Attack, f(c.AttackParam), c.Codec,
 			strconv.Itoa(r.Cell.EffectiveByz()), f(c.NonIIDS),
 			strconv.FormatInt(c.Params.Seed, 10),
 			strconv.Itoa(c.Params.Clients), strconv.Itoa(c.Params.Rounds),

@@ -23,16 +23,12 @@ func hashJSON(v any) (string, error) {
 }
 
 // Key returns the cell's content hash: the identity under which its result
-// is stored and resumed. Two cells with equal specs share a key. The
-// documented-equivalent participation spellings "" and "full" normalize to
-// one identity, as do the codec spellings "" and "identity" (the identity
+// is stored and resumed. Two cells with equal specs share a key. The codec
+// spellings "" and "identity" normalize to one identity (the identity
 // round trip is byte-identical to no codec stage at all, so the results
 // are interchangeable).
 func (c Cell) Key() (string, error) {
-	if c.Participation == ParticipationFull {
-		c.Participation = ""
-	}
-	if c.Codec == CodecIdentity && len(c.CodecHyper) == 0 {
+	if c.Codec == CodecIdentity {
 		c.Codec = ""
 	}
 	envelope := struct {

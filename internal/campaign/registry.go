@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"github.com/signguard/signguard/internal/aggregate"
 	"github.com/signguard/signguard/internal/attack"
 	"github.com/signguard/signguard/internal/codec"
 	"github.com/signguard/signguard/internal/data"
@@ -41,8 +40,7 @@ type ProbeBuilder func(c Cell) (*ProbeInstance, error)
 // Registry resolves the names inside cells to concrete builders. Defenses
 // resolve through a shared defense.Registry — the same catalog the CLIs
 // list — so SignGuard and the baseline aggregation rules are built through
-// one door, hyperparameters included. The zero value is unusable; use
-// NewRegistry.
+// one door. The zero value is unusable; use NewRegistry.
 type Registry struct {
 	datasets map[string]DatasetBuilder
 	defenses *defense.Registry
@@ -68,7 +66,7 @@ func NewRegistry() *Registry {
 func (r *Registry) RegisterDataset(key string, b DatasetBuilder) { r.datasets[key] = b }
 
 // RegisterDefenses installs the defense catalog cells resolve their Rule
-// names and RuleHyper parameters against.
+// names against.
 func (r *Registry) RegisterDefenses(d *defense.Registry) { r.defenses = d }
 
 // RegisterAttack binds name to an attack builder.
@@ -83,25 +81,6 @@ func (r *Registry) dataset(key string) (DatasetBuilder, error) {
 		return DatasetBuilder{}, fmt.Errorf("campaign: unknown dataset %q", key)
 	}
 	return b, nil
-}
-
-// buildDefense constructs the cell's defense through the shared registry,
-// sized to the per-round cohort the participation policy produces.
-func (r *Registry) buildDefense(c Cell, f int, seed int64) (aggregate.Rule, error) {
-	n := c.EffectiveCohort()
-	// Under subsampling the population-level Byzantine count can exceed
-	// what a per-round cohort can absorb (TrMean needs n > 2f); grant the
-	// baselines the honest-majority bound f ≤ (n−1)/2 instead.
-	// Full-participation cells keep the historical f untouched, so their
-	// cached results stay byte-valid.
-	if n < c.Params.Clients {
-		if maxF := (n - 1) / 2; f > maxF {
-			f = maxF
-		}
-	}
-	return r.defenses.Build(c.Rule, defense.Params{
-		N: n, F: f, Seed: seed, Hyper: c.RuleHyper,
-	})
 }
 
 func (r *Registry) attack(name string) (AttackBuilder, error) {
@@ -124,48 +103,22 @@ func (r *Registry) probe(name string) (ProbeBuilder, error) {
 // lossless identity codec).
 func (r *Registry) codecFor(c Cell) (codec.Codec, error) {
 	if c.Codec == "" {
-		if len(c.CodecHyper) > 0 {
-			return nil, fmt.Errorf("campaign: CodecHyper %v requires a Codec name", c.CodecHyper)
-		}
 		return nil, nil
 	}
-	return r.codecs.Build(c.Codec, codec.Params{Hyper: c.CodecHyper})
+	return r.codecs.Build(c.Codec, codec.Params{})
 }
 
-// participationFor maps a cell's participation fields to the fl stage
-// (nil = engine default, i.e. full participation).
-func participationFor(c Cell) (fl.Participation, error) {
-	switch c.Participation {
-	case "", ParticipationFull:
-		if c.SampleK != 0 {
-			return nil, fmt.Errorf("campaign: SampleK=%d requires %q participation", c.SampleK, ParticipationUniform)
-		}
-		return nil, nil
-	case ParticipationUniform:
-		if c.SampleK < 1 || c.SampleK > c.Params.Clients {
-			return nil, fmt.Errorf("campaign: SampleK %d out of [1,%d]", c.SampleK, c.Params.Clients)
-		}
-		return fl.UniformSubsample{K: c.SampleK}, nil
-	default:
-		return nil, fmt.Errorf("campaign: unknown participation policy %q", c.Participation)
-	}
-}
-
-// Validate checks that every name referenced by the spec's cells resolves
-// (defense names and their hyperparameters included), so a campaign fails
-// before any cell has trained rather than mid-sweep.
+// Validate checks that every name referenced by the spec's cells resolves,
+// so a campaign fails before any cell has trained rather than mid-sweep.
 func (r *Registry) Validate(spec Spec) error {
 	for i, c := range spec.Cells {
 		if _, err := r.dataset(c.Dataset); err != nil {
 			return fmt.Errorf("cell %d (%s): %w", i, c.ID(), err)
 		}
-		if err := r.defenses.ValidateHyper(c.Rule, c.RuleHyper); err != nil {
+		if _, err := r.defenses.Lookup(c.Rule); err != nil {
 			return fmt.Errorf("cell %d (%s): %w", i, c.ID(), err)
 		}
 		if _, err := r.attack(c.Attack); err != nil {
-			return fmt.Errorf("cell %d (%s): %w", i, c.ID(), err)
-		}
-		if _, err := participationFor(c); err != nil {
 			return fmt.Errorf("cell %d (%s): %w", i, c.ID(), err)
 		}
 		if c.NonFinitePolicy != "" {
@@ -174,11 +127,9 @@ func (r *Registry) Validate(spec Spec) error {
 			}
 		}
 		if c.Codec != "" {
-			if err := r.codecs.ValidateHyper(c.Codec, c.CodecHyper); err != nil {
+			if _, err := r.codecs.Lookup(c.Codec); err != nil {
 				return fmt.Errorf("cell %d (%s): %w", i, c.ID(), err)
 			}
-		} else if len(c.CodecHyper) > 0 {
-			return fmt.Errorf("cell %d (%s): CodecHyper %v requires a Codec name", i, c.ID(), c.CodecHyper)
 		}
 		if c.Probe != "" {
 			if _, err := r.probe(c.Probe); err != nil {

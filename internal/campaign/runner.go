@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/signguard/signguard/internal/data"
+	"github.com/signguard/signguard/internal/defense"
 	"github.com/signguard/signguard/internal/fl"
 )
 
@@ -35,7 +36,7 @@ func (r *runner) executeCell(c Cell, key string) (*CellResult, error) {
 	}
 
 	numByz := c.EffectiveByz()
-	rule, err := r.registry.buildDefense(c, numByz, p.Seed+11)
+	rule, err := r.registry.defenses.Build(c.Rule, defense.Params{N: p.Clients, F: numByz, Seed: p.Seed + 11})
 	if err != nil {
 		return nil, fmt.Errorf("building rule %s: %w", c.Rule, err)
 	}
@@ -68,10 +69,6 @@ func (r *runner) executeCell(c Cell, key string) (*CellResult, error) {
 	if c.NonIIDS > 0 {
 		nonIID = &fl.NonIID{S: c.NonIIDS, ShardsPerClient: c.NonIIDShards}
 	}
-	participation, err := participationFor(c)
-	if err != nil {
-		return nil, err
-	}
 	wireCodec, err := r.registry.codecFor(c)
 	if err != nil {
 		return nil, fmt.Errorf("building codec %s: %w", c.Codec, err)
@@ -93,7 +90,7 @@ func (r *runner) executeCell(c Cell, key string) (*CellResult, error) {
 		EvalEvery:   p.EvalEvery,
 		EvalSamples: p.EvalSamples,
 		NonIID:      nonIID,
-		Pipeline:    fl.Pipeline{Participation: participation, Codec: wireCodec},
+		Pipeline:    fl.Pipeline{Codec: wireCodec},
 		Seed:        p.Seed,
 		RoundHook:   hook,
 		Workers:     r.simWorkers,

@@ -1,13 +1,12 @@
 // Package catalog is the one ordered name → value table of the harness:
 // the defense, codec and attack registries and the experiment list are
 // each a Catalog, so registration order, replacement and the unknown-name
-// and undeclared-hyperparameter messages are defined once.
+// message are defined once.
 package catalog
 
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 )
 
@@ -99,29 +98,4 @@ func (c *Catalog[T]) Values() []T {
 		out[i] = c.items[name]
 	}
 	return out
-}
-
-// CheckHyper rejects hyperparameter names that entry name of the given
-// kind does not declare: a sweep axis that silently fell back to defaults
-// would corrupt a whole grid.
-func CheckHyper(kind, name string, declared []string, hyper map[string]float64) error {
-	var bad []string
-	for k := range hyper {
-		if !slices.Contains(declared, k) {
-			bad = append(bad, k)
-		}
-	}
-	if len(bad) > 0 {
-		sort.Strings(bad)
-		return fmt.Errorf("%s: %s does not accept hyperparameter(s) %v (accepts %v)", kind, name, bad, declared)
-	}
-	return nil
-}
-
-// Hyper returns hyper[name], or def when the key is absent.
-func Hyper(hyper map[string]float64, name string, def float64) float64 {
-	if v, ok := hyper[name]; ok {
-		return v
-	}
-	return def
 }

@@ -62,19 +62,6 @@ func TestMustRefusesRepeats(t *testing.T) {
 	}
 }
 
-func TestHyperDefault(t *testing.T) {
-	h := map[string]float64{"k": 64}
-	if got := catalog.Hyper(h, "k", 1); got != 64 {
-		t.Errorf("Hyper(k) = %v, want 64", got)
-	}
-	if got := catalog.Hyper(h, "levels", 4); got != 4 {
-		t.Errorf("Hyper(levels) = %v, want the default 4", got)
-	}
-	if got := catalog.Hyper(nil, "k", 7); got != 7 {
-		t.Errorf("Hyper on a nil map = %v, want the default 7", got)
-	}
-}
-
 // TestMessages pins every registry's refusal messages byte for byte: the
 // CLIs print them, and scripts match on them.
 func TestMessages(t *testing.T) {
@@ -94,14 +81,6 @@ func TestMessages(t *testing.T) {
 		{errOf(codecs.Lookup("nope")), `codec: unknown codec "nope"`},
 		{errOf(codecs.Decode(codec.Encoded{Codec: "nope"})), `codec: unknown codec "nope"`},
 		{errOf(attacks.Lookup("nope")), `attack: unknown attack "nope"`},
-		{defs.ValidateHyper("Mean", map[string]float64{"z": 1, "coord_fraction": 0.5}),
-			`defense: Mean does not accept hyperparameter(s) [coord_fraction z] (accepts [])`},
-		{errOf(defs.Build("SignGuard", defense.Params{N: 10, F: 2, Hyper: map[string]float64{"coordfraction": 0.5}})),
-			`defense: SignGuard does not accept hyperparameter(s) [coordfraction] (accepts [coord_fraction])`},
-		{errOf(codecs.Build(codec.TopK, codec.Params{Hyper: map[string]float64{"levels": 4}})),
-			`codec: topk does not accept hyperparameter(s) [levels] (accepts [k])`},
-		{codecs.ValidateHyper(codec.SignSGD, map[string]float64{"k": 1}),
-			`codec: signsgd does not accept hyperparameter(s) [k] (accepts [])`},
 		// An unknown name that matches one registered name up to case, '-'
 		// and '_' names it; no match, or an ambiguous one, adds nothing.
 		{errOf(defs.Lookup("signguard")), `defense: unknown defense "signguard" (did you mean "SignGuard"?)`},

@@ -5,16 +5,13 @@
 // misbehave) deep inside the protocol. Every helper
 // takes the flag's user-facing name ("-clients") and includes it verbatim
 // in the error, so a failing invocation reads like the usage line that
-// fixes it. Codec resolves the -codec/-codec-hyper pair that flserver and
-// flclient share.
+// fixes it. Codec resolves the -codec flag that flserver and flclient
+// share.
 package cliutil
 
 import (
 	"fmt"
 	"math"
-	"sort"
-	"strconv"
-	"strings"
 	"time"
 
 	"github.com/signguard/signguard/internal/codec"
@@ -100,73 +97,15 @@ func PositiveDuration(flag string, d time.Duration) error {
 	return nil
 }
 
-// ParseHyper parses a "key=value,key=value" hyperparameter flag
-// ("k=64" / "levels=4,seed=7") into the map form the registries take.
-// An empty string is no hyperparameters (nil map).
-func ParseHyper(flag, s string) (map[string]float64, error) {
-	if s == "" {
+// Codec resolves -codec to a wire codec (nil when no -codec is named:
+// uncompressed).
+func Codec(name string) (codec.Codec, error) {
+	if name == "" {
 		return nil, nil
 	}
-	out := map[string]float64{}
-	for _, pair := range strings.Split(s, ",") {
-		k, v, ok := strings.Cut(pair, "=")
-		k = strings.TrimSpace(k)
-		if !ok || k == "" {
-			return nil, fmt.Errorf("%s: bad hyperparameter %q (want key=value)", flag, pair)
-		}
-		f, err := strconv.ParseFloat(strings.TrimSpace(v), 64)
-		if err != nil {
-			return nil, fmt.Errorf("%s: bad value in %q: %v", flag, pair, err)
-		}
-		if math.IsNaN(f) || math.IsInf(f, 0) {
-			// ParseFloat accepts "NaN" and "Inf"; a non-finite hyper poisons
-			// campaign cell hashes and CSV exports, so refuse it here.
-			return nil, fmt.Errorf("%s: non-finite value in %q (hyperparameters must be finite)", flag, pair)
-		}
-		if _, dup := out[k]; dup {
-			return nil, fmt.Errorf("%s: duplicate hyperparameter %q", flag, k)
-		}
-		out[k] = f
-	}
-	return out, nil
-}
-
-// CodecHyper parses -codec-hyper, which means nothing without a -codec
-// name.
-func CodecHyper(codecName, s string) (map[string]float64, error) {
-	hyper, err := ParseHyper("-codec-hyper", s)
-	if err == nil && hyper != nil && codecName == "" {
-		err = fmt.Errorf("-codec-hyper requires -codec")
-	}
-	return hyper, err
-}
-
-// Codec resolves -codec/-codec-hyper to a wire codec (nil when no -codec
-// is named: uncompressed).
-func Codec(name, hyperStr string) (codec.Codec, error) {
-	hyper, err := CodecHyper(name, hyperStr)
-	if err != nil || name == "" {
-		return nil, err
-	}
-	c, err := codec.Builtin().Build(name, codec.Params{Hyper: hyper})
+	c, err := codec.Builtin().Build(name, codec.Params{})
 	if err != nil {
 		return nil, fmt.Errorf("-codec: %w", err)
 	}
 	return c, nil
-}
-
-// FormatHyper renders a hyperparameter map deterministically
-// ("k=64,levels=4", keys sorted) — the inverse of ParseHyper, for logs
-// and listings.
-func FormatHyper(h map[string]float64) string {
-	keys := make([]string, 0, len(h))
-	for k := range h {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	parts := make([]string, len(keys))
-	for i, k := range keys {
-		parts[i] = fmt.Sprintf("%s=%v", k, h[k])
-	}
-	return strings.Join(parts, ",")
 }

@@ -64,60 +64,16 @@ func TestRangeChecksAcceptMinima(t *testing.T) {
 	}
 }
 
-func TestParseHyper(t *testing.T) {
-	h, err := ParseHyper("-codec-hyper", "k=64")
-	if err != nil || len(h) != 1 || h["k"] != 64 {
-		t.Fatalf("ParseHyper(k=64) = %v, %v", h, err)
-	}
-	h, err = ParseHyper("-codec-hyper", "levels=4, seed=7.5")
-	if err != nil || h["levels"] != 4 || h["seed"] != 7.5 {
-		t.Fatalf("ParseHyper(two pairs) = %v, %v", h, err)
-	}
-	if h, err := ParseHyper("-codec-hyper", ""); err != nil || h != nil {
-		t.Fatalf("empty string should parse to nil, got %v, %v", h, err)
-	}
-	// strconv.ParseFloat parses "NaN" and "Inf", so non-finite values must
-	// be refused explicitly — they would poison campaign cell hashes and
-	// CSV exports downstream.
-	for _, bad := range []string{"k", "=4", "k=", "k=abc", "k=1,k=2",
-		"k=NaN", "k=nan", "k=Inf", "k=-Inf", "k=+inf", "k=1,trim=NaN"} {
-		if _, err := ParseHyper("-codec-hyper", bad); err == nil {
-			t.Errorf("ParseHyper(%q) accepted", bad)
-		} else if !strings.Contains(err.Error(), "-codec-hyper") {
-			t.Errorf("ParseHyper(%q) error %q does not name the flag", bad, err)
-		}
-	}
-}
-
-func TestFormatHyperRoundTrip(t *testing.T) {
-	in := map[string]float64{"levels": 4, "k": 64}
-	s := FormatHyper(in)
-	if s != "k=64,levels=4" {
-		t.Fatalf("FormatHyper = %q, want sorted k=64,levels=4", s)
-	}
-	back, err := ParseHyper("-x", s)
-	if err != nil || len(back) != 2 || back["k"] != 64 || back["levels"] != 4 {
-		t.Fatalf("round trip = %v, %v", back, err)
-	}
-	if FormatHyper(nil) != "" {
-		t.Error("FormatHyper(nil) not empty")
-	}
-}
-
-// TestCodec: -codec builds its codec with -codec-hyper, no -codec means
-// uncompressed, -codec-hyper needs -codec, and an unknown name names the
-// flag.
+// TestCodec: -codec builds its codec, no -codec means uncompressed, and
+// an unknown name names the flag.
 func TestCodec(t *testing.T) {
-	if c, err := Codec("topk", "k=4"); err != nil || c == nil {
-		t.Errorf("-codec topk -codec-hyper k=4: %v, %v", c, err)
+	if c, err := Codec("topk"); err != nil || c == nil {
+		t.Errorf("-codec topk: %v, %v", c, err)
 	}
-	if c, err := Codec("", ""); err != nil || c != nil {
+	if c, err := Codec(""); err != nil || c != nil {
 		t.Errorf("no -codec: %v, %v, want uncompressed", c, err)
 	}
-	if _, err := Codec("", "k=4"); err == nil || !strings.Contains(err.Error(), "requires -codec") {
-		t.Errorf("-codec-hyper without -codec: %v", err)
-	}
-	if _, err := Codec("gzip", ""); err == nil || !strings.Contains(err.Error(), "-codec") {
+	if _, err := Codec("gzip"); err == nil || !strings.Contains(err.Error(), "-codec") {
 		t.Errorf("unknown codec: %v", err)
 	}
 }

@@ -16,8 +16,8 @@
 // worker count.
 //
 // A Registry is an internal/catalog table like internal/defense's: named
-// constructors with declared hyperparameters, consumed by the campaign
-// grid, the experiments harness and the CLIs.
+// constructors, each at one configuration, consumed by the campaign grid,
+// the experiments harness and the CLIs.
 package codec
 
 import (
@@ -149,8 +149,8 @@ func checkDim(e Encoded) error {
 // another. A decode without a destination — every wire decode, since no
 // format carries it — returns a fresh vector or the payload's own array.
 type Codec interface {
-	// Name identifies the codec instance, including resolved
-	// hyperparameters where they matter (e.g. "topk(512)").
+	// Name identifies the codec instance, including its configuration
+	// where it matters (e.g. "qsgd(4)").
 	Name() string
 	// Encode compresses grad into its wire form. Implementations must not
 	// retain or mutate grad, and must draw randomness only from rng.
@@ -162,7 +162,7 @@ type Codec interface {
 	// an optional one, so a wrapper that embeds a Codec forwards it.
 	Stochastic() bool
 	// Decode reconstructs a gradient of length Encoded.Dim from the wire
-	// form. It must not depend on the instance's hyperparameters — a
+	// form. It must not depend on the instance's configuration — a
 	// receiver decodes payloads from any sender configuration. The result
 	// may alias e's payload arrays or its destination (see the ownership
 	// rule above).
@@ -202,37 +202,17 @@ func (IdentityCodec) Decode(e Encoded) ([]float64, error) {
 	return e.Dense, nil
 }
 
-// TopKCodec keeps the K largest-magnitude coordinates exactly and drops the
-// rest — magnitude sparsification. Ties on |g_i| break toward the lower
-// index, so encoding is fully deterministic (it never draws from rng).
-type TopKCodec struct {
-	// K is the number of coordinates kept; 0 means d/10 (at least 1),
-	// resolved per gradient at encode time.
-	K int
-}
+// TopKCodec keeps the d/10 largest-magnitude coordinates (at least one)
+// exactly and drops the rest — magnitude sparsification. Ties on |g_i|
+// break toward the lower index, so encoding is fully deterministic (it
+// never draws from rng).
+type TopKCodec struct{}
 
 // Name implements Codec.
-func (c TopKCodec) Name() string {
-	if c.K <= 0 {
-		return TopK
-	}
-	return fmt.Sprintf("topk(%d)", c.K)
-}
+func (TopKCodec) Name() string { return TopK }
 
-// keep resolves the per-gradient kept-coordinate count.
-func (c TopKCodec) keep(dim int) int {
-	k := c.K
-	if k <= 0 {
-		k = dim / 10
-	}
-	if k < 1 {
-		k = 1
-	}
-	if k > dim {
-		k = dim
-	}
-	return k
-}
+// topKKeep is the kept-coordinate count of a d-dimensional gradient.
+func topKKeep(d int) int { return max(d/10, 1) }
 
 // Stochastic implements Codec: the selection draws no randomness.
 func (TopKCodec) Stochastic() bool { return false }
@@ -250,8 +230,14 @@ const (
 // magBits returns the bits of |v|.
 func magBits(v float64) uint64 { return math.Float64bits(v) &^ signBit }
 
-// Encode implements Codec. It finds the top-k boundary by an MSD radix
-// select over magBits(g_i), with no scratch beyond one histogram on the
+// Encode implements Codec: encodeTopK at topKKeep(d).
+func (TopKCodec) Encode(grad []float64, _ *rand.Rand) (Encoded, error) {
+	return encodeTopK(grad, topKKeep(len(grad)))
+}
+
+// encodeTopK keeps the k largest-magnitude coordinates of grad, k clamped
+// to [1, len(grad)]. It finds the top-k boundary by an MSD radix select
+// over magBits(g_i), with no scratch beyond one histogram on the
 // stack: the first pass histograms the exponents and refuses the gradient
 // on its first NaN or ±Inf coordinate — wherever it sits, kept or not —
 // and each later pass histograms the next digit of the boundary bucket
@@ -260,12 +246,12 @@ func magBits(v float64) uint64 { return math.Float64bits(v) &^ signBit }
 // the first ones on it until k are kept: Idx comes out ascending, and equal
 // magnitudes keep the lower index. Whatever the values, that is at most
 // seven passes over grad, and Idx and Val are the only allocations.
-func (c TopKCodec) Encode(grad []float64, _ *rand.Rand) (Encoded, error) {
+func encodeTopK(grad []float64, k int) (Encoded, error) {
 	d := len(grad)
 	if d == 0 {
 		return Encoded{Codec: TopK}, nil
 	}
-	k := c.keep(d)
+	k = min(max(k, 1), d)
 	var hist [1 << radixBits]int32
 	for _, v := range grad {
 		hist[math.Float64bits(v)>>52&(1<<radixBits-1)]++
@@ -353,38 +339,32 @@ func (TopKCodec) Decode(e Encoded) ([]float64, error) {
 	return out, nil
 }
 
-// QSGDCodec quantizes each coordinate onto a signed grid of Levels steps
-// scaled by the gradient's L2 norm, with stochastic rounding — the QSGD
-// scheme. The rounding randomness makes the decoded gradient an unbiased
-// estimate of the input: E[Decode(Encode(g))] = g.
-type QSGDCodec struct {
-	// Levels is the number of quantization levels s >= 1 (<= 127 so one
-	// signed byte holds a level); 0 means the default of 4.
-	Levels int
-}
+// QSGDCodec quantizes each coordinate onto a signed grid of qsgdLevels
+// steps scaled by the gradient's L2 norm, with stochastic rounding — the
+// QSGD scheme. The rounding randomness makes the decoded gradient an
+// unbiased estimate of the input: E[Decode(Encode(g))] = g.
+type QSGDCodec struct{}
 
-// DefaultQSGDLevels is the quantization grid used when Levels is 0.
-const DefaultQSGDLevels = 4
-
-// levels resolves the effective quantization level count.
-func (c QSGDCodec) levels() int {
-	if c.Levels == 0 {
-		return DefaultQSGDLevels
-	}
-	return c.Levels
-}
+// qsgdLevels is the quantization level count s the encoder uses. Decode
+// reads the count from the payload instead.
+const qsgdLevels = 4
 
 // Name implements Codec.
-func (c QSGDCodec) Name() string { return fmt.Sprintf("qsgd(%d)", c.levels()) }
+func (QSGDCodec) Name() string { return fmt.Sprintf("qsgd(%d)", qsgdLevels) }
 
 // Stochastic implements Codec: the rounding draws one variate per
 // coordinate, in coordinate order.
 func (QSGDCodec) Stochastic() bool { return true }
 
-// Encode implements Codec. The stochastic rounding draws one uniform
-// variate per coordinate from rng, which is required.
-func (c QSGDCodec) Encode(grad []float64, rng *rand.Rand) (Encoded, error) {
-	s := c.levels()
+// Encode implements Codec: encodeQSGD at qsgdLevels.
+func (QSGDCodec) Encode(grad []float64, rng *rand.Rand) (Encoded, error) {
+	return encodeQSGD(grad, rng, qsgdLevels)
+}
+
+// encodeQSGD quantizes grad onto s levels, s in [1, 127] so one signed
+// byte holds a level. The stochastic rounding draws one uniform variate
+// per coordinate from rng, which is required.
+func encodeQSGD(grad []float64, rng *rand.Rand, s int) (Encoded, error) {
 	if s < 1 || s > 127 {
 		return Encoded{}, fmt.Errorf("codec: qsgd levels %d out of [1,127]", s)
 	}

@@ -50,15 +50,14 @@ func TestTopKKeepsLargestExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	g := testGrad(rng, 400)
 	const k = 37
-	c := TopKCodec{K: k}
-	e, err := c.Encode(g, nil)
+	e, err := encodeTopK(g, k)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(e.Idx) != k || len(e.Val) != k {
 		t.Fatalf("kept %d/%d coords, want %d", len(e.Idx), len(e.Val), k)
 	}
-	out, err := c.Decode(e)
+	out, err := TopKCodec{}.Decode(e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,24 +86,24 @@ func TestTopKKeepsLargestExact(t *testing.T) {
 	}
 }
 
-func TestTopKDefaultKAndTies(t *testing.T) {
-	// Default K: d/10, at least 1.
+func TestTopKKeepsTenthAndTies(t *testing.T) {
+	// k = d/10, at least 1.
 	e, err := TopKCodec{}.Encode(make([]float64, 95), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(e.Idx) != 9 {
-		t.Errorf("default k on d=95 kept %d, want 9", len(e.Idx))
+		t.Errorf("topk on d=95 kept %d, want 9", len(e.Idx))
 	}
 	e, err = TopKCodec{}.Encode([]float64{1, 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(e.Idx) != 1 {
-		t.Errorf("default k on d=2 kept %d, want 1", len(e.Idx))
+		t.Errorf("topk on d=2 kept %d, want 1", len(e.Idx))
 	}
 	// Ties break toward the lower index.
-	e, err = TopKCodec{K: 2}.Encode([]float64{3, -3, 3, 3}, nil)
+	e, err = encodeTopK([]float64{3, -3, 3, 3}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +118,7 @@ func TestTopKDefaultKAndTies(t *testing.T) {
 func TestQSGDUnbiased(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := testGrad(rng, 24)
-	c := QSGDCodec{Levels: 4}
+	c := QSGDCodec{}
 	const trials = 4000
 	mean := make([]float64, len(g))
 	for s := 0; s < trials; s++ {
@@ -141,7 +140,7 @@ func TestQSGDUnbiased(t *testing.T) {
 	for _, v := range g {
 		norm += v * v
 	}
-	tol := 4 * math.Sqrt(norm) / float64(c.Levels) / math.Sqrt(trials)
+	tol := 4 * math.Sqrt(norm) / qsgdLevels / math.Sqrt(trials)
 	for i := range g {
 		if d := math.Abs(mean[i] - g[i]); d > tol {
 			t.Errorf("coord %d: empirical mean %v vs %v (|Δ|=%g > %g)", i, mean[i], g[i], d, tol)
@@ -152,7 +151,7 @@ func TestQSGDUnbiased(t *testing.T) {
 func TestQSGDLevelsBoundAndZeroGrad(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	g := testGrad(rng, 100)
-	e, err := QSGDCodec{Levels: 7}.Encode(g, rng)
+	e, err := encodeQSGD(g, rng, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,6 +159,9 @@ func TestQSGDLevelsBoundAndZeroGrad(t *testing.T) {
 		if q < -7 || q > 7 {
 			t.Fatalf("level %d at coord %d out of ±7", q, i)
 		}
+	}
+	if _, err := encodeQSGD(g, rng, 200); err == nil {
+		t.Error("qsgd accepted 200 levels")
 	}
 	// Zero gradient: zero scale, all-zero levels, decodes to zeros.
 	e, err = QSGDCodec{}.Encode(make([]float64, 5), rng)
@@ -261,16 +263,20 @@ func TestRegistry(t *testing.T) {
 		}
 	}
 
-	// Declared hyperparameters build and reach the codec.
-	c, err := r.Build(TopK, Params{Hyper: map[string]float64{"k": 64}})
+	// Each entry builds at its one configuration.
+	c, err := r.Build(TopK, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Name() != "topk(64)" {
+	if c.Name() != "topk" {
 		t.Errorf("built %q", c.Name())
 	}
-	if _, err := r.Build(QSGD, Params{Hyper: map[string]float64{"levels": 200}}); err == nil {
-		t.Error("qsgd accepted levels=200")
+	q, err := r.Build(QSGD, Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q.Name() != "qsgd(4)" {
+		t.Errorf("built %q", q.Name())
 	}
 
 	// Registry.Decode dispatches on the payload tag.
@@ -355,16 +361,16 @@ func fillGrad(d int, f func(i int) float64) []float64 {
 	return g
 }
 
-// checkMatchesReference encodes grad with TopKCodec{K: k} and reports any
-// bit of the payload that differs from referenceTopK's.
+// checkMatchesReference encodes grad with encodeTopK at k and reports any
+// bit of the payload that differs from referenceTopK's at k clamped to
+// [1, d].
 func checkMatchesReference(t *testing.T, grad []float64, k int) {
 	t.Helper()
-	c := TopKCodec{K: k}
-	got, err := c.Encode(grad, nil)
+	got, err := encodeTopK(grad, k)
 	if err != nil {
 		t.Fatalf("d=%d k=%d: %v", len(grad), k, err)
 	}
-	want := referenceTopK(grad, c.keep(len(grad)))
+	want := referenceTopK(grad, min(max(k, 1), len(grad)))
 	if got.Codec != want.Codec || got.Dim != want.Dim || got.Bytes() != want.Bytes() ||
 		len(got.Idx) != len(want.Idx) || len(got.Val) != len(want.Val) {
 		t.Fatalf("d=%d k=%d: payload shape (%s dim %d, %d idx, %d val, %d B), want (%s dim %d, %d idx, %d val, %d B)",
@@ -483,7 +489,7 @@ func TestTopKEncodeConcurrent(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(100 + w)))
 			for rep := 0; rep < 50; rep++ {
 				g := testGrad(rng, 1+rng.Intn(600))
-				want := referenceTopK(g, TopKCodec{}.keep(len(g)))
+				want := referenceTopK(g, topKKeep(len(g)))
 				got, err := TopKCodec{}.Encode(g, nil)
 				if err != nil || !slices.Equal(got.Idx, want.Idx) || !slices.Equal(got.Val, want.Val) {
 					t.Errorf("worker %d rep %d: concurrent encode diverged from the reference (err %v)", w, rep, err)
@@ -566,7 +572,7 @@ func bitExtremes(i int) float64 {
 // ascending).
 func checkKeptSetIsTopK(t *testing.T, grad []float64, e Encoded) {
 	t.Helper()
-	if want := (TopKCodec{}).keep(len(grad)); len(e.Idx) != want || len(e.Val) != want {
+	if want := topKKeep(len(grad)); len(e.Idx) != want || len(e.Val) != want {
 		t.Fatalf("kept %d/%d coordinates, want %d", len(e.Idx), len(e.Val), want)
 	}
 	kept := make([]bool, len(grad))

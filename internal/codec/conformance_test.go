@@ -11,9 +11,7 @@ import (
 // codec: the declared round-trip bound holds on Gaussian vectors, corrupted
 // variants of the codec's own wire form are rejected, a dirty decode
 // destination changes no bit and no error class and never crosses a wire,
-// a codec that is not Stochastic neither draws nor needs an rng, and
-// hyperparameter declarations survive the CLI syntax with undeclared names
-// rejected.
+// and a codec that is not Stochastic neither draws nor needs an rng.
 func TestCodecConformance(t *testing.T) {
 	reg := codec.Builtin()
 	for _, name := range reg.Names() {
@@ -30,9 +28,6 @@ func TestCodecConformance(t *testing.T) {
 			}
 			if err := conformance.CheckCodecRandomness(reg, name, 23); err != nil {
 				t.Errorf("randomness declaration: %v", err)
-			}
-			if err := conformance.CheckCodecHyperDeclaration(reg, name); err != nil {
-				t.Errorf("hyper declaration: %v", err)
 			}
 		})
 	}

@@ -99,8 +99,8 @@ func floatsToBytes(v []float64) []byte {
 	return out
 }
 
-// FuzzTopKEncodeMatchesReference holds the selection-based TopKCodec.Encode
-// to the sort-based referenceTopK on arbitrary gradients: a finite input
+// FuzzTopKEncodeMatchesReference holds the selection-based encodeTopK to
+// the sort-based referenceTopK on arbitrary gradients: a finite input
 // must produce the reference payload bit for bit, an input with a NaN or
 // ±Inf coordinate anywhere must be refused with ErrNonFinite. coarse reads
 // one small signed value per byte — zeros, repeated magnitudes and ±v
@@ -130,11 +130,11 @@ func FuzzTopKEncodeMatchesReference(f *testing.F) {
 			grad = bytesToFloats(data)
 		}
 		if k < 0 || k > len(grad)+1 {
-			k = 0
+			k = topKKeep(len(grad))
 		}
 		for _, v := range grad {
 			if !finite(v) {
-				if _, err := (TopKCodec{K: k}).Encode(grad, nil); !errors.Is(err, ErrNonFinite) {
+				if _, err := encodeTopK(grad, k); !errors.Is(err, ErrNonFinite) {
 					t.Fatalf("non-finite gradient %v: err = %v, want ErrNonFinite", grad, err)
 				}
 				return

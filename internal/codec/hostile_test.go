@@ -44,7 +44,7 @@ func TestDecodeRefusesNonFinitePayloads(t *testing.T) {
 // and qsgd would stamp a NaN norm as the Scale of every coordinate.
 func TestEncodeRefusesNonFiniteGradients(t *testing.T) {
 	hostile := []float64{1, math.NaN(), 3, 4}
-	if _, err := (TopKCodec{K: 2}).Encode(hostile, nil); err == nil {
+	if _, err := encodeTopK(hostile, 2); err == nil {
 		t.Error("topk encoded a NaN gradient without error")
 	}
 	if _, err := (QSGDCodec{}).Encode(hostile, rand.New(rand.NewSource(1))); err == nil {
@@ -65,7 +65,7 @@ func TestTopKEncodeRefusesNonFiniteOutsideKeptSet(t *testing.T) {
 		for pos := 0; pos < 4; pos++ {
 			g := []float64{9, 1, 1, 1}
 			g[pos] = bad
-			_, err := (TopKCodec{K: 1}).Encode(g, nil)
+			_, err := encodeTopK(g, 1)
 			if !errors.Is(err, ErrNonFinite) {
 				t.Errorf("%s at %d of %v: err = %v, want ErrNonFinite", name, pos, g, err)
 				continue

@@ -1,9 +1,8 @@
 // Package conformance is the registry-wide contract checker of the defense
 // and codec catalogs. Every registered defense must produce byte-identical
 // aggregates for any worker count, survive hostile (non-finite) input
-// buffers with a finite aggregate or an error, select in ascending order,
-// and declare hyperparameters that round-trip through the CLI's key=value
-// syntax; every registered codec must honor its declared round-trip bound
+// buffers with a finite aggregate or an error, and select in ascending
+// order; every registered codec must honor its declared round-trip bound
 // (bit-exactness for lossless codecs, a minimum preserved cosine for lossy
 // ones), reject malformed wire payloads, and draw no randomness unless it
 // declares itself Stochastic. The ownership checks (ownership.go) hold
@@ -22,7 +21,6 @@ import (
 	"reflect"
 
 	"github.com/signguard/signguard/internal/aggregate"
-	"github.com/signguard/signguard/internal/cliutil"
 	"github.com/signguard/signguard/internal/codec"
 	"github.com/signguard/signguard/internal/defense"
 	"github.com/signguard/signguard/internal/stats"
@@ -189,71 +187,6 @@ func SelectionShape(selected []int, n int) error {
 		}
 	}
 	return nil
-}
-
-// CheckHyperDeclaration asserts that a spec's declared hyperparameter names
-// survive the CLI syntax: FormatHyper → ParseHyper must reproduce the map
-// exactly (names containing '=' or ',' cannot), and the registry must
-// reject an undeclared name instead of running defaults silently.
-//
-// The declared/unknown probes go through validate, so the same check works
-// for the defense and codec registries.
-func CheckHyperDeclaration(name string, hyper []string, validate func(h map[string]float64) error) error {
-	if len(hyper) > 0 {
-		probe := map[string]float64{}
-		for i, h := range hyper {
-			if h == "" {
-				return fmt.Errorf("%s declares an empty hyperparameter name", name)
-			}
-			probe[h] = float64(i) + 0.5
-		}
-		if len(probe) != len(hyper) {
-			return fmt.Errorf("%s declares duplicate hyperparameter names %v", name, hyper)
-		}
-		parsed, err := cliutil.ParseHyper("conformance", cliutil.FormatHyper(probe))
-		if err != nil {
-			return fmt.Errorf("%s: declared hyperparameters do not survive the CLI syntax: %w", name, err)
-		}
-		if len(parsed) != len(probe) {
-			return fmt.Errorf("%s: CLI round trip kept %d of %d hyperparameters", name, len(parsed), len(probe))
-		}
-		for k, v := range probe {
-			if pv, ok := parsed[k]; !ok || pv != v {
-				return fmt.Errorf("%s: hyperparameter %q did not round-trip through the CLI syntax", name, k)
-			}
-		}
-		if err := validate(probe); err != nil {
-			return fmt.Errorf("%s rejects its own declared hyperparameters: %w", name, err)
-		}
-	}
-	if err := validate(map[string]float64{"conformance_undeclared_probe": 1}); err == nil {
-		return fmt.Errorf("%s accepted an undeclared hyperparameter", name)
-	}
-	return nil
-}
-
-// CheckDefenseHyperDeclaration runs CheckHyperDeclaration against one
-// defense registry entry.
-func CheckDefenseHyperDeclaration(reg *defense.Registry, name string) error {
-	s, err := reg.Lookup(name)
-	if err != nil {
-		return err
-	}
-	return CheckHyperDeclaration("defense "+name, s.Hyper, func(h map[string]float64) error {
-		return reg.ValidateHyper(name, h)
-	})
-}
-
-// CheckCodecHyperDeclaration runs CheckHyperDeclaration against one codec
-// registry entry.
-func CheckCodecHyperDeclaration(reg *codec.Registry, name string) error {
-	s, err := reg.Lookup(name)
-	if err != nil {
-		return err
-	}
-	return CheckHyperDeclaration("codec "+name, s.Hyper, func(h map[string]float64) error {
-		return reg.ValidateHyper(name, h)
-	})
 }
 
 // CodecDim is the vector dimension the codec round-trip checks run at.

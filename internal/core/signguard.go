@@ -19,18 +19,17 @@ import (
 )
 
 // LowerBound and UpperBound are the norm-ratio thresholds L and R of the
-// norm filter (paper: L=0.1, R=3.0).
+// norm filter (paper: L=0.1, R=3.0). CoordFraction is the fraction of
+// coordinates the sign statistics sample (paper: 0.1).
 const (
-	LowerBound = 0.1
-	UpperBound = 3.0
+	LowerBound    = 0.1
+	UpperBound    = 3.0
+	CoordFraction = 0.1
 )
 
 // Config parameterizes a SignGuard aggregator. The zero value is not
 // usable; start from DefaultConfig.
 type Config struct {
-	// CoordFraction is the random coordinate fraction for the sign
-	// statistics (paper: 0.1).
-	CoordFraction float64
 	// Similarity selects the plain / -Sim / -Dist variant.
 	Similarity Similarity
 	// UseNormFilter enables the norm thresholding filter (Table III row 1).
@@ -48,7 +47,6 @@ type Config struct {
 // (plain variant: sign statistics only, all components enabled).
 func DefaultConfig() Config {
 	return Config{
-		CoordFraction: 0.1,
 		Similarity:    NoSimilarity,
 		UseNormFilter: true,
 		UseSignFilter: true,
@@ -74,9 +72,6 @@ var _ aggregate.Rule = (*SignGuard)(nil)
 func New(cfg Config) (*SignGuard, error) {
 	if !cfg.UseNormFilter && !cfg.UseSignFilter && !cfg.UseNormClip {
 		return nil, errors.New("core: SignGuard needs at least one component enabled")
-	}
-	if cfg.UseSignFilter && (cfg.CoordFraction <= 0 || cfg.CoordFraction > 1) {
-		return nil, fmt.Errorf("core: coordinate fraction %v out of (0,1]", cfg.CoordFraction)
 	}
 	return &SignGuard{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}, nil
 }
@@ -166,7 +161,7 @@ func (sg *SignGuard) Aggregate(grads [][]float64) (*aggregate.Result, error) {
 		selected = normKept
 	}
 	if sg.cfg.UseSignFilter {
-		features, err := signFeatures(grads, sg.prevAgg, sg.cfg.CoordFraction, sg.cfg.Similarity, sg.rng)
+		features, err := signFeatures(grads, sg.prevAgg, CoordFraction, sg.cfg.Similarity, sg.rng)
 		if err == nil {
 			signKept, err = signCluster(features)
 		}

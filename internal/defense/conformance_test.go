@@ -15,9 +15,7 @@ import (
 // TestDefenseConformance runs the registry-wide contract over every builtin
 // defense: byte-identical aggregation for any worker count, finite-or-error
 // behavior on hostile buffers, a selection that is nil or strictly
-// ascending within the cohort, no input kept past the call, and
-// CLI-compatible hyperparameter declarations with undeclared names
-// rejected.
+// ascending within the cohort, and no input kept past the call.
 func TestDefenseConformance(t *testing.T) {
 	reg := defense.Builtin()
 	for _, name := range reg.Names() {
@@ -34,9 +32,6 @@ func TestDefenseConformance(t *testing.T) {
 			}
 			if err := conformance.CheckDefenseInputRetention(reg, name, 23); err != nil {
 				t.Errorf("input retention: %v", err)
-			}
-			if err := conformance.CheckDefenseHyperDeclaration(reg, name); err != nil {
-				t.Errorf("hyper declaration: %v", err)
 			}
 		})
 	}
@@ -104,22 +99,6 @@ func TestConformanceCatchesInputRetention(t *testing.T) {
 	}
 	if err := conformance.CheckDefenseInputRetention(reg, "KeepsPrevious", 23); err == nil {
 		t.Fatal("a rule that keeps its input passed the retention check")
-	}
-}
-
-// TestConformanceCatchesHyperViolations is the test of the test: a declared
-// hyperparameter name that cannot survive the CLI's key=value,key=value
-// syntax must fail the declaration check.
-func TestConformanceCatchesHyperViolations(t *testing.T) {
-	mean := func(defense.Params) (aggregate.Rule, error) { return aggregate.NewMean(), nil }
-	for _, bad := range []string{"no=equals", "no,commas", ""} {
-		reg := defense.Builtin()
-		if err := reg.Register(defense.Spec{Name: "Bad", Hyper: []string{bad}, Build: mean}); err != nil {
-			t.Fatal(err)
-		}
-		if err := conformance.CheckDefenseHyperDeclaration(reg, "Bad"); err == nil {
-			t.Errorf("hyper name %q passed the declaration check", bad)
-		}
 	}
 }
 

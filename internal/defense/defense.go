@@ -1,16 +1,13 @@
 // Package defense is the unified defense registry of the reproduction: one
-// catalog mapping defense names to constructors with typed hyperparameters,
-// covering the paper's own SignGuard variants (internal/core) and every
-// baseline gradient aggregation rule (internal/aggregate).
+// catalog mapping defense names to constructors, covering the paper's own
+// SignGuard variants (internal/core) and every baseline gradient
+// aggregation rule (internal/aggregate).
 //
 // Before this package, SignGuard reached the engine only by masquerading as
 // an aggregate.Rule through ad-hoc closure tables in internal/experiments.
 // Now a single Registry is consumed uniformly by the campaign engine, the
 // experiments harness, every CLI, the serving path (flserver -rule) and the
-// public façade. Each entry runs at one catalog configuration; the only
-// hyperparameters are the two a grid sweeps (SignGuard's coordinate
-// fraction, DnC's subsampling dimension), plain named values that make
-// those sweeps ordinary grid axes.
+// public façade. Each entry runs at one catalog configuration.
 package defense
 
 import (
@@ -22,26 +19,19 @@ import (
 )
 
 // Params is the typed constructor input of every defense: the cohort
-// geometry the paper grants the baselines plus optional named
-// hyperparameters.
+// geometry the paper grants the baselines.
 type Params struct {
 	// N is the number of gradients submitted per round, F the Byzantine
 	// count granted to the baselines (SignGuard ignores it).
 	N, F int
 	// Seed drives any randomness inside the defense.
 	Seed int64
-	// Hyper holds optional defense-specific hyperparameters by name.
-	// Absent keys fall back to the defense's default; unknown keys are
-	// rejected by Registry.Build so a typo cannot silently run defaults.
-	Hyper map[string]float64
 }
 
 // Spec declares one registered defense.
 type Spec struct {
 	// Name is the stable registry key (the paper's table row label).
 	Name string
-	// Hyper lists the hyperparameter names the constructor accepts.
-	Hyper []string
 	// Build constructs a fresh instance for one training run.
 	Build func(p Params) (aggregate.Rule, error)
 }
@@ -69,24 +59,14 @@ func (r *Registry) Names() []string { return r.specs.Names() }
 // Lookup returns the spec registered under name.
 func (r *Registry) Lookup(name string) (Spec, error) { return r.specs.Lookup(name) }
 
-// Values returns the registered specs in presentation order.
-func (r *Registry) Values() []Spec { return r.specs.Values() }
-
-// Build constructs the named defense. Hyperparameter keys not declared by
-// the spec are an error: a sweep axis that silently fell back to defaults
-// would corrupt a whole grid.
-//
-// Every built rule is wrapped in an aggregate.FiniteGuard: whatever a
-// defense does with a hostile buffer, a non-finite aggregate surfaces as an
-// error (wrapping aggregate.ErrNonFiniteAggregate) instead of poisoning the
-// model. Callers needing the concrete rule type unwrap with
-// aggregate.Unwrap.
+// Build constructs the named defense. Every built rule is wrapped in an
+// aggregate.FiniteGuard: whatever a defense does with a hostile buffer, a
+// non-finite aggregate surfaces as an error (wrapping
+// aggregate.ErrNonFiniteAggregate) instead of poisoning the model. Callers
+// needing the concrete rule type unwrap with aggregate.Unwrap.
 func (r *Registry) Build(name string, p Params) (aggregate.Rule, error) {
 	s, err := r.Lookup(name)
 	if err != nil {
-		return nil, err
-	}
-	if err := catalog.CheckHyper("defense", name, s.Hyper, p.Hyper); err != nil {
 		return nil, err
 	}
 	rule, err := s.Build(p)
@@ -95,31 +75,6 @@ func (r *Registry) Build(name string, p Params) (aggregate.Rule, error) {
 	}
 	return aggregate.Guard(rule), nil
 }
-
-// ValidateHyper checks that name is registered and accepts every given
-// hyperparameter, without building anything — the pre-flight check grid
-// validation runs before a sweep starts.
-func (r *Registry) ValidateHyper(name string, hyper map[string]float64) error {
-	s, err := r.Lookup(name)
-	if err != nil {
-		return err
-	}
-	return catalog.CheckHyper("defense", name, s.Hyper, hyper)
-}
-
-// signGuardConfig assembles a core.Config from Params and the SignGuard
-// coordinate-fraction hyperparameter.
-func signGuardConfig(p Params, sim core.Similarity) core.Config {
-	cfg := core.DefaultConfig()
-	cfg.Similarity = sim
-	cfg.Seed = p.Seed
-	cfg.CoordFraction = catalog.Hyper(p.Hyper, "coord_fraction", cfg.CoordFraction)
-	return cfg
-}
-
-// signGuardHyper is the hyperparameter set shared by the three SignGuard
-// variants.
-var signGuardHyper = []string{"coord_fraction"}
 
 // Builtin returns the registry of the paper's ten Table I defenses, in row
 // order, followed by the related-work families beyond the paper's table:
@@ -161,19 +116,17 @@ func Builtin() *Registry {
 			}
 			return aggregate.NewBulyan(f), nil
 		}},
-		{Name: "DnC", Hyper: []string{"subdim"}, Build: func(p Params) (aggregate.Rule, error) {
-			d := aggregate.NewDnC(p.F, p.Seed)
-			d.SubDim = int(catalog.Hyper(p.Hyper, "subdim", float64(d.SubDim)))
-			return d, nil
+		{Name: "DnC", Build: func(p Params) (aggregate.Rule, error) {
+			return aggregate.NewDnC(p.F, p.Seed), nil
 		}},
-		{Name: "SignGuard", Hyper: signGuardHyper, Build: func(p Params) (aggregate.Rule, error) {
-			return core.New(signGuardConfig(p, core.NoSimilarity))
+		{Name: "SignGuard", Build: func(p Params) (aggregate.Rule, error) {
+			return core.NewPlain(p.Seed), nil
 		}},
-		{Name: "SignGuard-Sim", Hyper: signGuardHyper, Build: func(p Params) (aggregate.Rule, error) {
-			return core.New(signGuardConfig(p, core.CosineSimilarity))
+		{Name: "SignGuard-Sim", Build: func(p Params) (aggregate.Rule, error) {
+			return core.NewSim(p.Seed), nil
 		}},
-		{Name: "SignGuard-Dist", Hyper: signGuardHyper, Build: func(p Params) (aggregate.Rule, error) {
-			return core.New(signGuardConfig(p, core.DistanceSimilarity))
+		{Name: "SignGuard-Dist", Build: func(p Params) (aggregate.Rule, error) {
+			return core.NewDist(p.Seed), nil
 		}},
 		{Name: "FLTrust", Build: func(Params) (aggregate.Rule, error) {
 			return aggregate.NewFLTrust(), nil

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"github.com/signguard/signguard/internal/aggregate"
-	"github.com/signguard/signguard/internal/core"
 	"github.com/signguard/signguard/internal/tensor"
 )
 
@@ -52,47 +51,6 @@ func TestBuiltinConstructorsBuildAndAggregate(t *testing.T) {
 		if len(res.Gradient) != 40 {
 			t.Errorf("%s: aggregate dimension %d", name, len(res.Gradient))
 		}
-	}
-}
-
-func TestSignGuardHyperApplied(t *testing.T) {
-	rule, err := Builtin().Build("SignGuard", Params{
-		N: 10, F: 2, Seed: 9,
-		Hyper: map[string]float64{"coord_fraction": 0.37},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := aggregate.Unwrap(rule).(*core.SignGuard); !ok {
-		t.Fatalf("SignGuard entry built a %T", aggregate.Unwrap(rule))
-	}
-	// An out-of-range hyperparameter must surface the core validation.
-	if _, err := Builtin().Build("SignGuard", Params{
-		N: 10, F: 2, Hyper: map[string]float64{"coord_fraction": 1.5},
-	}); err == nil {
-		t.Fatal("coord_fraction 1.5 accepted")
-	}
-}
-
-func TestDnCHyperApplied(t *testing.T) {
-	rule, err := Builtin().Build("DnC", Params{N: 10, F: 2, Seed: 4, Hyper: map[string]float64{"subdim": 123}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, ok := aggregate.Unwrap(rule).(*aggregate.DnC)
-	if !ok {
-		t.Fatalf("DnC entry built a %T", aggregate.Unwrap(rule))
-	}
-	if d.SubDim != 123 {
-		t.Errorf("SubDim = %d, want 123", d.SubDim)
-	}
-	// Default preserved when the hyperparameter is absent.
-	rule, err = Builtin().Build("DnC", Params{N: 10, F: 2, Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := aggregate.Unwrap(rule).(*aggregate.DnC); d.SubDim != 2000 {
-		t.Errorf("default SubDim = %d, want 2000", d.SubDim)
 	}
 }
 

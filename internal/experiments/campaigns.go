@@ -147,9 +147,8 @@ type Experiment struct {
 }
 
 // Experiments returns the experiment catalog in presentation order: the
-// paper's tables and figures, then the scenario axes (client subsampling,
-// defense hyperparameter sweeps, adaptive attacks, compression, hostile
-// input, server learning). The order fixes the merged "all" campaign and
+// paper's tables and figures, then the scenario axes (adaptive attacks,
+// compression, hostile input, server learning). The order fixes the merged "all" campaign and
 // the table export of -name all. Each call returns a fresh copy.
 func Experiments() *catalog.Catalog[Experiment] {
 	return catalog.Must("experiment", func(x Experiment) string { return x.Name }, []Experiment{
@@ -160,9 +159,6 @@ func Experiments() *catalog.Catalog[Experiment] {
 		{"fig4", fig4Spec, renderFig4},
 		{"fig5", fig5Spec, renderFig5},
 		{"fig6", fig6Spec, renderFig6},
-		{"subsample", subsampleSpec, renderSubsample},
-		{"coordfrac", coordFracSpec, renderCoordFrac},
-		{"dncsubdim", dncSubDimSpec, renderDnCSubDim},
 		{"adaptive", adaptiveSpec, renderAdaptive},
 		{"compression", compressionSpec, renderCompression},
 		{"hostile", hostileSpec, renderHostile},

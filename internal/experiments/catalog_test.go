@@ -16,8 +16,7 @@ import (
 func TestCampaignNamesOrder(t *testing.T) {
 	want := []string{
 		"table1", "table2", "table3", "fig2", "fig4", "fig5", "fig6",
-		"subsample", "coordfrac", "dncsubdim", "adaptive",
-		"compression", "hostile", "serverlearn", "all",
+		"adaptive", "compression", "hostile", "serverlearn", "all",
 	}
 	if got := CampaignNames(); !slices.Equal(got, want) {
 		t.Errorf("CampaignNames() = %v, want %v", got, want)
@@ -83,29 +82,5 @@ func TestTable2NarrowedGridNamesTheCount(t *testing.T) {
 	_, err := renderTable2(results)
 	if want := "renderer read 15 results of a 3-cell grid"; err == nil || !strings.Contains(err.Error(), want) {
 		t.Errorf("Table II of a 3-cell grid: error %v, want %q", err, want)
-	}
-}
-
-// TestEveryDefenseHyperIsSwept keeps the defense catalog at one setting per
-// entry: every hyperparameter name a Defenses() entry declares must be set
-// in RuleHyper by at least one cell of the "all" grid. A knob no grid turns
-// runs only under tests; declare it when a sweep needs it, not before.
-func TestEveryDefenseHyperIsSwept(t *testing.T) {
-	spec, err := CampaignByName("all", axesParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	swept := map[string]bool{}
-	for _, c := range spec.Cells {
-		for name := range c.RuleHyper {
-			swept[name] = true
-		}
-	}
-	for _, s := range Defenses().Values() {
-		for _, name := range s.Hyper {
-			if !swept[name] {
-				t.Errorf("%s declares hyperparameter %q, which no cell of the \"all\" grid sets", s.Name, name)
-			}
-		}
 	}
 }

@@ -14,9 +14,9 @@ import (
 // aggregation rules still separate honest from malicious gradients once
 // every submission has been through a lossy round trip.
 
-// compressionCodecs are the swept wire formats, each at its registry
-// default hyperparameters (topk keeps dim/10 coordinates, qsgd quantizes
-// to ±4 levels).
+// compressionCodecs are the swept wire formats, each at its one registry
+// configuration (topk keeps dim/10 coordinates, qsgd quantizes to ±4
+// levels).
 var compressionCodecs = []string{
 	codec.Identity, codec.TopK, codec.QSGD, codec.SignSGD,
 }

@@ -25,9 +25,6 @@ func TestCatalogConformance(t *testing.T) {
 			if err := conformance.CheckDefenseInputRetention(reg, name, 23); err != nil {
 				t.Errorf("input retention: %v", err)
 			}
-			if err := conformance.CheckDefenseHyperDeclaration(reg, name); err != nil {
-				t.Errorf("hyper declaration: %v", err)
-			}
 		})
 	}
 }

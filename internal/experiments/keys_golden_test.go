@@ -32,15 +32,6 @@ var campaignKeysGolden = map[string]struct{ bench, standard string }{
 	"fig6": {
 		"fa6025de035448ebce48c9925ab1c8bc0e0f0973d4da46f27df00666ecfacf54",
 		"70ab7b7e2186b4834080a903ca2cd798f348c5d201e4bea7ee7d10cdf647eb7c"},
-	"subsample": {
-		"cda3c189326e76d973c24ab60bf66d923245e01382e774df1e8bc98019df4095",
-		"d1528af42b5955438ccb551ca32ef9f28339e25a51ef1bf70f0737563303270c"},
-	"coordfrac": {
-		"a43e8f30a99157b0f640fa8ac1ceb76976f6b1b7d3e21d966b93a05f2d555011",
-		"ebb17fc739ad53f46a57acb03f75ab09bd0281fed88dc7099223d80f99bad134"},
-	"dncsubdim": {
-		"6ec4f57860f0736c22fefcc1b4490827fb31ab516f5b5d28a857ae97ec2edd08",
-		"c971298fed85f6a703b18d2683fc7eec8dd511c58ff4567e985ebd1947d08037"},
 	"adaptive": {
 		"157126e2ecb8a8b11a70a86f9e60beaa922e0fb1e4d3c271f6ef54a4162b26d7",
 		"79b79d986d56d9f12ac0fbcac88d0a982319df2b25cd22cfad28c4f4093aca1b"},

@@ -51,25 +51,15 @@ func codecScenario(t *testing.T, c codec.Codec, workers int) Config {
 	return cfg
 }
 
-// goldenTopKTraces pin the topk wire stage bit for bit: the trace digests
+// goldenTopKTrace pins the topk wire stage bit for bit: the trace digest
 // of codecScenario under the sort-based TopKCodec.Encode, recorded at the
 // commit before it became a selection. Campaign cache keys and the repo
 // benchmark's parameter digests assume the payload never changes.
-var goldenTopKTraces = map[string]struct {
-	codec codec.TopKCodec
-	want  string
-}{
-	"k=30":      {codec.TopKCodec{K: 30}, "d1b97353ff9a92c90c2d96d05799c6a55ca29d29063e7d26e1734081fcf237f9"},
-	"k=default": {codec.TopKCodec{}, "5d4b2f96e828bab6b6a9b340969c6150769b2dda3617dc307616951d26b2df04"},
-}
+const goldenTopKTrace = "5d4b2f96e828bab6b6a9b340969c6150769b2dda3617dc307616951d26b2df04"
 
 func TestGoldenTopKCodec(t *testing.T) {
-	for name, g := range goldenTopKTraces {
-		t.Run(name, func(t *testing.T) {
-			if got := traceDigest(t, codecScenario(t, g.codec, 1)); got != g.want {
-				t.Errorf("topk trace drifted from the sort-based encoder:\n got %s\nwant %s", got, g.want)
-			}
-		})
+	if got := traceDigest(t, codecScenario(t, codec.TopKCodec{}, 1)); got != goldenTopKTrace {
+		t.Errorf("topk trace drifted from the sort-based encoder:\n got %s\nwant %s", got, goldenTopKTrace)
 	}
 }
 
@@ -82,8 +72,8 @@ func TestCodecWorkerInvariance(t *testing.T) {
 	splitCodecStage(t)
 	codecs := map[string]func() codec.Codec{
 		"identity": func() codec.Codec { return codec.IdentityCodec{} },
-		"topk":     func() codec.Codec { return codec.TopKCodec{K: 30} },
-		"qsgd":     func() codec.Codec { return codec.QSGDCodec{Levels: 4} },
+		"topk":     func() codec.Codec { return codec.TopKCodec{} },
+		"qsgd":     func() codec.Codec { return codec.QSGDCodec{} },
 		"signsgd":  func() codec.Codec { return codec.SignSGDCodec{} },
 	}
 	for name, build := range codecs {
@@ -125,7 +115,7 @@ func TestCodecWireBytesAccounting(t *testing.T) {
 	}
 
 	dense := run(codec.IdentityCodec{})
-	sparse := run(codec.TopKCodec{K: 20})
+	sparse := run(codec.TopKCodec{})
 	if dense.WireBytes == 0 || sparse.WireBytes == 0 {
 		t.Fatalf("wire bytes not accounted: identity=%d topk=%d", dense.WireBytes, sparse.WireBytes)
 	}
@@ -209,7 +199,7 @@ func TestRoundArenasOwnedPerRound(t *testing.T) {
 		}
 	}
 	for _, c := range []codec.Codec{
-		codec.IdentityCodec{}, codec.TopKCodec{K: 30}, codec.QSGDCodec{Levels: 4}, codec.SignSGDCodec{},
+		codec.IdentityCodec{}, codec.TopKCodec{}, codec.QSGDCodec{}, codec.SignSGDCodec{},
 	} {
 		for _, workers := range []int{1, 2} {
 			want := final(c, workers, nil)

@@ -8,9 +8,10 @@
 // pipeline.go (Participation → LocalCompute → Adversary → Codec → Defense
 // → ServerUpdate); the default stages reproduce the paper's protocol —
 // full participation, a static attack, the lossless identity codec, the
-// configured aggregation rule — while scenario axes like client
-// subsampling, gradient compression, or adaptive round-aware attacks plug
-// in as alternative stages.
+// configured aggregation rule — while scenario axes like gradient
+// compression or adaptive round-aware attacks plug in as alternative
+// stages. Participation is pluggable too (the bench wraps it to time it),
+// but the harness always runs every client in every round.
 //
 // The engine is the substrate under every table and figure: it exposes the
 // per-round gradients, filtering decisions, and accuracy traces the
@@ -155,11 +156,6 @@ func (c *Config) validate() error {
 	case c.LR <= 0 && c.Pipeline.Update == nil:
 		return fmt.Errorf("fl: learning rate %v invalid", c.LR)
 	}
-	if p, ok := c.Pipeline.Participation.(UniformSubsample); ok {
-		if p.K < 1 || p.K > c.Clients {
-			return fmt.Errorf("fl: subsample size %d out of [1,%d]", p.K, c.Clients)
-		}
-	}
 	return nil
 }
 
@@ -224,9 +220,9 @@ func New(cfg Config) (*Simulation, error) {
 	partRng := tensor.NewRNG(cfg.Seed + 2)
 	attRng := tensor.NewRNG(cfg.Seed + 3)
 	permRng := tensor.NewRNG(cfg.Seed + 4)
-	// The participation stage draws from its own derived stream, so
-	// enabling subsampling perturbs neither the attack nor the arrival
-	// permutation. FullParticipation never draws from it.
+	// The participation stage draws from its own derived stream, so a
+	// custom stage that samples a cohort perturbs neither the attack nor
+	// the arrival permutation. FullParticipation never draws from it.
 	participationRng := tensor.NewRNG(cfg.Seed + 5)
 	// The codec stage likewise owns a derived stream: a codec that declares
 	// itself Stochastic (qsgd) consumes it per submitted gradient in arrival
@@ -500,9 +496,9 @@ func (s *Simulation) Step(round int) (*RoundMetrics, error) {
 	case len(byzOwn) == 0:
 		// No Byzantine client participates this round.
 	case len(benign) == 0:
-		// A subsampled round with no benign gradients in sight: the
-		// omniscient adversary has no statistics to mimic, so the cohort
-		// submits its own honest gradients.
+		// A round whose custom participation stage selected no benign
+		// client: the omniscient adversary has no statistics to mimic, so
+		// the cohort submits its own honest gradients.
 		malicious = tensor.CloneAll(byzOwn)
 	default:
 		ctx := &attack.Context{

@@ -93,7 +93,7 @@ func TestBatchedByzantineOnlyRounds(t *testing.T) {
 		cfg.Attack = attack.NewLIE(0.3)
 		cfg.Rule = core.NewPlain(2)
 		cfg.Rounds = 20
-		cfg.Pipeline.Participation = UniformSubsample{K: 2}
+		cfg.Pipeline.Participation = uniformSubsample{2}
 		return cfg
 	}
 
@@ -290,7 +290,7 @@ func TestArenaRetentionUnderSubsampling(t *testing.T) {
 		cfg.Rounds = 400
 		cfg.EvalEvery = 100
 		cfg.Workers = 1
-		cfg.Pipeline.Participation = UniformSubsample{K: 6}
+		cfg.Pipeline.Participation = uniformSubsample{6}
 		return cfg
 	}
 	if got := traceDigest(t, build()); got != pinned {

@@ -9,14 +9,12 @@ package fl
 // the classic monolithic engine byte for byte (full participation, the
 // configured static attack, the lossless identity codec, the configured
 // aggregation rule, server momentum SGD). Every stage with randomness
-// draws from its own derived RNG stream, so swapping one stage (e.g.
-// enabling client subsampling or a lossy codec) perturbs no other stage's
-// random choices.
+// draws from its own derived RNG stream, so swapping one stage (e.g. a
+// participation stage that samples a cohort, or a lossy codec) perturbs no
+// other stage's random choices.
 
 import (
-	"fmt"
 	"math/rand"
-	"sort"
 
 	"github.com/signguard/signguard/internal/aggregate"
 	"github.com/signguard/signguard/internal/attack"
@@ -77,26 +75,6 @@ func (FullParticipation) Select(_ *rand.Rand, _, clients int) ([]int, error) {
 	for i := range ids {
 		ids[i] = i
 	}
-	return ids, nil
-}
-
-// UniformSubsample selects K distinct clients uniformly at random each
-// round, the partial-participation protocol of cross-device FL.
-type UniformSubsample struct {
-	// K is the per-round cohort size, 1 <= K <= Config.Clients.
-	K int
-}
-
-// Name implements Participation.
-func (u UniformSubsample) Name() string { return fmt.Sprintf("uniform(%d)", u.K) }
-
-// Select implements Participation.
-func (u UniformSubsample) Select(rng *rand.Rand, _, clients int) ([]int, error) {
-	if u.K < 1 || u.K > clients {
-		return nil, fmt.Errorf("fl: subsample size %d out of [1,%d]", u.K, clients)
-	}
-	ids := append([]int(nil), rng.Perm(clients)[:u.K]...)
-	sort.Ints(ids)
 	return ids, nil
 }
 

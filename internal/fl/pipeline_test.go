@@ -1,7 +1,10 @@
 package fl
 
 import (
+	"fmt"
 	"math/rand"
+	"sort"
+	"strings"
 	"testing"
 
 	"github.com/signguard/signguard/internal/aggregate"
@@ -10,37 +13,20 @@ import (
 	"github.com/signguard/signguard/internal/tensor"
 )
 
-func TestUniformSubsampleSelect(t *testing.T) {
-	rng := tensor.NewRNG(3)
-	u := UniformSubsample{K: 4}
-	ids, err := u.Select(rng, 0, 10)
-	if err != nil {
-		t.Fatal(err)
+// uniformSubsample selects k distinct clients uniformly at random each
+// round, the partial-participation protocol of cross-device FL: a custom
+// Participation stage that shrinks and rotates the cohort.
+type uniformSubsample struct{ k int }
+
+func (u uniformSubsample) Name() string { return fmt.Sprintf("uniform(%d)", u.k) }
+
+func (u uniformSubsample) Select(rng *rand.Rand, _, clients int) ([]int, error) {
+	if u.k < 1 || u.k > clients {
+		return nil, fmt.Errorf("subsample size %d out of [1,%d]", u.k, clients)
 	}
-	if len(ids) != 4 {
-		t.Fatalf("selected %d clients, want 4", len(ids))
-	}
-	for i := 1; i < len(ids); i++ {
-		if ids[i] <= ids[i-1] {
-			t.Fatalf("ids not strictly ascending: %v", ids)
-		}
-	}
-	if ids[0] < 0 || ids[len(ids)-1] > 9 {
-		t.Fatalf("ids out of range: %v", ids)
-	}
-	// Same stage RNG seed → same draw sequence.
-	a, _ := UniformSubsample{K: 4}.Select(tensor.NewRNG(9), 0, 10)
-	b, _ := UniformSubsample{K: 4}.Select(tensor.NewRNG(9), 0, 10)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("same seed drew different cohorts: %v vs %v", a, b)
-		}
-	}
-	for _, k := range []int{0, 11, -1} {
-		if _, err := (UniformSubsample{K: k}).Select(rng, 0, 10); err == nil {
-			t.Errorf("K=%d accepted for 10 clients", k)
-		}
-	}
+	ids := append([]int(nil), rng.Perm(clients)[:u.k]...)
+	sort.Ints(ids)
+	return ids, nil
 }
 
 func TestSubsampledRunDeterministicAndDistinct(t *testing.T) {
@@ -48,7 +34,7 @@ func TestSubsampledRunDeterministicAndDistinct(t *testing.T) {
 		cfg := baseConfig(tinyDataset(t))
 		cfg.Rounds = 10
 		if k > 0 {
-			cfg.Pipeline.Participation = UniformSubsample{K: k}
+			cfg.Pipeline.Participation = uniformSubsample{k}
 		}
 		sim, err := New(cfg)
 		if err != nil {
@@ -87,7 +73,7 @@ func TestSubsampleCohortObservedPerRound(t *testing.T) {
 	cfg.Rounds = 8
 	cfg.NumByz = 2
 	cfg.Attack = attack.NewSignFlip()
-	cfg.Pipeline.Participation = UniformSubsample{K: k}
+	cfg.Pipeline.Participation = uniformSubsample{k}
 	cfg.RoundHook = func(st *RoundState) {
 		roundCohorts = append(roundCohorts, st.Participants)
 		submitted = append(submitted, len(st.Grads))
@@ -308,10 +294,16 @@ func TestCustomUpdateAndDefenseStages(t *testing.T) {
 	}
 }
 
-func TestInvalidParticipationRejected(t *testing.T) {
+// TestParticipationErrorFailsTheRound: a participation stage that cannot
+// select fails the round with an error naming the stage.
+func TestParticipationErrorFailsTheRound(t *testing.T) {
 	cfg := baseConfig(tinyDataset(t))
-	cfg.Pipeline.Participation = UniformSubsample{K: cfg.Clients + 1}
-	if _, err := New(cfg); err == nil {
-		t.Fatal("oversized subsample accepted at New")
+	cfg.Pipeline.Participation = uniformSubsample{cfg.Clients + 1}
+	sim, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sim.Step(0); err == nil || !strings.Contains(err.Error(), "participation uniform") {
+		t.Fatalf("oversized subsample: Step error %v", err)
 	}
 }

@@ -67,7 +67,7 @@ func TestAsyncEncodedSubmit(t *testing.T) {
 	}
 
 	// A lossy codec ships measurably less than dense.
-	encTopk, err := (codec.TopKCodec{K: 2}).Encode(grad, nil)
+	encTopk, err := (codec.TopKCodec{}).Encode(grad, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestAsyncCodecPolicy(t *testing.T) {
 		t.Fatalf("unadvertised codec not rejected: %v", err)
 	}
 
-	enc, err := (codec.TopKCodec{K: 2}).Encode(grad, nil)
+	enc, err := (codec.TopKCodec{}).Encode(grad, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestAsyncCodecPolicy(t *testing.T) {
 		return err
 	}
 	corrupt := enc
-	corrupt.Idx = []int32{99, 1}
+	corrupt.Idx = []int32{99}
 	if err := post(AsyncSubmitRequest{Client: "c", Encoded: &corrupt}); err == nil ||
 		!strings.Contains(err.Error(), "decoding") {
 		t.Fatalf("corrupt payload not rejected: %v", err)
@@ -173,7 +173,7 @@ func TestRunAsyncClientCodec(t *testing.T) {
 		Addr:    srv.URL,
 		ID:      "qsgd-client",
 		Compute: quadCompute(0),
-		Codec:   codec.QSGDCodec{Levels: 8},
+		Codec:   codec.QSGDCodec{},
 		Rng:     tensor.NewRNG(1),
 	})
 	if err != nil {
@@ -205,7 +205,7 @@ func TestRunAsyncClientCodec(t *testing.T) {
 		Addr:    narrow.URL,
 		ID:      "topk-client",
 		Compute: quadCompute(0),
-		Codec:   codec.TopKCodec{K: 2},
+		Codec:   codec.TopKCodec{},
 	})
 	if err == nil || !strings.Contains(err.Error(), "does not accept") {
 		t.Fatalf("mismatched codec did not fail fast: %v", err)

@@ -16,7 +16,7 @@ import (
 func builtinPayloads(t testing.TB) []codec.Encoded {
 	grad := []float64{1.5, -2, 0, math.Copysign(0, -1), 1e-300, -1e150, 0.25, 7, -7, 3, 0.125}
 	codecs := []codec.Codec{
-		codec.IdentityCodec{}, codec.TopKCodec{K: 4}, codec.QSGDCodec{Levels: 8}, codec.SignSGDCodec{},
+		codec.IdentityCodec{}, codec.TopKCodec{}, codec.QSGDCodec{}, codec.SignSGDCodec{},
 	}
 	out := make([]codec.Encoded, len(codecs))
 	for i, c := range codecs {

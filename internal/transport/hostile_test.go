@@ -201,7 +201,7 @@ func hostileSubmitBodies(t testing.TB, dim int) []hostileSubmitBody {
 	for i := range grad {
 		grad[i] = float64(i + 1)
 	}
-	topk, err := (codec.TopKCodec{K: dim / 2}).Encode(grad, nil)
+	topk, err := (codec.TopKCodec{}).Encode(grad, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestHostileSubmitBodies(t *testing.T) {
 	if res, err := c.Submit(context.Background(), 0, 0, grad); err != nil || !res.Accepted {
 		t.Fatalf("valid dense submit after the hostile table: res=%+v err=%v", res, err)
 	}
-	topk, _ := (codec.TopKCodec{K: dim / 2}).Encode(grad, nil)
+	topk, _ := (codec.TopKCodec{}).Encode(grad, nil)
 	if res, err := c.SubmitEncoded(context.Background(), 0, 0, topk); err != nil || !res.Accepted {
 		t.Fatalf("valid topk submit after the hostile table: res=%+v err=%v", res, err)
 	}

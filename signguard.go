@@ -83,7 +83,8 @@ type AggregationResult = aggregate.Result
 
 // DefenseParams is the constructor input of every catalog defense: the
 // cohort size N, the Byzantine count F granted to the baselines (SignGuard
-// ignores it), a seed, and optional named hyperparameters.
+// ignores it) and a seed. Each defense runs at its one catalog
+// configuration.
 type DefenseParams = defense.Params
 
 // NewDefense builds the catalog defense name, a row label of the paper's
@@ -139,10 +140,6 @@ type Participation = fl.Participation
 
 // FullParticipation selects every client every round (the default).
 type FullParticipation = fl.FullParticipation
-
-// UniformSubsample selects K distinct clients uniformly at random each
-// round, from the participation stage's own RNG stream.
-type UniformSubsample = fl.UniformSubsample
 
 // ---- Datasets ----
 
