@@ -301,6 +301,33 @@ func TestValidateRejectsUnknownNames(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsBadAxes: Validate refuses a cell on each axis it
+// checks, before any cell runs, with an error naming the offending value.
+func TestValidateRejectsBadAxes(t *testing.T) {
+	reg := testRegistry()
+	for _, tc := range []struct {
+		name   string
+		mutate func(*campaign.Cell)
+		want   string
+	}{
+		{"unknown dataset", func(c *campaign.Cell) { c.Dataset = "imagenet" }, `"imagenet"`},
+		{"unknown rule", func(c *campaign.Cell) { c.Rule = "Medoid" }, "Medoid"},
+		{"unknown attack", func(c *campaign.Cell) { c.Attack = "Gaussian" }, `"Gaussian"`},
+		{"unknown probe", func(c *campaign.Cell) { c.Probe = "norms" }, `"norms"`},
+		{"zero clients", func(c *campaign.Cell) { c.Params.Clients = 0 }, "invalid params"},
+		{"zero rounds", func(c *campaign.Cell) { c.Params.Rounds = 0 }, "invalid params"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := campaign.NewCell("tiny", "Mean", "LIE", tinyParams(1))
+			tc.mutate(&c)
+			err := reg.Validate(campaign.Spec{Name: "x", Cells: []campaign.Cell{c}})
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("Validate = %v, want an error naming %s", err, tc.want)
+			}
+		})
+	}
+}
+
 func TestFilter(t *testing.T) {
 	spec := testSpec()
 	got := spec.Filter("SignGuard/LIE")

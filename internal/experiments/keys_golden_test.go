@@ -66,21 +66,23 @@ func specKeysDigest(t *testing.T, name string, p Params) string {
 }
 
 // TestCampaignKeysGolden builds every experiment's grid (no training) and
-// compares its key digest with the pinned row; an experiment without a row,
-// or a row without an experiment, fails too.
+// compares its key digest with the pinned row, one subtest per experiment;
+// an experiment without a row, or a row without an experiment, fails too.
 func TestCampaignKeysGolden(t *testing.T) {
 	names := Experiments().Names()
 	for _, name := range names {
-		want, ok := campaignKeysGolden[name]
-		if !ok {
-			t.Errorf("%s: no pinned key digest", name)
-		}
-		bench := specKeysDigest(t, name, DefaultParams(ScaleBench))
-		standard := specKeysDigest(t, name, DefaultParams(ScaleStandard))
-		if bench != want.bench || standard != want.standard {
-			t.Errorf("%s: key digests moved: bench %s standard %s (pinned %s %s)",
-				name, bench, standard, want.bench, want.standard)
-		}
+		t.Run(name, func(t *testing.T) {
+			want, ok := campaignKeysGolden[name]
+			if !ok {
+				t.Errorf("%s: no pinned key digest", name)
+			}
+			bench := specKeysDigest(t, name, DefaultParams(ScaleBench))
+			standard := specKeysDigest(t, name, DefaultParams(ScaleStandard))
+			if bench != want.bench || standard != want.standard {
+				t.Errorf("%s: key digests moved: bench %s standard %s (pinned %s %s)",
+					name, bench, standard, want.bench, want.standard)
+			}
+		})
 	}
 	if len(campaignKeysGolden) != len(names) {
 		t.Errorf("%d pinned rows for %d experiments", len(campaignKeysGolden), len(names))

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"github.com/signguard/signguard/internal/attack"
@@ -51,16 +52,52 @@ func codecScenario(t *testing.T, c codec.Codec, workers int) Config {
 	return cfg
 }
 
-// goldenTopKTrace pins the topk wire stage bit for bit: the trace digest
+// goldenTopKTraces pin the topk wire stage bit for bit: the trace digests
 // of codecScenario under the sort-based TopKCodec.Encode, recorded at the
 // commit before it became a selection. Campaign cache keys and the repo
-// benchmark's parameter digests assume the payload never changes.
-const goldenTopKTrace = "5d4b2f96e828bab6b6a9b340969c6150769b2dda3617dc307616951d26b2df04"
+// benchmark's parameter digests assume the payload never changes. k=30 is
+// a client keeping another count than d/10, which Decode still takes.
+var goldenTopKTraces = map[string]struct {
+	codec codec.Codec
+	want  string
+}{
+	"k=30":      {sortTopK{k: 30}, "d1b97353ff9a92c90c2d96d05799c6a55ca29d29063e7d26e1734081fcf237f9"},
+	"k=default": {codec.TopKCodec{}, "5d4b2f96e828bab6b6a9b340969c6150769b2dda3617dc307616951d26b2df04"},
+}
 
 func TestGoldenTopKCodec(t *testing.T) {
-	if got := traceDigest(t, codecScenario(t, codec.TopKCodec{}, 1)); got != goldenTopKTrace {
-		t.Errorf("topk trace drifted from the sort-based encoder:\n got %s\nwant %s", got, goldenTopKTrace)
+	for name, g := range goldenTopKTraces {
+		t.Run(name, func(t *testing.T) {
+			if got := traceDigest(t, codecScenario(t, g.codec, 1)); got != g.want {
+				t.Errorf("topk trace drifted from the sort-based encoder:\n got %s\nwant %s", got, g.want)
+			}
+		})
 	}
+}
+
+// sortTopK is a topk client that keeps its k largest-magnitude coordinates,
+// ties to the lower index, by a full sort; decoding is the server's own.
+type sortTopK struct {
+	codec.TopKCodec
+	k int
+}
+
+func (c sortTopK) Encode(grad []float64, _ *rand.Rand) (codec.Encoded, error) {
+	order := make([]int, len(grad))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		return math.Abs(grad[order[a]]) > math.Abs(grad[order[b]])
+	})
+	kept := order[:min(c.k, len(grad))]
+	sort.Ints(kept)
+	e := codec.Encoded{Codec: codec.TopK, Dim: len(grad)}
+	for _, i := range kept {
+		e.Idx = append(e.Idx, int32(i))
+		e.Val = append(e.Val, grad[i])
+	}
+	return e, nil
 }
 
 // TestCodecWorkerInvariance: every codec's full trace digest is identical

@@ -201,9 +201,12 @@ func hostileSubmitBodies(t testing.TB, dim int) []hostileSubmitBody {
 	for i := range grad {
 		grad[i] = float64(i + 1)
 	}
-	topk, err := (codec.TopKCodec{}).Encode(grad, nil)
-	if err != nil {
-		t.Fatal(err)
+	// A topk payload keeping the top half of the coordinates, as a client
+	// may send: Decode takes any kept count up to dim from the wire.
+	topk := codec.Encoded{Codec: codec.TopK, Dim: dim}
+	for i := dim / 2; i < dim; i++ {
+		topk.Idx = append(topk.Idx, int32(i))
+		topk.Val = append(topk.Val, grad[i])
 	}
 	dense := submitBody(t, AsyncSubmitRequest{Client: "c", Grad: grad})
 	encoded := submitBody(t, AsyncSubmitRequest{Client: "c", Encoded: &topk})
