@@ -235,8 +235,8 @@ func (TopKCodec) Encode(grad []float64, _ *rand.Rand) (Encoded, error) {
 	return encodeTopK(grad, topKKeep(len(grad)))
 }
 
-// encodeTopK keeps the k largest-magnitude coordinates of grad, k clamped
-// to [1, len(grad)]. It finds the top-k boundary by an MSD radix select
+// encodeTopK keeps the k largest-magnitude coordinates of grad, for k in
+// [1, len(grad)]. It finds the top-k boundary by an MSD radix select
 // over magBits(g_i), with no scratch beyond one histogram on the
 // stack: the first pass histograms the exponents and refuses the gradient
 // on its first NaN or ±Inf coordinate — wherever it sits, kept or not —
@@ -251,7 +251,6 @@ func encodeTopK(grad []float64, k int) (Encoded, error) {
 	if d == 0 {
 		return Encoded{Codec: TopK}, nil
 	}
-	k = min(max(k, 1), d)
 	var hist [1 << radixBits]int32
 	for _, v := range grad {
 		hist[math.Float64bits(v)>>52&(1<<radixBits-1)]++
@@ -361,13 +360,10 @@ func (QSGDCodec) Encode(grad []float64, rng *rand.Rand) (Encoded, error) {
 	return encodeQSGD(grad, rng, qsgdLevels)
 }
 
-// encodeQSGD quantizes grad onto s levels, s in [1, 127] so one signed
+// encodeQSGD quantizes grad onto s levels, for s in [1, 127] so one signed
 // byte holds a level. The stochastic rounding draws one uniform variate
 // per coordinate from rng, which is required.
 func encodeQSGD(grad []float64, rng *rand.Rand, s int) (Encoded, error) {
-	if s < 1 || s > 127 {
-		return Encoded{}, fmt.Errorf("codec: qsgd levels %d out of [1,127]", s)
-	}
 	if rng == nil {
 		return Encoded{}, fmt.Errorf("codec: qsgd requires an RNG for stochastic rounding")
 	}

@@ -132,6 +132,7 @@ func FuzzTopKEncodeMatchesReference(f *testing.F) {
 		if k < 0 || k > len(grad)+1 {
 			k = topKKeep(len(grad))
 		}
+		k = min(max(k, 1), len(grad))
 		for _, v := range grad {
 			if !finite(v) {
 				if _, err := encodeTopK(grad, k); !errors.Is(err, ErrNonFinite) {

@@ -67,10 +67,7 @@ func TestAsyncEncodedSubmit(t *testing.T) {
 	}
 
 	// A lossy codec ships measurably less than dense.
-	encTopk, err := (codec.TopKCodec{}).Encode(grad, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	encTopk := codec.Encoded{Codec: codec.TopK, Dim: len(grad), Idx: []int32{4, 5}, Val: []float64{3, -4}}
 	if encTopk.Bytes() >= enc.Bytes() {
 		t.Fatalf("topk wire size %d not below dense %d", encTopk.Bytes(), enc.Bytes())
 	}
@@ -124,16 +121,13 @@ func TestAsyncCodecPolicy(t *testing.T) {
 		t.Fatalf("unadvertised codec not rejected: %v", err)
 	}
 
-	enc, err := (codec.TopKCodec{}).Encode(grad, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	enc := codec.Encoded{Codec: codec.TopK, Dim: len(grad), Idx: []int32{2, 3}, Val: []float64{3, 4}}
 	post := func(req AsyncSubmitRequest) error {
 		_, err := c.submit(ctx, &req)
 		return err
 	}
 	corrupt := enc
-	corrupt.Idx = []int32{99}
+	corrupt.Idx = []int32{99, 1}
 	if err := post(AsyncSubmitRequest{Client: "c", Encoded: &corrupt}); err == nil ||
 		!strings.Contains(err.Error(), "decoding") {
 		t.Fatalf("corrupt payload not rejected: %v", err)

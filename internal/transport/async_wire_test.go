@@ -7,26 +7,31 @@ import (
 	"testing"
 
 	"github.com/signguard/signguard/internal/codec"
-	"github.com/signguard/signguard/internal/tensor"
 )
 
-// builtinPayloads is one codec.Encoded per builtin codec, as its Encode
-// emits it, over a gradient with every kind of finite value a codec special-
-// cases.
+// builtinPayloads is one codec.Encoded per builtin codec over a gradient
+// with every kind of finite value a codec special-cases: identity and
+// signsgd as their Encode emits them, topk keeping four coordinates and
+// qsgd on eight levels, as a client may send (Decode reads the kept count
+// and the levels from the payload).
 func builtinPayloads(t testing.TB) []codec.Encoded {
 	grad := []float64{1.5, -2, 0, math.Copysign(0, -1), 1e-300, -1e150, 0.25, 7, -7, 3, 0.125}
-	codecs := []codec.Codec{
-		codec.IdentityCodec{}, codec.TopKCodec{}, codec.QSGDCodec{}, codec.SignSGDCodec{},
+	dense, err := codec.IdentityCodec{}.Encode(grad, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	out := make([]codec.Encoded, len(codecs))
-	for i, c := range codecs {
-		enc, err := c.Encode(grad, tensor.NewRNG(int64(i+1)))
-		if err != nil {
-			t.Fatalf("%s encode: %v", c.Name(), err)
-		}
-		out[i] = enc
+	sign, err := codec.SignSGDCodec{}.Encode(grad, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return out
+	q := make([]int8, len(grad))
+	q[5] = -8
+	return []codec.Encoded{
+		dense,
+		{Codec: codec.TopK, Dim: len(grad), Idx: []int32{5, 7, 8, 9}, Val: []float64{-1e150, 7, -7, 3}},
+		{Codec: codec.QSGD, Dim: len(grad), Scale: 1e150, Levels: 8, Q: q},
+		sign,
+	}
 }
 
 // retained is the bytes of slice and string storage a parsed submit holds.

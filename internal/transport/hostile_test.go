@@ -193,6 +193,19 @@ type hostileSubmitBody struct {
 	status      int
 }
 
+// topHalf is the topk payload of an ascending gradient that keeps its top
+// half, as a client may send: Decode takes any kept count up to the
+// dimension from the wire.
+func topHalf(grad []float64) codec.Encoded {
+	d := len(grad)
+	topk := codec.Encoded{Codec: codec.TopK, Dim: d}
+	for i := d / 2; i < d; i++ {
+		topk.Idx = append(topk.Idx, int32(i))
+		topk.Val = append(topk.Val, grad[i])
+	}
+	return topk
+}
+
 // hostileSubmitBodies is the table of frames a dim-coordinate server must
 // refuse without buffering an update: TestHostileSubmitBodies posts each,
 // FuzzAsyncSubmitBody starts from them.
@@ -201,13 +214,7 @@ func hostileSubmitBodies(t testing.TB, dim int) []hostileSubmitBody {
 	for i := range grad {
 		grad[i] = float64(i + 1)
 	}
-	// A topk payload keeping the top half of the coordinates, as a client
-	// may send: Decode takes any kept count up to dim from the wire.
-	topk := codec.Encoded{Codec: codec.TopK, Dim: dim}
-	for i := dim / 2; i < dim; i++ {
-		topk.Idx = append(topk.Idx, int32(i))
-		topk.Val = append(topk.Val, grad[i])
-	}
+	topk := topHalf(grad)
 	dense := submitBody(t, AsyncSubmitRequest{Client: "c", Grad: grad})
 	encoded := submitBody(t, AsyncSubmitRequest{Client: "c", Encoded: &topk})
 	// header is a submit body up to and including the kind byte.
@@ -313,8 +320,7 @@ func TestHostileSubmitBodies(t *testing.T) {
 	if res, err := c.Submit(context.Background(), 0, 0, grad); err != nil || !res.Accepted {
 		t.Fatalf("valid dense submit after the hostile table: res=%+v err=%v", res, err)
 	}
-	topk, _ := (codec.TopKCodec{}).Encode(grad, nil)
-	if res, err := c.SubmitEncoded(context.Background(), 0, 0, topk); err != nil || !res.Accepted {
+	if res, err := c.SubmitEncoded(context.Background(), 0, 0, topHalf(grad)); err != nil || !res.Accepted {
 		t.Fatalf("valid topk submit after the hostile table: res=%+v err=%v", res, err)
 	}
 }
