@@ -29,9 +29,10 @@ race:
 	$(GO) test -race -short -timeout 15m ./...
 
 # Registry-wide conformance suite (internal/conformance): every registered
-# defense and codec must hold its contract — byte-identical aggregation for
-# any worker count, finite-or-error behavior on hostile inputs, selections
-# in ascending order, and codec round-trip bounds. Run under the race detector
+# defense, codec and attack must hold its contract — byte-identical
+# aggregation for any worker count, finite-or-error behavior on non-finite
+# inputs, selections in ascending order, codec round-trip bounds, and no
+# attack keeping its round's vectors. Run under the race detector
 # with -count=2 so a stateful rule that only misbehaves on reuse (or only
 # races under parallel kernels) still fails; the CI test job runs this.
 conformance:
@@ -47,19 +48,19 @@ conformance:
 serve-smoke:
 	$(GO) run ./cmd/flserver -loadtest -load-clients 500 -load-byz 0.2 -load-nonfinite 0.1 -rule SignGuard
 
-# Run cmd/campaign's main end to end: flag parsing, then three grids at
+# Run cmd/campaign's main end to end: flag parsing, then two grids at
 # bench scale into a temporary store, a status of each that must report the
 # grid complete, and their markdown exports from the store — fig2 (2
-# cells); adaptive (6 cells), the one campaign whose adversary reads each
+# cells) and adaptive (6 cells), the one campaign whose adversary reads each
 # round's selection tally back through its filtering history, so the
-# feedback loop runs through main too; and hostile (20 cells, about 10 s on
-# two cores), whose NaN/±Inf attacks put the round pipeline's only
-# non-finite path, refusal, through main. Fails on an error, an incomplete
-# status or an empty table; the CI test job runs this after serve-smoke.
+# feedback loop runs through main too. The round pipeline's refusal of
+# non-finite submissions is fl's TestNonFiniteSubmissionRefused; main has
+# no code of its own for it. Fails on an error, an incomplete status or an
+# empty table; the CI test job runs this after serve-smoke.
 paper-smoke:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
 	$(GO) build -o "$$dir/campaign" ./cmd/campaign && \
-	for name in fig2 adaptive hostile; do \
+	for name in fig2 adaptive; do \
 		"$$dir/campaign" run -name $$name -scale bench -cache-dir "$$dir/cache" && \
 		"$$dir/campaign" status -name $$name -scale bench -cache-dir "$$dir/cache" > "$$dir/status" && \
 		cat "$$dir/status" && grep -q '(0 pending, 100% complete)' "$$dir/status" && \
@@ -67,7 +68,7 @@ paper-smoke:
 		test -s "$$dir/$$name.md" && cat "$$dir/$$name.md" || exit 1; \
 	done
 
-# The bench-scale results golden: every experiment ("all", 763 cells) at
+# The bench-scale results golden: every experiment ("all", 743 cells) at
 # bench scale and seed 1, run into a fresh store under /tmp and exported as
 # markdown to docs/results-bench.md. A change that moves any rendered
 # number then shows up in `git diff`; the CI results job runs this target

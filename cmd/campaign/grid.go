@@ -11,8 +11,7 @@ import (
 )
 
 // gridFlags are the flags shared by run/status/export: they select,
-// replicate and filter a campaign's cell grid, and optionally stamp a
-// gradient-compression codec onto every cell.
+// replicate and filter a campaign's cell grid.
 type gridFlags struct {
 	name     string
 	scale    string
@@ -20,7 +19,6 @@ type gridFlags struct {
 	seeds    string
 	filter   string
 	cacheDir string
-	codec    string
 }
 
 func (g *gridFlags) register(fs *flag.FlagSet) {
@@ -30,7 +28,6 @@ func (g *gridFlags) register(fs *flag.FlagSet) {
 	fs.StringVar(&g.seeds, "seeds", "", "comma-separated seed list; replicates every cell per seed (overrides -seed)")
 	fs.StringVar(&g.filter, "filter", "", "keep only cells whose ID contains this substring (applied after -seeds replication)")
 	fs.StringVar(&g.cacheDir, "cache-dir", ".campaign-cache", "cell result cache directory")
-	fs.StringVar(&g.codec, "codec", "", "gradient-compression codec stamped onto every cell (see 'campaign rules'; empty = cells' own codec axis)")
 }
 
 // parseSeeds parses the -seeds list ("1,2,3").
@@ -61,20 +58,16 @@ func (g *gridFlags) params() (experiments.Params, error) {
 	return p, nil
 }
 
-// narrow replicates spec across -seeds, keeps the cells -filter matches,
-// then stamps -codec onto every cell. It is the single definition of
-// "which cells do these flags select", shared by run/status/export and by
-// the table export's per-experiment grids; the result may be empty.
+// narrow replicates spec across -seeds and keeps the cells -filter
+// matches. It is the single definition of "which cells do these flags
+// select", shared by run/status/export and by the table export's
+// per-experiment grids; the result may be empty.
 func (g *gridFlags) narrow(spec campaign.Spec) (campaign.Spec, error) {
 	seeds, err := parseSeeds(g.seeds)
 	if err != nil {
 		return campaign.Spec{}, err
 	}
-	spec = campaign.ReplicateSeeds(spec, seeds).Filter(g.filter)
-	// The codec is cell identity: stamped cells hash and cache separately
-	// from their originals, so run/status/export all see the same grid for
-	// the same flags.
-	return campaign.ApplyCodec(spec, g.codec), nil
+	return campaign.ReplicateSeeds(spec, seeds).Filter(g.filter), nil
 }
 
 // spec expands the -name campaign through narrow and refuses an empty grid.

@@ -85,7 +85,7 @@ func usage() {
   rules   list the registered defenses and compression codecs
 
 Campaigns cover the paper's tables and figures plus the scenario axes
-(adaptive attacks, compression, hostile input, server learning);
+(adaptive attacks, compression, server learning);
 'campaign list' prints them all.
 
 Common flags: -name, -scale, -seed, -seeds, -cache-dir, -filter.

@@ -64,9 +64,8 @@ fig5          10 cells
 fig6          90 cells
 adaptive       6 cells
 compression   32 cells
-hostile       20 cells
 serverlearn    8 cells
-all          763 cells
+all          743 cells
 `
 	if out.String() != want {
 		t.Errorf("campaign list printed\n%s\nwant\n%s", out.String(), want)

@@ -69,12 +69,6 @@ var goldenCraftDigests = map[string]string{
 	"Noise/params":              "f73eb2edf3634932",
 	"NonFinite-NaN/defaults":    "38781ec17c7a6aa5",
 	"NonFinite-NaN/params":      "0de4d86ba0b05c65",
-	"NonFinite-NegInf/defaults": "f779d5c4420a1f25",
-	"NonFinite-NegInf/params":   "45a6582735c650e5",
-	"NonFinite-PosInf/defaults": "d1cb65c312f91525",
-	"NonFinite-PosInf/params":   "6809de7e4808e0e5",
-	"NonFinite-Sparse/defaults": "512e87896dbefc34",
-	"NonFinite-Sparse/params":   "e5d736b8cb762520",
 	"Random/defaults":           "c68386310a90a632",
 	"Random/params":             "662b2661bd1b103e",
 	"Reverse/defaults":          "8355a84bd5367085",

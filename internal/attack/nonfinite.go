@@ -1,122 +1,37 @@
 package attack
 
 import (
-	"fmt"
 	"math"
 
 	"github.com/signguard/signguard/internal/tensor"
 )
 
-// NonFiniteValue selects the poison constant a NonFinite attack injects.
-type NonFiniteValue int
-
-const (
-	// NaNValue injects quiet NaNs — the cheapest poison: a single NaN
-	// coordinate contaminates every norm, dot product and squared distance
-	// it touches.
-	NaNValue NonFiniteValue = iota + 1
-	// PosInfValue injects +Inf.
-	PosInfValue
-	// NegInfValue injects -Inf.
-	NegInfValue
-)
-
-// value returns the float the constant stands for.
-func (v NonFiniteValue) value() float64 {
-	switch v {
-	case PosInfValue:
-		return math.Inf(1)
-	case NegInfValue:
-		return math.Inf(-1)
-	default:
-		return math.NaN()
-	}
-}
-
-func (v NonFiniteValue) String() string {
-	switch v {
-	case NaNValue:
-		return "NaN"
-	case PosInfValue:
-		return "+Inf"
-	case NegInfValue:
-		return "-Inf"
-	default:
-		return fmt.Sprintf("NonFiniteValue(%d)", int(v))
-	}
-}
-
-// NonFinite is the hostile-input attack family: Byzantine clients submit
-// gradients carrying NaN or ±Inf coordinates. Unlike the statistical
-// attacks, it does not try to bias the aggregate — it tries to crash or
-// wedge the server: an unscreened NaN poisons clustering inertia, median
-// norms and staleness-weighted merges downstream. The full-vector variant
-// (Fraction <= 0 or >= 1) replaces the whole gradient; the sparse variant
-// hides a few poisoned coordinates inside an otherwise-honest gradient,
-// which norm- and sign-based screens that ignore non-finiteness would pass.
-type NonFinite struct {
-	// Value selects the poison constant (default NaNValue).
-	Value NonFiniteValue
-	// Fraction is the fraction of coordinates poisoned per malicious
-	// gradient, in (0, 1); outside that range the full vector is replaced.
-	// Sparse positions are drawn from ctx.Rng, fresh each round.
-	Fraction float64
-}
+// NonFinite is the hostile-input attack: Byzantine clients submit gradients
+// whose every coordinate is NaN. Unlike the statistical attacks, it does not
+// try to bias the aggregate — it tries to crash or wedge the server: an
+// unscreened NaN poisons clustering inertia, median norms and
+// staleness-weighted merges downstream.
+type NonFinite struct{}
 
 var _ Attack = (*NonFinite)(nil)
 
-// NewNonFinite returns the full-vector variant injecting v.
-func NewNonFinite(v NonFiniteValue) *NonFinite {
-	return &NonFinite{Value: v}
-}
-
-// NewNonFiniteSparse returns the sparse-coordinate variant: each Byzantine
-// gradient keeps its honest values except for a poisoned fraction of
-// coordinates.
-func NewNonFiniteSparse(v NonFiniteValue, fraction float64) *NonFinite {
-	return &NonFinite{Value: v, Fraction: fraction}
+// NewNonFinite returns the whole-vector NaN attack.
+func NewNonFinite() *NonFinite {
+	return &NonFinite{}
 }
 
 // Name implements Attack.
-func (a *NonFinite) Name() string {
-	v := a.Value
-	if v == 0 {
-		v = NaNValue
-	}
-	if a.sparse() {
-		return fmt.Sprintf("NonFinite-Sparse(%s,%g)", v, a.Fraction)
-	}
-	return "NonFinite(" + v.String() + ")"
-}
-
-func (a *NonFinite) sparse() bool {
-	return a.Fraction > 0 && a.Fraction < 1
-}
+func (a *NonFinite) Name() string { return "NonFinite(NaN)" }
 
 // Craft implements Attack.
 func (a *NonFinite) Craft(ctx *Context) ([][]float64, error) {
 	if err := ctx.validate(); err != nil {
 		return nil, err
 	}
-	v := a.Value
-	if v == 0 {
-		v = NaNValue
-	}
-	poison := v.value()
 	out := make([][]float64, ctx.NumByz())
 	for i, own := range ctx.ByzOwn {
 		g := tensor.Clone(own)
-		if a.sparse() {
-			k := int(a.Fraction * float64(len(g)))
-			if k < 1 {
-				k = 1
-			}
-			for _, j := range ctx.Rng.Perm(len(g))[:k] {
-				g[j] = poison
-			}
-		} else {
-			tensor.Fill(g, poison)
-		}
+		tensor.Fill(g, math.NaN())
 		out[i] = g
 	}
 	return out, nil

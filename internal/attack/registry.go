@@ -30,7 +30,7 @@ type Spec struct {
 
 // Builtin returns the attack catalog in presentation order: the paper's
 // nine Table I columns, the parameterized ablation attacks, the adaptive
-// round-aware attacks, the non-finite injection family, and the backdoor /
+// round-aware attacks, the non-finite (NaN) injection, and the backdoor /
 // model-replacement adversary. Each call returns a fresh copy.
 func Builtin() *catalog.Catalog[Spec] {
 	return catalog.Must("attack", func(s Spec) string { return s.Name }, []Spec{
@@ -67,10 +67,7 @@ func Builtin() *catalog.Catalog[Spec] {
 		}},
 		{Name: "Adaptive-Min-Max", Adaptive: true, New: func(float64, int64) (Attack, error) { return NewAdaptiveMinMax(), nil }},
 		{Name: "SignKeep", New: func(float64, int64) (Attack, error) { return NewSignKeeping(), nil }},
-		{Name: "NonFinite-NaN", New: func(float64, int64) (Attack, error) { return NewNonFinite(NaNValue), nil }},
-		{Name: "NonFinite-PosInf", New: func(float64, int64) (Attack, error) { return NewNonFinite(PosInfValue), nil }},
-		{Name: "NonFinite-NegInf", New: func(float64, int64) (Attack, error) { return NewNonFinite(NegInfValue), nil }},
-		{Name: "NonFinite-Sparse", New: func(float64, int64) (Attack, error) { return NewNonFiniteSparse(NaNValue, 0.01), nil }},
+		{Name: "NonFinite-NaN", New: func(float64, int64) (Attack, error) { return NewNonFinite(), nil }},
 		{Name: "Backdoor", Adaptive: true, Poisons: true, Param: "boost", New: func(boost float64, _ int64) (Attack, error) {
 			return NewBackdoor(boost), nil
 		}},

@@ -11,8 +11,7 @@ func TestBuiltinNamesOrder(t *testing.T) {
 	want := []string{
 		"NoAttack", "Random", "Noise", "Label-flip", "ByzMean", "Sign-flip",
 		"LIE", "Min-Max", "Min-Sum", "Reverse", "TimeVarying", "Adaptive-Min-Max",
-		"SignKeep", "NonFinite-NaN", "NonFinite-PosInf", "NonFinite-NegInf",
-		"NonFinite-Sparse", "Backdoor",
+		"SignKeep", "NonFinite-NaN", "Backdoor",
 	}
 	if got := Builtin().Names(); !slices.Equal(got, want) {
 		t.Errorf("Names() = %v, want %v", got, want)

@@ -69,11 +69,6 @@ type Cell struct {
 	// "identity" = the lossless wire format; both spellings share one cell
 	// identity). Names resolve through the codec registry.
 	Codec string `json:",omitempty"`
-	// NonFinitePolicy is cell identity only: "" or "reject", and the round
-	// pipeline refuses each non-finite gradient from its round under
-	// either. "reject" keeps the hostile grid's stored keys. Any other
-	// name fails validation before any cell trains.
-	NonFinitePolicy string `json:",omitempty"`
 	// Probe names an optional registered per-round observer whose output
 	// is stored with the result (e.g. the Fig. 2 sign-statistics probe).
 	Probe      string  `json:",omitempty"`
@@ -123,9 +118,6 @@ func (c Cell) id(withSeed bool) string {
 	if c.Codec != "" && c.Codec != CodecIdentity {
 		fmt.Fprintf(&b, "/codec=%s", c.Codec)
 	}
-	if c.NonFinitePolicy != "" {
-		fmt.Fprintf(&b, "/nonfinite=%s", c.NonFinitePolicy)
-	}
 	if c.Probe != "" {
 		fmt.Fprintf(&b, "/probe=%s", c.Probe)
 	}
@@ -161,23 +153,6 @@ func Merge(name string, specs ...Spec) Spec {
 	out := Spec{Name: name}
 	for _, s := range specs {
 		out.Cells = append(out.Cells, s.Cells...)
-	}
-	return out
-}
-
-// ApplyCodec returns a copy of the spec with the named codec stamped onto
-// every cell — the grid-wide compression axis behind the -codec CLI flag.
-// The codec is cell identity, so the stamped cells hash (and cache)
-// separately from their uncompressed originals; an empty name returns the
-// spec unchanged.
-func ApplyCodec(s Spec, name string) Spec {
-	if name == "" {
-		return s
-	}
-	out := Spec{Name: s.Name, Cells: make([]Cell, len(s.Cells))}
-	for i, c := range s.Cells {
-		c.Codec = name
-		out.Cells[i] = c
 	}
 	return out
 }

@@ -33,17 +33,16 @@ func TestCellKeyGolden(t *testing.T) {
 // TestCellKeyExtensionAxesAreFree asserts the hash-compatibility contract
 // every extension axis must honor: setting an axis to its zero value leaves
 // the key identical to a cell that predates the axis. This is what lets new
-// axes (Codec, NonFinitePolicy, ...) land without invalidating
+// axes (Codec, Probe, ...) land without invalidating
 // cached results for the grid that never uses them.
 func TestCellKeyExtensionAxesAreFree(t *testing.T) {
 	for name, set := range map[string]func(*campaign.Cell){
-		"attackParam":     func(c *campaign.Cell) { c.AttackParam = 0 },
-		"nonIIDS":         func(c *campaign.Cell) { c.NonIIDS = 0 },
-		"nonIIDShards":    func(c *campaign.Cell) { c.NonIIDShards = 0 },
-		"codec":           func(c *campaign.Cell) { c.Codec = "" },
-		"nonFinitePolicy": func(c *campaign.Cell) { c.NonFinitePolicy = "" },
-		"probe":           func(c *campaign.Cell) { c.Probe = "" },
-		"probeParam":      func(c *campaign.Cell) { c.ProbeParam = 0 },
+		"attackParam":  func(c *campaign.Cell) { c.AttackParam = 0 },
+		"nonIIDS":      func(c *campaign.Cell) { c.NonIIDS = 0 },
+		"nonIIDShards": func(c *campaign.Cell) { c.NonIIDShards = 0 },
+		"codec":        func(c *campaign.Cell) { c.Codec = "" },
+		"probe":        func(c *campaign.Cell) { c.Probe = "" },
+		"probeParam":   func(c *campaign.Cell) { c.ProbeParam = 0 },
 	} {
 		cell := goldenCell()
 		set(&cell)
@@ -54,21 +53,5 @@ func TestCellKeyExtensionAxesAreFree(t *testing.T) {
 		if key != goldenCellKey {
 			t.Errorf("zero-valued %s axis changed the key to %s — extension axes must be free when unused", name, key)
 		}
-	}
-}
-
-// TestRejectCellKeyGolden pins the key of the golden cell stamped with the
-// reject policy, the axis value every hostile-campaign cell carries: the
-// policy vocabulary may shrink, but a stored hostile result must keep its
-// key.
-func TestRejectCellKeyGolden(t *testing.T) {
-	cell := goldenCell()
-	cell.NonFinitePolicy = "reject"
-	key, err := cell.Key()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := "e984b6038967d0b6415f4efd4a3d922e81b092384e56c754e18bc53c517cb9a9"; key != want {
-		t.Fatalf("reject cell key moved: %s (pinned %s)", key, want)
 	}
 }

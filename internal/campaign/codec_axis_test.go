@@ -116,27 +116,3 @@ func TestValidateRejectsBadCodec(t *testing.T) {
 		t.Errorf("unknown codec passed validation: %v", err)
 	}
 }
-
-// TestApplyCodec: the grid-wide stamping helper behind the -codec flag.
-func TestApplyCodec(t *testing.T) {
-	spec := testSpec()
-	stamped := campaign.ApplyCodec(spec, "qsgd")
-	if len(stamped.Cells) != len(spec.Cells) {
-		t.Fatalf("stamped %d cells, want %d", len(stamped.Cells), len(spec.Cells))
-	}
-	for i, c := range stamped.Cells {
-		if c.Codec != "qsgd" {
-			t.Fatalf("cell %d not stamped: %+v", i, c)
-		}
-		if spec.Cells[i].Codec != "" {
-			t.Fatal("ApplyCodec mutated the input spec")
-		}
-	}
-
-	same := campaign.ApplyCodec(spec, "")
-	for i := range same.Cells {
-		if same.Cells[i].Codec != "" {
-			t.Fatalf("empty name stamped cell %d", i)
-		}
-	}
-}

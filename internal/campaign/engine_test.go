@@ -402,3 +402,19 @@ func TestFailFastKeepsCompletedCells(t *testing.T) {
 		t.Errorf("re-run: executed=%d hits=%d, want %d/%d", rep.Executed, rep.CacheHits, want, len(reported))
 	}
 }
+
+// TestNonFiniteScreenedReachesResult: a NaN-injection cell trains on
+// through the engine, and the stored result carries the round pipeline's
+// count of refused submissions.
+func TestNonFiniteScreenedReachesResult(t *testing.T) {
+	reg := testRegistry()
+	reg.RegisterAttack("NonFinite-NaN", func(_ campaign.Cell, _ int64) (attack.Attack, error) {
+		return attack.NewNonFinite(), nil
+	})
+	c := campaign.NewCell("tiny", "Mean", "NonFinite-NaN", tinyParams(1))
+	rep := mustRun(t, &campaign.Engine{Registry: reg, Workers: 1}, campaign.Spec{Name: "nan", Cells: []campaign.Cell{c}})
+	r := rep.Results[0]
+	if want := c.EffectiveByz() * c.Params.Rounds; r.Diverged || r.NonFiniteScreened != want {
+		t.Errorf("Diverged = %v, NonFiniteScreened = %d; want a completed run that screened %d", r.Diverged, r.NonFiniteScreened, want)
+	}
+}

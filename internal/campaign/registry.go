@@ -11,7 +11,6 @@ import (
 	"github.com/signguard/signguard/internal/defense"
 	"github.com/signguard/signguard/internal/fl"
 	"github.com/signguard/signguard/internal/nn"
-	"github.com/signguard/signguard/internal/sanitize"
 )
 
 // DatasetBuilder binds a dataset key to its loader and model family.
@@ -120,11 +119,6 @@ func (r *Registry) Validate(spec Spec) error {
 		}
 		if _, err := r.attack(c.Attack); err != nil {
 			return fmt.Errorf("cell %d (%s): %w", i, c.ID(), err)
-		}
-		if c.NonFinitePolicy != "" {
-			if _, err := sanitize.ParsePolicy("NonFinitePolicy", c.NonFinitePolicy); err != nil {
-				return fmt.Errorf("cell %d (%s): %w", i, c.ID(), err)
-			}
 		}
 		if c.Codec != "" {
 			if _, err := r.codecs.Lookup(c.Codec); err != nil {

@@ -148,8 +148,8 @@ type Experiment struct {
 
 // Experiments returns the experiment catalog in presentation order: the
 // paper's tables and figures, then the scenario axes (adaptive attacks,
-// compression, hostile input, server learning). The order fixes the merged "all" campaign and
-// the table export of -name all. Each call returns a fresh copy.
+// compression, server learning). The order fixes the merged "all" campaign
+// and the table export of -name all. Each call returns a fresh copy.
 func Experiments() *catalog.Catalog[Experiment] {
 	return catalog.Must("experiment", func(x Experiment) string { return x.Name }, []Experiment{
 		{"table1", table1Spec, renderTable1},
@@ -161,7 +161,6 @@ func Experiments() *catalog.Catalog[Experiment] {
 		{"fig6", fig6Spec, renderFig6},
 		{"adaptive", adaptiveSpec, renderAdaptive},
 		{"compression", compressionSpec, renderCompression},
-		{"hostile", hostileSpec, renderHostile},
 		{"serverlearn", serverLearnSpec, renderServerLearn},
 	}...)
 }

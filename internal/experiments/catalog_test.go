@@ -16,7 +16,7 @@ import (
 func TestCampaignNamesOrder(t *testing.T) {
 	want := []string{
 		"table1", "table2", "table3", "fig2", "fig4", "fig5", "fig6",
-		"adaptive", "compression", "hostile", "serverlearn", "all",
+		"adaptive", "compression", "serverlearn", "all",
 	}
 	if got := CampaignNames(); !slices.Equal(got, want) {
 		t.Errorf("CampaignNames() = %v, want %v", got, want)

@@ -38,9 +38,6 @@ var campaignKeysGolden = map[string]struct{ bench, standard string }{
 	"compression": {
 		"aaaeac2c0203b41d75a8c643fb4d3fb8b38319c8c218f68f11fac77ac33a472a",
 		"0096cc4fd968b9f856a686e7af7acf2a3771b59e22942b8e1d0713c9159bcff9"},
-	"hostile": {
-		"0fac2a4a99402546c7b92b482cf8f1e41c30ab3e11a4026f76885945d377ca7c",
-		"80e54984634cdd4ad974c1ec32d87de3b24a3ee874c6d0728354f33ba2879ed0"},
 	"serverlearn": {
 		"98854e26a8b784782373739ae56ee2affa6d4a85de73a14c89f5689d0a87acfd",
 		"12afcb365c8feb185b066541dea6aa51f6cb2887020934fd05cdcc00ef7d4830"},

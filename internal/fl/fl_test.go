@@ -1,6 +1,7 @@
 package fl
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"github.com/signguard/signguard/internal/attack"
 	"github.com/signguard/signguard/internal/core"
 	"github.com/signguard/signguard/internal/data"
+	"github.com/signguard/signguard/internal/defense"
 	"github.com/signguard/signguard/internal/nn"
 	"github.com/signguard/signguard/internal/tensor"
 )
@@ -339,27 +341,90 @@ func TestDivergedRunEndsGracefully(t *testing.T) {
 	}
 }
 
-// TestNonFiniteSubmissionRefused: a zero-valued Config refuses a NaN
-// submission from its round, like the serving core's ingest, and trains on:
-// a hostile client costs itself its slot, not the server its run.
+// poisonAttack is a test-local non-finite craft: every coordinate of each
+// Byzantine gradient becomes v, or, with frac > 0, that share of them drawn
+// from ctx.Rng (at least one).
+type poisonAttack struct {
+	v, frac float64
+}
+
+func (poisonAttack) Name() string { return "poison" }
+
+func (a poisonAttack) Craft(ctx *attack.Context) ([][]float64, error) {
+	out := make([][]float64, len(ctx.ByzOwn))
+	for i, own := range ctx.ByzOwn {
+		g := tensor.Clone(own)
+		if a.frac > 0 {
+			k := max(int(a.frac*float64(len(g))), 1)
+			for _, j := range ctx.Rng.Perm(len(g))[:k] {
+				g[j] = a.v
+			}
+		} else {
+			tensor.Fill(g, a.v)
+		}
+		out[i] = g
+	}
+	return out, nil
+}
+
+// TestNonFiniteSubmissionRefused: a zero-valued Config refuses a
+// non-finite submission from its round, like the serving core's ingest, and
+// trains on: a hostile client costs itself its slot, not the server its
+// run. The refusal comes before the codec and the defense, so under each
+// rule the catalog NaN attack, whole-vector ±Inf and NaN in 1% of the
+// coordinates are one training run, down to the last parameter bit.
 func TestNonFiniteSubmissionRefused(t *testing.T) {
-	cfg := baseConfig(tinyDataset(t))
-	cfg.NumByz = 3
-	cfg.Attack = attack.NewNonFinite(attack.NaNValue)
-	cfg.Rounds = 5
-	sim, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
+	ds := tinyDataset(t)
+	shapes := []struct {
+		name string
+		att  attack.Attack
+	}{
+		{"NaN", attack.NewNonFinite()},
+		{"+Inf", poisonAttack{v: math.Inf(1)}},
+		{"-Inf", poisonAttack{v: math.Inf(-1)}},
+		{"sparse-NaN", poisonAttack{v: math.NaN(), frac: 0.01}},
 	}
-	res, err := sim.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Diverged || len(res.History) != cfg.Rounds {
-		t.Fatalf("Diverged = %v after %d of %d rounds, want a completed run", res.Diverged, len(res.History), cfg.Rounds)
-	}
-	if want := cfg.NumByz * cfg.Rounds; res.NonFiniteScreened != want {
-		t.Errorf("NonFiniteScreened = %d, want %d (every hostile submission)", res.NonFiniteScreened, want)
+	for _, rule := range []string{"SignGuard", "Multi-Krum", "DnC", "Median", "Mean"} {
+		t.Run(rule, func(t *testing.T) {
+			var first []float64
+			for _, sh := range shapes {
+				cfg := baseConfig(ds)
+				// 12 clients leave Multi-Krum the 2F+3 gradients it needs
+				// once the three hostile ones are refused.
+				cfg.Clients, cfg.NumByz = 12, 3
+				cfg.Attack = sh.att
+				cfg.Rounds = 5
+				r, err := defense.Builtin().Build(rule, defense.Params{N: cfg.Clients, F: cfg.NumByz, Seed: 7})
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.Rule = r
+				sim, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := sim.Run()
+				if err != nil {
+					t.Fatalf("%s: %v", sh.name, err)
+				}
+				if res.Diverged || len(res.History) != cfg.Rounds {
+					t.Fatalf("%s: Diverged = %v after %d of %d rounds, want a completed run", sh.name, res.Diverged, len(res.History), cfg.Rounds)
+				}
+				if want := cfg.NumByz * cfg.Rounds; res.NonFiniteScreened != want {
+					t.Errorf("%s: NonFiniteScreened = %d, want %d (every hostile submission)", sh.name, res.NonFiniteScreened, want)
+				}
+				params := sim.Model().ParamVector()
+				if first == nil {
+					first = params
+					continue
+				}
+				for i := range params {
+					if math.Float64bits(params[i]) != math.Float64bits(first[i]) {
+						t.Fatalf("%s: parameter %d = %v, NaN run ended on %v", sh.name, i, params[i], first[i])
+					}
+				}
+			}
+		})
 	}
 }
 

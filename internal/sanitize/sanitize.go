@@ -10,11 +10,7 @@
 // there is no repair worth feeding them.
 package sanitize
 
-import (
-	"fmt"
-
-	"github.com/signguard/signguard/internal/tensor"
-)
+import "github.com/signguard/signguard/internal/tensor"
 
 // Policy names what happens to a gradient carrying NaN or ±Inf
 // coordinates. Reject is the only disposition: every ingest surface refuses
@@ -25,23 +21,6 @@ type Policy int
 // Reject refuses the whole update: the submitter is told, nothing enters
 // the buffer.
 const Reject Policy = 1
-
-// String returns the canonical flag-value spelling of the policy.
-func (p Policy) String() string {
-	if p == Reject {
-		return "reject"
-	}
-	return fmt.Sprintf("Policy(%d)", int(p))
-}
-
-// ParsePolicy maps a policy name to its Policy. The error names the
-// offending field or flag verbatim, following the cliutil error contract.
-func ParsePolicy(flag, s string) (Policy, error) {
-	if s != Reject.String() {
-		return 0, fmt.Errorf("%s: unknown policy %q (want reject)", flag, s)
-	}
-	return Reject, nil
-}
 
 // Verdict is the outcome of screening one gradient.
 type Verdict int

@@ -3,31 +3,8 @@ package sanitize
 import (
 	"fmt"
 	"math"
-	"strings"
 	"testing"
 )
-
-func TestParsePolicy(t *testing.T) {
-	got, err := ParsePolicy("NonFinitePolicy", "reject")
-	if err != nil {
-		t.Fatalf("ParsePolicy(reject): %v", err)
-	}
-	if got != Reject || got.String() != "reject" {
-		t.Fatalf("ParsePolicy(reject) = %v (%q), want Reject", got, got.String())
-	}
-}
-
-func TestParsePolicyRejectsUnknownNamingFlag(t *testing.T) {
-	for _, in := range []string{"ignore", "clamp", "quarantine", ""} {
-		_, err := ParsePolicy("NonFinitePolicy", in)
-		if err == nil {
-			t.Fatalf("ParsePolicy accepted %q", in)
-		}
-		if want := "NonFinitePolicy"; !strings.Contains(err.Error(), want) {
-			t.Fatalf("error %q does not name the field %q", err, want)
-		}
-	}
-}
 
 func TestScreenClean(t *testing.T) {
 	if v := Screen([]float64{1, -2, 0.5}, Reject); v != Clean {

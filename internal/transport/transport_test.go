@@ -377,20 +377,34 @@ func TestServerDropsMisbehavingConnections(t *testing.T) {
 			return good(round, params)
 		}
 	}
-	release := make(chan struct{})
+	entered, release := make(chan struct{}), make(chan struct{})
 	l, err, clientErrs := runSync(t, asyncfl.Config{
 		InitialParams: make([]float64, len(target)), Rule: aggregate.NewMean(), LR: 0.2, TargetSteps: 6,
 	}, []GradientFunc{
 		honest(10),
 		misbehave(1, func() ([]float64, error) { return []float64{1, 2}, nil }),
 		honest(11),
-		misbehave(2, func() ([]float64, error) { <-release; return nil, errors.New("silent member woke after the run") }),
+		misbehave(2, func() ([]float64, error) {
+			close(entered)
+			<-release
+			return nil, errors.New("silent member woke after the run")
+		}),
 	}, func(l *lockstep) {
 		// Round 0's four uploads and round 1's four, one of them refused.
 		waitFor(t, "round 1's uploads", func() bool { return l.updates.Load() == 8 })
 		l.expire()
-		// Round 2: members 0 and 2; member 3 is silent.
+		// Round 2: members 0 and 2; member 3 is silent. Expiring the round
+		// before member 3 holds round 2's model would let it sleep through
+		// the run and fetch a finished model, which is no error.
 		waitFor(t, "round 2's uploads", func() bool { return l.updates.Load() == 10 })
+		waitFor(t, "member 3 to hold round 2's model", func() bool {
+			select {
+			case <-entered:
+				return true
+			default:
+				return false
+			}
+		})
 		l.expire()
 		select {
 		case <-l.agg.Done():
