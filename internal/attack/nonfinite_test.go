@@ -37,7 +37,14 @@ func TestNonFiniteFullVector(t *testing.T) {
 			t.Fatal("Craft mutated ByzOwn")
 		}
 	}
+}
+
+func TestNonFiniteNames(t *testing.T) {
 	if got := NewNonFinite().Name(); got != "NonFinite(NaN)" {
 		t.Errorf("Name = %q", got)
+	}
+	var a NonFinite
+	if got := a.Name(); got != "NonFinite(NaN)" {
+		t.Errorf("zero-value Name = %q", got)
 	}
 }

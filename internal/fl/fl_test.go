@@ -386,43 +386,47 @@ func TestNonFiniteSubmissionRefused(t *testing.T) {
 	}
 	for _, rule := range []string{"SignGuard", "Multi-Krum", "DnC", "Median", "Mean"} {
 		t.Run(rule, func(t *testing.T) {
+			// The first shape to finish is the one the others must match.
+			var ref string
 			var first []float64
 			for _, sh := range shapes {
-				cfg := baseConfig(ds)
-				// 12 clients leave Multi-Krum the 2F+3 gradients it needs
-				// once the three hostile ones are refused.
-				cfg.Clients, cfg.NumByz = 12, 3
-				cfg.Attack = sh.att
-				cfg.Rounds = 5
-				r, err := defense.Builtin().Build(rule, defense.Params{N: cfg.Clients, F: cfg.NumByz, Seed: 7})
-				if err != nil {
-					t.Fatal(err)
-				}
-				cfg.Rule = r
-				sim, err := New(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				res, err := sim.Run()
-				if err != nil {
-					t.Fatalf("%s: %v", sh.name, err)
-				}
-				if res.Diverged || len(res.History) != cfg.Rounds {
-					t.Fatalf("%s: Diverged = %v after %d of %d rounds, want a completed run", sh.name, res.Diverged, len(res.History), cfg.Rounds)
-				}
-				if want := cfg.NumByz * cfg.Rounds; res.NonFiniteScreened != want {
-					t.Errorf("%s: NonFiniteScreened = %d, want %d (every hostile submission)", sh.name, res.NonFiniteScreened, want)
-				}
-				params := sim.Model().ParamVector()
-				if first == nil {
-					first = params
-					continue
-				}
-				for i := range params {
-					if math.Float64bits(params[i]) != math.Float64bits(first[i]) {
-						t.Fatalf("%s: parameter %d = %v, NaN run ended on %v", sh.name, i, params[i], first[i])
+				t.Run(sh.name, func(t *testing.T) {
+					cfg := baseConfig(ds)
+					// 12 clients leave Multi-Krum the 2F+3 gradients it needs
+					// once the three hostile ones are refused.
+					cfg.Clients, cfg.NumByz = 12, 3
+					cfg.Attack = sh.att
+					cfg.Rounds = 5
+					r, err := defense.Builtin().Build(rule, defense.Params{N: cfg.Clients, F: cfg.NumByz, Seed: 7})
+					if err != nil {
+						t.Fatal(err)
 					}
-				}
+					cfg.Rule = r
+					sim, err := New(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					res, err := sim.Run()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res.Diverged || len(res.History) != cfg.Rounds {
+						t.Fatalf("Diverged = %v after %d of %d rounds, want a completed run", res.Diverged, len(res.History), cfg.Rounds)
+					}
+					if want := cfg.NumByz * cfg.Rounds; res.NonFiniteScreened != want {
+						t.Errorf("NonFiniteScreened = %d, want %d (every hostile submission)", res.NonFiniteScreened, want)
+					}
+					params := sim.Model().ParamVector()
+					if first == nil {
+						ref, first = sh.name, params
+						return
+					}
+					for i := range params {
+						if math.Float64bits(params[i]) != math.Float64bits(first[i]) {
+							t.Fatalf("parameter %d = %v, %s run ended on %v", i, params[i], ref, first[i])
+						}
+					}
+				})
 			}
 		})
 	}
