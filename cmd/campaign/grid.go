@@ -23,7 +23,7 @@ type gridFlags struct {
 
 func (g *gridFlags) register(fs *flag.FlagSet) {
 	fs.StringVar(&g.name, "name", "all", "campaign name (see 'campaign list')")
-	fs.StringVar(&g.scale, "scale", "bench", "scale preset: bench|standard|full")
+	fs.StringVar(&g.scale, "scale", "bench", "scale preset: bench|standard")
 	fs.Int64Var(&g.seed, "seed", 1, "experiment seed")
 	fs.StringVar(&g.seeds, "seeds", "", "comma-separated seed list; replicates every cell per seed (overrides -seed)")
 	fs.StringVar(&g.filter, "filter", "", "keep only cells whose ID contains this substring (applied after -seeds replication)")

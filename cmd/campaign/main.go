@@ -120,12 +120,7 @@ func cmdRun(args []string) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	e := &campaign.Engine{
-		Registry: experiments.Registry(),
-		Store:    store,
-		Workers:  *workers,
-		Progress: progressPrinter(*verbose),
-	}
+	e := experiments.NewEngine(*workers, store, progressPrinter(*verbose))
 	log.Printf("%s: %d cells, cache %s", spec.Name, len(spec.Cells), store.Dir())
 	rep, err := e.Run(ctx, spec)
 	if err != nil {

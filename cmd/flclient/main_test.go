@@ -54,7 +54,12 @@ func TestByzModesMatchAttackCatalog(t *testing.T) {
 			t.Errorf("mode %q: %v", mode, err)
 			continue
 		}
-		if spec.Adaptive {
+		att, err := spec.New(0, 1)
+		if err != nil {
+			t.Errorf("mode %q: %v", mode, err)
+			continue
+		}
+		if attack.Promote(att).NeedsHistory() {
 			t.Errorf("mode %q is adaptive — a networked client has no filtering feedback to adapt on", mode)
 		}
 	}

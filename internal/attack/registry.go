@@ -15,16 +15,10 @@ import "github.com/signguard/signguard/internal/catalog"
 type Spec struct {
 	// Name is the stable catalog key (the tables' column label).
 	Name string
-	// Adaptive reports that the built attack consumes filtering history
-	// (Adversary with NeedsHistory() == true).
-	Adaptive bool
-	// Poisons reports that the built attack implements DataPoisoner.
-	Poisons bool
-	// Param names the scalar parameter New consumes, "" when New ignores
-	// it. Zero always selects the documented default.
-	Param string
-	// New builds a fresh instance. param is the attack's scalar knob (see
-	// Param), seed drives any construction-time randomness.
+	// New builds a fresh instance. param is the attack's scalar knob (LIE's
+	// z, Reverse's scale, TimeVarying's switch period, Backdoor's boost;
+	// ignored by the rest), and zero always selects the documented default;
+	// seed drives any construction-time randomness.
 	New func(param float64, seed int64) (Attack, error)
 }
 
@@ -37,10 +31,10 @@ func Builtin() *catalog.Catalog[Spec] {
 		{Name: "NoAttack", New: func(float64, int64) (Attack, error) { return NewNone(), nil }},
 		{Name: "Random", New: func(float64, int64) (Attack, error) { return NewRandom(), nil }},
 		{Name: "Noise", New: func(float64, int64) (Attack, error) { return NewNoise(), nil }},
-		{Name: "Label-flip", Poisons: true, New: func(float64, int64) (Attack, error) { return NewLabelFlip(), nil }},
+		{Name: "Label-flip", New: func(float64, int64) (Attack, error) { return NewLabelFlip(), nil }},
 		{Name: "ByzMean", New: func(float64, int64) (Attack, error) { return NewByzMean(), nil }},
 		{Name: "Sign-flip", New: func(float64, int64) (Attack, error) { return NewSignFlip(), nil }},
-		{Name: "LIE", Param: "z", New: func(z float64, _ int64) (Attack, error) {
+		{Name: "LIE", New: func(z float64, _ int64) (Attack, error) {
 			if z == 0 {
 				z = 0.3
 			}
@@ -48,13 +42,13 @@ func Builtin() *catalog.Catalog[Spec] {
 		}},
 		{Name: "Min-Max", New: func(float64, int64) (Attack, error) { return NewMinMax(), nil }},
 		{Name: "Min-Sum", New: func(float64, int64) (Attack, error) { return NewMinSum(), nil }},
-		{Name: "Reverse", Param: "scale", New: func(scale float64, _ int64) (Attack, error) {
+		{Name: "Reverse", New: func(scale float64, _ int64) (Attack, error) {
 			if scale <= 0 {
 				scale = 1
 			}
 			return NewReverse(scale), nil
 		}},
-		{Name: "TimeVarying", Param: "switch_every", New: func(every float64, seed int64) (Attack, error) {
+		{Name: "TimeVarying", New: func(every float64, seed int64) (Attack, error) {
 			switchEvery := int(every)
 			if switchEvery < 1 {
 				switchEvery = 1
@@ -65,10 +59,10 @@ func Builtin() *catalog.Catalog[Spec] {
 			}
 			return tv, nil
 		}},
-		{Name: "Adaptive-Min-Max", Adaptive: true, New: func(float64, int64) (Attack, error) { return NewAdaptiveMinMax(), nil }},
+		{Name: "Adaptive-Min-Max", New: func(float64, int64) (Attack, error) { return NewAdaptiveMinMax(), nil }},
 		{Name: "SignKeep", New: func(float64, int64) (Attack, error) { return NewSignKeeping(), nil }},
 		{Name: "NonFinite-NaN", New: func(float64, int64) (Attack, error) { return NewNonFinite(), nil }},
-		{Name: "Backdoor", Adaptive: true, Poisons: true, Param: "boost", New: func(boost float64, _ int64) (Attack, error) {
+		{Name: "Backdoor", New: func(boost float64, _ int64) (Attack, error) {
 			return NewBackdoor(boost), nil
 		}},
 	}...)

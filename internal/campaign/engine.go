@@ -14,17 +14,16 @@ import (
 // ProgressEvent describes one completed cell, for progress/ETA reporting.
 type ProgressEvent struct {
 	Spec string
-	// Done cells out of Total, of which CacheHits came from the store.
-	Done, Total, CacheHits int
+	// Done cells out of Total.
+	Done, Total int
 	// Cell that just finished, its Key, and whether it was a cache hit.
 	Cell   Cell
 	Key    string
 	Cached bool
-	// Duration of this cell's execution (0 for cache hits), total Elapsed
-	// campaign time, and the estimated time to completion extrapolated
-	// from the mean executed-cell duration and the remaining cell count.
+	// Duration of this cell's execution (0 for cache hits) and the
+	// estimated time to completion extrapolated from the mean
+	// executed-cell duration and the remaining cell count.
 	Duration time.Duration
-	Elapsed  time.Duration
 	ETA      time.Duration
 }
 
@@ -182,9 +181,9 @@ func (e *Engine) Run(ctx context.Context, spec Spec) (*Report, error) {
 			execDur += dur
 		}
 		ev := ProgressEvent{
-			Spec: spec.Name, Done: done, Total: len(jobs), CacheHits: cacheHits,
+			Spec: spec.Name, Done: done, Total: len(jobs),
 			Cell: j.cell, Key: j.key, Cached: cached,
-			Duration: dur, Elapsed: time.Since(start),
+			Duration: dur,
 		}
 		if executed > 0 && done < len(jobs) {
 			avg := execDur / time.Duration(executed)

@@ -3,7 +3,6 @@ package experiments
 import (
 	"encoding/json"
 	"fmt"
-	"time"
 
 	"github.com/signguard/signguard/internal/aggregate"
 	"github.com/signguard/signguard/internal/attack"
@@ -66,24 +65,10 @@ func Defenses() *defense.Registry {
 
 // NewEngine builds a campaign engine over the paper's registry. workers
 // bounds concurrent cells (0 = GOMAXPROCS), store enables resumable
-// caching (nil disables), and log receives per-cell progress lines.
-func NewEngine(workers int, store *campaign.Store, log Reporter) *campaign.Engine {
-	e := &campaign.Engine{Registry: Registry(), Store: store, Workers: workers}
-	if log != nil {
-		e.Progress = func(ev campaign.ProgressEvent) {
-			state := ev.Duration.Round(time.Millisecond).String()
-			if ev.Cached {
-				state = "cached"
-			}
-			if ev.ETA > 0 {
-				log("%s %d/%d %s (%s, eta %s)",
-					ev.Spec, ev.Done, ev.Total, ev.Cell.ID(), state, ev.ETA.Round(time.Second))
-			} else {
-				log("%s %d/%d %s (%s)", ev.Spec, ev.Done, ev.Total, ev.Cell.ID(), state)
-			}
-		}
-	}
-	return e
+// caching (nil disables), and progress, when non-nil, observes every
+// completed cell (campaign.Engine.Progress).
+func NewEngine(workers int, store *campaign.Store, progress func(campaign.ProgressEvent)) *campaign.Engine {
+	return &campaign.Engine{Registry: Registry(), Store: store, Workers: workers, Progress: progress}
 }
 
 // SignStatsProbe names the Fig. 2 per-round sign-statistics probe: the

@@ -35,10 +35,6 @@ func (c *cursor) tables(ts ...*Table) ([]*Table, error) {
 	return ts, nil
 }
 
-// Reporter receives progress lines from long sweeps; a nil Reporter is
-// silently ignored.
-type Reporter func(format string, args ...any)
-
 // Table is a rendered experiment result: the rows/series the paper reports.
 type Table struct {
 	Title  string

@@ -1,7 +1,7 @@
 // Package experiments defines the reproduction harness: one experiment per
 // table and figure in the paper's evaluation section, plus the post-paper
-// scenario axes, runnable at three scales (Bench for `go test -bench`,
-// Standard for quick full sweeps, Full for the paper-scale runs). Each
+// scenario axes, runnable at two scales (Bench for `go test -bench`,
+// Standard for the paper's client count). Each
 // experiment is declared once, in the Experiments catalog, as its grid (a
 // campaign.Spec at given Params) and a renderer that turns the grid's cell
 // results into the rows/series the paper reports; a campaign.Engine runs
@@ -25,8 +25,6 @@ const (
 	ScaleBench Scale = iota + 1
 	// ScaleStandard is a mid-size sweep: paper client count, fewer rounds.
 	ScaleStandard
-	// ScaleFull approaches the paper's training budget.
-	ScaleFull
 )
 
 func (s Scale) String() string {
@@ -35,8 +33,6 @@ func (s Scale) String() string {
 		return "bench"
 	case ScaleStandard:
 		return "standard"
-	case ScaleFull:
-		return "full"
 	default:
 		return fmt.Sprintf("Scale(%d)", int(s))
 	}
@@ -49,10 +45,8 @@ func ParseScale(s string) (Scale, error) {
 		return ScaleBench, nil
 	case "standard":
 		return ScaleStandard, nil
-	case "full":
-		return ScaleFull, nil
 	default:
-		return 0, fmt.Errorf("experiments: unknown scale %q (want bench|standard|full)", s)
+		return 0, fmt.Errorf("experiments: unknown scale %q (want bench|standard)", s)
 	}
 }
 
@@ -62,17 +56,12 @@ func ParseScale(s string) (Scale, error) {
 type Params = campaign.Params
 
 // DefaultParams returns the simulation parameters for a scale, matching
-// the paper's setup (n=50, 20% Byzantine) at Standard/Full scale. The
+// the paper's setup (n=50, 20% Byzantine) at Standard scale. The
 // training regime is a "slow climb": small batches and a conservative
 // learning rate keep the model on its transient for most of the run, which
 // is where the paper's attacks do their damage.
 func DefaultParams(scale Scale) Params {
 	switch scale {
-	case ScaleFull:
-		return Params{
-			Clients: 50, ByzFraction: 0.2, Rounds: 400, BatchSize: 8,
-			EvalEvery: 25, EvalSamples: 500, TrainSize: 4000, TestSize: 1000, Seed: 1,
-		}
 	case ScaleStandard:
 		return Params{
 			Clients: 50, ByzFraction: 0.2, Rounds: 200, BatchSize: 8,

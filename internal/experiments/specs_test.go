@@ -15,7 +15,7 @@ func TestParseScale(t *testing.T) {
 	}{
 		{"bench", ScaleBench, true},
 		{"standard", ScaleStandard, true},
-		{"full", ScaleFull, true},
+		{"full", 0, false},
 		{"huge", 0, false},
 	} {
 		got, err := ParseScale(tc.in)
@@ -32,7 +32,7 @@ func TestParseScale(t *testing.T) {
 }
 
 func TestDefaultParams(t *testing.T) {
-	for _, s := range []Scale{ScaleBench, ScaleStandard, ScaleFull} {
+	for _, s := range []Scale{ScaleBench, ScaleStandard} {
 		p := DefaultParams(s)
 		if p.Clients <= 0 || p.Rounds <= 0 || p.BatchSize <= 0 || p.TrainSize <= 0 {
 			t.Errorf("%v params invalid: %+v", s, p)
@@ -41,8 +41,8 @@ func TestDefaultParams(t *testing.T) {
 			t.Errorf("%v NumByz = %d", s, p.NumByz())
 		}
 	}
-	if DefaultParams(ScaleFull).Rounds <= DefaultParams(ScaleBench).Rounds {
-		t.Error("full scale should train longer than bench scale")
+	if DefaultParams(ScaleStandard).Rounds <= DefaultParams(ScaleBench).Rounds {
+		t.Error("standard scale should train longer than bench scale")
 	}
 }
 

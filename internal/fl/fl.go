@@ -320,7 +320,7 @@ func New(cfg Config) (*Simulation, error) {
 	}
 	scratch := make([]*workerScratch, workers)
 	for w := range scratch {
-		scratch[w] = &workerScratch{ws: nn.NewWorkspace()}
+		scratch[w] = &workerScratch{}
 	}
 
 	s := &Simulation{

@@ -316,6 +316,58 @@ func TestEvaluateSample(t *testing.T) {
 	}
 }
 
+// TestEvaluateReusesModelBuffers: a warmed model's second Evaluate over the
+// same chunk allocates no layer buffer, for the image CNN and for the text
+// RNN. want is the count measured when evaluation began sharing the
+// training pass's buffers: the chunk's input batch (BatchInput) and
+// Predict's class slice — 4 allocations for the CNN, 3 for the RNN — plus
+// the matrix headers and closure each tensor kernel call allocates: 6 for
+// the CNN's three Linear layers, 62 over the RNN's 12 time steps. A first
+// Evaluate on a freshly built model shows what the layer buffers cost.
+func TestEvaluateReusesModelBuffers(t *testing.T) {
+	image := tinyDataset(t)
+	text, err := data.AGNewsLike(3, 50, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		ds    *data.Dataset
+		build func() (nn.Classifier, error)
+		want  float64
+	}{
+		{"image-cnn", image, func() (nn.Classifier, error) { return nn.NewImageCNN(tensor.NewRNG(1), 1, 4, 4, 3, 8, 4) }, 10},
+		{"text-rnn", text, func() (nn.Classifier, error) { return nn.NewTextRNN(tensor.NewRNG(1), 128, 16, 24, 4), nil }, 65},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			evaluate := func(m nn.Classifier) {
+				if _, err := Evaluate(m, c.ds, c.ds.Test); err != nil {
+					t.Fatal(err)
+				}
+			}
+			model, err := c.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			evaluate(model)
+			warm := testing.AllocsPerRun(20, func() { evaluate(model) })
+			cold := testing.AllocsPerRun(20, func() {
+				m, err := c.build()
+				if err != nil {
+					t.Fatal(err)
+				}
+				evaluate(m)
+			}) - testing.AllocsPerRun(20, func() { _, _ = c.build() })
+			if warm > c.want {
+				t.Errorf("a warm Evaluate makes %.0f allocations, want <= %.0f", warm, c.want)
+			}
+			if cold <= warm {
+				t.Errorf("a first Evaluate makes %.0f allocations vs %.0f warm; the bound proves nothing", cold, warm)
+			}
+		})
+	}
+}
+
 func TestDivergedRunEndsGracefully(t *testing.T) {
 	cfg := baseConfig(tinyDataset(t))
 	cfg.NumByz = 3

@@ -27,16 +27,16 @@ import (
 // (math.Float64bits) to the per-client loop for any worker count, pinned by
 // TestGoldenBatchedEquivalence.
 //
-// The stage is a stateless zero value: the per-worker scratch (an
-// nn.Workspace arena plus the tile-assembly buffers) and the round's
+// The stage is a stateless zero value: each replica owns its layer
+// buffers, and the per-worker tile-assembly scratch and the round's
 // gradient arena belong to the Simulation, next to the replicas the scratch
 // is indexed like, and reach the stage through LocalEnv — so a
 // ReplicaCompute{} named from outside the engine (a wrapping decorator,
-// say) runs on the same warm buffers as the default. Scratch is never
-// shared across goroutines, each tile writes only its own clients' stretch
-// of the gradient arena, and reuse cannot change results because every
-// buffer is either fully overwritten or explicitly zeroed before use (see
-// nn.Workspace and nn.BatchClassifier). The returned gradients alias the
+// say) runs on the same warm buffers as the default. Neither replicas nor
+// scratch are shared across goroutines, each tile writes only its own
+// clients' stretch of the gradient arena, and reuse cannot change results
+// because every buffer is either fully overwritten or explicitly zeroed
+// before use (see nn.BatchClassifier). The returned gradients alias the
 // arena: they are valid until the next Compute on the same env's arena —
 // the Simulation's next round.
 type ReplicaCompute struct{}
@@ -115,11 +115,10 @@ func localGradient(env *LocalEnv, m nn.Classifier, c *Client) ClientGrad {
 	return ClientGrad{Grad: m.GradVector(), Loss: loss}
 }
 
-// workerScratch is one worker's reusable buffers: the layer-scratch arena
-// and the tile input assembly (stacked examples, segmentation, labels and
-// the dense feature matrix or token row index).
+// workerScratch is one worker's reusable tile input assembly: stacked
+// examples, segmentation, labels and the dense feature matrix or token row
+// index.
 type workerScratch struct {
-	ws      *nn.Workspace
 	batches []data.Example
 	bounds  []int
 	labels  []int
@@ -128,7 +127,7 @@ type workerScratch struct {
 }
 
 // workerScratch returns worker w's scratch. A hand-built env with no engine
-// behind it has none: its tiles allocate fresh (nil arena).
+// behind it has none: its tiles assemble into fresh buffers.
 func (env *LocalEnv) workerScratch(w int) *workerScratch {
 	if w < len(env.scratch) {
 		return env.scratch[w]
@@ -173,7 +172,7 @@ func (sc *workerScratch) computeTile(env *LocalEnv, bm nn.BatchClassifier, parti
 		fail(err)
 		return start
 	}
-	segs, err := bm.BatchedLossAndGrad(sc.ws, in, labels, sc.bounds, env.gradDst(start, last))
+	segs, err := bm.BatchedLossAndGrad(in, labels, sc.bounds, env.gradDst(start, last))
 	if err != nil {
 		fail(fmt.Errorf("fl: batched gradients for clients %d..%d: %w",
 			participants[start].ID, participants[last-1].ID, err))

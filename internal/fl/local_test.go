@@ -171,7 +171,7 @@ func TestBatchedWorkerSurplus(t *testing.T) {
 }
 
 // TestBatchedOneRowTiles: BatchSize 1 makes every client segment a single
-// row, the smallest possible tile slices through the arena-backed kernels.
+// row, the smallest possible tile slices through the reused layer buffers.
 func TestBatchedOneRowTiles(t *testing.T) {
 	build := func() Config {
 		cfg := baseConfig(tinyDataset(t))
@@ -185,11 +185,41 @@ func TestBatchedOneRowTiles(t *testing.T) {
 	}
 }
 
-// arenaBuffers counts the scratch buffers ws retains: its matrix and index
-// maps, read through reflection because the arena keeps them unexported.
-func arenaBuffers(ws *nn.Workspace) int {
-	v := reflect.ValueOf(ws).Elem()
-	return v.FieldByName("mats").Len() + v.FieldByName("ints").Len()
+// retainedValues sums the capacities of every []float64 and []int that v
+// reaches — a model's parameters, gradients and layer buffers — following
+// each pointer once, through reflection because the layers keep their
+// buffers unexported.
+func retainedValues(v any) int {
+	seen := map[uintptr]bool{}
+	var walk func(reflect.Value) int
+	walk = func(v reflect.Value) (n int) {
+		switch v.Kind() {
+		case reflect.Pointer:
+			if v.IsNil() || seen[v.Pointer()] {
+				return 0
+			}
+			seen[v.Pointer()] = true
+			return walk(v.Elem())
+		case reflect.Interface:
+			if v.IsNil() {
+				return 0
+			}
+			return walk(v.Elem())
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				n += walk(v.Field(i))
+			}
+		case reflect.Slice:
+			if k := v.Type().Elem().Kind(); k == reflect.Float64 || k == reflect.Int {
+				return v.Cap()
+			}
+			for i := 0; i < v.Len(); i++ {
+				n += walk(v.Index(i))
+			}
+		}
+		return n
+	}
+	return walk(reflect.ValueOf(v))
 }
 
 // outsideLocal wraps a LocalCompute the way a stage decorator outside the
@@ -199,8 +229,9 @@ type outsideLocal struct{ LocalCompute }
 
 // TestReplicaComputeByValueUsesEngineScratch: a ReplicaCompute{} supplied by
 // value through Config.Pipeline.Local is the default engine — same digest —
-// and runs on the Simulation's per-worker scratch and gradient arena, so a
-// warm round's local stage allocates no more than its drawn minibatches.
+// and runs on the Simulation's per-worker scratch and gradient arena (and
+// the replica's own layer buffers), so a warm round's local stage allocates
+// no more than its drawn minibatches.
 func TestReplicaComputeByValueUsesEngineScratch(t *testing.T) {
 	want := goldenTraces["SignGuard/LIE"]
 	cfg := goldenScenario(t, "SignGuard/LIE")
@@ -227,15 +258,15 @@ func TestReplicaComputeByValueUsesEngineScratch(t *testing.T) {
 			}
 		}
 	}
-	round() // grow the arena
-	if arenaBuffers(sim.scratch[0].ws) == 0 {
-		t.Fatal("the stage never checked a buffer out of the engine-owned arena")
+	round() // grow the scratch and the layer buffers
+	if cap(sim.scratch[0].bounds) == 0 {
+		t.Fatal("the stage never assembled a tile in the engine-owned scratch")
 	}
 	// Per participant only its drawn minibatch may allocate — its gradient
 	// lands in the engine's arena; the rest is a small constant (env,
 	// outputs, closures, per-tile loss/count slices). A stage that missed
-	// the engine's scratch pays for every layer buffer, the tile assembly
-	// and a gradient block per tile on top.
+	// the engine's scratch pays for the tile assembly and a gradient block
+	// per tile on top.
 	warm := testing.AllocsPerRun(20, round)
 	if limit := float64(len(sim.clients) + 20); warm > limit {
 		t.Errorf("warm local stage makes %.0f allocations per round, want <= %.0f", warm, limit)
@@ -276,13 +307,15 @@ func TestUnbatchableModelFallsBack(t *testing.T) {
 	}
 }
 
-// TestArenaRetentionUnderSubsampling: with K-of-n participation the
+// TestScratchRetentionUnderSubsampling: with K-of-n participation the
 // clients' epoch-boundary tail batches (7, 7, 7, 7, 7, 5 rows over a
 // 40-example partition) desynchronise, so tile row counts wander from round
-// to round. The arena must keep one buffer per (layer, slot) throughout — a
+// to round. From the first evaluated round on, which followed a full tile,
+// the model must retain the same values every round: buffers that grow by
+// capacity neither shrink to a smaller tile nor pin one set per shape — a
 // shape-keyed arena grew from 7 to 35 matrices over this run — and the
-// trace must stay the one recorded at the parent commit (PR 13).
-func TestArenaRetentionUnderSubsampling(t *testing.T) {
+// trace must stay the one recorded when the tiles were introduced.
+func TestScratchRetentionUnderSubsampling(t *testing.T) {
 	const pinned = "25dfb5f533547969cac5c20db5bdb00db442958fb0def1c5a1c3514f4dad8ae1"
 	build := func() Config {
 		cfg := baseConfig(tinyDataset(t))
@@ -302,23 +335,27 @@ func TestArenaRetentionUnderSubsampling(t *testing.T) {
 		t.Fatal(err)
 	}
 	rows := map[int]bool{}
-	var full int // buffer count after the first round that stacked a full tile
+	var full int // values retained after the first evaluated round
 	for r := 0; r < 400; r++ {
 		if _, err := sim.Step(r); err != nil {
 			t.Fatal(err)
 		}
 		sc := sim.scratch[0]
-		tile := sc.bounds[len(sc.bounds)-1]
-		rows[tile] = true
-		if full == 0 && tile == 6*7 {
-			full = arenaBuffers(sc.ws)
+		rows[sc.bounds[len(sc.bounds)-1]] = true
+		switch {
+		case r+1 == 100:
+			if !rows[6*7] {
+				t.Fatal("no full tile before the first evaluation")
+			}
+			full = retainedValues(sim.model)
+		case r+1 > 100:
+			if got := retainedValues(sim.model); got != full {
+				t.Fatalf("the model retains %d values after round %d (a %d-row tile), want the %d of the first evaluated round",
+					got, r, sc.bounds[len(sc.bounds)-1], full)
+			}
 		}
 	}
 	if len(rows) < 3 {
 		t.Fatalf("tile row counts %v never wandered; the scenario no longer exercises re-shaping", rows)
-	}
-	if got := arenaBuffers(sim.scratch[0].ws); full == 0 || got != full {
-		t.Errorf("arena holds %d buffers after 400 rounds over %d tile shapes, want the %d of the first full tile",
-			got, len(rows), full)
 	}
 }

@@ -10,25 +10,20 @@ import (
 // ReLU applies max(0, x) element-wise.
 type ReLU struct {
 	lastInput *tensor.Matrix
+	out, dx   tensor.Matrix
 }
 
 var _ Layer = (*ReLU)(nil)
-var _ arenaLayer = (*ReLU)(nil)
 
 // NewReLU returns a ReLU activation layer.
 func NewReLU() *ReLU { return &ReLU{} }
 
-// Forward applies the rectifier.
+// Forward applies the rectifier. Every element is written — a
+// non-positive input as +0, the value a fresh zeroed matrix holds — so a
+// stale output buffer produces byte-identical output.
 func (r *ReLU) Forward(x *tensor.Matrix) (*tensor.Matrix, error) {
-	return r.forwardWs(nil, 0, x)
-}
-
-// forwardWs is Forward with an optional workspace buffer. Every element is
-// written — a non-positive input as +0, the value a fresh zeroed matrix
-// holds — so a stale arena buffer produces byte-identical output.
-func (r *ReLU) forwardWs(ws *Workspace, id int, x *tensor.Matrix) (*tensor.Matrix, error) {
 	r.lastInput = x
-	out := ws.matrix(id, wsFwd, x.Rows, x.Cols)
+	out := reshape(&r.out, x.Rows, x.Cols)
 	dst := out.Data[:len(x.Data)]
 	for i, v := range x.Data {
 		b := math.Float64bits(v)
@@ -49,15 +44,10 @@ func positiveMask(b uint64) uint64 {
 	return uint64(int64(^t&(t-0x7FF0000000000000)) >> 63)
 }
 
-// Backward gates the incoming gradient by the activation mask.
+// Backward gates the incoming gradient by the activation mask. dX is fully
+// overwritten, like the output: the gradient's bits pass where the input
+// was above zero, +0 elsewhere.
 func (r *ReLU) Backward(grad *tensor.Matrix) (*tensor.Matrix, error) {
-	return r.backwardWs(nil, 0, grad)
-}
-
-// backwardWs is Backward with an optional workspace buffer (fully
-// overwritten, like forwardWs): the gradient's bits pass where the input was
-// above zero, +0 elsewhere.
-func (r *ReLU) backwardWs(ws *Workspace, id int, grad *tensor.Matrix) (*tensor.Matrix, error) {
 	if r.lastInput == nil {
 		return nil, fmt.Errorf("nn: ReLU.Backward before Forward")
 	}
@@ -65,7 +55,7 @@ func (r *ReLU) backwardWs(ws *Workspace, id int, grad *tensor.Matrix) (*tensor.M
 		return nil, fmt.Errorf("%w: ReLU.Backward got (%d,%d), want (%d,%d)",
 			ErrShape, grad.Rows, grad.Cols, r.lastInput.Rows, r.lastInput.Cols)
 	}
-	dx := ws.matrix(id, wsDX, grad.Rows, grad.Cols)
+	dx := reshape(&r.dx, grad.Rows, grad.Cols)
 	g, dst := grad.Data, dx.Data[:len(grad.Data)]
 	for i, v := range r.lastInput.Data[:len(g)] {
 		dst[i] = math.Float64frombits(math.Float64bits(g[i]) & positiveMask(math.Float64bits(v)))

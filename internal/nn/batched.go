@@ -17,9 +17,9 @@ package nn
 // Together these make BatchedLossAndGrad byte-identical (Float64bits) to
 // looping LossAndGrad over the segments, for any segmentation.
 //
-// The pass threads a per-worker Workspace arena through every layer, so a
-// steady-state tile checks out cached buffers instead of allocating, and
-// writes the per-client gradient vectors into the caller's destination (the
+// Every layer reuses the buffers it owns (scratch.go), so a steady-state
+// tile allocates no activation, im2col or delta matrix, and the pass writes
+// the per-client gradient vectors into the caller's destination (the
 // round's gradient arena in internal/fl), so a steady-state tile allocates
 // only its small per-segment result headers.
 
@@ -50,17 +50,16 @@ type SegmentGrad struct {
 // touch the model's own accumulated gradients (ZeroGrad / GradVector state
 // is unaffected).
 //
-// Every activation, im2col and delta buffer of the pass is checked out of
-// ws, the caller's per-worker arena; a nil ws allocates them fresh without
-// changing a single output bit. The per-segment gradients land in dst: the
-// caller's backing of exactly segments × NumParams() values, segment s at
-// dst[s*NumParams():], cleared by the pass before it accumulates, so dst
-// may hold anything on entry. The returned Grad slices alias dst and are
-// valid until the caller reuses it. A nil dst allocates a fresh backing —
-// the same bits either way.
+// Every activation, im2col and delta buffer of the pass is the model's
+// own. The per-segment gradients land in dst: the caller's backing of
+// exactly segments × NumParams() values, segment s at dst[s*NumParams():],
+// cleared by the pass before it accumulates, so dst may hold anything on
+// entry. The returned Grad slices alias dst and are valid until the caller
+// reuses it. A nil dst allocates a fresh backing — the same bits either
+// way.
 type BatchClassifier interface {
 	Classifier
-	BatchedLossAndGrad(ws *Workspace, in Input, labels []int, bounds []int, dst []float64) ([]SegmentGrad, error)
+	BatchedLossAndGrad(in Input, labels []int, bounds []int, dst []float64) ([]SegmentGrad, error)
 }
 
 // segmentBacking returns the flat backing of segs per-segment gradients of
@@ -80,16 +79,6 @@ func segmentBacking(dst []float64, segs, total int) ([]float64, error) {
 	return dst, nil
 }
 
-// arenaLayer is implemented by layers whose forward/backward can check
-// scratch buffers out of a Workspace. id is the layer's index in its model,
-// which namespaces the arena keys; a nil Workspace falls back to fresh
-// allocation, so Forward(x) ≡ forwardWs(nil, 0, x).
-type arenaLayer interface {
-	Layer
-	forwardWs(ws *Workspace, id int, x *tensor.Matrix) (*tensor.Matrix, error)
-	backwardWs(ws *Workspace, id int, grad *tensor.Matrix) (*tensor.Matrix, error)
-}
-
 // segmentedLayer is implemented by parameter-carrying layers that can
 // segment their parameter gradients by row range in a single backward
 // pass: segGrads[s][k] receives the gradient of Params()[k] accumulated
@@ -99,7 +88,7 @@ type arenaLayer interface {
 // model's first layer has no reader for it.
 type segmentedLayer interface {
 	Layer
-	backwardSegmented(ws *Workspace, id int, grad *tensor.Matrix, bounds []int, segGrads [][][]float64, needDX bool) (*tensor.Matrix, error)
+	backwardSegmented(grad *tensor.Matrix, bounds []int, segGrads [][][]float64, needDX bool) (*tensor.Matrix, error)
 }
 
 // validateBounds checks a segmentation against a batch of the given row
@@ -125,67 +114,44 @@ var _ BatchClassifier = (*FeedForward)(nil)
 // BatchedLossAndGrad implements BatchClassifier: one forward and one
 // backward pass per layer over the stacked batch, de-interleaving
 // per-segment losses, prediction counts and flat parameter gradients.
-func (ff *FeedForward) BatchedLossAndGrad(ws *Workspace, in Input, labels []int, bounds []int, dst []float64) ([]SegmentGrad, error) {
+func (ff *FeedForward) BatchedLossAndGrad(in Input, labels []int, bounds []int, dst []float64) ([]SegmentGrad, error) {
 	if in.Dense == nil {
 		return nil, errors.New("nn: FeedForward requires dense input")
 	}
 	if err := validateBounds(bounds, in.Dense.Rows); err != nil {
 		return nil, err
 	}
-	logits, err := ff.forwardWs(ws, in.Dense)
-	if err != nil {
-		return nil, err
-	}
-	grad := ws.matrix(wsHead, wsLossGrad, logits.Rows, logits.Cols)
-	losses, correct, err := softmaxCrossEntropySegmentedInto(grad, logits, labels, bounds)
-	if err != nil {
-		return nil, err
-	}
 
 	// One flat gradient vector per segment, in GradVector layout; each
 	// layer's params get per-segment sub-slice views at their flat offsets.
+	// Parameter-free layers have nothing to segment: their input gradient
+	// is row-independent already.
 	segs := len(bounds) - 1
 	total := ff.NumParams()
 	flat, err := segmentBacking(dst, segs, total)
 	if err != nil {
 		return nil, err
 	}
+	off := 0
+	for i, l := range ff.layers {
+		params := ff.layerParams[i]
+		if len(params) == 0 {
+			ff.scaffold[i] = nil
+			continue
+		}
+		if _, ok := l.(segmentedLayer); !ok {
+			return nil, fmt.Errorf("nn: layer %d (%T) does not support batched per-client gradients", i, l)
+		}
+		segGradViews(ff.scaffold, i, flat, total, segs, off, params)
+		off += countParams(params)
+	}
+	losses, correct, err := ff.lossAndGrad(in.Dense, labels, bounds, ff.scaffold)
+	if err != nil {
+		return nil, err
+	}
 	out := make([]SegmentGrad, segs)
 	for s := range out {
 		out[s] = SegmentGrad{Loss: losses[s], Correct: correct[s], Grad: flat[s*total : (s+1)*total : (s+1)*total]}
-	}
-	scaffold := ws.gradScaffold(len(ff.layers))
-	off := 0
-	for li, l := range ff.layers {
-		params := l.Params()
-		if len(params) == 0 {
-			scaffold[li] = nil
-			continue
-		}
-		segGradViews(scaffold, li, flat, total, segs, off, params)
-		for _, p := range params {
-			off += len(p.W)
-		}
-	}
-
-	for i := len(ff.layers) - 1; i >= 0; i-- {
-		l := ff.layers[i]
-		if scaffold[i] == nil {
-			// Parameter-free layers have nothing to segment; their input
-			// gradient is row-independent already.
-			if al, ok := l.(arenaLayer); ok {
-				grad, err = al.backwardWs(ws, i, grad)
-			} else {
-				grad, err = l.Backward(grad)
-			}
-		} else if sl, ok := l.(segmentedLayer); ok {
-			grad, err = sl.backwardSegmented(ws, i, grad, bounds, scaffold[i], i > 0)
-		} else {
-			return nil, fmt.Errorf("nn: layer %d (%T) does not support batched per-client gradients", i, l)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("layer %d backward: %w", i, err)
-		}
 	}
 	return out, nil
 }

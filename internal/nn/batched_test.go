@@ -91,7 +91,7 @@ func TestBatchedLossAndGradBitIdentical(t *testing.T) {
 	for name, bounds := range cases {
 		t.Run(name, func(t *testing.T) {
 			want := perSegmentReference(t, m, x, labels, bounds)
-			got, err := m.BatchedLossAndGrad(nil, Input{Dense: x}, labels, bounds, nil)
+			got, err := m.BatchedLossAndGrad(Input{Dense: x}, labels, bounds, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -103,7 +103,7 @@ func TestBatchedLossAndGradBitIdentical(t *testing.T) {
 // TestBatchedLossAndGradDirtyDst: a caller-owned destination holding
 // anything — NaN, or the previous pass's gradients — must come back
 // Float64bits-identical to a nil destination's fresh backing, through a
-// warm arena, for both model families; the segments alias dst, and a
+// model's warm buffers, for both model families; the segments alias dst, and a
 // destination of the wrong length is refused.
 func TestBatchedLossAndGradDirtyDst(t *testing.T) {
 	x, labels := randomBatch(12, 64, 5, 7)
@@ -125,7 +125,7 @@ func TestBatchedLossAndGradDirtyDst(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			want, err := c.m.BatchedLossAndGrad(nil, c.in, c.labels, c.bounds, nil)
+			want, err := c.m.BatchedLossAndGrad(c.in, c.labels, c.bounds, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -134,9 +134,8 @@ func TestBatchedLossAndGradDirtyDst(t *testing.T) {
 			for i := range dst {
 				dst[i] = math.NaN()
 			}
-			ws := NewWorkspace()
 			for pass := 0; pass < 2; pass++ { // NaN-filled, then stale from pass 0
-				got, err := c.m.BatchedLossAndGrad(ws, c.in, c.labels, c.bounds, dst)
+				got, err := c.m.BatchedLossAndGrad(c.in, c.labels, c.bounds, dst)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -147,7 +146,7 @@ func TestBatchedLossAndGradDirtyDst(t *testing.T) {
 					}
 				}
 			}
-			if _, err := c.m.BatchedLossAndGrad(ws, c.in, c.labels, c.bounds, dst[:n-1]); err == nil {
+			if _, err := c.m.BatchedLossAndGrad(c.in, c.labels, c.bounds, dst[:n-1]); err == nil {
 				t.Error("a destination one value short was accepted")
 			}
 		})
@@ -160,7 +159,7 @@ func TestBatchedLossAndGradLeavesGradState(t *testing.T) {
 	m := batchedTestModel(t)
 	x, labels := randomBatch(6, 64, 5, 9)
 	m.ZeroGrad()
-	if _, err := m.BatchedLossAndGrad(nil, Input{Dense: x}, labels, []int{0, 3, 6}, nil); err != nil {
+	if _, err := m.BatchedLossAndGrad(Input{Dense: x}, labels, []int{0, 3, 6}, nil); err != nil {
 		t.Fatal(err)
 	}
 	for i, g := range m.GradVector() {
@@ -184,14 +183,14 @@ func TestBatchedLossAndGradRejectsBadInput(t *testing.T) {
 		"offset":     {1, 6},
 	}
 	for name, bounds := range bad {
-		if _, err := m.BatchedLossAndGrad(nil, Input{Dense: x}, labels, bounds, nil); err == nil {
+		if _, err := m.BatchedLossAndGrad(Input{Dense: x}, labels, bounds, nil); err == nil {
 			t.Errorf("%s bounds accepted", name)
 		}
 	}
-	if _, err := m.BatchedLossAndGrad(nil, Input{Tokens: [][]int{{1}}}, []int{0}, []int{0, 1}, nil); err == nil {
+	if _, err := m.BatchedLossAndGrad(Input{Tokens: [][]int{{1}}}, []int{0}, []int{0, 1}, nil); err == nil {
 		t.Error("token input accepted by dense batched path")
 	}
-	if _, err := m.BatchedLossAndGrad(nil, Input{Dense: x}, labels[:3], []int{0, 6}, nil); err == nil {
+	if _, err := m.BatchedLossAndGrad(Input{Dense: x}, labels[:3], []int{0, 6}, nil); err == nil {
 		t.Error("label/row mismatch accepted")
 	}
 }
@@ -201,14 +200,14 @@ func TestBatchedLossAndGradRejectsBadInput(t *testing.T) {
 func TestSoftmaxCrossEntropySegmentedMatches(t *testing.T) {
 	logits, labels := randomBatch(9, 5, 5, 17)
 	bounds := []int{0, 2, 3, 9}
-	losses, grad, correct, err := SoftmaxCrossEntropySegmented(logits, labels, bounds)
+	losses, grad, correct, err := softmaxCrossEntropySegmented(logits, labels, bounds)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for s := 0; s+1 < len(bounds); s++ {
 		lo, hi := bounds[s], bounds[s+1]
 		seg := &tensor.Matrix{Rows: hi - lo, Cols: logits.Cols, Data: logits.Data[lo*logits.Cols : hi*logits.Cols]}
-		wantLoss, wantGrad, wantCorrect, err := SoftmaxCrossEntropy(seg, labels[lo:hi])
+		wantLoss, wantGrad, wantCorrect, err := softmaxCrossEntropy(seg, labels[lo:hi])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -237,6 +236,18 @@ func (passLayer) Forward(x *tensor.Matrix) (*tensor.Matrix, error)  { return x, 
 func (passLayer) Backward(g *tensor.Matrix) (*tensor.Matrix, error) { return g, nil }
 func (passLayer) Params() []*Param                                  { return nil }
 
+// firstLayerDX returns the input-gradient buffer of m's first layer, or nil
+// when that layer is neither a Conv2D nor a Linear.
+func firstLayerDX(m *FeedForward) *tensor.Matrix {
+	switch l := m.layers[0].(type) {
+	case *Conv2D:
+		return &l.dx
+	case *Linear:
+		return &l.dx
+	}
+	return nil
+}
+
 // TestFirstLayerSkipsInputGradient: a model's first layer — a conv in
 // DeepCNN, a Linear in an MLP — computes no input gradient, batched or per
 // client, and every gradient is bit-identical to a pass through the same
@@ -257,15 +268,14 @@ func TestFirstLayerSkipsInputGradient(t *testing.T) {
 			x, labels := randomBatch(9, 192, 5, 3)
 			bounds := []int{0, 1, 5, 9}
 
-			ws := NewWorkspace()
-			got, err := m.BatchedLossAndGrad(ws, Input{Dense: x}, labels, bounds, nil)
+			got, err := m.BatchedLossAndGrad(Input{Dense: x}, labels, bounds, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, ok := ws.mats[wsKey{layer: 0, slot: wsDX}]; ok {
-				t.Error("the first layer checked out an input-gradient buffer")
+			if dx := firstLayerDX(m); dx == nil || dx.Data != nil {
+				t.Error("the first layer grew an input-gradient buffer")
 			}
-			want, err := withDX.BatchedLossAndGrad(nil, Input{Dense: x}, labels, bounds, nil)
+			want, err := withDX.BatchedLossAndGrad(Input{Dense: x}, labels, bounds, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -22,11 +22,22 @@ type Conv2D struct {
 	bias   *Param // OutC
 
 	lastInput *tensor.Matrix
-	// lastCols stacks every sample's im2col columns into one matrix:
-	// sample n's (InC*K*K) rows start at n*InC*K*K. One buffer for the
-	// whole tile replaces the per-sample matrix allocations that used to
-	// dominate the allocation profile.
-	lastCols *tensor.Matrix
+	// cols stacks every sample's im2col columns of the last forward pass
+	// into one matrix: sample n's (InC*K*K) rows start at n*InC*K*K. One
+	// buffer for the whole batch replaces the per-sample matrix allocations
+	// that used to dominate the allocation profile.
+	cols tensor.Matrix
+	// out and dx are the pass's output and input gradient; dcols is one
+	// sample's im2col gradient, rewritten per sample (never grown by a
+	// model's first layer, which computes no input gradient).
+	out, dx, dcols tensor.Matrix
+	// plane is one sample's zero-bordered plane (see planeSize): the input
+	// in forward (zeroed once per pass, interior rewritten per sample), the
+	// input gradient in backward (cleared per sample).
+	plane []float64
+	// nz holds backward's per-filter offsets, then one sample's nonzero
+	// output-gradient positions (rewritten per sample).
+	nz []int
 	// segs[s] is where im2col segment s — column row (ch, ki, kj), output
 	// row oi, in that order — starts in the zero-bordered plane (see
 	// planeSize); the segment is cols[s*OutW:][:OutW]. It depends only on
@@ -36,7 +47,6 @@ type Conv2D struct {
 
 var _ Layer = (*Conv2D)(nil)
 var _ segmentedLayer = (*Conv2D)(nil)
-var _ arenaLayer = (*Conv2D)(nil)
 
 // NewConv2D builds a stride-1 convolution layer with He-uniform init.
 func NewConv2D(rng *rand.Rand, inC, inH, inW, outC, k, pad int) (*Conv2D, error) {
@@ -88,7 +98,7 @@ func (c *Conv2D) planeSize() int { return c.InC * (c.InH + 2*c.Pad) * (c.InW + 2
 // OutH*OutW positions, through plane, whose border the caller keeps at +0.
 // Every element of cols is written; padding positions read the border's +0,
 // the value the allocate-per-sample implementation's zeroed columns held,
-// so a stale arena buffer produces byte-identical columns.
+// so a stale buffer produces byte-identical columns.
 func (c *Conv2D) im2colInto(cols, plane, sample []float64) {
 	inC, inH, inW, pad, outW := c.InC, c.InH, c.InW, c.Pad, c.OutW
 	ph, pw := inH+2*pad, inW+2*pad
@@ -142,30 +152,25 @@ func (c *Conv2D) col2im(dcols, plane, sample []float64) {
 	}
 }
 
-// Forward convolves each sample in the batch.
+// Forward convolves each sample in the batch. The output and the stacked
+// im2col columns are fully overwritten.
 func (c *Conv2D) Forward(x *tensor.Matrix) (*tensor.Matrix, error) {
-	return c.forwardWs(nil, 0, x)
-}
-
-// forwardWs is Forward with optional workspace buffers for the output and
-// the stacked im2col columns (both fully overwritten).
-func (c *Conv2D) forwardWs(ws *Workspace, id int, x *tensor.Matrix) (*tensor.Matrix, error) {
 	if x.Cols != c.InC*c.InH*c.InW {
 		return nil, fmt.Errorf("%w: Conv2D expects %d inputs, got %d", ErrShape, c.InC*c.InH*c.InW, x.Cols)
 	}
 	c.lastInput = x
 	colRows := c.InC * c.K * c.K
 	spatial := c.OutH * c.OutW
-	cols := ws.matrix(id, wsCols, x.Rows*colRows, spatial)
-	c.lastCols = cols
-	out := ws.matrix(id, wsFwd, x.Rows, c.OutputSize())
+	cols := reshape(&c.cols, x.Rows*colRows, spatial)
+	out := reshape(&c.out, x.Rows, c.OutputSize())
 	// im2colInto writes only the plane's interior: one zeroing per pass
 	// keeps the border at +0 for every sample.
-	plane := ws.matrixZeroed(id, wsPlane, 1, c.planeSize()).Data
+	c.plane = grow(c.plane, c.planeSize())
+	clear(c.plane)
 	for n := 0; n < x.Rows; n++ {
 		base := n * colRows
 		sCols := cols.Data[base*spatial : (base+colRows)*spatial]
-		c.im2colInto(sCols, plane, x.Row(n))
+		c.im2colInto(sCols, c.plane, x.Row(n))
 		oRow := out.Row(n)
 		for oc := 0; oc < c.OutC; oc++ {
 			convFilterForward(oRow[oc*spatial:(oc+1)*spatial], c.weight.W[oc*colRows:(oc+1)*colRows], c.bias.W[oc], sCols)
@@ -216,12 +221,7 @@ func convFilterForward(dst, w []float64, b float64, cols []float64) {
 
 // Backward accumulates filter/bias gradients and returns the input gradient.
 func (c *Conv2D) Backward(grad *tensor.Matrix) (*tensor.Matrix, error) {
-	return c.backwardWs(nil, 0, grad)
-}
-
-// backwardWs is Backward with optional workspace buffers.
-func (c *Conv2D) backwardWs(ws *Workspace, id int, grad *tensor.Matrix) (*tensor.Matrix, error) {
-	return c.backward(ws, id, grad, nil, func(int) (w, b []float64) { return c.weight.Grad, c.bias.Grad }, true)
+	return c.backward(grad, nil, func(int) (w, b []float64) { return c.weight.Grad, c.bias.Grad }, true)
 }
 
 // backwardSegmented implements segmentedLayer: one backward pass over the
@@ -229,15 +229,15 @@ func (c *Conv2D) backwardWs(ws *Workspace, id int, grad *tensor.Matrix) (*tensor
 // buffers of the row segment it belongs to. Samples are visited in
 // ascending order, so segment s's buffers are byte-identical to a
 // standalone Backward over rows [bounds[s], bounds[s+1]).
-func (c *Conv2D) backwardSegmented(ws *Workspace, id int, grad *tensor.Matrix, bounds []int, segGrads [][][]float64, needDX bool) (*tensor.Matrix, error) {
-	return c.backward(ws, id, grad, bounds, func(s int) (w, b []float64) { return segGrads[s][0], segGrads[s][1] }, needDX)
+func (c *Conv2D) backwardSegmented(grad *tensor.Matrix, bounds []int, segGrads [][][]float64, needDX bool) (*tensor.Matrix, error) {
+	return c.backward(grad, bounds, func(s int) (w, b []float64) { return segGrads[s][0], segGrads[s][1] }, needDX)
 }
 
 // backward is the shared gradient computation. sink maps a segment index
 // to the filter and bias gradient buffers; bounds is nil for the
 // unsegmented path (one segment spanning the batch). Without needDX the
 // input gradient is not computed and backward returns a nil matrix.
-func (c *Conv2D) backward(ws *Workspace, id int, grad *tensor.Matrix, bounds []int, sink func(s int) (w, b []float64), needDX bool) (*tensor.Matrix, error) {
+func (c *Conv2D) backward(grad *tensor.Matrix, bounds []int, sink func(s int) (w, b []float64), needDX bool) (*tensor.Matrix, error) {
 	if c.lastInput == nil {
 		return nil, fmt.Errorf("nn: Conv2D.Backward before Forward")
 	}
@@ -248,20 +248,18 @@ func (c *Conv2D) backward(ws *Workspace, id int, grad *tensor.Matrix, bounds []i
 	spatial := c.OutH * c.OutW
 	colRows := c.InC * c.K * c.K
 	var dx, dcols *tensor.Matrix
-	var plane []float64
 	var finiteW bool
 	if needDX {
-		// dX, dcols and the plane are fully overwritten (col2im clears the
-		// plane per sample), so stale checkouts are fine.
-		dx = ws.matrix(id, wsDX, c.lastInput.Rows, c.lastInput.Cols)
-		dcols = ws.matrix(id, wsDCols, colRows, spatial)
-		plane = ws.matrix(id, wsPlane, 1, c.planeSize()).Data
+		// dX, dcols and the plane (sized by Forward) are fully overwritten
+		// (col2im clears the plane per sample), so stale buffers are fine.
+		dx = reshape(&c.dx, c.lastInput.Rows, c.lastInput.Cols)
+		dcols = reshape(&c.dcols, colRows, spatial)
 		finiteW = tensor.AllFinite(c.weight.W)
 	}
 	// Filter oc's nonzero gradient positions are nz[off[oc]:off[oc+1]],
 	// rewritten per sample.
-	scratch := ws.intSlice(id, wsNZ, c.OutC+1+c.OutC*spatial)
-	off, nz := scratch[:c.OutC+1], scratch[c.OutC+1:]
+	c.nz = grow(c.nz, c.OutC+1+c.OutC*spatial)
+	off, nz := c.nz[:c.OutC+1], c.nz[c.OutC+1:]
 	seg := 0
 	gw, bg := sink(0)
 	for n := 0; n < grad.Rows; n++ {
@@ -272,7 +270,7 @@ func (c *Conv2D) backward(ws *Workspace, id int, grad *tensor.Matrix, bounds []i
 			}
 		}
 		base := n * colRows
-		sCols := c.lastCols.Data[base*spatial : (base+colRows)*spatial]
+		sCols := c.cols.Data[base*spatial : (base+colRows)*spatial]
 		gRow := grad.Row(n)
 		k := 0
 		for oc := 0; oc < c.OutC; oc++ {
@@ -311,7 +309,7 @@ func (c *Conv2D) backward(ws *Workspace, id int, grad *tensor.Matrix, bounds []i
 			} else {
 				c.colsGrad(dcols.Data, gRow)
 			}
-			c.col2im(dcols.Data, plane, dx.Row(n))
+			c.col2im(dcols.Data, c.plane, dx.Row(n))
 		}
 	}
 	return dx, nil
@@ -463,10 +461,10 @@ type MaxPool2D struct {
 	// one flat buffer: sample n's indices start at n*OutputSize().
 	lastArgmax []int
 	inRows     int
+	out, dx    tensor.Matrix
 }
 
 var _ Layer = (*MaxPool2D)(nil)
-var _ arenaLayer = (*MaxPool2D)(nil)
 
 // NewMaxPool2D builds a pooling layer. H and W must be divisible by size.
 func NewMaxPool2D(c, h, w, size int) (*MaxPool2D, error) {
@@ -479,20 +477,15 @@ func NewMaxPool2D(c, h, w, size int) (*MaxPool2D, error) {
 // OutputSize returns the flattened per-sample output length.
 func (p *MaxPool2D) OutputSize() int { return p.C * p.OutH * p.OutW }
 
-// Forward takes the max over each pooling window.
+// Forward takes the max over each pooling window. The output and the argmax
+// are fully overwritten.
 func (p *MaxPool2D) Forward(x *tensor.Matrix) (*tensor.Matrix, error) {
-	return p.forwardWs(nil, 0, x)
-}
-
-// forwardWs is Forward with optional workspace buffers (output and argmax
-// are fully overwritten).
-func (p *MaxPool2D) forwardWs(ws *Workspace, id int, x *tensor.Matrix) (*tensor.Matrix, error) {
 	if x.Cols != p.C*p.H*p.W {
 		return nil, fmt.Errorf("%w: MaxPool2D expects %d inputs, got %d", ErrShape, p.C*p.H*p.W, x.Cols)
 	}
 	p.inRows = x.Rows
-	p.lastArgmax = ws.intSlice(id, wsArgmax, x.Rows*p.OutputSize())
-	out := ws.matrix(id, wsFwd, x.Rows, p.OutputSize())
+	p.lastArgmax = grow(p.lastArgmax, x.Rows*p.OutputSize())
+	out := reshape(&p.out, x.Rows, p.OutputSize())
 	for n := 0; n < x.Rows; n++ {
 		sample := x.Row(n)
 		oRow := out.Row(n)
@@ -604,14 +597,9 @@ func (p *MaxPool2D) noCandidate(sample []float64, first int) (float64, int) {
 	return sample[first], first
 }
 
-// Backward routes each output gradient to its argmax input position.
+// Backward routes each output gradient to its argmax input position. dX is
+// an accumulation target, so its buffer is zeroed first.
 func (p *MaxPool2D) Backward(grad *tensor.Matrix) (*tensor.Matrix, error) {
-	return p.backwardWs(nil, 0, grad)
-}
-
-// backwardWs is Backward with an optional workspace buffer (dX is an
-// accumulation target: zeroed checkout).
-func (p *MaxPool2D) backwardWs(ws *Workspace, id int, grad *tensor.Matrix) (*tensor.Matrix, error) {
 	if p.lastArgmax == nil {
 		return nil, fmt.Errorf("nn: MaxPool2D.Backward before Forward")
 	}
@@ -619,7 +607,7 @@ func (p *MaxPool2D) backwardWs(ws *Workspace, id int, grad *tensor.Matrix) (*ten
 		return nil, fmt.Errorf("%w: MaxPool2D.Backward got (%d,%d), want (%d,%d)",
 			ErrShape, grad.Rows, grad.Cols, p.inRows, p.OutputSize())
 	}
-	dx := ws.matrixZeroed(id, wsDX, p.inRows, p.C*p.H*p.W)
+	dx := reshapeZeroed(&p.dx, p.inRows, p.C*p.H*p.W)
 	for n := 0; n < grad.Rows; n++ {
 		gRow := grad.Row(n)
 		dRow := dx.Row(n)

@@ -275,28 +275,10 @@ func newSegGrads(c *Conv2D, segs int) [][][]float64 {
 	return out
 }
 
-// poisonWorkspace fills every buffer the arena holds, to its capacity,
-// with NaN, and every integer buffer with an index far out of range: a pass
-// through it reads nothing it did not write first.
-func poisonWorkspace(ws *Workspace) {
-	for _, m := range ws.mats {
-		full := m.Data[:cap(m.Data)]
-		for i := range full {
-			full[i] = math.NaN()
-		}
-	}
-	for _, s := range ws.ints {
-		full := s[:cap(s)]
-		for i := range full {
-			full[i] = math.MinInt / 2
-		}
-	}
-}
-
 // checkConvAgainstOracle runs cs through the oracle and through the
-// layer's kernels — with a nil arena and with a stale one, with and
-// without the input gradient, segmented and through the public API — and
-// fails on the first result that differs.
+// layer's kernels — on a freshly built layer and again with its buffers
+// poisoned, with and without the input gradient, segmented and through the
+// public API — and fails on the first result that differs.
 func checkConvAgainstOracle(tb testing.TB, cs convCase) {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(cs.seed))
@@ -343,28 +325,20 @@ func checkConvAgainstOracle(tb testing.TB, cs convCase) {
 	wantGrads := newSegGrads(c, segs)
 	wantDX := oracleConvBackward(c, cols, grad, cs.bounds, wantGrads)
 
-	stale := NewWorkspace()
-	for _, ws := range []*Workspace{nil, stale} {
-		name := "nil arena"
-		if ws != nil {
-			name = "stale arena"
-			// Warm the arena on this shape, then leave NaN in every buffer.
-			if _, err := c.forwardWs(ws, 0, x); err != nil {
-				tb.Fatal(err)
-			}
-			if _, err := c.backwardSegmented(ws, 0, grad, cs.bounds, newSegGrads(c, segs), true); err != nil {
-				tb.Fatal(err)
-			}
-			poisonWorkspace(ws)
+	for _, name := range []string{"fresh layer", "poisoned layer"} {
+		if name == "poisoned layer" {
+			// The fresh pass warmed every buffer on this shape: leave NaN
+			// in each.
+			poisonScratch(c)
 		}
-		out, err := c.forwardWs(ws, 0, x)
+		out, err := c.Forward(x)
 		if err != nil {
 			tb.Fatal(err)
 		}
 		sameBitsSlice(tb, name+" output", out.Data, wantOut.Data)
 		for _, needDX := range []bool{true, false} {
 			got := newSegGrads(c, segs)
-			dx, err := c.backwardSegmented(ws, 0, grad, cs.bounds, got, needDX)
+			dx, err := c.backwardSegmented(grad, cs.bounds, got, needDX)
 			if err != nil {
 				tb.Fatal(err)
 			}
@@ -467,7 +441,7 @@ func FuzzConv2DMatchesOracle(f *testing.F) {
 
 // BenchmarkConv2D times DeepCNN's two convolutions (the CIFAR analog: 3×8×8
 // input, 8 then 16 filters of 3×3 with padding 1) on a 200-row tile through
-// a warm arena. conv1 is the model's first layer, so its backward pass
+// warm layer buffers. conv1 is the model's first layer, so its backward pass
 // computes no input gradient; conv1/backward-dX times it as a later layer.
 // The backward passes take the gradient the model hands a convolution: a
 // dense upstream gradient pushed back through the 2×2 MaxPool2D and the
@@ -494,13 +468,12 @@ func BenchmarkConv2D(b *testing.B) {
 		grad, zeroShare := pooledGradient(b, rng, c, x)
 		bounds := []int{0, 50, 100, 150, rows}
 		segGrads := newSegGrads(c, len(bounds)-1)
-		ws := NewWorkspace()
-		if _, err := c.forwardWs(ws, 0, x); err != nil {
+		if _, err := c.Forward(x); err != nil {
 			b.Fatal(err)
 		}
 		b.Run(bc.name+"/forward", func(b *testing.B) {
 			for b.Loop() {
-				if _, err := c.forwardWs(ws, 0, x); err != nil {
+				if _, err := c.Forward(x); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -508,7 +481,7 @@ func BenchmarkConv2D(b *testing.B) {
 		backward := func(grad *tensor.Matrix, needDX bool) func(b *testing.B) {
 			return func(b *testing.B) {
 				for b.Loop() {
-					if _, err := c.backwardSegmented(ws, 0, grad, bounds, segGrads, needDX); err != nil {
+					if _, err := c.backwardSegmented(grad, bounds, segGrads, needDX); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -90,9 +90,9 @@ var edgeFloats = []float64{
 	1, -1, 0.5, -2.5,
 }
 
-// checkReLUAgainstOracle runs x and g through the ReLU's plain API and
-// through a NaN-poisoned arena, and fails on the first bit that differs
-// from oracleReLU.
+// checkReLUAgainstOracle runs x and g through a freshly built ReLU and
+// again with its buffers NaN-poisoned, and fails on the first bit that
+// differs from oracleReLU.
 func checkReLUAgainstOracle(t *testing.T, x, g *tensor.Matrix) {
 	t.Helper()
 	wantOut, wantDX := oracleReLU(x.Data, g.Data)
@@ -108,22 +108,15 @@ func checkReLUAgainstOracle(t *testing.T, x, g *tensor.Matrix) {
 	}
 	bitsEqual(t, "plain backward", dx.Data, wantDX)
 
-	ws := NewWorkspace()
-	if _, err := r.forwardWs(ws, 0, x); err != nil {
+	poisonScratch(r)
+	if out, err = r.Forward(x); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.backwardWs(ws, 0, g); err != nil {
+	bitsEqual(t, "poisoned forward", out.Data, wantOut)
+	if dx, err = r.Backward(g); err != nil {
 		t.Fatal(err)
 	}
-	poisonWorkspace(ws)
-	if out, err = r.forwardWs(ws, 0, x); err != nil {
-		t.Fatal(err)
-	}
-	bitsEqual(t, "arena forward", out.Data, wantOut)
-	if dx, err = r.backwardWs(ws, 0, g); err != nil {
-		t.Fatal(err)
-	}
-	bitsEqual(t, "arena backward", dx.Data, wantDX)
+	bitsEqual(t, "poisoned backward", dx.Data, wantDX)
 }
 
 // TestReLUMatchesBranchingOracle pins the branch-free ReLU to the
@@ -148,7 +141,7 @@ func TestReLUMatchesBranchingOracle(t *testing.T) {
 }
 
 // checkMaxPoolAgainstOracle runs x through a 2×2 MaxPool2D of shape c×h×w
-// — plain API and NaN-poisoned arena — and compares the output bits, the
+// — freshly built and again with its buffers NaN-poisoned — and compares the output bits, the
 // argmax and the backward routing of g with oracleMaxPool.
 func checkMaxPoolAgainstOracle(t *testing.T, c, h, w int, x, g *tensor.Matrix) {
 	t.Helper()
@@ -163,20 +156,11 @@ func checkMaxPoolAgainstOracle(t *testing.T, c, h, w int, x, g *tensor.Matrix) {
 			wantDX.Row(n)[idx] += g.Row(n)[o]
 		}
 	}
-	ws := NewWorkspace()
-	if _, err := p.forwardWs(ws, 0, x); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.backwardWs(ws, 0, g); err != nil {
-		t.Fatal(err)
-	}
-	poisonWorkspace(ws)
-	for _, ws := range []*Workspace{nil, ws} {
-		name := "plain"
-		if ws != nil {
-			name = "arena"
+	for _, name := range []string{"plain", "poisoned"} {
+		if name == "poisoned" {
+			poisonScratch(p)
 		}
-		out, err := p.forwardWs(ws, 0, x)
+		out, err := p.Forward(x)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,7 +170,7 @@ func checkMaxPoolAgainstOracle(t *testing.T, c, h, w int, x, g *tensor.Matrix) {
 				t.Fatalf("%s argmax[%d] = %d, want %d", name, i, idx, wantArgmax[i])
 			}
 		}
-		dx, err := p.backwardWs(ws, 0, g)
+		dx, err := p.Backward(g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -260,7 +244,7 @@ func FuzzElementwiseMatchesOracle(f *testing.F) {
 // BenchmarkElementwise times the layers between DeepCNN's convolutions —
 // ReLU forward and backward, then the 2×2 MaxPool2D forward and backward —
 // at the shapes of conv1's output (8×8×8) and conv2's (16×4×4), on a
-// 200-row tile through a warm arena. The ReLU's input is standard normal,
+// 200-row tile through warm layer buffers. The ReLU's input is standard normal,
 // so its signs are a coin flip, as a convolution's output's are; the pool
 // takes the ReLU's output, and both backward passes a dense gradient.
 func BenchmarkElementwise(b *testing.B) {
@@ -279,10 +263,9 @@ func BenchmarkElementwise(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		ws := NewWorkspace()
-		h, err := relu.forwardWs(ws, 0, x)
+		h, err := relu.Forward(x)
 		if err == nil {
-			_, err = pool.forwardWs(ws, 1, h)
+			_, err = pool.Forward(h)
 		}
 		if err != nil {
 			b.Fatal(err)
@@ -293,10 +276,10 @@ func BenchmarkElementwise(b *testing.B) {
 			name string
 			run  func() error
 		}{
-			{"relu-forward", func() error { _, err := relu.forwardWs(ws, 0, x); return err }},
-			{"relu-backward", func() error { _, err := relu.backwardWs(ws, 0, gReLU); return err }},
-			{"pool-forward", func() error { _, err := pool.forwardWs(ws, 1, h); return err }},
-			{"pool-backward", func() error { _, err := pool.backwardWs(ws, 1, gPool); return err }},
+			{"relu-forward", func() error { _, err := relu.Forward(x); return err }},
+			{"relu-backward", func() error { _, err := relu.Backward(gReLU); return err }},
+			{"pool-forward", func() error { _, err := pool.Forward(h); return err }},
+			{"pool-backward", func() error { _, err := pool.Backward(gPool); return err }},
 		} {
 			b.Run(bc.name+"/"+pass.name, func(b *testing.B) {
 				for b.Loop() {

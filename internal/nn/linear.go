@@ -16,11 +16,11 @@ type Linear struct {
 	bias    *Param // Out
 
 	lastInput *tensor.Matrix
+	out, dx   tensor.Matrix
 }
 
 var _ Layer = (*Linear)(nil)
 var _ segmentedLayer = (*Linear)(nil)
-var _ arenaLayer = (*Linear)(nil)
 
 // NewLinear builds a Linear layer with He-uniform initialization, which
 // pairs well with the ReLU activations used throughout the model zoo.
@@ -46,20 +46,14 @@ func (l *Linear) weightMatrix() *tensor.Matrix {
 
 // Forward computes the affine transform for a batch: the output starts at
 // the bias and accumulates xWᵀ through the exact tensor kernel —
-// byte-identical to a sequential per-row dot product.
+// byte-identical to a sequential per-row dot product. Seeding every row
+// from the bias fully overwrites a stale output buffer.
 func (l *Linear) Forward(x *tensor.Matrix) (*tensor.Matrix, error) {
-	return l.forwardWs(nil, 0, x)
-}
-
-// forwardWs is Forward with an optional workspace buffer: every output row
-// is seeded from the bias before the kernel accumulates, so a stale arena
-// buffer is fully overwritten.
-func (l *Linear) forwardWs(ws *Workspace, id int, x *tensor.Matrix) (*tensor.Matrix, error) {
 	if x.Cols != l.In {
 		return nil, fmt.Errorf("%w: Linear expects %d inputs, got %d", ErrShape, l.In, x.Cols)
 	}
 	l.lastInput = x
-	out := ws.matrix(id, wsFwd, x.Rows, l.Out)
+	out := reshape(&l.out, x.Rows, l.Out)
 	for i := 0; i < x.Rows; i++ {
 		copy(out.Row(i), l.bias.W)
 	}
@@ -85,12 +79,7 @@ func accumBias(grad *tensor.Matrix, bg []float64, r0, r1 int) {
 
 // Backward accumulates dW and db and returns dX.
 func (l *Linear) Backward(grad *tensor.Matrix) (*tensor.Matrix, error) {
-	return l.backwardWs(nil, 0, grad)
-}
-
-// backwardWs is Backward with an optional workspace buffer for dX.
-func (l *Linear) backwardWs(ws *Workspace, id int, grad *tensor.Matrix) (*tensor.Matrix, error) {
-	return l.backward(ws, id, grad, func(int) (w, b []float64) { return l.weight.Grad, l.bias.Grad }, nil, true)
+	return l.backward(grad, func(int) (w, b []float64) { return l.weight.Grad, l.bias.Grad }, nil, true)
 }
 
 // backwardSegmented implements segmentedLayer: parameter gradients land in
@@ -99,15 +88,15 @@ func (l *Linear) backwardWs(ws *Workspace, id int, grad *tensor.Matrix) (*tensor
 // per-segment backward would use — so segment s's buffers are
 // byte-identical to a standalone Backward over rows [bounds[s],
 // bounds[s+1]).
-func (l *Linear) backwardSegmented(ws *Workspace, id int, grad *tensor.Matrix, bounds []int, segGrads [][][]float64, needDX bool) (*tensor.Matrix, error) {
-	return l.backward(ws, id, grad, func(s int) (w, b []float64) { return segGrads[s][0], segGrads[s][1] }, bounds, needDX)
+func (l *Linear) backwardSegmented(grad *tensor.Matrix, bounds []int, segGrads [][][]float64, needDX bool) (*tensor.Matrix, error) {
+	return l.backward(grad, func(s int) (w, b []float64) { return segGrads[s][0], segGrads[s][1] }, bounds, needDX)
 }
 
 // backward is the shared dW/db/dX computation. sink maps a segment index
 // to the weight and bias gradient buffers; bounds is nil for the unsegmented
 // path (one segment spanning every row). Without needDX the input gradient
 // is not computed and backward returns a nil matrix.
-func (l *Linear) backward(ws *Workspace, id int, grad *tensor.Matrix, sink func(s int) (w, b []float64), bounds []int, needDX bool) (*tensor.Matrix, error) {
+func (l *Linear) backward(grad *tensor.Matrix, sink func(s int) (w, b []float64), bounds []int, needDX bool) (*tensor.Matrix, error) {
 	if l.lastInput == nil {
 		return nil, fmt.Errorf("nn: Linear.Backward before Forward")
 	}
@@ -130,9 +119,9 @@ func (l *Linear) backward(ws *Workspace, id int, grad *tensor.Matrix, sink func(
 	if !needDX {
 		return nil, nil
 	}
-	// dX is an accumulation target (MatMulInto adds into it), so the arena
-	// checkout must be explicitly zeroed.
-	dx := ws.matrixZeroed(id, wsDX, x.Rows, l.In)
+	// dX is an accumulation target (MatMulInto adds into it), so the
+	// reused buffer must be explicitly zeroed.
+	dx := reshapeZeroed(&l.dx, x.Rows, l.In)
 	if err := tensor.MatMulInto(dx, grad, l.weightMatrix()); err != nil {
 		return nil, err
 	}

@@ -7,39 +7,15 @@ import (
 	"github.com/signguard/signguard/internal/tensor"
 )
 
-// SoftmaxCrossEntropy computes the mean cross-entropy loss of a batch of
-// logits against integer labels, along with dLoss/dLogits and the number of
-// correct argmax predictions. The gradient is already divided by the batch
-// size, so downstream layers accumulate a mean gradient.
-func SoftmaxCrossEntropy(logits *tensor.Matrix, labels []int) (loss float64, grad *tensor.Matrix, correct int, err error) {
-	if logits.Rows == 0 {
-		return 0, nil, 0, fmt.Errorf("nn: SoftmaxCrossEntropy on empty batch")
-	}
-	losses, grad, corrects, err := SoftmaxCrossEntropySegmented(logits, labels, []int{0, logits.Rows})
-	if err != nil {
-		return 0, nil, 0, err
-	}
-	return losses[0], grad, corrects[0], nil
-}
-
-// SoftmaxCrossEntropySegmented is SoftmaxCrossEntropy over a segmented
-// batch: segment s spans logit rows [bounds[s], bounds[s+1]) and gets its
-// own mean loss, correct count and per-segment 1/n gradient scaling — as
-// if each segment had been a separate batch. Row i's gradient depends only
-// on row i and its segment's size, so the result is byte-identical to
-// running the unsegmented function per segment.
-func SoftmaxCrossEntropySegmented(logits *tensor.Matrix, labels []int, bounds []int) (losses []float64, grad *tensor.Matrix, correct []int, err error) {
-	grad = tensor.NewMatrix(logits.Rows, logits.Cols)
-	losses, correct, err = softmaxCrossEntropySegmentedInto(grad, logits, labels, bounds)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return losses, grad, correct, nil
-}
-
-// softmaxCrossEntropySegmentedInto is SoftmaxCrossEntropySegmented writing
-// the gradient into a caller-provided matrix. Every gradient row is fully
-// overwritten, so a stale workspace buffer yields byte-identical results.
+// softmaxCrossEntropySegmentedInto computes the softmax cross-entropy of a
+// segmented batch of logits against integer labels: segment s spans logit
+// rows [bounds[s], bounds[s+1]) and gets its own mean loss, its count of
+// correct argmax predictions and a gradient dLoss/dLogits scaled by 1/n of
+// its own size — as if each segment were a separate batch, so downstream
+// layers accumulate each segment's mean gradient. Row i's gradient
+// depends only on row i and its segment's size. The gradient lands in
+// grad, whose every row is fully overwritten, so a stale buffer yields
+// byte-identical results.
 func softmaxCrossEntropySegmentedInto(grad, logits *tensor.Matrix, labels []int, bounds []int) (losses []float64, correct []int, err error) {
 	if logits.Rows != len(labels) {
 		return nil, nil, fmt.Errorf("%w: %d logit rows vs %d labels", ErrShape, logits.Rows, len(labels))

@@ -6,6 +6,12 @@
 // backpropagation (verified against numerical gradients in the tests),
 // softmax cross-entropy loss, and flat parameter/gradient vector views —
 // the representation the attacks and robust aggregation rules operate on.
+//
+// Every layer and model owns the scratch of its own pass (scratch.go), and
+// two rules follow. A model is used by one goroutine at a time, which each
+// layer's saved forward input already requires. A matrix a pass returns —
+// activations, input gradients — is the layer's own buffer, valid until
+// the next pass through the same layer.
 package nn
 
 import (

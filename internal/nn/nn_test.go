@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -146,9 +147,26 @@ func TestTextRNNGradient(t *testing.T) {
 	checkNumericalGradient(t, model, in, labels)
 }
 
+// softmaxCrossEntropySegmented is softmaxCrossEntropySegmentedInto into a
+// fresh gradient matrix.
+func softmaxCrossEntropySegmented(logits *tensor.Matrix, labels, bounds []int) ([]float64, *tensor.Matrix, []int, error) {
+	grad := tensor.NewMatrix(logits.Rows, logits.Cols)
+	losses, correct, err := softmaxCrossEntropySegmentedInto(grad, logits, labels, bounds)
+	return losses, grad, correct, err
+}
+
+// softmaxCrossEntropy is the loss of the whole batch as one segment.
+func softmaxCrossEntropy(logits *tensor.Matrix, labels []int) (float64, *tensor.Matrix, int, error) {
+	losses, grad, correct, err := softmaxCrossEntropySegmented(logits, labels, []int{0, logits.Rows})
+	if err != nil {
+		return 0, nil, 0, err
+	}
+	return losses[0], grad, correct[0], nil
+}
+
 func TestSoftmaxCrossEntropy(t *testing.T) {
 	logits := &tensor.Matrix{Rows: 2, Cols: 3, Data: []float64{10, 0, 0, 0, 10, 0}}
-	loss, grad, correct, err := SoftmaxCrossEntropy(logits, []int{0, 1})
+	loss, grad, correct, err := softmaxCrossEntropy(logits, []int{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,10 +186,10 @@ func TestSoftmaxCrossEntropy(t *testing.T) {
 			t.Errorf("gradient row %d sums to %v", i, s)
 		}
 	}
-	if _, _, _, err := SoftmaxCrossEntropy(logits, []int{0}); err == nil {
+	if _, _, _, err := softmaxCrossEntropy(logits, []int{0}); err == nil {
 		t.Error("accepted mismatched labels")
 	}
-	if _, _, _, err := SoftmaxCrossEntropy(logits, []int{0, 9}); err == nil {
+	if _, _, _, err := softmaxCrossEntropy(logits, []int{0, 9}); err == nil {
 		t.Error("accepted out-of-range label")
 	}
 }
@@ -282,6 +300,94 @@ func TestTextRNNInputValidation(t *testing.T) {
 	}
 	if _, _, err := model.LossAndGrad(Input{Tokens: [][]int{{1}}}, []int{9}); err == nil {
 		t.Error("accepted out-of-range label")
+	}
+}
+
+// oracleTextLogits is the per-sample forward pass TextRNN.Predict ran
+// before it shared the batched one: a sequence at a time, scalar loops
+// throughout. It returns every sequence's class logits.
+func oracleTextLogits(m *TextRNN, tokens [][]int) [][]float64 {
+	out := make([][]float64, len(tokens))
+	h := make([]float64, m.Hidden)
+	hPrev := make([]float64, m.Hidden)
+	pooled := make([]float64, m.Hidden)
+	for s, seq := range tokens {
+		clear(hPrev)
+		clear(pooled)
+		for t, tok := range seq {
+			e := m.emb.W[tok*m.Embed : (tok+1)*m.Embed]
+			for i := 0; i < m.Hidden; i++ {
+				a := m.bh.W[i]
+				wx := m.wxh.W[i*m.Embed : (i+1)*m.Embed]
+				for j, ev := range e {
+					a += wx[j] * ev
+				}
+				if t > 0 {
+					wh := m.whh.W[i*m.Hidden : (i+1)*m.Hidden]
+					for j, hv := range hPrev {
+						a += wh[j] * hv
+					}
+				}
+				h[i] = math.Tanh(a)
+			}
+			copy(hPrev, h)
+			for i, hv := range h {
+				pooled[i] += hv
+			}
+		}
+		invT := 1.0 / float64(len(seq))
+		for i := range pooled {
+			pooled[i] *= invT
+		}
+		logits := make([]float64, m.Classes)
+		for c := range logits {
+			w := m.wout.W[c*m.Hidden : (c+1)*m.Hidden]
+			sum := m.bout.W[c]
+			for i, pv := range pooled {
+				sum += w[i] * pv
+			}
+			logits[c] = sum
+		}
+		out[s] = logits
+	}
+	return out
+}
+
+// TestTextRNNForwardMatchesPerSample: the time-major forward pass that
+// Predict shares with training reproduces the per-sample scalar pass's
+// logits bit for bit — over random parameter draws and ragged sequences of
+// length 1–14 at the AG-News model's shape, on fresh and on NaN-poisoned
+// buffers — and Predict returns their argmax.
+func TestTextRNNForwardMatchesPerSample(t *testing.T) {
+	for draw := int64(0); draw < 20; draw++ {
+		rng := tensor.NewRNG(100 + draw)
+		m := NewTextRNN(rng, 128, 16, 24, 4)
+		tokens := make([][]int, 64)
+		for i := range tokens {
+			tokens[i] = make([]int, 1+rng.Intn(14))
+			for j := range tokens[i] {
+				tokens[i][j] = rng.Intn(m.Vocab)
+			}
+		}
+		want := oracleTextLogits(m, tokens)
+		logits, _, err := m.forward(tokens)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, row := range want {
+			bitsEqual(t, fmt.Sprintf("draw %d sequence %d logits", draw, i), logits.Row(i), row)
+		}
+		poisonScratch(m)
+		preds, err := m.Predict(Input{Tokens: tokens})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, row := range want {
+			bitsEqual(t, fmt.Sprintf("draw %d sequence %d poisoned logits", draw, i), m.logits.Row(i), row)
+			if preds[i] != Argmax(row) {
+				t.Fatalf("draw %d sequence %d: Predict %d, want %d", draw, i, preds[i], Argmax(row))
+			}
+		}
 	}
 }
 

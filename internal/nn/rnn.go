@@ -16,14 +16,16 @@ import (
 // with the same structure: sparse embedding rows plus dense recurrent and
 // output blocks.
 //
-// Training runs through one time-major batched kernel (lossAndGradKernel):
-// per step t, the active rows' embeddings are gathered into a stacked
-// matrix and the whole tile advances through H_t = tanh(bh + E_t·Wxhᵀ +
-// H_{t-1}·Whhᵀ) with the exact matmul kernels. LossAndGrad is that kernel
-// over a single segment and BatchedLossAndGrad de-interleaves per-segment
-// gradients from the same pass, so the batched path is byte-identical to
-// the per-client one by construction — every per-segment accumulation
-// touches only that segment's rows, in the same order either way.
+// Every pass runs through one time-major batched forward (forward): per
+// step t, the active rows' embeddings are gathered into a stacked matrix
+// and the whole tile advances through H_t = tanh(bh + E_t·Wxhᵀ +
+// H_{t-1}·Whhᵀ) with the exact matmul kernels. Predict takes the argmax of
+// its logits; lossAndGradKernel adds the loss and the backward pass.
+// LossAndGrad is that kernel over a single segment and BatchedLossAndGrad
+// de-interleaves per-segment gradients from the same pass, so the batched
+// path is byte-identical to the per-client one by construction — every
+// per-segment accumulation touches only that segment's rows, in the same
+// order either way.
 type TextRNN struct {
 	Vocab, Embed, Hidden, Classes int
 
@@ -35,6 +37,15 @@ type TextRNN struct {
 	bout *Param // Classes
 
 	params []*Param
+
+	// The pass's buffers: gathered embedding rows and hidden states
+	// (time-major), mean-pooled states and logits (forward), the loss
+	// gradient, pooled-state gradient, recurrent gradient carry and
+	// pre-activation gradient (backward). scaffold is BatchedLossAndGrad's
+	// gradient-view structure (segGradViews).
+	embs, hs, pooled, logits  tensor.Matrix
+	lossGrad, dpooled, dh, da tensor.Matrix
+	scaffold                  [][][][]float64
 }
 
 var _ Classifier = (*TextRNN)(nil)
@@ -56,6 +67,7 @@ func NewTextRNN(rng *rand.Rand, vocab, embed, hidden, classes int) *TextRNN {
 	initUniform(rng, m.whh.W, math.Sqrt(6.0/float64(2*hidden)))
 	initUniform(rng, m.wout.W, math.Sqrt(6.0/float64(hidden+classes)))
 	m.params = []*Param{m.emb, m.wxh, m.whh, m.bh, m.wout, m.bout}
+	m.scaffold = make([][][][]float64, 1)
 	return m
 }
 
@@ -116,36 +128,31 @@ const (
 	rnnBout
 )
 
-// lossAndGradKernel is the shared time-major forward/backward pass.
-// sinks[s] holds the six gradient buffers (m.params order) that segment
-// s's gradient terms accumulate into; every accumulation into sinks[s]
-// touches only rows [bounds[s], bounds[s+1]), in row-ascending order per
-// time step, so a segment's result depends only on its own rows — the
-// property that makes LossAndGrad (one segment) and BatchedLossAndGrad
-// (many) byte-identical on the same rows.
+// forward is the time-major forward pass over a batch of token sequences:
+// it returns the class logits and the longest sequence's length.
 //
 // Rows whose sequence has ended at step t ("inactive" rows) carry stale
 // values in the stacked embedding/hidden buffers; they contribute nothing
-// because (a) every forward read of row r stops at len(tokens[r]) and (b)
-// the backward delta matrix keeps inactive rows at exactly 0, which the
-// kernels' zero-skip treats as absent terms.
-func (m *TextRNN) lossAndGradKernel(ws *Workspace, tokens [][]int, labels []int, bounds []int, sinks [][][]float64) ([]float64, []int, error) {
+// because every forward read of row r stops at len(tokens[r]) (and, in
+// lossAndGradKernel's backward, the delta matrix keeps inactive rows at
+// exactly 0, which the kernels' zero-skip treats as absent terms).
+func (m *TextRNN) forward(tokens [][]int) (*tensor.Matrix, int, error) {
 	rows := len(tokens)
 	tmax, err := m.validateTokens(tokens)
 	if err != nil {
-		return nil, nil, err
+		return nil, 0, err
 	}
 	wxhM := &tensor.Matrix{Rows: m.Hidden, Cols: m.Embed, Data: m.wxh.W}
 	whhM := &tensor.Matrix{Rows: m.Hidden, Cols: m.Hidden, Data: m.whh.W}
 	woutM := &tensor.Matrix{Rows: m.Classes, Cols: m.Hidden, Data: m.wout.W}
 
-	embs := ws.matrix(wsHead, wsEmbeds, tmax*rows, m.Embed)
-	hs := ws.matrix(wsHead, wsHidden, tmax*rows, m.Hidden)
-	pooled := ws.matrixZeroed(wsHead, wsPooled, rows, m.Hidden)
-	logits := ws.matrix(wsHead, wsLogits, rows, m.Classes)
+	embs := reshape(&m.embs, tmax*rows, m.Embed)
+	hs := reshape(&m.hs, tmax*rows, m.Hidden)
+	pooled := reshapeZeroed(&m.pooled, rows, m.Hidden)
+	logits := reshape(&m.logits, rows, m.Classes)
 
-	// Forward: per step, gather active embeddings and advance the whole
-	// tile through one stacked matmul pair. Inactive rows compute garbage
+	// Per step, gather active embeddings and advance the whole tile
+	// through one stacked matmul pair. Inactive rows compute garbage
 	// (stale embeddings) that no active output ever reads — every kernel
 	// here is row-independent.
 	for t := 0; t < tmax; t++ {
@@ -161,12 +168,12 @@ func (m *TextRNN) lossAndGradKernel(ws *Workspace, tokens [][]int, labels []int,
 			copy(hT.Row(r), m.bh.W)
 		}
 		if err := tensor.MulABTInto(&hT, &eT, wxhM); err != nil {
-			return nil, nil, err
+			return nil, 0, err
 		}
 		if t > 0 {
 			hPrev := stepView(hs, t-1, rows)
 			if err := tensor.MulABTInto(&hT, &hPrev, whhM); err != nil {
-				return nil, nil, err
+				return nil, 0, err
 			}
 		}
 		for i, v := range hT.Data {
@@ -193,10 +200,32 @@ func (m *TextRNN) lossAndGradKernel(ws *Workspace, tokens [][]int, labels []int,
 		copy(logits.Row(r), m.bout.W)
 	}
 	if err := tensor.MulABTInto(logits, pooled, woutM); err != nil {
+		return nil, 0, err
+	}
+	return logits, tmax, nil
+}
+
+// lossAndGradKernel is the shared time-major forward/backward pass.
+// sinks[s] holds the six gradient buffers (m.params order) that segment
+// s's gradient terms accumulate into; every accumulation into sinks[s]
+// touches only rows [bounds[s], bounds[s+1]), in row-ascending order per
+// time step, so a segment's result depends only on its own rows — the
+// property that makes LossAndGrad (one segment) and BatchedLossAndGrad
+// (many) byte-identical on the same rows.
+//
+// Backward keeps the delta matrix of inactive rows (see forward) at
+// exactly 0.
+func (m *TextRNN) lossAndGradKernel(tokens [][]int, labels []int, bounds []int, sinks [][][]float64) ([]float64, []int, error) {
+	logits, tmax, err := m.forward(tokens)
+	if err != nil {
 		return nil, nil, err
 	}
+	rows := len(tokens)
+	whhM := &tensor.Matrix{Rows: m.Hidden, Cols: m.Hidden, Data: m.whh.W}
+	woutM := &tensor.Matrix{Rows: m.Classes, Cols: m.Hidden, Data: m.wout.W}
+	embs, hs, pooled := &m.embs, &m.hs, &m.pooled
 
-	lossGrad := ws.matrix(wsHead, wsLossGrad, rows, m.Classes)
+	lossGrad := reshape(&m.lossGrad, rows, m.Classes)
 	losses, correct, err := softmaxCrossEntropySegmentedInto(lossGrad, logits, labels, bounds)
 	if err != nil {
 		return nil, nil, err
@@ -216,7 +245,7 @@ func (m *TextRNN) lossAndGradKernel(ws *Workspace, tokens [][]int, labels []int,
 
 	// dPooled = G·Wout, then scaled once per row by 1/T_r: the product is
 	// the constant per-step addend of the recurrent carry.
-	dpooled := ws.matrixZeroed(wsHead, wsDPooled, rows, m.Hidden)
+	dpooled := reshapeZeroed(&m.dpooled, rows, m.Hidden)
 	if err := tensor.MatMulInto(dpooled, lossGrad, woutM); err != nil {
 		return nil, nil, err
 	}
@@ -231,8 +260,8 @@ func (m *TextRNN) lossAndGradKernel(ws *Workspace, tokens [][]int, labels []int,
 	// dh carries the gradient flowing into h_t from the future; da is the
 	// pre-tanh delta. Both start (and inactive rows stay) at exactly 0, so
 	// the zero-skip kernels see inactive rows as absent.
-	dh := ws.matrixZeroed(wsHead, wsDH, rows, m.Hidden)
-	da := ws.matrixZeroed(wsHead, wsDA, rows, m.Hidden)
+	dh := reshapeZeroed(&m.dh, rows, m.Hidden)
+	da := reshapeZeroed(&m.da, rows, m.Hidden)
 	for t := tmax - 1; t >= 0; t-- {
 		hT := stepView(hs, t, rows)
 		eT := stepView(embs, t, rows)
@@ -305,7 +334,7 @@ func (m *TextRNN) LossAndGrad(in Input, labels []int) (float64, int, error) {
 		return 0, 0, errors.New("nn: TextRNN on empty batch")
 	}
 	sinks := [][][]float64{{m.emb.Grad, m.wxh.Grad, m.whh.Grad, m.bh.Grad, m.wout.Grad, m.bout.Grad}}
-	losses, correct, err := m.lossAndGradKernel(nil, in.Tokens, labels, []int{0, len(labels)}, sinks)
+	losses, correct, err := m.lossAndGradKernel(in.Tokens, labels, []int{0, len(labels)}, sinks)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -315,7 +344,7 @@ func (m *TextRNN) LossAndGrad(in Input, labels []int) (float64, int, error) {
 // BatchedLossAndGrad implements BatchClassifier for the text model: one
 // time-major pass over the stacked tile with per-segment gradient
 // de-interleaving.
-func (m *TextRNN) BatchedLossAndGrad(ws *Workspace, in Input, labels []int, bounds []int, dst []float64) ([]SegmentGrad, error) {
+func (m *TextRNN) BatchedLossAndGrad(in Input, labels []int, bounds []int, dst []float64) ([]SegmentGrad, error) {
 	if in.Tokens == nil {
 		return nil, errors.New("nn: TextRNN requires token input")
 	}
@@ -331,9 +360,8 @@ func (m *TextRNN) BatchedLossAndGrad(ws *Workspace, in Input, labels []int, boun
 	if err != nil {
 		return nil, err
 	}
-	scaffold := ws.gradScaffold(1)
-	sinks := segGradViews(scaffold, 0, flat, total, segs, 0, m.params)
-	losses, correct, err := m.lossAndGradKernel(ws, in.Tokens, labels, bounds, sinks)
+	sinks := segGradViews(m.scaffold, 0, flat, total, segs, 0, m.params)
+	losses, correct, err := m.lossAndGradKernel(in.Tokens, labels, bounds, sinks)
 	if err != nil {
 		return nil, err
 	}
@@ -349,58 +377,13 @@ func (m *TextRNN) Predict(in Input) ([]int, error) {
 	if in.Tokens == nil {
 		return nil, errors.New("nn: TextRNN requires token input")
 	}
-	out := make([]int, len(in.Tokens))
-	h := make([]float64, m.Hidden)
-	hPrev := make([]float64, m.Hidden)
-	pooled := make([]float64, m.Hidden)
-	logits := make([]float64, m.Classes)
-	for s, seq := range in.Tokens {
-		if len(seq) == 0 {
-			return nil, errors.New("nn: TextRNN received empty token sequence")
-		}
-		for i := range hPrev {
-			hPrev[i] = 0
-		}
-		for i := range pooled {
-			pooled[i] = 0
-		}
-		for t, tok := range seq {
-			if tok < 0 || tok >= m.Vocab {
-				return nil, fmt.Errorf("%w: token %d out of vocab [0,%d)", ErrShape, tok, m.Vocab)
-			}
-			e := m.emb.W[tok*m.Embed : (tok+1)*m.Embed]
-			for i := 0; i < m.Hidden; i++ {
-				a := m.bh.W[i]
-				wx := m.wxh.W[i*m.Embed : (i+1)*m.Embed]
-				for j, ev := range e {
-					a += wx[j] * ev
-				}
-				if t > 0 {
-					wh := m.whh.W[i*m.Hidden : (i+1)*m.Hidden]
-					for j, hv := range hPrev {
-						a += wh[j] * hv
-					}
-				}
-				h[i] = math.Tanh(a)
-			}
-			copy(hPrev, h)
-			for i, hv := range h {
-				pooled[i] += hv
-			}
-		}
-		invT := 1.0 / float64(len(seq))
-		for i := range pooled {
-			pooled[i] *= invT
-		}
-		for c := 0; c < m.Classes; c++ {
-			w := m.wout.W[c*m.Hidden : (c+1)*m.Hidden]
-			sum := m.bout.W[c]
-			for i, pv := range pooled {
-				sum += w[i] * pv
-			}
-			logits[c] = sum
-		}
-		out[s] = Argmax(logits)
+	logits, _, err := m.forward(in.Tokens)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]int, logits.Rows)
+	for i := range out {
+		out[i] = Argmax(logits.Row(i))
 	}
 	return out, nil
 }

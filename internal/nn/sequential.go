@@ -11,17 +11,26 @@ import (
 // head. It implements Classifier over dense inputs and covers the paper's
 // CNN and MLP image models.
 type FeedForward struct {
-	layers []Layer
-	params []*Param
+	layers      []Layer
+	layerParams [][]*Param // layerParams[i] is layers[i].Params()
+	params      []*Param
+
+	// lossGrad is the last pass's softmax cross-entropy gradient; scaffold
+	// is BatchedLossAndGrad's [layer][segment][param] gradient-view
+	// structure, rebuilt only where its shape changes (segGradViews).
+	lossGrad tensor.Matrix
+	scaffold [][][][]float64
 }
 
 var _ Classifier = (*FeedForward)(nil)
 
 // NewFeedForward assembles a sequential classifier from the given layers.
 func NewFeedForward(layers ...Layer) *FeedForward {
-	ff := &FeedForward{layers: layers}
+	ff := &FeedForward{layers: layers, scaffold: make([][][][]float64, len(layers))}
 	for _, l := range layers {
-		ff.params = append(ff.params, l.Params()...)
+		p := l.Params()
+		ff.layerParams = append(ff.layerParams, p)
+		ff.params = append(ff.params, p...)
 	}
 	return ff
 }
@@ -43,24 +52,43 @@ func (ff *FeedForward) ZeroGrad() { zeroGrads(ff.params) }
 
 // forward runs the stack on a dense batch.
 func (ff *FeedForward) forward(x *tensor.Matrix) (*tensor.Matrix, error) {
-	return ff.forwardWs(nil, x)
-}
-
-// forwardWs runs the stack with layer scratch buffers checked out of the
-// workspace (each layer's index namespaces its arena keys).
-func (ff *FeedForward) forwardWs(ws *Workspace, x *tensor.Matrix) (*tensor.Matrix, error) {
 	var err error
 	for i, l := range ff.layers {
-		if al, ok := l.(arenaLayer); ok {
-			x, err = al.forwardWs(ws, i, x)
-		} else {
-			x, err = l.Forward(x)
-		}
-		if err != nil {
+		if x, err = l.Forward(x); err != nil {
 			return nil, fmt.Errorf("layer %d: %w", i, err)
 		}
 	}
 	return x, nil
+}
+
+// lossAndGrad runs forward, the loss and backward over a dense batch
+// segmented by bounds, returning each segment's mean loss and correct
+// count. grads[i] holds layer i's per-segment parameter gradient views
+// (a segmentedLayer's); a nil grads[i] sends the layer through its own
+// Backward, which accumulates into its Grad tensors. A segmented first
+// layer skips its input gradient, which has no reader.
+func (ff *FeedForward) lossAndGrad(x *tensor.Matrix, labels, bounds []int, grads [][][][]float64) ([]float64, []int, error) {
+	logits, err := ff.forward(x)
+	if err != nil {
+		return nil, nil, err
+	}
+	grad := reshape(&ff.lossGrad, logits.Rows, logits.Cols)
+	losses, correct, err := softmaxCrossEntropySegmentedInto(grad, logits, labels, bounds)
+	if err != nil {
+		return nil, nil, err
+	}
+	for i := len(ff.layers) - 1; i >= 0; i-- {
+		l := ff.layers[i]
+		if grads[i] != nil {
+			grad, err = l.(segmentedLayer).backwardSegmented(grad, bounds, grads[i], i > 0)
+		} else {
+			grad, err = l.Backward(grad)
+		}
+		if err != nil {
+			return nil, nil, fmt.Errorf("layer %d backward: %w", i, err)
+		}
+	}
+	return losses, correct, nil
 }
 
 // LossAndGrad runs forward + backward over the batch, accumulating
@@ -69,28 +97,19 @@ func (ff *FeedForward) LossAndGrad(in Input, labels []int) (float64, int, error)
 	if in.Dense == nil {
 		return 0, 0, errors.New("nn: FeedForward requires dense input")
 	}
-	logits, err := ff.forward(in.Dense)
+	grads := make([][][][]float64, len(ff.layers))
+	for i, l := range ff.layers[:min(1, len(ff.layers))] {
+		if _, ok := l.(segmentedLayer); ok {
+			// One segment accumulating into the first layer's own Grad
+			// tensors, without the dX that Backward would compute.
+			grads[i] = [][][]float64{paramGrads(ff.layerParams[i])}
+		}
+	}
+	losses, correct, err := ff.lossAndGrad(in.Dense, labels, []int{0, in.Dense.Rows}, grads)
 	if err != nil {
 		return 0, 0, err
 	}
-	loss, grad, correct, err := SoftmaxCrossEntropy(logits, labels)
-	if err != nil {
-		return 0, 0, err
-	}
-	for i := len(ff.layers) - 1; i >= 0; i-- {
-		l := ff.layers[i]
-		if sl, ok := l.(segmentedLayer); ok && i == 0 {
-			// Nothing reads the first layer's input gradient: one segment
-			// accumulating into the layer's own Grad tensors, without dX.
-			_, err = sl.backwardSegmented(nil, i, grad, []int{0, grad.Rows}, [][][]float64{paramGrads(l.Params())}, false)
-		} else {
-			grad, err = l.Backward(grad)
-		}
-		if err != nil {
-			return 0, 0, fmt.Errorf("layer %d backward: %w", i, err)
-		}
-	}
-	return loss, correct, nil
+	return losses[0], correct[0], nil
 }
 
 // Predict returns the argmax class per sample.
