@@ -7,11 +7,14 @@ import (
 	"fmt"
 	"hash"
 	"math"
+	"math/rand"
 	"testing"
 
 	"github.com/signguard/signguard/internal/aggregate"
 	"github.com/signguard/signguard/internal/attack"
 	"github.com/signguard/signguard/internal/core"
+	"github.com/signguard/signguard/internal/data"
+	"github.com/signguard/signguard/internal/nn"
 )
 
 // goldenTraces pin the engine's exact numerical behavior: a SHA-256 over
@@ -66,11 +69,16 @@ func hashFloats(h hash.Hash, vals ...float64) {
 
 // traceDigest runs the configuration and digests everything the paper's
 // experiments consume: the aggregated gradient and selected set of every
-// round, the per-round losses, and the evaluated accuracy trace.
+// round, the per-round losses, and the evaluated accuracy trace. A hook
+// already in cfg runs first on every round.
 func traceDigest(t *testing.T, cfg Config) string {
 	t.Helper()
 	h := sha256.New()
+	hook := cfg.RoundHook
 	cfg.RoundHook = func(st *RoundState) {
+		if hook != nil {
+			hook(st)
+		}
 		hashFloats(h, float64(st.Round))
 		hashFloats(h, st.Result.Gradient...)
 		for _, i := range st.Result.Selected {
@@ -156,6 +164,76 @@ func TestGoldenBatchedEquivalence(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// serverLearningTraces pin FLTrust runs, whose defense aggregates against
+// a root gradient the server computes on its own root dataset every round:
+// one on the golden MLP and one on the text RNN, with a LIE adversary so
+// trust scores separate the cohort. They were recorded while the root
+// gradient was a standalone per-client LossAndGrad pass.
+var serverLearningTraces = map[string]string{
+	"FLTrust/tiny": "db06b5e32d0b4cb64884704c119db4acff09f20b6c2e47210ac335a38922c822",
+	"FLTrust/text": "8d2de0caed8d6b7e8dedff91c5b4de8d1c770820b014b02f95a7fca3a365b286",
+}
+
+// serverLearningScenario builds each pinned server-learning scenario.
+func serverLearningScenario(t *testing.T, name string) Config {
+	t.Helper()
+	var cfg Config
+	switch name {
+	case "FLTrust/tiny":
+		cfg = baseConfig(tinyDataset(t))
+		cfg.Rounds = 12
+		cfg.EvalEvery = 4
+		cfg.EvalSamples = 60
+	case "FLTrust/text":
+		ds, err := data.AGNewsLike(3, 300, 60)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg = Config{
+			Dataset: ds,
+			NewModel: func(rng *rand.Rand) (nn.Classifier, error) {
+				return nn.NewTextRNN(rng, 128, 8, 12, 4), nil
+			},
+			Clients: 6, Rounds: 6, BatchSize: 8,
+			LR: 0.1, Momentum: 0.9, WeightDecay: 5e-4,
+			EvalEvery: 3, EvalSamples: 30, Seed: 5,
+		}
+	default:
+		t.Fatalf("unknown server-learning scenario %q", name)
+	}
+	cfg.NumByz = 2
+	cfg.Attack = attack.NewLIE(0.3)
+	cfg.Rule = aggregate.NewFLTrust()
+	return cfg
+}
+
+// TestGoldenServerLearning pins the server root gradient's path: every
+// round's FLTrust aggregate depends on the root gradient's bits, so the
+// digests move if that gradient does. The runs must trust some client in
+// some round, or the root gradient would shape no aggregate.
+func TestGoldenServerLearning(t *testing.T) {
+	for name, want := range serverLearningTraces {
+		for _, workers := range []int{1, 3} {
+			t.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(t *testing.T) {
+				cfg := serverLearningScenario(t, name)
+				cfg.Workers = workers
+				trusted := 0
+				cfg.RoundHook = func(st *RoundState) { trusted += len(st.Result.Selected) }
+				got := traceDigest(t, cfg)
+				if trusted == 0 {
+					t.Fatal("FLTrust trusted no client in any round; the root gradient shaped nothing")
+				}
+				if want == "" {
+					t.Fatalf("golden hash not yet recorded; computed %s", got)
+				}
+				if got != want {
+					t.Errorf("server-learning trace drifted:\n got %s\nwant %s", got, want)
+				}
+			})
 		}
 	}
 }
