@@ -10,16 +10,42 @@ import (
 	"github.com/signguard/signguard/internal/tensor"
 )
 
-// BatchInput converts a slice of examples into the model-facing batch
-// representation (dense matrix or token sequences) plus the label vector.
-func BatchInput(ds *data.Dataset, batch []data.Example) (nn.Input, []int, error) {
-	if len(batch) == 0 {
+// assembler is the one way fl turns examples into a model input: the
+// dense feature matrix or token row index, plus the label vector, built in
+// buffers it reuses from call to call. Each worker's tiles, the
+// Simulation's evaluations and BatchInput (on a fresh assembler) run
+// through it. The input it returns is valid until its next assemble.
+type assembler struct {
+	labels []int
+	tokens [][]int
+	dense  tensor.Matrix
+}
+
+// assemble builds the input whose row i is examples[idx[i]], or
+// examples[i] when idx is nil — gathering by index, so a sampled
+// evaluation copies no example.
+func (a *assembler) assemble(ds *data.Dataset, examples []data.Example, idx []int) (nn.Input, []int, error) {
+	n := rowCount(examples, idx)
+	if n == 0 {
 		return nn.Input{}, nil, errors.New("fl: empty batch")
 	}
-	labels := make([]int, len(batch))
+	row := func(i int) *data.Example {
+		if idx != nil {
+			return &examples[idx[i]]
+		}
+		return &examples[i]
+	}
+	if cap(a.labels) < n {
+		a.labels = make([]int, n)
+	}
+	labels := a.labels[:n]
 	if ds.IsText() {
-		tokens := make([][]int, len(batch))
-		for i, e := range batch {
+		if cap(a.tokens) < n {
+			a.tokens = make([][]int, n)
+		}
+		tokens := a.tokens[:n]
+		for i := range tokens {
+			e := row(i)
 			if e.Tokens == nil {
 				return nn.Input{}, nil, fmt.Errorf("fl: example %d has no tokens in text dataset %s", i, ds.Name)
 			}
@@ -29,31 +55,54 @@ func BatchInput(ds *data.Dataset, batch []data.Example) (nn.Input, []int, error)
 		return nn.Input{Tokens: tokens}, labels, nil
 	}
 	d := ds.FeatureDim()
-	m := tensor.NewMatrix(len(batch), d)
-	for i, e := range batch {
+	if cap(a.dense.Data) < n*d {
+		a.dense.Data = make([]float64, n*d)
+	}
+	a.dense.Rows, a.dense.Cols, a.dense.Data = n, d, a.dense.Data[:n*d]
+	for i := range labels {
+		e := row(i)
 		if len(e.Features) != d {
 			return nn.Input{}, nil, fmt.Errorf("fl: example %d has %d features, want %d", i, len(e.Features), d)
 		}
-		copy(m.Row(i), e.Features)
+		copy(a.dense.Row(i), e.Features)
 		labels[i] = e.Label
 	}
-	return nn.Input{Dense: m}, labels, nil
+	return nn.Input{Dense: &a.dense}, labels, nil
 }
 
-// Evaluate returns the accuracy (in percent) of the model over the given
-// examples, processed in chunks.
-func Evaluate(model nn.Classifier, ds *data.Dataset, examples []data.Example) (float64, error) {
-	if len(examples) == 0 {
-		return 0, errors.New("fl: no evaluation examples")
+// rowCount is how many rows assemble(ds, examples, idx) builds.
+func rowCount(examples []data.Example, idx []int) int {
+	if idx != nil {
+		return len(idx)
 	}
-	const chunk = 256
-	var correct int
-	for lo := 0; lo < len(examples); lo += chunk {
-		hi := lo + chunk
-		if hi > len(examples) {
-			hi = len(examples)
+	return len(examples)
+}
+
+// BatchInput converts a slice of examples into the model-facing batch
+// representation (dense matrix or token sequences) plus the label vector,
+// in buffers of its own.
+func BatchInput(ds *data.Dataset, batch []data.Example) (nn.Input, []int, error) {
+	return new(assembler).assemble(ds, batch, nil)
+}
+
+// evalChunk is how many examples one Predict call of an evaluation carries.
+const evalChunk = 256
+
+// count runs model.Predict over the rows assemble(ds, examples, idx) would
+// build, evalChunk rows at a time, and returns how many (prediction,
+// label) pairs hit accepts.
+func (a *assembler) count(model nn.Classifier, ds *data.Dataset, examples []data.Example, idx []int, hit func(pred, label int) bool) (int, error) {
+	n := rowCount(examples, idx)
+	var hits int
+	for lo := 0; lo < n; lo += evalChunk {
+		hi := min(lo+evalChunk, n)
+		chunk, sub := examples, idx
+		if idx == nil {
+			chunk = examples[lo:hi]
+		} else {
+			sub = idx[lo:hi]
 		}
-		in, labels, err := BatchInput(ds, examples[lo:hi])
+		in, labels, err := a.assemble(ds, chunk, sub)
 		if err != nil {
 			return 0, err
 		}
@@ -62,12 +111,32 @@ func Evaluate(model nn.Classifier, ds *data.Dataset, examples []data.Example) (f
 			return 0, err
 		}
 		for i, p := range preds {
-			if p == labels[i] {
-				correct++
+			if hit(p, labels[i]) {
+				hits++
 			}
 		}
 	}
-	return 100 * float64(correct) / float64(len(examples)), nil
+	return hits, nil
+}
+
+// accuracy returns the accuracy (in percent) of the model over the rows
+// assemble(ds, examples, idx) would build.
+func (a *assembler) accuracy(model nn.Classifier, ds *data.Dataset, examples []data.Example, idx []int) (float64, error) {
+	n := rowCount(examples, idx)
+	if n == 0 {
+		return 0, errors.New("fl: no evaluation examples")
+	}
+	correct, err := a.count(model, ds, examples, idx, func(pred, label int) bool { return pred == label })
+	if err != nil {
+		return 0, err
+	}
+	return 100 * float64(correct) / float64(n), nil
+}
+
+// Evaluate returns the accuracy (in percent) of the model over the given
+// examples, processed in chunks.
+func Evaluate(model nn.Classifier, ds *data.Dataset, examples []data.Example) (float64, error) {
+	return new(assembler).accuracy(model, ds, examples, nil)
 }
 
 // EvaluateASR returns the attack success rate (in percent) of a backdoor
@@ -87,42 +156,24 @@ func EvaluateASR(model nn.Classifier, ds *data.Dataset, examples []data.Example,
 	if len(triggered) == 0 {
 		return 0, fmt.Errorf("fl: no non-target examples to evaluate ASR on (target %d)", target)
 	}
-	const chunk = 256
-	var hits int
-	for lo := 0; lo < len(triggered); lo += chunk {
-		hi := lo + chunk
-		if hi > len(triggered) {
-			hi = len(triggered)
-		}
-		in, _, err := BatchInput(ds, triggered[lo:hi])
-		if err != nil {
-			return 0, err
-		}
-		preds, err := model.Predict(in)
-		if err != nil {
-			return 0, err
-		}
-		for _, p := range preds {
-			if p == target {
-				hits++
-			}
-		}
+	hits, err := new(assembler).count(model, ds, triggered, nil, func(pred, _ int) bool { return pred == target })
+	if err != nil {
+		return 0, err
 	}
 	return 100 * float64(hits) / float64(len(triggered)), nil
 }
 
-// EvaluateSample evaluates on at most limit examples drawn deterministically
-// from the given seed (limit <= 0 evaluates everything). Sub-sampling keeps
-// the dense evaluation grid of the experiment sweeps affordable.
-func EvaluateSample(model nn.Classifier, ds *data.Dataset, examples []data.Example, limit int, seed int64) (float64, error) {
-	if limit <= 0 || limit >= len(examples) {
-		return Evaluate(model, ds, examples)
+// evaluate returns the global model's accuracy (in percent) on at most
+// limit test examples drawn deterministically from seed (limit <= 0
+// evaluates them all). Sub-sampling keeps the dense evaluation grid of the
+// experiment sweeps affordable. The sample is gathered by index through the
+// Simulation's evaluation assembler, so a warm evaluation builds no input
+// buffer.
+func (s *Simulation) evaluate(limit int, seed int64) (float64, error) {
+	test := s.cfg.Dataset.Test
+	var idx []int
+	if limit > 0 && limit < len(test) {
+		idx = tensor.SampleIndices(tensor.NewRNG(seed), len(test), limit)
 	}
-	rng := tensor.NewRNG(seed)
-	idx := tensor.SampleIndices(rng, len(examples), limit)
-	sub, err := data.Subset(examples, idx)
-	if err != nil {
-		return 0, err
-	}
-	return Evaluate(model, ds, sub)
+	return s.eval.accuracy(s.model, s.cfg.Dataset, test, idx)
 }

@@ -173,9 +173,11 @@ type Simulation struct {
 	workers  int
 	// replicas are the per-worker model copies of the parallel gradient
 	// path; replicas[0] is the main model. scratch[w] is worker w's reusable
-	// local-compute buffers (see ReplicaCompute).
+	// local-compute buffers (see ReplicaCompute). eval is the evaluations'
+	// input assembler.
 	replicas []nn.Classifier
 	scratch  []*workerScratch
+	eval     assembler
 
 	// The round arenas, grown in the first Step and reused by every later
 	// one: localGrads backs the cohort's local gradients (participant i at
@@ -189,11 +191,12 @@ type Simulation struct {
 
 	// Server learning (FLTrust-style rules): the defense aggregates against
 	// a reference gradient the server computes each round on its own root
-	// dataset. Both fields are nil unless the rule implements
-	// aggregate.ServerLearner, so classic runs pay nothing and draw no
-	// extra randomness.
+	// dataset, into rootGrad (see rootGradient). The fields are nil unless
+	// the rule implements aggregate.ServerLearner, so classic runs pay
+	// nothing and draw no extra randomness.
 	learner    aggregate.ServerLearner
 	rootClient *Client
+	rootGrad   []float64
 
 	// Adaptive-adversary feedback, recorded only when the adversary
 	// declares NeedsHistory (static attacks pay nothing).
@@ -380,7 +383,26 @@ func (s *Simulation) provisionServerLearner() error {
 	s.learner = learner
 	// ID -1: the root client is server-side and never participates.
 	s.rootClient = &Client{ID: -1, Sampler: sampler}
+	s.rootGrad = make([]float64, len(s.global))
 	return nil
+}
+
+// rootGradient computes the server-learning reference gradient at the
+// current global parameters: the root client's minibatch as a one-client
+// tile of the local engine, on worker 0's replica (the main model, which
+// the local stage leaves positioned at the global vector) and scratch. It
+// lands in rootGrad, never in the gradient arena, which the round's
+// submitted gradients still alias. The root client's sampler is its own
+// stream, so the result is the same for any worker count and perturbs no
+// client's draws.
+func (s *Simulation) rootGradient() ([]float64, error) {
+	env := s.localEnv(0)
+	env.Workers, env.grads = 1, s.rootGrad
+	outs, err := ReplicaCompute{}.Compute(env, []*Client{s.rootClient})
+	if err != nil {
+		return nil, err
+	}
+	return outs[0].Grad, outs[0].Err
 }
 
 // Model returns the global model (parameters reflect the latest round).
@@ -560,20 +582,17 @@ func (s *Simulation) Step(round int) (*RoundMetrics, error) {
 		return nil, err
 	}
 
-	// Server-learning reference gradient (FLTrust-style rules): computed on
-	// the server's root dataset at the current global parameters. The local
-	// compute stages leave s.model positioned at the global vector, and
-	// localGradient zeroes the gradient buffers itself, so this read is
-	// byte-identical for any worker count and perturbs no client stream.
+	// Server-learning reference gradient (FLTrust-style rules), computed on
+	// the server's root dataset (see rootGradient).
 	if s.rootClient != nil {
-		out := localGradient(&LocalEnv{Dataset: s.cfg.Dataset, BatchSize: s.cfg.BatchSize}, s.model, s.rootClient)
-		if out.Err != nil {
-			return nil, fmt.Errorf("fl: server root gradient: %w", out.Err)
+		g, err := s.rootGradient()
+		if err != nil {
+			return nil, fmt.Errorf("fl: server root gradient: %w", err)
 		}
-		if !gradientHealthy(out.Grad) {
+		if !gradientHealthy(g) {
 			return nil, fmt.Errorf("%w: unusable server root gradient in round %d", ErrDiverged, round)
 		}
-		s.learner.SetServerGradient(out.Grad)
+		s.learner.SetServerGradient(g)
 	}
 
 	// Stages 5 and 6: defense, then the server update. The round's buffer
@@ -728,7 +747,7 @@ func (s *Simulation) Run() (*RunResult, error) {
 			if err := s.model.SetParamVector(s.global); err != nil {
 				return nil, err
 			}
-			acc, err := EvaluateSample(s.model, s.cfg.Dataset, s.cfg.Dataset.Test, s.cfg.EvalSamples, s.cfg.Seed+int64(t))
+			acc, err := s.evaluate(s.cfg.EvalSamples, s.cfg.Seed+int64(t))
 			if err != nil {
 				return nil, err
 			}

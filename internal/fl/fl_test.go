@@ -290,39 +290,112 @@ func TestBatchInputText(t *testing.T) {
 	}
 }
 
-func TestEvaluateSample(t *testing.T) {
-	ds := tinyDataset(t)
-	model, err := tinyModel(tensor.NewRNG(1))
+// evaluateOracle is the sampled evaluation as a standalone loop: the
+// sampled test examples copied out with data.Subset, then per 256-example
+// chunk a fresh BatchInput and Predict.
+func evaluateOracle(t *testing.T, model nn.Classifier, ds *data.Dataset, limit int, seed int64) float64 {
+	t.Helper()
+	examples := ds.Test
+	if limit > 0 && limit < len(examples) {
+		var err error
+		idx := tensor.SampleIndices(tensor.NewRNG(seed), len(examples), limit)
+		if examples, err = data.Subset(examples, idx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var correct int
+	for lo := 0; lo < len(examples); lo += 256 {
+		in, labels, err := BatchInput(ds, examples[lo:min(lo+256, len(examples))])
+		if err != nil {
+			t.Fatal(err)
+		}
+		preds, err := model.Predict(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range preds {
+			if p == labels[i] {
+				correct++
+			}
+		}
+	}
+	return 100 * float64(correct) / float64(len(examples))
+}
+
+// TestSimulationEvaluateMatchesOracle: the Simulation's evaluation, which
+// gathers its sample by index through its own assembler, returns the
+// oracle's accuracy bit for bit, for the image and the text model, over
+// test sets of more than one chunk, with the sample smaller than the test
+// set, as large or larger, and off (limit 0). A warm evaluation reuses the
+// assembler's feature matrix and makes the 5 allocations measured when it
+// began to: the sample's RNG (2) and permutation, and Predict's class slice
+// for each of the two chunks.
+func TestSimulationEvaluateMatchesOracle(t *testing.T) {
+	image, err := data.GenerateSynthImage(data.SynthImageConfig{
+		Name: "tiny", Classes: 4, C: 1, H: 4, W: 4, Train: 400, Test: 300,
+		Margin: 4, NoiseStd: 0.4, SmoothPass: 1, Seed: 11,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := Evaluate(model, ds, ds.Test)
+	text, err := data.AGNewsLike(3, 300, 300)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if full < 0 || full > 100 {
-		t.Errorf("accuracy %v out of range", full)
-	}
-	sub, err := EvaluateSample(model, ds, ds.Test, 30, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sub < 0 || sub > 100 {
-		t.Errorf("sampled accuracy %v out of range", sub)
-	}
-	all, err := EvaluateSample(model, ds, ds.Test, 0, 7)
-	if err != nil || all != full {
-		t.Errorf("limit=0 should evaluate everything: %v vs %v (%v)", all, full, err)
+	for _, c := range []struct {
+		name     string
+		ds       *data.Dataset
+		newModel func(*rand.Rand) (nn.Classifier, error)
+		allocs   float64
+	}{
+		{"image", image, tinyModel, 5},
+		{"text", text, func(rng *rand.Rand) (nn.Classifier, error) { return nn.NewTextRNN(rng, 128, 8, 12, 4), nil }, 5},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := baseConfig(c.ds)
+			cfg.NewModel = c.newModel
+			cfg.Rounds = 3
+			sim, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sim.Run(); err != nil {
+				t.Fatal(err)
+			}
+			n := len(c.ds.Test)
+			for _, limit := range []int{0, 30, n - 10, n, n + 5} {
+				for _, seed := range []int64{7, 8} {
+					got, err := sim.evaluate(limit, seed)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := evaluateOracle(t, sim.Model(), c.ds, limit, seed); math.Float64bits(got) != math.Float64bits(want) {
+						t.Errorf("limit %d seed %d: accuracy %v, oracle %v", limit, seed, got, want)
+					}
+				}
+			}
+
+			matrix := sim.eval.dense.Data
+			warm := testing.AllocsPerRun(20, func() {
+				if _, err := sim.evaluate(n-10, 7); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if !c.ds.IsText() && &sim.eval.dense.Data[0] != &matrix[0] {
+				t.Error("a warm evaluation built a new feature matrix")
+			}
+			if warm > c.allocs {
+				t.Errorf("a warm evaluation makes %.0f allocations, want <= %.0f", warm, c.allocs)
+			}
+		})
 	}
 }
 
 // TestEvaluateReusesModelBuffers: a warmed model's second Evaluate over the
 // same chunk allocates no layer buffer, for the image CNN and for the text
-// RNN. want is the count measured when evaluation began sharing the
-// training pass's buffers: the chunk's input batch (BatchInput) and
-// Predict's class slice — 4 allocations for the CNN, 3 for the RNN — plus
-// the matrix headers and closure each tensor kernel call allocates: 6 for
-// the CNN's three Linear layers, 62 over the RNN's 12 time steps. A first
+// RNN. want is the count measured once the tensor kernels stopped
+// allocating a closure per call: Evaluate's assembler, its label slice and
+// feature matrix or token index, and Predict's class slice. A first
 // Evaluate on a freshly built model shows what the layer buffers cost.
 func TestEvaluateReusesModelBuffers(t *testing.T) {
 	image := tinyDataset(t)
@@ -336,8 +409,8 @@ func TestEvaluateReusesModelBuffers(t *testing.T) {
 		build func() (nn.Classifier, error)
 		want  float64
 	}{
-		{"image-cnn", image, func() (nn.Classifier, error) { return nn.NewImageCNN(tensor.NewRNG(1), 1, 4, 4, 3, 8, 4) }, 10},
-		{"text-rnn", text, func() (nn.Classifier, error) { return nn.NewTextRNN(tensor.NewRNG(1), 128, 16, 24, 4), nil }, 65},
+		{"image-cnn", image, func() (nn.Classifier, error) { return nn.NewImageCNN(tensor.NewRNG(1), 1, 4, 4, 3, 8, 4) }, 4},
+		{"text-rnn", text, func() (nn.Classifier, error) { return nn.NewTextRNN(tensor.NewRNG(1), 128, 16, 24, 4), nil }, 4},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			evaluate := func(m nn.Classifier) {

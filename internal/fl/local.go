@@ -1,13 +1,11 @@
 package fl
 
 import (
-	"errors"
 	"fmt"
 
 	"github.com/signguard/signguard/internal/data"
 	"github.com/signguard/signguard/internal/nn"
 	"github.com/signguard/signguard/internal/parallel"
-	"github.com/signguard/signguard/internal/tensor"
 )
 
 // ReplicaCompute is the local stage — the one engine: participants are
@@ -15,10 +13,11 @@ import (
 // trains its whole client range in cache-bounded stacked tiles. Instead of
 // one forward/backward pass per client, a tile stacks the minibatches of as
 // many clients as fit in batchTileRows into one matrix, runs a single
-// forward/backward per layer (nn.BatchClassifier), and de-interleaves the
-// per-client gradients from the batch dimension. Both model families batch
-// (FeedForward image stacks and the text RNN); a model without the batch
-// method runs the per-client loop instead (perClient).
+// forward/backward per layer (nn.Classifier.BatchedLossAndGrad), and
+// de-interleaves the per-client gradients from the batch dimension. Both
+// model families batch (FeedForward image stacks and the text RNN). The
+// server's FLTrust root gradient is the same pass over a one-client tile
+// (Simulation.rootGradient).
 //
 // Exactness contract: every client draws from its own sampler stream,
 // segments are processed in participant order, and the segmented kernels
@@ -36,9 +35,9 @@ import (
 // scratch are shared across goroutines, each tile writes only its own
 // clients' stretch of the gradient arena, and reuse cannot change results
 // because every buffer is either fully overwritten or explicitly zeroed
-// before use (see nn.BatchClassifier). The returned gradients alias the
-// arena: they are valid until the next Compute on the same env's arena —
-// the Simulation's next round.
+// before use (see nn.Classifier.BatchedLossAndGrad). The returned gradients
+// alias the arena: they are valid until the next Compute on the same env's
+// arena — the Simulation's next round.
 type ReplicaCompute struct{}
 
 // Name implements LocalCompute.
@@ -47,14 +46,9 @@ func (ReplicaCompute) Name() string { return "replica-sgd" }
 // Compute implements LocalCompute.
 func (ReplicaCompute) Compute(env *LocalEnv, participants []*Client) ([]ClientGrad, error) {
 	return overReplicas(env, participants, func(w int, m nn.Classifier, outs []ClientGrad, start, end int) {
-		bm, ok := m.(nn.BatchClassifier)
-		if !ok {
-			perClient(env, m, participants, outs, start, end)
-			return
-		}
 		sc := env.workerScratch(w)
 		for tile := start; tile < end; {
-			next := sc.computeTile(env, bm, participants, outs, tile, end)
+			next := sc.computeTile(env, m, participants, outs, tile, end)
 			if next <= tile { // a failed tile reports through outs; stop the range
 				return
 			}
@@ -88,42 +82,13 @@ func overReplicas(env *LocalEnv, participants []*Client, train func(w int, m nn.
 	return outs
 }
 
-// perClient trains participants [start,end) one forward/backward pass per
-// client: the path of models without a batch method, drawing the same
-// batches from the same sampler streams as the tiles would.
-func perClient(env *LocalEnv, m nn.Classifier, participants []*Client, outs []ClientGrad, start, end int) {
-	for i := start; i < end; i++ {
-		outs[i] = localGradient(env, m, participants[i])
-	}
-}
-
-// localGradient computes one client's honest stochastic gradient at the
-// current global parameters, on the given model replica. It serves the
-// per-client loop and the server's root-dataset reference gradient
-// (server-learning rules).
-func localGradient(env *LocalEnv, m nn.Classifier, c *Client) ClientGrad {
-	batch := c.Sampler.Batch(env.BatchSize)
-	in, labels, err := BatchInput(env.Dataset, batch)
-	if err != nil {
-		return ClientGrad{Err: err}
-	}
-	m.ZeroGrad()
-	loss, _, err := m.LossAndGrad(in, labels)
-	if err != nil {
-		return ClientGrad{Err: fmt.Errorf("fl: client %d gradient: %w", c.ID, err)}
-	}
-	return ClientGrad{Grad: m.GradVector(), Loss: loss}
-}
-
-// workerScratch is one worker's reusable tile input assembly: stacked
-// examples, segmentation, labels and the dense feature matrix or token row
-// index.
+// workerScratch is one worker's reusable tile input: the stacked examples,
+// their segmentation, and the assembler that turns them into the model
+// input.
 type workerScratch struct {
 	batches []data.Example
 	bounds  []int
-	labels  []int
-	tokens  [][]int
-	dense   tensor.Matrix
+	assembler
 }
 
 // workerScratch returns worker w's scratch. A hand-built env with no engine
@@ -147,7 +112,7 @@ const batchTileRows = 1024
 // computeTile stacks the minibatches of as many clients from [start,end)
 // as fit in batchTileRows (at least one), trains them in one pass, and
 // returns the index after the last client it consumed.
-func (sc *workerScratch) computeTile(env *LocalEnv, bm nn.BatchClassifier, participants []*Client, outs []ClientGrad, start, end int) int {
+func (sc *workerScratch) computeTile(env *LocalEnv, m nn.Classifier, participants []*Client, outs []ClientGrad, start, end int) int {
 	// Draw minibatches in participant order (each from its own sampler
 	// stream) until the tile is full, recording the row segmentation. Tail
 	// batches at an epoch boundary may be smaller than BatchSize, so
@@ -167,12 +132,12 @@ func (sc *workerScratch) computeTile(env *LocalEnv, bm nn.BatchClassifier, parti
 			outs[i] = ClientGrad{Err: err}
 		}
 	}
-	in, labels, err := sc.tileInput(env.Dataset)
+	in, labels, err := sc.assemble(env.Dataset, sc.batches, nil)
 	if err != nil {
 		fail(err)
 		return start
 	}
-	segs, err := bm.BatchedLossAndGrad(in, labels, sc.bounds, env.gradDst(start, last))
+	segs, err := m.BatchedLossAndGrad(in, labels, sc.bounds, env.gradDst(start, last))
 	if err != nil {
 		fail(fmt.Errorf("fl: batched gradients for clients %d..%d: %w",
 			participants[start].ID, participants[last-1].ID, err))
@@ -193,48 +158,4 @@ func (env *LocalEnv) gradDst(start, end int) []float64 {
 	}
 	d := len(env.Global)
 	return env.grads[start*d : end*d : end*d]
-}
-
-// tileInput assembles sc.batches into a model input, mirroring BatchInput
-// but through the scratch buffers: the label slice, token row index and
-// dense feature backing are all reused across tiles. None of them escape
-// the local stage — the nn kernels read the input and write gradients into
-// the tile's stretch of the gradient arena (gradDst).
-func (sc *workerScratch) tileInput(ds *data.Dataset) (nn.Input, []int, error) {
-	batch := sc.batches
-	if len(batch) == 0 {
-		return nn.Input{}, nil, errors.New("fl: empty batch")
-	}
-	if cap(sc.labels) < len(batch) {
-		sc.labels = make([]int, len(batch))
-	}
-	labels := sc.labels[:len(batch)]
-	if ds.IsText() {
-		if cap(sc.tokens) < len(batch) {
-			sc.tokens = make([][]int, len(batch))
-		}
-		tokens := sc.tokens[:len(batch)]
-		for i, e := range batch {
-			if e.Tokens == nil {
-				return nn.Input{}, nil, fmt.Errorf("fl: example %d has no tokens in text dataset %s", i, ds.Name)
-			}
-			tokens[i] = e.Tokens
-			labels[i] = e.Label
-		}
-		return nn.Input{Tokens: tokens}, labels, nil
-	}
-	d := ds.FeatureDim()
-	if need := len(batch) * d; cap(sc.dense.Data) < need {
-		sc.dense.Data = make([]float64, need)
-	}
-	sc.dense.Rows, sc.dense.Cols = len(batch), d
-	sc.dense.Data = sc.dense.Data[:len(batch)*d]
-	for i, e := range batch {
-		if len(e.Features) != d {
-			return nn.Input{}, nil, fmt.Errorf("fl: example %d has %d features, want %d", i, len(e.Features), d)
-		}
-		copy(sc.dense.Row(i), e.Features)
-		labels[i] = e.Label
-	}
-	return nn.Input{Dense: &sc.dense}, labels, nil
 }

@@ -1,6 +1,7 @@
 package fl
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -11,10 +12,10 @@ import (
 	"github.com/signguard/signguard/internal/nn"
 )
 
-// perClientCompute is the reference local stage the equivalence tests
-// compare the engine against: the same partition over the worker replicas,
-// but one forward/backward pass per client (the engine's own fallback loop)
-// whatever the model supports.
+// perClientCompute is the per-client oracle the equivalence tests compare
+// the engine against: the same partition over the worker replicas, but one
+// standalone forward/backward pass per client (perClient) instead of
+// stacked tiles.
 type perClientCompute struct{}
 
 func (perClientCompute) Name() string { return "per-client-sgd" }
@@ -25,19 +26,43 @@ func (perClientCompute) Compute(env *LocalEnv, participants []*Client) ([]Client
 	}), nil
 }
 
+// perClient trains participants [start,end) one forward/backward pass per
+// client, drawing the same batches from the same sampler streams as the
+// tiles would.
+func perClient(env *LocalEnv, m nn.Classifier, participants []*Client, outs []ClientGrad, start, end int) {
+	for i := start; i < end; i++ {
+		outs[i] = localGradient(env, m, participants[i])
+	}
+}
+
+// localGradient computes one client's honest stochastic gradient at the
+// current global parameters, on the given model replica: ZeroGrad,
+// LossAndGrad over a fresh BatchInput, GradVector.
+func localGradient(env *LocalEnv, m nn.Classifier, c *Client) ClientGrad {
+	batch := c.Sampler.Batch(env.BatchSize)
+	in, labels, err := BatchInput(env.Dataset, batch)
+	if err != nil {
+		return ClientGrad{Err: err}
+	}
+	m.ZeroGrad()
+	loss, _, err := m.LossAndGrad(in, labels)
+	if err != nil {
+		return ClientGrad{Err: fmt.Errorf("fl: client %d gradient: %w", c.ID, err)}
+	}
+	return ClientGrad{Grad: m.GradVector(), Loss: loss}
+}
+
 // digestPair runs the same configuration through the per-client reference
 // stage (via Pipeline.Local) and the default stage and returns both trace
 // digests; every test here asserts byte-identity through them. build must
 // return a fresh Config per call — stateful defenses (SignGuard's
 // previous-aggregate reference) would otherwise leak state from one run
 // into the other.
-func digestPair(t *testing.T, build func() Config) (perClient, batched string) {
+func digestPair(t *testing.T, build func() Config) (oracle, batched string) {
 	t.Helper()
 	cfg := build()
 	cfg.Pipeline.Local = perClientCompute{}
-	perClient = traceDigest(t, cfg)
-	batched = traceDigest(t, build())
-	return perClient, batched
+	return traceDigest(t, cfg), traceDigest(t, build())
 }
 
 // TestBatchedUnequalMinibatches: BatchSize 7 over 40-example client
@@ -280,30 +305,6 @@ func TestReplicaComputeByValueUsesEngineScratch(t *testing.T) {
 	})
 	if cold <= warm {
 		t.Errorf("scratch-less env allocates %.0f per round vs %.0f warm; the ceiling proves nothing", cold, warm)
-	}
-}
-
-// unbatchable hides the model's batch method: only the nn.Classifier
-// methods are promoted through the embedded interface.
-type unbatchable struct{ nn.Classifier }
-
-// TestUnbatchableModelFallsBack: a model without BatchedLossAndGrad runs
-// the per-client loop inside the default stage and reproduces the batchable
-// model's pinned digest.
-func TestUnbatchableModelFallsBack(t *testing.T) {
-	if _, ok := nn.Classifier(unbatchable{}).(nn.BatchClassifier); ok {
-		t.Fatal("wrapper still exposes the batch method")
-	}
-	for _, workers := range []int{1, 3} {
-		cfg := goldenScenario(t, "SignGuard/LIE")
-		cfg.Workers = workers
-		cfg.NewModel = func(rng *rand.Rand) (nn.Classifier, error) {
-			m, err := tinyModel(rng)
-			return unbatchable{m}, err
-		}
-		if got, want := traceDigest(t, cfg), goldenTraces["SignGuard/LIE"]; got != want {
-			t.Errorf("workers=%d: fallback trace digest %s, want %s", workers, got, want)
-		}
 	}
 }
 

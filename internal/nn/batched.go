@@ -42,26 +42,6 @@ type SegmentGrad struct {
 	Grad []float64
 }
 
-// BatchClassifier is implemented by models that can compute per-client
-// gradients from one stacked batch. bounds holds len(segments)+1 ascending
-// row offsets (bounds[0] = 0, bounds[len-1] = batch rows); segment s spans
-// rows [bounds[s], bounds[s+1]) and every segment must be non-empty. The
-// result is byte-identical to calling LossAndGrad per segment, and does not
-// touch the model's own accumulated gradients (ZeroGrad / GradVector state
-// is unaffected).
-//
-// Every activation, im2col and delta buffer of the pass is the model's
-// own. The per-segment gradients land in dst: the caller's backing of
-// exactly segments × NumParams() values, segment s at dst[s*NumParams():],
-// cleared by the pass before it accumulates, so dst may hold anything on
-// entry. The returned Grad slices alias dst and are valid until the caller
-// reuses it. A nil dst allocates a fresh backing — the same bits either
-// way.
-type BatchClassifier interface {
-	Classifier
-	BatchedLossAndGrad(in Input, labels []int, bounds []int, dst []float64) ([]SegmentGrad, error)
-}
-
 // segmentBacking returns the flat backing of segs per-segment gradients of
 // total values each: dst cleared to the +0.0 a fresh vector starts from
 // (the segmented kernels accumulate into it), or a fresh vector when dst is
@@ -109,9 +89,7 @@ func validateBounds(bounds []int, rows int) error {
 	return nil
 }
 
-var _ BatchClassifier = (*FeedForward)(nil)
-
-// BatchedLossAndGrad implements BatchClassifier: one forward and one
+// BatchedLossAndGrad implements Classifier: one forward and one
 // backward pass per layer over the stacked batch, de-interleaving
 // per-segment losses, prediction counts and flat parameter gradients.
 func (ff *FeedForward) BatchedLossAndGrad(in Input, labels []int, bounds []int, dst []float64) ([]SegmentGrad, error) {

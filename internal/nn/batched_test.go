@@ -115,7 +115,7 @@ func TestBatchedLossAndGradDirtyDst(t *testing.T) {
 	}
 	cases := []struct {
 		name   string
-		m      BatchClassifier
+		m      Classifier
 		in     Input
 		labels []int
 		bounds []int

@@ -7,6 +7,11 @@
 // softmax cross-entropy loss, and flat parameter/gradient vector views —
 // the representation the attacks and robust aggregation rules operate on.
 //
+// Every model is a Classifier, and every Classifier trains batched: one
+// forward/backward pass over many clients' stacked minibatches returns each
+// client's gradient (BatchedLossAndGrad, batched.go), bit for bit the
+// gradient a standalone LossAndGrad over that client's rows accumulates.
+//
 // Every layer and model owns the scratch of its own pass (scratch.go), and
 // two rules follow. A model is used by one goroutine at a time, which each
 // layer's saved forward input already requires. A matrix a pass returns —
@@ -59,7 +64,9 @@ type Input struct {
 }
 
 // Classifier is the model abstraction the federated-learning engine trains:
-// any multi-class model exposing flat parameter and gradient vectors.
+// any multi-class model exposing flat parameter and gradient vectors and
+// per-client gradients from one stacked batch (batched.go). Both model
+// families implement it: FeedForward (the image CNNs and MLPs) and TextRNN.
 type Classifier interface {
 	// NumParams returns the total number of trainable scalars.
 	NumParams() int
@@ -75,6 +82,20 @@ type Classifier interface {
 	// accumulating gradients. It returns the mean loss and the number of
 	// correctly classified samples.
 	LossAndGrad(in Input, labels []int) (loss float64, correct int, err error)
+	// BatchedLossAndGrad computes per-client gradients from one stacked
+	// batch. bounds holds len(segments)+1 ascending row offsets (bounds[0]
+	// = 0, bounds[len-1] = batch rows); segment s spans rows [bounds[s],
+	// bounds[s+1]) and every segment must be non-empty. The result is
+	// byte-identical to ZeroGrad, LossAndGrad and GradVector per segment,
+	// and does not touch the model's own accumulated gradients.
+	//
+	// The per-segment gradients land in dst: the caller's backing of
+	// exactly segments × NumParams() values, segment s at
+	// dst[s*NumParams():], cleared by the pass before it accumulates, so
+	// dst may hold anything on entry. The returned Grad slices alias dst
+	// and are valid until the caller reuses it. A nil dst allocates a fresh
+	// backing — the same bits either way.
+	BatchedLossAndGrad(in Input, labels []int, bounds []int, dst []float64) ([]SegmentGrad, error)
 	// Predict returns the argmax class for each sample.
 	Predict(in Input) ([]int, error)
 }

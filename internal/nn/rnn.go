@@ -49,7 +49,6 @@ type TextRNN struct {
 }
 
 var _ Classifier = (*TextRNN)(nil)
-var _ BatchClassifier = (*TextRNN)(nil)
 
 // NewTextRNN builds a TextRNN with Xavier-uniform initialization.
 func NewTextRNN(rng *rand.Rand, vocab, embed, hidden, classes int) *TextRNN {
@@ -341,7 +340,7 @@ func (m *TextRNN) LossAndGrad(in Input, labels []int) (float64, int, error) {
 	return losses[0], correct[0], nil
 }
 
-// BatchedLossAndGrad implements BatchClassifier for the text model: one
+// BatchedLossAndGrad implements Classifier for the text model: one
 // time-major pass over the stacked tile with per-segment gradient
 // de-interleaving.
 func (m *TextRNN) BatchedLossAndGrad(in Input, labels []int, bounds []int, dst []float64) ([]SegmentGrad, error) {

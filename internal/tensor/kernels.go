@@ -1,16 +1,13 @@
 package tensor
 
-import (
-	"fmt"
-
-	"github.com/signguard/signguard/internal/parallel"
-)
+import "fmt"
 
 // This file holds the dense matmul kernels of the batched local-compute
 // path (internal/nn's BatchedLossAndGrad): blocked and strided variants of
 // the three products a dense layer needs — x·Wᵀ for the forward pass,
-// g·W for the input gradient and gᵀ·x for the weight gradient — plus
-// row-partitioned *Workers forms following the PR 2 parallel helpers.
+// g·W for the input gradient and gᵀ·x for the weight gradient. Each runs
+// on the caller's goroutine: the engine parallelizes over model replicas,
+// not inside one product.
 //
 // Every kernel keeps each output element's floating-point accumulation in
 // the same ascending-index order as the naive sequential loop, so the
@@ -27,20 +24,11 @@ const kernelBlockJ = 256
 // ascending order — the association of a sequential dot product — so the
 // result is byte-identical to the naive loop.
 func MulABTInto(dst, a, b *Matrix) error {
-	return MulABTWorkersInto(dst, a, b, 1)
-}
-
-// MulABTWorkersInto is MulABTInto with dst's rows split across workers.
-// Every dst row is owned by exactly one worker, so the result is
-// byte-identical for any worker count.
-func MulABTWorkersInto(dst, a, b *Matrix, workers int) error {
 	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows {
 		return fmt.Errorf("%w: MulABTInto(%dx%d, %dx%d, %dx%d)",
 			ErrDimensionMismatch, dst.Rows, dst.Cols, a.Rows, a.Cols, b.Rows, b.Cols)
 	}
-	parallel.For(workers, a.Rows, func(_, start, end int) {
-		mulABTRange(dst, a, b, start, end)
-	})
+	mulABTRange(dst, a, b, 0, a.Rows)
 	return nil
 }
 
