@@ -13,7 +13,7 @@ import (
 // assembler is the one way fl turns examples into a model input: the
 // dense feature matrix or token row index, plus the label vector, built in
 // buffers it reuses from call to call. Each worker's tiles, the
-// Simulation's evaluations and BatchInput (on a fresh assembler) run
+// Simulation's evaluations (on worker 0's) and BatchInput (on a fresh assembler) run
 // through it. The input it returns is valid until its next assemble.
 type assembler struct {
 	labels []int
@@ -166,14 +166,14 @@ func EvaluateASR(model nn.Classifier, ds *data.Dataset, examples []data.Example,
 // evaluate returns the global model's accuracy (in percent) on at most
 // limit test examples drawn deterministically from seed (limit <= 0
 // evaluates them all). Sub-sampling keeps the dense evaluation grid of the
-// experiment sweeps affordable. The sample is gathered by index through the
-// Simulation's evaluation assembler, so a warm evaluation builds no input
-// buffer.
+// experiment sweeps affordable. The sample is gathered by index through
+// worker 0's assembler, idle between rounds, so a warm evaluation builds no
+// input buffer.
 func (s *Simulation) evaluate(limit int, seed int64) (float64, error) {
 	test := s.cfg.Dataset.Test
 	var idx []int
 	if limit > 0 && limit < len(test) {
 		idx = tensor.SampleIndices(tensor.NewRNG(seed), len(test), limit)
 	}
-	return s.eval.accuracy(s.model, s.cfg.Dataset, test, idx)
+	return s.scratch[0].accuracy(s.model, s.cfg.Dataset, test, idx)
 }

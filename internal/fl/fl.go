@@ -173,11 +173,10 @@ type Simulation struct {
 	workers  int
 	// replicas are the per-worker model copies of the parallel gradient
 	// path; replicas[0] is the main model. scratch[w] is worker w's reusable
-	// local-compute buffers (see ReplicaCompute). eval is the evaluations'
-	// input assembler.
+	// local-compute buffers (see ReplicaCompute); between rounds worker 0's
+	// also serves the evaluations (see evaluate).
 	replicas []nn.Classifier
 	scratch  []*workerScratch
-	eval     assembler
 
 	// The round arenas, grown in the first Step and reused by every later
 	// one: localGrads backs the cohort's local gradients (participant i at
@@ -397,7 +396,7 @@ func (s *Simulation) provisionServerLearner() error {
 // client's draws.
 func (s *Simulation) rootGradient() ([]float64, error) {
 	env := s.localEnv(0)
-	env.Workers, env.grads = 1, s.rootGrad
+	env.grads = s.rootGrad
 	outs, err := ReplicaCompute{}.Compute(env, []*Client{s.rootClient})
 	if err != nil {
 		return nil, err

@@ -375,13 +375,13 @@ func TestSimulationEvaluateMatchesOracle(t *testing.T) {
 				}
 			}
 
-			matrix := sim.eval.dense.Data
+			matrix := sim.scratch[0].dense.Data
 			warm := testing.AllocsPerRun(20, func() {
 				if _, err := sim.evaluate(n-10, 7); err != nil {
 					t.Fatal(err)
 				}
 			})
-			if !c.ds.IsText() && &sim.eval.dense.Data[0] != &matrix[0] {
+			if !c.ds.IsText() && &sim.scratch[0].dense.Data[0] != &matrix[0] {
 				t.Error("a warm evaluation built a new feature matrix")
 			}
 			if warm > c.allocs {

@@ -175,6 +175,10 @@ func AGNewsLike(seed int64, train, test int) (*Dataset, error) {
 // vector views over any architecture).
 type Classifier = nn.Classifier
 
+// SegmentGrad is one client's share of Classifier.BatchedLossAndGrad's
+// stacked pass, so a model outside this module can implement Classifier.
+type SegmentGrad = nn.SegmentGrad
+
 // ModelInput is a batch in model-facing form.
 type ModelInput = nn.Input
 

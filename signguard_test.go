@@ -53,6 +53,52 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 }
 
+// outsideModel is a model written against the façade alone: it spells
+// every Classifier method through signguard's own names, and counts the
+// stacked passes the engine runs through it.
+type outsideModel struct {
+	signguard.Classifier
+	passes *int
+}
+
+func (m outsideModel) BatchedLossAndGrad(in signguard.ModelInput, labels, bounds []int, dst []float64) ([]signguard.SegmentGrad, error) {
+	*m.passes++
+	return m.Classifier.BatchedLossAndGrad(in, labels, bounds, dst)
+}
+
+// TestPublicAPIOutsideModel: a model defined outside the module satisfies
+// signguard.Classifier and trains every client through its own method.
+func TestPublicAPIOutsideModel(t *testing.T) {
+	ds, err := signguard.MNISTLike(1, 300, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var passes int
+	sim, err := signguard.NewSimulation(signguard.SimulationConfig{
+		Dataset: ds,
+		NewModel: func(rng *rand.Rand) (signguard.Classifier, error) {
+			m, err := signguard.NewMLP(rng, ds.FeatureDim(), 16, 10)
+			return outsideModel{m, &passes}, err
+		},
+		Rule:      signguard.NewSignGuard(1),
+		Clients:   10,
+		Rounds:    2,
+		BatchSize: 8,
+		LR:        0.05,
+		Seed:      1,
+		Workers:   1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if passes == 0 {
+		t.Error("the engine never called the outside model's BatchedLossAndGrad")
+	}
+}
+
 // TestPublicAPIConstructors: the façade builds every catalog defense and
 // attack by name, refuses an unknown name with the catalog's hint, and
 // keeps the SignGuard family's direct constructors.
