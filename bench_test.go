@@ -19,7 +19,6 @@ import (
 
 	"github.com/signguard/signguard/internal/aggregate"
 	"github.com/signguard/signguard/internal/attack"
-	"github.com/signguard/signguard/internal/campaign"
 	"github.com/signguard/signguard/internal/core"
 	"github.com/signguard/signguard/internal/experiments"
 	"github.com/signguard/signguard/internal/tensor"
@@ -36,22 +35,21 @@ func microParams() experiments.Params {
 
 // benchExperiment regenerates one catalog experiment per iteration on a
 // cache-less parallel engine, logging its tables once (visible with -v).
-// edit, when non-nil, narrows or adjusts the grid at microParams first.
-func benchExperiment(b *testing.B, name string, edit func(campaign.Spec) campaign.Spec) {
+// filter, when non-empty, narrows the grid at microParams to the cells
+// whose ID contains it (whole tables, so they render).
+func benchExperiment(b *testing.B, name, filter string) {
 	x, err := experiments.Experiments().Lookup(name)
 	if err != nil {
 		b.Fatal(err)
 	}
-	spec := x.Spec(microParams())
-	if edit != nil {
-		spec = edit(spec)
-	}
+	p := microParams()
+	spec := x.Spec(p).Filter(filter)
 	for i := 0; i < b.N; i++ {
 		rep, err := experiments.NewEngine(0, nil, nil).Run(context.Background(), spec)
 		if err != nil {
 			b.Fatal(err)
 		}
-		tables, err := x.Render(rep.Results)
+		tables, err := x.Render(p, rep.Results)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -73,43 +71,33 @@ func benchExperiment(b *testing.B, name string, edit func(campaign.Spec) campaig
 func BenchmarkTable1(b *testing.B) {
 	for _, ds := range experiments.Datasets() {
 		b.Run(ds.Key, func(b *testing.B) {
-			benchExperiment(b, "table1", func(s campaign.Spec) campaign.Spec {
-				return s.Filter(ds.Key + "/")
-			})
+			benchExperiment(b, "table1", ds.Key+"/")
 		})
 	}
 }
 
 // BenchmarkTable2SelectionRates regenerates Table II (honest/malicious
 // selection rates of the SignGuard variants).
-func BenchmarkTable2SelectionRates(b *testing.B) { benchExperiment(b, "table2", nil) }
+func BenchmarkTable2SelectionRates(b *testing.B) { benchExperiment(b, "table2", "") }
 
 // BenchmarkTable3Ablation regenerates Table III (component ablation).
-func BenchmarkTable3Ablation(b *testing.B) { benchExperiment(b, "table3", nil) }
+func BenchmarkTable3Ablation(b *testing.B) { benchExperiment(b, "table3", "") }
 
 // BenchmarkFig2SignStatistics regenerates Fig. 2 (sign statistics of the
-// honest vs LIE-crafted gradients over training), sampling every 2 rounds:
-// the catalog's stride (about 30 samples per run) would probe every round
-// of the 20-round micro run.
-func BenchmarkFig2SignStatistics(b *testing.B) {
-	benchExperiment(b, "fig2", func(s campaign.Spec) campaign.Spec {
-		for i := range s.Cells {
-			s.Cells[i].ProbeParam = 2
-		}
-		return s
-	})
-}
+// honest vs LIE-crafted gradients over training). At the catalog's stride
+// (about 30 samples per run) the 20-round micro run probes every round.
+func BenchmarkFig2SignStatistics(b *testing.B) { benchExperiment(b, "fig2", "") }
 
 // BenchmarkFig4ByzantineFraction regenerates Fig. 4 (attack impact vs
 // Byzantine fraction).
-func BenchmarkFig4ByzantineFraction(b *testing.B) { benchExperiment(b, "fig4", nil) }
+func BenchmarkFig4ByzantineFraction(b *testing.B) { benchExperiment(b, "fig4", "") }
 
 // BenchmarkFig5TimeVarying regenerates Fig. 5 (accuracy curves under the
 // time-varying attack).
-func BenchmarkFig5TimeVarying(b *testing.B) { benchExperiment(b, "fig5", nil) }
+func BenchmarkFig5TimeVarying(b *testing.B) { benchExperiment(b, "fig5", "") }
 
 // BenchmarkFig6NonIID regenerates Fig. 6 (non-IID skew sweep).
-func BenchmarkFig6NonIID(b *testing.B) { benchExperiment(b, "fig6", nil) }
+func BenchmarkFig6NonIID(b *testing.B) { benchExperiment(b, "fig6", "") }
 
 // ---- Micro-benchmarks: per-round cost of each aggregation rule ----
 

@@ -264,17 +264,7 @@ func cmdExport(args []string) error {
 // writeResults writes the spec's cached cells, one row per unique cell, in
 // a campaign.WriteExport format. Missing cells are skipped with a warning.
 func writeResults(w io.Writer, format string, spec campaign.Spec, store *campaign.Store) error {
-	var results []*campaign.CellResult
-	var missing int
-	err := forEachUniqueCell(spec, func(_ campaign.Cell, key string) error {
-		res, ok := store.Get(key)
-		if !ok {
-			missing++
-			return nil
-		}
-		results = append(results, res)
-		return nil
-	})
+	results, missing, err := cachedResults(spec, store)
 	if err != nil {
 		return err
 	}
@@ -287,17 +277,45 @@ func writeResults(w io.Writer, format string, spec campaign.Spec, store *campaig
 	return campaign.WriteExport(w, format, results)
 }
 
+// cachedResults returns the store's results for the spec's unique cells,
+// in spec order, and how many of those cells it has none for.
+func cachedResults(spec campaign.Spec, store *campaign.Store) ([]*campaign.CellResult, int, error) {
+	var results []*campaign.CellResult
+	var missing int
+	err := forEachUniqueCell(spec, func(_ campaign.Cell, key string) error {
+		if res, ok := store.Get(key); ok {
+			results = append(results, res)
+		} else {
+			missing++
+		}
+		return nil
+	})
+	return results, missing, err
+}
+
 // writeTables renders, from the store, the tables of every experiment -name
 // selects ("all": the whole catalog, in catalog order) as markdown or TSV.
 // Each experiment's grid is narrowed as run narrows it, so its keys are the
-// ones run stored. Renderers read positionally, so every grid cell gets its
-// stored result in grid order, duplicates included. An experiment the flags
-// leave without cells is skipped; unlike the row formats, a missing cell
-// fails the export.
+// ones run stored, and the experiment renders over those results, looked
+// up by cell key. An experiment the flags leave without cells is skipped,
+// and so is a table; a table the flags select in part fails the export,
+// and unlike the row formats, so does a missing cell. A table shows one
+// seed per cell, so a -seeds list of more than one is refused up front.
 func writeTables(w io.Writer, format string, g *gridFlags, store *campaign.Store) error {
 	p, err := g.params()
 	if err != nil {
 		return err
+	}
+	seeds, err := parseSeeds(g.seeds)
+	if err != nil {
+		return err
+	}
+	switch {
+	case len(seeds) > 1:
+		return fmt.Errorf("-format %s renders one seed per cell, and -seeds %s replicates each cell %d times; export seed replicates with -format group-csv (mean ± 95%% CI per seed group)",
+			format, g.seeds, len(seeds))
+	case len(seeds) == 1:
+		p.Seed = seeds[0]
 	}
 	xs := experiments.Experiments().Values()
 	if g.name != "all" {
@@ -315,24 +333,15 @@ func writeTables(w io.Writer, format string, g *gridFlags, store *campaign.Store
 		if len(spec.Cells) == 0 {
 			continue
 		}
-		results := make([]*campaign.CellResult, len(spec.Cells))
-		var missing int
-		for i, c := range spec.Cells {
-			key, err := c.Key()
-			if err != nil {
-				return err
-			}
-			res, ok := store.Get(key)
-			if !ok {
-				missing++
-			}
-			results[i] = res
+		results, missing, err := cachedResults(spec, store)
+		if err != nil {
+			return err
 		}
 		if missing > 0 {
 			return fmt.Errorf("%s: %d of %d cells not cached in %s — run 'campaign run' with the same flags first",
-				x.Name, missing, len(spec.Cells), store.Dir())
+				x.Name, missing, len(results)+missing, store.Dir())
 		}
-		tables, err := x.Render(results)
+		tables, err := x.Render(p, results)
 		if err != nil {
 			return fmt.Errorf("%s: %w", x.Name, err)
 		}

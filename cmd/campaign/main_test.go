@@ -87,11 +87,12 @@ func TestExportTablesMatchEngineReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := experiments.NewEngine(0, nil, nil).Run(t.Context(), x.Spec(experiments.DefaultParams(experiments.ScaleBench)))
+	p := experiments.DefaultParams(experiments.ScaleBench)
+	rep, err := experiments.NewEngine(0, nil, nil).Run(t.Context(), x.Spec(p))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tables, err := x.Render(rep.Results)
+	tables, err := x.Render(p, rep.Results)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,6 +144,55 @@ func TestExportTablesRefuseMissingCells(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("export with a missing cell: error %v, want it to name %q", err, want)
 		}
+	}
+}
+
+// TestExportTablesNarrowing: a table export renders the tables the flags
+// select whole and no other. -filter mnist/ on Table I renders the MNIST
+// table alone; -filter LIE leaves Table II in part and fails, naming the
+// count; a -seeds list of more than one seed is refused as replication,
+// pointing at the seed-group format. A failed export writes no -out file.
+func TestExportTablesNarrowing(t *testing.T) {
+	dir := t.TempDir()
+	seedStore(t, dir, "table1", 90) // the MNIST block, first in Datasets order
+	seedStore(t, dir, "table2", 15)
+	export := func(out string, args ...string) (string, error) {
+		args = append(args, "-scale", "bench", "-cache-dir", dir, "-out", out)
+		err := dispatch("export", args)
+		got, _ := os.ReadFile(out)
+		return string(got), err
+	}
+
+	md, err := export(filepath.Join(dir, "mnist.md"), "-name", "table1", "-filter", "mnist/", "-format", "md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Count(md, "### ") != 1 || !strings.Contains(md, "### Table I — MNIST-like") {
+		t.Errorf("table1 -filter mnist/ rendered\n%s\nwant the MNIST table alone", md)
+	}
+
+	for _, tc := range []struct {
+		name string
+		args []string
+		want []string
+	}{
+		{"table2 -filter LIE", []string{"-name", "table2", "-filter", "LIE", "-format", "md"},
+			[]string{"table2", "results for 3 of its 15 cells"}},
+		{"-seeds list", []string{"-name", "table2", "-seeds", "1,2,3", "-format", "tsv"},
+			[]string{"-seeds 1,2,3 replicates each cell 3 times", "-format group-csv"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			out := filepath.Join(dir, "refused.md")
+			got, err := export(out, tc.args...)
+			for _, want := range tc.want {
+				if err == nil || !strings.Contains(err.Error(), want) {
+					t.Errorf("error %v, want it to name %q", err, want)
+				}
+			}
+			if got != "" {
+				t.Errorf("a refused export wrote\n%s", got)
+			}
+		})
 	}
 }
 

@@ -13,30 +13,17 @@ var adaptiveRules = []string{"SignGuard", "Multi-Krum", "Mean"}
 // adaptiveAttacks pairs the static Min-Max with its history-aware port.
 var adaptiveAttacks = []string{"Min-Max", "Adaptive-Min-Max"}
 
-// adaptiveSpec declares the adaptive-attack comparison: static Min-Max vs
-// the filtering-feedback-driven Adaptive-Min-Max across defenses.
-func adaptiveSpec(p Params) campaign.Spec {
-	spec := campaign.Spec{Name: "adaptive"}
-	for _, rule := range adaptiveRules {
-		for _, att := range adaptiveAttacks {
-			spec.Cells = append(spec.Cells, campaign.NewCell("mnist", rule, att, p))
-		}
-	}
-	return spec
-}
-
-// renderAdaptive renders the adaptive-attack comparison's best accuracy
-// per defense × attack.
-func renderAdaptive(results []*campaign.CellResult) ([]*Table, error) {
+// adaptive compares static Min-Max with the filtering-feedback-driven
+// Adaptive-Min-Max across defenses: best accuracy per defense × attack.
+func adaptive(p Params, w *walk) {
 	t := &Table{Title: "Adaptive Min-Max — best test accuracy %"}
 	t.Header = append([]string{"Defense"}, adaptiveAttacks...)
-	cur := cursor{results: results}
 	for _, rule := range adaptiveRules {
 		row := []string{rule}
-		for range adaptiveAttacks {
-			row = append(row, fmtAcc(cur.next().BestAccuracy))
+		for _, att := range adaptiveAttacks {
+			row = append(row, fmtAcc(w.cell(campaign.NewCell("mnist", rule, att, p)).BestAccuracy))
 		}
 		t.AddRow(row...)
 	}
-	return cur.tables(t)
+	w.add(t)
 }

@@ -14,7 +14,7 @@ func axesParams() Params {
 // end to end: Adaptive-Min-Max resolves through the registry and trains.
 func TestAdaptiveAttackThroughEngine(t *testing.T) {
 	p := axesParams()
-	spec := adaptiveSpec(p).Filter("SignGuard")
+	spec := gridOf(t, "adaptive", p).Filter("SignGuard")
 	rep, err := NewEngine(0, nil, nil).Run(t.Context(), spec)
 	if err != nil {
 		t.Fatal(err)

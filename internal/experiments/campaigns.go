@@ -122,13 +122,41 @@ func newSignStatsProbe(c campaign.Cell) (*campaign.ProbeInstance, error) {
 }
 
 // Experiment is one entry of the harness: a table or figure of the paper's
-// evaluation, or a post-paper scenario axis. Spec declares its cell grid at
-// the given parameters; Render turns the grid's results, one per cell in
-// spec order, into the tables `campaign export -format md|tsv` prints.
+// evaluation, or a post-paper scenario axis. Its layout, the one
+// declaration of its grid, lays out the tables at the given parameters and
+// names each cell through w.cell where its value goes; it names the same
+// cells in the same order whatever results the walk holds. Spec and Render
+// are two walks of it.
 type Experiment struct {
 	Name   string
-	Spec   func(Params) campaign.Spec
-	Render func([]*campaign.CellResult) ([]*Table, error)
+	layout func(p Params, w *walk)
+}
+
+// Spec is the experiment's cell grid at p: every cell its layout names, in
+// order.
+func (x Experiment) Spec(p Params) campaign.Spec {
+	w := &walk{}
+	x.layout(p, w)
+	return campaign.Spec{Name: x.Name, Cells: w.cells}
+}
+
+// Render lays out the experiment's tables at p over results, each looked up
+// by its cell's key, so their order does not matter. A table none of whose
+// cells is among results is left out; one they fill in part fails the
+// render, as do results that fill no table at all.
+func (x Experiment) Render(p Params, results []*campaign.CellResult) ([]*Table, error) {
+	w := &walk{results: make(map[string]*campaign.CellResult, len(results))}
+	for _, r := range results {
+		w.results[r.Key] = r
+	}
+	x.layout(p, w)
+	if w.err != nil {
+		return nil, w.err
+	}
+	if len(w.tables) == 0 {
+		return nil, fmt.Errorf("experiments: %s: none of the %d results is a cell of its grid", x.Name, len(results))
+	}
+	return w.tables, nil
 }
 
 // Experiments returns the experiment catalog in presentation order: the
@@ -137,16 +165,16 @@ type Experiment struct {
 // and the table export of -name all. Each call returns a fresh copy.
 func Experiments() *catalog.Catalog[Experiment] {
 	return catalog.Must("experiment", func(x Experiment) string { return x.Name }, []Experiment{
-		{"table1", table1Spec, renderTable1},
-		{"table2", table2Spec, renderTable2},
-		{"table3", table3Spec, renderTable3},
-		{"fig2", fig2Spec, renderFig2},
-		{"fig4", fig4Spec, renderFig4},
-		{"fig5", fig5Spec, renderFig5},
-		{"fig6", fig6Spec, renderFig6},
-		{"adaptive", adaptiveSpec, renderAdaptive},
-		{"compression", compressionSpec, renderCompression},
-		{"serverlearn", serverLearnSpec, renderServerLearn},
+		{"table1", table1},
+		{"table2", table2},
+		{"table3", table3},
+		{"fig2", fig2},
+		{"fig4", fig4},
+		{"fig5", fig5},
+		{"fig6", fig6},
+		{"adaptive", adaptive},
+		{"compression", compression},
+		{"serverlearn", serverLearn},
 	}...)
 }
 

@@ -7,6 +7,16 @@ import (
 	"github.com/signguard/signguard/internal/campaign"
 )
 
+// gridOf is catalog entry name's grid at p.
+func gridOf(t testing.TB, name string, p Params) campaign.Spec {
+	t.Helper()
+	x, err := Experiments().Lookup(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return x.Spec(p)
+}
+
 // runExperiment runs catalog entry name's whole grid at p through e and
 // renders it.
 func runExperiment(ctx context.Context, e *campaign.Engine, name string, p Params) ([]*Table, error) {
@@ -18,7 +28,7 @@ func runExperiment(ctx context.Context, e *campaign.Engine, name string, p Param
 	if err != nil {
 		return nil, err
 	}
-	return x.Render(rep.Results)
+	return x.Render(p, rep.Results)
 }
 
 // TestCampaignSpecsResolve expands every named campaign and validates each
@@ -69,7 +79,7 @@ func TestTable2ThroughEngine(t *testing.T) {
 
 	// A second engine over the same store must serve the whole grid from
 	// cache and render the identical table.
-	rep, err := NewEngine(0, store, nil).Run(t.Context(), table2Spec(p))
+	rep, err := NewEngine(0, store, nil).Run(t.Context(), gridOf(t, "table2", p))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,41 +28,26 @@ var compressionRules = []string{"SignGuard", "Multi-Krum", "DnC", "Mean"}
 // compressionAttacks are the adversaries each (defense, codec) pair faces.
 var compressionAttacks = []string{"LIE", "Sign-flip"}
 
-// compressionSpec declares the codec sweep: defense × attack × codec on
-// the MNIST analog. The codec is cell identity, so each wire format
-// caches separately and the grid's exports carry per-cell bytes shipped.
-func compressionSpec(p Params) campaign.Spec {
-	spec := campaign.Spec{Name: "compression"}
-	for _, rule := range compressionRules {
-		for _, att := range compressionAttacks {
-			for _, cdc := range compressionCodecs {
-				c := campaign.NewCell("mnist", rule, att, p)
-				c.Codec = cdc
-				spec.Cells = append(spec.Cells, c)
-			}
-		}
-	}
-	return spec
-}
-
-// renderCompression renders the codec sweep's best accuracy plus total
-// bytes shipped per defense × attack × codec.
-func renderCompression(results []*campaign.CellResult) ([]*Table, error) {
+// compression sweeps defense × attack × codec on the MNIST analog: best
+// accuracy plus total bytes shipped per cell. The codec is cell identity,
+// so each wire format caches separately.
+func compression(p Params, w *walk) {
 	t := &Table{Title: "Gradient compression — best test accuracy % (bytes shipped)"}
 	t.Header = []string{"Defense", "Attack"}
 	t.Header = append(t.Header, compressionCodecs...)
-	cur := cursor{results: results}
 	for _, rule := range compressionRules {
 		for _, att := range compressionAttacks {
 			row := []string{rule, att}
-			for range compressionCodecs {
-				r := cur.next()
+			for _, cdc := range compressionCodecs {
+				c := campaign.NewCell("mnist", rule, att, p)
+				c.Codec = cdc
+				r := w.cell(c)
 				row = append(row, fmt.Sprintf("%s (%s)", fmtAcc(r.BestAccuracy), fmtBytes(r.WireBytes)))
 			}
 			t.AddRow(row...)
 		}
 	}
-	return cur.tables(t)
+	w.add(t)
 }
 
 // fmtBytes renders a byte count at a human scale (KiB/MiB/GiB).

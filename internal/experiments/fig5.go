@@ -23,65 +23,34 @@ func fig5SwitchEvery(p Params) int {
 	return switchEvery
 }
 
-// fig5Spec declares the Fig. 5 grid. Per dataset, the first cell is the
-// clean Mean baseline, followed by one TimeVarying cell per defense.
-func fig5Spec(p Params) campaign.Spec {
-	spec := campaign.Spec{Name: "fig5"}
-	switchEvery := fig5SwitchEvery(p)
+// fig5 reproduces "Fig. 5: defense comparison under time-varying attacks":
+// per dataset, the test-accuracy curves of a clean Mean baseline and of the
+// strong defenses when the attack strategy is re-drawn randomly every
+// switch interval, including no-attack periods.
+func fig5(p Params, w *walk) {
 	for _, key := range fig5Datasets {
 		base := campaign.NewCell(key, "Mean", "NoAttack", p)
 		base.NumByz = 0
-		spec.Cells = append(spec.Cells, base)
+		curves := []*campaign.CellResult{w.cell(base)}
+		t := &Table{Title: fmt.Sprintf("Fig. 5 — test accuracy under time-varying attacks, %s", datasetTitle(key))}
+		t.Header = []string{"Round", "Baseline"}
 		for _, def := range fig5Defenses {
 			c := campaign.NewCell(key, def, "TimeVarying", p)
-			c.AttackParam = float64(switchEvery)
-			spec.Cells = append(spec.Cells, c)
+			c.AttackParam = float64(fig5SwitchEvery(p))
+			curves = append(curves, w.cell(c))
+			t.Header = append(t.Header, def)
 		}
-	}
-	return spec
-}
-
-// renderFig5 reproduces "Fig. 5: defense comparison under time-varying attacks":
-// test-accuracy curves of the strong defenses when the attack strategy is
-// re-drawn randomly every switch interval, including no-attack periods.
-func renderFig5(results []*campaign.CellResult) ([]*Table, error) {
-	cur := cursor{results: results}
-	var tables []*Table
-	for _, key := range fig5Datasets {
-		ds, err := DatasetByKey(key)
-		if err != nil {
-			return nil, err
-		}
-		type curve struct {
-			name   string
-			rounds []int
-			accs   []float64
-		}
-		curves := make([]curve, 0, 1+len(fig5Defenses))
-		base := cur.next()
-		curves = append(curves, curve{name: "Baseline", rounds: base.EvalRounds, accs: base.EvalAccuracies})
-		for _, def := range fig5Defenses {
-			r := cur.next()
-			curves = append(curves, curve{name: def, rounds: r.EvalRounds, accs: r.EvalAccuracies})
-		}
-
-		t := &Table{Title: fmt.Sprintf("Fig. 5 — test accuracy under time-varying attacks, %s", ds.Title)}
-		t.Header = []string{"Round"}
-		for _, c := range curves {
-			t.Header = append(t.Header, c.name)
-		}
-		for i, r := range curves[0].rounds {
+		for i, r := range curves[0].EvalRounds {
 			row := []string{fmt.Sprintf("%d", r)}
 			for _, c := range curves {
-				if i < len(c.accs) {
-					row = append(row, fmtAcc(c.accs[i]))
+				if i < len(c.EvalAccuracies) {
+					row = append(row, fmtAcc(c.EvalAccuracies[i]))
 				} else {
 					row = append(row, "-")
 				}
 			}
 			t.AddRow(row...)
 		}
-		tables = append(tables, t)
+		w.add(t)
 	}
-	return cur.tables(tables...)
 }

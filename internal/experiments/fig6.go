@@ -15,37 +15,13 @@ var (
 	fig6Attacks  = []string{"Sign-flip", "LIE", "ByzMean"}
 )
 
-// fig6Spec declares the Fig. 6 grid over the paper's synthetic non-IID
-// partitions (2 shards per client).
-func fig6Spec(p Params) campaign.Spec {
-	spec := campaign.Spec{Name: "fig6"}
+// fig6 reproduces "Fig. 6: model accuracy comparison under various attacks
+// and different degrees of non-IID": per dataset, the best accuracy of each
+// attack × defense over the paper's synthetic non-IID partitions (2 shards
+// per client) at skew levels s ∈ {0.3, 0.5, 0.8}.
+func fig6(p Params, w *walk) {
 	for _, key := range fig6Datasets {
-		for _, att := range fig6Attacks {
-			for _, def := range fig6Defenses {
-				for _, s := range fig6Skews {
-					c := campaign.NewCell(key, def, att, p)
-					c.NonIIDS = s
-					c.NonIIDShards = 2
-					spec.Cells = append(spec.Cells, c)
-				}
-			}
-		}
-	}
-	return spec
-}
-
-// renderFig6 reproduces "Fig. 6: model accuracy comparison under various attacks
-// and different degrees of non-IID": best accuracy with skew levels
-// s ∈ {0.3, 0.5, 0.8}.
-func renderFig6(results []*campaign.CellResult) ([]*Table, error) {
-	cur := cursor{results: results}
-	var tables []*Table
-	for _, key := range fig6Datasets {
-		ds, err := DatasetByKey(key)
-		if err != nil {
-			return nil, err
-		}
-		t := &Table{Title: fmt.Sprintf("Fig. 6 — non-IID best accuracy (%%), %s", ds.Title)}
+		t := &Table{Title: fmt.Sprintf("Fig. 6 — non-IID best accuracy (%%), %s", datasetTitle(key))}
 		t.Header = []string{"Attack", "Defense"}
 		for _, s := range fig6Skews {
 			t.Header = append(t.Header, fmt.Sprintf("s=%.1f", s))
@@ -53,13 +29,15 @@ func renderFig6(results []*campaign.CellResult) ([]*Table, error) {
 		for _, att := range fig6Attacks {
 			for _, def := range fig6Defenses {
 				row := []string{att, def}
-				for range fig6Skews {
-					row = append(row, fmtAcc(cur.next().BestAccuracy))
+				for _, s := range fig6Skews {
+					c := campaign.NewCell(key, def, att, p)
+					c.NonIIDS = s
+					c.NonIIDShards = 2
+					row = append(row, fmtAcc(w.cell(c).BestAccuracy))
 				}
 				t.AddRow(row...)
 			}
 		}
-		tables = append(tables, t)
+		w.add(t)
 	}
-	return cur.tables(tables...)
 }

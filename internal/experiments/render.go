@@ -9,30 +9,67 @@ import (
 	"github.com/signguard/signguard/internal/campaign"
 )
 
-// cursor walks a campaign's results in the same order the spec builder
-// appended cells, so each renderer mirrors its grid-declaration loops.
-// Reading past the end yields an empty result instead of panicking, and
-// tables refuses any read count but the grid's: a renderer that drifted
-// from its spec fails loudly.
-type cursor struct {
-	results []*campaign.CellResult
-	i       int
+// walk is one pass of an experiment's layout (Experiment.layout). The
+// layout names each cell through cell at the place its value goes and hands
+// each finished table to add, so a table's cells are the ones named since
+// the previous add. A walk with no results (Spec) keeps the cells it was
+// shown; a walk over results (Render) looks each cell up by its key and
+// keeps the tables the results fill.
+type walk struct {
+	results map[string]*campaign.CellResult // nil: name cells only
+	cells   []campaign.Cell                 // every cell named, in order
+	tables  []*Table
+	err     error // the first error of a table that was not left out
+
+	// The open table: cells named, how many of them have no result, and
+	// the first error its layout reported.
+	named, absent int
+	tableErr      error
 }
 
-func (c *cursor) next() *campaign.CellResult {
-	c.i++
-	if c.i > len(c.results) {
-		return &campaign.CellResult{}
+// cell names c and returns its result; a cell without one reads as an
+// empty result.
+func (w *walk) cell(c campaign.Cell) *campaign.CellResult {
+	w.cells = append(w.cells, c)
+	w.named++
+	if w.results != nil {
+		key, err := c.Key()
+		if err != nil {
+			w.fail(err)
+		} else if r, ok := w.results[key]; ok {
+			return r
+		}
 	}
-	return c.results[c.i-1]
+	w.absent++
+	return &campaign.CellResult{}
 }
 
-// tables returns ts once every result has been read exactly once.
-func (c *cursor) tables(ts ...*Table) ([]*Table, error) {
-	if c.i != len(c.results) {
-		return nil, fmt.Errorf("experiments: renderer read %d results of a %d-cell grid", c.i, len(c.results))
+// fail records an error of the open table's content.
+func (w *walk) fail(err error) {
+	if w.tableErr == nil {
+		w.tableErr = err
 	}
-	return ts, nil
+}
+
+// add closes the open table as t. A table the results fill is kept, unless
+// its layout failed; a table none of whose cells has a result is left out
+// (the results were narrowed past it), and its errors with it; a table the
+// results fill in part is an error, never a partial table.
+func (w *walk) add(t *Table) {
+	err := w.tableErr
+	switch {
+	case w.absent == w.named:
+		err = nil
+	case w.absent > 0:
+		err = fmt.Errorf("experiments: %q has results for %d of its %d cells; a table renders whole or not at all",
+			t.Title, w.named-w.absent, w.named)
+	case err == nil:
+		w.tables = append(w.tables, t)
+	}
+	if w.err == nil {
+		w.err = err
+	}
+	w.named, w.absent, w.tableErr = 0, 0, nil
 }
 
 // Table is a rendered experiment result: the rows/series the paper reports.

@@ -36,38 +36,26 @@ func serverLearnByz(p Params) int {
 	return byz
 }
 
-// serverLearnSpec declares the server-learning defense grid: each rule ×
-// attack on MNIST with the Byzantine count pinned to 30% of the clients
-// (overriding the Params fraction, so the grid is comparable across
-// parameter scales).
-func serverLearnSpec(p Params) campaign.Spec {
-	spec := campaign.Spec{Name: "serverlearn"}
+// serverLearn compares the rules' final test accuracy per rule × attack
+// on MNIST (final, not best: a backdoored or destabilized model must pay
+// for late-round damage), with the Byzantine count pinned to 30% of the
+// clients (overriding the Params fraction, so the grid is comparable
+// across parameter scales).
+func serverLearn(p Params, w *walk) {
 	byz := serverLearnByz(p)
+	t := &Table{
+		Title:  fmt.Sprintf("Server-learning defenses — final test accuracy %% (%d/%d Byzantine)", byz, p.Clients),
+		Header: append([]string{"Defense"}, serverLearnAttacks...),
+	}
 	for _, rule := range serverLearnRules {
+		row := []string{rule}
 		for _, att := range serverLearnAttacks {
 			c := campaign.NewCell("mnist", rule, att, p)
 			c.NumByz = byz
 			if att == "Backdoor" {
 				c.AttackParam = serverLearnBoost
 			}
-			spec.Cells = append(spec.Cells, c)
-		}
-	}
-	return spec
-}
-
-// renderServerLearn renders final test accuracy per rule × attack (final,
-// not best: a backdoored or destabilized model must pay for late-round
-// damage).
-func renderServerLearn(results []*campaign.CellResult) ([]*Table, error) {
-	t := &Table{Header: append([]string{"Defense"}, serverLearnAttacks...)}
-	cur := cursor{results: results}
-	var cell campaign.Cell
-	for _, rule := range serverLearnRules {
-		row := []string{rule}
-		for range serverLearnAttacks {
-			r := cur.next()
-			cell = r.Cell
+			r := w.cell(c)
 			if r.Diverged {
 				row = append(row, "diverged")
 				continue
@@ -76,8 +64,5 @@ func renderServerLearn(results []*campaign.CellResult) ([]*Table, error) {
 		}
 		t.AddRow(row...)
 	}
-	// Every cell carries the grid's pinned Byzantine count and Params.
-	t.Title = fmt.Sprintf("Server-learning defenses — final test accuracy %% (%d/%d Byzantine)",
-		cell.NumByz, cell.Params.Clients)
-	return cur.tables(t)
+	w.add(t)
 }

@@ -8,7 +8,7 @@ import (
 
 func TestServerLearnSpecShape(t *testing.T) {
 	p := axesParams()
-	spec := serverLearnSpec(p)
+	spec := gridOf(t, "serverlearn", p)
 	if want := len(serverLearnRules) * len(serverLearnAttacks); len(spec.Cells) != want {
 		t.Fatalf("%d cells, want %d", len(spec.Cells), want)
 	}
@@ -45,7 +45,7 @@ func TestServerLearnDefensesBeatMean(t *testing.T) {
 	p.Rounds = 20
 	p.EvalEvery = 4
 	p.EvalSamples = 0
-	rep, err := NewEngine(0, nil, nil).Run(t.Context(), serverLearnSpec(p))
+	rep, err := NewEngine(0, nil, nil).Run(t.Context(), gridOf(t, "serverlearn", p))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,10 +2,12 @@
 // table and figure in the paper's evaluation section, plus the post-paper
 // scenario axes, runnable at two scales (Bench for `go test -bench`,
 // Standard for the paper's client count). Each
-// experiment is declared once, in the Experiments catalog, as its grid (a
-// campaign.Spec at given Params) and a renderer that turns the grid's cell
-// results into the rows/series the paper reports; a campaign.Engine runs
-// the grid concurrently, with content-addressed result caching.
+// experiment is declared once, in the Experiments catalog, as a layout: one
+// function that lays out the rows/series the paper reports at given Params
+// and names each cell where its value goes. Walked with no results it is
+// the grid (a campaign.Spec); walked over results looked up by cell key it
+// renders the tables. A campaign.Engine runs the grid concurrently, with
+// content-addressed result caching.
 package experiments
 
 import (
@@ -123,6 +125,15 @@ func Datasets() []DatasetSpec {
 			},
 		},
 	}
+}
+
+// datasetTitle is the table heading of the dataset key names; an unknown
+// key reads as itself (the registry refuses its cells before any runs).
+func datasetTitle(key string) string {
+	if ds, err := DatasetByKey(key); err == nil {
+		return ds.Title
+	}
+	return key
 }
 
 // DatasetByKey looks up a dataset spec.

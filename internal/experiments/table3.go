@@ -67,34 +67,24 @@ func table3ReverseScale(c ablationCombo) float64 {
 	return 100
 }
 
-// table3Spec declares the CIFAR-analog ablation grid: each component
-// subset under the Random, scaled-Reverse and LIE attacks.
-func table3Spec(p Params) campaign.Spec {
-	spec := campaign.Spec{Name: "table3"}
-	for _, combo := range ablationCombos() {
-		rule := ablationRuleName(combo)
-		spec.Cells = append(spec.Cells, campaign.NewCell("cifar", rule, "Random", p))
-		rev := campaign.NewCell("cifar", rule, "Reverse", p)
-		rev.AttackParam = table3ReverseScale(combo)
-		spec.Cells = append(spec.Cells, rev)
-		spec.Cells = append(spec.Cells, campaign.NewCell("cifar", rule, "LIE", p))
-	}
-	return spec
-}
-
-// renderTable3 reproduces "Table III: results under different defensive
+// table3 reproduces "Table III: results under different defensive
 // components" — the CIFAR-analog ablation of SignGuard-Sim's thresholding,
-// clustering and norm-clipping components.
-func renderTable3(results []*campaign.CellResult) ([]*Table, error) {
+// clustering and norm-clipping components, each subset under the Random,
+// scaled-Reverse and LIE attacks.
+func table3(p Params, w *walk) {
 	t := &Table{Title: "Table III — SignGuard-Sim component ablation (best test accuracy %)"}
 	t.Header = []string{"Components", "Random", "Reverse", "LIE"}
-	cur := cursor{results: results}
 	for _, combo := range ablationCombos() {
+		rule := ablationRuleName(combo)
+		rev := campaign.NewCell("cifar", rule, "Reverse", p)
+		rev.AttackParam = table3ReverseScale(combo)
 		row := []string{combo.label()}
-		for i := 0; i < 3; i++ {
-			row = append(row, fmtAcc(cur.next().BestAccuracy))
+		for _, c := range []campaign.Cell{
+			campaign.NewCell("cifar", rule, "Random", p), rev, campaign.NewCell("cifar", rule, "LIE", p),
+		} {
+			row = append(row, fmtAcc(w.cell(c).BestAccuracy))
 		}
 		t.AddRow(row...)
 	}
-	return cur.tables(t)
+	w.add(t)
 }

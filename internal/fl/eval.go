@@ -3,6 +3,7 @@ package fl
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 
 	"github.com/signguard/signguard/internal/attack"
 	"github.com/signguard/signguard/internal/data"
@@ -166,14 +167,37 @@ func EvaluateASR(model nn.Classifier, ds *data.Dataset, examples []data.Example,
 // evaluate returns the global model's accuracy (in percent) on at most
 // limit test examples drawn deterministically from seed (limit <= 0
 // evaluates them all). Sub-sampling keeps the dense evaluation grid of the
-// experiment sweeps affordable. The sample is gathered by index through
-// worker 0's assembler, idle between rounds, so a warm evaluation builds no
-// input buffer.
+// experiment sweeps affordable. The sample is the first limit entries of
+// tensor.NewRNG(seed).Perm(len(test)), drawn by reseeding the Simulation's
+// evalRng into its evalPerm, and gathered by index through worker 0's
+// assembler, idle between rounds: a warm evaluation builds no RNG, index
+// slice or input buffer.
 func (s *Simulation) evaluate(limit int, seed int64) (float64, error) {
 	test := s.cfg.Dataset.Test
 	var idx []int
 	if limit > 0 && limit < len(test) {
-		idx = tensor.SampleIndices(tensor.NewRNG(seed), len(test), limit)
+		if s.evalRng == nil {
+			s.evalRng = tensor.NewRNG(seed)
+		} else {
+			s.evalRng.Seed(seed)
+		}
+		s.evalPerm = permInto(s.evalRng, s.evalPerm, len(test))
+		idx = s.evalPerm[:limit]
 	}
 	return s.scratch[0].accuracy(s.model, s.cfg.Dataset, test, idx)
+}
+
+// permInto returns rng.Perm(n), drawn in Perm's exact order into buf's
+// storage when it has room.
+func permInto(rng *rand.Rand, buf []int, n int) []int {
+	if cap(buf) < n {
+		buf = make([]int, n)
+	}
+	m := buf[:n]
+	for i := range m {
+		j := rng.Intn(i + 1)
+		m[i] = m[j]
+		m[j] = i
+	}
+	return m
 }

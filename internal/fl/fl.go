@@ -177,6 +177,10 @@ type Simulation struct {
 	// also serves the evaluations (see evaluate).
 	replicas []nn.Classifier
 	scratch  []*workerScratch
+	// evalRng and evalPerm draw the sampled evaluations' test indices
+	// (see evaluate); both are built by the first one.
+	evalRng  *rand.Rand
+	evalPerm []int
 
 	// The round arenas, grown in the first Step and reused by every later
 	// one: localGrads backs the cohort's local gradients (participant i at

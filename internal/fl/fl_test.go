@@ -327,8 +327,8 @@ func evaluateOracle(t *testing.T, model nn.Classifier, ds *data.Dataset, limit i
 // oracle's accuracy bit for bit, for the image and the text model, over
 // test sets of more than one chunk, with the sample smaller than the test
 // set, as large or larger, and off (limit 0). A warm evaluation reuses the
-// assembler's feature matrix and makes the 5 allocations measured when it
-// began to: the sample's RNG (2) and permutation, and Predict's class slice
+// assembler's feature matrix and the Simulation's RNG and index buffer, and
+// makes the 2 allocations measured when it began to: Predict's class slice
 // for each of the two chunks.
 func TestSimulationEvaluateMatchesOracle(t *testing.T) {
 	image, err := data.GenerateSynthImage(data.SynthImageConfig{
@@ -348,8 +348,8 @@ func TestSimulationEvaluateMatchesOracle(t *testing.T) {
 		newModel func(*rand.Rand) (nn.Classifier, error)
 		allocs   float64
 	}{
-		{"image", image, tinyModel, 5},
-		{"text", text, func(rng *rand.Rand) (nn.Classifier, error) { return nn.NewTextRNN(rng, 128, 8, 12, 4), nil }, 5},
+		{"image", image, tinyModel, 2},
+		{"text", text, func(rng *rand.Rand) (nn.Classifier, error) { return nn.NewTextRNN(rng, 128, 8, 12, 4), nil }, 2},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := baseConfig(c.ds)
@@ -388,6 +388,35 @@ func TestSimulationEvaluateMatchesOracle(t *testing.T) {
 				t.Errorf("a warm evaluation makes %.0f allocations, want <= %.0f", warm, c.allocs)
 			}
 		})
+	}
+}
+
+// TestPermIntoMatchesPerm: the evaluation's index draw is rand.Perm's,
+// draw for draw, whatever buffer it is handed (none, too small, larger
+// than n, holding an earlier permutation) and on a reseeded RNG that has
+// drawn before: its first k entries equal a fresh
+// rand.New(rand.NewSource(s)).Perm(n)[:k].
+func TestPermIntoMatchesPerm(t *testing.T) {
+	rng := tensor.NewRNG(99)
+	var buf []int
+	for _, c := range []struct {
+		seed int64
+		n, k int
+	}{
+		{1, 1, 1}, {7, 300, 30}, {8, 300, 290}, {-3, 500, 250}, {1 << 40, 17, 5}, {7, 1000, 400}, {2, 64, 64},
+	} {
+		rng.Seed(c.seed)
+		buf = permInto(rng, buf, c.n)
+		want := rand.New(rand.NewSource(c.seed)).Perm(c.n)[:c.k]
+		if len(buf) != c.n {
+			t.Fatalf("seed %d n %d: permutation of length %d", c.seed, c.n, len(buf))
+		}
+		for i, v := range want {
+			if buf[i] != v {
+				t.Fatalf("seed %d n %d k %d: index %d is %d, rand.Perm draws %d", c.seed, c.n, c.k, i, buf[i], v)
+			}
+		}
+		rng.Int63() // the next reseed must not depend on where the stream was left
 	}
 }
 
