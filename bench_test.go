@@ -69,7 +69,7 @@ func benchExperiment(b *testing.B, name, filter string) {
 // BenchmarkTable1 regenerates Table I (defense × attack best accuracy) for
 // each dataset analog at micro scale.
 func BenchmarkTable1(b *testing.B) {
-	for _, ds := range experiments.Datasets() {
+	for _, ds := range experiments.Datasets().Values() {
 		b.Run(ds.Key, func(b *testing.B) {
 			benchExperiment(b, "table1", ds.Key+"/")
 		})

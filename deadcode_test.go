@@ -22,14 +22,19 @@ import (
 // TestNoTestOnlyDeclarations fails for every package-level declaration
 // outside bench/ that no non-test code references: a function, method,
 // type, variable or constant that only tests reach is deleted, or moved
-// into the test that uses it as an oracle.
+// into the test that uses it as an oracle. It also fails for a stale
+// deadExempt entry, one that names no declaration or one that non-test
+// code now references.
 func TestNoTestOnlyDeclarations(t *testing.T) {
-	dead, err := deadDecls(".")
+	dead, stale, err := deadDecls(".", deadExempt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, d := range dead {
 		t.Errorf("%s: no non-test code references it", d)
+	}
+	for _, name := range stale {
+		t.Errorf("deadExempt[%q]: names no declaration that only tests reach; delete the entry", name)
 	}
 }
 
@@ -37,9 +42,9 @@ func TestNoTestOnlyDeclarations(t *testing.T) {
 // testdata/deadcode: of its four declarations below, exactly the one that
 // only a test calls is reported.
 func TestDeadDeclsFixture(t *testing.T) {
-	dead, err := deadDecls(filepath.Join("testdata", "deadcode"))
-	if err != nil {
-		t.Fatal(err)
+	dead, stale, err := deadDecls(filepath.Join("testdata", "deadcode"), nil)
+	if err != nil || len(stale) != 0 {
+		t.Fatalf("stale = %q, err = %v", stale, err)
 	}
 	for _, tc := range []struct {
 		decl, why string
@@ -60,6 +65,23 @@ func TestDeadDeclsFixture(t *testing.T) {
 	if want := []string{"lib/lib.go:8 lib.OnlyTested"}; !slices.Equal(dead, want) {
 		t.Errorf("findings = %q, want %q", dead, want)
 	}
+
+	// An exemption silences its finding; one that names a declaration
+	// non-test code references, or no declaration at all, is stale.
+	dead, stale, err = deadDecls(filepath.Join("testdata", "deadcode"), map[string]string{
+		"lib.OnlyTested": "exempt",
+		"lib.BenchOnly":  "a bench/ test calls it",
+		"lib.Gone":       "no such declaration",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(dead) != 0 {
+		t.Errorf("findings with lib.OnlyTested exempt = %q, want none", dead)
+	}
+	if want := []string{"lib.BenchOnly", "lib.Gone"}; !slices.Equal(stale, want) {
+		t.Errorf("stale exemptions = %q, want %q", stale, want)
+	}
 }
 
 // deadExempt names the only declarations kept without a non-test
@@ -79,12 +101,13 @@ var deadExemptPaths = []string{"signguard.go", "internal/conformance"}
 // (and the test files of packages under a bench/ directory, which count as
 // callers) and returns "file:line name" for each package-level declaration
 // outside bench/ that has no reference from that code outside its own
-// declaration. main, init, methods that satisfy an interface and
-// deadExempt/deadExemptPaths are allowed.
-func deadDecls(root string) ([]string, error) {
+// declaration. main, init, methods that satisfy an interface, the names
+// exempt lists and deadExemptPaths are allowed. stale lists, sorted, the
+// exempt names that allowed nothing.
+func deadDecls(root string, exempt map[string]string) (dead, stale []string, err error) {
 	fset, pkgs, err := loadModule(root)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	used := map[types.Object]bool{}
@@ -111,7 +134,8 @@ func deadDecls(root string) ([]string, error) {
 	}
 
 	ifaces := interfacesByMethod(pkgs)
-	var dead []finding
+	var found []finding
+	exempted := map[string]bool{}
 	for _, p := range pkgs {
 		if p.bench {
 			continue
@@ -134,14 +158,24 @@ func deadDecls(root string) ([]string, error) {
 						continue
 					}
 				}
-				if used[obj] || obj.Name() == "_" || deadExempt[name] != "" {
+				if used[obj] || obj.Name() == "_" {
 					continue
 				}
-				dead = append(dead, finding{file, fset.Position(obj.Pos()).Line, name})
+				if exempt[name] != "" {
+					exempted[name] = true
+					continue
+				}
+				found = append(found, finding{file, fset.Position(obj.Pos()).Line, name})
 			}
 		}
 	}
-	return sortedFindings(dead), nil
+	for name := range exempt {
+		if !exempted[name] {
+			stale = append(stale, name)
+		}
+	}
+	slices.Sort(stale)
+	return sortedFindings(found), stale, nil
 }
 
 // TestNoTestOnlyFields fails for every exported field of a struct declared

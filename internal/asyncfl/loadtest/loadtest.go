@@ -268,11 +268,15 @@ func Run(cfg Config) (*Report, error) {
 		return nil, err
 	}
 
+	handler, err := transport.NewAsyncCodecHandler(agg, nil)
+	if err != nil {
+		return nil, err
+	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, fmt.Errorf("loadtest: listen: %w", err)
 	}
-	srv := &http.Server{Handler: transport.NewAsyncHandler(agg)}
+	srv := &http.Server{Handler: handler}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 	defer srv.Close()

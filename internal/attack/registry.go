@@ -8,7 +8,7 @@ import "github.com/signguard/signguard/internal/catalog"
 // and a constructor.
 //
 // The catalog is the single source of truth for attack enumeration: the
-// campaign registry registers every entry straight from it, the experiments
+// campaign registry resolves cell names through it, the experiments
 // tables hold names only, and flclient's -byzantine modes, the load
 // harness's Byzantine fleet and the public façade build from it by name —
 // nothing else declares an attack constructor.

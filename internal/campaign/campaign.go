@@ -10,10 +10,12 @@
 // interrupted campaigns resume with cache hits instead of recomputation,
 // and re-running a completed campaign executes zero cells.
 //
-// The names inside a Cell are resolved through a Registry of builders, so
-// the package knows nothing about which concrete datasets, defenses or
-// attacks exist; internal/experiments registers the paper's grid and
-// declares every table and figure as a campaign.
+// The names inside a Cell are resolved through a Registry: one catalog
+// each of datasets, defenses, attacks and probes, plus codec.Builtin() for
+// the codec axis. The package declares no dataset or probe of its own;
+// internal/experiments fills the Registry with the paper's datasets, its
+// defense catalog, attack.Builtin() and the Fig. 2 probe, and declares
+// every table and figure as a campaign.
 package campaign
 
 import (

@@ -12,45 +12,52 @@ import (
 
 	"github.com/signguard/signguard/internal/attack"
 	"github.com/signguard/signguard/internal/campaign"
+	"github.com/signguard/signguard/internal/catalog"
 	"github.com/signguard/signguard/internal/data"
+	"github.com/signguard/signguard/internal/defense"
 	"github.com/signguard/signguard/internal/fl"
 	"github.com/signguard/signguard/internal/nn"
 )
 
 // testRegistry returns a minimal self-contained registry: one tiny
-// synthetic image dataset, the builtin defenses, three attacks and a round-counting probe — enough to exercise
-// every engine path in well under a second per cell.
+// synthetic image dataset, the builtin defenses, four attacks and a
+// round-counting probe — enough to exercise every engine path in well under
+// a second per cell.
 func testRegistry() *campaign.Registry {
-	reg := campaign.NewRegistry()
-	reg.RegisterDataset("tiny", campaign.DatasetBuilder{
-		LR: 0.1,
-		Load: func(seed int64, train, test int) (*data.Dataset, error) {
-			return data.GenerateSynthImage(data.SynthImageConfig{
-				Name: "tiny", Classes: 4, C: 1, H: 4, W: 4, Train: train, Test: test,
-				Margin: 4, NoiseStd: 0.4, SmoothPass: 1, Seed: seed,
-			})
-		},
-		NewModel: func(rng *rand.Rand) (nn.Classifier, error) {
-			return nn.NewMLP(rng, 16, 12, 4)
-		},
-	})
-	reg.RegisterAttack("NoAttack", func(_ campaign.Cell, _ int64) (attack.Attack, error) {
-		return attack.NewNone(), nil
-	})
-	reg.RegisterAttack("SignFlip", func(_ campaign.Cell, _ int64) (attack.Attack, error) {
-		return attack.NewSignFlip(), nil
-	})
-	reg.RegisterAttack("LIE", func(_ campaign.Cell, _ int64) (attack.Attack, error) {
-		return attack.NewLIE(0.3), nil
-	})
-	reg.RegisterProbe("rounds", func(c campaign.Cell) (*campaign.ProbeInstance, error) {
-		var rounds int
-		return &campaign.ProbeInstance{
-			Hook:   func(*fl.RoundState) { rounds++ },
-			Finish: func() (json.RawMessage, error) { return json.Marshal(rounds) },
-		}, nil
-	})
-	return reg
+	attackSpec := func(name string, build func() attack.Attack) attack.Spec {
+		return attack.Spec{Name: name, New: func(float64, int64) (attack.Attack, error) { return build(), nil }}
+	}
+	return &campaign.Registry{
+		Datasets: catalog.Must("dataset", func(d campaign.Dataset) string { return d.Key }, campaign.Dataset{
+			Key: "tiny", LR: 0.1,
+			Load: func(seed int64, train, test int) (*data.Dataset, error) {
+				return data.GenerateSynthImage(data.SynthImageConfig{
+					Name: "tiny", Classes: 4, C: 1, H: 4, W: 4, Train: train, Test: test,
+					Margin: 4, NoiseStd: 0.4, SmoothPass: 1, Seed: seed,
+				})
+			},
+			NewModel: func(rng *rand.Rand) (nn.Classifier, error) {
+				return nn.NewMLP(rng, 16, 12, 4)
+			},
+		}),
+		Defenses: defense.Builtin(),
+		Attacks: catalog.Must("attack", func(s attack.Spec) string { return s.Name },
+			attackSpec("NoAttack", func() attack.Attack { return attack.NewNone() }),
+			attackSpec("SignFlip", func() attack.Attack { return attack.NewSignFlip() }),
+			attackSpec("LIE", func() attack.Attack { return attack.NewLIE(0.3) }),
+			attackSpec("NonFinite-NaN", func() attack.Attack { return attack.NewNonFinite() }),
+		),
+		Probes: catalog.Must("probe", func(p campaign.Probe) string { return p.Name }, campaign.Probe{
+			Name: "rounds",
+			New: func(campaign.Cell) (*campaign.ProbeInstance, error) {
+				var rounds int
+				return &campaign.ProbeInstance{
+					Hook:   func(*fl.RoundState) { rounds++ },
+					Finish: func() (json.RawMessage, error) { return json.Marshal(rounds) },
+				}, nil
+			},
+		}),
+	}
 }
 
 func tinyParams(seed int64) campaign.Params {
@@ -302,27 +309,35 @@ func TestValidateRejectsUnknownNames(t *testing.T) {
 }
 
 // TestValidateRejectsBadAxes: Validate refuses a cell on each axis it
-// checks, before any cell runs, with an error naming the offending value.
+// checks, before any cell runs, with an error naming the cell and the
+// offending value. The texts are pinned byte for byte: the CLI prints them.
 func TestValidateRejectsBadAxes(t *testing.T) {
 	reg := testRegistry()
+	const params = "{Clients:8 ByzFraction:0.25 Rounds:6 BatchSize:4 EvalEvery:3 EvalSamples:40 TrainSize:160 TestSize:60 Seed:1}"
 	for _, tc := range []struct {
 		name   string
 		mutate func(*campaign.Cell)
 		want   string
 	}{
-		{"unknown dataset", func(c *campaign.Cell) { c.Dataset = "imagenet" }, `"imagenet"`},
-		{"unknown rule", func(c *campaign.Cell) { c.Rule = "Medoid" }, "Medoid"},
-		{"unknown attack", func(c *campaign.Cell) { c.Attack = "Gaussian" }, `"Gaussian"`},
-		{"unknown probe", func(c *campaign.Cell) { c.Probe = "norms" }, `"norms"`},
-		{"zero clients", func(c *campaign.Cell) { c.Params.Clients = 0 }, "invalid params"},
-		{"zero rounds", func(c *campaign.Cell) { c.Params.Rounds = 0 }, "invalid params"},
+		{"unknown dataset", func(c *campaign.Cell) { c.Dataset = "imagenet" },
+			`cell 0 (imagenet/Mean/LIE/seed=1): campaign: unknown dataset "imagenet"`},
+		{"unknown rule", func(c *campaign.Cell) { c.Rule = "Medoid" },
+			`cell 0 (tiny/Medoid/LIE/seed=1): defense: unknown defense "Medoid"`},
+		{"unknown attack", func(c *campaign.Cell) { c.Attack = "Gaussian" },
+			`cell 0 (tiny/Mean/Gaussian/seed=1): campaign: unknown attack "Gaussian"`},
+		{"unknown probe", func(c *campaign.Cell) { c.Probe = "norms" },
+			`cell 0 (tiny/Mean/LIE/probe=norms/seed=1): campaign: unknown probe "norms"`},
+		{"zero clients", func(c *campaign.Cell) { c.Params.Clients = 0 },
+			`cell 0 (tiny/Mean/LIE/seed=1): invalid params ` + strings.Replace(params, "Clients:8", "Clients:0", 1)},
+		{"zero rounds", func(c *campaign.Cell) { c.Params.Rounds = 0 },
+			`cell 0 (tiny/Mean/LIE/seed=1): invalid params ` + strings.Replace(params, "Rounds:6", "Rounds:0", 1)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := campaign.NewCell("tiny", "Mean", "LIE", tinyParams(1))
 			tc.mutate(&c)
 			err := reg.Validate(campaign.Spec{Name: "x", Cells: []campaign.Cell{c}})
-			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("Validate = %v, want an error naming %s", err, tc.want)
+			if err == nil || err.Error() != tc.want {
+				t.Errorf("Validate = %v\nwant %s", err, tc.want)
 			}
 		})
 	}

@@ -12,7 +12,6 @@ import (
 	"sync"
 	"testing"
 
-	"github.com/signguard/signguard/internal/attack"
 	"github.com/signguard/signguard/internal/campaign"
 )
 
@@ -82,27 +81,50 @@ func openStore(t *testing.T) *campaign.Store {
 	return store
 }
 
-// recordingRegistry is testRegistry whose SignFlip and LIE builders also
-// record, in call order, the ID of every cell they build for: one entry
-// per cell execution. The returned function reads a copy of the record.
-func recordingRegistry() (*campaign.Registry, func() []string) {
+// probed returns spec with every cell naming testRegistry's "rounds"
+// probe. A probe builder is the one per-cell seam that is handed the cell,
+// so the engine tests that record or fail cells hook in there.
+func probed(spec campaign.Spec) campaign.Spec {
+	out := campaign.Spec{Name: spec.Name, Cells: slices.Clone(spec.Cells)}
+	for i := range out.Cells {
+		out.Cells[i].Probe = "rounds"
+	}
+	return out
+}
+
+// hookRounds replaces reg's "rounds" probe with one that calls before with
+// the cell first, and builds the original probe only if before returns nil.
+func hookRounds(t *testing.T, reg *campaign.Registry, before func(campaign.Cell) error) {
+	t.Helper()
+	rounds, err := reg.Probes.Lookup("rounds")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.Probes.Register("rounds", campaign.Probe{Name: "rounds", New: func(c campaign.Cell) (*campaign.ProbeInstance, error) {
+		if err := before(c); err != nil {
+			return nil, err
+		}
+		return rounds.New(c)
+	}}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// recordingRegistry is testRegistry whose "rounds" probe also records, in
+// call order, the ID of every cell it is built for: one entry per execution
+// of a probed cell. The returned function reads a copy of the record.
+func recordingRegistry(t *testing.T) (*campaign.Registry, func() []string) {
 	reg := testRegistry()
 	var (
 		mu  sync.Mutex
 		ids []string
 	)
-	builds := map[string]func() attack.Attack{
-		"SignFlip": func() attack.Attack { return attack.NewSignFlip() },
-		"LIE":      func() attack.Attack { return attack.NewLIE(0.3) },
-	}
-	for name, build := range builds {
-		reg.RegisterAttack(name, func(c campaign.Cell, _ int64) (attack.Attack, error) {
-			mu.Lock()
-			ids = append(ids, c.ID())
-			mu.Unlock()
-			return build(), nil
-		})
-	}
+	hookRounds(t, reg, func(c campaign.Cell) error {
+		mu.Lock()
+		ids = append(ids, c.ID())
+		mu.Unlock()
+		return nil
+	})
 	return reg, func() []string {
 		mu.Lock()
 		defer mu.Unlock()
@@ -123,13 +145,13 @@ func cellIDs(spec campaign.Spec, positions ...int) []string {
 // cells. Cache hits are reported before any cell runs, a repeated cell runs
 // once at its first position, and the rest run in spec order.
 func TestRunClaimsCellsInSpecOrder(t *testing.T) {
-	base := testSpec()
+	base := probed(testSpec())
 	store := openStore(t)
 	mustRun(t, &campaign.Engine{Registry: testRegistry(), Store: store, Workers: 1},
 		campaign.Spec{Name: "warm", Cells: []campaign.Cell{base.Cells[1], base.Cells[6]}})
 
 	spec := campaign.Merge("ordered", base, campaign.Spec{Cells: []campaign.Cell{base.Cells[2], base.Cells[0]}})
-	reg, executed := recordingRegistry()
+	reg, executed := recordingRegistry(t)
 	var reported []string
 	rep := mustRun(t, &campaign.Engine{
 		Registry: reg, Store: store, Workers: 1,
@@ -153,7 +175,7 @@ func TestRunClaimsCellsInSpecOrder(t *testing.T) {
 // each pending cell is executed exactly once, no cached cell is executed,
 // and every spec position — repeats included — gets its own cell's result.
 func TestRunExecutesEachPendingCellOnce(t *testing.T) {
-	base := testSpec()
+	base := probed(testSpec())
 	const warm = 3
 	spec := campaign.Merge("twice", base, base)
 	for _, workers := range []int{1, 2, 3, 16} {
@@ -162,7 +184,7 @@ func TestRunExecutesEachPendingCellOnce(t *testing.T) {
 			mustRun(t, &campaign.Engine{Registry: testRegistry(), Store: store, Workers: 2},
 				campaign.Spec{Name: "warm", Cells: base.Cells[:warm]})
 
-			reg, executed := recordingRegistry()
+			reg, executed := recordingRegistry(t)
 			rep := mustRun(t, &campaign.Engine{Registry: reg, Store: store, Workers: workers}, spec)
 
 			counts := map[string]int{}
@@ -201,11 +223,11 @@ func TestRunExecutesEachPendingCellOnce(t *testing.T) {
 // another cell. The run returns the context's error, the cell that did
 // finish is stored, and a re-run executes only the rest.
 func TestCancelStopsClaimingCells(t *testing.T) {
-	spec := testSpec()
+	spec := probed(testSpec())
 	store := openStore(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	reg, executed := recordingRegistry()
+	reg, executed := recordingRegistry(t)
 	e := &campaign.Engine{
 		Registry: reg, Store: store, Workers: 1,
 		Progress: func(campaign.ProgressEvent) { cancel() },
@@ -363,14 +385,14 @@ func TestSplitGridMergedByFileCopy(t *testing.T) {
 // the store, and a re-run with a working registry executes only the cells
 // still missing.
 func TestFailFastKeepsCompletedCells(t *testing.T) {
-	spec := testSpec()
+	spec := probed(testSpec())
 	bad := spec.Cells[5]
 	reg := testRegistry()
-	reg.RegisterAttack(bad.Attack, func(c campaign.Cell, _ int64) (attack.Attack, error) {
+	hookRounds(t, reg, func(c campaign.Cell) error {
 		if c.ID() == bad.ID() {
-			return nil, errors.New("injected failure")
+			return errors.New("injected failure")
 		}
-		return attack.NewLIE(0.3), nil
+		return nil
 	})
 
 	dir := t.TempDir()
@@ -407,12 +429,8 @@ func TestFailFastKeepsCompletedCells(t *testing.T) {
 // through the engine, and the stored result carries the round pipeline's
 // count of refused submissions.
 func TestNonFiniteScreenedReachesResult(t *testing.T) {
-	reg := testRegistry()
-	reg.RegisterAttack("NonFinite-NaN", func(_ campaign.Cell, _ int64) (attack.Attack, error) {
-		return attack.NewNonFinite(), nil
-	})
 	c := campaign.NewCell("tiny", "Mean", "NonFinite-NaN", tinyParams(1))
-	rep := mustRun(t, &campaign.Engine{Registry: reg, Workers: 1}, campaign.Spec{Name: "nan", Cells: []campaign.Cell{c}})
+	rep := mustRun(t, &campaign.Engine{Registry: testRegistry(), Workers: 1}, campaign.Spec{Name: "nan", Cells: []campaign.Cell{c}})
 	r := rep.Results[0]
 	if want := c.EffectiveByz() * c.Params.Rounds; r.Diverged || r.NonFiniteScreened != want {
 		t.Errorf("Diverged = %v, NonFiniteScreened = %d; want a completed run that screened %d", r.Diverged, r.NonFiniteScreened, want)

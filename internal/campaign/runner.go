@@ -3,6 +3,7 @@ package campaign
 import (
 	"fmt"
 
+	"github.com/signguard/signguard/internal/codec"
 	"github.com/signguard/signguard/internal/data"
 	"github.com/signguard/signguard/internal/defense"
 	"github.com/signguard/signguard/internal/fl"
@@ -22,29 +23,34 @@ type runner struct {
 // executeCell trains the cell and returns its result stamped with key (the
 // cell's content hash, under which the result is stored).
 func (r *runner) executeCell(c Cell, key string) (*CellResult, error) {
-	db, err := r.registry.dataset(c.Dataset)
+	ds, err := r.registry.Datasets.Lookup(c.Dataset)
 	if err != nil {
 		return nil, err
 	}
 	p := c.Params
 	dataset, err := r.datasets.get(
 		dsKey{name: c.Dataset, seed: p.Seed + 7, train: p.TrainSize, test: p.TestSize},
-		func() (*data.Dataset, error) { return db.Load(p.Seed+7, p.TrainSize, p.TestSize) },
+		func() (*data.Dataset, error) { return ds.Load(p.Seed+7, p.TrainSize, p.TestSize) },
 	)
 	if err != nil {
 		return nil, fmt.Errorf("loading dataset %s: %w", c.Dataset, err)
 	}
 
 	numByz := c.EffectiveByz()
-	rule, err := r.registry.defenses.Build(c.Rule, defense.Params{N: p.Clients, F: numByz, Seed: p.Seed + 11})
+	rule, err := r.registry.Defenses.Build(c.Rule, defense.Params{N: p.Clients, F: numByz, Seed: p.Seed + 11})
 	if err != nil {
 		return nil, fmt.Errorf("building rule %s: %w", c.Rule, err)
 	}
-	buildAttack, err := r.registry.attack(c.Attack)
+	attackSpec, err := r.registry.Attacks.Lookup(c.Attack)
 	if err != nil {
 		return nil, err
 	}
-	att, err := buildAttack(c, p.Seed+13)
+	// AttackParam is the attack's scalar knob (Reverse's scale, TimeVarying's
+	// switch period, Backdoor's boost; 0 = its default). Only TimeVarying
+	// draws from the seed, and Seed+29 is the derivation its Fig. 5 curves
+	// were recorded with; the other entries ignore it
+	// (attack.TestBuiltinIgnoresSeed).
+	att, err := attackSpec.New(c.AttackParam, p.Seed+29)
 	if err != nil {
 		return nil, fmt.Errorf("building attack %s: %w", c.Attack, err)
 	}
@@ -54,12 +60,11 @@ func (r *runner) executeCell(c Cell, key string) (*CellResult, error) {
 		hook  func(*fl.RoundState)
 	)
 	if c.Probe != "" {
-		buildProbe, err := r.registry.probe(c.Probe)
+		pr, err := r.registry.Probes.Lookup(c.Probe)
 		if err != nil {
 			return nil, err
 		}
-		probe, err = buildProbe(c)
-		if err != nil {
+		if probe, err = pr.New(c); err != nil {
 			return nil, fmt.Errorf("building probe %s: %w", c.Probe, err)
 		}
 		hook = probe.Hook
@@ -69,22 +74,25 @@ func (r *runner) executeCell(c Cell, key string) (*CellResult, error) {
 	if c.NonIIDS > 0 {
 		nonIID = &fl.NonIID{S: c.NonIIDS, ShardsPerClient: c.NonIIDShards}
 	}
-	wireCodec, err := r.registry.codecFor(c)
-	if err != nil {
-		return nil, fmt.Errorf("building codec %s: %w", c.Codec, err)
+	// A nil codec is the engine default, the lossless identity codec.
+	var wireCodec codec.Codec
+	if c.Codec != "" {
+		if wireCodec, err = codec.Builtin().Build(c.Codec, codec.Params{}); err != nil {
+			return nil, fmt.Errorf("building codec %s: %w", c.Codec, err)
+		}
 	}
 
 	// The one place an experiment cell's fl.Config is assembled.
 	sim, err := fl.New(fl.Config{
 		Dataset:     dataset,
-		NewModel:    db.NewModel,
+		NewModel:    ds.NewModel,
 		Rule:        rule,
 		Attack:      att,
 		Clients:     p.Clients,
 		NumByz:      numByz,
 		Rounds:      p.Rounds,
 		BatchSize:   p.BatchSize,
-		LR:          db.LR,
+		LR:          ds.LR,
 		Momentum:    0.9,
 		WeightDecay: 5e-4,
 		EvalEvery:   p.EvalEvery,

@@ -1,7 +1,7 @@
 // Package catalog is the one ordered name → value table of the harness:
-// the defense, codec and attack registries and the experiment list are
-// each a Catalog, so registration order, replacement and the unknown-name
-// message are defined once.
+// the defense, codec and attack registries, the campaign datasets and
+// probes, and the experiment list are each a Catalog, so registration
+// order, replacement and the unknown-name message are defined once.
 package catalog
 
 import (

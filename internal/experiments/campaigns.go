@@ -17,32 +17,16 @@ import (
 // Registry returns the campaign registry covering the paper's full
 // evaluation grid: the four dataset analogs, the unified defense catalog
 // (the builtin defenses from internal/defense plus the six Table III
-// ablation variants), every attack of the internal/attack catalog, the
-// builtin codecs, and the Fig. 2 sign-statistics probe.
+// ablation variants), every attack of the internal/attack catalog, and the
+// Fig. 2 sign-statistics probe.
 func Registry() *campaign.Registry {
-	reg := campaign.NewRegistry()
-	for _, ds := range Datasets() {
-		reg.RegisterDataset(ds.Key, campaign.DatasetBuilder{
-			LR: ds.LR, Load: ds.Load, NewModel: ds.NewModel,
-		})
+	return &campaign.Registry{
+		Datasets: Datasets(),
+		Defenses: Defenses(),
+		Attacks:  attack.Builtin(),
+		Probes: catalog.Must("probe", func(p campaign.Probe) string { return p.Name },
+			campaign.Probe{Name: SignStatsProbe, New: newSignStatsProbe}),
 	}
-	reg.RegisterDefenses(Defenses())
-	// Every catalog attack, built with the cell's AttackParam as its scalar
-	// knob (Reverse's scale in Table III, TimeVarying's switch period in
-	// Fig. 5, Backdoor's boost λ; 0 → the attack's documented default).
-	for _, spec := range attack.Builtin().Values() {
-		reg.RegisterAttack(spec.Name, func(c campaign.Cell, seed int64) (attack.Attack, error) {
-			if spec.Name == "TimeVarying" {
-				// Seeded from Params.Seed+29 — the derivation the
-				// pre-campaign harness used — so historical Fig. 5 curves
-				// reproduce bit-for-bit.
-				seed = c.Params.Seed + 29
-			}
-			return spec.New(c.AttackParam, seed)
-		})
-	}
-	reg.RegisterProbe(SignStatsProbe, newSignStatsProbe)
-	return reg
 }
 
 // Defenses returns the experiment harness's defense catalog: the builtin

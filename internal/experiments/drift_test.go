@@ -9,8 +9,8 @@ import (
 
 // TestCampaignRegistryCoversCatalog proves every catalog attack is runnable
 // through the campaign registry: one cell per catalog name must validate.
-// An attack added to the catalog but never registered (the SignKeep gap
-// this test originally caught) fails here.
+// The registry holds attack.Builtin() itself; a narrower attack table in
+// its place (the SignKeep gap this test originally caught) fails here.
 func TestCampaignRegistryCoversCatalog(t *testing.T) {
 	p := axesParams()
 	spec := campaign.Spec{Name: "coverage"}

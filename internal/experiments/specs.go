@@ -15,6 +15,7 @@ import (
 	"math/rand"
 
 	"github.com/signguard/signguard/internal/campaign"
+	"github.com/signguard/signguard/internal/catalog"
 	"github.com/signguard/signguard/internal/data"
 	"github.com/signguard/signguard/internal/nn"
 )
@@ -77,25 +78,14 @@ func DefaultParams(scale Scale) Params {
 	}
 }
 
-// DatasetSpec binds a dataset analog to its model architecture and
-// learning rate, mirroring the paper's dataset/model pairs.
-type DatasetSpec struct {
-	// Key is the CLI/bench identifier: mnist, fashion, cifar, agnews.
-	Key string
-	// Title is the table heading, e.g. "MNIST-like (CNN)".
-	Title string
-	// LR is the learning rate used for this model family.
-	LR float64
-	// Load builds the dataset at the given sizes.
-	Load func(seed int64, train, test int) (*data.Dataset, error)
-	// NewModel builds the global model.
-	NewModel func(rng *rand.Rand) (nn.Classifier, error)
-}
+// DatasetSpec is one of the paper's dataset/model pairs: a dataset analog,
+// its model architecture and learning rate.
+type DatasetSpec = campaign.Dataset
 
-// Datasets returns the four dataset/model pairs of the paper, in its
-// presentation order.
-func Datasets() []DatasetSpec {
-	return []DatasetSpec{
+// Datasets returns the dataset catalog: the four dataset/model pairs of the
+// paper, in its presentation order. Each call returns a fresh copy.
+func Datasets() *catalog.Catalog[DatasetSpec] {
+	return catalog.Must("dataset", func(d DatasetSpec) string { return d.Key }, []DatasetSpec{
 		{
 			Key: "mnist", Title: "MNIST-like (CNN)", LR: 0.03,
 			Load: data.MNISTLike,
@@ -124,7 +114,7 @@ func Datasets() []DatasetSpec {
 				return nn.NewTextRNN(rng, 128, 16, 24, 4), nil
 			},
 		},
-	}
+	}...)
 }
 
 // datasetTitle is the table heading of the dataset key names; an unknown
@@ -138,10 +128,9 @@ func datasetTitle(key string) string {
 
 // DatasetByKey looks up a dataset spec.
 func DatasetByKey(key string) (DatasetSpec, error) {
-	for _, d := range Datasets() {
-		if d.Key == key {
-			return d, nil
-		}
+	ds, err := Datasets().Lookup(key)
+	if err != nil {
+		return DatasetSpec{}, fmt.Errorf("experiments: unknown dataset %q", key)
 	}
-	return DatasetSpec{}, fmt.Errorf("experiments: unknown dataset %q", key)
+	return ds, nil
 }

@@ -47,8 +47,8 @@ func TestDefaultParams(t *testing.T) {
 }
 
 func TestSpecLookups(t *testing.T) {
-	if len(Datasets()) != 4 {
-		t.Fatalf("%d datasets", len(Datasets()))
+	if n := len(Datasets().Names()); n != 4 {
+		t.Fatalf("%d datasets", n)
 	}
 	for _, key := range []string{"mnist", "fashion", "cifar", "agnews"} {
 		ds, err := DatasetByKey(key)

@@ -17,7 +17,7 @@ var tableIRules = []string{
 
 // tableAttacks names the nine attack columns of Table I, in its column
 // order. The internal/attack catalog owns the constructors and the
-// campaign registry registers every catalog entry; this package only picks
+// campaign registry resolves names through it; this package only picks
 // names.
 var tableAttacks = []string{
 	"NoAttack", "Random", "Noise", "Label-flip", "ByzMean", "Sign-flip", "LIE", "Min-Max", "Min-Sum",
@@ -28,7 +28,7 @@ var tableAttacks = []string{
 // accuracy of each of the ten aggregation rules under each of the nine
 // attack columns, at the default Byzantine fraction on IID data.
 func table1(p Params, w *walk) {
-	for _, ds := range Datasets() {
+	for _, ds := range Datasets().Values() {
 		t := &Table{Title: fmt.Sprintf("Table I — %s (best test accuracy %%)", ds.Title)}
 		t.Header = append([]string{"GAR"}, tableAttacks...)
 		for _, rule := range tableIRules {

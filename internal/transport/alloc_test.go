@@ -101,7 +101,11 @@ func TestWarmUpdateAllocationBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := newUpdatePoster(NewAsyncHandler(agg))
+	h, err := NewAsyncCodecHandler(agg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := newUpdatePoster(h)
 	for _, u := range updateBodies(t, serveDim) {
 		for range 10 {
 			p.post(t, u.body)
@@ -149,7 +153,11 @@ func BenchmarkAsyncUpdate(b *testing.B) {
 				req.Client = "c" + strconv.Itoa(i)
 				bodies[i] = submitBody(b, req)
 			}
-			p := newUpdatePoster(NewAsyncHandler(agg))
+			h, err := NewAsyncCodecHandler(agg, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			p := newUpdatePoster(h)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := range b.N {

@@ -18,25 +18,15 @@ import (
 	"github.com/signguard/signguard/internal/codec"
 )
 
-// NewAsyncHandler mounts the submit/fetch protocol over the buffered
+// NewAsyncCodecHandler mounts the submit/fetch protocol over the buffered
 // aggregator: clients fetch the versioned model and submit gradients
 // whenever they finish computing — the HTTP face of internal/asyncfl. On a
 // deterministic aggregator the same handler serves lock-step rounds
-// (RunAsyncClient with a Cohort, RunRoundTimer). Every builtin compression
-// codec is accepted on submit; use NewAsyncCodecHandler to narrow the list.
-func NewAsyncHandler(agg *asyncfl.Aggregator) http.Handler {
-	h, err := NewAsyncCodecHandler(agg, nil)
-	if err != nil {
-		panic(err) // unreachable: a nil accepted list is always valid
-	}
-	return h
-}
-
-// NewAsyncCodecHandler is NewAsyncHandler with an explicit accepted-codec
-// policy: accepted lists the internal/codec registry names the server
-// advertises in model fetches and decodes on submit (nil = all builtin).
-// Encoded submits naming any other codec are refused, so a fleet can be
-// held to, say, topk-only traffic.
+// (RunAsyncClient with a Cohort, RunRoundTimer). accepted lists the
+// internal/codec registry names the server advertises in model fetches and
+// decodes on submit (nil = all builtin). A submit in any other codec is
+// refused, a dense one counting as identity traffic, so a fleet can be held
+// to, say, topk-only traffic.
 func NewAsyncCodecHandler(agg *asyncfl.Aggregator, accepted []string) (http.Handler, error) {
 	reg := codec.Builtin()
 	if accepted == nil {
@@ -72,18 +62,22 @@ func NewAsyncCodecHandler(agg *asyncfl.Aggregator, accepted []string) (http.Hand
 		if !ok {
 			return
 		}
+		// Refusals from here on never reach Submit: Refuse accounts them,
+		// and decides their schedule position.
+		refuse := func(nonFinite bool, format string, args ...any) {
+			agg.Refuse(req.Client, req.Seq, nonFinite)
+			http.Error(w, fmt.Sprintf(format, args...), http.StatusBadRequest)
+		}
+		name := codec.Identity // a dense body is identity traffic
+		if req.Encoded != nil {
+			name = req.Encoded.Codec
+		}
+		if !acceptSet[name] {
+			refuse(false, "codec %q not accepted (server accepts %v)", name, accepted)
+			return
+		}
 		grad, wireBytes := req.Grad, 0
 		if enc := req.Encoded; enc != nil {
-			// Refusals from here on never reach Submit: Refuse accounts
-			// them, and decides their schedule position.
-			refuse := func(nonFinite bool, format string, args ...any) {
-				agg.Refuse(req.Client, req.Seq, nonFinite)
-				http.Error(w, fmt.Sprintf(format, args...), http.StatusBadRequest)
-			}
-			if !acceptSet[enc.Codec] {
-				refuse(false, "codec %q not accepted (server accepts %v)", enc.Codec, accepted)
-				return
-			}
 			// Bound the declared dimension before decoding: Dim sizes the
 			// decode, and it is attacker-controlled wire input — a
 			// dimension the aggregator would reject anyway must not reach

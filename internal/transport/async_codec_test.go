@@ -80,8 +80,8 @@ func TestAsyncEncodedSubmit(t *testing.T) {
 	}
 }
 
-// TestAsyncCodecPolicy covers the accepted-list gate and the refusals of
-// well-framed submits whose payload is wrong (hostile_test.go has the
+// TestAsyncCodecPolicy covers the accepted-list gate, dense bodies
+// included, and the refusals of well-framed submits whose payload is wrong (hostile_test.go has the
 // malformed frames).
 func TestAsyncCodecPolicy(t *testing.T) {
 	agg, err := asyncfl.New(asyncfl.Config{
@@ -142,9 +142,41 @@ func TestAsyncCodecPolicy(t *testing.T) {
 			t.Fatalf("dim %d payload not rejected pre-decode: %v", dim, err)
 		}
 	}
-	// The valid form still lands.
+	// The valid forms still land, a dense body among them: identity is
+	// accepted.
 	if res, err := c.SubmitEncoded(ctx, 0, 0, enc); err != nil || !res.Accepted {
 		t.Fatalf("valid topk submit failed: res=%+v err=%v", res, err)
+	}
+	if res, err := c.Submit(ctx, 0, 0, grad); err != nil || !res.Accepted {
+		t.Fatalf("dense submit to an identity-accepting server failed: res=%+v err=%v", res, err)
+	}
+
+	// A topk-only server refuses a dense body as identity traffic, and the
+	// refusal still decides its lock-step position: the topk submit at the
+	// next position closes the block.
+	lockstep, err := asyncfl.New(asyncfl.Config{
+		InitialParams: make([]float64, 4), K: 2, LR: 0.1, SessionTTL: -1, Deterministic: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err = NewAsyncCodecHandler(lockstep, []string{codec.TopK})
+	if err != nil {
+		t.Fatal(err)
+	}
+	topkOnly := httptest.NewServer(h)
+	defer topkOnly.Close()
+	dense := &AsyncClient{Base: topkOnly.URL, ID: "dense"}
+	if _, err := dense.Submit(ctx, 0, 0, grad); err == nil ||
+		!strings.Contains(err.Error(), "HTTP 400") || !strings.Contains(err.Error(), `codec "identity" not accepted`) {
+		t.Fatalf("dense submit to a topk-only server: %v, want HTTP 400 naming identity", err)
+	}
+	sparse := &AsyncClient{Base: topkOnly.URL, ID: "sparse"}
+	if res, err := sparse.SubmitEncoded(ctx, 0, 1, enc); err != nil || !res.Accepted || !res.Stepped {
+		t.Fatalf("topk submit after the refused dense one: res=%+v err=%v, want Accepted and the block stepped", res, err)
+	}
+	if st := lockstep.Stats(); st.Arrivals != 1 || st.Steps != 1 {
+		t.Errorf("stats = %+v, want one arrival and one step", st)
 	}
 }
 

@@ -23,7 +23,11 @@ func newAsyncTestServer(t *testing.T, cfg asyncfl.Config) (*asyncfl.Aggregator, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewAsyncHandler(agg))
+	h, err := NewAsyncCodecHandler(agg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(h)
 	t.Cleanup(srv.Close)
 	return agg, srv
 }

@@ -162,7 +162,11 @@ func httpHostileWire(target []float64, honest, rounds int, attack func(t *testin
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv := httptest.NewServer(NewAsyncHandler(agg))
+		h, err := NewAsyncCodecHandler(agg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := httptest.NewServer(h)
 		defer srv.Close()
 		ctx := context.Background()
 		evil := &AsyncClient{Base: srv.URL, ID: "evil"}

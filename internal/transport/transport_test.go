@@ -82,7 +82,10 @@ func newLockstep(t *testing.T, acfg asyncfl.Config, cohort int) *lockstep {
 		agg: agg, cohort: cohort,
 		clock: make(chan time.Time), timer: make(chan error, 1), stopped: make(chan struct{}),
 	}
-	h := NewAsyncHandler(agg)
+	h, err := NewAsyncCodecHandler(agg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	l.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		h.ServeHTTP(w, r)
 		switch r.URL.Path {
