@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test loc conformance serve-smoke paper-smoke results-bench race bench perf perf-compare trajectory profile profile-top cover fmt-check doc-check vet fuzz
+.PHONY: all build test loc conformance serve-smoke lockstep-smoke paper-smoke results-bench race bench perf perf-compare trajectory profile profile-top cover fmt-check doc-check vet fuzz
 
 # Fuzz budget per target for `make fuzz` (CI passes FUZZTIME=10s; raise it
 # locally for deeper runs, e.g. make fuzz FUZZTIME=2m).
@@ -47,6 +47,33 @@ conformance:
 # job runs this.
 serve-smoke:
 	$(GO) run ./cmd/flserver -loadtest -load-clients 500 -load-byz 0.2 -load-nonfinite 0.1 -rule SignGuard
+
+# Run the lock-step (sync) mode end to end: flserver's default mode for
+# two clients and three rounds on a free loopback port (-addr 127.0.0.1:0,
+# the port read from its "serving on" log line), and two flclient mains
+# against it. Fails unless both clients exit 0 and the server prints its
+# final test accuracy. A 2 s round timeout bounds a broken run: a client
+# that fails is dropped after round 0's four timeouts and the other finishes
+# alone; when both fail the server is stopped. Nothing else runs
+# flclient's main or flserver's sync mode end to end; the CI test job runs
+# this after serve-smoke (a few seconds).
+lockstep-smoke:
+	@dir=$$(mktemp -d); srv=; \
+	trap '[ -z "$$srv" ] || kill $$srv 2>/dev/null; rm -rf "$$dir"' EXIT; \
+	$(GO) build -o "$$dir/flserver" ./cmd/flserver && $(GO) build -o "$$dir/flclient" ./cmd/flclient || exit 1; \
+	"$$dir/flserver" -addr 127.0.0.1:0 -clients 2 -rounds 3 -round-timeout 2s > "$$dir/server.log" 2>&1 & srv=$$!; \
+	addr=; for i in $$(seq 100); do \
+		addr=$$(sed -n 's/.*serving on //p' "$$dir/server.log"); \
+		[ -z "$$addr" ] || break; sleep 0.1; \
+	done; \
+	[ -n "$$addr" ] || { cat "$$dir/server.log"; echo "lockstep-smoke: flserver reported no address"; exit 1; }; \
+	"$$dir/flclient" -addr "$$addr" -id 0 -clients 2 & c0=$$!; \
+	"$$dir/flclient" -addr "$$addr" -id 1 -clients 2 & c1=$$!; \
+	fail=0; wait $$c0 || fail=$$((fail + 1)); wait $$c1 || fail=$$((fail + 1)); \
+	[ $$fail -lt 2 ] || kill $$srv 2>/dev/null; \
+	wait $$srv || fail=$$((fail + 1)); srv=; \
+	cat "$$dir/server.log"; \
+	[ $$fail = 0 ] && grep -q '^final test accuracy' "$$dir/server.log"
 
 # Run cmd/campaign's main end to end: flag parsing, then two grids at
 # bench scale into a temporary store, a status of each that must report the

@@ -13,9 +13,10 @@
 // instead: fetch the versioned model, compute a gradient against it,
 // submit, repeat — no waiting on other clients — until the server reports
 // Done (or -updates submissions were accepted).
-// -codec compresses each submission with a gradient codec (topk, qsgd,
-// signsgd); the server must advertise the codec as accepted or the client
-// fails fast on its first submission.
+// Every submission is a codec payload: without -codec it is the identity
+// payload (the gradient uncompressed), and -codec compresses it instead
+// (topk, qsgd, signsgd). Either way the server must advertise the codec as
+// accepted, or the client fails fast before its first submission.
 package main
 
 import (

@@ -103,7 +103,7 @@ func main() {
 
 	load := loadtest.Config{
 		Clients: *loadClients, UpdatesPerClient: *loadUpdates, Concurrency: *loadConc, Dim: *loadDim,
-		K: *buffer, Alpha: *alpha, ByzFraction: *loadByz, ChurnFraction: *loadChurn, NonFiniteFraction: *loadHostile,
+		K: *buffer, Alpha: *alpha, LR: *lr, ByzFraction: *loadByz, ChurnFraction: *loadChurn, NonFiniteFraction: *loadHostile,
 		Seed: *seed, Logf: log.Printf,
 	}
 	if err := errors.Join(validateFlags(*clients, *rounds, *byz, *lr, *timeout, *buffer, *alpha, *queueCap, *ttl), validateLoadFlags(load)); err != nil {

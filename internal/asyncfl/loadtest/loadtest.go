@@ -50,14 +50,15 @@ type Config struct {
 	// Dim is the synthetic model dimensionality (default 64).
 	Dim int
 	// K is the aggregation buffer size (default 32); Alpha the staleness
-	// exponent (default 0.5).
+	// exponent of w(s) = 1/(1+s)^Alpha, taken as given (0 weighs every
+	// update alike: the plain buffered mean).
 	K     int
 	Alpha float64
 	// Rule, when non-nil, filters each buffer before the merge.
 	Rule aggregate.Rule
-	// Codec, when non-nil, compresses every client's submissions through
-	// this wire format (each session encodes with its own RNG stream, so
-	// stochastic codecs stay per-client deterministic).
+	// Codec is the wire format of every client's submissions (nil =
+	// identity, uncompressed); each session encodes with its own RNG
+	// stream, so stochastic codecs stay per-client deterministic.
 	Codec codec.Codec
 	// LR is the server learning rate (default 0.05).
 	LR float64
@@ -66,9 +67,8 @@ type Config struct {
 	ByzFraction float64
 	// NonFiniteFraction of clients are hostile in the non-finite sense:
 	// every submission is a qsgd payload whose finite Scale amplifies to
-	// +Inf on decode — the NaN-injection attack in the shape the wire
-	// layer itself must catch (a literal NaN in a dense body is the
-	// aggregator screen's to refuse). The server must refuse each one
+	// +Inf on decode — the NaN-injection attack in a shape no finiteness
+	// check of the payload itself can see. The server must refuse each one
 	// with HTTP 400 and count it in Stats.NonFiniteRejects.
 	NonFiniteFraction float64
 	// ChurnFraction of clients vanish after one update without ever
@@ -122,9 +122,6 @@ func (c *Config) fill() error {
 	}
 	if c.K == 0 {
 		c.K = 32
-	}
-	if c.Alpha == 0 {
-		c.Alpha = 0.5
 	}
 	if c.LR == 0 {
 		c.LR = 0.05
@@ -295,6 +292,14 @@ func Run(cfg Config) (*Report, error) {
 	var firstErr atomic.Value
 	var accepted atomic.Int64
 
+	// The hostile clients' payload: a qsgd frame whose finite Scale
+	// amplifies to +Inf on decode. Submitting only reads it, so every
+	// hostile session sends this one.
+	hostile := codec.Encoded{Codec: codec.QSGD, Dim: cfg.Dim, Scale: 1e308, Levels: 1, Q: make([]int8, cfg.Dim)}
+	for j := range hostile.Q {
+		hostile.Q[j] = 127
+	}
+
 	logf("loadtest: driving %d clients (%d workers) at %s", cfg.Clients, cfg.Concurrency, base)
 	start := time.Now()
 	jobs := make(chan int)
@@ -304,7 +309,7 @@ func Run(cfg Config) (*Report, error) {
 		go func(w int) {
 			defer wg.Done()
 			for i := range jobs {
-				if err := runClient(&cfg, base, shared, optimum, byz, i, &lats[w], &accepted); err != nil {
+				if err := runClient(&cfg, base, shared, optimum, byz, hostile, i, &lats[w], &accepted); err != nil {
 					firstErr.CompareAndSwap(nil, err)
 				}
 			}
@@ -384,12 +389,19 @@ func Run(cfg Config) (*Report, error) {
 // in a loop, recording each submit's round-trip latency (submitting also
 // registers and renews the session's liveness lease). Byzantine clients
 // submit what byz crafts from their honest gradient; churned clients stop
-// after one update and never renew again, so their lease expires.
-func runClient(cfg *Config, base string, httpc *http.Client, optimum []float64, byz attack.Attack, i int, lats *[]time.Duration, accepted *atomic.Int64) error {
+// after one update and never renew again, so their lease expires. A
+// hostile client's every submission is hostile, which the server must
+// refuse with HTTP 400; an accepted hostile payload, or any other failure,
+// aborts the run.
+func runClient(cfg *Config, base string, httpc *http.Client, optimum []float64, byz attack.Attack, hostile codec.Encoded, i int, lats *[]time.Duration, accepted *atomic.Int64) error {
 	isByz, isChurn, isHostile := roles(cfg, i)
 	updates := cfg.UpdatesPerClient
 	if isChurn {
 		updates = 1
+	}
+	wire := cfg.Codec
+	if wire == nil {
+		wire = codec.IdentityCodec{}
 	}
 	c := &transport.AsyncClient{
 		Base: base,
@@ -397,9 +409,6 @@ func runClient(cfg *Config, base string, httpc *http.Client, optimum []float64, 
 		HTTP: httpc,
 	}
 	ctx := context.Background()
-	if isHostile {
-		return runHostileClient(ctx, cfg, c, i, updates, lats)
-	}
 	noise := tensor.NewRNG(cfg.Seed + 7919*int64(i+1))
 	grad := make([]float64, len(optimum))
 	for u := 0; u < updates; u++ {
@@ -410,31 +419,33 @@ func runClient(cfg *Config, base string, httpc *http.Client, optimum []float64, 
 		if model.Done {
 			return nil
 		}
-		for j := range grad {
-			grad[j] = model.Params[j] - optimum[j] + 0.1*noise.NormFloat64()
-		}
-		sub := grad
-		if isByz {
-			// Reverse draws nothing from the noise stream it is handed.
-			if sub, err = attack.Local(byz, grad, noise); err != nil {
-				return fmt.Errorf("client %d: %w", i, err)
+		enc := hostile
+		if !isHostile {
+			for j := range grad {
+				grad[j] = model.Params[j] - optimum[j] + 0.1*noise.NormFloat64()
+			}
+			sub := grad
+			if isByz {
+				// Reverse draws nothing from the noise stream it is handed.
+				if sub, err = attack.Local(byz, grad, noise); err != nil {
+					return fmt.Errorf("client %d: %w", i, err)
+				}
+			}
+			// The noise RNG doubles as the codec stream: both are
+			// per-session, so encoding stays deterministic per client.
+			if enc, err = wire.Encode(sub, noise); err != nil {
+				return fmt.Errorf("client %d: codec %s: %w", i, wire.Name(), err)
 			}
 		}
 		t0 := time.Now()
-		var res asyncfl.SubmitResult
-		if cfg.Codec == nil {
-			res, err = c.Submit(ctx, model.Version, 0, sub)
-		} else {
-			// The noise RNG doubles as the codec stream: both are
-			// per-session, so encoding stays deterministic per client.
-			enc, encErr := cfg.Codec.Encode(sub, noise)
-			if encErr != nil {
-				return fmt.Errorf("client %d: codec %s: %w", i, cfg.Codec.Name(), encErr)
-			}
-			res, err = c.SubmitEncoded(ctx, model.Version, 0, enc)
-		}
+		res, err := c.SubmitEncoded(ctx, model.Version, 0, enc)
 		lat := time.Since(t0)
-		if err != nil {
+		switch {
+		case isHostile && err == nil:
+			return fmt.Errorf("hostile client %d: non-finite payload was accepted", i)
+		case isHostile && !strings.Contains(err.Error(), "HTTP 400"):
+			return fmt.Errorf("hostile client %d: %w", i, err)
+		case !isHostile && err != nil:
 			return fmt.Errorf("client %d: %w", i, err)
 		}
 		*lats = append(*lats, lat)
@@ -444,38 +455,6 @@ func runClient(cfg *Config, base string, httpc *http.Client, optimum []float64, 
 		if res.Done {
 			return nil
 		}
-	}
-	return nil
-}
-
-// runHostileClient simulates one non-finite attacker: every submission is a
-// qsgd payload whose finite Scale amplifies to +Inf on decode — the wire
-// shape of the NaN-injection attack. The server must refuse each one with
-// HTTP 400; an accepted hostile payload, or any other failure shape, aborts
-// the run.
-func runHostileClient(ctx context.Context, cfg *Config, c *transport.AsyncClient, i, updates int, lats *[]time.Duration) error {
-	hostile := codec.Encoded{Codec: codec.QSGD, Dim: cfg.Dim, Scale: 1e308, Levels: 1, Q: make([]int8, cfg.Dim)}
-	for j := range hostile.Q {
-		hostile.Q[j] = 127
-	}
-	for u := 0; u < updates; u++ {
-		model, err := c.Model(ctx)
-		if err != nil {
-			return fmt.Errorf("hostile client %d: %w", i, err)
-		}
-		if model.Done {
-			return nil
-		}
-		t0 := time.Now()
-		_, err = c.SubmitEncoded(ctx, model.Version, 0, hostile)
-		lat := time.Since(t0)
-		if err == nil {
-			return fmt.Errorf("hostile client %d: non-finite payload was accepted", i)
-		}
-		if !strings.Contains(err.Error(), "400") {
-			return fmt.Errorf("hostile client %d: %w", i, err)
-		}
-		*lats = append(*lats, lat)
 	}
 	return nil
 }

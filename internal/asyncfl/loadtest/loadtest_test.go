@@ -32,6 +32,7 @@ func TestLoadHarnessCI(t *testing.T) {
 		Concurrency:      128,
 		Dim:              32,
 		K:                32,
+		Alpha:            0.5,
 		ByzFraction:      0.1,
 		ChurnFraction:    0.05,
 		Seed:             1,
@@ -83,6 +84,7 @@ func TestLoadHarnessDefenseBeatsAttack(t *testing.T) {
 		Concurrency:      64,
 		Dim:              32,
 		K:                16,
+		Alpha:            0.5,
 		ByzFraction:      0.3,
 		Seed:             3,
 	}
@@ -116,6 +118,7 @@ func TestLoadHarnessCodecReducesIngest(t *testing.T) {
 		Concurrency:      64,
 		Dim:              32,
 		K:                16,
+		Alpha:            0.5,
 		ByzFraction:      0.3,
 		Rule:             core.NewPlain(3),
 		Seed:             3,
@@ -154,6 +157,7 @@ func TestLoadHarnessHostileClients(t *testing.T) {
 		Concurrency:       64,
 		Dim:               32,
 		K:                 16,
+		Alpha:             0.5,
 		NonFiniteFraction: 0.2,
 		Rule:              core.NewPlain(3),
 		Seed:              7,
@@ -187,6 +191,7 @@ func TestLoadHarnessChurnExpiry(t *testing.T) {
 		Concurrency:      8,
 		Dim:              16,
 		K:                5000, // above total arrivals: queued updates linger
+		Alpha:            0.5,
 		ChurnFraction:    0.5,
 		SessionTTL:       50 * time.Millisecond,
 		Seed:             5,
@@ -214,11 +219,25 @@ func TestLoadConfigValidation(t *testing.T) {
 		{Clients: 10, Concurrency: -2},
 		{Clients: 10, NonFiniteFraction: 2},
 		{Clients: 10, Dim: -1},
+		{Clients: 10, Alpha: -0.5},
 	}
 	for i, cfg := range bad {
 		if _, err := Run(cfg); err == nil {
 			t.Errorf("case %d: invalid config %+v accepted", i, cfg)
 		}
+	}
+}
+
+// TestFillKeepsAlphaZero: Alpha 0 weighs every update alike (the plain
+// buffered mean, which flserver -loadtest -alpha 0 asks for), so fill keeps
+// it rather than reading it as unset.
+func TestFillKeepsAlphaZero(t *testing.T) {
+	cfg := Config{Clients: 10}
+	if err := cfg.fill(); err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Alpha != 0 {
+		t.Errorf("fill set Alpha to %v, want the 0 it was given", cfg.Alpha)
 	}
 }
 
@@ -236,6 +255,7 @@ func TestLoadHarness100k(t *testing.T) {
 		Concurrency:      512,
 		Dim:              64,
 		K:                64,
+		Alpha:            0.5,
 		ByzFraction:      0.1,
 		ChurnFraction:    0.05,
 		SessionTTL:       10 * time.Second,
@@ -264,6 +284,7 @@ func BenchmarkAsyncLoad(b *testing.B) {
 			Concurrency:      64,
 			Dim:              32,
 			K:                16,
+			Alpha:            0.5,
 			ByzFraction:      0.1,
 			Seed:             int64(i + 1),
 		})

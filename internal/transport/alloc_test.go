@@ -31,8 +31,8 @@ type updateBody struct {
 	body []byte
 }
 
-// updateBodies is a dense and a topk submit body for a dim-coordinate
-// model: the two payload kinds honest serving traffic carries.
+// updateBodies is an uncompressed (identity) and a topk submit body for a
+// dim-coordinate model: the two payloads honest serving traffic carries.
 func updateBodies(tb testing.TB, dim int) []updateBody {
 	grad := tensor.RandNormal(tensor.NewRNG(3), dim, 0, 1)
 	topk, err := codec.TopKCodec{}.Encode(grad, nil)
@@ -40,8 +40,8 @@ func updateBodies(tb testing.TB, dim int) []updateBody {
 		tb.Fatal(err)
 	}
 	return []updateBody{
-		{"dense", submitBody(tb, AsyncSubmitRequest{Client: "c", Grad: grad})},
-		{"topk", submitBody(tb, AsyncSubmitRequest{Client: "c", Encoded: &topk})},
+		{"dense", submitBody(tb, AsyncSubmitRequest{Client: "c", Encoded: identity(grad)})},
+		{"topk", submitBody(tb, AsyncSubmitRequest{Client: "c", Encoded: topk})},
 	}
 }
 

@@ -24,9 +24,9 @@ import (
 // deterministic aggregator the same handler serves lock-step rounds
 // (RunAsyncClient with a Cohort, RunRoundTimer). accepted lists the
 // internal/codec registry names the server advertises in model fetches and
-// decodes on submit (nil = all builtin). A submit in any other codec is
-// refused, a dense one counting as identity traffic, so a fleet can be held
-// to, say, topk-only traffic.
+// decodes on submit (nil = all builtin). Every submit is a codec payload, an
+// uncompressed one the identity codec's, and one in any other codec is
+// refused, so a fleet can be held to, say, topk-only traffic.
 func NewAsyncCodecHandler(agg *asyncfl.Aggregator, accepted []string) (http.Handler, error) {
 	reg := codec.Builtin()
 	if accepted == nil {
@@ -68,34 +68,26 @@ func NewAsyncCodecHandler(agg *asyncfl.Aggregator, accepted []string) (http.Hand
 			agg.Refuse(req.Client, req.Seq, nonFinite)
 			http.Error(w, fmt.Sprintf(format, args...), http.StatusBadRequest)
 		}
-		name := codec.Identity // a dense body is identity traffic
-		if req.Encoded != nil {
-			name = req.Encoded.Codec
-		}
-		if !acceptSet[name] {
-			refuse(false, "codec %q not accepted (server accepts %v)", name, accepted)
+		enc := &req.Encoded
+		if !acceptSet[enc.Codec] {
+			refuse(false, "codec %q not accepted (server accepts %v)", enc.Codec, accepted)
 			return
 		}
-		grad, wireBytes := req.Grad, 0
-		if enc := req.Encoded; enc != nil {
-			// Bound the declared dimension before decoding: Dim sizes the
-			// decode, and it is attacker-controlled wire input — a
-			// dimension the aggregator would reject anyway must not reach
-			// a codec at all.
-			if enc.Dim != dim {
-				refuse(false, "encoded payload declares dim %d, want %d", enc.Dim, dim)
-				return
-			}
-			var err error
-			if grad, err = reg.Decode(enc.WithDst(s.grad)); err != nil {
-				// A payload that carries or amplifies to NaN/±Inf counts with
-				// the screen's rejections (a dense NaN reaches the screen).
-				refuse(errors.Is(err, codec.ErrNonFinite), "decoding %s payload: %v", enc.Codec, err)
-				return
-			}
-			wireBytes = enc.Bytes()
+		// Bound the declared dimension before decoding: Dim sizes the
+		// decode, and it is attacker-controlled wire input — a dimension
+		// the aggregator would reject anyway must not reach a codec at all.
+		if enc.Dim != dim {
+			refuse(false, "encoded payload declares dim %d, want %d", enc.Dim, dim)
+			return
 		}
-		res, err := agg.Submit(asyncfl.Update{Client: req.Client, Version: req.Version, Seq: req.Seq, Grad: grad, WireBytes: wireBytes})
+		grad, err := reg.Decode(enc.WithDst(s.grad))
+		if err != nil {
+			// A payload that carries or amplifies to NaN/±Inf counts with
+			// the screen's rejections.
+			refuse(errors.Is(err, codec.ErrNonFinite), "decoding %s payload: %v", enc.Codec, err)
+			return
+		}
+		res, err := agg.Submit(asyncfl.Update{Client: req.Client, Version: req.Version, Seq: req.Seq, Grad: grad, WireBytes: enc.Bytes()})
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
@@ -179,16 +171,18 @@ func (c *AsyncClient) Model(ctx context.Context) (AsyncModelResponse, error) {
 	return out, nil
 }
 
-// Submit uploads one gradient computed against the given model version and
+// Submit uploads one uncompressed gradient computed against the given model
+// version — the identity payload of grad, which it does not copy — and
 // returns the server's backpressure/staleness signals.
 func (c *AsyncClient) Submit(ctx context.Context, version int, seq int64, grad []float64) (asyncfl.SubmitResult, error) {
-	return c.submit(ctx, &AsyncSubmitRequest{Client: c.ID, Version: version, Seq: seq, Grad: grad})
+	return c.SubmitEncoded(ctx, version, seq, codec.Encoded{Codec: codec.Identity, Dim: len(grad), Dense: grad})
 }
 
-// SubmitEncoded uploads one compressed gradient. The server must accept
-// the payload's codec (see AsyncModelResponse.Codecs) or the submit fails.
+// SubmitEncoded uploads one gradient in a codec's wire form. The server
+// must accept the payload's codec (see AsyncModelResponse.Codecs) or the
+// submit fails.
 func (c *AsyncClient) SubmitEncoded(ctx context.Context, version int, seq int64, enc codec.Encoded) (asyncfl.SubmitResult, error) {
-	return c.submit(ctx, &AsyncSubmitRequest{Client: c.ID, Version: version, Seq: seq, Encoded: &enc})
+	return c.submit(ctx, &AsyncSubmitRequest{Client: c.ID, Version: version, Seq: seq, Encoded: enc})
 }
 
 // submit posts one binary update body. The body is built fresh each time:
@@ -280,10 +274,10 @@ type AsyncClientConfig struct {
 	// MaxUpdates stops after that many accepted submissions (0 = run
 	// until the server reports Done).
 	MaxUpdates int
-	// Codec, when non-nil, compresses every submission through this wire
-	// format. The server must advertise the codec's registry name
-	// (AsyncModelResponse.Codecs) or the client fails fast on the first
-	// fetch rather than ship payloads the server cannot decode.
+	// Codec is the wire format of every submission (nil = identity,
+	// uncompressed). The server must advertise the codec's registry name
+	// (AsyncModelResponse.Codecs) or the client fails fast before its first
+	// submit rather than ship payloads the server cannot decode.
 	Codec codec.Codec
 	// Rng feeds stochastic codecs (qsgd); required when Codec uses
 	// randomness, unused otherwise.
@@ -331,8 +325,12 @@ func RunAsyncClient(ctx context.Context, cfg AsyncClientConfig) ([]float64, erro
 			return nil, err
 		}
 	}
+	wire := cfg.Codec
+	if wire == nil {
+		wire = codec.IdentityCodec{}
+	}
 	var params []float64
-	checkedCodec := cfg.Codec == nil
+	var checkedCodec bool
 	for submitted := 0; ; {
 		if err := ctx.Err(); err != nil {
 			return params, fmt.Errorf("transport: cancelled: %w", err)
@@ -353,24 +351,19 @@ func RunAsyncClient(ctx context.Context, cfg AsyncClientConfig) ([]float64, erro
 		if cfg.Cohort > 0 {
 			seq = int64(model.Version)*int64(cfg.Cohort) + int64(cfg.Slot)
 		}
-		var res asyncfl.SubmitResult
-		if cfg.Codec == nil {
-			res, err = c.Submit(ctx, model.Version, seq, grad)
-		} else {
-			enc, encErr := cfg.Codec.Encode(grad, cfg.Rng)
-			if encErr != nil {
-				return params, fmt.Errorf("transport: codec %s encode: %w", cfg.Codec.Name(), encErr)
-			}
-			if !checkedCodec {
-				// Fail fast on the first submit: a server that does not
-				// advertise the codec would reject every upload anyway.
-				if !slices.Contains(model.Codecs, enc.Codec) {
-					return params, fmt.Errorf("transport: server does not accept codec %q (advertises %v)", enc.Codec, model.Codecs)
-				}
-				checkedCodec = true
-			}
-			res, err = c.SubmitEncoded(ctx, model.Version, seq, enc)
+		enc, err := wire.Encode(grad, cfg.Rng)
+		if err != nil {
+			return params, fmt.Errorf("transport: codec %s encode: %w", wire.Name(), err)
 		}
+		if !checkedCodec {
+			// Fail fast on the first submit: a server that does not
+			// advertise the codec would reject every upload anyway.
+			if !slices.Contains(model.Codecs, enc.Codec) {
+				return params, fmt.Errorf("transport: server does not accept codec %q (advertises %v)", enc.Codec, model.Codecs)
+			}
+			checkedCodec = true
+		}
+		res, err := c.SubmitEncoded(ctx, model.Version, seq, enc)
 		if err != nil {
 			return params, err
 		}

@@ -13,8 +13,9 @@ import (
 
 // TestAsyncEncodedSubmit covers the versioned encoded-update payload: the
 // server advertises its accepted codecs on fetch, decodes encoded submits
-// through the registry, and accounts their wire size — and an
-// identity-encoded submit steps the model exactly like the raw form.
+// through the registry, and accounts their wire size — and Submit is an
+// identity-encoded submit, stepping the model and counting its bytes
+// exactly as IdentityCodec's own payload does.
 func TestAsyncEncodedSubmit(t *testing.T) {
 	cfg := asyncfl.Config{
 		InitialParams: []float64{4, -3, 2, -1, 0.5, 8},
@@ -25,8 +26,9 @@ func TestAsyncEncodedSubmit(t *testing.T) {
 	ctx := context.Background()
 	grad := []float64{1, -2, 0.25, -0.125, 3, -4}
 
-	// Raw submit on one server, identity-encoded on another: the decoded
-	// gradient is bit-identical, so the stepped models must match exactly.
+	// Submit on one server, an IdentityCodec payload on another: the
+	// decoded gradient is bit-identical, so the stepped models must match
+	// exactly.
 	aggRaw, srvRaw := newAsyncTestServer(t, cfg)
 	cRaw := &AsyncClient{Base: srvRaw.URL, ID: "raw"}
 	if res, err := cRaw.Submit(ctx, 0, 0, grad); err != nil || !res.Accepted || !res.Stepped {
@@ -61,9 +63,9 @@ func TestAsyncEncodedSubmit(t *testing.T) {
 	if got := aggEnc.Stats().IngestBytes; got != int64(enc.Bytes()) {
 		t.Errorf("ingest bytes %d, want %d", got, enc.Bytes())
 	}
-	// The raw path falls back to dense accounting.
-	if got := aggRaw.Stats().IngestBytes; got != int64(8*len(grad)) {
-		t.Errorf("raw ingest bytes %d, want dense %d", got, 8*len(grad))
+	// Submit ships the same identity payload, header included.
+	if got := aggRaw.Stats().IngestBytes; got != int64(enc.Bytes()) {
+		t.Errorf("Submit ingest bytes %d, want identity's %d", got, enc.Bytes())
 	}
 
 	// A lossy codec ships measurably less than dense.
@@ -80,9 +82,9 @@ func TestAsyncEncodedSubmit(t *testing.T) {
 	}
 }
 
-// TestAsyncCodecPolicy covers the accepted-list gate, dense bodies
-// included, and the refusals of well-framed submits whose payload is wrong (hostile_test.go has the
-// malformed frames).
+// TestAsyncCodecPolicy covers the accepted-list gate, uncompressed submits
+// included, and the refusals of well-framed submits whose payload is wrong
+// (hostile_test.go has the malformed frames).
 func TestAsyncCodecPolicy(t *testing.T) {
 	agg, err := asyncfl.New(asyncfl.Config{
 		InitialParams: make([]float64, 4), K: 2, LR: 0.1, SessionTTL: -1,
@@ -128,7 +130,7 @@ func TestAsyncCodecPolicy(t *testing.T) {
 	}
 	corrupt := enc
 	corrupt.Idx = []int32{99, 1}
-	if err := post(AsyncSubmitRequest{Client: "c", Encoded: &corrupt}); err == nil ||
+	if err := post(AsyncSubmitRequest{Client: "c", Encoded: corrupt}); err == nil ||
 		!strings.Contains(err.Error(), "decoding") {
 		t.Fatalf("corrupt payload not rejected: %v", err)
 	}
@@ -137,13 +139,13 @@ func TestAsyncCodecPolicy(t *testing.T) {
 	// claiming a gigantic (or negative) dimension must never reach it.
 	for _, dim := range []int{1 << 30, -1, 3} {
 		huge := codec.Encoded{Codec: codec.TopK, Dim: dim}
-		if err := post(AsyncSubmitRequest{Client: "c", Encoded: &huge}); err == nil ||
+		if err := post(AsyncSubmitRequest{Client: "c", Encoded: huge}); err == nil ||
 			!strings.Contains(err.Error(), "declares dim") {
 			t.Fatalf("dim %d payload not rejected pre-decode: %v", dim, err)
 		}
 	}
-	// The valid forms still land, a dense body among them: identity is
-	// accepted.
+	// The valid forms still land, an uncompressed submit among them:
+	// identity is accepted.
 	if res, err := c.SubmitEncoded(ctx, 0, 0, enc); err != nil || !res.Accepted {
 		t.Fatalf("valid topk submit failed: res=%+v err=%v", res, err)
 	}
@@ -151,9 +153,9 @@ func TestAsyncCodecPolicy(t *testing.T) {
 		t.Fatalf("dense submit to an identity-accepting server failed: res=%+v err=%v", res, err)
 	}
 
-	// A topk-only server refuses a dense body as identity traffic, and the
-	// refusal still decides its lock-step position: the topk submit at the
-	// next position closes the block.
+	// A topk-only server refuses an uncompressed submit as the identity
+	// traffic it is, and the refusal still decides its lock-step position:
+	// the topk submit at the next position closes the block.
 	lockstep, err := asyncfl.New(asyncfl.Config{
 		InitialParams: make([]float64, 4), K: 2, LR: 0.1, SessionTTL: -1, Deterministic: true,
 	})
@@ -166,6 +168,15 @@ func TestAsyncCodecPolicy(t *testing.T) {
 	}
 	topkOnly := httptest.NewServer(h)
 	defer topkOnly.Close()
+	// A client with no Codec sends identity payloads, so it fails on the
+	// list its first fetch advertises, before it submits anything.
+	if _, err := RunAsyncClient(ctx, AsyncClientConfig{Addr: topkOnly.URL, ID: "plain", Compute: quadCompute(0)}); err == nil ||
+		!strings.Contains(err.Error(), `does not accept codec "identity"`) {
+		t.Fatalf("codec-less client against a topk-only server: %v, want a fail-fast naming identity", err)
+	}
+	if st := lockstep.Stats(); st.Arrivals != 0 || st.Rejects != 0 {
+		t.Fatalf("the codec-less client reached the aggregator: %+v", st)
+	}
 	dense := &AsyncClient{Base: topkOnly.URL, ID: "dense"}
 	if _, err := dense.Submit(ctx, 0, 0, grad); err == nil ||
 		!strings.Contains(err.Error(), "HTTP 400") || !strings.Contains(err.Error(), `codec "identity" not accepted`) {

@@ -5,8 +5,9 @@
 // (RunAsyncClient); the paper's synchronous rounds are a cohort of clients
 // submitting at fixed schedule positions of a deterministic aggregator
 // (RunAsyncClient with a Cohort), with RunRoundTimer ending the rounds a
-// member misses. The wire aggregates nothing itself (cmd/flserver,
-// cmd/flclient).
+// member misses. Every submit is a codec payload: a client with no codec
+// sends the identity payload, the gradient uncompressed. The wire
+// aggregates nothing itself (cmd/flserver, cmd/flclient).
 package transport
 
 import "github.com/signguard/signguard/internal/codec"
@@ -46,9 +47,8 @@ type AsyncModelResponse struct {
 	Done bool
 }
 
-// AsyncSubmitRequest carries one client gradient. Exactly one of Grad and
-// Encoded is set; on the wire a kind byte says which, so a body can carry
-// neither both nor a codec name without a payload.
+// AsyncSubmitRequest carries one client gradient as a codec payload: an
+// uncompressed gradient is the identity codec's.
 type AsyncSubmitRequest struct {
 	// Client identifies the session (also renews its liveness lease):
 	// 1 to 256 bytes.
@@ -58,11 +58,9 @@ type AsyncSubmitRequest struct {
 	// Seq is the schedule position in deterministic mode (ignored
 	// otherwise).
 	Seq int64
-	// Grad is the flat gradient vector of an uncompressed submit.
-	Grad []float64
-	// Encoded is the compressed form of the gradient; the server decodes
-	// it through its codec registry and accounts its wire size.
-	Encoded *codec.Encoded
+	// Encoded is the wire form of the gradient; the server decodes it
+	// through its codec registry and accounts its wire size.
+	Encoded codec.Encoded
 }
 
 // AsyncHeartbeatRequest renews a session without submitting.

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"github.com/signguard/signguard/internal/asyncfl"
+	"github.com/signguard/signguard/internal/codec"
 )
 
 // newAsyncTestServer spins a real HTTP server over a fresh aggregator.
@@ -187,6 +188,12 @@ func postBody(t *testing.T, url, contentType string, body []byte) (int, string) 
 	return resp.StatusCode, strings.TrimSpace(string(msg))
 }
 
+// identity is the uncompressed payload of grad, as AsyncClient.Submit
+// sends it.
+func identity(grad []float64) codec.Encoded {
+	return codec.Encoded{Codec: codec.Identity, Dim: len(grad), Dense: grad}
+}
+
 // submitBody is the wire form of req.
 func submitBody(t testing.TB, req AsyncSubmitRequest) []byte {
 	t.Helper()
@@ -204,11 +211,11 @@ func TestAsyncBadRequests(t *testing.T) {
 		LR:            0.1,
 		SessionTTL:    -1,
 	})
-	valid := submitBody(t, AsyncSubmitRequest{Client: "c", Grad: []float64{1, 2}})
+	valid := submitBody(t, AsyncSubmitRequest{Client: "c", Encoded: identity([]float64{1, 2})})
 	if status, msg := postBody(t, srv.URL+AsyncPathUpdate, asyncBinaryType, valid); status != http.StatusOK {
 		t.Fatalf("valid body: HTTP %d %s", status, msg)
 	}
-	short := submitBody(t, AsyncSubmitRequest{Client: "c", Grad: []float64{1}})
+	short := submitBody(t, AsyncSubmitRequest{Client: "c", Encoded: identity([]float64{1})})
 	if status, _ := postBody(t, srv.URL+AsyncPathUpdate, asyncBinaryType, short); status != http.StatusBadRequest {
 		t.Errorf("dim mismatch: HTTP %d, want 400", status)
 	}

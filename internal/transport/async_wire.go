@@ -28,8 +28,9 @@ const (
 	// asyncBinaryType is the Content-Type of both binary bodies.
 	asyncBinaryType = "application/octet-stream"
 	// asyncSubmitTag / asyncModelTag open the bodies: three magic bytes and
-	// the wire version of the /asyncfl/v2 paths.
-	asyncSubmitTag = "SGU\x02"
+	// a layout version, so a body in any other layout is refused at its
+	// first four bytes.
+	asyncSubmitTag = "SGU\x03"
 	asyncModelTag  = "SGM\x02"
 	// maxAsyncClientID bounds the client id of a submit.
 	maxAsyncClientID = 256
@@ -37,9 +38,6 @@ const (
 	// tag, client id, versions, codec name and count prefixes come to under
 	// 400 bytes.
 	asyncSubmitSlack = 4 << 10
-
-	kindDense   = 0
-	kindEncoded = 1
 )
 
 // maxAsyncSubmitBody is the largest legal submit body for a dim-coordinate
@@ -50,11 +48,11 @@ func maxAsyncSubmitBody(dim int) int64 { return 16*int64(dim) + asyncSubmitSlack
 // asyncScratch is one request's worth of memory the async handler owns and
 // recycles: the body buffer and the backing of every vector a submit
 // parses or decodes to. The zero value is the fresh form: every vector
-// gets a slice of its own, and a dense gradient of any length parses.
+// gets a slice of its own, of whatever length the body declares.
 type asyncScratch struct {
 	body []byte
-	// grad is the model-dimension vector (len = cap = dim): a dense
-	// gradient parses into it, and an encoded one decodes into it.
+	// grad is the model-dimension vector (len = cap = dim): an identity
+	// payload parses into it, and any other decodes into it.
 	grad []float64
 	// idx and val back a topk payload (cap dim each).
 	idx []int32
@@ -130,30 +128,22 @@ func writeAsyncModel(w http.ResponseWriter, m *AsyncModelResponse, s *asyncScrat
 	_, _ = w.Write(body) // a client that hung up is its own problem
 }
 
-// appendAsyncSubmit appends the binary submit body of req to b. Encoded,
-// when set, is what is sent (kind 1); otherwise Grad (kind 0).
+// appendAsyncSubmit appends the binary submit body of req to b.
 func appendAsyncSubmit(b []byte, req *AsyncSubmitRequest) ([]byte, error) {
 	if n := len(req.Client); n == 0 || n > maxAsyncClientID {
 		return b, fmt.Errorf("client id is %d bytes, want 1 to %d", n, maxAsyncClientID)
 	}
-	size := 8 * len(req.Grad)
-	if req.Encoded != nil {
-		size = len(req.Encoded.Codec) + req.Encoded.Bytes()
+	enc := &req.Encoded
+	if len(enc.Codec) > math.MaxUint8 {
+		return b, fmt.Errorf("codec name is %d bytes, want at most %d", len(enc.Codec), math.MaxUint8)
 	}
-	b = slices.Grow(b, 64+len(req.Client)+size) // one allocation: fields outside the payload come to under 64 B
+	b = slices.Grow(b, 64+len(req.Client)+len(enc.Codec)+enc.Bytes()) // one allocation: fields outside the payload come to under 64 B
 	b = append(b, asyncSubmitTag...)
 	b = binary.LittleEndian.AppendUint16(b, uint16(len(req.Client)))
 	b = append(b, req.Client...)
 	b = appendInt64(b, int64(req.Version))
 	b = appendInt64(b, req.Seq)
-	enc := req.Encoded
-	if enc == nil {
-		return appendFloat64s(append(b, kindDense), req.Grad), nil
-	}
-	if len(enc.Codec) > math.MaxUint8 {
-		return b, fmt.Errorf("codec name is %d bytes, want at most %d", len(enc.Codec), math.MaxUint8)
-	}
-	b = append(b, kindEncoded, byte(len(enc.Codec)))
+	b = append(b, byte(len(enc.Codec)))
 	b = append(b, enc.Codec...)
 	b = appendInt64(b, int64(enc.Dim))
 	b = appendFloat64s(b, enc.Dense)
@@ -174,8 +164,8 @@ func appendAsyncSubmit(b []byte, req *AsyncSubmitRequest) ([]byte, error) {
 
 // parseSubmit decodes a binary submit body into s (see asyncScratch). A
 // scratch with a gradient vector refuses, before anything is sized by it, a
-// dense gradient of any other length and a Dense, Idx or Val field longer
-// than it can hold — fields no model of its dimension can use.
+// Dense, Idx or Val field longer than it can hold — fields no model of its
+// dimension can use.
 func (s *asyncScratch) parseSubmit(body []byte) (AsyncSubmitRequest, error) {
 	r := wireReader{b: body}
 	r.tag(asyncSubmitTag)
@@ -187,43 +177,46 @@ func (s *asyncScratch) parseSubmit(body []byte) (AsyncSubmitRequest, error) {
 	req.Client = string(r.take(n))
 	req.Version = int(r.int64())
 	req.Seq = r.int64()
-	switch kind := r.byte(); kind {
-	case kindDense:
-		req.Grad = r.float64s(s.grad)
-		if r.err == nil && s.grad != nil && len(req.Grad) != len(s.grad) {
-			r.err = fmt.Errorf("dense gradient has %d coordinates, want %d", len(req.Grad), len(s.grad))
+	enc := &req.Encoded
+	enc.Codec = codecName(r.take(int(r.byte())))
+	enc.Dim = int(r.int64())
+	enc.Dense = r.float64s(s.grad)
+	if raw := r.counted(4, capLimit(s.idx)); len(raw) > 0 {
+		enc.Idx = fit(s.idx, len(raw)/4)
+		for i := range enc.Idx {
+			enc.Idx[i] = int32(binary.LittleEndian.Uint32(raw[4*i:]))
 		}
-	case kindEncoded:
-		enc := &codec.Encoded{}
-		enc.Codec = string(r.take(int(r.byte())))
-		enc.Dim = int(r.int64())
-		enc.Dense = r.float64s(s.grad)
-		if raw := r.counted(4, capLimit(s.idx)); len(raw) > 0 {
-			enc.Idx = fit(s.idx, len(raw)/4)
-			for i := range enc.Idx {
-				enc.Idx[i] = int32(binary.LittleEndian.Uint32(raw[4*i:]))
-			}
+	}
+	enc.Val = r.float64s(s.val)
+	enc.Scale = math.Float64frombits(uint64(r.int64()))
+	enc.Levels = int(r.int64())
+	if raw := r.counted(1, -1); len(raw) > 0 {
+		enc.Q = make([]int8, len(raw))
+		for i, q := range raw {
+			enc.Q[i] = int8(q)
 		}
-		enc.Val = r.float64s(s.val)
-		enc.Scale = math.Float64frombits(uint64(r.int64()))
-		enc.Levels = int(r.int64())
-		if raw := r.counted(1, -1); len(raw) > 0 {
-			enc.Q = make([]int8, len(raw))
-			for i, q := range raw {
-				enc.Q[i] = int8(q)
-			}
-		}
-		if raw := r.counted(1, -1); len(raw) > 0 {
-			enc.Sign = append([]byte(nil), raw...)
-		}
-		req.Encoded = enc
-	default: // not reached after an error: a failed read yields kind 0
-		r.err = fmt.Errorf("unknown payload kind %d", kind)
+	}
+	if raw := r.counted(1, -1); len(raw) > 0 {
+		enc.Sign = append([]byte(nil), raw...)
 	}
 	if err := r.finish(); err != nil {
 		return AsyncSubmitRequest{}, err
 	}
 	return req, nil
+}
+
+// builtinCodecs are the names codecName returns without allocating.
+var builtinCodecs = codec.Builtin().Names()
+
+// codecName is the codec name b spells: one of builtinCodecs, so that
+// parsing a submit allocates no string for it, or else a copy of b.
+func codecName(b []byte) string {
+	for _, name := range builtinCodecs {
+		if string(b) == name {
+			return name
+		}
+	}
+	return string(b)
 }
 
 // appendAsyncModel appends the binary model-fetch body of m to b.

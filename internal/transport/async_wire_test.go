@@ -36,22 +36,20 @@ func builtinPayloads(t testing.TB) []codec.Encoded {
 
 // retained is the bytes of slice and string storage a parsed submit holds.
 func retained(req AsyncSubmitRequest) int {
-	n := len(req.Client) + 8*cap(req.Grad)
-	if e := req.Encoded; e != nil {
-		n += len(e.Codec) + 8*cap(e.Dense) + 4*cap(e.Idx) + 8*cap(e.Val) + cap(e.Q) + cap(e.Sign)
-	}
-	return n
+	e := &req.Encoded
+	return len(req.Client) + len(e.Codec) + 8*cap(e.Dense) + 4*cap(e.Idx) + 8*cap(e.Val) + cap(e.Q) + cap(e.Sign)
 }
 
-// TestAsyncWireRoundTrip: what the four builtin codecs emit, and a dense
-// gradient with non-finite coordinates, come back from the wire exactly.
+// TestAsyncWireRoundTrip: what the four builtin codecs emit, and an
+// identity payload with non-finite coordinates, come back from the wire
+// exactly.
 func TestAsyncWireRoundTrip(t *testing.T) {
 	reqs := []AsyncSubmitRequest{
-		{Client: "dense", Version: 7, Seq: -3, Grad: []float64{1, math.Inf(-1), math.MaxFloat64, 0}},
+		{Client: "non-finite", Version: 7, Seq: -3, Encoded: identity([]float64{1, math.Inf(-1), math.MaxFloat64, 0})},
 		{Client: string(bytes.Repeat([]byte{0xff}, maxAsyncClientID)), Version: math.MaxInt32, Seq: math.MaxInt64},
 	}
 	for _, enc := range builtinPayloads(t) {
-		reqs = append(reqs, AsyncSubmitRequest{Client: "c-" + enc.Codec, Version: 1, Encoded: &enc})
+		reqs = append(reqs, AsyncSubmitRequest{Client: "c-" + enc.Codec, Version: 1, Encoded: enc})
 	}
 	for _, want := range reqs {
 		got, err := (&asyncScratch{}).parseSubmit(submitBody(t, want))
@@ -81,9 +79,9 @@ func TestAsyncWireRoundTrip(t *testing.T) {
 // takes, it reads exactly as the fresh form does.
 func FuzzAsyncSubmitBody(f *testing.F) {
 	scratch := newAsyncScratch(8)
-	f.Add(submitBody(f, AsyncSubmitRequest{Client: "c", Version: 3, Grad: []float64{1, math.NaN(), -2}}))
+	f.Add(submitBody(f, AsyncSubmitRequest{Client: "c", Version: 3, Encoded: identity([]float64{1, math.NaN(), -2})}))
 	for _, enc := range builtinPayloads(f) {
-		f.Add(submitBody(f, AsyncSubmitRequest{Client: "c", Version: 1, Seq: 2, Encoded: &enc}))
+		f.Add(submitBody(f, AsyncSubmitRequest{Client: "c", Version: 1, Seq: 2, Encoded: enc}))
 	}
 	for _, row := range hostileSubmitBodies(f, 8) {
 		f.Add(row.body)
@@ -101,9 +99,6 @@ func FuzzAsyncSubmitBody(f *testing.F) {
 		// reflect.DeepEqual calls two identical NaN gradients different.
 		if scratchErr == nil && !bytes.Equal(submitBody(t, inScratch), submitBody(t, req)) {
 			t.Fatalf("scratch form read %+v, fresh form %+v", inScratch, req)
-		}
-		if req.Encoded != nil && req.Grad != nil {
-			t.Fatalf("parsed both a dense and an encoded payload: %+v", req)
 		}
 		if got := retained(req); got > len(body) {
 			t.Fatalf("parse of a %d-byte body retains %d bytes", len(body), got)

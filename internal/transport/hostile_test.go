@@ -29,10 +29,10 @@ import (
 // whose clustering was the original crash chain (NaN points -> NaN inertia
 // in every restart -> nil cluster result -> nil deref) — and SignGuard, the
 // clustering rules FiniteGuard-wrapped as the defense registry wraps them. Every
-// hostile submit must be refused and counted, every round must still step on
-// the honest five, and the model must stay finite. The lock-step rows under
-// Mean and Multi-Krum ended with a NaN model while a gob round server still
-// aggregated whatever it decoded.
+// hostile submit must be refused with HTTP 400 and counted once, every round
+// must still step on the honest five, and the model must stay finite. The
+// lock-step rows under Mean and Multi-Krum ended with a NaN model while a gob
+// round server still aggregated whatever it decoded.
 func TestHostileNaNEndToEnd(t *testing.T) {
 	const dim, honest, rounds = 16, 5, 20
 	target := make([]float64, dim)
@@ -51,11 +51,15 @@ func TestHostileNaNEndToEnd(t *testing.T) {
 	wires := []struct {
 		name string
 		run  func(t *testing.T, rule func(n int) aggregate.Rule) *asyncfl.Aggregator
+		// refused is how many hostile submits the aggregator counts.
+		refused int64
 	}{
-		// A lock-step cohort: the hostile member uploads a dense gradient
-		// with a single NaN coordinate every round. The screen's refusal
-		// decides its schedule position, so each round closes on the
-		// honest five without the round timer.
+		// A lock-step cohort: the hostile member uploads an uncompressed
+		// gradient with a single NaN coordinate. The identity decode
+		// refuses it with HTTP 400, which ends the member, and the refusal
+		// decides its schedule position, so round 0 closes on the honest
+		// five at once. Round 1 waits for the member's slot until the round
+		// timer drops it; the rest close on the honest five.
 		{"lockstep", func(t *testing.T, rule func(n int) aggregate.Rule) *asyncfl.Aggregator {
 			computes := quadraticCohort(target, honest, 0)
 			clean := quadraticGradient(target, 0.05, 99)
@@ -64,26 +68,39 @@ func TestHostileNaNEndToEnd(t *testing.T) {
 				g[3] = math.NaN()
 				return g, err
 			})
-			l, err, _ := runSync(t, asyncfl.Config{
+			l, err, errs := runSync(t, asyncfl.Config{
 				InitialParams: make([]float64, dim), Rule: rule(honest + 1), LR: 0.1, TargetSteps: rounds,
-			}, computes, nil)
+			}, computes, func(l *lockstep) {
+				// Round 0's six uploads, then round 1's five honest ones.
+				waitFor(t, "round 1's honest uploads", func() bool { return l.updates.Load() == 2*honest+1 })
+				l.expire()
+			})
 			if err != nil {
 				t.Fatalf("round timer: %v", err)
 			}
+			for i, err := range errs[:honest] {
+				if err != nil {
+					t.Errorf("honest member %d: %v", i, err)
+				}
+			}
+			if err := errs[honest]; err == nil || !strings.Contains(err.Error(), "HTTP 400") {
+				t.Errorf("NaN member ended with %v, want HTTP 400", err)
+			}
+			if n := l.timeouts.Load(); n != 1 {
+				t.Errorf("the round timer ended %d rounds, want 1 (the NaN member's first missing slot)", n)
+			}
 			return l.agg
-		}},
-		// The binary submit body carries float64 bits verbatim: a dense
-		// gradient with one literal NaN is a well-formed request, answered
-		// 200 with NonFinite set once asyncfl.Submit's screen has refused
-		// and counted it — the same path the lock-step gradient above takes.
+		}, 1},
+		// An uncompressed gradient with one literal NaN is the identity
+		// codec's payload: its decode refuses it, the handler accounts it
+		// and answers HTTP 400, as for any other non-finite payload.
 		{"http-dense", httpHostileWire(target, honest, rounds, func(t *testing.T, evil *AsyncClient, round int) {
 			grad := make([]float64, dim)
 			grad[3] = math.NaN()
-			res, err := evil.Submit(context.Background(), round, 0, grad)
-			if err != nil || !res.NonFinite || res.Accepted {
-				t.Fatalf("literal-NaN dense body: res=%+v err=%v, want HTTP 200 with NonFinite and not Accepted", res, err)
+			if _, err := evil.Submit(context.Background(), round, 0, grad); err == nil || !strings.Contains(err.Error(), "HTTP 400") {
+				t.Fatalf("literal-NaN uncompressed gradient: %v, want HTTP 400", err)
 			}
-		})},
+		}), rounds},
 		// The other representable attack never reaches Submit: a valid qsgd
 		// payload whose finite Scale amplifies to +Inf on decode is refused
 		// by the codec, and the handler accounts it.
@@ -91,7 +108,7 @@ func TestHostileNaNEndToEnd(t *testing.T) {
 			if _, err := evil.SubmitEncoded(context.Background(), round, 0, amplifyingQSGD(dim)); err == nil || !strings.Contains(err.Error(), "HTTP 400") {
 				t.Fatalf("amplifying qsgd payload: %v, want HTTP 400", err)
 			}
-		})},
+		}), rounds},
 	}
 	for _, w := range wires {
 		for _, r := range rules {
@@ -101,8 +118,8 @@ func TestHostileNaNEndToEnd(t *testing.T) {
 				if st.Steps != rounds || !st.Done {
 					t.Errorf("%d steps (done=%v), want %d: hostile traffic wedged aggregation", st.Steps, st.Done, rounds)
 				}
-				if st.NonFiniteRejects != rounds {
-					t.Errorf("NonFiniteRejects = %d, want %d (one per hostile submit)", st.NonFiniteRejects, rounds)
+				if st.NonFiniteRejects != w.refused || st.Rejects != w.refused {
+					t.Errorf("NonFiniteRejects = %d, Rejects = %d, want %d each (one per hostile submit)", st.NonFiniteRejects, st.Rejects, w.refused)
 				}
 				_, params, _ := agg.Model()
 				if !tensor.AllFinite(params) {
@@ -218,23 +235,27 @@ func hostileSubmitBodies(t testing.TB, dim int) []hostileSubmitBody {
 	for i := range grad {
 		grad[i] = float64(i + 1)
 	}
-	topk := topHalf(grad)
-	dense := submitBody(t, AsyncSubmitRequest{Client: "c", Grad: grad})
-	encoded := submitBody(t, AsyncSubmitRequest{Client: "c", Encoded: &topk})
-	// header is a submit body up to and including the kind byte.
-	header := func(client string, kind byte) []byte {
-		b := binary.LittleEndian.AppendUint16([]byte(asyncSubmitTag), uint16(len(client)))
+	dense := submitBody(t, AsyncSubmitRequest{Client: "c", Encoded: identity(grad)})
+	encoded := submitBody(t, AsyncSubmitRequest{Client: "c", Encoded: topHalf(grad)})
+	// header is a submit body up to and including its schedule position,
+	// opened by tag.
+	header := func(tag, client string) []byte {
+		b := binary.LittleEndian.AppendUint16([]byte(tag), uint16(len(client)))
 		b = append(b, client...)
-		return append(append(b, make([]byte, 16)...), kind)
+		return append(b, make([]byte, 16)...)
 	}
-	// A dense body whose count prefix claims 2³²−1 coordinates and delivers
-	// enough bytes for one.
-	hugeCount := binary.LittleEndian.AppendUint32(header("c", kindDense), math.MaxUint32)
-	hugeCount = append(hugeCount, make([]byte, 40-len(hugeCount))...)
+	payload := dense[len(header(asyncSubmitTag, "c")):] // codec name onwards
+	// An identity body whose Dense count prefix claims 2³²−1 coordinates
+	// and delivers enough bytes for one.
+	hugeCount := append(header(asyncSubmitTag, "c"), byte(len(codec.Identity)))
+	hugeCount = binary.LittleEndian.AppendUint64(append(hugeCount, codec.Identity...), uint64(dim))
+	hugeCount = append(binary.LittleEndian.AppendUint32(hugeCount, math.MaxUint32), make([]byte, 12)...)
+	// The gradient in the layout before every submit was a codec payload:
+	// a kind byte 0, then the count-prefixed floats.
+	oldLayout := appendFloat64s(append(header("SGU\x02", "c"), 0), grad)
 	wrongTag := bytes.Clone(dense)
 	wrongTag[3] = 1
 	overCap := append(bytes.Clone(dense), make([]byte, int(maxAsyncSubmitBody(dim))+1-len(dense))...)
-	payload := dense[len(dense)-4-8*dim:] // the count-prefixed gradient
 
 	var rows []hostileSubmitBody
 	for n := 0; n < len(encoded); n++ {
@@ -242,13 +263,15 @@ func hostileSubmitBodies(t testing.TB, dim int) []hostileSubmitBody {
 			asyncBinaryType, encoded[:n], http.StatusBadRequest})
 	}
 	return append(rows, []hostileSubmitBody{
-		{"count prefix 2^32-1 on a 40-byte body", asyncBinaryType, hugeCount, http.StatusBadRequest},
-		{"dense gradient one coordinate long", asyncBinaryType, submitBody(t, AsyncSubmitRequest{Client: "c", Grad: append(grad, 0)}), http.StatusBadRequest},
+		{fmt.Sprintf("count prefix 2^32-1 on a %d-byte body", len(hugeCount)), asyncBinaryType, hugeCount, http.StatusBadRequest},
+		{"identity payload one coordinate long", asyncBinaryType, submitBody(t, AsyncSubmitRequest{Client: "c", Encoded: identity(append(grad, 0))}), http.StatusBadRequest},
+		{"identity payload one coordinate short of its Dim", asyncBinaryType,
+			submitBody(t, AsyncSubmitRequest{Client: "c", Encoded: codec.Encoded{Codec: codec.Identity, Dim: dim, Dense: grad[:dim-1]}}), http.StatusBadRequest},
 		{"trailing byte", asyncBinaryType, append(bytes.Clone(encoded), 0), http.StatusBadRequest},
 		{"wrong tag", asyncBinaryType, wrongTag, http.StatusBadRequest},
-		{"257-byte client id", asyncBinaryType, append(header(strings.Repeat("x", 257), kindDense), payload...), http.StatusBadRequest},
-		{"empty client id", asyncBinaryType, append(header("", kindDense), payload...), http.StatusBadRequest},
-		{"unknown payload kind", asyncBinaryType, append(header("c", 2), payload...), http.StatusBadRequest},
+		{"old tag SGU\\x02 on the layout with a kind byte", asyncBinaryType, oldLayout, http.StatusBadRequest},
+		{"257-byte client id", asyncBinaryType, append(header(asyncSubmitTag, strings.Repeat("x", 257)), payload...), http.StatusBadRequest},
+		{"empty client id", asyncBinaryType, append(header(asyncSubmitTag, ""), payload...), http.StatusBadRequest},
 		{"JSON content type", "application/json", dense, http.StatusUnsupportedMediaType},
 		{"one byte over the dim-derived cap", asyncBinaryType, overCap, http.StatusRequestEntityTooLarge},
 	}...)
@@ -257,7 +280,7 @@ func hostileSubmitBodies(t testing.TB, dim int) []hostileSubmitBody {
 // TestHostileSubmitBodies posts every malformed frame to a live server: each
 // is refused with its status, none of them buffers an update or moves the
 // model, and the valid dense and topk frames the table is cut from still
-// land afterwards. The count-prefix row, and a well-formed dense body four
+// land afterwards. The count-prefix row, and a well-formed identity body four
 // times the model's dimension, are also parsed directly to show the refusal
 // allocates nothing sized by the count.
 func TestHostileSubmitBodies(t *testing.T) {
@@ -290,9 +313,9 @@ func TestHostileSubmitBodies(t *testing.T) {
 		t.Errorf("malformed frames reached the aggregator: %+v", st)
 	}
 
-	// The handler's scratch form refuses a dense count other than its
-	// dimension before sizing anything by it; the fresh form would take
-	// this body and allocate 32 KiB for it.
+	// The handler's scratch form refuses a Dense count above its dimension
+	// before sizing anything by it; the fresh form would take this body and
+	// allocate 32 KiB for it.
 	// Each refusal allocates an error value and the numbers its message
 	// formats, and a one-byte client id.
 	const wide = 1 << 10
@@ -303,8 +326,8 @@ func TestHostileSubmitBodies(t *testing.T) {
 		maxAllocs float64
 	}{
 		{"a 2^32-1 count prefix", (&asyncScratch{}).parseSubmit, body("count prefix"), 4},
-		{"a dense body of 4×dim coordinates", newAsyncScratch(wide).parseSubmit,
-			submitBody(t, AsyncSubmitRequest{Client: "c", Grad: make([]float64, 4*wide)}), 5},
+		{"an identity body of 4×dim coordinates", newAsyncScratch(wide).parseSubmit,
+			submitBody(t, AsyncSubmitRequest{Client: "c", Encoded: identity(make([]float64, 4*wide))}), 5},
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -322,7 +345,7 @@ func TestHostileSubmitBodies(t *testing.T) {
 	c := &AsyncClient{Base: srv.URL, ID: "c"}
 	grad := []float64{1, 2, 3, 4, 5, 6, 7, 8}
 	if res, err := c.Submit(context.Background(), 0, 0, grad); err != nil || !res.Accepted {
-		t.Fatalf("valid dense submit after the hostile table: res=%+v err=%v", res, err)
+		t.Fatalf("valid uncompressed submit after the hostile table: res=%+v err=%v", res, err)
 	}
 	if res, err := c.SubmitEncoded(context.Background(), 0, 0, topHalf(grad)); err != nil || !res.Accepted {
 		t.Fatalf("valid topk submit after the hostile table: res=%+v err=%v", res, err)

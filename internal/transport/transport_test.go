@@ -282,8 +282,8 @@ func TestLockstepMatchesParentDigests(t *testing.T) {
 }
 
 // TestServerRejectsWrongDimension: a cohort whose only member sends a
-// wrong-dimension gradient is refused at the wire, its round times out with
-// nobody left, and the run fails.
+// wrong-dimension gradient is refused at the wire, which decides its
+// position: the round closes without a step, and the run fails.
 func TestServerRejectsWrongDimension(t *testing.T) {
 	_, err, _ := runSync(t, asyncfl.Config{
 		InitialParams: []float64{0, 0}, Rule: aggregate.NewMean(), LR: 0.1, TargetSteps: 3,
@@ -298,9 +298,9 @@ func TestServerRejectsWrongDimension(t *testing.T) {
 	}
 }
 
-// TestServerFailsRoundClosedWithoutStep: when the screen refuses every
-// upload of a round, the round closes without a step and no member can go
-// on. The round timer fails the run at its next check, not a timeout later,
+// TestServerFailsRoundClosedWithoutStep: when the wire refuses every
+// upload of a round as non-finite, the round closes without a step and no
+// member can go on. The round timer fails the run at its next check, not a timeout later,
 // and names the empty selection.
 func TestServerFailsRoundClosedWithoutStep(t *testing.T) {
 	nan := func(int, []float64) ([]float64, error) { return []float64{math.NaN(), 0}, nil }
@@ -366,8 +366,11 @@ func TestServerHistory(t *testing.T) {
 // TestServerDropsMisbehavingConnections is the one-client-DoS regression: a
 // wrong-dimension upload in the second round and a member going silent in
 // the third used to end the run for everybody. Each now costs only its own
-// place in the cohort: the round timer ends exactly those two rounds, and
-// the rest complete on what is left of the cohort.
+// place in the cohort: the wire refuses the wrong-dimension upload, which
+// decides its schedule position, so the second round closes on the other
+// three and that member leaves on its HTTP 400; the round timer ends the
+// third round, which misses both members, and the rest complete on what is
+// left of the cohort.
 func TestServerDropsMisbehavingConnections(t *testing.T) {
 	target := []float64{1, -1, 2}
 	honest := func(seed int64) GradientFunc { return quadraticGradient(target, 0.01, seed) }
@@ -393,10 +396,9 @@ func TestServerDropsMisbehavingConnections(t *testing.T) {
 			return nil, errors.New("silent member woke after the run")
 		}),
 	}, func(l *lockstep) {
-		// Round 0's four uploads and round 1's four, one of them refused.
-		waitFor(t, "round 1's uploads", func() bool { return l.updates.Load() == 8 })
-		l.expire()
-		// Round 2: members 0 and 2; member 3 is silent. Expiring the round
+		// Round 0's four uploads, round 1's four (one of them refused,
+		// which closes the round) and round 2's two: members 0 and 2;
+		// member 1 has left and member 3 is silent. Expiring the round
 		// before member 3 holds round 2's model would let it sleep through
 		// the run and fetch a finished model, which is no error.
 		waitFor(t, "round 2's uploads", func() bool { return l.updates.Load() == 10 })
@@ -426,8 +428,8 @@ func TestServerDropsMisbehavingConnections(t *testing.T) {
 	if fmt.Sprint(buffers) != "[4 3 2 2 2 2]" {
 		t.Errorf("per-round buffers %v, want [4 3 2 2 2 2]", buffers)
 	}
-	if n := l.timeouts.Load(); n != 2 {
-		t.Errorf("the round timer ended %d rounds, want 2", n)
+	if n := l.timeouts.Load(); n != 1 {
+		t.Errorf("the round timer ended %d rounds, want 1", n)
 	}
 	if clientErrs[0] != nil || clientErrs[2] != nil {
 		t.Errorf("well-behaved clients failed: %v, %v", clientErrs[0], clientErrs[2])
