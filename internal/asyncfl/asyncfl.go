@@ -34,7 +34,7 @@
 // submitters interleave — the property the interleaving tests assert
 // without a single sleep. In that mode K counts decided positions, not
 // accepted ones: a position is decided when its update is accepted, refused
-// (by admission, the screen or the transport) or abandoned, so every block
+// (by the screen, admission or the transport) or abandoned, so every block
 // closes, normally with a step. A slot (a position mod K) belongs to the
 // first client that claims one of its positions. Flush is the round
 // barrier: it abandons the open block's missing positions and drops their
@@ -172,7 +172,7 @@ type SubmitResult struct {
 	// advanced the model (a step the defense or merge skipped does not).
 	Stepped bool
 	// NonFinite reports the update carried NaN or ±Inf coordinates and
-	// was refused.
+	// was refused by Submit's screen.
 	NonFinite bool
 	// Staleness is the update's age in model versions at submit time.
 	Staleness int
@@ -206,7 +206,7 @@ type Stats struct {
 	Drops      int64 // evictions by drop-oldest
 	Rejects    int64 // refused updates (future-versioned, non-finite, done)
 	RuleErrors int64 // steps skipped because the defense errored
-	// NonFiniteRejects counts updates the ingest screen refused for
+	// NonFiniteRejects counts updates Submit's screen refused for
 	// carrying NaN or ±Inf coordinates (also counted in Rejects).
 	NonFiniteRejects int64
 	// EmptySelects counts steps skipped with nothing to merge: the defense
@@ -335,6 +335,13 @@ func (a *Aggregator) logf(format string, args ...any) {
 // Submit copies u.Grad into an update slot of its own before anything else
 // looks at it and never keeps the caller's slice: a transport may hand it
 // request scratch and reuse that scratch once Submit returns.
+//
+// The slot is screened once, on entry, in both modes: this is the one
+// finiteness check of every door a served gradient comes through, the wire
+// included (codec.Decode checks formats only). A gradient carrying NaN or
+// ±Inf is refused with NonFinite set and never buffered or parked; in
+// deterministic mode it decides its schedule position at once, and its
+// result reports the step when that position closes the block.
 func (a *Aggregator) Submit(u Update) (SubmitResult, error) {
 	if len(u.Grad) != len(a.cfg.InitialParams) {
 		return SubmitResult{}, fmt.Errorf("asyncfl: client %q sent %d-dim gradient, want %d",
@@ -346,8 +353,26 @@ func (a *Aggregator) Submit(u Update) (SubmitResult, error) {
 	defer a.mu.Unlock()
 	a.purgeLocked(expired)
 
+	if a.cfg.Deterministic {
+		if err := a.claimLocked(u.Client, u.Seq); err != nil {
+			return SubmitResult{}, err
+		}
+	}
+	u.Grad = a.slotLocked(u.Grad)
+	if sanitize.Screen(u.Grad, sanitize.Reject) == sanitize.Rejected {
+		a.spare = append(a.spare, u.Grad)
+		a.nonFiniteRejects++
+		a.rejects++
+		res := SubmitResult{Version: a.version, Done: a.done}
+		if a.cfg.Deterministic {
+			a.reorder[u.Seq] = nil // a tombstone: the drain decides it as is
+			a.drainLocked(u.Seq, &res)
+		}
+		res.NonFinite = true
+		return res, nil
+	}
+
 	if !a.cfg.Deterministic {
-		u.Grad = a.slotLocked(u.Grad)
 		res := a.applyLocked(u)
 		if res.Accepted {
 			if a.sinceK++; a.sinceK >= a.cfg.K {
@@ -359,15 +384,10 @@ func (a *Aggregator) Submit(u Update) (SubmitResult, error) {
 
 	// Deterministic mode: park the update and decide every consecutive
 	// schedule position that is now decidable, returning the caller's own
-	// outcome once its turn comes.
-	if err := a.claimLocked(u.Client, u.Seq); err != nil {
-		return SubmitResult{}, err
-	}
-	// Park a copy in a slot, which applyLocked takes over when it drains.
-	// (A parked variable of its own, not &u: u escaping would cost every
-	// Submit a heap copy of it.)
+	// outcome once its turn comes. applyLocked takes the slot over when it
+	// drains. (A parked variable of its own, not &u: u escaping would cost
+	// every Submit a heap copy of it.)
 	parked := u
-	parked.Grad = a.slotLocked(u.Grad)
 	a.reorder[u.Seq] = &parked
 	res := SubmitResult{Held: true, Version: a.version, Done: a.done}
 	a.drainLocked(u.Seq, &res)
@@ -375,25 +395,20 @@ func (a *Aggregator) Submit(u Update) (SubmitResult, error) {
 }
 
 // Refuse accounts an update the transport refused before Submit could see
-// it (an unaccepted codec, a declared dimension other than Dim, a decode
-// error). nonFinite counts it with the screen's rejections. In deterministic
-// mode it decides position seq as the screen's refusal would, unless Submit
-// would refuse seq (another client's slot, say). It renews the session's
-// lease like any client message; outside deterministic mode only a
-// non-finite refusal is looked at.
-func (a *Aggregator) Refuse(client string, seq int64, nonFinite bool) {
-	if !nonFinite && !a.cfg.Deterministic {
+// it (an unaccepted codec, a declared dimension other than Dim, a
+// malformed payload). In deterministic mode it decides position seq as a
+// refused update, unless Submit would refuse seq (another client's slot,
+// say), and renews the session's lease like any client message. Outside
+// deterministic mode a refusal decides nothing, and Refuse does nothing.
+func (a *Aggregator) Refuse(client string, seq int64) {
+	if !a.cfg.Deterministic {
 		return
 	}
 	expired, _ := a.sessions.Touch(client)
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.purgeLocked(expired)
-	if nonFinite {
-		a.nonFiniteRejects++
-		a.rejects++
-	}
-	if a.cfg.Deterministic && a.claimLocked(client, seq) == nil {
+	if a.claimLocked(client, seq) == nil {
 		a.reorder[seq] = nil
 		a.drainLocked(seq, nil)
 	}
@@ -498,7 +513,7 @@ func (a *Aggregator) drainLocked(own int64, res *SubmitResult) {
 		}
 		delete(a.reorder, seq)
 		a.seqNext++
-		var r SubmitResult
+		r := SubmitResult{Version: a.version, Done: a.done}
 		if u != nil {
 			r = a.applyLocked(*u)
 		}
@@ -554,10 +569,8 @@ func (a *Aggregator) stepInto(res *SubmitResult) {
 	res.Stepped, res.Version, res.Done = a.version > before, a.version, a.done
 }
 
-// admitLocked decides whether an update may enter the buffer: it refuses
-// the done and the future-versioned, then screens the update's slot. A
-// non-finite update consumes the arrival — in deterministic mode it decides
-// its schedule position — but never enters the buffer. Callers hold a.mu.
+// admitLocked decides whether a screened update may enter the buffer: it
+// refuses the done and the future-versioned. Callers hold a.mu.
 func (a *Aggregator) admitLocked(u Update) (res SubmitResult, ok bool) {
 	res = SubmitResult{Version: a.version, Done: a.done}
 	if a.done {
@@ -569,12 +582,6 @@ func (a *Aggregator) admitLocked(u Update) (res SubmitResult, ok bool) {
 	if s < 0 {
 		a.rejects++
 		return res, false // gradient against a future model: refused
-	}
-	if sanitize.Screen(u.Grad, sanitize.Reject) == sanitize.Rejected {
-		a.nonFiniteRejects++
-		a.rejects++
-		res.NonFinite = true
-		return res, false
 	}
 	return res, true
 }

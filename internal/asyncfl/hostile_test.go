@@ -183,28 +183,56 @@ func TestSignGuardSimOverflowingGradientSteps(t *testing.T) {
 
 // Deterministic mode: a rejected hostile update must still consume its
 // schedule position, or one NaN would wedge every later position forever.
+// The screen runs on entry, so the refusal is the submitter's answer at
+// once, ahead of its turn too: it is never parked as Held. A NaN that
+// decides the last position of its block steps it, and its own refusal
+// reports the step.
 func TestDeterministicRejectConsumesSchedulePosition(t *testing.T) {
-	agg, err := New(Config{
-		InitialParams: make([]float64, 4),
-		K:             2,
-		LR:            0.1,
-		Deterministic: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := agg.Submit(Update{Client: "evil", Seq: 0, Grad: nanGrad(4, 1)}); err != nil {
-		t.Fatal(err)
-	}
 	honest := []float64{1, 2, 3, 4}
-	res, err := agg.Submit(Update{Client: "honest", Seq: 1, Grad: honest})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Accepted {
-		t.Fatalf("position 1 did not apply after the hostile position 0 drained: %+v", res)
-	}
-	if st := agg.Stats(); st.NonFiniteRejects != 1 {
-		t.Errorf("NonFiniteRejects = %d, want 1", st.NonFiniteRejects)
+	for _, tc := range []struct {
+		name      string
+		evilSeq   int64
+		evilFirst bool
+	}{
+		{"NaN at seq 0, then seq 1", 0, true},
+		{"NaN at seq 1 before seq 0", 1, true},
+		{"NaN at seq 1 after seq 0", 1, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			agg, err := New(Config{
+				InitialParams: make([]float64, 4),
+				K:             2,
+				LR:            0.1,
+				Deterministic: true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			evil := func() SubmitResult {
+				res, err := agg.Submit(Update{Client: "evil", Seq: tc.evilSeq, Grad: nanGrad(4, 1)})
+				if err != nil || !res.NonFinite || res.Held || res.Accepted {
+					t.Fatalf("NaN update at position %d: res=%+v err=%v, want refused at once", tc.evilSeq, res, err)
+				}
+				return res
+			}
+			if tc.evilFirst {
+				evil()
+			}
+			res, err := agg.Submit(Update{Client: "honest", Seq: 1 - tc.evilSeq, Grad: honest})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Accepted {
+				t.Fatalf("position %d did not apply beside the hostile position %d: %+v", 1-tc.evilSeq, tc.evilSeq, res)
+			}
+			if !tc.evilFirst {
+				if res := evil(); !res.Stepped || res.Version != 1 {
+					t.Fatalf("NaN closing the block: %+v, want Stepped at version 1", res)
+				}
+			}
+			if st := agg.Stats(); st.NonFiniteRejects != 1 || st.Steps != 1 {
+				t.Errorf("NonFiniteRejects = %d, Steps = %d, want 1 and 1", st.NonFiniteRejects, st.Steps)
+			}
+		})
 	}
 }

@@ -68,8 +68,9 @@ type Config struct {
 	// NonFiniteFraction of clients are hostile in the non-finite sense:
 	// every submission is a qsgd payload whose finite Scale amplifies to
 	// +Inf on decode — the NaN-injection attack in a shape no finiteness
-	// check of the payload itself can see. The server must refuse each one
-	// with HTTP 400 and count it in Stats.NonFiniteRejects.
+	// check of the payload itself can see. It decodes, and the server's one
+	// screen (asyncfl.Aggregator.Submit) must refuse each one, answered
+	// with HTTP 400 and counted in Stats.NonFiniteRejects.
 	NonFiniteFraction float64
 	// ChurnFraction of clients vanish after one update without ever
 	// heartbeating again — their sessions expire and queued updates are
@@ -146,8 +147,8 @@ type Report struct {
 	Purged  int64
 	Expired int64
 	// NonFiniteRejects counts hostile non-finite submissions the server
-	// refused (Stats.NonFiniteRejects: wire-level decode refusals plus
-	// buffer-screen rejections).
+	// refused (Stats.NonFiniteRejects: Submit's screen, which every
+	// decoded update passes).
 	NonFiniteRejects int64
 	// Aggregation progress.
 	Steps    int64

@@ -118,7 +118,7 @@ func TestDeterministicSlotBelongsToItsFirstClient(t *testing.T) {
 	if _, err := submit("m1", 2); err == nil {
 		t.Fatal("member 1 submitted at member 0's position")
 	}
-	a.Refuse("m1", 2, false)
+	a.Refuse("m1", 2)
 	if res, err := submit("m0", 2); err != nil || !res.Accepted {
 		t.Fatalf("member 0 at its own position after member 1's claims: res=%+v err=%v", res, err)
 	}

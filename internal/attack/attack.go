@@ -32,7 +32,8 @@ import (
 // Context is everything the adversary can see in one round. Its slices are
 // valid only for the duration of Craft: the simulator reuses their memory
 // in the next round, so an attack that keeps a vector must copy it (and
-// must not mutate them — Craft returns new vectors).
+// must not mutate them — Craft returns new vectors; the simulator screens
+// only those, and conformance.CheckAttackInputRetention pins it).
 type Context struct {
 	// Benign holds the honest gradients of the benign clients.
 	Benign [][]float64

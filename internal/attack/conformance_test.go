@@ -50,3 +50,34 @@ func TestConformanceCatchesAttackRetention(t *testing.T) {
 		t.Fatal("an attack that keeps its input passed the retention check")
 	}
 }
+
+// flipsInPlace violates the read-only rule on purpose: it negates one of its
+// Context's vectors where it lies and submits it.
+type flipsInPlace struct{ benign bool }
+
+func (*flipsInPlace) Name() string { return "FlipsInPlace" }
+
+func (a *flipsInPlace) Craft(ctx *attack.Context) ([][]float64, error) {
+	src := ctx.ByzOwn
+	if a.benign {
+		src = ctx.Benign
+	}
+	tensor.ScaleInPlace(src[0], -1)
+	out := tensor.CloneAll(ctx.ByzOwn)
+	out[0] = tensor.Clone(src[0])
+	return out, nil
+}
+
+// TestConformanceCatchesAttackWritingItsInputs is the test of the test: an
+// attack that writes a benign or a Byzantine-own vector of its Context
+// must fail, because the round screen does not rescan them.
+func TestConformanceCatchesAttackWritingItsInputs(t *testing.T) {
+	for _, benign := range []bool{true, false} {
+		spec := attack.Spec{Name: "FlipsInPlace", New: func(float64, int64) (attack.Attack, error) {
+			return &flipsInPlace{benign: benign}, nil
+		}}
+		if err := conformance.CheckAttackInputRetention(spec, 29); err == nil {
+			t.Errorf("an attack that writes its input (benign: %v) passed the check", benign)
+		}
+	}
+}

@@ -15,23 +15,24 @@
 // the others concurrently without one — so a run is deterministic for any
 // worker count.
 //
+// Decode checks a payload's format — its lengths, indices and level count
+// against its declared dimension — and nothing else. A payload that carries
+// NaN or ±Inf, or a qsgd Scale that amplifies to them, decodes to those
+// values: finiteness is the receiver's screen, on the serving side
+// asyncfl.Aggregator.Submit's, which sees every gradient whatever door it
+// came through. The encoders refuse a non-finite gradient, since topk would
+// ship it verbatim and qsgd would stamp a NaN norm on every coordinate.
+//
 // A Registry is an internal/catalog table like internal/defense's: named
 // constructors, each at one configuration, consumed by the campaign grid,
 // the experiments harness and the CLIs.
 package codec
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 )
-
-// ErrNonFinite marks encode/decode refusals caused by NaN or ±Inf values —
-// either carried verbatim in a payload or produced by amplification during
-// decode. Receivers (the async transport) match it with errors.Is to count
-// hostile traffic separately from malformed payloads.
-var ErrNonFinite = errors.New("non-finite value")
 
 // Canonical codec names: the registry keys, the Encoded.Codec wire tags,
 // and the names the async protocol advertises.
@@ -162,10 +163,11 @@ type Codec interface {
 	// an optional one, so a wrapper that embeds a Codec forwards it.
 	Stochastic() bool
 	// Decode reconstructs a gradient of length Encoded.Dim from the wire
-	// form. It must not depend on the instance's configuration — a
-	// receiver decodes payloads from any sender configuration. The result
-	// may alias e's payload arrays or its destination (see the ownership
-	// rule above).
+	// form, refusing a malformed payload; it does not screen the values
+	// (see the package doc). It must not depend on the instance's
+	// configuration — a receiver decodes payloads from any sender
+	// configuration. The result may alias e's payload arrays or its
+	// destination (see the ownership rule above).
 	Decode(e Encoded) ([]float64, error)
 }
 
@@ -185,19 +187,11 @@ func (IdentityCodec) Encode(grad []float64, _ *rand.Rand) (Encoded, error) {
 // Stochastic implements Codec: identity draws no randomness.
 func (IdentityCodec) Stochastic() bool { return false }
 
-// Decode implements Codec: it validates the payload in place and returns
-// e.Dense itself, not a copy. A payload carrying NaN or ±Inf values is
-// refused: decoded gradients feed norms, distances and clustering
-// directly, so the wire boundary must never emit a non-finite value
-// without an error.
+// Decode implements Codec: it checks the payload's length and returns
+// e.Dense itself, not a copy.
 func (IdentityCodec) Decode(e Encoded) ([]float64, error) {
 	if len(e.Dense) != e.Dim {
 		return nil, fmt.Errorf("codec: identity payload has %d values for dim %d", len(e.Dense), e.Dim)
-	}
-	for i, v := range e.Dense {
-		if !finite(v) {
-			return nil, fmt.Errorf("codec: identity payload value %d: %w", i, ErrNonFinite)
-		}
 	}
 	return e.Dense, nil
 }
@@ -258,7 +252,7 @@ func encodeTopK(grad []float64, k int) (Encoded, error) {
 	if hist[len(hist)-1] > 0 { // the all-ones exponent: NaN or ±Inf
 		for i, v := range grad {
 			if !finite(v) {
-				return Encoded{}, fmt.Errorf("codec: topk cannot encode coordinate %d: %w", i, ErrNonFinite)
+				return Encoded{}, fmt.Errorf("codec: topk cannot encode non-finite coordinate %d", i)
 			}
 		}
 	}
@@ -330,9 +324,6 @@ func (TopKCodec) Decode(e Encoded) ([]float64, error) {
 		if idx < 0 || int(idx) >= e.Dim {
 			return nil, fmt.Errorf("codec: topk index %d out of dim %d", idx, e.Dim)
 		}
-		if !finite(e.Val[i]) {
-			return nil, fmt.Errorf("codec: topk payload value %d: %w", i, ErrNonFinite)
-		}
 		out[idx] = e.Val[i]
 	}
 	return out, nil
@@ -375,7 +366,7 @@ func encodeQSGD(grad []float64, rng *rand.Rand, s int) (Encoded, error) {
 	if !finite(norm) {
 		// A NaN or overflowing norm would ship as the payload Scale and
 		// poison every decoded coordinate downstream.
-		return Encoded{}, fmt.Errorf("codec: qsgd cannot encode a gradient whose norm is a %w", ErrNonFinite)
+		return Encoded{}, fmt.Errorf("codec: qsgd cannot encode a gradient whose norm is non-finite")
 	}
 	e := Encoded{Codec: QSGD, Dim: len(grad), Scale: norm, Levels: s, Q: make([]int8, len(grad))}
 	if norm == 0 {
@@ -396,10 +387,9 @@ func encodeQSGD(grad []float64, rng *rand.Rand, s int) (Encoded, error) {
 	return e, nil
 }
 
-// Decode implements Codec: g_i = Scale·Q_i/Levels. A payload whose Scale
-// is non-finite — or finite but so large the product overflows — is
-// refused: amplification through a huge Scale is how a hostile client
-// builds ±Inf out of a payload in which every number is finite.
+// Decode implements Codec: g_i = Scale·Q_i/Levels. A non-finite Scale,
+// or a finite one so large the product overflows, decodes to NaN or ±Inf
+// coordinates: a receiver screens the decoded gradient, not the payload.
 func (QSGDCodec) Decode(e Encoded) ([]float64, error) {
 	if len(e.Q) != e.Dim {
 		return nil, fmt.Errorf("codec: qsgd payload has %d levels for dim %d", len(e.Q), e.Dim)
@@ -407,20 +397,13 @@ func (QSGDCodec) Decode(e Encoded) ([]float64, error) {
 	if e.Levels < 1 {
 		return nil, fmt.Errorf("codec: qsgd payload with %d levels", e.Levels)
 	}
-	if !finite(e.Scale) {
-		return nil, fmt.Errorf("codec: qsgd payload scale is a %w", ErrNonFinite)
-	}
 	out := e.decodeDst()
 	if e.Scale == 0 {
 		return out, nil
 	}
 	inv := e.Scale / float64(e.Levels)
 	for i, q := range e.Q {
-		v := float64(q) * inv
-		if !finite(v) {
-			return nil, fmt.Errorf("codec: qsgd payload amplifies to a %w at %d", ErrNonFinite, i)
-		}
-		out[i] = v
+		out[i] = float64(q) * inv
 	}
 	return out, nil
 }

@@ -2,18 +2,18 @@ package codec
 
 import (
 	"encoding/binary"
-	"errors"
 	"math"
 	"testing"
 )
 
 // FuzzDecode drives arbitrary payload fields — hostile floats, mismatched
 // lengths, out-of-range indices — through every registry decode path and
-// asserts the wire invariant: any successful decode returns a fully finite
-// gradient of exactly the declared dimension; everything else errors. The
-// same payload decoded into a dirty destination — NaN-filled, one value
-// short of, exactly or one past the declared dimension — must return the
-// same bits, or fail with the same class of error.
+// asserts the wire invariant: any successful decode returns a gradient of
+// exactly the declared dimension; everything else errors. (A decode does
+// not screen values: a NaN in the payload is a NaN in the gradient, for the
+// receiver's screen to refuse.) The same payload decoded into a dirty
+// destination — NaN-filled, one value short of, exactly or one past the
+// declared dimension — must return the same bits, or fail too.
 func FuzzDecode(f *testing.F) {
 	f.Add(uint8(0), 4, int64(0), 4, []byte{})
 	f.Add(uint8(1), 8, int64(0), 2, []byte{0, 0, 0, 0, 0, 0, 0x24, 0x40})
@@ -55,7 +55,7 @@ func FuzzDecode(f *testing.F) {
 			dst[i] = math.NaN()
 		}
 		dout, derr := reg.Decode(e.WithDst(dst))
-		if (err == nil) != (derr == nil) || errors.Is(err, ErrNonFinite) != errors.Is(derr, ErrNonFinite) {
+		if (err == nil) != (derr == nil) {
 			t.Fatalf("%s: decode error %v, into a %d-value destination %v", e.Codec, err, len(dst), derr)
 		}
 		if err != nil {
@@ -71,11 +71,6 @@ func FuzzDecode(f *testing.F) {
 		}
 		if len(out) != e.Dim {
 			t.Fatalf("%s: decoded %d values for declared dim %d", e.Codec, len(out), e.Dim)
-		}
-		for i, v := range out {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				t.Fatalf("%s: decode emitted non-finite value at %d without error", e.Codec, i)
-			}
 		}
 	})
 }
@@ -102,7 +97,7 @@ func floatsToBytes(v []float64) []byte {
 // FuzzTopKEncodeMatchesReference holds the selection-based encodeTopK to
 // the sort-based referenceTopK on arbitrary gradients: a finite input
 // must produce the reference payload bit for bit, an input with a NaN or
-// ±Inf coordinate anywhere must be refused with ErrNonFinite. coarse reads
+// ±Inf coordinate anywhere must be refused with an error. coarse reads
 // one small signed value per byte — zeros, repeated magnitudes and ±v
 // pairs, the inputs that stress the tie rule — instead of one float64 per
 // eight bytes. The checked-in corpus (testdata/fuzz) holds the inputs long
@@ -135,8 +130,8 @@ func FuzzTopKEncodeMatchesReference(f *testing.F) {
 		k = min(max(k, 1), len(grad))
 		for _, v := range grad {
 			if !finite(v) {
-				if _, err := encodeTopK(grad, k); !errors.Is(err, ErrNonFinite) {
-					t.Fatalf("non-finite gradient %v: err = %v, want ErrNonFinite", grad, err)
+				if _, err := encodeTopK(grad, k); err == nil {
+					t.Fatalf("non-finite gradient %v encoded without an error", grad)
 				}
 				return
 			}

@@ -298,8 +298,9 @@ func CheckCodecRandomness(reg *codec.Registry, name string, seed int64) error {
 
 // MalformedPayloads derives corrupted wire payloads from a valid encoding,
 // mutating whichever payload group the codec actually uses: a negative
-// dimension, truncated arrays, out-of-range sparse indices, and non-finite
-// carriers. Every returned payload must fail to decode.
+// dimension, truncated arrays, out-of-range sparse indices and a zero level
+// count. Every returned payload must fail to decode. A non-finite value is
+// not a format error: it decodes, and the receiver's screen refuses it.
 func MalformedPayloads(enc codec.Encoded) []codec.Encoded {
 	var bad []codec.Encoded
 	add := func(mutate func(e *codec.Encoded)) {
@@ -315,17 +316,14 @@ func MalformedPayloads(enc codec.Encoded) []codec.Encoded {
 	add(func(e *codec.Encoded) { e.Dim = -4 })
 	if len(enc.Dense) > 0 {
 		add(func(e *codec.Encoded) { e.Dense = e.Dense[:len(e.Dense)-1] })
-		add(func(e *codec.Encoded) { e.Dense[0] = math.Inf(1) })
 	}
 	if len(enc.Idx) > 0 {
 		add(func(e *codec.Encoded) { e.Idx[0] = int32(e.Dim + 5) })
 		add(func(e *codec.Encoded) { e.Val = e.Val[:len(e.Val)-1] })
-		add(func(e *codec.Encoded) { e.Val[0] = math.NaN() })
 	}
 	if len(enc.Q) > 0 {
 		add(func(e *codec.Encoded) { e.Q = e.Q[:len(e.Q)-1] })
 		add(func(e *codec.Encoded) { e.Levels = 0 })
-		add(func(e *codec.Encoded) { e.Scale = math.Inf(1) })
 	}
 	if len(enc.Sign) > 0 {
 		add(func(e *codec.Encoded) { e.Sign = e.Sign[:len(e.Sign)-1] })

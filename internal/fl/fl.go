@@ -556,14 +556,17 @@ func (s *Simulation) Step(round int) (*RoundMetrics, error) {
 		byzMask[pos] = true
 	}
 
-	// Ingest screening of the submitted buffer: one norm pass per gradient.
-	// A non-finite gradient is refused and dropped with its Byzantine-mask
-	// slot; a finite one whose norm is beyond the usable range means the
-	// model has diverged. Only the survivors reach the wire.
+	// Ingest screening of the adversary's vectors: one norm pass per crafted
+	// gradient. The benign ones passed the local-output check above, and an
+	// attack never writes its Context's vectors (conformance's
+	// CheckAttackInputRetention), so they are not read again. A non-finite
+	// gradient is refused and dropped with its Byzantine-mask slot; a finite
+	// one whose norm is beyond the usable range means the model has
+	// diverged. Only the survivors reach the wire.
 	var screened int
 	kept, keptMask := grads[:0], byzMask[:0]
 	for i, g := range grads {
-		if !gradientHealthy(g) {
+		if byzMask[i] && !gradientHealthy(g) {
 			if tensor.AllFinite(g) {
 				return nil, fmt.Errorf("%w: unusable submitted gradient in round %d", ErrDiverged, round)
 			}

@@ -1,21 +1,20 @@
-// Package sanitize is the hostile-input validation vocabulary of the
-// serving and simulation layers: a fast finiteness check over submitted
-// gradient vectors. A single Byzantine client can ship NaN or ±Inf
-// coordinates for free — the cheapest real-world poisoning attack — and a
-// value that reaches the aggregation kernels poisons norms, pairwise
-// distances and clustering inertia downstream. Every ingest surface (the
-// async serving path, the `/asyncfl/v2` decode path, the synchronous round
-// pipeline) screens through this package, and every one of them refuses
-// such an update whole: the defenses' filters assume finite vectors, so
-// there is no repair worth feeding them.
+// Package sanitize is the finiteness screen of the serving layer. A single
+// Byzantine client can ship NaN or ±Inf coordinates for free — the cheapest
+// real-world poisoning attack — and a value that reaches the aggregation
+// kernels poisons norms, pairwise distances and clustering inertia
+// downstream. asyncfl.Aggregator.Submit calls Screen once per served
+// gradient, whether it came in process or over the `/asyncfl/v2` wire, whose
+// codecs decode formats only; the simulation screens its round with a norm
+// pass of its own (fl.Simulation.Step). Both refuse a non-finite update
+// whole: the defenses' filters assume finite vectors, so there is no repair
+// worth feeding them.
 package sanitize
 
 import "github.com/signguard/signguard/internal/tensor"
 
 // Policy names what happens to a gradient carrying NaN or ±Inf
-// coordinates. Reject is the only disposition: every ingest surface refuses
-// such a gradient whatever Policy its caller names, the zero value
-// included.
+// coordinates. Reject is the only disposition: Screen refuses such a
+// gradient whatever Policy its caller names, the zero value included.
 type Policy int
 
 // Reject refuses the whole update: the submitter is told, nothing enters

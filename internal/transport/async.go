@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -62,34 +61,38 @@ func NewAsyncCodecHandler(agg *asyncfl.Aggregator, accepted []string) (http.Hand
 		if !ok {
 			return
 		}
-		// Refusals from here on never reach Submit: Refuse accounts them,
-		// and decides their schedule position.
-		refuse := func(nonFinite bool, format string, args ...any) {
-			agg.Refuse(req.Client, req.Seq, nonFinite)
+		// Refusals from here on never reach Submit: Refuse decides their
+		// schedule position.
+		refuse := func(format string, args ...any) {
+			agg.Refuse(req.Client, req.Seq)
 			http.Error(w, fmt.Sprintf(format, args...), http.StatusBadRequest)
 		}
 		enc := &req.Encoded
 		if !acceptSet[enc.Codec] {
-			refuse(false, "codec %q not accepted (server accepts %v)", enc.Codec, accepted)
+			refuse("codec %q not accepted (server accepts %v)", enc.Codec, accepted)
 			return
 		}
 		// Bound the declared dimension before decoding: Dim sizes the
 		// decode, and it is attacker-controlled wire input — a dimension
 		// the aggregator would reject anyway must not reach a codec at all.
 		if enc.Dim != dim {
-			refuse(false, "encoded payload declares dim %d, want %d", enc.Dim, dim)
+			refuse("encoded payload declares dim %d, want %d", enc.Dim, dim)
 			return
 		}
 		grad, err := reg.Decode(enc.WithDst(s.grad))
 		if err != nil {
-			// A payload that carries or amplifies to NaN/±Inf counts with
-			// the screen's rejections.
-			refuse(errors.Is(err, codec.ErrNonFinite), "decoding %s payload: %v", enc.Codec, err)
+			refuse("decoding %s payload: %v", enc.Codec, err)
 			return
 		}
+		// Submit's screen is the one finiteness check: a payload that
+		// carries or amplifies to NaN/±Inf decodes, and is refused there.
 		res, err := agg.Submit(asyncfl.Update{Client: req.Client, Version: req.Version, Seq: req.Seq, Grad: grad, WireBytes: enc.Bytes()})
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		if res.NonFinite {
+			http.Error(w, fmt.Sprintf("%s payload decodes to a non-finite gradient", enc.Codec), http.StatusBadRequest)
 			return
 		}
 		asyncWriteJSON(w, res)

@@ -55,10 +55,9 @@ func TestHostileNaNEndToEnd(t *testing.T) {
 		refused int64
 	}{
 		// A lock-step cohort: the hostile member uploads an uncompressed
-		// gradient with a single NaN coordinate. The identity decode
-		// refuses it with HTTP 400, which ends the member, and the refusal
-		// decides its schedule position, so round 0 closes on the honest
-		// five at once. Round 1 waits for the member's slot until the round
+		// gradient with a single NaN coordinate. Submit's screen refuses it
+		// with HTTP 400, which ends the member, and the refusal decides its
+		// schedule position, so round 0 closes on the honest five at once. Round 1 waits for the member's slot until the round
 		// timer drops it; the rest close on the honest five.
 		{"lockstep", func(t *testing.T, rule func(n int) aggregate.Rule) *asyncfl.Aggregator {
 			computes := quadraticCohort(target, honest, 0)
@@ -92,8 +91,8 @@ func TestHostileNaNEndToEnd(t *testing.T) {
 			return l.agg
 		}, 1},
 		// An uncompressed gradient with one literal NaN is the identity
-		// codec's payload: its decode refuses it, the handler accounts it
-		// and answers HTTP 400, as for any other non-finite payload.
+		// codec's payload: it decodes, Submit's screen refuses it and the
+		// handler answers HTTP 400, as for any other non-finite payload.
 		{"http-dense", httpHostileWire(target, honest, rounds, func(t *testing.T, evil *AsyncClient, round int) {
 			grad := make([]float64, dim)
 			grad[3] = math.NaN()
@@ -101,9 +100,8 @@ func TestHostileNaNEndToEnd(t *testing.T) {
 				t.Fatalf("literal-NaN uncompressed gradient: %v, want HTTP 400", err)
 			}
 		}), rounds},
-		// The other representable attack never reaches Submit: a valid qsgd
-		// payload whose finite Scale amplifies to +Inf on decode is refused
-		// by the codec, and the handler accounts it.
+		// The other representable attack: a valid qsgd payload whose finite
+		// Scale amplifies to +Inf on decode, refused by the same screen.
 		{"http-qsgd", httpHostileWire(target, honest, rounds, func(t *testing.T, evil *AsyncClient, round int) {
 			if _, err := evil.SubmitEncoded(context.Background(), round, 0, amplifyingQSGD(dim)); err == nil || !strings.Contains(err.Error(), "HTTP 400") {
 				t.Fatalf("amplifying qsgd payload: %v, want HTTP 400", err)
@@ -143,27 +141,58 @@ func amplifyingQSGD(dim int) codec.Encoded {
 	return hostile
 }
 
-// TestWireRefusalDecidesSchedulePosition: a submit the handler refuses after
-// its header parsed — here an amplifying qsgd payload — decides its
-// deterministic schedule position, as the screen's refusal in Submit does,
-// so the next position applies at once instead of parking behind it.
+// TestWireRefusalDecidesSchedulePosition: every payload shape that carries
+// or decodes to NaN or ±Inf decodes, reaches Submit and is refused by its
+// screen with HTTP 400, counted once in NonFiniteRejects and Rejects. The
+// refusal decides its deterministic schedule position at once, as any
+// refusal does, so the other position of the block (K = 2) steps it: after
+// the refusal when the hostile payload takes seq 0, and on its own arrival
+// when the hostile payload came first at seq 1.
 func TestWireRefusalDecidesSchedulePosition(t *testing.T) {
 	const dim = 4
-	agg, srv := newAsyncTestServer(t, asyncfl.Config{
-		InitialParams: make([]float64, dim), K: 2, LR: 0.1, SessionTTL: -1, Deterministic: true,
-	})
-	ctx := context.Background()
-	evil := &AsyncClient{Base: srv.URL, ID: "evil"}
-	if _, err := evil.SubmitEncoded(ctx, 0, 0, amplifyingQSGD(dim)); err == nil || !strings.Contains(err.Error(), "HTTP 400") {
-		t.Fatalf("amplifying qsgd payload at seq 0: %v, want HTTP 400", err)
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		enc  codec.Encoded
+		seq  int64 // the hostile payload's position; the honest one takes 1-seq
+	}{
+		{"identity NaN", codec.Encoded{Codec: codec.Identity, Dim: dim, Dense: []float64{1, nan, 3, 4}}, 0},
+		{"identity +Inf", codec.Encoded{Codec: codec.Identity, Dim: dim, Dense: []float64{inf, 0, 0, 0}}, 0},
+		{"topk NaN value", codec.Encoded{Codec: codec.TopK, Dim: dim, Idx: []int32{1}, Val: []float64{nan}}, 0},
+		{"topk -Inf value", codec.Encoded{Codec: codec.TopK, Dim: dim, Idx: []int32{0, 2}, Val: []float64{1, -inf}}, 0},
+		{"qsgd NaN scale", codec.Encoded{Codec: codec.QSGD, Dim: dim, Scale: nan, Levels: 4, Q: []int8{1, -1, 0, 0}}, 0},
+		{"qsgd +Inf scale", codec.Encoded{Codec: codec.QSGD, Dim: dim, Scale: inf, Levels: 4, Q: []int8{1, -1, 0, 0}}, 0},
+		// A finite Scale that amplifies to +Inf: the attack a sender can
+		// build from finite numbers only.
+		{"qsgd amplified to +Inf", amplifyingQSGD(dim), 0},
+		{"identity NaN at seq 1 before seq 0", codec.Encoded{Codec: codec.Identity, Dim: dim, Dense: []float64{1, nan, 3, 4}}, 1},
 	}
-	honest := &AsyncClient{Base: srv.URL, ID: "honest"}
-	res, err := honest.Submit(ctx, 0, 1, []float64{1, 2, 3, 4})
-	if err != nil || !res.Accepted || !res.Stepped {
-		t.Fatalf("dense gradient at seq 1: res=%+v err=%v, want Accepted and the block stepped", res, err)
-	}
-	if st := agg.Stats(); st.NonFiniteRejects != 1 || st.Steps != 1 {
-		t.Errorf("stats = %+v, want one non-finite refusal and one step", st)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			agg, srv := newAsyncTestServer(t, asyncfl.Config{
+				InitialParams: make([]float64, dim), K: 2, LR: 0.1, SessionTTL: -1, Deterministic: true,
+			})
+			ctx := context.Background()
+			evil := &AsyncClient{Base: srv.URL, ID: "evil"}
+			if _, err := evil.SubmitEncoded(ctx, 0, tc.seq, tc.enc); err == nil || !strings.Contains(err.Error(), "HTTP 400") {
+				t.Fatalf("hostile payload at seq %d: %v, want HTTP 400", tc.seq, err)
+			}
+			if st := agg.Stats(); st.NonFiniteRejects != 1 || st.Rejects != 1 || st.Steps != 0 {
+				t.Fatalf("after the refusal: stats = %+v, want one non-finite refusal in Rejects and no step", st)
+			}
+			honest := &AsyncClient{Base: srv.URL, ID: "honest"}
+			// Seq 1 closes the block itself and reports the step. Seq 0
+			// after a refused seq 1 steps the block through the drain, which
+			// reports that step on seq 1's discarded result, not on seq 0's
+			// reply: a known fault, so Stats.Steps is the check there.
+			res, err := honest.Submit(ctx, 0, 1-tc.seq, []float64{1, 2, 3, 4})
+			if err != nil || !res.Accepted || (tc.seq == 0 && !res.Stepped) {
+				t.Fatalf("gradient at seq %d: res=%+v err=%v, want Accepted (and Stepped at seq 1)", 1-tc.seq, res, err)
+			}
+			if st := agg.Stats(); st.NonFiniteRejects != 1 || st.Rejects != 1 || st.Steps != 1 {
+				t.Errorf("stats = %+v, want one non-finite refusal and the block stepped", st)
+			}
+		})
 	}
 }
 
