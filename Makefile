@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test loc conformance serve-smoke lockstep-smoke paper-smoke results-bench race bench perf perf-compare trajectory profile profile-top cover fmt-check doc-check vet fuzz
+.PHONY: all build test loc conformance serve-smoke lockstep-smoke paper-smoke results-bench race bench perf perf-compare perf-pairs trajectory profile profile-top cover fmt-check doc-check vet fuzz
 
 # Fuzz budget per target for `make fuzz` (CI passes FUZZTIME=10s; raise it
 # locally for deeper runs, e.g. make fuzz FUZZTIME=2m).
@@ -128,6 +128,15 @@ perf:
 
 perf-compare:
 	$(GO) run ./bench -compare $(A) $(B)
+
+# Alternating pairs (tools/pairs): the benchmark built at revision A
+# (default HEAD) and at B (default: the working tree), workload W run N
+# times on each side (default 10), each side first in every other pair;
+# prints each metric's median [Q1, Q3] per side, the ratio and B's wins.
+# A perf_opt entry in CHANGES.md quotes this output, e.g.
+#   make perf-pairs A=HEAD W=sim_wide N=10
+perf-pairs:
+	$(GO) run ./tools/pairs -a '$(or $(A),HEAD)' -b '$(B)' -workload '$(W)' -n $(or $(N),10)
 
 # The committed BENCH_<pr>.json files side by side, PR order left to right,
 # reduced to the columns another day's machine cannot move (allocation

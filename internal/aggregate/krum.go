@@ -14,7 +14,8 @@ import (
 // Each gradient is scored by the sum of squared distances to its n-F-2
 // nearest neighbours; the M lowest-scoring gradients are selected and
 // averaged (M=1 recovers plain Krum). F is the assumed number of Byzantine
-// clients.
+// clients. An instance owns its distance scratch, so it is not safe for
+// concurrent use.
 type MultiKrum struct {
 	// F is the assumed Byzantine count.
 	F int
@@ -23,6 +24,8 @@ type MultiKrum struct {
 	// Workers bounds the kernel parallelism (0 = automatic, 1 = sequential);
 	// the output is byte-identical for any value.
 	Workers int
+
+	dist stats.Pairwise // distance scratch, one Scores call long
 }
 
 var _ Rule = (*MultiKrum)(nil)
@@ -54,7 +57,7 @@ func (k *MultiKrum) Scores(grads [][]float64) ([]float64, error) {
 		return nil, fmt.Errorf("aggregate: Krum needs n >= 2F+3 (n=%d, F=%d)", n, k.F)
 	}
 	workers := parallel.Resolve(k.Workers)
-	dists, err := stats.PairwiseDistancesWorkers(grads, workers)
+	dists, err := k.dist.Distances(grads, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -113,13 +116,16 @@ func (k *MultiKrum) Aggregate(grads [][]float64) (*Result, error) {
 // Bulyan implements El Mhamdi et al. (ICML'18): it first builds a selection
 // set of θ = n - 2F gradients by repeatedly applying Krum, then aggregates
 // them with a coordinate-wise "beta-trimmed" mean around the median, using
-// β = θ - 2F values per coordinate.
+// β = θ - 2F values per coordinate. An instance owns its distance scratch,
+// so it is not safe for concurrent use.
 type Bulyan struct {
 	// F is the assumed Byzantine count.
 	F int
 	// Workers bounds the kernel parallelism (0 = automatic, 1 = sequential);
 	// the output is byte-identical for any value.
 	Workers int
+
+	dist stats.Pairwise // distance scratch, one Aggregate call long
 }
 
 var _ Rule = (*Bulyan)(nil)
@@ -161,7 +167,7 @@ func (b *Bulyan) Aggregate(grads [][]float64) (*Result, error) {
 	// Krum's n >= 2F+3 requirement we fall back to the smallest total
 	// distance to the remaining set, which preserves the spirit of the
 	// selection while remaining well-defined.
-	dists, err := stats.PairwiseDistancesWorkers(grads, workers)
+	dists, err := b.dist.Distances(grads, workers)
 	if err != nil {
 		return nil, err
 	}

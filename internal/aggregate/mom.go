@@ -15,11 +15,14 @@ import (
 // all gradients within r of μ, and the aggregate is their average. An
 // empty candidate set degrades to plain averaging (the filter has no
 // majority to anchor on). The threshold r is derived from the data as the
-// median pairwise distance of the round's gradients.
+// median pairwise distance of the round's gradients. An instance owns its
+// distance scratch, so it is not safe for concurrent use.
 type MedianOfMeans struct {
 	// Workers bounds the kernel parallelism (0 = automatic, 1 = sequential);
 	// the output is byte-identical for any value.
 	Workers int
+
+	dist stats.Pairwise // distance scratch, one Aggregate call long
 }
 
 var (
@@ -45,7 +48,7 @@ func (m *MedianOfMeans) Aggregate(grads [][]float64) (*Result, error) {
 	}
 	n := len(grads)
 	workers := parallel.Resolve(m.Workers)
-	dist, err := stats.PairwiseDistancesWorkers(grads, workers)
+	dist, err := m.dist.Distances(grads, workers)
 	if err != nil {
 		return nil, err
 	}

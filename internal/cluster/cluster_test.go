@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"github.com/signguard/signguard/internal/stats"
 	"github.com/signguard/signguard/internal/tensor"
 )
 
@@ -24,7 +25,7 @@ func twoBlobs(seed int64, nA, nB int) [][]float64 {
 
 func TestMeanShiftTwoBlobs(t *testing.T) {
 	pts := twoBlobs(1, 30, 10)
-	res, err := MeanShift(pts)
+	res, err := MeanShift(pts, new(stats.Pairwise))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func TestMeanShiftSingleCluster(t *testing.T) {
 	// With the flat kernel a fringe point can form its own tiny mode; the
 	// invariant that matters for SignGuard is that the dominant cluster
 	// absorbs the bulk of a homogeneous blob.
-	res, err := MeanShift(pts)
+	res, err := MeanShift(pts, new(stats.Pairwise))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestMeanShiftSingleCluster(t *testing.T) {
 
 func TestMeanShiftIdenticalPoints(t *testing.T) {
 	pts := [][]float64{{1, 2}, {1, 2}, {1, 2}}
-	res, err := MeanShift(pts)
+	res, err := MeanShift(pts, new(stats.Pairwise))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,27 +73,27 @@ func TestMeanShiftIdenticalPoints(t *testing.T) {
 }
 
 func TestMeanShiftErrors(t *testing.T) {
-	if _, err := MeanShift(nil); err == nil {
+	if _, err := MeanShift(nil, new(stats.Pairwise)); err == nil {
 		t.Error("accepted empty input")
 	}
-	if _, err := MeanShift([][]float64{{1}, {1, 2}}); err == nil {
+	if _, err := MeanShift([][]float64{{1}, {1, 2}}, new(stats.Pairwise)); err == nil {
 		t.Error("accepted ragged input")
 	}
 }
 
 func TestEstimateBandwidth(t *testing.T) {
-	h, err := EstimateBandwidth([][]float64{{0}, {1}, {2}})
+	h, err := EstimateBandwidth([][]float64{{0}, {1}, {2}}, new(stats.Pairwise))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if h <= 0 {
 		t.Errorf("bandwidth = %v", h)
 	}
-	h, err = EstimateBandwidth([][]float64{{5}, {5}})
+	h, err = EstimateBandwidth([][]float64{{5}, {5}}, new(stats.Pairwise))
 	if err != nil || h <= 0 {
 		t.Errorf("identical-point bandwidth = %v, %v", h, err)
 	}
-	if _, err := EstimateBandwidth(nil); err == nil {
+	if _, err := EstimateBandwidth(nil, new(stats.Pairwise)); err == nil {
 		t.Error("accepted empty input")
 	}
 }
@@ -173,7 +174,7 @@ func TestMeanShiftModesInBoxQuick(t *testing.T) {
 		for i := range pts {
 			pts[i] = []float64{rng.NormFloat64() * 3, rng.NormFloat64() * 3}
 		}
-		res, err := MeanShift(pts)
+		res, err := MeanShift(pts, new(stats.Pairwise))
 		if err != nil {
 			return false
 		}
@@ -205,7 +206,7 @@ func TestClusterInvariantsQuick(t *testing.T) {
 		for i := range pts {
 			pts[i] = []float64{rng.Float64(), rng.Float64(), rng.Float64()}
 		}
-		res, err := MeanShift(pts)
+		res, err := MeanShift(pts, new(stats.Pairwise))
 		if err != nil {
 			return false
 		}

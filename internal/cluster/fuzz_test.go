@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"github.com/signguard/signguard/internal/stats"
 	"github.com/signguard/signguard/internal/tensor"
 )
 
@@ -98,7 +99,7 @@ func FuzzMeanShiftCluster(f *testing.F) {
 		if len(pts) > 64 {
 			pts = pts[:64] // bound the O(n²) pairwise work per exec
 		}
-		res, err := MeanShift(pts)
+		res, err := MeanShift(pts, new(stats.Pairwise))
 		if err != nil {
 			return
 		}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"github.com/signguard/signguard/internal/stats"
 	"github.com/signguard/signguard/internal/tensor"
 )
 
@@ -64,12 +65,12 @@ func TestKMeansClampsKAbovePointCount(t *testing.T) {
 func TestMeanShiftNonFinitePointErrors(t *testing.T) {
 	pts := twoBlobs(5, 10, 5)
 	pts[7][0] = math.NaN()
-	if _, err := MeanShift(pts); !errors.Is(err, ErrNonFinitePoints) {
+	if _, err := MeanShift(pts, new(stats.Pairwise)); !errors.Is(err, ErrNonFinitePoints) {
 		t.Fatalf("MeanShift with NaN point: err=%v, want ErrNonFinitePoints", err)
 	}
 	pts2 := twoBlobs(6, 10, 5)
 	pts2[2][1] = math.Inf(-1)
-	if _, err := MeanShift(pts2); !errors.Is(err, ErrNonFinitePoints) {
+	if _, err := MeanShift(pts2, new(stats.Pairwise)); !errors.Is(err, ErrNonFinitePoints) {
 		t.Fatalf("MeanShift with -Inf point: err=%v, want ErrNonFinitePoints", err)
 	}
 }

@@ -58,16 +58,17 @@ func (r *Result) Members(c int) []int {
 
 // EstimateBandwidth returns a data-driven bandwidth: the median non-zero
 // pairwise distance between points, with a floor to keep the kernel
-// non-degenerate when many points coincide.
-func EstimateBandwidth(points [][]float64) (float64, error) {
+// non-degenerate when many points coincide. dist is the caller's distance
+// scratch (a rule keeps one, so a warm call allocates no matrix).
+func EstimateBandwidth(points [][]float64, dist *stats.Pairwise) (float64, error) {
 	if len(points) == 0 {
 		return 0, ErrNoPoints
 	}
-	dists, err := stats.PairwiseDistances(points)
+	dists, err := dist.Distances(points, 1)
 	if err != nil {
 		return 0, err
 	}
-	var flat []float64
+	flat := make([]float64, 0, len(dists)*(len(dists)-1)/2)
 	for i := range dists {
 		for j := i + 1; j < len(dists); j++ {
 			if d := dists[i][j]; d > 0 {
@@ -90,14 +91,14 @@ func EstimateBandwidth(points [][]float64) (float64, error) {
 }
 
 // MeanShift clusters the points with a flat kernel of radius h =
-// EstimateBandwidth(points): each point ascends to the mean of its
+// EstimateBandwidth(points, dist): each point ascends to the mean of its
 // neighbours within h until it converges to a mode, and modes within one
 // bandwidth of an earlier cluster's centre join it. Merging within a full
 // bandwidth keeps a homogeneous benign majority from fragmenting into
 // several small clusters, which a unanimous malicious cohort (a single
 // ultra-tight mode) could otherwise outnumber. Each cluster's centre is its
 // first mode.
-func MeanShift(points [][]float64) (*Result, error) {
+func MeanShift(points [][]float64, dist *stats.Pairwise) (*Result, error) {
 	n := len(points)
 	if n == 0 {
 		return nil, ErrNoPoints
@@ -115,7 +116,7 @@ func MeanShift(points [][]float64) (*Result, error) {
 			return nil, fmt.Errorf("%w: point %d has a non-finite coordinate", ErrNonFinitePoints, i)
 		}
 	}
-	h, err := EstimateBandwidth(points)
+	h, err := EstimateBandwidth(points, dist)
 	if err != nil {
 		return nil, err
 	}

@@ -122,7 +122,7 @@ func signFeatures(grads [][]float64, ref []float64, frac float64, sim Similarity
 
 // signCluster is Algorithm 2, step 2's decision: Mean-Shift over the
 // feature rows, trusting the largest cluster. It returns the indices of
-// that cluster's rows, ascending.
+// that cluster's rows, ascending. dist is the rule's distance scratch.
 //
 // The sign proportions are robust to any input (NaN counts as a zero sign),
 // but cosine and distance are not: a NaN coordinate, or finite coordinates
@@ -130,7 +130,7 @@ func signFeatures(grads [][]float64, ref []float64, frac float64, sim Similarity
 // Mean-Shift refuses. Such a row is left out of the clustering and never
 // kept, so one hostile gradient cannot fail the round; the filter errors
 // only when no row is finite.
-func signCluster(features [][]float64) ([]int, error) {
+func signCluster(features [][]float64, dist *stats.Pairwise) ([]int, error) {
 	rows := make([]int, 0, len(features))
 	points := make([][]float64, 0, len(features))
 	for i, row := range features {
@@ -142,7 +142,7 @@ func signCluster(features [][]float64) ([]int, error) {
 	if len(points) == 0 {
 		return nil, errors.New("core: no finite feature row (non-finite input gradients)")
 	}
-	res, err := cluster.MeanShift(points)
+	res, err := cluster.MeanShift(points, dist)
 	if err != nil {
 		return nil, fmt.Errorf("core: sign clustering: %w", err)
 	}

@@ -64,6 +64,7 @@ type SignGuard struct {
 	rng *rand.Rand
 
 	prevAgg []float64
+	dist    stats.Pairwise // the sign clustering's distance scratch
 }
 
 var _ aggregate.Rule = (*SignGuard)(nil)
@@ -163,7 +164,7 @@ func (sg *SignGuard) Aggregate(grads [][]float64) (*aggregate.Result, error) {
 	if sg.cfg.UseSignFilter {
 		features, err := signFeatures(grads, sg.prevAgg, CoordFraction, sg.cfg.Similarity, sg.rng)
 		if err == nil {
-			signKept, err = signCluster(features)
+			signKept, err = signCluster(features, &sg.dist)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("core: filter sign-cluster(%v): %w", sg.cfg.Similarity, err)

@@ -101,7 +101,7 @@ func TestSignClusterSeparatesLIE(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kept, err := signCluster(features)
+	kept, err := signCluster(features, new(stats.Pairwise))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,14 +143,14 @@ func TestSignFeatures(t *testing.T) {
 func TestSignClusterSkipsNonFiniteRows(t *testing.T) {
 	nan := math.NaN()
 	features := [][]float64{{1, 0, 0}, {1, 0, nan}, {0.99, 0.01, 0}, {0, 0, 1}, {0.98, 0.02, 0}}
-	kept, err := signCluster(features)
+	kept, err := signCluster(features, new(stats.Pairwise))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := []int{0, 2, 4}; !reflect.DeepEqual(kept, want) {
 		t.Errorf("kept %v, want %v", kept, want)
 	}
-	if _, err := signCluster([][]float64{{nan, 0, 0}, {0, math.Inf(1), 0}}); err == nil {
+	if _, err := signCluster([][]float64{{nan, 0, 0}, {0, math.Inf(1), 0}}, new(stats.Pairwise)); err == nil {
 		t.Error("clustered a matrix with no finite row")
 	}
 }

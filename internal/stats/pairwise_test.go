@@ -13,7 +13,7 @@ import (
 
 // referencePairwise is the distance matrix as it was computed before the
 // blocked kernel — one tensor.SquaredDistance pass per pair — kept here as
-// the oracle PairwiseDistancesWorkers must match bit for bit.
+// the oracle Pairwise.Distances must match bit for bit.
 func referencePairwise(t testing.TB, vs [][]float64) [][]float64 {
 	t.Helper()
 	out := make([][]float64, len(vs))
@@ -100,7 +100,7 @@ func TestPairwiseDistancesMatchesReferenceBits(t *testing.T) {
 				}
 				want := referencePairwise(t, vs)
 				for _, workers := range []int{1, 2, 7} {
-					got, err := PairwiseDistancesWorkers(vs, workers)
+					got, err := new(Pairwise).Distances(vs, workers)
 					if err != nil {
 						t.Fatalf("%s workers=%d: %v", label, workers, err)
 					}
@@ -132,11 +132,69 @@ func TestPairwiseDistancesNonFiniteRows(t *testing.T) {
 				t.Fatalf("d=%d: oracle did not see the non-finite rows: %v %v", d, want[6][7], want[3][0])
 			}
 			for _, workers := range []int{1, 2, 7} {
-				got, err := PairwiseDistancesWorkers(vs, workers)
+				got, err := new(Pairwise).Distances(vs, workers)
 				if err != nil {
 					t.Fatal(err)
 				}
 				checkPairwise(t, fmt.Sprintf("d=%d density=%g workers=%d", d, density, workers), got, want)
+			}
+		}
+	}
+}
+
+// Bit-identical rows are measured once and expanded: several groups, one
+// spanning index 0 and n−1, a whole cohort of copies (m = 1), duplicated
+// NaN and +Inf rows (NaN against their copy, as in the oracle), and rows
+// that differ only in the sign of a zero, which must not merge. One
+// Pairwise is reused across every case, as a rule reuses its own.
+func TestPairwiseDistancesCollapsesIdenticalRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	var p Pairwise
+	for _, d := range []int{1, 65, 600, 4550} {
+		for _, density := range []float64{0.1, 1} {
+			same := maskedRows(rng, 1, d, density)[0]
+			cases := map[string]func(vs [][]float64){
+				"groups": func(vs [][]float64) {
+					copy(vs[0], vs[11])
+					copy(vs[3], vs[5])
+					copy(vs[7], vs[5])
+					copy(vs[9], vs[2])
+				},
+				"span": func(vs [][]float64) {
+					copy(vs[len(vs)-1], vs[0])
+					copy(vs[4], vs[0])
+				},
+				"all": func(vs [][]float64) {
+					for _, v := range vs {
+						copy(v, same)
+					}
+				},
+				"nonfinite": func(vs [][]float64) {
+					vs[1][0], vs[6][d-1] = math.NaN(), math.Inf(1)
+					copy(vs[8], vs[1])
+					copy(vs[10], vs[6])
+					copy(vs[2], vs[6])
+				},
+				"signed-zero": func(vs [][]float64) {
+					vs[3][d/2] = 0
+					copy(vs[5], vs[3])
+					vs[5][d/2] = math.Copysign(0, -1)
+				},
+			}
+			for name, edit := range cases {
+				vs := maskedRows(rng, 12, d, density)
+				edit(vs)
+				want := referencePairwise(t, vs)
+				for _, workers := range []int{1, 2, 7} {
+					got, err := p.Distances(vs, workers)
+					if err != nil {
+						t.Fatal(err)
+					}
+					checkPairwise(t, fmt.Sprintf("%s d=%d density=%g workers=%d", name, d, density, workers), got, want)
+				}
+			}
+			if got, _ := p.Distances([][]float64{{math.NaN()}, {math.NaN()}, {1}}, 2); !math.IsNaN(got[0][1]) {
+				t.Fatalf("copied NaN rows are %v apart, want NaN", got[0][1])
 			}
 		}
 	}
@@ -147,7 +205,7 @@ func TestPairwiseDistancesNonFiniteRows(t *testing.T) {
 func TestPairwiseDistancesRaggedRows(t *testing.T) {
 	vs := [][]float64{{1, 2, 3}, {4, 5, 6}, {7, 8}, {9, 10, 11}}
 	for _, workers := range []int{1, 2} {
-		out, err := PairwiseDistancesWorkers(vs, workers)
+		out, err := new(Pairwise).Distances(vs, workers)
 		if err == nil || out != nil {
 			t.Fatalf("workers=%d: ragged rows gave %v, %v", workers, out, err)
 		}
@@ -157,16 +215,20 @@ func TestPairwiseDistancesRaggedRows(t *testing.T) {
 	}
 }
 
-// Concurrent callers each take their own pooled bitmap scratch: differently
-// shaped cohorts interleaved on many goroutines must each still match their
-// oracle (run under -race by make race and make conformance's callers).
+// Concurrent callers each own their Pairwise, as each rule instance does:
+// differently shaped cohorts (one with copied rows) interleaved on many
+// goroutines, each reusing its scratch across shapes, must each still match
+// their oracle (run under -race by make race).
 func TestPairwiseDistancesConcurrentCallers(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	cohorts := [][][]float64{
 		maskedRows(rng, 9, 300, 0.1),
 		maskedRows(rng, 6, 65, 1),
 		maskedRows(rng, 12, 130, 0.5),
+		maskedRows(rng, 10, 700, 0.1),
 	}
+	copy(cohorts[3][9], cohorts[3][0])
+	copy(cohorts[3][4], cohorts[3][0])
 	wants := make([][][]float64, len(cohorts))
 	for i, vs := range cohorts {
 		wants[i] = referencePairwise(t, vs)
@@ -174,9 +236,10 @@ func TestPairwiseDistancesConcurrentCallers(t *testing.T) {
 	done := make(chan error, 8)
 	for g := 0; g < cap(done); g++ {
 		go func(g int) {
+			var p Pairwise
 			for rep := 0; rep < 20; rep++ {
 				k := (g + rep) % len(cohorts)
-				got, err := PairwiseDistancesWorkers(cohorts[k], 1+g%3)
+				got, err := p.Distances(cohorts[k], 1+g%3)
 				if err != nil {
 					done <- err
 					return
@@ -201,37 +264,47 @@ func TestPairwiseDistancesConcurrentCallers(t *testing.T) {
 }
 
 // FuzzPairwiseDistances reinterprets raw bytes as a small n×d matrix — any
-// bit pattern, so NaN, ±Inf, −0 and subnormals arise naturally — with a
-// zero-mask punched into it, and holds the kernel to the oracle's bits for
-// three worker counts.
+// bit pattern, so NaN, ±Inf, −0 and subnormals arise naturally, the bytes
+// cycled so that every d from 1 to 1100 is reachable, past two
+// 512-coordinate panels — with a zero-mask punched into it and, per bit of
+// dup, row i replaced by a copy of an earlier row, and holds the kernel to
+// the oracle's bits for three worker counts.
 func FuzzPairwiseDistances(f *testing.F) {
 	seed := make([]byte, 8*12)
 	for i := range seed {
 		seed[i] = byte(i * 37)
 	}
-	f.Add(uint8(3), uint64(0x5a5a), seed)
-	f.Add(uint8(70), uint64(0), make([]byte, 8*140))
-	f.Add(uint8(1), ^uint64(0), []byte{0, 0, 0, 0, 0, 0, 0xf0, 0x7f, 0, 0, 0, 0, 0, 0, 0xf0, 0x7f})
-	f.Fuzz(func(t *testing.T, dim uint8, mask uint64, data []byte) {
-		d := int(dim)%130 + 1
-		n := len(data) / 8 / d
-		if n > 12 {
-			n = 12
+	f.Add(uint16(2), uint64(0x5a5a), uint8(0), seed)
+	f.Add(uint16(69), uint64(0), uint8(0x12), make([]byte, 8*140))
+	f.Add(uint16(0), ^uint64(0), uint8(0xff), []byte{0, 0, 0, 0, 0, 0, 0xf0, 0x7f, 0, 0, 0, 0, 0, 0, 0xf0, 0x7f})
+	f.Add(uint16(63), uint64(0x0f0f), uint8(0x28), seed)
+	f.Add(uint16(1023), uint64(0x8001), uint8(0x6c), seed)
+	f.Add(uint16(1099), uint64(0x0f0f), uint8(0x28), seed)
+	f.Fuzz(func(t *testing.T, dim uint16, mask uint64, dup uint8, data []byte) {
+		words := len(data) / 8
+		if words == 0 {
+			return
 		}
+		d := int(dim)%1100 + 1
+		n := min(12, max(2, 8*words/d))
 		vs := make([][]float64, n)
 		for i := range vs {
 			vs[i] = make([]float64, d)
+			if i > 0 && dup>>(uint(i)%8)&1 == 1 {
+				copy(vs[i], vs[int(dup)%i])
+				continue
+			}
 			for c := range vs[i] {
 				// Bit (i+c)%64 of mask zeroes the coordinate, so supports
 				// differ from row to row.
 				if mask>>(uint(i+c)%64)&1 == 0 {
-					vs[i][c] = math.Float64frombits(binary.LittleEndian.Uint64(data[(i*d+c)*8:]))
+					vs[i][c] = math.Float64frombits(binary.LittleEndian.Uint64(data[((i*d+c)%words)*8:]))
 				}
 			}
 		}
 		want := referencePairwise(t, vs)
 		for _, workers := range []int{1, 2, 7} {
-			got, err := PairwiseDistancesWorkers(vs, workers)
+			got, err := new(Pairwise).Distances(vs, workers)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,9 +1,11 @@
 // Package stats implements the statistical primitives used by SignGuard and
 // the baseline robust aggregation rules: order statistics (median, trimmed
 // mean), coordinate-wise robust estimators over sets of gradient
-// vectors, cosine similarity, the element-wise sign statistics that are the
-// heart of the SignGuard filter, and the standard-normal distribution
-// functions needed to calibrate the "Little is Enough" attack.
+// vectors, cosine similarity, the all-pairs distance matrix (Pairwise,
+// whose scratch its caller owns and which measures bit-identical rows
+// once), the element-wise sign statistics that are the heart of the
+// SignGuard filter, and the standard-normal distribution functions needed
+// to calibrate the "Little is Enough" attack.
 package stats
 
 import (
@@ -11,7 +13,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"github.com/signguard/signguard/internal/parallel"
 	"github.com/signguard/signguard/internal/tensor"
@@ -190,26 +191,30 @@ func CoordinateMeanStd(vs [][]float64) (mean, std []float64, err error) {
 	return mean, std, nil
 }
 
-// PairwiseDistances returns the symmetric matrix D where D[i][j] = ||v_i - v_j||.
-func PairwiseDistances(vs [][]float64) ([][]float64, error) {
-	return PairwiseDistancesWorkers(vs, 1)
+// Pairwise is the working memory of the all-pairs distance matrix: the
+// grouping of bit-identical rows, the support bitmaps, the distinct rows'
+// squared distances and the n×n result. A rule keeps one per instance, so
+// a warm Aggregate allocates none of it; the zero value is ready to use. It
+// keeps no vector across calls and is not safe for concurrent use.
+type Pairwise struct {
+	group, first []int
+	fp, support  []uint64
+	reps         [][]float64
+	sq, flat     []float64
+	sqRows, out  [][]float64
 }
 
-// supportScratch pools the support-bitmap scratch of
-// PairwiseDistancesWorkers, so concurrent Aggregate calls each take their
-// own and back-to-back calls share one. The kernel overwrites every word
-// before it reads any, so nothing of a previous call leaks into the next.
-var supportScratch = sync.Pool{New: func() any { return new([]uint64) }}
-
-// PairwiseDistancesWorkers is PairwiseDistances with the rows of the
-// triangular (j > i) loop spread across workers by
-// tensor.PairwiseSquaredDistances: row i is measured against columns j > i
-// four at a time, over the union of the five vectors' supports. Every
-// matrix entry is written by exactly one worker and every distance is
-// still one ascending-order sum from +0, so the result is byte-identical
-// for any worker count and to a plain loop over tensor.Distance. The rows
-// of the result share one flat backing array.
-func PairwiseDistancesWorkers(vs [][]float64, workers int) ([][]float64, error) {
+// Distances returns the symmetric matrix D[i][j] = ‖vs[i] − vs[j]‖, every
+// entry Float64bits-identical to math.Sqrt(tensor.SquaredDistance(vs[i],
+// vs[j])) for any worker count (any NaN for a NaN). Rows that are
+// bit-identical — colluding attackers' copies — are measured once:
+// tensor.DistinctRows groups them, tensor.PairwiseSquaredDistances runs
+// over the m distinct rows, and the workers expand its m×m triangle to n×n
+// with the square root and the mirror. A copy's distance to its original
+// is tensor.SquaredDistance of the row with itself: +0, or NaN for a row
+// with a NaN or ±Inf. The rows of the result share one flat backing array,
+// valid until the next call.
+func (p *Pairwise) Distances(vs [][]float64, workers int) ([][]float64, error) {
 	n := len(vs)
 	if n == 0 {
 		return [][]float64{}, nil
@@ -220,26 +225,80 @@ func PairwiseDistancesWorkers(vs [][]float64, workers int) ([][]float64, error) 
 			return nil, fmt.Errorf("stats: PairwiseDistances row %d has %d dims, want %d", i, len(v), d)
 		}
 	}
-	flat := make([]float64, n*n)
-	out := make([][]float64, n)
-	for i := range out {
-		out[i] = flat[i*n : (i+1)*n : (i+1)*n]
-	}
-
-	words := n * tensor.SupportWords(d)
-	scratch := supportScratch.Get().(*[]uint64)
-	defer supportScratch.Put(scratch)
-	if cap(*scratch) < words {
-		*scratch = make([]uint64, words)
-	}
-	if err := tensor.PairwiseSquaredDistances(out, vs, (*scratch)[:words], workers); err != nil {
-		return nil, err
-	}
-	for i, row := range out {
-		for j := i + 1; j < n; j++ {
-			row[j] = math.Sqrt(row[j])
-			out[j][i] = row[j]
+	p.group, p.first, p.fp = grow(p.group, n), grow(p.first, n), grow(p.fp, n)
+	m := tensor.DistinctRows(p.group, p.first, p.fp, vs)
+	p.flat, p.out = square(p.flat, p.out, n)
+	reps, sq := vs, p.out
+	if m < n {
+		p.reps = grow(p.reps, m)
+		for a, i := range p.first[:m] {
+			p.reps[a] = vs[i]
+		}
+		reps = p.reps
+		p.sq, p.sqRows = square(p.sq, p.sqRows, m)
+		sq = p.sqRows
+		// A copy's distance to its row sits on the diagonal; −1 marks an
+		// id with no copy (never read, as out's diagonal is +0).
+		for a := range sq {
+			sq[a][a] = -1
+		}
+		for i, g := range p.group[:n] {
+			if p.first[g] != i && sq[g][g] < 0 {
+				sq[g][g], _ = tensor.SquaredDistance(vs[i], vs[i])
+			}
 		}
 	}
-	return out, nil
+	p.support = grow(p.support, m*tensor.SupportWords(d))
+	err := tensor.PairwiseSquaredDistances(sq, reps, p.support, workers)
+	clear(p.reps)
+	if err != nil {
+		return nil, err
+	}
+	parallel.For(workers, m, func(_, start, end int) {
+		for a := start; a < end; a++ {
+			row := sq[a]
+			for b := a; b < m; b++ {
+				row[b] = math.Sqrt(row[b])
+			}
+		}
+	})
+	// Expansion: every entry of row i is a square-rooted entry of the
+	// distinct rows' upper triangle (or diagonal, for two copies). With no
+	// copies the triangle is the result's own, so only the mirror is written.
+	group := p.group[:n]
+	parallel.For(workers, n, func(_, start, end int) {
+		for i := start; i < end; i++ {
+			row, gi := p.out[i], group[i]
+			for j, gj := range group {
+				switch {
+				case j == i:
+					row[j] = 0
+				case m == n && j > i:
+				case gi <= gj:
+					row[j] = sq[gi][gj]
+				default:
+					row[j] = sq[gj][gi]
+				}
+			}
+		}
+	})
+	return p.out, nil
+}
+
+// grow returns s resliced to n elements, reallocated only when too short.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// square returns an n×n matrix over flat whose rows share one backing
+// array, reusing flat and rows when they are large enough.
+func square(flat []float64, rows [][]float64, n int) ([]float64, [][]float64) {
+	flat, rows = grow(flat, n*n), grow(rows, n)
+	for i := range rows {
+		rows[i] = flat[i*n : (i+1)*n : (i+1)*n]
+	}
+	return flat, rows
 }

@@ -105,7 +105,7 @@ func TestCoordinateMeanStd(t *testing.T) {
 
 func TestPairwiseDistances(t *testing.T) {
 	vs := [][]float64{{0, 0}, {3, 4}}
-	d, err := PairwiseDistances(vs)
+	d, err := new(Pairwise).Distances(vs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,9 +9,9 @@ import (
 )
 
 // This file holds the one squared-distance kernel behind every
-// one-to-many and all-pairs distance scan (stats.PairwiseDistancesWorkers
-// and through it Krum, Multi-Krum, Bulyan, MoM and mean-shift; the
-// Min-Max / Min-Sum attacks; Weiszfeld; SignGuard's distance feature).
+// one-to-many and all-pairs distance scan (stats.Pairwise and through it
+// Krum, Multi-Krum, Bulyan, MoM and mean-shift; the Min-Max / Min-Sum
+// attacks; Weiszfeld; SignGuard's distance feature).
 //
 // One pass measures a against four vectors at once with four independent
 // accumulators, so the adds of different pairs overlap instead of each
@@ -27,6 +27,13 @@ import (
 // x != 0 rather than "is finite and non-zero" so that NaN and ±Inf are
 // always visited (they are what a hostile row must propagate) and ±0
 // never is.
+//
+// DistinctRows lets a caller measure colluding copies once. It groups
+// bit-identical rows, so the matrix form can run over the distinct rows
+// alone; that is exact because identical inputs give identical sums. The
+// fingerprint only rules pairs out, and every merge is confirmed by a full
+// Float64bits compare. docs/ARCHITECTURE.md ("The distance kernel") lists
+// the exact rewrites that were measured and were not faster.
 
 // SupportWords is the length of the support bitmap of a d-vector.
 func SupportWords(d int) int { return (d + 63) / 64 }
@@ -48,6 +55,78 @@ func fillSupport(dst []uint64, v []float64) {
 		}
 		dst[k] = w
 	}
+}
+
+// DistinctRows groups the bit-identical rows of vs: it sets group[i] to
+// the id of vs[i] (ids 0, 1, … in order of first appearance) and first[a]
+// to the first row with id a, and returns the number m of ids. fp is
+// scratch for len(vs) fingerprints; group, first and fp each hold at least
+// len(vs) elements. Two rows share an id only when they have the same
+// length and the same Float64bits at every coordinate. A row is compared
+// in full with at most one earlier row — the first id whose fingerprint it
+// matches — so rows crafted to collide cost at most one pass over the
+// cohort; a row that fails that compare opens an id of its own.
+func DistinctRows(group, first []int, fp []uint64, vs [][]float64) int {
+	m := 0
+rows:
+	for i, v := range vs {
+		fp[i] = fingerprint(v)
+		for a, f := range first[:m] {
+			if fp[f] == fp[i] {
+				if identical(vs[f], v) {
+					group[i] = a
+					continue rows
+				}
+				break
+			}
+		}
+		first[m], group[i] = i, m
+		m++
+	}
+	return m
+}
+
+// fingerprintCoords is how many coordinates with non-zero bits a
+// fingerprint reads: enough to tell apart rows that were computed
+// independently, few enough that a row costs next to nothing to group.
+const fingerprintCoords = 32
+
+// fingerprint mixes v's length and its first fingerprintCoords coordinates
+// whose Float64bits are not zero (all of them, when v has fewer): each
+// one's bits xored with a multiple of its index, multiplied by an odd
+// constant and folded by an xor-shift, which is not additive, so moving a
+// value to another coordinate, or swapping two, changes the sum. Equal
+// vectors have equal fingerprints; it is a prefilter, not a proof of
+// equality, and rows that differ only further on are told apart by the
+// full compare.
+func fingerprint(v []float64) uint64 {
+	const golden = 0x9e3779b97f4a7c15
+	h, k := uint64(len(v)), 0
+	for c, x := range v {
+		b := math.Float64bits(x)
+		if b == 0 {
+			continue
+		}
+		z := (b ^ uint64(c)*golden) * golden
+		h += z ^ z>>32
+		if k++; k == fingerprintCoords {
+			break
+		}
+	}
+	return h
+}
+
+// identical reports whether a and b hold the same Float64bits everywhere.
+func identical(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for c, x := range a {
+		if math.Float64bits(x) != math.Float64bits(b[c]) {
+			return false
+		}
+	}
+	return true
 }
 
 // SquaredDistancesTo sets dst[k] = ‖a − bs[k]‖² for every k, each entry

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -102,5 +103,61 @@ func TestPairwiseSquaredDistancesContract(t *testing.T) {
 	}
 	if err := PairwiseSquaredDistances(nil, nil, nil, 1); err != nil {
 		t.Errorf("empty cohort: %v", err)
+	}
+}
+
+// DistinctRows numbers ids in order of first appearance and merges only
+// rows with the same bits everywhere: NaN rows with the same payload merge,
+// rows that differ in the sign of a zero, in length, or only past the
+// coordinates the fingerprint reads do not. A row is compared in full with
+// the first id of its fingerprint only, so a copy of tail (whose
+// fingerprint long's id holds) opens an id of its own: not collapsed, still
+// exact.
+func TestDistinctRows(t *testing.T) {
+	nan := math.NaN()
+	long := make([]float64, 3*fingerprintCoords)
+	for c := range long {
+		long[c] = 1
+	}
+	tail := slices.Clone(long)
+	tail[len(tail)-1] = 2
+	vs := [][]float64{
+		{1, 0, 2},
+		{nan, 0, 0},
+		{1, 0, 2},
+		{1, math.Copysign(0, -1), 2},
+		{nan, 0, 0},
+		{1, 0},
+		{1, 0, 2},
+		long,
+		tail,
+		slices.Clone(tail),
+		slices.Clone(long),
+	}
+	if fingerprint(long) != fingerprint(tail) {
+		t.Fatal("the fingerprint reads past its first coordinates; widen the rows that differ only in their tail")
+	}
+	group, first, fp := make([]int, len(vs)), make([]int, len(vs)), make([]uint64, len(vs))
+	m := DistinctRows(group, first, fp, vs)
+	wantGroup, wantFirst := []int{0, 1, 0, 2, 1, 3, 0, 4, 5, 6, 4}, []int{0, 1, 3, 5, 7, 8, 9}
+	if m != len(wantFirst) || !slices.Equal(group, wantGroup) || !slices.Equal(first[:m], wantFirst) {
+		t.Errorf("m = %d, group = %v, first = %v; want %d, %v, %v", m, group, first[:m], len(wantFirst), wantGroup, wantFirst)
+	}
+}
+
+// The fingerprint sees a value move to another of the coordinates it reads,
+// including one a multiple of 64 coordinates away, where a rotation by the
+// index would repeat.
+func TestFingerprintSeesMovedValues(t *testing.T) {
+	v := make([]float64, 64*fingerprintCoords)
+	for c := 0; c < len(v); c += 64 {
+		v[c] = float64(c/64%7) - 3.5
+	}
+	for _, move := range [][2]int{{0, 64}, {64, 192}, {128, 64 * (fingerprintCoords - 1)}, {0, 1}} {
+		w := slices.Clone(v)
+		w[move[0]], w[move[1]] = v[move[1]], v[move[0]]
+		if fingerprint(w) == fingerprint(v) {
+			t.Errorf("moving values between coordinates %d and %d keeps the fingerprint", move[0], move[1])
+		}
 	}
 }
